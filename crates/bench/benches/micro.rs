@@ -23,8 +23,8 @@ use stems_core::{EddyExecutor, ExecConfig, RoutingPolicyKind};
 use stems_datagen::{gen::ColGen, TableBuilder};
 use stems_sim::SimRng;
 use stems_sql::parse_query;
-use stems_storage::{DictStore, HashStore, ListStore, RowSet, StoreKind};
-use stems_types::{ColumnType, PredId, Row, Schema, TableIdx, Tuple, Value};
+use stems_storage::{CandidateBuf, DictStore, HashStore, ListStore, RowSet, StoreKind};
+use stems_types::{ColumnType, HashedKey, PredId, Row, Schema, TableIdx, Tuple, Value};
 
 const N_ROWS: usize = 10_000;
 
@@ -83,9 +83,11 @@ fn bench_stem_probe() {
         k = (k + 1) % 250;
         hash.lookup_eq(1, &Value::Int(k)).len() as u64
     });
-    let keys: Vec<Value> = (0..64i64).map(Value::Int).collect();
+    let keys: Vec<HashedKey> = (0..64i64).map(|k| HashedKey::new(Value::Int(k))).collect();
+    let mut buf = CandidateBuf::new();
     bench("stem_probe/hash_indexed_batch64", 4_000, || {
-        hash.lookup_eq_batch(1, &keys).len() as u64
+        hash.lookup_eq_flat(1, &keys, &mut buf);
+        buf.num_keys() as u64
     });
     // The list store scans: orders of magnitude slower — the reason the
     // paper's SteMs keep "one main-memory index on each [join] column".

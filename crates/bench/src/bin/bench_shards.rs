@@ -14,7 +14,7 @@
 //! envelope sizes where the scoped-thread fan-out engages.
 //!
 //! Series: shard fan-outs {1, 2, 4} over identical input (shard 1 is the
-//! unsharded PR-3 SteM). Every series must produce the identical result
+//! same SteM code with a single lane). Every series must produce the identical result
 //! multiset — asserted via the same `result_hash` the CI bench_check gate
 //! consumes.
 //!

@@ -26,7 +26,7 @@
 //! `./BENCH_6.json`.
 
 use std::time::Instant;
-use stems_bench::{env_usize, median, result_hash};
+use stems_bench::{env_usize, result_hash};
 use stems_catalog::{Catalog, QuerySpec, ScanSpec};
 use stems_core::stem::ProbeReplySet;
 use stems_core::{ShardedStem, StemOptions, TupleState};
@@ -73,6 +73,12 @@ struct RunOutcome {
     ops: usize,
     results: usize,
     result_hash: String,
+}
+
+impl RunOutcome {
+    fn total_secs(&self) -> f64 {
+        self.build_secs + self.probe_secs
+    }
 }
 
 /// One full build+probe pass of the chain traffic at `workers`.
@@ -192,24 +198,28 @@ fn main() {
         result_hash: String,
     }
     let mut entries: Vec<Entry> = Vec::new();
+    let mut reference: Option<(String, usize)> = None;
     for workers in [1usize, 2, 4, 8] {
-        let mut secs = Vec::new();
-        let mut last: Option<RunOutcome> = None;
+        let mut outs: Vec<RunOutcome> = Vec::new();
         for _ in 0..runs {
             let out = run_once(&catalog, &query, envelope, workers);
-            secs.push(out.build_secs + out.probe_secs);
-            last = Some(out);
-        }
-        let out = last.expect("at least one run");
-        if let Some(first) = entries.first() {
+            // Every run of every series must agree with the very first —
+            // the pool is a pure scheduling device on each pass.
+            let (hash, results) =
+                reference.get_or_insert_with(|| (out.result_hash.clone(), out.results));
             assert_eq!(
-                out.result_hash, first.result_hash,
+                &out.result_hash, hash,
                 "workers {workers} changed the result multiset — the pool is not a pure \
                  scheduling device"
             );
-            assert_eq!(out.results, first.results);
+            assert_eq!(out.results, *results);
+            outs.push(out);
         }
-        let med = median(secs);
+        // Report the phases of the median run (upper median for even
+        // counts), so build + probe add up to the median beside them.
+        outs.sort_by(|a, b| a.total_secs().total_cmp(&b.total_secs()));
+        let out = outs.swap_remove(outs.len() / 2);
+        let med = out.total_secs();
         let ops_per_sec = out.ops as f64 / med;
         println!(
             "workers {workers}: {ops_per_sec:>12.0} ops/s wall (median {med:.4}s over {runs} \

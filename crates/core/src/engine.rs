@@ -104,8 +104,8 @@ pub struct ExecConfig {
     /// SteM shard fan-out: every SteM's dictionary is hash-partitioned by
     /// join key into this many shards (plus an overflow shard for
     /// un-hashable keys) and build/probe envelopes fan out across them —
-    /// see [`crate::sharded::ShardedStem`]. `1` (the default) is the
-    /// unsharded engine. Overridable with the `STEMS_NUM_SHARDS`
+    /// see [`crate::sharded::ShardedStem`]. `1` (the default) gives every
+    /// SteM a single lane. Overridable with the `STEMS_NUM_SHARDS`
     /// environment variable; CI crosses it with the batch-size matrix so
     /// shard-count invariance is enforced on every push. Folded into the
     /// plan's *default* SteM options at build time, unless the plan

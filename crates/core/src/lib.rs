@@ -12,16 +12,20 @@
 //! * **Access Modules** ([`am::ScanAm`], [`am::IndexAm`]) — one per access
 //!   method; scans push rows at a rate, indexes answer bound probes
 //!   asynchronously and emit End-Of-Transmission tuples.
-//! * **State Modules** ([`stem::Stem`]) — "half joins": a dictionary per
-//!   table instance handling build/probe, duplicate elimination, EOT
-//!   bookkeeping, timestamp filtering and bounce-back decisions. The
-//!   engine instantiates them behind [`sharded::ShardedStem`], which
-//!   hash-partitions SteM storage by join key ([`ExecConfig::num_shards`]
-//!   / `STEMS_NUM_SHARDS`) and fans build/probe envelopes out across
-//!   shards on the persistent work-stealing worker pool
+//! * **State Modules** ([`sharded::ShardedStem`]) — "half joins": a
+//!   dictionary per table instance handling build/probe, duplicate
+//!   elimination, EOT bookkeeping, timestamp filtering and bounce-back
+//!   decisions. One type with one build algorithm (route → per-lane
+//!   dedup + insert → serial timestamping) and one probe algorithm
+//!   (resolve + hash each binding once → lane → per-lane result
+//!   formation → merge). Its storage is split by join-key hash into
+//!   lanes ([`ExecConfig::num_shards`] / `STEMS_NUM_SHARDS`; the default
+//!   1 is the same code with a single lane), and large envelopes run
+//!   their lanes on the persistent work-stealing worker pool
 //!   ([`runtime::WorkerPool`], sized by [`ExecConfig::workers`] /
-//!   `STEMS_WORKERS`) — observably identical to the unsharded SteM at
-//!   every shard and worker count.
+//!   `STEMS_WORKERS`) — observably identical at every shard and worker
+//!   count. [`stem`] holds the SteM's option/result/reply types, the EOT
+//!   coverage index and the per-lane half.
 //! * the **eddy** ([`EddyExecutor`]) — routes every tuple between the other
 //!   modules according to a [`policy::RoutingPolicy`], under the
 //!   correctness constraints of paper Table 2 enforced by [`router`].
@@ -88,9 +92,9 @@
 //!    [`policy::RoutingPolicy::choose_batch`] call (default: delegate to
 //!    the scalar `choose` on a representative member) into **one**
 //!    envelope, serviced by the destination module in bulk:
-//!    [`stem::Stem::build_batch`] / [`stem::Stem::probe_batch`] amortize
-//!    dictionary maintenance through the storage layer's
-//!    `insert_batch` / `lookup_eq_batch`, and [`sm::Sm::apply_batch`]
+//!    [`ShardedStem::build_batch`] / [`ShardedStem::probe_batch_into`]
+//!    amortize dictionary maintenance through the storage layer's
+//!    `insert_batch` / `lookup_eq_flat`, and [`sm::Sm::apply_batch`]
 //!    filters whole batches.
 //!
 //! `batch_size: 1` degenerates to exactly the scalar engine (same

@@ -191,7 +191,7 @@ mod tests {
     use crate::stem::{make_scan_eot_row, BuildResult};
     use crate::tuple_state::{CompletionNeed, PriorProber};
     use stems_catalog::{Catalog, IndexSpec, ScanSpec, TableDef, TableInstance};
-    use stems_types::{CmpOp, ColRef, ColumnType, Predicate, Schema, Timestamp, Value};
+    use stems_types::{CmpOp, ColRef, ColumnType, Predicate, Schema, Value};
 
     fn setup(index_on_s: bool) -> (Catalog, QuerySpec) {
         let mut c = Catalog::new();
@@ -376,7 +376,7 @@ mod tests {
         if let Module::Stem(cell) = &mut m[smid] {
             let eot = Tuple::singleton(TableIdx(1), make_scan_eot_row(2));
             assert_eq!(
-                cell.lock().build(&eot, &TupleState::new(), 1 as Timestamp),
+                crate::sharded::testkit::build_one(&mut cell.lock(), &eot, &TupleState::new(), 1),
                 BuildResult::Eot
             );
         }

@@ -21,7 +21,7 @@
 //!   `n` active execution streams without over-subscribing the host.
 //! * **Scoped, borrow-friendly tasks** — [`WorkerPool::scope`] mirrors
 //!   `std::thread::scope`: tasks may borrow from the caller's stack
-//!   (`&mut Stem` shard slices), and the scope does not return until
+//!   (`&mut Shard` lane slices), and the scope does not return until
 //!   every task it spawned has finished — even when a task or the scope
 //!   body panics (the panic is re-raised after the barrier, never lost).
 //!

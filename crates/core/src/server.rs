@@ -14,10 +14,7 @@
 //! returns one [`QueryHandle`] per query in submission order: its
 //! [`QueryId`], a terminal [`QueryStatus`], and — for every query that
 //! actually ran — its [`ServerReport`]. Errors are typed
-//! ([`ServerError`]) rather than stringly. The PR 7 positional surface
-//! (`QueryServer::new` + `admit*` + `run_with_stats`) survives as thin
-//! deprecated shims over this API; `tests/server_folding.rs` proves the
-//! two equivalent.
+//! ([`ServerError`]) rather than stringly.
 //!
 //! # What is shared, what stays per-query
 //!
@@ -128,7 +125,7 @@ use crate::tuple_state::TupleState;
 use std::collections::VecDeque;
 use stems_catalog::{AccessMethodDef, Catalog, QuerySpec, SourceId};
 use stems_sim::{EventQueue, Time};
-use stems_types::{Result, Row, StemsError, TableIdx, Timestamp, Tuple, TupleBatch};
+use stems_types::{Row, StemsError, TableIdx, Timestamp, Tuple, TupleBatch};
 
 /// SteM-sharing compatibility key. Two instances may share one SteM only
 /// if they scan the same source, index it by the same (canonicalized)
@@ -293,8 +290,7 @@ pub enum QueryStatus {
 pub struct QueryId(pub usize);
 
 /// One query's outcome: terminal status plus — for every query that
-/// actually ran — its [`ServerReport`], exactly as the PR 7 surface
-/// produced it.
+/// actually ran — its [`ServerReport`].
 #[derive(Debug)]
 pub struct QueryHandle {
     pub id: QueryId,
@@ -372,9 +368,9 @@ impl From<ConfigError> for ServerError {
     }
 }
 
-/// Configures a [`QueryServer`]: named setters over the PR 7 positional
-/// `(catalog, config, fold)` constructor, plus the admission-control and
-/// deadline knobs that have no legacy equivalent.
+/// Configures a [`QueryServer`]: named setters for folding and the
+/// per-query default config, plus the admission-control and deadline
+/// knobs.
 pub struct ServerBuilder<'a> {
     catalog: &'a Catalog,
     config: Option<ExecConfig>,
@@ -604,17 +600,6 @@ impl<'a> QueryServer<'a> {
         ServerBuilder::new(catalog)
     }
 
-    /// A server over `catalog`. `fold` enables SteM sharing; `config` is
-    /// the default per-query configuration.
-    #[deprecated(note = "use `QueryServer::builder(catalog)` — named setters, budgets, deadlines")]
-    pub fn new(catalog: &'a Catalog, config: ExecConfig, fold: bool) -> Result<QueryServer<'a>> {
-        ServerBuilder::new(catalog)
-            .config(config)
-            .fold(fold)
-            .build()
-            .map_err(|e| StemsError::Schema(e.to_string()))
-    }
-
     /// Submit a query. Returns its [`QueryId`] — the index of its handle
     /// in [`QueryServer::serve`]'s result (submission order).
     pub fn submit(&mut self, submission: Submission) -> std::result::Result<QueryId, ServerError> {
@@ -676,35 +661,6 @@ impl<'a> QueryServer<'a> {
         self.agenda
             .push(at.max(self.now), ServerEvent::Cancel(id.0));
         Ok(())
-    }
-
-    /// Admit a query at time 0 with the server's default config.
-    #[deprecated(note = "use `QueryServer::submit(Submission::new(query))`")]
-    pub fn admit(&mut self, query: QuerySpec) -> Result<usize> {
-        self.submit(Submission::new(query))
-            .map(|id| id.0)
-            .map_err(|e| StemsError::Schema(e.to_string()))
-    }
-
-    /// Admit a query at virtual time `at` (clamped to the present).
-    #[deprecated(note = "use `QueryServer::submit(Submission::new(query).at(at))`")]
-    pub fn admit_at(&mut self, at: Time, query: QuerySpec) -> Result<usize> {
-        self.submit(Submission::new(query).at(at))
-            .map(|id| id.0)
-            .map_err(|e| StemsError::Schema(e.to_string()))
-    }
-
-    /// Admit a query with its own configuration.
-    #[deprecated(note = "use `QueryServer::submit(Submission::new(query).at(at).config(config))`")]
-    pub fn admit_with_config(
-        &mut self,
-        at: Time,
-        query: QuerySpec,
-        config: ExecConfig,
-    ) -> Result<usize> {
-        self.submit(Submission::new(query).at(at).config(config))
-            .map(|id| id.0)
-            .map_err(|e| StemsError::Schema(e.to_string()))
     }
 
     /// Run every submitted query to a terminal status; handles come back
@@ -795,27 +751,6 @@ impl<'a> QueryServer<'a> {
             })
             .collect();
         (handles, stats)
-    }
-
-    /// Run every admitted query to completion; reports come back in
-    /// admission order. Panics if any query was shed — impossible
-    /// without a budget, which this legacy surface cannot configure.
-    #[deprecated(note = "use `QueryServer::serve` — per-query handles with terminal statuses")]
-    pub fn run(self) -> Vec<ServerReport> {
-        #[allow(deprecated)]
-        self.run_with_stats().0
-    }
-
-    /// [`QueryServer::run`], plus a summary of how much state the run
-    /// actually shared.
-    #[deprecated(note = "use `QueryServer::serve` — per-query handles with terminal statuses")]
-    pub fn run_with_stats(self) -> (Vec<ServerReport>, ServerStats) {
-        let (handles, stats) = self.serve();
-        let reports = handles
-            .into_iter()
-            .map(|h| h.report.expect("query ran to completion"))
-            .collect();
-        (reports, stats)
     }
 
     /// Step every runnable executor up to `t` — the wave's execution

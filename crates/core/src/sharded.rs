@@ -1,157 +1,196 @@
-//! Hash-partitioned SteMs: the sharding layer over [`Stem`].
+//! The State Module: one type, one build algorithm, one probe algorithm.
 //!
-//! A single [`Stem`] serializes every build and probe for its table
-//! through one dictionary — fine for the paper's tuple-at-a-time eddy,
-//! but a hard throughput cap once envelopes carry thousands of rows.
-//! [`ShardedStem`] splits SteM *storage* by join-key hash into
-//! `num_shards` independent shards (each a full [`Stem`]) plus a
-//! dedicated **overflow shard** for rows whose key is un-hashable
-//! (NULL/EOT — the same lane discipline as
-//! `stems_storage::PartitionedStore`), and fans `build_batch` /
-//! `probe_batch_into` envelopes out across the shards on the persistent
-//! work-stealing worker pool ([`crate::runtime::WorkerPool`] — long-lived
-//! workers, per-shard affinity, no per-envelope thread spawn/join). The
-//! batched envelopes introduced in PR 1 are the natural unit of
-//! distribution: the eddy stays single-threaded and deterministic, and
-//! parallelism lives entirely inside one module service call.
+//! [`ShardedStem`] is the SteM the engine instantiates per table instance
+//! (paper §2.1.4, Table 2). Its dictionary is split by join-key hash into
+//! *lanes* ([`Shard`]): `num_shards` keyed lanes plus a dedicated
+//! **overflow lane** for rows whose key is un-hashable (NULL/EOT — the
+//! same lane discipline as `stems_storage::PartitionedStore`). A SteM
+//! with `num_shards: 1` is the same code with a single lane — nothing to
+//! route, nothing to merge — not a separate engine.
 //!
-//! Probe fan-outs are additionally **skew-aware**: the routing pass
-//! counts the rows landing in each lane, and every lane is cut into
-//! chunks of at most `ceil(total / workers)` rows before dispatch — a
-//! hot shard (every probe keyed to one value, say) is split across idle
-//! workers instead of serializing the envelope behind one lane. Chunking
-//! is deterministic and read-only (probes never mutate the dictionary),
-//! so replies are bit-identical at every worker count. Build lanes are
-//! *not* split: per-shard dedup is order-dependent, so a build lane is
-//! one worker's unit of work by construction.
+//! A lane owns only what must exist per lane: the dictionary, the dedup
+//! filter, the row → timestamp map and the probe scratch. Everything that
+//! is a property of the SteM lives once, here: the table instance and AM
+//! flags, the EOT index, the timestamp high-water mark and counters, the
+//! deferred-bounce queue and its partitioner, and the FIFO window.
 //!
-//! # Semantics: bit-identical to the unsharded engine
+//! # Build: route → ingest → stamp
 //!
-//! Sharding must be invisible to every observable of the engine
-//! (`tests/prop_batch_equivalence.rs` locks shard counts {1, 2, 4, 7}
-//! verdict-for-verdict to the single-shard engine):
+//! 1. **Route** (serial) — EOT tuples go to the EOT index; every data row
+//!    goes to lane `stable_key_hash(key) % num_shards` of its first join
+//!    column (the same column the deferred bounce-back partitioner uses),
+//!    un-hashable keys to the overflow lane.
+//!    [`stems_types::Value::stable_key_hash`] agrees with equality-key
+//!    normalization, so every row a probe key can `sql_eq` lives in the
+//!    probe key's lane and partitioned equality lookups stay complete.
+//! 2. **Ingest** ([`Shard::ingest`], per lane) — set-semantics dedup plus
+//!    the dictionary insert. Duplicates co-locate with their original
+//!    (same row ⇒ same key ⇒ same lane), so per-lane dedup is exact. Once
+//!    an envelope is large enough the busy lanes run on the persistent
+//!    work-stealing pool ([`crate::runtime::WorkerPool`] — long-lived
+//!    workers, per-lane affinity), the calling thread keeping a fixed
+//!    share of them (`fan_out`). Build lanes are never split: dedup is
+//!    order-dependent within a lane.
+//! 3. **Stamp** (serial, batch order) — global build timestamps, the
+//!    counters, and the bounce/defer decision, so timestamp assignment is
+//!    the same sequence at every shard and worker count.
 //!
-//! * **Routing** — a row lands in shard `stable_key_hash(key) %
-//!   num_shards` of its first join column (the same column the deferred
-//!   bounce-back partitioner uses). [`stems_types::Value::stable_key_hash`]
-//!   agrees with equality-key normalization, so every row a probe key can
-//!   `sql_eq` lives in the probe key's shard and partitioned equality
-//!   lookups stay complete. Un-hashable keys go to the overflow shard,
-//!   which equality probes on the key column never need to visit.
-//! * **Timestamps** — dictionary work (dedup + insert) runs per shard in
-//!   parallel; global build-timestamp assignment stays serial, in batch
-//!   order, exactly like the scalar engine ([`Stem::ingest_batch`] /
-//!   [`Stem::stamp_fresh`]). Duplicates co-locate with their original
-//!   (same row ⇒ same key ⇒ same shard), so per-shard dedup is exact.
-//! * **EOT-versioning** — EOT tuples are broadcast into every shard's EOT
-//!   index, so each shard answers coverage/bounce questions exactly like
-//!   the unsharded SteM and [`ShardedStem::eot_version`] can read any one
-//!   shard.
-//! * **Probe merge** — a probe bound on the shard key column is answered
-//!   by its one shard (plus nothing else: overflow rows cannot match).
-//!   Any other probe fans out to all shards and the per-shard results are
-//!   merged by ascending build timestamp — which *is* global insertion
-//!   order, so the merged [`ProbeReply`] is bit-identical to the
-//!   single-shard reply for insertion-ordered backends (List/Hash/
-//!   Adaptive/Partitioned; the Sorted backend orders by value and is
-//!   multiset-equal only).
-//! * **Deferred release** — per-shard deferred queues are merged and
-//!   clustered by `(bounce partition, build timestamp)`; since the scalar
-//!   release is a stable partition sort over build order, the merged
-//!   order is identical.
-//! * **Window sweeps** — a FIFO window is enforced *globally*: the victim
-//!   is always the shard holding the minimum oldest build timestamp.
-//!   Windowed builds take a serial per-tuple path (eviction must
-//!   interleave with inserts exactly as the scalar engine's does).
+//! A windowed SteM runs the same three steps one row at a time and
+//! evicts the globally oldest row after each — eviction must interleave
+//! with inserts, or an intra-envelope re-arrival of a row the window
+//! should already have forgotten would be wrongly absorbed.
 //!
-//! `num_shards: 1` skips the layer entirely — one inner [`Stem`], every
-//! call delegated 1:1, zero merge arithmetic — so the default engine is
-//! the PR-3 engine, bit for bit.
+//! # Probe: resolve → lane → probe → merge
+//!
+//! 1. **Resolve** (serial) — per probe tuple, once: its linking
+//!    predicates (cached per span), its equality binding with the key
+//!    hashed ([`HashedKey`] — the lane index and the dictionary descent
+//!    read that same annotation), and its bounce decision.
+//! 2. **Lane** — a probe bound on the shard key column goes to its key's
+//!    lane only (equal keys co-locate, and overflow rows cannot equal a
+//!    probe key); any other probe visits every lane. A one-lane envelope
+//!    borrows the caller's slices; otherwise sub-batches are copied into
+//!    pooled per-lane buffers.
+//! 3. **Probe** ([`Shard::probe`], per chunk) — lanes are cut into chunks
+//!    of at most `ceil(routed / workers)` rows, so a hot lane (every
+//!    probe keyed to one value, say) spreads across idle workers instead
+//!    of serializing the envelope. Chunking is deterministic and
+//!    read-only, so replies are bit-identical at every worker count; an
+//!    envelope below the dispatch threshold runs the same chunks
+//!    serially, and an envelope that is a single chunk probes straight
+//!    into the caller's arena. Each chunk's probe scratch is checked out
+//!    of its lane's free-list before dispatch, in chunk order, so which
+//!    buffers a chunk reuses — like which chunks the calling thread keeps
+//!    (`fan_out`) — does not depend on how the pool schedules them.
+//! 4. **Merge** (serial) — replies return to batch order. A reply
+//!    gathered from several lanes is sorted by ascending build timestamp
+//!    — global insertion order, so backends whose lookups answer in
+//!    insertion order (List/Hash/Adaptive/Sorted) answer identically at
+//!    every shard count; a reply gathered from one lane keeps its store
+//!    order (one Partitioned lane answers partition-clustered, so across
+//!    shard counts that backend is multiset-equal only).
+//!
+//! `tests/prop_batch_equivalence.rs` locks shard counts {1, 2, 4, 7} and
+//! worker budgets verdict-for-verdict to each other.
 
 use crate::runtime::{default_parallel_min_rows, default_workers, WorkerPool};
 use crate::stem::{
-    equi_binding, linking_for, BuildResult, ProbeBinding, ProbeReply, ProbeReplySet, ReplyMeta,
-    Stem, StemOptions,
+    equi_binding, linking_for, BuildResult, EotIndex, ProbeBinding, ProbeCtx, ProbeOutcome,
+    ProbeReplySet, ProbeScratch, ReplyMeta, Resolved, Shard, StemOptions,
 };
 use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
-use crate::tuple_state::TupleState;
+use crate::tuple_state::{CompletionNeed, TupleState};
+use std::collections::VecDeque;
 use stems_catalog::{QuerySpec, SourceId};
+use stems_storage::fxhash::FxBuildHasher;
 use stems_types::{
-    HashedKey, Predicate, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value, UNBUILT_TS,
+    HashedKey, KeyHash, Predicate, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value,
+    UNBUILT_TS,
 };
 
-/// One probe lane's reusable envelope buffers: the sub-batch routed to a
-/// shard, its states, and the per-tuple bindings resolved (and hashed)
-/// once by the routing pass — the shard's dictionary descent reuses them
-/// verbatim, so no layer below the envelope boundary ever re-hashes.
+/// One build lane's reusable envelope buffers: the envelope positions
+/// of the tuples routed to the lane, [`Shard::ingest`]'s verdict per
+/// member, and the stamp pass's read cursor into those verdicts.
+#[derive(Debug, Default)]
+struct BuildLane {
+    members: Vec<usize>,
+    fresh: Vec<bool>,
+    next: usize,
+}
+
+/// One probe lane's reusable envelope buffers: the sub-batch routed to
+/// the lane, its states, and what the resolve pass computed per tuple.
 #[derive(Debug, Default)]
 struct LaneScratch {
-    batch: TupleBatch,
+    batch: Vec<Tuple>,
     states: Vec<TupleState>,
-    bindings: Vec<ProbeBinding>,
+    resolved: Vec<Resolved>,
 }
 
 impl LaneScratch {
     fn clear(&mut self) {
         self.batch.clear();
         self.states.clear();
-        self.bindings.clear();
+        self.resolved.clear();
     }
 
-    fn push(&mut self, tuple: &Tuple, state: &TupleState, binding: &ProbeBinding) {
+    fn push(&mut self, tuple: &Tuple, state: &TupleState, resolved: &Resolved) {
         self.batch.push(tuple.clone());
         self.states.push(state.clone());
-        self.bindings.push(binding.clone());
+        self.resolved.push(resolved.clone());
     }
 }
 
-/// Pooled probe fan-out buffers, reused across envelopes (capacity
+/// Pooled probe envelope buffers, reused across envelopes (capacity
 /// survives; contents are per envelope). Behind a [`Mutex`] because
 /// probes run through `&self`; the lock is taken once per envelope.
 #[derive(Debug, Default)]
 struct ProbePool {
-    lanes: Vec<LaneScratch>,
+    /// Per probe tuple, batch order: the resolve pass's output.
+    resolved: Vec<Resolved>,
+    /// Per probe tuple: its one lane, or `None` when it visits them all.
     lane_of: Vec<Option<usize>>,
+    /// Sub-batches per lane (unused by one-lane SteMs, which borrow the
+    /// caller's envelope).
+    lanes: Vec<LaneScratch>,
     /// Dispatch units of the current envelope: `(lane, start, end)`
     /// sub-ranges of each lane's sub-batch, lane-major — the skew-aware
     /// chunking of hot lanes (see the module docs).
     tasks: Vec<(usize, usize, usize)>,
+    /// One probe scratch per dispatch unit, checked out of its lane's
+    /// free-list for the envelope (boxed because the free-lists trade in
+    /// boxes: check-out and return move one pointer).
+    #[allow(clippy::vec_box)]
+    scratches: Vec<Box<ProbeScratch>>,
     /// One reply arena per dispatch unit (capacity reused).
     chunk_sets: Vec<ProbeReplySet>,
     /// Per lane: index of the task the merge is currently consuming.
     cursors: Vec<usize>,
 }
 
-/// A State Module whose dictionary is hash-partitioned across
-/// `num_shards` independent [`Stem`] shards plus one overflow shard.
-///
-/// This is the type the engine instantiates per table instance
-/// ([`crate::plan::Module::Stem`]); its public surface mirrors [`Stem`]'s
-/// with aggregate accessors summing (or maxing) across shards.
+/// A State Module over one table instance (see the module docs).
 pub struct ShardedStem {
     pub instance: TableIdx,
     pub source: SourceId,
     pub has_scan_am: bool,
     pub has_index_am: bool,
-    /// `num_shards == 1`: exactly one inner Stem (no overflow shard, no
-    /// routing). Otherwise `num_shards` keyed shards followed by the
-    /// overflow shard at index `num_shards`.
-    shards: Vec<Stem>,
+    /// The storage lanes: one when `num_shards == 1`; otherwise
+    /// `num_shards` keyed lanes followed by the overflow lane.
+    shards: Vec<Shard>,
     num_shards: usize,
-    /// First join column — the shard key (also the deferred-bounce
-    /// partition column inside each shard).
+    /// First join column — the shard key, and the column deferred
+    /// bounce-backs are clustered by.
     key_col: usize,
-    /// Global FIFO window when sharded (inner shards run unbounded and
-    /// this layer evicts across them); `None` when unbounded or when
-    /// `num_shards == 1` (the inner Stem owns its window).
+    eot: EotIndex,
+    /// Max build timestamp among stored tuples.
+    max_ts: Timestamp,
+    /// Builds accepted (fresh, non-EOT).
+    build_count: u64,
+    /// Duplicates absorbed (§3.2 competition bookkeeping).
+    duplicates_absorbed: u64,
+    evictions: u64,
+    /// FIFO eviction window, enforced across all lanes.
     window: Option<usize>,
+    /// Stored rows of a windowed SteM, oldest first, with their lane.
+    fifo: VecDeque<(usize, Arc<Row>)>,
+    /// Grace mode (§3.1): withhold build bounce-backs of non-resident
+    /// partitions until [`ShardedStem::release_deferred`].
+    deferred_bounce: bool,
+    partitions: usize,
+    mem_partitions: usize,
+    /// Withheld bounce-backs, in build order.
+    deferred: Vec<(Tuple, TupleState)>,
     /// Worker-pool budget for this SteM's envelope fan-outs (resolved
     /// from [`StemOptions::workers`] at construction).
     workers: usize,
     /// Minimum routed rows before an envelope dispatches to the pool
     /// (resolved from [`StemOptions::parallel_min_rows`]).
     parallel_min_rows: usize,
-    /// Pooled probe fan-out buffers (see [`ProbePool`]).
+    /// Pooled build envelope buffers, one per lane.
+    build_lanes: Vec<BuildLane>,
+    /// Per build tuple: its lane (`None` for an EOT tuple).
+    build_route: Vec<Option<usize>>,
+    /// Pooled probe envelope buffers (see [`ProbePool`]).
     probe_pool: Mutex<ProbePool>,
 }
 
@@ -162,14 +201,14 @@ impl std::fmt::Debug for ShardedStem {
             .field("num_shards", &self.num_shards)
             .field("len", &self.len())
             .field("backend", &self.backend())
-            .field("max_ts", &self.max_ts())
+            .field("max_ts", &self.max_ts)
             .finish()
     }
 }
 
 impl ShardedStem {
-    /// Create the sharded SteM for `instance` of `source`. `opts.num_shards`
-    /// decides the fan-out; all other options apply to every shard.
+    /// Create the SteM for `instance` of `source`, indexing `join_cols`
+    /// in every lane. `opts.num_shards` decides the lane count.
     pub fn new(
         instance: TableIdx,
         source: SourceId,
@@ -179,52 +218,35 @@ impl ShardedStem {
         opts: StemOptions,
     ) -> ShardedStem {
         let num_shards = opts.num_shards.max(1);
-        let window = opts.eviction_window;
-        let workers = opts.workers.unwrap_or_else(default_workers).max(1);
-        let parallel_min_rows = opts
-            .parallel_min_rows
-            .unwrap_or_else(default_parallel_min_rows)
-            .max(1);
-        let shards: Vec<Stem> = if num_shards == 1 {
-            vec![Stem::new(
-                instance,
-                source,
-                join_cols,
-                has_scan_am,
-                has_index_am,
-                opts,
-            )]
-        } else {
-            // Inner shards run unbounded; the FIFO window is enforced
-            // globally by this layer so eviction order matches the
-            // unsharded SteM's.
-            (0..=num_shards)
-                .map(|_| {
-                    Stem::new(
-                        instance,
-                        source,
-                        join_cols,
-                        has_scan_am,
-                        has_index_am,
-                        StemOptions {
-                            eviction_window: None,
-                            ..opts.clone()
-                        },
-                    )
-                })
-                .collect()
-        };
+        let n_lanes = if num_shards == 1 { 1 } else { num_shards + 1 };
         ShardedStem {
             instance,
             source,
             has_scan_am,
             has_index_am,
-            shards,
+            shards: (0..n_lanes)
+                .map(|_| Shard::new(&opts.store, join_cols))
+                .collect(),
             num_shards,
             key_col: join_cols.first().copied().unwrap_or(0),
-            window: if num_shards == 1 { None } else { window },
-            workers,
-            parallel_min_rows,
+            eot: EotIndex::default(),
+            max_ts: 0,
+            build_count: 0,
+            duplicates_absorbed: 0,
+            evictions: 0,
+            window: opts.eviction_window,
+            fifo: VecDeque::new(),
+            deferred_bounce: opts.deferred_bounce,
+            partitions: opts.partitions,
+            mem_partitions: opts.mem_partitions,
+            deferred: Vec::new(),
+            workers: opts.workers.unwrap_or_else(default_workers).max(1),
+            parallel_min_rows: opts
+                .parallel_min_rows
+                .unwrap_or_else(default_parallel_min_rows)
+                .max(1),
+            build_lanes: Vec::new(),
+            build_route: Vec::new(),
             probe_pool: Mutex::new(ProbePool::default()),
         }
     }
@@ -238,12 +260,9 @@ impl ShardedStem {
     /// probing on behalf of the new instance.
     pub fn retarget(&mut self, instance: TableIdx) {
         self.instance = instance;
-        for shard in &mut self.shards {
-            shard.instance = instance;
-        }
     }
 
-    /// Lock the probe fan-out pool, recovering from poison: the pool
+    /// Lock the probe envelope pool, recovering from poison: the pool
     /// holds only envelope-lifetime scratch (lanes, tasks, reply arenas),
     /// so after a prober panics mid-envelope the cheapest safe recovery
     /// is a fresh pool — shared-SteM queries behind the panicking one
@@ -253,122 +272,112 @@ impl ShardedStem {
     }
 
     // ------------------------------------------------------------------
-    // Aggregate accessors (sum / max / any-shard across the fan-out)
+    // Accessors
     // ------------------------------------------------------------------
 
-    /// Keyed shard fan-out (1 = unsharded).
+    /// Keyed shard fan-out (1 = a single storage lane).
     pub fn num_shards(&self) -> usize {
         self.num_shards
     }
 
-    /// Stored (non-EOT) tuples across all shards.
+    /// Stored (non-EOT) tuples across all lanes.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(Stem::len).sum()
+        self.shards.iter().map(Shard::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Per-shard row counts (keyed shards first, overflow last when
+    /// Per-lane row counts (keyed lanes first, overflow last when
     /// sharded) — balance diagnostics for benches and tests.
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(Stem::len).collect()
+        self.shards.iter().map(Shard::len).collect()
     }
 
-    /// Per-shard approximate memory (same order as [`Self::shard_lens`]).
+    /// Per-lane approximate memory (same order as [`Self::shard_lens`]).
     pub fn shard_bytes(&self) -> Vec<usize> {
-        self.shards.iter().map(Stem::approx_bytes).collect()
+        self.shards.iter().map(Shard::approx_bytes).collect()
     }
 
-    /// Has the full relation arrived? (EOTs are broadcast, any shard
-    /// answers.)
+    /// Has the full relation arrived (scan EOT)?
     pub fn scan_complete(&self) -> bool {
-        self.shards[0].scan_complete()
+        self.eot.scan_complete()
     }
 
-    /// EOT change counter — broadcast keeps every shard's count equal to
-    /// the unsharded SteM's.
+    /// EOT change counter (keyed EOTs + scan completion); combined with
+    /// `build_count` it forms the SteM's version for re-probe gating.
     pub fn eot_version(&self) -> u64 {
-        self.shards[0].eot_version()
+        self.eot.version()
     }
 
-    /// Max build timestamp across shards (timestamps are global, so this
-    /// equals the unsharded SteM's `max_ts`).
+    /// Max build timestamp among stored tuples.
     pub fn max_ts(&self) -> Timestamp {
-        self.shards.iter().map(|s| s.max_ts).max().unwrap_or(0)
+        self.max_ts
     }
 
-    /// Fresh (non-EOT) builds accepted, across shards.
+    /// Fresh (non-EOT) builds accepted.
     pub fn build_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.build_count).sum()
+        self.build_count
     }
 
-    /// Set-semantics duplicates absorbed, across shards.
+    /// Set-semantics duplicates absorbed.
     pub fn duplicates_absorbed(&self) -> u64 {
-        self.shards.iter().map(|s| s.duplicates_absorbed).sum()
+        self.duplicates_absorbed
     }
 
-    /// FIFO evictions performed, across shards.
+    /// FIFO evictions performed.
     pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| s.evictions).sum()
+        self.evictions
     }
 
-    /// Approximate memory footprint: the sum over every keyed shard's
-    /// store plus the overflow lane's.
+    /// Approximate memory footprint: the sum over every keyed lane's
+    /// store and dedup filter plus the overflow lane's.
     pub fn approx_bytes(&self) -> usize {
-        self.shards.iter().map(Stem::approx_bytes).sum()
+        self.shards.iter().map(Shard::approx_bytes).sum()
     }
 
-    /// Dictionary backend in use (identical across shards).
+    /// Dictionary backend in use. Lanes of an adaptive backend upgrade
+    /// independently; this reports the first lane's.
     pub fn backend(&self) -> &'static str {
         self.shards[0].backend()
     }
 
-    /// Withheld bounce-backs across all shards.
+    /// How many bounce-backs are currently withheld.
     pub fn deferred_len(&self) -> usize {
-        self.shards.iter().map(Stem::deferred_len).sum()
+        self.deferred.len()
     }
 
     /// Virtual service units for one envelope under the parallel-server
-    /// cost model (`CostModel::shard_parallel_service`): each shard is an
+    /// cost model (`CostModel::shard_parallel_service`): each lane is an
     /// independent server, so the envelope completes when the *busiest*
-    /// shard does — the unit count is the max per-shard load, computed
+    /// lane does — the unit count is the max per-lane load, computed
     /// with the same routing the envelope will actually take (keyed
-    /// probes hit one shard; fan-out probes and EOT broadcasts load every
-    /// shard). Unsharded SteMs are serial servers: units = batch length.
+    /// probes hit one lane; fan-out probes and EOTs, which every lane's
+    /// server must observe, load them all). A one-lane SteM is a serial
+    /// server: units = batch length.
     pub fn parallel_service_units(
         &self,
         batch: &TupleBatch,
         query: &QuerySpec,
         probe: bool,
     ) -> u64 {
-        if self.num_shards == 1 || batch.is_empty() {
-            return batch.len() as u64;
-        }
         let mut loads = vec![0u64; self.shards.len()];
-        if probe {
-            let mut spans: Vec<(TableSet, Vec<&Predicate>)> = Vec::new();
-            for tuple in batch.iter() {
-                match self.probe_lane(&mut spans, tuple, query) {
-                    Some(lane) => loads[lane] += 1,
-                    None => {
-                        for l in loads.iter_mut() {
-                            *l += 1;
-                        }
-                    }
-                }
-            }
-        } else {
-            for tuple in batch.iter() {
+        let mut spans: Vec<(TableSet, Vec<&Predicate>)> = Vec::new();
+        for tuple in batch.iter() {
+            let lane = if probe {
+                let li = linking_for(&mut spans, query, tuple.span(), self.instance);
+                self.probe_lane(
+                    &equi_binding(&spans[li].1, tuple, self.instance)
+                        .map(|(col, val)| (col, HashedKey::new(val))),
+                )
+            } else {
                 let row = &tuple.components()[0].row;
-                if row.is_eot() {
-                    for l in loads.iter_mut() {
-                        *l += 1;
-                    }
-                } else {
-                    loads[self.shard_of_row(row)] += 1;
-                }
+                (!row.is_eot()).then(|| self.lane_of_row(row))
+            };
+            match lane {
+                Some(lane) => loads[lane] += 1,
+                None => loads.iter_mut().for_each(|l| *l += 1),
             }
         }
         loads.into_iter().max().unwrap_or(0)
@@ -378,44 +387,33 @@ impl ShardedStem {
     // Routing
     // ------------------------------------------------------------------
 
-    /// The shard a hashable key belongs to; un-hashable keys (NULL/EOT)
-    /// route to the overflow shard at index `num_shards`.
-    fn shard_of_key(&self, key: &Value) -> usize {
-        match key.stable_key_hash() {
-            Some(h) => (h % self.num_shards as u64) as usize,
-            None => self.num_shards,
+    /// The lane a key with this hash belongs to — the single routing
+    /// rule shared by builds, probes and the cost model. Un-hashable keys
+    /// (NULL/EOT) route to the overflow lane, which is the last lane (of
+    /// a one-lane SteM: the only one).
+    fn lane_of_hash(&self, hash: Option<u64>) -> usize {
+        match hash {
+            Some(h) => KeyHash(h).shard(self.num_shards),
+            None => self.shards.len() - 1,
         }
     }
 
-    fn shard_of_row(&self, row: &Row) -> usize {
-        match row.get(self.key_col) {
-            Some(v) => self.shard_of_key(v),
-            None => self.num_shards,
-        }
+    fn lane_of_row(&self, row: &Row) -> usize {
+        self.lane_of_hash(row.get(self.key_col).and_then(Value::stable_key_hash))
     }
 
-    /// Lane decision for one probe — the single source of truth shared by
-    /// [`ShardedStem::probe_batch`] and the parallel-server cost model
-    /// ([`ShardedStem::parallel_service_units`]), so the virtual speedup
-    /// series can never drift from the routing the engine performs.
-    ///
-    /// `Some(shard)`: an equi binding on the shard key column pins the
-    /// probe to one shard (equal keys co-locate, and overflow rows can
-    /// never equal a probe key — that shard answers completely).
-    /// `None`: bound on a non-key column, or no binding at all — the
-    /// matching rows are spread across every lane, so the probe fans out.
-    /// `spans` is the caller's per-span linking-predicate cache (probe
-    /// batches are usually span-uniform, so it stays one entry).
-    fn probe_lane<'q>(
-        &self,
-        spans: &mut Vec<(TableSet, Vec<&'q Predicate>)>,
-        tuple: &Tuple,
-        query: &'q QuerySpec,
-    ) -> Option<usize> {
-        let t = self.instance;
-        let li = linking_for(spans, query, tuple.span(), t);
-        match equi_binding(&spans[li].1, tuple, t) {
-            Some((col, val)) if col == self.key_col => Some(self.shard_of_key(&val)),
+    /// Lane decision for one resolved probe. `Some(lane)`: an equi
+    /// binding on the shard key column pins the probe to one lane (equal
+    /// keys co-locate, and overflow rows can never equal a probe key —
+    /// that lane answers completely). `None`: bound on a non-key column,
+    /// or no binding at all — the matching rows are spread across every
+    /// lane, so the probe visits them all (each lane still gets the
+    /// binding for its own index descent).
+    fn probe_lane(&self, binding: &ProbeBinding) -> Option<usize> {
+        match binding {
+            Some((col, key)) if *col == self.key_col => {
+                Some(self.lane_of_hash(key.hash().map(KeyHash::get)))
+            }
             _ => None,
         }
     }
@@ -424,54 +422,11 @@ impl ShardedStem {
     // Build
     // ------------------------------------------------------------------
 
-    /// Build one tuple; mirrors [`Stem::build`] (`ts` is the next global
-    /// timestamp, consumed only on a fresh insert).
-    pub fn build(&mut self, tuple: &Tuple, state: &TupleState, ts: Timestamp) -> BuildResult {
-        if self.num_shards == 1 {
-            return self.shards[0].build(tuple, state, ts);
-        }
-        let mut counter = ts.saturating_sub(1);
-        self.build_one(tuple, state, &mut counter)
-    }
-
-    fn build_one(
-        &mut self,
-        tuple: &Tuple,
-        state: &TupleState,
-        ts_counter: &mut Timestamp,
-    ) -> BuildResult {
-        let row = tuple.components()[0].row.clone();
-        if row.is_eot() {
-            return self.build_eot(tuple, state);
-        }
-        let s = self.shard_of_row(&row);
-        let result = self.shards[s].build(tuple, state, *ts_counter + 1);
-        if matches!(result, BuildResult::Fresh(_) | BuildResult::Deferred) {
-            *ts_counter += 1;
-        }
-        self.enforce_window();
-        result
-    }
-
-    /// Broadcast an EOT tuple into every shard's EOT index (EOTs consume
-    /// no timestamp and are not stored as data, so the broadcast is pure
-    /// bookkeeping — it keeps per-shard coverage/bounce decisions equal
-    /// to the unsharded SteM's).
-    fn build_eot(&mut self, tuple: &Tuple, state: &TupleState) -> BuildResult {
-        for shard in &mut self.shards {
-            let r = shard.build(tuple, state, 0);
-            debug_assert_eq!(r, BuildResult::Eot);
-        }
-        BuildResult::Eot
-    }
-
-    /// Build a whole envelope; mirrors [`Stem::build_batch`]. Dictionary
-    /// work (dedup + insert) is fanned out across shards — on the
-    /// persistent worker pool once the envelope is large enough — while
-    /// timestamp assignment stays serial in batch order, so results are
-    /// identical to the unsharded engine's at any shard and worker count.
-    /// Build lanes are never chunked: per-shard dedup is order-dependent
-    /// within a lane, so one lane is one task (affinity = shard index).
+    /// Build a whole envelope of singleton (or EOT) tuples, consuming
+    /// timestamps from `ts_counter` as fresh inserts happen; one
+    /// [`BuildResult`] per tuple, batch order. See the module docs for
+    /// the three passes and why results are identical at any shard and
+    /// worker count.
     pub fn build_batch(
         &mut self,
         batch: &TupleBatch,
@@ -479,160 +434,200 @@ impl ShardedStem {
         ts_counter: &mut Timestamp,
     ) -> Vec<BuildResult> {
         debug_assert_eq!(batch.len(), states.len());
-        if self.num_shards == 1 {
-            return self.shards[0].build_batch(batch, states, ts_counter);
+        let tuples = batch.as_slice();
+        let mut out = Vec::with_capacity(tuples.len());
+        // A windowed SteM builds one row at a time, so eviction
+        // interleaves with inserts (see the module docs).
+        let envelope = if self.window.is_some() {
+            1
+        } else {
+            tuples.len().max(1)
+        };
+        for (tuples, states) in tuples.chunks(envelope).zip(states.chunks(envelope)) {
+            self.build_envelope(tuples, states, ts_counter, &mut out);
+            self.enforce_window();
         }
-        if self.window.is_some() {
-            // Windowed: the scalar engine inserts and sweeps per tuple;
-            // a batch-deferred insert would mis-handle intra-batch
-            // re-arrivals of evicted rows (see the windowed Stem tests).
-            return batch
-                .iter()
-                .zip(states)
-                .map(|(tuple, state)| self.build_one(tuple, state, ts_counter))
-                .collect();
-        }
+        out
+    }
 
-        let n = batch.len();
-        let n_lanes = self.shards.len();
-        // Pass 1 (serial): route rows to shards; apply EOTs immediately
-        // (they interact with no dictionary state, so position within the
-        // batch is irrelevant — exactly as in the scalar engine).
-        let mut results: Vec<Option<BuildResult>> = (0..n).map(|_| None).collect();
-        let mut route: Vec<usize> = Vec::with_capacity(n);
-        let mut lane_rows: Vec<Vec<Arc<Row>>> = vec![Vec::new(); n_lanes];
-        let mut lane_idx: Vec<Vec<usize>> = vec![Vec::new(); n_lanes];
-        for (i, (tuple, state)) in batch.iter().zip(states).enumerate() {
-            let row = tuple.components()[0].row.clone();
-            if row.is_eot() {
-                results[i] = Some(self.build_eot(tuple, state));
-                route.push(usize::MAX);
+    fn build_envelope(
+        &mut self,
+        tuples: &[Tuple],
+        states: &[TupleState],
+        ts_counter: &mut Timestamp,
+        out: &mut Vec<BuildResult>,
+    ) {
+        let mut lanes = std::mem::take(&mut self.build_lanes);
+        let mut route = std::mem::take(&mut self.build_route);
+        lanes.resize_with(self.shards.len(), BuildLane::default);
+        for lane in &mut lanes {
+            lane.members.clear();
+            lane.fresh.clear();
+            lane.next = 0;
+        }
+        route.clear();
+
+        // Pass 1 (serial): route. EOTs touch no dictionary state, so
+        // their position within the batch is irrelevant.
+        for (i, tuple) in tuples.iter().enumerate() {
+            debug_assert!(tuple.is_singleton(), "SteMs store singleton tuples only");
+            let comp = &tuple.components()[0];
+            debug_assert_eq!(comp.table, self.instance, "build routed to wrong SteM");
+            if comp.row.is_eot() {
+                self.eot.record(&comp.row);
+                route.push(None);
             } else {
-                let s = self.shard_of_row(&row);
-                lane_rows[s].push(row);
-                lane_idx[s].push(i);
-                route.push(s);
+                let lane = self.lane_of_row(&comp.row);
+                lanes[lane].members.push(i);
+                route.push(Some(lane));
             }
         }
 
-        // Pass 2 (parallel): per-shard dedup + dictionary insert, one
-        // pool task per busy lane with the lane index as worker affinity
-        // (the worker that last built a shard re-runs it, caches warm).
-        let routed: usize = lane_rows.iter().map(Vec::len).sum();
-        let busy_lanes = lane_rows.iter().filter(|l| !l.is_empty()).count();
-        let mut fresh_lists: Vec<Vec<bool>> = vec![Vec::new(); n_lanes];
-        if routed >= self.parallel_min_rows && busy_lanes > 1 && self.workers > 1 {
-            WorkerPool::global().scope(self.workers, |scope| {
-                for (lane_i, ((shard, rows), out)) in self
-                    .shards
-                    .iter_mut()
-                    .zip(&lane_rows)
-                    .zip(fresh_lists.iter_mut())
-                    .enumerate()
-                {
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    scope.spawn(lane_i, move || {
-                        *out = shard.ingest_batch(rows);
-                    });
-                }
+        // Pass 2: per-lane dedup + dictionary insert — one pool task per
+        // busy lane with the lane index as worker affinity (the worker
+        // that last built a lane re-runs it, caches warm) once the
+        // envelope is large enough, inline otherwise.
+        let routed: usize = lanes.iter().map(|l| l.members.len()).sum();
+        let busy_lanes = lanes.iter().filter(|l| !l.members.is_empty()).count();
+        let workers = self.workers;
+        let pooled = routed >= self.parallel_min_rows && busy_lanes > 1 && workers > 1;
+        let busy = self
+            .shards
+            .iter_mut()
+            .zip(&mut lanes)
+            .enumerate()
+            .filter(|(_, (_, lane))| !lane.members.is_empty());
+        if pooled {
+            fan_out(workers, busy, |(shard, lane)| {
+                shard.ingest(tuples, &lane.members, &mut lane.fresh)
             });
         } else {
-            for ((shard, rows), out) in self
-                .shards
-                .iter_mut()
-                .zip(&lane_rows)
-                .zip(fresh_lists.iter_mut())
-            {
-                if !rows.is_empty() {
-                    *out = shard.ingest_batch(rows);
-                }
-            }
-        }
-        let mut fresh = vec![false; n];
-        for (lane, idxs) in lane_idx.iter().enumerate() {
-            for (j, &i) in idxs.iter().enumerate() {
-                fresh[i] = fresh_lists[lane][j];
+            for (_, (shard, lane)) in busy {
+                shard.ingest(tuples, &lane.members, &mut lane.fresh);
             }
         }
 
-        // Pass 3 (serial): global timestamps in batch order — the exact
-        // sequence the unsharded `build_batch` would assign.
-        for (i, (tuple, state)) in batch.iter().zip(states).enumerate() {
-            if route[i] == usize::MAX {
+        // Pass 3 (serial): global timestamps in batch order.
+        for ((tuple, state), &lane_i) in tuples.iter().zip(states).zip(&route) {
+            let Some(lane_i) = lane_i else {
+                out.push(BuildResult::Eot);
                 continue;
-            }
-            results[i] = Some(if fresh[i] {
+            };
+            let lane = &mut lanes[lane_i];
+            lane.next += 1;
+            out.push(if lane.fresh[lane.next - 1] {
                 *ts_counter += 1;
-                self.shards[route[i]].stamp_fresh(tuple, state, *ts_counter)
+                self.stamp(lane_i, tuple, state, *ts_counter)
             } else {
+                self.duplicates_absorbed += 1;
                 BuildResult::Duplicate
             });
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch member resolved"))
-            .collect()
+        self.build_lanes = lanes;
+        self.build_route = route;
     }
 
-    /// Enforce the global FIFO window: evict from whichever shard holds
-    /// the globally oldest row (minimum build timestamp) until the total
-    /// population fits — the same victim sequence as the unsharded SteM.
-    fn enforce_window(&mut self) {
-        let Some(window) = self.window else {
-            return;
-        };
-        while self.len() > window {
-            let victim = self
-                .shards
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.oldest_ts().map(|ts| (ts, i)))
-                .min();
-            match victim {
-                Some((_, i)) => {
-                    self.shards[i].evict_oldest();
-                }
-                None => break,
-            }
+    /// Stamp one freshly ingested row with its global build timestamp and
+    /// take the bounce/defer decision.
+    fn stamp(
+        &mut self,
+        lane: usize,
+        tuple: &Tuple,
+        state: &TupleState,
+        ts: Timestamp,
+    ) -> BuildResult {
+        let row = &tuple.components()[0].row;
+        self.shards[lane].stamp(row, ts);
+        self.max_ts = self.max_ts.max(ts);
+        self.build_count += 1;
+        if self.window.is_some() {
+            self.fifo.push_back((lane, row.clone()));
         }
+        let stamped = tuple.with_timestamp(self.instance, ts);
+        if self.deferred_bounce && self.partition_of(row) >= self.mem_partitions {
+            self.deferred.push((stamped, state.clone()));
+            BuildResult::Deferred
+        } else {
+            BuildResult::Fresh(stamped)
+        }
+    }
+
+    /// FIFO-evict down to the window (no-op when unbounded): the victim
+    /// is always the globally oldest stored row, whichever lane holds it.
+    fn enforce_window(&mut self) {
+        while self.window.is_some_and(|w| self.fifo.len() > w) {
+            let (lane, row) = self.fifo.pop_front().expect("non-empty fifo");
+            self.shards[lane].forget(&row);
+            self.evictions += 1;
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Deferred release (Grace mode)
+    // ------------------------------------------------------------------
+
+    /// Bounce partition of a row: rows of partitions below
+    /// `mem_partitions` are "memory-resident" and bounce immediately
+    /// (Hybrid-Hash, §3.1); the rest are withheld.
+    pub(crate) fn partition_of(&self, row: &Row) -> usize {
+        use std::hash::BuildHasher;
+        let key = row.get(self.key_col).cloned().unwrap_or(Value::Null);
+        (FxBuildHasher::default().hash_one(&key) % self.partitions.max(1) as u64) as usize
+    }
+
+    /// Release deferred bounce-backs, clustered by hash partition (the
+    /// Grace "asynchronous" bounce, §3.1) and in build order within a
+    /// partition. Called by the engine when the table's scan completes.
+    pub fn release_deferred(&mut self) -> Vec<(Tuple, TupleState)> {
+        let mut out = std::mem::take(&mut self.deferred);
+        out.sort_by_key(|(t, _)| self.partition_of(&t.components()[0].row));
+        out
     }
 
     // ------------------------------------------------------------------
     // Probe
     // ------------------------------------------------------------------
 
-    /// Probe with a single tuple; mirrors [`Stem::probe`].
-    pub fn probe(&self, tuple: &Tuple, state: &TupleState, query: &QuerySpec) -> ProbeReply {
-        if self.num_shards == 1 {
-            return self.shards[0].probe(tuple, state, query);
+    /// SteM BounceBack (paper Table 2, plus the §4.1 refinement for tables
+    /// with index AMs).
+    fn bounce_decision(
+        &self,
+        linking: &[&Predicate],
+        tuple: &Tuple,
+        query: &QuerySpec,
+    ) -> ProbeOutcome {
+        if self.eot.covers(linking, tuple, self.instance, query) {
+            return ProbeOutcome::Consumed;
         }
-        let batch = [tuple.clone()];
-        let mut set = ProbeReplySet::new();
-        self.probe_batch_into(&batch, std::slice::from_ref(state), query, &mut set);
-        set.into_single_reply()
+        let all_built = tuple.components().iter().all(|c| c.ts != UNBUILT_TS);
+        if !all_built {
+            // §3.5: the prober is not cached anywhere, so it must keep
+            // re-probing this SteM until coverage (LastMatchTimeStamp
+            // prevents duplicate concatenations).
+            return ProbeOutcome::Bounced(CompletionNeed::Required);
+        }
+        match (self.has_scan_am, self.has_index_am) {
+            // Scan covers completeness; no index to offer: consume.
+            (true, false) => ProbeOutcome::Consumed,
+            // Index AM available: bounce so the policy *may* probe it
+            // (§4.1; completeness already covered by the scan, so the
+            // policy may also drop the tuple).
+            (true, true) => ProbeOutcome::Bounced(CompletionNeed::Optional),
+            // No scan: the probe MUST complete through an AM (§3.3).
+            (false, _) => ProbeOutcome::Bounced(CompletionNeed::Required),
+        }
     }
 
-    /// Probe a whole envelope into the caller-owned reply arena; mirrors
-    /// [`Stem::probe_batch_into`]. Probes bound on the shard key column
-    /// go to exactly their key's shard; all other probes fan out to every
-    /// shard (overflow included) and the partial replies are merged by
-    /// ascending build timestamp — global insertion order, i.e. the
-    /// single-shard candidate order.
+    /// Probe a whole envelope (tuples spanning tables other than this
+    /// instance) into the caller-owned reply arena, appending one reply
+    /// per tuple in batch order: the concatenated matches passing every
+    /// newly evaluable predicate and both timestamp rules, plus the
+    /// bounce decision per SteM BounceBack. See the module docs for the
+    /// four passes.
     ///
-    /// Hash-once: the routing pass resolves and hashes every binding key
-    /// exactly one time ([`HashedKey`]); the shard index `h % num_shards`
-    /// and the shard dictionary's index descent read that same
-    /// annotation. Lane sub-batches, dispatch chunks and per-chunk reply
-    /// arenas live in a pool reused across fan-outs ([`ProbePool`]), so a
-    /// steady probe stream allocates no envelope buffers.
-    ///
-    /// Skew rebalancing: each lane is cut into chunks of at most
-    /// `ceil(routed / workers)` rows, so one hot lane spreads across the
-    /// worker budget; probes are read-only, so chunking cannot change any
-    /// reply. The serial path (small envelope / one busy lane / one
-    /// worker) runs the same code with one chunk per lane.
+    /// Lane sub-batches, dispatch chunks and per-chunk reply arenas live
+    /// in a pool reused across envelopes ([`ProbePool`]), so a steady
+    /// probe stream allocates no envelope buffers.
     pub fn probe_batch_into(
         &self,
         batch: &[Tuple],
@@ -641,63 +636,73 @@ impl ShardedStem {
         out: &mut ProbeReplySet,
     ) {
         debug_assert_eq!(batch.len(), states.len());
-        if self.num_shards == 1 {
-            return self.shards[0].probe_batch_into(batch, states, query, out);
-        }
         let t = self.instance;
         let n_lanes = self.shards.len();
+        let ctx = ProbeCtx {
+            instance: t,
+            query,
+            observed_ts: self.max_ts,
+        };
         let mut pool = self.lock_probe_pool();
         let ProbePool {
-            lanes,
+            resolved,
             lane_of,
+            lanes,
             tasks,
+            scratches,
             chunk_sets,
             cursors,
         } = &mut *pool;
-        lanes.resize_with(n_lanes, LaneScratch::default);
-        for lane in lanes.iter_mut() {
-            lane.clear();
-        }
-        lane_of.clear();
 
-        // Pass 1 (serial): binding resolution + hash + routing decision
-        // per probe, all from one computation. Linking predicates are
-        // resolved once per distinct span, as in `Stem::probe_batch`.
+        // Pass 1 (serial): resolve. Linking predicates once per distinct
+        // span (batches are usually span-uniform, so this is a one-entry
+        // cache); binding, key hash and bounce decision once per tuple.
+        resolved.clear();
+        lane_of.clear();
         let mut spans: Vec<(TableSet, Vec<&Predicate>)> = Vec::new();
-        for (tuple, state) in batch.iter().zip(states) {
+        for tuple in batch {
             let li = linking_for(&mut spans, query, tuple.span(), t);
+            let linking = &spans[li].1;
             let binding: ProbeBinding =
-                equi_binding(&spans[li].1, tuple, t).map(|(col, val)| (col, HashedKey::new(val)));
-            let lane = match &binding {
-                // A binding on the shard key column pins the probe to one
-                // shard (un-hashable keys ride the overflow lane).
-                Some((col, key)) if *col == self.key_col => Some(match key.hash() {
-                    Some(h) => h.shard(self.num_shards),
-                    None => self.num_shards,
-                }),
-                // Bound on a non-key column, or no binding: fan out (each
-                // shard still gets the binding for its own index descent).
-                _ => None,
-            };
-            match lane {
-                Some(l) => lanes[l].push(tuple, state, &binding),
-                None => {
-                    for lane in lanes.iter_mut() {
-                        lane.push(tuple, state, &binding);
-                    }
+                equi_binding(linking, tuple, t).map(|(col, val)| (col, HashedKey::new(val)));
+            lane_of.push(self.probe_lane(&binding));
+            resolved.push(Resolved {
+                binding,
+                outcome: self.bounce_decision(linking, tuple, query),
+            });
+        }
+
+        // Pass 2 (serial): lane sub-batches. With one lane every probe's
+        // sub-batch is the envelope itself, borrowed as is.
+        if n_lanes > 1 {
+            lanes.resize_with(n_lanes, LaneScratch::default);
+            lanes.iter_mut().for_each(LaneScratch::clear);
+            for (((tuple, state), r), lane) in batch
+                .iter()
+                .zip(states)
+                .zip(resolved.iter())
+                .zip(lane_of.iter())
+            {
+                match lane {
+                    Some(l) => lanes[*l].push(tuple, state, r),
+                    None => lanes.iter_mut().for_each(|l| l.push(tuple, state, r)),
                 }
             }
-            lane_of.push(lane);
         }
+        let lane_view = |lane: usize| -> (&[Tuple], &[TupleState], &[Resolved]) {
+            if n_lanes == 1 {
+                (batch, states, &resolved[..])
+            } else {
+                let l = &lanes[lane];
+                (&l.batch[..], &l.states[..], &l.resolved[..])
+            }
+        };
 
-        // Pass 2 (parallel): cut lanes into dispatch chunks and run them
-        // on the pool. A keyed-skewed envelope (every probe hashing to
-        // one shard) yields chunks that spread across the worker budget
-        // instead of serializing behind one lane.
-        let work: usize = lanes.iter().map(|l| l.batch.len()).sum();
-        // Unlike the build fan-out, probe parallelism does not require
-        // more than one busy lane: chunking splits even a single hot
-        // lane (every probe keyed to one value) across the budget.
+        // Pass 3: cut lanes into dispatch chunks and probe them. Unlike
+        // the build fan-out, probe parallelism does not require more than
+        // one busy lane: chunking splits even a single hot lane across
+        // the worker budget.
+        let work: usize = (0..n_lanes).map(|l| lane_view(l).0.len()).sum();
         let parallel = work >= self.parallel_min_rows && self.workers > 1 && work > 1;
         let chunk_target = if parallel {
             work.div_ceil(self.workers).max(1)
@@ -706,130 +711,127 @@ impl ShardedStem {
         };
         tasks.clear();
         cursors.clear();
-        for (lane_i, lane) in lanes.iter().enumerate() {
+        for lane in 0..n_lanes {
             // The merge pass starts each lane at its first chunk.
             cursors.push(tasks.len());
-            let n = lane.batch.len();
+            let n = lane_view(lane).0.len();
             let mut start = 0;
             while start < n {
-                let end = (start + chunk_target).min(n);
-                tasks.push((lane_i, start, end));
+                let end = start.saturating_add(chunk_target).min(n);
+                tasks.push((lane, start, end));
                 start = end;
             }
         }
-        chunk_sets.resize_with(tasks.len().max(chunk_sets.len()), ProbeReplySet::new);
-        for set in chunk_sets.iter_mut() {
-            set.clear();
+        let shards = &self.shards;
+        type Chunk<'a> = (
+            &'a (usize, usize, usize),
+            &'a mut Box<ProbeScratch>,
+            &'a mut ProbeReplySet,
+        );
+        let run = |(&(lane, start, end), scratch, set): Chunk<'_>| {
+            let (tuples, states, resolved) = lane_view(lane);
+            shards[lane].probe(
+                &ctx,
+                &tuples[start..end],
+                &states[start..end],
+                &resolved[start..end],
+                scratch,
+                set,
+            );
+        };
+        if let [task] = &tasks[..] {
+            // A single chunk holds every probe of the envelope in batch
+            // order: its replies are the envelope's replies.
+            let free_list = &shards[task.0].scratch;
+            let mut scratch = free_list.acquire();
+            run((task, &mut scratch, out));
+            return free_list.release(scratch);
         }
+        // One probe scratch per chunk, checked out here — serially, in
+        // task order, and returned in reverse below — so a chunk meets
+        // the buffers it warmed last envelope however the chunks of a
+        // lane interleave on the pool.
+        scratches.extend(tasks.iter().map(|t| shards[t.0].scratch.acquire()));
+        chunk_sets.resize_with(tasks.len().max(chunk_sets.len()), ProbeReplySet::new);
+        chunk_sets.iter_mut().for_each(ProbeReplySet::clear);
+        let chunks = tasks
+            .iter()
+            .zip(scratches.iter_mut())
+            .zip(chunk_sets.iter_mut())
+            .map(|((task, scratch), set)| (task, scratch, set));
         if parallel {
-            let shards = &self.shards;
-            WorkerPool::global().scope(self.workers, |scope| {
-                for (&(lane_i, start, end), set) in tasks.iter().zip(chunk_sets.iter_mut()) {
-                    let lane = &lanes[lane_i];
-                    let shard = &shards[lane_i];
-                    scope.spawn(lane_i, move || {
-                        shard.probe_batch_prehashed_into(
-                            &lane.batch.as_slice()[start..end],
-                            &lane.states[start..end],
-                            query,
-                            &lane.bindings[start..end],
-                            set,
-                        );
-                    });
-                }
-            });
+            fan_out(self.workers, chunks.map(|c| (c.0 .0, c)), run);
         } else {
-            for (&(lane_i, start, end), set) in tasks.iter().zip(chunk_sets.iter_mut()) {
-                let lane = &lanes[lane_i];
-                self.shards[lane_i].probe_batch_prehashed_into(
-                    &lane.batch.as_slice()[start..end],
-                    &lane.states[start..end],
-                    query,
-                    &lane.bindings[start..end],
-                    set,
-                );
-            }
+            chunks.for_each(run);
+        }
+        for (task, scratch) in tasks.iter().zip(scratches.drain(..)).rev() {
+            shards[task.0].scratch.release(scratch);
         }
 
-        // Pass 3 (serial): merge back into batch order. Each lane's
+        // Pass 4 (serial): merge back into batch order. Each lane's
         // chunks hold its probes in batch order, so one task cursor per
         // lane suffices; replies move between arenas without
-        // reallocating.
-        let observed_ts = self.max_ts();
-        for &lane_opt in lane_of.iter() {
-            match lane_opt {
-                Some(lane) => {
-                    let meta = pull_reply(lane, tasks, cursors, chunk_sets, out);
-                    // The prober records the whole SteM's max timestamp,
-                    // not the one shard's.
-                    out.push_meta(ReplyMeta {
-                        observed_ts,
-                        ..meta
-                    });
-                }
-                None => {
-                    let start = out.total_results();
-                    let mut raw_matches = 0usize;
-                    let mut outcome = None;
-                    for lane in 0..n_lanes {
-                        let meta = pull_reply(lane, tasks, cursors, chunk_sets, out);
-                        raw_matches += meta.raw_matches;
-                        match outcome {
-                            None => outcome = Some(meta.outcome),
-                            // Bounce decisions depend only on broadcast
-                            // EOT state and AM flags — equal everywhere.
-                            Some(o) => debug_assert_eq!(o, meta.outcome),
-                        }
-                    }
-                    // Ascending build timestamp = global insertion order,
-                    // the single-shard candidate order (stable sort keeps
-                    // per-shard order for ties, though stored timestamps
-                    // are unique).
-                    out.results_tail_mut(start).sort_by_key(|(tup, _)| {
-                        tup.component(t).map(|c| c.ts).unwrap_or(UNBUILT_TS)
-                    });
-                    out.push_meta(ReplyMeta {
-                        outcome: outcome.expect("at least one lane"),
-                        observed_ts,
-                        raw_matches,
-                        len: out.total_results() - start,
-                    });
-                }
+        // reallocating. Outcome and observed timestamp were resolved
+        // SteM-wide, so any lane's header carries them.
+        for lane in lane_of.iter() {
+            let gather = match lane {
+                Some(l) => *l..*l + 1,
+                None => 0..n_lanes,
+            };
+            let start = out.total_results();
+            let mut meta = pull_reply(gather.start, tasks, cursors, chunk_sets, out);
+            for lane in gather.start + 1..gather.end {
+                let more = pull_reply(lane, tasks, cursors, chunk_sets, out);
+                meta.raw_matches += more.raw_matches;
+                meta.len += more.len;
+            }
+            if gather.len() > 1 {
+                // Ascending build timestamp = global insertion order
+                // (stable sort keeps per-lane order for ties, though
+                // stored timestamps are unique).
+                out.results_tail_mut(start)
+                    .sort_by_key(|(tup, _)| tup.component(t).map(|c| c.ts).unwrap_or(UNBUILT_TS));
+            }
+            out.push_meta(meta);
+        }
+    }
+}
+
+/// Run one envelope's pool tasks — `(lane, task)` pairs — to completion
+/// on `workers` execution streams, the calling thread being one of them:
+/// it keeps every `workers`-th task for itself and queues the rest with
+/// their lane as worker affinity. The caller's share is fixed by task
+/// position, not won in a race against the workers waking up, so which
+/// thread — and with it which allocator arena — holds a lane's dictionary
+/// and a chunk's result tuples does not move with host load; a process
+/// whose jobs drift between the caller and the workers keeps freed
+/// memory in whichever arenas they last ran on, and its resident size
+/// drifts with them. Once its own share is done the caller helps drain
+/// the queues like any idle worker.
+fn fan_out<T: Send>(
+    workers: usize,
+    tasks: impl Iterator<Item = (usize, T)>,
+    run: impl Fn(T) + Sync,
+) {
+    let run = &run;
+    WorkerPool::global().scope(workers, |scope| {
+        let mut own = Vec::new();
+        for (k, (lane, task)) in tasks.enumerate() {
+            if k % workers == 0 {
+                own.push(task);
+            } else {
+                scope.spawn(lane, move || run(task));
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Deferred release (Grace mode)
-    // ------------------------------------------------------------------
-
-    /// Release withheld bounce-backs, clustered by hash partition;
-    /// mirrors [`Stem::release_deferred`]. The per-shard queues are
-    /// merged and sorted by `(bounce partition, build timestamp)` — the
-    /// scalar release is a *stable* partition sort over build order, so
-    /// the merged order is identical to the unsharded engine's.
-    pub fn release_deferred(&mut self) -> Vec<(Tuple, TupleState)> {
-        if self.num_shards == 1 {
-            return self.shards[0].release_deferred();
-        }
-        let mut all: Vec<(Tuple, TupleState)> = Vec::with_capacity(self.deferred_len());
-        for shard in &mut self.shards {
-            all.append(&mut shard.take_deferred());
-        }
-        let partitioner = &self.shards[0];
-        all.sort_by_key(|(tuple, _)| {
-            let row = &tuple.components()[0].row;
-            (partitioner.partition_of(row), tuple.timestamp())
-        });
-        all
-    }
+        own.into_iter().for_each(run);
+    });
 }
 
 /// Take the next unconsumed reply of `lane` out of its chunk arenas,
 /// moving its results into `out` and returning its header. Chunks are
 /// lane-major and each holds its probes in batch order, so advancing the
 /// lane's task cursor past drained chunks walks the lane's replies in
-/// exactly the order the routing pass pushed its probes.
+/// exactly the order the lane pass pushed its probes.
 fn pull_reply(
     lane: usize,
     tasks: &[(usize, usize, usize)],
@@ -851,16 +853,63 @@ fn pull_reply(
     }
 }
 
+/// Test-only scalar forms — an envelope of one through the one build path
+/// and the one probe path — and the fixtures the SteM unit suites share.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testkit {
     use super::*;
-    use crate::stem::{make_eot_row, make_scan_eot_row, ProbeOutcome};
     use stems_catalog::{Catalog, ScanSpec, TableDef, TableInstance};
-    use stems_storage::StoreKind;
-    use stems_types::{CmpOp, ColRef, ColumnType, PredId, Schema};
+    use stems_types::{CmpOp, ColRef, ColumnType, PredId, PredSet, Schema};
+
+    /// Everything one probe produces.
+    #[derive(Debug, PartialEq)]
+    pub(crate) struct OneReply {
+        pub(crate) results: Vec<(Tuple, PredSet)>,
+        pub(crate) outcome: ProbeOutcome,
+        pub(crate) observed_ts: Timestamp,
+        pub(crate) raw_matches: usize,
+    }
+
+    /// Build one tuple. `ts` is the next global timestamp; it is consumed
+    /// only on a fresh insert.
+    pub(crate) fn build_one(
+        stem: &mut ShardedStem,
+        tuple: &Tuple,
+        state: &TupleState,
+        ts: Timestamp,
+    ) -> BuildResult {
+        let mut counter = ts.saturating_sub(1);
+        let batch = TupleBatch::single(tuple.clone());
+        stem.build_batch(&batch, std::slice::from_ref(state), &mut counter)
+            .remove(0)
+    }
+
+    /// Probe with one tuple.
+    pub(crate) fn probe_one(
+        stem: &ShardedStem,
+        tuple: &Tuple,
+        state: &TupleState,
+        query: &QuerySpec,
+    ) -> OneReply {
+        let mut set = ProbeReplySet::new();
+        stem.probe_batch_into(
+            std::slice::from_ref(tuple),
+            std::slice::from_ref(state),
+            query,
+            &mut set,
+        );
+        assert_eq!(set.len(), 1);
+        let (meta, results) = set.iter().next().expect("one reply");
+        OneReply {
+            results: results.to_vec(),
+            outcome: meta.outcome,
+            observed_ts: meta.observed_ts,
+            raw_matches: meta.raw_matches,
+        }
+    }
 
     /// R(key, a) ⋈ S(x, y) on R.a = S.x — S's SteM key column is 0.
-    fn setup() -> (Catalog, QuerySpec) {
+    pub(crate) fn setup() -> (Catalog, QuerySpec) {
         let mut c = Catalog::new();
         let r = c
             .add_table(TableDef::new(
@@ -900,6 +949,48 @@ mod tests {
         (c, q)
     }
 
+    pub(crate) fn s_tuple(x: i64, y: i64) -> Tuple {
+        Tuple::singleton_of(TableIdx(1), vec![Value::Int(x), Value::Int(y)])
+    }
+
+    pub(crate) fn r_tuple(key: i64, a: i64) -> Tuple {
+        Tuple::singleton_of(TableIdx(0), vec![Value::Int(key), Value::Int(a)])
+    }
+
+    impl ShardedStem {
+        /// The storage lanes, for tests that inspect per-lane state.
+        pub(crate) fn lanes(&self) -> &[Shard] {
+            &self.shards
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::{build_one, probe_one, r_tuple, s_tuple, setup, OneReply};
+    use super::*;
+    use crate::stem::{make_eot_row, make_scan_eot_row};
+    use stems_catalog::Catalog;
+    use stems_storage::StoreKind;
+    use stems_types::{CmpOp, ColRef, PredId, PredSet};
+
+    /// The same schema joined on the SteM's *non-key* column:
+    /// R.a = S.y, so probes bind column 1 and visit every lane.
+    fn non_key_query(c: &Catalog, q: &QuerySpec) -> QuerySpec {
+        QuerySpec::new(
+            c,
+            q.tables.clone(),
+            vec![Predicate::join(
+                PredId(0),
+                ColRef::new(TableIdx(0), 1),
+                CmpOp::Eq,
+                ColRef::new(TableIdx(1), 1),
+            )],
+            None,
+        )
+        .unwrap()
+    }
+
     fn sharded(num_shards: usize, opts: StemOptions) -> ShardedStem {
         ShardedStem::new(
             TableIdx(1),
@@ -911,37 +1002,55 @@ mod tests {
         )
     }
 
-    fn s_tuple(x: i64, y: i64) -> Tuple {
-        Tuple::singleton_of(TableIdx(1), vec![Value::Int(x), Value::Int(y)])
+    fn every_store_kind() -> [StoreKind; 5] {
+        [
+            StoreKind::List,
+            StoreKind::Hash,
+            StoreKind::Adaptive { threshold: 4 },
+            StoreKind::Partitioned {
+                partitions: 4,
+                mem_resident: 1,
+            },
+            StoreKind::Sorted,
+        ]
     }
 
     fn s_null_key(y: i64) -> Tuple {
         Tuple::singleton_of(TableIdx(1), vec![Value::Null, Value::Int(y)])
     }
 
-    fn r_tuple(key: i64, a: i64) -> Tuple {
-        Tuple::singleton_of(TableIdx(0), vec![Value::Int(key), Value::Int(a)])
-    }
-
-    /// Build the same mixed workload (dups, NULL keys, keyed + scan EOTs)
-    /// into stems at every shard count; every observable must agree.
-    fn build_workload(stem: &mut ShardedStem) -> (Vec<BuildResult>, Timestamp) {
-        let mut tuples: Vec<Tuple> = Vec::new();
-        for i in 0..40 {
-            tuples.push(s_tuple(i % 13, i));
-        }
+    /// A mixed build workload: dups, NULL keys, a keyed EOT.
+    fn workload() -> TupleBatch {
+        let mut tuples: Vec<Tuple> = (0..40).map(|i| s_tuple(i % 13, i)).collect();
         tuples.push(s_null_key(1));
-        tuples.push(s_tuple(3, 3)); // duplicate of i=3? (3 % 13 == 3, y=3) yes
-        tuples.push(s_null_key(1)); // duplicate in the overflow shard
+        tuples.push(s_tuple(3, 3)); // duplicate of i=3
+        tuples.push(s_null_key(1)); // duplicate in the overflow lane
         tuples.push(Tuple::singleton(
             TableIdx(1),
             make_eot_row(2, &[(0, Value::Int(5))]),
         ));
-        let batch: TupleBatch = tuples.into_iter().collect();
-        let states = vec![TupleState::new(); batch.len()];
+        tuples.into_iter().collect()
+    }
+
+    /// Build `batch` cut into envelopes of `envelope` rows.
+    fn build_in_envelopes(
+        stem: &mut ShardedStem,
+        batch: &TupleBatch,
+        envelope: usize,
+    ) -> (Vec<BuildResult>, Timestamp) {
         let mut ts = 0;
-        let results = stem.build_batch(&batch, &states, &mut ts);
+        let mut results = Vec::new();
+        for chunk in batch.as_slice().chunks(envelope) {
+            let chunk: TupleBatch = chunk.iter().cloned().collect();
+            let states = vec![TupleState::new(); chunk.len()];
+            results.extend(stem.build_batch(&chunk, &states, &mut ts));
+        }
         (results, ts)
+    }
+
+    fn build_workload(stem: &mut ShardedStem) -> (Vec<BuildResult>, Timestamp) {
+        let batch = workload();
+        build_in_envelopes(stem, &batch, batch.len())
     }
 
     /// Tuple equality ignores timestamps (execution metadata), so pull
@@ -957,61 +1066,109 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn build_results_match_single_shard_bit_for_bit() {
-        let mut one = sharded(1, StemOptions::default());
-        let (r1, ts1) = build_workload(&mut one);
-        for shards in [2usize, 4, 7] {
-            let mut many = sharded(shards, StemOptions::default());
-            let (rn, tsn) = build_workload(&mut many);
-            assert_eq!(r1, rn, "{shards} shards: BuildResults diverged");
-            assert_eq!(
-                stamped_ts(&r1),
-                stamped_ts(&rn),
-                "{shards} shards: timestamp assignment diverged"
-            );
-            assert_eq!(ts1, tsn, "{shards} shards: timestamp counter diverged");
-            assert_eq!(one.len(), many.len());
-            assert_eq!(one.max_ts(), many.max_ts());
-            assert_eq!(one.build_count(), many.build_count());
-            assert_eq!(one.duplicates_absorbed(), many.duplicates_absorbed());
-            assert_eq!(one.eot_version(), many.eot_version());
+    /// Build timestamps of a reply's matches, in reply order.
+    fn match_ts(reply: &OneReply) -> Vec<Timestamp> {
+        reply
+            .results
+            .iter()
+            .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
+            .collect()
+    }
+
+    /// Every build observable of a SteM, for invariance comparisons.
+    #[derive(Debug, PartialEq)]
+    struct BuildObservables {
+        results: Vec<BuildResult>,
+        stamps: Vec<Option<Timestamp>>,
+        ts_counter: Timestamp,
+        len: usize,
+        max_ts: Timestamp,
+        counters: [u64; 3],
+    }
+
+    fn build_observables(
+        stem: &ShardedStem,
+        (results, ts_counter): (Vec<BuildResult>, Timestamp),
+    ) -> BuildObservables {
+        BuildObservables {
+            stamps: stamped_ts(&results),
+            results,
+            ts_counter,
+            len: stem.len(),
+            max_ts: stem.max_ts(),
+            counters: [
+                stem.build_count(),
+                stem.duplicates_absorbed(),
+                stem.eot_version(),
+            ],
         }
     }
 
+    /// Shard-count × envelope-split invariance of the one build path:
+    /// {1, 2, 4, 7} shards × every backend × {one envelope of N, N
+    /// envelopes of one} produce identical results, timestamps and
+    /// counters.
+    #[test]
+    fn build_results_match_single_shard_bit_for_bit() {
+        let batch = workload();
+        for store in every_store_kind() {
+            let opts = StemOptions {
+                store: store.clone(),
+                ..StemOptions::default()
+            };
+            let mut one = sharded(1, opts.clone());
+            let built = build_in_envelopes(&mut one, &batch, batch.len());
+            let want = build_observables(&one, built);
+            for shards in [1usize, 2, 4, 7] {
+                for envelope in [batch.len(), 1] {
+                    let mut stem = sharded(shards, opts.clone());
+                    let built = build_in_envelopes(&mut stem, &batch, envelope);
+                    assert_eq!(
+                        want,
+                        build_observables(&stem, built),
+                        "{store:?}, {shards} shards, envelopes of {envelope}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Shard-count invariance of the one probe path for keyed probes
+    /// (one lane answers): {1, 2, 4, 7} shards × every backend, reply
+    /// for reply including match order and timestamps.
     #[test]
     fn probe_replies_match_single_shard_bit_for_bit() {
         let (_c, q) = setup();
-        let mut one = sharded(1, StemOptions::default());
-        let mut four = sharded(4, StemOptions::default());
-        build_workload(&mut one);
-        build_workload(&mut four);
-        // Keyed probes (single-lane fast path), incl. a missing key and a
-        // NULL key; probe after all builds so the TimeStamp rule passes.
-        for probe_key in [0i64, 3, 5, 12, 99] {
-            let r = r_tuple(1, probe_key).with_timestamp(TableIdx(0), 1_000);
-            let p1 = one.probe(&r, &TupleState::new(), &q);
-            let p4 = four.probe(&r, &TupleState::new(), &q);
-            assert_eq!(p1.results, p4.results, "key {probe_key}");
-            let match_ts = |p: &ProbeReply| -> Vec<Timestamp> {
-                p.results
-                    .iter()
-                    .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
-                    .collect()
+        for store in every_store_kind() {
+            let opts = StemOptions {
+                store: store.clone(),
+                ..StemOptions::default()
             };
-            assert_eq!(match_ts(&p1), match_ts(&p4), "key {probe_key}");
-            assert_eq!(p1.outcome, p4.outcome, "key {probe_key}");
-            assert_eq!(p1.observed_ts, p4.observed_ts, "key {probe_key}");
-            assert_eq!(p1.raw_matches, p4.raw_matches, "key {probe_key}");
+            let mut one = sharded(1, opts.clone());
+            build_workload(&mut one);
+            for shards in [2usize, 4, 7] {
+                let mut many = sharded(shards, opts.clone());
+                build_workload(&mut many);
+                // Incl. a missing key; probe after all builds so the
+                // TimeStamp rule passes.
+                for probe_key in [0i64, 3, 5, 12, 99] {
+                    let r = r_tuple(1, probe_key).with_timestamp(TableIdx(0), 1_000);
+                    let p1 = probe_one(&one, &r, &TupleState::new(), &q);
+                    let pn = probe_one(&many, &r, &TupleState::new(), &q);
+                    let ctx = format!("{store:?}, {shards} shards, key {probe_key}");
+                    assert_eq!(p1, pn, "{ctx}");
+                    assert_eq!(match_ts(&p1), match_ts(&pn), "{ctx}");
+                }
+                // NULL probe key: routed to the overflow lane, matches
+                // nothing (SQL equality), same bounce at every count.
+                let rn = Tuple::singleton_of(TableIdx(0), vec![Value::Int(1), Value::Null])
+                    .with_timestamp(TableIdx(0), 1_000);
+                let p1 = probe_one(&one, &rn, &TupleState::new(), &q);
+                let pn = probe_one(&many, &rn, &TupleState::new(), &q);
+                assert!(pn.results.is_empty());
+                assert_eq!(p1.outcome, pn.outcome);
+            }
         }
-        // NULL probe key: routed to the overflow lane, matches nothing
-        // (SQL equality), same bounce as unsharded.
-        let rn = Tuple::singleton_of(TableIdx(0), vec![Value::Int(1), Value::Null])
-            .with_timestamp(TableIdx(0), 1_000);
-        let p1 = one.probe(&rn, &TupleState::new(), &q);
-        let p4 = four.probe(&rn, &TupleState::new(), &q);
-        assert!(p4.results.is_empty());
-        assert_eq!(p1.outcome, p4.outcome);
     }
 
     #[test]
@@ -1023,25 +1180,96 @@ mod tests {
         build_workload(&mut one);
         build_workload(&mut four);
         let r = r_tuple(1, 999).with_timestamp(TableIdx(0), 1_000);
-        let p1 = one.probe(&r, &TupleState::new(), &q);
-        let p4 = four.probe(&r, &TupleState::new(), &q);
+        let p1 = probe_one(&one, &r, &TupleState::new(), &q);
+        let p4 = probe_one(&four, &r, &TupleState::new(), &q);
         assert!(!p4.results.is_empty());
         // Bit-identical: same results in the same (insertion) order.
-        assert_eq!(p1.results, p4.results);
-        assert_eq!(p1.raw_matches, p4.raw_matches);
+        assert_eq!(p1, p4);
         // And the order really is ascending build timestamp.
-        let ts: Vec<Timestamp> = p4
-            .results
-            .iter()
-            .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
-            .collect();
+        let ts = match_ts(&p4);
         let mut sorted = ts.clone();
         sorted.sort_unstable();
         assert_eq!(ts, sorted);
     }
 
-    /// Satellite fix: reported memory must equal the sum of the shard
-    /// stores plus the overflow lane — not one shard's view.
+    /// One lane ⇒ no timestamp re-sort: a fan-out (non-key-column) probe
+    /// on a 1-shard SteM returns its candidates in *store* order — for
+    /// `Sorted` that is arrival order, for `Partitioned` it is
+    /// partition-clustered and NOT build order, so a merge that re-sorted
+    /// a one-lane reply by timestamp would be caught. With several lanes
+    /// the same probe gathers from all of them and merges by build
+    /// timestamp.
+    #[test]
+    fn one_lane_fanout_probe_keeps_store_order() {
+        let (c, q) = setup();
+        let q = non_key_query(&c, &q);
+        let batch: TupleBatch = (0..40i64).map(|i| s_tuple(100 - i, i % 5)).collect();
+        let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 1_000);
+        let ascending = |ts: &[Timestamp]| ts.windows(2).all(|w| w[0] < w[1]);
+        for store in [
+            StoreKind::Sorted,
+            StoreKind::Partitioned {
+                partitions: 4,
+                mem_resident: 1,
+            },
+        ] {
+            let opts = StemOptions {
+                store: store.clone(),
+                ..StemOptions::default()
+            };
+            // Store order, from the backend itself.
+            let mut reference = store.build(&[0]);
+            reference.insert_batch(
+                batch
+                    .iter()
+                    .map(|t| t.components()[0].row.clone())
+                    .collect(),
+            );
+            let store_order = reference.lookup_eq(1, &Value::Int(3));
+            assert_eq!(store_order.len(), 8);
+
+            let mut one = sharded(1, opts.clone());
+            build_in_envelopes(&mut one, &batch, batch.len());
+            let p1 = probe_one(&one, &r, &TupleState::new(), &q);
+            let got: Vec<&Arc<Row>> = p1
+                .results
+                .iter()
+                .map(|(t, _)| &t.component(TableIdx(1)).unwrap().row)
+                .collect();
+            assert_eq!(got, store_order.iter().collect::<Vec<_>>(), "{store:?}");
+            if store != StoreKind::Sorted {
+                assert!(
+                    !ascending(&match_ts(&p1)),
+                    "{store:?} must not be in build order"
+                );
+            }
+            // The same lane chunked across the pool: its replies come
+            // back through the merge, gathered from one lane each.
+            let mut pooled = sharded(
+                1,
+                StemOptions {
+                    workers: Some(4),
+                    parallel_min_rows: Some(1),
+                    ..opts.clone()
+                },
+            );
+            build_in_envelopes(&mut pooled, &batch, batch.len());
+            let probes: TupleBatch = std::iter::repeat_n(r.clone(), 6).collect();
+            let states = vec![TupleState::new(); probes.len()];
+            for (_, results) in probe_flat(&pooled, &probes, &states, &q) {
+                assert_eq!(results, p1.results, "{store:?} chunked");
+            }
+
+            let mut four = sharded(4, opts);
+            build_in_envelopes(&mut four, &batch, batch.len());
+            let p4 = probe_one(&four, &r, &TupleState::new(), &q);
+            assert!(ascending(&match_ts(&p4)), "{store:?}: merged by timestamp");
+            assert_eq!(p4.raw_matches, p1.raw_matches);
+        }
+    }
+
+    /// Reported memory must equal the sum of the lane stores plus the
+    /// overflow lane — not one lane's view.
     #[test]
     fn approx_bytes_and_deferred_len_aggregate_across_shards() {
         let mut stem = sharded(4, StemOptions::default());
@@ -1059,8 +1287,10 @@ mod tests {
         );
         // The overflow lane holds the NULL-keyed row and is counted.
         assert_eq!(*stem.shard_lens().last().unwrap(), 1);
+        // A one-lane SteM has no separate overflow lane.
+        assert_eq!(sharded(1, StemOptions::default()).shard_lens().len(), 1);
 
-        // Deferred queues aggregate the same way.
+        // The deferred queue is SteM-wide.
         let opts = StemOptions {
             deferred_bounce: true,
             partitions: 4,
@@ -1074,8 +1304,8 @@ mod tests {
         one.build_batch(&batch, &states, &mut t1);
         four.build_batch(&batch, &states, &mut t4);
         assert_eq!(one.deferred_len(), 20);
-        assert_eq!(four.deferred_len(), 20, "deferred_len must sum shards");
-        // Clustered release order is identical to the unsharded engine's.
+        assert_eq!(four.deferred_len(), 20);
+        // Clustered release order is identical at every shard count.
         let r1: Vec<Tuple> = one.release_deferred().into_iter().map(|(t, _)| t).collect();
         let r4: Vec<Tuple> = four
             .release_deferred()
@@ -1101,7 +1331,8 @@ mod tests {
             },
         );
         // Keyed EOT for x=10 covers only matching probes.
-        stem.build(
+        build_one(
+            &mut stem,
             &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(0, Value::Int(10))])),
             &TupleState::new(),
             0,
@@ -1109,16 +1340,17 @@ mod tests {
         assert_eq!(stem.eot_version(), 1);
         let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
         assert_eq!(
-            stem.probe(&covered, &TupleState::new(), &q).outcome,
+            probe_one(&stem, &covered, &TupleState::new(), &q).outcome,
             ProbeOutcome::Consumed
         );
         let uncovered = r_tuple(2, 20).with_timestamp(TableIdx(0), 2);
         assert!(matches!(
-            stem.probe(&uncovered, &TupleState::new(), &q).outcome,
+            probe_one(&stem, &uncovered, &TupleState::new(), &q).outcome,
             ProbeOutcome::Bounced(_)
         ));
-        // Scan EOT covers everything, from any shard's perspective.
-        stem.build(
+        // Scan EOT covers everything, whichever lanes a probe visits.
+        build_one(
+            &mut stem,
             &Tuple::singleton(TableIdx(1), make_scan_eot_row(2)),
             &TupleState::new(),
             0,
@@ -1126,7 +1358,7 @@ mod tests {
         assert!(stem.scan_complete());
         assert_eq!(stem.eot_version(), 2);
         assert_eq!(
-            stem.probe(&uncovered, &TupleState::new(), &q).outcome,
+            probe_one(&stem, &uncovered, &TupleState::new(), &q).outcome,
             ProbeOutcome::Consumed
         );
     }
@@ -1141,8 +1373,8 @@ mod tests {
         let mut four = sharded(4, opts);
         let mut ts1 = 0;
         let mut ts4 = 0;
-        // Interleave duplicates and evicted re-arrivals; both engines must
-        // agree on every BuildResult and every aggregate, batch by batch.
+        // Interleave duplicates and evicted re-arrivals; both SteMs must
+        // agree on every BuildResult and every counter, batch by batch.
         for round in 0..6i64 {
             let batch: TupleBatch = (0..7)
                 .map(|i| {
@@ -1164,13 +1396,12 @@ mod tests {
 
     /// Probe a batch into a fresh arena and flatten it into comparable
     /// per-reply views.
-    #[allow(clippy::type_complexity)]
     fn probe_flat(
         stem: &ShardedStem,
         probes: &TupleBatch,
         states: &[TupleState],
         q: &QuerySpec,
-    ) -> Vec<(ReplyMeta, Vec<(Tuple, stems_types::PredSet)>)> {
+    ) -> Vec<(ReplyMeta, Vec<(Tuple, PredSet)>)> {
         let mut set = ProbeReplySet::new();
         stem.probe_batch_into(probes.as_slice(), states, q, &mut set);
         set.iter().map(|(m, r)| (*m, r.to_vec())).collect()
@@ -1208,9 +1439,9 @@ mod tests {
     #[test]
     fn worker_count_is_invariant_for_pooled_fanouts() {
         // Same workload at worker budgets {1, 2, 4, 8} (threshold forced
-        // to 1 so every envelope dispatches): builds and probe replies
-        // must be bit-identical — the pool decides the schedule, never
-        // the result.
+        // to 1 so every envelope dispatches) and lane counts {one, many}:
+        // builds and probe replies must be bit-identical — the pool
+        // decides the schedule, never the result.
         let (_c, q) = setup();
         let rows = 600i64;
         let batch: TupleBatch = (0..rows).map(|i| s_tuple(i % 37, i)).collect();
@@ -1219,9 +1450,9 @@ mod tests {
             .map(|i| r_tuple(i, i % 37).with_timestamp(TableIdx(0), 1_000_000))
             .collect();
         let pstates = vec![TupleState::new(); probes.len()];
-        let at_workers = |w: usize| {
+        let at = |shards: usize, w: usize| {
             let mut stem = sharded(
-                4,
+                shards,
                 StemOptions {
                     workers: Some(w),
                     parallel_min_rows: Some(1),
@@ -1234,9 +1465,11 @@ mod tests {
             let stamps = stamped_ts(&builds);
             (builds, stamps, ts, replies)
         };
-        let base = at_workers(1);
-        for w in [2usize, 4, 8] {
-            assert_eq!(base, at_workers(w), "workers={w} diverged");
+        let base = at(4, 1);
+        for shards in [1usize, 4] {
+            for w in [1usize, 2, 4, 8] {
+                assert_eq!(base, at(shards, w), "shards={shards} workers={w} diverged");
+            }
         }
     }
 
@@ -1287,10 +1520,10 @@ mod tests {
         let batch: TupleBatch = (0..40).map(|i| s_tuple(i, i)).collect();
         let states = vec![TupleState::new(); batch.len()];
 
-        // Unsharded: a serial server — units are the whole envelope.
+        // One lane: a serial server — units are the whole envelope.
         assert_eq!(one.parallel_service_units(&batch, &q, false), 40);
 
-        // Sharded build: units equal the busiest shard's load.
+        // Sharded build: units equal the busiest lane's load.
         let build_units = four.parallel_service_units(&batch, &q, false);
         let (mut t1, mut t4) = (0, 0);
         one.build_batch(&batch, &states, &mut t1);
@@ -1307,34 +1540,50 @@ mod tests {
         assert!(probe_units < 40);
         assert_eq!(one.parallel_service_units(&probes, &q, true), 40);
 
-        // … but fan-out probes (no equi binding) load every shard fully.
+        // … but fan-out probes (no equi binding) load every lane fully.
         let qx = QuerySpec::new(&c, q.tables.clone(), vec![], None).unwrap();
         assert_eq!(four.parallel_service_units(&probes, &qx, true), 40);
+        assert_eq!(one.parallel_service_units(&probes, &qx, true), 40);
     }
 
     #[test]
     fn store_kinds_shard_consistently() {
-        // The sharding layer composes with every insertion-ordered
-        // backend; result multisets (and for these backends, order) match
-        // the single shard.
-        let (_c, q) = setup();
-        for store in [
-            StoreKind::List,
-            StoreKind::Hash,
-            StoreKind::Adaptive { threshold: 4 },
-        ] {
+        // Fan-out probes (bound on a non-key column, so every lane is
+        // visited and the replies merged) at {1, 2, 4, 7} shards: the
+        // insertion-ordered backends answer identically, order included;
+        // one Partitioned lane answers partition-clustered, so it is
+        // multiset-equal.
+        let (c, q) = setup();
+        let q = non_key_query(&c, &q);
+        for store in every_store_kind() {
             let opts = StemOptions {
                 store: store.clone(),
                 ..StemOptions::default()
             };
+            // Keys descend while build timestamps ascend; y repeats.
+            let batch: TupleBatch = (0..40i64).map(|i| s_tuple(100 - i, i % 5)).collect();
             let mut one = sharded(1, opts.clone());
-            let mut four = sharded(4, opts);
-            build_workload(&mut one);
-            build_workload(&mut four);
+            build_in_envelopes(&mut one, &batch, batch.len());
             let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 1_000);
-            let p1 = one.probe(&r, &TupleState::new(), &q);
-            let p4 = four.probe(&r, &TupleState::new(), &q);
-            assert_eq!(p1.results, p4.results, "{store:?}");
+            let p1 = probe_one(&one, &r, &TupleState::new(), &q);
+            assert_eq!(p1.results.len(), 8);
+            for shards in [2usize, 4, 7] {
+                let mut many = sharded(shards, opts.clone());
+                build_in_envelopes(&mut many, &batch, batch.len());
+                let pn = probe_one(&many, &r, &TupleState::new(), &q);
+                if matches!(store, StoreKind::Partitioned { .. }) {
+                    let sorted = |p: &OneReply| {
+                        let mut ts = match_ts(p);
+                        ts.sort_unstable();
+                        ts
+                    };
+                    assert_eq!(sorted(&p1), sorted(&pn), "{store:?}, {shards} shards");
+                    assert_eq!(p1.raw_matches, pn.raw_matches);
+                } else {
+                    assert_eq!(p1, pn, "{store:?}, {shards} shards");
+                    assert_eq!(match_ts(&p1), match_ts(&pn), "{store:?}, {shards} shards");
+                }
+            }
         }
     }
 }

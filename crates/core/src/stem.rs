@@ -1,7 +1,7 @@
-//! The State Module — a "half join" (paper §2.1.4).
+//! The State Module's vocabulary and its per-lane half (paper §2.1.4).
 //!
-//! A SteM owns a dictionary of singleton tuples from one table instance and
-//! handles:
+//! A SteM — [`crate::sharded::ShardedStem`], the only SteM type — owns a
+//! dictionary of singleton tuples from one table instance and handles:
 //!
 //! * **build** — insert with set-semantics duplicate absorption (§3.2) and
 //!   global timestamp assignment (§3.1); EOT tuples are built into an EOT
@@ -15,14 +15,24 @@
 //!   index" trick that makes routing simulate a Grace hash join: build
 //!   acknowledgements are withheld and later released clustered by hash
 //!   partition.
+//!
+//! This module holds what both halves of that design share: the public
+//! option/result/reply types, the EOT coverage index ([`EotIndex`]), the
+//! binding helpers, and [`Shard`] — one *lane* of a SteM's storage. A
+//! shard owns exactly the state that must exist per lane (dictionary,
+//! dedup filter, row → timestamp map, probe scratch) and exposes the two
+//! per-lane steps of the SteM's algorithms: [`Shard::ingest`] (dedup +
+//! dictionary insert) and [`Shard::probe`] (result formation over
+//! prehashed bindings). Everything that is a property of the SteM as a
+//! whole lives once, on `ShardedStem`.
 
 use crate::sync::{Arc, ScratchPool};
 use crate::tuple_state::{CompletionNeed, TupleState};
-use stems_catalog::{QuerySpec, SourceId};
-use stems_storage::fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
+use stems_catalog::QuerySpec;
+use stems_storage::fxhash::{FxHashMap, FxHashSet};
 use stems_storage::{index_key, CandidateBuf, DictStore, RowSet, StoreKind};
 use stems_types::{
-    HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value, UNBUILT_TS,
+    HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, Value, UNBUILT_TS,
 };
 
 /// A probe tuple's equality binding, resolved and hashed exactly once at
@@ -30,35 +40,33 @@ use stems_types::{
 /// `None` means the probe binds nothing and must scan.
 pub(crate) type ProbeBinding = Option<(usize, HashedKey)>;
 
-/// Reusable per-SteM probe scratch. Everything the batched probe path
-/// materializes per envelope — key groups, flat candidate arenas, plans —
-/// lives here and keeps its capacity across envelopes, so steady-state
-/// probing allocates nothing. Kept in a mutexed free-list on the SteM
-/// because probes run through `&self` and the sharded runtime may split
-/// one shard's probe lane into chunks serviced concurrently by several
-/// pool workers ([`crate::runtime::WorkerPool`]): each chunk checks a
-/// scratch out for its envelope and returns it after, so the lock is
-/// taken twice per envelope, never per tuple, and concurrent chunks
-/// never serialize on a shared buffer.
-/// Cap on the scratch free-list: a concurrency burst may check out many
-/// scratches at once, but only this many are kept when they come back —
-/// the rest are dropped so the pool's footprint tracks steady-state
-/// concurrency, not the historical high-water mark.
+/// Cap on a shard's scratch free-list: a concurrency burst may check out
+/// many scratches at once, but only this many are kept when they come
+/// back — the rest are dropped so the pool's footprint tracks
+/// steady-state concurrency, not the historical high-water mark.
 const MAX_POOLED_SCRATCH: usize = 8;
 
+/// Reusable per-shard probe scratch. Everything the probe path
+/// materializes per envelope — key groups, flat candidate arenas, plans —
+/// lives here and keeps its capacity across envelopes, so steady-state
+/// probing allocates nothing. Kept in a mutexed free-list on the shard
+/// because probes run through `&self` and the SteM may split one lane
+/// into chunks serviced concurrently by several pool workers
+/// ([`crate::runtime::WorkerPool`]): the SteM checks one scratch out per
+/// chunk before it dispatches an envelope and returns them after, so the
+/// lock is taken twice per chunk, never per tuple, concurrent chunks
+/// never serialize on a shared buffer, and which scratch a chunk gets
+/// does not depend on how the chunks interleave.
 #[derive(Debug, Default)]
-struct ProbeScratch {
+pub(crate) struct ProbeScratch {
     /// Distinct probe columns of the current envelope.
     cols: Vec<usize>,
     /// Key list per column slot (capacity pooled across envelopes).
     keys: Vec<Vec<HashedKey>>,
     /// Flat candidate arena per column slot.
     bufs: Vec<CandidateBuf>,
-    /// Per tuple: span-cache index + optional (column slot, key slot).
-    plans: Vec<(usize, Option<(usize, usize)>)>,
-    /// Per tuple bindings, when this SteM computes them itself
-    /// ([`Stem::probe_batch_into`]; the sharded layer passes its own).
-    bindings: Vec<ProbeBinding>,
+    /// Per tuple: `(column slot, key slot)` of its binding, if any.
+    plans: Vec<Option<(usize, usize)>>,
 }
 
 /// Configuration of one SteM.
@@ -78,16 +86,14 @@ pub struct StemOptions {
     pub partitions: usize,
     pub mem_partitions: usize,
     /// Hash-partition shard fan-out of the SteM's dictionary
-    /// ([`crate::sharded::ShardedStem`]). `1` (the default) is the
-    /// unsharded scalar SteM; larger values split storage by join-key
-    /// hash so build/probe envelopes parallelize across threads. Values
-    /// are interpreted by `ShardedStem`; this `Stem` type itself is
-    /// always one shard.
+    /// ([`crate::sharded::ShardedStem`]). `1` (the default) is a SteM
+    /// with one storage lane; larger values split storage by join-key
+    /// hash so build/probe envelopes parallelize across threads.
     pub num_shards: usize,
     /// Worker-pool budget for this SteM's sharded envelope fan-outs.
     /// `None` (the default) inherits `ExecConfig::workers` (and thus
     /// `STEMS_WORKERS` / host parallelism); `Some(n)` pins this SteM's
-    /// budget — interpreted by `ShardedStem`, irrelevant at one shard.
+    /// budget.
     pub workers: Option<usize>,
     /// Minimum routed rows in one envelope before the sharded fan-out
     /// dispatches to the worker pool. `None` (the default) inherits
@@ -120,7 +126,8 @@ pub enum BuildResult {
     /// SteMs", Table 2).
     Fresh(Tuple),
     /// Inserted, but the bounce-back is withheld for clustered release
-    /// (Grace mode). The engine gets it later from [`Stem::release_deferred`].
+    /// (Grace mode). The engine gets it later from
+    /// [`crate::sharded::ShardedStem::release_deferred`].
     Deferred,
     /// Absorbed as a set-semantics duplicate (§3.2) — removed from the
     /// dataflow.
@@ -141,26 +148,14 @@ pub enum ProbeOutcome {
     Bounced(CompletionNeed),
 }
 
-/// Everything a probe produces.
-#[derive(Debug)]
-pub struct ProbeReply {
-    /// Concatenated results with their updated donebits.
-    pub results: Vec<(Tuple, PredSet)>,
-    pub outcome: ProbeOutcome,
-    /// The SteM's max build timestamp at probe time — recorded into the
-    /// prober's LastMatchTimeStamp when bounced (§3.5).
-    pub observed_ts: Timestamp,
-    /// Matches found (before timestamp filtering) — policy feedback.
-    pub raw_matches: usize,
-}
-
 /// Header of one probe reply stored flat in a [`ProbeReplySet`] arena:
-/// everything a [`ProbeReply`] carries except the result tuples, which
-/// live contiguously in the arena ( `len` of them per reply).
+/// everything a probe produces except the result tuples, which live
+/// contiguously in the arena (`len` of them per reply).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplyMeta {
     pub outcome: ProbeOutcome,
-    /// The SteM's max build timestamp at probe time (§3.5).
+    /// The SteM's max build timestamp at probe time — recorded into the
+    /// prober's LastMatchTimeStamp when bounced (§3.5).
     pub observed_ts: Timestamp,
     /// Matches found before timestamp filtering — policy feedback.
     pub raw_matches: usize,
@@ -172,10 +167,9 @@ pub struct ReplyMeta {
 /// stored as one flat `(tuple, donebits)` vector plus one [`ReplyMeta`]
 /// header per probe tuple, in batch order. Callers own the set and reuse
 /// it across envelopes, so the steady-state reply path performs **zero
-/// per-tuple heap allocations** — the per-reply `Vec`s the old
-/// `Vec<ProbeReply>` API materialized are gone (`tests/alloc_probe.rs`
-/// pins this with a counting allocator). The sharded merge additionally
-/// moves replies *between* sets without reallocating
+/// per-tuple heap allocations** (`tests/alloc_probe.rs` pins this with a
+/// counting allocator). The lane merge additionally moves replies
+/// *between* sets without reallocating
 /// ([`ProbeReplySet::take_results_into`]).
 #[derive(Debug, Default)]
 pub struct ProbeReplySet {
@@ -236,8 +230,8 @@ impl ProbeReplySet {
     }
 
     /// Move the next unconsumed reply's *results* into `out`'s arena
-    /// (no header is pushed — the caller merges headers itself, e.g. the
-    /// sharded fan-out combines several per-lane replies into one) and
+    /// (no header is pushed — the caller merges headers itself: the lane
+    /// merge combines several per-lane replies into one) and
     /// return its header. Moved-from slots are left as empty placeholder
     /// tuples; no allocation happens in either set beyond `out`'s arena
     /// growth, which amortizes to zero across reused envelopes.
@@ -253,7 +247,7 @@ impl ProbeReplySet {
         meta
     }
 
-    /// Append a reply header (sharded merge tail; results were already
+    /// Append a reply header (lane merge tail; results were already
     /// appended via [`ProbeReplySet::take_results_into`]).
     pub(crate) fn push_meta(&mut self, meta: ReplyMeta) {
         self.metas.push(meta);
@@ -264,527 +258,156 @@ impl ProbeReplySet {
         self.metas.len() - self.meta_cursor
     }
 
-    /// Mutable tail of the result arena from `start` — the sharded
-    /// fan-out merge sorts a freshly merged reply's results in place.
+    /// Mutable tail of the result arena from `start` — the lane merge
+    /// sorts a reply gathered from several lanes in place.
     pub(crate) fn results_tail_mut(&mut self, start: usize) -> &mut [(Tuple, PredSet)] {
         &mut self.results[start..]
     }
-
-    /// Convert a single-reply set into the scalar [`ProbeReply`].
-    pub(crate) fn into_single_reply(mut self) -> ProbeReply {
-        debug_assert_eq!(self.metas.len(), 1);
-        let meta = self.metas[0];
-        ProbeReply {
-            results: std::mem::take(&mut self.results),
-            outcome: meta.outcome,
-            observed_ts: meta.observed_ts,
-            raw_matches: meta.raw_matches,
-        }
-    }
 }
 
-/// A State Module over one table instance.
+/// What the envelope boundary resolves for one probe tuple, exactly
+/// once: its equality binding (hashed — lane routing and the dictionary
+/// descent both read this annotation) and its bounce decision (a function
+/// of SteM-wide EOT state, so it is the same in whichever lanes the probe
+/// visits).
+#[derive(Debug, Clone)]
+pub(crate) struct Resolved {
+    pub(crate) binding: ProbeBinding,
+    pub(crate) outcome: ProbeOutcome,
+}
+
+/// The SteM-wide facts a lane needs to form probe replies.
+pub(crate) struct ProbeCtx<'q> {
+    /// The table instance the SteM currently serves.
+    pub(crate) instance: TableIdx,
+    pub(crate) query: &'q QuerySpec,
+    /// The SteM's max build timestamp at probe time.
+    pub(crate) observed_ts: Timestamp,
+}
+
+/// One storage lane of a SteM: a dictionary, its set-semantics dedup
+/// filter, the build timestamp of every stored row, and the probe scratch
+/// free-list.
 ///
 /// Self-joins note: the paper shares one SteM per *source* across FROM
 /// instances; we share row storage via `Arc<Row>` but keep per-instance
 /// dictionaries, which preserves the memory-sharing benefit while keeping
 /// the timestamp bookkeeping per instance (see DESIGN.md).
-pub struct Stem {
-    pub instance: TableIdx,
-    pub source: SourceId,
+pub(crate) struct Shard {
     store: Box<dyn DictStore + Send + Sync>,
     dedup: RowSet,
     ts_of: FxHashMap<Arc<Row>, Timestamp>,
-    /// Scan EOT seen: the full relation is present.
-    eot_full: bool,
-    /// Index-probe EOTs: sorted `(col, value)` binding sets known complete.
-    eot_keys: FxHashSet<Vec<(usize, Value)>>,
-    /// Max build timestamp among stored tuples.
-    pub max_ts: Timestamp,
-    /// Builds accepted (fresh, non-EOT).
-    pub build_count: u64,
-    /// Duplicates absorbed (§3.2 competition bookkeeping).
-    pub duplicates_absorbed: u64,
-    /// Evictions performed.
-    pub evictions: u64,
-    pub has_scan_am: bool,
-    pub has_index_am: bool,
-    opts: StemOptions,
-    /// Build tuples whose bounce-back is withheld (Grace mode).
-    deferred: Vec<(Tuple, TupleState)>,
-    /// Column used to cluster deferred bounce-backs (first join column).
-    part_col: usize,
-    hasher: FxBuildHasher,
     /// Free-list of envelope-lifetime probe buffers (see
-    /// [`ProbeScratch`]): one per chunk probing this SteM concurrently.
+    /// [`ProbeScratch`]): one per chunk probing this lane concurrently.
     /// Boxed so checking a scratch in/out under the lock moves one
-    /// pointer, not the ~20-vector struct.
-    scratch: ScratchPool<Box<ProbeScratch>>,
+    /// pointer, not the struct of vectors. The pool recovers from poison
+    /// by discarding the free-list: a prober that panicked mid-probe
+    /// leaves only scratch buffers behind, and those are pure caches — a
+    /// clean pool keeps every later query on a shared SteM running.
+    pub(crate) scratch: ScratchPool<Box<ProbeScratch>>,
 }
 
-impl std::fmt::Debug for Stem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Stem")
-            .field("instance", &self.instance)
-            .field("len", &self.store.len())
-            .field("backend", &self.store.backend())
-            .field("eot_full", &self.eot_full)
-            .field("max_ts", &self.max_ts)
-            .finish()
-    }
-}
-
-impl Stem {
-    /// Create a SteM for `instance` of `source`, indexing `join_cols`
-    /// ("one main-memory index on each column involved in a join
-    /// predicate", §2.1.4).
-    pub fn new(
-        instance: TableIdx,
-        source: SourceId,
-        join_cols: &[usize],
-        has_scan_am: bool,
-        has_index_am: bool,
-        opts: StemOptions,
-    ) -> Stem {
-        Stem {
-            instance,
-            source,
-            store: opts.store.build(join_cols),
+impl Shard {
+    /// An empty lane indexing `join_cols` ("one main-memory index on each
+    /// column involved in a join predicate", §2.1.4).
+    pub(crate) fn new(kind: &StoreKind, join_cols: &[usize]) -> Shard {
+        Shard {
+            store: kind.build(join_cols),
             dedup: RowSet::new(),
             ts_of: FxHashMap::default(),
-            eot_full: false,
-            eot_keys: FxHashSet::default(),
-            max_ts: 0,
-            build_count: 0,
-            duplicates_absorbed: 0,
-            evictions: 0,
-            has_scan_am,
-            has_index_am,
-            opts,
-            deferred: Vec::new(),
-            part_col: join_cols.first().copied().unwrap_or(0),
-            hasher: FxBuildHasher::default(),
             scratch: ScratchPool::new(MAX_POOLED_SCRATCH),
         }
     }
 
-    /// Check a probe scratch out of the free-list (or grow the list).
-    /// The pool recovers from poison by discarding the free-list: a
-    /// prober that panicked mid-probe leaves only scratch buffers
-    /// behind, and those are pure caches — a clean pool keeps every
-    /// later query on a shared SteM running.
-    fn acquire_scratch(&self) -> Box<ProbeScratch> {
-        self.scratch.acquire()
-    }
-
-    /// Return a scratch to the free-list. The pool is capped at
-    /// [`MAX_POOLED_SCRATCH`]: a burst of concurrent probers would
-    /// otherwise pin its high-water-mark capacity forever, so scratches
-    /// beyond the cap are simply dropped.
-    fn release_scratch(&self, scratch: Box<ProbeScratch>) {
-        self.scratch.release(scratch);
-    }
-
-    /// Number of scratches currently pooled (test hook for the cap).
-    #[cfg(test)]
-    pub(crate) fn pooled_scratches(&self) -> usize {
-        self.scratch.pooled()
-    }
-
     /// Number of stored (non-EOT) tuples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.store.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.store.len() == 0
-    }
-
-    /// Has the full relation arrived (scan EOT)?
-    pub fn scan_complete(&self) -> bool {
-        self.eot_full
-    }
-
-    /// EOT change counter (keyed EOTs + scan completion); combined with
-    /// `build_count` it forms the SteM's version for re-probe gating.
-    pub fn eot_version(&self) -> u64 {
-        self.eot_keys.len() as u64 + self.eot_full as u64
-    }
-
     /// Approximate memory footprint.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.store.approx_bytes() + self.dedup.approx_bytes()
     }
 
     /// Which dictionary backend is currently in use.
-    pub fn backend(&self) -> &'static str {
+    pub(crate) fn backend(&self) -> &'static str {
         self.store.backend()
     }
 
-    /// Build a singleton tuple (or EOT tuple) into the SteM. `ts` is the
-    /// caller-supplied next global timestamp; it is consumed only on a
-    /// fresh insert.
-    pub fn build(&mut self, tuple: &Tuple, state: &TupleState, ts: Timestamp) -> BuildResult {
-        let mut counter = ts.saturating_sub(1);
-        let mut pending = Vec::new();
-        let result = self.build_inner(tuple, state, &mut counter, &mut pending);
-        self.store.insert_batch(pending);
-        self.apply_eviction();
-        result
-    }
-
-    /// Build a whole batch, consuming timestamps from `ts_counter` as
-    /// fresh inserts happen. Dedup, timestamping and bounce decisions stay
-    /// per tuple (intra-batch duplicates are absorbed exactly like
-    /// cross-batch ones); the dictionary insert is amortized through
-    /// [`DictStore::insert_batch`] and eviction runs once per batch.
-    pub fn build_batch(
-        &mut self,
-        batch: &TupleBatch,
-        states: &[TupleState],
-        ts_counter: &mut Timestamp,
-    ) -> Vec<BuildResult> {
-        debug_assert_eq!(batch.len(), states.len());
-        let mut pending = Vec::with_capacity(batch.len());
-        let out = batch
-            .iter()
-            .zip(states)
-            .map(|(tuple, state)| self.build_inner(tuple, state, ts_counter, &mut pending))
-            .collect();
-        self.store.insert_batch(pending);
-        self.apply_eviction();
-        out
-    }
-
-    /// Everything `build` does except the dictionary insert (deferred to
-    /// the caller so batches go through one `insert_batch`) and eviction.
-    fn build_inner(
-        &mut self,
-        tuple: &Tuple,
-        state: &TupleState,
-        ts_counter: &mut Timestamp,
-        pending: &mut Vec<Arc<Row>>,
-    ) -> BuildResult {
-        debug_assert!(tuple.is_singleton(), "SteMs store singleton tuples only");
-        let comp = &tuple.components()[0];
-        debug_assert_eq!(comp.table, self.instance, "build routed to wrong SteM");
-        let row = comp.row.clone();
-
-        if row.is_eot() {
-            if let Some(bindings) = eot_bindings(&row) {
-                self.eot_keys.insert(bindings);
-            } else {
-                self.eot_full = true;
+    /// The per-lane build step: set-semantics dedup plus the dictionary
+    /// insert for the (non-EOT) singletons routed to this lane — the
+    /// `members` positions of the envelope `tuples`, in batch order.
+    /// Appends `true` to `fresh` for every inserted row and `false` for
+    /// every absorbed duplicate (§3.2); timestamps are assigned afterwards
+    /// by the SteM, serially ([`Shard::stamp`]).
+    pub(crate) fn ingest(&mut self, tuples: &[Tuple], members: &[usize], fresh: &mut Vec<bool>) {
+        let mut pending = Vec::with_capacity(members.len());
+        for &i in members {
+            let row = &tuples[i].components()[0].row;
+            debug_assert!(!row.is_eot(), "EOT rows never reach a lane");
+            let inserted = self.dedup.insert(row.clone());
+            if inserted {
+                pending.push(row.clone());
             }
-            return BuildResult::Eot;
+            fresh.push(inserted);
         }
-
-        if !self.dedup.insert(row.clone()) {
-            self.duplicates_absorbed += 1;
-            return BuildResult::Duplicate;
-        }
-
-        let ts = *ts_counter + 1;
-        *ts_counter = ts;
-        let windowed = self.opts.eviction_window.is_some();
-        if windowed {
-            // Windowed SteMs must insert and evict per tuple: deferring
-            // the insert would let an intra-batch duplicate of a row that
-            // eviction should already have forgotten be wrongly absorbed.
-            self.store.insert(row.clone());
-        } else {
-            pending.push(row.clone());
-        }
-        self.ts_of.insert(row.clone(), ts);
-        self.max_ts = self.max_ts.max(ts);
-        self.build_count += 1;
-        if windowed {
-            self.apply_eviction();
-        }
-
-        let stamped = tuple.with_timestamp(self.instance, ts);
-        if self.opts.deferred_bounce && !self.partition_is_resident(&row) {
-            self.deferred.push((stamped, state.clone()));
-            BuildResult::Deferred
-        } else {
-            BuildResult::Fresh(stamped)
-        }
-    }
-
-    /// FIFO-evict down to the configured window (no-op when unbounded).
-    fn apply_eviction(&mut self) {
-        if let Some(window) = self.opts.eviction_window {
-            while self.store.len() > window {
-                if !self.evict_oldest() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// One FIFO eviction step: forget the oldest stored row in the store,
-    /// the dedup filter and the timestamp map together. Also the hook
-    /// [`crate::sharded::ShardedStem`] uses to run a *global* FIFO window
-    /// across shards (the globally oldest row is the one with the minimum
-    /// [`Stem::oldest_ts`]).
-    pub(crate) fn evict_oldest(&mut self) -> bool {
-        if let Some(old) = self.store.oldest() {
-            self.store.remove(&old);
-            self.dedup.forget(&old);
-            self.ts_of.remove(&old);
-            self.evictions += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Build timestamp of the oldest stored row (`None` when empty) — the
-    /// cross-shard FIFO ordering key for windowed sharded SteMs.
-    pub(crate) fn oldest_ts(&self) -> Option<Timestamp> {
-        self.store
-            .oldest()
-            .map(|r| *self.ts_of.get(&r).unwrap_or(&UNBUILT_TS))
-    }
-
-    fn partition_is_resident(&self, row: &Row) -> bool {
-        if self.opts.mem_partitions == 0 {
-            return false;
-        }
-        self.partition_of(row) < self.opts.mem_partitions
-    }
-
-    pub(crate) fn partition_of(&self, row: &Row) -> usize {
-        use std::hash::BuildHasher;
-        let key = row.get(self.part_col).cloned().unwrap_or(Value::Null);
-        (self.hasher.hash_one(&key) % self.opts.partitions.max(1) as u64) as usize
-    }
-
-    /// Release deferred bounce-backs, clustered by hash partition (the
-    /// Grace "asynchronous" bounce, §3.1). Called by the engine when the
-    /// table's scan completes, or when the policy asks for early release
-    /// (SHJ↔Grace hybridization).
-    pub fn release_deferred(&mut self) -> Vec<(Tuple, TupleState)> {
-        let mut out = std::mem::take(&mut self.deferred);
-        out.sort_by_key(|(t, _)| {
-            let row = &t.components()[0].row;
-            self.partition_of(row)
-        });
-        out
-    }
-
-    /// How many bounce-backs are currently withheld.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
-    }
-
-    /// Drain the withheld bounce-backs *without* the clustering sort —
-    /// [`crate::sharded::ShardedStem`] merges the per-shard queues first
-    /// and clusters the union so the release order matches the unsharded
-    /// engine's exactly.
-    pub(crate) fn take_deferred(&mut self) -> Vec<(Tuple, TupleState)> {
-        std::mem::take(&mut self.deferred)
-    }
-
-    // ------------------------------------------------------------------
-    // Sharding phase hooks (used by `crate::sharded::ShardedStem`)
-    //
-    // A sharded build must assign global timestamps in batch order while
-    // the per-shard dictionary work runs on worker threads. The split:
-    // `ingest_batch` (parallel per shard — dedup + dictionary insert,
-    // no timestamps) followed by `stamp_fresh` (serial, global batch
-    // order — timestamping, bounce/defer decision). Running the two
-    // phases back-to-back on one shard reproduces `build_batch` exactly;
-    // the unit suite below pins that equivalence.
-    // ------------------------------------------------------------------
-
-    /// Phase 1 of a sharded build: set-semantics dedup plus the dictionary
-    /// insert for the routed (non-EOT) data rows of one shard, in batch
-    /// order. Returns `true` per row for fresh inserts, `false` for
-    /// absorbed duplicates (the `duplicates_absorbed` counter is bumped
-    /// here). Windowed SteMs never take this path — eviction must
-    /// interleave with inserts per tuple, which is inherently serial.
-    pub(crate) fn ingest_batch(&mut self, rows: &[Arc<Row>]) -> Vec<bool> {
-        debug_assert!(
-            self.opts.eviction_window.is_none(),
-            "windowed SteMs must build serially"
-        );
-        let mut pending = Vec::with_capacity(rows.len());
-        let out = rows
-            .iter()
-            .map(|row| {
-                debug_assert!(!row.is_eot(), "EOT rows are handled by the shard layer");
-                if self.dedup.insert(row.clone()) {
-                    pending.push(row.clone());
-                    true
-                } else {
-                    self.duplicates_absorbed += 1;
-                    false
-                }
-            })
-            .collect();
         self.store.insert_batch(pending);
-        out
     }
 
-    /// Phase 2 of a sharded build: stamp one row `ingest_batch` reported
-    /// fresh with its globally-ordered timestamp and take the bounce/defer
-    /// decision — everything `build_inner` does after the dictionary
-    /// insert.
-    pub(crate) fn stamp_fresh(
-        &mut self,
-        tuple: &Tuple,
-        state: &TupleState,
-        ts: Timestamp,
-    ) -> BuildResult {
-        let row = &tuple.components()[0].row;
+    /// Record the global build timestamp of a row [`Shard::ingest`]
+    /// reported fresh.
+    pub(crate) fn stamp(&mut self, row: &Arc<Row>, ts: Timestamp) {
         self.ts_of.insert(row.clone(), ts);
-        self.max_ts = self.max_ts.max(ts);
-        self.build_count += 1;
-        let stamped = tuple.with_timestamp(self.instance, ts);
-        if self.opts.deferred_bounce && !self.partition_is_resident(row) {
-            self.deferred.push((stamped, state.clone()));
-            BuildResult::Deferred
-        } else {
-            BuildResult::Fresh(stamped)
-        }
     }
 
-    /// Probe the SteM with `tuple` (spanning tables other than this
-    /// instance). Returns concatenated matches passing every newly
-    /// evaluable predicate and both timestamp rules, plus the bounce
-    /// decision per SteM BounceBack.
-    pub fn probe(&self, tuple: &Tuple, state: &TupleState, query: &QuerySpec) -> ProbeReply {
-        let t = self.instance;
-        let linking: Vec<&stems_types::Predicate> = query
-            .preds_linking(tuple.span(), t)
-            .into_iter()
-            .map(|id| query.predicate(id))
-            .collect();
-        // Candidate fetch: use an equi predicate's hash index when we have
-        // one; otherwise scan-filter.
-        let candidates: Vec<Arc<Row>> = match equi_binding(&linking, tuple, t) {
-            Some((col, val)) => self.store.lookup_eq(col, &val),
-            None => self.store.scan(),
-        };
-        // Per-call recomputation of the newly evaluable set — the batched
-        // path caches this per (span, done) pair; the unit suite pins the
-        // two against each other.
-        let result_span = tuple.span().with(t);
-        let newly: Vec<&stems_types::Predicate> = query
-            .predicates
-            .iter()
-            .filter(|p| p.evaluable_on(result_span) && !state.done.contains(p.id))
-            .collect();
-        let mut done_union = state.done;
-        for p in &newly {
-            done_union.insert(p.id);
-        }
-        let mut set = ProbeReplySet::default();
-        self.probe_with_candidates(
-            tuple,
-            state,
-            query,
-            &linking,
-            &newly,
-            done_union,
-            &candidates,
-            &mut set,
-        );
-        set.into_single_reply()
+    /// Eviction: forget a stored row in the store, the dedup filter and
+    /// the timestamp map together (an evicted row may re-enter fresh).
+    pub(crate) fn forget(&mut self, row: &Row) {
+        self.store.remove(row);
+        self.dedup.forget(row);
+        self.ts_of.remove(row);
     }
 
-    /// Probe a whole batch into the caller-owned reply arena, appending
-    /// one reply per tuple in batch order. The per-tuple semantics
-    /// (timestamp rules, predicate re-verification, bounce decisions) are
-    /// identical to [`Stem::probe`]; the amortization is in the fetch and
-    /// the reply path: linking predicates are resolved once per distinct
-    /// probe span, the newly-evaluable predicate set once per distinct
-    /// `(result span, donebits)` pair, every key is hashed exactly once
-    /// at this envelope boundary ([`HashedKey`]), all equality lookups on
-    /// one column go through a single [`DictStore::lookup_eq_flat`] index
-    /// descent into a reusable arena (duplicate keys share one candidate
-    /// span; unbindable probes share one scan snapshot), and results land
-    /// in `out`'s flat arena instead of per-reply `Vec`s.
-    pub fn probe_batch_into(
+    /// The per-lane probe step: answer a slice of one envelope, appending
+    /// one reply per tuple to `out` in slice order. `resolved` carries
+    /// each tuple's prehashed binding and bounce decision; this lane
+    /// contributes the candidates. All equality lookups on one column go
+    /// through a single [`DictStore::lookup_eq_flat`] index descent into
+    /// a reusable arena (duplicate keys share one candidate span;
+    /// unbindable probes share one scan snapshot), the newly-evaluable
+    /// predicate set is resolved once per distinct `(result span,
+    /// donebits)` pair, and results land in `out`'s flat arena — the only
+    /// per-tuple allocations are the surviving result tuples themselves
+    /// (one component vec each, via [`Tuple::concat_row`]).
+    ///
+    /// The slice may be any sub-range of a routed lane: hot lanes are
+    /// chunked across pool workers, each chunk probing with its own
+    /// `scratch` (checked out of this lane's free-list by the caller) and
+    /// arena.
+    pub(crate) fn probe(
         &self,
+        ctx: &ProbeCtx<'_>,
         batch: &[Tuple],
         states: &[TupleState],
-        query: &QuerySpec,
-        out: &mut ProbeReplySet,
-    ) {
-        debug_assert_eq!(batch.len(), states.len());
-        let t = self.instance;
-        let mut scratch = self.acquire_scratch();
-        // Hash-once boundary: resolve each tuple's equality binding and
-        // annotate its key here; nothing downstream re-hashes.
-        let mut bindings = std::mem::take(&mut scratch.bindings);
-        bindings.clear();
-        let mut spans: Vec<(TableSet, Vec<&stems_types::Predicate>)> = Vec::new();
-        for tuple in batch.iter() {
-            let li = linking_for(&mut spans, query, tuple.span(), t);
-            bindings.push(
-                equi_binding(&spans[li].1, tuple, t).map(|(col, val)| (col, HashedKey::new(val))),
-            );
-        }
-        self.probe_with_scratch(batch, states, query, &bindings, &mut scratch, out);
-        scratch.bindings = bindings;
-        self.release_scratch(scratch);
-    }
-
-    /// Probe with bindings the caller already resolved and hashed —
-    /// [`crate::sharded::ShardedStem`] routes envelopes by these same
-    /// annotations, so the shard layer and the dictionary descent share
-    /// one hash computation per key. `batch` may be any sub-slice of a
-    /// routed lane: the sharded runtime chunks hot lanes across pool
-    /// workers, each chunk probing with its own scratch and arena.
-    pub(crate) fn probe_batch_prehashed_into(
-        &self,
-        batch: &[Tuple],
-        states: &[TupleState],
-        query: &QuerySpec,
-        bindings: &[ProbeBinding],
-        out: &mut ProbeReplySet,
-    ) {
-        let mut scratch = self.acquire_scratch();
-        self.probe_with_scratch(batch, states, query, bindings, &mut scratch, out);
-        self.release_scratch(scratch);
-    }
-
-    /// The flat probe pipeline over one envelope: group keys per column,
-    /// one [`DictStore::lookup_eq_flat`] per column into the reusable
-    /// arenas, then per-tuple result formation over borrowed candidate
-    /// slices — semantically exactly the scalar path.
-    fn probe_with_scratch(
-        &self,
-        batch: &[Tuple],
-        states: &[TupleState],
-        query: &QuerySpec,
-        bindings: &[ProbeBinding],
+        resolved: &[Resolved],
         scratch: &mut ProbeScratch,
         out: &mut ProbeReplySet,
     ) {
         debug_assert_eq!(batch.len(), states.len());
-        debug_assert_eq!(batch.len(), bindings.len());
-        let t = self.instance;
+        debug_assert_eq!(batch.len(), resolved.len());
+        let t = ctx.instance;
         let ProbeScratch {
             cols,
             keys,
             bufs,
             plans,
-            ..
         } = scratch;
         cols.clear();
         plans.clear();
 
-        // Linking predicates per distinct span (batches are usually
-        // span-uniform, so this is a one-entry cache).
-        let mut spans: Vec<(TableSet, Vec<&stems_types::Predicate>)> = Vec::new();
-
         // Pass 1: group the prehashed keys by column.
-        for (tuple, binding) in batch.iter().zip(bindings) {
-            let li = linking_for(&mut spans, query, tuple.span(), t);
-            let plan = binding.as_ref().map(|(col, key)| {
+        for r in resolved {
+            plans.push(r.binding.as_ref().map(|(col, key)| {
                 let ci = match cols.iter().position(|c| c == col) {
                     Some(i) => i,
                     None => {
@@ -800,8 +423,7 @@ impl Stem {
                 };
                 keys[ci].push(key.clone());
                 (ci, keys[ci].len() - 1)
-            });
-            plans.push((li, plan));
+            }));
         }
         // One flat descent per column: the store dedups identical keys and
         // reads the precomputed hashes, never re-hashing.
@@ -820,8 +442,10 @@ impl Stem {
         // uniform per pair and precomputed here.
         let mut evals: Vec<(TableSet, PredSet, Vec<&stems_types::Predicate>, PredSet)> = Vec::new();
 
-        // Pass 2: per-tuple result formation, exactly the scalar path.
-        for ((tuple, state), (li, plan)) in batch.iter().zip(states).zip(plans.iter()) {
+        // Pass 2: per-tuple result formation.
+        for (((tuple, state), r), plan) in batch.iter().zip(states).zip(resolved).zip(plans.iter())
+        {
+            debug_assert!(!tuple.span().contains(t), "probe tuple already spans {t}");
             let candidates: &[Arc<Row>] = match plan {
                 Some((ci, ki)) => bufs[*ci].candidates(*ki),
                 None => full_scan.get_or_insert_with(|| self.store.scan()),
@@ -833,7 +457,8 @@ impl Stem {
             {
                 Some(i) => i,
                 None => {
-                    let newly: Vec<&stems_types::Predicate> = query
+                    let newly: Vec<&stems_types::Predicate> = ctx
+                        .query
                         .predicates
                         .iter()
                         .filter(|p| p.evaluable_on(result_span) && !state.done.contains(p.id))
@@ -847,112 +472,81 @@ impl Stem {
                 }
             };
             let (_, _, newly, done_union) = &evals[ei];
-            self.probe_with_candidates(
-                tuple,
-                state,
-                query,
-                &spans[*li].1,
-                newly,
-                *done_union,
-                candidates,
-                out,
-            );
-        }
-    }
 
-    /// Shared probe tail: filter candidates by the timestamp rules,
-    /// concatenate, verify the (caller-resolved) newly evaluable
-    /// predicates, decide the bounce; append one reply to `out`. The only
-    /// allocations are the surviving result tuples themselves (one
-    /// component vec each, via [`Tuple::concat_row`]) — `newly` comes
-    /// from the span cache, `done_union` is a precomputed copy, and the
-    /// results land in `out`'s arena.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_with_candidates(
-        &self,
-        tuple: &Tuple,
-        state: &TupleState,
-        query: &QuerySpec,
-        linking: &[&stems_types::Predicate],
-        newly: &[&stems_types::Predicate],
-        done_union: PredSet,
-        candidates: &[Arc<Row>],
-        out: &mut ProbeReplySet,
-    ) {
-        let t = self.instance;
-        debug_assert!(!tuple.span().contains(t), "probe tuple already spans {t}");
-        let probe_ts = tuple.timestamp();
-
-        let raw_matches = candidates.len();
-        let start = out.results.len();
-        for row in candidates {
-            let ts_u = *self.ts_of.get(row).unwrap_or(&UNBUILT_TS);
-            // TimeStamp rule (§3.1): only the later-built side generates
-            // the result. LastMatchTimeStamp rule (§3.5): repeated probes
-            // skip matches already returned.
-            if ts_u >= probe_ts || ts_u <= state.last_match_ts {
-                continue;
+            let probe_ts = tuple.timestamp();
+            let start = out.results.len();
+            for row in candidates {
+                let ts_u = *self.ts_of.get(row).unwrap_or(&UNBUILT_TS);
+                // TimeStamp rule (§3.1): only the later-built side generates
+                // the result. LastMatchTimeStamp rule (§3.5): repeated probes
+                // skip matches already returned.
+                if ts_u >= probe_ts || ts_u <= state.last_match_ts {
+                    continue;
+                }
+                let cand = tuple.concat_row(t, row.clone(), ts_u);
+                if newly.iter().all(|p| p.eval(&cand).unwrap_or(false)) {
+                    out.results.push((cand, *done_union));
+                }
             }
-            let cand = tuple.concat_row(t, row.clone(), ts_u);
-            if newly.iter().all(|p| p.eval(&cand).unwrap_or(false)) {
-                out.results.push((cand, done_union));
+            out.metas.push(ReplyMeta {
+                outcome: r.outcome,
+                observed_ts: ctx.observed_ts,
+                raw_matches: candidates.len(),
+                len: out.results.len() - start,
+            });
+        }
+    }
+}
+
+/// The SteM's EOT index (§2.1.3): which probes the stored rows answer
+/// *completely*. One per SteM — an EOT describes the relation, not a
+/// storage lane.
+#[derive(Debug, Default)]
+pub(crate) struct EotIndex {
+    /// Scan EOT seen: the full relation is present.
+    full: bool,
+    /// Index-probe EOTs: sorted `(col, value)` binding sets known complete.
+    keys: FxHashSet<Vec<(usize, Value)>>,
+}
+
+impl EotIndex {
+    /// Build an EOT row into the index.
+    pub(crate) fn record(&mut self, row: &Row) {
+        match eot_bindings(row) {
+            Some(bindings) => {
+                self.keys.insert(bindings);
             }
-        }
-
-        let outcome = self.bounce_decision(linking, tuple, query);
-        out.metas.push(ReplyMeta {
-            outcome,
-            observed_ts: self.max_ts,
-            raw_matches,
-            len: out.results.len() - start,
-        });
-    }
-
-    /// SteM BounceBack (paper Table 2, plus the §4.1 refinement for tables
-    /// with index AMs).
-    fn bounce_decision(
-        &self,
-        linking: &[&stems_types::Predicate],
-        tuple: &Tuple,
-        query: &QuerySpec,
-    ) -> ProbeOutcome {
-        if self.covers(linking, tuple, query) {
-            return ProbeOutcome::Consumed;
-        }
-        let all_built = tuple.components().iter().all(|c| c.ts != UNBUILT_TS);
-        if !all_built {
-            // §3.5: the prober is not cached anywhere, so it must keep
-            // re-probing this SteM until coverage (LastMatchTimeStamp
-            // prevents duplicate concatenations).
-            return ProbeOutcome::Bounced(CompletionNeed::Required);
-        }
-        match (self.has_scan_am, self.has_index_am) {
-            // Scan covers completeness; no index to offer: consume.
-            (true, false) => ProbeOutcome::Consumed,
-            // Index AM available: bounce so the policy *may* probe it
-            // (§4.1; completeness already covered by the scan, so the
-            // policy may also drop the tuple).
-            (true, true) => ProbeOutcome::Bounced(CompletionNeed::Optional),
-            // No scan: the probe MUST complete through an AM (§3.3).
-            (false, _) => ProbeOutcome::Bounced(CompletionNeed::Required),
+            None => self.full = true,
         }
     }
 
-    /// Does the EOT index guarantee all matches for this probe are present?
-    fn covers(
+    /// Has the full relation arrived (scan EOT)?
+    pub(crate) fn scan_complete(&self) -> bool {
+        self.full
+    }
+
+    /// EOT change counter (keyed EOTs + scan completion).
+    pub(crate) fn version(&self) -> u64 {
+        self.keys.len() as u64 + self.full as u64
+    }
+
+    /// Does the EOT index guarantee all matches for this probe of table
+    /// `t` are present?
+    pub(crate) fn covers(
         &self,
         linking: &[&stems_types::Predicate],
         tuple: &Tuple,
+        t: TableIdx,
         query: &QuerySpec,
     ) -> bool {
-        if self.eot_full {
+        if self.full {
             return true;
         }
-        if self.eot_keys.is_empty() {
+        if self.keys.is_empty() {
             return false;
         }
-        let bindings = probe_bindings(linking, tuple, self.instance, query);
-        let options = in_list_options(query, self.instance);
+        let bindings = probe_bindings(linking, tuple, t, query);
+        let options = in_list_options(query, t);
         if options.is_empty() {
             return self.covered_by(&bindings);
         }
@@ -1028,7 +622,7 @@ impl Stem {
                 .map(|i| bindings[i].clone())
                 .collect();
             subset.sort_by_key(|a| a.0);
-            if self.eot_keys.contains(&subset) {
+            if self.keys.contains(&subset) {
                 return true;
             }
         }
@@ -1111,7 +705,7 @@ pub fn probe_bindings(
 /// lists are degenerate equalities and live in [`probe_bindings`]
 /// instead. Index AMs fan a probe out across these members (one lookup
 /// key per member, answered through the multi-key flat path), and
-/// [`Stem::covers`] requires every member's EOT before declaring the
+/// [`EotIndex::covers`] requires every member's EOT before declaring the
 /// probe complete — the same rule `stems_catalog::feasible` applies, so
 /// a query admitted through a multi-member IN binding is actually
 /// probeable at runtime.
@@ -1140,11 +734,10 @@ pub fn in_list_options(query: &QuerySpec, t: TableIdx) -> Vec<(usize, Vec<Value>
     out
 }
 
-/// Resolve (and cache) the linking predicates for one probe span: the
-/// per-envelope span cache shared by the batched probe paths in [`Stem`]
-/// and [`crate::sharded::ShardedStem`]. Returns the span's index in
-/// `spans`; batches are usually span-uniform, so the cache stays one
-/// entry.
+/// Resolve (and cache) the linking predicates for one probe span — the
+/// per-envelope span cache of [`crate::sharded::ShardedStem`]'s resolve
+/// pass. Returns the span's index in `spans`; batches are usually
+/// span-uniform, so the cache stays one entry.
 pub(crate) fn linking_for<'q>(
     spans: &mut Vec<(TableSet, Vec<&'q stems_types::Predicate>)>,
     query: &'q QuerySpec,
@@ -1217,235 +810,246 @@ pub fn make_scan_eot_row(arity: usize) -> Arc<Row> {
     Row::shared(vec![Value::Eot; arity])
 }
 
+/// The SteM's semantic rules (Table 2 bounce rules, both timestamp rules,
+/// EOT coverage, window FIFO, Grace release, scratch-pool safety), driven
+/// through [`crate::sharded::ShardedStem`]'s one build path and one probe
+/// path as envelopes of one, at one lane and at several.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stems_catalog::{Catalog, ScanSpec, TableDef, TableInstance};
-    use stems_types::{CmpOp, ColRef, ColumnType, PredId, Predicate, Schema};
+    use crate::sharded::testkit::{build_one, probe_one, r_tuple, s_tuple, setup};
+    use crate::sharded::ShardedStem;
+    use stems_catalog::{Catalog, ScanSpec, SourceId, TableDef, TableInstance};
+    use stems_types::{CmpOp, ColRef, ColumnType, PredId, Predicate, Schema, TupleBatch};
 
-    /// Two-table setup: R(key, a) ⋈ S(x, y) on R.a = S.x.
-    fn setup() -> (Catalog, QuerySpec) {
-        let mut c = Catalog::new();
-        let r = c
-            .add_table(TableDef::new(
-                "R",
-                Schema::of(&[("key", ColumnType::Int), ("a", ColumnType::Int)]),
-            ))
-            .unwrap();
-        let s = c
-            .add_table(TableDef::new(
-                "S",
-                Schema::of(&[("x", ColumnType::Int), ("y", ColumnType::Int)]),
-            ))
-            .unwrap();
-        c.add_scan(r, ScanSpec::default()).unwrap();
-        c.add_scan(s, ScanSpec::default()).unwrap();
-        let q = QuerySpec::new(
-            &c,
-            vec![
-                TableInstance {
-                    source: r,
-                    alias: "r".into(),
-                },
-                TableInstance {
-                    source: s,
-                    alias: "s".into(),
-                },
-            ],
-            vec![Predicate::join(
-                PredId(0),
-                ColRef::new(TableIdx(0), 1),
-                CmpOp::Eq,
-                ColRef::new(TableIdx(1), 0),
-            )],
-            None,
-        )
-        .unwrap();
-        (c, q)
-    }
+    /// Shard counts every rule is checked at: one lane, and keyed lanes
+    /// plus overflow.
+    const SHARD_COUNTS: [usize; 2] = [1, 4];
 
-    fn s_stem(has_scan: bool, has_index: bool) -> Stem {
-        Stem::new(
+    /// S's SteM (key column 0) with the given options and AM flags.
+    fn s_stem_with(
+        num_shards: usize,
+        has_scan: bool,
+        has_index: bool,
+        opts: StemOptions,
+    ) -> ShardedStem {
+        ShardedStem::new(
             TableIdx(1),
             SourceId(1),
             &[0],
             has_scan,
             has_index,
-            StemOptions::default(),
+            StemOptions { num_shards, ..opts },
         )
     }
 
-    fn s_tuple(x: i64, y: i64) -> Tuple {
-        Tuple::singleton_of(TableIdx(1), vec![Value::Int(x), Value::Int(y)])
+    fn s_stem(num_shards: usize, has_scan: bool, has_index: bool) -> ShardedStem {
+        s_stem_with(num_shards, has_scan, has_index, StemOptions::default())
     }
 
-    fn r_tuple(key: i64, a: i64) -> Tuple {
-        Tuple::singleton_of(TableIdx(0), vec![Value::Int(key), Value::Int(a)])
+    fn build(stem: &mut ShardedStem, t: &Tuple, ts: Timestamp) -> BuildResult {
+        build_one(stem, t, &TupleState::new(), ts)
     }
 
-    fn build_fresh(stem: &mut Stem, t: &Tuple, ts: Timestamp) -> Tuple {
-        match stem.build(t, &TupleState::new(), ts) {
+    fn build_fresh(stem: &mut ShardedStem, t: &Tuple, ts: Timestamp) -> Tuple {
+        match build(stem, t, ts) {
             BuildResult::Fresh(stamped) => stamped,
             other => panic!("expected Fresh, got {other:?}"),
         }
     }
 
+    fn build_eot_row(stem: &mut ShardedStem, row: Arc<Row>) {
+        let eot = Tuple::singleton(TableIdx(1), row);
+        assert_eq!(build(stem, &eot, 99), BuildResult::Eot);
+    }
+
+    /// In every lane the side maps (`dedup`, `ts_of`) and the store must
+    /// agree on membership and length — eviction must sweep all three
+    /// together.
+    fn assert_side_maps_consistent(stem: &ShardedStem) {
+        for lane in stem.lanes() {
+            assert_eq!(lane.ts_of.len(), lane.store.len(), "ts_of vs store len");
+            assert_eq!(lane.dedup.len(), lane.store.len(), "dedup vs store len");
+            for row in lane.store.scan() {
+                assert!(
+                    lane.ts_of.contains_key(&row),
+                    "stored row missing from ts_of: {row:?}"
+                );
+                assert!(
+                    lane.dedup.contains(&row),
+                    "stored row missing from dedup: {row:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn build_assigns_timestamp_and_bounces() {
-        let mut stem = s_stem(true, false);
-        let stamped = build_fresh(&mut stem, &s_tuple(10, 1), 5);
-        assert_eq!(stamped.timestamp(), 5);
-        assert_eq!(stem.len(), 1);
-        assert_eq!(stem.max_ts, 5);
-        assert_eq!(stem.build_count, 1);
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            let stamped = build_fresh(&mut stem, &s_tuple(10, 1), 5);
+            assert_eq!(stamped.timestamp(), 5);
+            assert_eq!(stem.len(), 1);
+            assert_eq!(stem.max_ts(), 5);
+            assert_eq!(stem.build_count(), 1);
+        }
     }
 
     #[test]
     fn duplicate_builds_absorbed() {
-        let mut stem = s_stem(true, false);
-        build_fresh(&mut stem, &s_tuple(10, 1), 1);
-        // Same row value from a competing AM: absorbed (§3.2).
-        let r = stem.build(&s_tuple(10, 1), &TupleState::new(), 2);
-        assert_eq!(r, BuildResult::Duplicate);
-        assert_eq!(stem.len(), 1);
-        assert_eq!(stem.duplicates_absorbed, 1);
-        // max_ts unchanged — the duplicate consumed no timestamp.
-        assert_eq!(stem.max_ts, 1);
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            build_fresh(&mut stem, &s_tuple(10, 1), 1);
+            // Same row value from a competing AM: absorbed (§3.2).
+            assert_eq!(build(&mut stem, &s_tuple(10, 1), 2), BuildResult::Duplicate);
+            assert_eq!(stem.len(), 1);
+            assert_eq!(stem.duplicates_absorbed(), 1);
+            // max_ts unchanged — the duplicate consumed no timestamp.
+            assert_eq!(stem.max_ts(), 1);
+        }
     }
 
     #[test]
     fn probe_finds_matches_and_concatenates() {
         let (_c, q) = setup();
-        let mut stem = s_stem(true, false);
-        build_fresh(&mut stem, &s_tuple(10, 1), 1);
-        build_fresh(&mut stem, &s_tuple(20, 2), 2);
-        // r (built later, ts 3) probes: matches only x=10.
-        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-        let reply = stem.probe(&r, &TupleState::new(), &q);
-        assert_eq!(reply.results.len(), 1);
-        let (result, done) = &reply.results[0];
-        assert_eq!(result.span().len(), 2);
-        assert!(done.contains(PredId(0)));
-        assert_eq!(result.value(TableIdx(1), 1), Some(&Value::Int(1)));
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            build_fresh(&mut stem, &s_tuple(10, 1), 1);
+            build_fresh(&mut stem, &s_tuple(20, 2), 2);
+            // r (built later, ts 3) probes: matches only x=10.
+            let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
+            let reply = probe_one(&stem, &r, &TupleState::new(), &q);
+            assert_eq!(reply.results.len(), 1);
+            let (result, done) = &reply.results[0];
+            assert_eq!(result.span().len(), 2);
+            assert!(done.contains(PredId(0)));
+            assert_eq!(result.value(TableIdx(1), 1), Some(&Value::Int(1)));
+        }
     }
 
     #[test]
     fn timestamp_rule_suppresses_earlier_side() {
         let (_c, q) = setup();
-        let mut stem = s_stem(true, false);
-        // s built at ts 7, probe r built at ts 3: 7 ≥ 3 ⇒ suppressed; the
-        // s tuple's own probe path is responsible for this result.
-        build_fresh(&mut stem, &s_tuple(10, 1), 7);
-        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-        let reply = stem.probe(&r, &TupleState::new(), &q);
-        assert!(reply.results.is_empty());
-        assert_eq!(reply.raw_matches, 1);
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            // s built at ts 7, probe r built at ts 3: 7 ≥ 3 ⇒ suppressed;
+            // the s tuple's own probe path is responsible for this result.
+            build_fresh(&mut stem, &s_tuple(10, 1), 7);
+            let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
+            let reply = probe_one(&stem, &r, &TupleState::new(), &q);
+            assert!(reply.results.is_empty());
+            assert_eq!(reply.raw_matches, 1);
+        }
     }
 
     #[test]
     fn unbuilt_probe_sees_everything() {
         let (_c, q) = setup();
-        let mut stem = s_stem(true, false);
-        build_fresh(&mut stem, &s_tuple(10, 1), 7);
-        // Unbuilt probe has ts = ∞ (paper: "before building, ts is ∞").
-        let r = r_tuple(100, 10);
-        let reply = stem.probe(&r, &TupleState::new(), &q);
-        assert_eq!(reply.results.len(), 1);
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            build_fresh(&mut stem, &s_tuple(10, 1), 7);
+            // Unbuilt probe has ts = ∞ (paper: "before building, ts is ∞").
+            let r = r_tuple(100, 10);
+            let reply = probe_one(&stem, &r, &TupleState::new(), &q);
+            assert_eq!(reply.results.len(), 1);
+        }
     }
 
     #[test]
     fn last_match_timestamp_dedups_reprobes() {
         let (_c, q) = setup();
-        let mut stem = s_stem(true, false);
-        build_fresh(&mut stem, &s_tuple(10, 1), 1);
-        build_fresh(&mut stem, &s_tuple(10, 2), 2);
-        let r = r_tuple(100, 10); // unbuilt, re-probing per §3.5
-        let mut state = TupleState::new();
-        let first = stem.probe(&r, &state, &q);
-        assert_eq!(first.results.len(), 2);
-        // Record observed ts, as the engine does on bounce.
-        state.last_match_ts = first.observed_ts;
-        // New tuple arrives, then re-probe: only the new one returned.
-        build_fresh(&mut stem, &s_tuple(10, 3), 9);
-        let second = stem.probe(&r, &state, &q);
-        assert_eq!(second.results.len(), 1);
-        assert_eq!(
-            second.results[0].0.value(TableIdx(1), 1),
-            Some(&Value::Int(3))
-        );
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            build_fresh(&mut stem, &s_tuple(10, 1), 1);
+            build_fresh(&mut stem, &s_tuple(10, 2), 2);
+            // A row in another lane raises the SteM-wide max timestamp the
+            // prober records — not just its own lane's.
+            build_fresh(&mut stem, &s_tuple(11, 0), 3);
+            let r = r_tuple(100, 10); // unbuilt, re-probing per §3.5
+            let mut state = TupleState::new();
+            let first = probe_one(&stem, &r, &state, &q);
+            assert_eq!(first.results.len(), 2);
+            assert_eq!(first.observed_ts, 3);
+            // Record observed ts, as the engine does on bounce.
+            state.last_match_ts = first.observed_ts;
+            // New tuple arrives, then re-probe: only the new one returned.
+            build_fresh(&mut stem, &s_tuple(10, 3), 9);
+            let second = probe_one(&stem, &r, &state, &q);
+            assert_eq!(second.results.len(), 1);
+            assert_eq!(
+                second.results[0].0.value(TableIdx(1), 1),
+                Some(&Value::Int(3))
+            );
+        }
     }
 
     #[test]
     fn bounce_rules_follow_table2() {
         let (_c, q) = setup();
         let r_built = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
-        let state = TupleState::new();
-
-        // scan-only, incomplete, prober built ⇒ consumed (scan covers it).
-        let stem = s_stem(true, false);
-        assert_eq!(
-            stem.probe(&r_built, &state, &q).outcome,
-            ProbeOutcome::Consumed
-        );
-
-        // index AM present ⇒ optional bounce (§4.1 hybridization hook).
-        let stem = s_stem(true, true);
-        assert_eq!(
-            stem.probe(&r_built, &state, &q).outcome,
-            ProbeOutcome::Bounced(CompletionNeed::Optional)
-        );
-
-        // no scan ⇒ required bounce (§3.3 index join flow).
-        let stem = s_stem(false, true);
-        assert_eq!(
-            stem.probe(&r_built, &state, &q).outcome,
-            ProbeOutcome::Bounced(CompletionNeed::Required)
-        );
-
-        // unbuilt prober ⇒ required bounce regardless (§3.5 re-probe).
-        let stem = s_stem(true, false);
         let r_unbuilt = r_tuple(1, 10);
-        assert_eq!(
-            stem.probe(&r_unbuilt, &state, &q).outcome,
-            ProbeOutcome::Bounced(CompletionNeed::Required)
-        );
+        let state = TupleState::new();
+        for n in SHARD_COUNTS {
+            let outcome = |has_scan: bool, has_index: bool, r: &Tuple| {
+                probe_one(&s_stem(n, has_scan, has_index), r, &state, &q).outcome
+            };
+            // scan-only, incomplete, prober built ⇒ consumed (scan covers it).
+            assert_eq!(outcome(true, false, &r_built), ProbeOutcome::Consumed);
+            // index AM present ⇒ optional bounce (§4.1 hybridization hook).
+            assert_eq!(
+                outcome(true, true, &r_built),
+                ProbeOutcome::Bounced(CompletionNeed::Optional)
+            );
+            // no scan ⇒ required bounce (§3.3 index join flow).
+            assert_eq!(
+                outcome(false, true, &r_built),
+                ProbeOutcome::Bounced(CompletionNeed::Required)
+            );
+            // unbuilt prober ⇒ required bounce regardless (§3.5 re-probe).
+            assert_eq!(
+                outcome(true, false, &r_unbuilt),
+                ProbeOutcome::Bounced(CompletionNeed::Required)
+            );
+        }
     }
 
     #[test]
     fn scan_eot_makes_everything_covered() {
         let (_c, q) = setup();
-        let mut stem = s_stem(false, true);
-        let eot = Tuple::singleton(TableIdx(1), make_scan_eot_row(2));
-        assert_eq!(stem.build(&eot, &TupleState::new(), 99), BuildResult::Eot);
-        assert!(stem.scan_complete());
-        let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
-        assert_eq!(
-            stem.probe(&r, &TupleState::new(), &q).outcome,
-            ProbeOutcome::Consumed
-        );
-        // EOT consumed no timestamp and is not a data row.
-        assert_eq!(stem.len(), 0);
-        assert_eq!(stem.max_ts, 0);
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, false, true);
+            build_eot_row(&mut stem, make_scan_eot_row(2));
+            assert!(stem.scan_complete());
+            let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
+            assert_eq!(
+                probe_one(&stem, &r, &TupleState::new(), &q).outcome,
+                ProbeOutcome::Consumed
+            );
+            // EOT consumed no timestamp and is not a data row.
+            assert_eq!(stem.len(), 0);
+            assert_eq!(stem.max_ts(), 0);
+        }
     }
 
     #[test]
     fn keyed_eot_covers_matching_probes_only() {
         let (_c, q) = setup();
-        let mut stem = s_stem(false, true);
-        // Index answered bindings {x=10}: EOT row (10, EOT).
-        let eot = Tuple::singleton(TableIdx(1), make_eot_row(2, &[(0, Value::Int(10))]));
-        stem.build(&eot, &TupleState::new(), 50);
-        let state = TupleState::new();
-        let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
-        assert_eq!(
-            stem.probe(&covered, &state, &q).outcome,
-            ProbeOutcome::Consumed
-        );
-        let uncovered = r_tuple(2, 20).with_timestamp(TableIdx(0), 2);
-        assert_eq!(
-            stem.probe(&uncovered, &state, &q).outcome,
-            ProbeOutcome::Bounced(CompletionNeed::Required)
-        );
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, false, true);
+            // Index answered bindings {x=10}: EOT row (10, EOT).
+            build_eot_row(&mut stem, make_eot_row(2, &[(0, Value::Int(10))]));
+            let state = TupleState::new();
+            let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
+            assert_eq!(
+                probe_one(&stem, &covered, &state, &q).outcome,
+                ProbeOutcome::Consumed
+            );
+            let uncovered = r_tuple(2, 20).with_timestamp(TableIdx(0), 2);
+            assert_eq!(
+                probe_one(&stem, &uncovered, &state, &q).outcome,
+                ProbeOutcome::Bounced(CompletionNeed::Required)
+            );
+        }
     }
 
     #[test]
@@ -1465,34 +1069,31 @@ mod tests {
             in_list_options(&q2, TableIdx(1)),
             vec![(1, vec![Value::Int(1), Value::Int(2)])]
         );
-        let mut stem = s_stem(false, true);
-        let state = TupleState::new();
-        let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 5);
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, false, true);
+            let state = TupleState::new();
+            let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 5);
 
-        // Nothing answered yet.
-        assert_eq!(
-            stem.probe(&r, &state, &q2).outcome,
-            ProbeOutcome::Bounced(CompletionNeed::Required)
-        );
-        // Member 1 answered (the index AM binds the IN column and emits
-        // one keyed EOT per member lookup): still incomplete — the
-        // member-2 sub-probe has no coverage.
-        stem.build(
-            &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(1, Value::Int(1))])),
-            &state,
-            0,
-        );
-        assert_eq!(
-            stem.probe(&r, &state, &q2).outcome,
-            ProbeOutcome::Bounced(CompletionNeed::Required)
-        );
-        // Member 2 answered too: every sub-probe is covered now.
-        stem.build(
-            &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(1, Value::Int(2))])),
-            &state,
-            0,
-        );
-        assert_eq!(stem.probe(&r, &state, &q2).outcome, ProbeOutcome::Consumed);
+            // Nothing answered yet.
+            assert_eq!(
+                probe_one(&stem, &r, &state, &q2).outcome,
+                ProbeOutcome::Bounced(CompletionNeed::Required)
+            );
+            // Member 1 answered (the index AM binds the IN column and emits
+            // one keyed EOT per member lookup): still incomplete — the
+            // member-2 sub-probe has no coverage.
+            build_eot_row(&mut stem, make_eot_row(2, &[(1, Value::Int(1))]));
+            assert_eq!(
+                probe_one(&stem, &r, &state, &q2).outcome,
+                ProbeOutcome::Bounced(CompletionNeed::Required)
+            );
+            // Member 2 answered too: every sub-probe is covered now.
+            build_eot_row(&mut stem, make_eot_row(2, &[(1, Value::Int(2))]));
+            assert_eq!(
+                probe_one(&stem, &r, &state, &q2).outcome,
+                ProbeOutcome::Consumed
+            );
+        }
     }
 
     #[test]
@@ -1517,27 +1118,24 @@ mod tests {
             ColRef::new(TableIdx(1), 1),
         );
         let q2 = QuerySpec::new(&c, q2.tables, q2.predicates, None).unwrap();
-        let mut stem = s_stem(false, true);
-        let state = TupleState::new();
-        let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 5);
-        for m in &members[..1499] {
-            stem.build(
-                &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(0, m.clone())])),
-                &state,
-                0,
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, false, true);
+            let state = TupleState::new();
+            let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 5);
+            for m in &members[..1499] {
+                build_eot_row(&mut stem, make_eot_row(2, &[(0, m.clone())]));
+            }
+            assert_eq!(
+                probe_one(&stem, &r, &state, &q2).outcome,
+                ProbeOutcome::Bounced(CompletionNeed::Required),
+                "one member still unanswered"
+            );
+            build_eot_row(&mut stem, make_eot_row(2, &[(0, members[1499].clone())]));
+            assert_eq!(
+                probe_one(&stem, &r, &state, &q2).outcome,
+                ProbeOutcome::Consumed
             );
         }
-        assert_eq!(
-            stem.probe(&r, &state, &q2).outcome,
-            ProbeOutcome::Bounced(CompletionNeed::Required),
-            "one member still unanswered"
-        );
-        stem.build(
-            &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(0, members[1499].clone())])),
-            &state,
-            0,
-        );
-        assert_eq!(stem.probe(&r, &state, &q2).outcome, ProbeOutcome::Consumed);
     }
 
     #[test]
@@ -1560,35 +1158,26 @@ mod tests {
             ),
         ];
         let q2 = QuerySpec::new(&c, q2.tables, q2.predicates, None).unwrap();
-        let mut stem = s_stem(false, true);
-        let state = TupleState::new();
-        let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 5);
-        let pairs = [(1, 5), (1, 6), (2, 5), (2, 6)];
-        for (x, y) in &pairs[..3] {
-            stem.build(
-                &Tuple::singleton(
-                    TableIdx(1),
-                    // Arity-3 EOT row so a column stays EOT-marked.
-                    make_eot_row(3, &[(0, Value::Int(*x)), (1, Value::Int(*y))]),
-                ),
-                &state,
-                0,
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, false, true);
+            let state = TupleState::new();
+            let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 5);
+            // Arity-3 EOT rows so a column stays EOT-marked.
+            let pair = |x: i64, y: i64| make_eot_row(3, &[(0, Value::Int(x)), (1, Value::Int(y))]);
+            for (x, y) in [(1, 5), (1, 6), (2, 5)] {
+                build_eot_row(&mut stem, pair(x, y));
+            }
+            assert_eq!(
+                probe_one(&stem, &r, &state, &q2).outcome,
+                ProbeOutcome::Bounced(CompletionNeed::Required),
+                "one member pair still unanswered"
+            );
+            build_eot_row(&mut stem, pair(2, 6));
+            assert_eq!(
+                probe_one(&stem, &r, &state, &q2).outcome,
+                ProbeOutcome::Consumed
             );
         }
-        assert_eq!(
-            stem.probe(&r, &state, &q2).outcome,
-            ProbeOutcome::Bounced(CompletionNeed::Required),
-            "one member pair still unanswered"
-        );
-        stem.build(
-            &Tuple::singleton(
-                TableIdx(1),
-                make_eot_row(3, &[(0, Value::Int(2)), (1, Value::Int(6))]),
-            ),
-            &state,
-            0,
-        );
-        assert_eq!(stem.probe(&r, &state, &q2).outcome, ProbeOutcome::Consumed);
     }
 
     #[test]
@@ -1618,39 +1207,72 @@ mod tests {
     #[test]
     fn probe_results_skip_eot_rows() {
         let (_c, q) = setup();
-        let mut stem = s_stem(false, true);
-        stem.build(
-            &Tuple::singleton(TableIdx(1), make_eot_row(2, &[(0, Value::Int(10))])),
-            &TupleState::new(),
-            1,
-        );
-        build_fresh(&mut stem, &s_tuple(10, 5), 2);
-        let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 9);
-        let reply = stem.probe(&r, &TupleState::new(), &q);
-        // Only the data row joins; the EOT "row" never appears in results.
-        assert_eq!(reply.results.len(), 1);
-        assert_eq!(
-            reply.results[0].0.value(TableIdx(1), 1),
-            Some(&Value::Int(5))
-        );
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, false, true);
+            build_eot_row(&mut stem, make_eot_row(2, &[(0, Value::Int(10))]));
+            build_fresh(&mut stem, &s_tuple(10, 5), 2);
+            let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 9);
+            let reply = probe_one(&stem, &r, &TupleState::new(), &q);
+            // Only the data row joins; the EOT "row" never appears in results.
+            assert_eq!(reply.results.len(), 1);
+            assert_eq!(
+                reply.results[0].0.value(TableIdx(1), 1),
+                Some(&Value::Int(5))
+            );
+        }
+    }
+
+    fn windowed(num_shards: usize, window: usize) -> ShardedStem {
+        s_stem_with(
+            num_shards,
+            true,
+            false,
+            StemOptions {
+                eviction_window: Some(window),
+                ..StemOptions::default()
+            },
+        )
     }
 
     #[test]
     fn eviction_window_fifo() {
-        let opts = StemOptions {
-            eviction_window: Some(2),
-            ..StemOptions::default()
-        };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
-        build_fresh(&mut stem, &s_tuple(1, 1), 1);
-        build_fresh(&mut stem, &s_tuple(2, 2), 2);
-        build_fresh(&mut stem, &s_tuple(3, 3), 3);
-        assert_eq!(stem.len(), 2);
-        assert_eq!(stem.evictions, 1);
-        // Evicted row may re-enter (dedup forgot it).
-        match stem.build(&s_tuple(1, 1), &TupleState::new(), 4) {
-            BuildResult::Fresh(_) => {}
-            other => panic!("evicted row should rebuild, got {other:?}"),
+        for n in SHARD_COUNTS {
+            let mut stem = windowed(n, 2);
+            build_fresh(&mut stem, &s_tuple(1, 1), 1);
+            build_fresh(&mut stem, &s_tuple(2, 2), 2);
+            build_fresh(&mut stem, &s_tuple(3, 3), 3);
+            assert_eq!(stem.len(), 2);
+            assert_eq!(stem.evictions(), 1);
+            // Evicted row may re-enter (dedup forgot it).
+            build_fresh(&mut stem, &s_tuple(1, 1), 4);
+        }
+    }
+
+    /// The window evicts the globally oldest row first, whichever lane
+    /// holds it: what a cartesian probe still sees after each build is
+    /// exactly the `window` youngest rows, and an evicted row was
+    /// forgotten everywhere — it rebuilds fresh.
+    #[test]
+    fn window_evicts_globally_oldest_row_first() {
+        let (c, q) = setup();
+        let cartesian = QuerySpec::new(&c, q.tables, vec![], None).unwrap();
+        for n in SHARD_COUNTS {
+            let mut stem = windowed(n, 3);
+            let r = r_tuple(1, 1);
+            for i in 0..8u64 {
+                build_fresh(&mut stem, &s_tuple(i as i64, 0), i + 1);
+                let mut live: Vec<Timestamp> = probe_one(&stem, &r, &TupleState::new(), &cartesian)
+                    .results
+                    .iter()
+                    .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
+                    .collect();
+                live.sort_unstable();
+                let want: Vec<Timestamp> = (i.saturating_sub(2) + 1..=i + 1).collect();
+                assert_eq!(live, want, "{n} shards after build {i}");
+                assert_side_maps_consistent(&stem);
+            }
+            assert_eq!(stem.evictions(), 5);
+            build_fresh(&mut stem, &s_tuple(0, 0), 9);
         }
     }
 
@@ -1658,74 +1280,54 @@ mod tests {
     fn windowed_build_batch_matches_scalar_eviction() {
         // window=2, batch [r1, r2, r3, r1]: inserting r2/r3 evicts r1 and
         // forgets it, so the second r1 must re-enter as Fresh — exactly
-        // what per-tuple scalar builds do. A batch-deferred insert would
-        // wrongly absorb it as a duplicate.
-        let opts = StemOptions {
-            eviction_window: Some(2),
-            ..StemOptions::default()
-        };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
-        let batch: TupleBatch = [s_tuple(1, 1), s_tuple(2, 2), s_tuple(3, 3), s_tuple(1, 1)]
-            .into_iter()
-            .collect();
+        // what envelopes of one do. A batch-deferred insert would wrongly
+        // absorb it as a duplicate.
+        let tuples = [s_tuple(1, 1), s_tuple(2, 2), s_tuple(3, 3), s_tuple(1, 1)];
+        let batch: TupleBatch = tuples.iter().cloned().collect();
         let states = vec![TupleState::new(); 4];
-        let mut ts = 0;
-        let results = stem.build_batch(&batch, &states, &mut ts);
-        assert!(matches!(results[0], BuildResult::Fresh(_)));
-        assert!(matches!(results[1], BuildResult::Fresh(_)));
-        assert!(matches!(results[2], BuildResult::Fresh(_)));
-        assert!(
-            matches!(results[3], BuildResult::Fresh(_)),
-            "evicted row must rebuild mid-batch, got {:?}",
-            results[3]
-        );
-        assert_eq!(stem.len(), 2);
-        assert_eq!(stem.evictions, 2);
-        assert_eq!(ts, 4);
-    }
-
-    /// The side maps (`dedup`, `ts_of`) and the store must agree on
-    /// membership and length — `Stem::apply_eviction` must sweep all
-    /// three together.
-    fn assert_side_maps_consistent(stem: &Stem) {
-        assert_eq!(stem.ts_of.len(), stem.store.len(), "ts_of vs store len");
-        assert_eq!(stem.dedup.len(), stem.store.len(), "dedup vs store len");
-        for row in stem.store.scan() {
-            assert!(
-                stem.ts_of.contains_key(&row),
-                "stored row missing from ts_of: {row:?}"
-            );
-            assert!(
-                stem.dedup.contains(&row),
-                "stored row missing from dedup: {row:?}"
-            );
+        for n in SHARD_COUNTS {
+            let mut stem = windowed(n, 2);
+            let mut ts = 0;
+            let results = stem.build_batch(&batch, &states, &mut ts);
+            for (i, r) in results.iter().enumerate() {
+                assert!(
+                    matches!(r, BuildResult::Fresh(_)),
+                    "row {i}: evicted row must rebuild mid-batch, got {r:?}"
+                );
+            }
+            assert_eq!(stem.len(), 2);
+            assert_eq!(stem.evictions(), 2);
+            assert_eq!(ts, 4);
+            // Envelope-split invariance: one envelope of 4 ≡ 4 of one.
+            let mut split = windowed(n, 2);
+            let singly: Vec<BuildResult> = tuples
+                .iter()
+                .enumerate()
+                .map(|(i, t)| build(&mut split, t, i as Timestamp + 1))
+                .collect();
+            assert_eq!(results, singly);
+            assert_eq!(stem.evictions(), split.evictions());
         }
     }
 
     #[test]
     fn windowed_side_maps_stay_consistent_across_sweeps() {
-        let opts = StemOptions {
-            eviction_window: Some(3),
-            ..StemOptions::default()
-        };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
-        // Drive far past the window, with duplicates interleaved, so many
-        // sweeps run; the maps must agree after every build.
-        for i in 0..40i64 {
-            let key = i % 10;
-            stem.build(&s_tuple(key, key), &TupleState::new(), (i + 1) as u64);
+        for n in SHARD_COUNTS {
+            let mut stem = windowed(n, 3);
+            // Drive far past the window, with duplicates interleaved, so
+            // many sweeps run; the maps must agree after every build.
+            for i in 0..40i64 {
+                let key = i % 10;
+                build(&mut stem, &s_tuple(key, key), (i + 1) as u64);
+                assert_side_maps_consistent(&stem);
+                assert!(stem.len() <= 3, "window overrun at i={i}");
+            }
+            assert!(stem.evictions() > 0);
+            // An evicted row must be forgotten everywhere: it rebuilds
+            // Fresh, and the maps stay in step.
+            build_fresh(&mut stem, &s_tuple(0, 0), 99);
             assert_side_maps_consistent(&stem);
-            assert!(stem.len() <= 3, "window overrun at i={i}");
         }
-        assert!(stem.evictions > 0);
-        // An evicted row must be forgotten everywhere: it rebuilds Fresh,
-        // and the maps stay in step.
-        let victim = s_tuple(0, 0);
-        assert!(matches!(
-            stem.build(&victim, &TupleState::new(), 99),
-            BuildResult::Fresh(_)
-        ));
-        assert_side_maps_consistent(&stem);
     }
 
     #[test]
@@ -1734,11 +1336,6 @@ mod tests {
         // and must forget it in `dedup` and `ts_of`; the first re-arrival
         // rebuilds Fresh (and re-enters both maps), the second is a true
         // duplicate again. After the sweep, store/dedup/ts_of agree.
-        let opts = StemOptions {
-            eviction_window: Some(2),
-            ..StemOptions::default()
-        };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
         let batch: TupleBatch = [
             s_tuple(1, 1),
             s_tuple(2, 2),
@@ -1749,78 +1346,92 @@ mod tests {
         .into_iter()
         .collect();
         let states = vec![TupleState::new(); 5];
-        let mut ts = 0;
-        let results = stem.build_batch(&batch, &states, &mut ts);
-        assert!(matches!(results[3], BuildResult::Fresh(_)));
-        assert_eq!(results[4], BuildResult::Duplicate);
-        assert_side_maps_consistent(&stem);
-        assert_eq!(stem.len(), 2);
-        // The re-built r1 carries its *new* timestamp in ts_of.
-        let r1 = s_tuple(1, 1);
-        let ts_r1 = *stem.ts_of.get(&r1.components()[0].row).expect("r1 stored");
-        assert_eq!(ts_r1, 4, "re-arrival must be re-stamped, not stale");
+        for n in SHARD_COUNTS {
+            let mut stem = windowed(n, 2);
+            let mut ts = 0;
+            let results = stem.build_batch(&batch, &states, &mut ts);
+            assert!(matches!(results[3], BuildResult::Fresh(_)));
+            assert_eq!(results[4], BuildResult::Duplicate);
+            assert_side_maps_consistent(&stem);
+            assert_eq!(stem.len(), 2);
+            // The re-built r1 carries its *new* timestamp in ts_of.
+            let r1 = s_tuple(1, 1);
+            let ts_r1 = stem
+                .lanes()
+                .iter()
+                .find_map(|lane| lane.ts_of.get(&r1.components()[0].row))
+                .expect("r1 stored");
+            assert_eq!(*ts_r1, 4, "re-arrival must be re-stamped, not stale");
+        }
     }
 
     #[test]
     fn unbounded_stem_side_maps_consistent() {
-        let mut stem = s_stem(true, false);
-        for i in 0..10 {
-            stem.build(&s_tuple(i, i), &TupleState::new(), (i + 1) as u64);
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            for i in 0..10 {
+                build(&mut stem, &s_tuple(i, i), (i + 1) as u64);
+            }
+            // Duplicates leave the maps untouched.
+            build(&mut stem, &s_tuple(3, 3), 50);
+            assert_side_maps_consistent(&stem);
+            assert_eq!(stem.len(), 10);
         }
-        // Duplicates leave the maps untouched.
-        stem.build(&s_tuple(3, 3), &TupleState::new(), 50);
-        assert_side_maps_consistent(&stem);
-        assert_eq!(stem.len(), 10);
     }
 
     #[test]
     fn deferred_bounce_clusters_by_partition() {
-        let opts = StemOptions {
-            deferred_bounce: true,
-            partitions: 4,
-            ..StemOptions::default()
-        };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
-        for i in 0..20 {
-            let r = stem.build(&s_tuple(i, i), &TupleState::new(), (i + 1) as u64);
-            assert_eq!(r, BuildResult::Deferred);
+        for n in SHARD_COUNTS {
+            let opts = StemOptions {
+                deferred_bounce: true,
+                partitions: 4,
+                ..StemOptions::default()
+            };
+            let mut stem = s_stem_with(n, true, false, opts);
+            for i in 0..20 {
+                let r = build(&mut stem, &s_tuple(i, i), (i + 1) as u64);
+                assert_eq!(r, BuildResult::Deferred);
+            }
+            assert_eq!(stem.deferred_len(), 20);
+            let released = stem.release_deferred();
+            assert_eq!(released.len(), 20);
+            assert_eq!(stem.deferred_len(), 0);
+            // Released order is clustered — partition ids are non-decreasing
+            // — and in build order within a partition.
+            let order: Vec<(usize, Timestamp)> = released
+                .iter()
+                .map(|(t, _)| (stem.partition_of(&t.components()[0].row), t.timestamp()))
+                .collect();
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(order, sorted);
         }
-        assert_eq!(stem.deferred_len(), 20);
-        let released = stem.release_deferred();
-        assert_eq!(released.len(), 20);
-        assert_eq!(stem.deferred_len(), 0);
-        // Released order is clustered: partition ids are non-decreasing.
-        let parts: Vec<usize> = released
-            .iter()
-            .map(|(t, _)| stem.partition_of(&t.components()[0].row))
-            .collect();
-        let mut sorted = parts.clone();
-        sorted.sort_unstable();
-        assert_eq!(parts, sorted);
     }
 
     #[test]
     fn hybrid_mem_partitions_bounce_immediately() {
-        let opts = StemOptions {
-            deferred_bounce: true,
-            partitions: 2,
-            mem_partitions: 1,
-            ..StemOptions::default()
-        };
-        let mut stem = Stem::new(TableIdx(1), SourceId(1), &[0], true, false, opts);
-        let mut fresh = 0;
-        let mut deferred = 0;
-        for i in 0..50 {
-            match stem.build(&s_tuple(i, i), &TupleState::new(), (i + 1) as u64) {
-                BuildResult::Fresh(_) => fresh += 1,
-                BuildResult::Deferred => deferred += 1,
-                other => panic!("unexpected {other:?}"),
+        for n in SHARD_COUNTS {
+            let opts = StemOptions {
+                deferred_bounce: true,
+                partitions: 2,
+                mem_partitions: 1,
+                ..StemOptions::default()
+            };
+            let mut stem = s_stem_with(n, true, false, opts);
+            let mut fresh = 0;
+            let mut deferred = 0;
+            for i in 0..50 {
+                match build(&mut stem, &s_tuple(i, i), (i + 1) as u64) {
+                    BuildResult::Fresh(_) => fresh += 1,
+                    BuildResult::Deferred => deferred += 1,
+                    other => panic!("unexpected {other:?}"),
+                }
             }
+            // Both behaviours must occur (hybrid-hash: memory-resident
+            // partitions pipeline, the rest wait).
+            assert!(fresh > 0, "no immediate bounces");
+            assert!(deferred > 0, "no deferred bounces");
         }
-        // Both behaviours must occur (hybrid-hash: memory-resident
-        // partitions pipeline, the rest wait).
-        assert!(fresh > 0, "no immediate bounces");
-        assert!(deferred > 0, "no deferred bounces");
     }
 
     #[test]
@@ -1835,15 +1446,17 @@ mod tests {
             Value::Int(3),
         ));
         let q2 = QuerySpec::new(&c, q2.tables, q2.predicates, None).unwrap();
-        let mut stem = s_stem(true, false);
-        build_fresh(&mut stem, &s_tuple(10, 1), 1); // fails y > 3
-        build_fresh(&mut stem, &s_tuple(10, 9), 2); // passes
-        let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 5);
-        let reply = stem.probe(&r, &TupleState::new(), &q2);
-        assert_eq!(reply.results.len(), 1);
-        let (tup, done) = &reply.results[0];
-        assert_eq!(tup.value(TableIdx(1), 1), Some(&Value::Int(9)));
-        assert!(done.contains(PredId(0)) && done.contains(PredId(1)));
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            build_fresh(&mut stem, &s_tuple(10, 1), 1); // fails y > 3
+            build_fresh(&mut stem, &s_tuple(10, 9), 2); // passes
+            let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 5);
+            let reply = probe_one(&stem, &r, &TupleState::new(), &q2);
+            assert_eq!(reply.results.len(), 1);
+            let (tup, done) = &reply.results[0];
+            assert_eq!(tup.value(TableIdx(1), 1), Some(&Value::Int(9)));
+            assert!(done.contains(PredId(0)) && done.contains(PredId(1)));
+        }
     }
 
     #[test]
@@ -1851,85 +1464,60 @@ mod tests {
         // Query with no predicates: probe returns cross product rows.
         let (c, q) = setup();
         let q = QuerySpec::new(&c, q.tables, vec![], None).unwrap();
-        let mut stem = s_stem(true, false);
-        build_fresh(&mut stem, &s_tuple(10, 1), 1);
-        build_fresh(&mut stem, &s_tuple(20, 2), 2);
-        let r = r_tuple(1, 999).with_timestamp(TableIdx(0), 5);
-        let reply = stem.probe(&r, &TupleState::new(), &q);
-        assert_eq!(reply.results.len(), 2);
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            build_fresh(&mut stem, &s_tuple(10, 1), 1);
+            build_fresh(&mut stem, &s_tuple(20, 2), 2);
+            let r = r_tuple(1, 999).with_timestamp(TableIdx(0), 5);
+            let reply = probe_one(&stem, &r, &TupleState::new(), &q);
+            assert_eq!(reply.results.len(), 2);
+        }
     }
 
-    /// The sharding phase split (`ingest_batch` then `stamp_fresh` in
-    /// batch order) must reproduce `build_batch` exactly on one shard —
-    /// same results, same timestamps, same counters, same side maps.
+    /// Envelope-split invariance of the one build path: one envelope of N
+    /// ≡ N envelopes of one — same results, same timestamps, same
+    /// counters, same side maps — at every lane count.
     #[test]
-    fn phase_split_build_equals_build_batch() {
+    fn build_is_invariant_under_envelope_split() {
         let tuples: Vec<Tuple> = (0..20)
             .map(|i| s_tuple(i % 7, i))
             .chain(std::iter::once(s_tuple(3, 3)))
             .collect();
         let batch: TupleBatch = tuples.iter().cloned().collect();
         let states = vec![TupleState::new(); batch.len()];
+        for n in SHARD_COUNTS {
+            let mut whole = s_stem(n, true, false);
+            let mut ts_whole = 0;
+            let expected = whole.build_batch(&batch, &states, &mut ts_whole);
 
-        let mut whole = s_stem(true, false);
-        let mut ts_whole = 0;
-        let expected = whole.build_batch(&batch, &states, &mut ts_whole);
+            let mut split = s_stem(n, true, false);
+            let mut ts_split = 0;
+            let got: Vec<BuildResult> = tuples
+                .iter()
+                .map(|tuple| {
+                    let r = build(&mut split, tuple, ts_split + 1);
+                    if matches!(r, BuildResult::Fresh(_)) {
+                        ts_split += 1;
+                    }
+                    r
+                })
+                .collect();
 
-        let mut phased = s_stem(true, false);
-        let rows: Vec<Arc<Row>> = tuples
-            .iter()
-            .map(|t| t.components()[0].row.clone())
-            .collect();
-        let fresh = phased.ingest_batch(&rows);
-        let mut ts_phased = 0;
-        let got: Vec<BuildResult> = tuples
-            .iter()
-            .zip(&states)
-            .zip(&fresh)
-            .map(|((tuple, state), fresh)| {
-                if *fresh {
-                    ts_phased += 1;
-                    phased.stamp_fresh(tuple, state, ts_phased)
-                } else {
-                    BuildResult::Duplicate
+            assert_eq!(expected, got);
+            assert_eq!(ts_whole, ts_split);
+            assert_eq!(whole.len(), split.len());
+            assert_eq!(whole.max_ts(), split.max_ts());
+            assert_eq!(whole.build_count(), split.build_count());
+            assert_eq!(whole.duplicates_absorbed(), split.duplicates_absorbed());
+            assert_eq!(split.duplicates_absorbed(), 1);
+            for (a, b) in expected.iter().zip(&got) {
+                if let (BuildResult::Fresh(x), BuildResult::Fresh(y)) = (a, b) {
+                    assert_eq!(x.timestamp(), y.timestamp());
                 }
-            })
-            .collect();
-
-        assert_eq!(expected, got);
-        assert_eq!(ts_whole, ts_phased);
-        assert_eq!(whole.len(), phased.len());
-        assert_eq!(whole.max_ts, phased.max_ts);
-        assert_eq!(whole.build_count, phased.build_count);
-        assert_eq!(whole.duplicates_absorbed, phased.duplicates_absorbed);
-        for (a, b) in expected.iter().zip(&got) {
-            if let (BuildResult::Fresh(x), BuildResult::Fresh(y)) = (a, b) {
-                assert_eq!(x.timestamp(), y.timestamp());
             }
+            assert_side_maps_consistent(&whole);
+            assert_side_maps_consistent(&split);
         }
-        assert_side_maps_consistent(&phased);
-    }
-
-    #[test]
-    fn evict_oldest_and_oldest_ts_walk_fifo_order() {
-        let mut stem = s_stem(true, false);
-        for i in 0..4 {
-            build_fresh(&mut stem, &s_tuple(i, i), (i + 1) as u64);
-        }
-        assert_eq!(stem.oldest_ts(), Some(1));
-        assert!(stem.evict_oldest());
-        assert_eq!(stem.oldest_ts(), Some(2));
-        assert_eq!(stem.len(), 3);
-        assert_eq!(stem.evictions, 1);
-        assert_side_maps_consistent(&stem);
-        // The evicted row was forgotten everywhere: it can rebuild fresh.
-        assert!(matches!(
-            stem.build(&s_tuple(0, 0), &TupleState::new(), 9),
-            BuildResult::Fresh(_)
-        ));
-        while stem.evict_oldest() {}
-        assert_eq!(stem.oldest_ts(), None);
-        assert!(stem.is_empty());
     }
 
     #[test]
@@ -1953,15 +1541,15 @@ mod tests {
         assert_eq!(b, vec![(0, Value::Int(10)), (1, Value::Int(7))]);
     }
 
-    /// The batched probe path resolves `newly_evaluable` once per distinct
-    /// `(result_span, done)` pair per envelope (the span-level predicate
-    /// cache); the scalar probe recomputes it per call. On an envelope
-    /// mixing probe spans {R}, {T} and {R,T} with varied done-sets —
-    /// including pairs that share a span but differ in done bits — the two
-    /// must agree reply for reply.
+    /// The probe path resolves linking predicates once per distinct span
+    /// and `newly_evaluable` once per distinct `(result_span, done)` pair
+    /// per envelope; an envelope of one recomputes both per tuple. On an
+    /// envelope mixing probe spans {R}, {T} and {R,T} with varied
+    /// done-sets — including pairs that share a span but differ in done
+    /// bits — one envelope of N must equal N envelopes of one, reply for
+    /// reply.
     #[test]
     fn span_predicate_cache_matches_per_tuple_recomputation() {
-        use stems_catalog::SourceId as Src;
         // Three tables, two joins through S, plus a selection on S:
         // R.a = S.x, S.y = T.b, S.y < 25.
         let mut c = Catalog::new();
@@ -1983,7 +1571,7 @@ mod tests {
         for src in [r, s, t] {
             c.add_scan(src, ScanSpec::default()).unwrap();
         }
-        let inst = |source: Src, alias: &str| TableInstance {
+        let inst = |source: SourceId, alias: &str| TableInstance {
             source,
             alias: alias.into(),
         };
@@ -2014,18 +1602,6 @@ mod tests {
         )
         .unwrap();
 
-        let mut stem = Stem::new(
-            TableIdx(1),
-            Src(1),
-            &[0, 1],
-            true,
-            false,
-            StemOptions::default(),
-        );
-        for i in 0..40i64 {
-            build_fresh(&mut stem, &s_tuple(i % 10, i), (i + 1) as Timestamp);
-        }
-
         // Mixed envelope: span {R} (live + stale), span {T}, span {R,T},
         // with done-sets that differ *within* a shared span.
         let mut probes: Vec<Tuple> = Vec::new();
@@ -2053,59 +1629,93 @@ mod tests {
             );
         }
 
-        let mut batched = ProbeReplySet::new();
-        stem.probe_batch_into(&probes, &states, &q, &mut batched);
-        assert_eq!(batched.len(), probes.len());
-        let mut seen_results = 0usize;
-        for ((tuple, state), (meta, results)) in probes.iter().zip(&states).zip(batched.iter()) {
-            let want = stem.probe(tuple, state, &q);
-            assert_eq!(want.results, results, "probe {tuple}");
-            assert_eq!(want.outcome, meta.outcome, "probe {tuple}");
-            assert_eq!(want.observed_ts, meta.observed_ts, "probe {tuple}");
-            assert_eq!(want.raw_matches, meta.raw_matches, "probe {tuple}");
-            seen_results += results.len();
+        for n in SHARD_COUNTS {
+            let mut stem = ShardedStem::new(
+                TableIdx(1),
+                SourceId(1),
+                &[0, 1],
+                true,
+                false,
+                StemOptions {
+                    num_shards: n,
+                    ..StemOptions::default()
+                },
+            );
+            for i in 0..40i64 {
+                build_fresh(&mut stem, &s_tuple(i % 10, i), (i + 1) as Timestamp);
+            }
+            let mut batched = ProbeReplySet::new();
+            stem.probe_batch_into(&probes, &states, &q, &mut batched);
+            assert_eq!(batched.len(), probes.len());
+            let mut seen_results = 0usize;
+            for ((tuple, state), (meta, results)) in probes.iter().zip(&states).zip(batched.iter())
+            {
+                let want = probe_one(&stem, tuple, state, &q);
+                assert_eq!(want.results, results, "probe {tuple}");
+                assert_eq!(want.outcome, meta.outcome, "probe {tuple}");
+                assert_eq!(want.observed_ts, meta.observed_ts, "probe {tuple}");
+                assert_eq!(want.raw_matches, meta.raw_matches, "probe {tuple}");
+                seen_results += results.len();
+            }
+            assert!(seen_results > 0, "workload must form results");
         }
-        assert!(seen_results > 0, "workload must form results");
     }
 
     #[test]
     fn scratch_pool_capped_after_burst() {
-        let stem = s_stem(true, false);
+        let lane = Shard::new(&StoreKind::Hash, &[0]);
         // A burst of concurrent probers checks out far more scratches than
         // the cap, then returns them all.
         let burst: Vec<_> = (0..4 * MAX_POOLED_SCRATCH)
-            .map(|_| stem.acquire_scratch())
+            .map(|_| lane.scratch.acquire())
             .collect();
         for scratch in burst {
-            stem.release_scratch(scratch);
+            lane.scratch.release(scratch);
         }
         assert!(
-            stem.pooled_scratches() <= MAX_POOLED_SCRATCH,
+            lane.scratch.pooled() <= MAX_POOLED_SCRATCH,
             "free-list kept {} scratches, cap is {MAX_POOLED_SCRATCH}",
-            stem.pooled_scratches()
+            lane.scratch.pooled()
         );
+    }
+
+    /// The lane holding the one row these tests build — the lane a keyed
+    /// probe for it visits.
+    fn home_lane(stem: &ShardedStem) -> &Shard {
+        stem.lanes()
+            .iter()
+            .find(|lane| lane.len() == 1)
+            .expect("one row built")
+    }
+
+    /// Poison a lane's scratch pool: panic while holding the free-list
+    /// lock (the unwinding drop marks it poisoned).
+    fn poison_scratch(lane: &Shard, why: &str) {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lane.scratch.with_slots(|_| panic!("{why}"));
+        }));
+        assert!(result.is_err());
+        assert!(lane.scratch.is_poisoned());
+    }
+
+    fn assert_probe_finds_the_row(stem: &ShardedStem, q: &QuerySpec) {
+        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
+        assert_eq!(probe_one(stem, &r, &TupleState::new(), q).results.len(), 1);
     }
 
     #[test]
     fn scratch_pool_recovers_from_poison() {
         let (_c, q) = setup();
-        let mut stem = s_stem(true, false);
-        build_fresh(&mut stem, &s_tuple(10, 1), 1);
-        // Poison the scratch mutex: panic while holding the free-list
-        // lock (the unwinding drop marks it poisoned).
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            stem.scratch.with_slots(|_| panic!("prober died mid-probe"));
-        }));
-        assert!(result.is_err());
-        assert!(stem.scratch.is_poisoned());
-        // A later query's probe must still succeed — the pool discards the
-        // poisoned free-list instead of propagating the panic. The batch
-        // path is the one that checks scratch out of the pool.
-        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-        let mut out = ProbeReplySet::new();
-        stem.probe_batch_into(&[r], &[TupleState::new()], &q, &mut out);
-        assert_eq!(out.results.len(), 1);
-        assert!(!stem.scratch.is_poisoned(), "poison mark must be cleared");
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            build_fresh(&mut stem, &s_tuple(10, 1), 1);
+            let lane = home_lane(&stem);
+            poison_scratch(lane, "prober died mid-probe");
+            // A later query's probe must still succeed — the pool discards
+            // the poisoned free-list instead of propagating the panic.
+            assert_probe_finds_the_row(&stem, &q);
+            assert!(!lane.scratch.is_poisoned(), "poison mark must be cleared");
+        }
     }
 
     #[test]
@@ -2115,69 +1725,58 @@ mod tests {
         // chunk's release must recover the pool, not deadlock or lose
         // the poison repair.
         let (_c, q) = setup();
-        let mut stem = s_stem(true, false);
-        build_fresh(&mut stem, &s_tuple(10, 1), 1);
-        let held = stem.acquire_scratch();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            stem.scratch
-                .with_slots(|_| panic!("sibling chunk died mid-envelope"));
-        }));
-        assert!(result.is_err());
-        assert!(stem.scratch.is_poisoned());
-        // The surviving chunk finishes its envelope and returns its
-        // scratch: release goes through poison recovery and re-pools it.
-        stem.release_scratch(held);
-        assert!(!stem.scratch.is_poisoned(), "release must clear poison");
-        assert_eq!(stem.pooled_scratches(), 1);
-        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-        let mut out = ProbeReplySet::new();
-        stem.probe_batch_into(&[r], &[TupleState::new()], &q, &mut out);
-        assert_eq!(out.results.len(), 1);
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            build_fresh(&mut stem, &s_tuple(10, 1), 1);
+            let lane = home_lane(&stem);
+            let held = lane.scratch.acquire();
+            poison_scratch(lane, "sibling chunk died mid-envelope");
+            // The surviving chunk finishes its envelope and returns its
+            // scratch: release goes through poison recovery and re-pools it.
+            lane.scratch.release(held);
+            assert!(!lane.scratch.is_poisoned(), "release must clear poison");
+            assert_eq!(lane.scratch.pooled(), 1);
+            assert_probe_finds_the_row(&stem, &q);
+        }
     }
 
     #[test]
     fn worker_panic_replay_with_concurrent_scratch_checkout() {
-        // End-to-end satellite: a pool scope where one task poisons the
-        // scratch free-list by panicking inside it while a sibling task
-        // concurrently holds a checked-out scratch and releases it
-        // mid-recovery. The panic must replay to the scope caller after
-        // the barrier (never lost, never a deadlock), and the SteM must
-        // stay fully usable afterwards.
+        // End-to-end: a pool scope where one task poisons the scratch
+        // free-list by panicking inside it while a sibling task
+        // concurrently holds a checked-out scratch, probes, and releases
+        // it mid-recovery. The panic must replay to the scope caller
+        // after the barrier (never lost, never a deadlock), and the SteM
+        // must stay fully usable afterwards.
         let (_c, q) = setup();
-        let mut stem = s_stem(true, false);
-        build_fresh(&mut stem, &s_tuple(10, 1), 1);
-        let pool = crate::runtime::WorkerPool::global();
-        let stem_ref = &stem;
-        let q_ref = &q;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scope(2, |scope| {
-                scope.spawn(0, move || {
-                    stem_ref
-                        .scratch
-                        .with_slots(|_| panic!("worker died holding the free-list"));
+        for n in SHARD_COUNTS {
+            let mut stem = s_stem(n, true, false);
+            build_fresh(&mut stem, &s_tuple(10, 1), 1);
+            let pool = crate::runtime::WorkerPool::global();
+            let stem_ref = &stem;
+            let lane = home_lane(stem_ref);
+            let q_ref = &q;
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.scope(2, |scope| {
+                    scope.spawn(0, move || {
+                        lane.scratch
+                            .with_slots(|_| panic!("worker died holding the free-list"));
+                    });
+                    scope.spawn(1, move || {
+                        // Concurrent envelope: checkout → probe → release,
+                        // racing the sibling's poisoning. Must complete
+                        // whether it runs before, during, or after.
+                        let held = lane.scratch.acquire();
+                        assert_probe_finds_the_row(stem_ref, q_ref);
+                        lane.scratch.release(held);
+                    });
                 });
-                scope.spawn(1, move || {
-                    // Concurrent envelope: checkout → probe → release,
-                    // racing the sibling's poisoning. Must complete
-                    // whether it runs before, during, or after.
-                    let scratch = stem_ref.acquire_scratch();
-                    let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-                    let mut out = ProbeReplySet::new();
-                    stem_ref.probe_batch_into(&[r], &[TupleState::new()], q_ref, &mut out);
-                    assert_eq!(out.results.len(), 1);
-                    stem_ref.release_scratch(scratch);
-                });
-            });
-        }));
-        assert!(result.is_err(), "worker panic must replay to the caller");
-        // The pool recovered (either at the sibling's release or at the
-        // next acquire) and the SteM still probes.
-        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-        let mut out = ProbeReplySet::new();
-        stem.probe_batch_into(&[r], &[TupleState::new()], &q, &mut out);
-        assert_eq!(out.results.len(), 1);
-        assert!(!stem.scratch.is_poisoned());
+            }));
+            assert!(result.is_err(), "worker panic must replay to the caller");
+            // The pool recovered (either at the sibling's release or at
+            // the next acquire) and the SteM still probes.
+            assert_probe_finds_the_row(&stem, &q);
+            assert!(!lane.scratch.is_poisoned());
+        }
     }
-
-    use stems_types::TableSet;
 }

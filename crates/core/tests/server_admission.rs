@@ -277,11 +277,11 @@ fn cancellation_races_late_admission_replay() {
     );
 }
 
-/// The PR 7 dead knob: an executor-level `max_time` admitted through the
-/// legacy `admit_with_config` was never enforced by the server loop.
-/// Both surfaces must now reap it — same partial report, terminal
-/// [`QueryStatus::TimedOut`] — and a relative [`Submission::deadline`]
-/// resolves against the admission instant.
+/// Both deadline surfaces are enforced by the server loop: an
+/// executor-level `ExecConfig::max_time` (the PR 7 dead knob) is reaped
+/// with a partial report and terminal [`QueryStatus::TimedOut`], and a
+/// relative [`Submission::deadline`] resolves against the admission
+/// instant.
 #[test]
 fn max_time_is_reaped_on_both_surfaces() {
     let (c, r, s, t) = family_catalog();
@@ -304,14 +304,6 @@ fn max_time_is_reaped_on_both_surfaces() {
         reaped.report.end_time,
         solo.end_time
     );
-    // Legacy surface, same config: identical reaped report.
-    #[allow(deprecated)]
-    let legacy = {
-        let mut srv = QueryServer::new(&c, config(), true).unwrap();
-        srv.admit_with_config(0, q.clone(), capped).unwrap();
-        srv.run_with_stats().0.remove(0)
-    };
-    assert_reports_identical(&legacy.report, &reaped.report, "legacy max_time");
     // Relative deadline: admitted at 5_000 with a 7_000µs lifetime —
     // reaped around virtual 12_000, long before the solo end.
     let mut srv = QueryServer::builder(&c).config(config()).build().unwrap();

@@ -293,41 +293,6 @@ fn late_admission_catches_up_and_stays_deterministic() {
     assert_eq!(stats_a.shared_stems, 5);
 }
 
-/// The deprecated PR 7 surface (`new` / `admit` / `admit_at` /
-/// `run_with_stats`) must remain an exact shim over the builder/handle
-/// API: identical reports, identical stats, for simultaneous and
-/// staggered admissions alike.
-#[test]
-#[allow(deprecated)]
-fn deprecated_surface_is_equivalent_to_builder_api() {
-    let (c, r, s, t) = family_catalog();
-    let schedule = [(0u64, 0usize), (0, 1), (5_000, 2), (11_000, 3)];
-    let mut old = QueryServer::new(&c, server_config(2), true).unwrap();
-    for &(at, i) in &schedule {
-        old.admit_at(at, query_for(&c, r, s, t, i)).unwrap();
-    }
-    let (old_reports, old_stats) = old.run_with_stats();
-    let mut new = QueryServer::builder(&c)
-        .config(server_config(2))
-        .build()
-        .unwrap();
-    for &(at, i) in &schedule {
-        new.submit(Submission::new(query_for(&c, r, s, t, i)).at(at))
-            .unwrap();
-    }
-    let (handles, new_stats) = new.serve();
-    assert_eq!(old_stats, new_stats, "shim stats diverged");
-    assert_eq!(old_reports.len(), handles.len());
-    for (i, (o, h)) in old_reports.iter().zip(&handles).enumerate() {
-        assert_eq!(h.id.0, i);
-        assert_eq!(h.status, QueryStatus::Completed);
-        let n = h.report.as_ref().expect("completed query has a report");
-        assert_eq!(o.admitted_at, n.admitted_at, "q{i} admitted_at");
-        assert_eq!(o.completed_at, n.completed_at, "q{i} completed_at");
-        assert_reports_identical(&o.report, &n.report, &format!("shim q{i}"));
-    }
-}
-
 /// The 1000-query point: every report still bit-identical to its solo
 /// run under parallel stepping. Debug builds skip it (the full sweep
 /// belongs to the release CI leg) unless `STEMS_SMOKE_1000` forces it.

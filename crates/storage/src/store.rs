@@ -81,18 +81,6 @@ pub trait DictStore: std::fmt::Debug {
         lookup_eq_flat_via_scalar(self, col, keys, out);
     }
 
-    /// One [`DictStore::lookup_eq`] result per key, in key order. A thin
-    /// compatibility shim over [`DictStore::lookup_eq_flat`]; hot callers
-    /// hold their own [`CandidateBuf`] and use the flat API directly.
-    fn lookup_eq_batch(&self, col: usize, keys: &[Value]) -> Vec<Vec<Arc<Row>>> {
-        let hashed: Vec<HashedKey> = keys.iter().cloned().map(HashedKey::new).collect();
-        let mut buf = CandidateBuf::new();
-        self.lookup_eq_flat(col, &hashed, &mut buf);
-        (0..hashed.len())
-            .map(|i| buf.candidates(i).to_vec())
-            .collect()
-    }
-
     /// All rows in insertion order.
     fn scan(&self) -> Vec<Arc<Row>>;
 
@@ -240,9 +228,7 @@ pub(crate) mod conformance {
         let before = store.len();
         store.insert_batch(vec![row(&[7, 30]), row(&[8, 30])]);
         assert_eq!(store.len(), before + 2);
-        let hits = store.lookup_eq_batch(1, &[Value::Int(30), Value::Int(99), Value::Null]);
-        assert_eq!(hits[0].len(), 2);
-        assert!(hits[1].is_empty() && hits[2].is_empty());
+        assert_eq!(store.lookup_eq(1, &Value::Int(30)).len(), 2);
 
         // flat batch API: agreement with scalar lookup_eq on every key,
         // for both indexed-path and scan-filter columns

@@ -9,11 +9,9 @@
 //! suite is dependency-free and fully reproducible.
 
 use std::sync::Arc;
-use stems::core::stem::{ProbeReplySet, Stem, StemOptions};
-use stems::core::TupleState;
 use stems::sim::SimRng;
 use stems::storage::{CandidateBuf, DictStore, StoreKind};
-use stems::types::{HashedKey, Row, TableIdx, Tuple, Value};
+use stems::types::{HashedKey, Row, Value};
 
 fn kinds() -> [StoreKind; 5] {
     [
@@ -163,15 +161,26 @@ fn hash_collisions_resolve_by_value_on_every_backend() {
     }
 }
 
-/// The SteM's batched probe pipeline must agree with its scalar probe,
-/// reply for reply — results, order, outcome, observed_ts, raw_matches —
-/// on mixed envelopes of keyed, NULL-keyed, coercing and unbindable
-/// probes. (The engine-level equivalence suites cover this end to end;
-/// this pins the module API directly.)
+/// The SteM's probe pipeline against an oracle that shares no code with
+/// it: a nested loop over the rows the test built, keyed by the
+/// timestamps `build_batch` handed back in [`BuildResult::Fresh`],
+/// applying the TimeStamp and LastMatchTimeStamp rules and
+/// [`Predicate::eval`] per candidate. Reply for reply — results, order,
+/// donebits, outcome, observed_ts, raw_matches — on mixed envelopes of
+/// keyed, NULL-keyed, coercing and unbindable probes, built and unbuilt,
+/// fresh and re-probing, at one lane and at several. (The engine-level
+/// equivalence suites cover this end to end; this pins the module API
+/// directly.)
 #[test]
 fn probe_batch_replies_equal_scalar_probe_replies() {
     use stems::catalog::{Catalog, QuerySpec, ScanSpec, SourceId, TableDef, TableInstance};
-    use stems::types::{CmpOp, ColRef, ColumnType, PredId, Predicate, Schema};
+    use stems::core::stem::{BuildResult, ProbeOutcome, ProbeReplySet, StemOptions};
+    use stems::core::tuple_state::CompletionNeed;
+    use stems::core::{ShardedStem, TupleState};
+    use stems::types::{
+        CmpOp, ColRef, ColumnType, PredId, PredSet, Predicate, Schema, TableIdx, Timestamp, Tuple,
+        TupleBatch, UNBUILT_TS,
+    };
 
     let mut c = Catalog::new();
     let r = c
@@ -188,67 +197,181 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
         .unwrap();
     c.add_scan(r, ScanSpec::default()).unwrap();
     c.add_scan(s, ScanSpec::default()).unwrap();
-    let query = QuerySpec::new(
+    let join = Predicate::join(
+        PredId(0),
+        ColRef::new(TableIdx(0), 1),
+        CmpOp::Eq,
+        ColRef::new(TableIdx(1), 0),
+    );
+    let tables = vec![
+        TableInstance {
+            source: r,
+            alias: "r".into(),
+        },
+        TableInstance {
+            source: s,
+            alias: "s".into(),
+        },
+    ];
+    let query = QuerySpec::new(&c, tables.clone(), vec![join.clone()], None).unwrap();
+    // The join plus a selection on S, checked at concatenation.
+    let filtered = QuerySpec::new(
         &c,
+        tables.clone(),
         vec![
-            TableInstance {
-                source: r,
-                alias: "r".into(),
-            },
-            TableInstance {
-                source: s,
-                alias: "s".into(),
-            },
+            join,
+            Predicate::selection(
+                PredId(1),
+                ColRef::new(TableIdx(1), 1),
+                CmpOp::Lt,
+                Value::Int(4),
+            ),
         ],
-        vec![Predicate::join(
-            PredId(0),
-            ColRef::new(TableIdx(0), 1),
-            CmpOp::Eq,
-            ColRef::new(TableIdx(1), 0),
-        )],
         None,
     )
     .unwrap();
-    let cartesian = QuerySpec::new(&c, query.tables.clone(), vec![], None).unwrap();
+    let cartesian = QuerySpec::new(&c, tables, vec![], None).unwrap();
+
+    /// What the oracle expects of one probe.
+    struct Expected {
+        results: Vec<(Tuple, PredSet)>,
+        outcome: ProbeOutcome,
+        raw_matches: usize,
+    }
+    // Nested loop over the built rows, in build order.
+    let oracle = |built: &[(Arc<Row>, Timestamp)],
+                  keyed: bool,
+                  tuple: &Tuple,
+                  state: &TupleState,
+                  q: &QuerySpec| {
+        let t = TableIdx(1);
+        let key = tuple.value(TableIdx(0), 1).expect("R.a");
+        let newly: Vec<&Predicate> = q
+            .predicates
+            .iter()
+            .filter(|p| p.evaluable_on(tuple.span().with(t)) && !state.done.contains(p.id))
+            .collect();
+        let mut done = state.done;
+        for p in &newly {
+            done.insert(p.id);
+        }
+        let mut results = Vec::new();
+        let mut raw_matches = 0;
+        for (row, ts) in built {
+            // Candidate fetch: the index answers SQL equality on x; a
+            // query without the join scans.
+            if keyed && !row.get(0).is_some_and(|x| x.sql_eq(key)) {
+                continue;
+            }
+            raw_matches += 1;
+            if *ts >= tuple.timestamp() || *ts <= state.last_match_ts {
+                continue;
+            }
+            let cand = tuple.concat_row(t, row.clone(), *ts);
+            if newly.iter().all(|p| p.eval(&cand) == Some(true)) {
+                results.push((cand, done));
+            }
+        }
+        // Scan-only SteM, no EOT seen: built probers are consumed,
+        // unbuilt ones must keep re-probing (Table 2 + §3.5).
+        let outcome = if tuple.timestamp() == UNBUILT_TS {
+            ProbeOutcome::Bounced(CompletionNeed::Required)
+        } else {
+            ProbeOutcome::Consumed
+        };
+        Expected {
+            results,
+            outcome,
+            raw_matches,
+        }
+    };
 
     for seed in 0..24u64 {
-        let mut rng = SimRng::new(0x9B0B ^ seed);
-        let mut stem = Stem::new(
-            TableIdx(1),
-            SourceId(1),
-            &[0],
-            true,
-            false,
-            StemOptions::default(),
-        );
-        for ts in 1..=rng.below(60) {
-            let x = random_value(&mut rng);
-            let x = if x.is_eot() { Value::Null } else { x };
-            let t =
-                Tuple::singleton_of(TableIdx(1), vec![x, Value::Int(rng.range_inclusive(0, 5))]);
-            stem.build(&t, &TupleState::new(), ts);
-        }
-        for (q, label) in [(&query, "keyed"), (&cartesian, "scan")] {
-            let probes: Vec<Tuple> = (0..rng.below(40) + 1)
-                .map(|k| {
-                    Tuple::singleton_of(
-                        TableIdx(0),
-                        vec![Value::Int(k as i64), random_value(&mut rng)],
-                    )
-                    .with_timestamp(TableIdx(0), 1_000 + k)
+        for num_shards in [1usize, 4] {
+            let mut rng = SimRng::new(0x9B0B ^ seed);
+            let mut stem = ShardedStem::new(
+                TableIdx(1),
+                SourceId(1),
+                &[0],
+                true,
+                false,
+                StemOptions {
+                    num_shards,
+                    ..StemOptions::default()
+                },
+            );
+            let batch: TupleBatch = (0..rng.below(60))
+                .map(|_| {
+                    let x = random_value(&mut rng);
+                    let x = if x.is_eot() { Value::Null } else { x };
+                    let y = Value::Int(rng.range_inclusive(0, 5));
+                    Tuple::singleton_of(TableIdx(1), vec![x, y])
                 })
                 .collect();
-            let states = vec![TupleState::new(); probes.len()];
-            let mut batched = ProbeReplySet::new();
-            stem.probe_batch_into(&probes, &states, q, &mut batched);
-            assert_eq!(batched.len(), probes.len(), "seed {seed} {label}");
-            for ((tuple, state), (meta, results)) in probes.iter().zip(&states).zip(batched.iter())
-            {
-                let want = stem.probe(tuple, state, q);
-                assert_eq!(want.results, results, "seed {seed} {label}");
-                assert_eq!(want.outcome, meta.outcome, "seed {seed} {label}");
-                assert_eq!(want.observed_ts, meta.observed_ts, "seed {seed} {label}");
-                assert_eq!(want.raw_matches, meta.raw_matches, "seed {seed} {label}");
+            let mut ts = 0;
+            let states = vec![TupleState::new(); batch.len()];
+            let built: Vec<(Arc<Row>, Timestamp)> = stem
+                .build_batch(&batch, &states, &mut ts)
+                .into_iter()
+                .filter_map(|r| match r {
+                    BuildResult::Fresh(t) => Some((t.components()[0].row.clone(), t.timestamp())),
+                    BuildResult::Duplicate => None,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert_eq!(built.len(), stem.len());
+            let max_ts = built.last().map_or(0, |(_, ts)| *ts);
+
+            for (q, label) in [
+                (&query, "keyed"),
+                (&filtered, "filtered"),
+                (&cartesian, "scan"),
+            ] {
+                let probes: Vec<Tuple> = (0..rng.below(40) + 1)
+                    .map(|k| {
+                        let t = Tuple::singleton_of(
+                            TableIdx(0),
+                            vec![Value::Int(k as i64), random_value(&mut rng)],
+                        );
+                        // Unbuilt (ts = ∞), built mid-stream (sees only
+                        // the older rows), or built after everything.
+                        match rng.below(4) {
+                            0 => t,
+                            1 => t.with_timestamp(TableIdx(0), rng.below(max_ts + 2)),
+                            _ => t.with_timestamp(TableIdx(0), 1_000 + k),
+                        }
+                    })
+                    .collect();
+                let states: Vec<TupleState> = probes
+                    .iter()
+                    .map(|_| {
+                        let mut st = TupleState::new();
+                        if rng.below(3) == 0 {
+                            st.last_match_ts = rng.below(max_ts + 1);
+                        }
+                        st
+                    })
+                    .collect();
+                let mut replies = ProbeReplySet::new();
+                stem.probe_batch_into(&probes, &states, q, &mut replies);
+                assert_eq!(replies.len(), probes.len(), "seed {seed} {label}");
+                let keyed = !q.predicates.is_empty();
+                for ((tuple, state), (meta, results)) in
+                    probes.iter().zip(&states).zip(replies.iter())
+                {
+                    let ctx = format!("seed {seed} shards {num_shards} {label} probe {tuple}");
+                    let want = oracle(&built, keyed, tuple, state, q);
+                    assert_eq!(want.results, results, "{ctx}");
+                    let ts_of = |rs: &[(Tuple, PredSet)]| -> Vec<Timestamp> {
+                        rs.iter()
+                            .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
+                            .collect()
+                    };
+                    assert_eq!(ts_of(&want.results), ts_of(results), "{ctx}");
+                    assert_eq!(want.outcome, meta.outcome, "{ctx}");
+                    assert_eq!(max_ts, meta.observed_ts, "{ctx}");
+                    assert_eq!(want.raw_matches, meta.raw_matches, "{ctx}");
+                }
             }
         }
     }

@@ -9,9 +9,9 @@
 
 use std::sync::Arc;
 use stems::sim::SimRng;
-use stems::storage::DictStore;
 use stems::storage::{index_key, RowSet, SortedStore, StoreKind};
-use stems::types::{CmpOp, Row, Value};
+use stems::storage::{CandidateBuf, DictStore};
+use stems::types::{CmpOp, HashedKey, Row, Value};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -148,8 +148,11 @@ fn batched_ops_match_scalar_ops() {
             let mut batched = kind.build(&[1]);
             batched.insert_batch(rows.clone());
             assert_eq!(scalar.len(), batched.len(), "seed {seed} kind {kind:?}");
-            let got = batched.lookup_eq_batch(1, &keys);
-            for (key, hits) in keys.iter().zip(&got) {
+            let hashed: Vec<HashedKey> = keys.iter().cloned().map(HashedKey::new).collect();
+            let mut got = CandidateBuf::new();
+            batched.lookup_eq_flat(1, &hashed, &mut got);
+            for (i, key) in keys.iter().enumerate() {
+                let hits = got.candidates(i);
                 let mut hit_vals: Vec<Vec<Value>> =
                     hits.iter().map(|r| r.values().to_vec()).collect();
                 let mut want_vals: Vec<Vec<Value>> = scalar
