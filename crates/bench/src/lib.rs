@@ -1,14 +1,22 @@
-//! Shared harness for the experiment binaries.
+//! Shared harness for the experiment and bench binaries.
 //!
-//! Every binary regenerates one figure (or reconstructed experiment) of
-//! the paper: it runs the SteM architecture and its baselines on the same
-//! workload, prints the figure's series as aligned rows and an ASCII
-//! chart, writes a CSV to `results/`, and evaluates the paper's
-//! qualitative claims as explicit SHAPE-CHECK lines.
+//! Every experiment binary regenerates one figure (or reconstructed
+//! experiment) of the paper: it runs the SteM architecture and its
+//! baselines on the same workload, prints the figure's series as aligned
+//! rows and an ASCII chart, writes a CSV to `results/`, and evaluates the
+//! paper's qualitative claims as explicit SHAPE-CHECK lines. One binary
+//! per experiment: `fig7`, `fig8`, `exp_competition`, `exp_spanning_tree`,
+//! `exp_reorder`, `exp_nary_shj`, `exp_grace_hybrid`, `exp_buildfirst`,
+//! `exp_robustness`, `exp_selection_order`.
 //!
-//! Binaries (one per experiment; see DESIGN.md §3 for the index):
-//! `fig7`, `fig8`, `exp_competition`, `exp_spanning_tree`, `exp_reorder`,
-//! `exp_nary_shj`, `exp_grace_hybrid`, `exp_buildfirst`.
+//! The perf trajectory `BENCH_<n>.json` comes from the one `stems-bench`
+//! binary: [`series::SERIES`] is the table of series, [`harness`] times
+//! and checks them, [`drive`] holds what they run, [`json`] writes them.
+
+pub mod drive;
+pub mod harness;
+pub mod json;
+pub mod series;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -61,26 +69,6 @@ pub fn chart(title: &str, y_label: &str, horizon: Time, series: &[(&str, &Series
         ..PlotSpec::default()
     };
     ascii_plot(&spec, series)
-}
-
-/// Positive-integer environment knob shared by the bench binaries
-/// (`STEMS_BENCH_ROWS`, `STEMS_BENCH_RUNS`, ...). A set-but-invalid
-/// value panics rather than silently benchmarking the default workload.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(std::env::VarError::NotPresent) => default,
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("{name} must be a positive integer, got {s:?}"),
-        },
-        Err(e) => panic!("{name} is not valid unicode: {e}"),
-    }
-}
-
-/// Median of a set of wall-clock samples (upper median for even counts).
-pub fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
 }
 
 /// FNV-1a over a byte slice — the deterministic primitive behind the

@@ -57,7 +57,7 @@ pub struct CostModel {
     /// (max over shards) instead of the total —
     /// [`crate::sharded::ShardedStem::parallel_service_units`]. This is
     /// the simulation-native expression of the wall-clock parallelism
-    /// sharding provides on multi-core hosts (`bench_shards` uses it for
+    /// sharding provides on multi-core hosts (`stems-bench shards` uses it for
     /// its deterministic, hardware-independent speedup series). Off by
     /// default so the virtual timeline is identical at every shard count
     /// — the shard-invariance equivalence suites rely on that.
@@ -155,7 +155,7 @@ pub struct ExecConfig {
     /// Envelope-level dedup for UDF predicates: group an envelope's rows
     /// by input key and evaluate one representative per distinct key
     /// ([`crate::sm::Sm::apply_batch_udf`]). Independent of `memo` (the
-    /// four on/off combinations are swept by `bench_pred`). Overridable
+    /// four on/off combinations are swept by `stems-bench pred`). Overridable
     /// with `STEMS_UDF_DEDUP` (`0`/`1`).
     pub udf_dedup: bool,
     /// BoundedRepetition backstop.
@@ -659,12 +659,18 @@ impl EddyExecutor {
         if !self.rt[mid].queue.is_empty() {
             self.agenda.push(self.now, Event::Start(mid));
         }
-        if unparks
+        let built = unparks
             .iter()
-            .any(|u| matches!(u, UnparkSignal::AnyBuild(_)))
-        {
-            // A build happened: sample total SteM memory (the fig-2
-            // singleton-vs-intermediate storage comparison watches this).
+            .any(|u| matches!(u, UnparkSignal::AnyBuild(_)));
+        self.route_deliveries(deliveries);
+        self.wake(built, unparks);
+    }
+
+    /// Wake whatever `unparks` release and route it. After a build, first
+    /// sample total SteM memory (the fig-2 singleton-vs-intermediate
+    /// storage comparison watches this).
+    fn wake(&mut self, built: bool, unparks: impl IntoIterator<Item = UnparkSignal>) {
+        if built {
             let total: usize = self
                 .modules
                 .iter()
@@ -676,7 +682,6 @@ impl EddyExecutor {
             self.metrics
                 .observe("stem_bytes_total", self.now, total as f64);
         }
-        self.route_deliveries(deliveries);
         let mut woken = Vec::new();
         for sig in unparks {
             woken.append(&mut self.unpark(sig));
@@ -692,10 +697,15 @@ impl EddyExecutor {
         if let Some(nt) = next {
             self.agenda.push(nt, Event::ScanEmit(mid));
         }
-        // The whole chunk enters routing as one wave: same-span singletons
-        // share a candidate set, so they ride one envelope instead of
-        // exploding into per-row deliveries with per-row policy decisions.
-        let deliveries = batch
+        self.route_scanned(batch);
+    }
+
+    /// A scan chunk (EOT markers included) enters routing as one wave:
+    /// same-span singletons share a candidate set, so they ride one
+    /// envelope instead of exploding into per-row deliveries with
+    /// per-row policy decisions.
+    fn route_scanned(&mut self, tuples: impl IntoIterator<Item = Tuple>) {
+        let deliveries = tuples
             .into_iter()
             .map(|t| {
                 if !t.is_eot() {
@@ -753,21 +763,17 @@ impl EddyExecutor {
     fn process(&mut self, mid: usize, env: Envelope) -> (u64, Vec<Delivery>, Vec<UnparkSignal>) {
         let mut module = std::mem::replace(&mut self.modules[mid], Module::Hole);
         let out = match (&mut module, env.purpose) {
-            (Module::Stem(cell), Purpose::Build) => {
+            (Module::Stem(cell), purpose @ (Purpose::Build | Purpose::Probe)) => {
                 let table = self.table_of_stem_mid(mid);
                 let mut stem = cell.lock();
                 if stem.instance != table {
                     stem.retarget(table);
                 }
-                self.process_build(&mut stem, env)
-            }
-            (Module::Stem(cell), Purpose::Probe) => {
-                let table = self.table_of_stem_mid(mid);
-                let mut stem = cell.lock();
-                if stem.instance != table {
-                    stem.retarget(table);
+                if purpose == Purpose::Build {
+                    self.process_build(&mut stem, env)
+                } else {
+                    self.process_probe(&mut stem, env)
                 }
-                self.process_probe(&mut stem, env)
             }
             (Module::Sm(sm), Purpose::Select) => self.process_select(sm, env),
             (Module::IndexAm(am), Purpose::AmProbe(t)) => self.process_am_probe(mid, am, env, t),
@@ -1063,39 +1069,43 @@ impl EddyExecutor {
     ) -> (u64, Vec<Delivery>, Vec<UnparkSignal>) {
         let dur = self.config.costs.sm_us * env.batch.len().max(1) as u64;
         let verdicts = sm.apply_batch(&env.batch);
+        (dur, self.apply_verdicts(sm, env, verdicts), Vec::new())
+    }
+
+    /// The tail of an unfused Select hop: count and feed back every
+    /// verdict, pass the survivors on with the predicate marked done.
+    fn apply_verdicts(
+        &mut self,
+        sm: &crate::sm::Sm,
+        env: Envelope,
+        verdicts: Vec<Option<bool>>,
+    ) -> Vec<Delivery> {
         let mut deliveries = Vec::new();
         for ((tuple, mut state), verdict) in env.batch.into_iter().zip(env.states).zip(verdicts) {
-            match verdict {
-                Some(true) => {
-                    self.metrics.bump("sm_applied", self.now, 1);
-                    self.policy.feedback(&Feedback::Selected {
-                        pred: sm.pred_id(),
-                        passed: true,
-                    });
-                    state.done.insert(sm.pred_id());
-                    deliveries.push(Delivery {
-                        tuple,
-                        state,
-                        clustered: false,
-                    });
-                }
-                Some(false) => {
-                    self.metrics.bump("sm_applied", self.now, 1);
-                    self.policy.feedback(&Feedback::Selected {
-                        pred: sm.pred_id(),
-                        passed: false,
-                    });
-                    self.metrics.bump("filtered", self.now, 1);
-                }
-                None => {
-                    self.violations.push(format!(
-                        "selection {} not evaluable on routed tuple",
-                        sm.describe()
-                    ));
-                }
+            let Some(passed) = verdict else {
+                self.violations.push(format!(
+                    "selection {} not evaluable on routed tuple",
+                    sm.describe()
+                ));
+                continue;
+            };
+            self.metrics.bump("sm_applied", self.now, 1);
+            self.policy.feedback(&Feedback::Selected {
+                pred: sm.pred_id(),
+                passed,
+            });
+            if passed {
+                state.done.insert(sm.pred_id());
+                deliveries.push(Delivery {
+                    tuple,
+                    state,
+                    clustered: false,
+                });
+            } else {
+                self.metrics.bump("filtered", self.now, 1);
             }
         }
-        (dur, deliveries, Vec::new())
+        deliveries
     }
 
     /// The Select hop for an expensive UDF predicate: evaluate through
@@ -1127,39 +1137,7 @@ impl EddyExecutor {
                 .bump("memo_evictions", self.now, out.memo.evictions);
         }
         let rows = env.batch.len();
-        let mut deliveries = Vec::new();
-        for ((tuple, mut state), verdict) in env.batch.into_iter().zip(env.states).zip(out.verdicts)
-        {
-            match verdict {
-                Some(true) => {
-                    self.metrics.bump("sm_applied", self.now, 1);
-                    self.policy.feedback(&Feedback::Selected {
-                        pred: sm.pred_id(),
-                        passed: true,
-                    });
-                    state.done.insert(sm.pred_id());
-                    deliveries.push(Delivery {
-                        tuple,
-                        state,
-                        clustered: false,
-                    });
-                }
-                Some(false) => {
-                    self.metrics.bump("sm_applied", self.now, 1);
-                    self.policy.feedback(&Feedback::Selected {
-                        pred: sm.pred_id(),
-                        passed: false,
-                    });
-                    self.metrics.bump("filtered", self.now, 1);
-                }
-                None => {
-                    self.violations.push(format!(
-                        "selection {} not evaluable on routed tuple",
-                        sm.describe()
-                    ));
-                }
-            }
-        }
+        let deliveries = self.apply_verdicts(sm, env, out.verdicts);
         // Observed cost: what this envelope actually charged, per row —
         // with an effective memo this decays toward `sm_us`, without one
         // it stays near `cost_us`, and the policy's EWMA tracks it.
@@ -1779,40 +1757,15 @@ impl EddyExecutor {
             return;
         }
         self.now = now;
-        let deliveries: Vec<Delivery> = stamped
-            .iter()
-            .map(|t| {
-                self.metrics.bump("scanned", self.now, 1);
-                self.ingest(t.clone(), None)
-            })
-            .collect();
-        self.route_deliveries(deliveries);
-        let mut unparks = Vec::new();
-        if !stamped.is_empty() {
-            // Mirror on_complete's post-build memory sample.
-            let total: usize = self
-                .modules
-                .iter()
-                .filter_map(|m| match m {
-                    Module::Stem(s) => Some(s.lock().approx_bytes()),
-                    _ => None,
-                })
-                .sum();
-            self.metrics
-                .observe("stem_bytes_total", self.now, total as f64);
-            unparks.push(UnparkSignal::AnyBuild(table));
-        }
-        if eot {
-            unparks.push(UnparkSignal::Eot {
-                table,
-                bindings: None,
-            });
-        }
-        let mut woken = Vec::new();
-        for sig in unparks {
-            woken.append(&mut self.unpark(sig));
-        }
-        self.route_deliveries(woken);
+        self.route_scanned(stamped.iter().cloned());
+        // The wake-ups a private build of this wave would have raised.
+        let built = !stamped.is_empty();
+        let any_build = built.then_some(UnparkSignal::AnyBuild(table));
+        let eot = eot.then_some(UnparkSignal::Eot {
+            table,
+            bindings: None,
+        });
+        self.wake(built, any_build.into_iter().chain(eot));
     }
 
     /// Deliver one shared-scan wave for an *unfolded* (private-SteM)
@@ -1824,16 +1777,7 @@ impl EddyExecutor {
             return;
         }
         self.now = now;
-        let deliveries: Vec<Delivery> = tuples
-            .into_iter()
-            .map(|t| {
-                if !t.is_eot() {
-                    self.metrics.bump("scanned", self.now, 1);
-                }
-                self.ingest(t, None)
-            })
-            .collect();
-        self.route_deliveries(deliveries);
+        self.route_scanned(tuples);
     }
 }
 

@@ -100,7 +100,7 @@
 //! `batch_size: 1` degenerates to exactly the scalar engine (same
 //! decisions, same event counts); `tests/prop_batch_equivalence.rs`
 //! asserts result-multiset equality between the two paths on randomized
-//! SPJ workloads, and `bench_batch` records the throughput win in
+//! SPJ workloads, and `stems-bench batch` records the throughput win in
 //! `BENCH_1.json`.
 //!
 //! # Correctness tooling

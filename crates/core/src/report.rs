@@ -123,7 +123,7 @@ impl Report {
 /// One query's report under the multi-query server
 /// ([`crate::server::QueryServer`]): the per-query [`Report`] plus its
 /// place on the server's shared virtual timeline — the latency
-/// bookkeeping `bench_server` aggregates into percentiles.
+/// bookkeeping `stems-bench server` aggregates into percentiles.
 #[derive(Debug)]
 pub struct ServerReport {
     /// Index of the query in admission order.

@@ -109,7 +109,7 @@
 //!
 //! With folding disabled the server degenerates to a pure merge of
 //! independent classic executors — each query behaves exactly like a solo
-//! [`EddyExecutor::run`]; `bench_server` uses that mode as the baseline
+//! [`EddyExecutor::run`]; `stems-bench server` uses that mode as the baseline
 //! the folding throughput gain is measured against.
 
 use crate::am::ScanAm;
@@ -171,8 +171,10 @@ struct ServerScan {
     source: SourceId,
     am: ScanAm,
     arity: usize,
-    /// Rows emitted so far — the catch-up prefix for late admissions.
-    emitted: Vec<Arc<Row>>,
+    /// How many rows have been emitted. The scan emits its table in
+    /// order, so the catch-up prefix for late admissions is the first
+    /// `emitted` rows of the catalog table.
+    emitted: usize,
     eot: bool,
     /// Live raw subscriptions; when zero (everything folded), an emit
     /// skips the per-slot delivery sweep.
@@ -239,8 +241,8 @@ enum ServerEvent {
 
 /// How a server run went: how much state it shared (one entry/stream
 /// serving N queries is the whole point) and what admission control did
-/// (`tests/server_folding.rs`, `tests/server_admission.rs` and
-/// `bench_server` assert on these).
+/// (`tests/server_folding.rs` and `tests/server_admission.rs` assert on
+/// these; `stems-bench server` reports them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStats {
     /// Shared SteM registry entries created (cumulative — evicted
@@ -1077,11 +1079,11 @@ impl<'a> QueryServer<'a> {
         }));
         self.entries_created += 1;
         if let Some(si) = self.scans.iter().position(|s| s.source == source) {
-            let rows = self.scans[si].emitted.clone();
+            let rows = &self.catalog.table_expect(source).rows()[..self.scans[si].emitted];
             let eot = self.scans[si].eot;
             let arity = self.scans[si].arity;
             if !rows.is_empty() || eot {
-                self.build_into_entry(ei, &rows, eot, arity);
+                self.build_into_entry(ei, rows, eot, arity);
             }
         }
         ei
@@ -1117,7 +1119,7 @@ impl<'a> QueryServer<'a> {
         let scan = &self.scans[si];
         let eot = scan.eot;
         let mut tuples = Vec::new();
-        for row in &scan.emitted {
+        for row in &self.catalog.table_expect(scan.source).rows()[..scan.emitted] {
             for &t in &tables {
                 tuples.push(Tuple::singleton(t, Arc::clone(row)));
             }
@@ -1174,7 +1176,7 @@ impl<'a> QueryServer<'a> {
             source,
             am,
             arity,
-            emitted: Vec::new(),
+            emitted: 0,
             eot: false,
             raw_subs: 0,
         });
@@ -1201,7 +1203,7 @@ impl<'a> QueryServer<'a> {
         }
         let source = self.scans[si].source;
         let arity = self.scans[si].arity;
-        self.scans[si].emitted.extend(rows.iter().cloned());
+        self.scans[si].emitted += rows.len();
         if eot {
             self.scans[si].eot = true;
         }

@@ -292,7 +292,7 @@ pub(crate) struct ProbeCtx<'q> {
 /// Self-joins note: the paper shares one SteM per *source* across FROM
 /// instances; we share row storage via `Arc<Row>` but keep per-instance
 /// dictionaries, which preserves the memory-sharing benefit while keeping
-/// the timestamp bookkeeping per instance (see DESIGN.md).
+/// the timestamp bookkeeping per instance.
 pub(crate) struct Shard {
     store: Box<dyn DictStore + Send + Sync>,
     dedup: RowSet,
