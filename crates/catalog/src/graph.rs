@@ -10,7 +10,7 @@ use stems_types::{PredId, TableIdx, TableSet};
 /// original eddies work) fix a *spanning tree* of this graph before
 /// execution; SteM routing explores spanning trees dynamically, at the cost
 /// of the ProbeCompletion constraint.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JoinGraph {
     n: usize,
     /// `(endpoints, predicate)` per join predicate.

@@ -25,6 +25,21 @@
 //! one envelope, and one pair of start/complete events, amortizing the
 //! per-tuple adaptivity overhead that tuple-at-a-time eddies suffer.
 //! `batch_size: 1` reproduces the scalar tuple-at-a-time engine exactly.
+//!
+//! # The per-tuple rule
+//!
+//! The eddy touches every tuple on every hop, so whatever it does per
+//! tuple besides the join work is the price of adaptivity. One rule keeps
+//! that price to bookkeeping: **nothing on the per-tuple path may hash,
+//! compare or allocate a name or a graph.** Every metric the engine can
+//! record is resolved to a [`MetricId`] once, in [`EddyExecutor::build`]
+//! (`MetricIds`), and updated by id; the join graph is built once by
+//! [`crate::plan::instantiate`] into [`PlanLayout::graph`]; and
+//! [`router::candidates_into`] fills one candidate buffer the executor
+//! owns. `stems-lint`'s `metric-by-name` rule and `tests/alloc_route.rs`
+//! keep it that way. (`format!` remains in configuration errors, in id
+//! resolution at build, and in violation and trace messages, which a
+//! correct untraced run never builds.)
 
 use crate::am::IndexProbeOutcome;
 use crate::plan::{instantiate, Module, PlanLayout, PlanOptions};
@@ -35,7 +50,7 @@ use crate::stem::{eot_bindings, BuildResult, ProbeOutcome, ProbeReplySet};
 use crate::tuple_state::{CompletionNeed, PriorProber, TupleState};
 use std::collections::VecDeque;
 use stems_catalog::{Catalog, QuerySpec};
-use stems_sim::{EventQueue, Metrics, SimRng, Time};
+use stems_sim::{EventQueue, MetricId, Metrics, SimRng, Time};
 use stems_storage::fxhash::FxHashSet;
 use stems_types::{Predicate, Result, StemsError, TableIdx, Timestamp, Tuple, TupleBatch, Value};
 
@@ -390,6 +405,72 @@ struct RouteGroup {
     prioritized: bool,
 }
 
+/// Declares [`MetricIds`]: one [`MetricId`] field per listed counter or
+/// series, named exactly as the metric is, plus the two families whose
+/// names carry a number. `resolve` is the only place the engine spells a
+/// metric name — a name missing here cannot be recorded at all.
+macro_rules! metric_ids {
+    ($($name:ident),* $(,)?) => {
+        /// Every metric id an executor can touch, resolved once at build.
+        struct MetricIds {
+            $($name: MetricId,)*
+            /// `span<k>_formed`, indexed by span size `k`.
+            span_formed: Vec<MetricId>,
+            /// `stem_bytes_<t>`, indexed by table instance.
+            stem_bytes: Vec<MetricId>,
+        }
+
+        impl MetricIds {
+            fn resolve(metrics: &mut Metrics, n_tables: usize) -> MetricIds {
+                MetricIds {
+                    $($name: metrics.id(stringify!($name)),)*
+                    span_formed: (0..=n_tables)
+                        .map(|k| metrics.id(&format!("span{k}_formed")))
+                        .collect(),
+                    stem_bytes: (0..n_tables)
+                        .map(|t| metrics.id(&format!("stem_bytes_{}", TableIdx(t as u8))))
+                        .collect(),
+                }
+            }
+        }
+    };
+}
+
+metric_ids! {
+    // Counters.
+    am_dup_builds,
+    am_fresh_builds,
+    am_probe_choices,
+    am_responses,
+    duplicates_absorbed,
+    filtered,
+    fused_selects,
+    hints_recosted,
+    hops_exceeded,
+    index_probes,
+    memo_evictions,
+    memo_hits,
+    memo_misses,
+    parked,
+    policy_drops,
+    priority_results,
+    probes_bounced,
+    probes_coalesced,
+    probes_consumed,
+    probes_queued,
+    results,
+    retired,
+    route_batches,
+    scanned,
+    sm_applied,
+    stem_probes,
+    udf_calls,
+    unparked,
+    // Raw series.
+    end,
+    stem_bytes_total,
+}
+
 /// The eddy executor. Build one with [`EddyExecutor::build`], run it to
 /// completion with [`EddyExecutor::run`].
 pub struct EddyExecutor {
@@ -412,6 +493,7 @@ pub struct EddyExecutor {
     parked: Vec<ParkedTuple>,
     results: Vec<Tuple>,
     metrics: Metrics,
+    ids: MetricIds,
     events: u64,
     violations: Vec<String>,
     output_seen: FxHashSet<Tuple>,
@@ -419,6 +501,10 @@ pub struct EddyExecutor {
     /// Reusable probe-reply arena: one per executor, cleared per probe
     /// envelope, so the steady-state reply path never allocates per tuple.
     reply_set: ProbeReplySet,
+    /// Reusable candidate list for [`Self::route_deliveries`] (taken out
+    /// and restored around it, like `reply_set`): the router fills it per
+    /// tuple and it is cloned only when a tuple opens a new group.
+    candidates: Vec<Action>,
 }
 
 impl EddyExecutor {
@@ -495,6 +581,8 @@ impl EddyExecutor {
             .collect();
         let policy = config.policy.build();
         let rng = SimRng::new(config.seed);
+        let mut metrics = Metrics::new();
+        let ids = MetricIds::resolve(&mut metrics, layout.n_tables);
         let mut exec = EddyExecutor {
             query: query.clone(),
             modules,
@@ -509,12 +597,14 @@ impl EddyExecutor {
             timed_out: false,
             parked: Vec::new(),
             results: Vec::new(),
-            metrics: Metrics::new(),
+            metrics,
+            ids,
             events: 0,
             violations: Vec::new(),
             output_seen: FxHashSet::default(),
             trace: Vec::new(),
             reply_set: ProbeReplySet::new(),
+            candidates: Vec::new(),
             config,
         };
         // Step 5: seed tuples to the scans. Emission chunks are capped at
@@ -572,7 +662,7 @@ impl EddyExecutor {
             Event::Complete(mid, deliveries, unpark) => self.on_complete(mid, deliveries, unpark),
             Event::ScanEmit(mid) => self.on_scan_emit(mid),
             Event::AmIssue(_mid) => {
-                self.metrics.bump("index_probes", self.now, 1);
+                self.metrics.bump_id(self.ids.index_probes, self.now, 1);
             }
             Event::AmResponse(mid, key) => self.on_am_response(mid, key),
             Event::AmReplyWave(mid, tuples) => self.on_am_reply_wave(mid, tuples),
@@ -613,7 +703,7 @@ impl EddyExecutor {
 
     /// Produce the final report after the agenda drained.
     pub fn finish(mut self) -> Report {
-        self.metrics.observe("end", self.now, 1.0);
+        self.metrics.observe_id(self.ids.end, self.now, 1.0);
         Report {
             results: self.results,
             metrics: self.metrics,
@@ -680,7 +770,7 @@ impl EddyExecutor {
                 })
                 .sum();
             self.metrics
-                .observe("stem_bytes_total", self.now, total as f64);
+                .observe_id(self.ids.stem_bytes_total, self.now, total as f64);
         }
         let mut woken = Vec::new();
         for sig in unparks {
@@ -709,7 +799,7 @@ impl EddyExecutor {
             .into_iter()
             .map(|t| {
                 if !t.is_eot() {
-                    self.metrics.bump("scanned", self.now, 1);
+                    self.metrics.bump_id(self.ids.scanned, self.now, 1);
                 }
                 self.ingest(t, None)
             })
@@ -735,7 +825,7 @@ impl EddyExecutor {
             self.agenda.push(start, Event::AmIssue(mid));
             self.agenda.push(complete, Event::AmResponse(mid, key2));
         }
-        self.metrics.bump("am_responses", self.now, 1);
+        self.metrics.bump_id(self.ids.am_responses, self.now, 1);
         for (at, tuples) in waves {
             if at <= self.now {
                 self.on_am_reply_wave(mid, tuples);
@@ -837,7 +927,8 @@ impl EddyExecutor {
                 }
                 BuildResult::Duplicate => {
                     self.observe_am_build(&state, false);
-                    self.metrics.bump("duplicates_absorbed", self.now, 1);
+                    self.metrics
+                        .bump_id(self.ids.duplicates_absorbed, self.now, 1);
                 }
                 BuildResult::Eot => {
                     if stem.scan_complete() && stem.deferred_len() > 0 {
@@ -903,13 +994,13 @@ impl EddyExecutor {
                 table,
                 emitted: reply.len,
             });
-            self.metrics.bump("stem_probes", self.now, 1);
+            self.metrics.bump_id(self.ids.stem_probes, self.now, 1);
             for (result, done) in results.by_ref().take(reply.len) {
                 // Track intermediate-result formation per span size — the
                 // §3.4 spanning-tree experiments watch these to see
                 // progress continue while a source is stalled.
                 self.metrics
-                    .bump(&format!("span{}_formed", result.span().len()), self.now, 1);
+                    .bump_id(self.ids.span_formed[result.span().len()], self.now, 1);
                 let mut rstate = TupleState::for_result(done);
                 rstate.prioritized = state.prioritized || self.is_prioritized(&result);
                 deliveries.push(Delivery {
@@ -921,7 +1012,7 @@ impl EddyExecutor {
 
             match reply.outcome {
                 ProbeOutcome::Consumed => {
-                    self.metrics.bump("probes_consumed", self.now, 1);
+                    self.metrics.bump_id(self.ids.probes_consumed, self.now, 1);
                 }
                 ProbeOutcome::Bounced(need) => {
                     let mut state = state;
@@ -952,7 +1043,7 @@ impl EddyExecutor {
                             state.prior_prober = Some(PriorProber { table, need });
                         }
                     }
-                    self.metrics.bump("probes_bounced", self.now, 1);
+                    self.metrics.bump_id(self.ids.probes_bounced, self.now, 1);
                     deliveries.push(Delivery {
                         tuple,
                         state,
@@ -1029,7 +1120,7 @@ impl EddyExecutor {
         let mut deliveries = Vec::new();
         for ((tuple, mut state), fused) in env.batch.into_iter().zip(env.states).zip(verdicts) {
             for (pred, passed) in &fused.evals {
-                self.metrics.bump("sm_applied", self.now, 1);
+                self.metrics.bump_id(self.ids.sm_applied, self.now, 1);
                 self.policy.feedback(&Feedback::Selected {
                     pred: *pred,
                     passed: *passed,
@@ -1045,7 +1136,7 @@ impl EddyExecutor {
                     });
                 }
                 Some(false) => {
-                    self.metrics.bump("filtered", self.now, 1);
+                    self.metrics.bump_id(self.ids.filtered, self.now, 1);
                 }
                 None => {
                     self.violations.push(format!(
@@ -1056,7 +1147,7 @@ impl EddyExecutor {
             }
         }
         self.metrics
-            .bump("fused_selects", self.now, siblings.len() as u64);
+            .bump_id(self.ids.fused_selects, self.now, siblings.len() as u64);
         (dur, deliveries, Vec::new())
     }
 
@@ -1089,7 +1180,7 @@ impl EddyExecutor {
                 ));
                 continue;
             };
-            self.metrics.bump("sm_applied", self.now, 1);
+            self.metrics.bump_id(self.ids.sm_applied, self.now, 1);
             self.policy.feedback(&Feedback::Selected {
                 pred: sm.pred_id(),
                 passed,
@@ -1102,7 +1193,7 @@ impl EddyExecutor {
                     clustered: false,
                 });
             } else {
-                self.metrics.bump("filtered", self.now, 1);
+                self.metrics.bump_id(self.ids.filtered, self.now, 1);
             }
         }
         deliveries
@@ -1125,16 +1216,19 @@ impl EddyExecutor {
         let out = sm.apply_batch_udf(&env.batch, self.config.udf_dedup);
         let dur =
             self.config.costs.sm_us * env.batch.len().max(1) as u64 + spec.cost_us * out.computed;
-        self.metrics.bump("udf_calls", self.now, out.computed);
+        self.metrics
+            .bump_id(self.ids.udf_calls, self.now, out.computed);
         if out.memo.hits > 0 {
-            self.metrics.bump("memo_hits", self.now, out.memo.hits);
+            self.metrics
+                .bump_id(self.ids.memo_hits, self.now, out.memo.hits);
         }
         if out.memo.misses > 0 {
-            self.metrics.bump("memo_misses", self.now, out.memo.misses);
+            self.metrics
+                .bump_id(self.ids.memo_misses, self.now, out.memo.misses);
         }
         if out.memo.evictions > 0 {
             self.metrics
-                .bump("memo_evictions", self.now, out.memo.evictions);
+                .bump_id(self.ids.memo_evictions, self.now, out.memo.evictions);
         }
         let rows = env.batch.len();
         let deliveries = self.apply_verdicts(sm, env, out.verdicts);
@@ -1171,10 +1265,10 @@ impl EddyExecutor {
                         );
                     }
                     IndexProbeOutcome::Queued => {
-                        self.metrics.bump("probes_queued", self.now, 1);
+                        self.metrics.bump_id(self.ids.probes_queued, self.now, 1);
                     }
                     IndexProbeOutcome::Coalesced => {
-                        self.metrics.bump("probes_coalesced", self.now, 1);
+                        self.metrics.bump_id(self.ids.probes_coalesced, self.now, 1);
                     }
                     IndexProbeOutcome::Unbindable => {
                         self.violations
@@ -1234,6 +1328,7 @@ impl EddyExecutor {
         let cap = self.config.batch_size.max(1);
         let mut groups: Vec<RouteGroup> = Vec::new();
         let mut waves: Vec<RouteGroup> = Vec::new();
+        let mut acts = std::mem::take(&mut self.candidates);
         for d in deliveries {
             let Delivery {
                 tuple,
@@ -1242,19 +1337,22 @@ impl EddyExecutor {
             } = d;
             state.hops += 1;
             if state.hops > self.config.max_hops {
-                self.metrics.bump("hops_exceeded", self.now, 1);
+                self.metrics.bump_id(self.ids.hops_exceeded, self.now, 1);
                 self.violations
                     .push("BoundedRepetition backstop hit (max_hops)".into());
                 continue;
             }
 
-            let acts: Vec<Action> = if tuple.is_eot() {
+            if tuple.is_eot() {
                 // EOTs go straight to their table's SteM; they join the
                 // same build group as sibling data rows so arrival order
                 // into the SteM is preserved.
                 let t = tuple.components()[0].table;
                 match self.layout.stem_mid[t.as_usize()] {
-                    Some(mid) => vec![Action::Build { mid, table: t }],
+                    Some(mid) => {
+                        acts.clear();
+                        acts.push(Action::Build { mid, table: t });
+                    }
                     None => continue,
                 }
             } else if tuple.span() == self.query.full_span()
@@ -1263,16 +1361,17 @@ impl EddyExecutor {
                 self.output(tuple, &state);
                 continue;
             } else {
-                match router::candidates(
+                match router::candidates_into(
                     &self.modules,
                     &self.layout,
                     &self.query,
                     &tuple,
                     &state,
                     self.config.probe_edges.as_deref(),
+                    &mut acts,
                 ) {
                     Err(NoCandidates::Retire) => {
-                        self.metrics.bump("retired", self.now, 1);
+                        self.metrics.bump_id(self.ids.retired, self.now, 1);
                         self.record(crate::report::TraceKind::Retire, &tuple);
                         continue;
                     }
@@ -1281,13 +1380,14 @@ impl EddyExecutor {
                         self.park(tuple, state, table);
                         continue;
                     }
-                    Ok(acts) => acts,
+                    Ok(()) => {}
                 }
-            };
+            }
 
             // Find the open group with the same candidate signature, or
-            // open a new one. Signature equality is what lets one policy
-            // decision stand for every member.
+            // open a new one (the only point the candidate list is
+            // copied). Signature equality is what lets one policy decision
+            // stand for every member.
             let prio = state.prioritized;
             match groups
                 .iter_mut()
@@ -1298,7 +1398,7 @@ impl EddyExecutor {
                     g.states.push(state);
                 }
                 None => groups.push(RouteGroup {
-                    actions: acts,
+                    actions: acts.clone(),
                     batch: TupleBatch::single(tuple),
                     states: vec![state],
                     clustered,
@@ -1312,6 +1412,7 @@ impl EddyExecutor {
                 waves.push(groups.remove(i));
             }
         }
+        self.candidates = acts;
         waves.append(&mut groups);
         // Modules earlier dispatches of this burst routed into — any later
         // wave offering one of them had a stale flush-time backlog view.
@@ -1350,7 +1451,7 @@ impl EddyExecutor {
             .iter()
             .any(|a| a.mid().is_some_and(|m| touched.contains(&m)))
         {
-            self.metrics.bump("hints_recosted", self.now, 1);
+            self.metrics.bump_id(self.ids.hints_recosted, self.now, 1);
         }
         let pairs: Vec<(Action, Hint)> = actions
             .into_iter()
@@ -1394,7 +1495,7 @@ impl EddyExecutor {
         let purpose = match action {
             Action::Drop => {
                 self.metrics
-                    .bump("policy_drops", self.now, batch.len() as u64);
+                    .bump_id(self.ids.policy_drops, self.now, batch.len() as u64);
                 return;
             }
             Action::Build { .. } => Purpose::Build,
@@ -1402,12 +1503,12 @@ impl EddyExecutor {
             Action::Select { .. } => Purpose::Select,
             Action::ProbeAm { table, .. } => {
                 self.metrics
-                    .bump("am_probe_choices", self.now, batch.len() as u64);
+                    .bump_id(self.ids.am_probe_choices, self.now, batch.len() as u64);
                 Purpose::AmProbe(table)
             }
         };
         let mid = action.mid().expect("drop handled above");
-        self.metrics.bump("route_batches", self.now, 1);
+        self.metrics.bump_id(self.ids.route_batches, self.now, 1);
         touched.insert(mid);
         self.enqueue(
             mid,
@@ -1440,9 +1541,9 @@ impl EddyExecutor {
             self.violations
                 .push(format!("duplicate result emitted: {tuple}"));
         }
-        self.metrics.bump("results", self.now, 1);
+        self.metrics.bump_id(self.ids.results, self.now, 1);
         if state.prioritized {
-            self.metrics.bump("priority_results", self.now, 1);
+            self.metrics.bump_id(self.ids.priority_results, self.now, 1);
         }
         self.results.push(tuple);
     }
@@ -1473,7 +1574,7 @@ impl EddyExecutor {
         } else {
             ParkKind::AnyBuild
         };
-        self.metrics.bump("parked", self.now, 1);
+        self.metrics.bump_id(self.ids.parked, self.now, 1);
         self.parked.push(ParkedTuple {
             tuple,
             state,
@@ -1522,7 +1623,7 @@ impl EddyExecutor {
         woken
             .into_iter()
             .map(|p| {
-                self.metrics.bump("unparked", self.now, 1);
+                self.metrics.bump_id(self.ids.unparked, self.now, 1);
                 Delivery {
                     tuple: p.tuple,
                     state: p.state,
@@ -1604,9 +1705,9 @@ impl EddyExecutor {
         if let Some(mid) = state.origin_am {
             self.policy.feedback(&Feedback::AmBuild { mid, fresh });
             if fresh {
-                self.metrics.bump("am_fresh_builds", self.now, 1);
+                self.metrics.bump_id(self.ids.am_fresh_builds, self.now, 1);
             } else {
-                self.metrics.bump("am_dup_builds", self.now, 1);
+                self.metrics.bump_id(self.ids.am_dup_builds, self.now, 1);
             }
         }
     }
@@ -1614,8 +1715,8 @@ impl EddyExecutor {
     fn observe_stem_mem(&mut self, stem: &crate::sharded::ShardedStem) {
         // Sampled sparsely to keep the series small.
         if stem.build_count().is_multiple_of(64) {
-            self.metrics.observe(
-                &format!("stem_bytes_{}", stem.instance),
+            self.metrics.observe_id(
+                self.ids.stem_bytes[stem.instance.as_usize()],
                 self.now,
                 stem.approx_bytes() as f64,
             );

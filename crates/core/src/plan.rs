@@ -17,7 +17,7 @@ use crate::sharded::ShardedStem;
 use crate::sm::Sm;
 pub use crate::stem::StemOptions;
 use crate::sync::{lock_recover, Arc, Mutex, MutexGuard, PoisonError};
-use stems_catalog::{feasible, AccessMethodDef, Catalog, QuerySpec};
+use stems_catalog::{feasible, AccessMethodDef, Catalog, JoinGraph, QuerySpec};
 use stems_types::{PredId, Result, TableIdx, TableSet};
 
 /// A shareable handle on one [`ShardedStem`]. Every plan wraps its SteMs
@@ -108,6 +108,9 @@ pub struct PlanLayout {
     pub build_required: Vec<bool>,
     /// Whether each instance's source has a scan AM.
     pub has_scan: Vec<bool>,
+    /// The query's join graph, built once here: the router walks it for
+    /// every tuple and must not rebuild it.
+    pub graph: JoinGraph,
 }
 
 /// Per-table configuration overrides used at instantiation time.
@@ -161,6 +164,7 @@ pub fn instantiate(
         index_mids: vec![Vec::new(); n],
         build_required: vec![false; n],
         has_scan: vec![false; n],
+        graph: query.join_graph(),
     };
 
     // Step 2: one AM module per catalog access method that the query uses.

@@ -79,6 +79,25 @@ pub fn candidates(
     state: &TupleState,
     probe_edges: Option<&[(TableIdx, TableIdx)]>,
 ) -> Result<Vec<Action>, NoCandidates> {
+    let mut acts = Vec::new();
+    candidates_into(modules, layout, query, tuple, state, probe_edges, &mut acts)?;
+    Ok(acts)
+}
+
+/// [`candidates`] into a caller-owned buffer: `acts` is cleared, then
+/// holds the candidate list on `Ok` (its contents are unspecified on
+/// `Err`). The eddy calls this once per routed tuple with one long-lived
+/// buffer, so the steady state allocates nothing here.
+pub fn candidates_into(
+    modules: &[Module],
+    layout: &PlanLayout,
+    query: &QuerySpec,
+    tuple: &Tuple,
+    state: &TupleState,
+    probe_edges: Option<&[(TableIdx, TableIdx)]>,
+    acts: &mut Vec<Action>,
+) -> Result<(), NoCandidates> {
+    acts.clear();
     let span = tuple.span();
 
     // BuildFirst (Table 2): an unbuilt singleton from a build-required
@@ -88,12 +107,11 @@ pub fn candidates(
         let unbuilt = tuple.components()[0].ts == stems_types::UNBUILT_TS;
         if unbuilt && layout.build_required[t.as_usize()] {
             if let Some(mid) = layout.stem_mid[t.as_usize()] {
-                return Ok(vec![Action::Build { mid, table: t }]);
+                acts.push(Action::Build { mid, table: t });
+                return Ok(());
             }
         }
     }
-
-    let mut acts: Vec<Action> = Vec::new();
 
     // Selections not yet passed and evaluable on the current span.
     for (pred, mid) in &layout.sm_mids {
@@ -140,14 +158,13 @@ pub fn candidates(
         if acts.is_empty() {
             return Err(NoCandidates::Retire);
         }
-        return Ok(acts);
+        return Ok(());
     }
 
     // SteM probes: adjacent (predicate-linked) tables outside the span;
     // if no predicate links anything (cross product), every remaining
     // table is a candidate.
-    let graph = query.join_graph();
-    let mut frontier = graph.frontier(span);
+    let mut frontier = layout.graph.frontier(span);
     if frontier.is_empty() {
         frontier = query.full_span().minus(span);
     }
@@ -173,7 +190,7 @@ pub fn candidates(
     if acts.is_empty() {
         Err(NoCandidates::Retire)
     } else {
-        Ok(acts)
+        Ok(())
     }
 }
 
@@ -250,6 +267,93 @@ mod tests {
 
     fn plan(c: &Catalog, q: &QuerySpec) -> (Vec<Module>, PlanLayout) {
         instantiate(c, q, &PlanOptions::default()).unwrap()
+    }
+
+    /// Shadows [`super::candidates`] for every test below: each tuple ×
+    /// state they build is also run through [`candidates_into`] with a
+    /// dirty buffer, under the edges asked for, under no restriction,
+    /// under every graph edge and under none — and the two entry points
+    /// must agree on the `Ok` list or the `NoCandidates` reason each time.
+    fn candidates(
+        modules: &[Module],
+        layout: &PlanLayout,
+        query: &QuerySpec,
+        tuple: &Tuple,
+        state: &TupleState,
+        probe_edges: Option<&[(TableIdx, TableIdx)]>,
+    ) -> Result<Vec<Action>, NoCandidates> {
+        let every: Vec<(TableIdx, TableIdx)> =
+            layout.graph.edges().iter().map(|e| (e.0, e.1)).collect();
+        let mut buf = vec![Action::Drop; 3];
+        for edges in [probe_edges, None, Some(&every[..]), Some(&[][..])] {
+            let owned = super::candidates(modules, layout, query, tuple, state, edges);
+            let filled = candidates_into(modules, layout, query, tuple, state, edges, &mut buf)
+                .map(|()| buf.clone());
+            assert_eq!(owned, filled, "probe_edges {edges:?}");
+        }
+        super::candidates(modules, layout, query, tuple, state, probe_edges)
+    }
+
+    /// Triangle query A–B–C–A on column `k`.
+    fn triangle() -> (Catalog, QuerySpec) {
+        let mut c = Catalog::new();
+        let schema = Schema::of(&[("k", ColumnType::Int)]);
+        let ids: Vec<_> = ["A", "B", "C"]
+            .iter()
+            .map(|n| {
+                let id = c.add_table(TableDef::new(n, schema.clone())).unwrap();
+                c.add_scan(id, ScanSpec::default()).unwrap();
+                id
+            })
+            .collect();
+        let q = QuerySpec::new(
+            &c,
+            ids.iter()
+                .zip(["a", "b", "cc"])
+                .map(|(s, al)| TableInstance {
+                    source: *s,
+                    alias: al.into(),
+                })
+                .collect(),
+            vec![
+                Predicate::join(
+                    PredId(0),
+                    ColRef::new(TableIdx(0), 0),
+                    CmpOp::Eq,
+                    ColRef::new(TableIdx(1), 0),
+                ),
+                Predicate::join(
+                    PredId(1),
+                    ColRef::new(TableIdx(1), 0),
+                    CmpOp::Eq,
+                    ColRef::new(TableIdx(2), 0),
+                ),
+                Predicate::join(
+                    PredId(2),
+                    ColRef::new(TableIdx(0), 0),
+                    CmpOp::Eq,
+                    ColRef::new(TableIdx(2), 0),
+                ),
+            ],
+            None,
+        )
+        .unwrap();
+        (c, q)
+    }
+
+    /// The router walks the graph the plan built; it must be the query's.
+    #[test]
+    fn layout_carries_the_querys_join_graph() {
+        let cross = {
+            let (c, q) = setup(false);
+            let q = QuerySpec::new(&c, q.tables, vec![], None).unwrap();
+            (c, q)
+        };
+        for (c, q) in [setup(true), setup(false), triangle(), cross] {
+            let (_m, l) = plan(&c, &q);
+            assert_eq!(l.graph.edges(), q.join_graph().edges());
+            assert_eq!(l.graph.n_vertices(), q.n_tables());
+        }
     }
 
     fn r_tuple(key: i64, a: i64) -> Tuple {
@@ -392,49 +496,8 @@ mod tests {
 
     #[test]
     fn probe_edges_restrict_spanning_tree() {
-        // Triangle query; restricting to edges (0,1),(1,2) forbids 0–2.
-        let mut c = Catalog::new();
-        let schema = Schema::of(&[("k", ColumnType::Int)]);
-        let ids: Vec<_> = ["A", "B", "C"]
-            .iter()
-            .map(|n| {
-                let id = c.add_table(TableDef::new(n, schema.clone())).unwrap();
-                c.add_scan(id, ScanSpec::default()).unwrap();
-                id
-            })
-            .collect();
-        let q = QuerySpec::new(
-            &c,
-            ids.iter()
-                .zip(["a", "b", "cc"])
-                .map(|(s, al)| TableInstance {
-                    source: *s,
-                    alias: al.into(),
-                })
-                .collect(),
-            vec![
-                Predicate::join(
-                    PredId(0),
-                    ColRef::new(TableIdx(0), 0),
-                    CmpOp::Eq,
-                    ColRef::new(TableIdx(1), 0),
-                ),
-                Predicate::join(
-                    PredId(1),
-                    ColRef::new(TableIdx(1), 0),
-                    CmpOp::Eq,
-                    ColRef::new(TableIdx(2), 0),
-                ),
-                Predicate::join(
-                    PredId(2),
-                    ColRef::new(TableIdx(0), 0),
-                    CmpOp::Eq,
-                    ColRef::new(TableIdx(2), 0),
-                ),
-            ],
-            None,
-        )
-        .unwrap();
+        // Restricting the triangle to edges (0,1),(1,2) forbids 0–2.
+        let (c, q) = triangle();
         let (m, l) = plan(&c, &q);
         let a =
             Tuple::singleton_of(TableIdx(0), vec![Value::Int(1)]).with_timestamp(TableIdx(0), 1);

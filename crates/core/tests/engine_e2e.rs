@@ -600,3 +600,172 @@ fn null_join_keys_match_nothing() {
     let report = assert_matches_reference(&c, &q, checked_config());
     assert_eq!(report.results.len(), 1);
 }
+
+/// A–B–D chain (`A.v = B.v`, `B.k = D.k`, `A.k >= 8`), all scans.
+fn chain_catalog() -> (Catalog, QuerySpec) {
+    let mut c = Catalog::new();
+    let schema = Schema::of(&[("k", ColumnType::Int), ("v", ColumnType::Int)]);
+    let tables = [("a", 128, 16), ("b", 96, 16), ("d", 64, 8)]
+        .iter()
+        .map(|&(alias, n, distinct)| {
+            let def = TableDef::new(&alias.to_uppercase(), schema.clone());
+            let source = c.add_table(def.with_rows(r_rows(n, distinct))).unwrap();
+            c.add_scan(source, ScanSpec::with_rate(1000.0)).unwrap();
+            TableInstance {
+                source,
+                alias: alias.into(),
+            }
+        })
+        .collect();
+    let join = |id, l: (u8, usize), r: (u8, usize)| {
+        Predicate::join(
+            PredId(id),
+            ColRef::new(TableIdx(l.0), l.1),
+            CmpOp::Eq,
+            ColRef::new(TableIdx(r.0), r.1),
+        )
+    };
+    let preds = vec![
+        join(0, (0, 1), (1, 1)),
+        join(1, (1, 0), (2, 0)),
+        Predicate::selection(
+            PredId(2),
+            ColRef::new(TableIdx(0), 0),
+            CmpOp::Ge,
+            Value::Int(8),
+        ),
+    ];
+    let q = QuerySpec::new(&c, tables, preds, None).unwrap();
+    (c, q)
+}
+
+/// R ⋈ S with a scan *and* an index on S (fig-8 topology).
+fn hybrid_catalog() -> (Catalog, QuerySpec) {
+    let (mut c, r, s) = two_table_catalog(r_rows(100, 25), r_rows(25, 25));
+    c.add_scan(r, ScanSpec::with_rate(500.0)).unwrap();
+    c.add_scan(s, ScanSpec::with_rate(100.0)).unwrap();
+    c.add_index(s, IndexSpec::new(vec![0], 20_000)).unwrap();
+    let q = rs_query(&c, r, s, vec![]);
+    (c, q)
+}
+
+/// The metric **name set** is part of the engine's surface: figures,
+/// examples and the benchmark read series by name, and the executor
+/// resolves every name to an id once at build. A metric that is renamed,
+/// dropped or never resolved must fail here instead of silently vanishing
+/// from a figure. Counters pinned are the ones that hold in every
+/// shards × workers environment cell.
+#[test]
+fn metric_names_and_counters_are_pinned() {
+    const CHAIN: &[&str] = &[
+        "end",
+        "filtered",
+        "hints_recosted",
+        "probes_consumed",
+        "results",
+        "route_batches",
+        "scanned",
+        "sm_applied",
+        "span2_formed",
+        "span3_formed",
+        "stem_bytes_t0",
+        "stem_bytes_t1",
+        "stem_bytes_t2",
+        "stem_bytes_total",
+        "stem_probes",
+    ];
+    const HYBRID: &[&str] = &[
+        "am_dup_builds",
+        "am_probe_choices",
+        "am_responses",
+        "duplicates_absorbed",
+        "end",
+        "hints_recosted",
+        "index_probes",
+        "policy_drops",
+        "probes_bounced",
+        "probes_coalesced",
+        "probes_consumed",
+        "probes_queued",
+        "results",
+        "route_batches",
+        "scanned",
+        "span2_formed",
+        "stem_bytes_t0",
+        "stem_bytes_total",
+        "stem_probes",
+    ];
+    // Batching changes how many envelopes carry the tuples and how many
+    // hybrid probes bounce before the scan catches up, nothing else here.
+    for (batch_size, chain_batches, hybrid_batches, bounced, probes) in
+        [(1, 1483, 387, 85, 125), (64, 963, 369, 92, 132)]
+    {
+        let run = |(c, q): (Catalog, QuerySpec)| {
+            let config = ExecConfig {
+                batch_size,
+                policy: RoutingPolicyKind::Fixed { probe_order: None },
+                ..checked_config()
+            };
+            assert_matches_reference(&c, &q, config)
+        };
+        // On these fixtures only the scalar engine splits a burst into
+        // several waves that offer the same module.
+        let expected = |names: &[&'static str]| -> Vec<&'static str> {
+            let keep = |n: &&str| batch_size == 1 || *n != "hints_recosted";
+            names.iter().copied().filter(keep).collect()
+        };
+
+        let chain = run(chain_catalog());
+        let names: Vec<&str> = chain.metrics.series_names().collect();
+        assert_eq!(names, expected(CHAIN), "chain, batch_size {batch_size}");
+        for (name, want) in [
+            ("scanned", 288),
+            ("sm_applied", 128),
+            ("filtered", 8),
+            ("stem_probes", 1064),
+            ("probes_consumed", 1064),
+            ("span2_formed", 784),
+            ("span3_formed", 480),
+            ("results", 480),
+            ("route_batches", chain_batches),
+            ("never_recorded", 0),
+        ] {
+            assert_eq!(
+                chain.counter(name),
+                want,
+                "chain {name}, batch_size {batch_size}"
+            );
+        }
+        assert_eq!(chain.metrics.series("results").unwrap().len(), 480);
+        assert_eq!(
+            chain.metrics.series("end").unwrap().points(),
+            &[(chain.end_time, 1.0)]
+        );
+
+        let hybrid = run(hybrid_catalog());
+        let names: Vec<&str> = hybrid.metrics.series_names().collect();
+        assert_eq!(names, expected(HYBRID), "hybrid, batch_size {batch_size}");
+        for (name, want) in [
+            ("scanned", 125),
+            ("index_probes", 25),
+            ("am_responses", 25),
+            ("am_dup_builds", 25),
+            ("duplicates_absorbed", 25),
+            ("am_probe_choices", 85),
+            ("policy_drops", 85),
+            ("probes_queued", 24),
+            ("probes_coalesced", 60),
+            ("probes_bounced", bounced),
+            ("stem_probes", probes),
+            ("span2_formed", 100),
+            ("results", 100),
+            ("route_batches", hybrid_batches),
+        ] {
+            assert_eq!(
+                hybrid.counter(name),
+                want,
+                "hybrid {name}, batch_size {batch_size}"
+            );
+        }
+    }
+}

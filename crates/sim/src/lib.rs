@@ -23,8 +23,11 @@
 //! * [`SimRng`] — a small, seedable, splittable PRNG so workloads and
 //!   policies are reproducible without threading a `rand` generic through
 //!   every API.
-//! * [`Metrics`] / [`Series`] — counters and `(time, value)` series with CSV
-//!   export; these are what the bench binaries print.
+//! * [`Metrics`] / [`Series`] — counters and exact `(time, value)` series
+//!   with CSV export; these are what the bench binaries print. A name is
+//!   resolved once to a [`MetricId`] and updated by id from then on; an
+//!   id that was registered but never touched is invisible to every
+//!   reader.
 //! * [`ascii_plot`] — terminal rendering of series for the bench harness.
 
 mod agenda;
@@ -36,7 +39,7 @@ mod time;
 
 pub use agenda::EventQueue;
 pub use latency::{LatencyModel, StallWindows};
-pub use metrics::{Metrics, Series};
+pub use metrics::{MetricId, Metrics, Series};
 pub use plot::{ascii_plot, PlotSpec};
 pub use rng::SimRng;
 pub use time::{burst_gap, secs, secs_f, to_secs, Duration, Time, MICROS_PER_SEC};

@@ -2,17 +2,44 @@
 //!
 //! The paper's figures plot cumulative quantities ("number of result tuples
 //! output", "number of index probes made") against time. [`Series`] records
-//! exactly that: monotone `(time, value)` step points. [`Metrics`] is a
-//! string-keyed registry of counters and series attached to an execution.
+//! exactly that: monotone `(time, value)` step points. [`Metrics`] is the
+//! registry of counters and series attached to an execution.
+//!
+//! # Ids on the hot path, names at the edges
+//!
+//! A metric's name is resolved to a [`MetricId`] once ([`Metrics::id`] —
+//! the only place a name is allocated) and every update after that is an
+//! indexed write plus a series push ([`Metrics::bump_id`],
+//! [`Metrics::observe_id`]). The engine resolves all of its ids when an
+//! executor is built, so nothing on its per-tuple path hashes, compares or
+//! allocates a name. [`Metrics::bump`] / [`Metrics::observe`] by name are
+//! `id()` + the id form, for callers off the hot path.
+//!
+//! **Invisibility rule:** registering an id records nothing. Until it is
+//! first bumped or observed the metric does not exist for any reader —
+//! `counter` is 0, `series` is `None`, `series_names` skips it and `==`
+//! ignores it — so an executor may resolve every id it *might* use without
+//! changing what a report shows, and two registries compare equal whenever
+//! their recorded points do, whatever order their ids were issued in.
+//!
+//! **Series stay exact:** every update appends a point. The figures zip
+//! `results` points with result rows one to one and `peak_state_bytes` is
+//! the maximum of `stem_bytes_total`, so decimating or sampling a series
+//! is a change to what is observed, not to how cheaply it is recorded.
 
 use crate::{to_secs, Time};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A named time series of `(virtual time, value)` observations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Series {
     points: Vec<(Time, f64)>,
+}
+
+/// Time of row `i` on a uniform grid of `n + 1` rows over `[0, horizon]`.
+/// Row `n` lands exactly on the horizon whether or not `n` divides it.
+pub(crate) fn grid_time(horizon: Time, n: usize, i: usize) -> Time {
+    (horizon as u128 * i as u128 / n as u128) as Time
 }
 
 impl Series {
@@ -59,7 +86,7 @@ impl Series {
         assert!(n > 0);
         (0..=n)
             .map(|i| {
-                let t = horizon / n as u64 * i as u64;
+                let t = grid_time(horizon, n, i);
                 (t, self.value_at(t))
             })
             .collect()
@@ -74,12 +101,39 @@ impl Series {
     }
 }
 
-/// Metric registry for one execution: monotone counters (most of which are
-/// mirrored into series for plotting) and named series.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Handle on one metric of one [`Metrics`] registry (or a clone of it),
+/// issued by [`Metrics::id`]. Using it on another registry is a bug: it
+/// panics or updates an unrelated metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricId(u32);
+
+/// One metric: its name and everything recorded under it.
+#[derive(Debug, Clone, PartialEq)]
+struct Slot {
+    name: String,
+    counter: u64,
+    /// Set by the first bump: tells a counter that was bumped by 0 from a
+    /// series that was only ever observed.
+    is_counter: bool,
+    series: Series,
+}
+
+impl Slot {
+    /// Something was recorded here (see the module's invisibility rule).
+    fn visible(&self) -> bool {
+        !self.series.is_empty()
+    }
+}
+
+/// Metric registry for one execution: monotone counters (each mirrored
+/// into a series for plotting) and raw series.
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    series: BTreeMap<String, Series>,
+    /// Indexed by [`MetricId`], in registration order.
+    slots: Vec<Slot>,
+    /// Every id, ordered by name: the lookup index and the order
+    /// [`Self::series_names`] reports.
+    by_name: Vec<MetricId>,
 }
 
 impl Metrics {
@@ -87,34 +141,85 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Add `delta` to a counter and record the new value in the counter's
-    /// series at time `t`.
-    pub fn bump(&mut self, name: &str, t: Time, delta: u64) {
-        let c = self.counters.entry(name.to_string()).or_insert(0);
-        *c += delta;
-        let v = *c as f64;
-        self.series.entry(name.to_string()).or_default().push(t, v);
+    /// Position of `name` in `by_name`, or where it would be inserted.
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.by_name
+            .binary_search_by(|id| self.slots[id.0 as usize].name.as_str().cmp(name))
     }
 
-    /// Record a raw (non-counter) observation in a named series, e.g.
-    /// memory footprint or a routing fraction.
+    /// The recorded slot for `name`, if anything was recorded under it.
+    fn slot(&self, name: &str) -> Option<&Slot> {
+        let pos = self.position(name).ok()?;
+        Some(&self.slots[self.by_name[pos].0 as usize]).filter(|s| s.visible())
+    }
+
+    /// Recorded slots in name order.
+    fn visible(&self) -> impl Iterator<Item = &Slot> {
+        self.by_name
+            .iter()
+            .map(|id| &self.slots[id.0 as usize])
+            .filter(|s| s.visible())
+    }
+
+    /// Resolve `name` to its id, registering it on first use. Registering
+    /// records nothing (the invisibility rule).
+    pub fn id(&mut self, name: &str) -> MetricId {
+        match self.position(name) {
+            Ok(pos) => self.by_name[pos],
+            Err(pos) => {
+                let id = MetricId(u32::try_from(self.slots.len()).expect("metric count fits u32"));
+                self.slots.push(Slot {
+                    name: name.to_string(),
+                    counter: 0,
+                    is_counter: false,
+                    series: Series::new(),
+                });
+                self.by_name.insert(pos, id);
+                id
+            }
+        }
+    }
+
+    /// Add `delta` to a counter and record the new value in the counter's
+    /// series at time `t`.
+    pub fn bump_id(&mut self, id: MetricId, t: Time, delta: u64) {
+        let slot = &mut self.slots[id.0 as usize];
+        slot.counter += delta;
+        slot.is_counter = true;
+        slot.series.push(t, slot.counter as f64);
+    }
+
+    /// Record a raw (non-counter) observation in a series, e.g. memory
+    /// footprint or a routing fraction.
+    pub fn observe_id(&mut self, id: MetricId, t: Time, v: f64) {
+        self.slots[id.0 as usize].series.push(t, v);
+    }
+
+    /// [`Self::bump_id`] by name, for callers off the hot path.
+    pub fn bump(&mut self, name: &str, t: Time, delta: u64) {
+        let id = self.id(name);
+        self.bump_id(id, t, delta);
+    }
+
+    /// [`Self::observe_id`] by name, for callers off the hot path.
     pub fn observe(&mut self, name: &str, t: Time, v: f64) {
-        self.series.entry(name.to_string()).or_default().push(t, v);
+        let id = self.id(name);
+        self.observe_id(id, t, v);
     }
 
     /// Current counter value (0 if never bumped).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.slot(name).map_or(0, |s| s.counter)
     }
 
-    /// Fetch a series by name.
+    /// Fetch a series by name (`None` if nothing was recorded under it).
     pub fn series(&self, name: &str) -> Option<&Series> {
-        self.series.get(name)
+        self.slot(name).map(|s| &s.series)
     }
 
-    /// Names of all recorded series.
+    /// Names of all recorded series, sorted.
     pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
+        self.visible().map(|s| s.name.as_str())
     }
 
     /// Render selected series as CSV: `time_secs,<name1>,<name2>,...` on a
@@ -127,7 +232,7 @@ impl Metrics {
         }
         out.push('\n');
         for i in 0..=n {
-            let t = horizon / n as u64 * i as u64;
+            let t = grid_time(horizon, n, i);
             let _ = write!(out, "{:.3}", to_secs(t));
             for name in names {
                 let v = self.series(name).map_or(0.0, |s| s.value_at(t));
@@ -137,25 +242,21 @@ impl Metrics {
         }
         out
     }
+}
 
-    /// Merge another metrics object (used when a run is composed of phases).
-    pub fn absorb(&mut self, other: Metrics) {
-        for (k, v) in other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, s) in other.series {
-            let entry = self.series.entry(k).or_default();
-            for (t, v) in s.points {
-                entry.points.push((t, v));
-            }
-            entry.points.sort_by_key(|(t, _)| *t);
-        }
+/// Equality of the observable view: the same names carry the same counter
+/// and the same points. Ids that were registered but never touched, and
+/// the order ids were issued in, do not count.
+impl PartialEq for Metrics {
+    fn eq(&self, other: &Metrics) -> bool {
+        self.visible().eq(other.visible())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRng;
 
     #[test]
     fn series_step_interpolation() {
@@ -182,6 +283,20 @@ mod tests {
         assert_eq!(g[0], (0, 0.0));
         assert_eq!(g[2], (50, 5.0));
         assert_eq!(g[4], (100, 5.0));
+    }
+
+    /// `n ∤ horizon`: the last grid row still lands on the horizon, so a
+    /// point recorded at the very end is not lost.
+    #[test]
+    fn sample_grid_reaches_an_indivisible_horizon() {
+        let mut s = Series::new();
+        s.push(0, 1.0);
+        s.push(101, 9.0);
+        let g = s.sample_grid(101, 4);
+        assert_eq!(g.len(), 5);
+        assert_eq!(g[0], (0, 1.0));
+        assert_eq!(g[4], (101, 9.0));
+        assert!(g.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
@@ -216,15 +331,115 @@ mod tests {
         assert!(lines[3].contains(",1.000,2.000"));
     }
 
+    /// `n ∤ horizon`: the last CSV row carries the horizon and the series'
+    /// last value (the truncating grid stopped at 999 999 µs and printed 1).
     #[test]
-    fn absorb_merges() {
-        let mut a = Metrics::new();
-        a.bump("x", 1, 1);
-        let mut b = Metrics::new();
-        b.bump("x", 2, 5);
-        b.observe("y", 3, 1.5);
-        a.absorb(b);
-        assert_eq!(a.counter("x"), 6);
-        assert!(a.series("y").is_some());
+    fn csv_last_row_carries_the_horizon() {
+        let mut m = Metrics::new();
+        m.bump("results", 10, 1);
+        m.bump("results", 1_000_001, 4);
+        let csv = m.to_csv(&["results"], 1_000_001, 3);
+        assert_eq!(csv.lines().last(), Some("1.000,5.000"));
+        assert_eq!(csv.lines().count(), 5);
+    }
+
+    #[test]
+    fn registered_but_never_touched_is_invisible() {
+        let mut m = Metrics::new();
+        let idle = m.id("idle");
+        assert_eq!(m.id("idle"), idle, "resolving twice yields one id");
+        assert_eq!(m.counter("idle"), 0);
+        assert!(m.series("idle").is_none());
+        assert_eq!(m.series_names().count(), 0);
+        assert_eq!(m, Metrics::new());
+        assert_eq!(
+            m.to_csv(&["idle"], 10, 1),
+            "time_secs,idle\n0.000,0.000\n0.000,0.000\n"
+        );
+
+        let used = m.id("used");
+        m.bump_id(used, 3, 2);
+        assert_eq!(m.series_names().collect::<Vec<_>>(), ["used"]);
+        let mut by_name = Metrics::new();
+        by_name.bump("used", 3, 2);
+        assert_eq!(m, by_name);
+        // A bump by 0 is a recorded counter; an equal-valued observation
+        // is a raw series. The view tells them apart.
+        let mut bumped = Metrics::new();
+        bumped.bump("x", 1, 0);
+        let mut observed = Metrics::new();
+        observed.observe("x", 1, 0.0);
+        assert_eq!(bumped.series("x"), observed.series("x"));
+        assert_ne!(bumped, observed);
+    }
+
+    /// Random interleavings of by-name and by-id updates, applied to two
+    /// registries whose ids were issued in different orders and padded
+    /// with ids that are never touched, leave the same observable view.
+    #[test]
+    fn view_is_independent_of_registration_order() {
+        const NAMES: [&str; 7] = ["results", "a", "span2_formed", "zz", "b", "mem", "end"];
+        for seed in 0..50 {
+            let mut rng = SimRng::new(seed);
+            // `left` resolves nothing up front; `right` resolves every
+            // name in a shuffled order, between never-touched extras.
+            let mut left = Metrics::new();
+            let mut right = Metrics::new();
+            let mut order: Vec<usize> = (0..NAMES.len()).collect();
+            rng.shuffle(&mut order);
+            let mut right_ids = [None; NAMES.len()];
+            for (k, &i) in order.iter().enumerate() {
+                right.id(&format!("idle{k}"));
+                right_ids[i] = Some(right.id(NAMES[i]));
+            }
+            let mut touched = [false; NAMES.len()];
+            let steps = rng.below(200);
+            for t in 0..steps {
+                let i = rng.below(NAMES.len() as u64) as usize;
+                let name = NAMES[i];
+                touched[i] = true;
+                let by_id = rng.chance(0.5);
+                if rng.chance(0.6) {
+                    let delta = rng.below(4);
+                    left.bump(name, t, delta);
+                    if by_id {
+                        right.bump_id(right_ids[i].unwrap(), t, delta);
+                    } else {
+                        right.bump(name, t, delta);
+                    }
+                } else {
+                    let v = rng.unit() * 100.0;
+                    if by_id {
+                        let id = left.id(name);
+                        left.observe_id(id, t, v);
+                    } else {
+                        left.observe(name, t, v);
+                    }
+                    right.observe(name, t, v);
+                }
+            }
+            assert_eq!(left, right, "seed {seed}");
+            assert_eq!(right, left, "seed {seed}");
+            let names: Vec<&str> = left.series_names().collect();
+            assert_eq!(names, right.series_names().collect::<Vec<_>>());
+            let mut expected: Vec<&str> = NAMES
+                .iter()
+                .zip(touched)
+                .filter_map(|(n, hit)| hit.then_some(*n))
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(names, expected, "seed {seed}: sorted, touched names only");
+            for name in NAMES {
+                assert_eq!(left.counter(name), right.counter(name), "{name}");
+                assert_eq!(
+                    left.series(name).map(Series::points),
+                    right.series(name).map(Series::points),
+                    "{name}"
+                );
+            }
+            // One more point on one side breaks equality.
+            right.bump("results", steps, 1);
+            assert_ne!(left, right, "seed {seed}");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! ASCII rendering of time series, used by the bench binaries to print the
 //! paper's figures directly in the terminal.
 
+use crate::metrics::grid_time;
 use crate::{to_secs, Series, Time};
 use std::fmt::Write as _;
 
@@ -63,7 +64,7 @@ pub fn ascii_plot(spec: &PlotSpec, series: &[(&str, &Series)]) -> String {
         for col in 0..w {
             // Last column lands exactly on the horizon so completed curves
             // touch the top row.
-            let t = (horizon as u128 * col as u128 / (w as u128 - 1)) as Time;
+            let t = grid_time(horizon, w - 1, col);
             let v = s.value_at(t);
             let row_f = (v / y_max) * (h as f64 - 1.0);
             let row = h - 1 - (row_f.round() as usize).min(h - 1);

@@ -16,6 +16,7 @@
 //! | `lock-unwrap` | no `.lock().unwrap()` / `.lock().expect(..)` — poison policy goes through `lock_ok` / `lock_recover` |
 //! | `std-thread` | no thread spawning outside `runtime.rs` / `stems-check` |
 //! | `wall-clock` | no `Instant::now` / `SystemTime` outside `crates/bench` (virtual-time discipline) |
+//! | `metric-by-name` | no name-taking `.bump(` / `.observe(` in `engine.rs` / `server.rs` — the per-tuple path updates metrics by `MetricId` |
 //!
 //! The scanner is token-level, not syntactic: comments, strings, and
 //! char literals are stripped before matching, so banned names in docs
@@ -155,6 +156,7 @@ fn lint_source(path: &str, text: &str) -> Vec<Finding> {
     let in_shim = path == "crates/core/src/sync.rs";
     let in_bench = path.starts_with("crates/bench/");
     let in_runtime = path == "crates/core/src/runtime.rs";
+    let per_tuple_path = path == "crates/core/src/engine.rs" || path == "crates/core/src/server.rs";
 
     let mut findings = Vec::new();
     let mut sync_use_block = false;
@@ -224,6 +226,22 @@ fn lint_source(path: &str, text: &str) -> Vec<Finding> {
                         line: lineno,
                         message: format!(
                             "`{pat}` in a virtual-time crate — time comes from the simulation clock"
+                        ),
+                    });
+                }
+            }
+        }
+
+        // metric-by-name — nothing the eddy does per tuple may look a
+        // metric up by name (`.bump_id(` / `.observe_id(` do not match).
+        if per_tuple_path {
+            for pat in [".bump(", ".observe("] {
+                if code_line.contains(pat) {
+                    findings.push(Finding {
+                        rule: "metric-by-name",
+                        line: lineno,
+                        message: format!(
+                            "`{pat}..)` looks a metric up by name on the per-tuple path — resolve a `MetricId` at build"
                         ),
                     });
                 }
