@@ -23,7 +23,7 @@ use stems_core::{EddyExecutor, ExecConfig, RoutingPolicyKind};
 use stems_datagen::{gen::ColGen, TableBuilder};
 use stems_sim::SimRng;
 use stems_sql::parse_query;
-use stems_storage::{CandidateBuf, DictStore, HashStore, ListStore, RowSet, StoreKind};
+use stems_storage::{CandidateBuf, DictStore, HashStore, ListStore, RowSet, Slot, StoreKind};
 use stems_types::{ColumnType, HashedKey, PredId, Row, Schema, TableIdx, Tuple, Value};
 
 const N_ROWS: usize = 10_000;
@@ -99,14 +99,16 @@ fn bench_stem_probe() {
 
 fn bench_dedup() {
     let data = rows(N_ROWS);
+    // The filter holds slots; `data` plays the slab that resolves them.
+    let held = |s: Slot| -> &Row { &data[s as usize] };
     bench("dedup_rowset", 20, || {
         let mut set = RowSet::new();
-        for r in &data {
-            set.insert(r.clone());
+        for (slot, r) in data.iter().enumerate() {
+            set.insert(RowSet::hash_of(r), r, slot as Slot, held);
         }
         // Second pass: every row is a duplicate.
         for r in &data {
-            black_box(set.insert(r.clone()));
+            black_box(set.insert(RowSet::hash_of(r), r, N_ROWS as Slot, held));
         }
         set.len() as u64
     });

@@ -10,31 +10,35 @@ use crate::{Catalog, QuerySpec};
 use stems_types::{TableIdx, Tuple, Value};
 
 /// Compute the full result set of `q` by nested loops.
+///
+/// Every candidate is pruned as it is formed, with every predicate
+/// evaluable on the span it has reached: the loops enumerate the cross
+/// product, they never hold it. Filtering a finished step instead would
+/// keep |R|·|S| tuples alive before the first join predicate is looked
+/// at, and make this oracle the peak resident size of any process that
+/// calls it — the benchmark's set-up does.
 pub fn execute(catalog: &Catalog, q: &QuerySpec) -> Vec<Tuple> {
+    let keep = |tpl: &Tuple| q.predicates.iter().all(|p| p.eval(tpl).unwrap_or(true));
     let mut acc: Vec<Tuple> = Vec::new();
-    let mut first = true;
     for (i, ti) in q.tables.iter().enumerate() {
         let t = TableIdx(i as u8);
         let rows = catalog.table_expect(ti.source).rows();
+        let singles = rows.iter().map(|r| Tuple::singleton(t, r.clone()));
         let mut next = Vec::new();
-        if first {
-            for r in rows {
-                next.push(Tuple::singleton(t, r.clone()));
-            }
-            first = false;
+        if i == 0 {
+            next.extend(singles.filter(keep));
         } else {
+            let singles: Vec<Tuple> = singles.collect();
             for partial in &acc {
-                for r in rows {
-                    next.push(partial.concat(&Tuple::singleton(t, r.clone())));
+                for single in &singles {
+                    let candidate = partial.concat(single);
+                    if keep(&candidate) {
+                        next.push(candidate);
+                    }
                 }
             }
         }
-        // Prune with every predicate evaluable on the new span — keeps the
-        // intermediate size manageable for tests.
-        acc = next
-            .into_iter()
-            .filter(|tpl| q.predicates.iter().all(|p| p.eval(tpl).unwrap_or(true)))
-            .collect();
+        acc = next;
     }
     acc
 }
@@ -240,5 +244,42 @@ mod tests {
         let res = execute(&c, &q);
         // k must agree across all three: (1,1,1) and (2,2,2).
         assert_eq!(res.len(), 2);
+    }
+
+    /// The formulation `execute` replaced: hold the whole cross product
+    /// of each step, then filter it.
+    fn materialize_then_filter(catalog: &Catalog, q: &QuerySpec) -> Vec<Tuple> {
+        let mut acc: Vec<Tuple> = vec![];
+        for (i, ti) in q.tables.iter().enumerate() {
+            let rows = catalog.table_expect(ti.source).rows().iter();
+            let singles = rows.map(|r| Tuple::singleton(TableIdx(i as u8), r.clone()));
+            let mut next: Vec<Tuple> = singles.collect();
+            if i > 0 {
+                let singles = std::mem::take(&mut next);
+                for partial in &acc {
+                    next.extend(singles.iter().map(|s| partial.concat(s)));
+                }
+            }
+            next.retain(|tpl| q.predicates.iter().all(|p| p.eval(tpl).unwrap_or(true)));
+            acc = next;
+        }
+        acc
+    }
+
+    #[test]
+    fn pruning_while_enumerating_keeps_rows_and_their_order() {
+        let (c, mut q) = setup();
+        assert_eq!(execute(&c, &q), materialize_then_filter(&c, &q));
+        q.predicates.push(Predicate::selection(
+            PredId(1),
+            ColRef::new(TableIdx(0), 0),
+            CmpOp::Gt,
+            Value::Int(1),
+        ));
+        assert_eq!(execute(&c, &q), materialize_then_filter(&c, &q));
+        q.predicates.clear();
+        let product = execute(&c, &q);
+        assert_eq!(product.len(), 6);
+        assert_eq!(product, materialize_then_filter(&c, &q));
     }
 }

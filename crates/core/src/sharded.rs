@@ -8,11 +8,14 @@
 //! with `num_shards: 1` is the same code with a single lane — nothing to
 //! route, nothing to merge — not a separate engine.
 //!
-//! A lane owns only what must exist per lane: the dictionary, the dedup
-//! filter, the row → timestamp map and the probe scratch. Everything that
-//! is a property of the SteM lives once, here: the table instance and AM
-//! flags, the EOT index, the timestamp high-water mark and counters, the
-//! deferred-bounce queue and its partitioner, and the FIFO window.
+//! A lane owns only what must exist per lane: the dictionary and its row
+//! slab, the dedup filter and build-timestamp column addressed by the
+//! slab's slots, and the probe scratch. Everything that is a property of
+//! the SteM lives once, here: the table instance and AM flags, the EOT
+//! index, the timestamp high-water mark and counters, the deferred-bounce
+//! queue and its partitioner, and the FIFO window — a queue of
+//! `(lane, slot)` handles, so evicting the globally oldest row is a
+//! removal by slot, not a search for the row.
 //!
 //! # Build: route → ingest → stamp
 //!
@@ -38,7 +41,11 @@
 //! A windowed SteM runs the same three steps one row at a time and
 //! evicts the globally oldest row after each — eviction must interleave
 //! with inserts, or an intra-envelope re-arrival of a row the window
-//! should already have forgotten would be wrongly absorbed.
+//! should already have forgotten would be wrongly absorbed. An evicted
+//! row leaves a dead slot in its lane; the lane reclaims them in bulk
+//! ([`Shard::forget`]) and the window's handles into that lane are
+//! renumbered with it, so neither eviction cost nor lane size depends on
+//! how long the stream has run.
 //!
 //! # Probe: resolve → lane → probe → merge
 //!
@@ -78,11 +85,12 @@ use crate::stem::{
     equi_binding, linking_for, BuildResult, EotIndex, ProbeBinding, ProbeCtx, ProbeOutcome,
     ProbeReplySet, ProbeScratch, ReplyMeta, Resolved, Shard, StemOptions,
 };
-use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
+use crate::sync::{lock_recover, Mutex, MutexGuard};
 use crate::tuple_state::{CompletionNeed, TupleState};
 use std::collections::VecDeque;
 use stems_catalog::{QuerySpec, SourceId};
 use stems_storage::fxhash::FxBuildHasher;
+use stems_storage::Slot;
 use stems_types::{
     HashedKey, KeyHash, Predicate, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value,
     UNBUILT_TS,
@@ -90,11 +98,12 @@ use stems_types::{
 
 /// One build lane's reusable envelope buffers: the envelope positions
 /// of the tuples routed to the lane, [`Shard::ingest`]'s verdict per
-/// member, and the stamp pass's read cursor into those verdicts.
+/// member (the slot a fresh row took, `None` for a duplicate), and the
+/// stamp pass's read cursor into those verdicts.
 #[derive(Debug, Default)]
 struct BuildLane {
     members: Vec<usize>,
-    fresh: Vec<bool>,
+    fresh: Vec<Option<Slot>>,
     next: usize,
 }
 
@@ -171,8 +180,9 @@ pub struct ShardedStem {
     evictions: u64,
     /// FIFO eviction window, enforced across all lanes.
     window: Option<usize>,
-    /// Stored rows of a windowed SteM, oldest first, with their lane.
-    fifo: VecDeque<(usize, Arc<Row>)>,
+    /// Stored rows of a windowed SteM, oldest first: `(lane, slot)`. A
+    /// lane's entries are in slot order, since both are insertion order.
+    fifo: VecDeque<(usize, Slot)>,
     /// Grace mode (§3.1): withhold build bounce-backs of non-resident
     /// partitions until [`ShardedStem::release_deferred`].
     deferred_bounce: bool,
@@ -515,33 +525,38 @@ impl ShardedStem {
             };
             let lane = &mut lanes[lane_i];
             lane.next += 1;
-            out.push(if lane.fresh[lane.next - 1] {
-                *ts_counter += 1;
-                self.stamp(lane_i, tuple, state, *ts_counter)
-            } else {
-                self.duplicates_absorbed += 1;
-                BuildResult::Duplicate
+            out.push(match lane.fresh[lane.next - 1] {
+                Some(slot) => {
+                    *ts_counter += 1;
+                    self.stamp(lane_i, slot, tuple, state, *ts_counter)
+                }
+                None => {
+                    self.duplicates_absorbed += 1;
+                    BuildResult::Duplicate
+                }
             });
         }
         self.build_lanes = lanes;
         self.build_route = route;
     }
 
-    /// Stamp one freshly ingested row with its global build timestamp and
-    /// take the bounce/defer decision.
+    /// Stamp one freshly ingested row — `tuple`'s, now in `slot` of
+    /// `lane` — with its global build timestamp and take the bounce/defer
+    /// decision.
     fn stamp(
         &mut self,
         lane: usize,
+        slot: Slot,
         tuple: &Tuple,
         state: &TupleState,
         ts: Timestamp,
     ) -> BuildResult {
         let row = &tuple.components()[0].row;
-        self.shards[lane].stamp(row, ts);
+        self.shards[lane].stamp(slot, ts);
         self.max_ts = self.max_ts.max(ts);
         self.build_count += 1;
         if self.window.is_some() {
-            self.fifo.push_back((lane, row.clone()));
+            self.fifo.push_back((lane, slot));
         }
         let stamped = tuple.with_timestamp(self.instance, ts);
         if self.deferred_bounce && self.partition_of(row) >= self.mem_partitions {
@@ -553,12 +568,24 @@ impl ShardedStem {
     }
 
     /// FIFO-evict down to the window (no-op when unbounded): the victim
-    /// is always the globally oldest stored row, whichever lane holds it.
+    /// is always the globally oldest stored row, whichever lane holds it,
+    /// and is evicted by slot — no search, whatever the stream has
+    /// delivered so far.
     fn enforce_window(&mut self) {
         while self.window.is_some_and(|w| self.fifo.len() > w) {
-            let (lane, row) = self.fifo.pop_front().expect("non-empty fifo");
-            self.shards[lane].forget(&row);
+            let (lane, slot) = self.fifo.pop_front().expect("non-empty fifo");
             self.evictions += 1;
+            if self.shards[lane].forget(slot) {
+                // The lane reclaimed its dead slots: its rows now sit in
+                // slots 0.. in insertion order, which is the order its
+                // entries have in the FIFO.
+                let mut dense = 0;
+                for (_, slot) in self.fifo.iter_mut().filter(|(l, _)| *l == lane) {
+                    *slot = dense;
+                    dense += 1;
+                }
+                debug_assert_eq!(dense as usize, self.shards[lane].len());
+            }
         }
     }
 
@@ -970,6 +997,7 @@ mod tests {
     use super::testkit::{build_one, probe_one, r_tuple, s_tuple, setup, OneReply};
     use super::*;
     use crate::stem::{make_eot_row, make_scan_eot_row};
+    use crate::sync::Arc;
     use stems_catalog::Catalog;
     use stems_storage::StoreKind;
     use stems_types::{CmpOp, ColRef, PredId, PredSet};

@@ -19,18 +19,40 @@
 //! This module holds what both halves of that design share: the public
 //! option/result/reply types, the EOT coverage index ([`EotIndex`]), the
 //! binding helpers, and [`Shard`] — one *lane* of a SteM's storage. A
-//! shard owns exactly the state that must exist per lane (dictionary,
-//! dedup filter, row → timestamp map, probe scratch) and exposes the two
-//! per-lane steps of the SteM's algorithms: [`Shard::ingest`] (dedup +
+//! shard owns exactly the state that must exist per lane and exposes the
+//! two per-lane steps of the SteM's algorithms: [`Shard::ingest`] (dedup +
 //! dictionary insert) and [`Shard::probe`] (result formation over
 //! prehashed bindings). Everything that is a property of the SteM as a
 //! whole lives once, on `ShardedStem`.
+//!
+//! # A lane is one slab and its slot-indexed columns
+//!
+//! The lane's dictionary keeps its rows in one slab
+//! ([`stems_storage::Slab`]) and hands out a dense **slot** per stored
+//! row; everything else the lane knows about a row is filed under that
+//! slot, not under the row: the dedup filter maps row value → slot
+//! ([`RowSet`], under a whole-row hash computed once per build row), and
+//! the build timestamps are a plain column, `ts[slot]`. A probe therefore
+//! gets candidate *slots* from the dictionary, applies the TimeStamp and
+//! LastMatchTimeStamp rules on `ts[slot]` — in a symmetric join the
+//! TimeStamp rule alone rejects about half of them — and only then
+//! resolves the survivors' rows and clones their handles.
+//!
+//! Between [`Shard::ingest`] and [`Shard::stamp`] a row is stored but has
+//! no timestamp yet: its column entry reads [`UNBUILT_TS`], which the
+//! TimeStamp rule treats as "built after every prober", so a row is
+//! invisible until the SteM has stamped it. Eviction kills a slot
+//! ([`Shard::forget`]); once a lane's dead slots outnumber its live ones
+//! it is rebuilt dense in insertion order and every slot-indexed column —
+//! here and, for the FIFO window, on `ShardedStem` — is renumbered with
+//! it, so a windowed SteM over an unbounded stream stays the size of its
+//! window.
 
 use crate::sync::{Arc, ScratchPool};
 use crate::tuple_state::{CompletionNeed, TupleState};
 use stems_catalog::QuerySpec;
-use stems_storage::fxhash::{FxHashMap, FxHashSet};
-use stems_storage::{index_key, CandidateBuf, DictStore, RowSet, StoreKind};
+use stems_storage::fxhash::FxHashSet;
+use stems_storage::{index_key, CandidateBuf, DictStore, RowSet, Slot, StoreKind};
 use stems_types::{
     HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, Value, UNBUILT_TS,
 };
@@ -285,9 +307,15 @@ pub(crate) struct ProbeCtx<'q> {
     pub(crate) observed_ts: Timestamp,
 }
 
-/// One storage lane of a SteM: a dictionary, its set-semantics dedup
-/// filter, the build timestamp of every stored row, and the probe scratch
-/// free-list.
+/// A lane is rebuilt dense ([`Shard::compact`]) once its dead slots
+/// outnumber its live ones — and this floor, so a lane holding a handful
+/// of rows is not rebuilt on every eviction.
+const COMPACT_MIN_DEAD: usize = 32;
+
+/// One storage lane of a SteM: the dictionary — whose slab gives every
+/// stored row its **slot** — and, addressed by that slot, the
+/// set-semantics dedup filter and the build-timestamp column; plus the
+/// probe scratch free-list.
 ///
 /// Self-joins note: the paper shares one SteM per *source* across FROM
 /// instances; we share row storage via `Arc<Row>` but keep per-instance
@@ -295,8 +323,12 @@ pub(crate) struct ProbeCtx<'q> {
 /// the timestamp bookkeeping per instance.
 pub(crate) struct Shard {
     store: Box<dyn DictStore + Send + Sync>,
+    /// Stored rows by value → their slot (§3.2 duplicate absorption).
     dedup: RowSet,
-    ts_of: FxHashMap<Arc<Row>, Timestamp>,
+    /// Build timestamp by slot. A row [`Shard::ingest`] stored but
+    /// [`Shard::stamp`] has not reached yet reads [`UNBUILT_TS`], which no
+    /// probe's TimeStamp rule lets through: an unstamped row is invisible.
+    ts: Vec<Timestamp>,
     /// Free-list of envelope-lifetime probe buffers (see
     /// [`ProbeScratch`]): one per chunk probing this lane concurrently.
     /// Boxed so checking a scratch in/out under the lock moves one
@@ -314,7 +346,7 @@ impl Shard {
         Shard {
             store: kind.build(join_cols),
             dedup: RowSet::new(),
-            ts_of: FxHashMap::default(),
+            ts: Vec::new(),
             scratch: ScratchPool::new(MAX_POOLED_SCRATCH),
         }
     }
@@ -337,35 +369,86 @@ impl Shard {
     /// The per-lane build step: set-semantics dedup plus the dictionary
     /// insert for the (non-EOT) singletons routed to this lane — the
     /// `members` positions of the envelope `tuples`, in batch order.
-    /// Appends `true` to `fresh` for every inserted row and `false` for
+    /// Appends to `fresh` the slot of every inserted row and `None` for
     /// every absorbed duplicate (§3.2); timestamps are assigned afterwards
     /// by the SteM, serially ([`Shard::stamp`]).
-    pub(crate) fn ingest(&mut self, tuples: &[Tuple], members: &[usize], fresh: &mut Vec<bool>) {
-        let mut pending = Vec::with_capacity(members.len());
+    ///
+    /// Each row is hashed once, for the dedup filter; a duplicate of a row
+    /// earlier in this same envelope is caught against the pending batch,
+    /// before the store holds its original.
+    pub(crate) fn ingest(
+        &mut self,
+        tuples: &[Tuple],
+        members: &[usize],
+        fresh: &mut Vec<Option<Slot>>,
+    ) {
+        let slab = self.store.slab();
+        let base = slab.slots();
+        let mut pending: Vec<Arc<Row>> = Vec::with_capacity(members.len());
         for &i in members {
             let row = &tuples[i].components()[0].row;
             debug_assert!(!row.is_eot(), "EOT rows never reach a lane");
-            let inserted = self.dedup.insert(row.clone());
+            let slot = (base + pending.len()) as Slot;
+            let held = |s: Slot| -> &Row {
+                match (s as usize).checked_sub(base) {
+                    Some(p) => &pending[p],
+                    None => slab.row(s).expect("dedup members are live"),
+                }
+            };
+            let inserted = self.dedup.insert(RowSet::hash_of(row), row, slot, held);
             if inserted {
                 pending.push(row.clone());
             }
-            fresh.push(inserted);
+            fresh.push(inserted.then_some(slot));
         }
+        self.ts.resize(base + pending.len(), UNBUILT_TS);
         self.store.insert_batch(pending);
+        debug_assert_eq!(self.store.slab().slots(), self.ts.len());
     }
 
     /// Record the global build timestamp of a row [`Shard::ingest`]
-    /// reported fresh.
-    pub(crate) fn stamp(&mut self, row: &Arc<Row>, ts: Timestamp) {
-        self.ts_of.insert(row.clone(), ts);
+    /// reported fresh, by the slot it reported.
+    pub(crate) fn stamp(&mut self, slot: Slot, ts: Timestamp) {
+        self.ts[slot as usize] = ts;
     }
 
-    /// Eviction: forget a stored row in the store, the dedup filter and
-    /// the timestamp map together (an evicted row may re-enter fresh).
-    pub(crate) fn forget(&mut self, row: &Row) {
-        self.store.remove(row);
-        self.dedup.forget(row);
-        self.ts_of.remove(row);
+    /// Eviction: forget the row in `slot` — in the store and the dedup
+    /// filter together (an evicted row may re-enter fresh); its timestamp
+    /// dies with its slot. Returns `true` if that tipped the lane into a
+    /// rebuild ([`Shard::compact`]): its live slots were renumbered
+    /// `0..len` in insertion order, and so must be whatever the caller
+    /// holds of them.
+    pub(crate) fn forget(&mut self, slot: Slot) -> bool {
+        let row = self.store.remove(slot).expect("evicted slots are live");
+        self.dedup.forget(RowSet::hash_of(&row), &row, slot);
+        let slab = self.store.slab();
+        let dead = slab.slots() - slab.live();
+        let rebuild = dead > slab.live().max(COMPACT_MIN_DEAD);
+        if rebuild {
+            self.compact();
+        }
+        rebuild
+    }
+
+    /// Reclaim the lane's dead slots, so that a windowed SteM's slab and
+    /// slot-indexed columns stay proportional to the window rather than
+    /// to every row the stream ever delivered: the store rebuilds itself
+    /// dense in insertion order, and the timestamp column and the dedup
+    /// filter follow the renumbering.
+    fn compact(&mut self) {
+        for (new, old) in self.store.slab().live_slots().enumerate() {
+            self.ts[new] = self.ts[old as usize];
+        }
+        self.store.compact();
+        let slab = self.store.slab();
+        self.ts.truncate(slab.slots());
+        self.dedup.clear();
+        let held = |s: Slot| -> &Row { slab.row(s).expect("a rebuilt slab is dense") };
+        for slot in slab.live_slots() {
+            let row = held(slot);
+            let fresh = self.dedup.insert(RowSet::hash_of(row), row, slot, held);
+            debug_assert!(fresh, "stored rows are distinct");
+        }
     }
 
     /// The per-lane probe step: answer a slice of one envelope, appending
@@ -373,10 +456,13 @@ impl Shard {
     /// each tuple's prehashed binding and bounce decision; this lane
     /// contributes the candidates. All equality lookups on one column go
     /// through a single [`DictStore::lookup_eq_flat`] index descent into
-    /// a reusable arena (duplicate keys share one candidate span;
-    /// unbindable probes share one scan snapshot), the newly-evaluable
-    /// predicate set is resolved once per distinct `(result span,
-    /// donebits)` pair, and results land in `out`'s flat arena — the only
+    /// a reusable arena of candidate *slots* (duplicate keys share one
+    /// span; unbindable probes walk the slab's live slots), the
+    /// newly-evaluable predicate set is resolved once per distinct
+    /// `(result span, donebits)` pair, and both timestamp rules are
+    /// decided on the slot's entry in the timestamp column — the row
+    /// itself is resolved, and its handle cloned, only for a candidate
+    /// that passed them. Results land in `out`'s flat arena: the only
     /// per-tuple allocations are the surviving result tuples themselves
     /// (one component vec each, via [`Tuple::concat_row`]).
     ///
@@ -430,9 +516,7 @@ impl Shard {
         for (ci, col) in cols.iter().enumerate() {
             self.store.lookup_eq_flat(*col, &keys[ci], &mut bufs[ci]);
         }
-        // Unbindable probes share one scan snapshot for the whole
-        // envelope instead of cloning the materialized scan per tuple.
-        let mut full_scan: Option<Vec<Arc<Row>>> = None;
+        let slab = self.store.slab();
 
         // Span-level predicate cache: `newly_evaluable` is a pure
         // function of (result span, donebits), so resolve it once per
@@ -446,10 +530,6 @@ impl Shard {
         for (((tuple, state), r), plan) in batch.iter().zip(states).zip(resolved).zip(plans.iter())
         {
             debug_assert!(!tuple.span().contains(t), "probe tuple already spans {t}");
-            let candidates: &[Arc<Row>] = match plan {
-                Some((ci, ki)) => bufs[*ci].candidates(*ki),
-                None => full_scan.get_or_insert_with(|| self.store.scan()),
-            };
             let result_span = tuple.span().with(t);
             let ei = match evals
                 .iter()
@@ -475,23 +555,36 @@ impl Shard {
 
             let probe_ts = tuple.timestamp();
             let start = out.results.len();
-            for row in candidates {
-                let ts_u = *self.ts_of.get(row).unwrap_or(&UNBUILT_TS);
+            let results = &mut out.results;
+            let mut consider = |slot: Slot| {
+                let ts_u = self.ts[slot as usize];
                 // TimeStamp rule (§3.1): only the later-built side generates
                 // the result. LastMatchTimeStamp rule (§3.5): repeated probes
                 // skip matches already returned.
                 if ts_u >= probe_ts || ts_u <= state.last_match_ts {
-                    continue;
+                    return;
                 }
+                let row = slab.row(slot).expect("candidate slots are live");
                 let cand = tuple.concat_row(t, row.clone(), ts_u);
                 if newly.iter().all(|p| p.eval(&cand).unwrap_or(false)) {
-                    out.results.push((cand, *done_union));
+                    results.push((cand, *done_union));
                 }
-            }
+            };
+            let raw_matches = match plan {
+                Some((ci, ki)) => {
+                    let candidates = bufs[*ci].candidates(*ki);
+                    candidates.iter().copied().for_each(&mut consider);
+                    candidates.len()
+                }
+                None => {
+                    slab.live_slots().for_each(&mut consider);
+                    slab.live()
+                }
+            };
             out.metas.push(ReplyMeta {
                 outcome: r.outcome,
                 observed_ts: ctx.observed_ts,
-                raw_matches: candidates.len(),
+                raw_matches,
                 len: out.results.len() - start,
             });
         }
@@ -863,22 +956,29 @@ mod tests {
         assert_eq!(build(stem, &eot, 99), BuildResult::Eot);
     }
 
-    /// In every lane the side maps (`dedup`, `ts_of`) and the store must
-    /// agree on membership and length — eviction must sweep all three
-    /// together.
+    /// In every lane the slot-addressed side structures must agree with
+    /// the slab: every live slot is reachable from exactly one dedup
+    /// chain — the one its own row is looked up through — and is stamped,
+    /// no chain holds a dead slot, and the timestamp column covers exactly
+    /// the slab. Eviction and compaction must move all three together.
     fn assert_side_maps_consistent(stem: &ShardedStem) {
         for lane in stem.lanes() {
-            assert_eq!(lane.ts_of.len(), lane.store.len(), "ts_of vs store len");
-            assert_eq!(lane.dedup.len(), lane.store.len(), "dedup vs store len");
-            for row in lane.store.scan() {
-                assert!(
-                    lane.ts_of.contains_key(&row),
-                    "stored row missing from ts_of: {row:?}"
+            let slab = lane.store.slab();
+            assert_eq!(lane.ts.len(), slab.slots(), "ts column vs slab length");
+            let live: Vec<Slot> = slab.live_slots().collect();
+            let mut chained: Vec<Slot> = lane.dedup.slots().collect();
+            chained.sort_unstable();
+            assert_eq!(chained, live, "dedup chains vs live slots");
+            assert_eq!(lane.dedup.len(), live.len(), "dedup count vs store len");
+            let held = |s: Slot| -> &Row { slab.row(s).expect("chained slots are live") };
+            for slot in live {
+                let row = held(slot);
+                assert_eq!(
+                    lane.dedup.find(RowSet::hash_of(row), row, held),
+                    Some(slot),
+                    "stored row not found through its own chain: {row:?}"
                 );
-                assert!(
-                    lane.dedup.contains(&row),
-                    "stored row missing from dedup: {row:?}"
-                );
+                assert_ne!(lane.ts[slot as usize], UNBUILT_TS, "unstamped: {row:?}");
             }
         }
     }
@@ -1333,9 +1433,10 @@ mod tests {
     #[test]
     fn windowed_side_maps_survive_intra_batch_duplicate_rearrival() {
         // window=2, batch [r1, r2, r3, r1, r1]: inserting r2/r3 evicts r1
-        // and must forget it in `dedup` and `ts_of`; the first re-arrival
-        // rebuilds Fresh (and re-enters both maps), the second is a true
-        // duplicate again. After the sweep, store/dedup/ts_of agree.
+        // and must forget it in the store and `dedup`; the first
+        // re-arrival rebuilds Fresh (into a new slot, with a new stamp),
+        // the second is a true duplicate again. After the sweep, slab,
+        // dedup chains and timestamp column agree.
         let batch: TupleBatch = [
             s_tuple(1, 1),
             s_tuple(2, 2),
@@ -1354,14 +1455,67 @@ mod tests {
             assert_eq!(results[4], BuildResult::Duplicate);
             assert_side_maps_consistent(&stem);
             assert_eq!(stem.len(), 2);
-            // The re-built r1 carries its *new* timestamp in ts_of.
+            // The re-built r1 carries its *new* timestamp in the slot the
+            // dedup filter now finds it in.
             let r1 = s_tuple(1, 1);
+            let row = &r1.components()[0].row;
             let ts_r1 = stem
                 .lanes()
                 .iter()
-                .find_map(|lane| lane.ts_of.get(&r1.components()[0].row))
+                .find_map(|lane| {
+                    let slab = lane.store.slab();
+                    let held = |s: Slot| -> &Row { slab.row(s).expect("chained slots are live") };
+                    let slot = lane.dedup.find(RowSet::hash_of(row), row, held)?;
+                    Some(lane.ts[slot as usize])
+                })
                 .expect("r1 stored");
-            assert_eq!(*ts_r1, 4, "re-arrival must be re-stamped, not stale");
+            assert_eq!(ts_r1, 4, "re-arrival must be re-stamped, not stale");
+        }
+    }
+
+    /// A windowed SteM over a long stream costs what its window costs:
+    /// eviction is by slot, and a lane whose dead slots outnumber its
+    /// live ones is rebuilt dense, so no lane's slab (nor the columns
+    /// indexed by its slots) grows with the rows the stream has delivered.
+    #[test]
+    fn windowed_stream_keeps_every_lane_proportional_to_the_window() {
+        const WINDOW: usize = 64;
+        const ENVELOPE: usize = 64;
+        const BUILDS: usize = 50_000;
+        let (c, q) = setup();
+        let cartesian = QuerySpec::new(&c, q.tables, vec![], None).unwrap();
+        for n in [1, 2, 4, 7] {
+            let mut stem = windowed(n, WINDOW);
+            let mut ts = 0;
+            let states = vec![TupleState::new(); ENVELOPE];
+            for first in (0..BUILDS).step_by(ENVELOPE) {
+                let batch: TupleBatch = (first..BUILDS.min(first + ENVELOPE))
+                    .map(|i| s_tuple(i as i64, 0))
+                    .collect();
+                stem.build_batch(&batch, &states[..batch.len()], &mut ts);
+                for lane in stem.lanes() {
+                    let slots = lane.store.slab().slots();
+                    assert!(
+                        slots <= 4 * (WINDOW + ENVELOPE),
+                        "{n} shards: a lane's slab grew to {slots} slots by build {first}"
+                    );
+                }
+            }
+            assert_eq!(stem.len(), WINDOW);
+            assert_eq!(stem.evictions(), (BUILDS - WINDOW) as u64);
+            assert_eq!(stem.build_count(), BUILDS as u64);
+            assert_side_maps_consistent(&stem);
+            // What is left is the window's youngest rows, each still
+            // answering under the stamp it was built with.
+            let reply = probe_one(&stem, &r_tuple(1, 1), &TupleState::new(), &cartesian);
+            let mut live: Vec<Timestamp> = reply
+                .results
+                .iter()
+                .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
+                .collect();
+            live.sort_unstable();
+            let youngest = (BUILDS - WINDOW + 1..=BUILDS).map(|ts| ts as Timestamp);
+            assert_eq!(live, youngest.collect::<Vec<_>>(), "{n} shards");
         }
     }
 

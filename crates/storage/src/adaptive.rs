@@ -1,10 +1,11 @@
 //! List→hash adaptive store.
 
 use crate::flat::CandidateBuf;
+use crate::slab::{Slab, Slot};
 use crate::store::DictStore;
 use crate::{HashStore, ListStore};
 use std::sync::Arc;
-use stems_types::{HashedKey, Row, Value};
+use stems_types::{KeyHash, Row, Value};
 
 /// A store that starts as a [`ListStore`] and silently converts itself to a
 /// [`HashStore`] once it crosses a size threshold.
@@ -13,7 +14,9 @@ use stems_types::{HashedKey, Row, Value};
 /// the eddy (§3.1): "the SteM may use a linked list when it holds a small
 /// number of tuples, and switch to a hash-based implementation when the
 /// list size increases. This switch can be made independent of other
-/// modules."
+/// modules." Invisible includes the slots: the upgrade hands the list's
+/// slab to the hash store as is, so every slot handed out before it keeps
+/// naming the same row.
 #[derive(Debug)]
 pub struct AdaptiveStore {
     inner: Inner,
@@ -40,14 +43,9 @@ impl AdaptiveStore {
     }
 
     fn maybe_upgrade(&mut self) {
-        let should = matches!(&self.inner, Inner::List(l) if l.len() > self.threshold);
-        if should {
-            if let Inner::List(list) = &mut self.inner {
-                let rows = list.take_rows();
-                let mut hash = HashStore::new(&self.indexed_cols);
-                for r in rows {
-                    hash.insert(r);
-                }
+        if let Inner::List(list) = &mut self.inner {
+            if list.len() > self.threshold {
+                let hash = HashStore::over(list.take_slab(), &self.indexed_cols);
                 self.inner = Inner::Hash(hash);
                 self.upgrades += 1;
             }
@@ -70,35 +68,26 @@ impl AdaptiveStore {
 }
 
 impl DictStore for AdaptiveStore {
-    fn insert(&mut self, row: Arc<Row>) {
-        self.as_dyn_mut().insert(row);
+    fn slab(&self) -> &Slab {
+        self.as_dyn().slab()
+    }
+
+    fn insert(&mut self, row: Arc<Row>) -> Slot {
+        let slot = self.as_dyn_mut().insert(row);
         self.maybe_upgrade();
+        slot
     }
 
-    fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Arc<Row>> {
-        self.as_dyn().lookup_eq(col, key)
+    fn lookup_slots(&self, col: usize, key: &Value, hash: KeyHash, out: &mut CandidateBuf) {
+        self.as_dyn().lookup_slots(col, key, hash, out)
     }
 
-    fn lookup_eq_flat(&self, col: usize, keys: &[HashedKey], out: &mut CandidateBuf) {
-        // Delegate so the hash-backed phase keeps its prehashed index
-        // descent (the default would loop scalar lookups).
-        self.as_dyn().lookup_eq_flat(col, keys, out)
+    fn remove(&mut self, slot: Slot) -> Option<Arc<Row>> {
+        self.as_dyn_mut().remove(slot)
     }
 
-    fn scan(&self) -> Vec<Arc<Row>> {
-        self.as_dyn().scan()
-    }
-
-    fn remove(&mut self, row: &Row) -> bool {
-        self.as_dyn_mut().remove(row)
-    }
-
-    fn oldest(&self) -> Option<Arc<Row>> {
-        self.as_dyn().oldest()
-    }
-
-    fn len(&self) -> usize {
-        self.as_dyn().len()
+    fn clear(&mut self) {
+        self.as_dyn_mut().clear()
     }
 
     fn approx_bytes(&self) -> usize {
@@ -147,6 +136,32 @@ mod tests {
         for i in 0..10 {
             assert_eq!(s.lookup_eq(0, &Value::Int(i)).len(), 1, "key {i}");
         }
+    }
+
+    #[test]
+    fn slots_keep_their_numbers_across_the_upgrade() {
+        let mut s = AdaptiveStore::new(&[0], 3);
+        let rows: Vec<Arc<Row>> = (0..4).map(|i| row(&[i % 2, i])).collect();
+        for (slot, r) in rows.iter().take(3).enumerate() {
+            assert_eq!(s.insert(r.clone()), slot as Slot);
+        }
+        // A dead slot made while still a list must stay dead — and
+        // unnumbered-over — once the hash store takes the slab.
+        assert!(s.remove(1).is_some());
+        for r in &rows {
+            s.insert(r.clone());
+        }
+        assert_eq!(s.backend(), "hash");
+        assert_eq!(s.row(1), None);
+        for slot in [0, 2, 3, 4, 5, 6] {
+            let want = &rows[if slot < 3 { slot } else { slot - 3 }];
+            assert!(Arc::ptr_eq(s.row(slot as Slot).unwrap(), want), "{slot}");
+        }
+        // The index built at the upgrade answers the pre-upgrade slots.
+        let mut buf = CandidateBuf::new();
+        let key = [stems_types::HashedKey::new(Value::Int(0))];
+        s.lookup_eq_flat(0, &key, &mut buf);
+        assert_eq!(buf.candidates(0), [0, 2, 3, 5]);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! as a `Vec<Vec<Arc<Row>>>` — one heap allocation per key, per envelope,
 //! discarded immediately. [`CandidateBuf`] replaces that with two flat
 //! vectors owned by the *caller* (a SteM's reusable probe scratch): all
-//! candidate rows back to back, plus one `(start, end)` span per key.
-//! Across envelopes the vectors keep their capacity, so steady-state
-//! probing allocates nothing.
+//! candidate **slots** back to back, plus one `(start, end)` span per
+//! key. Across envelopes the vectors keep their capacity, so steady-state
+//! probing allocates nothing — and since a candidate is a slot number,
+//! not a row handle, fetching one touches no reference count: the caller
+//! resolves ([`crate::Slab::row`]) only the candidates it keeps.
 //!
 //! The buffer also drives **key-run dedup**: identical keys in one
 //! envelope (identical = same [`stems_types::Value::equality_key`] normal
@@ -15,8 +17,8 @@
 //! pay for each distinct key, not each probe.
 
 use crate::fxhash::FxHashMap;
-use std::sync::Arc;
-use stems_types::{HashedKey, Row};
+use crate::slab::Slot;
+use stems_types::HashedKey;
 
 /// Reusable flat storage for one envelope's candidate fetch. See the
 /// module docs; producers are [`crate::DictStore::lookup_eq_flat`]
@@ -24,9 +26,9 @@ use stems_types::{HashedKey, Row};
 /// key index.
 #[derive(Debug, Default)]
 pub struct CandidateBuf {
-    /// Every key's candidate rows, back to back.
-    rows: Vec<Arc<Row>>,
-    /// Per input key, its `[start, end)` range in `rows`. Duplicate keys
+    /// Every key's candidate slots, back to back.
+    slots: Vec<Slot>,
+    /// Per input key, its `[start, end)` range in `slots`. Duplicate keys
     /// alias one range.
     spans: Vec<(usize, usize)>,
     /// Dedup scratch: key hash → index of the first key seen with it.
@@ -43,7 +45,7 @@ impl CandidateBuf {
 
     /// Forget the previous envelope, keeping every allocation.
     pub fn reset(&mut self) {
-        self.rows.clear();
+        self.slots.clear();
         self.spans.clear();
         self.seen.clear();
         self.seen_unhashable = None;
@@ -54,16 +56,16 @@ impl CandidateBuf {
         self.spans.len()
     }
 
-    /// Candidate rows of key `i`, in the order the backend produced them.
-    pub fn candidates(&self, i: usize) -> &[Arc<Row>] {
+    /// Candidate slots of key `i`, in the order the backend produced them.
+    pub fn candidates(&self, i: usize) -> &[Slot] {
         let (start, end) = self.spans[i];
-        &self.rows[start..end]
+        &self.slots[start..end]
     }
 
-    /// Total candidate rows materialized (shared spans counted once) —
+    /// Total candidates written (shared spans counted once) —
     /// diagnostics for benches and tests.
     pub fn rows_stored(&self) -> usize {
-        self.rows.len()
+        self.slots.len()
     }
 
     /// Dedup check for key `i` of the envelope (which must be the next
@@ -97,18 +99,19 @@ impl CandidateBuf {
     /// Start resolving the next key; returns the watermark to pass to
     /// [`CandidateBuf::commit_key`].
     pub fn begin_key(&mut self) -> usize {
-        self.rows.len()
+        self.slots.len()
     }
 
-    /// Append one candidate row for the key being resolved.
-    pub fn push_row(&mut self, row: Arc<Row>) {
-        self.rows.push(row);
+    /// Append one candidate for the key being resolved.
+    #[inline]
+    pub fn push_slot(&mut self, slot: Slot) {
+        self.slots.push(slot);
     }
 
     /// Seal the key begun at `start`: its span is everything pushed since.
     pub fn commit_key(&mut self, start: usize) {
-        debug_assert!(start <= self.rows.len());
-        self.spans.push((start, self.rows.len()));
+        debug_assert!(start <= self.slots.len());
+        self.spans.push((start, self.slots.len()));
     }
 
     /// Record the next key as sharing key `j`'s span (key-run dedup).
@@ -124,10 +127,6 @@ mod tests {
     use super::*;
     use stems_types::Value;
 
-    fn row(k: i64) -> Arc<Row> {
-        Row::shared(vec![Value::Int(k)])
-    }
-
     fn keys(vals: &[Value]) -> Vec<HashedKey> {
         vals.iter().cloned().map(HashedKey::new).collect()
     }
@@ -138,14 +137,14 @@ mod tests {
         let ks = keys(&[Value::Int(1), Value::Int(2)]);
         assert_eq!(buf.probe_dup(0, &ks), None);
         let s = buf.begin_key();
-        buf.push_row(row(10));
-        buf.push_row(row(11));
+        buf.push_slot(10);
+        buf.push_slot(11);
         buf.commit_key(s);
         assert_eq!(buf.probe_dup(1, &ks), None);
         let s = buf.begin_key();
         buf.commit_key(s);
         assert_eq!(buf.num_keys(), 2);
-        assert_eq!(buf.candidates(0).len(), 2);
+        assert_eq!(buf.candidates(0), [10, 11]);
         assert!(buf.candidates(1).is_empty());
         buf.reset();
         assert_eq!(buf.num_keys(), 0);
@@ -164,7 +163,7 @@ mod tests {
         ]);
         assert_eq!(buf.probe_dup(0, &ks), None);
         let s = buf.begin_key();
-        buf.push_row(row(5));
+        buf.push_slot(5);
         buf.commit_key(s);
         assert_eq!(buf.probe_dup(1, &ks), Some(0));
         buf.share_key(0);
@@ -178,7 +177,7 @@ mod tests {
         buf.commit_key(s);
         assert_eq!(buf.num_keys(), 5);
         assert_eq!(buf.candidates(1), buf.candidates(0));
-        assert_eq!(buf.rows_stored(), 1, "the duplicate resolved no rows");
+        assert_eq!(buf.rows_stored(), 1, "the duplicate resolved no slots");
         assert!(buf.candidates(3).is_empty());
     }
 }

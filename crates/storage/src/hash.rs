@@ -1,10 +1,18 @@
 //! Hash store with secondary indexes per join column.
 
 use crate::flat::CandidateBuf;
-use crate::prehash::PrehashedMap;
-use crate::store::{index_key, lookup_eq_flat_via_scalar, DictStore};
+use crate::prehash::SlotChains;
+use crate::slab::{Slab, Slot};
+use crate::store::DictStore;
 use std::sync::Arc;
-use stems_types::{HashedKey, KeyHash, Row, Value};
+use stems_types::{KeyHash, Row, Value};
+
+/// The fixed term of [`DictStore::approx_bytes`] (the store header as
+/// first accounted). A constant of the accounting model, not
+/// `size_of::<HashStore>()`: server admission budgets and the
+/// `stem_bytes_total` series read it, so it must not move when the
+/// struct changes shape.
+const HEADER_BYTES: usize = 64;
 
 /// A dictionary with one secondary hash index per join column.
 ///
@@ -14,178 +22,114 @@ use stems_types::{HashedKey, KeyHash, Row, Value};
 /// same tuples in memory." Routing through hash-backed SteMs realizes the
 /// n-ary symmetric hash join of §2.3.
 ///
-/// Rows also live in an insertion-order list (the scan path, FIFO eviction
-/// order, and the upgrade target for [`crate::AdaptiveStore`]).
-///
-/// The secondary indexes are [`PrehashedMap`]s keyed by
-/// [`Value::stable_key_hash`] of the equality normal form: probes arriving
-/// through [`DictStore::lookup_eq_flat`] carry that hash precomputed
-/// ([`HashedKey`]) and descend the index without re-hashing — the
-/// hash-once contract of the flat probe pipeline.
+/// The "pointers" are slots of the one row slab, and each index is a
+/// [`SlotChains`] keyed by [`Value::stable_key_hash`] of the column's
+/// equality normal form: probes arriving through
+/// [`DictStore::lookup_eq_flat`] carry that hash precomputed and jump
+/// straight to the chain of slots built under it — the hash-once contract
+/// of the flat probe pipeline — and the walk compares each slot's own
+/// column with the probe key, so keys that merely collide never answer
+/// for one another and the index stores no key copies.
 #[derive(Debug)]
 pub struct HashStore {
-    /// Rows in insertion order; removal leaves tombstones (`None`) so that
-    /// index entries (which store positions) stay valid.
-    slots: Vec<Option<Arc<Row>>>,
-    /// `(col, key) → row positions` secondary indexes.
-    indexes: Vec<(usize, PrehashedMap<Vec<usize>>)>,
-    live: usize,
-    bytes: usize,
+    slab: Slab,
+    /// `(col, key hash → slots)` secondary indexes, chains in insertion
+    /// order.
+    indexes: Vec<(usize, SlotChains)>,
 }
 
-/// The stable hash of an equality-normalized key. Normal forms are never
-/// NULL/EOT, so the hash always exists.
-fn hash_of_normalized(k: &Value) -> KeyHash {
-    KeyHash(
-        k.stable_key_hash()
-            .expect("equality-normalized keys are hashable"),
-    )
+/// The hash a row is indexed under on `col`; `None` keeps it out of the
+/// index (NULL/EOT match nothing, and a missing column has no key).
+fn key_hash(row: &Row, col: usize) -> Option<u64> {
+    row.get(col).and_then(Value::stable_key_hash)
 }
 
 impl HashStore {
     /// Create a store with secondary indexes on `indexed_cols`.
     pub fn new(indexed_cols: &[usize]) -> HashStore {
+        HashStore::over(Slab::new(), indexed_cols)
+    }
+
+    /// Index the rows already in `slab`, slot numbers kept (the
+    /// [`crate::AdaptiveStore`] upgrade).
+    pub(crate) fn over(slab: Slab, indexed_cols: &[usize]) -> HashStore {
         let mut cols: Vec<usize> = indexed_cols.to_vec();
         cols.sort_unstable();
         cols.dedup();
-        HashStore {
-            slots: Vec::new(),
-            indexes: cols.into_iter().map(|c| (c, PrehashedMap::new())).collect(),
-            live: 0,
-            bytes: 0,
+        let mut indexes: Vec<(usize, SlotChains)> =
+            cols.into_iter().map(|c| (c, SlotChains::new())).collect();
+        for slot in slab.live_slots() {
+            let row = slab.row(slot).expect("live slot");
+            link(&mut indexes, row, slot);
         }
+        HashStore { slab, indexes }
     }
 
     /// Which columns carry secondary indexes.
     pub fn indexed_cols(&self) -> Vec<usize> {
         self.indexes.iter().map(|(c, _)| *c).collect()
     }
+}
 
-    fn index_on(&self, col: usize) -> Option<&PrehashedMap<Vec<usize>>> {
-        self.indexes
-            .iter()
-            .find(|(c, _)| *c == col)
-            .map(|(_, idx)| idx)
-    }
-
-    /// Materialize one index entry's rows into `out`.
-    fn gather_positions(&self, positions: &[usize], out: &mut CandidateBuf) {
-        for p in positions {
-            if let Some(row) = &self.slots[*p] {
-                out.push_row(row.clone());
-            }
+/// Append `slot` (holding `row`) to its chain in every index.
+fn link(indexes: &mut [(usize, SlotChains)], row: &Row, slot: Slot) {
+    for (col, chains) in indexes {
+        if let Some(h) = key_hash(row, *col) {
+            chains.push(h, slot);
         }
     }
 }
 
 impl DictStore for HashStore {
-    fn insert(&mut self, row: Arc<Row>) {
-        let pos = self.slots.len();
-        self.bytes += row.approx_bytes();
-        for (col, idx) in &mut self.indexes {
-            if let Some(k) = row.get(*col).and_then(index_key) {
-                idx.get_or_insert_default(hash_of_normalized(&k), &k)
-                    .push(pos);
-            }
-        }
-        self.slots.push(Some(row));
-        self.live += 1;
+    fn slab(&self) -> &Slab {
+        &self.slab
+    }
+
+    fn insert(&mut self, row: Arc<Row>) -> Slot {
+        let slot = self.slab.push(row);
+        let row = self.slab.row(slot).expect("just pushed");
+        link(&mut self.indexes, row, slot);
+        slot
     }
 
     fn insert_batch(&mut self, rows: Vec<Arc<Row>>) {
         // One slab reservation for the whole batch; the per-row path is
         // shared with `insert` so the two can never diverge.
-        self.slots.reserve(rows.len());
+        self.slab.reserve(rows.len());
         for row in rows {
             self.insert(row);
         }
     }
 
-    fn lookup_eq_flat(&self, col: usize, keys: &[HashedKey], out: &mut CandidateBuf) {
-        let Some(idx) = self.index_on(col) else {
-            // No index on this column: scan-filter per distinct key.
-            lookup_eq_flat_via_scalar(self, col, keys, out);
-            return;
-        };
-        out.reset();
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(j) = out.probe_dup(i, keys) {
-                out.share_key(j);
-                continue;
-            }
-            let start = out.begin_key();
-            // The envelope's precomputed hash descends the index directly
-            // — no re-hashing of Str/Float keys per probe.
-            if let (Some(k), Some(h)) = (key.key(), key.hash()) {
-                if let Some(positions) = idx.get(h, k) {
-                    self.gather_positions(positions, out);
-                }
-            }
-            out.commit_key(start);
-        }
-    }
-
-    fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Arc<Row>> {
-        let Some(k) = index_key(key) else {
-            return Vec::new();
-        };
-        if let Some(idx) = self.index_on(col) {
-            idx.get(hash_of_normalized(&k), &k)
-                .map(|positions| {
-                    positions
-                        .iter()
-                        .filter_map(|p| self.slots[*p].clone())
-                        .collect()
-                })
-                .unwrap_or_default()
-        } else {
+    fn lookup_slots(&self, col: usize, key: &Value, hash: KeyHash, out: &mut CandidateBuf) {
+        match self.indexes.iter().find(|(c, _)| *c == col) {
+            Some((_, chains)) => self.slab.filter_eq(col, key, chains.chain(hash.get()), out),
             // No index on this column: fall back to scan-filter. Correct,
             // just slower — mirrors a SteM probed on an unindexed predicate.
-            self.slots
-                .iter()
-                .flatten()
-                .filter(|r| r.get(col).and_then(index_key).is_some_and(|rk| rk == k))
-                .cloned()
-                .collect()
+            None => self.slab.filter_eq(col, key, self.slab.live_slots(), out),
         }
     }
 
-    fn scan(&self) -> Vec<Arc<Row>> {
-        self.slots.iter().flatten().cloned().collect()
-    }
-
-    fn remove(&mut self, row: &Row) -> bool {
-        let Some(pos) = self.slots.iter().position(|r| r.as_deref() == Some(row)) else {
-            return false;
-        };
-        let removed = self.slots[pos].take().expect("position found above");
-        self.bytes = self.bytes.saturating_sub(removed.approx_bytes());
-        self.live -= 1;
-        for (col, idx) in &mut self.indexes {
-            if let Some(k) = removed.get(*col).and_then(index_key) {
-                let h = hash_of_normalized(&k);
-                if let Some(positions) = idx.get_mut(h, &k) {
-                    positions.retain(|p| *p != pos);
-                    if positions.is_empty() {
-                        idx.remove(h, &k);
-                    }
-                }
+    fn remove(&mut self, slot: Slot) -> Option<Arc<Row>> {
+        let row = self.slab.remove(slot)?;
+        for (col, chains) in &mut self.indexes {
+            if let Some(h) = key_hash(&row, *col) {
+                chains.unlink(h, slot);
             }
         }
-        true
+        Some(row)
     }
 
-    fn oldest(&self) -> Option<Arc<Row>> {
-        self.slots.iter().flatten().next().cloned()
-    }
-
-    fn len(&self) -> usize {
-        self.live
+    fn clear(&mut self) {
+        self.slab.clear();
+        for (_, chains) in &mut self.indexes {
+            chains.clear();
+        }
     }
 
     fn approx_bytes(&self) -> usize {
         // Rows + a rough 16 bytes of index overhead per (index, row) pair.
-        self.bytes + self.indexes.len() * self.live * 16 + std::mem::size_of::<HashStore>()
+        self.slab.bytes() + self.indexes.len() * self.slab.live() * 16 + HEADER_BYTES
     }
 
     fn backend(&self) -> &'static str {
@@ -197,6 +141,7 @@ impl DictStore for HashStore {
 mod tests {
     use super::*;
     use crate::store::conformance::{self, row};
+    use stems_types::HashedKey;
 
     #[test]
     fn conformance_suite() {
@@ -231,13 +176,17 @@ mod tests {
     #[test]
     fn removal_cleans_index_entries() {
         let mut s = HashStore::new(&[0]);
-        s.insert(row(&[5]));
-        s.insert(row(&[5]));
-        assert!(s.remove(&row(&[5])));
+        let first = s.insert(row(&[5]));
+        let second = s.insert(row(&[5]));
+        assert!(s.remove(first).is_some());
         assert_eq!(s.lookup_eq(0, &Value::Int(5)).len(), 1);
-        assert!(s.remove(&row(&[5])));
+        assert!(s.remove(second).is_some());
         assert_eq!(s.lookup_eq(0, &Value::Int(5)).len(), 0);
         assert_eq!(s.len(), 0);
+        // The emptied chain is gone, not dangling: the key indexes afresh.
+        let third = s.insert(row(&[5]));
+        assert_eq!(s.lookup_eq(0, &Value::Int(5)).len(), 1);
+        assert!(s.remove(third).is_some());
     }
 
     #[test]
@@ -252,20 +201,31 @@ mod tests {
     #[test]
     fn flat_lookup_skips_tombstones_and_dedups() {
         let mut s = HashStore::new(&[0]);
-        s.insert(row(&[5, 1]));
+        let dead = s.insert(row(&[5, 1]));
         s.insert(row(&[5, 2]));
         s.insert(row(&[6, 3]));
-        assert!(s.remove(&row(&[5, 1])));
+        assert!(s.remove(dead).is_some());
         let keys: Vec<HashedKey> = [Value::Int(5), Value::Float(5.0), Value::Int(6)]
             .into_iter()
             .map(HashedKey::new)
             .collect();
         let mut buf = CandidateBuf::new();
         s.lookup_eq_flat(0, &keys, &mut buf);
-        assert_eq!(buf.candidates(0).len(), 1);
+        assert_eq!(buf.candidates(0), [1]);
         assert_eq!(buf.candidates(0), buf.candidates(1), "coercion dedup");
-        assert_eq!(buf.candidates(2).len(), 1);
+        assert_eq!(buf.candidates(2), [2]);
         // Two distinct keys resolved; the coerced duplicate shared.
         assert_eq!(buf.rows_stored(), 2);
+    }
+
+    #[test]
+    fn accounting_model_terms_are_pinned() {
+        // header + rows + 16 bytes per (index, row) pair — the numbers
+        // budgets were tuned against.
+        let mut s = HashStore::new(&[0, 1]);
+        assert_eq!(s.approx_bytes(), 64);
+        let r = row(&[1, 2]);
+        s.insert(r.clone());
+        assert_eq!(s.approx_bytes(), 64 + r.approx_bytes() + 2 * 16);
     }
 }

@@ -1,18 +1,24 @@
 //! Append-only list store.
 
-use crate::store::{index_key, DictStore};
+use crate::flat::CandidateBuf;
+use crate::slab::{Slab, Slot};
+use crate::store::DictStore;
 use std::sync::Arc;
-use stems_types::{Row, Value};
+use stems_types::{KeyHash, Row, Value};
 
-/// The simplest dictionary: rows in insertion order, lookups by scan.
+/// The fixed term of [`DictStore::approx_bytes`] — a constant of the
+/// accounting model (see `HashStore`'s), not the struct's current size.
+const HEADER_BYTES: usize = 32;
+
+/// The simplest dictionary: the row slab and nothing else, lookups by
+/// scan.
 ///
 /// Cheap to build into (no index maintenance) and perfectly adequate while
 /// small — which is why the paper suggests starting SteMs as linked lists
 /// and adapting to hash later (§3.1); see [`crate::AdaptiveStore`].
 #[derive(Debug, Default)]
 pub struct ListStore {
-    rows: Vec<Arc<Row>>,
-    bytes: usize,
+    slab: Slab,
 }
 
 impl ListStore {
@@ -20,55 +26,36 @@ impl ListStore {
         ListStore::default()
     }
 
-    /// Drain the rows out (used when an [`crate::AdaptiveStore`] upgrades
-    /// itself to a hash store).
-    pub(crate) fn take_rows(&mut self) -> Vec<Arc<Row>> {
-        self.bytes = 0;
-        std::mem::take(&mut self.rows)
+    /// Take the slab out, slot numbering and all (used when an
+    /// [`crate::AdaptiveStore`] upgrades itself to a hash store).
+    pub(crate) fn take_slab(&mut self) -> Slab {
+        std::mem::take(&mut self.slab)
     }
 }
 
 impl DictStore for ListStore {
-    fn insert(&mut self, row: Arc<Row>) {
-        self.bytes += row.approx_bytes();
-        self.rows.push(row);
+    fn slab(&self) -> &Slab {
+        &self.slab
     }
 
-    fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Arc<Row>> {
-        let Some(k) = index_key(key) else {
-            return Vec::new();
-        };
-        self.rows
-            .iter()
-            .filter(|r| r.get(col).and_then(index_key).is_some_and(|rk| rk == k))
-            .cloned()
-            .collect()
+    fn insert(&mut self, row: Arc<Row>) -> Slot {
+        self.slab.push(row)
     }
 
-    fn scan(&self) -> Vec<Arc<Row>> {
-        self.rows.clone()
+    fn lookup_slots(&self, col: usize, key: &Value, _hash: KeyHash, out: &mut CandidateBuf) {
+        self.slab.filter_eq(col, key, self.slab.live_slots(), out);
     }
 
-    fn remove(&mut self, row: &Row) -> bool {
-        if let Some(pos) = self.rows.iter().position(|r| r.as_ref() == row) {
-            let r = self.rows.remove(pos);
-            self.bytes = self.bytes.saturating_sub(r.approx_bytes());
-            true
-        } else {
-            false
-        }
+    fn remove(&mut self, slot: Slot) -> Option<Arc<Row>> {
+        self.slab.remove(slot)
     }
 
-    fn oldest(&self) -> Option<Arc<Row>> {
-        self.rows.first().cloned()
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len()
+    fn clear(&mut self) {
+        self.slab.clear();
     }
 
     fn approx_bytes(&self) -> usize {
-        self.bytes + std::mem::size_of::<ListStore>()
+        self.slab.bytes() + HEADER_BYTES
     }
 
     fn backend(&self) -> &'static str {
@@ -91,9 +78,9 @@ mod tests {
         let mut s = ListStore::new();
         s.insert(conformance::row(&[1]));
         s.insert(conformance::row(&[2]));
-        let rows = s.take_rows();
-        assert_eq!(rows.len(), 2);
+        let slab = s.take_slab();
+        assert_eq!(slab.live(), 2);
         assert_eq!(s.len(), 0);
-        assert_eq!(s.approx_bytes(), std::mem::size_of::<ListStore>());
+        assert_eq!(s.approx_bytes(), 32, "the accounting model's list header");
     }
 }

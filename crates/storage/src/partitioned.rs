@@ -1,10 +1,16 @@
 //! Grace-style partitioned store.
 
+use crate::flat::CandidateBuf;
 use crate::fxhash::FxBuildHasher;
+use crate::slab::{Slab, Slot};
 use crate::store::{index_key, DictStore};
 use std::hash::BuildHasher;
 use std::sync::Arc;
-use stems_types::{Row, Value};
+use stems_types::{KeyHash, Row, Value};
+
+/// The fixed term of [`DictStore::approx_bytes`] — a constant of the
+/// accounting model (see `HashStore`'s), not the struct's current size.
+const HEADER_BYTES: usize = 104;
 
 /// A dictionary hash-partitioned on one column, with a configurable number
 /// of memory-resident partitions.
@@ -24,22 +30,21 @@ use stems_types::{Row, Value};
 #[derive(Debug)]
 pub struct PartitionedStore {
     part_col: usize,
-    /// Rows in arrival order (the `DictStore::scan`/`oldest` contract);
-    /// partition-major order is available via [`PartitionedStore::partition_rows`].
-    arrival: Vec<Arc<Row>>,
-    partitions: Vec<Vec<Arc<Row>>>,
-    /// Rows whose partition key is un-indexable (NULL/EOT or a missing
-    /// column). They used to land in partition 0 and skew its residency
-    /// and spill accounting; the overflow lane keeps every partition's
-    /// stats equal to its real key population. Overflow rows match
-    /// nothing on the partition column but stay visible to scans and to
-    /// lookups on other columns.
-    overflow: Vec<Arc<Row>>,
+    /// Rows in arrival order (the scan / FIFO order); partition-major
+    /// order is available via [`PartitionedStore::partition_slots`].
+    slab: Slab,
+    /// Each partition's slots, ascending (= insertion order).
+    partitions: Vec<Vec<Slot>>,
+    /// Slots of rows whose partition key is un-indexable (NULL/EOT or a
+    /// missing column). They used to land in partition 0 and skew its
+    /// residency and spill accounting; the overflow lane keeps every
+    /// partition's stats equal to its real key population. Overflow rows
+    /// match nothing on the partition column but stay visible to scans
+    /// and to lookups on other columns.
+    overflow: Vec<Slot>,
     /// Partitions `< mem_resident` are "in memory"; the rest are "spilled".
     mem_resident: usize,
     hasher: FxBuildHasher,
-    len: usize,
-    bytes: usize,
 }
 
 impl PartitionedStore {
@@ -50,13 +55,11 @@ impl PartitionedStore {
         assert!(num_partitions > 0, "need at least one partition");
         PartitionedStore {
             part_col,
-            arrival: Vec::new(),
+            slab: Slab::new(),
             partitions: (0..num_partitions).map(|_| Vec::new()).collect(),
             overflow: Vec::new(),
             mem_resident: mem_resident.min(num_partitions),
             hasher: FxBuildHasher::default(),
-            len: 0,
-            bytes: 0,
         }
     }
 
@@ -77,88 +80,72 @@ impl PartitionedStore {
         i < self.mem_resident
     }
 
-    /// Rows of partition `i` in insertion order.
-    pub fn partition_rows(&self, i: usize) -> &[Arc<Row>] {
+    /// Slots of partition `i` in insertion order.
+    pub fn partition_slots(&self, i: usize) -> &[Slot] {
         &self.partitions[i]
     }
 
-    /// Rows whose partition key is un-indexable, in insertion order.
-    pub fn overflow_rows(&self) -> &[Arc<Row>] {
+    /// Slots of the rows whose partition key is un-indexable, in
+    /// insertion order.
+    pub fn overflow_slots(&self) -> &[Slot] {
         &self.overflow
     }
 
-    /// The lane a row belongs to: a real partition, or the overflow lane.
-    fn slot_for(&self, row: &Row) -> Option<usize> {
-        row.get(self.part_col).and_then(|v| self.partition_of(v))
-    }
-
-    fn lane_mut(&mut self, row: &Row) -> &mut Vec<Arc<Row>> {
-        match self.slot_for(row) {
-            Some(slot) => &mut self.partitions[slot],
+    /// The lane a row's slot is listed in: its key's partition, or the
+    /// overflow lane.
+    fn lane_mut(&mut self, row: &Row) -> &mut Vec<Slot> {
+        match row.get(self.part_col).and_then(|v| self.partition_of(v)) {
+            Some(p) => &mut self.partitions[p],
             None => &mut self.overflow,
         }
     }
 }
 
 impl DictStore for PartitionedStore {
-    fn insert(&mut self, row: Arc<Row>) {
-        self.bytes += row.approx_bytes();
-        self.arrival.push(row.clone());
-        self.lane_mut(&row).push(row);
-        self.len += 1;
+    fn slab(&self) -> &Slab {
+        &self.slab
     }
 
-    fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Arc<Row>> {
-        let Some(k) = index_key(key) else {
-            return Vec::new();
-        };
-        let candidates: Box<dyn Iterator<Item = &Arc<Row>>> = if col == self.part_col {
+    fn insert(&mut self, row: Arc<Row>) -> Slot {
+        let slot = self.slab.push(row.clone());
+        self.lane_mut(&row).push(slot);
+        slot
+    }
+
+    fn lookup_slots(&self, col: usize, key: &Value, _hash: KeyHash, out: &mut CandidateBuf) {
+        if col == self.part_col {
             // Overflow rows have no indexable partition key, so they can
-            // never equal `k` — the partition alone is complete.
-            match self.partition_of(key) {
-                Some(p) => Box::new(self.partitions[p].iter()),
-                None => return Vec::new(),
+            // never equal `key` — the partition alone is complete.
+            if let Some(p) = self.partition_of(key) {
+                let slots = self.partitions[p].iter().copied();
+                self.slab.filter_eq(col, key, slots, out);
             }
         } else {
             // Other columns of an overflow row may be perfectly indexable:
             // the logical store is partitions ∪ overflow.
-            Box::new(self.partitions.iter().flatten().chain(self.overflow.iter()))
-        };
-        candidates
-            .filter(|r| r.get(col).and_then(index_key).is_some_and(|rk| rk == k))
-            .cloned()
-            .collect()
-    }
-
-    fn scan(&self) -> Vec<Arc<Row>> {
-        self.arrival.clone()
-    }
-
-    fn remove(&mut self, row: &Row) -> bool {
-        let lane = self.lane_mut(row);
-        if let Some(pos) = lane.iter().position(|r| r.as_ref() == row) {
-            let r = lane.remove(pos);
-            if let Some(apos) = self.arrival.iter().position(|a| a.as_ref() == row) {
-                self.arrival.remove(apos);
-            }
-            self.bytes = self.bytes.saturating_sub(r.approx_bytes());
-            self.len -= 1;
-            true
-        } else {
-            false
+            let slots = self.partitions.iter().flatten().chain(&self.overflow);
+            self.slab.filter_eq(col, key, slots.copied(), out);
         }
     }
 
-    fn oldest(&self) -> Option<Arc<Row>> {
-        self.arrival.first().cloned()
+    fn remove(&mut self, slot: Slot) -> Option<Arc<Row>> {
+        let row = self.slab.remove(slot)?;
+        let lane = self.lane_mut(&row);
+        let pos = lane
+            .binary_search(&slot)
+            .expect("a live slot is in its lane");
+        lane.remove(pos);
+        Some(row)
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn clear(&mut self) {
+        self.slab.clear();
+        self.partitions.iter_mut().for_each(Vec::clear);
+        self.overflow.clear();
     }
 
     fn approx_bytes(&self) -> usize {
-        self.bytes + std::mem::size_of::<PartitionedStore>()
+        self.slab.bytes() + HEADER_BYTES
     }
 
     fn backend(&self) -> &'static str {
@@ -181,7 +168,7 @@ mod tests {
             s
         };
         assert_eq!(s.len(), 100);
-        let total: usize = (0..4).map(|i| s.partition_rows(i).len()).sum();
+        let total: usize = (0..4).map(|i| s.partition_slots(i).len()).sum();
         assert_eq!(total, 100);
         // Each key must be findable through its partition.
         for i in 0..100 {
@@ -224,17 +211,17 @@ mod tests {
         for i in 0..20 {
             s.insert(row(&[i, i]));
         }
-        let real_p0 = s.partition_rows(0).len();
+        let real_p0 = s.partition_slots(0).len();
         s.insert(Arc::new(Row::new(vec![Value::Null, Value::Int(7)])));
         s.insert(Arc::new(Row::new(vec![Value::Eot, Value::Int(7)])));
         assert_eq!(s.len(), 22);
         assert_eq!(
-            s.partition_rows(0).len(),
+            s.partition_slots(0).len(),
             real_p0,
             "partition 0 must not absorb un-indexable keys"
         );
-        assert_eq!(s.overflow_rows().len(), 2);
-        let keyed: usize = (0..4).map(|i| s.partition_rows(i).len()).sum();
+        assert_eq!(s.overflow_slots().len(), 2);
+        let keyed: usize = (0..4).map(|i| s.partition_slots(i).len()).sum();
         assert_eq!(keyed, 20, "partition stats count exactly the keyed rows");
         assert_eq!(s.scan().len(), 22);
     }
@@ -254,24 +241,24 @@ mod tests {
     fn overflow_rows_removable() {
         let mut s = PartitionedStore::new(0, 2, 0);
         let null_row = Arc::new(Row::new(vec![Value::Null, Value::Int(7)]));
-        s.insert(null_row.clone());
+        let slot = s.insert(null_row.clone());
         s.insert(row(&[1, 2]));
-        assert!(s.remove(&null_row));
-        assert!(!s.remove(&null_row));
+        assert_eq!(s.remove(slot), Some(null_row));
+        assert_eq!(s.remove(slot), None);
         assert_eq!(s.len(), 1);
-        assert!(s.overflow_rows().is_empty());
+        assert!(s.overflow_slots().is_empty());
         assert_eq!(s.scan().len(), 1);
     }
 
     #[test]
     fn remove_and_scan() {
         let mut s = PartitionedStore::new(0, 2, 0);
-        s.insert(row(&[1]));
-        s.insert(row(&[2]));
-        assert!(s.remove(&row(&[1])));
-        assert!(!s.remove(&row(&[1])));
+        let first = s.insert(row(&[1]));
+        let second = s.insert(row(&[2]));
+        assert_eq!(s.remove(first), Some(row(&[1])));
+        assert_eq!(s.remove(first), None);
         assert_eq!(s.len(), 1);
         assert_eq!(s.scan().len(), 1);
-        assert!(s.oldest().is_some());
+        assert_eq!(s.slab().oldest(), Some(second));
     }
 }

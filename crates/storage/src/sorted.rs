@@ -1,9 +1,15 @@
 //! Sorted store for merge-style and range access.
 
+use crate::flat::CandidateBuf;
+use crate::slab::{Slab, Slot};
 use crate::store::{index_key, DictStore};
 use std::cmp::Ordering;
 use std::sync::Arc;
-use stems_types::{CmpOp, Row, Value};
+use stems_types::{CmpOp, KeyHash, Row, Value};
+
+/// The fixed term of [`DictStore::approx_bytes`] — a constant of the
+/// accounting model (see `HashStore`'s), not the struct's current size.
+const HEADER_BYTES: usize = 88;
 
 /// A dictionary kept sorted on one column.
 ///
@@ -14,117 +20,113 @@ use stems_types::{CmpOp, Row, Value};
 #[derive(Debug)]
 pub struct SortedStore {
     sort_col: usize,
-    /// Rows sorted by `index_key(row[sort_col])` under `Value::total_cmp`;
-    /// rows with un-indexable keys (NULL/EOT) are kept separately.
-    rows: Vec<(Value, Arc<Row>)>,
-    unkeyed: Vec<Arc<Row>>,
-    /// Insertion sequence per row, to reconstruct arrival order for `scan`.
-    arrival: Vec<Arc<Row>>,
-    bytes: usize,
+    /// Rows in arrival order (the scan / FIFO order).
+    slab: Slab,
+    /// The slots whose sort column is indexable, sorted by
+    /// `index_key(row[sort_col])` under `Value::total_cmp`, equal keys in
+    /// slot (= insertion) order. Rows with un-indexable keys (NULL/EOT)
+    /// live in the slab only.
+    sorted: Vec<(Value, Slot)>,
 }
 
 impl SortedStore {
     pub fn new(sort_col: usize) -> SortedStore {
         SortedStore {
             sort_col,
-            rows: Vec::new(),
-            unkeyed: Vec::new(),
-            arrival: Vec::new(),
-            bytes: 0,
+            slab: Slab::new(),
+            sorted: Vec::new(),
         }
     }
 
-    /// All rows in sort order (the "merge" cursor).
+    /// All keyed rows in sort order (the "merge" cursor).
     pub fn sorted(&self) -> impl Iterator<Item = &Arc<Row>> {
-        self.rows.iter().map(|(_, r)| r)
+        self.sorted.iter().filter_map(|(_, s)| self.slab.row(*s))
     }
 
-    fn lower_bound(&self, key: &Value) -> usize {
-        self.rows
-            .partition_point(|(k, _)| k.total_cmp(key) == Ordering::Less)
+    /// The sorted run's positions holding a key `op key`, in sort order.
+    /// Equality uses binary search; inequalities use a split point.
+    fn range(&self, op: CmpOp, key: &Value) -> impl Iterator<Item = usize> {
+        let lb = self
+            .sorted
+            .partition_point(|(k, _)| k.total_cmp(key) == Ordering::Less);
+        let ub = self
+            .sorted
+            .partition_point(|(k, _)| k.total_cmp(key) != Ordering::Greater);
+        let n = self.sorted.len();
+        let (head, tail) = match op {
+            // Membership against the single scalar `key` is equality.
+            CmpOp::Eq | CmpOp::In => (lb..ub, 0..0),
+            CmpOp::Lt => (0..lb, 0..0),
+            CmpOp::Le => (0..ub, 0..0),
+            CmpOp::Gt => (ub..n, 0..0),
+            CmpOp::Ge => (lb..n, 0..0),
+            CmpOp::Ne => (0..lb, ub..n),
+        };
+        head.chain(tail)
     }
 
     /// Rows whose sort-column value satisfies `row[col] op key`.
-    /// Equality uses binary search; inequalities use a split point.
     pub fn lookup_range(&self, op: CmpOp, key: &Value) -> Vec<Arc<Row>> {
         let Some(k) = index_key(key) else {
             return Vec::new();
         };
-        let lb = self.lower_bound(&k);
-        let ub = self
-            .rows
-            .partition_point(|(rk, _)| rk.total_cmp(&k) != Ordering::Greater);
-        let idx: Box<dyn Iterator<Item = usize>> = match op {
-            // Membership against the single scalar `key` is equality.
-            CmpOp::Eq | CmpOp::In => Box::new(lb..ub),
-            CmpOp::Lt => Box::new(0..lb),
-            CmpOp::Le => Box::new(0..ub),
-            CmpOp::Gt => Box::new(ub..self.rows.len()),
-            CmpOp::Ge => Box::new(lb..self.rows.len()),
-            CmpOp::Ne => Box::new((0..lb).chain(ub..self.rows.len())),
-        };
-        idx.map(|i| self.rows[i].1.clone()).collect()
+        self.range(op, &k)
+            .filter_map(|i| self.slab.row(self.sorted[i].1).cloned())
+            .collect()
+    }
+
+    /// Where `slot` (holding `row`) sits, or belongs, in the sorted run:
+    /// after every smaller key and every earlier slot of its own key.
+    /// `None` for an un-indexable sort key.
+    fn place(&self, row: &Row, slot: Slot) -> Option<(usize, Value)> {
+        let k = row.get(self.sort_col).and_then(index_key)?;
+        let pos = self
+            .sorted
+            .partition_point(|(rk, s)| rk.total_cmp(&k).then(s.cmp(&slot)) == Ordering::Less);
+        Some((pos, k))
     }
 }
 
 impl DictStore for SortedStore {
-    fn insert(&mut self, row: Arc<Row>) {
-        self.bytes += row.approx_bytes();
-        self.arrival.push(row.clone());
-        match row.get(self.sort_col).and_then(index_key) {
-            Some(k) => {
-                let pos = self
-                    .rows
-                    .partition_point(|(rk, _)| rk.total_cmp(&k) != Ordering::Greater);
-                self.rows.insert(pos, (k, row));
-            }
-            None => self.unkeyed.push(row),
-        }
+    fn slab(&self) -> &Slab {
+        &self.slab
     }
 
-    fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Arc<Row>> {
+    fn insert(&mut self, row: Arc<Row>) -> Slot {
+        let slot = self.slab.push(row);
+        let row = self.slab.row(slot).expect("just pushed");
+        if let Some((pos, k)) = self.place(row, slot) {
+            self.sorted.insert(pos, (k, slot));
+        }
+        slot
+    }
+
+    fn lookup_slots(&self, col: usize, key: &Value, _hash: KeyHash, out: &mut CandidateBuf) {
         if col == self.sort_col {
-            self.lookup_range(CmpOp::Eq, key)
+            for i in self.range(CmpOp::Eq, key) {
+                out.push_slot(self.sorted[i].1);
+            }
         } else {
-            let Some(k) = index_key(key) else {
-                return Vec::new();
-            };
-            self.arrival
-                .iter()
-                .filter(|r| r.get(col).and_then(index_key).is_some_and(|rk| rk == k))
-                .cloned()
-                .collect()
+            self.slab.filter_eq(col, key, self.slab.live_slots(), out);
         }
     }
 
-    fn scan(&self) -> Vec<Arc<Row>> {
-        self.arrival.clone()
-    }
-
-    fn remove(&mut self, row: &Row) -> bool {
-        let Some(apos) = self.arrival.iter().position(|r| r.as_ref() == row) else {
-            return false;
-        };
-        let removed = self.arrival.remove(apos);
-        self.bytes = self.bytes.saturating_sub(removed.approx_bytes());
-        if let Some(pos) = self.rows.iter().position(|(_, r)| r.as_ref() == row) {
-            self.rows.remove(pos);
-        } else if let Some(pos) = self.unkeyed.iter().position(|r| r.as_ref() == row) {
-            self.unkeyed.remove(pos);
+    fn remove(&mut self, slot: Slot) -> Option<Arc<Row>> {
+        let row = self.slab.remove(slot)?;
+        if let Some((pos, _)) = self.place(&row, slot) {
+            debug_assert_eq!(self.sorted[pos].1, slot, "sorted run out of step");
+            self.sorted.remove(pos);
         }
-        true
+        Some(row)
     }
 
-    fn oldest(&self) -> Option<Arc<Row>> {
-        self.arrival.first().cloned()
-    }
-
-    fn len(&self) -> usize {
-        self.arrival.len()
+    fn clear(&mut self) {
+        self.slab.clear();
+        self.sorted.clear();
     }
 
     fn approx_bytes(&self) -> usize {
-        self.bytes + std::mem::size_of::<SortedStore>()
+        self.slab.bytes() + HEADER_BYTES
     }
 
     fn backend(&self) -> &'static str {
@@ -186,6 +188,26 @@ mod tests {
         assert_eq!(s.lookup_range(CmpOp::Eq, &Value::Int(4)).len(), 3);
         assert_eq!(s.lookup_range(CmpOp::Lt, &Value::Int(4)).len(), 0);
         assert_eq!(s.lookup_range(CmpOp::Gt, &Value::Int(4)).len(), 0);
+    }
+
+    #[test]
+    fn removal_finds_its_slot_among_equal_keys() {
+        let mut s = SortedStore::new(0);
+        let slots: Vec<Slot> = (0..5).map(|v| s.insert(row(&[4, v]))).collect();
+        s.insert(row(&[2, 9]));
+        assert_eq!(s.remove(slots[2]), Some(row(&[4, 2])));
+        let left: Vec<Arc<Row>> = s.lookup_range(CmpOp::Eq, &Value::Int(4));
+        let vals: Vec<&Value> = left.iter().filter_map(|r| r.get(1)).collect();
+        assert_eq!(
+            vals,
+            [
+                &Value::Int(0),
+                &Value::Int(1),
+                &Value::Int(3),
+                &Value::Int(4)
+            ]
+        );
+        assert_eq!(s.sorted().count(), 5);
     }
 
     #[test]

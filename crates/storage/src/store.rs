@@ -1,9 +1,10 @@
 //! The dictionary-store abstraction shared by all SteM backends.
 
 use crate::flat::CandidateBuf;
+use crate::slab::{Slab, Slot};
 use crate::{AdaptiveStore, HashStore, ListStore, PartitionedStore, SortedStore};
 use std::sync::Arc;
-use stems_types::{HashedKey, Row, Value};
+use stems_types::{HashedKey, KeyHash, Row, Value};
 
 /// Normalize a value for use as an equality-index key.
 ///
@@ -20,79 +21,121 @@ pub fn index_key(v: &Value) -> Option<Value> {
     v.equality_key()
 }
 
-/// The trait-default [`DictStore::lookup_eq_flat`] body: key-run dedup
-/// plus one scalar [`DictStore::lookup_eq`] per *distinct* key. A free
-/// function so backend overrides (e.g. [`HashStore`] on an un-indexed
-/// column) can fall back to it explicitly.
-pub(crate) fn lookup_eq_flat_via_scalar(
-    store: &(impl DictStore + ?Sized),
-    col: usize,
-    keys: &[HashedKey],
-    out: &mut CandidateBuf,
-) {
-    out.reset();
-    for (i, key) in keys.iter().enumerate() {
-        if let Some(j) = out.probe_dup(i, keys) {
-            out.share_key(j);
-            continue;
-        }
-        let start = out.begin_key();
-        for row in store.lookup_eq(col, key.raw()) {
-            out.push_row(row);
-        }
-        out.commit_key(start);
+/// Does the stored value `v` normalize to the equality key `key`? The
+/// per-candidate test of every lookup — `index_key(v) == Some(key)` —
+/// without building the normal form of the values that are their own
+/// (everything but a float, NULL and EOT), so verifying a `Str` column
+/// bumps no reference count.
+#[inline]
+pub(crate) fn key_matches(v: &Value, key: &Value) -> bool {
+    match v {
+        Value::Float(_) | Value::Null | Value::Eot => index_key(v).is_some_and(|k| k == *key),
+        own_normal_form => own_normal_form == key,
     }
 }
 
 /// A dictionary of rows from one table, supporting the three SteM
-/// operations of the paper: insert (build), search (probe) and optionally
-/// delete (eviction).
+/// operations of the paper: insert (build), search (probe) and delete
+/// (eviction).
 ///
-/// `lookup_eq` implements the hot path — equality search on one column —
-/// and must return **every** row whose column `col` is `sql_eq` to `key`
-/// (it may return extra candidates; the SteM re-verifies predicates on the
-/// concatenated tuple). Non-equality predicates go through `scan`.
+/// Every backend keeps its rows in one embedded [`Slab`] and is, beyond
+/// that, an index over the slab's **slots**: a row is addressed by the
+/// slot `insert` returned for it, lookups answer slots, removal is by
+/// slot. What a backend chooses is which slots a lookup has to consider
+/// and in which order it answers them ([`DictStore::lookup_slots`]);
+/// resolving, counting, scanning and FIFO order are the slab's and are
+/// provided here once.
 pub trait DictStore: std::fmt::Debug {
-    /// Insert a row. Duplicate handling is the caller's job ([`crate::RowSet`]).
-    fn insert(&mut self, row: Arc<Row>);
+    /// The slab holding this store's rows.
+    fn slab(&self) -> &Slab;
 
-    /// Insert a batch of rows. Backends override this when they can
-    /// amortize work across the batch (e.g. one capacity reservation for
-    /// the whole batch); the default loops over [`DictStore::insert`].
+    /// Insert a row; returns its slot — the slab's next insertion ordinal.
+    /// Duplicate handling is the caller's job ([`crate::RowSet`]).
+    fn insert(&mut self, row: Arc<Row>) -> Slot;
+
+    /// Insert a batch of rows into consecutive slots. Backends override
+    /// this when they can amortize work across the batch (e.g. one
+    /// capacity reservation for the whole batch); the default loops over
+    /// [`DictStore::insert`].
     fn insert_batch(&mut self, rows: Vec<Arc<Row>>) {
         for row in rows {
             self.insert(row);
         }
     }
 
-    /// Rows matching `row[col] = key` (superset allowed, see trait docs).
-    fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Arc<Row>>;
+    /// The one lookup every backend implements: append to `out` the slot
+    /// of **every** stored row whose column `col` holds `key`. `key` is an
+    /// equality normal form ([`index_key`]) and `hash` its
+    /// [`Value::stable_key_hash`], computed once by the caller —
+    /// implementations never re-hash it. Non-equality predicates go
+    /// through the slab's live slots.
+    fn lookup_slots(&self, col: usize, key: &Value, hash: KeyHash, out: &mut CandidateBuf);
 
-    /// The flat batch-lookup hot path: one [`DictStore::lookup_eq`]-
-    /// equivalent result per key, written into the caller-owned, reusable
-    /// `out` arena (no per-key `Vec` allocations). Keys arrive with their
-    /// equality hash precomputed ([`HashedKey`]); implementations must
-    /// never re-hash them. The default performs key-run dedup (identical
-    /// keys resolve once and share a candidate span — see
-    /// [`CandidateBuf::probe_dup`]) around the scalar `lookup_eq`;
-    /// index-backed stores override to also resolve the index once for
-    /// the whole envelope and descend by the precomputed hashes.
+    /// The flat batch-lookup hot path: one candidate span per key, written
+    /// into the caller-owned, reusable `out` arena (no per-key
+    /// allocations, no row handles cloned). Keys arrive with their
+    /// equality hash precomputed ([`HashedKey`]); identical keys resolve
+    /// once and share a span ([`CandidateBuf::probe_dup`]); NULL/EOT keys
+    /// match nothing.
     fn lookup_eq_flat(&self, col: usize, keys: &[HashedKey], out: &mut CandidateBuf) {
-        lookup_eq_flat_via_scalar(self, col, keys, out);
+        out.reset();
+        for (i, key) in keys.iter().enumerate() {
+            if let Some(j) = out.probe_dup(i, keys) {
+                out.share_key(j);
+                continue;
+            }
+            let start = out.begin_key();
+            if let (Some(k), Some(h)) = (key.key(), key.hash()) {
+                self.lookup_slots(col, k, h, out);
+            }
+            out.commit_key(start);
+        }
+    }
+
+    /// Rows matching `row[col] = key`, resolved — the scalar convenience
+    /// over [`DictStore::lookup_eq_flat`] for tests and experiments.
+    fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Arc<Row>> {
+        let mut buf = CandidateBuf::new();
+        self.lookup_eq_flat(col, &[HashedKey::new(key.clone())], &mut buf);
+        let slots = buf.candidates(0).iter();
+        slots.filter_map(|s| self.row(*s).cloned()).collect()
+    }
+
+    /// The row stored in `slot`; `None` once removed.
+    fn row(&self, slot: Slot) -> Option<&Arc<Row>> {
+        self.slab().row(slot)
     }
 
     /// All rows in insertion order.
-    fn scan(&self) -> Vec<Arc<Row>>;
+    fn scan(&self) -> Vec<Arc<Row>> {
+        let slab = self.slab();
+        slab.live_slots()
+            .filter_map(|s| slab.row(s).cloned())
+            .collect()
+    }
 
-    /// Remove one row equal (by value) to `row`. Returns whether a row was
-    /// removed. Used for eviction in windowed/continuous queries.
-    fn remove(&mut self, row: &Row) -> bool;
+    /// Remove the row in `slot`, returning it (`None` if the slot is
+    /// already dead). The slot is never answered again. Used for eviction
+    /// in windowed/continuous queries.
+    fn remove(&mut self, slot: Slot) -> Option<Arc<Row>>;
 
-    /// The oldest still-present row (insertion order), for FIFO eviction.
-    fn oldest(&self) -> Option<Arc<Row>>;
+    /// Drop every row and every slot; the next insert gets slot 0.
+    fn clear(&mut self);
+
+    /// Reclaim dead slots: rebuild the store from its live rows in
+    /// insertion order, so they occupy slots `0..len()`. Whoever holds
+    /// slots of this store renumbers with it — the `k`-th live slot
+    /// becomes slot `k`.
+    fn compact(&mut self) {
+        let rows = self.scan();
+        self.clear();
+        self.insert_batch(rows);
+    }
 
     /// Number of rows.
-    fn len(&self) -> usize;
+    fn len(&self) -> usize {
+        self.slab().live()
+    }
 
     /// True if no rows are stored.
     fn is_empty(&self) -> bool {
@@ -160,7 +203,8 @@ impl StoreKind {
 
 #[cfg(test)]
 pub(crate) mod conformance {
-    //! Shared conformance suite run against every store backend.
+    //! Shared conformance suite run against every store backend: the slot
+    //! contract of [`DictStore`].
 
     use super::*;
     use stems_types::Value;
@@ -172,12 +216,19 @@ pub(crate) mod conformance {
     /// Insert a standard dataset and exercise every trait method.
     pub fn run_suite(mut store: Box<dyn DictStore + Send + Sync>) {
         assert!(store.is_empty());
-        assert_eq!(store.oldest(), None);
+        assert_eq!(store.slab().oldest(), None);
+        assert_eq!(store.slab().slots(), 0);
 
-        // rows: (key, a) with a in {10, 20}
-        store.insert(row(&[1, 10]));
-        store.insert(row(&[2, 20]));
-        store.insert(row(&[3, 10]));
+        // rows: (key, a) with a in {10, 20}. Slots are dense insertion
+        // ordinals starting at 0, and resolve back to the row they name.
+        let rows = [row(&[1, 10]), row(&[2, 20]), row(&[3, 10])];
+        for (want, r) in rows.iter().enumerate() {
+            assert_eq!(store.insert(r.clone()), want as Slot);
+        }
+        for (slot, r) in rows.iter().enumerate() {
+            assert!(Arc::ptr_eq(store.row(slot as Slot).unwrap(), r));
+        }
+        assert_eq!(store.row(3), None, "a slot not handed out yet");
         assert_eq!(store.len(), 3);
         assert!(!store.is_empty());
         assert!(store.approx_bytes() > 0);
@@ -200,38 +251,46 @@ pub(crate) mod conformance {
         assert_eq!(all.len(), 3);
         assert_eq!(all[0].get(0), Some(&Value::Int(1)));
         assert_eq!(all[2].get(0), Some(&Value::Int(3)));
-        assert_eq!(store.oldest().unwrap().get(0), Some(&Value::Int(1)));
+        assert_eq!(store.slab().oldest(), Some(0));
 
         // rows containing NULL in an indexed column are stored but never
         // returned by equality lookups
-        store.insert(Row::shared(vec![Value::Int(4), Value::Null]));
+        assert_eq!(
+            store.insert(Row::shared(vec![Value::Int(4), Value::Null])),
+            3
+        );
         assert_eq!(store.len(), 4);
         assert_eq!(store.lookup_eq(1, &Value::Int(10)).len(), 2);
         assert_eq!(store.lookup_eq(1, &Value::Null).len(), 0);
 
-        // removal
-        assert!(store.remove(&row(&[1, 10])));
-        assert!(!store.remove(&row(&[1, 10])));
+        // removal is by slot: the row comes back, the slot goes dead and
+        // is never answered again — the surviving slots keep their numbers
+        assert_eq!(store.remove(0), Some(row(&[1, 10])));
+        assert_eq!(store.remove(0), None);
+        assert_eq!(store.row(0), None);
         assert_eq!(store.len(), 3);
-        assert_eq!(store.lookup_eq(1, &Value::Int(10)).len(), 1);
-        assert_eq!(store.oldest().unwrap().get(0), Some(&Value::Int(2)));
+        assert_eq!(store.slab().slots(), 4);
+        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(10)), vec![2]);
+        assert_eq!(store.slab().oldest(), Some(1));
+        assert_eq!(store.remove(9), None, "a slot never handed out");
 
         // duplicates are allowed at this layer (dedup is RowSet's job)
-        store.insert(row(&[2, 20]));
+        assert_eq!(store.insert(row(&[2, 20])), 4);
         assert_eq!(store.len(), 4);
-        assert_eq!(store.lookup_eq(1, &Value::Int(20)).len(), 2);
-        // remove deletes one copy at a time
-        assert!(store.remove(&row(&[2, 20])));
-        assert_eq!(store.lookup_eq(1, &Value::Int(20)).len(), 1);
+        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(20)), vec![1, 4]);
+        // remove deletes exactly the copy named
+        assert!(store.remove(4).is_some());
+        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(20)), vec![1]);
 
-        // batch APIs must agree with the scalar path
+        // a batch takes consecutive slots, like as many scalar inserts
         let before = store.len();
         store.insert_batch(vec![row(&[7, 30]), row(&[8, 30])]);
         assert_eq!(store.len(), before + 2);
-        assert_eq!(store.lookup_eq(1, &Value::Int(30)).len(), 2);
+        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(30)), vec![5, 6]);
 
-        // flat batch API: agreement with scalar lookup_eq on every key,
-        // for both indexed-path and scan-filter columns
+        // flat batch API: agreement with scalar lookup_eq and with a
+        // naive filter of the slab on every key, for both indexed-path
+        // and scan-filter columns
         for col in [0, 1] {
             assert_flat_matches_scalar(
                 store.as_ref(),
@@ -247,6 +306,7 @@ pub(crate) mod conformance {
                     Value::Null,
                     Value::Int(20),
                     Value::Int(30),
+                    Value::Int(1), // only ever held by the removed slot 0
                 ],
             );
         }
@@ -264,32 +324,69 @@ pub(crate) mod conformance {
         store.lookup_eq_flat(1, &small, &mut buf);
         assert_eq!(buf.num_keys(), 1);
         assert!(buf.candidates(0).is_empty());
+
+        // compaction reclaims the dead slots: the live rows, in insertion
+        // order, now sit in slots 0..len and answer under those numbers
+        let live = store.scan();
+        store.compact();
+        assert_eq!(store.slab().slots(), live.len());
+        assert_eq!(store.scan(), live);
+        for (slot, r) in live.iter().enumerate() {
+            assert!(Arc::ptr_eq(store.row(slot as Slot).unwrap(), r));
+        }
+        assert_eq!(store.slab().oldest(), Some(0));
+        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(30)), vec![3, 4]);
+        assert_flat_matches_scalar(store.as_ref(), 1, &[Value::Int(20), Value::Int(10)]);
+
+        // clear forgets rows and numbering alike
+        store.clear();
+        assert!(store.is_empty());
+        assert_eq!(store.slab().oldest(), None);
+        assert!(store.lookup_eq(1, &Value::Int(30)).is_empty());
+        assert_eq!(store.insert(row(&[9, 30])), 0);
+        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(30)), vec![0]);
     }
 
-    /// Pin `lookup_eq_flat` to the scalar `lookup_eq`, key for key (same
-    /// rows in the same order), through a fresh arena.
+    /// One key's candidate slots, ascending (a backend's answer order is
+    /// its own; which slots it answers is not).
+    fn slots_of(store: &dyn DictStore, col: usize, key: &Value) -> Vec<Slot> {
+        let mut buf = CandidateBuf::new();
+        store.lookup_eq_flat(col, &[HashedKey::new(key.clone())], &mut buf);
+        let mut slots = buf.candidates(0).to_vec();
+        slots.sort_unstable();
+        slots
+    }
+
+    /// Pin `lookup_eq_flat` key for key: its slots resolve to exactly the
+    /// scalar `lookup_eq`'s rows in the same order, through a fresh arena,
+    /// and are — as a set — the live slots a naive filter of the slab
+    /// selects.
     pub fn assert_flat_matches_scalar(store: &dyn DictStore, col: usize, raw_keys: &[Value]) {
         let keys: Vec<HashedKey> = raw_keys.iter().cloned().map(HashedKey::new).collect();
         let mut buf = CandidateBuf::new();
         store.lookup_eq_flat(col, &keys, &mut buf);
         assert_eq!(buf.num_keys(), raw_keys.len());
         for (i, raw) in raw_keys.iter().enumerate() {
+            let ctx = format!("col {col} key {raw:?} ({})", store.backend());
             let want = store.lookup_eq(col, raw);
             let got = buf.candidates(i);
-            assert_eq!(
-                got.len(),
-                want.len(),
-                "flat/scalar length drift on col {col} key {raw:?} ({})",
-                store.backend()
-            );
+            assert_eq!(got.len(), want.len(), "flat/scalar length drift on {ctx}");
             for (g, w) in got.iter().zip(&want) {
-                assert_eq!(
-                    g.as_ref(),
-                    w.as_ref(),
-                    "flat/scalar row drift on col {col} key {raw:?} ({})",
-                    store.backend()
-                );
+                let g = store.row(*g).expect("an answered slot is live");
+                assert!(Arc::ptr_eq(g, w), "flat/scalar row drift on {ctx}");
             }
+            let slab = store.slab();
+            let naive: Vec<Slot> = slab
+                .live_slots()
+                .filter(|s| {
+                    let held = slab.row(*s).and_then(|r| r.get(col));
+                    held.and_then(index_key)
+                        .is_some_and(|k| Some(k) == index_key(raw))
+                })
+                .collect();
+            let mut got = got.to_vec();
+            got.sort_unstable();
+            assert_eq!(got, naive, "flat/naive slot drift on {ctx}");
         }
     }
 }
@@ -297,6 +394,30 @@ pub(crate) mod conformance {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn key_matches_is_index_key_equality_without_the_copy() {
+        let pool = [
+            Value::Null,
+            Value::Eot,
+            Value::Int(5),
+            Value::Float(5.0),
+            Value::Float(5.5),
+            Value::Float(f64::NAN),
+            Value::Float(1.0e16), // integral, but past the Int normal form
+            Value::str("5"),
+            Value::Bool(true),
+        ];
+        for v in &pool {
+            for key in pool.iter().filter_map(index_key) {
+                assert_eq!(
+                    key_matches(v, &key),
+                    index_key(v).is_some_and(|k| k == key),
+                    "{v:?} vs key {key:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn index_key_normalizes() {

@@ -1,16 +1,19 @@
 //! Property tests for the hash-once flat probe path: on every backend,
-//! [`DictStore::lookup_eq_flat`] must agree with the scalar `lookup_eq`
-//! verdict for verdict — through duplicate-heavy envelopes, `Int`/`Float`
-//! coercion keys, NULL/EOT keys, and *adversarial hash collisions*
-//! (distinct values sharing one `stable_key_hash`, constructed by
-//! inverting the hash's multiply-rotate mixing).
+//! the slots [`DictStore::lookup_eq_flat`] answers must resolve to the
+//! scalar `lookup_eq`'s rows verdict for verdict, and be exactly the slots
+//! a filter of the slab selects — through duplicate-heavy envelopes,
+//! `Int`/`Float` coercion keys, NULL/EOT keys, and *adversarial hash
+//! collisions* (distinct values sharing one `stable_key_hash`,
+//! constructed by inverting the hash's multiply-rotate mixing). Then the
+//! SteM on top: random builds, evictions and probe envelopes against a
+//! naive model, at every shard count and on every backend.
 //!
 //! Cases are generated from the workspace's own seeded [`SimRng`] so the
 //! suite is dependency-free and fully reproducible.
 
 use std::sync::Arc;
 use stems::sim::SimRng;
-use stems::storage::{CandidateBuf, DictStore, StoreKind};
+use stems::storage::{CandidateBuf, DictStore, Slot, StoreKind};
 use stems::types::{HashedKey, Row, Value};
 
 fn kinds() -> [StoreKind; 5] {
@@ -45,13 +48,24 @@ fn assert_flat_eq_scalar(store: &dyn DictStore, col: usize, raw_keys: &[Value], 
     let mut buf = CandidateBuf::new();
     store.lookup_eq_flat(col, &keys, &mut buf);
     assert_eq!(buf.num_keys(), raw_keys.len(), "{ctx}");
+    let slab = store.slab();
     for (i, raw) in raw_keys.iter().enumerate() {
         let want = store.lookup_eq(col, raw);
         let got = buf.candidates(i);
         assert_eq!(got.len(), want.len(), "{ctx}: key {raw:?}");
         for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.as_ref(), w.as_ref(), "{ctx}: key {raw:?}");
+            let g = store.row(*g).expect("an answered slot is live");
+            assert!(Arc::ptr_eq(g, w), "{ctx}: key {raw:?}");
         }
+        // Which slots: those whose column is SQL-equal to the key, by a
+        // scan that shares nothing with the backend's index.
+        let naive: Vec<Slot> = slab
+            .live_slots()
+            .filter(|s| slab.row(*s).unwrap().get(col).unwrap().sql_eq(raw))
+            .collect();
+        let mut got = got.to_vec();
+        got.sort_unstable();
+        assert_eq!(got, naive, "{ctx}: key {raw:?}");
     }
 }
 
@@ -161,89 +175,105 @@ fn hash_collisions_resolve_by_value_on_every_backend() {
     }
 }
 
-/// The SteM's probe pipeline against an oracle that shares no code with
-/// it: a nested loop over the rows the test built, keyed by the
-/// timestamps `build_batch` handed back in [`BuildResult::Fresh`],
-/// applying the TimeStamp and LastMatchTimeStamp rules and
-/// [`Predicate::eval`] per candidate. Reply for reply — results, order,
-/// donebits, outcome, observed_ts, raw_matches — on mixed envelopes of
-/// keyed, NULL-keyed, coercing and unbindable probes, built and unbuilt,
-/// fresh and re-probing, at one lane and at several. (The engine-level
-/// equivalence suites cover this end to end; this pins the module API
-/// directly.)
-#[test]
-fn probe_batch_replies_equal_scalar_probe_replies() {
-    use stems::catalog::{Catalog, QuerySpec, ScanSpec, SourceId, TableDef, TableInstance};
-    use stems::core::stem::{BuildResult, ProbeOutcome, ProbeReplySet, StemOptions};
-    use stems::core::tuple_state::CompletionNeed;
-    use stems::core::{ShardedStem, TupleState};
-    use stems::types::{
+mod stem_model {
+    //! What the two SteM-level properties below share: the R ⋈ S fixture
+    //! and a probe oracle that shares no code with the SteM.
+
+    use super::*;
+    pub use stems::catalog::{Catalog, QuerySpec, ScanSpec, SourceId, TableDef, TableInstance};
+    pub use stems::core::stem::{BuildResult, ProbeOutcome, ProbeReplySet, StemOptions};
+    pub use stems::core::tuple_state::CompletionNeed;
+    pub use stems::core::{ShardedStem, TupleState};
+    pub use stems::types::{
         CmpOp, ColRef, ColumnType, PredId, PredSet, Predicate, Schema, TableIdx, Timestamp, Tuple,
         TupleBatch, UNBUILT_TS,
     };
 
-    let mut c = Catalog::new();
-    let r = c
-        .add_table(TableDef::new(
-            "R",
-            Schema::of(&[("key", ColumnType::Int), ("a", ColumnType::Float)]),
-        ))
-        .unwrap();
-    let s = c
-        .add_table(TableDef::new(
-            "S",
-            Schema::of(&[("x", ColumnType::Int), ("y", ColumnType::Int)]),
-        ))
-        .unwrap();
-    c.add_scan(r, ScanSpec::default()).unwrap();
-    c.add_scan(s, ScanSpec::default()).unwrap();
-    let join = Predicate::join(
-        PredId(0),
-        ColRef::new(TableIdx(0), 1),
-        CmpOp::Eq,
-        ColRef::new(TableIdx(1), 0),
-    );
-    let tables = vec![
-        TableInstance {
-            source: r,
-            alias: "r".into(),
-        },
-        TableInstance {
-            source: s,
-            alias: "s".into(),
-        },
-    ];
-    let query = QuerySpec::new(&c, tables.clone(), vec![join.clone()], None).unwrap();
-    // The join plus a selection on S, checked at concatenation.
-    let filtered = QuerySpec::new(
-        &c,
-        tables.clone(),
-        vec![
-            join,
-            Predicate::selection(
-                PredId(1),
-                ColRef::new(TableIdx(1), 1),
-                CmpOp::Lt,
-                Value::Int(4),
-            ),
-        ],
-        None,
-    )
-    .unwrap();
-    let cartesian = QuerySpec::new(&c, tables, vec![], None).unwrap();
+    /// Queries over R(key, a) and S(x, y), probing S's SteM (key column
+    /// `x`) with R tuples.
+    pub struct Queries {
+        /// `R.a = S.x`: probes bind the SteM's key column.
+        pub keyed: QuerySpec,
+        /// The same join plus `S.y < 4`, checked at concatenation.
+        pub filtered: QuerySpec,
+        /// `R.a = S.y`: probes bind a non-key column and visit every lane.
+        pub by_y: QuerySpec,
+        /// No predicate: probes bind nothing and scan.
+        pub cartesian: QuerySpec,
+    }
+
+    pub fn queries() -> Queries {
+        let mut c = Catalog::new();
+        let r = c
+            .add_table(TableDef::new(
+                "R",
+                Schema::of(&[("key", ColumnType::Int), ("a", ColumnType::Float)]),
+            ))
+            .unwrap();
+        let s = c
+            .add_table(TableDef::new(
+                "S",
+                Schema::of(&[("x", ColumnType::Int), ("y", ColumnType::Int)]),
+            ))
+            .unwrap();
+        c.add_scan(r, ScanSpec::default()).unwrap();
+        c.add_scan(s, ScanSpec::default()).unwrap();
+        let join_on = |s_col: usize| {
+            Predicate::join(
+                PredId(0),
+                ColRef::new(TableIdx(0), 1),
+                CmpOp::Eq,
+                ColRef::new(TableIdx(1), s_col),
+            )
+        };
+        let tables = vec![
+            TableInstance {
+                source: r,
+                alias: "r".into(),
+            },
+            TableInstance {
+                source: s,
+                alias: "s".into(),
+            },
+        ];
+        let spec = |preds: Vec<Predicate>| QuerySpec::new(&c, tables.clone(), preds, None).unwrap();
+        let y_cut = Predicate::selection(
+            PredId(1),
+            ColRef::new(TableIdx(1), 1),
+            CmpOp::Lt,
+            Value::Int(4),
+        );
+        Queries {
+            keyed: spec(vec![join_on(0)]),
+            filtered: spec(vec![join_on(0), y_cut]),
+            by_y: spec(vec![join_on(1)]),
+            cartesian: spec(vec![]),
+        }
+    }
+
+    /// S's SteM: scan-only, so a built prober is consumed and an unbuilt
+    /// one must keep re-probing (Table 2 + §3.5) until an EOT — which
+    /// these properties never build.
+    pub fn s_stem(opts: StemOptions) -> ShardedStem {
+        ShardedStem::new(TableIdx(1), SourceId(1), &[0], true, false, opts)
+    }
 
     /// What the oracle expects of one probe.
-    struct Expected {
-        results: Vec<(Tuple, PredSet)>,
-        outcome: ProbeOutcome,
-        raw_matches: usize,
+    pub struct Expected {
+        pub results: Vec<(Tuple, PredSet)>,
+        pub outcome: ProbeOutcome,
+        pub raw_matches: usize,
     }
-    // Nested loop over the built rows, in build order.
-    let oracle = |built: &[(Arc<Row>, Timestamp)],
-                  keyed: bool,
-                  tuple: &Tuple,
-                  state: &TupleState,
-                  q: &QuerySpec| {
+
+    /// Nested loop over the stored rows, in build order. `bind` is the S
+    /// column the query compares `R.a` with (`None`: no join — a scan).
+    pub fn oracle(
+        stored: &[(Arc<Row>, Timestamp)],
+        bind: Option<usize>,
+        tuple: &Tuple,
+        state: &TupleState,
+        q: &QuerySpec,
+    ) -> Expected {
         let t = TableIdx(1);
         let key = tuple.value(TableIdx(0), 1).expect("R.a");
         let newly: Vec<&Predicate> = q
@@ -257,10 +287,10 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
         }
         let mut results = Vec::new();
         let mut raw_matches = 0;
-        for (row, ts) in built {
-            // Candidate fetch: the index answers SQL equality on x; a
-            // query without the join scans.
-            if keyed && !row.get(0).is_some_and(|x| x.sql_eq(key)) {
+        for (row, ts) in stored {
+            // Candidate fetch: the index answers SQL equality on the bound
+            // column; a query without the join scans.
+            if bind.is_some_and(|col| !row.get(col).is_some_and(|v| v.sql_eq(key))) {
                 continue;
             }
             raw_matches += 1;
@@ -272,8 +302,6 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
                 results.push((cand, done));
             }
         }
-        // Scan-only SteM, no EOT seen: built probers are consumed,
-        // unbuilt ones must keep re-probing (Table 2 + §3.5).
         let outcome = if tuple.timestamp() == UNBUILT_TS {
             ProbeOutcome::Bounced(CompletionNeed::Required)
         } else {
@@ -284,29 +312,81 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
             outcome,
             raw_matches,
         }
-    };
+    }
 
+    /// Build timestamps of a reply's S components, in reply order (tuple
+    /// equality ignores timestamps, so they are compared explicitly).
+    pub fn s_stamps(results: &[(Tuple, PredSet)]) -> Vec<Timestamp> {
+        results
+            .iter()
+            .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
+            .collect()
+    }
+
+    /// A random probe envelope of R tuples — unbuilt (ts = ∞), built
+    /// mid-stream (sees only the older rows) or built after everything —
+    /// with some states re-probing from a random LastMatchTimeStamp.
+    pub fn random_probes(rng: &mut SimRng, max_ts: Timestamp) -> (Vec<Tuple>, Vec<TupleState>) {
+        let probes: Vec<Tuple> = (0..rng.below(40) + 1)
+            .map(|k| {
+                let t =
+                    Tuple::singleton_of(TableIdx(0), vec![Value::Int(k as i64), random_value(rng)]);
+                match rng.below(4) {
+                    0 => t,
+                    1 => t.with_timestamp(TableIdx(0), rng.below(max_ts + 2)),
+                    _ => t.with_timestamp(TableIdx(0), 1_000_000 + k),
+                }
+            })
+            .collect();
+        let states = probes
+            .iter()
+            .map(|_| {
+                let mut st = TupleState::new();
+                if rng.below(3) == 0 {
+                    st.last_match_ts = rng.below(max_ts + 1);
+                }
+                st
+            })
+            .collect();
+        (probes, states)
+    }
+
+    /// A random S row: `x` from the mixed-type pool (NULL for EOT — EOT
+    /// rows are not data), `y` a small int, so values repeat.
+    pub fn random_s_tuple(rng: &mut SimRng) -> Tuple {
+        let x = random_value(rng);
+        let x = if x.is_eot() { Value::Null } else { x };
+        let y = Value::Int(rng.range_inclusive(0, 5));
+        Tuple::singleton_of(TableIdx(1), vec![x, y])
+    }
+}
+
+/// The SteM's probe pipeline against an oracle that shares no code with
+/// it: a nested loop over the rows the test built, keyed by the
+/// timestamps `build_batch` handed back in [`BuildResult::Fresh`],
+/// applying the TimeStamp and LastMatchTimeStamp rules and
+/// [`Predicate::eval`] per candidate. Reply for reply — results, order,
+/// donebits, outcome, observed_ts, raw_matches — on mixed envelopes of
+/// keyed, NULL-keyed, coercing and unbindable probes, built and unbuilt,
+/// fresh and re-probing, at one lane and at several. (The engine-level
+/// equivalence suites cover this end to end; this pins the module API
+/// directly.)
+///
+/// [`BuildResult::Fresh`]: stems::core::stem::BuildResult::Fresh
+/// [`Predicate::eval`]: stems::types::Predicate::eval
+#[test]
+fn probe_batch_replies_equal_scalar_probe_replies() {
+    use stem_model::*;
+    let qs = queries();
     for seed in 0..24u64 {
         for num_shards in [1usize, 4] {
             let mut rng = SimRng::new(0x9B0B ^ seed);
-            let mut stem = ShardedStem::new(
-                TableIdx(1),
-                SourceId(1),
-                &[0],
-                true,
-                false,
-                StemOptions {
-                    num_shards,
-                    ..StemOptions::default()
-                },
-            );
+            let mut stem = s_stem(StemOptions {
+                num_shards,
+                ..StemOptions::default()
+            });
             let batch: TupleBatch = (0..rng.below(60))
-                .map(|_| {
-                    let x = random_value(&mut rng);
-                    let x = if x.is_eot() { Value::Null } else { x };
-                    let y = Value::Int(rng.range_inclusive(0, 5));
-                    Tuple::singleton_of(TableIdx(1), vec![x, y])
-                })
+                .map(|_| random_s_tuple(&mut rng))
                 .collect();
             let mut ts = 0;
             let states = vec![TupleState::new(); batch.len()];
@@ -322,55 +402,136 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
             assert_eq!(built.len(), stem.len());
             let max_ts = built.last().map_or(0, |(_, ts)| *ts);
 
-            for (q, label) in [
-                (&query, "keyed"),
-                (&filtered, "filtered"),
-                (&cartesian, "scan"),
+            for (q, bind, label) in [
+                (&qs.keyed, Some(0), "keyed"),
+                (&qs.filtered, Some(0), "filtered"),
+                (&qs.cartesian, None, "scan"),
             ] {
-                let probes: Vec<Tuple> = (0..rng.below(40) + 1)
-                    .map(|k| {
-                        let t = Tuple::singleton_of(
-                            TableIdx(0),
-                            vec![Value::Int(k as i64), random_value(&mut rng)],
-                        );
-                        // Unbuilt (ts = ∞), built mid-stream (sees only
-                        // the older rows), or built after everything.
-                        match rng.below(4) {
-                            0 => t,
-                            1 => t.with_timestamp(TableIdx(0), rng.below(max_ts + 2)),
-                            _ => t.with_timestamp(TableIdx(0), 1_000 + k),
-                        }
-                    })
-                    .collect();
-                let states: Vec<TupleState> = probes
-                    .iter()
-                    .map(|_| {
-                        let mut st = TupleState::new();
-                        if rng.below(3) == 0 {
-                            st.last_match_ts = rng.below(max_ts + 1);
-                        }
-                        st
-                    })
-                    .collect();
+                let (probes, states) = random_probes(&mut rng, max_ts);
                 let mut replies = ProbeReplySet::new();
                 stem.probe_batch_into(&probes, &states, q, &mut replies);
                 assert_eq!(replies.len(), probes.len(), "seed {seed} {label}");
-                let keyed = !q.predicates.is_empty();
                 for ((tuple, state), (meta, results)) in
                     probes.iter().zip(&states).zip(replies.iter())
                 {
                     let ctx = format!("seed {seed} shards {num_shards} {label} probe {tuple}");
-                    let want = oracle(&built, keyed, tuple, state, q);
+                    let want = oracle(&built, bind, tuple, state, q);
                     assert_eq!(want.results, results, "{ctx}");
-                    let ts_of = |rs: &[(Tuple, PredSet)]| -> Vec<Timestamp> {
-                        rs.iter()
-                            .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
-                            .collect()
-                    };
-                    assert_eq!(ts_of(&want.results), ts_of(results), "{ctx}");
+                    assert_eq!(s_stamps(&want.results), s_stamps(results), "{ctx}");
                     assert_eq!(want.outcome, meta.outcome, "{ctx}");
                     assert_eq!(max_ts, meta.observed_ts, "{ctx}");
                     assert_eq!(want.raw_matches, meta.raw_matches, "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+/// The SteM as a whole against a naive model of it — a
+/// `Vec<(Arc<Row>, Timestamp)>` in build order, a linear search for the
+/// duplicate check, `remove(0)` for the window — through rounds of random
+/// build envelopes (duplicates, and re-arrivals of rows the window has
+/// since evicted) interleaved with probe envelopes that bind the key
+/// column, a non-key column, or nothing. Unbounded and windowed (where
+/// lanes fill with dead slots and are rebuilt dense mid-stream), at
+/// shards {1, 2, 4, 7}, on every backend: every build verdict and stamp,
+/// and every reply — results, order, stamps, outcome, observed_ts,
+/// raw_matches — as the model says. One `Partitioned` lane answers
+/// partition-clustered, so that backend's replies are compared as
+/// multisets.
+#[test]
+fn stem_matches_naive_model_through_builds_evictions_and_probes() {
+    use stem_model::*;
+    const WINDOW: usize = 12;
+    let qs = queries();
+    for seed in 0..6u64 {
+        for kind in kinds() {
+            for num_shards in [1usize, 2, 4, 7] {
+                for window in [None, Some(WINDOW)] {
+                    let cell = format!("seed {seed} {kind:?} shards {num_shards} {window:?}");
+                    let mut rng = SimRng::new(0x5107 ^ seed);
+                    let mut stem = s_stem(StemOptions {
+                        store: kind.clone(),
+                        num_shards,
+                        eviction_window: window,
+                        ..StemOptions::default()
+                    });
+                    let mut model: Vec<(Arc<Row>, Timestamp)> = Vec::new();
+                    let mut ts: Timestamp = 0;
+                    let mut evictions = 0;
+                    for round in 0..5 {
+                        // Build: the model absorbs, stamps and evicts one
+                        // row at a time, as a windowed SteM must.
+                        let batch: TupleBatch = (0..rng.below(70))
+                            .map(|_| random_s_tuple(&mut rng))
+                            .collect();
+                        let states = vec![TupleState::new(); batch.len()];
+                        let mut want_ts = ts;
+                        let want: Vec<Option<Timestamp>> = batch
+                            .iter()
+                            .map(|tuple| {
+                                let row = &tuple.components()[0].row;
+                                if model.iter().any(|(held, _)| held == row) {
+                                    return None;
+                                }
+                                want_ts += 1;
+                                model.push((row.clone(), want_ts));
+                                if window.is_some_and(|w| model.len() > w) {
+                                    model.remove(0);
+                                    evictions += 1;
+                                }
+                                Some(want_ts)
+                            })
+                            .collect();
+                        let got: Vec<Option<Timestamp>> = stem
+                            .build_batch(&batch, &states, &mut ts)
+                            .into_iter()
+                            .map(|r| match r {
+                                BuildResult::Fresh(t) => Some(t.timestamp()),
+                                BuildResult::Duplicate => None,
+                                other => panic!("unexpected {other:?}"),
+                            })
+                            .collect();
+                        assert_eq!(got, want, "{cell} round {round}: build verdicts");
+                        assert_eq!(ts, want_ts, "{cell} round {round}");
+                        assert_eq!(stem.len(), model.len(), "{cell} round {round}");
+                        assert_eq!(stem.evictions(), evictions, "{cell} round {round}");
+
+                        for (q, bind, label) in [
+                            (&qs.keyed, Some(0), "keyed"),
+                            (&qs.by_y, Some(1), "by_y"),
+                            (&qs.cartesian, None, "scan"),
+                        ] {
+                            let (probes, states) = random_probes(&mut rng, ts);
+                            let mut replies = ProbeReplySet::new();
+                            stem.probe_batch_into(&probes, &states, q, &mut replies);
+                            assert_eq!(replies.len(), probes.len(), "{cell} {label}");
+                            for ((tuple, state), (meta, results)) in
+                                probes.iter().zip(&states).zip(replies.iter())
+                            {
+                                let ctx = format!("{cell} round {round} {label} probe {tuple}");
+                                let want = oracle(&model, bind, tuple, state, q);
+                                let mut got = s_stamps(results);
+                                if matches!(kind, StoreKind::Partitioned { .. }) {
+                                    got.sort_unstable();
+                                }
+                                // Stored stamps are unique, so equal stamp
+                                // lists name the same rows in the same order.
+                                assert_eq!(s_stamps(&want.results), got, "{ctx}");
+                                for (tup, done) in results {
+                                    let at = want.results.iter().position(|(w, _)| w == tup);
+                                    let at = at.unwrap_or_else(|| panic!("{ctx}: stray {tup}"));
+                                    assert_eq!(want.results[at].1, *done, "{ctx}");
+                                }
+                                assert_eq!(want.outcome, meta.outcome, "{ctx}");
+                                assert_eq!(ts, meta.observed_ts, "{ctx}");
+                                assert_eq!(want.raw_matches, meta.raw_matches, "{ctx}");
+                            }
+                        }
+                    }
+                    if window.is_some() {
+                        assert!(evictions > 0, "{cell}: the window never filled");
+                    }
                 }
             }
         }

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use stems::sim::SimRng;
-use stems::storage::{index_key, RowSet, SortedStore, StoreKind};
+use stems::storage::{index_key, RowSet, Slot, SortedStore, StoreKind};
 use stems::storage::{CandidateBuf, DictStore};
 use stems::types::{CmpOp, HashedKey, Row, Value};
 
@@ -18,15 +18,17 @@ enum Op {
     Insert(i64, i64),
     Remove(i64, i64),
     Lookup(i64),
+    Compact,
 }
 
 fn ops(rng: &mut SimRng) -> Vec<Op> {
     let n = rng.below(60) as usize;
     (0..n)
-        .map(|_| match rng.below(3) {
-            0 => Op::Insert(rng.range_inclusive(0, 19), rng.range_inclusive(0, 5)),
-            1 => Op::Remove(rng.range_inclusive(0, 19), rng.range_inclusive(0, 5)),
-            _ => Op::Lookup(rng.range_inclusive(0, 7)),
+        .map(|_| match rng.below(10) {
+            0..=2 => Op::Insert(rng.range_inclusive(0, 19), rng.range_inclusive(0, 5)),
+            3..=5 => Op::Remove(rng.range_inclusive(0, 19), rng.range_inclusive(0, 5)),
+            6..=8 => Op::Lookup(rng.range_inclusive(0, 7)),
+            _ => Op::Compact,
         })
         .collect()
 }
@@ -35,26 +37,31 @@ fn row(k: i64, v: i64) -> Arc<Row> {
     Row::shared(vec![Value::Int(k), Value::Int(v)])
 }
 
-/// Apply ops to a store and a naive Vec model; compare every observation.
+/// Apply ops to a store and a naive model of its slab — rows by slot,
+/// `None` once removed; compare every observation.
 fn check_store_against_model(kind: StoreKind, ops: &[Op], seed: u64) {
     let mut store = kind.build(&[1]);
-    let mut model: Vec<Arc<Row>> = Vec::new();
+    let mut model: Vec<Option<Arc<Row>>> = Vec::new();
     for op in ops {
         match op {
             Op::Insert(k, v) => {
-                store.insert(row(*k, *v));
-                model.push(row(*k, *v));
+                let slot = store.insert(row(*k, *v));
+                assert_eq!(slot as usize, model.len(), "seed {seed}, op {op:?}");
+                model.push(Some(row(*k, *v)));
             }
             Op::Remove(k, v) => {
-                let store_removed = store.remove(&row(*k, *v));
-                let model_removed = model
-                    .iter()
-                    .position(|r| r.as_ref() == row(*k, *v).as_ref())
-                    .map(|i| {
-                        model.remove(i);
-                    })
-                    .is_some();
-                assert_eq!(store_removed, model_removed, "seed {seed}, op {op:?}");
+                // Removal is by slot: the oldest copy of the value, if the
+                // model holds one; else a slot that names nothing.
+                let victim = model.iter().position(|r| r == &Some(row(*k, *v)));
+                let slot = victim.unwrap_or(model.len()) as Slot;
+                let removed = store.remove(slot);
+                assert_eq!(
+                    removed,
+                    victim.and_then(|i| model[i].take()),
+                    "seed {seed}, op {op:?}"
+                );
+                assert_eq!(store.remove(slot), None, "seed {seed}: {slot} is dead now");
+                assert_eq!(store.row(slot), None, "seed {seed}, op {op:?}");
             }
             Op::Lookup(key) => {
                 let mut got: Vec<Vec<Value>> = store
@@ -64,6 +71,7 @@ fn check_store_against_model(kind: StoreKind, ops: &[Op], seed: u64) {
                     .collect();
                 let mut want: Vec<Vec<Value>> = model
                     .iter()
+                    .flatten()
                     .filter(|r| r.get(1) == Some(&Value::Int(*key)))
                     .map(|r| r.values().to_vec())
                     .collect();
@@ -71,15 +79,28 @@ fn check_store_against_model(kind: StoreKind, ops: &[Op], seed: u64) {
                 want.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
                 assert_eq!(got, want, "seed {seed}, op {op:?}");
             }
+            Op::Compact => {
+                store.compact();
+                model.retain(Option::is_some);
+            }
         }
-        assert_eq!(store.len(), model.len(), "seed {seed}");
+        let live = model.iter().flatten().count();
+        assert_eq!(store.len(), live, "seed {seed}");
+        assert_eq!(store.slab().slots(), model.len(), "seed {seed}");
+        let oldest = model.iter().position(Option::is_some);
+        assert_eq!(
+            store.slab().oldest(),
+            oldest.map(|i| i as Slot),
+            "seed {seed}"
+        );
     }
-    // Final scan must agree as a multiset.
-    let mut got: Vec<Vec<Value>> = store.scan().iter().map(|r| r.values().to_vec()).collect();
-    let mut want: Vec<Vec<Value>> = model.iter().map(|r| r.values().to_vec()).collect();
-    got.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    want.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    assert_eq!(got, want, "seed {seed}");
+    // Every slot resolves to the model's row; the scan is the live rows in
+    // insertion order.
+    for (slot, want) in model.iter().enumerate() {
+        assert_eq!(store.row(slot as Slot), want.as_ref(), "seed {seed}");
+    }
+    let want: Vec<Arc<Row>> = model.into_iter().flatten().collect();
+    assert_eq!(store.scan(), want, "seed {seed}");
 }
 
 fn store_cases(kind_of: impl Fn() -> StoreKind) {
@@ -152,9 +173,8 @@ fn batched_ops_match_scalar_ops() {
             let mut got = CandidateBuf::new();
             batched.lookup_eq_flat(1, &hashed, &mut got);
             for (i, key) in keys.iter().enumerate() {
-                let hits = got.candidates(i);
-                let mut hit_vals: Vec<Vec<Value>> =
-                    hits.iter().map(|r| r.values().to_vec()).collect();
+                let hits = got.candidates(i).iter().map(|s| batched.row(*s).unwrap());
+                let mut hit_vals: Vec<Vec<Value>> = hits.map(|r| r.values().to_vec()).collect();
                 let mut want_vals: Vec<Vec<Value>> = scalar
                     .lookup_eq(1, key)
                     .iter()
@@ -174,13 +194,23 @@ fn rowset_matches_hashset_model() {
     for seed in 0..64u64 {
         let mut rng = SimRng::new(0x5E7 ^ seed);
         let mut set = RowSet::new();
+        // The slab the set's slots resolve through: fresh rows, in order.
+        let mut slab: Vec<Arc<Row>> = Vec::new();
         let mut model: std::collections::HashSet<(i64, i64)> = Default::default();
         for _ in 0..rng.below(80) {
             let (k, v) = (rng.range_inclusive(0, 9), rng.range_inclusive(0, 3));
-            let fresh = set.insert(row(k, v));
+            let r = row(k, v);
+            let slot = slab.len() as Slot;
+            let fresh = set.insert(RowSet::hash_of(&r), &r, slot, |s| &slab[s as usize]);
             assert_eq!(fresh, model.insert((k, v)), "seed {seed}");
+            if fresh {
+                slab.push(r);
+            }
         }
         assert_eq!(set.len(), model.len(), "seed {seed}");
+        let mut members: Vec<Slot> = set.slots().collect();
+        members.sort_unstable();
+        assert_eq!(members, (0..slab.len() as Slot).collect::<Vec<_>>());
     }
 }
 

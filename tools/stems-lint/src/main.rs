@@ -17,6 +17,7 @@
 //! | `std-thread` | no thread spawning outside `runtime.rs` / `stems-check` |
 //! | `wall-clock` | no `Instant::now` / `SystemTime` outside `crates/bench` (virtual-time discipline) |
 //! | `metric-by-name` | no name-taking `.bump(` / `.observe(` in `engine.rs` / `server.rs` — the per-tuple path updates metrics by `MetricId` |
+//! | `row-keyed-map` | no map or set keyed by `Arc<Row>` / `Row` in non-test `stem.rs`, `sharded.rs`, `crates/storage/src/` — stored rows are addressed by slot |
 //!
 //! The scanner is token-level, not syntactic: comments, strings, and
 //! char literals are stripped before matching, so banned names in docs
@@ -157,11 +158,18 @@ fn lint_source(path: &str, text: &str) -> Vec<Finding> {
     let in_bench = path.starts_with("crates/bench/");
     let in_runtime = path == "crates/core/src/runtime.rs";
     let per_tuple_path = path == "crates/core/src/engine.rs" || path == "crates/core/src/server.rs";
+    let stores_rows = path == "crates/core/src/stem.rs"
+        || path == "crates/core/src/sharded.rs"
+        || path.starts_with("crates/storage/src/");
 
     let mut findings = Vec::new();
     let mut sync_use_block = false;
+    // These files keep their test modules at the bottom: everything from
+    // the first `#[cfg(test)]` on is test code.
+    let mut in_tests = false;
     for (idx, code_line) in code.iter().enumerate() {
         let lineno = idx + 1;
+        in_tests |= code_line.contains("#[cfg(test)]");
 
         // unsafe-safety — everywhere, no exemptions.
         if contains_word(code_line, "unsafe") && !has_safety_comment(&original, idx) {
@@ -247,8 +255,43 @@ fn lint_source(path: &str, text: &str) -> Vec<Finding> {
                 }
             }
         }
+
+        // row-keyed-map — a stored row has a slot; hashing or comparing
+        // the whole row again to find what belongs to it is the cost the
+        // slab removed.
+        if stores_rows && !in_tests {
+            if let Some(map) = row_keyed_map(code_line) {
+                findings.push(Finding {
+                    rule: "row-keyed-map",
+                    line: lineno,
+                    message: format!("`{map}` keyed by a row — address stored rows by slot"),
+                });
+            }
+        }
     }
     findings
+}
+
+/// A map or set type whose key (first type argument) is `Arc<Row>` or
+/// `Row`, if the line names one.
+fn row_keyed_map(code_line: &str) -> Option<&'static str> {
+    const MAPS: &[&str] = &["FxHashMap", "FxHashSet", "HashMap", "HashSet", "BTreeMap"];
+    MAPS.iter().copied().find(|map| {
+        code_line.match_indices(map).any(|(at, _)| {
+            let key = code_line[at + map.len()..].trim_start();
+            let Some(key) = key.strip_prefix('<') else {
+                return false;
+            };
+            let key = key.trim_start();
+            let key = key.strip_prefix("Arc<").map_or(key, str::trim_start);
+            key.strip_prefix("Row")
+                .is_some_and(|rest| !rest.starts_with(is_ident_char))
+        })
+    })
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
 }
 
 fn allowlisted(rule: &str, path: &str) -> bool {
