@@ -23,7 +23,7 @@ use stems_core::{EddyExecutor, ExecConfig, RoutingPolicyKind};
 use stems_datagen::{gen::ColGen, TableBuilder};
 use stems_sim::SimRng;
 use stems_sql::parse_query;
-use stems_storage::{CandidateBuf, DictStore, HashStore, ListStore, RowSet, Slot, StoreKind};
+use stems_storage::{CandidateBuf, RowSet, Slot, StoreKind};
 use stems_types::{ColumnType, HashedKey, PredId, Row, Schema, TableIdx, Tuple, Value};
 
 const N_ROWS: usize = 10_000;
@@ -72,8 +72,8 @@ fn bench_stem_build() {
 
 fn bench_stem_probe() {
     let data = rows(N_ROWS);
-    let mut hash = HashStore::new(&[1]);
-    let mut list = ListStore::new();
+    let mut hash = StoreKind::Hash.build(&[1]);
+    let mut list = StoreKind::List.build(&[1]);
     for r in &data {
         hash.insert(r.clone());
         list.insert(r.clone());

@@ -62,7 +62,7 @@
 //! ```text
 //! stems-types    values, rows, tuples, TupleBatch, predicates
 //!    ↑
-//! stems-storage  SteM dictionary backends (batch insert/probe)
+//! stems-storage  the SteM dictionary (batch insert/probe)
 //! stems-sim      discrete-event kernel, seeded RNG, metrics
 //! stems-catalog  tables, access methods, queries, reference executor
 //!    ↑

@@ -3,8 +3,7 @@
 //! [`ShardedStem`] is the SteM the engine instantiates per table instance
 //! (paper §2.1.4, Table 2). Its dictionary is split by join-key hash into
 //! *lanes* ([`Shard`]): `num_shards` keyed lanes plus a dedicated
-//! **overflow lane** for rows whose key is un-hashable (NULL/EOT — the
-//! same lane discipline as `stems_storage::PartitionedStore`). A SteM
+//! **overflow lane** for rows whose key is un-hashable (NULL/EOT). A SteM
 //! with `num_shards: 1` is the same code with a single lane — nothing to
 //! route, nothing to merge — not a separate engine.
 //!
@@ -71,11 +70,10 @@
 //!    (`fan_out`) — does not depend on how the pool schedules them.
 //! 4. **Merge** (serial) — replies return to batch order. A reply
 //!    gathered from several lanes is sorted by ascending build timestamp
-//!    — global insertion order, so backends whose lookups answer in
-//!    insertion order (List/Hash/Adaptive/Sorted) answer identically at
-//!    every shard count; a reply gathered from one lane keeps its store
-//!    order (one Partitioned lane answers partition-clustered, so across
-//!    shard counts that backend is multiset-equal only).
+//!    — global insertion order. Every store answers in insertion order,
+//!    so a reply gathered from one lane is in timestamp order already:
+//!    skipping its sort is a shortcut, not a semantic, and replies are
+//!    identical at every shard count.
 //!
 //! `tests/prop_batch_equivalence.rs` locks shard counts {1, 2, 4, 7} and
 //! worker budgets verdict-for-verdict to each other.
@@ -347,8 +345,9 @@ impl ShardedStem {
         self.shards.iter().map(Shard::approx_bytes).sum()
     }
 
-    /// Dictionary backend in use. Lanes of an adaptive backend upgrade
-    /// independently; this reports the first lane's.
+    /// Whether the dictionary is indexed (`"hash"`) or not yet (`"list"`).
+    /// Lanes of an adaptive store index themselves independently; this
+    /// reports the first lane's.
     pub fn backend(&self) -> &'static str {
         self.shards[0].backend()
     }
@@ -596,10 +595,21 @@ impl ShardedStem {
     /// Bounce partition of a row: rows of partitions below
     /// `mem_partitions` are "memory-resident" and bounce immediately
     /// (Hybrid-Hash, §3.1); the rest are withheld.
+    ///
+    /// The partition is a function of the key's equality normal form
+    /// ([`Value::equality_key`]), so rows that `sql_eq` — `Int(5)` and
+    /// `Float(5.0)` share a lane and an index chain — are released in one
+    /// cluster. NULL/EOT keys have no normal form and hash as themselves.
     pub(crate) fn partition_of(&self, row: &Row) -> usize {
         use std::hash::BuildHasher;
-        let key = row.get(self.key_col).cloned().unwrap_or(Value::Null);
-        (FxBuildHasher::default().hash_one(&key) % self.partitions.max(1) as u64) as usize
+        let key = row.get(self.key_col).unwrap_or(&Value::Null);
+        // Only a float is not its own normal form.
+        let normal = match key {
+            Value::Float(_) => key.equality_key(),
+            _ => None,
+        };
+        let key = normal.as_ref().unwrap_or(key);
+        (FxBuildHasher::default().hash_one(key) % self.partitions.max(1) as u64) as usize
     }
 
     /// Release deferred bounce-backs, clustered by hash partition (the
@@ -607,7 +617,7 @@ impl ShardedStem {
     /// partition. Called by the engine when the table's scan completes.
     pub fn release_deferred(&mut self) -> Vec<(Tuple, TupleState)> {
         let mut out = std::mem::take(&mut self.deferred);
-        out.sort_by_key(|(t, _)| self.partition_of(&t.components()[0].row));
+        out.sort_by_cached_key(|(t, _)| self.partition_of(&t.components()[0].row));
         out
     }
 
@@ -1030,16 +1040,11 @@ mod tests {
         )
     }
 
-    fn every_store_kind() -> [StoreKind; 5] {
+    fn every_store_kind() -> [StoreKind; 3] {
         [
             StoreKind::List,
             StoreKind::Hash,
             StoreKind::Adaptive { threshold: 4 },
-            StoreKind::Partitioned {
-                partitions: 4,
-                mem_resident: 1,
-            },
-            StoreKind::Sorted,
         ]
     }
 
@@ -1133,7 +1138,7 @@ mod tests {
     }
 
     /// Shard-count × envelope-split invariance of the one build path:
-    /// {1, 2, 4, 7} shards × every backend × {one envelope of N, N
+    /// {1, 2, 4, 7} shards × every store kind × {one envelope of N, N
     /// envelopes of one} produce identical results, timestamps and
     /// counters.
     #[test]
@@ -1162,7 +1167,7 @@ mod tests {
     }
 
     /// Shard-count invariance of the one probe path for keyed probes
-    /// (one lane answers): {1, 2, 4, 7} shards × every backend, reply
+    /// (one lane answers): {1, 2, 4, 7} shards × every store kind, reply
     /// for reply including match order and timestamps.
     #[test]
     fn probe_replies_match_single_shard_bit_for_bit() {
@@ -1221,31 +1226,22 @@ mod tests {
     }
 
     /// One lane ⇒ no timestamp re-sort: a fan-out (non-key-column) probe
-    /// on a 1-shard SteM returns its candidates in *store* order — for
-    /// `Sorted` that is arrival order, for `Partitioned` it is
-    /// partition-clustered and NOT build order, so a merge that re-sorted
-    /// a one-lane reply by timestamp would be caught. With several lanes
-    /// the same probe gathers from all of them and merges by build
-    /// timestamp.
+    /// on a 1-shard SteM returns its candidates in *store* order, which is
+    /// insertion order — so it is already what several lanes' replies
+    /// merged by build timestamp come to, and what the same lane chunked
+    /// across the pool answers.
     #[test]
     fn one_lane_fanout_probe_keeps_store_order() {
         let (c, q) = setup();
         let q = non_key_query(&c, &q);
         let batch: TupleBatch = (0..40i64).map(|i| s_tuple(100 - i, i % 5)).collect();
         let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 1_000);
-        let ascending = |ts: &[Timestamp]| ts.windows(2).all(|w| w[0] < w[1]);
-        for store in [
-            StoreKind::Sorted,
-            StoreKind::Partitioned {
-                partitions: 4,
-                mem_resident: 1,
-            },
-        ] {
+        for store in every_store_kind() {
             let opts = StemOptions {
                 store: store.clone(),
                 ..StemOptions::default()
             };
-            // Store order, from the backend itself.
+            // Store order, from the store itself.
             let mut reference = store.build(&[0]);
             reference.insert_batch(
                 batch
@@ -1265,12 +1261,6 @@ mod tests {
                 .map(|(t, _)| &t.component(TableIdx(1)).unwrap().row)
                 .collect();
             assert_eq!(got, store_order.iter().collect::<Vec<_>>(), "{store:?}");
-            if store != StoreKind::Sorted {
-                assert!(
-                    !ascending(&match_ts(&p1)),
-                    "{store:?} must not be in build order"
-                );
-            }
             // The same lane chunked across the pool: its replies come
             // back through the merge, gathered from one lane each.
             let mut pooled = sharded(
@@ -1291,8 +1281,8 @@ mod tests {
             let mut four = sharded(4, opts);
             build_in_envelopes(&mut four, &batch, batch.len());
             let p4 = probe_one(&four, &r, &TupleState::new(), &q);
-            assert!(ascending(&match_ts(&p4)), "{store:?}: merged by timestamp");
-            assert_eq!(p4.raw_matches, p1.raw_matches);
+            assert_eq!(p4, p1, "{store:?}: merged by timestamp");
+            assert_eq!(match_ts(&p4), match_ts(&p1), "{store:?}");
         }
     }
 
@@ -1577,10 +1567,8 @@ mod tests {
     #[test]
     fn store_kinds_shard_consistently() {
         // Fan-out probes (bound on a non-key column, so every lane is
-        // visited and the replies merged) at {1, 2, 4, 7} shards: the
-        // insertion-ordered backends answer identically, order included;
-        // one Partitioned lane answers partition-clustered, so it is
-        // multiset-equal.
+        // visited and the replies merged) at {1, 2, 4, 7} shards: every
+        // kind answers identically, order included.
         let (c, q) = setup();
         let q = non_key_query(&c, &q);
         for store in every_store_kind() {
@@ -1599,19 +1587,31 @@ mod tests {
                 let mut many = sharded(shards, opts.clone());
                 build_in_envelopes(&mut many, &batch, batch.len());
                 let pn = probe_one(&many, &r, &TupleState::new(), &q);
-                if matches!(store, StoreKind::Partitioned { .. }) {
-                    let sorted = |p: &OneReply| {
-                        let mut ts = match_ts(p);
-                        ts.sort_unstable();
-                        ts
-                    };
-                    assert_eq!(sorted(&p1), sorted(&pn), "{store:?}, {shards} shards");
-                    assert_eq!(p1.raw_matches, pn.raw_matches);
-                } else {
-                    assert_eq!(p1, pn, "{store:?}, {shards} shards");
-                    assert_eq!(match_ts(&p1), match_ts(&pn), "{store:?}, {shards} shards");
-                }
+                assert_eq!(p1, pn, "{store:?}, {shards} shards");
+                assert_eq!(match_ts(&p1), match_ts(&pn), "{store:?}, {shards} shards");
             }
+        }
+    }
+
+    /// Rows that `sql_eq` are released in one Grace cluster: the bounce
+    /// partition is taken on the key's equality normal form.
+    #[test]
+    fn partition_of_agrees_with_sql_equality() {
+        for shards in [1usize, 4] {
+            let stem = sharded(
+                shards,
+                StemOptions {
+                    deferred_bounce: true,
+                    partitions: 8,
+                    ..StemOptions::default()
+                },
+            );
+            let part = |key: Value| stem.partition_of(&Row::new(vec![key, Value::Int(0)]));
+            let ints: Vec<usize> = (0..64).map(|k| part(Value::Int(k))).collect();
+            let floats: Vec<usize> = (0..64).map(|k| part(Value::Float(k as f64))).collect();
+            assert_eq!(ints, floats, "{shards} shards");
+            let used: std::collections::HashSet<&usize> = ints.iter().collect();
+            assert!(used.len() > 1, "the keys must spread over partitions");
         }
     }
 }

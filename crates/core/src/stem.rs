@@ -52,7 +52,7 @@ use crate::sync::{Arc, ScratchPool};
 use crate::tuple_state::{CompletionNeed, TupleState};
 use stems_catalog::QuerySpec;
 use stems_storage::fxhash::FxHashSet;
-use stems_storage::{index_key, CandidateBuf, DictStore, RowSet, Slot, StoreKind};
+use stems_storage::{index_key, CandidateBuf, RowSet, Slot, Store, StoreKind};
 use stems_types::{
     HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, Value, UNBUILT_TS,
 };
@@ -94,7 +94,7 @@ pub(crate) struct ProbeScratch {
 /// Configuration of one SteM.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StemOptions {
-    /// Dictionary backend.
+    /// When the dictionary indexes its join columns.
     pub store: StoreKind,
     /// FIFO eviction window (None = unbounded, the paper's default for
     /// snapshot queries).
@@ -322,7 +322,7 @@ const COMPACT_MIN_DEAD: usize = 32;
 /// dictionaries, which preserves the memory-sharing benefit while keeping
 /// the timestamp bookkeeping per instance.
 pub(crate) struct Shard {
-    store: Box<dyn DictStore + Send + Sync>,
+    store: Store,
     /// Stored rows by value → their slot (§3.2 duplicate absorption).
     dedup: RowSet,
     /// Build timestamp by slot. A row [`Shard::ingest`] stored but
@@ -361,7 +361,7 @@ impl Shard {
         self.store.approx_bytes() + self.dedup.approx_bytes()
     }
 
-    /// Which dictionary backend is currently in use.
+    /// Whether the dictionary is indexed (`"hash"`) or not yet (`"list"`).
     pub(crate) fn backend(&self) -> &'static str {
         self.store.backend()
     }
@@ -455,7 +455,7 @@ impl Shard {
     /// one reply per tuple to `out` in slice order. `resolved` carries
     /// each tuple's prehashed binding and bounce decision; this lane
     /// contributes the candidates. All equality lookups on one column go
-    /// through a single [`DictStore::lookup_eq_flat`] index descent into
+    /// through a single [`Store::lookup_eq_flat`] index descent into
     /// a reusable arena of candidate *slots* (duplicate keys share one
     /// span; unbindable probes walk the slab's live slots), the
     /// newly-evaluable predicate set is resolved once per distinct

@@ -7,7 +7,7 @@ use std::hash::BuildHasher;
 use stems_types::Row;
 
 /// The fixed term of [`RowSet::approx_bytes`] — a constant of the
-/// accounting model (see `HashStore`'s), not the struct's current size.
+/// accounting model (see `Store`'s), not the struct's current size.
 const HEADER_BYTES: usize = 40;
 
 /// The duplicate filter a SteM applies to build tuples.

@@ -1,4 +1,4 @@
-//! The caller-owned arena behind [`crate::DictStore::lookup_eq_flat`].
+//! The caller-owned arena behind [`crate::Store::lookup_eq_flat`].
 //!
 //! The batched probe path used to materialize every envelope's candidates
 //! as a `Vec<Vec<Arc<Row>>>` — one heap allocation per key, per envelope,
@@ -21,9 +21,8 @@ use crate::slab::Slot;
 use stems_types::HashedKey;
 
 /// Reusable flat storage for one envelope's candidate fetch. See the
-/// module docs; producers are [`crate::DictStore::lookup_eq_flat`]
-/// implementations, the consumer reads [`CandidateBuf::candidates`] per
-/// key index.
+/// module docs; the producer is [`crate::Store::lookup_eq_flat`], the
+/// consumer reads [`CandidateBuf::candidates`] per key index.
 #[derive(Debug, Default)]
 pub struct CandidateBuf {
     /// Every key's candidate slots, back to back.
@@ -56,7 +55,7 @@ impl CandidateBuf {
         self.spans.len()
     }
 
-    /// Candidate slots of key `i`, in the order the backend produced them.
+    /// Candidate slots of key `i`, in the order the store produced them.
     pub fn candidates(&self, i: usize) -> &[Slot] {
         let (start, end) = self.spans[i];
         &self.slots[start..end]

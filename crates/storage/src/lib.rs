@@ -1,51 +1,57 @@
-//! Dictionary stores backing State Modules.
+//! The dictionary backing State Modules.
 //!
 //! A SteM "encapsulates a dictionary data structure over tuples from a
 //! table, and handles build (insert) and probe (lookup) requests on that
-//! dictionary" (paper §1). The paper stresses that *which* dictionary a
-//! SteM uses is an implementation choice the SteM may even adapt on its own
-//! (§3.1: "the SteM may use a linked list when it holds a small number of
-//! tuples, and switch to a hash-based implementation when the list size
-//! increases"), and that different dictionary implementations make routing
-//! simulate different classical join algorithms:
+//! dictionary" (paper §1). How the dictionary is implemented is the SteM's
+//! own business, which it may even adapt on its own (§3.1: "the SteM may
+//! use a linked list when it holds a small number of tuples, and switch to
+//! a hash-based implementation when the list size increases").
 //!
-//! * hash indexes ⇒ (n-ary) symmetric hash join,
-//! * partitioned "asynchronous" stores ⇒ Grace / hybrid-hash joins,
-//! * sorted runs (tournament trees) ⇒ sort-merge join.
+//! # One store, three ways to ask for it
 //!
-//! This crate provides those stores behind one trait, [`DictStore`]:
+//! There is one dictionary, [`Store`]: a row slab plus, when it keeps
+//! them, a hash index on each join column — "pointers to the same tuples
+//! in memory" (§2.1.4), the pointers being slots of the one slab. A
+//! [`StoreKind`] only says *when* the indexes exist:
 //!
-//! * [`ListStore`] — the row slab alone, lookups by filtered scan.
-//! * [`HashStore`] — secondary hash indexes on each join column, "pointers
-//!   to the same tuples in memory" (paper §2.1.4): slots of the one slab.
-//! * [`AdaptiveStore`] — starts as a list, switches to hash at a threshold.
-//! * [`PartitionedStore`] — Grace-style hash partitions with clustered
-//!   draining, used to delay and batch bounce-backs.
-//! * [`SortedStore`] — a sorted run for merge-style access.
+//! * [`StoreKind::List`] — never: the slab alone, lookups by filtered
+//!   scan. The micro-bench uses it to show why SteMs index their join
+//!   columns.
+//! * [`StoreKind::Hash`] — from the first row; the default, and what
+//!   makes routing realize the (n-ary) symmetric hash join.
+//! * [`StoreKind::Adaptive`] — once the store outgrows a threshold, the
+//!   paper's list→hash example; the slab is indexed in place, so slots
+//!   survive the switch.
+//!
+//! The paper's other two simulations are not dictionaries here. A Grace /
+//! hybrid-hash join is a matter of *when build tuples bounce back* —
+//! `StemOptions::deferred_bounce` (with `partitions` / `mem_partitions`)
+//! in `stems-core`, over an ordinary hash store — and its static
+//! counterpart is `crates/baseline/src/grace.rs`; sort-merge is
+//! `crates/baseline/src/sortmerge.rs`.
 //!
 //! # One slab, addressed by slot
 //!
-//! Every backend embeds one [`Slab`]: the store's rows in insertion
-//! order, each at a dense **slot** ([`Slot`], the row's insertion
-//! ordinal), with the live/bytes accounting and the scan and oldest-row
-//! cursors kept once. A backend is then only an *index over slots* — a
-//! chain per key hash, a sorted run, a list per partition, or nothing —
-//! and the whole store contract deals in slots: `insert` returns one,
-//! [`DictStore::lookup_eq_flat`] answers them, `row(slot)` resolves one
-//! back to its shared [`Arc<Row>`], removal is by slot. So an index
-//! entry is an integer in a flat column rather than a heap block per key,
-//! a candidate costs no reference-count traffic until someone actually
-//! uses the row, and whoever keeps facts *about* stored rows (a SteM
-//! lane's build timestamps, its FIFO window) keeps them in slot-indexed
-//! columns instead of maps keyed by the row. Dead slots are reclaimed by
-//! [`DictStore::compact`], which renumbers the survivors densely in
-//! insertion order.
+//! The store embeds one [`Slab`]: its rows in insertion order, each at a
+//! dense **slot** ([`Slot`], the row's insertion ordinal), with the
+//! live/bytes accounting and the scan and oldest-row cursors. The indexes
+//! are chains of slots, and the whole store contract deals in slots:
+//! `insert` returns one, [`Store::lookup_eq_flat`] answers them — always
+//! in insertion order — `row(slot)` resolves one back to its shared
+//! [`Arc<Row>`], removal is by slot. So an index entry is an integer in a
+//! flat column rather than a heap block per key, a candidate costs no
+//! reference-count traffic until someone actually uses the row, and
+//! whoever keeps facts *about* stored rows (a SteM lane's build
+//! timestamps, its FIFO window) keeps them in slot-indexed columns
+//! instead of maps keyed by the row. Dead slots are reclaimed by
+//! [`Store::compact`], which renumbers the survivors densely in insertion
+//! order.
 //!
-//! Beside the stores: [`RowSet`], the set-semantics duplicate filter of
+//! Beside the store: [`RowSet`], the set-semantics duplicate filter of
 //! §3.2 (row value → slot, under a whole-row hash the caller computes
 //! once); a small in-repo Fx-style hasher ([`fxhash`]) for hot integer
 //! keys; and the flat probe machinery — [`CandidateBuf`] (the
-//! caller-owned slot arena behind [`DictStore::lookup_eq_flat`], with
+//! caller-owned slot arena behind [`Store::lookup_eq_flat`], with
 //! key-run dedup) and [`SlotChains`] (hash-once chains threaded through
 //! a per-slot column: the hash index's and the dedup filter's common
 //! shape).
@@ -60,24 +66,231 @@
 
 pub mod fxhash;
 
-mod adaptive;
 mod dedup;
 mod flat;
-mod hash;
-mod list;
-mod partitioned;
 mod prehash;
 mod slab;
-mod sorted;
 mod store;
 
-pub use adaptive::AdaptiveStore;
 pub use dedup::RowSet;
 pub use flat::CandidateBuf;
-pub use hash::HashStore;
-pub use list::ListStore;
-pub use partitioned::PartitionedStore;
 pub use prehash::SlotChains;
 pub use slab::{Slab, Slot};
-pub use sorted::SortedStore;
-pub use store::{index_key, DictStore, StoreKind};
+pub use store::{index_key, Store, StoreKind};
+
+// The per-kind suites, one module per `StoreKind`, so a test's ID names the
+// kind it exercises (`hash::tests::…`).
+
+#[cfg(test)]
+mod list {
+    mod tests {
+        use crate::store::conformance;
+        use crate::StoreKind;
+
+        #[test]
+        fn conformance_suite() {
+            conformance::run_suite(StoreKind::List.build(&[1]));
+        }
+    }
+}
+
+#[cfg(test)]
+mod hash {
+    mod tests {
+        use crate::store::conformance::{self, row};
+        use crate::{CandidateBuf, StoreKind};
+        use std::sync::Arc;
+        use stems_types::{HashedKey, Value};
+
+        #[test]
+        fn conformance_suite() {
+            conformance::run_suite(StoreKind::Hash.build(&[1]));
+        }
+
+        #[test]
+        fn conformance_without_matching_index() {
+            // Same behaviour expected when lookups hit the scan-filter path.
+            conformance::run_suite(StoreKind::Hash.build(&[0]));
+        }
+
+        #[test]
+        fn multiple_secondary_indexes_share_rows() {
+            // Mirrors the paper's S table: indexes on both x and y.
+            let mut s = StoreKind::Hash.build(&[0, 1]);
+            s.insert(row(&[7, 8]));
+            let by_x = s.lookup_eq(0, &Value::Int(7));
+            let by_y = s.lookup_eq(1, &Value::Int(8));
+            assert_eq!(by_x.len(), 1);
+            assert_eq!(by_y.len(), 1);
+            // same allocation, not a copy
+            assert!(Arc::ptr_eq(&by_x[0], &by_y[0]));
+        }
+
+        #[test]
+        fn duplicate_index_cols_deduped() {
+            // Two distinct columns, so two (index, row) pairs accounted.
+            let mut s = StoreKind::Hash.build(&[1, 1, 0]);
+            let r = row(&[1, 2]);
+            s.insert(r.clone());
+            assert_eq!(s.approx_bytes(), 64 + r.approx_bytes() + 2 * 16);
+            assert_eq!(s.lookup_eq(0, &Value::Int(1)).len(), 1);
+            assert_eq!(s.lookup_eq(1, &Value::Int(2)).len(), 1);
+        }
+
+        #[test]
+        fn removal_cleans_index_entries() {
+            let mut s = StoreKind::Hash.build(&[0]);
+            let first = s.insert(row(&[5]));
+            let second = s.insert(row(&[5]));
+            assert!(s.remove(first).is_some());
+            assert_eq!(s.lookup_eq(0, &Value::Int(5)).len(), 1);
+            assert!(s.remove(second).is_some());
+            assert_eq!(s.lookup_eq(0, &Value::Int(5)).len(), 0);
+            assert_eq!(s.len(), 0);
+            // The emptied chain is gone, not dangling: the key indexes afresh.
+            let third = s.insert(row(&[5]));
+            assert_eq!(s.lookup_eq(0, &Value::Int(5)).len(), 1);
+            assert!(s.remove(third).is_some());
+        }
+
+        #[test]
+        fn out_of_range_index_column_is_harmless() {
+            let mut s = StoreKind::Hash.build(&[9]);
+            s.insert(row(&[1, 2]));
+            assert_eq!(s.len(), 1);
+            assert_eq!(s.lookup_eq(9, &Value::Int(1)).len(), 0);
+            assert_eq!(s.lookup_eq(0, &Value::Int(1)).len(), 1);
+        }
+
+        #[test]
+        fn flat_lookup_skips_tombstones_and_dedups() {
+            let mut s = StoreKind::Hash.build(&[0]);
+            let dead = s.insert(row(&[5, 1]));
+            s.insert(row(&[5, 2]));
+            s.insert(row(&[6, 3]));
+            assert!(s.remove(dead).is_some());
+            let keys: Vec<HashedKey> = [Value::Int(5), Value::Float(5.0), Value::Int(6)]
+                .into_iter()
+                .map(HashedKey::new)
+                .collect();
+            let mut buf = CandidateBuf::new();
+            s.lookup_eq_flat(0, &keys, &mut buf);
+            assert_eq!(buf.candidates(0), [1]);
+            assert_eq!(buf.candidates(0), buf.candidates(1), "coercion dedup");
+            assert_eq!(buf.candidates(2), [2]);
+            // Two distinct keys resolved; the coerced duplicate shared.
+            assert_eq!(buf.rows_stored(), 2);
+        }
+
+        #[test]
+        fn accounting_model_terms_are_pinned() {
+            // header + rows + 16 bytes per (index, row) pair — the numbers
+            // budgets were tuned against. Indexed from construction, join
+            // columns or not (the cross-product SteM); unindexed, the
+            // header is the list's.
+            let mut s = StoreKind::Hash.build(&[0, 1]);
+            assert_eq!(s.approx_bytes(), 64);
+            let r = row(&[1, 2]);
+            s.insert(r.clone());
+            assert_eq!(s.approx_bytes(), 64 + r.approx_bytes() + 2 * 16);
+            let mut cross = StoreKind::Hash.build(&[]);
+            assert_eq!((cross.backend(), cross.approx_bytes()), ("hash", 64));
+            cross.insert(r.clone());
+            assert_eq!(cross.approx_bytes(), 64 + r.approx_bytes());
+            let mut list = StoreKind::List.build(&[0, 1]);
+            assert_eq!(list.approx_bytes(), 32);
+            list.insert(r.clone());
+            assert_eq!(list.approx_bytes(), 32 + r.approx_bytes());
+        }
+    }
+}
+
+#[cfg(test)]
+mod adaptive {
+    mod tests {
+        use crate::store::conformance::{self, row};
+        use crate::{CandidateBuf, Slot, StoreKind};
+        use std::sync::Arc;
+        use stems_types::{HashedKey, Row, Value};
+
+        #[test]
+        fn conformance_suite_small_threshold() {
+            // Upgrades mid-suite; behaviour must be indistinguishable.
+            conformance::run_suite(StoreKind::Adaptive { threshold: 2 }.build(&[1]));
+        }
+
+        #[test]
+        fn conformance_suite_large_threshold() {
+            // Never upgrades; stays a list throughout.
+            conformance::run_suite(StoreKind::Adaptive { threshold: 1_000 }.build(&[1]));
+        }
+
+        #[test]
+        fn upgrade_happens_exactly_once_at_threshold() {
+            let mut s = StoreKind::Adaptive { threshold: 3 }.build(&[0]);
+            for i in 0..3 {
+                s.insert(row(&[i]));
+            }
+            assert_eq!(s.backend(), "list");
+            s.insert(row(&[3]));
+            assert_eq!(s.backend(), "hash");
+            for i in 4..10 {
+                s.insert(row(&[i]));
+            }
+            // Data survived the upgrade, and each row is indexed once.
+            assert_eq!(s.len(), 10);
+            for i in 0..10 {
+                assert_eq!(s.lookup_eq(0, &Value::Int(i)).len(), 1, "key {i}");
+            }
+            // Once indexed, always: shrinking below the threshold, and
+            // emptying, keep the indexes.
+            for slot in 0..8 {
+                assert!(s.remove(slot).is_some());
+            }
+            s.compact();
+            assert_eq!((s.len(), s.backend()), (2, "hash"));
+            s.clear();
+            assert_eq!(s.backend(), "hash");
+        }
+
+        #[test]
+        fn slots_keep_their_numbers_across_the_upgrade() {
+            let mut s = StoreKind::Adaptive { threshold: 3 }.build(&[0]);
+            let rows: Vec<Arc<Row>> = (0..4).map(|i| row(&[i % 2, i])).collect();
+            for (slot, r) in rows.iter().take(3).enumerate() {
+                assert_eq!(s.insert(r.clone()), slot as Slot);
+            }
+            // A dead slot made while still a list must stay dead — and
+            // unnumbered-over — once the store indexes its slab.
+            assert!(s.remove(1).is_some());
+            for r in &rows {
+                s.insert(r.clone());
+            }
+            assert_eq!(s.backend(), "hash");
+            assert_eq!(s.row(1), None);
+            for slot in [0, 2, 3, 4, 5, 6] {
+                let want = &rows[if slot < 3 { slot } else { slot - 3 }];
+                assert!(Arc::ptr_eq(s.row(slot as Slot).unwrap(), want), "{slot}");
+            }
+            // The index built at the upgrade answers the pre-upgrade slots.
+            let mut buf = CandidateBuf::new();
+            let key = [HashedKey::new(Value::Int(0))];
+            s.lookup_eq_flat(0, &key, &mut buf);
+            assert_eq!(buf.candidates(0), [0, 2, 3, 5]);
+        }
+
+        #[test]
+        fn scan_order_preserved_across_upgrade() {
+            let mut s = StoreKind::Adaptive { threshold: 1 }.build(&[0]);
+            s.insert(row(&[10]));
+            s.insert(row(&[11]));
+            s.insert(row(&[12]));
+            let keys: Vec<_> = s
+                .scan()
+                .iter()
+                .map(|r| r.get(0).cloned().unwrap())
+                .collect();
+            assert_eq!(keys, vec![Value::Int(10), Value::Int(11), Value::Int(12)]);
+        }
+    }
+}

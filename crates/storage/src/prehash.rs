@@ -12,7 +12,7 @@
 //! A chain holds every slot pushed under one *hash*. Distinct keys that
 //! collide share a chain, so whoever walks it compares each slot's row
 //! with the key it is looking for (the row is at hand through the slab;
-//! [`crate::HashStore`] checks the indexed column, [`crate::RowSet`] the
+//! [`crate::Store`] checks the indexed column, [`crate::RowSet`] the
 //! whole row) — which is also why no key copy is kept here. Chains are in
 //! push order, so a walk answers in insertion order.
 

@@ -1,8 +1,8 @@
-//! The row slab every backend embeds.
+//! The row slab the store embeds.
 //!
 //! A store gives each row it is handed one dense **slot** — the row's
 //! insertion ordinal in that store — and everything else addresses the
-//! row by that number: the backend's own indexes, the flat probe arena
+//! row by that number: the store's own indexes, the flat probe arena
 //! ([`crate::CandidateBuf`]), the dedup filter ([`crate::RowSet`]) and,
 //! one layer up, a SteM lane's build-timestamp column and FIFO window.
 //! The slab is the one place that maps a slot back to its shared
@@ -16,15 +16,15 @@ use stems_types::{Row, Value};
 
 /// A stored row's address in its store: its insertion ordinal. Dense,
 /// starting at 0, never reused while the store lives — a removed row
-/// leaves its slot dead until [`crate::DictStore::compact`] renumbers the
+/// leaves its slot dead until [`crate::Store::compact`] renumbers the
 /// survivors.
 pub type Slot = u32;
 
 /// "No slot" — ends a [`crate::SlotChains`] chain; never handed out.
 pub(crate) const NIL: Slot = Slot::MAX;
 
-/// Rows by slot, with the accounting and insertion-order cursors every
-/// backend used to keep for itself.
+/// Rows by slot, with the live/bytes accounting and the insertion-order
+/// cursors.
 #[derive(Debug, Default)]
 pub struct Slab {
     /// `rows[slot]`; `None` marks a removed row (a dead slot).
@@ -111,9 +111,9 @@ impl Slab {
         self.oldest = 0;
     }
 
-    /// The scan-filter every backend falls back to: append to `out` those
-    /// of `slots` whose row holds `key` (an equality normal form) in
-    /// column `col`, in the order given.
+    /// The filter behind every lookup: append to `out` those of `slots`
+    /// whose row holds `key` (an equality normal form) in column `col`,
+    /// in the order given.
     pub(crate) fn filter_eq(
         &self,
         col: usize,

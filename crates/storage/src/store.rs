@@ -1,8 +1,9 @@
-//! The dictionary-store abstraction shared by all SteM backends.
+//! The SteM's dictionary: one row slab and, when asked for, a hash index
+//! per join column.
 
 use crate::flat::CandidateBuf;
+use crate::prehash::SlotChains;
 use crate::slab::{Slab, Slot};
-use crate::{AdaptiveStore, HashStore, ListStore, PartitionedStore, SortedStore};
 use std::sync::Arc;
 use stems_types::{HashedKey, KeyHash, Row, Value};
 
@@ -34,42 +35,131 @@ pub(crate) fn key_matches(v: &Value, key: &Value) -> bool {
     }
 }
 
+/// The fixed term of [`Store::approx_bytes`] while the store keeps no
+/// index, and once it does. Constants of the accounting model, not
+/// `size_of::<Store>()`: server admission budgets and the
+/// `stem_bytes_total` series read them, so they must not move when the
+/// struct changes shape.
+const UNINDEXED_HEADER_BYTES: usize = 32;
+const INDEXED_HEADER_BYTES: usize = 64;
+
 /// A dictionary of rows from one table, supporting the three SteM
 /// operations of the paper: insert (build), search (probe) and delete
 /// (eviction).
 ///
-/// Every backend keeps its rows in one embedded [`Slab`] and is, beyond
-/// that, an index over the slab's **slots**: a row is addressed by the
-/// slot `insert` returned for it, lookups answer slots, removal is by
-/// slot. What a backend chooses is which slots a lookup has to consider
-/// and in which order it answers them ([`DictStore::lookup_slots`]);
-/// resolving, counting, scanning and FIFO order are the slab's and are
-/// provided here once.
-pub trait DictStore: std::fmt::Debug {
+/// The rows live in one [`Slab`] and are addressed by **slot**: `insert`
+/// returns the slot a row took, lookups answer slots, removal is by slot.
+/// Over the slab the store keeps, or does not keep yet, the paper's
+/// default SteM index (§2.1.4): "one main-memory index ... on each column
+/// of S that is involved in a join predicate. These are all secondary
+/// indexes having pointers to the same tuples in memory." The "pointers"
+/// are slots, and each index is a [`SlotChains`] keyed by
+/// [`Value::stable_key_hash`] of the column's equality normal form: a
+/// probe arriving through [`Store::lookup_eq_flat`] carries that hash
+/// precomputed and jumps straight to the chain of slots built under it,
+/// and the walk compares each slot's own column with the probe key, so
+/// keys that merely collide never answer for one another and the index
+/// stores no key copies. Routing through indexed SteMs realizes the n-ary
+/// symmetric hash join of §2.3.
+///
+/// *When* the indexes exist is what a [`StoreKind`] chooses. Unindexed,
+/// the store is the slab alone and a lookup filters a scan of it — cheap
+/// to build into and adequate while small, which is the paper's example
+/// of adaptation *inside* a SteM, invisible to the eddy (§3.1): "the SteM
+/// may use a linked list when it holds a small number of tuples, and
+/// switch to a hash-based implementation when the list size increases.
+/// This switch can be made independent of other modules." The switch
+/// indexes the slab in place, so every slot handed out before it keeps
+/// naming the same row; it happens once, and [`Store::clear`] and
+/// [`Store::compact`] do not undo it. Indexed or not, every lookup
+/// answers in insertion order.
+#[derive(Debug)]
+pub struct Store {
+    slab: Slab,
+    /// `(col, key hash → slots)`, one per distinct join column, chains in
+    /// insertion order. Empty until the store is `indexed`.
+    indexes: Vec<(usize, SlotChains)>,
+    /// Are the indexes kept? Never reset once set.
+    indexed: bool,
+    /// An unindexed store indexes itself when it holds more rows than
+    /// this.
+    threshold: usize,
+}
+
+/// The hash a row is indexed under on `col`; `None` keeps it out of the
+/// index (NULL/EOT match nothing, and a missing column has no key).
+fn key_hash(row: &Row, col: usize) -> Option<u64> {
+    row.get(col).and_then(Value::stable_key_hash)
+}
+
+/// Append `slot` (holding `row`) to its chain in every index.
+fn link(indexes: &mut [(usize, SlotChains)], row: &Row, slot: Slot) {
+    for (col, chains) in indexes {
+        if let Some(h) = key_hash(row, *col) {
+            chains.push(h, slot);
+        }
+    }
+}
+
+impl Store {
+    fn new(indexed_cols: &[usize], indexed: bool, threshold: usize) -> Store {
+        let mut cols: Vec<usize> = indexed_cols.to_vec();
+        cols.sort_unstable();
+        cols.dedup();
+        Store {
+            slab: Slab::new(),
+            indexes: cols.into_iter().map(|c| (c, SlotChains::new())).collect(),
+            indexed,
+            threshold,
+        }
+    }
+
     /// The slab holding this store's rows.
-    fn slab(&self) -> &Slab;
+    pub fn slab(&self) -> &Slab {
+        &self.slab
+    }
 
     /// Insert a row; returns its slot — the slab's next insertion ordinal.
     /// Duplicate handling is the caller's job ([`crate::RowSet`]).
-    fn insert(&mut self, row: Arc<Row>) -> Slot;
+    pub fn insert(&mut self, row: Arc<Row>) -> Slot {
+        let slot = self.slab.push(row);
+        if self.indexed {
+            let row = self.slab.row(slot).expect("just pushed");
+            link(&mut self.indexes, row, slot);
+        } else if self.slab.live() > self.threshold {
+            self.indexed = true;
+            for held in self.slab.live_slots() {
+                let row = self.slab.row(held).expect("live slot");
+                link(&mut self.indexes, row, held);
+            }
+        }
+        slot
+    }
 
-    /// Insert a batch of rows into consecutive slots. Backends override
-    /// this when they can amortize work across the batch (e.g. one
-    /// capacity reservation for the whole batch); the default loops over
-    /// [`DictStore::insert`].
-    fn insert_batch(&mut self, rows: Vec<Arc<Row>>) {
+    /// Insert a batch of rows into consecutive slots, under one slab
+    /// reservation; the per-row path is [`Store::insert`], so the two can
+    /// never diverge.
+    pub fn insert_batch(&mut self, rows: Vec<Arc<Row>>) {
+        self.slab.reserve(rows.len());
         for row in rows {
             self.insert(row);
         }
     }
 
-    /// The one lookup every backend implements: append to `out` the slot
-    /// of **every** stored row whose column `col` holds `key`. `key` is an
-    /// equality normal form ([`index_key`]) and `hash` its
-    /// [`Value::stable_key_hash`], computed once by the caller —
-    /// implementations never re-hash it. Non-equality predicates go
-    /// through the slab's live slots.
-    fn lookup_slots(&self, col: usize, key: &Value, hash: KeyHash, out: &mut CandidateBuf);
+    /// Append to `out` the slot of **every** stored row whose column `col`
+    /// holds `key`, in insertion order. `key` is an equality normal form
+    /// ([`index_key`]) and `hash` its [`Value::stable_key_hash`], computed
+    /// once by the caller and never re-hashed here. Non-equality
+    /// predicates go through the slab's live slots.
+    fn lookup_slots(&self, col: usize, key: &Value, hash: KeyHash, out: &mut CandidateBuf) {
+        let index = self.indexes.iter().find(|(c, _)| *c == col);
+        match index.filter(|_| self.indexed) {
+            Some((_, chains)) => self.slab.filter_eq(col, key, chains.chain(hash.get()), out),
+            // No index on this column (yet): scan-filter. Correct, just
+            // slower — a SteM probed on an unindexed predicate.
+            None => self.slab.filter_eq(col, key, self.slab.live_slots(), out),
+        }
+    }
 
     /// The flat batch-lookup hot path: one candidate span per key, written
     /// into the caller-owned, reusable `out` arena (no per-key
@@ -77,7 +167,7 @@ pub trait DictStore: std::fmt::Debug {
     /// equality hash precomputed ([`HashedKey`]); identical keys resolve
     /// once and share a span ([`CandidateBuf::probe_dup`]); NULL/EOT keys
     /// match nothing.
-    fn lookup_eq_flat(&self, col: usize, keys: &[HashedKey], out: &mut CandidateBuf) {
+    pub fn lookup_eq_flat(&self, col: usize, keys: &[HashedKey], out: &mut CandidateBuf) {
         out.reset();
         for (i, key) in keys.iter().enumerate() {
             if let Some(j) = out.probe_dup(i, keys) {
@@ -93,8 +183,8 @@ pub trait DictStore: std::fmt::Debug {
     }
 
     /// Rows matching `row[col] = key`, resolved — the scalar convenience
-    /// over [`DictStore::lookup_eq_flat`] for tests and experiments.
-    fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Arc<Row>> {
+    /// over [`Store::lookup_eq_flat`] for tests and experiments.
+    pub fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Arc<Row>> {
         let mut buf = CandidateBuf::new();
         self.lookup_eq_flat(col, &[HashedKey::new(key.clone())], &mut buf);
         let slots = buf.candidates(0).iter();
@@ -102,74 +192,93 @@ pub trait DictStore: std::fmt::Debug {
     }
 
     /// The row stored in `slot`; `None` once removed.
-    fn row(&self, slot: Slot) -> Option<&Arc<Row>> {
-        self.slab().row(slot)
+    pub fn row(&self, slot: Slot) -> Option<&Arc<Row>> {
+        self.slab.row(slot)
     }
 
     /// All rows in insertion order.
-    fn scan(&self) -> Vec<Arc<Row>> {
-        let slab = self.slab();
-        slab.live_slots()
-            .filter_map(|s| slab.row(s).cloned())
-            .collect()
+    pub fn scan(&self) -> Vec<Arc<Row>> {
+        let slots = self.slab.live_slots();
+        slots.filter_map(|s| self.slab.row(s).cloned()).collect()
     }
 
     /// Remove the row in `slot`, returning it (`None` if the slot is
     /// already dead). The slot is never answered again. Used for eviction
     /// in windowed/continuous queries.
-    fn remove(&mut self, slot: Slot) -> Option<Arc<Row>>;
+    pub fn remove(&mut self, slot: Slot) -> Option<Arc<Row>> {
+        let row = self.slab.remove(slot)?;
+        if self.indexed {
+            for (col, chains) in &mut self.indexes {
+                if let Some(h) = key_hash(&row, *col) {
+                    chains.unlink(h, slot);
+                }
+            }
+        }
+        Some(row)
+    }
 
     /// Drop every row and every slot; the next insert gets slot 0.
-    fn clear(&mut self);
+    pub fn clear(&mut self) {
+        self.slab.clear();
+        for (_, chains) in &mut self.indexes {
+            chains.clear();
+        }
+    }
 
     /// Reclaim dead slots: rebuild the store from its live rows in
     /// insertion order, so they occupy slots `0..len()`. Whoever holds
     /// slots of this store renumbers with it — the `k`-th live slot
     /// becomes slot `k`.
-    fn compact(&mut self) {
+    pub fn compact(&mut self) {
         let rows = self.scan();
         self.clear();
         self.insert_batch(rows);
     }
 
     /// Number of rows.
-    fn len(&self) -> usize {
-        self.slab().live()
+    pub fn len(&self) -> usize {
+        self.slab.live()
     }
 
     /// True if no rows are stored.
-    fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Approximate heap footprint, for the memory-accounting series.
-    fn approx_bytes(&self) -> usize;
+    /// Approximate heap footprint, for the memory-accounting series: the
+    /// rows, a header, and once indexed a rough 16 bytes per (index, row)
+    /// pair.
+    pub fn approx_bytes(&self) -> usize {
+        if self.indexed {
+            let entries = self.indexes.len() * self.slab.live();
+            self.slab.bytes() + entries * 16 + INDEXED_HEADER_BYTES
+        } else {
+            self.slab.bytes() + UNINDEXED_HEADER_BYTES
+        }
+    }
 
-    /// A short human-readable description of the backend currently in use
-    /// ("list", "hash", ...), so experiments can log store adaptations.
-    fn backend(&self) -> &'static str;
+    /// `"hash"` once the store keeps its indexes, `"list"` until then, so
+    /// experiments can log store adaptations.
+    pub fn backend(&self) -> &'static str {
+        if self.indexed {
+            "hash"
+        } else {
+            "list"
+        }
+    }
 }
 
-/// Factory describing which [`DictStore`] a SteM should use.
+/// When a SteM's [`Store`] indexes its join columns.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum StoreKind {
-    /// Append-only list; lookups scan.
+    /// Never; lookups scan.
     List,
-    /// Hash indexes on the given columns.
+    /// From the first row.
     #[default]
     Hash,
-    /// List that converts itself to hash once it exceeds `threshold` rows
-    /// (paper §3.1's example of SteM-internal adaptation).
+    /// Once it exceeds `threshold` rows (paper §3.1's example of
+    /// SteM-internal adaptation).
     Adaptive { threshold: usize },
-    /// Grace-style hash partitions on the first indexed column, with a
-    /// memory-resident prefix (§3.1's "asynchronous hash index").
-    Partitioned {
-        partitions: usize,
-        mem_resident: usize,
-    },
-    /// Kept sorted on the first indexed column ("tournament trees",
-    /// §3.1's sort-merge simulation); range probes are cheap.
-    Sorted,
 }
 
 impl StoreKind {
@@ -177,34 +286,22 @@ impl StoreKind {
     /// equi-join predicates — the SteM builds "one main-memory index ... on
     /// each column ... involved in a join predicate" (paper §2.1.4).
     ///
-    /// The trait object is `Send + Sync`: sharded SteMs probe their shard
-    /// stores from scoped worker threads through `&self`, so every backend
-    /// must be shareable (none uses interior mutability).
-    pub fn build(&self, indexed_cols: &[usize]) -> Box<dyn DictStore + Send + Sync> {
-        let primary_col = indexed_cols.first().copied().unwrap_or(0);
-        match self {
-            StoreKind::List => Box::new(ListStore::new()),
-            StoreKind::Hash => Box::new(HashStore::new(indexed_cols)),
-            StoreKind::Adaptive { threshold } => {
-                Box::new(AdaptiveStore::new(indexed_cols, *threshold))
-            }
-            StoreKind::Partitioned {
-                partitions,
-                mem_resident,
-            } => Box::new(PartitionedStore::new(
-                primary_col,
-                (*partitions).max(1),
-                *mem_resident,
-            )),
-            StoreKind::Sorted => Box::new(SortedStore::new(primary_col)),
+    /// Sharded SteMs probe their lane stores from scoped worker threads
+    /// through `&self`; [`Store`] is `Send + Sync` (no interior
+    /// mutability).
+    pub fn build(&self, indexed_cols: &[usize]) -> Store {
+        match *self {
+            StoreKind::List => Store::new(indexed_cols, false, usize::MAX),
+            StoreKind::Hash => Store::new(indexed_cols, true, 0),
+            StoreKind::Adaptive { threshold } => Store::new(indexed_cols, false, threshold),
         }
     }
 }
 
 #[cfg(test)]
 pub(crate) mod conformance {
-    //! Shared conformance suite run against every store backend: the slot
-    //! contract of [`DictStore`].
+    //! Shared conformance suite run against every [`StoreKind`]: the slot
+    //! contract of [`Store`].
 
     use super::*;
     use stems_types::Value;
@@ -213,8 +310,8 @@ pub(crate) mod conformance {
         Row::shared(vals.iter().map(|v| Value::Int(*v)).collect())
     }
 
-    /// Insert a standard dataset and exercise every trait method.
-    pub fn run_suite(mut store: Box<dyn DictStore + Send + Sync>) {
+    /// Insert a standard dataset and exercise every method.
+    pub fn run_suite(mut store: Store) {
         assert!(store.is_empty());
         assert_eq!(store.slab().oldest(), None);
         assert_eq!(store.slab().slots(), 0);
@@ -270,30 +367,30 @@ pub(crate) mod conformance {
         assert_eq!(store.row(0), None);
         assert_eq!(store.len(), 3);
         assert_eq!(store.slab().slots(), 4);
-        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(10)), vec![2]);
+        assert_eq!(slots_of(&store, 1, &Value::Int(10)), vec![2]);
         assert_eq!(store.slab().oldest(), Some(1));
         assert_eq!(store.remove(9), None, "a slot never handed out");
 
         // duplicates are allowed at this layer (dedup is RowSet's job)
         assert_eq!(store.insert(row(&[2, 20])), 4);
         assert_eq!(store.len(), 4);
-        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(20)), vec![1, 4]);
+        assert_eq!(slots_of(&store, 1, &Value::Int(20)), vec![1, 4]);
         // remove deletes exactly the copy named
         assert!(store.remove(4).is_some());
-        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(20)), vec![1]);
+        assert_eq!(slots_of(&store, 1, &Value::Int(20)), vec![1]);
 
         // a batch takes consecutive slots, like as many scalar inserts
         let before = store.len();
         store.insert_batch(vec![row(&[7, 30]), row(&[8, 30])]);
         assert_eq!(store.len(), before + 2);
-        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(30)), vec![5, 6]);
+        assert_eq!(slots_of(&store, 1, &Value::Int(30)), vec![5, 6]);
 
         // flat batch API: agreement with scalar lookup_eq and with a
         // naive filter of the slab on every key, for both indexed-path
         // and scan-filter columns
         for col in [0, 1] {
             assert_flat_matches_scalar(
-                store.as_ref(),
+                &store,
                 col,
                 &[
                     // duplicate-heavy run: dedup must not change results
@@ -311,7 +408,7 @@ pub(crate) mod conformance {
             );
         }
         // empty-key envelope: a no-op, not a panic
-        assert_flat_matches_scalar(store.as_ref(), 1, &[]);
+        assert_flat_matches_scalar(&store, 1, &[]);
         // a reused buffer must not leak the previous envelope's state
         let mut buf = CandidateBuf::new();
         let big: Vec<HashedKey> = [Value::Int(30), Value::Int(20), Value::Int(30)]
@@ -335,8 +432,8 @@ pub(crate) mod conformance {
             assert!(Arc::ptr_eq(store.row(slot as Slot).unwrap(), r));
         }
         assert_eq!(store.slab().oldest(), Some(0));
-        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(30)), vec![3, 4]);
-        assert_flat_matches_scalar(store.as_ref(), 1, &[Value::Int(20), Value::Int(10)]);
+        assert_eq!(slots_of(&store, 1, &Value::Int(30)), vec![3, 4]);
+        assert_flat_matches_scalar(&store, 1, &[Value::Int(20), Value::Int(10)]);
 
         // clear forgets rows and numbering alike
         store.clear();
@@ -344,24 +441,21 @@ pub(crate) mod conformance {
         assert_eq!(store.slab().oldest(), None);
         assert!(store.lookup_eq(1, &Value::Int(30)).is_empty());
         assert_eq!(store.insert(row(&[9, 30])), 0);
-        assert_eq!(slots_of(store.as_ref(), 1, &Value::Int(30)), vec![0]);
+        assert_eq!(slots_of(&store, 1, &Value::Int(30)), vec![0]);
     }
 
-    /// One key's candidate slots, ascending (a backend's answer order is
-    /// its own; which slots it answers is not).
-    fn slots_of(store: &dyn DictStore, col: usize, key: &Value) -> Vec<Slot> {
+    /// One key's candidate slots, in answer order.
+    fn slots_of(store: &Store, col: usize, key: &Value) -> Vec<Slot> {
         let mut buf = CandidateBuf::new();
         store.lookup_eq_flat(col, &[HashedKey::new(key.clone())], &mut buf);
-        let mut slots = buf.candidates(0).to_vec();
-        slots.sort_unstable();
-        slots
+        buf.candidates(0).to_vec()
     }
 
     /// Pin `lookup_eq_flat` key for key: its slots resolve to exactly the
     /// scalar `lookup_eq`'s rows in the same order, through a fresh arena,
-    /// and are — as a set — the live slots a naive filter of the slab
-    /// selects.
-    pub fn assert_flat_matches_scalar(store: &dyn DictStore, col: usize, raw_keys: &[Value]) {
+    /// and are the live slots a naive filter of the slab selects, in
+    /// insertion order.
+    pub fn assert_flat_matches_scalar(store: &Store, col: usize, raw_keys: &[Value]) {
         let keys: Vec<HashedKey> = raw_keys.iter().cloned().map(HashedKey::new).collect();
         let mut buf = CandidateBuf::new();
         store.lookup_eq_flat(col, &keys, &mut buf);
@@ -384,8 +478,6 @@ pub(crate) mod conformance {
                         .is_some_and(|k| Some(k) == index_key(raw))
                 })
                 .collect();
-            let mut got = got.to_vec();
-            got.sort_unstable();
             assert_eq!(got, naive, "flat/naive slot drift on {ctx}");
         }
     }
@@ -437,16 +529,6 @@ mod tests {
             StoreKind::Adaptive { threshold: 4 }.build(&[0]).backend(),
             "list"
         );
-        assert_eq!(
-            StoreKind::Partitioned {
-                partitions: 4,
-                mem_resident: 0
-            }
-            .build(&[1])
-            .backend(),
-            "partitioned"
-        );
-        assert_eq!(StoreKind::Sorted.build(&[1]).backend(), "sorted");
         assert_eq!(StoreKind::default(), StoreKind::Hash);
     }
 
@@ -462,17 +544,16 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
         // A NULL-keyed (overflow-lane) row still answers lookups on other
-        // columns, like the PartitionedStore lane the shard layer mirrors.
+        // columns.
         assert_eq!(b.lookup_eq(1, &Value::Int(10)).len(), 1);
         assert_eq!(b.lookup_eq(0, &Value::Null).len(), 0);
     }
 
     #[test]
     fn stores_are_shareable_across_threads() {
-        // Sharded SteMs probe shard stores from scoped threads via &self;
-        // the trait object must be Sync (and the boxes Send).
-        fn assert_sync<T: Sync + Send + ?Sized>() {}
-        assert_sync::<dyn DictStore + Send + Sync>();
+        // Sharded SteMs probe shard stores from scoped threads via &self.
+        fn assert_sync<T: Sync + Send>() {}
+        assert_sync::<Store>();
         let mut store = StoreKind::Hash.build(&[0]);
         store.insert(conformance::row(&[7, 8]));
         std::thread::scope(|s| {
@@ -480,17 +561,5 @@ mod tests {
             let h = s.spawn(move || store.lookup_eq(0, &Value::Int(7)).len());
             assert_eq!(h.join().unwrap(), 1);
         });
-    }
-
-    #[test]
-    fn partitioned_and_sorted_pass_conformance_via_kind() {
-        conformance::run_suite(
-            StoreKind::Partitioned {
-                partitions: 4,
-                mem_resident: 1,
-            }
-            .build(&[1]),
-        );
-        conformance::run_suite(StoreKind::Sorted.build(&[1]));
     }
 }

@@ -132,7 +132,7 @@ impl Value {
     /// indexes without re-hashing. `None` marks values that can never
     /// satisfy an SQL equality predicate (NULL, the EOT marker) — sharded
     /// stores keep such rows in a dedicated overflow lane instead of a
-    /// hash partition (mirroring `PartitionedStore`).
+    /// hash partition.
     ///
     /// The hash must agree with [`Value::equality_key`] normalization:
     /// any two values that can be `sql_eq` hash identically, so `Int(5)`

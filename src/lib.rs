@@ -9,8 +9,8 @@
 //! * [`types`] — values, rows, composite tuples, predicates.
 //! * [`sim`] — the deterministic discrete-event simulation kernel that
 //!   stands in for the paper's threaded runtime and networked sources.
-//! * [`storage`] — dictionary stores backing SteMs (list / hash / adaptive /
-//!   partitioned / sorted-run).
+//! * [`storage`] — the dictionary backing SteMs: one row slab, hash-indexed
+//!   on its join columns never, always, or past a size threshold.
 //! * [`catalog`] — tables, access-method descriptors, SPJ queries, join
 //!   graphs, bind-field feasibility.
 //! * [`sql`] — a small SQL front end producing query specs.

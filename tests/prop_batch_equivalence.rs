@@ -346,9 +346,8 @@ fn batching_never_schedules_more_events_than_scalar() {
 /// result vector, the same event count and virtual end time, and the same
 /// adaptivity metrics (`hints_recosted`, probe/bounce/duplicate counters).
 /// Sharding may only change which threads do the dictionary work, never
-/// what any module observes. (The sweep pins stores to insertion-ordered
-/// backends, where the timestamp-merge reproduces candidate order
-/// exactly; `gen_case` never emits the value-ordered Sorted store.)
+/// what any module observes. (Every store answers in insertion order, so
+/// the timestamp-merge reproduces candidate order exactly.)
 #[test]
 fn shard_count_is_invariant() {
     const METRICS: [&str; 8] = [

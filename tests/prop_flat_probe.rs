@@ -1,31 +1,27 @@
-//! Property tests for the hash-once flat probe path: on every backend,
-//! the slots [`DictStore::lookup_eq_flat`] answers must resolve to the
+//! Property tests for the hash-once flat probe path: on every store
+//! kind, the slots [`Store::lookup_eq_flat`] answers must resolve to the
 //! scalar `lookup_eq`'s rows verdict for verdict, and be exactly the slots
-//! a filter of the slab selects — through duplicate-heavy envelopes,
-//! `Int`/`Float` coercion keys, NULL/EOT keys, and *adversarial hash
-//! collisions* (distinct values sharing one `stable_key_hash`,
-//! constructed by inverting the hash's multiply-rotate mixing). Then the
-//! SteM on top: random builds, evictions and probe envelopes against a
-//! naive model, at every shard count and on every backend.
+//! a filter of the slab selects, in insertion order — through
+//! duplicate-heavy envelopes, `Int`/`Float` coercion keys, NULL/EOT keys,
+//! and *adversarial hash collisions* (distinct values sharing one
+//! `stable_key_hash`, constructed by inverting the hash's multiply-rotate
+//! mixing). Then the SteM on top: random builds, evictions and probe
+//! envelopes against a naive model, at every shard count and on every
+//! store kind.
 //!
 //! Cases are generated from the workspace's own seeded [`SimRng`] so the
 //! suite is dependency-free and fully reproducible.
 
 use std::sync::Arc;
 use stems::sim::SimRng;
-use stems::storage::{CandidateBuf, DictStore, Slot, StoreKind};
+use stems::storage::{CandidateBuf, Slot, Store, StoreKind};
 use stems::types::{HashedKey, Row, Value};
 
-fn kinds() -> [StoreKind; 5] {
+fn kinds() -> [StoreKind; 3] {
     [
         StoreKind::List,
         StoreKind::Hash,
         StoreKind::Adaptive { threshold: 16 },
-        StoreKind::Partitioned {
-            partitions: 4,
-            mem_resident: 1,
-        },
-        StoreKind::Sorted,
     ]
 }
 
@@ -43,7 +39,7 @@ fn random_value(rng: &mut SimRng) -> Value {
     }
 }
 
-fn assert_flat_eq_scalar(store: &dyn DictStore, col: usize, raw_keys: &[Value], ctx: &str) {
+fn assert_flat_eq_scalar(store: &Store, col: usize, raw_keys: &[Value], ctx: &str) {
     let keys: Vec<HashedKey> = raw_keys.iter().cloned().map(HashedKey::new).collect();
     let mut buf = CandidateBuf::new();
     store.lookup_eq_flat(col, &keys, &mut buf);
@@ -57,20 +53,18 @@ fn assert_flat_eq_scalar(store: &dyn DictStore, col: usize, raw_keys: &[Value], 
             let g = store.row(*g).expect("an answered slot is live");
             assert!(Arc::ptr_eq(g, w), "{ctx}: key {raw:?}");
         }
-        // Which slots: those whose column is SQL-equal to the key, by a
-        // scan that shares nothing with the backend's index.
+        // Which slots, in which order: those whose column is SQL-equal to
+        // the key, by a scan that shares nothing with the store's index.
         let naive: Vec<Slot> = slab
             .live_slots()
             .filter(|s| slab.row(*s).unwrap().get(col).unwrap().sql_eq(raw))
             .collect();
-        let mut got = got.to_vec();
-        got.sort_unstable();
         assert_eq!(got, naive, "{ctx}: key {raw:?}");
     }
 }
 
-/// Random mixed-type rows, duplicate-heavy mixed-type envelopes, all five
-/// backends: flat ≡ scalar, key for key, row for row.
+/// Random mixed-type rows, duplicate-heavy mixed-type envelopes, every
+/// store kind: flat ≡ scalar, key for key, row for row.
 #[test]
 fn flat_lookup_matches_scalar_on_random_envelopes() {
     for seed in 0..48u64 {
@@ -93,9 +87,9 @@ fn flat_lookup_matches_scalar_on_random_envelopes() {
             let mut store = kind.build(&[1]);
             store.insert_batch(rows.clone());
             let ctx = format!("seed {seed} kind {kind:?}");
-            assert_flat_eq_scalar(store.as_ref(), 1, &raw_keys, &ctx);
-            // The un-indexed column takes each backend's fallback path.
-            assert_flat_eq_scalar(store.as_ref(), 0, &raw_keys, &ctx);
+            assert_flat_eq_scalar(&store, 1, &raw_keys, &ctx);
+            // The un-indexed column takes the scan-filter path.
+            assert_flat_eq_scalar(&store, 0, &raw_keys, &ctx);
         }
     }
 }
@@ -154,7 +148,7 @@ fn hash_collisions_resolve_by_value_on_every_backend() {
             // One envelope carrying both colliding keys (plus duplicates):
             // dedup must share only true duplicates, never the collision.
             assert_flat_eq_scalar(
-                store.as_ref(),
+                &store,
                 0,
                 &[
                     int_key.clone(),
@@ -368,9 +362,9 @@ mod stem_model {
 /// [`Predicate::eval`] per candidate. Reply for reply — results, order,
 /// donebits, outcome, observed_ts, raw_matches — on mixed envelopes of
 /// keyed, NULL-keyed, coercing and unbindable probes, built and unbuilt,
-/// fresh and re-probing, at one lane and at several. (The engine-level
-/// equivalence suites cover this end to end; this pins the module API
-/// directly.)
+/// fresh and re-probing, on every store kind at shards {1, 2, 4, 7}.
+/// (The engine-level equivalence suites cover this end to end; this pins
+/// the module API directly.)
 ///
 /// [`BuildResult::Fresh`]: stems::core::stem::BuildResult::Fresh
 /// [`Predicate::eval`]: stems::types::Predicate::eval
@@ -378,10 +372,14 @@ mod stem_model {
 fn probe_batch_replies_equal_scalar_probe_replies() {
     use stem_model::*;
     let qs = queries();
-    for seed in 0..24u64 {
-        for num_shards in [1usize, 4] {
+    let cells = kinds()
+        .into_iter()
+        .flat_map(|kind| [1usize, 2, 4, 7].map(|num_shards| (kind.clone(), num_shards)));
+    for (store, num_shards) in cells {
+        for seed in 0..24u64 {
             let mut rng = SimRng::new(0x9B0B ^ seed);
             let mut stem = s_stem(StemOptions {
+                store: store.clone(),
                 num_shards,
                 ..StemOptions::default()
             });
@@ -414,7 +412,8 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
                 for ((tuple, state), (meta, results)) in
                     probes.iter().zip(&states).zip(replies.iter())
                 {
-                    let ctx = format!("seed {seed} shards {num_shards} {label} probe {tuple}");
+                    let ctx =
+                        format!("seed {seed} {store:?} shards {num_shards} {label} probe {tuple}");
                     let want = oracle(&built, bind, tuple, state, q);
                     assert_eq!(want.results, results, "{ctx}");
                     assert_eq!(s_stamps(&want.results), s_stamps(results), "{ctx}");
@@ -434,11 +433,9 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
 /// since evicted) interleaved with probe envelopes that bind the key
 /// column, a non-key column, or nothing. Unbounded and windowed (where
 /// lanes fill with dead slots and are rebuilt dense mid-stream), at
-/// shards {1, 2, 4, 7}, on every backend: every build verdict and stamp,
-/// and every reply — results, order, stamps, outcome, observed_ts,
-/// raw_matches — as the model says. One `Partitioned` lane answers
-/// partition-clustered, so that backend's replies are compared as
-/// multisets.
+/// shards {1, 2, 4, 7}, on every store kind: every build verdict and
+/// stamp, and every reply — results, order, stamps, outcome, observed_ts,
+/// raw_matches — as the model says.
 #[test]
 fn stem_matches_naive_model_through_builds_evictions_and_probes() {
     use stem_model::*;
@@ -511,18 +508,8 @@ fn stem_matches_naive_model_through_builds_evictions_and_probes() {
                             {
                                 let ctx = format!("{cell} round {round} {label} probe {tuple}");
                                 let want = oracle(&model, bind, tuple, state, q);
-                                let mut got = s_stamps(results);
-                                if matches!(kind, StoreKind::Partitioned { .. }) {
-                                    got.sort_unstable();
-                                }
-                                // Stored stamps are unique, so equal stamp
-                                // lists name the same rows in the same order.
-                                assert_eq!(s_stamps(&want.results), got, "{ctx}");
-                                for (tup, done) in results {
-                                    let at = want.results.iter().position(|(w, _)| w == tup);
-                                    let at = at.unwrap_or_else(|| panic!("{ctx}: stray {tup}"));
-                                    assert_eq!(want.results[at].1, *done, "{ctx}");
-                                }
+                                assert_eq!(want.results, results, "{ctx}");
+                                assert_eq!(s_stamps(&want.results), s_stamps(results), "{ctx}");
                                 assert_eq!(want.outcome, meta.outcome, "{ctx}");
                                 assert_eq!(ts, meta.observed_ts, "{ctx}");
                                 assert_eq!(want.raw_matches, meta.raw_matches, "{ctx}");
