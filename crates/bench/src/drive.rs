@@ -155,7 +155,7 @@ pub fn drive_stems(data: &Data, drive: &StemDrive, ph: &mut Phases) -> Outcome {
         .map(|t| (t, TupleState::new()))
         .collect();
     ph.time("probe", || {
-        for stem in &stems[1..] {
+        for stem in &mut stems[1..] {
             let mut matches = Vec::new();
             for chunk in wave.chunks(drive.envelope) {
                 let (batch, states): (Vec<Tuple>, Vec<TupleState>) = chunk.iter().cloned().unzip();

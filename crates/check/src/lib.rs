@@ -50,7 +50,7 @@
 //! panics while holding a guard poisons the mutex, and `lock` returns
 //! `Err(PoisonError)` exactly like `std`. A test may wrap the panicking
 //! region in [`std::panic::catch_unwind`] to model *recovery* protocols
-//! (the scratch free-list's poison discard) without the panic counting as
+//! (a cache that is discarded on poison, say) without the panic counting as
 //! a checker failure; an *uncaught* panic on any model thread fails the
 //! schedule and is reported with its trace.
 //!

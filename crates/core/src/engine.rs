@@ -123,10 +123,9 @@ pub struct ExecConfig {
     /// SteM a single lane. Overridable with the `STEMS_NUM_SHARDS`
     /// environment variable; CI crosses it with the batch-size matrix so
     /// shard-count invariance is enforced on every push. Folded into the
-    /// plan's *default* SteM options at build time, unless the plan
-    /// already sets a non-default fan-out there (explicit plan settings
-    /// win); per-instance `stem_overrides` always keep their own
-    /// `num_shards`.
+    /// plan's SteM options (`PlanOptions::default_stem`) at build time,
+    /// unless the plan already sets a non-default fan-out there (explicit
+    /// plan settings win).
     pub num_shards: usize,
     /// Worker budget for the persistent worker pool
     /// ([`crate::runtime::WorkerPool`]) that services sharded SteM

@@ -24,8 +24,10 @@
 //!   their lanes on the persistent work-stealing worker pool
 //!   ([`runtime::WorkerPool`], sized by [`ExecConfig::workers`] /
 //!   `STEMS_WORKERS`) — observably identical at every shard and worker
-//!   count. [`stem`] holds the SteM's option/result/reply types, the EOT
-//!   coverage index and the per-lane half.
+//!   count. Both algorithms take `&mut self` and nothing inside a SteM
+//!   locks; a SteM shared across queries sits behind the one mutex of
+//!   its [`plan::StemCell`]. [`stem`] holds the SteM's option/result/reply
+//!   types, the EOT coverage index and the per-lane half.
 //! * the **eddy** ([`EddyExecutor`]) — routes every tuple between the other
 //!   modules according to a [`policy::RoutingPolicy`], under the
 //!   correctness constraints of paper Table 2 enforced by [`router`].

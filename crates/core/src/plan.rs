@@ -16,7 +16,7 @@ use crate::am::{IndexAm, ScanAm};
 use crate::sharded::ShardedStem;
 use crate::sm::Sm;
 pub use crate::stem::StemOptions;
-use crate::sync::{lock_recover, Arc, Mutex, MutexGuard, PoisonError};
+use crate::sync::{lock_ok, Arc, Mutex, MutexGuard, PoisonError};
 use stems_catalog::{feasible, AccessMethodDef, Catalog, JoinGraph, QuerySpec};
 use stems_types::{PredId, Result, TableIdx, TableSet};
 
@@ -25,7 +25,9 @@ use stems_types::{PredId, Result, TableIdx, TableSet};
 /// uncontended, while the query server clones cells across queries so
 /// query B probes the SteM query A built (the paper's "one build, N
 /// probers" sharing argument, §2/§5). The engine locks a cell only for
-/// the duration of one envelope.
+/// the duration of one envelope. This is the one lock on the way to a
+/// SteM's state: builds and probes take `&mut ShardedStem`, so the guard
+/// is the exclusive access they need and nothing behind it locks again.
 #[derive(Clone)]
 pub struct StemCell(Arc<Mutex<ShardedStem>>);
 
@@ -34,16 +36,15 @@ impl StemCell {
         StemCell(Arc::new(Mutex::new(stem)))
     }
 
-    /// Lock the SteM, recovering from poison: SteM state is updated
-    /// envelope-atomically (a panicking prober mutates nothing persistent
-    /// mid-flight — probes run through `&self`, and build envelopes
-    /// complete their dictionary insert before returning), so the stored
-    /// state behind a poisoned lock is still valid and other queries
-    /// sharing the cell keep running.
+    /// Lock the SteM, shrugging off poison: stored state is updated
+    /// envelope-atomically (build envelopes complete their dictionary
+    /// insert before returning), and the only thing a probe writes is the
+    /// SteM's envelope pool, which every probe clears before it reads —
+    /// or, when the last prober unwound mid-envelope, finds replaced by
+    /// an empty one. So the state behind a poisoned lock is still valid
+    /// and other queries sharing the cell keep running.
     pub fn lock(&self) -> MutexGuard<'_, ShardedStem> {
-        // Clear the mark but keep the data untouched — envelope-atomic
-        // updates mean it is still valid (see above).
-        lock_recover(&self.0, |_| {})
+        lock_ok(&self.0)
     }
 
     /// A second handle on the same SteM (what the server hands to each
@@ -113,7 +114,7 @@ pub struct PlanLayout {
     pub graph: JoinGraph,
 }
 
-/// Per-table configuration overrides used at instantiation time.
+/// Configuration used at instantiation time.
 ///
 /// BuildFirst note: paper Table 2 *requires* building first only for
 /// tables with multiple AMs or an index AM; §3.5 then relaxes further by
@@ -125,26 +126,11 @@ pub struct PlanLayout {
 /// of Table 2's BuildFirst condition.
 #[derive(Debug, Clone, Default)]
 pub struct PlanOptions {
-    /// Default SteM options.
+    /// The options every SteM of the plan is created with.
     pub default_stem: StemOptions,
-    /// Per-instance SteM overrides.
-    pub stem_overrides: Vec<(TableIdx, StemOptions)>,
     /// Instances exempt from SteM creation and building (§3.5 relaxation).
     /// Only legal for instances whose source has exactly one scan AM.
     pub no_stem: TableSet,
-}
-
-impl PlanOptions {
-    /// Resolve the SteM options for instance `t` (override or default).
-    /// `pub(crate)` because the query server re-derives the options a
-    /// plan will use when deciding SteM-sharing compatibility.
-    pub(crate) fn stem_opts_for(&self, t: TableIdx) -> StemOptions {
-        self.stem_overrides
-            .iter()
-            .find(|(i, _)| *i == t)
-            .map(|(_, o)| o.clone())
-            .unwrap_or_else(|| self.default_stem.clone())
-    }
 }
 
 /// Instantiate the modules for a query (§2.2 steps 1–4).
@@ -239,7 +225,7 @@ pub fn instantiate(
             &query.join_cols_of(t),
             catalog.has_scan(ti.source),
             catalog.has_index(ti.source),
-            opts.stem_opts_for(t),
+            opts.default_stem.clone(),
         ))));
         layout.stem_mid[i] = Some(mid);
     }
@@ -370,6 +356,55 @@ mod tests {
             ..Default::default()
         };
         assert!(instantiate(&c, &q, &opts).is_err());
+    }
+
+    /// The one lock in front of a SteM survives a holder that dies: the
+    /// stored rows, the timestamp sequence and the probe path stay usable
+    /// through this handle and through every shared one.
+    #[test]
+    fn stem_cell_recovers_from_a_prober_that_panicked() {
+        use crate::sharded::testkit::{self, build_one, probe_one, r_tuple, s_tuple};
+        use crate::stem::{BuildResult, ProbeReplySet};
+        use crate::tuple_state::TupleState;
+        let (_c, q) = testkit::setup();
+        let state = TupleState::new();
+        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 9);
+        for num_shards in [1, 4] {
+            let opts = StemOptions {
+                num_shards,
+                ..StemOptions::default()
+            };
+            let cell = StemCell::new(ShardedStem::new(
+                TableIdx(1),
+                SourceId(1),
+                &[0],
+                true,
+                false,
+                opts,
+            ));
+            let built = build_one(&mut cell.lock(), &s_tuple(10, 1), &state, 1);
+            assert!(matches!(built, BuildResult::Fresh(_)));
+            // Warm the probe pool, so the dying prober has buffers to lose.
+            assert_eq!(probe_one(&mut cell.lock(), &r, &state, &q).results.len(), 1);
+
+            // An envelope without a state for its tuple is a caller bug the
+            // probe path panics on — mid-envelope, holding the guard, with
+            // the pool taken out of the SteM.
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut stem = cell.lock();
+                let mut replies = ProbeReplySet::new();
+                stem.probe_batch_into(std::slice::from_ref(&r), &[], &q, &mut replies);
+            }));
+            assert!(died.is_err(), "{num_shards} shards");
+
+            let shared = cell.share();
+            assert_eq!(probe_one(&mut cell.lock(), &r, &state, &q).results.len(), 1);
+            let next = build_one(&mut cell.lock(), &s_tuple(10, 2), &state, 2);
+            assert!(matches!(next, BuildResult::Fresh(t) if t.timestamp() == 2));
+            let reply = probe_one(&mut shared.lock(), &r, &state, &q);
+            assert_eq!(reply.results.len(), 2, "{num_shards} shards");
+            assert_eq!(reply.observed_ts, 2, "{num_shards} shards");
+        }
     }
 
     #[test]

@@ -954,15 +954,14 @@ impl<'a> QueryServer<'a> {
                 // Index-only source: driven by probes, nothing to stream.
                 continue;
             }
-            let opts = plan_opts.stem_opts_for(ti);
             let foldable = !self.catalog.has_index(source)
-                && !opts.deferred_bounce
+                && !plan_opts.default_stem.deferred_bounce
                 && !plan_opts.no_stem.contains(ti);
             if foldable {
                 let key = StemKey {
                     source,
                     join_cols: query.join_cols_of(ti),
-                    opts,
+                    opts: plan_opts.default_stem.clone(),
                 };
                 let ei = match self
                     .entries

@@ -8,13 +8,20 @@
 //! route, nothing to merge — not a separate engine.
 //!
 //! A lane owns only what must exist per lane: the dictionary and its row
-//! slab, the dedup filter and build-timestamp column addressed by the
-//! slab's slots, and the probe scratch. Everything that is a property of
-//! the SteM lives once, here: the table instance and AM flags, the EOT
-//! index, the timestamp high-water mark and counters, the deferred-bounce
-//! queue and its partitioner, and the FIFO window — a queue of
-//! `(lane, slot)` handles, so evicting the globally oldest row is a
-//! removal by slot, not a search for the row.
+//! slab, and the dedup filter and build-timestamp column addressed by the
+//! slab's slots. Everything that is a property of the SteM lives once,
+//! here: the table instance and AM flags, the EOT index, the timestamp
+//! high-water mark and counters, the deferred-bounce queue and its
+//! partitioner, the envelope buffers of both paths, and the FIFO window —
+//! a queue of `(lane, slot)` handles, so evicting the globally oldest row
+//! is a removal by slot, not a search for the row.
+//!
+//! There is no lock in here. Builds and probes both take `&mut self`: one
+//! envelope at a time per SteM is the paper's module contract, and the one
+//! place a SteM is shared — [`crate::plan::StemCell`] — serializes whole
+//! envelopes in front of it. The concurrent chunks *inside* one envelope
+//! get disjoint `&mut` buffers from `iter_mut()`, which the borrow checker
+//! verifies.
 //!
 //! # Build: route → ingest → stamp
 //!
@@ -54,9 +61,10 @@
 //!    read that same annotation), and its bounce decision.
 //! 2. **Lane** — a probe bound on the shard key column goes to its key's
 //!    lane only (equal keys co-locate, and overflow rows cannot equal a
-//!    probe key); any other probe visits every lane. A one-lane envelope
-//!    borrows the caller's slices; otherwise sub-batches are copied into
-//!    pooled per-lane buffers.
+//!    probe key); any other probe visits every lane. A lane's share of
+//!    the envelope is a list of envelope *positions* — the shape build
+//!    lanes have — so no tuple is copied, and a one-lane SteM is simply
+//!    the lane whose list is `0..n`.
 //! 3. **Probe** ([`Shard::probe`], per chunk) — lanes are cut into chunks
 //!    of at most `ceil(routed / workers)` rows, so a hot lane (every
 //!    probe keyed to one value, say) spreads across idle workers instead
@@ -64,10 +72,10 @@
 //!    read-only, so replies are bit-identical at every worker count; an
 //!    envelope below the dispatch threshold runs the same chunks
 //!    serially, and an envelope that is a single chunk probes straight
-//!    into the caller's arena. Each chunk's probe scratch is checked out
-//!    of its lane's free-list before dispatch, in chunk order, so which
-//!    buffers a chunk reuses — like which chunks the calling thread keeps
-//!    (`fan_out`) — does not depend on how the pool schedules them.
+//!    into the caller's arena. The SteM keeps one probe scratch and one
+//!    reply arena per chunk *position*, so which buffers a chunk reuses —
+//!    like which chunks the calling thread keeps (`fan_out`) — does not
+//!    depend on how the pool schedules them.
 //! 4. **Merge** (serial) — replies return to batch order. A reply
 //!    gathered from several lanes is sorted by ascending build timestamp
 //!    — global insertion order. Every store answers in insertion order,
@@ -83,7 +91,6 @@ use crate::stem::{
     equi_binding, linking_for, BuildResult, EotIndex, ProbeBinding, ProbeCtx, ProbeOutcome,
     ProbeReplySet, ProbeScratch, ReplyMeta, Resolved, Shard, StemOptions,
 };
-use crate::sync::{lock_recover, Mutex, MutexGuard};
 use crate::tuple_state::{CompletionNeed, TupleState};
 use std::collections::VecDeque;
 use stems_catalog::{QuerySpec, SourceId};
@@ -105,50 +112,24 @@ struct BuildLane {
     next: usize,
 }
 
-/// One probe lane's reusable envelope buffers: the sub-batch routed to
-/// the lane, its states, and what the resolve pass computed per tuple.
-#[derive(Debug, Default)]
-struct LaneScratch {
-    batch: Vec<Tuple>,
-    states: Vec<TupleState>,
-    resolved: Vec<Resolved>,
-}
-
-impl LaneScratch {
-    fn clear(&mut self) {
-        self.batch.clear();
-        self.states.clear();
-        self.resolved.clear();
-    }
-
-    fn push(&mut self, tuple: &Tuple, state: &TupleState, resolved: &Resolved) {
-        self.batch.push(tuple.clone());
-        self.states.push(state.clone());
-        self.resolved.push(resolved.clone());
-    }
-}
-
 /// Pooled probe envelope buffers, reused across envelopes (capacity
-/// survives; contents are per envelope). Behind a [`Mutex`] because
-/// probes run through `&self`; the lock is taken once per envelope.
+/// survives; contents are per envelope).
 #[derive(Debug, Default)]
 struct ProbePool {
     /// Per probe tuple, batch order: the resolve pass's output.
     resolved: Vec<Resolved>,
     /// Per probe tuple: its one lane, or `None` when it visits them all.
     lane_of: Vec<Option<usize>>,
-    /// Sub-batches per lane (unused by one-lane SteMs, which borrow the
-    /// caller's envelope).
-    lanes: Vec<LaneScratch>,
+    /// Per lane: the envelope positions of the probes routed to it, in
+    /// batch order.
+    lanes: Vec<Vec<u32>>,
     /// Dispatch units of the current envelope: `(lane, start, end)`
-    /// sub-ranges of each lane's sub-batch, lane-major — the skew-aware
-    /// chunking of hot lanes (see the module docs).
+    /// sub-ranges of each lane's position list, lane-major — the
+    /// skew-aware chunking of hot lanes (see the module docs).
     tasks: Vec<(usize, usize, usize)>,
-    /// One probe scratch per dispatch unit, checked out of its lane's
-    /// free-list for the envelope (boxed because the free-lists trade in
-    /// boxes: check-out and return move one pointer).
-    #[allow(clippy::vec_box)]
-    scratches: Vec<Box<ProbeScratch>>,
+    /// One probe scratch per dispatch unit, by position in `tasks` (at
+    /// most lanes + workers of them; capacity reused).
+    scratches: Vec<ProbeScratch>,
     /// One reply arena per dispatch unit (capacity reused).
     chunk_sets: Vec<ProbeReplySet>,
     /// Per lane: index of the task the merge is currently consuming.
@@ -199,7 +180,7 @@ pub struct ShardedStem {
     /// Per build tuple: its lane (`None` for an EOT tuple).
     build_route: Vec<Option<usize>>,
     /// Pooled probe envelope buffers (see [`ProbePool`]).
-    probe_pool: Mutex<ProbePool>,
+    probe_pool: ProbePool,
 }
 
 impl std::fmt::Debug for ShardedStem {
@@ -255,7 +236,7 @@ impl ShardedStem {
                 .max(1),
             build_lanes: Vec::new(),
             build_route: Vec::new(),
-            probe_pool: Mutex::new(ProbePool::default()),
+            probe_pool: ProbePool::default(),
         }
     }
 
@@ -268,15 +249,6 @@ impl ShardedStem {
     /// probing on behalf of the new instance.
     pub fn retarget(&mut self, instance: TableIdx) {
         self.instance = instance;
-    }
-
-    /// Lock the probe envelope pool, recovering from poison: the pool
-    /// holds only envelope-lifetime scratch (lanes, tasks, reply arenas),
-    /// so after a prober panics mid-envelope the cheapest safe recovery
-    /// is a fresh pool — shared-SteM queries behind the panicking one
-    /// keep running.
-    fn lock_probe_pool(&self) -> MutexGuard<'_, ProbePool> {
-        lock_recover(&self.probe_pool, |pool| *pool = ProbePool::default())
     }
 
     // ------------------------------------------------------------------
@@ -662,11 +634,27 @@ impl ShardedStem {
     /// bounce decision per SteM BounceBack. See the module docs for the
     /// four passes.
     ///
-    /// Lane sub-batches, dispatch chunks and per-chunk reply arenas live
-    /// in a pool reused across envelopes ([`ProbePool`]), so a steady
-    /// probe stream allocates no envelope buffers.
+    /// Lane position lists, dispatch chunks and per-chunk scratch and
+    /// reply arenas live in a pool reused across envelopes
+    /// ([`ProbePool`]), so a steady probe stream allocates no envelope
+    /// buffers. The pool is taken out for the envelope and restored
+    /// after it, like the build path's lanes: a probe that unwinds leaves
+    /// an empty pool behind, never a half-written one.
     pub fn probe_batch_into(
+        &mut self,
+        batch: &[Tuple],
+        states: &[TupleState],
+        query: &QuerySpec,
+        out: &mut ProbeReplySet,
+    ) {
+        let mut pool = std::mem::take(&mut self.probe_pool);
+        self.probe_envelope(&mut pool, batch, states, query, out);
+        self.probe_pool = pool;
+    }
+
+    fn probe_envelope(
         &self,
+        pool: &mut ProbePool,
         batch: &[Tuple],
         states: &[TupleState],
         query: &QuerySpec,
@@ -675,12 +663,6 @@ impl ShardedStem {
         debug_assert_eq!(batch.len(), states.len());
         let t = self.instance;
         let n_lanes = self.shards.len();
-        let ctx = ProbeCtx {
-            instance: t,
-            query,
-            observed_ts: self.max_ts,
-        };
-        let mut pool = self.lock_probe_pool();
         let ProbePool {
             resolved,
             lane_of,
@@ -689,7 +671,7 @@ impl ShardedStem {
             scratches,
             chunk_sets,
             cursors,
-        } = &mut *pool;
+        } = pool;
 
         // Pass 1 (serial): resolve. Linking predicates once per distinct
         // span (batches are usually span-uniform, so this is a one-entry
@@ -709,37 +691,21 @@ impl ShardedStem {
             });
         }
 
-        // Pass 2 (serial): lane sub-batches. With one lane every probe's
-        // sub-batch is the envelope itself, borrowed as is.
-        if n_lanes > 1 {
-            lanes.resize_with(n_lanes, LaneScratch::default);
-            lanes.iter_mut().for_each(LaneScratch::clear);
-            for (((tuple, state), r), lane) in batch
-                .iter()
-                .zip(states)
-                .zip(resolved.iter())
-                .zip(lane_of.iter())
-            {
-                match lane {
-                    Some(l) => lanes[*l].push(tuple, state, r),
-                    None => lanes.iter_mut().for_each(|l| l.push(tuple, state, r)),
-                }
+        // Pass 2 (serial): each lane's envelope positions, batch order.
+        lanes.resize_with(n_lanes, Vec::new);
+        lanes.iter_mut().for_each(Vec::clear);
+        for (i, lane) in (0u32..).zip(lane_of.iter()) {
+            match lane {
+                Some(l) => lanes[*l].push(i),
+                None => lanes.iter_mut().for_each(|l| l.push(i)),
             }
         }
-        let lane_view = |lane: usize| -> (&[Tuple], &[TupleState], &[Resolved]) {
-            if n_lanes == 1 {
-                (batch, states, &resolved[..])
-            } else {
-                let l = &lanes[lane];
-                (&l.batch[..], &l.states[..], &l.resolved[..])
-            }
-        };
 
         // Pass 3: cut lanes into dispatch chunks and probe them. Unlike
         // the build fan-out, probe parallelism does not require more than
         // one busy lane: chunking splits even a single hot lane across
         // the worker budget.
-        let work: usize = (0..n_lanes).map(|l| lane_view(l).0.len()).sum();
+        let work: usize = lanes.iter().map(Vec::len).sum();
         let parallel = work >= self.parallel_min_rows && self.workers > 1 && work > 1;
         let chunk_target = if parallel {
             work.div_ceil(self.workers).max(1)
@@ -748,47 +714,39 @@ impl ShardedStem {
         };
         tasks.clear();
         cursors.clear();
-        for lane in 0..n_lanes {
+        for (lane, members) in lanes.iter().enumerate() {
             // The merge pass starts each lane at its first chunk.
             cursors.push(tasks.len());
-            let n = lane_view(lane).0.len();
             let mut start = 0;
-            while start < n {
-                let end = start.saturating_add(chunk_target).min(n);
+            while start < members.len() {
+                let end = start.saturating_add(chunk_target).min(members.len());
                 tasks.push((lane, start, end));
                 start = end;
             }
         }
+        let ctx = ProbeCtx {
+            instance: t,
+            query,
+            observed_ts: self.max_ts,
+            batch,
+            states,
+            resolved,
+        };
         let shards = &self.shards;
         type Chunk<'a> = (
             &'a (usize, usize, usize),
-            &'a mut Box<ProbeScratch>,
+            &'a mut ProbeScratch,
             &'a mut ProbeReplySet,
         );
         let run = |(&(lane, start, end), scratch, set): Chunk<'_>| {
-            let (tuples, states, resolved) = lane_view(lane);
-            shards[lane].probe(
-                &ctx,
-                &tuples[start..end],
-                &states[start..end],
-                &resolved[start..end],
-                scratch,
-                set,
-            );
+            shards[lane].probe(&ctx, &lanes[lane][start..end], scratch, set);
         };
+        scratches.resize_with(tasks.len().max(scratches.len()), ProbeScratch::default);
         if let [task] = &tasks[..] {
             // A single chunk holds every probe of the envelope in batch
             // order: its replies are the envelope's replies.
-            let free_list = &shards[task.0].scratch;
-            let mut scratch = free_list.acquire();
-            run((task, &mut scratch, out));
-            return free_list.release(scratch);
+            return run((task, &mut scratches[0], out));
         }
-        // One probe scratch per chunk, checked out here — serially, in
-        // task order, and returned in reverse below — so a chunk meets
-        // the buffers it warmed last envelope however the chunks of a
-        // lane interleave on the pool.
-        scratches.extend(tasks.iter().map(|t| shards[t.0].scratch.acquire()));
         chunk_sets.resize_with(tasks.len().max(chunk_sets.len()), ProbeReplySet::new);
         chunk_sets.iter_mut().for_each(ProbeReplySet::clear);
         let chunks = tasks
@@ -800,9 +758,6 @@ impl ShardedStem {
             fan_out(self.workers, chunks.map(|c| (c.0 .0, c)), run);
         } else {
             chunks.for_each(run);
-        }
-        for (task, scratch) in tasks.iter().zip(scratches.drain(..)).rev() {
-            shards[task.0].scratch.release(scratch);
         }
 
         // Pass 4 (serial): merge back into batch order. Each lane's
@@ -840,11 +795,12 @@ impl ShardedStem {
 /// their lane as worker affinity. The caller's share is fixed by task
 /// position, not won in a race against the workers waking up, so which
 /// thread — and with it which allocator arena — holds a lane's dictionary
-/// and a chunk's result tuples does not move with host load; a process
-/// whose jobs drift between the caller and the workers keeps freed
-/// memory in whichever arenas they last ran on, and its resident size
-/// drifts with them. Once its own share is done the caller helps drain
-/// the queues like any idle worker.
+/// and a probe chunk's scratch and result tuples (themselves filed by
+/// task position) does not move with host load; a process whose jobs
+/// drift between the caller and the workers keeps freed memory in
+/// whichever arenas they last ran on, and its resident size drifts with
+/// them. Once its own share is done the caller helps drain the queues
+/// like any idle worker.
 fn fan_out<T: Send>(
     workers: usize,
     tasks: impl Iterator<Item = (usize, T)>,
@@ -923,7 +879,7 @@ pub(crate) mod testkit {
 
     /// Probe with one tuple.
     pub(crate) fn probe_one(
-        stem: &ShardedStem,
+        stem: &mut ShardedStem,
         tuple: &Tuple,
         state: &TupleState,
         query: &QuerySpec,
@@ -1186,8 +1142,8 @@ mod tests {
                 // TimeStamp rule passes.
                 for probe_key in [0i64, 3, 5, 12, 99] {
                     let r = r_tuple(1, probe_key).with_timestamp(TableIdx(0), 1_000);
-                    let p1 = probe_one(&one, &r, &TupleState::new(), &q);
-                    let pn = probe_one(&many, &r, &TupleState::new(), &q);
+                    let p1 = probe_one(&mut one, &r, &TupleState::new(), &q);
+                    let pn = probe_one(&mut many, &r, &TupleState::new(), &q);
                     let ctx = format!("{store:?}, {shards} shards, key {probe_key}");
                     assert_eq!(p1, pn, "{ctx}");
                     assert_eq!(match_ts(&p1), match_ts(&pn), "{ctx}");
@@ -1196,8 +1152,8 @@ mod tests {
                 // nothing (SQL equality), same bounce at every count.
                 let rn = Tuple::singleton_of(TableIdx(0), vec![Value::Int(1), Value::Null])
                     .with_timestamp(TableIdx(0), 1_000);
-                let p1 = probe_one(&one, &rn, &TupleState::new(), &q);
-                let pn = probe_one(&many, &rn, &TupleState::new(), &q);
+                let p1 = probe_one(&mut one, &rn, &TupleState::new(), &q);
+                let pn = probe_one(&mut many, &rn, &TupleState::new(), &q);
                 assert!(pn.results.is_empty());
                 assert_eq!(p1.outcome, pn.outcome);
             }
@@ -1213,8 +1169,8 @@ mod tests {
         build_workload(&mut one);
         build_workload(&mut four);
         let r = r_tuple(1, 999).with_timestamp(TableIdx(0), 1_000);
-        let p1 = probe_one(&one, &r, &TupleState::new(), &q);
-        let p4 = probe_one(&four, &r, &TupleState::new(), &q);
+        let p1 = probe_one(&mut one, &r, &TupleState::new(), &q);
+        let p4 = probe_one(&mut four, &r, &TupleState::new(), &q);
         assert!(!p4.results.is_empty());
         // Bit-identical: same results in the same (insertion) order.
         assert_eq!(p1, p4);
@@ -1254,7 +1210,7 @@ mod tests {
 
             let mut one = sharded(1, opts.clone());
             build_in_envelopes(&mut one, &batch, batch.len());
-            let p1 = probe_one(&one, &r, &TupleState::new(), &q);
+            let p1 = probe_one(&mut one, &r, &TupleState::new(), &q);
             let got: Vec<&Arc<Row>> = p1
                 .results
                 .iter()
@@ -1274,13 +1230,13 @@ mod tests {
             build_in_envelopes(&mut pooled, &batch, batch.len());
             let probes: TupleBatch = std::iter::repeat_n(r.clone(), 6).collect();
             let states = vec![TupleState::new(); probes.len()];
-            for (_, results) in probe_flat(&pooled, &probes, &states, &q) {
+            for (_, results) in probe_flat(&mut pooled, &probes, &states, &q) {
                 assert_eq!(results, p1.results, "{store:?} chunked");
             }
 
             let mut four = sharded(4, opts);
             build_in_envelopes(&mut four, &batch, batch.len());
-            let p4 = probe_one(&four, &r, &TupleState::new(), &q);
+            let p4 = probe_one(&mut four, &r, &TupleState::new(), &q);
             assert_eq!(p4, p1, "{store:?}: merged by timestamp");
             assert_eq!(match_ts(&p4), match_ts(&p1), "{store:?}");
         }
@@ -1358,12 +1314,12 @@ mod tests {
         assert_eq!(stem.eot_version(), 1);
         let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
         assert_eq!(
-            probe_one(&stem, &covered, &TupleState::new(), &q).outcome,
+            probe_one(&mut stem, &covered, &TupleState::new(), &q).outcome,
             ProbeOutcome::Consumed
         );
         let uncovered = r_tuple(2, 20).with_timestamp(TableIdx(0), 2);
         assert!(matches!(
-            probe_one(&stem, &uncovered, &TupleState::new(), &q).outcome,
+            probe_one(&mut stem, &uncovered, &TupleState::new(), &q).outcome,
             ProbeOutcome::Bounced(_)
         ));
         // Scan EOT covers everything, whichever lanes a probe visits.
@@ -1376,7 +1332,7 @@ mod tests {
         assert!(stem.scan_complete());
         assert_eq!(stem.eot_version(), 2);
         assert_eq!(
-            probe_one(&stem, &uncovered, &TupleState::new(), &q).outcome,
+            probe_one(&mut stem, &uncovered, &TupleState::new(), &q).outcome,
             ProbeOutcome::Consumed
         );
     }
@@ -1415,7 +1371,7 @@ mod tests {
     /// Probe a batch into a fresh arena and flatten it into comparable
     /// per-reply views.
     fn probe_flat(
-        stem: &ShardedStem,
+        stem: &mut ShardedStem,
         probes: &TupleBatch,
         states: &[TupleState],
         q: &QuerySpec,
@@ -1449,8 +1405,8 @@ mod tests {
             .map(|i| r_tuple(i, i % 101).with_timestamp(TableIdx(0), 1_000_000))
             .collect();
         let pstates = vec![TupleState::new(); probes.len()];
-        let p1 = probe_flat(&one, &probes, &pstates, &q);
-        let p4 = probe_flat(&four, &probes, &pstates, &q);
+        let p1 = probe_flat(&mut one, &probes, &pstates, &q);
+        let p4 = probe_flat(&mut four, &probes, &pstates, &q);
         assert_eq!(p1, p4);
     }
 
@@ -1479,7 +1435,7 @@ mod tests {
             );
             let mut ts = 0;
             let builds = stem.build_batch(&batch, &states, &mut ts);
-            let replies = probe_flat(&stem, &probes, &pstates, &q);
+            let replies = probe_flat(&mut stem, &probes, &pstates, &q);
             let stamps = stamped_ts(&builds);
             (builds, stamps, ts, replies)
         };
@@ -1521,8 +1477,8 @@ mod tests {
             .map(|i| r_tuple(i, 7).with_timestamp(TableIdx(0), 1_000_000))
             .collect();
         let pstates = vec![TupleState::new(); probes.len()];
-        let chunked = probe_flat(&stem, &probes, &pstates, &q);
-        let unchunked = probe_flat(&serial, &probes, &pstates, &q);
+        let chunked = probe_flat(&mut stem, &probes, &pstates, &q);
+        let unchunked = probe_flat(&mut serial, &probes, &pstates, &q);
         assert_eq!(chunked, unchunked);
         // Every probe really matched the whole hot lane.
         assert!(chunked
@@ -1581,12 +1537,12 @@ mod tests {
             let mut one = sharded(1, opts.clone());
             build_in_envelopes(&mut one, &batch, batch.len());
             let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 1_000);
-            let p1 = probe_one(&one, &r, &TupleState::new(), &q);
+            let p1 = probe_one(&mut one, &r, &TupleState::new(), &q);
             assert_eq!(p1.results.len(), 8);
             for shards in [2usize, 4, 7] {
                 let mut many = sharded(shards, opts.clone());
                 build_in_envelopes(&mut many, &batch, batch.len());
-                let pn = probe_one(&many, &r, &TupleState::new(), &q);
+                let pn = probe_one(&mut many, &r, &TupleState::new(), &q);
                 assert_eq!(p1, pn, "{store:?}, {shards} shards");
                 assert_eq!(match_ts(&p1), match_ts(&pn), "{store:?}, {shards} shards");
             }

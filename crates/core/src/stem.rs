@@ -23,7 +23,9 @@
 //! two per-lane steps of the SteM's algorithms: [`Shard::ingest`] (dedup +
 //! dictionary insert) and [`Shard::probe`] (result formation over
 //! prehashed bindings). Everything that is a property of the SteM as a
-//! whole lives once, on `ShardedStem`.
+//! whole lives once, on `ShardedStem` — the envelope buffers of both
+//! steps included, so a lane is plain data behind the SteM's `&mut self`
+//! and holds no lock.
 //!
 //! # A lane is one slab and its slot-indexed columns
 //!
@@ -48,7 +50,7 @@
 //! it, so a windowed SteM over an unbounded stream stays the size of its
 //! window.
 
-use crate::sync::{Arc, ScratchPool};
+use crate::sync::Arc;
 use crate::tuple_state::{CompletionNeed, TupleState};
 use stems_catalog::QuerySpec;
 use stems_storage::fxhash::FxHashSet;
@@ -62,23 +64,15 @@ use stems_types::{
 /// `None` means the probe binds nothing and must scan.
 pub(crate) type ProbeBinding = Option<(usize, HashedKey)>;
 
-/// Cap on a shard's scratch free-list: a concurrency burst may check out
-/// many scratches at once, but only this many are kept when they come
-/// back — the rest are dropped so the pool's footprint tracks
-/// steady-state concurrency, not the historical high-water mark.
-const MAX_POOLED_SCRATCH: usize = 8;
-
-/// Reusable per-shard probe scratch. Everything the probe path
-/// materializes per envelope — key groups, flat candidate arenas, plans —
-/// lives here and keeps its capacity across envelopes, so steady-state
-/// probing allocates nothing. Kept in a mutexed free-list on the shard
-/// because probes run through `&self` and the SteM may split one lane
-/// into chunks serviced concurrently by several pool workers
-/// ([`crate::runtime::WorkerPool`]): the SteM checks one scratch out per
-/// chunk before it dispatches an envelope and returns them after, so the
-/// lock is taken twice per chunk, never per tuple, concurrent chunks
-/// never serialize on a shared buffer, and which scratch a chunk gets
-/// does not depend on how the chunks interleave.
+/// Reusable probe scratch of one dispatch chunk. Everything the probe
+/// path materializes per envelope — key groups, flat candidate arenas,
+/// plans — lives here and keeps its capacity across envelopes, so
+/// steady-state probing allocates nothing. The SteM owns one per chunk
+/// *position* of an envelope (`ShardedStem`'s probe pool) and lends each
+/// chunk its own by `&mut`, so the chunks of a lane that pool workers
+/// ([`crate::runtime::WorkerPool`]) service concurrently never share a
+/// buffer, and which scratch a chunk gets does not depend on how the
+/// chunks interleave.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeScratch {
     /// Distinct probe columns of the current envelope.
@@ -292,19 +286,24 @@ impl ProbeReplySet {
 /// descent both read this annotation) and its bounce decision (a function
 /// of SteM-wide EOT state, so it is the same in whichever lanes the probe
 /// visits).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Resolved {
     pub(crate) binding: ProbeBinding,
     pub(crate) outcome: ProbeOutcome,
 }
 
-/// The SteM-wide facts a lane needs to form probe replies.
+/// What a lane needs to form probe replies: the SteM-wide facts and the
+/// whole probe envelope, which every lane and chunk reads by position.
 pub(crate) struct ProbeCtx<'q> {
     /// The table instance the SteM currently serves.
     pub(crate) instance: TableIdx,
     pub(crate) query: &'q QuerySpec,
     /// The SteM's max build timestamp at probe time.
     pub(crate) observed_ts: Timestamp,
+    pub(crate) batch: &'q [Tuple],
+    pub(crate) states: &'q [TupleState],
+    /// Per envelope position: its prehashed binding and bounce decision.
+    pub(crate) resolved: &'q [Resolved],
 }
 
 /// A lane is rebuilt dense ([`Shard::compact`]) once its dead slots
@@ -314,8 +313,7 @@ const COMPACT_MIN_DEAD: usize = 32;
 
 /// One storage lane of a SteM: the dictionary — whose slab gives every
 /// stored row its **slot** — and, addressed by that slot, the
-/// set-semantics dedup filter and the build-timestamp column; plus the
-/// probe scratch free-list.
+/// set-semantics dedup filter and the build-timestamp column.
 ///
 /// Self-joins note: the paper shares one SteM per *source* across FROM
 /// instances; we share row storage via `Arc<Row>` but keep per-instance
@@ -329,14 +327,6 @@ pub(crate) struct Shard {
     /// [`Shard::stamp`] has not reached yet reads [`UNBUILT_TS`], which no
     /// probe's TimeStamp rule lets through: an unstamped row is invisible.
     ts: Vec<Timestamp>,
-    /// Free-list of envelope-lifetime probe buffers (see
-    /// [`ProbeScratch`]): one per chunk probing this lane concurrently.
-    /// Boxed so checking a scratch in/out under the lock moves one
-    /// pointer, not the struct of vectors. The pool recovers from poison
-    /// by discarding the free-list: a prober that panicked mid-probe
-    /// leaves only scratch buffers behind, and those are pure caches — a
-    /// clean pool keeps every later query on a shared SteM running.
-    pub(crate) scratch: ScratchPool<Box<ProbeScratch>>,
 }
 
 impl Shard {
@@ -347,7 +337,6 @@ impl Shard {
             store: kind.build(join_cols),
             dedup: RowSet::new(),
             ts: Vec::new(),
-            scratch: ScratchPool::new(MAX_POOLED_SCRATCH),
         }
     }
 
@@ -451,36 +440,32 @@ impl Shard {
         }
     }
 
-    /// The per-lane probe step: answer a slice of one envelope, appending
-    /// one reply per tuple to `out` in slice order. `resolved` carries
-    /// each tuple's prehashed binding and bounce decision; this lane
-    /// contributes the candidates. All equality lookups on one column go
-    /// through a single [`Store::lookup_eq_flat`] index descent into
-    /// a reusable arena of candidate *slots* (duplicate keys share one
-    /// span; unbindable probes walk the slab's live slots), the
-    /// newly-evaluable predicate set is resolved once per distinct
-    /// `(result span, donebits)` pair, and both timestamp rules are
-    /// decided on the slot's entry in the timestamp column — the row
-    /// itself is resolved, and its handle cloned, only for a candidate
-    /// that passed them. Results land in `out`'s flat arena: the only
-    /// per-tuple allocations are the surviving result tuples themselves
-    /// (one component vec each, via [`Tuple::concat_row`]).
+    /// The per-lane probe step: answer the `members` positions of the
+    /// envelope in `ctx`, appending one reply per member to `out` in
+    /// member order. `ctx.resolved` carries each tuple's prehashed binding
+    /// and bounce decision; this lane contributes the candidates. All
+    /// equality lookups on one column go through a single
+    /// [`Store::lookup_eq_flat`] index descent into a reusable arena of
+    /// candidate *slots* (duplicate keys share one span; unbindable
+    /// probes walk the slab's live slots), the newly-evaluable predicate
+    /// set is resolved once per distinct `(result span, donebits)` pair,
+    /// and both timestamp rules are decided on the slot's entry in the
+    /// timestamp column — the row itself is resolved, and its handle
+    /// cloned, only for a candidate that passed them. Results land in
+    /// `out`'s flat arena: the only per-tuple allocations are the
+    /// surviving result tuples themselves (one component vec each, via
+    /// [`Tuple::concat_row`]).
     ///
-    /// The slice may be any sub-range of a routed lane: hot lanes are
-    /// chunked across pool workers, each chunk probing with its own
-    /// `scratch` (checked out of this lane's free-list by the caller) and
-    /// arena.
+    /// `members` may be any sub-range of the lane's routed positions: hot
+    /// lanes are chunked across pool workers, each chunk probing with its
+    /// own `scratch` and arena.
     pub(crate) fn probe(
         &self,
         ctx: &ProbeCtx<'_>,
-        batch: &[Tuple],
-        states: &[TupleState],
-        resolved: &[Resolved],
+        members: &[u32],
         scratch: &mut ProbeScratch,
         out: &mut ProbeReplySet,
     ) {
-        debug_assert_eq!(batch.len(), states.len());
-        debug_assert_eq!(batch.len(), resolved.len());
         let t = ctx.instance;
         let ProbeScratch {
             cols,
@@ -492,8 +477,9 @@ impl Shard {
         plans.clear();
 
         // Pass 1: group the prehashed keys by column.
-        for r in resolved {
-            plans.push(r.binding.as_ref().map(|(col, key)| {
+        for &m in members {
+            let binding = ctx.resolved[m as usize].binding.as_ref();
+            plans.push(binding.map(|(col, key)| {
                 let ci = match cols.iter().position(|c| c == col) {
                     Some(i) => i,
                     None => {
@@ -527,8 +513,9 @@ impl Shard {
         let mut evals: Vec<(TableSet, PredSet, Vec<&stems_types::Predicate>, PredSet)> = Vec::new();
 
         // Pass 2: per-tuple result formation.
-        for (((tuple, state), r), plan) in batch.iter().zip(states).zip(resolved).zip(plans.iter())
-        {
+        for (&m, plan) in members.iter().zip(plans.iter()) {
+            let m = m as usize;
+            let (tuple, state, r) = (&ctx.batch[m], &ctx.states[m], &ctx.resolved[m]);
             debug_assert!(!tuple.span().contains(t), "probe tuple already spans {t}");
             let result_span = tuple.span().with(t);
             let ei = match evals
@@ -904,9 +891,9 @@ pub fn make_scan_eot_row(arity: usize) -> Arc<Row> {
 }
 
 /// The SteM's semantic rules (Table 2 bounce rules, both timestamp rules,
-/// EOT coverage, window FIFO, Grace release, scratch-pool safety), driven
-/// through [`crate::sharded::ShardedStem`]'s one build path and one probe
-/// path as envelopes of one, at one lane and at several.
+/// EOT coverage, window FIFO, Grace release), driven through
+/// [`crate::sharded::ShardedStem`]'s one build path and one probe path as
+/// envelopes of one, at one lane and at several.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1018,7 +1005,7 @@ mod tests {
             build_fresh(&mut stem, &s_tuple(20, 2), 2);
             // r (built later, ts 3) probes: matches only x=10.
             let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-            let reply = probe_one(&stem, &r, &TupleState::new(), &q);
+            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
             assert_eq!(reply.results.len(), 1);
             let (result, done) = &reply.results[0];
             assert_eq!(result.span().len(), 2);
@@ -1036,7 +1023,7 @@ mod tests {
             // the s tuple's own probe path is responsible for this result.
             build_fresh(&mut stem, &s_tuple(10, 1), 7);
             let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-            let reply = probe_one(&stem, &r, &TupleState::new(), &q);
+            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
             assert!(reply.results.is_empty());
             assert_eq!(reply.raw_matches, 1);
         }
@@ -1050,7 +1037,7 @@ mod tests {
             build_fresh(&mut stem, &s_tuple(10, 1), 7);
             // Unbuilt probe has ts = ∞ (paper: "before building, ts is ∞").
             let r = r_tuple(100, 10);
-            let reply = probe_one(&stem, &r, &TupleState::new(), &q);
+            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
             assert_eq!(reply.results.len(), 1);
         }
     }
@@ -1067,14 +1054,14 @@ mod tests {
             build_fresh(&mut stem, &s_tuple(11, 0), 3);
             let r = r_tuple(100, 10); // unbuilt, re-probing per §3.5
             let mut state = TupleState::new();
-            let first = probe_one(&stem, &r, &state, &q);
+            let first = probe_one(&mut stem, &r, &state, &q);
             assert_eq!(first.results.len(), 2);
             assert_eq!(first.observed_ts, 3);
             // Record observed ts, as the engine does on bounce.
             state.last_match_ts = first.observed_ts;
             // New tuple arrives, then re-probe: only the new one returned.
             build_fresh(&mut stem, &s_tuple(10, 3), 9);
-            let second = probe_one(&stem, &r, &state, &q);
+            let second = probe_one(&mut stem, &r, &state, &q);
             assert_eq!(second.results.len(), 1);
             assert_eq!(
                 second.results[0].0.value(TableIdx(1), 1),
@@ -1091,7 +1078,7 @@ mod tests {
         let state = TupleState::new();
         for n in SHARD_COUNTS {
             let outcome = |has_scan: bool, has_index: bool, r: &Tuple| {
-                probe_one(&s_stem(n, has_scan, has_index), r, &state, &q).outcome
+                probe_one(&mut s_stem(n, has_scan, has_index), r, &state, &q).outcome
             };
             // scan-only, incomplete, prober built ⇒ consumed (scan covers it).
             assert_eq!(outcome(true, false, &r_built), ProbeOutcome::Consumed);
@@ -1122,7 +1109,7 @@ mod tests {
             assert!(stem.scan_complete());
             let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
             assert_eq!(
-                probe_one(&stem, &r, &TupleState::new(), &q).outcome,
+                probe_one(&mut stem, &r, &TupleState::new(), &q).outcome,
                 ProbeOutcome::Consumed
             );
             // EOT consumed no timestamp and is not a data row.
@@ -1141,12 +1128,12 @@ mod tests {
             let state = TupleState::new();
             let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
             assert_eq!(
-                probe_one(&stem, &covered, &state, &q).outcome,
+                probe_one(&mut stem, &covered, &state, &q).outcome,
                 ProbeOutcome::Consumed
             );
             let uncovered = r_tuple(2, 20).with_timestamp(TableIdx(0), 2);
             assert_eq!(
-                probe_one(&stem, &uncovered, &state, &q).outcome,
+                probe_one(&mut stem, &uncovered, &state, &q).outcome,
                 ProbeOutcome::Bounced(CompletionNeed::Required)
             );
         }
@@ -1176,7 +1163,7 @@ mod tests {
 
             // Nothing answered yet.
             assert_eq!(
-                probe_one(&stem, &r, &state, &q2).outcome,
+                probe_one(&mut stem, &r, &state, &q2).outcome,
                 ProbeOutcome::Bounced(CompletionNeed::Required)
             );
             // Member 1 answered (the index AM binds the IN column and emits
@@ -1184,13 +1171,13 @@ mod tests {
             // member-2 sub-probe has no coverage.
             build_eot_row(&mut stem, make_eot_row(2, &[(1, Value::Int(1))]));
             assert_eq!(
-                probe_one(&stem, &r, &state, &q2).outcome,
+                probe_one(&mut stem, &r, &state, &q2).outcome,
                 ProbeOutcome::Bounced(CompletionNeed::Required)
             );
             // Member 2 answered too: every sub-probe is covered now.
             build_eot_row(&mut stem, make_eot_row(2, &[(1, Value::Int(2))]));
             assert_eq!(
-                probe_one(&stem, &r, &state, &q2).outcome,
+                probe_one(&mut stem, &r, &state, &q2).outcome,
                 ProbeOutcome::Consumed
             );
         }
@@ -1226,13 +1213,13 @@ mod tests {
                 build_eot_row(&mut stem, make_eot_row(2, &[(0, m.clone())]));
             }
             assert_eq!(
-                probe_one(&stem, &r, &state, &q2).outcome,
+                probe_one(&mut stem, &r, &state, &q2).outcome,
                 ProbeOutcome::Bounced(CompletionNeed::Required),
                 "one member still unanswered"
             );
             build_eot_row(&mut stem, make_eot_row(2, &[(0, members[1499].clone())]));
             assert_eq!(
-                probe_one(&stem, &r, &state, &q2).outcome,
+                probe_one(&mut stem, &r, &state, &q2).outcome,
                 ProbeOutcome::Consumed
             );
         }
@@ -1268,13 +1255,13 @@ mod tests {
                 build_eot_row(&mut stem, pair(x, y));
             }
             assert_eq!(
-                probe_one(&stem, &r, &state, &q2).outcome,
+                probe_one(&mut stem, &r, &state, &q2).outcome,
                 ProbeOutcome::Bounced(CompletionNeed::Required),
                 "one member pair still unanswered"
             );
             build_eot_row(&mut stem, pair(2, 6));
             assert_eq!(
-                probe_one(&stem, &r, &state, &q2).outcome,
+                probe_one(&mut stem, &r, &state, &q2).outcome,
                 ProbeOutcome::Consumed
             );
         }
@@ -1312,7 +1299,7 @@ mod tests {
             build_eot_row(&mut stem, make_eot_row(2, &[(0, Value::Int(10))]));
             build_fresh(&mut stem, &s_tuple(10, 5), 2);
             let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 9);
-            let reply = probe_one(&stem, &r, &TupleState::new(), &q);
+            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
             // Only the data row joins; the EOT "row" never appears in results.
             assert_eq!(reply.results.len(), 1);
             assert_eq!(
@@ -1361,11 +1348,12 @@ mod tests {
             let r = r_tuple(1, 1);
             for i in 0..8u64 {
                 build_fresh(&mut stem, &s_tuple(i as i64, 0), i + 1);
-                let mut live: Vec<Timestamp> = probe_one(&stem, &r, &TupleState::new(), &cartesian)
-                    .results
-                    .iter()
-                    .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
-                    .collect();
+                let mut live: Vec<Timestamp> =
+                    probe_one(&mut stem, &r, &TupleState::new(), &cartesian)
+                        .results
+                        .iter()
+                        .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
+                        .collect();
                 live.sort_unstable();
                 let want: Vec<Timestamp> = (i.saturating_sub(2) + 1..=i + 1).collect();
                 assert_eq!(live, want, "{n} shards after build {i}");
@@ -1507,7 +1495,7 @@ mod tests {
             assert_side_maps_consistent(&stem);
             // What is left is the window's youngest rows, each still
             // answering under the stamp it was built with.
-            let reply = probe_one(&stem, &r_tuple(1, 1), &TupleState::new(), &cartesian);
+            let reply = probe_one(&mut stem, &r_tuple(1, 1), &TupleState::new(), &cartesian);
             let mut live: Vec<Timestamp> = reply
                 .results
                 .iter()
@@ -1605,7 +1593,7 @@ mod tests {
             build_fresh(&mut stem, &s_tuple(10, 1), 1); // fails y > 3
             build_fresh(&mut stem, &s_tuple(10, 9), 2); // passes
             let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 5);
-            let reply = probe_one(&stem, &r, &TupleState::new(), &q2);
+            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q2);
             assert_eq!(reply.results.len(), 1);
             let (tup, done) = &reply.results[0];
             assert_eq!(tup.value(TableIdx(1), 1), Some(&Value::Int(9)));
@@ -1623,7 +1611,7 @@ mod tests {
             build_fresh(&mut stem, &s_tuple(10, 1), 1);
             build_fresh(&mut stem, &s_tuple(20, 2), 2);
             let r = r_tuple(1, 999).with_timestamp(TableIdx(0), 5);
-            let reply = probe_one(&stem, &r, &TupleState::new(), &q);
+            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
             assert_eq!(reply.results.len(), 2);
         }
     }
@@ -1804,7 +1792,7 @@ mod tests {
             let mut seen_results = 0usize;
             for ((tuple, state), (meta, results)) in probes.iter().zip(&states).zip(batched.iter())
             {
-                let want = probe_one(&stem, tuple, state, &q);
+                let want = probe_one(&mut stem, tuple, state, &q);
                 assert_eq!(want.results, results, "probe {tuple}");
                 assert_eq!(want.outcome, meta.outcome, "probe {tuple}");
                 assert_eq!(want.observed_ts, meta.observed_ts, "probe {tuple}");
@@ -1812,125 +1800,6 @@ mod tests {
                 seen_results += results.len();
             }
             assert!(seen_results > 0, "workload must form results");
-        }
-    }
-
-    #[test]
-    fn scratch_pool_capped_after_burst() {
-        let lane = Shard::new(&StoreKind::Hash, &[0]);
-        // A burst of concurrent probers checks out far more scratches than
-        // the cap, then returns them all.
-        let burst: Vec<_> = (0..4 * MAX_POOLED_SCRATCH)
-            .map(|_| lane.scratch.acquire())
-            .collect();
-        for scratch in burst {
-            lane.scratch.release(scratch);
-        }
-        assert!(
-            lane.scratch.pooled() <= MAX_POOLED_SCRATCH,
-            "free-list kept {} scratches, cap is {MAX_POOLED_SCRATCH}",
-            lane.scratch.pooled()
-        );
-    }
-
-    /// The lane holding the one row these tests build — the lane a keyed
-    /// probe for it visits.
-    fn home_lane(stem: &ShardedStem) -> &Shard {
-        stem.lanes()
-            .iter()
-            .find(|lane| lane.len() == 1)
-            .expect("one row built")
-    }
-
-    /// Poison a lane's scratch pool: panic while holding the free-list
-    /// lock (the unwinding drop marks it poisoned).
-    fn poison_scratch(lane: &Shard, why: &str) {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            lane.scratch.with_slots(|_| panic!("{why}"));
-        }));
-        assert!(result.is_err());
-        assert!(lane.scratch.is_poisoned());
-    }
-
-    fn assert_probe_finds_the_row(stem: &ShardedStem, q: &QuerySpec) {
-        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-        assert_eq!(probe_one(stem, &r, &TupleState::new(), q).results.len(), 1);
-    }
-
-    #[test]
-    fn scratch_pool_recovers_from_poison() {
-        let (_c, q) = setup();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            build_fresh(&mut stem, &s_tuple(10, 1), 1);
-            let lane = home_lane(&stem);
-            poison_scratch(lane, "prober died mid-probe");
-            // A later query's probe must still succeed — the pool discards
-            // the poisoned free-list instead of propagating the panic.
-            assert_probe_finds_the_row(&stem, &q);
-            assert!(!lane.scratch.is_poisoned(), "poison mark must be cleared");
-        }
-    }
-
-    #[test]
-    fn scratch_poisoned_while_checked_out_recovers_on_release() {
-        // A chunk holds a checked-out scratch (no lock held) while the
-        // pool's free-list is poisoned underneath it — the in-flight
-        // chunk's release must recover the pool, not deadlock or lose
-        // the poison repair.
-        let (_c, q) = setup();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            build_fresh(&mut stem, &s_tuple(10, 1), 1);
-            let lane = home_lane(&stem);
-            let held = lane.scratch.acquire();
-            poison_scratch(lane, "sibling chunk died mid-envelope");
-            // The surviving chunk finishes its envelope and returns its
-            // scratch: release goes through poison recovery and re-pools it.
-            lane.scratch.release(held);
-            assert!(!lane.scratch.is_poisoned(), "release must clear poison");
-            assert_eq!(lane.scratch.pooled(), 1);
-            assert_probe_finds_the_row(&stem, &q);
-        }
-    }
-
-    #[test]
-    fn worker_panic_replay_with_concurrent_scratch_checkout() {
-        // End-to-end: a pool scope where one task poisons the scratch
-        // free-list by panicking inside it while a sibling task
-        // concurrently holds a checked-out scratch, probes, and releases
-        // it mid-recovery. The panic must replay to the scope caller
-        // after the barrier (never lost, never a deadlock), and the SteM
-        // must stay fully usable afterwards.
-        let (_c, q) = setup();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            build_fresh(&mut stem, &s_tuple(10, 1), 1);
-            let pool = crate::runtime::WorkerPool::global();
-            let stem_ref = &stem;
-            let lane = home_lane(stem_ref);
-            let q_ref = &q;
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.scope(2, |scope| {
-                    scope.spawn(0, move || {
-                        lane.scratch
-                            .with_slots(|_| panic!("worker died holding the free-list"));
-                    });
-                    scope.spawn(1, move || {
-                        // Concurrent envelope: checkout → probe → release,
-                        // racing the sibling's poisoning. Must complete
-                        // whether it runs before, during, or after.
-                        let held = lane.scratch.acquire();
-                        assert_probe_finds_the_row(stem_ref, q_ref);
-                        lane.scratch.release(held);
-                    });
-                });
-            }));
-            assert!(result.is_err(), "worker panic must replay to the caller");
-            // The pool recovered (either at the sibling's release or at
-            // the next acquire) and the SteM still probes.
-            assert_probe_finds_the_row(&stem, &q);
-            assert!(!lane.scratch.is_poisoned());
         }
     }
 }

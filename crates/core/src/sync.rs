@@ -4,7 +4,7 @@
 //! the `model` cargo feature the same names resolve to `stems_check`'s
 //! model-aware wrappers instead, so the very protocol types the runtime
 //! ships ([`crate::runtime::SleepGate`], [`crate::runtime::CompletionLatch`],
-//! [`ScratchPool`]) can be driven through the deterministic model checker
+//! [`WaveBarrier`]) can be driven through the deterministic model checker
 //! (`tests/model.rs`) — every interleaving within a preemption bound,
 //! not just the ones the OS scheduler happens to produce.
 //!
@@ -19,9 +19,9 @@
 //!   every later query sharing the process-global runtime for no safety
 //!   gain.
 //! * [`lock_recover`] — clear the poison mark and run a caller-supplied
-//!   repair first. For state that may be mid-mutation when a prober
-//!   dies (scratch pools, reply arenas): the repair discards the
-//!   half-written caches, which are pure performance state.
+//!   repair first. For state that may be mid-mutation when its holder
+//!   dies — today the verdict memo's shards ([`crate::memo`]): the repair
+//!   discards the half-written cache, which is pure performance state.
 
 #[cfg(not(feature = "model"))]
 pub use std::sync::atomic;
@@ -149,65 +149,5 @@ impl WaveBarrier {
                 drop(wait_ok(&self.cv, done));
             }
         }
-    }
-}
-
-/// A capped free-list of reusable scratch values (envelope-lifetime
-/// probe buffers and the like) shared by concurrent probers.
-///
-/// Checked-out values are plain owned `T`s — no lock is held across an
-/// envelope — and [`release`](ScratchPool::release) drops values beyond
-/// `cap` so a one-off burst of probers cannot pin its high-water-mark
-/// capacity forever. Poison recovery discards the pooled values: they
-/// are pure caches, so an empty pool is always a correct pool. The
-/// checkout/poison-recovery protocol is model-checked in
-/// `stems-core/tests/model.rs`.
-#[derive(Debug)]
-pub struct ScratchPool<T> {
-    slots: Mutex<Vec<T>>,
-    cap: usize,
-}
-
-impl<T: Default> ScratchPool<T> {
-    pub fn new(cap: usize) -> ScratchPool<T> {
-        ScratchPool {
-            slots: Mutex::new(Vec::new()),
-            cap,
-        }
-    }
-
-    /// Check a value out of the pool (or make a fresh one).
-    pub fn acquire(&self) -> T {
-        self.lock_slots().pop().unwrap_or_default()
-    }
-
-    /// Return a value; dropped silently when the pool is at `cap`.
-    pub fn release(&self, value: T) {
-        let mut slots = self.lock_slots();
-        if slots.len() < self.cap {
-            slots.push(value);
-        }
-    }
-
-    /// Values currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.lock_slots().len()
-    }
-
-    pub fn is_poisoned(&self) -> bool {
-        self.slots.is_poisoned()
-    }
-
-    /// Run `f` with the free-list locked. Exists for tests that need to
-    /// poison the pool deliberately (panic inside `f`); production code
-    /// goes through [`acquire`](ScratchPool::acquire) /
-    /// [`release`](ScratchPool::release).
-    #[doc(hidden)]
-    pub fn with_slots<R>(&self, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        f(&mut self.lock_slots())
-    }
-
-    fn lock_slots(&self) -> MutexGuard<'_, Vec<T>> {
-        lock_recover(&self.slots, Vec::clear)
     }
 }

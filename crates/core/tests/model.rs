@@ -3,7 +3,7 @@
 //! Compiled only under the `model` feature, where `stems_core::sync`
 //! routes through the `stems-check` deterministic model checker — so the
 //! types under test here are the *exact shipped protocol types*
-//! ([`SleepGate`], [`CompletionLatch`], [`ScratchPool`]), not rewrites,
+//! ([`SleepGate`], [`CompletionLatch`], [`WaveBarrier`]), not rewrites,
 //! driven through every interleaving within a preemption bound:
 //!
 //! ```text
@@ -23,11 +23,10 @@
 #![cfg(feature = "model")]
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use stems_check::{model, FailureKind};
 use stems_core::runtime::{CompletionLatch, SleepGate};
 use stems_core::sync::atomic::{AtomicUsize, Ordering};
-use stems_core::sync::{lock_ok, wait_ok, Arc, Condvar, Mutex, ScratchPool, WaveBarrier};
+use stems_core::sync::{lock_ok, wait_ok, Arc, Condvar, Mutex, WaveBarrier};
 
 // ---------------------------------------------------------------------
 // WorkerPool gate sleep/wake
@@ -256,40 +255,6 @@ fn mutant_latch_early_decrement_is_caught() {
         matches!(&failure.kind, FailureKind::Panic(msg) if msg.contains("barrier released")),
         "early decrement must surface as the waiter's assertion: {failure}"
     );
-}
-
-// ---------------------------------------------------------------------
-// Scratch free-list checkout / poison recovery
-// ---------------------------------------------------------------------
-
-/// The SteM scratch protocol: checked-out values are owned (no lock held
-/// across an envelope), and a prober dying inside the free-list lock
-/// poisons it; every later acquire/release must recover by discarding
-/// the pooled caches — never deadlock, never propagate the panic —
-/// under every interleaving of the panicking prober and a healthy one.
-#[test]
-fn scratch_pool_checkout_poison_recovery_under_every_schedule() {
-    let report = model(|| {
-        let pool = Arc::new(ScratchPool::<Vec<u8>>::new(2));
-        let p2 = Arc::clone(&pool);
-        let dying = stems_check::thread::spawn(move || {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                p2.with_slots(|_| panic!("prober died in the free-list"));
-            }));
-            assert!(caught.is_err());
-        });
-        // Healthy prober runs a full envelope concurrently: checkout →
-        // (probe) → release. Must succeed before, during, or after the
-        // sibling's poisoning.
-        let scratch = pool.acquire();
-        pool.release(scratch);
-        dying.join().unwrap();
-        // After the dust settles the pool serves cleanly and the poison
-        // mark is gone.
-        let _ = pool.acquire();
-        assert!(!pool.is_poisoned(), "poison must not outlive recovery");
-    });
-    report.assert_ok();
 }
 
 // ---------------------------------------------------------------------

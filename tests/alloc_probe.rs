@@ -103,6 +103,15 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
 
 #[test]
 fn steady_state_probe_reply_path_is_allocation_free_per_tuple() {
+    // One lane, and keyed lanes plus overflow — in one test, because the
+    // counting allocator is process-global. Serial (`workers: 1`), so the
+    // worker pool's job boxes stay out of the count.
+    for num_shards in [1, 4] {
+        probe_reply_path_is_allocation_free_per_tuple(num_shards);
+    }
+}
+
+fn probe_reply_path_is_allocation_free_per_tuple(num_shards: usize) {
     const ROWS: usize = 4096;
     const SMALL: usize = ROWS / 4;
     let (_c, q) = setup();
@@ -112,7 +121,11 @@ fn steady_state_probe_reply_path_is_allocation_free_per_tuple() {
         &[0],
         true,
         false,
-        StemOptions::default(),
+        StemOptions {
+            num_shards,
+            workers: Some(1),
+            ..StemOptions::default()
+        },
     );
     // Int-keyed builds, one distinct key per row, stamped 1..=ROWS.
     let mut ts: Timestamp = 0;
@@ -166,7 +179,7 @@ fn steady_state_probe_reply_path_is_allocation_free_per_tuple() {
     // show up as ≈ 3 × SMALL extra counts on the big envelope.
     assert!(
         big_allocs <= small_allocs + 8,
-        "probe reply path allocates per tuple: {SMALL} probes cost {small_allocs} allocations, \
-         {ROWS} probes cost {big_allocs}"
+        "probe reply path allocates per tuple at {num_shards} shards: {SMALL} probes cost \
+         {small_allocs} allocations, {ROWS} probes cost {big_allocs}"
     );
 }

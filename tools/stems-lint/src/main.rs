@@ -18,6 +18,7 @@
 //! | `wall-clock` | no `Instant::now` / `SystemTime` outside `crates/bench` (virtual-time discipline) |
 //! | `metric-by-name` | no name-taking `.bump(` / `.observe(` in `engine.rs` / `server.rs` — the per-tuple path updates metrics by `MetricId` |
 //! | `row-keyed-map` | no map or set keyed by `Arc<Row>` / `Row` in non-test `stem.rs`, `sharded.rs`, `crates/storage/src/` — stored rows are addressed by slot |
+//! | `stem-lock` | no `Mutex` / `RwLock` / `RefCell` / `atomic` / `lock_ok` / `lock_recover` in non-test `stem.rs`, `sharded.rs` — a SteM's state is reached through `&mut self`; its one lock is `StemCell`'s, in `plan.rs` |
 //!
 //! The scanner is token-level, not syntactic: comments, strings, and
 //! char literals are stripped before matching, so banned names in docs
@@ -52,6 +53,17 @@ const SYNC_PRIMITIVES: &[&str] = &[
     "mpsc",
     "atomic",
     "Once",
+];
+
+/// Interior mutability and the poison helpers, none of which belong
+/// inside a SteM (`stem-lock`).
+const STEM_LOCKS: &[&str] = &[
+    "Mutex",
+    "RwLock",
+    "RefCell",
+    "atomic",
+    "lock_ok",
+    "lock_recover",
 ];
 
 #[derive(Debug)]
@@ -158,9 +170,8 @@ fn lint_source(path: &str, text: &str) -> Vec<Finding> {
     let in_bench = path.starts_with("crates/bench/");
     let in_runtime = path == "crates/core/src/runtime.rs";
     let per_tuple_path = path == "crates/core/src/engine.rs" || path == "crates/core/src/server.rs";
-    let stores_rows = path == "crates/core/src/stem.rs"
-        || path == "crates/core/src/sharded.rs"
-        || path.starts_with("crates/storage/src/");
+    let in_stem = path == "crates/core/src/stem.rs" || path == "crates/core/src/sharded.rs";
+    let stores_rows = in_stem || path.starts_with("crates/storage/src/");
 
     let mut findings = Vec::new();
     let mut sync_use_block = false;
@@ -265,6 +276,21 @@ fn lint_source(path: &str, text: &str) -> Vec<Finding> {
                     rule: "row-keyed-map",
                     line: lineno,
                     message: format!("`{map}` keyed by a row — address stored rows by slot"),
+                });
+            }
+        }
+
+        // stem-lock — builds and probes take `&mut self`, so nothing
+        // inside a SteM needs interior mutability; sharing a SteM is
+        // `StemCell`'s job, one lock in front of the whole module.
+        if in_stem && !in_tests {
+            if let Some(name) = STEM_LOCKS.iter().find(|n| contains_word(code_line, n)) {
+                findings.push(Finding {
+                    rule: "stem-lock",
+                    line: lineno,
+                    message: format!(
+                        "`{name}` inside a SteM — its state is reached through `&mut self`; share it through `StemCell`"
+                    ),
                 });
             }
         }
