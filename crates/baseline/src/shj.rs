@@ -145,7 +145,12 @@ pub fn pipelined_shj(
         mem: &mut usize,
     ) {
         if si >= stages.len() {
-            run.emit(t, tuple);
+            // The root's output queue is FIFO: a shallow result cannot
+            // leave before the deeper one an earlier arrival queued ahead
+            // of it. `end_time` is the latest result so far (every other
+            // contribution to it is no later than this arrival's own
+            // emission time), so the `results` series stays time-sorted.
+            run.emit(t.max(run.end_time), tuple);
             return;
         }
         let key = tuple
@@ -305,6 +310,55 @@ mod tests {
         for r in &run.results {
             assert_eq!(r.span().len(), 3);
         }
+    }
+
+    #[test]
+    fn pipeline_records_results_in_time_order() {
+        // A ⋈ B ⋈ C ⋈ D on v (two values: every arrival fans out), rows
+        // 10–14 µs apart against a 50 µs operator: an A arrival cascades
+        // three stages deep and its results carry t + 4·op, then the next
+        // D arrival emits from the root at t' + op — earlier.
+        let inputs: Vec<Vec<(i64, i64)>> = [6, 5, 4, 3]
+            .iter()
+            .map(|n| (0..*n).map(|k| (k, k % 2)).collect())
+            .collect();
+        let rates = [100_000.0, 90_000.0, 80_000.0, 70_000.0];
+        let streams: Vec<ArrivalStream> = inputs
+            .iter()
+            .zip(rates)
+            .map(|(vals, rate)| stream(vals, rate))
+            .collect();
+        let stages: Vec<PipelineStage> = (1..4)
+            .map(|i| PipelineStage {
+                stream: streams[i].clone(),
+                instance: TableIdx(i as u8),
+                col: 1,
+                prev_instance: TableIdx(i as u8 - 1),
+                prev_col: 1,
+            })
+            .collect();
+        let run = pipelined_shj((&streams[0], TableIdx(0)), &stages, &ShjParams::default());
+
+        let points = run.metrics.series("results").unwrap().points();
+        assert!(
+            points.windows(2).all(|w| w[0].0 <= w[1].0),
+            "results series is not time-sorted: {points:?}"
+        );
+        assert_eq!(run.end_time, points.last().unwrap().0);
+
+        // Nested loops in key order enumerate the canonical (sorted) form.
+        let mut want: Vec<Vec<Value>> = Vec::new();
+        for a in &inputs[0] {
+            for b in inputs[1].iter().filter(|b| b.1 == a.1) {
+                for c in inputs[2].iter().filter(|c| c.1 == a.1) {
+                    for d in inputs[3].iter().filter(|d| d.1 == a.1) {
+                        let row = [a, b, c, d].map(|r| [r.0, r.1]);
+                        want.push(row.concat().into_iter().map(Value::Int).collect());
+                    }
+                }
+            }
+        }
+        assert_eq!(run.canonical_values(), want);
     }
 
     #[test]

@@ -33,9 +33,9 @@ impl Json {
         }
     }
 
-    /// The document text. An object of scalars stays on one line (a
-    /// series entry); anything holding a list or object nests one field
-    /// per line.
+    /// The document text. A list of scalars (a sampled curve) stays on
+    /// one line, and so does an object of scalars and such lists (a
+    /// series entry); anything holding an object nests one field per line.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
@@ -47,6 +47,14 @@ impl Json {
         !matches!(self, Json::List(_) | Json::Obj(_))
     }
 
+    /// Rendered without a line break.
+    fn is_flat(&self) -> bool {
+        match self {
+            Json::List(items) => items.iter().all(Json::is_scalar),
+            other => other.is_scalar(),
+        }
+    }
+
     fn write(&self, out: &mut String, indent: usize) {
         let pad = |out: &mut String, n: usize| out.extend(std::iter::repeat_n(' ', n));
         match self {
@@ -54,6 +62,14 @@ impl Json {
             Json::Float(x, decimals) => write!(out, "{x:.decimals$}").unwrap(),
             Json::Bool(b) => write!(out, "{b}").unwrap(),
             Json::Str(s) => write_str(out, s),
+            Json::List(items) if self.is_flat() => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { ", " } else { "" });
+                    item.write(out, indent);
+                }
+                out.push(']');
+            }
             Json::List(items) => {
                 out.push_str("[\n");
                 for (i, item) in items.iter().enumerate() {
@@ -65,7 +81,7 @@ impl Json {
                 out.push(']');
             }
             Json::Obj(fields) => {
-                let inline = fields.iter().all(|(_, v)| v.is_scalar());
+                let inline = fields.iter().all(|(_, v)| v.is_flat());
                 out.push('{');
                 for (i, (key, value)) in fields.iter().enumerate() {
                     if inline {
@@ -163,6 +179,21 @@ mod tests {
         );
         assert_eq!(Json::Float(2.5, 3).num(), 2.5);
         assert_eq!(Json::Int(7).num(), 7.0);
+    }
+
+    #[test]
+    fn a_list_of_scalars_stays_on_its_entrys_line() {
+        let curve = Json::Obj(vec![
+            ("label", Json::str("SteM")),
+            (
+                "values",
+                Json::List(vec![Json::Float(0.0, 1), Json::Int(4)]),
+            ),
+        ]);
+        assert_eq!(
+            curve.render(),
+            "{\"label\": \"SteM\", \"values\": [0.0, 4]}\n"
+        );
     }
 
     #[test]

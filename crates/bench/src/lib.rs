@@ -1,21 +1,25 @@
-//! Shared harness for the experiment and bench binaries.
+//! Shared harness for the paper experiments and the bench series, both
+//! reached through the one `stems-bench` binary.
 //!
-//! Every experiment binary regenerates one figure (or reconstructed
-//! experiment) of the paper: it runs the SteM architecture and its
-//! baselines on the same workload, prints the figure's series as aligned
-//! rows and an ASCII chart, writes a CSV to `results/`, and evaluates the
-//! paper's qualitative claims as explicit SHAPE-CHECK lines. One binary
-//! per experiment: `fig7`, `fig8`, `exp_competition`, `exp_spanning_tree`,
-//! `exp_reorder`, `exp_nary_shj`, `exp_grace_hybrid`, `exp_buildfirst`,
-//! `exp_robustness`, `exp_selection_order`.
+//! `stems-bench paper <name|all>`: [`paper::PAPER`] is the table of the
+//! paper's figures and reconstructed experiments (`fig7`, `fig8`,
+//! `competition`, `spanning_tree`, `reorder`, `nary_shj`, `grace_hybrid`,
+//! `buildfirst`, `robustness`, `selection_order`). Each entry runs the SteM
+//! architecture and its baselines on the same workload and registers
+//! labelled curves and the paper's qualitative claims as measured value ·
+//! comparison · threshold; [`paper::run`] prints the series as aligned
+//! rows and an ASCII chart, writes CSVs to `results/`, prints one
+//! `[PASS|FAIL]` line per claim and emits `PAPER_RESULTS.json`. `cargo
+//! test` runs every entry.
 //!
-//! The perf trajectory `BENCH_<n>.json` comes from the one `stems-bench`
-//! binary: [`series::SERIES`] is the table of series, [`harness`] times
-//! and checks them, [`drive`] holds what they run, [`json`] writes them.
+//! `stems-bench <series|all>`: the perf trajectory `BENCH_<n>.json`.
+//! [`series::SERIES`] is the table of series, [`harness`] times and checks
+//! them, [`drive`] holds what they run, [`json`] writes them.
 
 pub mod drive;
 pub mod harness;
 pub mod json;
+pub mod paper;
 pub mod series;
 
 use std::fmt::Write as _;
@@ -30,18 +34,9 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-/// Write a CSV file into the results directory, reporting the path.
-pub fn save_csv(name: &str, content: &str) {
-    let path = results_dir().join(name);
-    match std::fs::write(&path, content) {
-        Ok(()) => println!("  wrote {}", path.display()),
-        Err(e) => eprintln!("  ! could not write {}: {e}", path.display()),
-    }
-}
-
 /// Render several series as an aligned table sampled on a uniform time
 /// grid — the textual equivalent of one paper figure panel.
-pub fn series_table(title: &str, horizon: Time, rows: usize, series: &[(&str, &Series)]) -> String {
+fn series_table(title: &str, horizon: Time, rows: usize, series: &[(&str, &Series)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "\n{title}");
     let _ = write!(out, "{:>10}", "time(s)");
@@ -61,7 +56,7 @@ pub fn series_table(title: &str, horizon: Time, rows: usize, series: &[(&str, &S
 }
 
 /// Render the figure as an ASCII chart.
-pub fn chart(title: &str, y_label: &str, horizon: Time, series: &[(&str, &Series)]) -> String {
+fn chart(title: &str, y_label: &str, horizon: Time, series: &[(&str, &Series)]) -> String {
     let spec = PlotSpec {
         title: title.to_string(),
         y_label: y_label.to_string(),
@@ -111,26 +106,6 @@ pub fn render_canonical(rows: &[Vec<stems_types::Value>]) -> Vec<String> {
                 .join("\u{1f}")
         })
         .collect()
-}
-
-/// Evaluate and print one qualitative claim from the paper. Returns the
-/// outcome so binaries can exit non-zero when a shape check fails.
-pub fn shape_check(claim: &str, ok: bool) -> bool {
-    println!(
-        "  SHAPE-CHECK [{}] {claim}",
-        if ok { "PASS" } else { "FAIL" }
-    );
-    ok
-}
-
-/// Standard binary epilogue: exit code reflects shape checks.
-pub fn finish(all_ok: bool) {
-    if all_ok {
-        println!("\nall shape checks passed");
-    } else {
-        println!("\nSOME SHAPE CHECKS FAILED");
-        std::process::exit(1);
-    }
 }
 
 /// Convenience: the fraction of grid points in `[from, to]` where series
