@@ -11,6 +11,7 @@
 //! [`IndexSpec`]. The *protocol* (seeds, probes, bounce-backs, EOTs,
 //! in-flight coalescing) is exactly the paper's.
 
+use crate::links::TableLinks;
 use crate::stem::{make_eot_row, make_scan_eot_row};
 use crate::sync::Arc;
 use stems_catalog::{IndexSpec, QuerySpec, ScanSpec, SourceId};
@@ -94,6 +95,16 @@ impl ScanAm {
             return (TupleBatch::new(), None);
         }
         let mut out = TupleBatch::with_capacity(self.chunk * self.instances.len());
+        let next = self.emit_next_into(now, &mut out);
+        (out, next)
+    }
+
+    /// [`Self::emit_next`] appending to a caller-owned batch — the eddy
+    /// keeps one across emission events.
+    pub fn emit_next_into(&mut self, now: Time, out: &mut TupleBatch) -> Option<Time> {
+        if self.finished {
+            return None;
+        }
         if self.pos < self.rows.len() {
             let take = self.chunk.min(self.rows.len() - self.pos);
             for row in &self.rows[self.pos..self.pos + take] {
@@ -111,13 +122,13 @@ impl ScanAm {
             } else {
                 self.gap_us
             };
-            (out, Some(self.stalls.next_available(now + next_gap)))
+            Some(self.stalls.next_available(now + next_gap))
         } else {
             for t in &self.instances {
                 out.push(Tuple::singleton(*t, make_scan_eot_row(self.arity)));
             }
             self.finished = true;
-            (out, None)
+            None
         }
     }
 
@@ -174,6 +185,10 @@ pub struct IndexAm {
     pub probes_issued: u64,
     /// Probes absorbed by coalescing.
     pub probes_coalesced: u64,
+    /// The probe's `(col, value)` bindings and the lookup keys they
+    /// spell, worked out per probe in buffers kept across probes.
+    bindings: Vec<(usize, Value)>,
+    keys: Vec<Vec<Value>>,
 }
 
 impl IndexAm {
@@ -203,6 +218,8 @@ impl IndexAm {
             answered: FxHashSet::default(),
             probes_issued: 0,
             probes_coalesced: 0,
+            bindings: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -225,62 +242,38 @@ impl IndexAm {
         t: TableIdx,
         query: &QuerySpec,
     ) -> Option<Vec<Vec<Value>>> {
-        let linking: Vec<&stems_types::Predicate> = query
-            .preds_linking(tuple.span(), t)
-            .into_iter()
-            .map(|id| query.predicate(id))
-            .collect();
-        let bindings = crate::stem::probe_bindings(&linking, tuple, t, query);
-        let options = crate::stem::in_list_options(query, t);
-        let mut per_col: Vec<Vec<Value>> = Vec::with_capacity(self.spec.bind_cols.len());
-        for c in &self.spec.bind_cols {
-            if let Some(v) = bindings
-                .iter()
-                .find(|(col, _)| col == c)
-                .and_then(|(_, v)| index_key(v))
-            {
-                // A fixed equality binding is complete on its own; it
-                // wins over any IN options on the same column.
-                per_col.push(vec![v]);
-            } else if let Some((_, vals)) = options.iter().find(|(col, _)| col == c) {
-                per_col.push(vals.clone());
-            } else {
-                return None;
-            }
-        }
-        let mut keys: Vec<Vec<Value>> = vec![Vec::new()];
-        for choices in &per_col {
-            let mut next = Vec::with_capacity(keys.len() * choices.len());
-            for key in &keys {
-                for v in choices {
-                    let mut k = key.clone();
-                    k.push(v.clone());
-                    next.push(k);
-                }
-            }
-            keys = next;
-        }
-        Some(keys)
+        let mut keys = Vec::new();
+        let links = TableLinks::of(query, t);
+        bind_keys_into(
+            &self.spec.bind_cols,
+            &links,
+            tuple,
+            &mut Vec::new(),
+            &mut keys,
+        )
+        .then_some(keys)
     }
 
     /// Can this probe tuple bind the index's lookup columns (possibly by
-    /// fanning out over IN-list members)? The router calls this per
-    /// tuple per routing decision, so it only checks that every bind
-    /// column has a supplier — it never materializes the cartesian key
-    /// product [`IndexAm::bind_value_sets`] builds at probe time.
-    /// (Binding values are equality-normalized at the source, so a
-    /// supplied column is always a usable one — the two methods agree.)
+    /// fanning out over IN-list members)? Derives the query's probe table
+    /// for the call; the router asks [`Self::can_bind_linked`] with the
+    /// plan's.
     pub fn can_bind(&self, tuple: &Tuple, t: TableIdx, query: &QuerySpec) -> bool {
-        let linking: Vec<&stems_types::Predicate> = query
-            .preds_linking(tuple.span(), t)
-            .into_iter()
-            .map(|id| query.predicate(id))
-            .collect();
-        let bindings = crate::stem::probe_bindings(&linking, tuple, t, query);
-        let options = crate::stem::in_list_options(query, t);
-        self.spec.bind_cols.iter().all(|c| {
-            bindings.iter().any(|(col, _)| col == c) || options.iter().any(|(col, _)| col == c)
-        })
+        self.can_bind_linked(&TableLinks::of(query, t), tuple)
+    }
+
+    /// [`Self::can_bind`] against the plan-time probe table of the probed
+    /// instance. The router calls this per tuple per routing decision, so
+    /// it only checks that every bind column has a supplier — it never
+    /// materializes the cartesian key product built at probe time, and it
+    /// allocates nothing. (Binding values are equality-normalized at the
+    /// source, so a supplied column is always a usable one — the two
+    /// agree.)
+    pub fn can_bind_linked(&self, links: &TableLinks, tuple: &Tuple) -> bool {
+        self.spec
+            .bind_cols
+            .iter()
+            .all(|c| links.supplies(tuple, *c))
     }
 
     /// Accept a probe for instance `t`: one lookup per bound key (a
@@ -297,12 +290,39 @@ impl IndexAm {
         now: Time,
         prioritized: bool,
     ) -> Vec<(IndexProbeOutcome, Option<Vec<Value>>)> {
-        let Some(keys) = self.bind_value_sets(tuple, t, query) else {
-            return vec![(IndexProbeOutcome::Unbindable, None)];
-        };
-        keys.into_iter()
-            .map(|key| self.probe_key(key, now, prioritized))
-            .collect()
+        let mut out = Vec::new();
+        self.probe_linked_into(&TableLinks::of(query, t), tuple, now, prioritized, &mut out);
+        out
+    }
+
+    /// [`Self::probe`] against the plan-time probe table of the probed
+    /// instance, appending the outcomes to a caller-owned buffer — the
+    /// eddy's form: the only allocations left are the lookup keys
+    /// themselves.
+    pub fn probe_linked_into(
+        &mut self,
+        links: &TableLinks,
+        tuple: &Tuple,
+        now: Time,
+        prioritized: bool,
+        out: &mut Vec<(IndexProbeOutcome, Option<Vec<Value>>)>,
+    ) {
+        let mut keys = std::mem::take(&mut self.keys);
+        if bind_keys_into(
+            &self.spec.bind_cols,
+            links,
+            tuple,
+            &mut self.bindings,
+            &mut keys,
+        ) {
+            out.extend(
+                keys.drain(..)
+                    .map(|key| self.probe_key(key, now, prioritized)),
+            );
+        } else {
+            out.push((IndexProbeOutcome::Unbindable, None));
+        }
+        self.keys = keys;
     }
 
     /// One key's share of a probe: coalesce against in-flight/answered
@@ -446,6 +466,41 @@ impl IndexAm {
         }
         waves
     }
+}
+
+/// Spell the lookup keys a probe by `tuple` supplies for `bind_cols` into
+/// `keys` (cleared first): per bind column, the one value a linking
+/// equi-join or a constant equality fixes — it wins over any IN options on
+/// the same column — or else every member of an IN list on it, the keys
+/// being the cartesian product in bind-column-major order. `false` (and no
+/// keys) when some bind column has no supplier. `bindings` is scratch.
+fn bind_keys_into(
+    bind_cols: &[usize],
+    links: &TableLinks,
+    tuple: &Tuple,
+    bindings: &mut Vec<(usize, Value)>,
+    keys: &mut Vec<Vec<Value>>,
+) -> bool {
+    links.probe_bindings_into(tuple, bindings);
+    keys.clear();
+    keys.push(Vec::with_capacity(bind_cols.len()));
+    for c in bind_cols {
+        if let Some((_, v)) = bindings.iter().find(|(col, _)| col == c) {
+            keys.iter_mut().for_each(|key| key.push(v.clone()));
+        } else if let Some((_, vals)) = links.in_options().iter().find(|(col, _)| col == c) {
+            *keys = keys
+                .iter()
+                .flat_map(|key| {
+                    vals.iter()
+                        .map(move |v| [&key[..], std::slice::from_ref(v)].concat())
+                })
+                .collect();
+        } else {
+            keys.clear();
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]

@@ -40,6 +40,16 @@
 //! keep it that way. (`format!` remains in configuration errors, in id
 //! resolution at build, and in violation and trace messages, which a
 //! correct untraced run never builds.)
+//!
+//! The same holds for memory: **the envelope is the unit of allocation,
+//! and envelopes are recycled.** A module's output, a route group and a
+//! queued envelope are one `Wave` that changes hands (`wave.rs` has the
+//! life cycle) and returns to a bounded per-executor `WavePool`; the
+//! other per-envelope lists live in the executor; and what is a pure
+//! function of the query — [`PlanLayout::links`],
+//! [`PlanLayout::stem_table`] — is a table built at plan time. There is one path: a tuple-at-a-time run is the batched
+//! code on one-member waves, and `tests/alloc_step.rs` holds both to
+//! allocating for their tuples only.
 
 use crate::am::IndexProbeOutcome;
 use crate::plan::{instantiate, Module, PlanLayout, PlanOptions};
@@ -48,6 +58,7 @@ use crate::report::Report;
 use crate::router::{self, Action, NoCandidates};
 use crate::stem::{eot_bindings, BuildResult, ProbeOutcome, ProbeReplySet};
 use crate::tuple_state::{CompletionNeed, PriorProber, TupleState};
+use crate::wave::{Wave, WavePool};
 use std::collections::VecDeque;
 use stems_catalog::{Catalog, QuerySpec};
 use stems_sim::{EventQueue, MetricId, Metrics, SimRng, Time};
@@ -313,16 +324,13 @@ impl Default for ExecConfig {
     }
 }
 
-/// A batch of same-destination tuples handed to a module's input queue.
-/// `states` runs parallel to `batch`; all members were routed by one
-/// policy decision and are processed under one service envelope.
+/// A wave of same-destination tuples in a module's input queue: all
+/// members were routed by one policy decision and are processed under one
+/// service envelope.
 #[derive(Debug)]
 struct Envelope {
-    batch: TupleBatch,
-    states: Vec<TupleState>,
+    wave: Wave,
     purpose: Purpose,
-    clustered: bool,
-    prioritized: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,14 +342,8 @@ enum Purpose {
     AmProbe(TableIdx),
 }
 
-/// A tuple re-entering the eddy after a module finished with it.
-struct Delivery {
-    tuple: Tuple,
-    state: TupleState,
-    clustered: bool,
-}
-
 /// Signal attached to a completed build, used to wake parked tuples.
+#[derive(Debug)]
 enum UnparkSignal {
     AnyBuild(TableIdx),
     Eot {
@@ -351,11 +353,28 @@ enum UnparkSignal {
     },
 }
 
+impl UnparkSignal {
+    fn wakes(&self, p: &ParkedTuple) -> bool {
+        match self {
+            UnparkSignal::AnyBuild(t) => p.table == *t && matches!(p.kind, ParkKind::AnyBuild),
+            UnparkSignal::Eot { table, bindings } => {
+                p.table == *table
+                    && match (&p.kind, bindings) {
+                        (ParkKind::AnyBuild, _) | (ParkKind::Coverage(_), None) => true,
+                        (ParkKind::Coverage(pb), Some(eb)) => eb.iter().all(|b| pb.contains(b)),
+                    }
+            }
+        }
+    }
+}
+
 enum Event {
     /// A module may begin its next queued envelope.
     Start(usize),
-    /// A module finished an envelope: deliver its emissions.
-    Complete(usize, Vec<Delivery>, Vec<UnparkSignal>),
+    /// A module finished an envelope: deliver what it left in its
+    /// [`ModuleRt::out`] slot. A module serves one envelope at a time, so
+    /// the slot needs no key and the event carries no buffer.
+    Complete(usize),
     /// A scan emits its next row (or EOT).
     ScanEmit(usize),
     /// An index lookup entered service (fig-7(ii)'s probe counter).
@@ -386,22 +405,12 @@ struct ParkedTuple {
 struct ModuleRt {
     queue: VecDeque<Envelope>,
     busy: bool,
-}
-
-/// A routing group: tuples sharing one legal candidate set, awaiting a
-/// single policy decision. While the group is open it accumulates members;
-/// once it flushes (fills up, or the wave ends) it becomes a *deferred
-/// wave*. Queue-backlog hints are **not** captured at flush time: earlier
-/// waves of the same delivery burst shift module backlogs between flush
-/// and dispatch, so any snapshot taken here would go stale (ROADMAP
-/// "hint freshness"). `Hint::est_cost_us` is computed only when the wave
-/// is actually dequeued, in [`EddyExecutor::dispatch_group`].
-struct RouteGroup {
-    actions: Vec<Action>,
-    batch: TupleBatch,
-    states: Vec<TupleState>,
-    clustered: bool,
-    prioritized: bool,
+    /// What the envelope in service emits, held until its
+    /// [`Event::Complete`] fires.
+    out: Option<Wave>,
+    /// The wake-up signals of the build envelope in service (the buffer
+    /// stays with the module across envelopes).
+    unparks: Vec<UnparkSignal>,
 }
 
 /// Declares [`MetricIds`]: one [`MetricId`] field per listed counter or
@@ -500,10 +509,31 @@ pub struct EddyExecutor {
     /// Reusable probe-reply arena: one per executor, cleared per probe
     /// envelope, so the steady-state reply path never allocates per tuple.
     reply_set: ProbeReplySet,
-    /// Reusable candidate list for [`Self::route_deliveries`] (taken out
-    /// and restored around it, like `reply_set`): the router fills it per
-    /// tuple and it is cloned only when a tuple opens a new group.
+    /// Reusable candidate list for [`Self::route_wave`] (taken out and
+    /// restored around it, like `reply_set`): the router fills it per
+    /// tuple and it is copied — into a recycled wave's signature — only
+    /// when a tuple opens a new group.
     candidates: Vec<Action>,
+    /// The bounded free list every wave buffer comes from and returns to
+    /// (see [`crate::wave`] for the life cycle and the bound).
+    waves: WavePool,
+    /// [`Self::route_wave`]'s working lists, empty between calls: the
+    /// open groups of the wave being routed, and the flushed groups
+    /// awaiting dispatch.
+    groups: Vec<Wave>,
+    flushed: Vec<Wave>,
+    /// Modules earlier dispatches of the current burst routed into — any
+    /// later wave offering one of them had a stale flush-time backlog
+    /// view. At most one entry per module.
+    touched: Vec<usize>,
+    /// [`Self::dispatch_group`]'s costed candidate list.
+    pairs: Vec<(Action, Hint)>,
+    /// [`Self::process_build`]'s per-member results.
+    build_results: Vec<BuildResult>,
+    /// [`Self::process_am_probe`]'s per-member lookup outcomes.
+    am_outcomes: Vec<(IndexProbeOutcome, Option<Vec<Value>>)>,
+    /// The chunk a scan emits per event, on its way into a wave.
+    emitted: TupleBatch,
 }
 
 impl EddyExecutor {
@@ -576,6 +606,8 @@ impl EddyExecutor {
             .map(|_| ModuleRt {
                 queue: VecDeque::new(),
                 busy: false,
+                out: None,
+                unparks: Vec::new(),
             })
             .collect();
         let policy = config.policy.build();
@@ -604,6 +636,14 @@ impl EddyExecutor {
             trace: Vec::new(),
             reply_set: ProbeReplySet::new(),
             candidates: Vec::new(),
+            waves: WavePool::new(config.batch_size),
+            groups: Vec::new(),
+            flushed: Vec::new(),
+            touched: Vec::new(),
+            pairs: Vec::new(),
+            build_results: Vec::new(),
+            am_outcomes: Vec::new(),
+            emitted: TupleBatch::new(),
             config,
         };
         // Step 5: seed tuples to the scans. Emission chunks are capped at
@@ -658,7 +698,7 @@ impl EddyExecutor {
         }
         match ev {
             Event::Start(mid) => self.on_start(mid),
-            Event::Complete(mid, deliveries, unpark) => self.on_complete(mid, deliveries, unpark),
+            Event::Complete(mid) => self.on_complete(mid),
             Event::ScanEmit(mid) => self.on_scan_emit(mid),
             Event::AmIssue(_mid) => {
                 self.metrics.bump_id(self.ids.index_probes, self.now, 1);
@@ -736,29 +776,34 @@ impl EddyExecutor {
             return;
         };
         self.rt[mid].busy = true;
-        let (dur, deliveries, unpark) = self.process(mid, env);
-        self.agenda.push(
-            self.now + dur.max(1),
-            Event::Complete(mid, deliveries, unpark),
-        );
+        let (dur, out) = self.process(mid, env);
+        self.rt[mid].out = Some(out);
+        self.agenda
+            .push(self.now + dur.max(1), Event::Complete(mid));
     }
 
-    fn on_complete(&mut self, mid: usize, deliveries: Vec<Delivery>, unparks: Vec<UnparkSignal>) {
+    fn on_complete(&mut self, mid: usize) {
         self.rt[mid].busy = false;
         if !self.rt[mid].queue.is_empty() {
             self.agenda.push(self.now, Event::Start(mid));
         }
+        let out = self.rt[mid].out.take();
+        let mut unparks = std::mem::take(&mut self.rt[mid].unparks);
         let built = unparks
             .iter()
             .any(|u| matches!(u, UnparkSignal::AnyBuild(_)));
-        self.route_deliveries(deliveries);
-        self.wake(built, unparks);
+        if let Some(out) = out {
+            self.route_wave(out);
+        }
+        self.wake(built, &unparks);
+        unparks.clear();
+        self.rt[mid].unparks = unparks;
     }
 
-    /// Wake whatever `unparks` release and route it. After a build, first
-    /// sample total SteM memory (the fig-2 singleton-vs-intermediate
-    /// storage comparison watches this).
-    fn wake(&mut self, built: bool, unparks: impl IntoIterator<Item = UnparkSignal>) {
+    /// Wake whatever `unparks` release and route it as one wave. After a
+    /// build, first sample total SteM memory (the fig-2
+    /// singleton-vs-intermediate storage comparison watches this).
+    fn wake<'a>(&mut self, built: bool, unparks: impl IntoIterator<Item = &'a UnparkSignal>) {
         if built {
             let total: usize = self
                 .modules
@@ -771,39 +816,49 @@ impl EddyExecutor {
             self.metrics
                 .observe_id(self.ids.stem_bytes_total, self.now, total as f64);
         }
-        let mut woken = Vec::new();
-        for sig in unparks {
-            woken.append(&mut self.unpark(sig));
+        if self.parked.is_empty() {
+            return;
         }
-        self.route_deliveries(woken);
+        let mut woken = self.waves.take();
+        for sig in unparks {
+            self.unpark(sig, &mut woken);
+        }
+        self.route_wave(woken);
     }
 
     fn on_scan_emit(&mut self, mid: usize) {
-        let Module::ScanAm(scan) = &mut self.modules[mid] else {
-            return;
-        };
-        let (batch, next) = scan.emit_next(self.now);
-        if let Some(nt) = next {
-            self.agenda.push(nt, Event::ScanEmit(mid));
+        let mut emitted = std::mem::take(&mut self.emitted);
+        if let Module::ScanAm(scan) = &mut self.modules[mid] {
+            if let Some(nt) = scan.emit_next_into(self.now, &mut emitted) {
+                self.agenda.push(nt, Event::ScanEmit(mid));
+            }
         }
-        self.route_scanned(batch);
+        self.route_singletons(emitted.drain(), None);
+        self.emitted = emitted;
     }
 
-    /// A scan chunk (EOT markers included) enters routing as one wave:
-    /// same-span singletons share a candidate set, so they ride one
-    /// envelope instead of exploding into per-row deliveries with
-    /// per-row policy decisions.
-    fn route_scanned(&mut self, tuples: impl IntoIterator<Item = Tuple>) {
-        let deliveries = tuples
-            .into_iter()
-            .map(|t| {
-                if !t.is_eot() {
-                    self.metrics.bump_id(self.ids.scanned, self.now, 1);
-                }
-                self.ingest(t, None)
-            })
-            .collect();
-        self.route_deliveries(deliveries);
+    /// A chunk of singletons entering the dataflow from an AM (EOT markers
+    /// included) is routed as one wave: same-span singletons share a
+    /// candidate set, so they ride one envelope instead of exploding into
+    /// per-row deliveries with per-row policy decisions. `origin_am` is
+    /// the index AM that answered; `None` for a scan, whose data rows
+    /// count as scanned.
+    fn route_singletons(
+        &mut self,
+        tuples: impl IntoIterator<Item = Tuple>,
+        origin_am: Option<usize>,
+    ) {
+        let mut wave = self.waves.take();
+        for tuple in tuples {
+            if origin_am.is_none() && !tuple.is_eot() {
+                self.metrics.bump_id(self.ids.scanned, self.now, 1);
+            }
+            let mut state = TupleState::new();
+            state.origin_am = origin_am;
+            state.prioritized = self.is_prioritized(&tuple);
+            wave.push(tuple, state, false);
+        }
+        self.route_wave(wave);
     }
 
     fn on_am_response(&mut self, mid: usize, key: Vec<Value>) {
@@ -838,92 +893,84 @@ impl EddyExecutor {
     /// its matches share a destination and route as a batch. An unchunked
     /// reply is a single wave fired inline by the response event.
     fn on_am_reply_wave(&mut self, mid: usize, tuples: Vec<Tuple>) {
-        let deliveries = tuples
-            .into_iter()
-            .map(|t| self.ingest(t, Some(mid)))
-            .collect();
-        self.route_deliveries(deliveries);
+        self.route_singletons(tuples, Some(mid));
     }
 
     // ------------------------------------------------------------------
     // Module processing (at service start)
     // ------------------------------------------------------------------
 
-    fn process(&mut self, mid: usize, env: Envelope) -> (u64, Vec<Delivery>, Vec<UnparkSignal>) {
+    /// Serve one envelope: the virtual service time, and the wave the
+    /// module emits when it completes. Every `process_*` body either
+    /// reworks the envelope's wave in place or drains it into one taken
+    /// from the pool and hands the drained buffer back.
+    fn process(&mut self, mid: usize, env: Envelope) -> (u64, Wave) {
+        let Envelope { wave, purpose } = env;
         let mut module = std::mem::replace(&mut self.modules[mid], Module::Hole);
-        let out = match (&mut module, env.purpose) {
-            (Module::Stem(cell), purpose @ (Purpose::Build | Purpose::Probe)) => {
-                let table = self.table_of_stem_mid(mid);
+        // The table instance whose SteM lives at `mid` comes from the
+        // layout rather than from the SteM itself, because a shared SteM
+        // may currently be targeted at another query's instance numbering
+        // (retargeted here, under the cell lock, before operating; see
+        // [`crate::sharded::ShardedStem::retarget`]).
+        let stem_table = self.layout.stem_table.get(mid).copied().flatten();
+        let out = match (&mut module, purpose, stem_table) {
+            (Module::Stem(cell), Purpose::Build | Purpose::Probe, Some(table)) => {
                 let mut stem = cell.lock();
                 if stem.instance != table {
                     stem.retarget(table);
                 }
                 if purpose == Purpose::Build {
-                    self.process_build(&mut stem, env)
+                    self.process_build(mid, &mut stem, wave)
                 } else {
-                    self.process_probe(&mut stem, env)
+                    self.process_probe(&mut stem, wave)
                 }
             }
-            (Module::Sm(sm), Purpose::Select) => self.process_select(sm, env),
-            (Module::IndexAm(am), Purpose::AmProbe(t)) => self.process_am_probe(mid, am, env, t),
+            (Module::Sm(sm), Purpose::Select, _) => self.process_select(sm, wave),
+            (Module::IndexAm(am), Purpose::AmProbe(t), _) => {
+                self.process_am_probe(mid, am, wave, t)
+            }
             _ => {
                 self.violations
-                    .push(format!("envelope {:?} routed to wrong module", env.purpose));
-                (1, Vec::new(), Vec::new())
+                    .push(format!("envelope {purpose:?} routed to wrong module"));
+                self.waves.put(wave);
+                (1, self.waves.take())
             }
         };
         self.modules[mid] = module;
         out
     }
 
-    /// The table instance whose SteM lives at module `mid` — derived from
-    /// the layout rather than read off the SteM itself, because a shared
-    /// SteM may currently be targeted at another query's instance
-    /// numbering (the caller retargets it under the cell lock before
-    /// operating; see [`crate::sharded::ShardedStem::retarget`]).
-    fn table_of_stem_mid(&self, mid: usize) -> TableIdx {
-        let t = self
-            .layout
-            .stem_mid
-            .iter()
-            .position(|m| *m == Some(mid))
-            .expect("stem module not in layout");
-        TableIdx(t as u8)
-    }
-
     fn process_build(
         &mut self,
+        mid: usize,
         stem: &mut crate::sharded::ShardedStem,
-        env: Envelope,
-    ) -> (u64, Vec<Delivery>, Vec<UnparkSignal>) {
+        mut wave: Wave,
+    ) -> (u64, Wave) {
         let table = stem.instance;
         let units = if self.config.costs.shard_parallel_service {
-            stem.parallel_service_units(&env.batch, &self.query, false)
+            stem.parallel_service_units(&self.layout.links[table.as_usize()], wave.tuples(), false)
         } else {
-            env.batch.len() as u64
+            wave.len() as u64
         };
         let dur = self.config.costs.stem_build_us * units.max(1);
+        let mut results = std::mem::take(&mut self.build_results);
         let mut ts = self.ts_counter;
-        let results = stem.build_batch(&env.batch, &env.states, &mut ts);
+        stem.build_batch_into(wave.tuples(), wave.states(), &mut ts, &mut results);
         self.ts_counter = ts;
-        let mut deliveries = Vec::new();
-        let mut unparks = Vec::new();
-        for ((tuple, state), result) in env.batch.iter().zip(env.states).zip(results) {
+        let mut out = self.waves.take();
+        let mut unparks = std::mem::take(&mut self.rt[mid].unparks);
+        // One AnyBuild wake-up per envelope is enough (parked tuples
+        // re-park if still not helped); it keeps its place among the EOTs.
+        let mut any_build = false;
+        for ((tuple, state, _), result) in wave.drain().zip(results.drain(..)) {
+            let fresh = matches!(result, BuildResult::Fresh(_) | BuildResult::Deferred);
             match result {
                 BuildResult::Fresh(stamped) => {
                     self.observe_am_build(&state, true);
                     self.observe_stem_mem(stem);
-                    deliveries.push(Delivery {
-                        tuple: stamped,
-                        state,
-                        clustered: false,
-                    });
-                    unparks.push(UnparkSignal::AnyBuild(table));
+                    out.push(stamped, state, false);
                 }
-                BuildResult::Deferred => {
-                    self.observe_am_build(&state, true);
-                    unparks.push(UnparkSignal::AnyBuild(table));
-                }
+                BuildResult::Deferred => self.observe_am_build(&state, true),
                 BuildResult::Duplicate => {
                     self.observe_am_build(&state, false);
                     self.metrics
@@ -934,11 +981,7 @@ impl EddyExecutor {
                         // Grace mode: the build phase ended; release the
                         // withheld bounce-backs clustered by partition.
                         for (tuple, state) in stem.release_deferred() {
-                            deliveries.push(Delivery {
-                                tuple,
-                                state,
-                                clustered: true,
-                            });
+                            out.push(tuple, state, true);
                         }
                     }
                     unparks.push(UnparkSignal::Eot {
@@ -947,48 +990,48 @@ impl EddyExecutor {
                     });
                 }
             }
-        }
-        // Collapse redundant AnyBuild signals: one wake-up per batch is
-        // enough (parked tuples re-park if still not helped).
-        let mut seen_any_build = false;
-        unparks.retain(|u| match u {
-            UnparkSignal::AnyBuild(_) => {
-                let keep = !seen_any_build;
-                seen_any_build = true;
-                keep
+            if fresh && !any_build {
+                any_build = true;
+                unparks.push(UnparkSignal::AnyBuild(table));
             }
-            UnparkSignal::Eot { .. } => true,
-        });
-        (dur, deliveries, unparks)
+        }
+        self.build_results = results;
+        self.rt[mid].unparks = unparks;
+        self.waves.put(wave);
+        (dur, out)
     }
 
     fn process_probe(
         &mut self,
         stem: &mut crate::sharded::ShardedStem,
-        env: Envelope,
-    ) -> (u64, Vec<Delivery>, Vec<UnparkSignal>) {
+        mut wave: Wave,
+    ) -> (u64, Wave) {
         let table = stem.instance;
+        let links = &self.layout.links[table.as_usize()];
         // Probe into the executor's reusable reply arena (taken out for
         // the borrow, restored below): no per-tuple `Vec`s are built.
         let mut reply_set = std::mem::take(&mut self.reply_set);
         reply_set.clear();
-        stem.probe_batch_into(
-            env.batch.as_slice(),
-            &env.states,
+        stem.probe_linked_into(
+            links,
+            wave.tuples().as_slice(),
+            wave.states(),
             &self.query,
             &mut reply_set,
         );
         let stem_version = router::stem_version(stem);
         let probe_units = if self.config.costs.shard_parallel_service {
-            stem.parallel_service_units(&env.batch, &self.query, true)
+            stem.parallel_service_units(links, wave.tuples(), true)
         } else {
-            env.batch.len() as u64
+            wave.len() as u64
         };
-        let clustered = env.clustered;
+        let clustered = wave.clustered();
 
-        let mut deliveries: Vec<Delivery> = Vec::new();
+        // The probe drains its envelope: each member's concatenations,
+        // then the member itself if it bounced, in member order.
+        let mut out = self.waves.take();
         let (metas, mut results) = reply_set.metas_and_results();
-        for ((tuple, state), reply) in env.batch.into_iter().zip(env.states).zip(metas) {
+        for ((tuple, state, _), reply) in wave.drain().zip(metas) {
             self.policy.feedback(&Feedback::StemProbe {
                 table,
                 emitted: reply.len,
@@ -1002,11 +1045,7 @@ impl EddyExecutor {
                     .bump_id(self.ids.span_formed[result.span().len()], self.now, 1);
                 let mut rstate = TupleState::for_result(done);
                 rstate.prioritized = state.prioritized || self.is_prioritized(&result);
-                deliveries.push(Delivery {
-                    tuple: result,
-                    state: rstate,
-                    clustered: false,
-                });
+                out.push(result, rstate, false);
             }
 
             match reply.outcome {
@@ -1043,39 +1082,32 @@ impl EddyExecutor {
                         }
                     }
                     self.metrics.bump_id(self.ids.probes_bounced, self.now, 1);
-                    deliveries.push(Delivery {
-                        tuple,
-                        state,
-                        clustered: false,
-                    });
+                    out.push(tuple, state, false);
                 }
             }
         }
         drop(results);
         self.reply_set = reply_set;
+        self.waves.put(wave);
 
         let base = self.config.costs.stem_probe_us * probe_units.max(1)
-            + self.config.costs.per_match_us * deliveries.len() as u64;
+            + self.config.costs.per_match_us * out.len() as u64;
         let dur = if clustered {
             ((base as f64) * self.config.costs.clustered_probe_discount).max(1.0) as u64
         } else {
             base
         };
-        (dur, deliveries, Vec::new())
+        (dur, out)
     }
 
-    fn process_select(
-        &mut self,
-        sm: &crate::sm::Sm,
-        env: Envelope,
-    ) -> (u64, Vec<Delivery>, Vec<UnparkSignal>) {
+    fn process_select(&mut self, sm: &crate::sm::Sm, mut wave: Wave) -> (u64, Wave) {
         // Expensive UDF predicates take their own path: per-call cost
         // charging, envelope dedup, and the verdict memo. They are also
         // excluded from fusion chains (below) — fusing one would tangle
         // a milliseconds-scale call into a cheap comparison cascade and
         // bypass the dedup/memo accounting.
         if sm.is_udf() {
-            return self.select_udf(sm, env);
+            return self.select_udf(sm, wave);
         }
         // Conjunction fusion: sibling SMs pinned to the same table
         // instance whose predicate every envelope member is still eligible
@@ -1097,8 +1129,8 @@ impl EddyExecutor {
                     let p = &other.pred;
                     !other.is_udf()
                         && p.tables() == sm.pred.tables()
-                        && env.states.iter().all(|s| !s.done.contains(p.id))
-                        && env.batch.iter().all(|t| p.evaluable_on(t.span()))
+                        && wave.states().iter().all(|s| !s.done.contains(p.id))
+                        && wave.tuples().iter().all(|t| p.evaluable_on(t.span()))
                 })
                 .collect()
         } else {
@@ -1107,17 +1139,20 @@ impl EddyExecutor {
         if siblings.is_empty() {
             // Nothing to fuse: the plain single-predicate kernel path,
             // with no per-tuple cascade bookkeeping.
-            return self.select_single(sm, env);
+            return self.select_single(sm, wave);
         }
-        let verdicts = sm.apply_batch_fused(&env.batch, &siblings);
+        let mut verdicts = sm.apply_batch_fused(wave.tuples(), &siblings).into_iter();
         // Virtual cost: one SM service per member (exactly the unfused
         // charge) plus one per extra sibling evaluation actually performed
         // — fusion saves routing hops and envelopes, not predicate work.
-        let total_evals: usize = verdicts.iter().map(|v| v.evals.len()).sum();
+        let total_evals: usize = verdicts.as_slice().iter().map(|v| v.evals.len()).sum();
         let dur = self.config.costs.sm_us
-            * (env.batch.len() + total_evals.saturating_sub(env.batch.len())).max(1) as u64;
-        let mut deliveries = Vec::new();
-        for ((tuple, mut state), fused) in env.batch.into_iter().zip(env.states).zip(verdicts) {
+            * (wave.len() + total_evals.saturating_sub(wave.len())).max(1) as u64;
+        // The Select hop compacts its envelope to the survivors in place.
+        wave.compact(|_, _, state| {
+            let Some(fused) = verdicts.next() else {
+                return false;
+            };
             for (pred, passed) in &fused.evals {
                 self.metrics.bump_id(self.ids.sm_applied, self.now, 1);
                 self.policy.feedback(&Feedback::Selected {
@@ -1126,58 +1161,40 @@ impl EddyExecutor {
                 });
             }
             match fused.verdict {
-                Some(true) => {
-                    state.done = state.done.union(fused.passed);
-                    deliveries.push(Delivery {
-                        tuple,
-                        state,
-                        clustered: false,
-                    });
-                }
-                Some(false) => {
-                    self.metrics.bump_id(self.ids.filtered, self.now, 1);
-                }
-                None => {
-                    self.violations.push(format!(
-                        "selection {} not evaluable on routed tuple",
-                        sm.describe()
-                    ));
-                }
+                Some(true) => state.done = state.done.union(fused.passed),
+                Some(false) => self.metrics.bump_id(self.ids.filtered, self.now, 1),
+                None => self.violations.push(format!(
+                    "selection {} not evaluable on routed tuple",
+                    sm.describe()
+                )),
             }
-        }
+            fused.verdict == Some(true)
+        });
         self.metrics
             .bump_id(self.ids.fused_selects, self.now, siblings.len() as u64);
-        (dur, deliveries, Vec::new())
+        (dur, wave)
     }
 
     /// The unfused Select hop: apply exactly this SM's predicate to the
     /// whole envelope.
-    fn select_single(
-        &mut self,
-        sm: &crate::sm::Sm,
-        env: Envelope,
-    ) -> (u64, Vec<Delivery>, Vec<UnparkSignal>) {
-        let dur = self.config.costs.sm_us * env.batch.len().max(1) as u64;
-        let verdicts = sm.apply_batch(&env.batch);
-        (dur, self.apply_verdicts(sm, env, verdicts), Vec::new())
+    fn select_single(&mut self, sm: &crate::sm::Sm, mut wave: Wave) -> (u64, Wave) {
+        let dur = self.config.costs.sm_us * wave.len().max(1) as u64;
+        let verdicts = sm.apply_batch(wave.tuples());
+        self.apply_verdicts(sm, &mut wave, verdicts);
+        (dur, wave)
     }
 
     /// The tail of an unfused Select hop: count and feed back every
-    /// verdict, pass the survivors on with the predicate marked done.
-    fn apply_verdicts(
-        &mut self,
-        sm: &crate::sm::Sm,
-        env: Envelope,
-        verdicts: Vec<Option<bool>>,
-    ) -> Vec<Delivery> {
-        let mut deliveries = Vec::new();
-        for ((tuple, mut state), verdict) in env.batch.into_iter().zip(env.states).zip(verdicts) {
-            let Some(passed) = verdict else {
+    /// verdict, and compact the envelope in place to the survivors, with
+    /// the predicate marked done.
+    fn apply_verdicts(&mut self, sm: &crate::sm::Sm, wave: &mut Wave, verdicts: Vec<Option<bool>>) {
+        wave.compact(|i, _, state| {
+            let Some(passed) = verdicts[i] else {
                 self.violations.push(format!(
                     "selection {} not evaluable on routed tuple",
                     sm.describe()
                 ));
-                continue;
+                return false;
             };
             self.metrics.bump_id(self.ids.sm_applied, self.now, 1);
             self.policy.feedback(&Feedback::Selected {
@@ -1186,16 +1203,11 @@ impl EddyExecutor {
             });
             if passed {
                 state.done.insert(sm.pred_id());
-                deliveries.push(Delivery {
-                    tuple,
-                    state,
-                    clustered: false,
-                });
             } else {
                 self.metrics.bump_id(self.ids.filtered, self.now, 1);
             }
-        }
-        deliveries
+            passed
+        });
     }
 
     /// The Select hop for an expensive UDF predicate: evaluate through
@@ -1206,15 +1218,11 @@ impl EddyExecutor {
     /// expensive selections behind selective joins. Verdict handling and
     /// `Selected` feedback are identical to [`Self::select_single`] —
     /// memo and dedup change time, never semantics.
-    fn select_udf(
-        &mut self,
-        sm: &crate::sm::Sm,
-        env: Envelope,
-    ) -> (u64, Vec<Delivery>, Vec<UnparkSignal>) {
+    fn select_udf(&mut self, sm: &crate::sm::Sm, mut wave: Wave) -> (u64, Wave) {
         let spec = *sm.pred.udf_spec().expect("select_udf on a UDF SM");
-        let out = sm.apply_batch_udf(&env.batch, self.config.udf_dedup);
-        let dur =
-            self.config.costs.sm_us * env.batch.len().max(1) as u64 + spec.cost_us * out.computed;
+        let out = sm.apply_batch_udf(wave.tuples(), self.config.udf_dedup);
+        let rows = wave.len();
+        let dur = self.config.costs.sm_us * rows.max(1) as u64 + spec.cost_us * out.computed;
         self.metrics
             .bump_id(self.ids.udf_calls, self.now, out.computed);
         if out.memo.hits > 0 {
@@ -1229,8 +1237,7 @@ impl EddyExecutor {
             self.metrics
                 .bump_id(self.ids.memo_evictions, self.now, out.memo.evictions);
         }
-        let rows = env.batch.len();
-        let deliveries = self.apply_verdicts(sm, env, out.verdicts);
+        self.apply_verdicts(sm, &mut wave, out.verdicts);
         // Observed cost: what this envelope actually charged, per row —
         // with an effective memo this decays toward `sm_us`, without one
         // it stays near `cost_us`, and the policy's EWMA tracks it.
@@ -1239,68 +1246,53 @@ impl EddyExecutor {
             rows,
             cost_us: dur,
         });
-        (dur, deliveries, Vec::new())
+        (dur, wave)
     }
 
     fn process_am_probe(
         &mut self,
         mid: usize,
         am: &mut crate::am::IndexAm,
-        env: Envelope,
+        mut wave: Wave,
         t: TableIdx,
-    ) -> (u64, Vec<Delivery>, Vec<UnparkSignal>) {
-        let dur = self.config.costs.am_accept_us * env.batch.len().max(1) as u64;
-        let mut deliveries = Vec::new();
-        for (tuple, mut state) in env.batch.into_iter().zip(env.states) {
+    ) -> (u64, Wave) {
+        let dur = self.config.costs.am_accept_us * wave.len().max(1) as u64;
+        let links = &self.layout.links[t.as_usize()];
+        let mut outcomes = std::mem::take(&mut self.am_outcomes);
+        // The AM asynchronously bounces back each probe tuple (Table 1):
+        // the envelope, marked, is its own output.
+        wave.compact(|_, tuple, state| {
             // One outcome per bound key — a multi-member IN binding fans
             // the probe out across member lookups.
-            for (outcome, key) in am.probe(&tuple, t, &self.query, self.now, state.prioritized) {
-                match outcome {
-                    IndexProbeOutcome::Scheduled { start, complete } => {
+            am.probe_linked_into(links, tuple, self.now, state.prioritized, &mut outcomes);
+            for (outcome, key) in outcomes.drain(..) {
+                match (outcome, key) {
+                    (IndexProbeOutcome::Scheduled { start, complete }, Some(key)) => {
                         self.agenda.push(start, Event::AmIssue(mid));
-                        self.agenda.push(
-                            complete,
-                            Event::AmResponse(mid, key.expect("scheduled key")),
-                        );
+                        self.agenda.push(complete, Event::AmResponse(mid, key));
                     }
-                    IndexProbeOutcome::Queued => {
+                    (IndexProbeOutcome::Queued, _) => {
                         self.metrics.bump_id(self.ids.probes_queued, self.now, 1);
                     }
-                    IndexProbeOutcome::Coalesced => {
+                    (IndexProbeOutcome::Coalesced, _) => {
                         self.metrics.bump_id(self.ids.probes_coalesced, self.now, 1);
                     }
-                    IndexProbeOutcome::Unbindable => {
+                    (IndexProbeOutcome::Unbindable | IndexProbeOutcome::Scheduled { .. }, _) => {
                         self.violations
                             .push("router sent an unbindable probe to an index AM".into());
                     }
                 }
             }
-            // The AM asynchronously bounces back each probe tuple (Table 1).
             state.mark_am_probed(t);
-            deliveries.push(Delivery {
-                tuple,
-                state,
-                clustered: false,
-            });
-        }
-        (dur, deliveries, Vec::new())
+            true
+        });
+        self.am_outcomes = outcomes;
+        (dur, wave)
     }
 
     // ------------------------------------------------------------------
     // The eddy: ingestion, routing, output, parking
     // ------------------------------------------------------------------
-
-    /// Wrap a singleton entering the dataflow from an AM.
-    fn ingest(&mut self, tuple: Tuple, origin_am: Option<usize>) -> Delivery {
-        let mut state = TupleState::new();
-        state.origin_am = origin_am;
-        state.prioritized = self.is_prioritized(&tuple);
-        Delivery {
-            tuple,
-            state,
-            clustered: false,
-        }
-    }
 
     fn is_prioritized(&self, tuple: &Tuple) -> bool {
         self.config
@@ -1317,23 +1309,26 @@ impl EddyExecutor {
     /// group of up to `batch_size` tuples is routed by **one** policy
     /// decision into **one** module envelope — the batching that amortizes
     /// per-tuple adaptivity overhead. With `batch_size == 1` every group
-    /// closes immediately and this is exactly the scalar routing loop.
+    /// closes immediately and this is exactly the scalar routing loop —
+    /// the same code, on the same recycled buffers.
     ///
-    /// Groups flush into deferred waves (full groups first, in fill
-    /// order, then the wave's leftovers) and are dispatched in that order
-    /// after the whole wave is grouped; [`EddyExecutor::dispatch_group`]
-    /// re-costs each wave's candidates at dequeue time.
-    fn route_deliveries(&mut self, deliveries: Vec<Delivery>) {
+    /// A group is itself a [`Wave`] from the pool, its
+    /// [`Wave::actions`] the signature its members share. While open it
+    /// accumulates members; once it flushes (fills up, or the wave ends)
+    /// it awaits dispatch: full groups first, in fill order, then the
+    /// wave's leftovers, all dispatched in that order after the whole wave
+    /// is grouped. Queue-backlog hints are **not** captured at flush time:
+    /// earlier dispatches of the same burst shift module backlogs between
+    /// flush and dispatch, so any snapshot taken here would go stale
+    /// (ROADMAP "hint freshness"). `Hint::est_cost_us` is computed only
+    /// when the group is actually dequeued, in
+    /// [`EddyExecutor::dispatch_group`].
+    fn route_wave(&mut self, mut wave: Wave) {
         let cap = self.config.batch_size.max(1);
-        let mut groups: Vec<RouteGroup> = Vec::new();
-        let mut waves: Vec<RouteGroup> = Vec::new();
+        let mut groups = std::mem::take(&mut self.groups);
+        let mut flushed = std::mem::take(&mut self.flushed);
         let mut acts = std::mem::take(&mut self.candidates);
-        for d in deliveries {
-            let Delivery {
-                tuple,
-                mut state,
-                clustered,
-            } = d;
+        for (tuple, mut state, clustered) in wave.drain() {
             state.hops += 1;
             if state.hops > self.config.max_hops {
                 self.metrics.bump_id(self.ids.hops_exceeded, self.now, 1);
@@ -1388,86 +1383,73 @@ impl EddyExecutor {
             // copied). Signature equality is what lets one policy decision
             // stand for every member.
             let prio = state.prioritized;
-            match groups
-                .iter_mut()
-                .find(|g| g.actions == acts && g.clustered == clustered && g.prioritized == prio)
-            {
-                Some(g) => {
-                    g.batch.push(tuple);
-                    g.states.push(state);
-                }
-                None => groups.push(RouteGroup {
-                    actions: acts.clone(),
-                    batch: TupleBatch::single(tuple),
-                    states: vec![state],
-                    clustered,
-                    prioritized: prio,
-                }),
-            }
-            // A full group flushes immediately into the wave queue (with
-            // cap 1 this degenerates to the scalar per-tuple loop,
-            // preserving its decision order exactly).
-            if let Some(i) = groups.iter().position(|g| g.batch.len() >= cap) {
-                waves.push(groups.remove(i));
+            let open = groups.iter().position(|g| {
+                g.actions == acts && g.clustered() == clustered && g.prioritized() == prio
+            });
+            let i = open.unwrap_or_else(|| {
+                let mut group = self.waves.take();
+                group.actions.extend_from_slice(&acts);
+                groups.push(group);
+                groups.len() - 1
+            });
+            groups[i].push(tuple, state, clustered);
+            // A full group flushes immediately (with cap 1 this
+            // degenerates to the scalar per-tuple loop, preserving its
+            // decision order exactly).
+            if groups[i].len() >= cap {
+                flushed.push(groups.remove(i));
             }
         }
         self.candidates = acts;
-        waves.append(&mut groups);
-        // Modules earlier dispatches of this burst routed into — any later
-        // wave offering one of them had a stale flush-time backlog view.
-        let mut touched: FxHashSet<usize> = FxHashSet::default();
-        for g in waves {
-            self.dispatch_group(g, &mut touched);
+        self.waves.put(wave);
+        flushed.append(&mut groups);
+        self.touched.clear();
+        for group in flushed.drain(..) {
+            self.dispatch_group(group);
         }
+        self.groups = groups;
+        self.flushed = flushed;
     }
 
-    /// Dispatch one deferred wave: a single policy decision, per-tuple
+    /// Dispatch one flushed group: a single policy decision, per-tuple
     /// constraint verification, one envelope. Candidate costs are
     /// **computed here, at dequeue time** — earlier dispatches of the
     /// same burst (`touched`) may have shifted module backlogs since the
     /// group flushed, and a decision taken on a flush-time snapshot would
     /// route into queues that no longer look like the estimate.
-    fn dispatch_group(&mut self, group: RouteGroup, touched: &mut FxHashSet<usize>) {
-        let RouteGroup {
-            actions,
-            batch,
-            states,
-            clustered,
-            prioritized,
-        } = group;
+    fn dispatch_group(&mut self, mut group: Wave) {
         // The RoutingPolicy contract requires non-empty batches; groups
         // only ever open around a first member, so an empty flush is an
         // engine bug, caught here rather than inside the policy.
         debug_assert!(
-            !batch.is_empty(),
+            !group.is_empty(),
             "dispatch_group flushed an empty batch; RoutingPolicy::choose_batch requires ≥ 1 member"
         );
-        debug_assert_eq!(batch.len(), states.len());
-        // Observability: this wave's candidate set includes a module an
-        // earlier wave of the same burst just routed into — a flush-time
-        // backlog estimate would have been stale here.
-        if actions
+        // Observability: this group's candidate set includes a module an
+        // earlier dispatch of the same burst just routed into — a
+        // flush-time backlog estimate would have been stale here.
+        if group
+            .actions
             .iter()
-            .any(|a| a.mid().is_some_and(|m| touched.contains(&m)))
+            .any(|a| a.mid().is_some_and(|m| self.touched.contains(&m)))
         {
             self.metrics.bump_id(self.ids.hints_recosted, self.now, 1);
         }
-        let pairs: Vec<(Action, Hint)> = actions
-            .into_iter()
-            .map(|a| {
-                let h = self.hint_for(&a);
-                (a, h)
-            })
-            .collect();
+        let mut pairs = std::mem::take(&mut self.pairs);
+        pairs.clear();
+        pairs.extend(group.actions.iter().map(|a| (*a, self.hint_for(a))));
         let idx = if pairs.len() == 1 {
             0
         } else {
             self.policy
-                .choose_batch(&batch, &states[0], &pairs, &mut self.rng)
+                .choose_batch(group.tuples(), &group.states()[0], &pairs, &mut self.rng)
         };
         let (action, _) = pairs[idx];
+        self.pairs = pairs;
+        // From here on the wave is an envelope, not a group.
+        group.actions.clear();
         if self.config.trace {
-            for tuple in batch.iter().filter(|t| !t.is_eot()) {
+            for tuple in group.tuples().iter().filter(|t| !t.is_eot()) {
                 self.record(
                     crate::report::TraceKind::Route {
                         action: action.kind(),
@@ -1485,38 +1467,37 @@ impl EddyExecutor {
         if self.config.check_constraints {
             // Constraints are per tuple: every member is verified against
             // the chosen action, not just a representative.
-            for (tuple, state) in batch.iter().zip(&states) {
+            for (tuple, state) in group.tuples().iter().zip(group.states()) {
                 if !tuple.is_eot() {
                     self.check_choice(tuple, state, &action);
                 }
             }
         }
-        let purpose = match action {
+        let (mid, purpose) = match action {
             Action::Drop => {
                 self.metrics
-                    .bump_id(self.ids.policy_drops, self.now, batch.len() as u64);
+                    .bump_id(self.ids.policy_drops, self.now, group.len() as u64);
+                self.waves.put(group);
                 return;
             }
-            Action::Build { .. } => Purpose::Build,
-            Action::ProbeStem { .. } => Purpose::Probe,
-            Action::Select { .. } => Purpose::Select,
-            Action::ProbeAm { table, .. } => {
+            Action::Build { mid, .. } => (mid, Purpose::Build),
+            Action::ProbeStem { mid, .. } => (mid, Purpose::Probe),
+            Action::Select { mid, .. } => (mid, Purpose::Select),
+            Action::ProbeAm { mid, table } => {
                 self.metrics
-                    .bump_id(self.ids.am_probe_choices, self.now, batch.len() as u64);
-                Purpose::AmProbe(table)
+                    .bump_id(self.ids.am_probe_choices, self.now, group.len() as u64);
+                (mid, Purpose::AmProbe(table))
             }
         };
-        let mid = action.mid().expect("drop handled above");
         self.metrics.bump_id(self.ids.route_batches, self.now, 1);
-        touched.insert(mid);
+        if !self.touched.contains(&mid) {
+            self.touched.push(mid);
+        }
         self.enqueue(
             mid,
             Envelope {
-                batch,
-                states,
+                wave: group,
                 purpose,
-                clustered,
-                prioritized,
             },
         );
     }
@@ -1524,7 +1505,7 @@ impl EddyExecutor {
     fn enqueue(&mut self, mid: usize, env: Envelope) {
         // §4.1: prioritized tuples jump the queue so their partial results
         // surface sooner.
-        if env.prioritized {
+        if env.wave.prioritized() {
             self.rt[mid].queue.push_front(env);
         } else {
             self.rt[mid].queue.push_back(env);
@@ -1553,21 +1534,16 @@ impl EddyExecutor {
             .iter()
             .all(|c| c.ts != stems_types::UNBUILT_TS);
         let kind = if all_built {
-            // Compute the coverage bindings this tuple is waiting for.
-            let linking: Vec<&Predicate> = self
-                .query
-                .preds_linking(tuple.span(), table)
-                .into_iter()
-                .map(|id| self.query.predicate(id))
-                .collect();
-            let mut bindings = crate::stem::probe_bindings(&linking, &tuple, table, &self.query);
+            // The coverage bindings this tuple is waiting for, off the
+            // plan-time probe table; the list parks with the tuple.
+            let links = &self.layout.links[table.as_usize()];
+            let mut bindings = Vec::new();
+            links.probe_bindings_into(&tuple, &mut bindings);
             // Multi-member IN probes wait on one EOT per member: any
             // member's EOT must wake the tuple so the SteM can re-judge
             // coverage (it requires *all* members before consuming).
-            for (col, vals) in crate::stem::in_list_options(&self.query, table) {
-                for v in vals {
-                    bindings.push((col, v));
-                }
+            for (col, vals) in links.in_options() {
+                bindings.extend(vals.iter().map(|v| (*col, v.clone())));
             }
             ParkKind::Coverage(bindings)
         } else {
@@ -1582,54 +1558,27 @@ impl EddyExecutor {
         });
     }
 
-    /// Wake parked tuples matched by the signal; the caller routes the
-    /// returned wave (batched with any siblings).
-    fn unpark(&mut self, sig: UnparkSignal) -> Vec<Delivery> {
-        let woken: Vec<ParkedTuple> = match &sig {
-            UnparkSignal::AnyBuild(t) => {
-                let mut woken = Vec::new();
-                let mut keep = Vec::new();
-                for p in self.parked.drain(..) {
-                    if p.table == *t && matches!(p.kind, ParkKind::AnyBuild) {
-                        woken.push(p);
-                    } else {
-                        keep.push(p);
-                    }
-                }
-                self.parked = keep;
-                woken
+    /// Move the parked tuples `sig` wakes into `woken`, in parked order;
+    /// the caller routes the wave (batched with any siblings). The
+    /// partition happens in place: a signal that wakes nothing writes
+    /// nothing, and one that does moves each kept tuple at most once.
+    fn unpark(&mut self, sig: &UnparkSignal, woken: &mut Wave) {
+        let EddyExecutor {
+            parked,
+            metrics,
+            ids,
+            now,
+            ..
+        } = self;
+        parked.retain_mut(|p| {
+            if !sig.wakes(p) {
+                return true;
             }
-            UnparkSignal::Eot { table, bindings } => {
-                let mut woken = Vec::new();
-                let mut keep = Vec::new();
-                for p in self.parked.drain(..) {
-                    let wake = p.table == *table
-                        && match (&p.kind, bindings) {
-                            (ParkKind::AnyBuild, _) => true,
-                            (ParkKind::Coverage(_), None) => true,
-                            (ParkKind::Coverage(pb), Some(eb)) => eb.iter().all(|b| pb.contains(b)),
-                        };
-                    if wake {
-                        woken.push(p);
-                    } else {
-                        keep.push(p);
-                    }
-                }
-                self.parked = keep;
-                woken
-            }
-        };
-        woken
-            .into_iter()
-            .map(|p| {
-                self.metrics.bump_id(self.ids.unparked, self.now, 1);
-                Delivery {
-                    tuple: p.tuple,
-                    state: p.state,
-                    clustered: false,
-                }
-            })
-            .collect()
+            metrics.bump_id(ids.unparked, *now, 1);
+            let tuple = std::mem::replace(&mut p.tuple, Tuple::empty());
+            woken.push(tuple, p.state.clone(), false);
+            false
+        });
     }
 
     /// Rough cost estimate per candidate action — queue backlog plus one
@@ -1857,7 +1806,7 @@ impl EddyExecutor {
             return;
         }
         self.now = now;
-        self.route_scanned(stamped.iter().cloned());
+        self.route_singletons(stamped.iter().cloned(), None);
         // The wake-ups a private build of this wave would have raised.
         let built = !stamped.is_empty();
         let any_build = built.then_some(UnparkSignal::AnyBuild(table));
@@ -1865,7 +1814,7 @@ impl EddyExecutor {
             table,
             bindings: None,
         });
-        self.wake(built, any_build.into_iter().chain(eot));
+        self.wake(built, any_build.iter().chain(&eot));
     }
 
     /// Deliver one shared-scan wave for an *unfolded* (private-SteM)
@@ -1877,7 +1826,7 @@ impl EddyExecutor {
             return;
         }
         self.now = now;
-        self.route_scanned(tuples);
+        self.route_singletons(tuples, None);
     }
 }
 
@@ -1934,11 +1883,8 @@ mod tests {
 
     fn dummy_env() -> Envelope {
         Envelope {
-            batch: TupleBatch::new(),
-            states: Vec::new(),
+            wave: Wave::default(),
             purpose: Purpose::Probe,
-            clustered: false,
-            prioritized: false,
         }
     }
 
@@ -2008,18 +1954,11 @@ mod tests {
         // backlog shift came from earlier dispatches of the same burst
         // (`touched`), which also drives the staleness counter.
         let before = exec.rt[m1].queue.len();
-        let mut touched = FxHashSet::default();
-        touched.insert(m1);
-        exec.dispatch_group(
-            RouteGroup {
-                actions,
-                batch: TupleBatch::single(tuple),
-                states: vec![TupleState::new()],
-                clustered: false,
-                prioritized: false,
-            },
-            &mut touched,
-        );
+        exec.touched.push(m1);
+        let mut group = exec.waves.take();
+        group.actions = actions;
+        group.push(tuple, TupleState::new(), false);
+        exec.dispatch_group(group);
         assert_eq!(
             exec.rt[m2].queue.len(),
             1,
@@ -2033,7 +1972,245 @@ mod tests {
         assert_eq!(exec.metrics.counter("hints_recosted"), 1);
         // The dispatched wave's destination joins the touched set, so a
         // following wave offering m2 would count as re-costed too.
-        assert!(touched.contains(&m2));
+        assert!(exec.touched.contains(&m2));
+    }
+
+    /// `R(key, a) ⋈ S(x, y)` on `R.a = S.x` with `R.key > 0`; R scans, S
+    /// is reachable through an index on `x` only.
+    fn indexed2() -> (Catalog, QuerySpec) {
+        use stems_catalog::IndexSpec;
+        let mut c = Catalog::new();
+        let cols = |a, b| Schema::of(&[(a, ColumnType::Int), (b, ColumnType::Int)]);
+        let r = c.add_table(TableDef::new("R", cols("key", "a"))).unwrap();
+        let s = c.add_table(TableDef::new("S", cols("x", "y"))).unwrap();
+        c.add_scan(r, ScanSpec::default()).unwrap();
+        c.add_index(s, IndexSpec::new(vec![0], 1000)).unwrap();
+        let tables = [(r, "r"), (s, "s")].map(|(source, alias)| TableInstance {
+            source,
+            alias: alias.into(),
+        });
+        let preds = vec![
+            Predicate::join(
+                PredId(0),
+                ColRef::new(TableIdx(0), 1),
+                CmpOp::Eq,
+                ColRef::new(TableIdx(1), 0),
+            ),
+            Predicate::selection(
+                PredId(1),
+                ColRef::new(TableIdx(0), 0),
+                CmpOp::Gt,
+                Value::Int(0),
+            ),
+        ];
+        let q = QuerySpec::new(&c, tables.to_vec(), preds, None).unwrap();
+        (c, q)
+    }
+
+    /// A built R singleton that has passed its selection and probed S.
+    fn probed_r(key: i64) -> (Tuple, TupleState) {
+        let tuple = Tuple::singleton_of(TableIdx(0), vec![Value::Int(key), Value::Int(key)])
+            .with_timestamp(TableIdx(0), 1);
+        let mut state = TupleState::new();
+        state.done.insert(PredId(1));
+        state.mark_probed(TableIdx(1));
+        (tuple, state)
+    }
+
+    /// The same as a prior prober of S that has already been to S's index:
+    /// `Required` parks, `Optional` may only drop.
+    fn prior_prober(key: i64, need: CompletionNeed) -> (Tuple, TupleState) {
+        let (tuple, mut state) = probed_r(key);
+        state.mark_am_probed(TableIdx(1));
+        state.prior_prober = Some(PriorProber {
+            table: TableIdx(1),
+            need,
+        });
+        (tuple, state)
+    }
+
+    fn parked_keys(exec: &EddyExecutor) -> Vec<Value> {
+        let key = |p: &ParkedTuple| p.tuple.components()[0].row.values()[0].clone();
+        exec.parked.iter().map(key).collect()
+    }
+
+    /// A wake-up that wakes nothing is read-only and free; one that wakes
+    /// something takes exactly the matching tuples, in parked order.
+    #[test]
+    fn unpark_partitions_in_place_and_only_when_it_wakes() {
+        let (catalog, query) = indexed2();
+        let mut exec = EddyExecutor::build(&catalog, &query, ExecConfig::default()).unwrap();
+        const N: i64 = 100;
+        for k in 1..=N {
+            let (tuple, state) = prior_prober(k, CompletionNeed::Required);
+            exec.park(tuple, state, TableIdx(1));
+        }
+        assert!(exec
+            .parked
+            .iter()
+            .all(|p| matches!(&p.kind, ParkKind::Coverage(b) if b.len() == 1)));
+        let before = parked_keys(&exec);
+
+        // Builds into S release only unbuilt re-probers; every parked tuple
+        // here waits for coverage. Not one allocation, not one move.
+        let sig = [UnparkSignal::AnyBuild(TableIdx(1))];
+        exec.wake(false, &sig);
+        let (allocs, ()) = crate::test_alloc::allocs_during(|| {
+            for _ in 0..1_000 {
+                exec.wake(false, &sig);
+            }
+        });
+        assert_eq!(allocs, 0, "1000 wake-ups that wake nothing");
+        assert_eq!(parked_keys(&exec), before);
+
+        // A keyed EOT wakes the tuples bound to its key and nothing else;
+        // kept and woken both stay in parked order.
+        let eot = |k: i64| UnparkSignal::Eot {
+            table: TableIdx(1),
+            bindings: Some(vec![(0, Value::Int(k))]),
+        };
+        let mut woken = exec.waves.take();
+        for k in [7, 3, 7] {
+            exec.unpark(&eot(k), &mut woken);
+        }
+        let woken_keys: Vec<Value> = woken
+            .drain()
+            .map(|(t, _, clustered)| {
+                assert!(!clustered);
+                t.components()[0].row.values()[0].clone()
+            })
+            .collect();
+        assert_eq!(woken_keys, vec![Value::Int(7), Value::Int(3)]);
+        let kept: Vec<Value> = (1..=N)
+            .filter(|k| *k != 3 && *k != 7)
+            .map(Value::Int)
+            .collect();
+        assert_eq!(parked_keys(&exec), kept);
+        assert_eq!(exec.metrics.counter("unparked"), 2);
+        // A scan EOT wakes everything that is left.
+        let all = UnparkSignal::Eot {
+            table: TableIdx(1),
+            bindings: None,
+        };
+        exec.unpark(&all, &mut woken);
+        assert_eq!(woken.len(), N as usize - 2);
+        assert!(exec.parked.is_empty());
+    }
+
+    /// The free list stays within its constant bound whatever has been
+    /// routed: one 1 024-member wave, then 10 000 single-member waves.
+    #[test]
+    fn wave_pool_stays_bounded_under_any_wave_sizes() {
+        let (catalog, query) = star3();
+        let config = ExecConfig {
+            batch_size: 1,
+            ..ExecConfig::default()
+        };
+        let mut exec = EddyExecutor::build_unseeded(&catalog, &query, config).unwrap();
+        let row = |k: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(k), Value::Int(k % 3)]);
+        exec.route_singletons((0..1024).map(row), None);
+        while exec.step() {}
+        for k in 0..10_000 {
+            exec.route_singletons([row(1024 + k)], None);
+            while exec.step() {}
+        }
+        let (buffers, rows) = exec.waves.retained();
+        assert!(buffers <= crate::wave::MAX_FREE_WAVES, "{buffers} buffers");
+        assert!(rows <= exec.waves.bound_rows(), "{rows} member slots");
+        assert!(exec.groups.is_empty() && exec.flushed.is_empty());
+        assert!(exec
+            .rt
+            .iter()
+            .all(|m| m.queue.is_empty() && m.out.is_none()));
+        assert_eq!(exec.metrics.counter("scanned"), 1024 + 10_000);
+    }
+
+    /// Every way a tuple leaves routing without an envelope — output,
+    /// retirement, parking, the policy's Drop arm, the `max_hops` backstop
+    /// — hands its wave buffers back: the pool holds after a round what it
+    /// held before it, and a warm round allocates only what the fates
+    /// themselves keep (the parked tuple's binding list, the backstop's
+    /// violation message).
+    #[test]
+    fn every_fate_returns_its_wave_buffers() {
+        let (catalog, query) = indexed2();
+        let config = ExecConfig {
+            batch_size: 1,
+            max_hops: 50,
+            ..ExecConfig::default()
+        };
+        let mut exec = EddyExecutor::build_unseeded(&catalog, &query, config).unwrap();
+        let result = {
+            let s = Tuple::singleton_of(TableIdx(1), vec![Value::Int(1), Value::Int(1)])
+                .with_timestamp(TableIdx(1), 2);
+            let mut state = TupleState::new();
+            state.done = query.all_preds();
+            (probed_r(1).0.concat(&s), state)
+        };
+        let exhausted = {
+            let (tuple, mut state) = probed_r(2);
+            state.hops = 50;
+            (tuple, state)
+        };
+        let fates = [
+            result,
+            probed_r(3),
+            prior_prober(4, CompletionNeed::Required),
+            prior_prober(5, CompletionNeed::Optional),
+            exhausted,
+        ];
+        let everything = UnparkSignal::Eot {
+            table: TableIdx(1),
+            bindings: None,
+        };
+        let round = |exec: &mut EddyExecutor| {
+            let mut wave = exec.waves.take();
+            for (tuple, state) in &fates {
+                wave.push(tuple.clone(), state.clone(), false);
+            }
+            exec.route_wave(wave);
+            assert_eq!(exec.parked.len(), 1);
+            // Clear the park so rounds are identical (the woken prober is
+            // dropped with the buffer, not routed again).
+            let mut woken = exec.waves.take();
+            exec.unpark(&everything, &mut woken);
+            exec.waves.put(woken);
+        };
+        for _ in 0..8 {
+            round(&mut exec);
+        }
+        let held = exec.waves.retained();
+        assert!(held.0 >= 2, "a warm pool holds the buffers a round uses");
+        const ROUNDS: usize = 64;
+        let (allocs, ()) = crate::test_alloc::allocs_during(|| {
+            for _ in 0..ROUNDS {
+                round(&mut exec);
+            }
+        });
+        assert_eq!(exec.waves.retained(), held, "a round leaked a buffer");
+        assert!(
+            exec.rt.iter().all(|m| m.queue.is_empty()),
+            "no fate enqueues"
+        );
+        for (name, n) in [
+            ("results", 1),
+            ("retired", 1),
+            ("parked", 1),
+            ("policy_drops", 1),
+            ("hops_exceeded", 1),
+        ] {
+            assert_eq!(
+                exec.metrics.counter(name),
+                n * (8 + ROUNDS as u64),
+                "{name}"
+            );
+        }
+        // Five cloned tuples, the park's binding list and the backstop's
+        // message per round, plus amortised series/result growth.
+        assert!(
+            allocs <= ROUNDS * 8,
+            "{allocs} allocations in {ROUNDS} warm rounds"
+        );
     }
 
     /// Selection-heavy workload for the fusion tests: two selections over

@@ -121,6 +121,7 @@
 
 pub mod am;
 pub mod engine;
+pub mod links;
 pub mod memo;
 pub mod plan;
 pub mod policy;
@@ -132,7 +133,10 @@ pub mod sharded;
 pub mod sm;
 pub mod stem;
 pub mod sync;
+#[cfg(test)]
+mod test_alloc;
 pub mod tuple_state;
+mod wave;
 
 pub use engine::{ConfigError, EddyExecutor, ExecConfig};
 pub use memo::{MemoCache, MemoCell, MemoCounters};

@@ -13,6 +13,7 @@
 //! [`PlanLayout`] index the router uses; the engine performs step 5.
 
 use crate::am::{IndexAm, ScanAm};
+use crate::links::TableLinks;
 use crate::sharded::ShardedStem;
 use crate::sm::Sm;
 pub use crate::stem::StemOptions;
@@ -112,6 +113,15 @@ pub struct PlanLayout {
     /// The query's join graph, built once here: the router walks it for
     /// every tuple and must not rebuild it.
     pub graph: JoinGraph,
+    /// The probe table of each table instance — linking predicates,
+    /// equi-binding columns, constant bindings and IN options — built once
+    /// here; SteM probes, index-AM probes, the router's bindability check
+    /// and parking all read it instead of re-deriving it from the
+    /// predicate list.
+    pub links: Vec<TableLinks>,
+    /// The inverse of `stem_mid`: per module id, the table instance whose
+    /// SteM lives there (`None` for every other module).
+    pub stem_table: Vec<Option<TableIdx>>,
 }
 
 /// Configuration used at instantiation time.
@@ -151,6 +161,10 @@ pub fn instantiate(
         build_required: vec![false; n],
         has_scan: vec![false; n],
         graph: query.join_graph(),
+        links: (0..n)
+            .map(|i| TableLinks::of(query, TableIdx(i as u8)))
+            .collect(),
+        stem_table: Vec::new(),
     };
 
     // Step 2: one AM module per catalog access method that the query uses.
@@ -228,6 +242,12 @@ pub fn instantiate(
             opts.default_stem.clone(),
         ))));
         layout.stem_mid[i] = Some(mid);
+    }
+    layout.stem_table = vec![None; modules.len()];
+    for (i, mid) in layout.stem_mid.iter().enumerate() {
+        if let Some(mid) = mid {
+            layout.stem_table[*mid] = Some(TableIdx(i as u8));
+        }
     }
 
     Ok((modules, layout))
@@ -321,6 +341,21 @@ mod tests {
         assert!(layout.stem_mid[0].is_some() && layout.stem_mid[1].is_some());
         assert!(layout.build_required[0] && layout.build_required[1]);
         assert!(layout.has_scan[0] && layout.has_scan[1]);
+        // The plan-time tables: one probe table per instance, and the
+        // inverse of `stem_mid` over every module.
+        assert_eq!(layout.links.len(), 2);
+        assert!(layout
+            .links
+            .iter()
+            .zip(0..)
+            .all(|(l, i)| l.table() == TableIdx(i)));
+        assert_eq!(layout.stem_table.len(), modules.len());
+        for (mid, module) in modules.iter().enumerate() {
+            match layout.stem_table[mid] {
+                Some(t) => assert_eq!(layout.stem_mid[t.as_usize()], Some(mid)),
+                None => assert!(!matches!(module, Module::Stem(_))),
+            }
+        }
     }
 
     #[test]

@@ -141,7 +141,7 @@ pub fn candidates_into(
         if !state.probed_ams.contains(ct) {
             for &mid in &layout.index_mids[ct.as_usize()] {
                 if let Module::IndexAm(am) = &modules[mid] {
-                    if am.can_bind(tuple, ct, query) {
+                    if am.can_bind_linked(&layout.links[ct.as_usize()], tuple) {
                         acts.push(Action::ProbeAm { mid, table: ct });
                     }
                 }

@@ -55,10 +55,11 @@
 //!
 //! # Probe: resolve → lane → probe → merge
 //!
-//! 1. **Resolve** (serial) — per probe tuple, once: its linking
-//!    predicates (cached per span), its equality binding with the key
-//!    hashed ([`HashedKey`] — the lane index and the dictionary descent
-//!    read that same annotation), and its bounce decision.
+//! 1. **Resolve** (serial) — per probe tuple, once: its equality binding
+//!    — read off the plan-time probe table ([`TableLinks`]), not
+//!    re-derived from the predicate list — with the key hashed
+//!    ([`HashedKey`] — the lane index and the dictionary descent read
+//!    that same annotation), and its bounce decision.
 //! 2. **Lane** — a probe bound on the shard key column goes to its key's
 //!    lane only (equal keys co-locate, and overflow rows cannot equal a
 //!    probe key); any other probe visits every lane. A lane's share of
@@ -86,29 +87,32 @@
 //! `tests/prop_batch_equivalence.rs` locks shard counts {1, 2, 4, 7} and
 //! worker budgets verdict-for-verdict to each other.
 
+use crate::links::TableLinks;
 use crate::runtime::{default_parallel_min_rows, default_workers, WorkerPool};
 use crate::stem::{
-    equi_binding, linking_for, BuildResult, EotIndex, ProbeBinding, ProbeCtx, ProbeOutcome,
-    ProbeReplySet, ProbeScratch, ReplyMeta, Resolved, Shard, StemOptions,
+    BuildResult, CoverScratch, EotIndex, ProbeBinding, ProbeCtx, ProbeOutcome, ProbeReplySet,
+    ProbeScratch, ReplyMeta, Resolved, Shard, StemOptions,
 };
+use crate::sync::Arc;
 use crate::tuple_state::{CompletionNeed, TupleState};
 use std::collections::VecDeque;
 use stems_catalog::{QuerySpec, SourceId};
 use stems_storage::fxhash::FxBuildHasher;
 use stems_storage::Slot;
 use stems_types::{
-    HashedKey, KeyHash, Predicate, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value,
-    UNBUILT_TS,
+    HashedKey, KeyHash, Row, TableIdx, Timestamp, Tuple, TupleBatch, Value, UNBUILT_TS,
 };
 
 /// One build lane's reusable envelope buffers: the envelope positions
 /// of the tuples routed to the lane, [`Shard::ingest`]'s verdict per
-/// member (the slot a fresh row took, `None` for a duplicate), and the
-/// stamp pass's read cursor into those verdicts.
+/// member (the slot a fresh row took, `None` for a duplicate) and its
+/// staging buffer for the rows it inserts, and the stamp pass's read
+/// cursor into the verdicts.
 #[derive(Debug, Default)]
 struct BuildLane {
     members: Vec<usize>,
     fresh: Vec<Option<Slot>>,
+    pending: Vec<Arc<Row>>,
     next: usize,
 }
 
@@ -134,6 +138,8 @@ struct ProbePool {
     chunk_sets: Vec<ProbeReplySet>,
     /// Per lane: index of the task the merge is currently consuming.
     cursors: Vec<usize>,
+    /// The resolve pass's coverage-check binding lists.
+    cover: CoverScratch,
 }
 
 /// A State Module over one table instance (see the module docs).
@@ -339,19 +345,14 @@ impl ShardedStem {
     /// server: units = batch length.
     pub fn parallel_service_units(
         &self,
+        links: &TableLinks,
         batch: &TupleBatch,
-        query: &QuerySpec,
         probe: bool,
     ) -> u64 {
         let mut loads = vec![0u64; self.shards.len()];
-        let mut spans: Vec<(TableSet, Vec<&Predicate>)> = Vec::new();
         for tuple in batch.iter() {
             let lane = if probe {
-                let li = linking_for(&mut spans, query, tuple.span(), self.instance);
-                self.probe_lane(
-                    &equi_binding(&spans[li].1, tuple, self.instance)
-                        .map(|(col, val)| (col, HashedKey::new(val))),
-                )
+                self.probe_lane(&hashed_binding(links, tuple))
             } else {
                 let row = &tuple.components()[0].row;
                 (!row.is_eot()).then(|| self.lane_of_row(row))
@@ -414,9 +415,22 @@ impl ShardedStem {
         states: &[TupleState],
         ts_counter: &mut Timestamp,
     ) -> Vec<BuildResult> {
+        let mut out = Vec::with_capacity(batch.len());
+        self.build_batch_into(batch, states, ts_counter, &mut out);
+        out
+    }
+
+    /// [`Self::build_batch`] appending to a caller-owned result buffer —
+    /// the eddy keeps one across envelopes.
+    pub fn build_batch_into(
+        &mut self,
+        batch: &TupleBatch,
+        states: &[TupleState],
+        ts_counter: &mut Timestamp,
+        out: &mut Vec<BuildResult>,
+    ) {
         debug_assert_eq!(batch.len(), states.len());
         let tuples = batch.as_slice();
-        let mut out = Vec::with_capacity(tuples.len());
         // A windowed SteM builds one row at a time, so eviction
         // interleaves with inserts (see the module docs).
         let envelope = if self.window.is_some() {
@@ -425,10 +439,9 @@ impl ShardedStem {
             tuples.len().max(1)
         };
         for (tuples, states) in tuples.chunks(envelope).zip(states.chunks(envelope)) {
-            self.build_envelope(tuples, states, ts_counter, &mut out);
+            self.build_envelope(tuples, states, ts_counter, out);
             self.enforce_window();
         }
-        out
     }
 
     fn build_envelope(
@@ -480,11 +493,11 @@ impl ShardedStem {
             .filter(|(_, (_, lane))| !lane.members.is_empty());
         if pooled {
             fan_out(workers, busy, |(shard, lane)| {
-                shard.ingest(tuples, &lane.members, &mut lane.fresh)
+                shard.ingest(tuples, &lane.members, &mut lane.fresh, &mut lane.pending)
             });
         } else {
             for (_, (shard, lane)) in busy {
-                shard.ingest(tuples, &lane.members, &mut lane.fresh);
+                shard.ingest(tuples, &lane.members, &mut lane.fresh, &mut lane.pending);
             }
         }
 
@@ -601,11 +614,11 @@ impl ShardedStem {
     /// with index AMs).
     fn bounce_decision(
         &self,
-        linking: &[&Predicate],
+        links: &TableLinks,
         tuple: &Tuple,
-        query: &QuerySpec,
+        cover: &mut CoverScratch,
     ) -> ProbeOutcome {
-        if self.eot.covers(linking, tuple, self.instance, query) {
+        if self.eot.covers(links, tuple, cover) {
             return ProbeOutcome::Consumed;
         }
         let all_built = tuple.components().iter().all(|c| c.ts != UNBUILT_TS);
@@ -640,6 +653,10 @@ impl ShardedStem {
     /// buffers. The pool is taken out for the envelope and restored
     /// after it, like the build path's lanes: a probe that unwinds leaves
     /// an empty pool behind, never a half-written one.
+    ///
+    /// This form derives the query's [`TableLinks`] for the call; a caller
+    /// holding the plan's ([`crate::plan::PlanLayout::links`]) probes
+    /// through [`Self::probe_linked_into`].
     pub fn probe_batch_into(
         &mut self,
         batch: &[Tuple],
@@ -647,14 +664,30 @@ impl ShardedStem {
         query: &QuerySpec,
         out: &mut ProbeReplySet,
     ) {
+        let links = TableLinks::of(query, self.instance);
+        self.probe_linked_into(&links, batch, states, query, out);
+    }
+
+    /// [`Self::probe_batch_into`] with the plan-time probe table of this
+    /// SteM's current instance — the eddy's form: nothing about the query
+    /// is re-derived per envelope.
+    pub fn probe_linked_into(
+        &mut self,
+        links: &TableLinks,
+        batch: &[Tuple],
+        states: &[TupleState],
+        query: &QuerySpec,
+        out: &mut ProbeReplySet,
+    ) {
         let mut pool = std::mem::take(&mut self.probe_pool);
-        self.probe_envelope(&mut pool, batch, states, query, out);
+        self.probe_envelope(&mut pool, links, batch, states, query, out);
         self.probe_pool = pool;
     }
 
     fn probe_envelope(
         &self,
         pool: &mut ProbePool,
+        links: &TableLinks,
         batch: &[Tuple],
         states: &[TupleState],
         query: &QuerySpec,
@@ -662,6 +695,7 @@ impl ShardedStem {
     ) {
         debug_assert_eq!(batch.len(), states.len());
         let t = self.instance;
+        debug_assert_eq!(links.table(), t, "probe table of another instance");
         let n_lanes = self.shards.len();
         let ProbePool {
             resolved,
@@ -671,23 +705,19 @@ impl ShardedStem {
             scratches,
             chunk_sets,
             cursors,
+            cover,
         } = pool;
 
-        // Pass 1 (serial): resolve. Linking predicates once per distinct
-        // span (batches are usually span-uniform, so this is a one-entry
-        // cache); binding, key hash and bounce decision once per tuple.
+        // Pass 1 (serial): resolve — binding, key hash and bounce decision
+        // once per tuple, read off the plan-time probe table.
         resolved.clear();
         lane_of.clear();
-        let mut spans: Vec<(TableSet, Vec<&Predicate>)> = Vec::new();
         for tuple in batch {
-            let li = linking_for(&mut spans, query, tuple.span(), t);
-            let linking = &spans[li].1;
-            let binding: ProbeBinding =
-                equi_binding(linking, tuple, t).map(|(col, val)| (col, HashedKey::new(val)));
+            let binding = hashed_binding(links, tuple);
             lane_of.push(self.probe_lane(&binding));
             resolved.push(Resolved {
                 binding,
-                outcome: self.bounce_decision(linking, tuple, query),
+                outcome: self.bounce_decision(links, tuple, cover),
             });
         }
 
@@ -789,6 +819,15 @@ impl ShardedStem {
     }
 }
 
+/// A probe tuple's equality binding on the table `links` leads to, with
+/// the key hashed — once; lane routing and the dictionary descent both
+/// read the annotation.
+fn hashed_binding(links: &TableLinks, tuple: &Tuple) -> ProbeBinding {
+    links
+        .equi_binding(tuple)
+        .map(|(col, val)| (col, HashedKey::new(val.clone())))
+}
+
 /// Run one envelope's pool tasks — `(lane, task)` pairs — to completion
 /// on `workers` execution streams, the calling thread being one of them:
 /// it keeps every `workers`-th task for itself and queues the rest with
@@ -852,7 +891,7 @@ fn pull_reply(
 pub(crate) mod testkit {
     use super::*;
     use stems_catalog::{Catalog, ScanSpec, TableDef, TableInstance};
-    use stems_types::{CmpOp, ColRef, ColumnType, PredId, PredSet, Schema};
+    use stems_types::{CmpOp, ColRef, ColumnType, PredId, PredSet, Predicate, Schema};
 
     /// Everything one probe produces.
     #[derive(Debug, PartialEq)]
@@ -963,10 +1002,9 @@ mod tests {
     use super::testkit::{build_one, probe_one, r_tuple, s_tuple, setup, OneReply};
     use super::*;
     use crate::stem::{make_eot_row, make_scan_eot_row};
-    use crate::sync::Arc;
     use stems_catalog::Catalog;
     use stems_storage::StoreKind;
-    use stems_types::{CmpOp, ColRef, PredId, PredSet};
+    use stems_types::{CmpOp, ColRef, PredId, PredSet, Predicate};
 
     /// The same schema joined on the SteM's *non-key* column:
     /// R.a = S.y, so probes bind column 1 and visit every lane.
@@ -1199,12 +1237,7 @@ mod tests {
             };
             // Store order, from the store itself.
             let mut reference = store.build(&[0]);
-            reference.insert_batch(
-                batch
-                    .iter()
-                    .map(|t| t.components()[0].row.clone())
-                    .collect(),
-            );
+            reference.insert_batch(batch.iter().map(|t| t.components()[0].row.clone()));
             let store_order = reference.lookup_eq(1, &Value::Int(3));
             assert_eq!(store_order.len(), 8);
 
@@ -1495,10 +1528,11 @@ mod tests {
         let states = vec![TupleState::new(); batch.len()];
 
         // One lane: a serial server — units are the whole envelope.
-        assert_eq!(one.parallel_service_units(&batch, &q, false), 40);
+        let links = TableLinks::of(&q, TableIdx(1));
+        assert_eq!(one.parallel_service_units(&links, &batch, false), 40);
 
         // Sharded build: units equal the busiest lane's load.
-        let build_units = four.parallel_service_units(&batch, &q, false);
+        let build_units = four.parallel_service_units(&links, &batch, false);
         let (mut t1, mut t4) = (0, 0);
         one.build_batch(&batch, &states, &mut t1);
         four.build_batch(&batch, &states, &mut t4);
@@ -1510,14 +1544,15 @@ mod tests {
         let probes: TupleBatch = (0..40)
             .map(|i| r_tuple(i, i).with_timestamp(TableIdx(0), 1_000))
             .collect();
-        let probe_units = four.parallel_service_units(&probes, &q, true);
+        let probe_units = four.parallel_service_units(&links, &probes, true);
         assert!(probe_units < 40);
-        assert_eq!(one.parallel_service_units(&probes, &q, true), 40);
+        assert_eq!(one.parallel_service_units(&links, &probes, true), 40);
 
         // … but fan-out probes (no equi binding) load every lane fully.
         let qx = QuerySpec::new(&c, q.tables.clone(), vec![], None).unwrap();
-        assert_eq!(four.parallel_service_units(&probes, &qx, true), 40);
-        assert_eq!(one.parallel_service_units(&probes, &qx, true), 40);
+        let unlinked = TableLinks::of(&qx, TableIdx(1));
+        assert_eq!(four.parallel_service_units(&unlinked, &probes, true), 40);
+        assert_eq!(one.parallel_service_units(&unlinked, &probes, true), 40);
     }
 
     #[test]

@@ -50,11 +50,12 @@
 //! it, so a windowed SteM over an unbounded stream stays the size of its
 //! window.
 
+use crate::links::TableLinks;
 use crate::sync::Arc;
 use crate::tuple_state::{CompletionNeed, TupleState};
 use stems_catalog::QuerySpec;
 use stems_storage::fxhash::FxHashSet;
-use stems_storage::{index_key, CandidateBuf, RowSet, Slot, Store, StoreKind};
+use stems_storage::{CandidateBuf, RowSet, Slot, Store, StoreKind};
 use stems_types::{
     HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, Value, UNBUILT_TS,
 };
@@ -360,7 +361,9 @@ impl Shard {
     /// `members` positions of the envelope `tuples`, in batch order.
     /// Appends to `fresh` the slot of every inserted row and `None` for
     /// every absorbed duplicate (§3.2); timestamps are assigned afterwards
-    /// by the SteM, serially ([`Shard::stamp`]).
+    /// by the SteM, serially ([`Shard::stamp`]). `pending` is the lane's
+    /// reusable staging buffer for the rows about to be inserted (left
+    /// empty).
     ///
     /// Each row is hashed once, for the dedup filter; a duplicate of a row
     /// earlier in this same envelope is caught against the pending batch,
@@ -370,10 +373,11 @@ impl Shard {
         tuples: &[Tuple],
         members: &[usize],
         fresh: &mut Vec<Option<Slot>>,
+        pending: &mut Vec<Arc<Row>>,
     ) {
         let slab = self.store.slab();
         let base = slab.slots();
-        let mut pending: Vec<Arc<Row>> = Vec::with_capacity(members.len());
+        pending.clear();
         for &i in members {
             let row = &tuples[i].components()[0].row;
             debug_assert!(!row.is_eot(), "EOT rows never reach a lane");
@@ -391,7 +395,7 @@ impl Shard {
             fresh.push(inserted.then_some(slot));
         }
         self.ts.resize(base + pending.len(), UNBUILT_TS);
-        self.store.insert_batch(pending);
+        self.store.insert_batch(pending.drain(..));
         debug_assert_eq!(self.store.slab().slots(), self.ts.len());
     }
 
@@ -448,8 +452,8 @@ impl Shard {
     /// [`Store::lookup_eq_flat`] index descent into a reusable arena of
     /// candidate *slots* (duplicate keys share one span; unbindable
     /// probes walk the slab's live slots), the newly-evaluable predicate
-    /// set is resolved once per distinct `(result span, donebits)` pair,
-    /// and both timestamp rules are decided on the slot's entry in the
+    /// set is a bitset re-derived only when `(result span, donebits)`
+    /// changes from one member to the next, and both timestamp rules are decided on the slot's entry in the
     /// timestamp column — the row itself is resolved, and its handle
     /// cloned, only for a candidate that passed them. Results land in
     /// `out`'s flat arena: the only per-tuple allocations are the
@@ -504,13 +508,14 @@ impl Shard {
         }
         let slab = self.store.slab();
 
-        // Span-level predicate cache: `newly_evaluable` is a pure
-        // function of (result span, donebits), so resolve it once per
-        // distinct pair per envelope instead of per tuple (envelopes are
-        // usually span- and done-uniform, so this stays one entry). The
-        // donebits union every surviving result carries is equally
-        // uniform per pair and precomputed here.
-        let mut evals: Vec<(TableSet, PredSet, Vec<&stems_types::Predicate>, PredSet)> = Vec::new();
+        // `newly_evaluable` is a pure function of (result span, donebits):
+        // as bitsets, the predicates to test and the donebits every
+        // surviving result carries are two words, remembered from one
+        // member to the next (envelopes are usually span- and done-uniform,
+        // so this is derived once per envelope) and held nowhere else — a
+        // SteM shared by several queries must not carry one query's
+        // predicate ids into another's probe.
+        let mut memo: Option<(TableSet, PredSet, PredSet, PredSet)> = None;
 
         // Pass 2: per-tuple result formation.
         for (&m, plan) in members.iter().zip(plans.iter()) {
@@ -518,27 +523,20 @@ impl Shard {
             let (tuple, state, r) = (&ctx.batch[m], &ctx.states[m], &ctx.resolved[m]);
             debug_assert!(!tuple.span().contains(t), "probe tuple already spans {t}");
             let result_span = tuple.span().with(t);
-            let ei = match evals
-                .iter()
-                .position(|(s, d, _, _)| *s == result_span && *d == state.done)
-            {
-                Some(i) => i,
-                None => {
-                    let newly: Vec<&stems_types::Predicate> = ctx
-                        .query
-                        .predicates
-                        .iter()
-                        .filter(|p| p.evaluable_on(result_span) && !state.done.contains(p.id))
-                        .collect();
-                    let mut done_union = state.done;
-                    for p in &newly {
-                        done_union.insert(p.id);
+            let (newly, done_union) = match memo {
+                Some((s, d, newly, union)) if s == result_span && d == state.done => (newly, union),
+                _ => {
+                    let mut newly = PredSet::EMPTY;
+                    for p in &ctx.query.predicates {
+                        if p.evaluable_on(result_span) && !state.done.contains(p.id) {
+                            newly.insert(p.id);
+                        }
                     }
-                    evals.push((result_span, state.done, newly, done_union));
-                    evals.len() - 1
+                    let union = state.done.union(newly);
+                    memo = Some((result_span, state.done, newly, union));
+                    (newly, union)
                 }
             };
-            let (_, _, newly, done_union) = &evals[ei];
 
             let probe_ts = tuple.timestamp();
             let start = out.results.len();
@@ -553,8 +551,9 @@ impl Shard {
                 }
                 let row = slab.row(slot).expect("candidate slots are live");
                 let cand = tuple.concat_row(t, row.clone(), ts_u);
-                if newly.iter().all(|p| p.eval(&cand).unwrap_or(false)) {
-                    results.push((cand, *done_union));
+                let passes = |p| ctx.query.predicate(p).eval(&cand).unwrap_or(false);
+                if newly.iter().all(passes) {
+                    results.push((cand, done_union));
                 }
             };
             let raw_matches = match plan {
@@ -610,14 +609,15 @@ impl EotIndex {
         self.keys.len() as u64 + self.full as u64
     }
 
-    /// Does the EOT index guarantee all matches for this probe of table
-    /// `t` are present?
+    /// Does the EOT index guarantee all matches for this probe — by
+    /// `tuple`, of the table `links` leads to — are present? `scratch`
+    /// holds the binding lists the answer is worked out on (capacity
+    /// reused from probe to probe).
     pub(crate) fn covers(
         &self,
-        linking: &[&stems_types::Predicate],
+        links: &TableLinks,
         tuple: &Tuple,
-        t: TableIdx,
-        query: &QuerySpec,
+        scratch: &mut CoverScratch,
     ) -> bool {
         if self.full {
             return true;
@@ -625,16 +625,21 @@ impl EotIndex {
         if self.keys.is_empty() {
             return false;
         }
-        let bindings = probe_bindings(linking, tuple, t, query);
-        let options = in_list_options(query, t);
+        let CoverScratch {
+            bindings,
+            merged,
+            subset,
+        } = scratch;
+        links.probe_bindings_into(tuple, bindings);
+        let options = links.in_options();
         if options.is_empty() {
-            return self.covered_by(&bindings);
+            return self.covered_by(bindings, subset);
         }
         // Multi-member IN lists make the probe a family of sub-probes,
         // one per member combination (index AMs answer them with one EOT
         // per member key). The probe is complete only when EVERY
         // combination is covered.
-        if self.covered_by(&bindings) {
+        if self.covered_by(bindings, subset) {
             return true;
         }
         // Fast path, exact for a single list and sufficient for several:
@@ -643,12 +648,12 @@ impl EotIndex {
         // contains some member of that list, so its witness EOT subset
         // applies). This is linear in Σ|list| — no member-combination
         // blowup for the common shapes, however long the list.
-        let member_covered = |col: usize, v: &Value| {
-            let mut merged = bindings.clone();
+        let mut member_covered = |col: usize, v: &Value| {
+            merged.clone_from(bindings);
             merged.push((col, v.clone()));
             merged.sort_by_key(|a| a.0);
             merged.dedup();
-            self.covered_by(&merged)
+            self.covered_by(merged, subset)
         };
         if options
             .iter()
@@ -664,8 +669,8 @@ impl EotIndex {
         // Several lists and no single list covers alone: EOTs may bind
         // members of multiple lists at once (a multi-bind-col AM), so
         // enumerate member combinations — exactly as many as the lookups
-        // `bind_value_sets` fans out for this probe. A product too large
-        // to even count could never have been probed; report uncovered.
+        // an index AM fans out for this probe. A product too large to even
+        // count could never have been probed; report uncovered.
         let Some(total) = options
             .iter()
             .try_fold(1usize, |acc, (_, vals)| acc.checked_mul(vals.len()))
@@ -673,15 +678,15 @@ impl EotIndex {
             return false;
         };
         for combo in 0..total {
-            let mut merged = bindings.clone();
+            merged.clone_from(bindings);
             let mut rem = combo;
-            for (col, vals) in &options {
+            for (col, vals) in options {
                 merged.push((*col, vals[rem % vals.len()].clone()));
                 rem /= vals.len();
             }
             merged.sort_by_key(|a| a.0);
             merged.dedup();
-            if !self.covered_by(&merged) {
+            if !self.covered_by(merged, subset) {
                 return false;
             }
         }
@@ -690,19 +695,22 @@ impl EotIndex {
 
     /// Is one binding set covered by the EOT index? An EOT for binding
     /// set B covers any probe whose bindings ⊇ B; bindings are tiny
-    /// (1–3 columns), so enumerate non-empty subsets.
-    fn covered_by(&self, bindings: &[(usize, Value)]) -> bool {
+    /// (1–3 columns), so enumerate non-empty subsets, each assembled in
+    /// `subset`.
+    fn covered_by(&self, bindings: &[(usize, Value)], subset: &mut Vec<(usize, Value)>) -> bool {
         if bindings.is_empty() {
             return false;
         }
         let n = bindings.len().min(16);
         for mask in 1u32..(1 << n) {
-            let mut subset: Vec<(usize, Value)> = (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| bindings[i].clone())
-                .collect();
+            subset.clear();
+            subset.extend(
+                (0..n)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| bindings[i].clone()),
+            );
             subset.sort_by_key(|a| a.0);
-            if self.keys.contains(&subset) {
+            if self.keys.contains(subset.as_slice()) {
                 return true;
             }
         }
@@ -710,151 +718,16 @@ impl EotIndex {
     }
 }
 
-/// The `(col, value)` pairs a probe binds on table `t`: equi-join columns
-/// fed from the probe tuple, plus constant equality selections on `t`.
-/// Values are normalized through [`index_key`] so coverage matching agrees
-/// with what index AMs put into their EOT tuples; un-indexable values
-/// (NULL/EOT) bind nothing.
-pub fn probe_bindings(
-    linking: &[&stems_types::Predicate],
-    tuple: &Tuple,
-    t: TableIdx,
-    query: &QuerySpec,
-) -> Vec<(usize, Value)> {
-    let mut out: Vec<(usize, Value)> = Vec::new();
-    for p in linking {
-        if let Some((l, r)) = p.equi_join_cols() {
-            let (tcol, ocol) = if l.table == t { (l, r) } else { (r, l) };
-            if let Some(v) = tuple.value(ocol.table, ocol.col).and_then(index_key) {
-                out.push((tcol.col, v));
-            }
-        }
-    }
-    for p in query.predicates.iter() {
-        if p.op == stems_types::CmpOp::Eq {
-            if let (stems_types::Operand::Col(c), stems_types::Operand::Const(v)) =
-                (&p.left, &p.right)
-            {
-                if c.table == t {
-                    if let Some(v) = index_key(v) {
-                        out.push((c.col, v));
-                    }
-                }
-            } else if let (stems_types::Operand::Const(v), stems_types::Operand::Col(c)) =
-                (&p.left, &p.right)
-            {
-                if c.table == t {
-                    if let Some(v) = index_key(v) {
-                        out.push((c.col, v));
-                    }
-                }
-            }
-        } else if p.op == stems_types::CmpOp::In {
-            // A single-member IN-list (or scalar IN) is a degenerate
-            // equality and binds like one — the same rule the feasibility
-            // fixpoint applies (`stems_catalog::feasible`), so a query
-            // admitted through an `IN (v)` binding is actually probeable
-            // at runtime.
-            let single = match (&p.left, &p.right) {
-                (stems_types::Operand::Col(c), stems_types::Operand::List(items))
-                    if items.len() == 1 =>
-                {
-                    Some((c, &items[0]))
-                }
-                (stems_types::Operand::Col(c), stems_types::Operand::Const(v)) => Some((c, v)),
-                _ => None,
-            };
-            if let Some((c, v)) = single {
-                if c.table == t {
-                    if let Some(v) = index_key(v) {
-                        out.push((c.col, v));
-                    }
-                }
-            }
-        }
-    }
-    out.sort_by_key(|a| a.0);
-    out.dedup();
-    out
-}
-
-/// The multi-member IN-list binding *options* on table `t`: for each
-/// `col IN (v1, ..., vk)` predicate with more than one member, the
-/// equality-normalized member values (members that can never satisfy SQL
-/// equality — NULL/EOT — match no row and are dropped). Single-member
-/// lists are degenerate equalities and live in [`probe_bindings`]
-/// instead. Index AMs fan a probe out across these members (one lookup
-/// key per member, answered through the multi-key flat path), and
-/// [`EotIndex::covers`] requires every member's EOT before declaring the
-/// probe complete — the same rule `stems_catalog::feasible` applies, so
-/// a query admitted through a multi-member IN binding is actually
-/// probeable at runtime.
-pub fn in_list_options(query: &QuerySpec, t: TableIdx) -> Vec<(usize, Vec<Value>)> {
-    let mut out: Vec<(usize, Vec<Value>)> = Vec::new();
-    for p in query.predicates.iter() {
-        if p.op != stems_types::CmpOp::In {
-            continue;
-        }
-        if let (stems_types::Operand::Col(c), stems_types::Operand::List(items)) =
-            (&p.left, &p.right)
-        {
-            if c.table == t && items.len() > 1 {
-                let mut vals: Vec<Value> = Vec::with_capacity(items.len());
-                for v in items.iter().filter_map(index_key) {
-                    if !vals.contains(&v) {
-                        vals.push(v);
-                    }
-                }
-                if !vals.is_empty() {
-                    out.push((c.col, vals));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Resolve (and cache) the linking predicates for one probe span — the
-/// per-envelope span cache of [`crate::sharded::ShardedStem`]'s resolve
-/// pass. Returns the span's index in `spans`; batches are usually
-/// span-uniform, so the cache stays one entry.
-pub(crate) fn linking_for<'q>(
-    spans: &mut Vec<(TableSet, Vec<&'q stems_types::Predicate>)>,
-    query: &'q QuerySpec,
-    span: TableSet,
-    t: TableIdx,
-) -> usize {
-    match spans.iter().position(|(s, _)| *s == span) {
-        Some(i) => i,
-        None => {
-            let linking = query
-                .preds_linking(span, t)
-                .into_iter()
-                .map(|id| query.predicate(id))
-                .collect();
-            spans.push((span, linking));
-            spans.len() - 1
-        }
-    }
-}
-
-/// First equi-join predicate that binds a column of `t` from the probe
-/// tuple — the hash-lookup opportunity (and, for sharded SteMs, the
-/// shard-routing opportunity when it binds the shard key column).
-pub(crate) fn equi_binding(
-    linking: &[&stems_types::Predicate],
-    tuple: &Tuple,
-    t: TableIdx,
-) -> Option<(usize, Value)> {
-    for p in linking {
-        if let Some((l, r)) = p.equi_join_cols() {
-            let (tcol, ocol) = if l.table == t { (l, r) } else { (r, l) };
-            if let Some(v) = tuple.value(ocol.table, ocol.col) {
-                return Some((tcol.col, v.clone()));
-            }
-        }
-    }
-    None
+/// The binding lists [`EotIndex::covers`] works on, kept by the SteM's
+/// probe pool so a coverage check allocates nothing once warm.
+#[derive(Debug, Default)]
+pub(crate) struct CoverScratch {
+    /// The probe's fixed `(col, value)` bindings.
+    bindings: Vec<(usize, Value)>,
+    /// Fixed bindings plus one member per IN list.
+    merged: Vec<(usize, Value)>,
+    /// The subset of a binding set currently looked up.
+    subset: Vec<(usize, Value)>,
 }
 
 /// Decode an EOT row into its binding set; `None` means a full-relation
@@ -1153,8 +1026,8 @@ mod tests {
         ));
         let q2 = QuerySpec::new(&c, q2.tables, q2.predicates, None).unwrap();
         assert_eq!(
-            in_list_options(&q2, TableIdx(1)),
-            vec![(1, vec![Value::Int(1), Value::Int(2)])]
+            TableLinks::of(&q2, TableIdx(1)).in_options(),
+            [(1, vec![Value::Int(1), Value::Int(2)])]
         );
         for n in SHARD_COUNTS {
             let mut stem = s_stem(n, false, true);
@@ -1285,10 +1158,10 @@ mod tests {
         ));
         let q2 = QuerySpec::new(&c, q2.tables, q2.predicates, None).unwrap();
         assert_eq!(
-            in_list_options(&q2, TableIdx(1)),
-            vec![(0, vec![Value::Int(3), Value::Int(4)])]
+            TableLinks::of(&q2, TableIdx(1)).in_options(),
+            [(0, vec![Value::Int(3), Value::Int(4)])]
         );
-        assert!(in_list_options(&q2, TableIdx(0)).is_empty());
+        assert!(TableLinks::of(&q2, TableIdx(0)).in_options().is_empty());
     }
 
     #[test]
@@ -1673,19 +1546,15 @@ mod tests {
             Value::Int(7),
         ));
         let q2 = QuerySpec::new(&c, q2.tables, q2.predicates, None).unwrap();
-        let linking: Vec<&Predicate> = q2
-            .preds_linking(TableSet::single(TableIdx(0)), TableIdx(1))
-            .into_iter()
-            .map(|id| q2.predicate(id))
-            .collect();
-        let r = r_tuple(1, 10);
-        let b = probe_bindings(&linking, &r, TableIdx(1), &q2);
+        let mut b = Vec::new();
+        TableLinks::of(&q2, TableIdx(1)).probe_bindings_into(&r_tuple(1, 10), &mut b);
         assert_eq!(b, vec![(0, Value::Int(10)), (1, Value::Int(7))]);
     }
 
-    /// The probe path resolves linking predicates once per distinct span
-    /// and `newly_evaluable` once per distinct `(result_span, done)` pair
-    /// per envelope; an envelope of one recomputes both per tuple. On an
+    /// The probe path reads linking predicates off the plan-time probe
+    /// table and re-derives `newly_evaluable` only when `(result_span,
+    /// done)` changes from one member to the next; an envelope of one
+    /// derives it per tuple. On an
     /// envelope mixing probe spans {R}, {T} and {R,T} with varied
     /// done-sets — including pairs that share a span but differ in done
     /// bits — one envelope of N must equal N envelopes of one, reply for

@@ -1,0 +1,292 @@
+//! The wave: the eddy's unit of memory as well as of routing.
+//!
+//! Tuples move through the eddy in waves — a module's output re-entering
+//! the dataflow, a group of same-destination tuples awaiting one policy
+//! decision, an envelope queued at a module. All three are the same rows,
+//! so they are one buffer type, [`Wave`], that changes hands instead of
+//! being copied into a fresh shape at each step:
+//!
+//! 1. **delivery** — a source (scan emission, index reply, module output,
+//!    unpark) fills a wave with tuples, their [`TupleState`]s and a
+//!    per-member *clustered* mark (set only by a Grace release, §3.1);
+//! 2. **group** — the eddy drains the delivery, member by member, into
+//!    open group waves, one per distinct candidate signature
+//!    ([`Wave::actions`]); all members of a group share the signature,
+//!    the clustered mark and the priority flag;
+//! 3. **envelope** — a dispatched group is queued at its module as is,
+//!    and the module works on it in place where it can (a Select hop
+//!    compacts it to the survivors; an index-AM hop marks the states) or
+//!    drains it into a second wave (a build's bounce-backs, a probe's
+//!    concatenations interleaved with its bounced probers);
+//! 4. **output** — that wave waits in the module's runtime slot for the
+//!    completion event and re-enters at 1.
+//!
+//! Whoever finishes with a wave hands it to the executor's [`WavePool`];
+//! whoever needs one takes it from there. The pool is **bounded**: at
+//! most [`MAX_FREE_WAVES`] buffers, none with room for more than one
+//! full envelope's members (`max(batch_size, MIN_KEEP_ROWS)`). The bound
+//! is part of the design, not a knob: a server drains dozens of executors
+//! at once, and free lists that grew to each executor's high-water mark
+//! cost more resident memory than they saved in allocator calls (measured
+//! on `server_fold`: +14 % peak RSS unbounded, +4 % bounded). Past the
+//! bound a buffer is simply dropped and the next taker allocates.
+
+use crate::router::Action;
+use crate::tuple_state::TupleState;
+use stems_types::{Tuple, TupleBatch};
+
+/// Buffers a [`WavePool`] retains at most.
+pub(crate) const MAX_FREE_WAVES: usize = 4;
+
+/// Member capacity every pool is willing to retain whatever the batch
+/// size: a tuple-at-a-time engine still sees probe results and index
+/// replies arrive a few dozen at a time.
+pub(crate) const MIN_KEEP_ROWS: usize = 64;
+
+/// One wave of tuples (see the module docs): the tuples, parallel to them
+/// their routing states, and the clustered marks.
+#[derive(Debug, Default)]
+pub(crate) struct Wave {
+    tuples: TupleBatch,
+    states: Vec<TupleState>,
+    /// The members a Grace release marked clustered, as index runs
+    /// `[start, end)` in member order. Almost always empty, so the common
+    /// member costs two pushes, not three.
+    clustered: Vec<(usize, usize)>,
+    /// While the wave is an open or flushed *group*: the candidate
+    /// signature its members share. Empty in every other phase.
+    pub(crate) actions: Vec<Action>,
+}
+
+impl Wave {
+    pub(crate) fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+
+    pub(crate) fn push(&mut self, tuple: Tuple, state: TupleState, clustered: bool) {
+        if clustered {
+            let i = self.states.len();
+            match self.clustered.last_mut() {
+                Some(run) if run.1 == i => run.1 += 1,
+                _ => self.clustered.push((i, i + 1)),
+            }
+        }
+        self.tuples.push(tuple);
+        self.states.push(state);
+    }
+
+    pub(crate) fn tuples(&self) -> &TupleBatch {
+        &self.tuples
+    }
+
+    pub(crate) fn states(&self) -> &[TupleState] {
+        &self.states
+    }
+
+    /// The clustered mark of a group or envelope — its members share it.
+    pub(crate) fn clustered(&self) -> bool {
+        self.clustered.first().is_some_and(|run| run.0 == 0)
+    }
+
+    /// The priority flag of a group or envelope — its members share it.
+    pub(crate) fn prioritized(&self) -> bool {
+        self.states.first().is_some_and(|s| s.prioritized)
+    }
+
+    /// Move every member out, in order, each with its clustered mark; the
+    /// wave keeps its allocations.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (Tuple, TupleState, bool)> + '_ {
+        debug_assert!(self.tuples.len() == self.states.len());
+        let runs = std::mem::take(&mut self.clustered);
+        // Members come in index order, so one cursor walks the runs.
+        let mut next = 0;
+        let mut clustered = move |i: usize| {
+            while runs.get(next).is_some_and(|run| run.1 <= i) {
+                next += 1;
+            }
+            runs.get(next).is_some_and(|run| run.0 <= i)
+        };
+        let members = self.tuples.drain().zip(self.states.drain(..));
+        members
+            .enumerate()
+            .map(move |(i, (tuple, state))| (tuple, state, clustered(i)))
+    }
+
+    /// Keep, in place and in order, the members `keep` approves (it may
+    /// update their state on the way); survivors leave unclustered.
+    pub(crate) fn compact(&mut self, mut keep: impl FnMut(usize, &Tuple, &mut TupleState) -> bool) {
+        let tuples = self.tuples.as_mut_slice();
+        let mut kept = 0;
+        for i in 0..tuples.len() {
+            if keep(i, &tuples[i], &mut self.states[i]) {
+                tuples.swap(kept, i);
+                self.states.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.tuples.truncate(kept);
+        self.states.truncate(kept);
+        self.clustered.clear();
+    }
+
+    fn clear(&mut self) {
+        self.tuples.clear();
+        self.states.clear();
+        self.clustered.clear();
+        self.actions.clear();
+    }
+
+    /// Members this buffer has room for without growing.
+    fn capacity(&self) -> usize {
+        self.states.capacity()
+    }
+}
+
+/// An executor's bounded free list of [`Wave`] buffers (see the module
+/// docs for the bound and why it exists).
+#[derive(Debug)]
+pub(crate) struct WavePool {
+    free: Vec<Wave>,
+    /// Largest member capacity worth retaining.
+    keep_rows: usize,
+}
+
+impl WavePool {
+    /// The pool of an executor routing at most `batch_size` members per
+    /// envelope.
+    pub(crate) fn new(batch_size: usize) -> WavePool {
+        WavePool {
+            free: Vec::with_capacity(MAX_FREE_WAVES),
+            keep_rows: batch_size.max(MIN_KEEP_ROWS),
+        }
+    }
+
+    /// An empty wave: the most recently recycled buffer, or a new one.
+    pub(crate) fn take(&mut self) -> Wave {
+        self.free.pop().unwrap_or_default()
+    }
+
+    /// Hand a wave back. Whatever it still holds is dropped; the buffer
+    /// is retained only within the pool's bound.
+    pub(crate) fn put(&mut self, mut wave: Wave) {
+        if self.free.len() < MAX_FREE_WAVES && wave.capacity() <= self.keep_rows {
+            wave.clear();
+            self.free.push(wave);
+        }
+    }
+
+    /// `(buffers retained, member capacity retained in total)`.
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> (usize, usize) {
+        (
+            self.free.len(),
+            self.free.iter().map(Wave::capacity).sum::<usize>(),
+        )
+    }
+
+    /// Largest total member capacity the pool can ever retain.
+    #[cfg(test)]
+    pub(crate) fn bound_rows(&self) -> usize {
+        MAX_FREE_WAVES * self.keep_rows
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stems_types::{TableIdx, Value};
+
+    fn t(k: i64) -> Tuple {
+        Tuple::singleton_of(TableIdx(0), vec![Value::Int(k)])
+    }
+
+    fn filled(n: i64) -> Wave {
+        let mut w = Wave::default();
+        for k in 0..n {
+            w.push(t(k), TupleState::new(), k % 2 == 1);
+        }
+        w
+    }
+
+    #[test]
+    fn drain_hands_members_on_in_order() {
+        let mut w = filled(3);
+        assert_eq!(w.len(), 3);
+        assert!(
+            !w.clustered(),
+            "the first member's mark stands for the group"
+        );
+        let members: Vec<_> = w.drain().collect();
+        assert_eq!(
+            members.iter().map(|m| m.0.clone()).collect::<Vec<_>>(),
+            vec![t(0), t(1), t(2)]
+        );
+        assert_eq!(
+            members.iter().map(|m| m.2).collect::<Vec<_>>(),
+            vec![false, true, false]
+        );
+        assert!(w.is_empty() && w.tuples().is_empty());
+        assert!(w.capacity() >= 3);
+    }
+
+    #[test]
+    fn clustered_marks_survive_as_runs() {
+        let mut w = Wave::default();
+        for (k, mark) in [true, true, false, true, false, false]
+            .into_iter()
+            .enumerate()
+        {
+            w.push(t(k as i64), TupleState::new(), mark);
+        }
+        assert_eq!(w.clustered, vec![(0, 2), (3, 4)]);
+        assert!(w.clustered(), "a Grace release leads this wave");
+        let marks: Vec<bool> = w.drain().map(|m| m.2).collect();
+        assert_eq!(marks, vec![true, true, false, true, false, false]);
+        assert!(w.clustered.is_empty() && !w.clustered());
+    }
+
+    #[test]
+    fn compact_keeps_survivors_in_order_and_unclusters_them() {
+        let mut w = filled(6);
+        w.compact(|i, tuple, state| {
+            assert_eq!(*tuple, t(i as i64));
+            state.hops = i as u32;
+            i % 3 != 0
+        });
+        assert_eq!(w.tuples().as_slice(), &[t(1), t(2), t(4), t(5)]);
+        let hops: Vec<u32> = w.states().iter().map(|s| s.hops).collect();
+        assert_eq!(hops, vec![1, 2, 4, 5]);
+        assert!(w.drain().all(|(_, _, clustered)| !clustered));
+    }
+
+    #[test]
+    fn pool_is_bounded_in_count_and_in_capacity() {
+        let mut pool = WavePool::new(1);
+        // A 1 024-member wave comes back: too large to be worth keeping.
+        pool.put(filled(1024));
+        assert_eq!(pool.retained(), (0, 0));
+        // Any number of small waves come back: a constant few are kept.
+        for _ in 0..10_000 {
+            let mut w = pool.take();
+            w.push(t(1), TupleState::new(), false);
+            w.actions.push(Action::Drop);
+            let extra = filled(1);
+            pool.put(w);
+            pool.put(extra);
+        }
+        let (buffers, rows) = pool.retained();
+        assert!(buffers <= MAX_FREE_WAVES, "{buffers} buffers retained");
+        assert!(rows <= pool.bound_rows(), "{rows} member slots retained");
+        // A recycled buffer comes back empty, signature included.
+        let w = pool.take();
+        assert!(w.is_empty() && w.actions.is_empty() && w.tuples().is_empty());
+        // An executor with a larger envelope keeps buffers of that size.
+        let mut pool = WavePool::new(1024);
+        pool.put(filled(1024));
+        assert_eq!(pool.retained().0, 1);
+    }
+}

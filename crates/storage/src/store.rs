@@ -138,9 +138,11 @@ impl Store {
 
     /// Insert a batch of rows into consecutive slots, under one slab
     /// reservation; the per-row path is [`Store::insert`], so the two can
-    /// never diverge.
-    pub fn insert_batch(&mut self, rows: Vec<Arc<Row>>) {
-        self.slab.reserve(rows.len());
+    /// never diverge. Takes any row sequence — an owned `Vec`, or the
+    /// drain of a buffer the caller keeps across envelopes.
+    pub fn insert_batch(&mut self, rows: impl IntoIterator<Item = Arc<Row>>) {
+        let rows = rows.into_iter();
+        self.slab.reserve(rows.size_hint().0);
         for row in rows {
             self.insert(row);
         }

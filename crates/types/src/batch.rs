@@ -67,6 +67,24 @@ impl TupleBatch {
         &self.items
     }
 
+    /// The member tuples as a mutable slice — in-place compaction swaps
+    /// survivors forward and then [`TupleBatch::truncate`]s.
+    pub fn as_mut_slice(&mut self) -> &mut [Tuple] {
+        &mut self.items
+    }
+
+    /// Keep the first `len` tuples, dropping the rest; the allocation
+    /// stays.
+    pub fn truncate(&mut self, len: usize) {
+        self.items.truncate(len);
+    }
+
+    /// Move every tuple out, in order, leaving the batch empty with its
+    /// allocation intact — how a recycled buffer hands its members on.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Tuple> {
+        self.items.drain(..)
+    }
+
     /// Consume the batch, yielding the member tuples.
     pub fn into_vec(self) -> Vec<Tuple> {
         self.items
@@ -127,6 +145,18 @@ mod tests {
         let v = b.clone().into_vec();
         assert_eq!(v.len(), 2);
         assert_eq!(TupleBatch::from(v), b);
+    }
+
+    #[test]
+    fn compaction_and_drain_keep_the_allocation() {
+        let mut b: TupleBatch = (0..4).map(t).collect();
+        b.as_mut_slice().swap(0, 3);
+        b.truncate(2);
+        assert_eq!(b.as_slice(), &[t(3), t(1)]);
+        let moved: Vec<Tuple> = b.drain().collect();
+        assert_eq!(moved, vec![t(3), t(1)]);
+        assert!(b.is_empty());
+        assert!(b.items.capacity() >= 4);
     }
 
     #[test]

@@ -70,10 +70,16 @@ impl PredSet {
         self.0 == 0
     }
 
+    /// Member predicate ids in increasing order, one step per member.
     pub fn iter(self) -> impl Iterator<Item = PredId> {
-        (0..MAX_PREDS as u16)
-            .filter(move |i| self.0 & (1 << i) != 0)
-            .map(PredId)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let p = bits.trailing_zeros() as u16;
+                bits &= bits - 1;
+                PredId(p)
+            })
+        })
     }
 }
 

@@ -93,11 +93,18 @@ impl TableSet {
         self.0.count_ones() as usize
     }
 
-    /// Iterate over member table indices in increasing order.
+    /// Iterate over member table indices in increasing order — one step
+    /// per member, not per possible index (the router walks a frontier
+    /// this way for every routed tuple).
     pub fn iter(self) -> impl Iterator<Item = TableIdx> {
-        (0..MAX_TABLES as u8)
-            .filter(move |i| self.0 & (1 << i) != 0)
-            .map(TableIdx)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let t = bits.trailing_zeros() as u8;
+                bits &= bits - 1;
+                TableIdx(t)
+            })
+        })
     }
 
     /// The single member, if the span is a singleton.

@@ -3,10 +3,10 @@
 //! The probe pipeline promises **zero per-tuple heap allocations** once
 //! its pooled buffers are warm: replies land in a caller-owned
 //! [`ProbeReplySet`] arena, candidate fetch runs through the pooled
-//! `ProbeScratch`, predicate sets resolve through the span-level cache,
-//! and bounce decisions allocate nothing when no keyed EOTs are
-//! registered. What remains is a small *per-envelope* constant (the span
-//! table and eval cache are envelope-local).
+//! `ProbeScratch`, the newly-evaluable predicates are a bitset, and
+//! bounce decisions work on pooled binding lists. What remains is a small
+//! *per-envelope* constant: the query-only entry point used here derives
+//! the query's probe table per call (the eddy passes the plan's).
 //!
 //! A counting global allocator turns that promise into an assertion: with
 //! everything warmed up, probing an envelope of 4N stale tuples must cost
@@ -155,8 +155,8 @@ fn probe_reply_path_is_allocation_free_per_tuple(num_shards: usize) {
     let big_states = vec![TupleState::new(); ROWS];
     let mut replies = ProbeReplySet::new();
 
-    // Warm-up: size every pooled buffer (scratch, arena, span cache
-    // capacity) for the largest envelope.
+    // Warm-up: size every pooled buffer (scratch, arena) for the largest
+    // envelope.
     replies.clear();
     stem.probe_batch_into(&big, &big_states, &q, &mut replies);
     assert_eq!(replies.len(), ROWS);

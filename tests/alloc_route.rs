@@ -10,12 +10,9 @@
 //! test harness, and nothing here reads `ExecConfig::default()`, so the
 //! result is the same in every `STEMS_*` environment cell.
 //!
-//! Not covered: a prior prober that has not yet probed an index AM on its
-//! completion table. The router then asks [`IndexAm::can_bind`], which
-//! builds the probe's binding lists on the heap (`am.rs`, shared with the
-//! SteM coverage rules); every other branch of the router is exercised.
-//!
-//! [`IndexAm::can_bind`]: stems::core::am::IndexAm::can_bind
+//! Every branch of the router is exercised, the one that asks an index AM
+//! whether a prior prober can bind its lookup columns included: the answer
+//! is read off the plan-time probe table in `PlanLayout::links`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -194,16 +191,22 @@ struct Case<'a> {
 fn candidates_into_a_warm_buffer_never_allocates() {
     let built = |t: Tuple| t.with_timestamp(TableIdx(0), 1);
     let r_tuple = || Tuple::singleton_of(TableIdx(0), vec![Value::Int(1), Value::Int(10)]);
-    // A prior prober that already probed S's index (see the module doc).
-    let prior_prober = |need| {
+    // A prior prober bounced by S's SteM and not yet sent to S's index:
+    // the router asks the index AM whether the tuple can bind it.
+    let bounced = |need| {
         let mut st = TupleState::new();
         st.done.insert(PredId(1));
         st.mark_probed(TableIdx(1));
-        st.mark_am_probed(TableIdx(1));
         st.prior_prober = Some(PriorProber {
             table: TableIdx(1),
             need,
         });
+        st
+    };
+    // The same once it has probed the index.
+    let prior_prober = |need| {
+        let mut st = bounced(need);
+        st.mark_am_probed(TableIdx(1));
         st
     };
     let retired = {
@@ -258,6 +261,24 @@ fn candidates_into_a_warm_buffer_never_allocates() {
             state: retired,
             probe_edges: None,
             expect: Err(NoCandidates::Retire),
+        },
+        Case {
+            name: "required prior prober that can bind the index probes it",
+            plan: &indexed,
+            query: &indexed_q,
+            tuple: built(r_tuple()),
+            state: bounced(CompletionNeed::Required),
+            probe_edges: None,
+            expect: Ok(vec!["probe_am"]),
+        },
+        Case {
+            name: "optional prior prober may probe the index or drop",
+            plan: &indexed,
+            query: &indexed_q,
+            tuple: built(r_tuple()),
+            state: bounced(CompletionNeed::Optional),
+            probe_edges: None,
+            expect: Ok(vec!["probe_am", "drop"]),
         },
         Case {
             name: "required prior prober, AM probed, SteM unchanged, parks",

@@ -60,7 +60,7 @@ fn check_store_against_model(kind: StoreKind, ops: &[Op], seed: u64) {
                 model.push(Some(row(*k, *v)));
             }
             Op::InsertBatch(batch) => {
-                store.insert_batch(batch.iter().map(|(k, v)| row(*k, *v)).collect());
+                store.insert_batch(batch.iter().map(|(k, v)| row(*k, *v)));
                 model.extend(batch.iter().map(|(k, v)| Some(row(*k, *v))));
             }
             Op::Remove(k, v) => {
@@ -196,7 +196,7 @@ fn adaptive_store_is_list_until_its_threshold_and_hash_after() {
                         store.insert(row(*k, *v));
                     }
                     Op::InsertBatch(batch) => {
-                        store.insert_batch(batch.iter().map(|(k, v)| row(*k, *v)).collect());
+                        store.insert_batch(batch.iter().map(|(k, v)| row(*k, *v)));
                     }
                     Op::Remove(k, v) => {
                         // The oldest copy of the value, as in the model.

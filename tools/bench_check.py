@@ -23,6 +23,16 @@ freshly generated output of the same benchmark binary. For every file
 
 Timing fields are deliberately *not* gated: wall-clock numbers are noisy
 on shared runners; result hashes are not.
+
+    python3 tools/bench_check.py --alloc-ceilings CEILINGS RESULTS
+
+The second form gates the repo benchmark's allocation counts instead:
+RESULTS is the ``benchmark/out/results.json`` of a ``benchmark/run.sh
+--quick`` run, CEILINGS (``tools/alloc_ceilings.json``) maps workload
+names to the most ``per_layer["alloc.count_per_row"]`` may read. The
+listed workloads are single-threaded, so the count is exact — the same
+on every machine — and a buffer allocated per envelope again moves it by
+far more than the few percent of headroom the ceilings carry.
 """
 
 import json
@@ -164,9 +174,37 @@ def check_pair(committed_path: str, fresh_path: str) -> None:
         )
 
 
+def check_alloc_ceilings(ceilings_path: str, results_path: str) -> None:
+    ceilings = load(ceilings_path).get("alloc.count_per_row")
+    if not isinstance(ceilings, dict) or not ceilings:
+        fail(f"{ceilings_path}: no 'alloc.count_per_row' ceilings")
+    measured = load(results_path).get("workloads")
+    if not isinstance(measured, dict):
+        fail(f"{results_path}: no 'workloads' object")
+    for workload, ceiling in sorted(ceilings.items()):
+        try:
+            value = measured[workload]["per_layer"]["alloc.count_per_row"]["value"]
+        except (KeyError, TypeError):
+            fail(f"{results_path}: no alloc.count_per_row for workload {workload!r}")
+        if not isinstance(value, (int, float)) or value <= 0:
+            fail(f"{results_path}: alloc.count_per_row of {workload} is {value!r}")
+        if value > ceiling:
+            fail(
+                f"{results_path}: {workload} makes {value:.3f} allocations per row, "
+                f"ceiling {ceiling} ({ceilings_path}) — something on the per-tuple "
+                "path allocates again"
+            )
+        print(f"bench_check: OK {workload} alloc.count_per_row {value:.3f} <= {ceiling}")
+
+
 def main(argv: "list[str]") -> None:
     if not argv:
         fail("usage: bench_check.py COMMITTED:FRESH [COMMITTED:FRESH ...]")
+    if argv[0] == "--alloc-ceilings":
+        if len(argv) != 3:
+            fail("usage: bench_check.py --alloc-ceilings CEILINGS RESULTS")
+        check_alloc_ceilings(argv[1], argv[2])
+        return
     for arg in argv:
         if ":" not in arg:
             fail(f"argument {arg!r} is not of the form COMMITTED:FRESH")
