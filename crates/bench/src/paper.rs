@@ -862,13 +862,15 @@ fn reorder(sheet: &mut Sheet) -> Outcome {
     };
     let boosted = query.eddy(sheet, "prioritized", &config)?.report;
 
-    // When each interesting result was emitted: results pair up with the
-    // points of the `results` series.
+    // When each interesting result was emitted: result `i` (from 1) went
+    // out when the `results` counter reached `i`.
     let interesting_times = |report: &Report| -> Result<Vec<Time>, Box<dyn Error>> {
-        let points = curve(&report.metrics, "results")?.points();
-        let emitted = report.results.iter().zip(points);
-        let interesting = emitted.filter(|(tuple, _)| interest.eval(tuple) == Some(true));
-        Ok(interesting.map(|(_, (t, _))| *t).collect())
+        let results = curve(&report.metrics, "results")?;
+        let emitted = (1..).zip(&report.results);
+        let interesting = emitted.filter(|(_, tuple)| interest.eval(tuple) == Some(true));
+        let times = interesting.map(|(i, _)| results.time_reaching(i as f64));
+        let times: Option<Vec<Time>> = times.collect();
+        Ok(times.ok_or("a result the `results` counter never reached")?)
     };
     let (plain_at, boosted_at) = (interesting_times(&plain)?, interesting_times(&boosted)?);
     let n = plain_at.len();

@@ -955,6 +955,7 @@ impl EddyExecutor {
         let dur = self.config.costs.stem_build_us * units.max(1);
         let mut results = std::mem::take(&mut self.build_results);
         let mut ts = self.ts_counter;
+        let built_before = stem.build_count();
         stem.build_batch_into(wave.tuples(), wave.states(), &mut ts, &mut results);
         self.ts_counter = ts;
         let mut out = self.waves.take();
@@ -967,7 +968,6 @@ impl EddyExecutor {
             match result {
                 BuildResult::Fresh(stamped) => {
                     self.observe_am_build(&state, true);
-                    self.observe_stem_mem(stem);
                     out.push(stamped, state, false);
                 }
                 BuildResult::Deferred => self.observe_am_build(&state, true),
@@ -995,6 +995,7 @@ impl EddyExecutor {
                 unparks.push(UnparkSignal::AnyBuild(table));
             }
         }
+        self.observe_stem_mem(stem, built_before);
         self.build_results = results;
         self.rt[mid].unparks = unparks;
         self.waves.put(wave);
@@ -1328,7 +1329,8 @@ impl EddyExecutor {
         let mut groups = std::mem::take(&mut self.groups);
         let mut flushed = std::mem::take(&mut self.flushed);
         let mut acts = std::mem::take(&mut self.candidates);
-        for (tuple, mut state, clustered) in wave.drain() {
+        let mut members = wave.drain();
+        while let Some((tuple, mut state, clustered)) = members.next() {
             state.hops += 1;
             if state.hops > self.config.max_hops {
                 self.metrics.bump_id(self.ids.hops_exceeded, self.now, 1);
@@ -1387,7 +1389,8 @@ impl EddyExecutor {
                 g.actions == acts && g.clustered() == clustered && g.prioritized() == prio
             });
             let i = open.unwrap_or_else(|| {
-                let mut group = self.waves.take();
+                // This member, and at most the rest of the delivery.
+                let mut group = self.waves.take_sized(cap.min(members.len() + 1));
                 group.actions.extend_from_slice(&acts);
                 groups.push(group);
                 groups.len() - 1
@@ -1400,6 +1403,7 @@ impl EddyExecutor {
                 flushed.push(groups.remove(i));
             }
         }
+        drop(members);
         self.candidates = acts;
         self.waves.put(wave);
         flushed.append(&mut groups);
@@ -1660,9 +1664,11 @@ impl EddyExecutor {
         }
     }
 
-    fn observe_stem_mem(&mut self, stem: &crate::sharded::ShardedStem) {
-        // Sampled sparsely to keep the series small.
-        if stem.build_count().is_multiple_of(64) {
+    /// Sample a SteM's footprint after a build envelope — sparsely, to keep
+    /// the series small: one point, and only when the envelope took the
+    /// SteM's build count (`built_before` → now) past a multiple of 64.
+    fn observe_stem_mem(&mut self, stem: &crate::sharded::ShardedStem, built_before: u64) {
+        if stem.build_count() / 64 != built_before / 64 {
             self.metrics.observe_id(
                 self.ids.stem_bytes[stem.instance.as_usize()],
                 self.now,
@@ -2125,6 +2131,57 @@ mod tests {
         assert_eq!(exec.metrics.counter("scanned"), 1024 + 10_000);
     }
 
+    /// A SteM's footprint is sampled once per build envelope, and only
+    /// when the envelope took the build count past a multiple of 64 — not
+    /// once per fresh row of it.
+    #[test]
+    fn a_build_envelope_samples_stem_memory_once() {
+        let (catalog, query) = star3();
+        let config = ExecConfig {
+            batch_size: 64,
+            ..ExecConfig::default()
+        };
+        let mut exec = EddyExecutor::build_unseeded(&catalog, &query, config).unwrap();
+        let row = |k: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(k), Value::Int(k)]);
+        let points = |exec: &EddyExecutor| exec.metrics.series("stem_bytes_t0").map(|s| s.len());
+        // 40 builds: no multiple of 64 passed, nothing sampled.
+        exec.route_singletons((0..40).map(row), None);
+        while exec.step() {}
+        assert_eq!(points(&exec), None);
+        // A 64-row envelope (40 → 104): one point, after its last build.
+        exec.route_singletons((40..104).map(row), None);
+        while exec.step() {}
+        assert_eq!(exec.metrics.counter("scanned"), 104);
+        assert_eq!(points(&exec), Some(1));
+        let sampled = exec.metrics.series("stem_bytes_t0").unwrap().last_value();
+        let Module::Stem(cell) = &exec.modules[exec.layout.stem_mid[0].unwrap()] else {
+            panic!("t0 has a SteM");
+        };
+        assert_eq!(cell.lock().build_count(), 104);
+        assert_eq!(sampled, cell.lock().approx_bytes() as f64);
+    }
+
+    /// The routed singleton owns no allocation of its own: making one,
+    /// stamping it at its build, copying and dropping it are all free. A
+    /// concatenation pays for exactly its component vector.
+    #[test]
+    fn a_singleton_tuple_never_allocates() {
+        let row = stems_types::Row::shared(vec![Value::Int(1), Value::Int(2)]);
+        let (allocs, stamped) = crate::test_alloc::allocs_during(|| {
+            let single = Tuple::singleton(TableIdx(0), row.clone());
+            let stamped = single.with_timestamp(TableIdx(0), 9);
+            drop(single.clone());
+            drop(single);
+            stamped
+        });
+        assert_eq!(allocs, 0, "singleton, with_timestamp, clone and drop");
+        assert!(stamped.is_singleton() && stamped.timestamp() == 9);
+        let (allocs, joined) =
+            crate::test_alloc::allocs_during(|| stamped.concat_row(TableIdx(1), row.clone(), 10));
+        assert_eq!(allocs, 1, "one component vector per concatenation");
+        assert_eq!(joined.components().len(), 2);
+    }
+
     /// Every way a tuple leaves routing without an envelope — output,
     /// retirement, parking, the policy's Drop arm, the `max_hops` backstop
     /// — hands its wave buffers back: the pool holds after a round what it
@@ -2205,10 +2262,11 @@ mod tests {
                 "{name}"
             );
         }
-        // Five cloned tuples, the park's binding list and the backstop's
-        // message per round, plus amortised series/result growth.
+        // The composite's clone (the four singletons' are free), the
+        // park's binding list and the backstop's message per round, plus
+        // amortised series/result growth.
         assert!(
-            allocs <= ROUNDS * 8,
+            allocs <= ROUNDS * 4,
             "{allocs} allocations in {ROUNDS} warm rounds"
         );
     }

@@ -93,12 +93,7 @@ impl Report {
         if total <= 0.0 {
             return None;
         }
-        let target = total * fraction.clamp(0.0, 1.0);
-        series
-            .points()
-            .iter()
-            .find(|(_, v)| *v >= target)
-            .map(|(t, _)| *t)
+        series.time_reaching(total * fraction.clamp(0.0, 1.0))
     }
 
     /// Render a short human-readable summary.

@@ -30,6 +30,13 @@
 //! cost more resident memory than they saved in allocator calls (measured
 //! on `server_fold`: +14 % peak RSS unbounded, +4 % bounded). Past the
 //! bound a buffer is simply dropped and the next taker allocates.
+//!
+//! A *group* that opens on a buffer with no room yet is sized once, for
+//! the members it can still receive ([`WavePool::take_sized`]): growing by
+//! doubling requests about twice the bytes, in two `Vec`s, and can end
+//! above what the pool retains. A member of a wave is a [`Tuple`] and a
+//! [`TupleState`] side by side; a singleton `Tuple` carries its component
+//! inline, so moving one between waves moves 32 bytes and frees nothing.
 
 use crate::router::Action;
 use crate::tuple_state::TupleState;
@@ -99,7 +106,9 @@ impl Wave {
 
     /// Move every member out, in order, each with its clustered mark; the
     /// wave keeps its allocations.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (Tuple, TupleState, bool)> + '_ {
+    pub(crate) fn drain(
+        &mut self,
+    ) -> impl ExactSizeIterator<Item = (Tuple, TupleState, bool)> + '_ {
         debug_assert!(self.tuples.len() == self.states.len());
         let runs = std::mem::take(&mut self.clustered);
         // Members come in index order, so one cursor walks the runs.
@@ -168,6 +177,19 @@ impl WavePool {
     /// An empty wave: the most recently recycled buffer, or a new one.
     pub(crate) fn take(&mut self) -> Wave {
         self.free.pop().unwrap_or_default()
+    }
+
+    /// An empty wave for a group of at most `rows` members. A buffer with
+    /// no room yet (new, or recycled before it ever held a member) is
+    /// sized once and exactly: doubling 4 → 64 in two `Vec`s requests
+    /// twice the bytes and can overshoot what [`Self::put`] retains.
+    pub(crate) fn take_sized(&mut self, rows: usize) -> Wave {
+        let mut wave = self.take();
+        if wave.capacity() == 0 {
+            wave.tuples = TupleBatch::with_capacity(rows);
+            wave.states.reserve_exact(rows);
+        }
+        wave
     }
 
     /// Hand a wave back. Whatever it still holds is dropped; the buffer
@@ -261,6 +283,30 @@ mod tests {
         let hops: Vec<u32> = w.states().iter().map(|s| s.hops).collect();
         assert_eq!(hops, vec![1, 2, 4, 5]);
         assert!(w.drain().all(|(_, _, clustered)| !clustered));
+    }
+
+    /// A group's wave is sized when it opens: filling it allocates nothing
+    /// more, and at exactly one envelope's members it goes back to the pool.
+    #[test]
+    fn a_group_wave_is_sized_once_and_stays_poolable() {
+        let mut pool = WavePool::new(64);
+        let (allocs, mut w) = crate::test_alloc::allocs_during(|| pool.take_sized(64));
+        assert_eq!((allocs, w.capacity()), (2, 64), "tuples and states, once");
+        let members: Vec<Tuple> = (0..64).map(t).collect();
+        let (allocs, ()) = crate::test_alloc::allocs_during(|| {
+            for m in members {
+                w.push(m, TupleState::new(), false);
+            }
+        });
+        assert_eq!((allocs, w.capacity()), (0, 64));
+        pool.put(w);
+        assert_eq!(pool.retained(), (1, 64));
+        // A recycled buffer is taken as it is; one recycled before it ever
+        // held a member has no room and is sized like a new one.
+        assert_eq!(pool.take_sized(8).capacity(), 64);
+        pool.put(Wave::default());
+        let w = pool.take_sized(8);
+        assert_eq!((w.capacity(), w.tuples.as_slice().len()), (8, 0));
     }
 
     #[test]

@@ -736,7 +736,10 @@ fn metric_names_and_counters_are_pinned() {
                 "chain {name}, batch_size {batch_size}"
             );
         }
-        assert_eq!(chain.metrics.series("results").unwrap().len(), 480);
+        // A counter's series is its step function: one point per instant.
+        let results = chain.metrics.series("results").unwrap();
+        assert_eq!(results.last_value(), 480.0);
+        assert!(results.points().windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(
             chain.metrics.series("end").unwrap().points(),
             &[(chain.end_time, 1.0)]

@@ -9,7 +9,7 @@
 //!
 //! A metric's name is resolved to a [`MetricId`] once ([`Metrics::id`] —
 //! the only place a name is allocated) and every update after that is an
-//! indexed write plus a series push ([`Metrics::bump_id`],
+//! indexed write plus at most one series point ([`Metrics::bump_id`],
 //! [`Metrics::observe_id`]). The engine resolves all of its ids when an
 //! executor is built, so nothing on its per-tuple path hashes, compares or
 //! allocates a name. [`Metrics::bump`] / [`Metrics::observe`] by name are
@@ -22,10 +22,21 @@
 //! changing what a report shows, and two registries compare equal whenever
 //! their recorded points do, whatever order their ids were issued in.
 //!
-//! **Series stay exact:** every update appends a point. The figures zip
-//! `results` points with result rows one to one and `peak_state_bytes` is
-//! the maximum of `stem_bytes_total`, so decimating or sampling a series
-//! is a change to what is observed, not to how cheaply it is recorded.
+//! **A series is a step function, and the step function is exact.** What
+//! a reader may ask of a series is the value in effect at a time
+//! ([`Series::value_at`], and through it `sample_grid`, `to_csv`), where
+//! it ends (`last_value`, `end_time`) and when a counter first reached a
+//! value ([`Series::time_reaching`] — "when was result *i* emitted").
+//! A *counter* is monotone, so the last value bumped at an instant is that
+//! instant's value: [`Metrics::bump_id`] overwrites the last point when it
+//! carries the same time instead of appending another, a counter's points
+//! are strictly increasing in time, and every one of those readers answers
+//! as if each bump had been kept. A *raw* series
+//! ([`Metrics::observe_id`]) never coalesces: it may fall, and a reader
+//! may want more than its step function — `peak_state_bytes` is the
+//! maximum over `stem_bytes_total`'s points, which two observations at one
+//! instant must both survive. Sampling or decimating beyond that would
+//! change what is observed, not how cheaply it is recorded.
 
 use crate::{to_secs, Time};
 use std::fmt::Write as _;
@@ -78,6 +89,15 @@ impl Series {
             0 => 0.0,
             i => self.points[i - 1].1,
         }
+    }
+
+    /// The first time the series' value was at least `value`; `None` if it
+    /// never was. For a monotone series (a counter's): a binary search.
+    /// `series("results").time_reaching(i as f64)` is when the `i`-th
+    /// result was emitted.
+    pub fn time_reaching(&self, value: f64) -> Option<Time> {
+        let i = self.points.partition_point(|(_, v)| *v < value);
+        self.points.get(i).map(|(t, _)| *t)
     }
 
     /// Resample to `n+1` equally spaced points over `[0, horizon]` — used
@@ -180,17 +200,22 @@ impl Metrics {
         }
     }
 
-    /// Add `delta` to a counter and record the new value in the counter's
-    /// series at time `t`.
+    /// Add `delta` to a counter and record the new value as the counter's
+    /// value at time `t`: one point per instant, the last bump's (see the
+    /// module's step-function rule).
     pub fn bump_id(&mut self, id: MetricId, t: Time, delta: u64) {
         let slot = &mut self.slots[id.0 as usize];
         slot.counter += delta;
         slot.is_counter = true;
-        slot.series.push(t, slot.counter as f64);
+        let v = slot.counter as f64;
+        match slot.series.points.last_mut() {
+            Some(last) if last.0 == t => last.1 = v,
+            _ => slot.series.push(t, v),
+        }
     }
 
     /// Record a raw (non-counter) observation in a series, e.g. memory
-    /// footprint or a routing fraction.
+    /// footprint or a routing fraction. Always a new point.
     pub fn observe_id(&mut self, id: MetricId, t: Time, v: f64) {
         self.slots[id.0 as usize].series.push(t, v);
     }
@@ -316,6 +341,108 @@ mod tests {
         m.observe("mem", 0, 10.0);
         m.observe("mem", 5, 7.0); // may go down
         assert_eq!(m.series("mem").unwrap().value_at(6), 7.0);
+    }
+
+    #[test]
+    fn time_reaching_finds_the_first_point_at_or_above() {
+        let mut m = Metrics::new();
+        assert_eq!(Series::new().time_reaching(0.0), None);
+        m.bump("results", 10, 1);
+        m.bump("results", 10, 1);
+        m.bump("results", 25, 3);
+        let s = m.series("results").unwrap();
+        assert_eq!(s.points(), &[(10, 2.0), (25, 5.0)]);
+        assert_eq!(s.time_reaching(0.0), Some(10));
+        assert_eq!(s.time_reaching(1.0), Some(10));
+        assert_eq!(s.time_reaching(2.0), Some(10));
+        assert_eq!(s.time_reaching(3.0), Some(25));
+        assert_eq!(s.time_reaching(5.0), Some(25));
+        assert_eq!(s.time_reaching(5.5), None);
+    }
+
+    /// A raw series may fall, and its maximum is read point by point
+    /// (`peak_state_bytes`): observations at one instant are all kept.
+    #[test]
+    fn observations_at_one_instant_keep_every_point() {
+        let mut m = Metrics::new();
+        m.observe("mem", 7, 90.0);
+        m.observe("mem", 7, 40.0);
+        let s = m.series("mem").unwrap();
+        assert_eq!(s.points(), &[(7, 90.0), (7, 40.0)]);
+        assert_eq!(s.value_at(7), 40.0);
+        assert_eq!(s.points().iter().map(|p| p.1).fold(0.0, f64::max), 90.0);
+    }
+
+    /// The step function is the contract. Random interleavings of bumps
+    /// and observations, most of them at an instant already recorded,
+    /// against a reference registry that keeps every point (it records
+    /// each update as an observation): every reader answers the same.
+    #[test]
+    fn coalesced_counters_read_as_if_every_point_were_kept() {
+        const NAMES: [&str; 4] = ["results", "stem_probes", "mem", "fraction"];
+        const COUNTERS: usize = 2;
+        for seed in 0..60 {
+            let mut rng = SimRng::new(seed);
+            let mut m = Metrics::new();
+            let ids = NAMES.map(|n| m.id(n));
+            let mut every_point = Metrics::new();
+            let mut counts = [0u64; COUNTERS];
+            let mut now: Time = 0;
+            for _ in 0..rng.below(300) {
+                if rng.chance(0.3) {
+                    now += rng.below(5);
+                }
+                let i = rng.below(NAMES.len() as u64) as usize;
+                let v = if i < COUNTERS {
+                    let delta = rng.below(3);
+                    counts[i] += delta;
+                    m.bump_id(ids[i], now, delta);
+                    counts[i] as f64
+                } else {
+                    let v = rng.unit() * 100.0;
+                    m.observe_id(ids[i], now, v);
+                    v
+                };
+                every_point.observe(NAMES[i], now, v);
+            }
+            let horizon = now + 3;
+            for (i, name) in NAMES.into_iter().enumerate() {
+                let Some(want) = every_point.series(name) else {
+                    assert!(m.series(name).is_none(), "seed {seed} {name}");
+                    continue;
+                };
+                let got = m.series(name).unwrap();
+                assert_eq!(got.last_value(), want.last_value(), "seed {seed} {name}");
+                assert_eq!(got.end_time(), want.end_time(), "seed {seed} {name}");
+                // Every recorded instant, and every instant between.
+                for t in 0..=horizon {
+                    assert_eq!(
+                        got.value_at(t),
+                        want.value_at(t),
+                        "seed {seed} {name} t={t}"
+                    );
+                }
+                assert_eq!(got.sample_grid(horizon, 7), want.sample_grid(horizon, 7));
+                if i < COUNTERS {
+                    assert_eq!(m.counter(name), counts[i], "seed {seed} {name}");
+                    assert!(
+                        got.points().windows(2).all(|w| w[0].0 < w[1].0),
+                        "seed {seed} {name}: one point per instant"
+                    );
+                    for reached in 0..=counts[i] + 1 {
+                        let reached = reached as f64;
+                        assert_eq!(got.time_reaching(reached), want.time_reaching(reached));
+                    }
+                } else {
+                    assert_eq!(got.points(), want.points(), "seed {seed} {name}");
+                }
+            }
+            assert_eq!(
+                m.to_csv(&NAMES, horizon, 9),
+                every_point.to_csv(&NAMES, horizon, 9),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

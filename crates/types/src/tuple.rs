@@ -53,22 +53,67 @@ impl std::hash::Hash for Component {
     }
 }
 
+/// The fixed term of [`Tuple::approx_bytes`] — a constant of the
+/// accounting model, not `size_of::<Tuple>()`: the memory-accounting
+/// series (the pipelined-SHJ `mem_bytes` curve among them) read it, so it
+/// must not move when the struct changes shape.
+const HEADER_BYTES: usize = 24;
+
+/// The components of a [`Tuple`], in table order. The form is canonical:
+/// exactly one component is always `One`, whichever constructor built it.
+#[derive(Clone)]
+enum Comps {
+    /// A singleton's component, held inline: the tuple the AMs emit, the
+    /// SteMs build and bounce and the SMs filter owns no allocation of its
+    /// own. A one-element array so that `components()` is a plain slice.
+    One([Component; 1]),
+    /// A composite's components (or none: [`Tuple::empty`]).
+    Many(Vec<Component>),
+}
+
 /// A (possibly composite) tuple: an ordered set of base-table components.
 ///
 /// Components are kept sorted by table index, giving every tuple value a
 /// canonical form — two tuples assembled along different join orders compare
 /// equal, which is what the duplicate-avoidance theorems (paper Theorems
 /// 1–2) quantify over.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A singleton (paper Definition 2) carries its component inline; only a
+/// concatenation allocates a component vector. Equality, hashing and
+/// `Debug` go through [`Tuple::components`], so the representation is
+/// invisible to every reader.
+#[derive(Clone)]
 pub struct Tuple {
-    comps: Vec<Component>,
+    comps: Comps,
+}
+
+impl PartialEq for Tuple {
+    fn eq(&self, other: &Tuple) -> bool {
+        self.components() == other.components()
+    }
+}
+
+impl Eq for Tuple {}
+
+impl std::hash::Hash for Tuple {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.components().hash(state);
+    }
+}
+
+impl fmt::Debug for Tuple {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tuple")
+            .field("comps", &self.components())
+            .finish()
+    }
 }
 
 impl Tuple {
     /// A singleton tuple (paper Definition 2) for `table`.
     pub fn singleton(table: TableIdx, row: Arc<Row>) -> Tuple {
         Tuple {
-            comps: vec![Component::new(table, row)],
+            comps: Comps::One([Component::new(table, row)]),
         }
     }
 
@@ -81,7 +126,18 @@ impl Tuple {
     /// placeholder left behind when a tuple is moved out of a reusable
     /// arena slot (`ProbeReplySet`); never a legal engine tuple.
     pub fn empty() -> Tuple {
-        Tuple { comps: Vec::new() }
+        Tuple {
+            comps: Comps::Many(Vec::new()),
+        }
+    }
+
+    /// The canonical form of `comps`, already in table order.
+    fn from_sorted(mut comps: Vec<Component>) -> Tuple {
+        let comps = match comps.len() {
+            1 => Comps::One([comps.pop().expect("one component")]),
+            _ => Comps::Many(comps),
+        };
+        Tuple { comps }
     }
 
     /// Build from components (sorted internally). Panics if two components
@@ -94,34 +150,38 @@ impl Tuple {
                 "tuple cannot span the same table instance twice"
             );
         }
-        Tuple { comps }
+        Tuple::from_sorted(comps)
     }
 
     /// The set of tables this tuple spans (paper Definition 1).
     pub fn span(&self) -> TableSet {
-        self.comps.iter().map(|c| c.table).collect()
+        self.components().iter().map(|c| c.table).collect()
     }
 
     /// True for single-component tuples (paper Definition 2).
     pub fn is_singleton(&self) -> bool {
-        self.comps.len() == 1
+        matches!(self.comps, Comps::One(_))
     }
 
     /// Components in table order.
     pub fn components(&self) -> &[Component] {
-        &self.comps
+        match &self.comps {
+            Comps::One(one) => one,
+            Comps::Many(many) => many,
+        }
     }
 
     /// The component for `table`, if spanned.
     pub fn component(&self, table: TableIdx) -> Option<&Component> {
-        self.comps.iter().find(|c| c.table == table)
+        self.components().iter().find(|c| c.table == table)
     }
 
     /// The tuple's timestamp: the max over component timestamps, i.e. "the
     /// timestamp of its last arriving base-table component" (paper §3.1).
     /// Unbuilt components make the whole tuple [`UNBUILT_TS`].
     pub fn timestamp(&self) -> Timestamp {
-        self.comps.iter().map(|c| c.ts).max().unwrap_or(UNBUILT_TS)
+        let stamps = self.components().iter().map(|c| c.ts);
+        stamps.max().unwrap_or(UNBUILT_TS)
     }
 
     /// Fetch the value at `(table, col)`. `None` if the table is not
@@ -140,8 +200,10 @@ impl Tuple {
             self.span(),
             other.span()
         );
-        let mut comps = self.comps.clone();
-        comps.extend(other.comps.iter().cloned());
+        let (ours, theirs) = (self.components(), other.components());
+        let mut comps = Vec::with_capacity(ours.len() + theirs.len());
+        comps.extend_from_slice(ours);
+        comps.extend_from_slice(theirs);
         Tuple::from_components(comps)
     }
 
@@ -151,43 +213,48 @@ impl Tuple {
     /// second components vec, or the re-sort — the SteM probe reply path
     /// builds every match this way. Panics if `table` is already spanned.
     pub fn concat_row(&self, table: TableIdx, row: Arc<Row>, ts: Timestamp) -> Tuple {
-        let pos = self.comps.partition_point(|c| c.table < table);
+        let ours = self.components();
+        let pos = ours.partition_point(|c| c.table < table);
         assert!(
-            self.comps.get(pos).is_none_or(|c| c.table != table),
+            ours.get(pos).is_none_or(|c| c.table != table),
             "concat of overlapping tuples: {} vs {}",
             self.span(),
             TableSet::single(table)
         );
-        let mut comps = Vec::with_capacity(self.comps.len() + 1);
-        comps.extend_from_slice(&self.comps[..pos]);
+        let mut comps = Vec::with_capacity(ours.len() + 1);
+        comps.extend_from_slice(&ours[..pos]);
         comps.push(Component { table, row, ts });
-        comps.extend_from_slice(&self.comps[pos..]);
-        Tuple { comps }
+        comps.extend_from_slice(&ours[pos..]);
+        Tuple::from_sorted(comps)
     }
 
     /// A copy of this tuple with the component for `table` stamped with
     /// build timestamp `ts`. Panics if the table is not spanned.
     pub fn with_timestamp(&self, table: TableIdx, ts: Timestamp) -> Tuple {
-        let mut comps = self.comps.clone();
+        let mut stamped = self.clone();
+        let comps = match &mut stamped.comps {
+            Comps::One(one) => one.as_mut_slice(),
+            Comps::Many(many) => many.as_mut_slice(),
+        };
         let c = comps
             .iter_mut()
             .find(|c| c.table == table)
             .expect("with_timestamp: table not spanned");
         c.ts = ts;
-        Tuple { comps }
+        stamped
     }
 
     /// True if any component row is an EOT tuple.
     pub fn is_eot(&self) -> bool {
-        self.comps.iter().any(|c| c.row.is_eot())
+        self.components().iter().any(|c| c.row.is_eot())
     }
 
     /// Approximate heap footprint (shared rows counted fully; used for the
     /// memory-accounting series, not allocator-exact).
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Tuple>()
+        HEADER_BYTES
             + self
-                .comps
+                .components()
                 .iter()
                 .map(|c| std::mem::size_of::<Component>() + c.row.approx_bytes())
                 .sum::<usize>()
@@ -197,7 +264,7 @@ impl Tuple {
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, c) in self.comps.iter().enumerate() {
+        for (i, c) in self.components().iter().enumerate() {
             if i > 0 {
                 write!(f, " ⋈ ")?;
             }
@@ -221,6 +288,45 @@ mod tests {
         assert!(t.is_singleton());
         assert_eq!(t.span(), TableSet::single(TableIdx(2)));
         assert_eq!(t.timestamp(), UNBUILT_TS);
+    }
+
+    /// One component is one representation, whichever constructor built
+    /// it: equal, equally hashed, and inline.
+    #[test]
+    fn a_single_component_is_canonical_whoever_built_it() {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        let hash = |t: &Tuple| BuildHasherDefault::<DefaultHasher>::default().hash_one(t);
+        let single = Tuple::singleton(TableIdx(3), row(&[4, 5]));
+        let built = Tuple::from_components(vec![Component::new(TableIdx(3), row(&[4, 5]))]);
+        let grown = Tuple::empty().concat_row(TableIdx(3), row(&[4, 5]), 7);
+        let joined = Tuple::empty().concat(&single);
+        for other in [&built, &grown, &joined, &single.clone()] {
+            assert!(other.is_singleton());
+            assert_eq!(*other, single);
+            assert_eq!(hash(other), hash(&single));
+        }
+        assert_eq!(grown.timestamp(), 7);
+        assert!(!Tuple::empty().is_singleton());
+        assert!(std::mem::size_of::<Tuple>() <= 32);
+    }
+
+    /// Two singletons concatenate to exactly the components one expects,
+    /// in table order, each keeping its own timestamp.
+    #[test]
+    fn concat_of_singletons_component_for_component() {
+        let (r0, r1) = (row(&[20]), row(&[10]));
+        let s = Tuple::singleton(TableIdx(1), r1.clone()).with_timestamp(TableIdx(1), 8);
+        let r = Tuple::singleton(TableIdx(0), r0.clone()).with_timestamp(TableIdx(0), 3);
+        let want = [(TableIdx(0), &r0, 3), (TableIdx(1), &r1, 8)];
+        let by_row = s.concat_row(TableIdx(0), r0.clone(), 3);
+        for got in [s.concat(&r), r.concat(&s), by_row] {
+            assert!(!got.is_singleton());
+            assert_eq!(got.components().len(), want.len());
+            for (c, (table, row, ts)) in got.components().iter().zip(want) {
+                assert_eq!((c.table, c.ts), (table, ts));
+                assert!(Arc::ptr_eq(&c.row, row));
+            }
+        }
     }
 
     #[test]

@@ -70,13 +70,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .run();
     assert_eq!(plain.results.len(), boosted.results.len());
 
-    // Pair each result with its emission time via the results series.
+    // Result `i` (from 1) was emitted when the results counter reached `i`.
     let timeline = |r: &Report| -> Vec<(f64, bool)> {
         let series = r.metrics.series("results").expect("series");
-        r.results
-            .iter()
-            .zip(series.points())
-            .map(|(tuple, (t, _))| (to_secs(*t), interest.eval(tuple) == Some(true)))
+        (1..)
+            .zip(&r.results)
+            .map(|(i, tuple)| {
+                let t = series.time_reaching(i as f64).expect("result counted");
+                (to_secs(t), interest.eval(tuple) == Some(true))
+            })
             .collect()
     };
     let kth_interesting = |tl: &[(f64, bool)], k: usize| {

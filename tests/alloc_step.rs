@@ -9,17 +9,19 @@
 //! only for the rows themselves. What one more routed tuple may still
 //! cost is
 //!
-//! * the component vector of each `Tuple` made for it (a stamped copy at
-//!   its build, one concatenation per match, a lookup key and its
-//!   bookkeeping copies at an index probe), and
-//! * amortised growth: metric series, SteM slabs and indexes, the result
-//!   vector, the agenda.
+//! * one component vector per *concatenation* (a singleton — scanned,
+//!   stamped at its build, bounced, filtered — carries its component
+//!   inline), a lookup key and its bookkeeping copies at an index probe,
+//!   and
+//! * amortised growth: metric series (one point per counter per instant),
+//!   SteM slabs and indexes, the result vector, the agenda.
 //!
 //! The test measures the *extra* allocations of the larger run over the
 //! smaller one — plan-time tables, warm-up and every per-query constant
 //! cancel — divided by its extra routed tuples, and holds that to a
-//! ceiling a few tenths above what those two items come to (1.20 on the
-//! tuple-at-a-time query, 1.08 on the batched chain). One buffer allocated
+//! ceiling a tenth above what those two items come to (0.53 on the
+//! tuple-at-a-time query, 0.26 on the batched chain). A `Tuple` that
+//! heap-allocates its singletons reads 1.20 and 1.06; one buffer allocated
 //! per envelope shows as ≥ 1 more on the tuple-at-a-time query; an engine
 //! that allocates its deliveries, groups, envelopes and predicate lists
 //! per envelope reads 11.25 and 1.47.
@@ -203,7 +205,7 @@ fn marginal_allocs(setup: fn(usize) -> (Catalog, QuerySpec, ExecConfig), rows: u
 fn a_tuple_at_a_time_query_allocates_for_its_tuples_only() {
     let per_tuple = marginal_allocs(index_hybrid, 1_000);
     assert!(
-        per_tuple <= 1.5,
+        per_tuple <= 0.65,
         "index/hash hybrid at batch 1: {per_tuple:.2} allocations per extra routed tuple"
     );
 }
@@ -212,7 +214,7 @@ fn a_tuple_at_a_time_query_allocates_for_its_tuples_only() {
 fn a_batched_chain_allocates_for_its_tuples_only() {
     let per_tuple = marginal_allocs(chain, 2_000);
     assert!(
-        per_tuple <= 1.25,
+        per_tuple <= 0.35,
         "3-table chain at batch 64: {per_tuple:.2} allocations per extra routed tuple"
     );
 }

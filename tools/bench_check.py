@@ -28,11 +28,14 @@ on shared runners; result hashes are not.
 
 The second form gates the repo benchmark's allocation counts instead:
 RESULTS is the ``benchmark/out/results.json`` of a ``benchmark/run.sh
---quick`` run, CEILINGS (``tools/alloc_ceilings.json``) maps workload
-names to the most ``per_layer["alloc.count_per_row"]`` may read. The
-listed workloads are single-threaded, so the count is exact — the same
-on every machine — and a buffer allocated per envelope again moves it by
-far more than the few percent of headroom the ceilings carry.
+--quick`` run, CEILINGS (``tools/alloc_ceilings.json``) maps each gated
+metric — ``alloc.count_per_row`` (a ``per_layer`` metric: allocator
+calls) and ``alloc_bytes_per_row`` (an ``end_to_end`` one: bytes
+requested) — to the most it may read per workload. The listed workloads
+are single-threaded, so both are exact — the same on every machine — and
+a buffer allocated per envelope, or a singleton that owns a ``Vec``
+again, moves them by far more than the few percent of headroom the
+ceilings carry.
 """
 
 import json
@@ -174,27 +177,33 @@ def check_pair(committed_path: str, fresh_path: str) -> None:
         )
 
 
+# The gated metrics and the section of a workload's results each lives in.
+ALLOC_METRICS = {"alloc.count_per_row": "per_layer", "alloc_bytes_per_row": "end_to_end"}
+
+
 def check_alloc_ceilings(ceilings_path: str, results_path: str) -> None:
-    ceilings = load(ceilings_path).get("alloc.count_per_row")
-    if not isinstance(ceilings, dict) or not ceilings:
-        fail(f"{ceilings_path}: no 'alloc.count_per_row' ceilings")
+    doc = load(ceilings_path)
     measured = load(results_path).get("workloads")
     if not isinstance(measured, dict):
         fail(f"{results_path}: no 'workloads' object")
-    for workload, ceiling in sorted(ceilings.items()):
-        try:
-            value = measured[workload]["per_layer"]["alloc.count_per_row"]["value"]
-        except (KeyError, TypeError):
-            fail(f"{results_path}: no alloc.count_per_row for workload {workload!r}")
-        if not isinstance(value, (int, float)) or value <= 0:
-            fail(f"{results_path}: alloc.count_per_row of {workload} is {value!r}")
-        if value > ceiling:
-            fail(
-                f"{results_path}: {workload} makes {value:.3f} allocations per row, "
-                f"ceiling {ceiling} ({ceilings_path}) — something on the per-tuple "
-                "path allocates again"
-            )
-        print(f"bench_check: OK {workload} alloc.count_per_row {value:.3f} <= {ceiling}")
+    for metric, section in ALLOC_METRICS.items():
+        ceilings = doc.get(metric)
+        if not isinstance(ceilings, dict) or not ceilings:
+            fail(f"{ceilings_path}: no {metric!r} ceilings")
+        for workload, ceiling in sorted(ceilings.items()):
+            try:
+                value = measured[workload][section][metric]["value"]
+            except (KeyError, TypeError):
+                fail(f"{results_path}: no {metric} for workload {workload!r}")
+            if not isinstance(value, (int, float)) or value <= 0:
+                fail(f"{results_path}: {metric} of {workload} is {value!r}")
+            if value > ceiling:
+                fail(
+                    f"{results_path}: {workload} reads {metric} {value:.3f}, ceiling "
+                    f"{ceiling} ({ceilings_path}) — something on the per-tuple path "
+                    "allocates again"
+                )
+            print(f"bench_check: OK {workload} {metric} {value:.3f} <= {ceiling}")
 
 
 def main(argv: "list[str]") -> None:
