@@ -1,6 +1,6 @@
 //! The catalog: named tables, their simulated contents, and access methods.
 
-use crate::{AccessMethodDef, AmId};
+use crate::{AccessMethodDef, AmId, IndexTable};
 use std::sync::Arc;
 use stems_types::{Result, Row, Schema, StemsError, Value};
 
@@ -13,11 +13,15 @@ pub struct SourceId(pub u32);
 /// In the paper the contents live behind remote sources; here the rows are
 /// materialized so access methods can serve them with simulated latencies
 /// and the reference executor can compute exact expected results.
+///
+/// The row list itself is shared: cloning the definition (or the catalog)
+/// and handing the list to an access method ([`TableDef::row_list`]) copy
+/// a pointer, not the rows' handles.
 #[derive(Debug, Clone)]
 pub struct TableDef {
     pub name: String,
     pub schema: Schema,
-    rows: Vec<Arc<Row>>,
+    rows: Arc<[Arc<Row>]>,
 }
 
 impl TableDef {
@@ -25,7 +29,7 @@ impl TableDef {
         TableDef {
             name: name.to_string(),
             schema,
-            rows: Vec::new(),
+            rows: Arc::new([]),
         }
     }
 
@@ -37,12 +41,18 @@ impl TableDef {
 
     /// Attach pre-shared rows (used by the data generators).
     pub fn with_shared_rows(mut self, rows: Vec<Arc<Row>>) -> TableDef {
-        self.rows = rows;
+        self.rows = rows.into();
         self
     }
 
     pub fn rows(&self) -> &[Arc<Row>] {
         &self.rows
+    }
+
+    /// A second handle on the row list — what a scan access method
+    /// serves, shared with the catalog rather than copied.
+    pub fn row_list(&self) -> Arc<[Arc<Row>]> {
+        Arc::clone(&self.rows)
     }
 
     pub fn num_rows(&self) -> usize {
@@ -51,11 +61,16 @@ impl TableDef {
 }
 
 /// The catalog maps source names to table definitions and access methods.
+///
+/// Cloning a catalog shares its row lists and index tables.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: Vec<TableDef>,
     /// `(owning source, descriptor)` — AmId indexes this vector.
     ams: Vec<(SourceId, AccessMethodDef)>,
+    /// Per access method, in `ams` order: an index's lookup table (`None`
+    /// for a scan).
+    index_tables: Vec<Option<Arc<IndexTable>>>,
 }
 
 impl Catalog {
@@ -89,7 +104,9 @@ impl Catalog {
         self.add_am(source, AccessMethodDef::Scan(spec))
     }
 
-    /// Register an index access method on `source`.
+    /// Register an index access method on `source`, and build its lookup
+    /// table — once: every plan over this catalog, and over its clones,
+    /// serves lookups from it ([`Self::index_table`]).
     pub fn add_index(&mut self, source: SourceId, spec: crate::IndexSpec) -> Result<AmId> {
         self.add_am(source, AccessMethodDef::Index(spec))
     }
@@ -99,8 +116,15 @@ impl Catalog {
             .table(source)
             .ok_or_else(|| StemsError::UnknownName(format!("source #{}", source.0)))?;
         def.validate(&table.schema)?;
+        let index_table = match &def {
+            AccessMethodDef::Index(spec) => {
+                Some(Arc::new(IndexTable::build(table.rows(), &spec.bind_cols)))
+            }
+            AccessMethodDef::Scan(_) => None,
+        };
         let id = AmId(self.ams.len() as u32);
         self.ams.push((source, def));
+        self.index_tables.push(index_table);
         Ok(id)
     }
 
@@ -123,6 +147,12 @@ impl Catalog {
 
     pub fn am(&self, id: AmId) -> Option<&(SourceId, AccessMethodDef)> {
         self.ams.get(id.0 as usize)
+    }
+
+    /// The lookup table of index access method `id`, shared (`None` if
+    /// `id` is unknown or a scan).
+    pub fn index_table(&self, id: AmId) -> Option<Arc<IndexTable>> {
+        self.index_tables.get(id.0 as usize)?.clone()
     }
 
     /// All access methods on a source.
@@ -224,6 +254,57 @@ mod tests {
         let mut c = Catalog::new();
         let err = c.add_scan(SourceId(9), ScanSpec::default()).unwrap_err();
         assert!(matches!(err, StemsError::UnknownName(_)));
+    }
+
+    #[test]
+    fn an_index_table_is_built_once_and_shared_by_clones() {
+        let (mut c, r) = catalog_with_r();
+        let scan = c.add_scan(r, ScanSpec::default()).unwrap();
+        let idx = c.add_index(r, IndexSpec::new(vec![0], 100)).unwrap();
+        assert!(c.index_table(scan).is_none());
+        assert!(c.index_table(AmId(9)).is_none());
+        let table = c.index_table(idx).unwrap();
+        assert_eq!(table.len(), 2);
+        assert!(Arc::ptr_eq(
+            &table.get(&[Value::Int(2)])[0],
+            &c.table(r).unwrap().rows()[1]
+        ));
+        let clone = c.clone();
+        assert!(Arc::ptr_eq(&table, &clone.index_table(idx).unwrap()));
+        assert!(Arc::ptr_eq(
+            &c.table(r).unwrap().row_list(),
+            &clone.table(r).unwrap().row_list()
+        ));
+    }
+
+    /// Catalogs built and dropped in turn reuse freed memory; each still
+    /// answers from its own rows only.
+    #[test]
+    fn catalogs_built_in_turn_never_answer_from_each_others_rows() {
+        for round in 0..50i64 {
+            let mut c = Catalog::new();
+            let rows = (0..8).map(|i| vec![Value::Int(i % 3), Value::Int(round)]);
+            let r = c
+                .add_table(
+                    TableDef::new(
+                        "R",
+                        Schema::of(&[("key", ColumnType::Int), ("a", ColumnType::Int)]),
+                    )
+                    .with_rows(rows.collect()),
+                )
+                .unwrap();
+            let idx = c.add_index(r, IndexSpec::new(vec![0], 100)).unwrap();
+            let table = c.index_table(idx).unwrap();
+            for key in 0..3 {
+                let hits = table.get(&[Value::Int(key)]);
+                assert!(!hits.is_empty());
+                assert!(
+                    hits.iter()
+                        .all(|row| row.get(1) == Some(&Value::Int(round))),
+                    "round {round}: a row of another catalog"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`ScanSpec`] / [`IndexSpec`] — performance envelopes of an access
 //!   method: delivery rate, probe latency, concurrency, stall windows.
 //!   These parameterize the simulation the way Table 3 parameterizes the
-//!   paper's testbed.
+//!   paper's testbed. An index's rows are served from an [`IndexTable`]
+//!   the catalog builds once when the index is registered.
 //! * [`QuerySpec`] — a select-project-join query over table *instances*
 //!   (self-joins get one instance per FROM occurrence but share a SteM,
 //!   paper §2.2).
@@ -27,10 +28,12 @@ mod access;
 mod cat;
 pub mod feasible;
 mod graph;
+mod index_table;
 mod query;
 pub mod reference;
 
 pub use access::{AccessMethodDef, AmId, IndexSpec, ScanSpec};
 pub use cat::{Catalog, SourceId, TableDef};
 pub use graph::JoinGraph;
+pub use index_table::IndexTable;
 pub use query::{QuerySpec, TableInstance};

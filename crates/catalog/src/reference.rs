@@ -43,33 +43,44 @@ pub fn execute(catalog: &Catalog, q: &QuerySpec) -> Vec<Tuple> {
     acc
 }
 
+/// The columns a result row holds, in order: the query's SELECT list, or
+/// (`None`) every column of every instance, in instance order.
+fn projection(catalog: &Catalog, q: &QuerySpec) -> Vec<(TableIdx, usize)> {
+    match &q.projection {
+        Some(cols) => cols.iter().map(|c| (c.table, c.col)).collect(),
+        None => q
+            .tables
+            .iter()
+            .enumerate()
+            .flat_map(|(i, ti)| {
+                let arity = catalog.table_expect(ti.source).schema.arity();
+                (0..arity).map(move |col| (TableIdx(i as u8), col))
+            })
+            .collect(),
+    }
+}
+
+/// `tuple`'s values at `cols`, in a row sized exactly (`NULL` where the
+/// tuple lacks one).
+fn project_cols(cols: &[(TableIdx, usize)], tuple: &Tuple) -> Vec<Value> {
+    cols.iter()
+        .map(|&(t, col)| tuple.value(t, col).cloned().unwrap_or(Value::Null))
+        .collect()
+}
+
 /// Project a result tuple per the query's SELECT list (`None` ⇒ all columns
 /// of all instances, in instance order).
 pub fn project(catalog: &Catalog, q: &QuerySpec, tuple: &Tuple) -> Vec<Value> {
-    match &q.projection {
-        Some(cols) => cols
-            .iter()
-            .map(|c| tuple.value(c.table, c.col).cloned().unwrap_or(Value::Null))
-            .collect(),
-        None => {
-            let mut out = Vec::new();
-            for (i, ti) in q.tables.iter().enumerate() {
-                let t = TableIdx(i as u8);
-                let arity = catalog.table_expect(ti.source).schema.arity();
-                for col in 0..arity {
-                    out.push(tuple.value(t, col).cloned().unwrap_or(Value::Null));
-                }
-            }
-            out
-        }
-    }
+    project_cols(&projection(catalog, q), tuple)
 }
 
 /// Canonical, order-insensitive form of a result multiset: each tuple
 /// flattened to its projected values, the whole list sorted. Two executors
-/// agree iff their canonical forms are equal.
+/// agree iff their canonical forms are equal. The projection is resolved
+/// once per call, not per tuple.
 pub fn canonical(catalog: &Catalog, q: &QuerySpec, tuples: &[Tuple]) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> = tuples.iter().map(|t| project(catalog, q, t)).collect();
+    let cols = projection(catalog, q);
+    let mut rows: Vec<Vec<Value>> = tuples.iter().map(|t| project_cols(&cols, t)).collect();
     rows.sort_by(|a, b| {
         for (x, y) in a.iter().zip(b.iter()) {
             let ord = x.total_cmp(y);

@@ -14,10 +14,9 @@
 use crate::links::TableLinks;
 use crate::stem::{make_eot_row, make_scan_eot_row};
 use crate::sync::Arc;
-use stems_catalog::{IndexSpec, QuerySpec, ScanSpec, SourceId};
+use stems_catalog::{IndexSpec, IndexTable, QuerySpec, ScanSpec, SourceId};
 use stems_sim::{burst_gap, secs_f, StallWindows, Time};
-use stems_storage::fxhash::{FxHashMap, FxHashSet};
-use stems_storage::index_key;
+use stems_storage::fxhash::FxHashSet;
 use stems_types::{Row, TableIdx, Tuple, TupleBatch, Value};
 
 /// A scan access method serving every instance of one source.
@@ -32,7 +31,8 @@ use stems_types::{Row, TableIdx, Tuple, TupleBatch, Value};
 pub struct ScanAm {
     pub source: SourceId,
     pub instances: Vec<TableIdx>,
-    rows: Vec<Arc<Row>>,
+    /// The catalog's row list, shared ([`stems_catalog::TableDef::row_list`]).
+    rows: Arc<[Arc<Row>]>,
     arity: usize,
     gap_us: u64,
     start_delay_us: u64,
@@ -47,10 +47,23 @@ pub struct ScanAm {
 }
 
 impl ScanAm {
+    /// [`Self::over`] an owned row list.
     pub fn new(
         source: SourceId,
         instances: Vec<TableIdx>,
         rows: Vec<Arc<Row>>,
+        arity: usize,
+        spec: &ScanSpec,
+    ) -> ScanAm {
+        ScanAm::over(source, instances, rows.into(), arity, spec)
+    }
+
+    /// A scan serving `rows` — the plan hands it the catalog's own list,
+    /// so instantiating a scan costs no pass over its rows.
+    pub fn over(
+        source: SourceId,
+        instances: Vec<TableIdx>,
+        rows: Arc<[Arc<Row>]>,
         arity: usize,
         spec: &ScanSpec,
     ) -> ScanAm {
@@ -171,8 +184,9 @@ pub struct IndexAm {
     pub instances: Vec<TableIdx>,
     pub spec: IndexSpec,
     arity: usize,
-    /// Pre-built lookup structure: bind-values → rows.
-    data: FxHashMap<Vec<Value>, Vec<Arc<Row>>>,
+    /// Bind values → rows, built once by the catalog and shared by every
+    /// plan over it.
+    table: Arc<IndexTable>,
     stalls: StallWindows,
     /// Lookups currently in service (≤ concurrency).
     busy: usize,
@@ -192,6 +206,7 @@ pub struct IndexAm {
 }
 
 impl IndexAm {
+    /// [`Self::with_table`] over a lookup table built here from `rows`.
     pub fn new(
         source: SourceId,
         instances: Vec<TableIdx>,
@@ -199,12 +214,20 @@ impl IndexAm {
         arity: usize,
         spec: IndexSpec,
     ) -> IndexAm {
-        let mut data: FxHashMap<Vec<Value>, Vec<Arc<Row>>> = FxHashMap::default();
-        for r in rows {
-            if let Some(key) = Self::key_of(r, &spec.bind_cols) {
-                data.entry(key).or_default().push(r.clone());
-            }
-        }
+        let table = Arc::new(IndexTable::build(rows, &spec.bind_cols));
+        IndexAm::with_table(source, instances, table, arity, spec)
+    }
+
+    /// An index AM answering from `table`, which must be keyed on
+    /// `spec.bind_cols` — the plan passes the catalog's
+    /// ([`stems_catalog::Catalog::index_table`]).
+    pub fn with_table(
+        source: SourceId,
+        instances: Vec<TableIdx>,
+        table: Arc<IndexTable>,
+        arity: usize,
+        spec: IndexSpec,
+    ) -> IndexAm {
         IndexAm {
             source,
             instances,
@@ -212,7 +235,7 @@ impl IndexAm {
             busy: 0,
             pending: std::collections::VecDeque::new(),
             arity,
-            data,
+            table,
             spec,
             in_flight: FxHashSet::default(),
             answered: FxHashSet::default(),
@@ -221,13 +244,6 @@ impl IndexAm {
             bindings: Vec::new(),
             keys: Vec::new(),
         }
-    }
-
-    fn key_of(row: &Row, bind_cols: &[usize]) -> Option<Vec<Value>> {
-        bind_cols
-            .iter()
-            .map(|c| row.get(*c).and_then(index_key))
-            .collect()
     }
 
     /// Every lookup key a probe tuple supplies for instance `t` of this
@@ -402,7 +418,7 @@ impl IndexAm {
         self.in_flight.remove(key);
         self.answered.insert(key.to_vec());
         self.busy = self.busy.saturating_sub(1);
-        let rows = self.data.get(key).cloned().unwrap_or_default();
+        let rows = self.table.get(key);
         let mut out = Vec::new();
         for t in &self.instances {
             // Selections on this instance that the AM can check locally.
@@ -411,7 +427,7 @@ impl IndexAm {
                 .iter()
                 .filter(|p| p.is_selection() && p.tables().contains(*t))
                 .collect();
-            for r in &rows {
+            for r in rows {
                 let single = Tuple::singleton(*t, r.clone());
                 if sels.iter().all(|p| p.eval(&single).unwrap_or(false)) {
                     out.push(single);
@@ -1086,6 +1102,52 @@ mod tests {
         let waves2 = am2.chunk_reply(reply2, 2000);
         assert_eq!(waves2.len(), 1);
         assert_eq!(waves2[0].0, 2000);
+    }
+
+    /// An AM over the catalog's shared table and one over a table built
+    /// from the same rows answer every probe identically, down to which
+    /// row each reply carries.
+    #[test]
+    fn a_shared_catalog_table_answers_as_a_private_one() {
+        let (mut c, q) = rs_query();
+        let s_rows: Vec<Vec<Value>> = (0..40)
+            .map(|i| match i % 5 {
+                0 => vec![Value::Null, Value::Int(i)],
+                1 => vec![Value::Float((i % 7) as f64), Value::Int(i)],
+                _ => vec![Value::Int(i % 7), Value::Int(i)],
+            })
+            .collect();
+        let s = c
+            .add_table(
+                TableDef::new(
+                    "S2",
+                    Schema::of(&[("x", ColumnType::Float), ("y", ColumnType::Int)]),
+                )
+                .with_rows(s_rows),
+            )
+            .unwrap();
+        let spec = IndexSpec::new(vec![0], 1000).with_concurrency(4);
+        let idx = c.add_index(s, spec.clone()).unwrap();
+        let rows = c.table_expect(s).rows();
+        let shared = c.index_table(idx).unwrap();
+        let mut private = IndexAm::new(s, vec![TableIdx(1)], rows, 2, spec.clone());
+        let mut public = IndexAm::with_table(s, vec![TableIdx(1)], shared, 2, spec);
+        for (now, a) in (0..12).enumerate() {
+            let r = Tuple::singleton_of(TableIdx(0), vec![Value::Int(a), Value::Int(a % 9)]);
+            let now = now as Time * 10;
+            let got = public.probe(&r, TableIdx(1), &q, now, false);
+            assert_eq!(got, private.probe(&r, TableIdx(1), &q, now, false));
+            for (_, key) in got {
+                let key = key.expect("bindable");
+                let (want, got) = (private.respond(&key, &q), public.respond(&key, &q));
+                assert_eq!(got, want, "key {key:?}");
+                for (g, w) in got.iter().zip(&want).filter(|(g, _)| !g.is_eot()) {
+                    assert!(Arc::ptr_eq(&g.components()[0].row, &w.components()[0].row));
+                }
+            }
+        }
+        assert_eq!(public.probes_issued, private.probes_issued);
+        assert_eq!(public.probes_coalesced, private.probes_coalesced);
     }
 
     #[test]

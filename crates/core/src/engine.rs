@@ -33,8 +33,10 @@
 //! that price to bookkeeping: **nothing on the per-tuple path may hash,
 //! compare or allocate a name or a graph.** Every metric the engine can
 //! record is resolved to a [`MetricId`] once, in [`EddyExecutor::build`]
-//! (`MetricIds`), and updated by id; the join graph is built once by
-//! [`crate::plan::instantiate`] into [`PlanLayout::graph`]; and
+//! (`MetricIds`), and updated by id — and only the metrics something plots
+//! keep a series point per instant, the rest being declared counts; the
+//! join graph is built once by [`crate::plan::instantiate`] into
+//! [`PlanLayout::graph`]; and
 //! [`router::candidates_into`] fills one candidate buffer the executor
 //! owns. `stems-lint`'s `metric-by-name` rule and `tests/alloc_route.rs`
 //! keep it that way. (`format!` remains in configuration errors, in id
@@ -413,15 +415,22 @@ struct ModuleRt {
     unparks: Vec<UnparkSignal>,
 }
 
-/// Declares [`MetricIds`]: one [`MetricId`] field per listed counter or
-/// series, named exactly as the metric is, plus the two families whose
-/// names carry a number. `resolve` is the only place the engine spells a
-/// metric name — a name missing here cannot be recorded at all.
+/// Declares [`MetricIds`]: one [`MetricId`] field per listed metric,
+/// named exactly as the metric is, plus the two families whose names
+/// carry a number (both curves). `resolve` is the only place the engine
+/// spells a metric name — a name missing here cannot be recorded at all —
+/// and the list a name sits in is the only place its kind is chosen: a
+/// `curves` entry keeps its series ([`Metrics::id`]), a `counts` entry its
+/// value alone ([`Metrics::count_id`]).
 macro_rules! metric_ids {
-    ($($name:ident),* $(,)?) => {
+    (
+        curves { $($curve:ident),* $(,)? }
+        counts { $($count:ident),* $(,)? }
+    ) => {
         /// Every metric id an executor can touch, resolved once at build.
         struct MetricIds {
-            $($name: MetricId,)*
+            $($curve: MetricId,)*
+            $($count: MetricId,)*
             /// `span<k>_formed`, indexed by span size `k`.
             span_formed: Vec<MetricId>,
             /// `stem_bytes_<t>`, indexed by table instance.
@@ -431,7 +440,8 @@ macro_rules! metric_ids {
         impl MetricIds {
             fn resolve(metrics: &mut Metrics, n_tables: usize) -> MetricIds {
                 MetricIds {
-                    $($name: metrics.id(stringify!($name)),)*
+                    $($curve: metrics.id(stringify!($curve)),)*
+                    $($count: metrics.count_id(stringify!($count)),)*
                     span_formed: (0..=n_tables)
                         .map(|k| metrics.id(&format!("span{k}_formed")))
                         .collect(),
@@ -445,38 +455,44 @@ macro_rules! metric_ids {
 }
 
 metric_ids! {
-    // Counters.
-    am_dup_builds,
-    am_fresh_builds,
-    am_probe_choices,
-    am_responses,
-    duplicates_absorbed,
-    filtered,
-    fused_selects,
-    hints_recosted,
-    hops_exceeded,
-    index_probes,
-    memo_evictions,
-    memo_hits,
-    memo_misses,
-    parked,
-    policy_drops,
-    priority_results,
-    probes_bounced,
-    probes_coalesced,
-    probes_consumed,
-    probes_queued,
-    results,
-    retired,
-    route_batches,
-    scanned,
-    sm_applied,
-    stem_probes,
-    udf_calls,
-    unparked,
-    // Raw series.
-    end,
-    stem_bytes_total,
+    // What a figure, example, report or the benchmark reads point by
+    // point: counters first, then the raw series.
+    curves {
+        am_probe_choices,
+        duplicates_absorbed,
+        filtered,
+        index_probes,
+        policy_drops,
+        priority_results,
+        results,
+        scanned,
+        sm_applied,
+        end,
+        stem_bytes_total,
+    }
+    // Totals only: read as `counter`, never as a curve (`stems-lint`'s
+    // `series-of-count` rule holds every reader to that).
+    counts {
+        am_dup_builds,
+        am_fresh_builds,
+        am_responses,
+        fused_selects,
+        hints_recosted,
+        hops_exceeded,
+        memo_evictions,
+        memo_hits,
+        memo_misses,
+        parked,
+        probes_bounced,
+        probes_coalesced,
+        probes_consumed,
+        probes_queued,
+        retired,
+        route_batches,
+        stem_probes,
+        udf_calls,
+        unparked,
+    }
 }
 
 /// The eddy executor. Build one with [`EddyExecutor::build`], run it to

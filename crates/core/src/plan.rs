@@ -189,14 +189,16 @@ pub fn instantiate(
         }
         seen_sources.push(ti.source);
 
-        for (_am_id, def) in catalog.ams_of(ti.source) {
+        // Both AM kinds serve what the catalog already holds: the scan
+        // its row list, the index its lookup table — shared, not rebuilt.
+        for (am_id, def) in catalog.ams_of(ti.source) {
             match def {
                 AccessMethodDef::Scan(spec) => {
                     let mid = modules.len();
-                    modules.push(Module::ScanAm(ScanAm::new(
+                    modules.push(Module::ScanAm(ScanAm::over(
                         ti.source,
                         instances.clone(),
-                        table.rows().to_vec(),
+                        table.row_list(),
                         table.schema.arity(),
                         spec,
                     )));
@@ -204,10 +206,10 @@ pub fn instantiate(
                 }
                 AccessMethodDef::Index(spec) => {
                     let mid = modules.len();
-                    modules.push(Module::IndexAm(IndexAm::new(
+                    modules.push(Module::IndexAm(IndexAm::with_table(
                         ti.source,
                         instances.clone(),
-                        table.rows(),
+                        catalog.index_table(am_id).expect("an index AM has a table"),
                         table.schema.arity(),
                         spec.clone(),
                     )));

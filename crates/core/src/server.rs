@@ -1160,13 +1160,7 @@ impl<'a> QueryServer<'a> {
             .expect("scan subscription on a scan-less source");
         // The dummy instance makes each emitted batch map 1:1 to rows;
         // the server re-tags rows per subscriber.
-        let mut am = ScanAm::new(
-            source,
-            vec![TableIdx(0)],
-            table.rows().to_vec(),
-            arity,
-            spec,
-        );
+        let mut am = ScanAm::over(source, vec![TableIdx(0)], table.row_list(), arity, spec);
         am.clamp_chunk(self.config.batch_size);
         let si = self.scans.len();
         self.agenda

@@ -653,8 +653,11 @@ fn hybrid_catalog() -> (Catalog, QuerySpec) {
 /// examples and the benchmark read series by name, and the executor
 /// resolves every name to an id once at build. A metric that is renamed,
 /// dropped or never resolved must fail here instead of silently vanishing
-/// from a figure. Counters pinned are the ones that hold in every
-/// shards × workers environment cell.
+/// from a figure. Two sets are pinned: every recorded metric (`names`) and
+/// the curves among them (`series_names`) — a counter that moves between
+/// the engine's `curves` and `counts` lists changes the second. Counters
+/// pinned are the ones that hold in every shards × workers environment
+/// cell.
 #[test]
 fn metric_names_and_counters_are_pinned() {
     const CHAIN: &[&str] = &[
@@ -673,6 +676,31 @@ fn metric_names_and_counters_are_pinned() {
         "stem_bytes_t2",
         "stem_bytes_total",
         "stem_probes",
+    ];
+    const CHAIN_CURVES: &[&str] = &[
+        "end",
+        "filtered",
+        "results",
+        "scanned",
+        "sm_applied",
+        "span2_formed",
+        "span3_formed",
+        "stem_bytes_t0",
+        "stem_bytes_t1",
+        "stem_bytes_t2",
+        "stem_bytes_total",
+    ];
+    const HYBRID_CURVES: &[&str] = &[
+        "am_probe_choices",
+        "duplicates_absorbed",
+        "end",
+        "index_probes",
+        "policy_drops",
+        "results",
+        "scanned",
+        "span2_formed",
+        "stem_bytes_t0",
+        "stem_bytes_total",
     ];
     const HYBRID: &[&str] = &[
         "am_dup_builds",
@@ -716,8 +744,10 @@ fn metric_names_and_counters_are_pinned() {
         };
 
         let chain = run(chain_catalog());
-        let names: Vec<&str> = chain.metrics.series_names().collect();
+        let names: Vec<&str> = chain.metrics.names().collect();
         assert_eq!(names, expected(CHAIN), "chain, batch_size {batch_size}");
+        let curves: Vec<&str> = chain.metrics.series_names().collect();
+        assert_eq!(curves, CHAIN_CURVES, "chain, batch_size {batch_size}");
         for (name, want) in [
             ("scanned", 288),
             ("sm_applied", 128),
@@ -746,8 +776,10 @@ fn metric_names_and_counters_are_pinned() {
         );
 
         let hybrid = run(hybrid_catalog());
-        let names: Vec<&str> = hybrid.metrics.series_names().collect();
+        let names: Vec<&str> = hybrid.metrics.names().collect();
         assert_eq!(names, expected(HYBRID), "hybrid, batch_size {batch_size}");
+        let curves: Vec<&str> = hybrid.metrics.series_names().collect();
+        assert_eq!(curves, HYBRID_CURVES, "hybrid, batch_size {batch_size}");
         for (name, want) in [
             ("scanned", 125),
             ("index_probes", 25),

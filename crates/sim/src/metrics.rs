@@ -7,20 +7,37 @@
 //!
 //! # Ids on the hot path, names at the edges
 //!
-//! A metric's name is resolved to a [`MetricId`] once ([`Metrics::id`] —
-//! the only place a name is allocated) and every update after that is an
-//! indexed write plus at most one series point ([`Metrics::bump_id`],
-//! [`Metrics::observe_id`]). The engine resolves all of its ids when an
-//! executor is built, so nothing on its per-tuple path hashes, compares or
-//! allocates a name. [`Metrics::bump`] / [`Metrics::observe`] by name are
-//! `id()` + the id form, for callers off the hot path.
+//! A metric's name is resolved to a [`MetricId`] once ([`Metrics::id`] /
+//! [`Metrics::count_id`] — the only places a name is allocated) and every
+//! update after that is an indexed write plus at most one series point
+//! ([`Metrics::bump_id`], [`Metrics::observe_id`]). The engine resolves all
+//! of its ids when an executor is built, so nothing on its per-tuple path
+//! hashes, compares or allocates a name. [`Metrics::bump`] /
+//! [`Metrics::observe`] by name are `id()` + the id form, for callers off
+//! the hot path.
+//!
+//! # A curve or a count, decided at declaration
+//!
+//! A metric registered with [`Metrics::id`] is a **curve**: a counter plus
+//! its step-function series, for whatever a figure, example, report or
+//! benchmark reads point by point. One registered with
+//! [`Metrics::count_id`] is a **count**: the value only — [`Metrics::counter`]
+//! answers for it, [`Metrics::series`] is `None`, [`Metrics::series_names`]
+//! skips it and [`Metrics::names`] lists it. The first registration of a
+//! name fixes its kind, and the engine registers each of its metrics in
+//! one declaration, so which counters keep a curve is written down once,
+//! next to their names — not chosen per run, per call site or by sampling.
+//! A per-tuple counter nobody plots (routing decisions, SteM probes,
+//! bounces) would otherwise append a point at nearly every instant of a
+//! tuple-at-a-time run.
 //!
 //! **Invisibility rule:** registering an id records nothing. Until it is
 //! first bumped or observed the metric does not exist for any reader —
-//! `counter` is 0, `series` is `None`, `series_names` skips it and `==`
-//! ignores it — so an executor may resolve every id it *might* use without
-//! changing what a report shows, and two registries compare equal whenever
-//! their recorded points do, whatever order their ids were issued in.
+//! `counter` is 0, `series` is `None`, `series_names` and `names` skip it
+//! and `==` ignores it — so an executor may resolve every id it *might*
+//! use without changing what a report shows, and two registries compare
+//! equal whenever their recorded values and points do, whatever order
+//! their ids were issued in. A count is compared by its value.
 //!
 //! **A series is a step function, and the step function is exact.** What
 //! a reader may ask of a series is the value in effect at a time
@@ -122,8 +139,8 @@ impl Series {
 }
 
 /// Handle on one metric of one [`Metrics`] registry (or a clone of it),
-/// issued by [`Metrics::id`]. Using it on another registry is a bug: it
-/// panics or updates an unrelated metric.
+/// issued by [`Metrics::id`] or [`Metrics::count_id`]. Using it on another
+/// registry is a bug: it panics or updates an unrelated metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricId(u32);
 
@@ -135,18 +152,22 @@ struct Slot {
     /// Set by the first bump: tells a counter that was bumped by 0 from a
     /// series that was only ever observed.
     is_counter: bool,
+    /// A curve keeps `series`; a count never records a point (see the
+    /// module doc). Fixed at registration.
+    curve: bool,
     series: Series,
 }
 
 impl Slot {
     /// Something was recorded here (see the module's invisibility rule).
     fn visible(&self) -> bool {
-        !self.series.is_empty()
+        self.is_counter || !self.series.is_empty()
     }
 }
 
 /// Metric registry for one execution: monotone counters (each mirrored
-/// into a series for plotting) and raw series.
+/// into a series for plotting, unless registered as a count) and raw
+/// series.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     /// Indexed by [`MetricId`], in registration order.
@@ -181,9 +202,21 @@ impl Metrics {
             .filter(|s| s.visible())
     }
 
-    /// Resolve `name` to its id, registering it on first use. Registering
-    /// records nothing (the invisibility rule).
+    /// Resolve `name` to its id, registering it as a curve on first use.
+    /// Registering records nothing (the invisibility rule).
     pub fn id(&mut self, name: &str) -> MetricId {
+        self.register(name, true)
+    }
+
+    /// Resolve `name` to its id, registering it as a count — a value with
+    /// no series — on first use.
+    pub fn count_id(&mut self, name: &str) -> MetricId {
+        self.register(name, false)
+    }
+
+    /// The id of `name`; the first registration fixes whether it is a
+    /// curve.
+    fn register(&mut self, name: &str, curve: bool) -> MetricId {
         match self.position(name) {
             Ok(pos) => self.by_name[pos],
             Err(pos) => {
@@ -192,6 +225,7 @@ impl Metrics {
                     name: name.to_string(),
                     counter: 0,
                     is_counter: false,
+                    curve,
                     series: Series::new(),
                 });
                 self.by_name.insert(pos, id);
@@ -200,13 +234,16 @@ impl Metrics {
         }
     }
 
-    /// Add `delta` to a counter and record the new value as the counter's
-    /// value at time `t`: one point per instant, the last bump's (see the
-    /// module's step-function rule).
+    /// Add `delta` to a counter and, for a curve, record the new value as
+    /// the counter's value at time `t`: one point per instant, the last
+    /// bump's (see the module's step-function rule).
     pub fn bump_id(&mut self, id: MetricId, t: Time, delta: u64) {
         let slot = &mut self.slots[id.0 as usize];
         slot.counter += delta;
         slot.is_counter = true;
+        if !slot.curve {
+            return;
+        }
         let v = slot.counter as f64;
         match slot.series.points.last_mut() {
             Some(last) if last.0 == t => last.1 = v,
@@ -214,10 +251,12 @@ impl Metrics {
         }
     }
 
-    /// Record a raw (non-counter) observation in a series, e.g. memory
-    /// footprint or a routing fraction. Always a new point.
+    /// Record a raw (non-counter) observation in a curve's series, e.g.
+    /// memory footprint or a routing fraction. Always a new point.
     pub fn observe_id(&mut self, id: MetricId, t: Time, v: f64) {
-        self.slots[id.0 as usize].series.push(t, v);
+        let slot = &mut self.slots[id.0 as usize];
+        debug_assert!(slot.curve, "`{}` is a count: it has no series", slot.name);
+        slot.series.push(t, v);
     }
 
     /// [`Self::bump_id`] by name, for callers off the hot path.
@@ -232,18 +271,24 @@ impl Metrics {
         self.observe_id(id, t, v);
     }
 
-    /// Current counter value (0 if never bumped).
+    /// Current counter value of a curve or a count (0 if never bumped).
     pub fn counter(&self, name: &str) -> u64 {
         self.slot(name).map_or(0, |s| s.counter)
     }
 
-    /// Fetch a series by name (`None` if nothing was recorded under it).
+    /// Fetch a series by name (`None` if nothing was recorded under it, or
+    /// if it is a count).
     pub fn series(&self, name: &str) -> Option<&Series> {
-        self.slot(name).map(|s| &s.series)
+        self.slot(name).filter(|s| s.curve).map(|s| &s.series)
     }
 
-    /// Names of all recorded series, sorted.
+    /// Names of all recorded series, sorted: the curves.
     pub fn series_names(&self) -> impl Iterator<Item = &str> {
+        self.visible().filter(|s| s.curve).map(|s| s.name.as_str())
+    }
+
+    /// Names of every recorded metric, curves and counts, sorted.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
         self.visible().map(|s| s.name.as_str())
     }
 
@@ -269,9 +314,10 @@ impl Metrics {
     }
 }
 
-/// Equality of the observable view: the same names carry the same counter
-/// and the same points. Ids that were registered but never touched, and
-/// the order ids were issued in, do not count.
+/// Equality of the observable view: the same names carry the same kind,
+/// the same counter and the same points (a count has none). Ids that were
+/// registered but never touched, and the order ids were issued in, do not
+/// count.
 impl PartialEq for Metrics {
     fn eq(&self, other: &Metrics) -> bool {
         self.visible().eq(other.visible())
@@ -376,21 +422,31 @@ mod tests {
     /// The step function is the contract. Random interleavings of bumps
     /// and observations, most of them at an instant already recorded,
     /// against a reference registry that keeps every point (it records
-    /// each update as an observation): every reader answers the same.
+    /// each update as an observation): every reader answers the same. A
+    /// count bumped among them changes none of it and keeps its value.
     #[test]
     fn coalesced_counters_read_as_if_every_point_were_kept() {
         const NAMES: [&str; 4] = ["results", "stem_probes", "mem", "fraction"];
         const COUNTERS: usize = 2;
+        const COUNT: &str = "route_batches";
         for seed in 0..60 {
             let mut rng = SimRng::new(seed);
             let mut m = Metrics::new();
             let ids = NAMES.map(|n| m.id(n));
+            let count = m.count_id(COUNT);
+            let mut counted: Option<u64> = None;
             let mut every_point = Metrics::new();
             let mut counts = [0u64; COUNTERS];
             let mut now: Time = 0;
             for _ in 0..rng.below(300) {
                 if rng.chance(0.3) {
                     now += rng.below(5);
+                }
+                if rng.chance(0.3) {
+                    let delta = rng.below(3);
+                    *counted.get_or_insert(0) += delta;
+                    m.bump_id(count, now, delta);
+                    continue;
                 }
                 let i = rng.below(NAMES.len() as u64) as usize;
                 let v = if i < COUNTERS {
@@ -441,6 +497,18 @@ mod tests {
                 m.to_csv(&NAMES, horizon, 9),
                 every_point.to_csv(&NAMES, horizon, 9),
                 "seed {seed}"
+            );
+            assert_eq!(m.counter(COUNT), counted.unwrap_or(0), "seed {seed}");
+            assert!(m.series(COUNT).is_none(), "seed {seed}");
+            assert_eq!(
+                m.series_names().collect::<Vec<_>>(),
+                every_point.series_names().collect::<Vec<_>>(),
+                "seed {seed}: a count has no series"
+            );
+            assert_eq!(
+                m.names().any(|n| n == COUNT),
+                counted.is_some(),
+                "seed {seed}: a count exists once bumped"
             );
         }
     }
@@ -498,6 +566,59 @@ mod tests {
         observed.observe("x", 1, 0.0);
         assert_eq!(bumped.series("x"), observed.series("x"));
         assert_ne!(bumped, observed);
+    }
+
+    #[test]
+    fn a_count_keeps_a_value_and_no_series() {
+        let mut m = Metrics::new();
+        let lookups = m.count_id("lookups");
+        assert_eq!(
+            m.count_id("lookups"),
+            lookups,
+            "resolving twice yields one id"
+        );
+        assert_eq!(
+            m.id("lookups"),
+            lookups,
+            "the first registration fixes the kind"
+        );
+        // Invisible until bumped.
+        assert_eq!(m.counter("lookups"), 0);
+        assert!(m.series("lookups").is_none());
+        assert_eq!(m.names().count(), 0);
+        assert_eq!(m, Metrics::new());
+
+        m.bump_id(lookups, 3, 2);
+        m.bump_id(lookups, 3, 1);
+        m.bump_id(lookups, 9, 0);
+        assert_eq!(m.counter("lookups"), 3);
+        assert!(m.series("lookups").is_none());
+        assert_eq!(m.series_names().count(), 0);
+        assert_eq!(m.names().collect::<Vec<_>>(), ["lookups"]);
+        assert_ne!(m, Metrics::new(), "a bumped count exists");
+        // By name, too: `bump` resolves the count's id.
+        m.bump("lookups", 12, 4);
+        assert_eq!(m.counter("lookups"), 7);
+        assert!(m.series("lookups").is_none());
+
+        // `==` compares a count by its value, whenever and however it got
+        // there, and tells it from a curve with the same value.
+        let mut other = Metrics::new();
+        let id = other.count_id("lookups");
+        other.bump_id(id, 1, 7);
+        assert_eq!(m, other);
+        other.bump_id(id, 2, 1);
+        assert_ne!(m, other);
+        let mut curve = Metrics::new();
+        curve.bump("lookups", 1, 7);
+        assert_eq!(curve.counter("lookups"), 7);
+        assert_ne!(m, curve);
+        // A count bumped by 0 exists, with the value 0.
+        let mut zero = Metrics::new();
+        let id = zero.count_id("waits");
+        zero.bump_id(id, 5, 0);
+        assert_eq!(zero.names().collect::<Vec<_>>(), ["waits"]);
+        assert_ne!(zero, Metrics::new());
     }
 
     /// Random interleavings of by-name and by-id updates, applied to two

@@ -19,6 +19,12 @@
 //! | `metric-by-name` | no name-taking `.bump(` / `.observe(` in `engine.rs` / `server.rs` — the per-tuple path updates metrics by `MetricId` |
 //! | `row-keyed-map` | no map or set keyed by `Arc<Row>` / `Row` in non-test `stem.rs`, `sharded.rs`, `crates/storage/src/` — stored rows are addressed by slot |
 //! | `stem-lock` | no `Mutex` / `RwLock` / `RefCell` / `atomic` / `lock_ok` / `lock_recover` in non-test `stem.rs`, `sharded.rs` — a SteM's state is reached through `&mut self`; its one lock is `StemCell`'s, in `plan.rs` |
+//! | `series-of-count` | no literal `.series("x")` / `curve(_, "x")` anywhere in the tree (`tests/`, `examples/` and `benchmark/` included) where `x` is in the engine's `metric_ids! { … counts { … } }` list — a count keeps no series |
+//!
+//! The rules above `series-of-count` cover `crates/`, `src/` and `tools/`;
+//! `series-of-count` reads the count list out of `crates/core/src/engine.rs`
+//! itself, so moving a metric between `curves` and `counts` moves the rule
+//! with it.
 //!
 //! The scanner is token-level, not syntactic: comments, strings, and
 //! char literals are stripped before matching, so banned names in docs
@@ -97,9 +103,19 @@ fn workspace_root() -> PathBuf {
 // Tree walk
 // ---------------------------------------------------------------------
 
+/// Where the engine declares its metrics, and so its counts.
+const ENGINE: &str = "crates/core/src/engine.rs";
+
 fn run_lint(root: &Path) -> i32 {
+    let counts = match engine_counts(root) {
+        Ok(counts) => counts,
+        Err(e) => {
+            eprintln!("stems-lint: {e}");
+            return 1;
+        }
+    };
     let mut files = Vec::new();
-    for top in ["crates", "src", "tools"] {
+    for top in ["crates", "src", "tools", "tests", "examples", "benchmark"] {
         collect_rs(&root.join(top), &mut files);
     }
     files.sort();
@@ -114,7 +130,7 @@ fn run_lint(root: &Path) -> i32 {
         let Ok(text) = std::fs::read_to_string(file) else {
             continue;
         };
-        for f in lint_source(&rel, &text) {
+        for f in lint_source(&rel, &text, &counts) {
             findings_total += 1;
             let _ = writeln!(out, "{rel}:{}: [{}] {}", f.line, f.rule, f.message);
         }
@@ -159,12 +175,28 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 // ---------------------------------------------------------------------
 
 /// Lint one file's source under its repo-relative `path` (the path
-/// drives scoping/exemptions — fixtures pass virtual paths).
-fn lint_source(path: &str, text: &str) -> Vec<Finding> {
+/// drives scoping/exemptions — fixtures pass virtual paths). `counts` is
+/// the engine's count list ([`engine_counts`]).
+fn lint_source(path: &str, text: &str, counts: &[String]) -> Vec<Finding> {
     let original: Vec<&str> = text.lines().collect();
     let mut stripper = Stripper::default();
     let code: Vec<String> = original.iter().map(|l| stripper.strip_line(l)).collect();
+    let house = ["crates/", "src/", "tools/"]
+        .iter()
+        .any(|top| path.starts_with(top));
+    let mut findings = if house {
+        house_rules(path, &original, &code)
+    } else {
+        Vec::new()
+    };
+    findings.extend(series_of_count(&original, &code, counts));
+    findings.sort_by_key(|f| f.line);
+    findings
+}
 
+/// Every rule but `series-of-count`, over one file of `crates/`, `src/`
+/// or `tools/`.
+fn house_rules(path: &str, original: &[&str], code: &[String]) -> Vec<Finding> {
     let in_check = path.starts_with("crates/check/");
     let in_shim = path == "crates/core/src/sync.rs";
     let in_bench = path.starts_with("crates/bench/");
@@ -183,7 +215,7 @@ fn lint_source(path: &str, text: &str) -> Vec<Finding> {
         in_tests |= code_line.contains("#[cfg(test)]");
 
         // unsafe-safety — everywhere, no exemptions.
-        if contains_word(code_line, "unsafe") && !has_safety_comment(&original, idx) {
+        if contains_word(code_line, "unsafe") && !has_safety_comment(original, idx) {
             findings.push(Finding {
                 rule: "unsafe-safety",
                 line: lineno,
@@ -296,6 +328,107 @@ fn lint_source(path: &str, text: &str) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// `series-of-count`: a literal `.series("x")` or `curve(_, "x")` call
+/// whose `x` is a count. The call must be code (it survives stripping);
+/// the name is read off the original line, since stripping blanks it.
+fn series_of_count(original: &[&str], code: &[String], counts: &[String]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (idx, (line, code_line)) in original.iter().zip(code).enumerate() {
+        let calls = [
+            (".series(", code_line.contains(".series(")),
+            ("curve(", contains_call(code_line, "curve(")),
+        ];
+        for (call, in_code) in calls {
+            if !in_code {
+                continue;
+            }
+            for name in literal_names(line, call) {
+                if counts.iter().any(|c| c == name) {
+                    findings.push(Finding {
+                        rule: "series-of-count",
+                        line: idx + 1,
+                        message: format!(
+                            "`{call}..\"{name}\")` reads a count as a curve — `{name}` is in the engine's `counts` list and keeps no series; read `counter` or declare it a curve"
+                        ),
+                    });
+                }
+            }
+        }
+    }
+    findings
+}
+
+/// `call` (ending in `(`) appears at a word boundary: `curve(` but not
+/// `my_curve(`.
+fn contains_call(line: &str, call: &str) -> bool {
+    line.match_indices(call)
+        .any(|(at, _)| at == 0 || !is_ident_byte(line.as_bytes()[at - 1]))
+}
+
+/// The string literals `call` is made with on `line`: `.series("x")`'s
+/// first argument, `curve(_, "x")`'s second.
+fn literal_names<'a>(line: &'a str, call: &str) -> Vec<&'a str> {
+    let mut names = Vec::new();
+    for (at, _) in line.match_indices(call) {
+        if at > 0 && call == "curve(" && is_ident_byte(line.as_bytes()[at - 1]) {
+            continue;
+        }
+        let args = &line[at + call.len()..];
+        let Some(open) = args.find('"') else {
+            continue;
+        };
+        let before = &args[..open];
+        let literal_arg = if call == "curve(" {
+            before.contains(',') && !before.contains(')')
+        } else {
+            before.trim().is_empty()
+        };
+        if !literal_arg {
+            continue;
+        }
+        let rest = &args[open + 1..];
+        if let Some(close) = rest.find('"') {
+            names.push(&rest[..close]);
+        }
+    }
+    names
+}
+
+/// The identifiers of the `counts { … }` list in the engine's
+/// `metric_ids! { … }` invocation.
+fn engine_counts(root: &Path) -> Result<Vec<String>, String> {
+    let text = std::fs::read_to_string(root.join(ENGINE))
+        .map_err(|e| format!("cannot read {ENGINE}: {e}"))?;
+    let counts = counts_of(&text);
+    if counts.is_empty() {
+        return Err(format!(
+            "no `counts {{ … }}` list in {ENGINE}'s `metric_ids! {{ … }}` — `series-of-count` cannot run"
+        ));
+    }
+    Ok(counts)
+}
+
+fn counts_of(text: &str) -> Vec<String> {
+    let mut stripper = Stripper::default();
+    let code: String = text
+        .lines()
+        .map(|l| stripper.strip_line(l) + "\n")
+        .collect();
+    let Some(invocation) = code.find("metric_ids! {") else {
+        return Vec::new();
+    };
+    let after = &code[invocation..];
+    let Some(list) = after.find("counts {") else {
+        return Vec::new();
+    };
+    let list = &after[list + "counts {".len()..];
+    let list = &list[..list.find('}').unwrap_or(list.len())];
+    list.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+        .map(str::to_string)
+        .collect()
 }
 
 /// A map or set type whose key (first type argument) is `Arc<Row>` or
@@ -512,12 +645,15 @@ impl Stripper {
                     i = j + 1;
                 }
                 '\'' if is_char_literal(&chars, i) => {
-                    // skip 'x' or '\x' entirely
+                    // skip 'x', '\x' or '\u{..}' entirely
                     let mut j = i + 1;
                     if chars.get(j) == Some(&'\\') {
                         j += 1;
+                        if chars.get(j) == Some(&'u') && chars.get(j + 1) == Some(&'{') {
+                            j += chars[j..].iter().position(|c| *c == '}').unwrap_or(0);
+                        }
                     }
-                    j += 1; // the payload char
+                    j += 1; // the payload char (or the escape's closing brace)
                     debug_assert_eq!(chars.get(j), Some(&'\''));
                     out.push(' ');
                     i = j + 1;
@@ -588,7 +724,13 @@ fn run_self_test(root: &Path) -> i32 {
         );
         return 1;
     }
-    let _ = root;
+    let counts = match engine_counts(root) {
+        Ok(counts) => counts,
+        Err(e) => {
+            eprintln!("stems-lint --self-test: {e}");
+            return 1;
+        }
+    };
     let mut failed = 0usize;
     for file in &files {
         let name = file
@@ -621,7 +763,7 @@ fn run_self_test(root: &Path) -> i32 {
             failed += 1;
             continue;
         }
-        let mut fired: Vec<String> = lint_source(&vpath, &text)
+        let mut fired: Vec<String> = lint_source(&vpath, &text, &counts)
             .into_iter()
             .map(|f| f.rule.to_string())
             .collect();
@@ -661,5 +803,37 @@ fn collect_fixtures(dir: &Path, out: &mut Vec<PathBuf>) {
         if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `series-of-count` fires on exactly the two count reads of its
+    /// fixture — not on the curve, the by-variable call, the `counter`
+    /// read or the mention in a comment.
+    #[test]
+    fn series_of_count_fires_on_count_reads_only() {
+        let root = workspace_root();
+        let counts = engine_counts(&root).expect("the engine declares its counts");
+        for name in ["route_batches", "stem_probes"] {
+            assert!(counts.iter().any(|c| c == name), "{name}");
+        }
+        assert!(!counts.iter().any(|c| c == "results"));
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/series_of_count.rs");
+        let text = std::fs::read_to_string(fixture).expect("fixture");
+        let lines: Vec<usize> = lint_source("crates/bench/src/paper.rs", &text, &counts)
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, [9, 10]);
+        // Outside the house roots only this rule runs.
+        let wall = "fn t() { let _ = Instant::now(); let _ = m.series(\"stem_probes\"); }";
+        let rules: Vec<&str> = lint_source("benchmark/src/run.rs", wall, &counts)
+            .iter()
+            .map(|f| f.rule)
+            .collect();
+        assert_eq!(rules, ["series-of-count"]);
     }
 }
