@@ -1,6 +1,6 @@
-//! The one JSON emitter behind every `BENCH_<n>.json`: a document is a
-//! field list, so a series states *which* fields it reports and with
-//! what precision, never how they are quoted or nested.
+//! The JSON emitter behind `PAPER_RESULTS.json`: a document is a field
+//! list, so an entry states *which* fields it reports and with what
+//! precision, never how they are quoted or nested.
 
 use std::fmt::Write as _;
 
@@ -22,15 +22,6 @@ pub enum Json {
 impl Json {
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
-    }
-
-    /// The numeric value of an `Int`/`Float` field (speedup arithmetic).
-    pub fn num(&self) -> f64 {
-        match self {
-            Json::Int(n) => *n as f64,
-            Json::Float(x, _) => *x,
-            other => panic!("{other:?} is not a number"),
-        }
     }
 
     /// The document text. A list of scalars (a sampled curve) stays on
@@ -121,8 +112,7 @@ fn write_str(out: &mut String, s: &str) {
 mod tests {
     use super::*;
 
-    /// Balanced braces and brackets outside strings, every string closed
-    /// — the structural check the kernels series used to run on itself.
+    /// Balanced braces and brackets outside strings, every string closed.
     fn assert_balanced(text: &str) {
         let (mut depth, mut brackets, mut in_str, mut esc) = (0i64, 0i64, false, false);
         for c in text.chars() {
@@ -177,8 +167,6 @@ mod tests {
             "{\"rows_per_sec\": 99722, \"speedup\": 1.249, \"median_secs\": 0.090250, \
              \"results\": 49200, \"memo\": false}\n"
         );
-        assert_eq!(Json::Float(2.5, 3).num(), 2.5);
-        assert_eq!(Json::Int(7).num(), 7.0);
     }
 
     #[test]

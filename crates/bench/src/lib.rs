@@ -1,4 +1,4 @@
-//! Shared harness for the paper experiments and the bench series, both
+//! Shared harness for the paper experiments and the folding sweep, both
 //! reached through the one `stems-bench` binary.
 //!
 //! `stems-bench paper <name|all>`: [`paper::PAPER`] is the table of the
@@ -12,15 +12,14 @@
 //! `[PASS|FAIL]` line per claim and emits `PAPER_RESULTS.json`. `cargo
 //! test` runs every entry.
 //!
-//! `stems-bench <series|all>`: the perf trajectory `BENCH_<n>.json`.
-//! [`series::SERIES`] is the table of series, [`harness`] times and checks
-//! them, [`drive`] holds what they run, [`json`] writes them.
+//! `stems-bench server`: [`server::run`] times a query stream through
+//! `QueryServer` with SteM folding off and on, and asserts both modes
+//! return every query the same rows. Speed claims belong to `benchmark/`;
+//! this sweep only shows where folding stands.
 
-pub mod drive;
-pub mod harness;
 pub mod json;
 pub mod paper;
-pub mod series;
+pub mod server;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -66,37 +65,7 @@ fn chart(title: &str, y_label: &str, horizon: Time, series: &[(&str, &Series)]) 
     ascii_plot(&spec, series)
 }
 
-/// FNV-1a over a byte slice — the deterministic primitive behind the
-/// bench binaries' result hashes.
-pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = seed;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// A machine-independent hash of a result multiset, rendered as 16 hex
-/// digits. Rows are rendered to strings by the caller; the hash sorts
-/// them first, so emission order never matters — two series hash equal
-/// iff they produced the same result multiset. Benchmarks embed this as
-/// the `result_hash` JSON field, and `tools/bench_check.py` gates CI on
-/// cross-series (and cross-commit) equality.
-pub fn result_hash(mut rows: Vec<String>) -> String {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    rows.sort_unstable();
-    let mut h = OFFSET;
-    for row in &rows {
-        h = fnv1a(h, row.as_bytes());
-        h = fnv1a(h, &[0x1e]); // row separator
-    }
-    h = fnv1a(h, &rows.len().to_le_bytes());
-    format!("{h:016x}")
-}
-
-/// Render a canonical result multiset (`Report::canonical`) for hashing.
+/// Render a canonical result multiset (`Report::canonical`) as strings.
 pub fn render_canonical(rows: &[Vec<stems_types::Value>]) -> Vec<String> {
     rows.iter()
         .map(|row| {
@@ -191,21 +160,6 @@ mod tests {
     fn results_dir_exists() {
         let d = results_dir();
         assert!(d.exists());
-    }
-
-    #[test]
-    fn result_hash_is_order_insensitive_and_content_sensitive() {
-        let a = result_hash(vec!["r1".into(), "r2".into()]);
-        let b = result_hash(vec!["r2".into(), "r1".into()]);
-        assert_eq!(a, b, "multiset hash must ignore emission order");
-        assert_eq!(a.len(), 16);
-        assert_ne!(a, result_hash(vec!["r1".into()]));
-        assert_ne!(a, result_hash(vec!["r1".into(), "r3".into()]));
-        // Duplicates count: a multiset, not a set.
-        assert_ne!(
-            result_hash(vec!["r1".into(), "r1".into()]),
-            result_hash(vec!["r1".into()])
-        );
     }
 
     #[test]

@@ -85,10 +85,9 @@ pub struct CostModel {
     /// (max over shards) instead of the total —
     /// [`crate::sharded::ShardedStem::parallel_service_units`]. This is
     /// the simulation-native expression of the wall-clock parallelism
-    /// sharding provides on multi-core hosts (`stems-bench shards` uses it for
-    /// its deterministic, hardware-independent speedup series). Off by
-    /// default so the virtual timeline is identical at every shard count
-    /// — the shard-invariance equivalence suites rely on that.
+    /// sharding provides on multi-core hosts; nothing in the tree turns it
+    /// on. Off by default so the virtual timeline is identical at every
+    /// shard count — the shard-invariance equivalence suites rely on that.
     pub shard_parallel_service: bool,
 }
 
@@ -182,7 +181,7 @@ pub struct ExecConfig {
     /// Envelope-level dedup for UDF predicates: group an envelope's rows
     /// by input key and evaluate one representative per distinct key
     /// ([`crate::sm::Sm::apply_batch_udf`]). Independent of `memo` (the
-    /// four on/off combinations are swept by `stems-bench pred`). Overridable
+    /// four on/off combinations are held equal by `engine_e2e`). Overridable
     /// with `STEMS_UDF_DEDUP` (`0`/`1`).
     pub udf_dedup: bool,
     /// BoundedRepetition backstop.

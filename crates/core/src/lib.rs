@@ -102,8 +102,8 @@
 //! `batch_size: 1` degenerates to exactly the scalar engine (same
 //! decisions, same event counts); `tests/prop_batch_equivalence.rs`
 //! asserts result-multiset equality between the two paths on randomized
-//! SPJ workloads, and `stems-bench batch` records the throughput win in
-//! `BENCH_1.json`.
+//! SPJ workloads, and `benchmark/`'s `join_chain` workload measures the
+//! batched path (batch 64) in wall clock.
 //!
 //! # Correctness tooling
 //!

@@ -54,8 +54,8 @@ pub const MAX_POOL_WORKERS: usize = 32;
 /// spawn/join (~tens of µs per thread); pool dispatch is a queue push +
 /// condvar wake (measured ~1–2 µs per task on the bench host), so the
 /// crossover where parallel dispatch beats the serial loop drops to
-/// roughly half an envelope of dictionary work — 256 rows. `stems-bench
-/// workers` (BENCH_6.json) sweeps worker counts at this threshold.
+/// roughly half an envelope of dictionary work — 256 rows. `benchmark/`'s
+/// `join_sharded` workload runs the pool at this threshold.
 pub const DEFAULT_PARALLEL_MIN_ROWS: usize = 256;
 
 /// Worker threads the host can actually run in parallel (affinity/cgroup

@@ -524,10 +524,17 @@ fn udf_selection_memo_and_dedup_are_observably_invisible() {
     );
     assert_eq!(both.counter("udf_calls"), 6);
     // Skipped verdicts are skipped virtual time: the fast path finishes
-    // strictly earlier on a duplicate-heavy input.
+    // strictly earlier on a duplicate-heavy input — at least 3× earlier,
+    // since it pays 6 verdicts where the plain cell pays 60.
     assert!(
         both.end_time < plain.end_time,
         "memo+dedup {} !< plain {}",
+        both.end_time,
+        plain.end_time
+    );
+    assert!(
+        plain.end_time >= 3 * both.end_time,
+        "memo+dedup {} is not 3x earlier than plain {}",
         both.end_time,
         plain.end_time
     );
