@@ -1,6 +1,7 @@
 //! The catalog: named tables, their simulated contents, and access methods.
 
 use crate::{AccessMethodDef, AmId, IndexTable};
+use std::collections::HashSet;
 use std::sync::Arc;
 use stems_types::{Result, Row, Schema, StemsError, Value};
 
@@ -71,6 +72,8 @@ pub struct Catalog {
     /// Per access method, in `ams` order: an index's lookup table (`None`
     /// for a scan).
     index_tables: Vec<Option<Arc<IndexTable>>>,
+    /// Per table, in `tables` order: are its rows pairwise distinct?
+    distinct: Vec<bool>,
 }
 
 impl Catalog {
@@ -79,7 +82,8 @@ impl Catalog {
     }
 
     /// Register a table. Validates rows against the schema and name
-    /// uniqueness (case-insensitive).
+    /// uniqueness (case-insensitive), and records whether the rows are
+    /// pairwise distinct ([`Self::rows_distinct`]).
     pub fn add_table(&mut self, def: TableDef) -> Result<SourceId> {
         if self
             .tables
@@ -91,12 +95,27 @@ impl Catalog {
                 def.name
             )));
         }
+        let mut seen = HashSet::with_capacity(def.num_rows());
+        let mut distinct = true;
         for r in def.rows() {
             def.schema.check_row(r.values())?;
+            distinct = distinct && seen.insert(&**r);
         }
         let id = SourceId(self.tables.len() as u32);
+        self.distinct.push(distinct);
         self.tables.push(def);
         Ok(id)
+    }
+
+    /// Are the rows of `source` pairwise distinct under row equality —
+    /// the equality a SteM's set-semantics duplicate filter (§3.2)
+    /// applies? Then one scan can never deliver a row twice, and a SteM
+    /// fed by nothing else needs no filter. `false` for an unknown source.
+    pub fn rows_distinct(&self, source: SourceId) -> bool {
+        self.distinct
+            .get(source.0 as usize)
+            .copied()
+            .unwrap_or(false)
     }
 
     /// Register a scan access method on `source`.
@@ -305,6 +324,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn distinctness_is_recorded_per_table() {
+        let (mut c, r) = catalog_with_r();
+        assert!(c.rows_distinct(r));
+        let schema = Schema::of(&[("k", ColumnType::Int), ("f", ColumnType::Float)]);
+        let twice = c
+            .add_table(TableDef::new("twice", schema.clone()).with_rows(vec![
+                vec![1.into(), Value::Float(0.5)],
+                vec![2.into(), Value::Float(0.5)],
+                vec![1.into(), Value::Float(0.5)],
+            ]))
+            .unwrap();
+        assert!(!c.rows_distinct(twice), "a repeated row");
+        // The filter's equality: values by type and bits, so a float and
+        // the int it equals in SQL are distinct rows, and so are -0.0
+        // and 0.0.
+        let near = c
+            .add_table(TableDef::new("near", schema).with_rows(vec![
+                vec![1.into(), Value::Float(0.0)],
+                vec![1.into(), Value::Float(-0.0)],
+                vec![1.into(), Value::Null],
+                vec![1.into(), Value::Int(1)],
+                vec![1.into(), Value::Float(1.0)],
+            ]))
+            .unwrap();
+        assert!(c.rows_distinct(near));
+        let empty = c
+            .add_table(TableDef::new(
+                "empty",
+                Schema::of(&[("k", ColumnType::Int)]),
+            ))
+            .unwrap();
+        assert!(c.rows_distinct(empty));
+        assert!(!c.rows_distinct(SourceId(99)), "unknown source");
+        // A rejected table records nothing.
+        let bad = TableDef::new("bad", Schema::of(&[("k", ColumnType::Int)]))
+            .with_rows(vec![vec!["oops".into()]]);
+        assert!(c.add_table(bad).is_err());
+        assert!(!c.rows_distinct(SourceId(c.num_tables() as u32)));
     }
 
     #[test]

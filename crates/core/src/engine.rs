@@ -1157,24 +1157,19 @@ impl EddyExecutor {
             // with no per-tuple cascade bookkeeping.
             return self.select_single(sm, wave);
         }
-        let mut verdicts = sm.apply_batch_fused(wave.tuples(), &siblings).into_iter();
+        let verdicts = sm.apply_batch_fused(wave.tuples(), &siblings);
         // Virtual cost: one SM service per member (exactly the unfused
         // charge) plus one per extra sibling evaluation actually performed
         // — fusion saves routing hops and envelopes, not predicate work.
-        let total_evals: usize = verdicts.as_slice().iter().map(|v| v.evals.len()).sum();
+        let total_evals: usize = verdicts.iter().map(|v| v.evaluated as usize).sum();
         let dur = self.config.costs.sm_us
             * (wave.len() + total_evals.saturating_sub(wave.len())).max(1) as u64;
         // The Select hop compacts its envelope to the survivors in place.
-        wave.compact(|_, _, state| {
-            let Some(fused) = verdicts.next() else {
-                return false;
-            };
-            for (pred, passed) in &fused.evals {
+        wave.compact(|i, _, state| {
+            let fused = verdicts[i];
+            for (pred, passed) in fused.evals(sm, &siblings) {
                 self.metrics.bump_id(self.ids.sm_applied, self.now, 1);
-                self.policy.feedback(&Feedback::Selected {
-                    pred: *pred,
-                    passed: *passed,
-                });
+                self.policy.feedback(&Feedback::Selected { pred, passed });
             }
             match fused.verdict {
                 Some(true) => state.done = state.done.union(fused.passed),
@@ -1854,7 +1849,9 @@ impl EddyExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::StemCell;
     use crate::policy::BenefitCostPolicy;
+    use crate::sharded::ShardedStem;
     use stems_catalog::{ScanSpec, TableDef, TableInstance};
     use stems_types::{CmpOp, ColRef, ColumnType, PredId, Schema};
 
@@ -2399,6 +2396,126 @@ mod tests {
             "fusion must not schedule more events ({} vs {})",
             fused.events,
             unfused.events
+        );
+    }
+
+    /// The SteM on `t` — a second handle on its cell.
+    fn stem_of(exec: &EddyExecutor, t: usize) -> StemCell {
+        match &exec.modules[exec.layout.stem_mid[t].expect("t has a SteM")] {
+            Module::Stem(cell) => cell.share(),
+            _ => panic!("t{t}'s SteM slot holds another module"),
+        }
+    }
+
+    /// A SteM that skips the duplicate filter, because one scan over
+    /// distinct rows feeds it, accounts exactly as the filter would: a run
+    /// with filtering SteMs swapped in reports the same
+    /// `stem_bytes_total` series, the same counters and the same results.
+    #[test]
+    fn a_filterless_stem_accounts_like_the_filter() {
+        let (catalog, query) = sel2();
+        let config = ExecConfig {
+            check_constraints: true,
+            ..ExecConfig::default()
+        };
+        let trusting = EddyExecutor::build(&catalog, &query, config.clone()).unwrap();
+        let mut filtering = EddyExecutor::build(&catalog, &query, config).unwrap();
+        for t in 0..query.n_tables() {
+            assert!(!stem_of(&trusting, t).lock().filters_duplicates(), "t{t}");
+            let ti = TableIdx(t as u8);
+            let stem = ShardedStem::new(
+                ti,
+                query.instance(ti).source,
+                &query.join_cols_of(ti),
+                true,
+                false,
+                filtering.config.resolved_plan_opts().default_stem,
+            );
+            assert!(stem.filters_duplicates());
+            let mid = filtering.layout.stem_mid[t].unwrap();
+            filtering.modules[mid] = Module::Stem(StemCell::new(stem));
+        }
+        let (trusting, filtering) = (trusting.run(), filtering.run());
+        assert!(trusting.violations.is_empty(), "{:?}", trusting.violations);
+        let bytes = |r: &Report| {
+            r.metrics
+                .series("stem_bytes_total")
+                .unwrap()
+                .points()
+                .to_vec()
+        };
+        assert!(!bytes(&trusting).is_empty());
+        assert_eq!(bytes(&trusting), bytes(&filtering));
+        assert_eq!(trusting.end_time, filtering.end_time);
+        assert_eq!(trusting.events, filtering.events);
+        for name in ["scanned", "duplicates_absorbed", "sm_applied"] {
+            assert_eq!(trusting.counter(name), filtering.counter(name), "{name}");
+        }
+        assert_eq!(
+            trusting.canonical(&catalog, &query),
+            filtering.canonical(&catalog, &query)
+        );
+    }
+
+    /// A single-scan table that holds a row twice keeps its SteM's
+    /// duplicate filter: the second copy is absorbed (§3.2 set
+    /// semantics), so the join answers once per distinct row.
+    #[test]
+    fn a_repeated_row_under_one_scan_is_still_absorbed() {
+        let mut c = Catalog::new();
+        let schema = Schema::of(&[("k", ColumnType::Int)]);
+        let r = c
+            .add_table(TableDef::new("R", schema.clone()).with_rows(vec![
+                vec![1.into()],
+                vec![2.into()],
+                vec![1.into()],
+            ]))
+            .unwrap();
+        let s = c
+            .add_table(
+                TableDef::new("S", schema).with_rows((0..4i64).map(|i| vec![i.into()]).collect()),
+            )
+            .unwrap();
+        c.add_scan(r, ScanSpec::default()).unwrap();
+        c.add_scan(s, ScanSpec::default()).unwrap();
+        assert!(!c.rows_distinct(r) && c.rows_distinct(s));
+        let q = QuerySpec::new(
+            &c,
+            vec![
+                TableInstance {
+                    source: r,
+                    alias: "r".into(),
+                },
+                TableInstance {
+                    source: s,
+                    alias: "s".into(),
+                },
+            ],
+            vec![Predicate::join(
+                PredId(0),
+                ColRef::new(TableIdx(0), 0),
+                CmpOp::Eq,
+                ColRef::new(TableIdx(1), 0),
+            )],
+            None,
+        )
+        .unwrap();
+        let config = ExecConfig {
+            check_constraints: true,
+            ..ExecConfig::default()
+        };
+        let exec = EddyExecutor::build(&c, &q, config).unwrap();
+        assert!(stem_of(&exec, 0).lock().filters_duplicates());
+        assert!(!stem_of(&exec, 1).lock().filters_duplicates());
+        let report = exec.run();
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.counter("duplicates_absorbed"), 1);
+        let keys: Vec<Vec<Value>> = report.canonical(&c, &q);
+        assert_eq!(
+            keys,
+            [[1, 1], [2, 2]]
+                .map(|r| r.map(Value::Int).to_vec())
+                .to_vec()
         );
     }
 }

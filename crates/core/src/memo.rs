@@ -9,8 +9,11 @@
 //! observable difference is time.
 //!
 //! Structure: `num_shards` independently locked shards (hash-routed, like
-//! the SteM shard fan-out), each a hash index over an entry slab with a
-//! clock/second-chance eviction hand bounded by an
+//! the SteM shard fan-out), each an entry slab indexed by the key's
+//! precomputed stable hash — slot chains under an identity hasher
+//! ([`SlotChains`], the SteM index's shape), so a lookup never re-hashes
+//! and an entry costs no list of its own — with a clock/second-chance
+//! eviction hand bounded by an
 //! [`stems_types::Value::approx_bytes`] budget. Shards live behind the
 //! [`crate::sync`] shim; poison recovery clears the poisoned shard — the
 //! memo is pure performance state, so an empty shard is always correct.
@@ -21,6 +24,7 @@
 //! verdict query A bought.
 
 use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
+use stems_storage::{Slot, SlotChains};
 use stems_types::{HashedKey, Value};
 
 /// Default per-cache byte budget (`STEMS_MEMO_BYTES` overrides).
@@ -73,7 +77,7 @@ struct MemoShard {
     slab: Vec<Option<MemoEntry>>,
     free: Vec<usize>,
     /// hash → slab slots holding entries with that hash (collision chain).
-    index: std::collections::HashMap<u64, Vec<usize>>,
+    index: SlotChains,
     /// Clock hand for second-chance eviction, an index into `slab`.
     hand: usize,
     bytes: usize,
@@ -89,15 +93,14 @@ impl MemoShard {
     }
 
     fn lookup(&mut self, hash: u64, key: &Value) -> Option<bool> {
-        let chain = self.index.get(&hash)?;
-        for &slot in chain {
-            let entry = self.slab[slot].as_mut().expect("indexed slot is live");
-            if &entry.key == key {
-                entry.referenced = true;
-                return Some(entry.verdict);
-            }
-        }
-        None
+        let slab = &self.slab;
+        let held = |s: &Slot| slab[*s as usize].as_ref().is_some_and(|e| &e.key == key);
+        let slot = self.index.chain(hash).find(held)?;
+        let entry = self.slab[slot as usize]
+            .as_mut()
+            .expect("indexed slot is live");
+        entry.referenced = true;
+        Some(entry.verdict)
     }
 
     /// Insert a verdict, evicting clock victims until the shard fits its
@@ -126,7 +129,7 @@ impl MemoShard {
                 self.slab.len() - 1
             }
         };
-        self.index.entry(hash).or_default().push(slot);
+        self.index.push(hash, slot as Slot);
         evicted
     }
 
@@ -155,14 +158,8 @@ impl MemoShard {
             }
             let entry = self.slab[slot].take().expect("checked live above");
             self.bytes -= entry.approx_bytes();
-            let chain = self
-                .index
-                .get_mut(&entry.hash)
-                .expect("live entry is indexed");
-            chain.retain(|&s| s != slot);
-            if chain.is_empty() {
-                self.index.remove(&entry.hash);
-            }
+            let unlinked = self.index.unlink(entry.hash, slot as Slot);
+            debug_assert!(unlinked, "live entry is indexed");
             self.free.push(slot);
             return;
         }

@@ -234,15 +234,31 @@ pub fn instantiate(
         if opts.no_stem.contains(t) {
             continue;
         }
-        let mid = modules.len();
-        modules.push(Module::Stem(StemCell::new(ShardedStem::new(
+        let ams = catalog.ams_of(ti.source);
+        let has_scan = ams.iter().any(|(_, def)| def.is_scan());
+        let mut stem = ShardedStem::new(
             t,
             ti.source,
             &query.join_cols_of(t),
-            catalog.has_scan(ti.source),
-            catalog.has_index(ti.source),
+            has_scan,
+            ams.iter().any(|(_, def)| def.is_index()),
             opts.default_stem.clone(),
-        ))));
+        );
+        // A scan delivers the whole table, so a scan-fed SteM is sized for
+        // it (an index-only source delivers an unknown subset). When that
+        // scan is the source's only access method and its rows are
+        // pairwise distinct, no row can arrive twice: the SteM skips the
+        // §3.2 duplicate filter, which the paper keeps because "the same
+        // tuple can be generated by different AMs". Two scans, or a scan
+        // beside an index, keep it.
+        if has_scan {
+            stem.expect_scan_rows(catalog.table_expect(ti.source).num_rows());
+            if ams.len() == 1 && catalog.rows_distinct(ti.source) {
+                stem.trust_distinct();
+            }
+        }
+        let mid = modules.len();
+        modules.push(Module::Stem(StemCell::new(stem)));
         layout.stem_mid[i] = Some(mid);
     }
     layout.stem_table = vec![None; modules.len()];
@@ -442,6 +458,79 @@ mod tests {
             assert_eq!(reply.results.len(), 2, "{num_shards} shards");
             assert_eq!(reply.observed_ts, 2, "{num_shards} shards");
         }
+    }
+
+    /// A SteM skips the duplicate filter exactly when one scan over rows
+    /// the catalog found distinct feeds it; a repeated row, a second scan,
+    /// an index beside the scan, or an index alone keep it.
+    #[test]
+    fn the_duplicate_filter_is_dropped_only_where_no_duplicate_can_arrive() {
+        let mut c = Catalog::new();
+        let schema = Schema::of(&[("k", ColumnType::Int), ("v", ColumnType::Int)]);
+        let distinct = || (0..6i64).map(|i| vec![i.into(), (i % 2).into()]).collect();
+        let mut add = |name: &str, rows: Vec<Vec<Value>>, scans: usize, index: bool| {
+            let id = c
+                .add_table(TableDef::new(name, schema.clone()).with_rows(rows))
+                .unwrap();
+            for _ in 0..scans {
+                c.add_scan(id, ScanSpec::default()).unwrap();
+            }
+            if index {
+                c.add_index(id, IndexSpec::new(vec![0], 1000)).unwrap();
+            }
+            id
+        };
+        let mut repeated: Vec<Vec<Value>> = distinct();
+        repeated.push(repeated[0].clone());
+        let sources = [
+            (add("one_scan", distinct(), 1, false), false),
+            (add("repeated_row", repeated, 1, false), true),
+            (add("scan_and_index", distinct(), 1, true), true),
+            (add("two_scans", distinct(), 2, false), true),
+            (add("index_only", distinct(), 0, true), true),
+        ];
+        // A star on the first table's key binds the index-only source.
+        let q = QuerySpec::new(
+            &c,
+            sources
+                .iter()
+                .enumerate()
+                .map(|(i, (source, _))| TableInstance {
+                    source: *source,
+                    alias: format!("t{i}"),
+                })
+                .collect(),
+            (1..sources.len())
+                .map(|i| {
+                    Predicate::join(
+                        PredId(i as u16 - 1),
+                        ColRef::new(TableIdx(0), 0),
+                        CmpOp::Eq,
+                        ColRef::new(TableIdx(i as u8), 0),
+                    )
+                })
+                .collect(),
+            None,
+        )
+        .unwrap();
+        let (modules, layout) = instantiate(&c, &q, &PlanOptions::default()).unwrap();
+        for (i, (source, filters)) in sources.iter().enumerate() {
+            let Module::Stem(cell) = &modules[layout.stem_mid[i].unwrap()] else {
+                panic!("t{i} has a SteM");
+            };
+            let name = &c.table_expect(*source).name;
+            assert_eq!(cell.lock().filters_duplicates(), *filters, "{name}");
+        }
+        // A SteM made directly always filters.
+        let stem = ShardedStem::new(
+            TableIdx(0),
+            sources[0].0,
+            &[0],
+            true,
+            false,
+            StemOptions::default(),
+        );
+        assert!(stem.filters_duplicates());
     }
 
     #[test]

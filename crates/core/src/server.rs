@@ -1055,7 +1055,7 @@ impl<'a> QueryServer<'a> {
     /// scan already emitted so the newcomer's SteM matches what a
     /// from-the-start subscriber would hold.
     fn new_entry(&mut self, key: StemKey, instance: TableIdx) -> usize {
-        let stem = ShardedStem::new(
+        let mut stem = ShardedStem::new(
             instance,
             key.source,
             &key.join_cols,
@@ -1063,6 +1063,13 @@ impl<'a> QueryServer<'a> {
             false, // ... and no index AM
             key.opts.clone(),
         );
+        // One shared scan stream feeds the entry, however many scan AMs
+        // the source declares: it receives each row of the table once, so
+        // over distinct rows it needs no duplicate filter.
+        stem.expect_scan_rows(self.catalog.table_expect(key.source).num_rows());
+        if self.catalog.rows_distinct(key.source) {
+            stem.trust_distinct();
+        }
         let ei = self.entries.len();
         let source = key.source;
         self.entries.push(Some(SharedEntry {

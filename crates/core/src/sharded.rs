@@ -181,6 +181,9 @@ pub struct ShardedStem {
     /// Minimum routed rows before an envelope dispatches to the pool
     /// (resolved from [`StemOptions::parallel_min_rows`]).
     parallel_min_rows: usize,
+    /// Rows a scan will deliver, reserved for at the first build
+    /// ([`Self::expect_scan_rows`]); 0 once reserved, or when unknown.
+    expected_rows: usize,
     /// Pooled build envelope buffers, one per lane.
     build_lanes: Vec<BuildLane>,
     /// Per build tuple: its lane (`None` for an EOT tuple).
@@ -240,6 +243,7 @@ impl ShardedStem {
                 .parallel_min_rows
                 .unwrap_or_else(default_parallel_min_rows)
                 .max(1),
+            expected_rows: 0,
             build_lanes: Vec::new(),
             build_route: Vec::new(),
             probe_pool: ProbePool::default(),
@@ -255,6 +259,43 @@ impl ShardedStem {
     /// probing on behalf of the new instance.
     pub fn retarget(&mut self, instance: TableIdx) {
         self.instance = instance;
+    }
+
+    /// A scan will deliver `rows` rows (the catalog's count): at the first
+    /// build, every lane reserves its slab, timestamp column and dedup
+    /// filter for them, capped at the eviction window, instead of
+    /// regrowing them — and a SteM nothing is built into, such as a
+    /// private SteM the query server folds away, reserves nothing. Keyed
+    /// lanes split the rows by hash, so each reserves an even share plus
+    /// an eighth of headroom (a lane that overran an exact share would
+    /// double and request more than plain growth); the overflow lane
+    /// holds only NULL keys and reserves nothing. Called by the plan and
+    /// the query server.
+    pub(crate) fn expect_scan_rows(&mut self, rows: usize) {
+        self.expected_rows = self.window.map_or(rows, |w| rows.min(w));
+    }
+
+    /// Make the reservation [`Self::expect_scan_rows`] announced.
+    fn reserve_expected(&mut self) {
+        let rows = std::mem::take(&mut self.expected_rows);
+        if self.num_shards == 1 {
+            self.shards[0].reserve(rows);
+            return;
+        }
+        let share = rows.div_ceil(self.num_shards);
+        for lane in &mut self.shards[..self.num_shards] {
+            lane.reserve(share + share / 8);
+        }
+    }
+
+    /// No row can arrive twice — one scan over rows the catalog checked
+    /// pairwise distinct — so no lane runs the §3.2 duplicate filter: each
+    /// keeps only the filter's member count and bytes, and
+    /// [`Self::approx_bytes`] reads as if it filtered. Called by the plan
+    /// and the query server before the first build; a SteM made by
+    /// [`Self::new`] alone always filters.
+    pub(crate) fn trust_distinct(&mut self) {
+        self.shards.iter_mut().for_each(Shard::trust_distinct);
     }
 
     // ------------------------------------------------------------------
@@ -451,6 +492,9 @@ impl ShardedStem {
         ts_counter: &mut Timestamp,
         out: &mut Vec<BuildResult>,
     ) {
+        if self.expected_rows > 0 {
+            self.reserve_expected();
+        }
         let mut lanes = std::mem::take(&mut self.build_lanes);
         let mut route = std::mem::take(&mut self.build_route);
         lanes.resize_with(self.shards.len(), BuildLane::default);
@@ -994,6 +1038,12 @@ pub(crate) mod testkit {
         pub(crate) fn lanes(&self) -> &[Shard] {
             &self.shards
         }
+
+        /// Does this SteM run the §3.2 duplicate filter (see
+        /// [`ShardedStem::trust_distinct`])?
+        pub(crate) fn filters_duplicates(&self) -> bool {
+            self.shards.iter().all(Shard::filters)
+        }
     }
 }
 
@@ -1128,6 +1178,50 @@ mod tests {
                 stem.duplicates_absorbed(),
                 stem.eot_version(),
             ],
+        }
+    }
+
+    /// A SteM sized for its scan that trusts its rows distinct — no
+    /// duplicate filter, only its count and bytes — builds, evicts,
+    /// compacts and answers exactly like one that filters and regrows, at
+    /// one lane and several, windowed or not, envelope by envelope.
+    #[test]
+    fn a_trusting_stem_matches_a_filtering_one_over_distinct_rows() {
+        let (_c, q) = setup();
+        let rows: Vec<Tuple> = (0..150).map(|i| s_tuple(i % 17, i)).collect();
+        for shards in [1, 4] {
+            for window in [None, Some(5)] {
+                let opts = StemOptions {
+                    eviction_window: window,
+                    ..StemOptions::default()
+                };
+                let mut filtering = sharded(shards, opts.clone());
+                let mut trusting = sharded(shards, opts);
+                trusting.expect_scan_rows(rows.len());
+                trusting.trust_distinct();
+                assert!(filtering.filters_duplicates() && !trusting.filters_duplicates());
+                let (mut ts_f, mut ts_t) = (0, 0);
+                for chunk in rows.chunks(7) {
+                    let batch: TupleBatch = chunk.iter().cloned().collect();
+                    let states = vec![TupleState::new(); batch.len()];
+                    let want = filtering.build_batch(&batch, &states, &mut ts_f);
+                    let got = trusting.build_batch(&batch, &states, &mut ts_t);
+                    let cell = format!("{shards} shards, window {window:?}");
+                    assert_eq!(stamped_ts(&got), stamped_ts(&want), "{cell}");
+                    assert_eq!(trusting.shard_lens(), filtering.shard_lens(), "{cell}");
+                    assert_eq!(trusting.shard_bytes(), filtering.shard_bytes(), "{cell}");
+                    assert_eq!(trusting.evictions(), filtering.evictions(), "{cell}");
+                }
+                assert_eq!(trusting.duplicates_absorbed(), 0);
+                // Key 13 is the last row's: live under the window too.
+                let probe = r_tuple(1, 13);
+                let (want, got) = (
+                    probe_one(&mut filtering, &probe, &TupleState::new(), &q),
+                    probe_one(&mut trusting, &probe, &TupleState::new(), &q),
+                );
+                assert_eq!(match_ts(&got), match_ts(&want));
+                assert!(!want.results.is_empty());
+            }
         }
     }
 

@@ -14,26 +14,32 @@
 //! the whole conjunction in one pass: each predicate runs column-at-a-time
 //! over the rows still alive (via the kernels' masked entry point),
 //! short-circuiting a row out of later predicates the moment one fails.
-//! The per-predicate outcomes are reported exactly as a sequential scalar
-//! cascade through separate SMs would report them: one `(pred, passed)`
-//! observation per evaluation actually performed, none for predicates a
-//! row never reached.
+//! A row's [`FusedVerdict`] is three words — verdict, donebits, and how
+//! many links of the chain it was evaluated on — so the pass allocates
+//! nothing per row. From that count [`FusedVerdict::evals`] rebuilds the
+//! per-predicate outcomes exactly as a sequential scalar cascade through
+//! separate SMs would report them: one `(pred, passed)` observation per
+//! evaluation actually performed, none for predicates a row never
+//! reached.
 
 //! # Expensive UDF predicates
 //!
 //! A UDF-style predicate ([`stems_types::ExprKind::Udf`]) charges a
 //! virtual latency per *computed* verdict, so the SM takes a dedicated
 //! batch path ([`Sm::apply_batch_udf`]) that (a) groups the envelope's
-//! rows by input key ([`HashedKey`], the hash-once plumbing) and
-//! evaluates one representative per distinct key, scattering the verdict
-//! to every duplicate, and (b) consults an optional [`MemoCell`] shared
-//! across envelopes — and, under the query server, across queries — so a
-//! verdict is computed once per distinct key ever seen. Both layers are
+//! rows by input key — by each key's precomputed stable hash
+//! ([`HashedKey`], the hash-once plumbing), in identity-hashed slot chains
+//! with no list per key — and evaluates one representative per distinct
+//! key, scattering the verdict to every duplicate, and (b) consults an
+//! optional [`MemoCell`] shared across envelopes — and, under the query
+//! server, across queries — so a verdict is computed once per distinct
+//! key ever seen. Both layers are
 //! verdict-for-verdict identical to the scalar cascade
 //! (`tests/prop_memo_equivalence.rs`); only the computed-call count (and
 //! therefore virtual time) changes.
 
 use crate::memo::{MemoCell, MemoCounters};
+use stems_storage::{Slot, SlotChains};
 use stems_types::{ConstKernel, HashedKey, PredId, PredSet, Predicate, Tuple, TupleBatch};
 
 /// A selection module wrapping one predicate. The predicate's columnar
@@ -66,7 +72,7 @@ pub struct UdfOutcome {
 }
 
 /// Per-tuple outcome of a fused selection cascade.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FusedVerdict {
     /// `Some(true)` — every predicate in the chain passed; `Some(false)` —
     /// dropped at the first failing predicate; `None` — a predicate was
@@ -74,10 +80,32 @@ pub struct FusedVerdict {
     pub verdict: Option<bool>,
     /// Donebits earned: the predicates that evaluated to `true`.
     pub passed: PredSet,
+    /// How far down the chain the row got: the first `evaluated` links
+    /// were evaluated on it, and all of them passed except — when
+    /// `verdict` is `Some(false)` — the last. A link that was not
+    /// evaluable counts no evaluation.
+    pub evaluated: u32,
+}
+
+impl FusedVerdict {
     /// Chain-order `(pred, passed)` observations for policy feedback —
     /// exactly the `Feedback::Selected` events a sequential scalar cascade
-    /// would have generated.
-    pub evals: Vec<(PredId, bool)>,
+    /// would have generated — rebuilt from [`FusedVerdict::evaluated`].
+    /// `lead` and `siblings` are the chain the verdict came from
+    /// ([`Sm::apply_batch_fused`]'s receiver and argument).
+    pub fn evals<'s>(
+        self,
+        lead: &'s Sm,
+        siblings: &'s [&'s Sm],
+    ) -> impl Iterator<Item = (PredId, bool)> + 's {
+        let n = self.evaluated as usize;
+        let failed = self.verdict == Some(false);
+        std::iter::once(lead)
+            .chain(siblings.iter().copied())
+            .take(n)
+            .enumerate()
+            .map(move |(k, sm)| (sm.pred_id(), !(failed && k + 1 == n)))
+    }
 }
 
 impl Sm {
@@ -153,13 +181,12 @@ impl Sm {
     /// plus bookkeeping.
     pub fn apply_batch_fused(&self, batch: &TupleBatch, siblings: &[&Sm]) -> Vec<FusedVerdict> {
         let n = batch.len();
-        let mut out: Vec<FusedVerdict> = (0..n)
-            .map(|_| FusedVerdict {
-                verdict: Some(true),
-                passed: PredSet::EMPTY,
-                evals: Vec::new(),
-            })
-            .collect();
+        let fresh = FusedVerdict {
+            verdict: Some(true),
+            passed: PredSet::EMPTY,
+            evaluated: 0,
+        };
+        let mut out = vec![fresh; n];
         let mut alive = vec![true; n];
         let mut alive_count = n;
         for (k, sm) in std::iter::once(&self).chain(siblings.iter()).enumerate() {
@@ -175,19 +202,20 @@ impl Sm {
                 if !alive[i] {
                     continue;
                 }
+                let row = &mut out[i];
                 match v {
                     Some(true) => {
-                        out[i].evals.push((pred_id, true));
-                        out[i].passed.insert(pred_id);
+                        row.evaluated += 1;
+                        row.passed.insert(pred_id);
                     }
                     Some(false) => {
-                        out[i].evals.push((pred_id, false));
-                        out[i].verdict = Some(false);
+                        row.evaluated += 1;
+                        row.verdict = Some(false);
                         alive[i] = false;
                         alive_count -= 1;
                     }
                     None => {
-                        out[i].verdict = None;
+                        row.verdict = None;
                         alive[i] = false;
                         alive_count -= 1;
                     }
@@ -219,10 +247,8 @@ impl Sm {
             computed: 0,
             memo: MemoCounters::default(),
         };
-        // Rows with a hashable key, annotated once (hash-once pipeline);
-        // `groups` maps a key hash to the representative rows seen so far
-        // when dedup is on.
-        let mut keyed: Vec<(usize, HashedKey)> = Vec::new();
+        // Rows with a hashable key, annotated once (hash-once pipeline).
+        let mut keyed: Vec<(usize, HashedKey)> = Vec::with_capacity(n);
         for (i, t) in batch.iter().enumerate() {
             let Some(v) = self.pred.left.resolve(t) else {
                 continue; // wrong span: not evaluable
@@ -233,8 +259,6 @@ impl Sm {
             }
             keyed.push((i, HashedKey::new(v.clone())));
         }
-        let mut groups: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
         let verdict_of = |hk: &HashedKey, out: &mut UdfOutcome| -> bool {
             if let Some(memo) = &self.memo {
                 if let Some(v) = memo.lookup(hk) {
@@ -251,16 +275,21 @@ impl Sm {
             spec.verdict(hk.raw())
         };
         if dedup {
+            // The representatives so far, by position in `keyed`, chained
+            // under their key's precomputed hash: one bucket jump, never a
+            // re-hash, and keys that collide share a chain.
+            let mut reps = SlotChains::new();
+            reps.reserve(keyed.len());
             for k in 0..keyed.len() {
                 let (i, ref hk) = keyed[k];
                 let hash = hk.hash().expect("keyed rows are hashable").get();
-                let chain = groups.entry(hash).or_default();
-                if let Some(&rep) = chain.iter().find(|&&r| keyed[r].1.same_lookup(hk)) {
+                let same = |r: &Slot| keyed[*r as usize].1.same_lookup(hk);
+                if let Some(rep) = reps.chain(hash).find(same) {
                     // Duplicate of an earlier row: scatter its verdict.
-                    out.verdicts[i] = out.verdicts[keyed[rep].0];
+                    out.verdicts[i] = out.verdicts[keyed[rep as usize].0];
                     continue;
                 }
-                chain.push(k);
+                reps.push(hash, k as Slot);
                 let v = verdict_of(hk, &mut out);
                 out.verdicts[i] = Some(v);
             }
@@ -357,18 +386,53 @@ mod tests {
         let sm1 = Sm::new(p1);
         let t = |a: i64, b: i64| Tuple::singleton_of(TableIdx(0), vec![a.into(), b.into()]);
         let batch: TupleBatch = vec![t(99, 1), t(3, 1), t(99, 9)].into_iter().collect();
-        let out = sm.apply_batch_fused(&batch, &[&sm1]);
+        let siblings = [&sm1];
+        let out = sm.apply_batch_fused(&batch, &siblings);
+        let evals = |v: FusedVerdict| v.evals(&sm, &siblings).collect::<Vec<_>>();
         // Row 0 passes both: both donebits, both feedback events.
         assert_eq!(out[0].verdict, Some(true));
         assert!(out[0].passed.contains(PredId(0)) && out[0].passed.contains(PredId(1)));
-        assert_eq!(out[0].evals, vec![(PredId(0), true), (PredId(1), true)]);
+        assert_eq!(out[0].evaluated, 2);
+        assert_eq!(evals(out[0]), vec![(PredId(0), true), (PredId(1), true)]);
         // Row 1 fails p0: p1 is never evaluated (short circuit).
         assert_eq!(out[1].verdict, Some(false));
-        assert_eq!(out[1].evals, vec![(PredId(0), false)]);
+        assert_eq!(out[1].evaluated, 1);
+        assert_eq!(evals(out[1]), vec![(PredId(0), false)]);
         // Row 2 passes p0, fails p1.
         assert_eq!(out[2].verdict, Some(false));
         assert!(out[2].passed.contains(PredId(0)));
-        assert_eq!(out[2].evals, vec![(PredId(0), true), (PredId(1), false)]);
+        assert_eq!(evals(out[2]), vec![(PredId(0), true), (PredId(1), false)]);
+    }
+
+    #[test]
+    fn fused_chain_counts_no_evaluation_for_an_unevaluable_link() {
+        // p0: c0 > 10 over table 0; p1: c0 < 5 over table 1, which a
+        // table-0 row does not span. A row that passes p0 reaches p1 and
+        // is dropped there without a verdict: one evaluation, one
+        // observation, like the scalar cascade.
+        let p1 = Predicate::selection(
+            PredId(1),
+            ColRef::new(TableIdx(1), 0),
+            CmpOp::Lt,
+            Value::Int(5),
+        );
+        let sm = sm_gt(10);
+        let sm1 = Sm::new(p1);
+        let siblings = [&sm1];
+        let t = |a: i64| Tuple::singleton_of(TableIdx(0), vec![a.into()]);
+        let batch: TupleBatch = vec![t(99), t(3)].into_iter().collect();
+        let out = sm.apply_batch_fused(&batch, &siblings);
+        assert_eq!(out[0].verdict, None);
+        assert_eq!(out[0].evaluated, 1);
+        assert_eq!(
+            out[0].evals(&sm, &siblings).collect::<Vec<_>>(),
+            vec![(PredId(0), true)]
+        );
+        assert_eq!(out[1].verdict, Some(false));
+        assert_eq!(
+            out[1].evals(&sm, &siblings).collect::<Vec<_>>(),
+            vec![(PredId(0), false)]
+        );
     }
 
     #[test]
@@ -415,6 +479,54 @@ mod tests {
         assert_eq!(out.memo.hits, 3, "one lookup per distinct key");
     }
 
+    /// The selection hop allocates per envelope, never per row: a fused
+    /// cascade, and a UDF pass over a warm memo with and without envelope
+    /// dedup, make as many allocations for 128 rows as for 64.
+    #[test]
+    fn selection_allocations_do_not_grow_with_the_envelope() {
+        use crate::memo::MemoCache;
+        use crate::test_alloc::allocs_during;
+        use stems_types::UdfSpec;
+        let row = |i: i64| Tuple::singleton_of(TableIdx(0), vec![(i % 40).into(), (i % 7).into()]);
+        let (small, large): (TupleBatch, TupleBatch) =
+            ((0..64).map(row).collect(), (0..128).map(row).collect());
+
+        let sm = sm_gt(10);
+        let col = |c| ColRef::new(TableIdx(0), c);
+        let lt = Sm::new(Predicate::selection(
+            PredId(1),
+            col(1),
+            CmpOp::Lt,
+            Value::Int(5),
+        ));
+        let ne = Sm::new(Predicate::selection(
+            PredId(2),
+            col(0),
+            CmpOp::Ne,
+            Value::Int(30),
+        ));
+        let siblings = [&lt, &ne];
+        let fused = |b: &TupleBatch| allocs_during(|| sm.apply_batch_fused(b, &siblings)).0;
+        assert_eq!(fused(&small), fused(&large));
+
+        let mut udf = Sm::new(Predicate::udf(
+            PredId(3),
+            col(0),
+            UdfSpec::hash_sieve(500, 1000),
+        ));
+        udf.set_memo(Some(MemoCache::cell(8, 1 << 16)));
+        // Warm: the large envelope holds every key of both.
+        udf.apply_batch_udf(&large, true);
+        for dedup in [true, false] {
+            let warm = |b: &TupleBatch| {
+                let (allocs, out) = allocs_during(|| udf.apply_batch_udf(b, dedup));
+                assert_eq!(out.computed, 0, "memo is warm");
+                allocs
+            };
+            assert_eq!(warm(&small), warm(&large), "dedup {dedup}");
+        }
+    }
+
     #[test]
     fn fused_with_no_siblings_matches_apply_batch() {
         let sm = sm_gt(10);
@@ -429,6 +541,7 @@ mod tests {
         let plain = sm.apply_batch(&batch);
         assert_eq!(fused.iter().map(|f| f.verdict).collect::<Vec<_>>(), plain);
         // Not-evaluable rows report no feedback, like the scalar engine.
-        assert!(fused[2].evals.is_empty());
+        assert_eq!(fused[2].evaluated, 0);
+        assert_eq!(fused[2].evals(&sm, &[]).count(), 0);
     }
 }

@@ -33,12 +33,13 @@
 //! ([`stems_storage::Slab`]) and hands out a dense **slot** per stored
 //! row; everything else the lane knows about a row is filed under that
 //! slot, not under the row: the dedup filter maps row value → slot
-//! ([`RowSet`], under a whole-row hash computed once per build row), and
-//! the build timestamps are a plain column, `ts[slot]`. A probe therefore
-//! gets candidate *slots* from the dictionary, applies the TimeStamp and
-//! LastMatchTimeStamp rules on `ts[slot]` — in a symmetric join the
-//! TimeStamp rule alone rejects about half of them — and only then
-//! resolves the survivors' rows and clones their handles.
+//! ([`RowSet`], under a whole-row hash computed once per build row — or,
+//! where the plan proves no duplicate can arrive, only counts its
+//! members), and the build timestamps are a plain column, `ts[slot]`. A
+//! probe therefore gets candidate *slots* from the dictionary, applies
+//! the TimeStamp and LastMatchTimeStamp rules on `ts[slot]` — in a
+//! symmetric join the TimeStamp rule alone rejects about half of them —
+//! and only then resolves the survivors' rows and clones their handles.
 //!
 //! Between [`Shard::ingest`] and [`Shard::stamp`] a row is stored but has
 //! no timestamp yet: its column entry reads [`UNBUILT_TS`], which the
@@ -322,7 +323,8 @@ const COMPACT_MIN_DEAD: usize = 32;
 /// the timestamp bookkeeping per instance.
 pub(crate) struct Shard {
     store: Store,
-    /// Stored rows by value → their slot (§3.2 duplicate absorption).
+    /// Stored rows by value → their slot (§3.2 duplicate absorption); an
+    /// unfiltered set once [`Shard::trust_distinct`].
     dedup: RowSet,
     /// Build timestamp by slot. A row [`Shard::ingest`] stored but
     /// [`Shard::stamp`] has not reached yet reads [`UNBUILT_TS`], which no
@@ -339,6 +341,28 @@ impl Shard {
             dedup: RowSet::new(),
             ts: Vec::new(),
         }
+    }
+
+    /// Room for `rows` more rows in the slab, the timestamp column and
+    /// the dedup filter.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        self.store.reserve(rows);
+        self.ts.reserve(rows);
+        self.dedup.reserve(rows);
+    }
+
+    /// Stop checking for duplicates: the caller has proved none can
+    /// arrive, so the filter keeps only its member count and bytes (and
+    /// the lane's accounting does not move). Before the first build only.
+    pub(crate) fn trust_distinct(&mut self) {
+        debug_assert_eq!(self.store.slab().slots(), 0, "trust_distinct after a build");
+        self.dedup = RowSet::unfiltered();
+    }
+
+    /// Does this lane run the duplicate filter?
+    #[cfg(test)]
+    pub(crate) fn filters(&self) -> bool {
+        self.dedup.filters()
     }
 
     /// Number of stored (non-EOT) tuples.
@@ -365,9 +389,10 @@ impl Shard {
     /// reusable staging buffer for the rows about to be inserted (left
     /// empty).
     ///
-    /// Each row is hashed once, for the dedup filter; a duplicate of a row
-    /// earlier in this same envelope is caught against the pending batch,
-    /// before the store holds its original.
+    /// A filtering lane hashes each row once; a duplicate of a row earlier
+    /// in this same envelope is caught against the pending batch, before
+    /// the store holds its original. A lane that trusts its rows distinct
+    /// hashes none.
     pub(crate) fn ingest(
         &mut self,
         tuples: &[Tuple],
@@ -388,7 +413,7 @@ impl Shard {
                     None => slab.row(s).expect("dedup members are live"),
                 }
             };
-            let inserted = self.dedup.insert(RowSet::hash_of(row), row, slot, held);
+            let inserted = self.dedup.insert(row, slot, held);
             if inserted {
                 pending.push(row.clone());
             }
@@ -413,7 +438,7 @@ impl Shard {
     /// holds of them.
     pub(crate) fn forget(&mut self, slot: Slot) -> bool {
         let row = self.store.remove(slot).expect("evicted slots are live");
-        self.dedup.forget(RowSet::hash_of(&row), &row, slot);
+        self.dedup.forget(&row, slot);
         let slab = self.store.slab();
         let dead = slab.slots() - slab.live();
         let rebuild = dead > slab.live().max(COMPACT_MIN_DEAD);
@@ -439,7 +464,7 @@ impl Shard {
         let held = |s: Slot| -> &Row { slab.row(s).expect("a rebuilt slab is dense") };
         for slot in slab.live_slots() {
             let row = held(slot);
-            let fresh = self.dedup.insert(RowSet::hash_of(row), row, slot, held);
+            let fresh = self.dedup.insert(row, slot, held);
             debug_assert!(fresh, "stored rows are distinct");
         }
     }
@@ -834,7 +859,7 @@ mod tests {
             for slot in live {
                 let row = held(slot);
                 assert_eq!(
-                    lane.dedup.find(RowSet::hash_of(row), row, held),
+                    lane.dedup.find(row, held),
                     Some(slot),
                     "stored row not found through its own chain: {row:?}"
                 );
@@ -1326,7 +1351,7 @@ mod tests {
                 .find_map(|lane| {
                     let slab = lane.store.slab();
                     let held = |s: Slot| -> &Row { slab.row(s).expect("chained slots are live") };
-                    let slot = lane.dedup.find(RowSet::hash_of(row), row, held)?;
+                    let slot = lane.dedup.find(row, held)?;
                     Some(lane.ts[slot as usize])
                 })
                 .expect("r1 stored");

@@ -14,7 +14,10 @@
 //! keys). Rows within one table are always distinct (the engine's SteMs
 //! use set semantics, §3.2, so workloads are duplicate-free by
 //! construction; competition experiments create duplicates by *mirroring
-//! AMs*, not by duplicating rows).
+//! AMs*, not by duplicating rows). The catalog checks it rather than
+//! trusting it: `Catalog::add_table` records whether a table's rows are
+//! pairwise distinct, a SteM fed by one scan over such a table skips the
+//! duplicate filter, and a table that breaks the rule keeps it.
 
 pub mod gen;
 pub mod table3;

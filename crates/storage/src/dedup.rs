@@ -19,58 +19,123 @@ const HEADER_BYTES: usize = 40;
 /// value before?" in O(1).
 ///
 /// The set holds no rows of its own: a member is the **slot** its row
-/// occupies in the store beside it, chained under the whole-row hash
-/// ([`RowSet::hash_of`]). The caller computes that hash once per build
-/// row and resolves slots back to rows for the equality check, so growing
-/// the table re-hashes nothing and membership costs one hash, not one per
-/// structure the row is entered into.
-#[derive(Debug, Default)]
+/// occupies in the store beside it, chained under the whole-row hash. The
+/// set hashes each row it files once and resolves slots back to rows for
+/// the equality check, so growing the table re-hashes nothing.
+///
+/// Where no duplicate can arrive — one scan over rows the catalog checked
+/// pairwise distinct — the filter has nothing to catch: an
+/// [unfiltered](RowSet::unfiltered) set hashes and files nothing and keeps
+/// only its member count and bytes, so it accounts exactly as the filter
+/// would.
+#[derive(Debug)]
 pub struct RowSet {
-    chains: SlotChains,
+    /// Members by whole-row hash; `None` in an unfiltered set.
+    chains: Option<SlotChains>,
     len: usize,
     /// Sum of the members' [`Row::approx_bytes`] (the accounting model
     /// counts a stored row once here and once in its store).
     bytes: usize,
 }
 
+impl Default for RowSet {
+    fn default() -> RowSet {
+        RowSet::new()
+    }
+}
+
 impl RowSet {
     pub fn new() -> RowSet {
-        RowSet::default()
+        RowSet {
+            chains: Some(SlotChains::new()),
+            len: 0,
+            bytes: 0,
+        }
+    }
+
+    /// A set whose owner vouches that no row arrives twice: every insert
+    /// is fresh and nothing is filed (see the type docs).
+    pub fn unfiltered() -> RowSet {
+        RowSet {
+            chains: None,
+            ..RowSet::new()
+        }
+    }
+
+    /// Does this set check rows against its members?
+    pub fn filters(&self) -> bool {
+        self.chains.is_some()
     }
 
     /// The hash rows are filed under — of the whole row, by value.
-    pub fn hash_of(row: &Row) -> u64 {
+    fn hash_of(row: &Row) -> u64 {
         FxBuildHasher::default().hash_one(row)
     }
 
-    /// The member equal to `row`, if any. `hash` is [`RowSet::hash_of`]
-    /// `row`; `held` resolves a member slot to its row.
-    pub fn find<'r>(&self, hash: u64, row: &Row, held: impl Fn(Slot) -> &'r Row) -> Option<Slot> {
-        self.chains.chain(hash).find(|s| held(*s) == row)
+    /// Room for `additional` more members without regrowing.
+    pub fn reserve(&mut self, additional: usize) {
+        if let Some(chains) = &mut self.chains {
+            chains.reserve(additional);
+        }
+    }
+
+    /// The member equal to `row`, if any; `held` resolves a member slot
+    /// to its row. An unfiltered set finds nothing.
+    pub fn find<'r>(&self, row: &Row, held: impl Fn(Slot) -> &'r Row) -> Option<Slot> {
+        self.find_hashed(Self::hash_of(row), row, held)
+    }
+
+    fn find_hashed<'r>(
+        &self,
+        hash: u64,
+        row: &Row,
+        held: impl Fn(Slot) -> &'r Row,
+    ) -> Option<Slot> {
+        self.chains.as_ref()?.chain(hash).find(|s| held(*s) == row)
     }
 
     /// Record `row` as the occupant of `slot`; returns `true` if it was
     /// new, `false` — recording nothing — if a member already equals it.
-    pub fn insert<'r>(
+    pub fn insert<'r>(&mut self, row: &Row, slot: Slot, held: impl Fn(Slot) -> &'r Row) -> bool {
+        let hash = if self.filters() {
+            Self::hash_of(row)
+        } else {
+            0
+        };
+        self.insert_hashed(hash, row, slot, held)
+    }
+
+    fn insert_hashed<'r>(
         &mut self,
         hash: u64,
         row: &Row,
         slot: Slot,
         held: impl Fn(Slot) -> &'r Row,
     ) -> bool {
-        if self.find(hash, row, held).is_some() {
-            return false;
+        if let Some(chains) = &mut self.chains {
+            if chains.chain(hash).any(|s| held(s) == row) {
+                return false;
+            }
+            chains.push(hash, slot);
         }
-        self.chains.push(hash, slot);
         self.len += 1;
         self.bytes += row.approx_bytes();
         true
     }
 
     /// Forget the member in `slot` (on eviction, so a re-arriving row is
-    /// accepted again). `row` is the row it held, `hash` its hash.
-    pub fn forget(&mut self, hash: u64, row: &Row, slot: Slot) -> bool {
-        let removed = self.chains.unlink(hash, slot);
+    /// accepted again). `row` is the row it held.
+    pub fn forget(&mut self, row: &Row, slot: Slot) -> bool {
+        let hash = if self.filters() {
+            Self::hash_of(row)
+        } else {
+            0
+        };
+        self.forget_hashed(hash, row, slot)
+    }
+
+    fn forget_hashed(&mut self, hash: u64, row: &Row, slot: Slot) -> bool {
+        let removed = self.chains.as_mut().is_none_or(|c| c.unlink(hash, slot));
         if removed {
             self.len -= 1;
             self.bytes -= row.approx_bytes();
@@ -80,14 +145,17 @@ impl RowSet {
 
     /// Forget every member, keeping the allocations.
     pub fn clear(&mut self) {
-        self.chains.clear();
+        if let Some(chains) = &mut self.chains {
+            chains.clear();
+        }
         self.len = 0;
         self.bytes = 0;
     }
 
-    /// Every member slot (no particular order).
+    /// Every filed member slot (no particular order; none in an
+    /// unfiltered set).
     pub fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
-        self.chains.slots()
+        self.chains.iter().flat_map(SlotChains::slots)
     }
 
     pub fn len(&self) -> usize {
@@ -124,8 +192,7 @@ mod tests {
         /// The SteM's ingest step: dedup, then store the fresh row.
         fn insert(&mut self, row: Arc<Row>) -> bool {
             let (slab, slot) = (&self.slab, self.slab.len() as Slot);
-            let hash = RowSet::hash_of(&row);
-            let fresh = self.set.insert(hash, &row, slot, |s| &slab[s as usize]);
+            let fresh = self.set.insert(&row, slot, |s| &slab[s as usize]);
             if fresh {
                 self.slab.push(row);
             }
@@ -133,15 +200,14 @@ mod tests {
         }
 
         fn find(&self, row: &Row) -> Option<Slot> {
-            let hash = RowSet::hash_of(row);
-            self.set.find(hash, row, |s| &self.slab[s as usize])
+            self.set.find(row, |s| &self.slab[s as usize])
         }
 
         fn forget(&mut self, row: &Row) -> bool {
             let Some(slot) = self.find(row) else {
                 return false;
             };
-            self.set.forget(RowSet::hash_of(row), row, slot)
+            self.set.forget(row, slot)
         }
     }
 
@@ -173,18 +239,21 @@ mod tests {
 
     #[test]
     fn colliding_rows_share_a_chain_and_stay_distinct() {
-        // A caller-forced hash collision between different rows: equality
+        // A forced hash collision between different rows: equality
         // decides, never the hash.
         let slab = [row(&[1]), row(&[2])];
         let held = |s: Slot| &*slab[s as usize];
         let mut set = RowSet::new();
-        assert!(set.insert(9, &slab[0], 0, held));
-        assert!(set.insert(9, &slab[1], 1, held), "same hash, different row");
-        assert!(!set.insert(9, &row(&[2]), 2, held));
-        assert_eq!(set.find(9, &row(&[2]), held), Some(1));
-        assert!(set.forget(9, &slab[0], 0));
-        assert_eq!(set.find(9, &row(&[1]), held), None);
-        assert_eq!(set.find(9, &row(&[2]), held), Some(1));
+        assert!(set.insert_hashed(9, &slab[0], 0, held));
+        assert!(
+            set.insert_hashed(9, &slab[1], 1, held),
+            "same hash, different row"
+        );
+        assert!(!set.insert_hashed(9, &row(&[2]), 2, held));
+        assert_eq!(set.find_hashed(9, &row(&[2]), held), Some(1));
+        assert!(set.forget_hashed(9, &slab[0], 0));
+        assert_eq!(set.find_hashed(9, &row(&[1]), held), None);
+        assert_eq!(set.find_hashed(9, &row(&[2]), held), Some(1));
     }
 
     #[test]
@@ -196,5 +265,33 @@ mod tests {
         assert_eq!(s.set.approx_bytes(), base + row(&[1]).approx_bytes());
         s.forget(&row(&[1]));
         assert_eq!(s.set.approx_bytes(), base);
+    }
+
+    /// An unfiltered set takes every row as fresh and files nothing, but
+    /// counts and accounts exactly as the filter does for distinct rows.
+    #[test]
+    fn unfiltered_set_counts_like_the_filter() {
+        let slab: Vec<Arc<Row>> = (0..5).map(|k| row(&[k, k * k])).collect();
+        let held = |s: Slot| &*slab[s as usize];
+        let mut filter = RowSet::new();
+        let mut count = RowSet::unfiltered();
+        assert!(filter.filters() && !count.filters());
+        for (slot, r) in slab.iter().enumerate() {
+            assert!(filter.insert(r, slot as Slot, held));
+            assert!(count.insert(r, slot as Slot, held));
+            assert_eq!(count.len(), filter.len());
+            assert_eq!(count.approx_bytes(), filter.approx_bytes());
+        }
+        assert_eq!(count.slots().count(), 0, "nothing filed");
+        assert_eq!(count.find(&slab[2], held), None);
+        // It trusts its owner: a repeat is not caught.
+        assert!(count.insert(&slab[2], 5, held));
+        assert!(count.forget(&slab[2], 5));
+        assert!(filter.forget(&slab[0], 0) && count.forget(&slab[0], 0));
+        assert_eq!(count.approx_bytes(), filter.approx_bytes());
+        filter.clear();
+        count.clear();
+        assert_eq!(count.approx_bytes(), filter.approx_bytes());
+        assert!(count.is_empty());
     }
 }

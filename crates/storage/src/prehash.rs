@@ -62,6 +62,11 @@ impl SlotChains {
         SlotChains::default()
     }
 
+    /// Room for `additional` more distinct hashes without regrowing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.ends.reserve(additional);
+    }
+
     /// Append `slot` to the chain of `hash`.
     pub fn push(&mut self, hash: u64, slot: Slot) {
         match self.ends.entry(hash) {

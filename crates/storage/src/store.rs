@@ -119,6 +119,13 @@ impl Store {
         &self.slab
     }
 
+    /// Room for `additional` more rows in the slab without regrowing (the
+    /// indexes grow with their distinct keys, which a row count does not
+    /// tell).
+    pub fn reserve(&mut self, additional: usize) {
+        self.slab.reserve(additional);
+    }
+
     /// Insert a row; returns its slot — the slab's next insertion ordinal.
     /// Duplicate handling is the caller's job ([`crate::RowSet`]).
     pub fn insert(&mut self, row: Arc<Row>) -> Slot {

@@ -4,6 +4,11 @@ use crate::Value;
 use std::fmt;
 use std::sync::Arc;
 
+/// The fixed term of [`Row::approx_bytes`] — a constant of the accounting
+/// model (today's `size_of::<Row>()`), not the struct's current size, so
+/// that state bytes do not move when the row changes shape.
+const HEADER_BYTES: usize = 16;
+
 /// One base-table row: an immutable, shared slice of values.
 ///
 /// Rows are reference-counted ([`Arc<Row>`]) so a row stored in a SteM, held
@@ -52,7 +57,7 @@ impl Row {
 
     /// Approximate heap footprint for memory accounting.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Row>() + self.values.iter().map(Value::approx_bytes).sum::<usize>()
+        HEADER_BYTES + self.values.iter().map(Value::approx_bytes).sum::<usize>()
     }
 }
 

@@ -59,6 +59,10 @@ impl std::hash::Hash for Component {
 /// must not move when the struct changes shape.
 const HEADER_BYTES: usize = 24;
 
+/// What [`Tuple::approx_bytes`] charges per component on top of its row —
+/// today's `size_of::<Component>()`, pinned for the same reason.
+const COMPONENT_BYTES: usize = 24;
+
 /// The components of a [`Tuple`], in table order. The form is canonical:
 /// exactly one component is always `One`, whichever constructor built it.
 #[derive(Clone)]
@@ -256,7 +260,7 @@ impl Tuple {
             + self
                 .components()
                 .iter()
-                .map(|c| std::mem::size_of::<Component>() + c.row.approx_bytes())
+                .map(|c| COMPONENT_BYTES + c.row.approx_bytes())
                 .sum::<usize>()
     }
 }
@@ -413,6 +417,25 @@ mod tests {
         let n = Tuple::singleton_of(TableIdx(1), vec![Value::Int(1)]);
         assert!(!n.is_eot());
         assert!(t.concat(&n).is_eot());
+    }
+
+    /// The state-accounting model in literal numbers: what a value, a row
+    /// and a tuple are charged must not move when a struct changes shape
+    /// — `peak_state_bytes` and the paper's memory curves read them.
+    #[test]
+    fn accounted_bytes_are_pinned_to_the_model() {
+        assert_eq!(Value::Int(1).approx_bytes(), 24);
+        assert_eq!(Value::Null.approx_bytes(), 24);
+        assert_eq!(Value::Float(0.5).approx_bytes(), 24);
+        assert_eq!(Value::str("hello").approx_bytes(), 24 + 16 + 5);
+        assert_eq!(row(&[1, 2]).approx_bytes(), 16 + 2 * 24);
+        let mixed = Row::new(vec![Value::Int(1), Value::str("ab")]);
+        assert_eq!(mixed.approx_bytes(), 16 + 24 + (24 + 16 + 2));
+        let single = Tuple::singleton(TableIdx(0), row(&[1, 2]));
+        assert_eq!(single.approx_bytes(), 24 + (24 + 64));
+        let pair = single.concat(&Tuple::singleton(TableIdx(1), row(&[3])));
+        assert_eq!(pair.approx_bytes(), 24 + (24 + 64) + (24 + 40));
+        assert_eq!(Tuple::empty().approx_bytes(), 24);
     }
 
     #[test]

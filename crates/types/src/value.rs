@@ -5,6 +5,14 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+/// The fixed term of [`Value::approx_bytes`], and the `Arc<str>` header
+/// (strong and weak counts) a `Str` adds. Constants of the accounting
+/// model — today's `size_of::<Value>()` and two `usize`s on a 64-bit
+/// host — not the current layout: every SteM, memo and state-bytes figure
+/// is a sum of them, so they must not move when the enum changes shape.
+const VALUE_BYTES: usize = 24;
+const ARC_HEADER_BYTES: usize = 16;
+
 /// A scalar value stored in a row.
 ///
 /// `Value` is the unit of data the whole system moves around. Two variants
@@ -179,11 +187,9 @@ impl Value {
     /// of the value, so SteM and memo budgets agree on what a key costs
     /// no matter which of them interned it first.
     pub fn approx_bytes(&self) -> usize {
-        // Two usize refcount slots precede the payload in an ArcInner.
-        const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
-        std::mem::size_of::<Value>()
+        VALUE_BYTES
             + match self {
-                Value::Str(s) => ARC_HEADER + s.len(),
+                Value::Str(s) => ARC_HEADER_BYTES + s.len(),
                 _ => 0,
             }
     }
@@ -374,8 +380,7 @@ mod tests {
     fn approx_bytes_charges_arc_header_per_handle() {
         // The convention: each handle pays enum + Arc header + payload,
         // independent of how many handles share the allocation.
-        let inline = std::mem::size_of::<Value>();
-        let header = 2 * std::mem::size_of::<usize>();
+        let (inline, header) = (VALUE_BYTES, ARC_HEADER_BYTES);
         let a = Value::str("hello");
         let b = a.clone(); // shares the Arc<str> allocation
         assert_eq!(a.approx_bytes(), inline + header + 5);

@@ -282,7 +282,7 @@ fn rowset_matches_hashset_model() {
             let (k, v) = (rng.range_inclusive(0, 9), rng.range_inclusive(0, 3));
             let r = row(k, v);
             let slot = slab.len() as Slot;
-            let fresh = set.insert(RowSet::hash_of(&r), &r, slot, |s| &slab[s as usize]);
+            let fresh = set.insert(&r, slot, |s| &slab[s as usize]);
             assert_eq!(fresh, model.insert((k, v)), "seed {seed}");
             if fresh {
                 slab.push(r);

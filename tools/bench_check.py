@@ -12,7 +12,9 @@ requested) — to the most it may read per workload. The listed workloads
 are single-threaded, so both are exact — the same on every machine — and
 a buffer allocated per envelope, or a singleton that owns a ``Vec``
 again, moves them by far more than the few percent of headroom the
-ceilings carry.
+ceilings carry. A ceiling more than ``SLACK`` above what it caps fails
+too: a change that lowered the counts must lower the ceiling with it, or
+the ceiling stops catching the next regression.
 """
 
 import json
@@ -40,6 +42,9 @@ def load(path: str) -> dict:
 # The gated metrics and the section of a workload's results each lives in.
 ALLOC_METRICS = {"alloc.count_per_row": "per_layer", "alloc_bytes_per_row": "end_to_end"}
 
+# The most a ceiling may sit above the value it caps.
+SLACK = 0.15
+
 
 def check_alloc_ceilings(ceilings_path: str, results_path: str) -> None:
     doc = load(ceilings_path)
@@ -62,6 +67,12 @@ def check_alloc_ceilings(ceilings_path: str, results_path: str) -> None:
                     f"{results_path}: {workload} reads {metric} {value:.3f}, ceiling "
                     f"{ceiling} ({ceilings_path}) — something on the per-tuple path "
                     "allocates again"
+                )
+            if ceiling > value * (1 + SLACK):
+                fail(
+                    f"{results_path}: {workload} reads {metric} {value:.3f}, ceiling "
+                    f"{ceiling} ({ceilings_path}) is more than {SLACK:.0%} above it — "
+                    "lower the ceiling to what the code now does"
                 )
             print(f"bench_check: OK {workload} {metric} {value:.3f} <= {ceiling}")
 

@@ -19,6 +19,7 @@
 //! | `metric-by-name` | no name-taking `.bump(` / `.observe(` in `engine.rs` / `server.rs` — the per-tuple path updates metrics by `MetricId` |
 //! | `row-keyed-map` | no map or set keyed by `Arc<Row>` / `Row` in non-test `stem.rs`, `sharded.rs`, `crates/storage/src/` — stored rows are addressed by slot |
 //! | `stem-lock` | no `Mutex` / `RwLock` / `RefCell` / `atomic` / `lock_ok` / `lock_recover` in non-test `stem.rs`, `sharded.rs` — a SteM's state is reached through `&mut self`; its one lock is `StemCell`'s, in `plan.rs` |
+//! | `default-hasher` | no `HashMap` / `HashSet` with the default SipHash hasher in non-test `crates/core/src/` — the engine hashes its own data: an Fx map, or an identity map over a precomputed hash |
 //! | `series-of-count` | no literal `.series("x")` / `curve(_, "x")` anywhere in the tree (`tests/`, `examples/` and `benchmark/` included) where `x` is in the engine's `metric_ids! { … counts { … } }` list — a count keeps no series |
 //!
 //! The rules above `series-of-count` cover `crates/`, `src/` and `tools/`;
@@ -204,6 +205,7 @@ fn house_rules(path: &str, original: &[&str], code: &[String]) -> Vec<Finding> {
     let per_tuple_path = path == "crates/core/src/engine.rs" || path == "crates/core/src/server.rs";
     let in_stem = path == "crates/core/src/stem.rs" || path == "crates/core/src/sharded.rs";
     let stores_rows = in_stem || path.starts_with("crates/storage/src/");
+    let in_core = path.starts_with("crates/core/src/");
 
     let mut findings = Vec::new();
     let mut sync_use_block = false;
@@ -308,6 +310,21 @@ fn house_rules(path: &str, original: &[&str], code: &[String]) -> Vec<Finding> {
                     rule: "row-keyed-map",
                     line: lineno,
                     message: format!("`{map}` keyed by a row — address stored rows by slot"),
+                });
+            }
+        }
+
+        // default-hasher — SipHash's flood resistance buys nothing for
+        // keys the engine produced itself, and costs a keyed hash per
+        // lookup on the per-tuple path.
+        if in_core && !in_tests {
+            if let Some(what) = default_hasher(code_line) {
+                findings.push(Finding {
+                    rule: "default-hasher",
+                    line: lineno,
+                    message: format!(
+                        "`{what}` hashes with SipHash — use an `FxHashMap` / `FxHashSet`, or identity-hash a precomputed hash"
+                    ),
                 });
             }
         }
@@ -447,6 +464,56 @@ fn row_keyed_map(code_line: &str) -> Option<&'static str> {
                 .is_some_and(|rest| !rest.starts_with(is_ident_char))
         })
     })
+}
+
+/// A `HashMap` / `HashSet` built with the default hasher, if the line
+/// names one: a constructor only the default hasher has, or the type
+/// written with its hasher argument left out (`HashMap<K, V>`,
+/// `HashSet<T>`). `FxHashMap` and friends are other words and do not
+/// match; a type whose arguments continue on the next line is not judged.
+fn default_hasher(code_line: &str) -> Option<String> {
+    for (name, args) in [("HashMap", 3), ("HashSet", 2)] {
+        for (at, _) in code_line.match_indices(name) {
+            let bytes = code_line.as_bytes();
+            let end = at + name.len();
+            if (at > 0 && is_ident_byte(bytes[at - 1]))
+                || bytes.get(end).is_some_and(|b| is_ident_byte(*b))
+            {
+                continue;
+            }
+            let rest = &code_line[end..];
+            for ctor in ["::new(", "::with_capacity(", "::from(", "::from_iter("] {
+                if rest.starts_with(ctor) {
+                    return Some(format!("{name}{}..)", &ctor[..ctor.len() - 1]));
+                }
+            }
+            let generics = rest.trim_start();
+            let generics = generics.strip_prefix("::").unwrap_or(generics);
+            if let Some(n) = generics.strip_prefix('<').and_then(type_args) {
+                if n < args {
+                    return Some(format!("{name}<..>"));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// How many top-level arguments the generic list after an opening `<`
+/// holds, or `None` if it does not close on this line.
+fn type_args(list: &str) -> Option<usize> {
+    let (mut depth, mut commas) = (0usize, 0usize);
+    for c in list.chars() {
+        match c {
+            '<' | '(' | '[' => depth += 1,
+            ')' | ']' => depth = depth.saturating_sub(1),
+            '>' if depth == 0 => return Some(commas + 1),
+            '>' => depth -= 1,
+            ',' if depth == 0 => commas += 1,
+            _ => {}
+        }
+    }
+    None
 }
 
 fn is_ident_char(c: char) -> bool {
@@ -809,6 +876,22 @@ fn collect_fixtures(dir: &Path, out: &mut Vec<PathBuf>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `default-hasher` fires on exactly the default-hasher lines of its
+    /// fixture — not on the Fx and identity-hashed maps, a hasher-taking
+    /// constructor, an import, or the test module.
+    #[test]
+    fn default_hasher_fires_on_sip_hashed_maps_only() {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/default_hasher.rs");
+        let text = std::fs::read_to_string(fixture).expect("fixture");
+        let lines: Vec<usize> = lint_source("crates/core/src/memo.rs", &text, &[])
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, [10, 11, 15, 16, 17]);
+        // Outside `crates/core/src/` the rule does not run.
+        assert!(lint_source("crates/catalog/src/cat.rs", &text, &[]).is_empty());
+    }
 
     /// `series-of-count` fires on exactly the two count reads of its
     /// fixture — not on the curve, the by-variable call, the `counter`
