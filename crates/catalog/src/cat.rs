@@ -209,6 +209,25 @@ mod tests {
     use crate::{IndexSpec, ScanSpec};
     use stems_types::ColumnType;
 
+    /// Catalog rows decide their EOT flag as they are made, and it agrees
+    /// with a scan of their values (EOT is admitted in any column).
+    #[test]
+    fn table_rows_carry_the_eot_flag_a_scan_would_find() {
+        let t = TableDef::new("T", Schema::of(&[("a", ColumnType::Int)])).with_rows(vec![
+            vec![Value::Int(1)],
+            vec![Value::Null],
+            vec![Value::Eot],
+        ]);
+        let flags: Vec<bool> = t.rows().iter().map(|r| r.is_eot()).collect();
+        let scanned: Vec<bool> = t
+            .rows()
+            .iter()
+            .map(|r| r.values().iter().any(Value::is_eot))
+            .collect();
+        assert_eq!(flags, scanned);
+        assert_eq!(flags, vec![false, false, true]);
+    }
+
     fn catalog_with_r() -> (Catalog, SourceId) {
         let mut c = Catalog::new();
         let id = c

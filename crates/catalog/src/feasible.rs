@@ -34,9 +34,10 @@ fn col_boundable(q: &QuerySpec, t: TableIdx, col: usize, accessible: TableSet) -
         // a degenerate equality, and a multi-member list fans the index
         // probe out across its members (one lookup per member, answered
         // through the multi-key flat path). The runtime binding side
-        // (`probe_bindings` / `bind_value_sets` in stems-core) applies
-        // the same rules, so feasibility and probe-time bindability
-        // agree. At least one member must be equality-indexable
+        // (`TableLinks::supplies` behind `IndexAm::can_bind_linked`, and
+        // the key product `IndexAm::probe_linked_into` looks up, in
+        // stems-core) applies the same rules, so feasibility and
+        // probe-time bindability agree. At least one member must be equality-indexable
         // (non-NULL/EOT) — the others can never match a row and supply
         // no lookup key.
         if p.op == CmpOp::In {

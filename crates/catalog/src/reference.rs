@@ -7,6 +7,7 @@
 //! implementation we can write.
 
 use crate::{Catalog, QuerySpec};
+use std::cmp::Ordering;
 use stems_types::{TableIdx, Tuple, Value};
 
 /// Compute the full result set of `q` by nested loops.
@@ -78,19 +79,31 @@ pub fn project(catalog: &Catalog, q: &QuerySpec, tuple: &Tuple) -> Vec<Value> {
 /// flattened to its projected values, the whole list sorted. Two executors
 /// agree iff their canonical forms are equal. The projection is resolved
 /// once per call, not per tuple.
+///
+/// Only identical rows tie under the sort's order, so an unstable sort in
+/// place gives the one answer a stable sort would, whatever order the
+/// tuples came in.
 pub fn canonical(catalog: &Catalog, q: &QuerySpec, tuples: &[Tuple]) -> Vec<Vec<Value>> {
     let cols = projection(catalog, q);
     let mut rows: Vec<Vec<Value>> = tuples.iter().map(|t| project_cols(&cols, t)).collect();
-    rows.sort_by(|a, b| {
+    rows.sort_unstable_by(|a, b| {
         for (x, y) in a.iter().zip(b.iter()) {
-            let ord = x.total_cmp(y);
-            if ord != std::cmp::Ordering::Equal {
+            let ord = canonical_cmp(x, y);
+            if ord != Ordering::Equal {
                 return ord;
             }
         }
         a.len().cmp(&b.len())
     });
     rows
+}
+
+/// [`Value::total_cmp`], refined so that only identical values tie: it
+/// ranks `Int(5)` and `Float(5.0)` equal, and a `Float` column admits
+/// both. The `Int` sorts first.
+fn canonical_cmp(x: &Value, y: &Value) -> Ordering {
+    let is_int = |v: &Value| matches!(v, Value::Int(_));
+    x.total_cmp(y).then_with(|| is_int(y).cmp(&is_int(x)))
 }
 
 #[cfg(test)]
@@ -200,6 +213,24 @@ mod tests {
         res.reverse();
         let canon2 = canonical(&c, &q, &res);
         assert_eq!(canon1, canon2);
+    }
+
+    /// Values `total_cmp` ties but that differ — an `Int` and an equal
+    /// `Float` in a `Float` column — still sort one way only, so the form
+    /// does not depend on the order the executor produced them in.
+    #[test]
+    fn canonical_cmp_ties_only_identical_values() {
+        let (int, float) = (Value::Int(5), Value::Float(5.0));
+        assert_eq!(int.total_cmp(&float), Ordering::Equal);
+        assert_eq!(canonical_cmp(&int, &float), Ordering::Less);
+        assert_eq!(canonical_cmp(&float, &int), Ordering::Greater);
+        for v in [int, float, Value::Null, Value::str("a"), Value::Eot] {
+            assert_eq!(canonical_cmp(&v, &v.clone()), Ordering::Equal);
+        }
+        assert_eq!(
+            canonical_cmp(&Value::Int(4), &Value::Float(5.0)),
+            Ordering::Less
+        );
     }
 
     #[test]

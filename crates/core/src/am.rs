@@ -246,40 +246,12 @@ impl IndexAm {
         }
     }
 
-    /// Every lookup key a probe tuple supplies for instance `t` of this
-    /// source. For each bind column: an equi-join predicate from the
-    /// tuple's span or a constant equality selection supplies *one*
-    /// value; a multi-member IN list fans out across its members. The
-    /// result is the cartesian product over bind columns (IN lists are
-    /// tiny), `None` when some bind column is unboundable.
-    pub fn bind_value_sets(
-        &self,
-        tuple: &Tuple,
-        t: TableIdx,
-        query: &QuerySpec,
-    ) -> Option<Vec<Vec<Value>>> {
-        let mut keys = Vec::new();
-        let links = TableLinks::of(query, t);
-        bind_keys_into(
-            &self.spec.bind_cols,
-            &links,
-            tuple,
-            &mut Vec::new(),
-            &mut keys,
-        )
-        .then_some(keys)
-    }
-
     /// Can this probe tuple bind the index's lookup columns (possibly by
-    /// fanning out over IN-list members)? Derives the query's probe table
-    /// for the call; the router asks [`Self::can_bind_linked`] with the
-    /// plan's.
-    pub fn can_bind(&self, tuple: &Tuple, t: TableIdx, query: &QuerySpec) -> bool {
-        self.can_bind_linked(&TableLinks::of(query, t), tuple)
-    }
-
-    /// [`Self::can_bind`] against the plan-time probe table of the probed
-    /// instance. The router calls this per tuple per routing decision, so
+    /// fanning out over IN-list members), against the plan-time probe
+    /// table of the probed instance? For each bind column an equi-join
+    /// predicate from the tuple's span or a constant equality selection
+    /// supplies one value, and a multi-member IN list fans out across its
+    /// members. The router calls this per tuple per routing decision, so
     /// it only checks that every bind column has a supplier — it never
     /// materializes the cartesian key product built at probe time, and it
     /// allocates nothing. (Binding values are equality-normalized at the
@@ -538,6 +510,24 @@ mod tests {
     ) -> (IndexProbeOutcome, Option<Vec<Value>>) {
         assert_eq!(outcomes.len(), 1, "expected a single-key probe");
         outcomes.pop().expect("checked length")
+    }
+
+    /// Probe through the eddy's form: the plan-time probe table, outcomes
+    /// appended to a caller-owned buffer.
+    fn probe_linked(
+        am: &mut IndexAm,
+        links: &TableLinks,
+        tuple: &Tuple,
+        now: Time,
+    ) -> Vec<(IndexProbeOutcome, Option<Vec<Value>>)> {
+        let mut out = Vec::new();
+        am.probe_linked_into(links, tuple, now, false, &mut out);
+        out
+    }
+
+    /// The lookup keys a probe's outcomes name, in fan-out order.
+    fn lookup_keys(outcomes: &[(IndexProbeOutcome, Option<Vec<Value>>)]) -> Vec<Vec<Value>> {
+        outcomes.iter().filter_map(|(_, key)| key.clone()).collect()
     }
 
     fn rs_query() -> (Catalog, QuerySpec) {
@@ -957,16 +947,17 @@ mod tests {
             IndexSpec::new(vec![0], 1000).with_concurrency(3),
         );
         let r = Tuple::singleton_of(TableIdx(0), vec![Value::Int(7), Value::Int(1)]);
+        let links = TableLinks::of(&q2, TableIdx(1));
+        assert!(am.can_bind_linked(&links, &r));
+        let outcomes = probe_linked(&mut am, &links, &r, 0);
         assert_eq!(
-            am.bind_value_sets(&r, TableIdx(1), &q2),
-            Some(vec![
+            lookup_keys(&outcomes),
+            vec![
                 vec![Value::Int(10)],
                 vec![Value::Int(20)],
                 vec![Value::Int(99)]
-            ])
+            ]
         );
-        let outcomes = am.probe(&r, TableIdx(1), &q2, 0, false);
-        assert_eq!(outcomes.len(), 3);
         assert!(outcomes
             .iter()
             .all(|(o, _)| matches!(o, IndexProbeOutcome::Scheduled { .. })));
@@ -1006,7 +997,7 @@ mod tests {
             vec![Value::Int(10), Value::Int(20)],
         ));
         let q2 = QuerySpec::new(&c, q2.tables, q2.predicates, None).unwrap();
-        let am = IndexAm::new(
+        let mut am = IndexAm::new(
             SourceId(1),
             vec![TableIdx(1)],
             &rows(&[(10, 5)]),
@@ -1014,14 +1005,19 @@ mod tests {
             IndexSpec::new(vec![0, 1], 1000),
         );
         let r = Tuple::singleton_of(TableIdx(0), vec![Value::Int(1), Value::Int(5)]);
+        let links = TableLinks::of(&q2, TableIdx(1));
+        assert!(am.can_bind_linked(&links, &r));
+        let outcomes = probe_linked(&mut am, &links, &r, 0);
         assert_eq!(
-            am.bind_value_sets(&r, TableIdx(1), &q2),
-            Some(vec![
+            lookup_keys(&outcomes),
+            vec![
                 vec![Value::Int(10), Value::Int(5)],
                 vec![Value::Int(20), Value::Int(5)]
-            ])
+            ]
         );
-        assert!(am.can_bind(&r, TableIdx(1), &q2));
+        // One server: the second key of the product waits its turn.
+        assert!(matches!(outcomes[0].0, IndexProbeOutcome::Scheduled { .. }));
+        assert_eq!(outcomes[1].0, IndexProbeOutcome::Queued);
     }
 
     #[test]

@@ -971,7 +971,10 @@ impl EddyExecutor {
         let mut results = std::mem::take(&mut self.build_results);
         let mut ts = self.ts_counter;
         let built_before = stem.build_count();
-        stem.build_batch_into(wave.tuples(), wave.states(), &mut ts, &mut results);
+        // A fresh member moves into its result; the wave keeps an empty
+        // tuple in its place, which the drain below drops.
+        let (tuples, states) = wave.tuples_mut();
+        stem.build_batch_into(tuples, states, &mut ts, &mut results);
         self.ts_counter = ts;
         let mut out = self.waves.take();
         let mut unparks = std::mem::take(&mut self.rt[mid].unparks);

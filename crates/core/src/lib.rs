@@ -94,7 +94,7 @@
 //!    [`policy::RoutingPolicy::choose_batch`] call (default: delegate to
 //!    the scalar `choose` on a representative member) into **one**
 //!    envelope, serviced by the destination module in bulk:
-//!    [`ShardedStem::build_batch`] / [`ShardedStem::probe_batch_into`]
+//!    [`ShardedStem::build_batch_into`] / [`ShardedStem::probe_batch_into`]
 //!    amortize dictionary maintenance through the storage layer's
 //!    `insert_batch` / `lookup_eq_flat`, and [`sm::Sm::apply_batch`]
 //!    filters whole batches.

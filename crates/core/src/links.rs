@@ -13,8 +13,8 @@
 //!
 //! The entry points that take a bare `&QuerySpec`
 //! ([`crate::sharded::ShardedStem::probe_batch_into`],
-//! [`crate::am::IndexAm::probe`], [`crate::am::IndexAm::can_bind`]) derive
-//! the table for their call; the eddy never goes through them.
+//! [`crate::am::IndexAm::probe`]) derive the table for their call; the
+//! eddy never goes through them.
 
 use stems_catalog::QuerySpec;
 use stems_storage::index_key;
@@ -148,7 +148,7 @@ impl TableLinks {
     /// Does something supply a lookup value for column `col` of this
     /// table when `tuple` probes it: a linking equi-join fed an indexable
     /// value, a constant equality, or an `IN` list? The allocation-free
-    /// core of [`crate::am::IndexAm::can_bind`].
+    /// core of [`crate::am::IndexAm::can_bind_linked`].
     pub(crate) fn supplies(&self, tuple: &Tuple, col: usize) -> bool {
         self.equi_values(tuple)
             .any(|(c, v)| c == col && !v.is_null() && !v.is_eot())

@@ -1267,7 +1267,8 @@ impl<'a> QueryServer<'a> {
         }
         let states = vec![TupleState::new(); batch.len()];
         let mut ts = self.ts_counter;
-        let results = stem.build_batch(&batch, &states, &mut ts);
+        let mut results = Vec::with_capacity(batch.len());
+        stem.build_batch_into(&mut batch, &states, &mut ts, &mut results);
         self.ts_counter = ts;
         let new_bytes = stem.approx_bytes();
         drop(stem);

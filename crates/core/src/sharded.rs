@@ -421,7 +421,12 @@ impl ShardedStem {
         }
     }
 
+    /// The lane a stored row belongs to. A one-lane SteM has nothing to
+    /// route and hashes nothing: its index link hashes the key anyway.
     fn lane_of_row(&self, row: &Row) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
+        }
         self.lane_of_hash(row.get(self.key_col).and_then(Value::stable_key_hash))
     }
 
@@ -450,6 +455,9 @@ impl ShardedStem {
     /// [`BuildResult`] per tuple, batch order. See the module docs for
     /// the three passes and why results are identical at any shard and
     /// worker count.
+    ///
+    /// The borrowed form of [`Self::build_batch_into`]: it clones the
+    /// envelope once, so there is one build path.
     pub fn build_batch(
         &mut self,
         batch: &TupleBatch,
@@ -457,21 +465,25 @@ impl ShardedStem {
         ts_counter: &mut Timestamp,
     ) -> Vec<BuildResult> {
         let mut out = Vec::with_capacity(batch.len());
-        self.build_batch_into(batch, states, ts_counter, &mut out);
+        self.build_batch_into(&mut batch.clone(), states, ts_counter, &mut out);
         out
     }
 
     /// [`Self::build_batch`] appending to a caller-owned result buffer —
-    /// the eddy keeps one across envelopes.
+    /// the eddy keeps one across envelopes — and *moving* the envelope's
+    /// fresh singletons instead of copying them: each is stamped in place
+    /// and moved into its [`BuildResult::Fresh`] (or the deferred queue),
+    /// leaving [`Tuple::empty`] at its position in `batch`. Duplicates and
+    /// EOTs stay where they were.
     pub fn build_batch_into(
         &mut self,
-        batch: &TupleBatch,
+        batch: &mut TupleBatch,
         states: &[TupleState],
         ts_counter: &mut Timestamp,
         out: &mut Vec<BuildResult>,
     ) {
         debug_assert_eq!(batch.len(), states.len());
-        let tuples = batch.as_slice();
+        let tuples = batch.as_mut_slice();
         // A windowed SteM builds one row at a time, so eviction
         // interleaves with inserts (see the module docs).
         let envelope = if self.window.is_some() {
@@ -479,7 +491,7 @@ impl ShardedStem {
         } else {
             tuples.len().max(1)
         };
-        for (tuples, states) in tuples.chunks(envelope).zip(states.chunks(envelope)) {
+        for (tuples, states) in tuples.chunks_mut(envelope).zip(states.chunks(envelope)) {
             self.build_envelope(tuples, states, ts_counter, out);
             self.enforce_window();
         }
@@ -487,7 +499,7 @@ impl ShardedStem {
 
     fn build_envelope(
         &mut self,
-        tuples: &[Tuple],
+        tuples: &mut [Tuple],
         states: &[TupleState],
         ts_counter: &mut Timestamp,
         out: &mut Vec<BuildResult>,
@@ -504,10 +516,11 @@ impl ShardedStem {
             lane.next = 0;
         }
         route.clear();
+        let envelope: &[Tuple] = tuples;
 
         // Pass 1 (serial): route. EOTs touch no dictionary state, so
         // their position within the batch is irrelevant.
-        for (i, tuple) in tuples.iter().enumerate() {
+        for (i, tuple) in envelope.iter().enumerate() {
             debug_assert!(tuple.is_singleton(), "SteMs store singleton tuples only");
             let comp = &tuple.components()[0];
             debug_assert_eq!(comp.table, self.instance, "build routed to wrong SteM");
@@ -537,16 +550,16 @@ impl ShardedStem {
             .filter(|(_, (_, lane))| !lane.members.is_empty());
         if pooled {
             fan_out(workers, busy, |(shard, lane)| {
-                shard.ingest(tuples, &lane.members, &mut lane.fresh, &mut lane.pending)
+                shard.ingest(envelope, &lane.members, &mut lane.fresh, &mut lane.pending)
             });
         } else {
             for (_, (shard, lane)) in busy {
-                shard.ingest(tuples, &lane.members, &mut lane.fresh, &mut lane.pending);
+                shard.ingest(envelope, &lane.members, &mut lane.fresh, &mut lane.pending);
             }
         }
 
         // Pass 3 (serial): global timestamps in batch order.
-        for ((tuple, state), &lane_i) in tuples.iter().zip(states).zip(&route) {
+        for ((tuple, state), &lane_i) in tuples.iter_mut().zip(states).zip(&route) {
             let Some(lane_i) = lane_i else {
                 out.push(BuildResult::Eot);
                 continue;
@@ -569,25 +582,27 @@ impl ShardedStem {
     }
 
     /// Stamp one freshly ingested row — `tuple`'s, now in `slot` of
-    /// `lane` — with its global build timestamp and take the bounce/defer
-    /// decision.
+    /// `lane` — with its global build timestamp, take the bounce/defer
+    /// decision, and move the stamped singleton out of the envelope.
     fn stamp(
         &mut self,
         lane: usize,
         slot: Slot,
-        tuple: &Tuple,
+        tuple: &mut Tuple,
         state: &TupleState,
         ts: Timestamp,
     ) -> BuildResult {
-        let row = &tuple.components()[0].row;
         self.shards[lane].stamp(slot, ts);
         self.max_ts = self.max_ts.max(ts);
         self.build_count += 1;
         if self.window.is_some() {
             self.fifo.push_back((lane, slot));
         }
-        let stamped = tuple.with_timestamp(self.instance, ts);
-        if self.deferred_bounce && self.partition_of(row) >= self.mem_partitions {
+        tuple.set_timestamp(self.instance, ts);
+        let stamped = std::mem::replace(tuple, Tuple::empty());
+        if self.deferred_bounce
+            && self.partition_of(&stamped.components()[0].row) >= self.mem_partitions
+        {
             self.deferred.push((stamped, state.clone()));
             BuildResult::Deferred
         } else {
@@ -1250,6 +1265,50 @@ mod tests {
                         "{store:?}, {shards} shards, envelopes of {envelope}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The moving build and the borrowing one are one path: on the same
+    /// envelope they hand back equal results with equal stamps. A fresh
+    /// result holds the caller's own row, moved rather than copied, and
+    /// leaves an empty tuple in the envelope; a duplicate or an EOT stays
+    /// where it was.
+    #[test]
+    fn moving_build_matches_borrowing_build_and_keeps_the_callers_rows() {
+        let batch = workload();
+        let states = vec![TupleState::new(); batch.len()];
+        for shards in [1, 4] {
+            for window in [None, Some(5)] {
+                let opts = StemOptions {
+                    eviction_window: window,
+                    ..StemOptions::default()
+                };
+                let mut borrowing = sharded(shards, opts.clone());
+                let mut moving = sharded(shards, opts);
+                let (mut ts_b, mut ts_m) = (0, 0);
+                let want = borrowing.build_batch(&batch, &states, &mut ts_b);
+                let mut envelope = batch.clone();
+                let mut got = Vec::new();
+                moving.build_batch_into(&mut envelope, &states, &mut ts_m, &mut got);
+                let cell = format!("{shards} shards, window {window:?}");
+                assert_eq!(got, want, "{cell}");
+                assert_eq!(stamped_ts(&got), stamped_ts(&want), "{cell}");
+                assert_eq!(ts_m, ts_b, "{cell}");
+                let mut fresh = 0;
+                for ((result, before), after) in got.iter().zip(&batch).zip(&envelope) {
+                    match result {
+                        BuildResult::Fresh(stamped) => {
+                            let (row, caller) =
+                                (&stamped.components()[0].row, &before.components()[0].row);
+                            assert!(std::sync::Arc::ptr_eq(row, caller), "{cell}");
+                            assert!(after.components().is_empty(), "{cell}");
+                            fresh += 1;
+                        }
+                        _ => assert_eq!(after, before, "{cell}"),
+                    }
+                }
+                assert_eq!(fresh, moving.build_count(), "{cell}");
             }
         }
     }

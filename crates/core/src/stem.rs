@@ -475,8 +475,8 @@ impl Shard {
     /// and bounce decision; this lane contributes the candidates. All
     /// equality lookups on one column go through a single
     /// [`Store::lookup_eq_flat`] index descent into a reusable arena of
-    /// candidate *slots* (duplicate keys share one span; unbindable
-    /// probes walk the slab's live slots), the newly-evaluable predicate
+    /// candidate *slots* (one span per member; unbindable probes walk
+    /// the slab's live slots), the newly-evaluable predicate
     /// set is a bitset re-derived only when `(result span, donebits)`
     /// changes from one member to the next, and both timestamp rules are decided on the slot's entry in the
     /// timestamp column — the row itself is resolved, and its handle
@@ -526,8 +526,9 @@ impl Shard {
                 (ci, keys[ci].len() - 1)
             }));
         }
-        // One flat descent per column: the store dedups identical keys and
-        // reads the precomputed hashes, never re-hashing.
+        // One flat descent per column, every key resolved before any
+        // result is formed: the store reads the precomputed hashes, never
+        // re-hashing.
         for (ci, col) in cols.iter().enumerate() {
             self.store.lookup_eq_flat(*col, &keys[ci], &mut bufs[ci]);
         }
@@ -996,6 +997,25 @@ mod tests {
                 ProbeOutcome::Bounced(CompletionNeed::Required)
             );
         }
+    }
+
+    /// An EOT row knows it is one from the moment it is made: the flag
+    /// `Row::new` sets agrees with a scan of the values, for the scan's
+    /// full-relation EOT and an index probe's keyed one alike.
+    #[test]
+    fn eot_rows_carry_the_flag_a_scan_would_find() {
+        let scanned = |row: &Row| row.values().iter().any(Value::is_eot);
+        let rows = [
+            make_scan_eot_row(3),
+            make_eot_row(2, &[(0, Value::Int(10))]),
+            make_eot_row(3, &[(0, Value::Int(1)), (2, Value::str("k"))]),
+            // An EOT over every column is bound everywhere: no EOT value.
+            make_eot_row(1, &[(0, Value::Int(7))]),
+        ];
+        for row in &rows {
+            assert_eq!(row.is_eot(), scanned(row), "{row:?}");
+        }
+        assert!(rows[..3].iter().all(|r| r.is_eot()));
     }
 
     #[test]

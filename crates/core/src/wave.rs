@@ -94,6 +94,12 @@ impl Wave {
         &self.states
     }
 
+    /// The tuples, mutably, beside their states — a build moves its fresh
+    /// singletons out of the envelope instead of copying them.
+    pub(crate) fn tuples_mut(&mut self) -> (&mut TupleBatch, &[TupleState]) {
+        (&mut self.tuples, &self.states)
+    }
+
     /// The clustered mark of a group or envelope — its members share it.
     pub(crate) fn clustered(&self) -> bool {
         self.clustered.first().is_some_and(|run| run.0 == 0)

@@ -51,10 +51,10 @@
 //! §3.2 (row value → slot, under a whole-row hash the caller computes
 //! once); a small in-repo Fx-style hasher ([`fxhash`]) for hot integer
 //! keys; and the flat probe machinery — [`CandidateBuf`] (the
-//! caller-owned slot arena behind [`Store::lookup_eq_flat`], with
-//! key-run dedup) and [`SlotChains`] (hash-once chains threaded through
-//! a per-slot column: the hash index's and the dedup filter's common
-//! shape).
+//! caller-owned slot arena behind [`Store::lookup_eq_flat`], one span per
+//! probe key, repeats included) and [`SlotChains`] (hash-once chains
+//! threaded through a per-slot column: the hash index's and the dedup
+//! filter's common shape).
 //!
 //! Why a chain walk re-checks the key: a chain holds every slot filed
 //! under one 64-bit *hash*, so colliding keys share it. The walker has
@@ -163,23 +163,31 @@ mod hash {
         }
 
         #[test]
-        fn flat_lookup_skips_tombstones_and_dedups() {
+        fn flat_lookup_skips_tombstones_and_answers_every_key() {
             let mut s = StoreKind::Hash.build(&[0]);
             let dead = s.insert(row(&[5, 1]));
             s.insert(row(&[5, 2]));
             s.insert(row(&[6, 3]));
             assert!(s.remove(dead).is_some());
-            let keys: Vec<HashedKey> = [Value::Int(5), Value::Float(5.0), Value::Int(6)]
-                .into_iter()
-                .map(HashedKey::new)
-                .collect();
+            let keys: Vec<HashedKey> = [
+                Value::Int(5),
+                Value::Float(5.0),
+                Value::Int(6),
+                Value::Int(5),
+            ]
+            .into_iter()
+            .map(HashedKey::new)
+            .collect();
             let mut buf = CandidateBuf::new();
             s.lookup_eq_flat(0, &keys, &mut buf);
+            assert_eq!(buf.num_keys(), 4);
             assert_eq!(buf.candidates(0), [1]);
-            assert_eq!(buf.candidates(0), buf.candidates(1), "coercion dedup");
             assert_eq!(buf.candidates(2), [2]);
-            // Two distinct keys resolved; the coerced duplicate shared.
-            assert_eq!(buf.rows_stored(), 2);
+            // The coerced and the repeated key answer in full, each in its
+            // own span: four keys, four candidates written.
+            assert_eq!(buf.candidates(1), buf.candidates(0), "coercion");
+            assert_eq!(buf.candidates(3), buf.candidates(0), "repeat");
+            assert_eq!(buf.rows_stored(), 4);
         }
 
         #[test]

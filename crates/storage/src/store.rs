@@ -173,16 +173,14 @@ impl Store {
     /// The flat batch-lookup hot path: one candidate span per key, written
     /// into the caller-owned, reusable `out` arena (no per-key
     /// allocations, no row handles cloned). Keys arrive with their
-    /// equality hash precomputed ([`HashedKey`]); identical keys resolve
-    /// once and share a span ([`CandidateBuf::probe_dup`]); NULL/EOT keys
-    /// match nothing.
+    /// equality hash precomputed ([`HashedKey`]); every key resolves on its
+    /// own, so a repeated key walks its chain again and gets a span equal
+    /// to, but separate from, the first; NULL/EOT keys match nothing.
+    /// All keys are resolved before the caller forms any result, so the
+    /// chain walks of one envelope overlap their cache misses.
     pub fn lookup_eq_flat(&self, col: usize, keys: &[HashedKey], out: &mut CandidateBuf) {
         out.reset();
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(j) = out.probe_dup(i, keys) {
-                out.share_key(j);
-                continue;
-            }
+        for key in keys {
             let start = out.begin_key();
             if let (Some(k), Some(h)) = (key.key(), key.hash()) {
                 self.lookup_slots(col, k, h, out);
@@ -402,12 +400,12 @@ pub(crate) mod conformance {
                 &store,
                 col,
                 &[
-                    // duplicate-heavy run: dedup must not change results
+                    // duplicate-heavy run: every repeat answers in full
                     Value::Int(30),
                     Value::Int(30),
                     Value::Float(30.0), // coercion duplicate of Int(30)
                     Value::Int(99),
-                    Value::Null, // un-hashable keys share an empty span
+                    Value::Null, // un-hashable keys get empty spans
                     Value::Eot,
                     Value::Null,
                     Value::Int(20),

@@ -521,6 +521,9 @@ mod tests {
         let eot_s = Tuple::singleton_of(TableIdx(1), vec![Value::Eot]);
         let joined = r_tuple(1, 5).concat(&eot_s);
         assert_eq!(p.eval(&joined), Some(false));
+        // The composite carries its EOT component's flag along.
+        assert!(joined.is_eot() && !joined.is_singleton());
+        assert!(!r_tuple(1, 5).concat(&s_tuple(5)).is_eot());
     }
 
     #[test]

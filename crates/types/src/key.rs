@@ -7,8 +7,10 @@
 //! and its stable hash ([`Value::stable_key_hash`]) — once in the shard
 //! router, again in the hash index, again per duplicate key in an
 //! envelope. [`HashedKey`] computes both exactly once, at the envelope
-//! boundary, and every downstream consumer (shard routing, key-run dedup,
-//! prehashed index lookups) reads the annotations instead of re-hashing.
+//! boundary, and every downstream consumer (shard routing, prehashed index
+//! lookups, the UDF hop's grouping of equal keys) reads the annotations
+//! instead of re-hashing. A SteM lookup resolves each key of an envelope
+//! on its own, repeats included: it keeps no map of the keys it has seen.
 
 use crate::value::Value;
 

@@ -128,7 +128,8 @@ impl Tuple {
 
     /// A tuple spanning no tables, carrying no allocation. Used as the
     /// placeholder left behind when a tuple is moved out of a reusable
-    /// arena slot (`ProbeReplySet`); never a legal engine tuple.
+    /// arena slot (`ProbeReplySet`) or a build envelope; never a legal
+    /// engine tuple.
     pub fn empty() -> Tuple {
         Tuple {
             comps: Comps::Many(Vec::new()),
@@ -236,19 +237,28 @@ impl Tuple {
     /// build timestamp `ts`. Panics if the table is not spanned.
     pub fn with_timestamp(&self, table: TableIdx, ts: Timestamp) -> Tuple {
         let mut stamped = self.clone();
-        let comps = match &mut stamped.comps {
+        stamped.set_timestamp(table, ts);
+        stamped
+    }
+
+    /// Stamp the component for `table` with build timestamp `ts`, in
+    /// place — how a SteM stamps the singleton it then moves on, without
+    /// the clone [`Tuple::with_timestamp`] makes. Panics if the table is
+    /// not spanned.
+    pub fn set_timestamp(&mut self, table: TableIdx, ts: Timestamp) {
+        let comps = match &mut self.comps {
             Comps::One(one) => one.as_mut_slice(),
             Comps::Many(many) => many.as_mut_slice(),
         };
         let c = comps
             .iter_mut()
             .find(|c| c.table == table)
-            .expect("with_timestamp: table not spanned");
+            .expect("set_timestamp: table not spanned");
         c.ts = ts;
-        stamped
     }
 
-    /// True if any component row is an EOT tuple.
+    /// True if any component row is an EOT tuple: one flag per component
+    /// ([`Row::is_eot`]), so one read for a singleton.
     pub fn is_eot(&self) -> bool {
         self.components().iter().any(|c| c.row.is_eot())
     }
@@ -390,6 +400,23 @@ mod tests {
         let a = Tuple::singleton(TableIdx(0), row(&[1])).with_timestamp(TableIdx(0), 1);
         let b = Tuple::singleton(TableIdx(0), row(&[1])).with_timestamp(TableIdx(0), 2);
         assert_eq!(a, b);
+    }
+
+    /// Stamping in place is `with_timestamp` without the copy: the same
+    /// components, the same row allocation, on singletons and composites.
+    #[test]
+    fn set_timestamp_stamps_in_place_like_with_timestamp() {
+        let r = row(&[1]);
+        let mut single = Tuple::singleton(TableIdx(2), r.clone());
+        let copied = single.with_timestamp(TableIdx(2), 4);
+        single.set_timestamp(TableIdx(2), 4);
+        assert_eq!(single.timestamp(), 4);
+        assert_eq!(single.timestamp(), copied.timestamp());
+        assert!(Arc::ptr_eq(&single.components()[0].row, &r));
+        let mut pair = single.concat(&Tuple::singleton(TableIdx(0), row(&[2])));
+        pair.set_timestamp(TableIdx(0), 9);
+        let ts: Vec<Timestamp> = pair.components().iter().map(|c| c.ts).collect();
+        assert_eq!(ts, vec![9, 4]);
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn flat_lookup_matches_scalar_on_random_envelopes() {
             .map(|_| Row::shared(vec![random_value(&mut rng), random_value(&mut rng)]))
             .collect();
         // Envelope with heavy key duplication: half the keys repeat an
-        // earlier one, exercising span sharing.
+        // earlier one, each repeat answered in a span of its own.
         let mut raw_keys: Vec<Value> = Vec::new();
         for _ in 0..rng.below(48) + 1 {
             if !raw_keys.is_empty() && rng.below(2) == 0 {
@@ -120,8 +120,8 @@ fn colliding_float(i: i64) -> Option<Value> {
 
 /// Adversarial hash-collision rows: two keys with identical
 /// `stable_key_hash` must still resolve to disjoint candidate sets (the
-/// prehashed index chains and the envelope dedup both compare values,
-/// never just hashes).
+/// prehashed index chains compare values, never just hashes), and a
+/// repeated key gets a span equal to, but separate from, its first.
 #[test]
 fn hash_collisions_resolve_by_value_on_every_backend() {
     let mut pairs: Vec<(Value, Value)> = Vec::new();
@@ -145,19 +145,24 @@ fn hash_collisions_resolve_by_value_on_every_backend() {
             }
             assert_eq!(store.lookup_eq(0, int_key).len(), 2, "{kind:?}");
             assert_eq!(store.lookup_eq(0, float_key).len(), 2, "{kind:?}");
-            // One envelope carrying both colliding keys (plus duplicates):
-            // dedup must share only true duplicates, never the collision.
-            assert_flat_eq_scalar(
-                &store,
-                0,
-                &[
-                    int_key.clone(),
-                    float_key.clone(),
-                    int_key.clone(),
-                    float_key.clone(),
-                ],
-                &format!("collision {int_key:?}/{float_key:?} on {kind:?}"),
-            );
+            // One envelope carrying both colliding keys, each twice.
+            let envelope = [
+                int_key.clone(),
+                float_key.clone(),
+                int_key.clone(),
+                float_key.clone(),
+            ];
+            let ctx = format!("collision {int_key:?}/{float_key:?} on {kind:?}");
+            assert_flat_eq_scalar(&store, 0, &envelope, &ctx);
+            let keys: Vec<HashedKey> = envelope.iter().cloned().map(HashedKey::new).collect();
+            let mut buf = CandidateBuf::new();
+            store.lookup_eq_flat(0, &keys, &mut buf);
+            assert_eq!(buf.candidates(2), buf.candidates(0), "{ctx}");
+            assert_eq!(buf.candidates(3), buf.candidates(1), "{ctx}");
+            let (int_slots, float_slots) = (buf.candidates(0), buf.candidates(1));
+            assert!(int_slots.iter().all(|s| !float_slots.contains(s)), "{ctx}");
+            // Four spans of two candidates each: no repeat shares a span.
+            assert_eq!(buf.rows_stored(), 8, "{ctx}");
             let rows_int = store.lookup_eq(0, int_key);
             let rows_float = store.lookup_eq(0, float_key);
             for a in &rows_int {
