@@ -128,11 +128,13 @@ pub struct ExecConfig {
     /// environment variable — CI runs the whole suite at 1 and 64 so
     /// scalar-engine equivalence is enforced on every push.
     pub batch_size: usize,
-    /// SteM shard fan-out: every SteM's dictionary is hash-partitioned by
-    /// join key into this many shards (plus an overflow shard for
-    /// un-hashable keys) and build/probe envelopes fan out across them —
-    /// see [`crate::sharded::ShardedStem`]. `1` (the default) gives every
-    /// SteM a single lane. Overridable with the `STEMS_NUM_SHARDS`
+    /// SteM shard fan-out: the dictionary of every SteM with exactly one
+    /// join column is hash-partitioned by that column's key into this
+    /// many shards (plus an overflow shard for un-hashable keys) and
+    /// build/probe envelopes fan out across them — see
+    /// [`crate::sharded::ShardedStem`]; a SteM with more join columns, or
+    /// none, keeps one lane. `1` (the default) gives every SteM a single
+    /// lane. Overridable with the `STEMS_NUM_SHARDS`
     /// environment variable; CI crosses it with the batch-size matrix so
     /// shard-count invariance is enforced on every push. Folded into the
     /// plan's SteM options (`PlanOptions::default_stem`) at build time,

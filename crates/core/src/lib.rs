@@ -18,9 +18,11 @@
 //!   decisions. One type with one build algorithm (route → per-lane
 //!   dedup + insert → serial timestamping) and one probe algorithm
 //!   (resolve + hash each binding once → lane → per-lane result
-//!   formation → merge). Its storage is split by join-key hash into
-//!   lanes ([`ExecConfig::num_shards`] / `STEMS_NUM_SHARDS`; the default
-//!   1 is the same code with a single lane), and large envelopes run
+//!   formation → merge). The storage of a SteM with one join column is
+//!   split by that column's key hash into lanes
+//!   ([`ExecConfig::num_shards`] / `STEMS_NUM_SHARDS`; the default 1, and
+//!   any SteM with more join columns or none, is the same code with a
+//!   single lane), and large envelopes run
 //!   their lanes on the persistent work-stealing worker pool
 //!   ([`runtime::WorkerPool`], sized by [`ExecConfig::workers`] /
 //!   `STEMS_WORKERS`) — observably identical at every shard and worker

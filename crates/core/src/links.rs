@@ -122,8 +122,8 @@ impl TableLinks {
     }
 
     /// First equi-join that binds a column of this table from the probe
-    /// tuple — the hash-lookup opportunity (and, for sharded SteMs, the
-    /// shard-routing opportunity when it binds the shard key column).
+    /// tuple — the hash-lookup opportunity, and for a SteM with lanes the
+    /// lane: such a SteM has one join column, so every binding is on it.
     pub(crate) fn equi_binding<'a>(&'a self, tuple: &'a Tuple) -> Option<(usize, &'a Value)> {
         self.equi_values(tuple).next()
     }

@@ -8,8 +8,9 @@
 //! key, replaying a cached verdict is semantically invisible: the only
 //! observable difference is time.
 //!
-//! Structure: `num_shards` independently locked shards (hash-routed, like
-//! the SteM shard fan-out), each an entry slab indexed by the key's
+//! Structure: `num_shards` independently locked shards (routed by the
+//! high half of the key's hash, [`KeyHash::shard`], like the SteM's
+//! lanes), each an entry slab indexed by the key's
 //! precomputed stable hash — slot chains under an identity hasher
 //! ([`SlotChains`], the SteM index's shape), so a lookup never re-hashes
 //! and an entry costs no list of its own — with a clock/second-chance
@@ -25,7 +26,7 @@
 
 use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
 use stems_storage::{Slot, SlotChains};
-use stems_types::{HashedKey, Value};
+use stems_types::{HashedKey, KeyHash, Value};
 
 /// Default per-cache byte budget (`STEMS_MEMO_BYTES` overrides).
 pub const DEFAULT_MEMO_BYTES: usize = 1 << 20;
@@ -228,7 +229,9 @@ impl MemoCache {
     }
 
     fn shard(&self, hash: u64) -> MutexGuard<'_, MemoShard> {
-        let i = (hash % self.shards.len() as u64) as usize;
+        // The SteM lanes' rule: a strided key column spreads evenly, so no
+        // shard's slice of the budget has to hold most of the keys.
+        let i = KeyHash(hash).shard(self.shards.len());
         // Poison recovery: a memo shard is pure performance state — a
         // panicking evaluator may have died mid-insert, so discard the
         // shard's contents; an empty shard is always correct.
@@ -370,6 +373,30 @@ mod tests {
         assert!(!m.any_poisoned());
         m.insert(&hk(7), false);
         assert_eq!(m.lookup(&hk(7)), Some(false));
+    }
+
+    /// A strided key column spreads over every shard, so each shard's
+    /// slice of the budget holds its share: between half and twice it at
+    /// strides 1, 2, 8 and 64 over eight shards.
+    #[test]
+    fn strided_keys_spread_over_every_shard() {
+        const KEYS: i64 = 4000;
+        for stride in [1i64, 2, 8, 64] {
+            let m = MemoCache::new(8, 1 << 24);
+            for i in 0..KEYS {
+                m.insert(&hk(i * stride), true);
+            }
+            let lens: Vec<usize> = m
+                .shards
+                .iter()
+                .map(|s| lock_recover(s, MemoShard::clear).live())
+                .collect();
+            let share = KEYS as usize / 8;
+            assert!(
+                lens.iter().all(|&n| share / 2 <= n && n <= share * 2),
+                "stride {stride}: {lens:?}"
+            );
+        }
     }
 
     #[test]

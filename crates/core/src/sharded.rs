@@ -7,6 +7,15 @@
 //! with `num_shards: 1` is the same code with a single lane — nothing to
 //! route, nothing to merge — not a separate engine.
 //!
+//! **Lanes only on one join column.** A SteM keeps its `num_shards` keyed
+//! lanes only when it has exactly one join column, and partitions by that
+//! column. Any other SteM has one lane: with two or more join columns (the
+//! middle of a chain — paper §2.1.4 keeps "one main-memory index on each
+//! column involved in a join predicate") a probe bound on any column but
+//! the partition column would descend every lane and have its reply
+//! re-sorted, and with none every probe is unbound and visits every lane
+//! anyway. So every bound probe the plan can make names its one lane.
+//!
 //! A lane owns only what must exist per lane: the dictionary and its row
 //! slab, and the dedup filter and build-timestamp column addressed by the
 //! slab's slots. Everything that is a property of the SteM lives once,
@@ -26,9 +35,10 @@
 //! # Build: route → ingest → stamp
 //!
 //! 1. **Route** (serial) — EOT tuples go to the EOT index; every data row
-//!    goes to lane `stable_key_hash(key) % num_shards` of its first join
-//!    column (the same column the deferred bounce-back partitioner uses),
-//!    un-hashable keys to the overflow lane.
+//!    goes to the lane [`KeyHash::shard`] picks from the high half of the
+//!    `stable_key_hash` of its join column's key (the column the deferred
+//!    bounce-back partitioner also uses), un-hashable keys to the overflow
+//!    lane.
 //!    [`stems_types::Value::stable_key_hash`] agrees with equality-key
 //!    normalization, so every row a probe key can `sql_eq` lives in the
 //!    probe key's lane and partitioned equality lookups stay complete.
@@ -60,12 +70,13 @@
 //!    re-derived from the predicate list — with the key hashed
 //!    ([`HashedKey`] — the lane index and the dictionary descent read
 //!    that same annotation), and its bounce decision.
-//! 2. **Lane** — a probe bound on the shard key column goes to its key's
-//!    lane only (equal keys co-locate, and overflow rows cannot equal a
-//!    probe key); any other probe visits every lane. A lane's share of
-//!    the envelope is a list of envelope *positions* — the shape build
-//!    lanes have — so no tuple is copied, and a one-lane SteM is simply
-//!    the lane whose list is `0..n`.
+//! 2. **Lane** — a bound probe goes to its key's lane only (equal keys
+//!    co-locate, and overflow rows cannot equal a probe key): on a SteM
+//!    with lanes the one join column is the only column a probe can
+//!    bind. Only an unbound probe — a cross product — visits every lane.
+//!    A lane's share of the envelope is a list of envelope *positions* —
+//!    the shape build lanes have — so no tuple is copied, and a one-lane
+//!    SteM is simply the lane whose list is `0..n`.
 //! 3. **Probe** ([`Shard::probe`], per chunk) — lanes are cut into chunks
 //!    of at most `ceil(routed / workers)` rows, so a hot lane (every
 //!    probe keyed to one value, say) spreads across idle workers instead
@@ -78,11 +89,11 @@
 //!    like which chunks the calling thread keeps (`fan_out`) — does not
 //!    depend on how the pool schedules them.
 //! 4. **Merge** (serial) — replies return to batch order. A reply
-//!    gathered from several lanes is sorted by ascending build timestamp
-//!    — global insertion order. Every store answers in insertion order,
-//!    so a reply gathered from one lane is in timestamp order already:
-//!    skipping its sort is a shortcut, not a semantic, and replies are
-//!    identical at every shard count.
+//!    gathered from several lanes (an unbound probe's) is sorted by
+//!    ascending build timestamp — global insertion order. Every store
+//!    answers in insertion order, so a reply gathered from one lane is in
+//!    timestamp order already: skipping its sort is a shortcut, not a
+//!    semantic, and replies are identical at every shard count.
 //!
 //! `tests/prop_batch_equivalence.rs` locks shard counts {1, 2, 4, 7} and
 //! worker budgets verdict-for-verdict to each other.
@@ -151,6 +162,8 @@ pub struct ShardedStem {
     /// The storage lanes: one when `num_shards == 1`; otherwise
     /// `num_shards` keyed lanes followed by the overflow lane.
     shards: Vec<Shard>,
+    /// Keyed lanes: the options' fan-out on a SteM with one join column,
+    /// 1 on any other (see the module docs).
     num_shards: usize,
     /// First join column — the shard key, and the column deferred
     /// bounce-backs are clustered by.
@@ -206,7 +219,9 @@ impl std::fmt::Debug for ShardedStem {
 
 impl ShardedStem {
     /// Create the SteM for `instance` of `source`, indexing `join_cols`
-    /// in every lane. `opts.num_shards` decides the lane count.
+    /// in every lane. A SteM with exactly one join column gets
+    /// `opts.num_shards` keyed lanes, partitioned by that column; any
+    /// other gets one lane (see the module docs).
     pub fn new(
         instance: TableIdx,
         source: SourceId,
@@ -215,7 +230,10 @@ impl ShardedStem {
         has_index_am: bool,
         opts: StemOptions,
     ) -> ShardedStem {
-        let num_shards = opts.num_shards.max(1);
+        let num_shards = match join_cols {
+            [_] => opts.num_shards.max(1),
+            _ => 1,
+        };
         let n_lanes = if num_shards == 1 { 1 } else { num_shards + 1 };
         ShardedStem {
             instance,
@@ -302,7 +320,8 @@ impl ShardedStem {
     // Accessors
     // ------------------------------------------------------------------
 
-    /// Keyed shard fan-out (1 = a single storage lane).
+    /// Keyed shard fan-out (1 = a single storage lane) — the options'
+    /// fan-out only on a SteM with one join column.
     pub fn num_shards(&self) -> usize {
         self.num_shards
     }
@@ -380,8 +399,8 @@ impl ShardedStem {
     /// cost model (`CostModel::shard_parallel_service`): each lane is an
     /// independent server, so the envelope completes when the *busiest*
     /// lane does — the unit count is the max per-lane load, computed
-    /// with the same routing the envelope will actually take (keyed
-    /// probes hit one lane; fan-out probes and EOTs, which every lane's
+    /// with the same routing the envelope will actually take (bound
+    /// probes hit one lane; unbound probes and EOTs, which every lane's
     /// server must observe, load them all). A one-lane SteM is a serial
     /// server: units = batch length.
     pub fn parallel_service_units(
@@ -431,19 +450,19 @@ impl ShardedStem {
     }
 
     /// Lane decision for one resolved probe. `Some(lane)`: an equi
-    /// binding on the shard key column pins the probe to one lane (equal
-    /// keys co-locate, and overflow rows can never equal a probe key —
-    /// that lane answers completely). `None`: bound on a non-key column,
-    /// or no binding at all — the matching rows are spread across every
-    /// lane, so the probe visits them all (each lane still gets the
-    /// binding for its own index descent).
+    /// binding pins the probe to its key's lane (equal keys co-locate,
+    /// and overflow rows can never equal a probe key — that lane answers
+    /// completely). A SteM with lanes has one join column, so a binding
+    /// can only be on the column its lanes are partitioned by. `None`: no
+    /// binding at all — a cross product, which visits every lane.
     fn probe_lane(&self, binding: &ProbeBinding) -> Option<usize> {
-        match binding {
-            Some((col, key)) if *col == self.key_col => {
-                Some(self.lane_of_hash(key.hash().map(KeyHash::get)))
-            }
-            _ => None,
-        }
+        let (col, key) = binding.as_ref()?;
+        debug_assert!(
+            self.shards.len() == 1 || *col == self.key_col,
+            "probe bound on column {col} of a SteM partitioned by column {}",
+            self.key_col
+        );
+        Some(self.lane_of_hash(key.hash().map(KeyHash::get)))
     }
 
     // ------------------------------------------------------------------
@@ -1071,9 +1090,9 @@ mod tests {
     use stems_storage::StoreKind;
     use stems_types::{CmpOp, ColRef, PredId, PredSet, Predicate};
 
-    /// The same schema joined on the SteM's *non-key* column:
-    /// R.a = S.y, so probes bind column 1 and visit every lane.
-    fn non_key_query(c: &Catalog, q: &QuerySpec) -> QuerySpec {
+    /// The same schema joined on S's second column: R.a = S.y, so probes
+    /// bind column 1.
+    fn y_query(c: &Catalog, q: &QuerySpec) -> QuerySpec {
         QuerySpec::new(
             c,
             q.tables.clone(),
@@ -1088,15 +1107,21 @@ mod tests {
         .unwrap()
     }
 
-    fn sharded(num_shards: usize, opts: StemOptions) -> ShardedStem {
+    /// S's SteM over `join_cols`, scan-fed.
+    fn stem_on(join_cols: &[usize], num_shards: usize, opts: StemOptions) -> ShardedStem {
         ShardedStem::new(
             TableIdx(1),
             SourceId(1),
-            &[0],
+            join_cols,
             true,
             false,
             StemOptions { num_shards, ..opts },
         )
+    }
+
+    /// S's SteM joined on its key column alone, so it keeps its lanes.
+    fn sharded(num_shards: usize, opts: StemOptions) -> ShardedStem {
+        stem_on(&[0], num_shards, opts)
     }
 
     fn every_store_kind() -> [StoreKind; 3] {
@@ -1372,15 +1397,14 @@ mod tests {
         assert_eq!(ts, sorted);
     }
 
-    /// One lane ⇒ no timestamp re-sort: a fan-out (non-key-column) probe
-    /// on a 1-shard SteM returns its candidates in *store* order, which is
-    /// insertion order — so it is already what several lanes' replies
-    /// merged by build timestamp come to, and what the same lane chunked
-    /// across the pool answers.
+    /// One lane ⇒ no timestamp re-sort. A SteM joined on both its columns
+    /// has one lane at every shard count, so a probe bound on its second
+    /// column returns its candidates in *store* order, which is insertion
+    /// order: at one shard, at four, and chunked across the pool.
     #[test]
     fn one_lane_fanout_probe_keeps_store_order() {
         let (c, q) = setup();
-        let q = non_key_query(&c, &q);
+        let q = y_query(&c, &q);
         let batch: TupleBatch = (0..40i64).map(|i| s_tuple(100 - i, i % 5)).collect();
         let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 1_000);
         for store in every_store_kind() {
@@ -1389,12 +1413,12 @@ mod tests {
                 ..StemOptions::default()
             };
             // Store order, from the store itself.
-            let mut reference = store.build(&[0]);
+            let mut reference = store.build(&[0, 1]);
             reference.insert_batch(batch.iter().map(|t| t.components()[0].row.clone()));
             let store_order = reference.lookup_eq(1, &Value::Int(3));
             assert_eq!(store_order.len(), 8);
 
-            let mut one = sharded(1, opts.clone());
+            let mut one = stem_on(&[0, 1], 1, opts.clone());
             build_in_envelopes(&mut one, &batch, batch.len());
             let p1 = probe_one(&mut one, &r, &TupleState::new(), &q);
             let got: Vec<&Arc<Row>> = p1
@@ -1405,7 +1429,8 @@ mod tests {
             assert_eq!(got, store_order.iter().collect::<Vec<_>>(), "{store:?}");
             // The same lane chunked across the pool: its replies come
             // back through the merge, gathered from one lane each.
-            let mut pooled = sharded(
+            let mut pooled = stem_on(
+                &[0, 1],
                 1,
                 StemOptions {
                     workers: Some(4),
@@ -1420,10 +1445,11 @@ mod tests {
                 assert_eq!(results, p1.results, "{store:?} chunked");
             }
 
-            let mut four = sharded(4, opts);
+            let mut four = stem_on(&[0, 1], 4, opts);
+            assert_eq!(four.lanes().len(), 1, "two join columns, one lane");
             build_in_envelopes(&mut four, &batch, batch.len());
             let p4 = probe_one(&mut four, &r, &TupleState::new(), &q);
-            assert_eq!(p4, p1, "{store:?}: merged by timestamp");
+            assert_eq!(p4, p1, "{store:?} at 4 shards");
             assert_eq!(match_ts(&p4), match_ts(&p1), "{store:?}");
         }
     }
@@ -1710,11 +1736,15 @@ mod tests {
 
     #[test]
     fn store_kinds_shard_consistently() {
-        // Fan-out probes (bound on a non-key column, so every lane is
-        // visited and the replies merged) at {1, 2, 4, 7} shards: every
-        // kind answers identically, order included.
+        // A SteM joined on its second column alone, so its lanes are
+        // partitioned by that column, at {1, 2, 4, 7} shards: a probe
+        // bound on it lands in one lane, an unbound probe (a cross
+        // product) visits every lane and has its reply merged — and every
+        // store kind answers identically, order included.
         let (c, q) = setup();
-        let q = non_key_query(&c, &q);
+        let by_y = y_query(&c, &q);
+        let cross = QuerySpec::new(&c, q.tables, vec![], None).unwrap();
+        let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 1_000);
         for store in every_store_kind() {
             let opts = StemOptions {
                 store: store.clone(),
@@ -1722,17 +1752,20 @@ mod tests {
             };
             // Keys descend while build timestamps ascend; y repeats.
             let batch: TupleBatch = (0..40i64).map(|i| s_tuple(100 - i, i % 5)).collect();
-            let mut one = sharded(1, opts.clone());
+            let mut one = stem_on(&[1], 1, opts.clone());
             build_in_envelopes(&mut one, &batch, batch.len());
-            let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 1_000);
-            let p1 = probe_one(&mut one, &r, &TupleState::new(), &q);
-            assert_eq!(p1.results.len(), 8);
+            let want = [&by_y, &cross].map(|q| probe_one(&mut one, &r, &TupleState::new(), q));
+            assert_eq!(want[0].results.len(), 8);
+            assert_eq!(want[1].results.len(), 40);
             for shards in [2usize, 4, 7] {
-                let mut many = sharded(shards, opts.clone());
+                let mut many = stem_on(&[1], shards, opts.clone());
+                assert_eq!(many.lanes().len(), shards + 1);
                 build_in_envelopes(&mut many, &batch, batch.len());
-                let pn = probe_one(&mut many, &r, &TupleState::new(), &q);
-                assert_eq!(p1, pn, "{store:?}, {shards} shards");
-                assert_eq!(match_ts(&p1), match_ts(&pn), "{store:?}, {shards} shards");
+                for (q, p1) in [&by_y, &cross].into_iter().zip(&want) {
+                    let pn = probe_one(&mut many, &r, &TupleState::new(), q);
+                    assert_eq!(p1, &pn, "{store:?}, {shards} shards");
+                    assert_eq!(match_ts(p1), match_ts(&pn), "{store:?}, {shards} shards");
+                }
             }
         }
     }
@@ -1756,6 +1789,77 @@ mod tests {
             assert_eq!(ints, floats, "{shards} shards");
             let used: std::collections::HashSet<&usize> = ints.iter().collect();
             assert!(used.len() > 1, "the keys must spread over partitions");
+        }
+    }
+
+    /// Lanes only on one join column: SteMs over no, one and two join
+    /// columns get 1, 1, 1 lanes at one shard and 1, 9, 1 at eight. And
+    /// at eight, every bound probe of the one-column SteM — NULL keys
+    /// included — lands in exactly one lane.
+    #[test]
+    fn lanes_follow_the_join_columns() {
+        for (shards, want) in [(1, [1, 1, 1]), (8, [1, 9, 1])] {
+            let cols: [&[usize]; 3] = [&[], &[0], &[0, 1]];
+            let lanes =
+                cols.map(|cols| stem_on(cols, shards, StemOptions::default()).lanes().len());
+            assert_eq!(lanes, want, "{shards} shards");
+        }
+        let (_c, q) = setup();
+        let mut stem = sharded(8, StemOptions::default());
+        build_workload(&mut stem);
+        let mut probes: Vec<Tuple> = (0..64)
+            .map(|i| r_tuple(i, i % 20).with_timestamp(TableIdx(0), 1_000))
+            .collect();
+        probes.push(Tuple::singleton_of(
+            TableIdx(0),
+            vec![Value::Int(1), Value::Null],
+        ));
+        let probes: TupleBatch = probes.into_iter().collect();
+        let states = vec![TupleState::new(); probes.len()];
+        probe_flat(&mut stem, &probes, &states, &q);
+        let mut visits = vec![0; probes.len()];
+        for lane in &stem.probe_pool.lanes {
+            lane.iter().for_each(|&i| visits[i as usize] += 1);
+        }
+        assert!(visits.iter().all(|&v| v == 1), "{visits:?}");
+        let busy = stem.probe_pool.lanes.iter().filter(|l| !l.is_empty());
+        assert!(busy.count() > 2, "the probes must spread over lanes");
+    }
+
+    /// A probe bound on a column the lanes are not partitioned by is a
+    /// plan the lane rule rules out; a debug build says so.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "probe bound on column 1")]
+    fn a_probe_off_the_partition_column_is_a_plan_bug() {
+        let (c, q) = setup();
+        let mut stem = sharded(4, StemOptions::default());
+        probe_one(
+            &mut stem,
+            &r_tuple(1, 3),
+            &TupleState::new(),
+            &y_query(&c, &q),
+        );
+    }
+
+    /// A strided key column spreads over every lane: lanes are picked from
+    /// the high half of the key's hash, and an `Int` key's low hash bits
+    /// follow its own low bits. Each lane holds between half and twice its
+    /// share at strides 1, 2, 8 and 64.
+    #[test]
+    fn strided_keys_spread_over_every_lane() {
+        const ROWS: i64 = 4000;
+        for stride in [1i64, 2, 8, 64] {
+            let mut stem = sharded(8, StemOptions::default());
+            let batch: TupleBatch = (0..ROWS).map(|i| s_tuple(i * stride, i)).collect();
+            build_in_envelopes(&mut stem, &batch, batch.len());
+            let lens = stem.shard_lens();
+            let share = ROWS as usize / 8;
+            assert!(
+                lens[..8].iter().all(|&n| share / 2 <= n && n <= share * 2),
+                "stride {stride}: {lens:?}"
+            );
+            assert_eq!(lens[8], 0, "no NULL key, nothing overflows");
         }
     }
 }

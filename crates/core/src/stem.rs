@@ -105,8 +105,11 @@ pub struct StemOptions {
     pub mem_partitions: usize,
     /// Hash-partition shard fan-out of the SteM's dictionary
     /// ([`crate::sharded::ShardedStem`]). `1` (the default) is a SteM
-    /// with one storage lane; larger values split storage by join-key
-    /// hash so build/probe envelopes parallelize across threads.
+    /// with one storage lane; larger values split the storage of a SteM
+    /// with exactly one join column by that column's key hash, so
+    /// build/probe envelopes parallelize across threads. A SteM with two
+    /// or more join columns, or none, keeps one lane: a probe on any but
+    /// the partition column would visit every lane.
     pub num_shards: usize,
     /// Worker-pool budget for this SteM's sharded envelope fan-outs.
     /// `None` (the default) inherits `ExecConfig::workers` (and thus
@@ -802,7 +805,8 @@ mod tests {
     use stems_types::{CmpOp, ColRef, ColumnType, PredId, Predicate, Schema, TupleBatch};
 
     /// Shard counts every rule is checked at: one lane, and keyed lanes
-    /// plus overflow.
+    /// plus overflow (on a SteM with one join column; any other has one
+    /// lane at both).
     const SHARD_COUNTS: [usize; 2] = [1, 4];
 
     /// S's SteM (key column 0) with the given options and AM flags.
@@ -1124,7 +1128,18 @@ mod tests {
         );
         let q2 = QuerySpec::new(&c, q2.tables, q2.predicates, None).unwrap();
         for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, false, true);
+            // S joins through y alone, so its lanes partition by y.
+            let mut stem = ShardedStem::new(
+                TableIdx(1),
+                SourceId(1),
+                &q2.join_cols_of(TableIdx(1)),
+                false,
+                true,
+                StemOptions {
+                    num_shards: n,
+                    ..StemOptions::default()
+                },
+            );
             let state = TupleState::new();
             let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 5);
             for m in &members[..1499] {
@@ -1685,11 +1700,25 @@ mod tests {
             );
         }
 
-        for n in SHARD_COUNTS {
+        // The same query with T joined by S.y < T.b instead: S's one
+        // join column keeps its lanes, spans {R} and {R,T} bind it, and
+        // span {T} binds nothing, so it visits every lane.
+        let mut one_join = q.clone();
+        one_join.predicates[1] = Predicate::join(
+            PredId(1),
+            ColRef::new(TableIdx(1), 1),
+            CmpOp::Lt,
+            ColRef::new(TableIdx(2), 0),
+        );
+        let one_join = QuerySpec::new(&c, one_join.tables, one_join.predicates, None).unwrap();
+        assert_eq!(one_join.join_cols_of(TableIdx(1)), [0]);
+
+        let cells: [(&[usize], &QuerySpec); 2] = [(&[0, 1], &q), (&[0], &one_join)];
+        for (n, (join_cols, q)) in SHARD_COUNTS.into_iter().flat_map(|n| cells.map(|c| (n, c))) {
             let mut stem = ShardedStem::new(
                 TableIdx(1),
                 SourceId(1),
-                &[0, 1],
+                join_cols,
                 true,
                 false,
                 StemOptions {
@@ -1697,16 +1726,22 @@ mod tests {
                     ..StemOptions::default()
                 },
             );
+            let lanes = if n > 1 && join_cols.len() == 1 {
+                n + 1
+            } else {
+                1
+            };
+            assert_eq!(stem.lanes().len(), lanes, "{join_cols:?} at {n} shards");
             for i in 0..40i64 {
                 build_fresh(&mut stem, &s_tuple(i % 10, i), (i + 1) as Timestamp);
             }
             let mut batched = ProbeReplySet::new();
-            stem.probe_batch_into(&probes, &states, &q, &mut batched);
+            stem.probe_batch_into(&probes, &states, q, &mut batched);
             assert_eq!(batched.len(), probes.len());
             let mut seen_results = 0usize;
             for ((tuple, state), (meta, results)) in probes.iter().zip(&states).zip(batched.iter())
             {
-                let want = probe_one(&mut stem, tuple, state, &q);
+                let want = probe_one(&mut stem, tuple, state, q);
                 assert_eq!(want.results, results, "probe {tuple}");
                 assert_eq!(want.outcome, meta.outcome, "probe {tuple}");
                 assert_eq!(want.observed_ts, meta.observed_ts, "probe {tuple}");

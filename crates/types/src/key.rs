@@ -7,8 +7,9 @@
 //! and its stable hash ([`Value::stable_key_hash`]) — once in the shard
 //! router, again in the hash index, again per duplicate key in an
 //! envelope. [`HashedKey`] computes both exactly once, at the envelope
-//! boundary, and every downstream consumer (shard routing, prehashed index
-//! lookups, the UDF hop's grouping of equal keys) reads the annotations
+//! boundary, and every downstream consumer (SteM lane and memo shard
+//! routing through [`KeyHash::shard`], prehashed index lookups, the UDF
+//! hop's grouping of equal keys) reads the annotations
 //! instead of re-hashing. A SteM lookup resolves each key of an envelope
 //! on its own, repeats included: it keeps no map of the keys it has seen.
 
@@ -17,7 +18,8 @@ use crate::value::Value;
 /// A precomputed [`Value::stable_key_hash`], carried alongside a probe key
 /// so downstream layers never re-hash. The wrapped hash is of the key's
 /// *equality normal form*, so it can be compared across `Int`/`Float`
-/// coercion boundaries and fed directly to `hash % num_shards` routing.
+/// coercion boundaries and fed directly to shard routing
+/// ([`KeyHash::shard`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeyHash(pub u64);
 
@@ -29,10 +31,14 @@ impl KeyHash {
     }
 
     /// The shard a key with this hash routes to under a `num_shards`
-    /// fan-out (callers handle the un-hashable overflow lane).
+    /// fan-out (callers handle the un-hashable overflow lane): the high
+    /// half of the hash scaled onto `0..num_shards`. An `Int` key's hash
+    /// is one multiply, so its low bits depend only on the key's low bits
+    /// — `hash % num_shards` would put every even key in half the shards
+    /// and every multiple of 8 in one of eight.
     #[inline]
     pub fn shard(self, num_shards: usize) -> usize {
-        (self.0 % num_shards.max(1) as u64) as usize
+        (((self.0 >> 32) * num_shards.max(1) as u64) >> 32) as usize
     }
 }
 
@@ -133,8 +139,9 @@ mod tests {
     fn shard_routing_uses_the_precomputed_hash() {
         let hk = HashedKey::new(Value::Int(42));
         let h = hk.hash().unwrap();
-        assert_eq!(h.shard(4) as u64, h.get() % 4);
+        assert_eq!(h.shard(4) as u64, ((h.get() >> 32) * 4) >> 32);
         assert_eq!(h.shard(1), 0);
+        assert_eq!(KeyHash(u64::MAX).shard(7), 6, "the top of the range");
         assert_eq!(h.shard(0), 0, "degenerate fan-out must not divide by 0");
     }
 }

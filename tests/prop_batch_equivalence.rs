@@ -16,7 +16,7 @@
 //! event count, same virtual end time) to the row-at-a-time engine.
 
 use stems::catalog::{reference, Catalog, IndexSpec, QuerySpec, ScanSpec, TableInstance};
-use stems::core::plan::PlanOptions;
+use stems::core::plan::{self, Module, PlanOptions};
 use stems::core::StemOptions;
 use stems::prelude::*;
 use stems::sim::SimRng;
@@ -174,6 +174,12 @@ fn run_at_shards(
     batch_size: usize,
     num_shards: usize,
 ) -> Report {
+    if num_shards > 1 {
+        assert!(
+            max_lanes(catalog, query, num_shards) > 1,
+            "no SteM has lanes at {num_shards} shards: the sweep would not exercise them"
+        );
+    }
     let config = ExecConfig {
         policy: case.policy.clone(),
         seed: case.seed,
@@ -193,6 +199,29 @@ fn run_at_shards(
     EddyExecutor::build(catalog, query, config)
         .expect("plan")
         .run()
+}
+
+/// The most storage lanes any SteM of the query's plan has at
+/// `num_shards`, read off the SteMs the plan itself builds. A SteM keeps
+/// its lanes only on one join column; every case here joins each table
+/// on `v` alone, so at more than one shard lanes must exist.
+fn max_lanes(catalog: &Catalog, query: &QuerySpec, num_shards: usize) -> usize {
+    let opts = PlanOptions {
+        default_stem: StemOptions {
+            num_shards,
+            ..StemOptions::default()
+        },
+        ..PlanOptions::default()
+    };
+    let (modules, _) = plan::instantiate(catalog, query, &opts).expect("plan");
+    modules
+        .iter()
+        .filter_map(|m| match m {
+            Module::Stem(cell) => Some(cell.lock().shard_lens().len()),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// The batched engine emits exactly the scalar engine's result multiset.
@@ -347,7 +376,9 @@ fn batching_never_schedules_more_events_than_scalar() {
 /// adaptivity metrics (`hints_recosted`, probe/bounce/duplicate counters).
 /// Sharding may only change which threads do the dictionary work, never
 /// what any module observes. (Every store answers in insertion order, so
-/// the timestamp-merge reproduces candidate order exactly.)
+/// the timestamp-merge reproduces candidate order exactly.) Every run
+/// above one shard first checks that some SteM of the plan really has
+/// lanes (`run_at_shards`).
 #[test]
 fn shard_count_is_invariant() {
     const METRICS: [&str; 8] = [

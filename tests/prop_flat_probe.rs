@@ -188,16 +188,17 @@ mod stem_model {
         TupleBatch, UNBUILT_TS,
     };
 
-    /// Queries over R(key, a) and S(x, y), probing S's SteM (key column
-    /// `x`) with R tuples.
+    /// Queries over R(key, a) and S(x, y), probing S's SteM (first join
+    /// column `x`) with R tuples.
     pub struct Queries {
-        /// `R.a = S.x`: probes bind the SteM's key column.
+        /// `R.a = S.x`: probes bind the SteM's first join column.
         pub keyed: QuerySpec,
         /// The same join plus `S.y < 4`, checked at concatenation.
         pub filtered: QuerySpec,
-        /// `R.a = S.y`: probes bind a non-key column and visit every lane.
+        /// `R.a = S.y`: probes bind the second column, so only a SteM
+        /// joined on both (which has one lane) is probed with it.
         pub by_y: QuerySpec,
-        /// No predicate: probes bind nothing and scan.
+        /// No predicate: probes bind nothing and visit every lane.
         pub cartesian: QuerySpec,
     }
 
@@ -250,11 +251,11 @@ mod stem_model {
         }
     }
 
-    /// S's SteM: scan-only, so a built prober is consumed and an unbuilt
-    /// one must keep re-probing (Table 2 + §3.5) until an EOT — which
-    /// these properties never build.
-    pub fn s_stem(opts: StemOptions) -> ShardedStem {
-        ShardedStem::new(TableIdx(1), SourceId(1), &[0], true, false, opts)
+    /// S's SteM over `join_cols`: scan-only, so a built prober is consumed
+    /// and an unbuilt one must keep re-probing (Table 2 + §3.5) until an
+    /// EOT — which these properties never build.
+    pub fn s_stem(join_cols: &[usize], opts: StemOptions) -> ShardedStem {
+        ShardedStem::new(TableIdx(1), SourceId(1), join_cols, true, false, opts)
     }
 
     /// What the oracle expects of one probe.
@@ -383,11 +384,14 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
     for (store, num_shards) in cells {
         for seed in 0..24u64 {
             let mut rng = SimRng::new(0x9B0B ^ seed);
-            let mut stem = s_stem(StemOptions {
-                store: store.clone(),
-                num_shards,
-                ..StemOptions::default()
-            });
+            let mut stem = s_stem(
+                &[0],
+                StemOptions {
+                    store: store.clone(),
+                    num_shards,
+                    ..StemOptions::default()
+                },
+            );
             let batch: TupleBatch = (0..rng.below(60))
                 .map(|_| random_s_tuple(&mut rng))
                 .collect();
@@ -435,12 +439,13 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
 /// `Vec<(Arc<Row>, Timestamp)>` in build order, a linear search for the
 /// duplicate check, `remove(0)` for the window — through rounds of random
 /// build envelopes (duplicates, and re-arrivals of rows the window has
-/// since evicted) interleaved with probe envelopes that bind the key
-/// column, a non-key column, or nothing. Unbounded and windowed (where
-/// lanes fill with dead slots and are rebuilt dense mid-stream), at
-/// shards {1, 2, 4, 7}, on every store kind: every build verdict and
-/// stamp, and every reply — results, order, stamps, outcome, observed_ts,
-/// raw_matches — as the model says.
+/// since evicted) interleaved with probe envelopes that bind one of the
+/// SteM's join columns, or nothing. Over S.x alone (keyed lanes at shards
+/// above 1) and over both columns (one lane, probed on either), unbounded
+/// and windowed (where lanes fill with dead slots and are rebuilt dense
+/// mid-stream), at shards {1, 2, 4, 7}, on every store kind: every build
+/// verdict and stamp, and every reply — results, order, stamps, outcome,
+/// observed_ts, raw_matches — as the model says.
 #[test]
 fn stem_matches_naive_model_through_builds_evictions_and_probes() {
     use stem_model::*;
@@ -449,15 +454,23 @@ fn stem_matches_naive_model_through_builds_evictions_and_probes() {
     for seed in 0..6u64 {
         for kind in kinds() {
             for num_shards in [1usize, 2, 4, 7] {
-                for window in [None, Some(WINDOW)] {
-                    let cell = format!("seed {seed} {kind:?} shards {num_shards} {window:?}");
+                let cells = [None, Some(WINDOW)]
+                    .into_iter()
+                    .flat_map(|window| [&[0][..], &[0, 1]].map(|cols| (window, cols)));
+                for (window, join_cols) in cells {
+                    let cell = format!(
+                        "seed {seed} {kind:?} shards {num_shards} {window:?} on {join_cols:?}"
+                    );
                     let mut rng = SimRng::new(0x5107 ^ seed);
-                    let mut stem = s_stem(StemOptions {
-                        store: kind.clone(),
-                        num_shards,
-                        eviction_window: window,
-                        ..StemOptions::default()
-                    });
+                    let mut stem = s_stem(
+                        join_cols,
+                        StemOptions {
+                            store: kind.clone(),
+                            num_shards,
+                            eviction_window: window,
+                            ..StemOptions::default()
+                        },
+                    );
                     let mut model: Vec<(Arc<Row>, Timestamp)> = Vec::new();
                     let mut ts: Timestamp = 0;
                     let mut evictions = 0;
@@ -499,11 +512,16 @@ fn stem_matches_naive_model_through_builds_evictions_and_probes() {
                         assert_eq!(stem.len(), model.len(), "{cell} round {round}");
                         assert_eq!(stem.evictions(), evictions, "{cell} round {round}");
 
-                        for (q, bind, label) in [
+                        let probed_by = [
                             (&qs.keyed, Some(0), "keyed"),
                             (&qs.by_y, Some(1), "by_y"),
                             (&qs.cartesian, None, "scan"),
-                        ] {
+                        ];
+                        // A plan binds only the columns it joins the SteM on.
+                        let probed_by = probed_by
+                            .into_iter()
+                            .filter(|(_, bind, _)| bind.is_none_or(|c| join_cols.contains(&c)));
+                        for (q, bind, label) in probed_by {
                             let (probes, states) = random_probes(&mut rng, ts);
                             let mut replies = ProbeReplySet::new();
                             stem.probe_batch_into(&probes, &states, q, &mut replies);

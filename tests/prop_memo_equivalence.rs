@@ -145,8 +145,9 @@ fn poisoned_cache_recovers_and_stays_correct() {
     let want: Vec<Option<bool>> = batch.iter().map(|t| pred.eval(t)).collect();
     assert_eq!(sm.apply_batch_udf(&batch, true).verdicts, want);
     assert!(!cell.is_empty(), "warm-up should populate the cache");
-    // Poison every shard: panic while holding each shard lock.
-    for hash in 0..64u64 {
+    // Poison every shard: panic while holding each shard lock. Shards
+    // are picked by the hash's high bits.
+    for hash in (0..64u64).map(|i| i << 58) {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cell.with_shard_of(hash, |_| panic!("poison shard"));
         }));
