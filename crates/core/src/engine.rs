@@ -80,14 +80,8 @@ pub struct CostModel {
     /// Probe-cost multiplier for Grace-mode clustered releases (< 1.0
     /// models the I/O locality of partition-clustered probing, §3.1).
     pub clustered_probe_discount: f64,
-    /// Model each SteM shard as an independent server: an envelope's
-    /// build/probe service time scales with the *busiest* shard's load
-    /// (max over shards) instead of the total —
-    /// [`crate::sharded::ShardedStem::parallel_service_units`]. This is
-    /// the simulation-native expression of the wall-clock parallelism
-    /// sharding provides on multi-core hosts; nothing in the tree turns it
-    /// on. Off by default so the virtual timeline is identical at every
-    /// shard count — the shard-invariance equivalence suites rely on that.
+    /// Ignored; removed when `benchmark/` stops naming it. A SteM
+    /// envelope is charged per member.
     pub shard_parallel_service: bool,
 }
 
@@ -128,36 +122,17 @@ pub struct ExecConfig {
     /// environment variable — CI runs the whole suite at 1 and 64 so
     /// scalar-engine equivalence is enforced on every push.
     pub batch_size: usize,
-    /// SteM shard fan-out: the dictionary of every SteM with exactly one
-    /// join column is hash-partitioned by that column's key into this
-    /// many shards (plus an overflow shard for un-hashable keys) and
-    /// build/probe envelopes fan out across them — see
-    /// [`crate::sharded::ShardedStem`]; a SteM with more join columns, or
-    /// none, keeps one lane. `1` (the default) gives every SteM a single
-    /// lane. Overridable with the `STEMS_NUM_SHARDS`
-    /// environment variable; CI crosses it with the batch-size matrix so
-    /// shard-count invariance is enforced on every push. Folded into the
-    /// plan's SteM options (`PlanOptions::default_stem`) at build time,
-    /// unless the plan already sets a non-default fan-out there (explicit
-    /// plan settings win).
+    /// Ignored; removed when `benchmark/` stops naming it.
     pub num_shards: usize,
-    /// Worker budget for the persistent worker pool
-    /// ([`crate::runtime::WorkerPool`]) that services sharded SteM
-    /// build/probe fan-outs. Defaults to the host's available
-    /// parallelism, overridable with the `STEMS_WORKERS` environment
-    /// variable; CI crosses it with the shard matrix so worker-count
-    /// invariance is enforced on every push. Folded into the plan's
-    /// default SteM options at build time exactly like `num_shards`
-    /// (explicit plan settings win). `1` keeps every fan-out serial on
-    /// the calling thread.
+    /// Worker budget of the query server's wave drain: how many pool
+    /// threads ([`crate::runtime::WorkerPool`]) step a wave's independent
+    /// executors. Defaults to the host's available parallelism,
+    /// overridable with the `STEMS_WORKERS` environment variable; CI
+    /// crosses it with the batch-size matrix so worker-count invariance
+    /// of server reports is enforced on every push. `1` steps every
+    /// executor on the server's thread. A single executor never reads it.
     pub workers: usize,
-    /// Minimum rows routed in one envelope before a sharded SteM
-    /// dispatches its per-shard lanes to the worker pool; smaller
-    /// envelopes run serially (pool hand-off costs ~1–2µs per task, so
-    /// tiny envelopes lose). Defaults to
-    /// [`crate::runtime::DEFAULT_PARALLEL_MIN_ROWS`], overridable with
-    /// the `STEMS_PARALLEL_MIN_ROWS` environment variable. Folded into
-    /// the plan's default SteM options like `num_shards`.
+    /// Ignored; removed when `benchmark/` stops naming it.
     pub parallel_min_rows: usize,
     /// Conjunction fusion: when a batch is routed to a Selection Module,
     /// also apply every *sibling* selection over the same table instance
@@ -260,9 +235,9 @@ impl ExecConfig {
             probe_edges: None,
             priority_pred: None,
             batch_size: env_knob("STEMS_BATCH_SIZE", 64)?,
-            num_shards: env_knob("STEMS_NUM_SHARDS", 1)?,
+            num_shards: 1,
             workers: crate::runtime::try_default_workers()?,
-            parallel_min_rows: crate::runtime::try_default_parallel_min_rows()?,
+            parallel_min_rows: 1,
             fuse_selections: true,
             memo: env_flag("STEMS_MEMO", true)?,
             memo_bytes: env_knob("STEMS_MEMO_BYTES", crate::memo::DEFAULT_MEMO_BYTES)?,
@@ -285,9 +260,7 @@ impl ExecConfig {
     pub fn validate(&self) -> std::result::Result<(), ConfigError> {
         for (name, value) in [
             ("batch_size", self.batch_size),
-            ("num_shards", self.num_shards),
             ("workers", self.workers),
-            ("parallel_min_rows", self.parallel_min_rows),
             ("memo_bytes", self.memo_bytes),
         ] {
             if value == 0 {
@@ -295,27 +268,6 @@ impl ExecConfig {
             }
         }
         Ok(())
-    }
-
-    /// Fold the engine-level SteM knobs into the plan options, producing
-    /// what [`crate::plan::instantiate`] will actually see. The shard
-    /// knob overrides only the untouched default (1); the pool knobs fill
-    /// only a `None` — explicit plan settings always win, so neither
-    /// configuration surface silently clobbers the other. The query
-    /// server calls this too, to derive the SteM options a query's plan
-    /// will use when matching SteMs for sharing.
-    pub(crate) fn resolved_plan_opts(&self) -> PlanOptions {
-        let mut plan_opts = self.plan.clone();
-        if plan_opts.default_stem.num_shards == 1 {
-            plan_opts.default_stem.num_shards = self.num_shards;
-        }
-        if plan_opts.default_stem.workers.is_none() {
-            plan_opts.default_stem.workers = Some(self.workers);
-        }
-        if plan_opts.default_stem.parallel_min_rows.is_none() {
-            plan_opts.default_stem.parallel_min_rows = Some(self.parallel_min_rows);
-        }
-        plan_opts
     }
 }
 
@@ -588,8 +540,7 @@ impl EddyExecutor {
                 ));
             }
         }
-        let plan_opts = config.resolved_plan_opts();
-        let (mut modules, layout) = instantiate(catalog, query, &plan_opts)?;
+        let (mut modules, layout) = instantiate(catalog, query, &config.plan)?;
         // Attach a private verdict memo to every UDF SM — one cache per
         // distinct UDF spec, shared by same-spec SMs within the query
         // (a verdict function's memo entries are query-agnostic, keyed
@@ -964,12 +915,7 @@ impl EddyExecutor {
         mut wave: Wave,
     ) -> (u64, Wave) {
         let table = stem.instance;
-        let units = if self.config.costs.shard_parallel_service {
-            stem.parallel_service_units(&self.layout.links[table.as_usize()], wave.tuples(), false)
-        } else {
-            wave.len() as u64
-        };
-        let dur = self.config.costs.stem_build_us * units.max(1);
+        let dur = self.config.costs.stem_build_us * (wave.len() as u64).max(1);
         let mut results = std::mem::take(&mut self.build_results);
         let mut ts = self.ts_counter;
         let built_before = stem.build_count();
@@ -1041,11 +987,7 @@ impl EddyExecutor {
             &mut reply_set,
         );
         let stem_version = router::stem_version(stem);
-        let probe_units = if self.config.costs.shard_parallel_service {
-            stem.parallel_service_units(links, wave.tuples(), true)
-        } else {
-            wave.len() as u64
-        };
+        let probe_units = wave.len() as u64;
         let clustered = wave.clustered();
 
         // The probe drains its envelope: each member's concatenations,
@@ -2434,7 +2376,7 @@ mod tests {
                 &query.join_cols_of(ti),
                 true,
                 false,
-                filtering.config.resolved_plan_opts().default_stem,
+                filtering.config.plan.default_stem.clone(),
             );
             assert!(stem.filters_duplicates());
             let mid = filtering.layout.stem_mid[t].unwrap();

@@ -15,21 +15,16 @@
 //! * **State Modules** ([`sharded::ShardedStem`]) — "half joins": a
 //!   dictionary per table instance handling build/probe, duplicate
 //!   elimination, EOT bookkeeping, timestamp filtering and bounce-back
-//!   decisions. One type with one build algorithm (route → per-lane
-//!   dedup + insert → serial timestamping) and one probe algorithm
-//!   (resolve + hash each binding once → lane → per-lane result
-//!   formation → merge). The storage of a SteM with one join column is
-//!   split by that column's key hash into lanes
-//!   ([`ExecConfig::num_shards`] / `STEMS_NUM_SHARDS`; the default 1, and
-//!   any SteM with more join columns or none, is the same code with a
-//!   single lane), and large envelopes run
-//!   their lanes on the persistent work-stealing worker pool
+//!   decisions. One type with one storage lane, one build algorithm
+//!   (route → dedup + insert → timestamping) and one probe algorithm
+//!   (resolve + hash each binding once → result formation). Both take
+//!   `&mut self` and nothing inside a SteM locks; a SteM shared across
+//!   queries sits behind the one mutex of its [`plan::StemCell`]. [`stem`]
+//!   holds the SteM's option/result/reply types, the EOT coverage index
+//!   and the storage lane. The only threads are the query server's: its
+//!   wave drain steps independent executors on the persistent worker pool
 //!   ([`runtime::WorkerPool`], sized by [`ExecConfig::workers`] /
-//!   `STEMS_WORKERS`) — observably identical at every shard and worker
-//!   count. Both algorithms take `&mut self` and nothing inside a SteM
-//!   locks; a SteM shared across queries sits behind the one mutex of
-//!   its [`plan::StemCell`]. [`stem`] holds the SteM's option/result/reply
-//!   types, the EOT coverage index and the per-lane half.
+//!   `STEMS_WORKERS`).
 //! * the **eddy** ([`EddyExecutor`]) — routes every tuple between the other
 //!   modules according to a [`policy::RoutingPolicy`], under the
 //!   correctness constraints of paper Table 2 enforced by [`router`].

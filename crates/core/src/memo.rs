@@ -9,8 +9,8 @@
 //! observable difference is time.
 //!
 //! Structure: `num_shards` independently locked shards (routed by the
-//! high half of the key's hash, [`KeyHash::shard`], like the SteM's
-//! lanes), each an entry slab indexed by the key's
+//! high half of the key's hash, [`KeyHash::shard`]), each an entry slab
+//! indexed by the key's
 //! precomputed stable hash — slot chains under an identity hasher
 //! ([`SlotChains`], the SteM index's shape), so a lookup never re-hashes
 //! and an entry costs no list of its own — with a clock/second-chance
@@ -229,8 +229,8 @@ impl MemoCache {
     }
 
     fn shard(&self, hash: u64) -> MutexGuard<'_, MemoShard> {
-        // The SteM lanes' rule: a strided key column spreads evenly, so no
-        // shard's slice of the budget has to hold most of the keys.
+        // The high half of the hash: a strided key column spreads evenly,
+        // so no shard's slice of the budget has to hold most of the keys.
         let i = KeyHash(hash).shard(self.shards.len());
         // Poison recovery: a memo shard is pure performance state — a
         // panicking evaluator may have died mid-insert, so discard the

@@ -65,10 +65,9 @@ impl std::fmt::Debug for StemCell {
 
 /// One instantiated module.
 pub enum Module {
-    /// A (possibly hash-partitioned) State Module; `num_shards: 1` in its
-    /// [`StemOptions`] is the plain scalar SteM. Held through a
-    /// [`StemCell`] so the query server can share one SteM across
-    /// queries; a solo executor owns the only handle.
+    /// A State Module. Held through a [`StemCell`] so the query server
+    /// can share one SteM across queries; a solo executor owns the only
+    /// handle.
     Stem(StemCell),
     ScanAm(ScanAm),
     IndexAm(IndexAm),
@@ -422,42 +421,36 @@ mod tests {
         let (_c, q) = testkit::setup();
         let state = TupleState::new();
         let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 9);
-        for num_shards in [1, 4] {
-            let opts = StemOptions {
-                num_shards,
-                ..StemOptions::default()
-            };
-            let cell = StemCell::new(ShardedStem::new(
-                TableIdx(1),
-                SourceId(1),
-                &[0],
-                true,
-                false,
-                opts,
-            ));
-            let built = build_one(&mut cell.lock(), &s_tuple(10, 1), &state, 1);
-            assert!(matches!(built, BuildResult::Fresh(_)));
-            // Warm the probe pool, so the dying prober has buffers to lose.
-            assert_eq!(probe_one(&mut cell.lock(), &r, &state, &q).results.len(), 1);
+        let cell = StemCell::new(ShardedStem::new(
+            TableIdx(1),
+            SourceId(1),
+            &[0],
+            true,
+            false,
+            StemOptions::default(),
+        ));
+        let built = build_one(&mut cell.lock(), &s_tuple(10, 1), &state, 1);
+        assert!(matches!(built, BuildResult::Fresh(_)));
+        // Warm the probe pool, so the dying prober has buffers to lose.
+        assert_eq!(probe_one(&mut cell.lock(), &r, &state, &q).results.len(), 1);
 
-            // An envelope without a state for its tuple is a caller bug the
-            // probe path panics on — mid-envelope, holding the guard, with
-            // the pool taken out of the SteM.
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut stem = cell.lock();
-                let mut replies = ProbeReplySet::new();
-                stem.probe_batch_into(std::slice::from_ref(&r), &[], &q, &mut replies);
-            }));
-            assert!(died.is_err(), "{num_shards} shards");
+        // An envelope without a state for its tuple is a caller bug the
+        // probe path panics on — mid-envelope, holding the guard, with
+        // the pool taken out of the SteM.
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut stem = cell.lock();
+            let mut replies = ProbeReplySet::new();
+            stem.probe_batch_into(std::slice::from_ref(&r), &[], &q, &mut replies);
+        }));
+        assert!(died.is_err());
 
-            let shared = cell.share();
-            assert_eq!(probe_one(&mut cell.lock(), &r, &state, &q).results.len(), 1);
-            let next = build_one(&mut cell.lock(), &s_tuple(10, 2), &state, 2);
-            assert!(matches!(next, BuildResult::Fresh(t) if t.timestamp() == 2));
-            let reply = probe_one(&mut shared.lock(), &r, &state, &q);
-            assert_eq!(reply.results.len(), 2, "{num_shards} shards");
-            assert_eq!(reply.observed_ts, 2, "{num_shards} shards");
-        }
+        let shared = cell.share();
+        assert_eq!(probe_one(&mut cell.lock(), &r, &state, &q).results.len(), 1);
+        let next = build_one(&mut cell.lock(), &s_tuple(10, 2), &state, 2);
+        assert!(matches!(next, BuildResult::Fresh(t) if t.timestamp() == 2));
+        let reply = probe_one(&mut shared.lock(), &r, &state, &q);
+        assert_eq!(reply.results.len(), 2);
+        assert_eq!(reply.observed_ts, 2);
     }
 
     /// A SteM skips the duplicate filter exactly when one scan over rows

@@ -1,62 +1,47 @@
-//! Persistent work-stealing worker pool — the parallel runtime under the
-//! sharded SteM fan-outs.
+//! The persistent worker pool under the query server's wave drain.
 //!
-//! PR 4 parallelized [`crate::sharded::ShardedStem`] envelopes with
-//! [`std::thread::scope`], which spawns and joins OS threads *per
-//! envelope* — tens of microseconds of syscall cost on every large batch,
-//! and no thread reuse across the thousands of envelopes one query
-//! routes. This module replaces that with a process-wide pool of
-//! long-lived workers:
+//! Between two server waves, [`crate::server::QueryServer`] steps the
+//! independent executors of the wave on several threads: runner jobs
+//! claim executors off a [`crate::sync::WaveBarrier`] until none is left.
+//! This module is the pool those runners run on — a process-wide set of
+//! long-lived workers, so a wave does not spawn and join OS threads:
 //!
-//! * **Per-worker injector queues** — every worker owns a deque; tasks
-//!   are submitted with an *affinity* (the shard index), so the same
-//!   shard's envelopes keep landing on the same worker. That is a NUMA
-//!   stand-in: the worker that last touched a shard's dictionary re-runs
-//!   it with its caches warm.
-//! * **Work stealing** — an idle worker scans the other queues (its own
-//!   first, then round-robin) and steals whatever is waiting, so a skewed
-//!   fan-out cannot strand idle workers behind one hot queue.
-//! * **Caller participation** — the thread that opened a scope helps
-//!   drain the queues while waiting, so a `workers = n` scope really has
-//!   `n` active execution streams without over-subscribing the host.
+//! * **One FIFO job queue** — every job goes to the back of one queue and
+//!   any idle worker takes the front one. The barrier's claim cursor
+//!   balances the work, so the pool needs no per-worker queues, affinity
+//!   or stealing.
+//! * **Caller participation** — the thread that opened a scope runs
+//!   queued jobs while it waits, so a `workers = n` scope really has `n`
+//!   active execution streams without over-subscribing the host.
 //! * **Scoped, borrow-friendly tasks** — [`WorkerPool::scope`] mirrors
-//!   `std::thread::scope`: tasks may borrow from the caller's stack
-//!   (`&mut Shard` lane slices), and the scope does not return until
-//!   every task it spawned has finished — even when a task or the scope
-//!   body panics (the panic is re-raised after the barrier, never lost).
+//!   `std::thread::scope`: tasks may borrow from the caller's stack, and
+//!   the scope does not return until every task it spawned has finished —
+//!   even when a task or the scope body panics (the panic is re-raised
+//!   after the barrier, never lost).
+//! * **No job opens a scope.** So a thread helping out while it waits can
+//!   run any queued job: the waiting thread is never inside a job that
+//!   holds a lock another job could take. A debug build asserts it.
 //!
-//! The pool is deliberately *schedule-only*: which worker runs which
-//! task, and in what order, is nondeterministic, but every caller writes
-//! results into per-task output slots and merges them serially in a fixed
-//! order — so results are bit-identical at every worker count, which
-//! `tests/prop_batch_equivalence.rs` enforces across `STEMS_WORKERS`
-//! {1, 2, 4, 8}.
+//! The pool is *schedule-only*: which worker runs which job is
+//! nondeterministic, but every executor is stepped by exactly one thread
+//! and the wave is merged back in a fixed order, so server reports are
+//! bit-identical at every worker budget (`tests/server_folding.rs`).
 //!
 //! Workers are spawned lazily up to the largest budget any scope has
-//! requested (capped at [`MAX_POOL_WORKERS`]) and parked on a condvar
-//! when idle; the pool lives for the process (workers die with it).
+//! requested (capped at [`MAX_POOL_WORKERS`]) and parked on the
+//! [`SleepGate`] when idle; the pool lives for the process (workers die
+//! with it).
 
 use crate::sync::{lock_ok, wait_ok, Arc, Condvar, Mutex, OnceLock};
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Hard cap on pool size. Scopes asking for more workers than this are
-/// clamped; the cap only bounds the queue array, not correctness (tests
-/// force worker counts above the host's core count and stay
-/// bit-identical).
+/// clamped.
 pub const MAX_POOL_WORKERS: usize = 32;
-
-/// Default minimum routed rows per envelope before the shard fan-out
-/// dispatches to the pool; see [`default_parallel_min_rows`]. PR 4's
-/// scoped-thread fan-out needed 512 rows to amortize per-envelope thread
-/// spawn/join (~tens of µs per thread); pool dispatch is a queue push +
-/// condvar wake (measured ~1–2 µs per task on the bench host), so the
-/// crossover where parallel dispatch beats the serial loop drops to
-/// roughly half an envelope of dictionary work — 256 rows. `benchmark/`'s
-/// `join_sharded` workload runs the pool at this threshold.
-pub const DEFAULT_PARALLEL_MIN_ROWS: usize = 256;
 
 /// Worker threads the host can actually run in parallel (affinity/cgroup
 /// aware), cached once per process.
@@ -69,12 +54,11 @@ pub fn host_parallelism() -> usize {
     })
 }
 
-/// The default worker budget for sharded fan-outs: [`host_parallelism`]
-/// unless overridden by the `STEMS_WORKERS` environment variable (the CI
-/// matrix crosses it with batch size and shard count so worker-count
-/// invariance is enforced on every push; tests force counts
-/// programmatically through `ExecConfig::workers` / `StemOptions::workers`
-/// instead). Like `STEMS_NUM_SHARDS`, a set-but-invalid value errors — a
+/// The default worker budget of the server's wave drain
+/// (`ExecConfig::workers`): [`host_parallelism`] unless overridden by the
+/// `STEMS_WORKERS` environment variable (the CI matrix crosses it with
+/// batch size; tests force counts programmatically through
+/// `ExecConfig::workers` instead). A set-but-invalid value errors — a
 /// misconfigured CI leg or server deployment must fail loudly rather than
 /// silently re-test the default parallelism.
 pub fn try_default_workers() -> Result<usize, crate::engine::ConfigError> {
@@ -86,37 +70,25 @@ pub fn default_workers() -> usize {
     try_default_workers().unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The default parallel-dispatch threshold:
-/// [`DEFAULT_PARALLEL_MIN_ROWS`] unless overridden by the
-/// `STEMS_PARALLEL_MIN_ROWS` environment variable (validated like the
-/// other engine knobs: set-but-invalid errors).
-pub fn try_default_parallel_min_rows() -> Result<usize, crate::engine::ConfigError> {
-    crate::engine::env_knob("STEMS_PARALLEL_MIN_ROWS", DEFAULT_PARALLEL_MIN_ROWS)
-}
-
-/// Panicking shim over [`try_default_parallel_min_rows`].
-pub fn default_parallel_min_rows() -> usize {
-    try_default_parallel_min_rows().unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// A queued task. Tasks are created with a scope-bound lifetime and
 /// transmuted to `'static` for storage; [`PoolScope`]'s completion
-/// barrier is what makes that sound (see `Scope::spawn` safety note).
-///
-/// `nested` marks a *composite* job: one that may itself open pool
-/// scopes or take SteM cell locks (the query server's executor-stepping
-/// jobs). Leaf jobs (`nested = false` — the sharded build/probe lanes)
-/// never block and never lock cells. The distinction exists for the
-/// help path: a thread that is *inside* a job and helping while it
-/// waits on a nested scope may already hold a `StemCell` lock, so
-/// running a sibling composite job there could re-enter the same cell's
-/// mutex on the same thread — a self-deadlock `std::sync::Mutex` does
-/// not detect. Helping threads therefore only ever pick up leaf jobs
-/// ([`Shared::find_job`] with `include_nested = false`); top-level
-/// workers, which hold no locks, run anything.
-struct Job {
-    run: Box<dyn FnOnce() + Send + 'static>,
-    nested: bool,
+/// barrier is what makes that sound (see `PoolScope::spawn`'s safety
+/// note).
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+thread_local! {
+    /// Is this thread running a pool job? Read by [`WorkerPool::scope`]'s
+    /// debug assertion.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run one queued job, marking the thread as inside a job meanwhile.
+/// Task panics are captured by the scope wrapper, so the mark is always
+/// cleared.
+fn run_job(job: Job) {
+    IN_JOB.with(|flag| flag.set(true));
+    job();
+    IN_JOB.with(|flag| flag.set(false));
 }
 
 /// The pool's sleep/wake protocol, factored out so `tests/model.rs` can
@@ -124,7 +96,7 @@ struct Job {
 ///
 /// The invariant it exists to uphold: a sleeper that observed "nothing
 /// to do" cannot miss a wake-up for work submitted after its scan. The
-/// scan result lives *outside* this gate (the queue mutexes), which is
+/// scan result lives *outside* this gate (the queue mutex), which is
 /// precisely the lost-wakeup shape — so wakers notify **while holding
 /// the gate**. Either the waker's notify happens before the sleeper
 /// locks the gate (then the sleeper's scan, which happens after, sees
@@ -153,7 +125,7 @@ impl SleepGate {
 
     /// Park the caller iff `idle()` still holds under the gate. `idle`
     /// must read its state through its own synchronization (the queue
-    /// mutexes); the gate only orders the scan against wakers.
+    /// mutex); the gate only orders the scan against wakers.
     pub fn sleep_if(&self, idle: impl FnOnce() -> bool) {
         let gate = lock_ok(&self.gate);
         if idle() {
@@ -169,40 +141,25 @@ impl Default for SleepGate {
 }
 
 struct Shared {
-    /// One injector queue per worker slot. Affinity picks the home queue;
-    /// stealing scans the rest.
-    queues: Vec<Mutex<VecDeque<Job>>>,
+    /// The one job queue, in submission order.
+    queue: Mutex<VecDeque<Job>>,
     /// Sleep/wake for idle workers; see [`SleepGate`].
     gate: SleepGate,
 }
 
 impl Shared {
-    /// Pop a task: own queue first, then round-robin steal. With
-    /// `include_nested` off, composite jobs are skipped in place (never
-    /// reordered past each other) — the helping-thread restriction the
-    /// [`Job`] docs argue.
-    fn find_job(&self, home: usize, include_nested: bool) -> Option<Job> {
-        let n = self.queues.len();
-        for i in 0..n {
-            let q = (home + i) % n;
-            let mut queue = lock_ok(&self.queues[q]);
-            let pos = queue.iter().position(|j| include_nested || !j.nested);
-            if let Some(pos) = pos {
-                return queue.remove(pos);
-            }
-        }
-        None
+    fn pop(&self) -> Option<Job> {
+        lock_ok(&self.queue).pop_front()
     }
 
     fn looks_empty(&self) -> bool {
-        self.queues.iter().all(|q| lock_ok(q).is_empty())
+        lock_ok(&self.queue).is_empty()
     }
 }
 
 /// The process-wide worker pool. Obtain it with [`WorkerPool::global`];
-/// per-query worker budgets are passed per scope, so one pool serves
-/// every SteM of every concurrent query (the multi-query server the
-/// ROADMAP points at shares this runtime).
+/// worker budgets are passed per scope, so one pool serves every server
+/// of the process.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     spawned: Mutex<usize>,
@@ -219,9 +176,7 @@ impl WorkerPool {
     fn new() -> WorkerPool {
         WorkerPool {
             shared: Arc::new(Shared {
-                queues: (0..MAX_POOL_WORKERS)
-                    .map(|_| Mutex::new(VecDeque::new()))
-                    .collect(),
+                queue: Mutex::new(VecDeque::new()),
                 gate: SleepGate::new(),
             }),
             spawned: Mutex::new(0),
@@ -242,32 +197,30 @@ impl WorkerPool {
             let shared = Arc::clone(&self.shared);
             std::thread::Builder::new()
                 .name(format!("stems-worker-{id}"))
-                .spawn(move || worker_loop(id, shared))
+                .spawn(move || worker_loop(shared))
                 .expect("spawn pool worker");
             *spawned += 1;
         }
     }
 
-    fn push_job(&self, queue: usize, job: Job) {
-        lock_ok(&self.shared.queues[queue]).push_back(job);
-        // Gate-held notify: a worker that just scanned empty queues and
+    fn push_job(&self, job: Job) {
+        lock_ok(&self.shared.queue).push_back(job);
+        // Gate-held notify: a worker that just found the queue empty and
         // is about to park cannot miss this submission.
         self.shared.gate.wake_one();
     }
 
     /// Run `f` with a scope that can spawn borrow-carrying tasks onto the
-    /// pool. `workers` is the parallelism budget: tasks are distributed
-    /// over `min(workers, MAX_POOL_WORKERS)` home queues (affinity `a`
-    /// maps to queue `a % workers`), and at least `workers` pool threads
-    /// exist by the time tasks run. Does not return until every spawned
-    /// task completed; a panicking task panics the caller here, after the
-    /// barrier.
+    /// pool. `workers` is the parallelism budget: at least
+    /// `min(workers, MAX_POOL_WORKERS)` pool threads exist by the time
+    /// tasks run. Does not return until every spawned task completed; a
+    /// panicking task panics the caller here, after the barrier. Never
+    /// called from inside a pool job (see the module docs).
     pub fn scope<'env, R>(&self, workers: usize, f: impl FnOnce(&PoolScope<'_, 'env>) -> R) -> R {
-        let workers = workers.clamp(1, MAX_POOL_WORKERS);
-        self.ensure_workers(workers);
+        debug_assert!(!IN_JOB.with(Cell::get), "a pool job opened a pool scope");
+        self.ensure_workers(workers.clamp(1, MAX_POOL_WORKERS));
         let scope = PoolScope {
             pool: self,
-            workers,
             latch: Arc::new(CompletionLatch::new()),
             _env: PhantomData,
         };
@@ -371,31 +324,16 @@ impl CompletionLatch {
 /// Spawn handle passed to the closure of [`WorkerPool::scope`].
 pub struct PoolScope<'pool, 'env> {
     pool: &'pool WorkerPool,
-    workers: usize,
     latch: Arc<CompletionLatch>,
     _env: PhantomData<&'env mut &'env ()>,
 }
 
 impl<'pool, 'env> PoolScope<'pool, 'env> {
-    /// Queue `task` on the home queue of `affinity % workers`. The task
-    /// may borrow anything outliving the scope (`'env`); it runs on a
-    /// pool worker (or on the caller while it waits) before `scope`
-    /// returns.
-    pub fn spawn(&self, affinity: usize, task: impl FnOnce() + Send + 'env) {
-        self.spawn_inner(affinity, task, false);
-    }
-
-    /// [`PoolScope::spawn`] for *composite* tasks: ones that may open
-    /// nested pool scopes or take SteM cell locks (the query server's
-    /// executor-stepping jobs). Composite jobs run only on top-level
-    /// pool workers or the scope caller — never on a thread that is
-    /// already inside another job — so a job holding a shared cell's
-    /// mutex can never re-enter it on its own thread (see [`Job`]).
-    pub fn spawn_nested(&self, affinity: usize, task: impl FnOnce() + Send + 'env) {
-        self.spawn_inner(affinity, task, true);
-    }
-
-    fn spawn_inner(&self, affinity: usize, task: impl FnOnce() + Send + 'env, nested: bool) {
+    /// Queue `task` at the back of the pool's queue. The task may borrow
+    /// anything outliving the scope (`'env`); it runs on a pool worker (or
+    /// on the caller while it waits) before `scope` returns. The first
+    /// argument is ignored; removed when `benchmark/` stops passing it.
+    pub fn spawn(&self, _affinity: usize, task: impl FnOnce() + Send + 'env) {
         self.latch.register();
         let latch = Arc::clone(&self.latch);
         let wrapped = move || {
@@ -405,7 +343,7 @@ impl<'pool, 'env> PoolScope<'pool, 'env> {
         let job: Box<dyn FnOnce() + Send + 'env> = Box::new(wrapped);
         // SAFETY: erasing 'env to 'static for queue storage is sound
         // because no erased job can run — or even be dropped by the
-        // queues, which live on past the scope — after 'env ends. The
+        // queue, which lives on past the scope — after 'env ends. The
         // argument, step by step:
         //
         // 1. `task` only captures borrows outliving 'env (enforced by
@@ -414,12 +352,12 @@ impl<'pool, 'env> PoolScope<'pool, 'env> {
         //    the borrowed frames are popped.
         // 2. `latch.register()` happens-before the job becomes visible
         //    to any worker (`push_job` below), so at every moment a job
-        //    exists in a queue, the latch's `remaining` accounts for it.
+        //    exists in the queue, the latch's `remaining` accounts for it.
         // 3. The job's only exit paths — normal return or unwind out of
         //    `task` — funnel through `catch_unwind` into
         //    `latch.complete(..)`, which decrements `remaining` strictly
         //    after the task body finished. Workers run jobs to
-        //    completion and never drop one unexecuted; queues only pop.
+        //    completion and never drop one unexecuted; the queue only pops.
         // 4. `ScopeBarrier` is constructed before the scope closure can
         //    spawn, and its `Drop` runs `latch.wait(..)` on every exit
         //    path from `WorkerPool::scope` — normal return *and* unwind
@@ -427,8 +365,8 @@ impl<'pool, 'env> PoolScope<'pool, 'env> {
         //    the call, precisely so that panics cannot skip it).
         // 5. `CompletionLatch::wait` returns only upon observing
         //    `remaining == 0` under the latch mutex, which by (2)+(3)
-        //    means every spawned job has fully finished and no queue
-        //    holds one. That protocol — including the wait/notify
+        //    means every spawned job has fully finished and the queue
+        //    holds none of them. That protocol — including the wait/notify
         //    handshake and its panic paths — is model-checked in
         //    `tests/model.rs` (`latch_barrier_is_sound_under_every_
         //    schedule`), and the seeded mutants that would break this
@@ -438,31 +376,22 @@ impl<'pool, 'env> PoolScope<'pool, 'env> {
         // `scope` returns or unwinds past the barrier — the
         // `std::thread::scope` argument, with the latch in the role of
         // the thread-join barrier.
-        let run = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(job)
-        };
-        self.pool
-            .push_job(affinity % self.workers, Job { run, nested });
+        let run = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
+        self.pool.push_job(run);
     }
 
-    /// Block until every spawned task finished, executing queued *leaf*
-    /// pool tasks while waiting (caller participation). Help is
-    /// restricted to leaf jobs because this wait may be reached from
-    /// inside a composite job that already holds a SteM cell lock —
-    /// running a sibling composite job on the same stack could re-lock
-    /// that cell and self-deadlock (see [`Job`]). Leaf jobs never block
-    /// and never lock cells, so helping with them is always progress;
-    /// composite jobs are drained by top-level workers, which
-    /// [`WorkerPool::scope`] guarantees exist for the requested budget.
+    /// Block until every spawned task finished, running queued pool jobs
+    /// while waiting (caller participation). Any job will do: no job
+    /// opens a scope, so this thread is not inside a job, and a job it
+    /// runs cannot re-enter a lock an outer job on its stack holds.
     fn wait(&self) {
-        self.latch
-            .wait(|| match self.pool.shared.find_job(0, false) {
-                Some(job) => {
-                    (job.run)();
-                    true
-                }
-                None => false,
-            });
+        self.latch.wait(|| match self.pool.shared.pop() {
+            Some(job) => {
+                run_job(job);
+                true
+            }
+            None => false,
+        });
     }
 
     fn check_panic(&self) {
@@ -482,14 +411,10 @@ impl Drop for ScopeBarrier<'_, '_, '_> {
     }
 }
 
-fn worker_loop(id: usize, shared: Arc<Shared>) {
+fn worker_loop(shared: Arc<Shared>) {
     loop {
-        // Top-level workers hold no locks, so they run any job —
-        // composite stepping jobs included.
-        if let Some(job) = shared.find_job(id, true) {
-            // Task panics are captured by the scope wrapper; a raw panic
-            // here would mean a bug in the pool itself.
-            (job.run)();
+        if let Some(job) = shared.pop() {
+            run_job(job);
             continue;
         }
         // Submissions notify under the gate, so nothing pushed between
@@ -588,6 +513,5 @@ mod tests {
     fn env_default_workers_validation() {
         // Not present: falls back to host parallelism (≥ 1).
         assert!(default_workers() >= 1);
-        assert!(default_parallel_min_rows() >= 1);
     }
 }

@@ -129,10 +129,9 @@ use stems_types::{Row, StemsError, TableIdx, Timestamp, Tuple, TupleBatch};
 
 /// SteM-sharing compatibility key. Two instances may share one SteM only
 /// if they scan the same source, index it by the same (canonicalized)
-/// join columns, and resolve to identical SteM options — options affect
-/// virtual service durations (shard fan-out) and storage semantics
-/// (backend, eviction window), so any mismatch would leak one query's
-/// configuration into another's timeline.
+/// join columns, and plan identical SteM options — options affect storage
+/// semantics (backend, eviction window), so any mismatch would leak one
+/// query's configuration into another's timeline.
 #[derive(Debug, Clone, PartialEq)]
 struct StemKey {
     source: SourceId,
@@ -853,7 +852,7 @@ impl<'a> QueryServer<'a> {
             };
             WorkerPool::global().scope(runners, |scope| {
                 for k in 1..runners {
-                    scope.spawn_nested(k, drain);
+                    scope.spawn(k, drain);
                 }
                 drain();
                 // Merge barrier: every claimed executor finished
@@ -943,7 +942,7 @@ impl<'a> QueryServer<'a> {
             return;
         }
         let query = self.slots[idx].query.clone();
-        let plan_opts = self.slots[idx].config.resolved_plan_opts();
+        let plan_opts = self.slots[idx].config.plan.clone();
         let mut claimed: Vec<usize> = Vec::new();
         let mut folded_tables: Vec<TableIdx> = Vec::new();
         let mut raw_tables: Vec<(SourceId, Vec<TableIdx>)> = Vec::new();

@@ -1,4 +1,4 @@
-//! The State Module's vocabulary and its per-lane half (paper §2.1.4).
+//! The State Module's vocabulary and its storage lane (paper §2.1.4).
 //!
 //! A SteM — [`crate::sharded::ShardedStem`], the only SteM type — owns a
 //! dictionary of singleton tuples from one table instance and handles:
@@ -18,14 +18,13 @@
 //!
 //! This module holds what both halves of that design share: the public
 //! option/result/reply types, the EOT coverage index ([`EotIndex`]), the
-//! binding helpers, and [`Shard`] — one *lane* of a SteM's storage. A
-//! shard owns exactly the state that must exist per lane and exposes the
-//! two per-lane steps of the SteM's algorithms: [`Shard::ingest`] (dedup +
+//! binding helpers, and [`Shard`] — the SteM's storage *lane*. The lane
+//! owns exactly the state addressed by its slots and exposes the two
+//! storage steps of the SteM's algorithms: [`Shard::ingest`] (dedup +
 //! dictionary insert) and [`Shard::probe`] (result formation over
-//! prehashed bindings). Everything that is a property of the SteM as a
-//! whole lives once, on `ShardedStem` — the envelope buffers of both
-//! steps included, so a lane is plain data behind the SteM's `&mut self`
-//! and holds no lock.
+//! prehashed bindings). Everything else lives once, on `ShardedStem` —
+//! the envelope buffers of both steps included, so the lane is plain data
+//! behind the SteM's `&mut self` and holds no lock.
 //!
 //! # A lane is one slab and its slot-indexed columns
 //!
@@ -45,7 +44,7 @@
 //! no timestamp yet: its column entry reads [`UNBUILT_TS`], which the
 //! TimeStamp rule treats as "built after every prober", so a row is
 //! invisible until the SteM has stamped it. Eviction kills a slot
-//! ([`Shard::forget`]); once a lane's dead slots outnumber its live ones
+//! ([`Shard::forget`]); once the lane's dead slots outnumber its live ones
 //! it is rebuilt dense in insertion order and every slot-indexed column —
 //! here and, for the FIFO window, on `ShardedStem` — is renumbered with
 //! it, so a windowed SteM over an unbounded stream stays the size of its
@@ -66,15 +65,11 @@ use stems_types::{
 /// `None` means the probe binds nothing and must scan.
 pub(crate) type ProbeBinding = Option<(usize, HashedKey)>;
 
-/// Reusable probe scratch of one dispatch chunk. Everything the probe
-/// path materializes per envelope — key groups, flat candidate arenas,
-/// plans — lives here and keeps its capacity across envelopes, so
-/// steady-state probing allocates nothing. The SteM owns one per chunk
-/// *position* of an envelope (`ShardedStem`'s probe pool) and lends each
-/// chunk its own by `&mut`, so the chunks of a lane that pool workers
-/// ([`crate::runtime::WorkerPool`]) service concurrently never share a
-/// buffer, and which scratch a chunk gets does not depend on how the
-/// chunks interleave.
+/// Reusable probe scratch of the lane. Everything the probe path
+/// materializes per envelope — key groups, flat candidate arenas, plans —
+/// lives here and keeps its capacity across envelopes, so steady-state
+/// probing allocates nothing. The SteM owns it (in `ShardedStem`'s probe
+/// pool) and lends it to [`Shard::probe`] by `&mut`.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeScratch {
     /// Distinct probe columns of the current envelope.
@@ -103,24 +98,11 @@ pub struct StemOptions {
     /// yielding Hybrid-Hash, §3.1).
     pub partitions: usize,
     pub mem_partitions: usize,
-    /// Hash-partition shard fan-out of the SteM's dictionary
-    /// ([`crate::sharded::ShardedStem`]). `1` (the default) is a SteM
-    /// with one storage lane; larger values split the storage of a SteM
-    /// with exactly one join column by that column's key hash, so
-    /// build/probe envelopes parallelize across threads. A SteM with two
-    /// or more join columns, or none, keeps one lane: a probe on any but
-    /// the partition column would visit every lane.
+    /// Ignored; removed when `benchmark/` stops naming it.
     pub num_shards: usize,
-    /// Worker-pool budget for this SteM's sharded envelope fan-outs.
-    /// `None` (the default) inherits `ExecConfig::workers` (and thus
-    /// `STEMS_WORKERS` / host parallelism); `Some(n)` pins this SteM's
-    /// budget.
+    /// Ignored; removed when `benchmark/` stops naming it.
     pub workers: Option<usize>,
-    /// Minimum routed rows in one envelope before the sharded fan-out
-    /// dispatches to the worker pool. `None` (the default) inherits
-    /// `ExecConfig::parallel_min_rows` (and thus
-    /// `STEMS_PARALLEL_MIN_ROWS` /
-    /// [`crate::runtime::DEFAULT_PARALLEL_MIN_ROWS`]).
+    /// Ignored; removed when `benchmark/` stops naming it.
     pub parallel_min_rows: Option<usize>,
 }
 
@@ -189,18 +171,13 @@ pub struct ReplyMeta {
 /// header per probe tuple, in batch order. Callers own the set and reuse
 /// it across envelopes, so the steady-state reply path performs **zero
 /// per-tuple heap allocations** (`tests/alloc_probe.rs` pins this with a
-/// counting allocator). The lane merge additionally moves replies
-/// *between* sets without reallocating
-/// ([`ProbeReplySet::take_results_into`]).
+/// counting allocator).
 #[derive(Debug, Default)]
 pub struct ProbeReplySet {
     /// Flat result arena: each reply's results are contiguous.
     results: Vec<(Tuple, PredSet)>,
     /// One header per probe tuple, batch order.
     metas: Vec<ReplyMeta>,
-    /// Consumption cursors for [`ProbeReplySet::take_results_into`].
-    meta_cursor: usize,
-    result_cursor: usize,
 }
 
 impl ProbeReplySet {
@@ -212,8 +189,6 @@ impl ProbeReplySet {
     pub fn clear(&mut self) {
         self.results.clear();
         self.metas.clear();
-        self.meta_cursor = 0;
-        self.result_cursor = 0;
     }
 
     /// Number of replies (== probe tuples of the envelope).
@@ -245,60 +220,22 @@ impl ProbeReplySet {
     /// headers and takes `meta.len` results for each; dropping the drain
     /// keeps the arena's capacity).
     pub fn metas_and_results(&mut self) -> (&[ReplyMeta], std::vec::Drain<'_, (Tuple, PredSet)>) {
-        self.meta_cursor = 0;
-        self.result_cursor = 0;
         (&self.metas, self.results.drain(..))
-    }
-
-    /// Move the next unconsumed reply's *results* into `out`'s arena
-    /// (no header is pushed — the caller merges headers itself: the lane
-    /// merge combines several per-lane replies into one) and
-    /// return its header. Moved-from slots are left as empty placeholder
-    /// tuples; no allocation happens in either set beyond `out`'s arena
-    /// growth, which amortizes to zero across reused envelopes.
-    pub(crate) fn take_results_into(&mut self, out: &mut ProbeReplySet) -> ReplyMeta {
-        let meta = self.metas[self.meta_cursor];
-        self.meta_cursor += 1;
-        let start = self.result_cursor;
-        for slot in &mut self.results[start..start + meta.len] {
-            out.results
-                .push(std::mem::replace(slot, (Tuple::empty(), PredSet::EMPTY)));
-        }
-        self.result_cursor = start + meta.len;
-        meta
-    }
-
-    /// Append a reply header (lane merge tail; results were already
-    /// appended via [`ProbeReplySet::take_results_into`]).
-    pub(crate) fn push_meta(&mut self, meta: ReplyMeta) {
-        self.metas.push(meta);
-    }
-
-    /// Replies not yet consumed by [`ProbeReplySet::take_results_into`].
-    pub(crate) fn remaining(&self) -> usize {
-        self.metas.len() - self.meta_cursor
-    }
-
-    /// Mutable tail of the result arena from `start` — the lane merge
-    /// sorts a reply gathered from several lanes in place.
-    pub(crate) fn results_tail_mut(&mut self, start: usize) -> &mut [(Tuple, PredSet)] {
-        &mut self.results[start..]
     }
 }
 
 /// What the envelope boundary resolves for one probe tuple, exactly
-/// once: its equality binding (hashed — lane routing and the dictionary
-/// descent both read this annotation) and its bounce decision (a function
-/// of SteM-wide EOT state, so it is the same in whichever lanes the probe
-/// visits).
+/// once: its equality binding (hashed — the dictionary descent reads this
+/// annotation) and its bounce decision (a function of the SteM's EOT
+/// state).
 #[derive(Debug)]
 pub(crate) struct Resolved {
     pub(crate) binding: ProbeBinding,
     pub(crate) outcome: ProbeOutcome,
 }
 
-/// What a lane needs to form probe replies: the SteM-wide facts and the
-/// whole probe envelope, which every lane and chunk reads by position.
+/// What the lane needs to form probe replies: the SteM-wide facts and the
+/// whole probe envelope.
 pub(crate) struct ProbeCtx<'q> {
     /// The table instance the SteM currently serves.
     pub(crate) instance: TableIdx,
@@ -311,12 +248,12 @@ pub(crate) struct ProbeCtx<'q> {
     pub(crate) resolved: &'q [Resolved],
 }
 
-/// A lane is rebuilt dense ([`Shard::compact`]) once its dead slots
+/// The lane is rebuilt dense ([`Shard::compact`]) once its dead slots
 /// outnumber its live ones — and this floor, so a lane holding a handful
 /// of rows is not rebuilt on every eviction.
 const COMPACT_MIN_DEAD: usize = 32;
 
-/// One storage lane of a SteM: the dictionary — whose slab gives every
+/// The storage lane of a SteM: the dictionary — whose slab gives every
 /// stored row its **slot** — and, addressed by that slot, the
 /// set-semantics dedup filter and the build-timestamp column.
 ///
@@ -383,14 +320,13 @@ impl Shard {
         self.store.backend()
     }
 
-    /// The per-lane build step: set-semantics dedup plus the dictionary
-    /// insert for the (non-EOT) singletons routed to this lane — the
-    /// `members` positions of the envelope `tuples`, in batch order.
-    /// Appends to `fresh` the slot of every inserted row and `None` for
-    /// every absorbed duplicate (§3.2); timestamps are assigned afterwards
-    /// by the SteM, serially ([`Shard::stamp`]). `pending` is the lane's
-    /// reusable staging buffer for the rows about to be inserted (left
-    /// empty).
+    /// The lane's build step: set-semantics dedup plus the dictionary
+    /// insert for the data singletons of the envelope `tuples`, in batch
+    /// order (EOT tuples are skipped). Appends to `fresh` the slot of
+    /// every inserted row and `None` for every absorbed duplicate (§3.2);
+    /// timestamps are assigned afterwards by the SteM ([`Shard::stamp`]).
+    /// `pending` is the reusable staging buffer for the rows about to be
+    /// inserted (left empty).
     ///
     /// A filtering lane hashes each row once; a duplicate of a row earlier
     /// in this same envelope is caught against the pending batch, before
@@ -399,16 +335,17 @@ impl Shard {
     pub(crate) fn ingest(
         &mut self,
         tuples: &[Tuple],
-        members: &[usize],
         fresh: &mut Vec<Option<Slot>>,
         pending: &mut Vec<Arc<Row>>,
     ) {
         let slab = self.store.slab();
         let base = slab.slots();
         pending.clear();
-        for &i in members {
-            let row = &tuples[i].components()[0].row;
-            debug_assert!(!row.is_eot(), "EOT rows never reach a lane");
+        for tuple in tuples {
+            let row = &tuple.components()[0].row;
+            if row.is_eot() {
+                continue;
+            }
             let slot = (base + pending.len()) as Slot;
             let held = |s: Slot| -> &Row {
                 match (s as usize).checked_sub(base) {
@@ -472,29 +409,23 @@ impl Shard {
         }
     }
 
-    /// The per-lane probe step: answer the `members` positions of the
-    /// envelope in `ctx`, appending one reply per member to `out` in
-    /// member order. `ctx.resolved` carries each tuple's prehashed binding
-    /// and bounce decision; this lane contributes the candidates. All
-    /// equality lookups on one column go through a single
-    /// [`Store::lookup_eq_flat`] index descent into a reusable arena of
-    /// candidate *slots* (one span per member; unbindable probes walk
-    /// the slab's live slots), the newly-evaluable predicate
+    /// The lane's probe step: answer the envelope in `ctx`, appending one
+    /// reply per probe tuple to `out` in batch order. `ctx.resolved`
+    /// carries each tuple's prehashed binding and bounce decision; the
+    /// lane contributes the candidates. All equality lookups on one column
+    /// go through a single [`Store::lookup_eq_flat`] index descent into a
+    /// reusable arena of candidate *slots* (one span per probe; unbindable
+    /// probes walk the slab's live slots), the newly-evaluable predicate
     /// set is a bitset re-derived only when `(result span, donebits)`
-    /// changes from one member to the next, and both timestamp rules are decided on the slot's entry in the
-    /// timestamp column — the row itself is resolved, and its handle
-    /// cloned, only for a candidate that passed them. Results land in
-    /// `out`'s flat arena: the only per-tuple allocations are the
-    /// surviving result tuples themselves (one component vec each, via
-    /// [`Tuple::concat_row`]).
-    ///
-    /// `members` may be any sub-range of the lane's routed positions: hot
-    /// lanes are chunked across pool workers, each chunk probing with its
-    /// own `scratch` and arena.
+    /// changes from one probe to the next, and both timestamp rules are
+    /// decided on the slot's entry in the timestamp column — the row
+    /// itself is resolved, and its handle cloned, only for a candidate
+    /// that passed them. Results land in `out`'s flat arena: the only
+    /// per-tuple allocations are the surviving result tuples themselves
+    /// (one component vec each, via [`Tuple::concat_row`]).
     pub(crate) fn probe(
         &self,
         ctx: &ProbeCtx<'_>,
-        members: &[u32],
         scratch: &mut ProbeScratch,
         out: &mut ProbeReplySet,
     ) {
@@ -509,8 +440,8 @@ impl Shard {
         plans.clear();
 
         // Pass 1: group the prehashed keys by column.
-        for &m in members {
-            let binding = ctx.resolved[m as usize].binding.as_ref();
+        for r in ctx.resolved {
+            let binding = r.binding.as_ref();
             plans.push(binding.map(|(col, key)| {
                 let ci = match cols.iter().position(|c| c == col) {
                     Some(i) => i,
@@ -540,15 +471,14 @@ impl Shard {
         // `newly_evaluable` is a pure function of (result span, donebits):
         // as bitsets, the predicates to test and the donebits every
         // surviving result carries are two words, remembered from one
-        // member to the next (envelopes are usually span- and done-uniform,
+        // probe to the next (envelopes are usually span- and done-uniform,
         // so this is derived once per envelope) and held nowhere else — a
         // SteM shared by several queries must not carry one query's
         // predicate ids into another's probe.
         let mut memo: Option<(TableSet, PredSet, PredSet, PredSet)> = None;
 
         // Pass 2: per-tuple result formation.
-        for (&m, plan) in members.iter().zip(plans.iter()) {
-            let m = m as usize;
+        for (m, plan) in plans.iter().enumerate() {
             let (tuple, state, r) = (&ctx.batch[m], &ctx.states[m], &ctx.resolved[m]);
             debug_assert!(!tuple.span().contains(t), "probe tuple already spans {t}");
             let result_span = tuple.span().with(t);
@@ -607,7 +537,7 @@ impl Shard {
 }
 
 /// The SteM's EOT index (§2.1.3): which probes the stored rows answer
-/// *completely*. One per SteM — an EOT describes the relation, not a
+/// *completely*. One per SteM — an EOT describes the relation, not the
 /// storage lane.
 #[derive(Debug, Default)]
 pub(crate) struct EotIndex {
@@ -795,7 +725,7 @@ pub fn make_scan_eot_row(arity: usize) -> Arc<Row> {
 /// The SteM's semantic rules (Table 2 bounce rules, both timestamp rules,
 /// EOT coverage, window FIFO, Grace release), driven through
 /// [`crate::sharded::ShardedStem`]'s one build path and one probe path as
-/// envelopes of one, at one lane and at several.
+/// envelopes of one.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -804,30 +734,13 @@ mod tests {
     use stems_catalog::{Catalog, ScanSpec, SourceId, TableDef, TableInstance};
     use stems_types::{CmpOp, ColRef, ColumnType, PredId, Predicate, Schema, TupleBatch};
 
-    /// Shard counts every rule is checked at: one lane, and keyed lanes
-    /// plus overflow (on a SteM with one join column; any other has one
-    /// lane at both).
-    const SHARD_COUNTS: [usize; 2] = [1, 4];
-
     /// S's SteM (key column 0) with the given options and AM flags.
-    fn s_stem_with(
-        num_shards: usize,
-        has_scan: bool,
-        has_index: bool,
-        opts: StemOptions,
-    ) -> ShardedStem {
-        ShardedStem::new(
-            TableIdx(1),
-            SourceId(1),
-            &[0],
-            has_scan,
-            has_index,
-            StemOptions { num_shards, ..opts },
-        )
+    fn s_stem_with(has_scan: bool, has_index: bool, opts: StemOptions) -> ShardedStem {
+        ShardedStem::new(TableIdx(1), SourceId(1), &[0], has_scan, has_index, opts)
     }
 
-    fn s_stem(num_shards: usize, has_scan: bool, has_index: bool) -> ShardedStem {
-        s_stem_with(num_shards, has_scan, has_index, StemOptions::default())
+    fn s_stem(has_scan: bool, has_index: bool) -> ShardedStem {
+        s_stem_with(has_scan, has_index, StemOptions::default())
     }
 
     fn build(stem: &mut ShardedStem, t: &Tuple, ts: Timestamp) -> BuildResult {
@@ -846,131 +759,118 @@ mod tests {
         assert_eq!(build(stem, &eot, 99), BuildResult::Eot);
     }
 
-    /// In every lane the slot-addressed side structures must agree with
-    /// the slab: every live slot is reachable from exactly one dedup
-    /// chain — the one its own row is looked up through — and is stamped,
-    /// no chain holds a dead slot, and the timestamp column covers exactly
+    /// The lane's slot-addressed side structures must agree with the
+    /// slab: every live slot is reachable from exactly one dedup chain —
+    /// the one its own row is looked up through — and is stamped, no
+    /// chain holds a dead slot, and the timestamp column covers exactly
     /// the slab. Eviction and compaction must move all three together.
     fn assert_side_maps_consistent(stem: &ShardedStem) {
-        for lane in stem.lanes() {
-            let slab = lane.store.slab();
-            assert_eq!(lane.ts.len(), slab.slots(), "ts column vs slab length");
-            let live: Vec<Slot> = slab.live_slots().collect();
-            let mut chained: Vec<Slot> = lane.dedup.slots().collect();
-            chained.sort_unstable();
-            assert_eq!(chained, live, "dedup chains vs live slots");
-            assert_eq!(lane.dedup.len(), live.len(), "dedup count vs store len");
-            let held = |s: Slot| -> &Row { slab.row(s).expect("chained slots are live") };
-            for slot in live {
-                let row = held(slot);
-                assert_eq!(
-                    lane.dedup.find(row, held),
-                    Some(slot),
-                    "stored row not found through its own chain: {row:?}"
-                );
-                assert_ne!(lane.ts[slot as usize], UNBUILT_TS, "unstamped: {row:?}");
-            }
+        let lane = stem.lane();
+        let slab = lane.store.slab();
+        assert_eq!(lane.ts.len(), slab.slots(), "ts column vs slab length");
+        let live: Vec<Slot> = slab.live_slots().collect();
+        let mut chained: Vec<Slot> = lane.dedup.slots().collect();
+        chained.sort_unstable();
+        assert_eq!(chained, live, "dedup chains vs live slots");
+        assert_eq!(lane.dedup.len(), live.len(), "dedup count vs store len");
+        let held = |s: Slot| -> &Row { slab.row(s).expect("chained slots are live") };
+        for slot in live {
+            let row = held(slot);
+            assert_eq!(
+                lane.dedup.find(row, held),
+                Some(slot),
+                "stored row not found through its own chain: {row:?}"
+            );
+            assert_ne!(lane.ts[slot as usize], UNBUILT_TS, "unstamped: {row:?}");
         }
     }
 
     #[test]
     fn build_assigns_timestamp_and_bounces() {
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            let stamped = build_fresh(&mut stem, &s_tuple(10, 1), 5);
-            assert_eq!(stamped.timestamp(), 5);
-            assert_eq!(stem.len(), 1);
-            assert_eq!(stem.max_ts(), 5);
-            assert_eq!(stem.build_count(), 1);
-        }
+        let mut stem = s_stem(true, false);
+        let stamped = build_fresh(&mut stem, &s_tuple(10, 1), 5);
+        assert_eq!(stamped.timestamp(), 5);
+        assert_eq!(stem.len(), 1);
+        assert_eq!(stem.max_ts(), 5);
+        assert_eq!(stem.build_count(), 1);
     }
 
     #[test]
     fn duplicate_builds_absorbed() {
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            build_fresh(&mut stem, &s_tuple(10, 1), 1);
-            // Same row value from a competing AM: absorbed (§3.2).
-            assert_eq!(build(&mut stem, &s_tuple(10, 1), 2), BuildResult::Duplicate);
-            assert_eq!(stem.len(), 1);
-            assert_eq!(stem.duplicates_absorbed(), 1);
-            // max_ts unchanged — the duplicate consumed no timestamp.
-            assert_eq!(stem.max_ts(), 1);
-        }
+        let mut stem = s_stem(true, false);
+        build_fresh(&mut stem, &s_tuple(10, 1), 1);
+        // Same row value from a competing AM: absorbed (§3.2).
+        assert_eq!(build(&mut stem, &s_tuple(10, 1), 2), BuildResult::Duplicate);
+        assert_eq!(stem.len(), 1);
+        assert_eq!(stem.duplicates_absorbed(), 1);
+        // max_ts unchanged — the duplicate consumed no timestamp.
+        assert_eq!(stem.max_ts(), 1);
     }
 
     #[test]
     fn probe_finds_matches_and_concatenates() {
         let (_c, q) = setup();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            build_fresh(&mut stem, &s_tuple(10, 1), 1);
-            build_fresh(&mut stem, &s_tuple(20, 2), 2);
-            // r (built later, ts 3) probes: matches only x=10.
-            let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
-            assert_eq!(reply.results.len(), 1);
-            let (result, done) = &reply.results[0];
-            assert_eq!(result.span().len(), 2);
-            assert!(done.contains(PredId(0)));
-            assert_eq!(result.value(TableIdx(1), 1), Some(&Value::Int(1)));
-        }
+        let mut stem = s_stem(true, false);
+        build_fresh(&mut stem, &s_tuple(10, 1), 1);
+        build_fresh(&mut stem, &s_tuple(20, 2), 2);
+        // r (built later, ts 3) probes: matches only x=10.
+        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
+        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+        assert_eq!(reply.results.len(), 1);
+        let (result, done) = &reply.results[0];
+        assert_eq!(result.span().len(), 2);
+        assert!(done.contains(PredId(0)));
+        assert_eq!(result.value(TableIdx(1), 1), Some(&Value::Int(1)));
     }
 
     #[test]
     fn timestamp_rule_suppresses_earlier_side() {
         let (_c, q) = setup();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            // s built at ts 7, probe r built at ts 3: 7 ≥ 3 ⇒ suppressed;
-            // the s tuple's own probe path is responsible for this result.
-            build_fresh(&mut stem, &s_tuple(10, 1), 7);
-            let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
-            assert!(reply.results.is_empty());
-            assert_eq!(reply.raw_matches, 1);
-        }
+        let mut stem = s_stem(true, false);
+        // s built at ts 7, probe r built at ts 3: 7 ≥ 3 ⇒ suppressed;
+        // the s tuple's own probe path is responsible for this result.
+        build_fresh(&mut stem, &s_tuple(10, 1), 7);
+        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
+        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+        assert!(reply.results.is_empty());
+        assert_eq!(reply.raw_matches, 1);
     }
 
     #[test]
     fn unbuilt_probe_sees_everything() {
         let (_c, q) = setup();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            build_fresh(&mut stem, &s_tuple(10, 1), 7);
-            // Unbuilt probe has ts = ∞ (paper: "before building, ts is ∞").
-            let r = r_tuple(100, 10);
-            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
-            assert_eq!(reply.results.len(), 1);
-        }
+        let mut stem = s_stem(true, false);
+        build_fresh(&mut stem, &s_tuple(10, 1), 7);
+        // Unbuilt probe has ts = ∞ (paper: "before building, ts is ∞").
+        let r = r_tuple(100, 10);
+        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+        assert_eq!(reply.results.len(), 1);
     }
 
     #[test]
     fn last_match_timestamp_dedups_reprobes() {
         let (_c, q) = setup();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            build_fresh(&mut stem, &s_tuple(10, 1), 1);
-            build_fresh(&mut stem, &s_tuple(10, 2), 2);
-            // A row in another lane raises the SteM-wide max timestamp the
-            // prober records — not just its own lane's.
-            build_fresh(&mut stem, &s_tuple(11, 0), 3);
-            let r = r_tuple(100, 10); // unbuilt, re-probing per §3.5
-            let mut state = TupleState::new();
-            let first = probe_one(&mut stem, &r, &state, &q);
-            assert_eq!(first.results.len(), 2);
-            assert_eq!(first.observed_ts, 3);
-            // Record observed ts, as the engine does on bounce.
-            state.last_match_ts = first.observed_ts;
-            // New tuple arrives, then re-probe: only the new one returned.
-            build_fresh(&mut stem, &s_tuple(10, 3), 9);
-            let second = probe_one(&mut stem, &r, &state, &q);
-            assert_eq!(second.results.len(), 1);
-            assert_eq!(
-                second.results[0].0.value(TableIdx(1), 1),
-                Some(&Value::Int(3))
-            );
-        }
+        let mut stem = s_stem(true, false);
+        build_fresh(&mut stem, &s_tuple(10, 1), 1);
+        build_fresh(&mut stem, &s_tuple(10, 2), 2);
+        // A row under another key raises the max timestamp the prober
+        // records — not just its own key's.
+        build_fresh(&mut stem, &s_tuple(11, 0), 3);
+        let r = r_tuple(100, 10); // unbuilt, re-probing per §3.5
+        let mut state = TupleState::new();
+        let first = probe_one(&mut stem, &r, &state, &q);
+        assert_eq!(first.results.len(), 2);
+        assert_eq!(first.observed_ts, 3);
+        // Record observed ts, as the engine does on bounce.
+        state.last_match_ts = first.observed_ts;
+        // New tuple arrives, then re-probe: only the new one returned.
+        build_fresh(&mut stem, &s_tuple(10, 3), 9);
+        let second = probe_one(&mut stem, &r, &state, &q);
+        assert_eq!(second.results.len(), 1);
+        assert_eq!(
+            second.results[0].0.value(TableIdx(1), 1),
+            Some(&Value::Int(3))
+        );
     }
 
     #[test]
@@ -979,28 +879,26 @@ mod tests {
         let r_built = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
         let r_unbuilt = r_tuple(1, 10);
         let state = TupleState::new();
-        for n in SHARD_COUNTS {
-            let outcome = |has_scan: bool, has_index: bool, r: &Tuple| {
-                probe_one(&mut s_stem(n, has_scan, has_index), r, &state, &q).outcome
-            };
-            // scan-only, incomplete, prober built ⇒ consumed (scan covers it).
-            assert_eq!(outcome(true, false, &r_built), ProbeOutcome::Consumed);
-            // index AM present ⇒ optional bounce (§4.1 hybridization hook).
-            assert_eq!(
-                outcome(true, true, &r_built),
-                ProbeOutcome::Bounced(CompletionNeed::Optional)
-            );
-            // no scan ⇒ required bounce (§3.3 index join flow).
-            assert_eq!(
-                outcome(false, true, &r_built),
-                ProbeOutcome::Bounced(CompletionNeed::Required)
-            );
-            // unbuilt prober ⇒ required bounce regardless (§3.5 re-probe).
-            assert_eq!(
-                outcome(true, false, &r_unbuilt),
-                ProbeOutcome::Bounced(CompletionNeed::Required)
-            );
-        }
+        let outcome = |has_scan: bool, has_index: bool, r: &Tuple| {
+            probe_one(&mut s_stem(has_scan, has_index), r, &state, &q).outcome
+        };
+        // scan-only, incomplete, prober built ⇒ consumed (scan covers it).
+        assert_eq!(outcome(true, false, &r_built), ProbeOutcome::Consumed);
+        // index AM present ⇒ optional bounce (§4.1 hybridization hook).
+        assert_eq!(
+            outcome(true, true, &r_built),
+            ProbeOutcome::Bounced(CompletionNeed::Optional)
+        );
+        // no scan ⇒ required bounce (§3.3 index join flow).
+        assert_eq!(
+            outcome(false, true, &r_built),
+            ProbeOutcome::Bounced(CompletionNeed::Required)
+        );
+        // unbuilt prober ⇒ required bounce regardless (§3.5 re-probe).
+        assert_eq!(
+            outcome(true, false, &r_unbuilt),
+            ProbeOutcome::Bounced(CompletionNeed::Required)
+        );
     }
 
     /// An EOT row knows it is one from the moment it is made: the flag
@@ -1025,40 +923,36 @@ mod tests {
     #[test]
     fn scan_eot_makes_everything_covered() {
         let (_c, q) = setup();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, false, true);
-            build_eot_row(&mut stem, make_scan_eot_row(2));
-            assert!(stem.scan_complete());
-            let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
-            assert_eq!(
-                probe_one(&mut stem, &r, &TupleState::new(), &q).outcome,
-                ProbeOutcome::Consumed
-            );
-            // EOT consumed no timestamp and is not a data row.
-            assert_eq!(stem.len(), 0);
-            assert_eq!(stem.max_ts(), 0);
-        }
+        let mut stem = s_stem(false, true);
+        build_eot_row(&mut stem, make_scan_eot_row(2));
+        assert!(stem.scan_complete());
+        let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
+        assert_eq!(
+            probe_one(&mut stem, &r, &TupleState::new(), &q).outcome,
+            ProbeOutcome::Consumed
+        );
+        // EOT consumed no timestamp and is not a data row.
+        assert_eq!(stem.len(), 0);
+        assert_eq!(stem.max_ts(), 0);
     }
 
     #[test]
     fn keyed_eot_covers_matching_probes_only() {
         let (_c, q) = setup();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, false, true);
-            // Index answered bindings {x=10}: EOT row (10, EOT).
-            build_eot_row(&mut stem, make_eot_row(2, &[(0, Value::Int(10))]));
-            let state = TupleState::new();
-            let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
-            assert_eq!(
-                probe_one(&mut stem, &covered, &state, &q).outcome,
-                ProbeOutcome::Consumed
-            );
-            let uncovered = r_tuple(2, 20).with_timestamp(TableIdx(0), 2);
-            assert_eq!(
-                probe_one(&mut stem, &uncovered, &state, &q).outcome,
-                ProbeOutcome::Bounced(CompletionNeed::Required)
-            );
-        }
+        let mut stem = s_stem(false, true);
+        // Index answered bindings {x=10}: EOT row (10, EOT).
+        build_eot_row(&mut stem, make_eot_row(2, &[(0, Value::Int(10))]));
+        let state = TupleState::new();
+        let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
+        assert_eq!(
+            probe_one(&mut stem, &covered, &state, &q).outcome,
+            ProbeOutcome::Consumed
+        );
+        let uncovered = r_tuple(2, 20).with_timestamp(TableIdx(0), 2);
+        assert_eq!(
+            probe_one(&mut stem, &uncovered, &state, &q).outcome,
+            ProbeOutcome::Bounced(CompletionNeed::Required)
+        );
     }
 
     #[test]
@@ -1078,31 +972,29 @@ mod tests {
             TableLinks::of(&q2, TableIdx(1)).in_options(),
             [(1, vec![Value::Int(1), Value::Int(2)])]
         );
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, false, true);
-            let state = TupleState::new();
-            let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 5);
+        let mut stem = s_stem(false, true);
+        let state = TupleState::new();
+        let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 5);
 
-            // Nothing answered yet.
-            assert_eq!(
-                probe_one(&mut stem, &r, &state, &q2).outcome,
-                ProbeOutcome::Bounced(CompletionNeed::Required)
-            );
-            // Member 1 answered (the index AM binds the IN column and emits
-            // one keyed EOT per member lookup): still incomplete — the
-            // member-2 sub-probe has no coverage.
-            build_eot_row(&mut stem, make_eot_row(2, &[(1, Value::Int(1))]));
-            assert_eq!(
-                probe_one(&mut stem, &r, &state, &q2).outcome,
-                ProbeOutcome::Bounced(CompletionNeed::Required)
-            );
-            // Member 2 answered too: every sub-probe is covered now.
-            build_eot_row(&mut stem, make_eot_row(2, &[(1, Value::Int(2))]));
-            assert_eq!(
-                probe_one(&mut stem, &r, &state, &q2).outcome,
-                ProbeOutcome::Consumed
-            );
-        }
+        // Nothing answered yet.
+        assert_eq!(
+            probe_one(&mut stem, &r, &state, &q2).outcome,
+            ProbeOutcome::Bounced(CompletionNeed::Required)
+        );
+        // Member 1 answered (the index AM binds the IN column and emits
+        // one keyed EOT per member lookup): still incomplete — the
+        // member-2 sub-probe has no coverage.
+        build_eot_row(&mut stem, make_eot_row(2, &[(1, Value::Int(1))]));
+        assert_eq!(
+            probe_one(&mut stem, &r, &state, &q2).outcome,
+            ProbeOutcome::Bounced(CompletionNeed::Required)
+        );
+        // Member 2 answered too: every sub-probe is covered now.
+        build_eot_row(&mut stem, make_eot_row(2, &[(1, Value::Int(2))]));
+        assert_eq!(
+            probe_one(&mut stem, &r, &state, &q2).outcome,
+            ProbeOutcome::Consumed
+        );
     }
 
     #[test]
@@ -1127,35 +1019,30 @@ mod tests {
             ColRef::new(TableIdx(1), 1),
         );
         let q2 = QuerySpec::new(&c, q2.tables, q2.predicates, None).unwrap();
-        for n in SHARD_COUNTS {
-            // S joins through y alone, so its lanes partition by y.
-            let mut stem = ShardedStem::new(
-                TableIdx(1),
-                SourceId(1),
-                &q2.join_cols_of(TableIdx(1)),
-                false,
-                true,
-                StemOptions {
-                    num_shards: n,
-                    ..StemOptions::default()
-                },
-            );
-            let state = TupleState::new();
-            let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 5);
-            for m in &members[..1499] {
-                build_eot_row(&mut stem, make_eot_row(2, &[(0, m.clone())]));
-            }
-            assert_eq!(
-                probe_one(&mut stem, &r, &state, &q2).outcome,
-                ProbeOutcome::Bounced(CompletionNeed::Required),
-                "one member still unanswered"
-            );
-            build_eot_row(&mut stem, make_eot_row(2, &[(0, members[1499].clone())]));
-            assert_eq!(
-                probe_one(&mut stem, &r, &state, &q2).outcome,
-                ProbeOutcome::Consumed
-            );
+        // S joins through y alone.
+        let mut stem = ShardedStem::new(
+            TableIdx(1),
+            SourceId(1),
+            &q2.join_cols_of(TableIdx(1)),
+            false,
+            true,
+            StemOptions::default(),
+        );
+        let state = TupleState::new();
+        let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 5);
+        for m in &members[..1499] {
+            build_eot_row(&mut stem, make_eot_row(2, &[(0, m.clone())]));
         }
+        assert_eq!(
+            probe_one(&mut stem, &r, &state, &q2).outcome,
+            ProbeOutcome::Bounced(CompletionNeed::Required),
+            "one member still unanswered"
+        );
+        build_eot_row(&mut stem, make_eot_row(2, &[(0, members[1499].clone())]));
+        assert_eq!(
+            probe_one(&mut stem, &r, &state, &q2).outcome,
+            ProbeOutcome::Consumed
+        );
     }
 
     #[test]
@@ -1178,26 +1065,24 @@ mod tests {
             ),
         ];
         let q2 = QuerySpec::new(&c, q2.tables, q2.predicates, None).unwrap();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, false, true);
-            let state = TupleState::new();
-            let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 5);
-            // Arity-3 EOT rows so a column stays EOT-marked.
-            let pair = |x: i64, y: i64| make_eot_row(3, &[(0, Value::Int(x)), (1, Value::Int(y))]);
-            for (x, y) in [(1, 5), (1, 6), (2, 5)] {
-                build_eot_row(&mut stem, pair(x, y));
-            }
-            assert_eq!(
-                probe_one(&mut stem, &r, &state, &q2).outcome,
-                ProbeOutcome::Bounced(CompletionNeed::Required),
-                "one member pair still unanswered"
-            );
-            build_eot_row(&mut stem, pair(2, 6));
-            assert_eq!(
-                probe_one(&mut stem, &r, &state, &q2).outcome,
-                ProbeOutcome::Consumed
-            );
+        let mut stem = s_stem(false, true);
+        let state = TupleState::new();
+        let r = r_tuple(1, 3).with_timestamp(TableIdx(0), 5);
+        // Arity-3 EOT rows so a column stays EOT-marked.
+        let pair = |x: i64, y: i64| make_eot_row(3, &[(0, Value::Int(x)), (1, Value::Int(y))]);
+        for (x, y) in [(1, 5), (1, 6), (2, 5)] {
+            build_eot_row(&mut stem, pair(x, y));
         }
+        assert_eq!(
+            probe_one(&mut stem, &r, &state, &q2).outcome,
+            ProbeOutcome::Bounced(CompletionNeed::Required),
+            "one member pair still unanswered"
+        );
+        build_eot_row(&mut stem, pair(2, 6));
+        assert_eq!(
+            probe_one(&mut stem, &r, &state, &q2).outcome,
+            ProbeOutcome::Consumed
+        );
     }
 
     #[test]
@@ -1227,24 +1112,21 @@ mod tests {
     #[test]
     fn probe_results_skip_eot_rows() {
         let (_c, q) = setup();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, false, true);
-            build_eot_row(&mut stem, make_eot_row(2, &[(0, Value::Int(10))]));
-            build_fresh(&mut stem, &s_tuple(10, 5), 2);
-            let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 9);
-            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
-            // Only the data row joins; the EOT "row" never appears in results.
-            assert_eq!(reply.results.len(), 1);
-            assert_eq!(
-                reply.results[0].0.value(TableIdx(1), 1),
-                Some(&Value::Int(5))
-            );
-        }
+        let mut stem = s_stem(false, true);
+        build_eot_row(&mut stem, make_eot_row(2, &[(0, Value::Int(10))]));
+        build_fresh(&mut stem, &s_tuple(10, 5), 2);
+        let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 9);
+        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+        // Only the data row joins; the EOT "row" never appears in results.
+        assert_eq!(reply.results.len(), 1);
+        assert_eq!(
+            reply.results[0].0.value(TableIdx(1), 1),
+            Some(&Value::Int(5))
+        );
     }
 
-    fn windowed(num_shards: usize, window: usize) -> ShardedStem {
+    fn windowed(window: usize) -> ShardedStem {
         s_stem_with(
-            num_shards,
             true,
             false,
             StemOptions {
@@ -1256,45 +1138,40 @@ mod tests {
 
     #[test]
     fn eviction_window_fifo() {
-        for n in SHARD_COUNTS {
-            let mut stem = windowed(n, 2);
-            build_fresh(&mut stem, &s_tuple(1, 1), 1);
-            build_fresh(&mut stem, &s_tuple(2, 2), 2);
-            build_fresh(&mut stem, &s_tuple(3, 3), 3);
-            assert_eq!(stem.len(), 2);
-            assert_eq!(stem.evictions(), 1);
-            // Evicted row may re-enter (dedup forgot it).
-            build_fresh(&mut stem, &s_tuple(1, 1), 4);
-        }
+        let mut stem = windowed(2);
+        build_fresh(&mut stem, &s_tuple(1, 1), 1);
+        build_fresh(&mut stem, &s_tuple(2, 2), 2);
+        build_fresh(&mut stem, &s_tuple(3, 3), 3);
+        assert_eq!(stem.len(), 2);
+        assert_eq!(stem.evictions(), 1);
+        // Evicted row may re-enter (dedup forgot it).
+        build_fresh(&mut stem, &s_tuple(1, 1), 4);
     }
 
-    /// The window evicts the globally oldest row first, whichever lane
-    /// holds it: what a cartesian probe still sees after each build is
+    /// The window evicts the oldest row first: what a cartesian probe
+    /// still sees after each build is
     /// exactly the `window` youngest rows, and an evicted row was
     /// forgotten everywhere — it rebuilds fresh.
     #[test]
     fn window_evicts_globally_oldest_row_first() {
         let (c, q) = setup();
         let cartesian = QuerySpec::new(&c, q.tables, vec![], None).unwrap();
-        for n in SHARD_COUNTS {
-            let mut stem = windowed(n, 3);
-            let r = r_tuple(1, 1);
-            for i in 0..8u64 {
-                build_fresh(&mut stem, &s_tuple(i as i64, 0), i + 1);
-                let mut live: Vec<Timestamp> =
-                    probe_one(&mut stem, &r, &TupleState::new(), &cartesian)
-                        .results
-                        .iter()
-                        .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
-                        .collect();
-                live.sort_unstable();
-                let want: Vec<Timestamp> = (i.saturating_sub(2) + 1..=i + 1).collect();
-                assert_eq!(live, want, "{n} shards after build {i}");
-                assert_side_maps_consistent(&stem);
-            }
-            assert_eq!(stem.evictions(), 5);
-            build_fresh(&mut stem, &s_tuple(0, 0), 9);
+        let mut stem = windowed(3);
+        let r = r_tuple(1, 1);
+        for i in 0..8u64 {
+            build_fresh(&mut stem, &s_tuple(i as i64, 0), i + 1);
+            let mut live: Vec<Timestamp> = probe_one(&mut stem, &r, &TupleState::new(), &cartesian)
+                .results
+                .iter()
+                .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
+                .collect();
+            live.sort_unstable();
+            let want: Vec<Timestamp> = (i.saturating_sub(2) + 1..=i + 1).collect();
+            assert_eq!(live, want, "after build {i}");
+            assert_side_maps_consistent(&stem);
         }
+        assert_eq!(stem.evictions(), 5);
+        build_fresh(&mut stem, &s_tuple(0, 0), 9);
     }
 
     #[test]
@@ -1306,49 +1183,45 @@ mod tests {
         let tuples = [s_tuple(1, 1), s_tuple(2, 2), s_tuple(3, 3), s_tuple(1, 1)];
         let batch: TupleBatch = tuples.iter().cloned().collect();
         let states = vec![TupleState::new(); 4];
-        for n in SHARD_COUNTS {
-            let mut stem = windowed(n, 2);
-            let mut ts = 0;
-            let results = stem.build_batch(&batch, &states, &mut ts);
-            for (i, r) in results.iter().enumerate() {
-                assert!(
-                    matches!(r, BuildResult::Fresh(_)),
-                    "row {i}: evicted row must rebuild mid-batch, got {r:?}"
-                );
-            }
-            assert_eq!(stem.len(), 2);
-            assert_eq!(stem.evictions(), 2);
-            assert_eq!(ts, 4);
-            // Envelope-split invariance: one envelope of 4 ≡ 4 of one.
-            let mut split = windowed(n, 2);
-            let singly: Vec<BuildResult> = tuples
-                .iter()
-                .enumerate()
-                .map(|(i, t)| build(&mut split, t, i as Timestamp + 1))
-                .collect();
-            assert_eq!(results, singly);
-            assert_eq!(stem.evictions(), split.evictions());
+        let mut stem = windowed(2);
+        let mut ts = 0;
+        let results = stem.build_batch(&batch, &states, &mut ts);
+        for (i, r) in results.iter().enumerate() {
+            assert!(
+                matches!(r, BuildResult::Fresh(_)),
+                "row {i}: evicted row must rebuild mid-batch, got {r:?}"
+            );
         }
+        assert_eq!(stem.len(), 2);
+        assert_eq!(stem.evictions(), 2);
+        assert_eq!(ts, 4);
+        // Envelope-split invariance: one envelope of 4 ≡ 4 of one.
+        let mut split = windowed(2);
+        let singly: Vec<BuildResult> = tuples
+            .iter()
+            .enumerate()
+            .map(|(i, t)| build(&mut split, t, i as Timestamp + 1))
+            .collect();
+        assert_eq!(results, singly);
+        assert_eq!(stem.evictions(), split.evictions());
     }
 
     #[test]
     fn windowed_side_maps_stay_consistent_across_sweeps() {
-        for n in SHARD_COUNTS {
-            let mut stem = windowed(n, 3);
-            // Drive far past the window, with duplicates interleaved, so
-            // many sweeps run; the maps must agree after every build.
-            for i in 0..40i64 {
-                let key = i % 10;
-                build(&mut stem, &s_tuple(key, key), (i + 1) as u64);
-                assert_side_maps_consistent(&stem);
-                assert!(stem.len() <= 3, "window overrun at i={i}");
-            }
-            assert!(stem.evictions() > 0);
-            // An evicted row must be forgotten everywhere: it rebuilds
-            // Fresh, and the maps stay in step.
-            build_fresh(&mut stem, &s_tuple(0, 0), 99);
+        let mut stem = windowed(3);
+        // Drive far past the window, with duplicates interleaved, so
+        // many sweeps run; the maps must agree after every build.
+        for i in 0..40i64 {
+            let key = i % 10;
+            build(&mut stem, &s_tuple(key, key), (i + 1) as u64);
             assert_side_maps_consistent(&stem);
+            assert!(stem.len() <= 3, "window overrun at i={i}");
         }
+        assert!(stem.evictions() > 0);
+        // An evicted row must be forgotten everywhere: it rebuilds
+        // Fresh, and the maps stay in step.
+        build_fresh(&mut stem, &s_tuple(0, 0), 99);
+        assert_side_maps_consistent(&stem);
     }
 
     #[test]
@@ -1368,36 +1241,30 @@ mod tests {
         .into_iter()
         .collect();
         let states = vec![TupleState::new(); 5];
-        for n in SHARD_COUNTS {
-            let mut stem = windowed(n, 2);
-            let mut ts = 0;
-            let results = stem.build_batch(&batch, &states, &mut ts);
-            assert!(matches!(results[3], BuildResult::Fresh(_)));
-            assert_eq!(results[4], BuildResult::Duplicate);
-            assert_side_maps_consistent(&stem);
-            assert_eq!(stem.len(), 2);
-            // The re-built r1 carries its *new* timestamp in the slot the
-            // dedup filter now finds it in.
-            let r1 = s_tuple(1, 1);
-            let row = &r1.components()[0].row;
-            let ts_r1 = stem
-                .lanes()
-                .iter()
-                .find_map(|lane| {
-                    let slab = lane.store.slab();
-                    let held = |s: Slot| -> &Row { slab.row(s).expect("chained slots are live") };
-                    let slot = lane.dedup.find(row, held)?;
-                    Some(lane.ts[slot as usize])
-                })
-                .expect("r1 stored");
-            assert_eq!(ts_r1, 4, "re-arrival must be re-stamped, not stale");
-        }
+        let mut stem = windowed(2);
+        let mut ts = 0;
+        let results = stem.build_batch(&batch, &states, &mut ts);
+        assert!(matches!(results[3], BuildResult::Fresh(_)));
+        assert_eq!(results[4], BuildResult::Duplicate);
+        assert_side_maps_consistent(&stem);
+        assert_eq!(stem.len(), 2);
+        // The re-built r1 carries its *new* timestamp in the slot the
+        // dedup filter now finds it in.
+        let r1 = s_tuple(1, 1);
+        let row = &r1.components()[0].row;
+        let lane = stem.lane();
+        let slab = lane.store.slab();
+        let held = |s: Slot| -> &Row { slab.row(s).expect("chained slots are live") };
+        let slot = lane.dedup.find(row, held).expect("r1 stored");
+        let ts_r1 = lane.ts[slot as usize];
+        assert_eq!(ts_r1, 4, "re-arrival must be re-stamped, not stale");
     }
 
     /// A windowed SteM over a long stream costs what its window costs:
     /// eviction is by slot, and a lane whose dead slots outnumber its
-    /// live ones is rebuilt dense, so no lane's slab (nor the columns
-    /// indexed by its slots) grows with the rows the stream has delivered.
+    /// live ones is rebuilt dense, so neither the lane's slab nor the
+    /// columns indexed by its slots grow with the rows the stream has
+    /// delivered.
     #[test]
     fn windowed_stream_keeps_every_lane_proportional_to_the_window() {
         const WINDOW: usize = 64;
@@ -1405,108 +1272,98 @@ mod tests {
         const BUILDS: usize = 50_000;
         let (c, q) = setup();
         let cartesian = QuerySpec::new(&c, q.tables, vec![], None).unwrap();
-        for n in [1, 2, 4, 7] {
-            let mut stem = windowed(n, WINDOW);
-            let mut ts = 0;
-            let states = vec![TupleState::new(); ENVELOPE];
-            for first in (0..BUILDS).step_by(ENVELOPE) {
-                let batch: TupleBatch = (first..BUILDS.min(first + ENVELOPE))
-                    .map(|i| s_tuple(i as i64, 0))
-                    .collect();
-                stem.build_batch(&batch, &states[..batch.len()], &mut ts);
-                for lane in stem.lanes() {
-                    let slots = lane.store.slab().slots();
-                    assert!(
-                        slots <= 4 * (WINDOW + ENVELOPE),
-                        "{n} shards: a lane's slab grew to {slots} slots by build {first}"
-                    );
-                }
-            }
-            assert_eq!(stem.len(), WINDOW);
-            assert_eq!(stem.evictions(), (BUILDS - WINDOW) as u64);
-            assert_eq!(stem.build_count(), BUILDS as u64);
-            assert_side_maps_consistent(&stem);
-            // What is left is the window's youngest rows, each still
-            // answering under the stamp it was built with.
-            let reply = probe_one(&mut stem, &r_tuple(1, 1), &TupleState::new(), &cartesian);
-            let mut live: Vec<Timestamp> = reply
-                .results
-                .iter()
-                .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
+        let mut stem = windowed(WINDOW);
+        let mut ts = 0;
+        let states = vec![TupleState::new(); ENVELOPE];
+        for first in (0..BUILDS).step_by(ENVELOPE) {
+            let batch: TupleBatch = (first..BUILDS.min(first + ENVELOPE))
+                .map(|i| s_tuple(i as i64, 0))
                 .collect();
-            live.sort_unstable();
-            let youngest = (BUILDS - WINDOW + 1..=BUILDS).map(|ts| ts as Timestamp);
-            assert_eq!(live, youngest.collect::<Vec<_>>(), "{n} shards");
+            stem.build_batch(&batch, &states[..batch.len()], &mut ts);
+            let slots = stem.lane().store.slab().slots();
+            assert!(
+                slots <= 4 * (WINDOW + ENVELOPE),
+                "the lane's slab grew to {slots} slots by build {first}"
+            );
         }
+        assert_eq!(stem.len(), WINDOW);
+        assert_eq!(stem.evictions(), (BUILDS - WINDOW) as u64);
+        assert_eq!(stem.build_count(), BUILDS as u64);
+        assert_side_maps_consistent(&stem);
+        // What is left is the window's youngest rows, each still
+        // answering under the stamp it was built with.
+        let reply = probe_one(&mut stem, &r_tuple(1, 1), &TupleState::new(), &cartesian);
+        let mut live: Vec<Timestamp> = reply
+            .results
+            .iter()
+            .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
+            .collect();
+        live.sort_unstable();
+        let youngest = (BUILDS - WINDOW + 1..=BUILDS).map(|ts| ts as Timestamp);
+        assert_eq!(live, youngest.collect::<Vec<_>>());
     }
 
     #[test]
     fn unbounded_stem_side_maps_consistent() {
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            for i in 0..10 {
-                build(&mut stem, &s_tuple(i, i), (i + 1) as u64);
-            }
-            // Duplicates leave the maps untouched.
-            build(&mut stem, &s_tuple(3, 3), 50);
-            assert_side_maps_consistent(&stem);
-            assert_eq!(stem.len(), 10);
+        let mut stem = s_stem(true, false);
+        for i in 0..10 {
+            build(&mut stem, &s_tuple(i, i), (i + 1) as u64);
         }
+        // Duplicates leave the maps untouched.
+        build(&mut stem, &s_tuple(3, 3), 50);
+        assert_side_maps_consistent(&stem);
+        assert_eq!(stem.len(), 10);
     }
 
     #[test]
     fn deferred_bounce_clusters_by_partition() {
-        for n in SHARD_COUNTS {
-            let opts = StemOptions {
-                deferred_bounce: true,
-                partitions: 4,
-                ..StemOptions::default()
-            };
-            let mut stem = s_stem_with(n, true, false, opts);
-            for i in 0..20 {
-                let r = build(&mut stem, &s_tuple(i, i), (i + 1) as u64);
-                assert_eq!(r, BuildResult::Deferred);
-            }
-            assert_eq!(stem.deferred_len(), 20);
-            let released = stem.release_deferred();
-            assert_eq!(released.len(), 20);
-            assert_eq!(stem.deferred_len(), 0);
-            // Released order is clustered — partition ids are non-decreasing
-            // — and in build order within a partition.
-            let order: Vec<(usize, Timestamp)> = released
-                .iter()
-                .map(|(t, _)| (stem.partition_of(&t.components()[0].row), t.timestamp()))
-                .collect();
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            assert_eq!(order, sorted);
+        let opts = StemOptions {
+            deferred_bounce: true,
+            partitions: 4,
+            ..StemOptions::default()
+        };
+        let mut stem = s_stem_with(true, false, opts);
+        for i in 0..20 {
+            let r = build(&mut stem, &s_tuple(i, i), (i + 1) as u64);
+            assert_eq!(r, BuildResult::Deferred);
         }
+        assert_eq!(stem.deferred_len(), 20);
+        let released = stem.release_deferred();
+        assert_eq!(released.len(), 20);
+        assert_eq!(stem.deferred_len(), 0);
+        // Released order is clustered — partition ids are non-decreasing
+        // — and in build order within a partition.
+        let order: Vec<(usize, Timestamp)> = released
+            .iter()
+            .map(|(t, _)| (stem.partition_of(&t.components()[0].row), t.timestamp()))
+            .collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(order, sorted);
     }
 
     #[test]
     fn hybrid_mem_partitions_bounce_immediately() {
-        for n in SHARD_COUNTS {
-            let opts = StemOptions {
-                deferred_bounce: true,
-                partitions: 2,
-                mem_partitions: 1,
-                ..StemOptions::default()
-            };
-            let mut stem = s_stem_with(n, true, false, opts);
-            let mut fresh = 0;
-            let mut deferred = 0;
-            for i in 0..50 {
-                match build(&mut stem, &s_tuple(i, i), (i + 1) as u64) {
-                    BuildResult::Fresh(_) => fresh += 1,
-                    BuildResult::Deferred => deferred += 1,
-                    other => panic!("unexpected {other:?}"),
-                }
+        let opts = StemOptions {
+            deferred_bounce: true,
+            partitions: 2,
+            mem_partitions: 1,
+            ..StemOptions::default()
+        };
+        let mut stem = s_stem_with(true, false, opts);
+        let mut fresh = 0;
+        let mut deferred = 0;
+        for i in 0..50 {
+            match build(&mut stem, &s_tuple(i, i), (i + 1) as u64) {
+                BuildResult::Fresh(_) => fresh += 1,
+                BuildResult::Deferred => deferred += 1,
+                other => panic!("unexpected {other:?}"),
             }
-            // Both behaviours must occur (hybrid-hash: memory-resident
-            // partitions pipeline, the rest wait).
-            assert!(fresh > 0, "no immediate bounces");
-            assert!(deferred > 0, "no deferred bounces");
         }
+        // Both behaviours must occur (hybrid-hash: memory-resident
+        // partitions pipeline, the rest wait).
+        assert!(fresh > 0, "no immediate bounces");
+        assert!(deferred > 0, "no deferred bounces");
     }
 
     #[test]
@@ -1521,17 +1378,15 @@ mod tests {
             Value::Int(3),
         ));
         let q2 = QuerySpec::new(&c, q2.tables, q2.predicates, None).unwrap();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            build_fresh(&mut stem, &s_tuple(10, 1), 1); // fails y > 3
-            build_fresh(&mut stem, &s_tuple(10, 9), 2); // passes
-            let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 5);
-            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q2);
-            assert_eq!(reply.results.len(), 1);
-            let (tup, done) = &reply.results[0];
-            assert_eq!(tup.value(TableIdx(1), 1), Some(&Value::Int(9)));
-            assert!(done.contains(PredId(0)) && done.contains(PredId(1)));
-        }
+        let mut stem = s_stem(true, false);
+        build_fresh(&mut stem, &s_tuple(10, 1), 1); // fails y > 3
+        build_fresh(&mut stem, &s_tuple(10, 9), 2); // passes
+        let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 5);
+        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q2);
+        assert_eq!(reply.results.len(), 1);
+        let (tup, done) = &reply.results[0];
+        assert_eq!(tup.value(TableIdx(1), 1), Some(&Value::Int(9)));
+        assert!(done.contains(PredId(0)) && done.contains(PredId(1)));
     }
 
     #[test]
@@ -1539,14 +1394,12 @@ mod tests {
         // Query with no predicates: probe returns cross product rows.
         let (c, q) = setup();
         let q = QuerySpec::new(&c, q.tables, vec![], None).unwrap();
-        for n in SHARD_COUNTS {
-            let mut stem = s_stem(n, true, false);
-            build_fresh(&mut stem, &s_tuple(10, 1), 1);
-            build_fresh(&mut stem, &s_tuple(20, 2), 2);
-            let r = r_tuple(1, 999).with_timestamp(TableIdx(0), 5);
-            let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
-            assert_eq!(reply.results.len(), 2);
-        }
+        let mut stem = s_stem(true, false);
+        build_fresh(&mut stem, &s_tuple(10, 1), 1);
+        build_fresh(&mut stem, &s_tuple(20, 2), 2);
+        let r = r_tuple(1, 999).with_timestamp(TableIdx(0), 5);
+        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+        assert_eq!(reply.results.len(), 2);
     }
 
     /// Envelope-split invariance of the one build path: one envelope of N
@@ -1560,39 +1413,37 @@ mod tests {
             .collect();
         let batch: TupleBatch = tuples.iter().cloned().collect();
         let states = vec![TupleState::new(); batch.len()];
-        for n in SHARD_COUNTS {
-            let mut whole = s_stem(n, true, false);
-            let mut ts_whole = 0;
-            let expected = whole.build_batch(&batch, &states, &mut ts_whole);
+        let mut whole = s_stem(true, false);
+        let mut ts_whole = 0;
+        let expected = whole.build_batch(&batch, &states, &mut ts_whole);
 
-            let mut split = s_stem(n, true, false);
-            let mut ts_split = 0;
-            let got: Vec<BuildResult> = tuples
-                .iter()
-                .map(|tuple| {
-                    let r = build(&mut split, tuple, ts_split + 1);
-                    if matches!(r, BuildResult::Fresh(_)) {
-                        ts_split += 1;
-                    }
-                    r
-                })
-                .collect();
-
-            assert_eq!(expected, got);
-            assert_eq!(ts_whole, ts_split);
-            assert_eq!(whole.len(), split.len());
-            assert_eq!(whole.max_ts(), split.max_ts());
-            assert_eq!(whole.build_count(), split.build_count());
-            assert_eq!(whole.duplicates_absorbed(), split.duplicates_absorbed());
-            assert_eq!(split.duplicates_absorbed(), 1);
-            for (a, b) in expected.iter().zip(&got) {
-                if let (BuildResult::Fresh(x), BuildResult::Fresh(y)) = (a, b) {
-                    assert_eq!(x.timestamp(), y.timestamp());
+        let mut split = s_stem(true, false);
+        let mut ts_split = 0;
+        let got: Vec<BuildResult> = tuples
+            .iter()
+            .map(|tuple| {
+                let r = build(&mut split, tuple, ts_split + 1);
+                if matches!(r, BuildResult::Fresh(_)) {
+                    ts_split += 1;
                 }
+                r
+            })
+            .collect();
+
+        assert_eq!(expected, got);
+        assert_eq!(ts_whole, ts_split);
+        assert_eq!(whole.len(), split.len());
+        assert_eq!(whole.max_ts(), split.max_ts());
+        assert_eq!(whole.build_count(), split.build_count());
+        assert_eq!(whole.duplicates_absorbed(), split.duplicates_absorbed());
+        assert_eq!(split.duplicates_absorbed(), 1);
+        for (a, b) in expected.iter().zip(&got) {
+            if let (BuildResult::Fresh(x), BuildResult::Fresh(y)) = (a, b) {
+                assert_eq!(x.timestamp(), y.timestamp());
             }
-            assert_side_maps_consistent(&whole);
-            assert_side_maps_consistent(&split);
         }
+        assert_side_maps_consistent(&whole);
+        assert_side_maps_consistent(&split);
     }
 
     #[test]
@@ -1700,9 +1551,9 @@ mod tests {
             );
         }
 
-        // The same query with T joined by S.y < T.b instead: S's one
-        // join column keeps its lanes, spans {R} and {R,T} bind it, and
-        // span {T} binds nothing, so it visits every lane.
+        // The same query with T joined by S.y < T.b instead: S has one
+        // join column, spans {R} and {R,T} bind it, and span {T} binds
+        // nothing, so it scans the lane.
         let mut one_join = q.clone();
         one_join.predicates[1] = Predicate::join(
             PredId(1),
@@ -1714,24 +1565,15 @@ mod tests {
         assert_eq!(one_join.join_cols_of(TableIdx(1)), [0]);
 
         let cells: [(&[usize], &QuerySpec); 2] = [(&[0, 1], &q), (&[0], &one_join)];
-        for (n, (join_cols, q)) in SHARD_COUNTS.into_iter().flat_map(|n| cells.map(|c| (n, c))) {
+        for (join_cols, q) in cells {
             let mut stem = ShardedStem::new(
                 TableIdx(1),
                 SourceId(1),
                 join_cols,
                 true,
                 false,
-                StemOptions {
-                    num_shards: n,
-                    ..StemOptions::default()
-                },
+                StemOptions::default(),
             );
-            let lanes = if n > 1 && join_cols.len() == 1 {
-                n + 1
-            } else {
-                1
-            };
-            assert_eq!(stem.lanes().len(), lanes, "{join_cols:?} at {n} shards");
             for i in 0..40i64 {
                 build_fresh(&mut stem, &s_tuple(i % 10, i), (i + 1) as Timestamp);
             }

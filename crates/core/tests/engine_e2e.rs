@@ -7,7 +7,7 @@
 use stems_catalog::{
     reference, Catalog, IndexSpec, QuerySpec, ScanSpec, SourceId, TableDef, TableInstance,
 };
-use stems_core::{EddyExecutor, ExecConfig, RoutingPolicyKind};
+use stems_core::{EddyExecutor, ExecConfig, RoutingPolicyKind, StemOptions};
 use stems_types::{
     CmpOp, ColRef, ColumnType, PredId, Predicate, Schema, TableIdx, TableSet, UdfSpec, Value,
 };
@@ -656,6 +656,43 @@ fn hybrid_catalog() -> (Catalog, QuerySpec) {
     (c, q)
 }
 
+/// The retired SteM-lane knobs are inert: the chain query under all six
+/// of them — eight lanes on the engine and on the SteM options, a pool
+/// threshold of one row on both, a four-worker SteM budget, and the
+/// busiest-lane cost model — reports exactly what the default
+/// configuration does: ordered results, event count, end time and every
+/// counter.
+#[test]
+fn retired_lane_knobs_are_inert() {
+    let (c, q) = chain_catalog();
+    let default = assert_matches_reference(&c, &q, checked_config());
+    let mut config = checked_config();
+    config.num_shards = 8;
+    config.parallel_min_rows = 1;
+    config.costs.shard_parallel_service = true;
+    config.plan.default_stem = StemOptions {
+        num_shards: 8,
+        workers: Some(4),
+        parallel_min_rows: Some(1),
+        ..config.plan.default_stem
+    };
+    let retired = assert_matches_reference(&c, &q, config);
+    assert_eq!(retired.results, default.results);
+    assert_eq!(retired.events, default.events);
+    assert_eq!(retired.end_time, default.end_time);
+    let names: Vec<&str> = default.metrics.names().collect();
+    assert_eq!(retired.metrics.names().collect::<Vec<_>>(), names);
+    for name in names {
+        assert_eq!(retired.counter(name), default.counter(name), "{name}");
+    }
+    // And every curve at every instant: the SteM envelopes cost the same
+    // virtual time.
+    for name in default.metrics.series_names() {
+        let points = |r: &stems_core::Report| r.metrics.series(name).unwrap().points().to_vec();
+        assert_eq!(points(&retired), points(&default), "{name}");
+    }
+}
+
 /// The metric **name set** is part of the engine's surface: figures,
 /// examples and the benchmark read series by name, and the executor
 /// resolves every name to an id once at build. A metric that is renamed,
@@ -663,8 +700,7 @@ fn hybrid_catalog() -> (Catalog, QuerySpec) {
 /// from a figure. Two sets are pinned: every recorded metric (`names`) and
 /// the curves among them (`series_names`) — a counter that moves between
 /// the engine's `curves` and `counts` lists changes the second. Counters
-/// pinned are the ones that hold in every shards × workers environment
-/// cell.
+/// pinned are the ones that hold in every environment cell.
 #[test]
 fn metric_names_and_counters_are_pinned() {
     const CHAIN: &[&str] = &[

@@ -34,8 +34,8 @@ use stems_core::sync::{lock_ok, wait_ok, Arc, Condvar, Mutex, WaveBarrier};
 
 /// The worker_loop/push_job shape: a consumer that parks via the gate
 /// when its queue scan comes up empty, and a producer that pushes and
-/// wakes. The queue lives *outside* the gate (like the pool's per-worker
-/// queue mutexes), which is exactly the shape where a carelessly placed
+/// wakes. The queue lives *outside* the gate (like the pool's queue
+/// mutex), which is exactly the shape where a carelessly placed
 /// notify loses the wakeup.
 #[test]
 fn sleep_gate_never_loses_a_wakeup() {

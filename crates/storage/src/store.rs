@@ -292,10 +292,6 @@ impl StoreKind {
     /// Instantiate the store. `indexed_cols` lists the columns involved in
     /// equi-join predicates — the SteM builds "one main-memory index ... on
     /// each column ... involved in a join predicate" (paper §2.1.4).
-    ///
-    /// Sharded SteMs probe their lane stores from scoped worker threads
-    /// through `&self`; [`Store`] is `Send + Sync` (no interior
-    /// mutability).
     pub fn build(&self, indexed_cols: &[usize]) -> Store {
         match *self {
             StoreKind::List => Store::new(indexed_cols, false, usize::MAX),
@@ -550,8 +546,7 @@ mod tests {
         b.insert(Arc::new(Row::new(vec![Value::Null, Value::Int(10)])));
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
-        // A NULL-keyed (overflow-lane) row still answers lookups on other
-        // columns.
+        // A NULL-keyed row still answers lookups on other columns.
         assert_eq!(b.lookup_eq(1, &Value::Int(10)).len(), 1);
         assert_eq!(b.lookup_eq(0, &Value::Null).len(), 0);
     }

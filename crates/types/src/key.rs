@@ -7,8 +7,8 @@
 //! and its stable hash ([`Value::stable_key_hash`]) — once in the shard
 //! router, again in the hash index, again per duplicate key in an
 //! envelope. [`HashedKey`] computes both exactly once, at the envelope
-//! boundary, and every downstream consumer (SteM lane and memo shard
-//! routing through [`KeyHash::shard`], prehashed index lookups, the UDF
+//! boundary, and every downstream consumer (memo shard routing through
+//! [`KeyHash::shard`], prehashed index lookups, the UDF
 //! hop's grouping of equal keys) reads the annotations
 //! instead of re-hashing. A SteM lookup resolves each key of an envelope
 //! on its own, repeats included: it keeps no map of the keys it has seen.
@@ -31,8 +31,8 @@ impl KeyHash {
     }
 
     /// The shard a key with this hash routes to under a `num_shards`
-    /// fan-out (callers handle the un-hashable overflow lane): the high
-    /// half of the hash scaled onto `0..num_shards`. An `Int` key's hash
+    /// fan-out (the verdict memo's lock shards): the high half of the
+    /// hash scaled onto `0..num_shards`. An `Int` key's hash
     /// is one multiply, so its low bits depend only on the key's low bits
     /// — `hash % num_shards` would put every even key in half the shards
     /// and every multiple of 8 in one of eight.
@@ -77,7 +77,7 @@ impl HashedKey {
     }
 
     /// The equality normal form, `None` for NULL/EOT keys (which match
-    /// nothing and take the overflow/empty path everywhere).
+    /// nothing and take the empty path everywhere).
     #[inline]
     pub fn key(&self) -> Option<&Value> {
         self.key.as_ref()

@@ -136,11 +136,10 @@ impl Value {
     }
 
     /// A stable 64-bit hash of this value *as an equality key*, used to
-    /// route rows to SteM shards and to probe prehashed dictionary
-    /// indexes without re-hashing. `None` marks values that can never
-    /// satisfy an SQL equality predicate (NULL, the EOT marker) — sharded
-    /// stores keep such rows in a dedicated overflow lane instead of a
-    /// hash partition.
+    /// probe prehashed dictionary indexes without re-hashing and to route
+    /// keys to memo shards. `None` marks values that can never satisfy an
+    /// SQL equality predicate (NULL, the EOT marker) — an index keeps no
+    /// chain for them.
     ///
     /// The hash must agree with [`Value::equality_key`] normalization:
     /// any two values that can be `sql_eq` hash identically, so `Int(5)`

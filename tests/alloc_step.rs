@@ -93,7 +93,7 @@ fn config(policy: RoutingPolicyKind, batch_size: usize) -> ExecConfig {
         batch_size,
         num_shards: 1,
         workers: 1,
-        parallel_min_rows: 256,
+        parallel_min_rows: 1,
         fuse_selections: true,
         memo: true,
         memo_bytes: 1 << 20,

@@ -16,7 +16,7 @@
 //! event count, same virtual end time) to the row-at-a-time engine.
 
 use stems::catalog::{reference, Catalog, IndexSpec, QuerySpec, ScanSpec, TableInstance};
-use stems::core::plan::{self, Module, PlanOptions};
+use stems::core::plan::PlanOptions;
 use stems::core::StemOptions;
 use stems::prelude::*;
 use stems::sim::SimRng;
@@ -24,10 +24,6 @@ use stems::storage::StoreKind;
 
 /// Scan chunk sizes the suites sweep (1 = the scalar row-at-a-time scan).
 const CHUNKS: [usize; 4] = [1, 7, 64, 256];
-
-/// SteM shard fan-outs the shard-invariance suite sweeps (1 = the
-/// unsharded engine; 7 exercises uneven key → shard distributions).
-const SHARDS: [usize; 4] = [1, 2, 4, 7];
 
 struct Case {
     rows: Vec<Vec<(i64, i64)>>,
@@ -155,36 +151,11 @@ fn build_case(case: &Case) -> (Catalog, QuerySpec) {
     (catalog, query)
 }
 
-/// Run at the ambient shard count (the `STEMS_NUM_SHARDS` CI matrix leg),
-/// so every existing suite doubles as sharded-engine coverage.
-fn run_at(case: &Case, catalog: &Catalog, query: &QuerySpec, batch_size: usize) -> Report {
-    run_at_shards(
-        case,
-        catalog,
-        query,
-        batch_size,
-        ExecConfig::default().num_shards,
-    )
-}
-
-fn run_at_shards(
-    case: &Case,
-    catalog: &Catalog,
-    query: &QuerySpec,
-    batch_size: usize,
-    num_shards: usize,
-) -> Report {
-    if num_shards > 1 {
-        assert!(
-            max_lanes(catalog, query, num_shards) > 1,
-            "no SteM has lanes at {num_shards} shards: the sweep would not exercise them"
-        );
-    }
-    let config = ExecConfig {
+fn config_of(case: &Case, batch_size: usize) -> ExecConfig {
+    ExecConfig {
         policy: case.policy.clone(),
         seed: case.seed,
         batch_size,
-        num_shards,
         plan: PlanOptions {
             default_stem: StemOptions {
                 store: case.store.clone(),
@@ -195,33 +166,62 @@ fn run_at_shards(
         check_constraints: true,
         max_events: 20_000_000,
         ..ExecConfig::default()
-    };
+    }
+}
+
+fn run(catalog: &Catalog, query: &QuerySpec, config: ExecConfig) -> Report {
     EddyExecutor::build(catalog, query, config)
         .expect("plan")
         .run()
 }
 
-/// The most storage lanes any SteM of the query's plan has at
-/// `num_shards`, read off the SteMs the plan itself builds. A SteM keeps
-/// its lanes only on one join column; every case here joins each table
-/// on `v` alone, so at more than one shard lanes must exist.
-fn max_lanes(catalog: &Catalog, query: &QuerySpec, num_shards: usize) -> usize {
-    let opts = PlanOptions {
-        default_stem: StemOptions {
-            num_shards,
-            ..StemOptions::default()
-        },
-        ..PlanOptions::default()
-    };
-    let (modules, _) = plan::instantiate(catalog, query, &opts).expect("plan");
-    modules
-        .iter()
-        .filter_map(|m| match m {
-            Module::Stem(cell) => Some(cell.lock().shard_lens().len()),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0)
+fn run_at(case: &Case, catalog: &Catalog, query: &QuerySpec, batch_size: usize) -> Report {
+    run(catalog, query, config_of(case, batch_size))
+}
+
+/// `config` with every retired SteM-lane knob set away from its default:
+/// the lane count, the pool dispatch threshold and the busiest-lane cost
+/// model on the engine, and the lane count, worker budget and threshold
+/// on the SteM options. They are ignored, so a run under them must be
+/// bit-identical to one without.
+fn with_retired_knobs(config: &ExecConfig) -> ExecConfig {
+    let mut config = config.clone();
+    config.num_shards = 7;
+    config.parallel_min_rows = 1;
+    config.costs.shard_parallel_service = true;
+    config.plan.default_stem.num_shards = 7;
+    config.plan.default_stem.workers = Some(4);
+    config.plan.default_stem.parallel_min_rows = Some(1);
+    config
+}
+
+/// Bit-identity of two runs: the same *ordered* result vector, event
+/// count, virtual end time and adaptivity counters, and no violations.
+fn assert_bit_identical(got: &Report, want: &Report, cell: &str) {
+    const METRICS: [&str; 8] = [
+        "results",
+        "stem_probes",
+        "probes_bounced",
+        "probes_consumed",
+        "duplicates_absorbed",
+        "hints_recosted",
+        "route_batches",
+        "retired",
+    ];
+    assert!(got.violations.is_empty(), "{cell}: {:?}", got.violations);
+    assert_eq!(
+        got.results, want.results,
+        "{cell}: ordered results diverged"
+    );
+    assert_eq!(got.events, want.events, "{cell}: event count diverged");
+    assert_eq!(got.end_time, want.end_time, "{cell}: end time diverged");
+    for m in METRICS {
+        assert_eq!(
+            got.counter(m),
+            want.counter(m),
+            "{cell}: metric {m:?} diverged"
+        );
+    }
 }
 
 /// The batched engine emits exactly the scalar engine's result multiset.
@@ -369,180 +369,80 @@ fn batching_never_schedules_more_events_than_scalar() {
     );
 }
 
-/// Sharded SteMs are observationally invisible: for randomized SPJ
-/// queries, running the same query at every shard count in {1, 2, 4, 7}
-/// must be **bit-identical** to the unsharded engine — the same *ordered*
-/// result vector, the same event count and virtual end time, and the same
-/// adaptivity metrics (`hints_recosted`, probe/bounce/duplicate counters).
-/// Sharding may only change which threads do the dictionary work, never
-/// what any module observes. (Every store answers in insertion order, so
-/// the timestamp-merge reproduces candidate order exactly.) Every run
-/// above one shard first checks that some SteM of the plan really has
-/// lanes (`run_at_shards`).
+/// A SteM has one storage lane, and the knobs that once split it are
+/// inert: for randomized SPJ queries at batch 64, the engine agrees with
+/// the reference executor, and a run under every retired lane knob
+/// (`with_retired_knobs`) is bit-identical to the default run.
 #[test]
 fn shard_count_is_invariant() {
-    const METRICS: [&str; 8] = [
-        "results",
-        "stem_probes",
-        "probes_bounced",
-        "probes_consumed",
-        "duplicates_absorbed",
-        "hints_recosted",
-        "route_batches",
-        "retired",
-    ];
     for i in 0..24u64 {
         let mut rng = SimRng::new(0x54A2D ^ i);
         let case = gen_case(&mut rng);
         let (catalog, query) = build_case(&case);
         let expected =
             reference::canonical(&catalog, &query, &reference::execute(&catalog, &query));
-        let baseline = run_at_shards(&case, &catalog, &query, 64, SHARDS[0]);
+        let config = config_of(&case, 64);
+        let baseline = run(&catalog, &query, config.clone());
         assert!(
             baseline.violations.is_empty(),
-            "case {i} unsharded violations: {:?}",
+            "case {i} violations: {:?}",
             baseline.violations
         );
         assert_eq!(
             baseline.canonical(&catalog, &query),
             expected,
-            "case {i}: unsharded vs reference"
+            "case {i}: engine vs reference"
         );
-        for shards in &SHARDS[1..] {
-            let sharded = run_at_shards(&case, &catalog, &query, 64, *shards);
-            assert!(
-                sharded.violations.is_empty(),
-                "case {i} shards {shards} violations: {:?}",
-                sharded.violations
-            );
-            assert_eq!(
-                sharded.results, baseline.results,
-                "case {i}: shards {shards} ordered results diverged"
-            );
-            assert_eq!(
-                sharded.events, baseline.events,
-                "case {i}: shards {shards} event count diverged"
-            );
-            assert_eq!(
-                sharded.end_time, baseline.end_time,
-                "case {i}: shards {shards} virtual end time diverged"
-            );
-            for m in METRICS {
-                assert_eq!(
-                    sharded.counter(m),
-                    baseline.counter(m),
-                    "case {i}: shards {shards} metric {m:?} diverged"
-                );
-            }
-        }
+        let retired = run(&catalog, &query, with_retired_knobs(&config));
+        assert_bit_identical(&retired, &baseline, &format!("case {i} retired knobs"));
     }
 }
 
-/// Worker-count invariance: the persistent worker pool is a pure
-/// scheduling device. Running the same randomized query at worker budgets
-/// {1, 2, 4, 8} × shard counts {1, 4} — with the dispatch threshold forced
-/// to 1 so even tiny envelopes fan out — must be **bit-identical**: the
-/// same ordered result vector, event count, virtual end time and
-/// adaptivity metrics. (Workers = 1 services every lane serially on the
-/// calling thread; larger budgets split lanes into chunks and steal work
-/// across queues — none of which any module may observe.)
+/// A single executor runs on its caller's thread: the worker budget only
+/// sizes the query server's wave drain. Randomized queries at worker
+/// budgets 1 and 8, under the retired lane knobs, are bit-identical to
+/// each other and agree with the reference executor.
 #[test]
 fn worker_count_is_invariant() {
-    const METRICS: [&str; 6] = [
-        "results",
-        "stem_probes",
-        "probes_bounced",
-        "probes_consumed",
-        "duplicates_absorbed",
-        "retired",
-    ];
     for i in 0..12u64 {
         let mut rng = SimRng::new(0x33_0CC ^ i);
         let case = gen_case(&mut rng);
         let (catalog, query) = build_case(&case);
-        for shards in [1usize, 4] {
-            let run_at_workers = |workers: usize| {
-                let config = ExecConfig {
-                    policy: case.policy.clone(),
-                    seed: case.seed,
-                    batch_size: 64,
-                    num_shards: shards,
-                    workers,
-                    parallel_min_rows: 1,
-                    plan: PlanOptions {
-                        default_stem: StemOptions {
-                            store: case.store.clone(),
-                            ..StemOptions::default()
-                        },
-                        ..PlanOptions::default()
-                    },
-                    check_constraints: true,
-                    max_events: 20_000_000,
-                    ..ExecConfig::default()
-                };
-                EddyExecutor::build(&catalog, &query, config)
-                    .expect("plan")
-                    .run()
+        let expected =
+            reference::canonical(&catalog, &query, &reference::execute(&catalog, &query));
+        let at_workers = |workers: usize| {
+            let config = ExecConfig {
+                workers,
+                ..config_of(&case, 64)
             };
-            let baseline = run_at_workers(1);
-            assert!(
-                baseline.violations.is_empty(),
-                "case {i} shards {shards} workers 1 violations: {:?}",
-                baseline.violations
-            );
-            for workers in [2usize, 4, 8] {
-                let pooled = run_at_workers(workers);
-                assert!(
-                    pooled.violations.is_empty(),
-                    "case {i} shards {shards} workers {workers} violations: {:?}",
-                    pooled.violations
-                );
-                assert_eq!(
-                    pooled.results, baseline.results,
-                    "case {i} shards {shards}: workers {workers} ordered results diverged"
-                );
-                assert_eq!(
-                    pooled.events, baseline.events,
-                    "case {i} shards {shards}: workers {workers} event count diverged"
-                );
-                assert_eq!(
-                    pooled.end_time, baseline.end_time,
-                    "case {i} shards {shards}: workers {workers} end time diverged"
-                );
-                for m in METRICS {
-                    assert_eq!(
-                        pooled.counter(m),
-                        baseline.counter(m),
-                        "case {i} shards {shards}: workers {workers} metric {m:?} diverged"
-                    );
-                }
-            }
-        }
+            run(&catalog, &query, with_retired_knobs(&config))
+        };
+        let baseline = at_workers(1);
+        assert!(
+            baseline.violations.is_empty(),
+            "case {i} violations: {:?}",
+            baseline.violations
+        );
+        assert_eq!(
+            baseline.canonical(&catalog, &query),
+            expected,
+            "case {i}: engine vs reference"
+        );
+        assert_bit_identical(&at_workers(8), &baseline, &format!("case {i} workers 8"));
     }
 }
 
-/// The shard sweep crossed with batch sizes: shard-count invariance must
-/// hold on the scalar routing path too (batch 1 envelopes take the
-/// serial single-tuple build/probe route through the shard layer).
+/// [`shard_count_is_invariant`] on the scalar routing path: at batch 1
+/// the retired lane knobs are inert too.
 #[test]
 fn shard_count_is_invariant_at_batch_one() {
     for i in 0..12u64 {
         let mut rng = SimRng::new(0x54A2D1 ^ i);
         let case = gen_case(&mut rng);
         let (catalog, query) = build_case(&case);
-        let baseline = run_at_shards(&case, &catalog, &query, 1, 1);
-        for shards in [4usize, 7] {
-            let sharded = run_at_shards(&case, &catalog, &query, 1, shards);
-            assert!(
-                sharded.violations.is_empty(),
-                "case {i} shards {shards}: {:?}",
-                sharded.violations
-            );
-            assert_eq!(
-                sharded.results, baseline.results,
-                "case {i} shards {shards}"
-            );
-            assert_eq!(sharded.events, baseline.events, "case {i} shards {shards}");
-        }
+        let config = config_of(&case, 1);
+        let baseline = run(&catalog, &query, config.clone());
+        let retired = run(&catalog, &query, with_retired_knobs(&config));
+        assert_bit_identical(&retired, &baseline, &format!("case {i} retired knobs"));
     }
 }

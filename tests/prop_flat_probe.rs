@@ -6,8 +6,7 @@
 //! and *adversarial hash collisions* (distinct values sharing one
 //! `stable_key_hash`, constructed by inverting the hash's multiply-rotate
 //! mixing). Then the SteM on top: random builds, evictions and probe
-//! envelopes against a naive model, at every shard count and on every
-//! store kind.
+//! envelopes against a naive model, on every store kind.
 //!
 //! Cases are generated from the workspace's own seeded [`SimRng`] so the
 //! suite is dependency-free and fully reproducible.
@@ -368,7 +367,7 @@ mod stem_model {
 /// [`Predicate::eval`] per candidate. Reply for reply — results, order,
 /// donebits, outcome, observed_ts, raw_matches — on mixed envelopes of
 /// keyed, NULL-keyed, coercing and unbindable probes, built and unbuilt,
-/// fresh and re-probing, on every store kind at shards {1, 2, 4, 7}.
+/// fresh and re-probing, on every store kind.
 /// (The engine-level equivalence suites cover this end to end; this pins
 /// the module API directly.)
 ///
@@ -378,17 +377,13 @@ mod stem_model {
 fn probe_batch_replies_equal_scalar_probe_replies() {
     use stem_model::*;
     let qs = queries();
-    let cells = kinds()
-        .into_iter()
-        .flat_map(|kind| [1usize, 2, 4, 7].map(|num_shards| (kind.clone(), num_shards)));
-    for (store, num_shards) in cells {
+    for store in kinds() {
         for seed in 0..24u64 {
             let mut rng = SimRng::new(0x9B0B ^ seed);
             let mut stem = s_stem(
                 &[0],
                 StemOptions {
                     store: store.clone(),
-                    num_shards,
                     ..StemOptions::default()
                 },
             );
@@ -421,8 +416,7 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
                 for ((tuple, state), (meta, results)) in
                     probes.iter().zip(&states).zip(replies.iter())
                 {
-                    let ctx =
-                        format!("seed {seed} {store:?} shards {num_shards} {label} probe {tuple}");
+                    let ctx = format!("seed {seed} {store:?} {label} probe {tuple}");
                     let want = oracle(&built, bind, tuple, state, q);
                     assert_eq!(want.results, results, "{ctx}");
                     assert_eq!(s_stamps(&want.results), s_stamps(results), "{ctx}");
@@ -440,12 +434,11 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
 /// duplicate check, `remove(0)` for the window — through rounds of random
 /// build envelopes (duplicates, and re-arrivals of rows the window has
 /// since evicted) interleaved with probe envelopes that bind one of the
-/// SteM's join columns, or nothing. Over S.x alone (keyed lanes at shards
-/// above 1) and over both columns (one lane, probed on either), unbounded
-/// and windowed (where lanes fill with dead slots and are rebuilt dense
-/// mid-stream), at shards {1, 2, 4, 7}, on every store kind: every build
-/// verdict and stamp, and every reply — results, order, stamps, outcome,
-/// observed_ts, raw_matches — as the model says.
+/// SteM's join columns, or nothing. Over S.x alone and over both columns
+/// (probed on either), unbounded and windowed (where the lane fills with
+/// dead slots and is rebuilt dense mid-stream), on every store kind: every
+/// build verdict and stamp, and every reply — results, order, stamps,
+/// outcome, observed_ts, raw_matches — as the model says.
 #[test]
 fn stem_matches_naive_model_through_builds_evictions_and_probes() {
     use stem_model::*;
@@ -453,95 +446,90 @@ fn stem_matches_naive_model_through_builds_evictions_and_probes() {
     let qs = queries();
     for seed in 0..6u64 {
         for kind in kinds() {
-            for num_shards in [1usize, 2, 4, 7] {
-                let cells = [None, Some(WINDOW)]
-                    .into_iter()
-                    .flat_map(|window| [&[0][..], &[0, 1]].map(|cols| (window, cols)));
-                for (window, join_cols) in cells {
-                    let cell = format!(
-                        "seed {seed} {kind:?} shards {num_shards} {window:?} on {join_cols:?}"
-                    );
-                    let mut rng = SimRng::new(0x5107 ^ seed);
-                    let mut stem = s_stem(
-                        join_cols,
-                        StemOptions {
-                            store: kind.clone(),
-                            num_shards,
-                            eviction_window: window,
-                            ..StemOptions::default()
-                        },
-                    );
-                    let mut model: Vec<(Arc<Row>, Timestamp)> = Vec::new();
-                    let mut ts: Timestamp = 0;
-                    let mut evictions = 0;
-                    for round in 0..5 {
-                        // Build: the model absorbs, stamps and evicts one
-                        // row at a time, as a windowed SteM must.
-                        let batch: TupleBatch = (0..rng.below(70))
-                            .map(|_| random_s_tuple(&mut rng))
-                            .collect();
-                        let states = vec![TupleState::new(); batch.len()];
-                        let mut want_ts = ts;
-                        let want: Vec<Option<Timestamp>> = batch
-                            .iter()
-                            .map(|tuple| {
-                                let row = &tuple.components()[0].row;
-                                if model.iter().any(|(held, _)| held == row) {
-                                    return None;
-                                }
-                                want_ts += 1;
-                                model.push((row.clone(), want_ts));
-                                if window.is_some_and(|w| model.len() > w) {
-                                    model.remove(0);
-                                    evictions += 1;
-                                }
-                                Some(want_ts)
-                            })
-                            .collect();
-                        let got: Vec<Option<Timestamp>> = stem
-                            .build_batch(&batch, &states, &mut ts)
-                            .into_iter()
-                            .map(|r| match r {
-                                BuildResult::Fresh(t) => Some(t.timestamp()),
-                                BuildResult::Duplicate => None,
-                                other => panic!("unexpected {other:?}"),
-                            })
-                            .collect();
-                        assert_eq!(got, want, "{cell} round {round}: build verdicts");
-                        assert_eq!(ts, want_ts, "{cell} round {round}");
-                        assert_eq!(stem.len(), model.len(), "{cell} round {round}");
-                        assert_eq!(stem.evictions(), evictions, "{cell} round {round}");
-
-                        let probed_by = [
-                            (&qs.keyed, Some(0), "keyed"),
-                            (&qs.by_y, Some(1), "by_y"),
-                            (&qs.cartesian, None, "scan"),
-                        ];
-                        // A plan binds only the columns it joins the SteM on.
-                        let probed_by = probed_by
-                            .into_iter()
-                            .filter(|(_, bind, _)| bind.is_none_or(|c| join_cols.contains(&c)));
-                        for (q, bind, label) in probed_by {
-                            let (probes, states) = random_probes(&mut rng, ts);
-                            let mut replies = ProbeReplySet::new();
-                            stem.probe_batch_into(&probes, &states, q, &mut replies);
-                            assert_eq!(replies.len(), probes.len(), "{cell} {label}");
-                            for ((tuple, state), (meta, results)) in
-                                probes.iter().zip(&states).zip(replies.iter())
-                            {
-                                let ctx = format!("{cell} round {round} {label} probe {tuple}");
-                                let want = oracle(&model, bind, tuple, state, q);
-                                assert_eq!(want.results, results, "{ctx}");
-                                assert_eq!(s_stamps(&want.results), s_stamps(results), "{ctx}");
-                                assert_eq!(want.outcome, meta.outcome, "{ctx}");
-                                assert_eq!(ts, meta.observed_ts, "{ctx}");
-                                assert_eq!(want.raw_matches, meta.raw_matches, "{ctx}");
+            let cells = [None, Some(WINDOW)]
+                .into_iter()
+                .flat_map(|window| [&[0][..], &[0, 1]].map(|cols| (window, cols)));
+            for (window, join_cols) in cells {
+                let cell = format!("seed {seed} {kind:?} {window:?} on {join_cols:?}");
+                let mut rng = SimRng::new(0x5107 ^ seed);
+                let mut stem = s_stem(
+                    join_cols,
+                    StemOptions {
+                        store: kind.clone(),
+                        eviction_window: window,
+                        ..StemOptions::default()
+                    },
+                );
+                let mut model: Vec<(Arc<Row>, Timestamp)> = Vec::new();
+                let mut ts: Timestamp = 0;
+                let mut evictions = 0;
+                for round in 0..5 {
+                    // Build: the model absorbs, stamps and evicts one
+                    // row at a time, as a windowed SteM must.
+                    let batch: TupleBatch = (0..rng.below(70))
+                        .map(|_| random_s_tuple(&mut rng))
+                        .collect();
+                    let states = vec![TupleState::new(); batch.len()];
+                    let mut want_ts = ts;
+                    let want: Vec<Option<Timestamp>> = batch
+                        .iter()
+                        .map(|tuple| {
+                            let row = &tuple.components()[0].row;
+                            if model.iter().any(|(held, _)| held == row) {
+                                return None;
                             }
+                            want_ts += 1;
+                            model.push((row.clone(), want_ts));
+                            if window.is_some_and(|w| model.len() > w) {
+                                model.remove(0);
+                                evictions += 1;
+                            }
+                            Some(want_ts)
+                        })
+                        .collect();
+                    let got: Vec<Option<Timestamp>> = stem
+                        .build_batch(&batch, &states, &mut ts)
+                        .into_iter()
+                        .map(|r| match r {
+                            BuildResult::Fresh(t) => Some(t.timestamp()),
+                            BuildResult::Duplicate => None,
+                            other => panic!("unexpected {other:?}"),
+                        })
+                        .collect();
+                    assert_eq!(got, want, "{cell} round {round}: build verdicts");
+                    assert_eq!(ts, want_ts, "{cell} round {round}");
+                    assert_eq!(stem.len(), model.len(), "{cell} round {round}");
+                    assert_eq!(stem.evictions(), evictions, "{cell} round {round}");
+
+                    let probed_by = [
+                        (&qs.keyed, Some(0), "keyed"),
+                        (&qs.by_y, Some(1), "by_y"),
+                        (&qs.cartesian, None, "scan"),
+                    ];
+                    // A plan binds only the columns it joins the SteM on.
+                    let probed_by = probed_by
+                        .into_iter()
+                        .filter(|(_, bind, _)| bind.is_none_or(|c| join_cols.contains(&c)));
+                    for (q, bind, label) in probed_by {
+                        let (probes, states) = random_probes(&mut rng, ts);
+                        let mut replies = ProbeReplySet::new();
+                        stem.probe_batch_into(&probes, &states, q, &mut replies);
+                        assert_eq!(replies.len(), probes.len(), "{cell} {label}");
+                        for ((tuple, state), (meta, results)) in
+                            probes.iter().zip(&states).zip(replies.iter())
+                        {
+                            let ctx = format!("{cell} round {round} {label} probe {tuple}");
+                            let want = oracle(&model, bind, tuple, state, q);
+                            assert_eq!(want.results, results, "{ctx}");
+                            assert_eq!(s_stamps(&want.results), s_stamps(results), "{ctx}");
+                            assert_eq!(want.outcome, meta.outcome, "{ctx}");
+                            assert_eq!(ts, meta.observed_ts, "{ctx}");
+                            assert_eq!(want.raw_matches, meta.raw_matches, "{ctx}");
                         }
                     }
-                    if window.is_some() {
-                        assert!(evictions > 0, "{cell}: the window never filled");
-                    }
+                }
+                if window.is_some() {
+                    assert!(evictions > 0, "{cell}: the window never filled");
                 }
             }
         }
