@@ -124,12 +124,12 @@ pub struct ExecConfig {
     pub batch_size: usize,
     /// Ignored; removed when `benchmark/` stops naming it.
     pub num_shards: usize,
-    /// Worker budget of the query server's wave drain: how many pool
-    /// threads ([`crate::runtime::WorkerPool`]) step a wave's independent
-    /// executors. Defaults to the host's available parallelism,
-    /// overridable with the `STEMS_WORKERS` environment variable; CI
-    /// crosses it with the batch-size matrix so worker-count invariance
-    /// of server reports is enforced on every push. `1` steps every
+    /// Worker budget of the query server's wave drain: how many threads
+    /// (the server's own included) step a wave's independent executors
+    /// (`runtime::for_each_parallel`). Defaults to the host's available
+    /// parallelism, overridable with the `STEMS_WORKERS` environment
+    /// variable; CI crosses it with the batch-size matrix so worker-count
+    /// invariance of server reports is enforced on every push. `1` steps every
     /// executor on the server's thread. A single executor never reads it.
     pub workers: usize,
     /// Ignored; removed when `benchmark/` stops naming it.

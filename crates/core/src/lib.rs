@@ -21,8 +21,8 @@
 //!   take `&mut self` and nothing inside a SteM locks; a SteM shared
 //!   across queries sits behind the one mutex of its [`plan::StemCell`].
 //!   The only threads are the query server's: its wave drain steps
-//!   independent executors on the persistent worker pool
-//!   ([`runtime::WorkerPool`], sized by [`ExecConfig::workers`] /
+//!   independent executors on scoped threads
+//!   (`runtime::for_each_parallel`, sized by [`ExecConfig::workers`] /
 //!   `STEMS_WORKERS`).
 //! * the **eddy** ([`EddyExecutor`]) — routes every tuple between the other
 //!   modules according to a [`policy::RoutingPolicy`], under the
@@ -104,17 +104,14 @@
 //!
 //! # Correctness tooling
 //!
-//! All synchronization goes through [`sync`], a shim that re-exports
-//! `std::sync` normally but routes through the `stems-check` model
-//! checker under the `model` feature — `tests/model.rs` explores every
-//! bounded interleaving of the runtime's protocols. `stems-lint`
-//! (`cargo run -p stems-lint`) enforces the shim funnel, SAFETY
-//! comments on `unsafe`, and the virtual-time discipline.
+//! All synchronization goes through [`sync`], a re-export of
+//! `std::sync` plus the crate's poison policy, and the compiler denies
+//! `unsafe_code` everywhere but the test-only counting allocator.
+//! `stems-lint` (`cargo run -p stems-lint`) enforces the shim funnel,
+//! keeps thread spawning in [`runtime`], and guards the virtual-time
+//! discipline.
 
-// Every `unsafe` operation must be visibly scoped and argued even
-// inside unsafe fns; the lone transmute in `runtime.rs` carries the
-// model-checked soundness argument.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_code)]
 
 pub mod am;
 pub mod engine;
@@ -130,6 +127,7 @@ pub mod sm;
 pub mod stem;
 pub mod sync;
 #[cfg(test)]
+#[allow(unsafe_code)]
 mod test_alloc;
 pub mod tuple_state;
 mod wave;

@@ -99,13 +99,13 @@
 //! counter ([`EddyExecutor::has_stem`]); the server partitions each
 //! wave's runnable executors accordingly. Counter-threading executors
 //! step serially in admission order (the counter is a chain); the rest
-//! are claimed off a [`WaveBarrier`] by `ExecConfig::workers` runner
-//! jobs on the process [`WorkerPool`] — each executor stepped by exactly
-//! one thread, the wave merged back into the serial timeline only when
-//! the barrier observes every claim finished. Per-executor behaviour is
-//! a pure function of its own deliveries, so reports are bit-identical
-//! at every worker budget (the invariance suite sweeps workers {1, 4}).
-//! The barrier protocol itself is model-checked in `tests/model.rs`.
+//! are stepped by `runtime::for_each_parallel`: the server's thread and
+//! up to `ExecConfig::workers − 1` scoped threads claim executors off
+//! one cursor, each executor stepped by exactly one thread, and the wave
+//! merges back into the serial timeline once the scope has joined them
+//! all. Per-executor behaviour is a pure function of its own
+//! deliveries, so reports are bit-identical at every worker budget (the
+//! invariance suite sweeps workers {1, 4}).
 //!
 //! With folding disabled the server degenerates to a pure merge of
 //! independent classic executors — each query behaves exactly like a solo
@@ -117,10 +117,10 @@ use crate::engine::{ConfigError, EddyExecutor, ExecConfig};
 use crate::memo::{MemoCache, MemoCell, DEFAULT_MEMO_SHARDS};
 use crate::plan::StemCell;
 use crate::report::ServerReport;
-use crate::runtime::WorkerPool;
+use crate::runtime::for_each_parallel;
 use crate::stem::Stem;
 use crate::stem::{make_scan_eot_row, BuildResult, StemOptions};
-use crate::sync::{lock_ok, Arc, Mutex, WaveBarrier};
+use crate::sync::Arc;
 use crate::tuple_state::TupleState;
 use std::collections::VecDeque;
 use stems_catalog::{AccessMethodDef, Catalog, QuerySpec, SourceId};
@@ -756,12 +756,11 @@ impl<'a> QueryServer<'a> {
 
     /// Step every runnable executor up to `t` — the wave's execution
     /// phase. Counter-threading executors go serially in admission
-    /// order; independent ones are claimed off a [`WaveBarrier`] by up
-    /// to `workers` runner jobs on the process pool (and by this
-    /// thread), each executor stepped by exactly one thread. The wave
-    /// merges back into the serial timeline only when the barrier
-    /// observes every claim finished, so reports are bit-identical at
-    /// every worker budget.
+    /// order; independent ones go through [`for_each_parallel`] on up to
+    /// `workers` threads (this one included), each executor stepped by
+    /// exactly one thread. The wave merges back into the serial timeline,
+    /// in `indep` order, only after every executor finished, so reports
+    /// are bit-identical at every worker budget.
     ///
     /// The one pass doubles as the drain loop's bookkeeping: it
     /// recomputes [`exec_next`](QueryServer::exec_next) and collects
@@ -810,61 +809,26 @@ impl<'a> QueryServer<'a> {
             self.exec_next = next_min;
             return;
         }
-        // Collect disjoint `&mut` executor lanes (indices ascend, so one
-        // pass over the active span suffices). The per-lane mutex is
-        // uncontended — the claim cursor hands each lane to exactly one
-        // runner — it only exists to move `&mut` access across threads
-        // without new `unsafe`.
+        // Collect the disjoint `&mut` executors (indices ascend, so one
+        // pass over the active span suffices).
         let first = *indep.first().expect("nonempty");
         let last = *indep.last().expect("nonempty");
-        let mut lanes: Vec<Mutex<&mut EddyExecutor>> = Vec::with_capacity(indep.len());
+        let mut execs: Vec<&mut EddyExecutor> = Vec::with_capacity(indep.len());
         {
             let mut targets = indep.iter().copied().peekable();
             for (i, slot) in self.slots[first..=last].iter_mut().enumerate() {
                 if targets.peek() == Some(&(first + i)) {
                     targets.next();
-                    lanes.push(Mutex::new(slot.exec.as_mut().expect("active slot")));
+                    execs.push(slot.exec.as_mut().expect("active slot"));
                 }
             }
         }
-        debug_assert_eq!(lanes.len(), indep.len());
-        let barrier = WaveBarrier::new(lanes.len());
-        let runners = workers.min(lanes.len());
-        {
-            let lanes_ref = &lanes;
-            let barrier_ref = &barrier;
-            let drain = move || {
-                while let Some(i) = barrier_ref.claim() {
-                    // The finish must fire even if a step panics: the
-                    // panicking runner unwinds into the pool's panic
-                    // capture, and without its finish_one the
-                    // coordinator's barrier wait below would hang
-                    // instead of reaching the scope's panic replay.
-                    struct FinishOne<'b>(&'b WaveBarrier);
-                    impl Drop for FinishOne<'_> {
-                        fn drop(&mut self) {
-                            self.0.finish_one();
-                        }
-                    }
-                    let _finish = FinishOne(barrier_ref);
-                    lock_ok(&lanes_ref[i]).step_until(t);
-                }
-            };
-            WorkerPool::global().scope(runners, |scope| {
-                for k in 1..runners {
-                    scope.spawn(k, drain);
-                }
-                drain();
-                // Merge barrier: every claimed executor finished
-                // stepping before the wave rejoins the serial timeline.
-                // No help — this thread already drained the claim
-                // cursor, so the only outstanding work is in flight on
-                // pool workers.
-                barrier.wait(|| false);
-            });
-        }
-        for (k, lane) in lanes.iter().enumerate() {
-            merge(lock_ok(lane).next_time(), indep[k], drained);
+        debug_assert_eq!(execs.len(), indep.len());
+        for_each_parallel(&mut execs, workers, |exec| {
+            exec.step_until(t);
+        });
+        for (k, exec) in execs.iter().enumerate() {
+            merge(exec.next_time(), indep[k], drained);
         }
         self.exec_next = next_min;
     }

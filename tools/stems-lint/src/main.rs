@@ -13,9 +13,9 @@
 //! | id | invariant |
 //! |----|-----------|
 //! | `unsafe-safety` | every `unsafe` carries a `// SAFETY:` argument |
-//! | `std-sync-primitive` | no `std::sync` scheduling primitives outside `stems_core::sync` / `stems-check` |
+//! | `std-sync-primitive` | no `std::sync` scheduling primitives outside `stems_core::sync` |
 //! | `lock-unwrap` | no `.lock().unwrap()` / `.lock().expect(..)` — poison policy goes through `lock_ok` / `lock_recover` |
-//! | `std-thread` | no thread spawning outside `runtime.rs` / `stems-check` |
+//! | `std-thread` | no thread spawning outside `runtime.rs` |
 //! | `wall-clock` | no `Instant::now` / `SystemTime` outside `crates/bench` (virtual-time discipline) |
 //! | `metric-by-name` | no name-taking `.bump(` / `.observe(` in `engine.rs` / `server.rs` — the per-tuple path updates metrics by `MetricId` |
 //! | `row-keyed-map` | no map or set keyed by `Arc<Row>` / `Row` in non-test `stem.rs`, `crates/storage/src/` — stored rows are addressed by slot |
@@ -49,7 +49,7 @@ const ALLOWLIST: &[(&str, &str, &str)] = &[(
 
 /// Banned `std::sync` items outside the shim. `Arc`, `OnceLock`,
 /// `LockResult`, `PoisonError` stay allowed everywhere: they carry no
-/// scheduling behaviour worth modelling.
+/// scheduling behaviour.
 const SYNC_PRIMITIVES: &[&str] = &[
     "Mutex",
     "MutexGuard",
@@ -302,7 +302,6 @@ fn lint_source(path: &str, text: &str, counts: &[String]) -> Vec<Finding> {
 /// Every rule but `series-of-count`, over one file of `crates/`, `src/`
 /// or `tools/`.
 fn house_rules(path: &str, original: &[&str], code: &[String]) -> Vec<Finding> {
-    let in_check = path.starts_with("crates/check/");
     let in_shim = path == "crates/core/src/sync.rs";
     let in_bench = path.starts_with("crates/bench/");
     let in_runtime = path == "crates/core/src/runtime.rs";
@@ -330,7 +329,7 @@ fn house_rules(path: &str, original: &[&str], code: &[String]) -> Vec<Finding> {
         }
 
         // std-sync-primitive — the shim funnel.
-        if !in_check && !in_shim {
+        if !in_shim {
             if let Some(name) = std_sync_primitive(code_line, &mut sync_use_block) {
                 findings.push(Finding {
                     rule: "std-sync-primitive",
@@ -343,9 +342,7 @@ fn house_rules(path: &str, original: &[&str], code: &[String]) -> Vec<Finding> {
         }
 
         // lock-unwrap — the poison policy funnel.
-        if !in_check
-            && (code_line.contains(".lock().unwrap()") || code_line.contains(".lock().expect("))
-        {
+        if code_line.contains(".lock().unwrap()") || code_line.contains(".lock().expect(") {
             findings.push(Finding {
                 rule: "lock-unwrap",
                 line: lineno,
@@ -355,7 +352,7 @@ fn house_rules(path: &str, original: &[&str], code: &[String]) -> Vec<Finding> {
         }
 
         // std-thread — spawning is the runtime's business.
-        if !in_check && !in_runtime {
+        if !in_runtime {
             for pat in [
                 "std::thread::spawn",
                 "std::thread::scope",
@@ -366,7 +363,7 @@ fn house_rules(path: &str, original: &[&str], code: &[String]) -> Vec<Finding> {
                         rule: "std-thread",
                         line: lineno,
                         message: format!(
-                            "`{pat}` outside `runtime.rs` — go through the worker pool"
+                            "`{pat}` outside `runtime.rs` — go through `runtime::for_each_parallel`"
                         ),
                     });
                 }
