@@ -354,3 +354,208 @@ fn server_errors_are_typed() {
     // The messages carry the context (Display is part of the surface).
     assert!(err.to_string().contains("unknown query id 7"));
 }
+
+/// The self-join R⋈R on `a`, `r1.key < 5`: its first instance folds onto
+/// the shape-0 query's R entry, its second stays private and is fed raw.
+fn self_join(c: &Catalog, r: SourceId) -> QuerySpec {
+    QuerySpec::new(
+        c,
+        vec![inst(r, "r1"), inst(r, "r2")],
+        vec![
+            Predicate::join(
+                PredId(0),
+                ColRef::new(TableIdx(0), 1),
+                CmpOp::Eq,
+                ColRef::new(TableIdx(1), 1),
+            ),
+            Predicate::selection(
+                PredId(1),
+                ColRef::new(TableIdx(0), 0),
+                CmpOp::Lt,
+                Value::Int(5),
+            ),
+        ],
+        None,
+    )
+    .unwrap()
+}
+
+/// FNV-1a, so a pinned digest does not depend on the standard library's
+/// hasher.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, b: &[u8]) {
+        for &x in b {
+            self.0 = (self.0 ^ u64::from(x)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// Ordered results, build timestamps included.
+fn results_digest(report: &Report) -> u64 {
+    let mut h = Fnv::new();
+    for tuple in &report.results {
+        for c in tuple.components() {
+            h.bytes(format!("{}:{}@{};", c.table, c.row, c.ts).as_bytes());
+        }
+        h.bytes(b"|");
+    }
+    h.0
+}
+
+/// Every recorded metric: name, counter and series points.
+fn metrics_digest(report: &Report) -> u64 {
+    let mut h = Fnv::new();
+    for name in report.metrics.names() {
+        h.bytes(name.as_bytes());
+        h.u64(report.metrics.counter(name));
+        for &(t, v) in report.metrics.series(name).map_or(&[][..], |s| s.points()) {
+            h.u64(t);
+            h.u64(v.to_bits());
+        }
+    }
+    h.0
+}
+
+/// What a pinned handle must read: status, `admitted_at`,
+/// `completed_at`, `events`, result count and the two digests.
+type Pinned = (QueryStatus, u64, u64, u64, usize, u64, u64);
+
+/// The late-admission timeline, pinned for both subscription kinds: a
+/// shape-0 query at 0; a self-join (first instance folded, second raw) at
+/// 5 000, 11 000 and 60 000 — mid-scan, as EOTs land, and after every
+/// stream closed; one query cancelled mid-run; one reaped at its
+/// deadline. Every handle and the stats must read the same at workers 1
+/// and 4 (the batch size is fixed: a different one is a different
+/// timeline).
+#[test]
+fn late_admission_timeline_is_pinned() {
+    let (c, r, s, t) = family_catalog();
+    let three = three_way(&c, r, s, t);
+    let join = self_join(&c, r);
+    let run = |workers: usize| {
+        let mut srv = QueryServer::builder(&c)
+            .config(ExecConfig {
+                workers,
+                batch_size: 64,
+                ..config()
+            })
+            .build()
+            .unwrap();
+        srv.submit(Submission::new(three.clone())).unwrap();
+        for at in [5_000, 11_000, AFTER_ALL_STREAMS] {
+            srv.submit(Submission::new(join.clone()).at(at)).unwrap();
+        }
+        srv.submit(Submission::new(join.clone()).at(3_000).cancel_at(9_000))
+            .unwrap();
+        srv.submit(Submission::new(three.clone()).at(8_000).deadline(6_000))
+            .unwrap();
+        srv.serve()
+    };
+    use QueryStatus::{Cancelled, Completed, TimedOut};
+    let pinned: [Pinned; 6] = [
+        (
+            Completed,
+            0,
+            30_520,
+            280,
+            30,
+            1285523276065710944,
+            4246236017495101262,
+        ),
+        (
+            Completed,
+            5_000,
+            30_520,
+            317,
+            30,
+            15125276972447277998,
+            9274036932279271147,
+        ),
+        (
+            Completed,
+            11_000,
+            30_520,
+            245,
+            30,
+            8860039652233999383,
+            5891898649908089334,
+        ),
+        (
+            Completed,
+            60_000,
+            63_170,
+            8,
+            30,
+            2127919492103755437,
+            2589627747076088881,
+        ),
+        (
+            Cancelled,
+            3_000,
+            8_550,
+            81,
+            10,
+            15915527759278874700,
+            4835613674176683900,
+        ),
+        (
+            TimedOut,
+            8_000,
+            14_020,
+            106,
+            27,
+            392123038020587740,
+            12952515206032343335,
+        ),
+    ];
+    let want_stats = ServerStats {
+        shared_stems: 3,
+        scan_streams: 3,
+        shared_builds: 75,
+        stem_bytes_peak: 11_272,
+        evicted_stems: 0,
+        shared_memos: 0,
+        queued: 0,
+        shed: 0,
+        timed_out: 1,
+        cancelled: 1,
+    };
+    for workers in [1usize, 4] {
+        let (handles, stats) = run(workers);
+        let got: Vec<Pinned> = handles
+            .iter()
+            .map(|h| {
+                let sr = h.report.as_ref().expect("every query ran");
+                (
+                    h.status,
+                    sr.admitted_at,
+                    sr.completed_at,
+                    sr.report.events,
+                    sr.report.results.len(),
+                    results_digest(&sr.report),
+                    metrics_digest(&sr.report),
+                )
+            })
+            .collect();
+        for h in &handles {
+            let sr = h.report.as_ref().unwrap();
+            assert!(
+                sr.report.violations.is_empty(),
+                "{:?}",
+                sr.report.violations
+            );
+        }
+        assert_eq!(got, pinned, "handles at workers {workers}");
+        assert_eq!(stats, want_stats, "stats at workers {workers}");
+    }
+}
