@@ -506,30 +506,11 @@ pub struct EddyExecutor {
 }
 
 impl EddyExecutor {
-    /// Instantiate the query (paper §2.2 steps 1–4) and seed the scans
-    /// (step 5).
+    /// Instantiate the query (paper §2.2 steps 1–4). Step 5, seeding the
+    /// scans, is [`Self::run`]'s first act — or the query server's, which
+    /// feeds a folded query's instances from its own shared scans and
+    /// seeds a private query's at its admission instant.
     pub fn build(catalog: &Catalog, query: &QuerySpec, config: ExecConfig) -> Result<Self> {
-        Self::build_inner(catalog, query, config, true)
-    }
-
-    /// Instantiate without seeding the scans: the query server drives
-    /// every scan itself (one shared scan per source, fanned out to all
-    /// interested queries) and feeds this executor through
-    /// [`Self::deliver_folded_wave`] / [`Self::deliver_raw_wave`].
-    pub(crate) fn build_unseeded(
-        catalog: &Catalog,
-        query: &QuerySpec,
-        config: ExecConfig,
-    ) -> Result<Self> {
-        Self::build_inner(catalog, query, config, false)
-    }
-
-    fn build_inner(
-        catalog: &Catalog,
-        query: &QuerySpec,
-        config: ExecConfig,
-        seed_scans: bool,
-    ) -> Result<Self> {
         config
             .validate()
             .map_err(|e| StemsError::Schema(e.to_string()))?;
@@ -614,25 +595,32 @@ impl EddyExecutor {
             emitted: TupleBatch::new(),
             config,
         };
-        // Step 5: seed tuples to the scans. Emission chunks are capped at
-        // the routing batch size — a larger burst would only be split
-        // again at ingestion. An unseeded executor still clamps (the
-        // server mirrors the chunking on its shared scans).
+        // Emission chunks are capped at the routing batch size — a larger
+        // burst would only be split again at ingestion. The server mirrors
+        // the chunking on its shared scans.
         let batch_size = exec.config.batch_size;
-        for &mid in exec.layout.scan_mids.clone().iter() {
+        for &mid in &exec.layout.scan_mids {
             if let Module::ScanAm(scan) = &mut exec.modules[mid] {
                 scan.clamp_chunk(batch_size);
-                if seed_scans {
-                    exec.agenda
-                        .push(scan.first_emit_time(), Event::ScanEmit(mid));
-                }
             }
         }
         Ok(exec)
     }
 
+    /// Step 5: schedule every scan's first emission, its start-up delay
+    /// after `at` — the virtual instant this query starts.
+    pub(crate) fn seed_scans(&mut self, at: Time) {
+        for &mid in &self.layout.scan_mids {
+            if let Module::ScanAm(scan) = &self.modules[mid] {
+                self.agenda
+                    .push(at + scan.first_emit_time(), Event::ScanEmit(mid));
+            }
+        }
+    }
+
     /// Run to completion and produce the report.
     pub fn run(mut self) -> Report {
+        self.seed_scans(0);
         while self.step() {}
         self.finish()
     }
@@ -642,7 +630,7 @@ impl EddyExecutor {
     /// tripped — after which the executor is permanently halted. The
     /// query server interleaves many executors by stepping each one up to
     /// the global virtual time.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         if self.halted {
             return false;
         }
@@ -679,7 +667,7 @@ impl EddyExecutor {
 
     /// Virtual time of the next pending event (`None` when drained or
     /// halted) — the server's merge key for interleaving executors.
-    pub fn next_time(&self) -> Option<Time> {
+    pub(crate) fn next_time(&self) -> Option<Time> {
         if self.halted {
             None
         } else {
@@ -692,7 +680,7 @@ impl EddyExecutor {
     /// drained or halted). The server's per-wave batch: one call per
     /// executor per wave, so the drain loop reads each agenda head once
     /// instead of polling around every `step`.
-    pub fn step_until(&mut self, t: Time) -> Option<Time> {
+    pub(crate) fn step_until(&mut self, t: Time) -> Option<Time> {
         loop {
             match self.next_time() {
                 Some(nt) if nt <= t => {
@@ -1756,11 +1744,9 @@ impl EddyExecutor {
         stamped: &[Tuple],
         eot: bool,
     ) {
-        if self.wave_past_deadline(now) {
+        if !self.deliver_raw_wave(now, stamped.iter().cloned()) {
             return;
         }
-        self.now = now;
-        self.route_singletons(stamped.iter().cloned(), None);
         // The wake-ups a private build of this wave would have raised.
         let built = !stamped.is_empty();
         let any_build = built.then_some(UnparkSignal::AnyBuild(table));
@@ -1775,12 +1761,19 @@ impl EddyExecutor {
     /// instance: exactly what [`Self::on_scan_emit`] would have done had
     /// this executor owned the scan — the rows (EOT markers included)
     /// enter unstamped and route to this query's own SteM for building.
-    pub(crate) fn deliver_raw_wave(&mut self, now: Time, tuples: Vec<Tuple>) {
+    /// Returns `false`, routing nothing, once the deadline has passed;
+    /// [`Self::deliver_folded_wave`] routes through here too.
+    pub(crate) fn deliver_raw_wave(
+        &mut self,
+        now: Time,
+        tuples: impl IntoIterator<Item = Tuple>,
+    ) -> bool {
         if self.wave_past_deadline(now) {
-            return;
+            return false;
         }
         self.now = now;
         self.route_singletons(tuples, None);
+        true
     }
 }
 
@@ -2061,7 +2054,7 @@ mod tests {
             batch_size: 1,
             ..ExecConfig::default()
         };
-        let mut exec = EddyExecutor::build_unseeded(&catalog, &query, config).unwrap();
+        let mut exec = EddyExecutor::build(&catalog, &query, config).unwrap();
         let row = |k: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(k), Value::Int(k % 3)]);
         exec.route_singletons((0..1024).map(row), None);
         while exec.step() {}
@@ -2090,7 +2083,7 @@ mod tests {
             batch_size: 64,
             ..ExecConfig::default()
         };
-        let mut exec = EddyExecutor::build_unseeded(&catalog, &query, config).unwrap();
+        let mut exec = EddyExecutor::build(&catalog, &query, config).unwrap();
         let row = |k: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(k), Value::Int(k)]);
         let points = |exec: &EddyExecutor| exec.metrics.series("stem_bytes_t0").map(|s| s.len());
         // 40 builds: no multiple of 64 passed, nothing sampled.
@@ -2145,7 +2138,7 @@ mod tests {
             max_hops: 50,
             ..ExecConfig::default()
         };
-        let mut exec = EddyExecutor::build_unseeded(&catalog, &query, config).unwrap();
+        let mut exec = EddyExecutor::build(&catalog, &query, config).unwrap();
         let result = {
             let s = Tuple::singleton_of(TableIdx(1), vec![Value::Int(1), Value::Int(1)])
                 .with_timestamp(TableIdx(1), 2);

@@ -121,7 +121,7 @@ impl Report {
 /// bookkeeping `stems-bench server` aggregates into percentiles.
 #[derive(Debug)]
 pub struct ServerReport {
-    /// Index of the query in admission order.
+    /// The query's id: its index in submission order.
     pub query: usize,
     /// Virtual time the query was admitted.
     pub admitted_at: Time,

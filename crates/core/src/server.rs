@@ -16,6 +16,16 @@
 //! actually ran — its [`ServerReport`]. Errors are typed
 //! ([`ServerError`]) rather than stringly.
 //!
+//! # A query's life
+//!
+//! A submitted query is **waiting** — its spec, config, deadline and
+//! built executor — until its admission instant, or in the admission
+//! queue after it. Admitted, it is **running**: one entry (executor,
+//! admission instant, subscriptions) in the server's list of running
+//! queries, kept in id order, which the drain loop, every delivery and
+//! retirement borrow executors from. Retired or shed, it is **done**:
+//! its [`QueryHandle`].
+//!
 //! # What is shared, what stays per-query
 //!
 //! * **Scan streams** collapse per *source*: one [`ScanAm`] per table fans
@@ -40,6 +50,13 @@
 //! subscription: the shared scan stream delivered as plain unstamped
 //! singletons, built into the query's private SteM exactly as if its own
 //! scan had emitted them.
+//!
+//! Either subscription is a cursor into a log: a folded one into its
+//! entry's build log, up to the prefix whose build has been released; a
+//! raw one into the table's rows, up to the prefix the scan emitted. A
+//! delivery hands the query everything past its cursor and moves the
+//! cursor to the end. A late admission opens its cursors at 0, so its
+//! catch-up on what the streams already produced is that same delivery.
 //!
 //! # Admission control
 //!
@@ -98,7 +115,7 @@
 //! that still own a private stem-bearing instance can consume the
 //! counter ([`EddyExecutor::has_stem`]); the server partitions each
 //! wave's runnable executors accordingly. Counter-threading executors
-//! step serially in admission order (the counter is a chain); the rest
+//! step serially in query-id order (the counter is a chain); the rest
 //! are stepped by `runtime::for_each_parallel`: the server's thread and
 //! up to `ExecConfig::workers − 1` scoped threads claim executors off
 //! one cursor, each executor stepped by exactly one thread, and the wave
@@ -109,8 +126,10 @@
 //!
 //! With folding disabled the server degenerates to a pure merge of
 //! independent classic executors — each query behaves exactly like a solo
-//! [`EddyExecutor::run`]; `stems-bench server` uses that mode as the baseline
-//! the folding throughput gain is measured against.
+//! [`EddyExecutor::run`] whose clock starts at its admission: its private
+//! scans are seeded then, so its latency is the solo end time.
+//! `stems-bench server` uses that mode as the baseline the folding
+//! throughput gain is measured against.
 
 use crate::am::ScanAm;
 use crate::engine::{ConfigError, EddyExecutor, ExecConfig};
@@ -118,12 +137,11 @@ use crate::memo::{MemoCache, MemoCell, DEFAULT_MEMO_SHARDS};
 use crate::plan::StemCell;
 use crate::report::ServerReport;
 use crate::runtime::for_each_parallel;
-use crate::stem::Stem;
-use crate::stem::{make_scan_eot_row, BuildResult, StemOptions};
+use crate::stem::{make_scan_eot_row, BuildResult, Stem, StemOptions};
 use crate::sync::Arc;
 use crate::tuple_state::TupleState;
 use std::collections::VecDeque;
-use stems_catalog::{AccessMethodDef, Catalog, QuerySpec, SourceId};
+use stems_catalog::{AccessMethodDef, Catalog, QuerySpec, ScanSpec, SourceId};
 use stems_sim::{EventQueue, Time};
 use stems_types::{Row, StemsError, TableIdx, Timestamp, Tuple, TupleBatch};
 
@@ -139,7 +157,7 @@ struct StemKey {
     opts: StemOptions,
 }
 
-/// One shared SteM plus the build log its subscribers replay.
+/// One shared SteM plus the build log its subscribers read.
 struct SharedEntry {
     key: StemKey,
     cell: StemCell,
@@ -147,8 +165,8 @@ struct SharedEntry {
     /// Server-absorbed duplicates are omitted — every subscriber would
     /// have absorbed them identically.
     log: Vec<(Arc<Row>, Timestamp)>,
-    /// Log prefix whose `DeliverBuilt` has fired (safe to hand to
-    /// late-admitted subscribers immediately).
+    /// Log prefix whose `DeliverBuilt` has fired: what a subscription may
+    /// read.
     released: usize,
     /// Scan EOT built into the SteM.
     eot_applied: bool,
@@ -170,55 +188,167 @@ struct ServerScan {
     source: SourceId,
     am: ScanAm,
     arity: usize,
-    /// How many rows have been emitted. The scan emits its table in
-    /// order, so the catch-up prefix for late admissions is the first
-    /// `emitted` rows of the catalog table.
+    /// The table's rows. The scan emits them in order, so the first
+    /// `emitted` are the log a raw subscription reads.
+    rows: Arc<[Arc<Row>]>,
     emitted: usize,
     eot: bool,
     /// Live raw subscriptions; when zero (everything folded), an emit
-    /// skips the per-slot delivery sweep.
+    /// skips the per-query delivery sweep.
     raw_subs: usize,
 }
 
-/// A query instance rewired onto a shared SteM.
+/// A query instance rewired onto a shared SteM: a cursor into the
+/// entry's released build log.
 struct FoldedSub {
     entry: usize,
     table: TableIdx,
-    /// Position in the entry's build log delivered so far.
     cursor: usize,
     eot_seen: bool,
 }
 
-/// A query's instances fed raw rows from a shared scan stream.
+/// A query's instances fed raw rows from a shared scan stream: a cursor
+/// into the scan's emitted rows.
 struct RawSub {
     scan: usize,
     tables: Vec<TableIdx>,
+    cursor: usize,
     eot_seen: bool,
 }
 
-struct QuerySlot {
+/// An entry's log slice, stamped for one instance: the tuples every
+/// subscriber with that instance and cursor receives. The steady state
+/// has many such subscribers per wave, so the slice is built once and
+/// shared (the executor clones what it keeps).
+#[derive(Default)]
+struct StampedWave {
+    /// `(instance, from)` the tuples were built for.
+    key: Option<(TableIdx, usize)>,
+    tuples: Vec<Tuple>,
+}
+
+impl FoldedSub {
+    /// Hand `exec` the released log past this cursor, stamped, and the
+    /// EOT once it is released. A new subscription (cursor 0) receives
+    /// the whole released prefix: late admission is this same delivery.
+    /// Returns whether anything was delivered.
+    fn deliver(
+        &mut self,
+        entry: &SharedEntry,
+        exec: &mut EddyExecutor,
+        now: Time,
+        wave: &mut StampedWave,
+    ) -> bool {
+        let (from, upto) = (self.cursor, entry.released);
+        let eot = entry.eot_released && !self.eot_seen;
+        if from >= upto && !eot {
+            return false;
+        }
+        let table = self.table;
+        if from < upto && wave.key != Some((table, from)) {
+            wave.tuples.clear();
+            wave.tuples
+                .extend(entry.log[from..upto].iter().map(|(row, ts)| {
+                    Tuple::singleton(table, Arc::clone(row)).with_timestamp(table, *ts)
+                }));
+            wave.key = Some((table, from));
+        }
+        self.cursor = upto;
+        self.eot_seen = entry.eot_released;
+        let stamped: &[Tuple] = if from < upto { &wave.tuples } else { &[] };
+        exec.deliver_folded_wave(now, table, stamped, eot);
+        true
+    }
+}
+
+impl RawSub {
+    /// Hand `exec` the scan's emitted rows past this cursor, one
+    /// singleton per instance in the classic emission order (rows outer,
+    /// instances inner), and the EOT markers once the scan closed. A new
+    /// subscription (cursor 0) receives the whole emitted prefix: late
+    /// admission is this same delivery. Returns whether anything was
+    /// delivered.
+    fn deliver(&mut self, scan: &ServerScan, exec: &mut EddyExecutor, now: Time) -> bool {
+        let rows = &scan.rows[self.cursor..scan.emitted];
+        let eot = scan.eot && !self.eot_seen;
+        if rows.is_empty() && !eot {
+            return false;
+        }
+        self.cursor = scan.emitted;
+        self.eot_seen = scan.eot;
+        let tables = &self.tables;
+        let eot_tables = if eot { &tables[..] } else { &[] };
+        let tuples = rows
+            .iter()
+            .flat_map(|row| tables.iter().map(|&t| Tuple::singleton(t, Arc::clone(row))))
+            .chain(
+                eot_tables
+                    .iter()
+                    .map(|&t| Tuple::singleton(t, make_scan_eot_row(scan.arity))),
+            );
+        exec.deliver_raw_wave(now, tuples);
+        true
+    }
+}
+
+/// A submitted query before admission — pending its admission instant or
+/// in the admission queue.
+struct Waiting {
     query: QuerySpec,
     config: ExecConfig,
-    exec: Option<EddyExecutor>,
-    admitted_at: Time,
-    active: bool,
     /// Relative deadline (virtual µs from admission), resolved against
     /// the admission instant into the executor's `max_time` guard.
     deadline: Option<Time>,
+    exec: Box<EddyExecutor>,
+}
+
+/// An admitted query: its executor and the subscriptions that feed it.
+struct Running {
+    id: usize,
+    exec: Box<EddyExecutor>,
+    admitted_at: Time,
     /// This executor can consume the server-global timestamp counter
     /// (it owns a private stem-bearing instance), so it must step
     /// serially on the counter chain rather than in the parallel phase.
     threads_ts: bool,
     folded: Vec<FoldedSub>,
     raw: Vec<RawSub>,
-    status: Option<QueryStatus>,
-    report: Option<ServerReport>,
 }
 
-impl QuerySlot {
+impl Running {
     fn streams_open(&self) -> bool {
         self.folded.iter().any(|s| !s.eot_seen) || self.raw.iter().any(|s| !s.eot_seen)
     }
+}
+
+/// Where a submitted query is in its life.
+enum Slot {
+    Waiting(Box<Waiting>),
+    /// In [`QueryServer::running`].
+    Running,
+    /// Retired or shed.
+    Done(QueryHandle),
+}
+
+/// Fold an executor's next event time into a running minimum.
+fn merge_next(min: &mut Option<Time>, next: Option<Time>) {
+    if let Some(nt) = next {
+        if min.is_none_or(|m| nt < m) {
+            *min = Some(nt);
+        }
+    }
+}
+
+/// The first scan spec `source` declares, if any: multiple competitive
+/// scan AMs collapse to one shared stream built from it.
+fn scan_spec(catalog: &Catalog, source: SourceId) -> Option<&ScanSpec> {
+    catalog
+        .ams_of(source)
+        .into_iter()
+        .find_map(|(_, d)| match d {
+            AccessMethodDef::Scan(s) => Some(s),
+            _ => None,
+        })
 }
 
 enum ServerEvent {
@@ -242,7 +372,7 @@ enum ServerEvent {
 /// serving N queries is the whole point) and what admission control did
 /// (`tests/server_folding.rs` and `tests/server_admission.rs` assert on
 /// these; `stems-bench server` reports them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Shared SteM registry entries created (cumulative — evicted
     /// entries recreated for a later query count again).
@@ -470,20 +600,12 @@ impl<'a> ServerBuilder<'a> {
             scans: Vec::new(),
             entries: Vec::new(),
             memo_cells: Vec::new(),
-            shared_memos: 0,
             slots: Vec::new(),
-            active_set: Vec::new(),
+            running: Vec::new(),
             pending: VecDeque::new(),
             exec_next: None,
-            entries_created: 0,
-            builds_total: 0,
             bytes_total: 0,
-            bytes_peak: 0,
-            evicted: 0,
-            queued: 0,
-            shed: 0,
-            timed_out: 0,
-            cancelled: 0,
+            stats: ServerStats::default(),
         })
     }
 }
@@ -569,30 +691,25 @@ pub struct QueryServer<'a> {
     /// functions of (spec, input value), so sharing is column- and
     /// query-agnostic.
     memo_cells: Vec<(stems_types::UdfSpec, usize, MemoCell)>,
-    shared_memos: usize,
-    slots: Vec<QuerySlot>,
-    /// Indices of active slots, ascending — the drain loop scans this
-    /// instead of all slots, so a 1000-query run's per-wave cost tracks
-    /// the *running* population, not the submitted one.
-    active_set: Vec<usize>,
+    /// Every submitted query, indexed by [`QueryId`].
+    slots: Vec<Slot>,
+    /// The running queries, ordered by id — the drain loop walks this,
+    /// so a 1000-query run's per-wave cost tracks the *running*
+    /// population, not the submitted one.
+    running: Vec<Running>,
     /// Admissions deferred by the budget, FIFO.
     pending: VecDeque<usize>,
-    /// Cached min of the active executors' next event times, recomputed
+    /// Cached min of the running executors' next event times, recomputed
     /// by every [`step_wave`](QueryServer::step_wave) pass and merged on
-    /// activation — the drain loop reads each executor's agenda head
+    /// every delivery — the drain loop reads each executor's agenda head
     /// once per wave instead of once per wave *per scan*. Retirements
     /// may leave it stale-low, which costs at most one empty wave (the
     /// next pass corrects it), never a skipped event.
     exec_next: Option<Time>,
-    entries_created: usize,
-    builds_total: u64,
+    /// The registry's summed dictionary bytes now; the stats keep its
+    /// peak.
     bytes_total: usize,
-    bytes_peak: usize,
-    evicted: usize,
-    queued: usize,
-    shed: usize,
-    timed_out: usize,
-    cancelled: usize,
+    stats: ServerStats,
 }
 
 impl<'a> QueryServer<'a> {
@@ -624,31 +741,20 @@ impl<'a> QueryServer<'a> {
         }
         let config = config.unwrap_or_else(|| self.config.clone());
         config.validate()?;
-        let idx = self.slots.len();
-        let exec = if self.fold {
-            EddyExecutor::build_unseeded(self.catalog, &query, config.clone())
-        } else {
-            EddyExecutor::build(self.catalog, &query, config.clone())
-        }
-        .map_err(|source| ServerError::Admission { query: idx, source })?;
-        self.slots.push(QuerySlot {
+        let id = self.slots.len();
+        let exec = EddyExecutor::build(self.catalog, &query, config.clone())
+            .map_err(|source| ServerError::Admission { query: id, source })?;
+        self.slots.push(Slot::Waiting(Box::new(Waiting {
             query,
             config,
-            exec: Some(exec),
-            admitted_at: 0,
-            active: false,
             deadline: deadline.or(self.default_deadline),
-            threads_ts: false,
-            folded: Vec::new(),
-            raw: Vec::new(),
-            status: None,
-            report: None,
-        });
-        self.agenda.push(at.max(self.now), ServerEvent::Admit(idx));
+            exec: Box::new(exec),
+        })));
+        self.agenda.push(at.max(self.now), ServerEvent::Admit(id));
         if let Some(c) = cancel_at {
-            self.agenda.push(c.max(self.now), ServerEvent::Cancel(idx));
+            self.agenda.push(c.max(self.now), ServerEvent::Cancel(id));
         }
-        Ok(QueryId(idx))
+        Ok(QueryId(id))
     }
 
     /// Schedule `id`'s cancellation at virtual time `at` (clamped to the
@@ -670,7 +776,6 @@ impl<'a> QueryServer<'a> {
         // Reused across waves so the steady-state drain allocates
         // nothing.
         let mut drained: Vec<usize> = Vec::new();
-        let mut indep: Vec<usize> = Vec::new();
         loop {
             let server_next = self.agenda.peek_time();
             if server_next.is_none() && self.exec_next.is_none() {
@@ -679,9 +784,8 @@ impl<'a> QueryServer<'a> {
                 // nothing running could ever free more — and go around
                 // again until nothing is left anywhere.
                 self.sweep_all();
-                let live = !self.agenda.is_empty()
-                    || !self.pending.is_empty()
-                    || !self.active_set.is_empty();
+                let live =
+                    !self.agenda.is_empty() || !self.pending.is_empty() || !self.running.is_empty();
                 if live {
                     continue;
                 }
@@ -696,10 +800,10 @@ impl<'a> QueryServer<'a> {
             // executor per window, not per merged event time.
             let horizon = server_next.map_or(Time::MAX, |s| s.saturating_sub(1));
             if self.exec_next.is_some_and(|e| e <= horizon) {
-                self.step_wave(horizon, &mut indep, &mut drained);
+                self.step_wave(horizon, &mut drained);
                 // Only an executor stepped this window can have newly
-                // drained (or tripped its deadline); the full
-                // active-set sweep is reserved for quiescence, where it
+                // drained (or tripped its deadline); the full sweep of
+                // the running list is reserved for quiescence, where it
                 // also catches deadlines tripped by wave delivery
                 // rather than stepping.
                 if !drained.is_empty() {
@@ -718,10 +822,12 @@ impl<'a> QueryServer<'a> {
             };
             self.now = t;
             while self.agenda.peek_time() == Some(t) {
-                let (_, ev) = self.agenda.pop().expect("peeked event");
+                let Some((_, ev)) = self.agenda.pop() else {
+                    break;
+                };
                 match ev {
-                    ServerEvent::Admit(i) => self.on_admit(i),
-                    ServerEvent::Cancel(i) => self.on_cancel(i),
+                    ServerEvent::Admit(id) => self.on_admit(id),
+                    ServerEvent::Cancel(id) => self.on_cancel(id),
                     ServerEvent::ScanEmit(si) => self.on_scan_emit(si),
                     ServerEvent::DeliverBuilt { entry, upto, eot } => {
                         self.on_deliver_built(entry, upto, eot)
@@ -729,106 +835,78 @@ impl<'a> QueryServer<'a> {
                 }
             }
         }
-        let stats = ServerStats {
-            shared_stems: self.entries_created,
-            scan_streams: self.scans.len(),
-            shared_builds: self.builds_total,
-            stem_bytes_peak: self.bytes_peak,
-            evicted_stems: self.evicted,
-            shared_memos: self.shared_memos,
-            queued: self.queued,
-            shed: self.shed,
-            timed_out: self.timed_out,
-            cancelled: self.cancelled,
-        };
         let handles = self
             .slots
             .into_iter()
             .enumerate()
-            .map(|(i, s)| QueryHandle {
-                id: QueryId(i),
-                status: s.status.expect("every query reaches a terminal status"),
-                report: s.report,
+            .map(|(id, slot)| match slot {
+                Slot::Done(handle) => handle,
+                // The loop above ends with the agenda, the admission
+                // queue and the running list all empty. Every query's
+                // `Admit` event has fired, and it either shed the query,
+                // queued it or started it; so every slot is done.
+                Slot::Waiting(_) | Slot::Running => {
+                    unreachable!("query {id} is not terminal when the server is quiescent")
+                }
             })
             .collect();
-        (handles, stats)
+        (handles, self.stats)
     }
 
     /// Step every runnable executor up to `t` — the wave's execution
-    /// phase. Counter-threading executors go serially in admission
-    /// order; independent ones go through [`for_each_parallel`] on up to
+    /// phase. Counter-threading executors go serially in id order;
+    /// independent ones go through [`for_each_parallel`] on up to
     /// `workers` threads (this one included), each executor stepped by
-    /// exactly one thread. The wave merges back into the serial timeline,
-    /// in `indep` order, only after every executor finished, so reports
-    /// are bit-identical at every worker budget.
+    /// exactly one thread. The wave merges back into the serial timeline
+    /// only after every executor finished, so reports are bit-identical
+    /// at every worker budget.
     ///
     /// The one pass doubles as the drain loop's bookkeeping: it
     /// recomputes [`exec_next`](QueryServer::exec_next) and collects
-    /// into `drained` the executors whose agendas emptied (or whose
-    /// deadline tripped) this wave — the only completion candidates.
-    fn step_wave(&mut self, t: Time, indep: &mut Vec<usize>, drained: &mut Vec<usize>) {
-        indep.clear();
+    /// into `drained` the ids of the executors whose agendas emptied (or
+    /// whose deadline tripped) this wave — the only completion
+    /// candidates.
+    fn step_wave(&mut self, t: Time, drained: &mut Vec<usize>) {
         drained.clear();
         let mut next_min: Option<Time> = None;
-        let mut merge = |nt: Option<Time>, idx: usize, drained: &mut Vec<usize>| match nt {
-            Some(nt) => {
-                if next_min.is_none_or(|m| nt < m) {
-                    next_min = Some(nt);
-                }
+        let mut merge = |run: &Running, next: Option<Time>| {
+            merge_next(&mut next_min, next);
+            if next.is_none() {
+                drained.push(run.id);
             }
-            None => drained.push(idx),
         };
-        for pos in 0..self.active_set.len() {
-            let idx = self.active_set[pos];
-            let slot = &mut self.slots[idx];
-            let exec = slot.exec.as_mut().expect("active slot");
-            let nt = exec.next_time();
-            if nt.is_none_or(|nt| nt > t) {
-                merge(nt, idx, drained);
-                continue;
-            }
-            if slot.threads_ts {
+        let due = |run: &Running| run.exec.next_time().is_some_and(|nt| nt <= t);
+        let mut independent = 0;
+        for run in self.running.iter_mut() {
+            if !due(run) {
+                merge(run, run.exec.next_time());
+            } else if run.threads_ts {
                 // Serial phase, inline: the global timestamp counter is
-                // a chain through these executors in admission order
-                // (`active_set` ascends, and slot index is admission
-                // order).
-                exec.set_ts_counter(self.ts_counter);
-                let nt = exec.step_until(t);
-                self.ts_counter = exec.ts_counter();
-                merge(nt, idx, drained);
+                // a chain through these executors in id order.
+                run.exec.set_ts_counter(self.ts_counter);
+                let next = run.exec.step_until(t);
+                self.ts_counter = run.exec.ts_counter();
+                merge(run, next);
             } else {
-                indep.push(idx);
+                independent += 1;
             }
         }
+        // What is still due is exactly the independent executors: the
+        // serial ones have stepped past `t`.
         let workers = self.config.workers;
-        if indep.len() < 2 || workers < 2 {
-            for &idx in indep.iter() {
-                let exec = self.slots[idx].exec.as_mut().expect("active slot");
-                merge(exec.step_until(t), idx, drained);
+        if independent < 2 || workers < 2 {
+            for run in self.running.iter_mut().filter(|r| due(r)) {
+                let next = run.exec.step_until(t);
+                merge(run, next);
             }
-            self.exec_next = next_min;
-            return;
-        }
-        // Collect the disjoint `&mut` executors (indices ascend, so one
-        // pass over the active span suffices).
-        let first = *indep.first().expect("nonempty");
-        let last = *indep.last().expect("nonempty");
-        let mut execs: Vec<&mut EddyExecutor> = Vec::with_capacity(indep.len());
-        {
-            let mut targets = indep.iter().copied().peekable();
-            for (i, slot) in self.slots[first..=last].iter_mut().enumerate() {
-                if targets.peek() == Some(&(first + i)) {
-                    targets.next();
-                    execs.push(slot.exec.as_mut().expect("active slot"));
-                }
+        } else {
+            let mut wave: Vec<&mut Running> = self.running.iter_mut().filter(|r| due(r)).collect();
+            for_each_parallel(&mut wave, workers, |run| {
+                run.exec.step_until(t);
+            });
+            for run in wave {
+                merge(run, run.exec.next_time());
             }
-        }
-        debug_assert_eq!(execs.len(), indep.len());
-        for_each_parallel(&mut execs, workers, |exec| {
-            exec.step_until(t);
-        });
-        for (k, exec) in execs.iter().enumerate() {
-            merge(exec.next_time(), indep[k], drained);
         }
         self.exec_next = next_min;
     }
@@ -840,83 +918,123 @@ impl<'a> QueryServer<'a> {
             .is_some_and(|max| self.bytes_total > max)
             || self
                 .max_shared_builds
-                .is_some_and(|max| self.builds_total > max)
+                .is_some_and(|max| self.stats.shared_builds > max)
+    }
+
+    /// Position of running query `id` in [`QueryServer::running`].
+    fn running_pos(&self, id: usize) -> Option<usize> {
+        self.running.binary_search_by_key(&id, |r| r.id).ok()
     }
 
     /// An `Admit` event fired: activate the query, or queue/shed it if
     /// the budget is exceeded.
-    fn on_admit(&mut self, idx: usize) {
-        if self.slots[idx].status.is_some() {
+    fn on_admit(&mut self, id: usize) {
+        if !matches!(self.slots[id], Slot::Waiting(_)) {
             // Cancelled before admission.
             return;
         }
-        if self.over_budget() {
-            match self.policy {
-                AdmissionPolicy::Queue => {
-                    self.queued += 1;
-                    self.pending.push_back(idx);
-                }
-                AdmissionPolicy::Shed => {
-                    self.shed += 1;
-                    self.slots[idx].status = Some(QueryStatus::Shed);
-                    self.slots[idx].exec = None;
-                }
-            }
+        if !self.over_budget() {
+            self.activate(id);
             return;
         }
-        self.activate(idx);
+        match self.policy {
+            AdmissionPolicy::Queue => {
+                self.stats.queued += 1;
+                self.pending.push_back(id);
+            }
+            AdmissionPolicy::Shed => {
+                self.stats.shed += 1;
+                self.slots[id] = Slot::Done(QueryHandle {
+                    id: QueryId(id),
+                    status: QueryStatus::Shed,
+                    report: None,
+                });
+            }
+        }
     }
 
     /// A `Cancel` event fired. Running queries retire with their partial
     /// report; queued / not-yet-admitted ones go terminal with none.
-    fn on_cancel(&mut self, idx: usize) {
-        if self.slots[idx].status.is_some() {
-            return;
-        }
-        if self.slots[idx].active {
-            self.retire(idx, QueryStatus::Cancelled);
-            if !self.pending.is_empty() {
-                self.drain_pending();
+    fn on_cancel(&mut self, id: usize) {
+        match self.slots[id] {
+            Slot::Done(_) => {}
+            Slot::Running => {
+                if let Some(pos) = self.running_pos(id) {
+                    self.retire(pos, QueryStatus::Cancelled);
+                }
+                if !self.pending.is_empty() {
+                    self.drain_pending();
+                }
             }
-            return;
+            Slot::Waiting(_) => {
+                self.stats.cancelled += 1;
+                self.slots[id] = Slot::Done(QueryHandle {
+                    id: QueryId(id),
+                    status: QueryStatus::Cancelled,
+                    report: None,
+                });
+                self.pending.retain(|&i| i != id);
+            }
         }
-        self.cancelled += 1;
-        self.slots[idx].status = Some(QueryStatus::Cancelled);
-        self.slots[idx].exec = None;
-        self.pending.retain(|&i| i != idx);
     }
 
-    /// Activate slot `idx`: decide folding per instance, rewire the plan,
-    /// subscribe to scan streams, catch up on anything the streams
-    /// already produced, and install the deadline.
-    fn activate(&mut self, idx: usize) {
+    /// Start waiting query `id`: install its deadline, then either seed
+    /// its private scans (folding off) or subscribe it to the shared
+    /// streams, and add it to the running list.
+    fn activate(&mut self, id: usize) {
+        let slot = std::mem::replace(&mut self.slots[id], Slot::Running);
+        let Slot::Waiting(waiting) = slot else {
+            self.slots[id] = slot;
+            return;
+        };
+        let Waiting {
+            query,
+            config,
+            deadline,
+            mut exec,
+        } = *waiting;
         let now = self.now;
-        self.slots[idx].admitted_at = now;
-        self.slots[idx].active = true;
-        let pos = self.active_set.binary_search(&idx).unwrap_or_else(|p| p);
-        self.active_set.insert(pos, idx);
-        if let Some(rel) = self.slots[idx].deadline {
-            let exec = self.slots[idx].exec.as_mut().expect("admitting slot");
+        if let Some(rel) = deadline {
             exec.clamp_max_time(now.saturating_add(rel));
         }
-        if !self.fold {
-            // Classic executor: self-contained, scans seeded privately,
-            // private timestamp space — never threads the counter.
-            self.note_exec_next(idx);
-            return;
+        let mut run = Running {
+            id,
+            exec,
+            admitted_at: now,
+            threads_ts: false,
+            folded: Vec::new(),
+            raw: Vec::new(),
+        };
+        if self.fold {
+            self.subscribe(&mut run, &query, &config);
+        } else {
+            // Classic executor: self-contained, its scans seeded at its
+            // admission, private timestamp space — never threads the
+            // counter.
+            run.exec.seed_scans(now);
         }
-        let query = self.slots[idx].query.clone();
-        let plan_opts = self.slots[idx].config.plan.clone();
+        merge_next(&mut self.exec_next, run.exec.next_time());
+        let pos = self.running.partition_point(|r| r.id < id);
+        self.running.insert(pos, run);
+    }
+
+    /// Decide folding per instance, rewire the plan, and subscribe `run`
+    /// to the shared streams — each subscription's first delivery is the
+    /// catch-up on whatever its stream already produced. Folded instances
+    /// subscribe in table order, then raw ones per source in first-seen
+    /// order. Then fold the memo cells and decide whether the executor
+    /// threads the timestamp counter.
+    fn subscribe(&mut self, run: &mut Running, query: &QuerySpec, config: &ExecConfig) {
+        let plan_opts = &config.plan;
         let mut claimed: Vec<usize> = Vec::new();
-        let mut folded_tables: Vec<TableIdx> = Vec::new();
-        let mut raw_tables: Vec<(SourceId, Vec<TableIdx>)> = Vec::new();
+        let mut raw_tables: Vec<(SourceId, &ScanSpec, Vec<TableIdx>)> = Vec::new();
         for t in 0..query.n_tables() {
             let ti = TableIdx(t as u8);
             let source = query.instance(ti).source;
-            if !self.catalog.has_scan(source) {
+            let Some(spec) = scan_spec(self.catalog, source) else {
                 // Index-only source: driven by probes, nothing to stream.
                 continue;
-            }
+            };
             let foldable = !self.catalog.has_index(source)
                 && !plan_opts.default_stem.deferred_bounce
                 && !plan_opts.no_stem.contains(ti);
@@ -939,37 +1057,55 @@ impl<'a> QueryServer<'a> {
                 };
                 if let Some(ei) = ei {
                     claimed.push(ei);
-                    folded_tables.push(ti);
-                    self.ensure_scan(source);
-                    self.subscribe_folded(idx, ei, ti);
+                    self.ensure_scan(source, spec);
+                    if let Some(entry) = self.entries[ei].as_mut() {
+                        entry.subs += 1;
+                        run.exec.fold_stem(ti, &entry.cell);
+                        let mut sub = FoldedSub {
+                            entry: ei,
+                            table: ti,
+                            cursor: 0,
+                            eot_seen: false,
+                        };
+                        sub.deliver(entry, &mut run.exec, self.now, &mut StampedWave::default());
+                        run.folded.push(sub);
+                    }
                     continue;
                 }
             }
-            match raw_tables.iter_mut().find(|(s, _)| *s == source) {
-                Some((_, tables)) => tables.push(ti),
-                None => raw_tables.push((source, vec![ti])),
+            match raw_tables.iter_mut().find(|(s, _, _)| *s == source) {
+                Some((_, _, tables)) => tables.push(ti),
+                None => raw_tables.push((source, spec, vec![ti])),
             }
         }
-        for (source, tables) in raw_tables {
-            let si = self.ensure_scan(source);
-            self.subscribe_raw(idx, si, tables);
+        for (source, spec, tables) in raw_tables {
+            let si = self.ensure_scan(source, spec);
+            let scan = &mut self.scans[si];
+            scan.raw_subs += 1;
+            let mut sub = RawSub {
+                scan: si,
+                tables,
+                cursor: 0,
+                eot_seen: false,
+            };
+            sub.deliver(scan, &mut run.exec, self.now);
+            run.raw.push(sub);
         }
         // Memo folding: every memo-enabled query running a UDF spec gets
         // the registry's shared verdict cache for that (spec, budget)
         // identity — created by the first such query, subscribed to by
         // the rest.
         let mut memo_folded = false;
-        let exec = self.slots[idx].exec.as_ref().expect("admitting slot");
-        if exec.memo_enabled() {
-            let budget = self.slots[idx].config.memo_bytes;
-            for spec in exec.udf_specs() {
+        if run.exec.memo_enabled() {
+            let budget = config.memo_bytes;
+            for spec in run.exec.udf_specs() {
                 let cell = match self
                     .memo_cells
                     .iter()
                     .find(|(s, b, _)| *s == spec && *b == budget)
                 {
                     Some((_, _, c)) => {
-                        self.shared_memos += 1;
+                        self.stats.shared_memos += 1;
                         c.clone()
                     }
                     None => {
@@ -978,8 +1114,7 @@ impl<'a> QueryServer<'a> {
                         c
                     }
                 };
-                let exec = self.slots[idx].exec.as_mut().expect("admitting slot");
-                exec.fold_memo(spec, &cell);
+                run.exec.fold_memo(spec, &cell);
                 memo_folded = true;
             }
         }
@@ -988,30 +1123,13 @@ impl<'a> QueryServer<'a> {
         // server did not fold. Everything else steps in the parallel
         // phase — except memo-folded executors: their hit/miss/eviction
         // observations depend on who reached the shared cache first, so
-        // they step serially (admission order) to stay deterministic at
-        // every worker budget.
-        let exec = self.slots[idx].exec.as_ref().expect("admitting slot");
+        // they step serially (id order) to stay deterministic at every
+        // worker budget.
         let threads = (0..query.n_tables()).any(|t| {
             let ti = TableIdx(t as u8);
-            exec.has_stem(ti) && !folded_tables.contains(&ti)
+            run.exec.has_stem(ti) && !run.folded.iter().any(|f| f.table == ti)
         });
-        self.slots[idx].threads_ts = threads || memo_folded;
-        self.note_exec_next(idx);
-    }
-
-    /// Merge a just-activated executor's agenda head into the cached
-    /// next-event minimum (catch-up deliveries may have queued work
-    /// earlier than anything the last wave pass saw).
-    fn note_exec_next(&mut self, idx: usize) {
-        if let Some(nt) = self.slots[idx]
-            .exec
-            .as_ref()
-            .and_then(EddyExecutor::next_time)
-        {
-            if self.exec_next.is_none_or(|m| nt < m) {
-                self.exec_next = Some(nt);
-            }
-        }
+        run.threads_ts = threads || memo_folded;
     }
 
     /// Create a shared entry for `key`, replaying any prefix its source's
@@ -1046,99 +1164,37 @@ impl<'a> QueryServer<'a> {
             subs: 0,
             bytes: 0,
         }));
-        self.entries_created += 1;
-        if let Some(si) = self.scans.iter().position(|s| s.source == source) {
-            let rows = &self.catalog.table_expect(source).rows()[..self.scans[si].emitted];
-            let eot = self.scans[si].eot;
-            let arity = self.scans[si].arity;
-            if !rows.is_empty() || eot {
-                self.build_into_entry(ei, rows, eot, arity);
-            }
+        self.stats.shared_stems += 1;
+        if let Some(scan) = self.scans.iter().find(|s| s.source == source) {
+            let (rows, emitted, eot, arity) =
+                (Arc::clone(&scan.rows), scan.emitted, scan.eot, scan.arity);
+            self.build_into_entry(ei, &rows[..emitted], eot, arity);
         }
         ei
     }
 
-    /// Rewire slot `idx`'s instance `ti` onto entry `ei` and deliver the
-    /// released log prefix (late admission catch-up).
-    fn subscribe_folded(&mut self, idx: usize, ei: usize, ti: TableIdx) {
-        let exec = self.slots[idx].exec.as_mut().expect("admitting slot");
-        let entry = self.entries[ei].as_mut().expect("live entry");
-        entry.subs += 1;
-        exec.fold_stem(ti, &entry.cell);
-        let stamped: Vec<Tuple> = entry.log[..entry.released]
-            .iter()
-            .map(|(row, ts)| Tuple::singleton(ti, Arc::clone(row)).with_timestamp(ti, *ts))
-            .collect();
-        if !stamped.is_empty() || entry.eot_released {
-            let eot = entry.eot_released;
-            exec.deliver_folded_wave(self.now, ti, &stamped, eot);
-        }
-        let entry = self.entries[ei].as_ref().expect("live entry");
-        self.slots[idx].folded.push(FoldedSub {
-            entry: ei,
-            table: ti,
-            cursor: entry.released,
-            eot_seen: entry.eot_released,
-        });
-    }
-
-    /// Subscribe slot `idx`'s instances to scan `si` raw, catching up on
-    /// the emitted prefix (and EOT, if the scan already finished).
-    fn subscribe_raw(&mut self, idx: usize, si: usize, tables: Vec<TableIdx>) {
-        let scan = &self.scans[si];
-        let eot = scan.eot;
-        let mut tuples = Vec::new();
-        for row in &self.catalog.table_expect(scan.source).rows()[..scan.emitted] {
-            for &t in &tables {
-                tuples.push(Tuple::singleton(t, Arc::clone(row)));
-            }
-        }
-        if eot {
-            for &t in &tables {
-                tuples.push(Tuple::singleton(t, make_scan_eot_row(scan.arity)));
-            }
-        }
-        if !tuples.is_empty() {
-            let exec = self.slots[idx].exec.as_mut().expect("admitting slot");
-            exec.deliver_raw_wave(self.now, tuples);
-        }
-        self.scans[si].raw_subs += 1;
-        self.slots[idx].raw.push(RawSub {
-            scan: si,
-            tables,
-            eot_seen: eot,
-        });
-    }
-
     /// The shared scan stream for `source`, creating (and scheduling) it
-    /// on first subscription. Multiple competitive scan AMs collapse to
-    /// one stream built from the first spec.
-    fn ensure_scan(&mut self, source: SourceId) -> usize {
+    /// from `spec` on first subscription.
+    fn ensure_scan(&mut self, source: SourceId, spec: &ScanSpec) -> usize {
         if let Some(si) = self.scans.iter().position(|s| s.source == source) {
             return si;
         }
-        let catalog = self.catalog;
-        let table = catalog.table_expect(source);
+        let table = self.catalog.table_expect(source);
         let arity = table.schema.arity();
-        let spec = catalog
-            .ams_of(source)
-            .into_iter()
-            .find_map(|(_, d)| match d {
-                AccessMethodDef::Scan(s) => Some(s),
-                _ => None,
-            })
-            .expect("scan subscription on a scan-less source");
+        let rows = table.row_list();
         // The dummy instance makes each emitted batch map 1:1 to rows;
-        // the server re-tags rows per subscriber.
-        let mut am = ScanAm::over(source, vec![TableIdx(0)], table.row_list(), arity, spec);
+        // subscriptions read the rows themselves.
+        let mut am = ScanAm::over(source, vec![TableIdx(0)], Arc::clone(&rows), arity, spec);
         am.clamp_chunk(self.config.batch_size);
         let si = self.scans.len();
+        self.stats.scan_streams += 1;
         self.agenda
             .push(self.now + am.first_emit_time(), ServerEvent::ScanEmit(si));
         self.scans.push(ServerScan {
             source,
             am,
             arity,
+            rows,
             emitted: 0,
             eot: false,
             raw_subs: 0,
@@ -1147,64 +1203,43 @@ impl<'a> QueryServer<'a> {
     }
 
     /// A scan wave: build it into every live shared entry on the source
-    /// (once per entry — the folding win) and fan it raw to every raw
-    /// sub.
+    /// (once per entry — the folding win) and deliver it to every raw
+    /// subscription.
     fn on_scan_emit(&mut self, si: usize) {
-        let (batch, next) = self.scans[si].am.emit_next(self.now);
+        let now = self.now;
+        let scan = &mut self.scans[si];
+        let (batch, next) = scan.am.emit_next(now);
         if let Some(nt) = next {
             self.agenda.push(nt, ServerEvent::ScanEmit(si));
         }
-        let mut rows: Vec<Arc<Row>> = Vec::new();
-        let mut eot = false;
-        for t in batch {
-            let row = Arc::clone(&t.components()[0].row);
-            if row.is_eot() {
-                eot = true;
+        let from = scan.emitted;
+        for t in &batch {
+            if t.is_eot() {
+                scan.eot = true;
             } else {
-                rows.push(row);
+                scan.emitted += 1;
             }
         }
-        let source = self.scans[si].source;
-        let arity = self.scans[si].arity;
-        self.scans[si].emitted += rows.len();
-        if eot {
-            self.scans[si].eot = true;
-        }
+        let (source, arity, eot) = (scan.source, scan.arity, scan.eot);
+        let rows = Arc::clone(&scan.rows);
+        let wave = &rows[from..scan.emitted];
         for ei in 0..self.entries.len() {
             if self.entries[ei]
                 .as_ref()
                 .is_some_and(|e| e.key.source == source)
             {
-                self.build_into_entry(ei, &rows, eot, arity);
+                self.build_into_entry(ei, wave, eot, arity);
             }
         }
-        if self.scans[si].raw_subs == 0 {
+        let scan = &self.scans[si];
+        if scan.raw_subs == 0 {
             return;
         }
-        for pos in 0..self.active_set.len() {
-            let idx = self.active_set[pos];
-            let mut tuples = Vec::new();
-            for sub in self.slots[idx].raw.iter_mut() {
-                if sub.scan != si {
-                    continue;
+        for run in self.running.iter_mut() {
+            for sub in run.raw.iter_mut().filter(|s| s.scan == si) {
+                if sub.deliver(scan, &mut run.exec, now) {
+                    merge_next(&mut self.exec_next, run.exec.next_time());
                 }
-                // Classic emission order: rows outer, instances inner.
-                for row in &rows {
-                    for &t in &sub.tables {
-                        tuples.push(Tuple::singleton(t, Arc::clone(row)));
-                    }
-                }
-                if eot {
-                    for &t in &sub.tables {
-                        tuples.push(Tuple::singleton(t, make_scan_eot_row(arity)));
-                    }
-                    sub.eot_seen = true;
-                }
-            }
-            if !tuples.is_empty() {
-                let exec = self.slots[idx].exec.as_mut().expect("active slot");
-                exec.deliver_raw_wave(self.now, tuples);
-                self.note_exec_next(idx);
             }
         }
     }
@@ -1214,12 +1249,14 @@ impl<'a> QueryServer<'a> {
     /// SteM's build server has absorbed the wave. Re-samples the entry's
     /// dictionary footprint for the admission budget.
     fn build_into_entry(&mut self, ei: usize, rows: &[Arc<Row>], eot: bool, arity: usize) {
-        let apply_eot = eot && !self.entries[ei].as_ref().expect("live entry").eot_applied;
+        let Some(entry) = self.entries[ei].as_mut() else {
+            return;
+        };
+        let apply_eot = eot && !entry.eot_applied;
         if rows.is_empty() && !apply_eot {
             return;
         }
-        let cell = self.entries[ei].as_ref().expect("live entry").cell.share();
-        let mut stem = cell.lock();
+        let mut stem = entry.cell.lock();
         let instance = stem.instance;
         let mut batch: TupleBatch = rows
             .iter()
@@ -1229,29 +1266,23 @@ impl<'a> QueryServer<'a> {
             batch.push(Tuple::singleton(instance, make_scan_eot_row(arity)));
         }
         let states = vec![TupleState::new(); batch.len()];
-        let mut ts = self.ts_counter;
         let mut results = Vec::with_capacity(batch.len());
-        stem.build_batch_into(&mut batch, &states, &mut ts, &mut results);
-        self.ts_counter = ts;
+        stem.build_batch_into(&mut batch, &states, &mut self.ts_counter, &mut results);
         let new_bytes = stem.approx_bytes();
         drop(stem);
-        let entry = self.entries[ei].as_mut().expect("live entry");
-        let mut results = results.into_iter();
         let before = entry.log.len();
-        for row in rows {
-            if let Some(BuildResult::Fresh(stamped)) = results.next() {
-                entry.log.push((Arc::clone(row), stamped.timestamp()));
-            }
+        for (row, result) in rows.iter().zip(results) {
             // Duplicates are absorbed server-side: every subscriber
             // would have absorbed them identically, so nothing ships.
+            if let BuildResult::Fresh(stamped) = result {
+                entry.log.push((Arc::clone(row), stamped.timestamp()));
+            }
         }
-        self.builds_total += (entry.log.len() - before) as u64;
+        self.stats.shared_builds += (entry.log.len() - before) as u64;
         self.bytes_total = self.bytes_total - entry.bytes + new_bytes;
         entry.bytes = new_bytes;
-        self.bytes_peak = self.bytes_peak.max(self.bytes_total);
-        if apply_eot {
-            entry.eot_applied = true;
-        }
+        self.stats.stem_bytes_peak = self.stats.stem_bytes_peak.max(self.bytes_total);
+        entry.eot_applied |= apply_eot;
         let wave = batch.len() as u64;
         let t_done = self.now.max(entry.busy_until) + self.config.costs.stem_build_us * wave.max(1);
         entry.busy_until = t_done;
@@ -1265,134 +1296,100 @@ impl<'a> QueryServer<'a> {
         );
     }
 
-    /// A build wave finished service: hand every subscriber its stamped
-    /// singletons (plus the EOT signal on the final wave). The stamped
-    /// wave is identical for every subscriber with the same instance
-    /// index and cursor — the steady-state 1000-subscriber case — so it
-    /// is materialized once and the slice shared (the executor clones
-    /// what it keeps).
+    /// A build wave finished service: release the log prefix `..upto`
+    /// (and the EOT, on the final wave) and deliver it to every
+    /// subscription of the entry.
     fn on_deliver_built(&mut self, ei: usize, upto: usize, eot: bool) {
-        {
-            // The entry may have been evicted with this release in
-            // flight (it had no subscribers, so nobody misses the wave).
-            let Some(entry) = self.entries[ei].as_mut() else {
-                return;
-            };
-            entry.released = entry.released.max(upto);
-            if eot {
-                entry.eot_released = true;
-            }
-        }
-        let mut scratch: Vec<Tuple> = Vec::new();
-        let mut scratch_key: Option<(TableIdx, usize)> = None;
-        for pos in 0..self.active_set.len() {
-            let idx = self.active_set[pos];
-            let mut wave: Option<(TableIdx, bool, bool)> = None;
-            for sub in self.slots[idx].folded.iter_mut() {
-                if sub.entry != ei {
-                    continue;
+        // The entry may have been evicted with this release in flight (it
+        // had no subscribers, so nobody misses the wave).
+        let Some(entry) = self.entries[ei].as_mut() else {
+            return;
+        };
+        entry.released = entry.released.max(upto);
+        entry.eot_released |= eot;
+        let mut wave = StampedWave::default();
+        for run in self.running.iter_mut() {
+            for sub in run.folded.iter_mut().filter(|s| s.entry == ei) {
+                if sub.deliver(entry, &mut run.exec, self.now, &mut wave) {
+                    merge_next(&mut self.exec_next, run.exec.next_time());
                 }
-                let from = sub.cursor.min(upto);
-                if from < upto && scratch_key != Some((sub.table, from)) {
-                    let entry = self.entries[ei].as_ref().expect("subscribed entry");
-                    scratch.clear();
-                    scratch.extend(entry.log[from..upto].iter().map(|(row, ts)| {
-                        Tuple::singleton(sub.table, Arc::clone(row)).with_timestamp(sub.table, *ts)
-                    }));
-                    scratch_key = Some((sub.table, from));
-                }
-                sub.cursor = sub.cursor.max(upto);
-                let deliver_eot = eot && !sub.eot_seen;
-                if deliver_eot {
-                    sub.eot_seen = true;
-                }
-                if from < upto || deliver_eot {
-                    wave = Some((sub.table, from < upto, deliver_eot));
-                }
-            }
-            if let Some((table, has_rows, deliver_eot)) = wave {
-                let exec = self.slots[idx].exec.as_mut().expect("active slot");
-                let stamped: &[Tuple] = if has_rows { &scratch } else { &[] };
-                exec.deliver_folded_wave(self.now, table, stamped, deliver_eot);
-                self.note_exec_next(idx);
             }
         }
     }
 
-    /// Retire slot `idx` with `status`: take its report, release its
-    /// registry claims, and drop it from the active set.
-    fn retire(&mut self, idx: usize, status: QueryStatus) {
-        let exec = self.slots[idx].exec.take().expect("active slot");
-        let completed_at = exec.now();
-        let report = exec.finish();
-        let slot = &mut self.slots[idx];
-        slot.report = Some(ServerReport {
-            query: idx,
-            admitted_at: slot.admitted_at,
-            completed_at,
-            report,
-        });
-        slot.status = Some(status);
-        slot.active = false;
-        if let Ok(pos) = self.active_set.binary_search(&idx) {
-            self.active_set.remove(pos);
-        }
-        for f in 0..self.slots[idx].folded.len() {
-            let ei = self.slots[idx].folded[f].entry;
-            if let Some(entry) = self.entries[ei].as_mut() {
+    /// Retire the running query at `pos` with `status`: release its
+    /// registry claims and keep its report in its handle.
+    fn retire(&mut self, pos: usize, status: QueryStatus) {
+        let run = self.running.remove(pos);
+        for sub in &run.folded {
+            if let Some(entry) = self.entries[sub.entry].as_mut() {
                 entry.subs = entry.subs.saturating_sub(1);
             }
         }
-        for r in 0..self.slots[idx].raw.len() {
-            let si = self.slots[idx].raw[r].scan;
-            self.scans[si].raw_subs = self.scans[si].raw_subs.saturating_sub(1);
+        for sub in &run.raw {
+            let scan = &mut self.scans[sub.scan];
+            scan.raw_subs = scan.raw_subs.saturating_sub(1);
         }
         match status {
-            QueryStatus::TimedOut => self.timed_out += 1,
-            QueryStatus::Cancelled => self.cancelled += 1,
+            QueryStatus::TimedOut => self.stats.timed_out += 1,
+            QueryStatus::Cancelled => self.stats.cancelled += 1,
             QueryStatus::Completed | QueryStatus::Shed => {}
         }
+        let completed_at = run.exec.now();
+        self.slots[run.id] = Slot::Done(QueryHandle {
+            id: QueryId(run.id),
+            status,
+            report: Some(ServerReport {
+                query: run.id,
+                admitted_at: run.admitted_at,
+                completed_at,
+                report: run.exec.finish(),
+            }),
+        });
     }
 
-    /// Retire `idx` if it is finished: deadline guard tripped (the
-    /// reaper — deadlines are observed at wave boundaries), or agenda
-    /// drained with every scan stream closed. Returns whether it
-    /// retired.
-    fn try_retire(&mut self, idx: usize) -> bool {
-        let slot = &self.slots[idx];
-        let exec = slot.exec.as_ref().expect("active slot");
-        if exec.hit_deadline() {
-            self.retire(idx, QueryStatus::TimedOut);
-            true
-        } else if !slot.streams_open() && exec.next_time().is_none() {
-            self.retire(idx, QueryStatus::Completed);
-            true
+    /// Retire the running query at `pos` if it is finished: deadline
+    /// guard tripped (the reaper — deadlines are observed at wave
+    /// boundaries), or agenda drained with every scan stream closed.
+    /// Returns whether it retired.
+    fn try_retire(&mut self, pos: usize) -> bool {
+        let run = &self.running[pos];
+        let status = if run.exec.hit_deadline() {
+            QueryStatus::TimedOut
+        } else if !run.streams_open() && run.exec.next_time().is_none() {
+            QueryStatus::Completed
         } else {
-            false
-        }
+            return false;
+        };
+        self.retire(pos, status);
+        true
     }
 
     /// Retire the finished among this wave's drained executors, then let
     /// the freed budget drain the admission queue.
     fn sweep_candidates(&mut self, drained: &[usize]) {
         let mut any = false;
-        for &idx in drained {
-            any |= self.try_retire(idx);
+        for &id in drained {
+            if let Some(pos) = self.running_pos(id) {
+                any |= self.try_retire(pos);
+            }
         }
         if any && !self.pending.is_empty() {
             self.drain_pending();
         }
     }
 
-    /// The quiescent-state sweep: every active slot is a candidate (this
-    /// also catches a deadline tripped by wave *delivery* rather than
-    /// stepping, which never surfaces as a drained executor mid-run),
-    /// and the admission queue is always retried — quiescence is where
-    /// the forced-progress rule fires.
+    /// The quiescent-state sweep: every running query is a candidate
+    /// (this also catches a deadline tripped by wave *delivery* rather
+    /// than stepping, which never surfaces as a drained executor
+    /// mid-run), and the admission queue is always retried — quiescence
+    /// is where the forced-progress rule fires.
     fn sweep_all(&mut self) {
-        let candidates: Vec<usize> = self.active_set.clone();
-        for idx in candidates {
-            self.try_retire(idx);
+        let mut pos = 0;
+        while pos < self.running.len() {
+            if !self.try_retire(pos) {
+                pos += 1;
+            }
         }
         self.drain_pending();
     }
@@ -1401,31 +1398,20 @@ impl<'a> QueryServer<'a> {
     /// subscriber-less entries while it does not. If the budget can
     /// never free — nothing running, nothing evictable — the head is
     /// force-admitted: an unsatisfiable budget degrades to serial
-    /// execution, never to a stranded queue.
+    /// execution, never to a stranded queue. A query cancelled while
+    /// queued has already left the queue.
     fn drain_pending(&mut self) {
-        loop {
-            let Some(&head) = self.pending.front() else {
-                return;
-            };
-            if self.slots[head].status.is_some() {
-                // Cancelled while queued.
-                self.pending.pop_front();
-                continue;
+        while let Some(&head) = self.pending.front() {
+            if self.over_budget() {
+                if self.evict_idle_entry() {
+                    continue;
+                }
+                if !self.running.is_empty() {
+                    return;
+                }
             }
-            if !self.over_budget() {
-                self.pending.pop_front();
-                self.activate(head);
-                continue;
-            }
-            if self.evict_idle_entry() {
-                continue;
-            }
-            if self.active_set.is_empty() {
-                self.pending.pop_front();
-                self.activate(head);
-                continue;
-            }
-            return;
+            self.pending.pop_front();
+            self.activate(head);
         }
     }
 
@@ -1433,14 +1419,16 @@ impl<'a> QueryServer<'a> {
     /// called under budget pressure: idle entries are otherwise kept as
     /// warm caches for the next compatible query.
     fn evict_idle_entry(&mut self) -> bool {
-        for slot in self.entries.iter_mut() {
-            if slot.as_ref().is_some_and(|e| e.subs == 0) {
-                let entry = slot.take().expect("just checked");
-                self.bytes_total -= entry.bytes;
-                self.evicted += 1;
-                return true;
-            }
-        }
-        false
+        let idle = self
+            .entries
+            .iter_mut()
+            .find(|e| e.as_ref().is_some_and(|e| e.subs == 0))
+            .and_then(Option::take);
+        let Some(entry) = idle else {
+            return false;
+        };
+        self.bytes_total -= entry.bytes;
+        self.stats.evicted_stems += 1;
+        true
     }
 }

@@ -6,7 +6,8 @@
 
 use stems_catalog::{reference, Catalog, QuerySpec, ScanSpec, SourceId, TableDef, TableInstance};
 use stems_core::{
-    AdmissionPolicy, ExecConfig, QueryServer, QueryStatus, Report, ServerError, Submission,
+    AdmissionPolicy, EddyExecutor, ExecConfig, QueryServer, QueryStatus, Report, ServerError,
+    Submission,
 };
 use stems_core::{QueryHandle, QueryId, ServerStats};
 use stems_types::{CmpOp, ColRef, ColumnType, PredId, Predicate, Schema, TableIdx, Value};
@@ -315,6 +316,38 @@ fn max_time_is_reaped_on_both_surfaces() {
     let h = handles[0].report.as_ref().expect("partial report");
     assert_eq!(h.admitted_at, 5_000);
     assert!(h.completed_at >= 5_000 && h.completed_at < solo.end_time);
+}
+
+/// With folding off, a late query's clock starts at its admission: it
+/// takes exactly as long as its solo run (as it does folded), and a
+/// relative deadline still reaps it.
+#[test]
+fn fold_off_late_admission_starts_its_clock_at_admission() {
+    let (c, r, s, t) = family_catalog();
+    let q = three_way(&c, r, s, t);
+    let solo = EddyExecutor::build(&c, &q, config()).unwrap().run();
+    let late = |fold: bool| {
+        let mut srv = QueryServer::builder(&c)
+            .config(config())
+            .fold(fold)
+            .build()
+            .unwrap();
+        srv.submit(Submission::new(q.clone()).at(50_000)).unwrap();
+        srv.submit(Submission::new(q.clone()).at(50_000).deadline(7_000))
+            .unwrap();
+        srv.serve().0
+    };
+    for fold in [false, true] {
+        let handles = late(fold);
+        assert_eq!(handles[0].status, QueryStatus::Completed, "fold {fold}");
+        let sr = handles[0].report.as_ref().expect("completed");
+        assert_eq!(sr.admitted_at, 50_000);
+        assert!(sr.completed_at >= sr.admitted_at, "fold {fold}");
+        assert_eq!(sr.latency(), solo.end_time, "fold {fold}");
+        assert_eq!(handles[1].status, QueryStatus::TimedOut, "fold {fold}");
+        let reaped = handles[1].report.as_ref().expect("partial report");
+        assert!(reaped.completed_at < sr.completed_at, "fold {fold}");
+    }
 }
 
 /// Every rejection is a typed [`ServerError`], not a stringly one:
