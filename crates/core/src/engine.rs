@@ -147,19 +147,19 @@ pub struct ExecConfig {
     /// (the default), every UDF predicate gets a [`crate::memo::MemoCache`]
     /// so its verdict is computed — and its virtual latency paid — once
     /// per distinct input key; the query server additionally folds one
-    /// cache across queries sharing a predicate identity. Overridable
-    /// with `STEMS_MEMO` (`0`/`1`). Verdicts are bit-identical either
-    /// way; only computed-call counts and virtual time change.
+    /// cache across queries sharing a predicate identity. Verdicts are
+    /// bit-identical either way; only computed-call counts and virtual
+    /// time change.
     pub memo: bool,
     /// Byte budget per memo cache, enforced shard-locally with
     /// clock/second-chance eviction over `Value::approx_bytes`
-    /// accounting. Overridable with `STEMS_MEMO_BYTES`.
+    /// accounting. Default [`crate::memo::DEFAULT_MEMO_BYTES`].
     pub memo_bytes: usize,
     /// Envelope-level dedup for UDF predicates: group an envelope's rows
     /// by input key and evaluate one representative per distinct key
     /// ([`crate::sm::Sm::apply_batch_udf`]). Independent of `memo` (the
-    /// four on/off combinations are held equal by `engine_e2e`). Overridable
-    /// with `STEMS_UDF_DEDUP` (`0`/`1`).
+    /// four on/off combinations are held equal by `engine_e2e`). Default
+    /// on.
     pub udf_dedup: bool,
     /// BoundedRepetition backstop.
     pub max_hops: u32,
@@ -208,23 +208,10 @@ pub(crate) fn env_knob(var: &str, default: usize) -> std::result::Result<usize, 
     }
 }
 
-/// Read a boolean (`0`/`1`) environment knob. Same failure discipline as
-/// [`env_knob`]: absent falls back, set-but-invalid fails loudly.
-pub(crate) fn env_flag(var: &str, default: bool) -> std::result::Result<bool, ConfigError> {
-    match std::env::var(var) {
-        Err(std::env::VarError::NotPresent) => Ok(default),
-        Ok(s) => match s.trim() {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            _ => Err(ConfigError(format!("{var} must be 0 or 1, got {s:?}"))),
-        },
-        Err(e) => Err(ConfigError(format!("{var} is not valid unicode: {e}"))),
-    }
-}
-
 impl ExecConfig {
-    /// Build the default configuration from the environment, failing on
-    /// malformed knobs instead of panicking. This is what a server uses
+    /// Build the default configuration, reading `STEMS_BATCH_SIZE` and
+    /// `STEMS_WORKERS` from the environment and failing on malformed
+    /// values instead of panicking. This is what a server uses
     /// at startup; `ExecConfig::default()` is the panicking shim over it.
     pub fn from_env() -> std::result::Result<ExecConfig, ConfigError> {
         let config = ExecConfig {
@@ -239,9 +226,9 @@ impl ExecConfig {
             workers: crate::runtime::try_default_workers()?,
             parallel_min_rows: 1,
             fuse_selections: true,
-            memo: env_flag("STEMS_MEMO", true)?,
-            memo_bytes: env_knob("STEMS_MEMO_BYTES", crate::memo::DEFAULT_MEMO_BYTES)?,
-            udf_dedup: env_flag("STEMS_UDF_DEDUP", true)?,
+            memo: true,
+            memo_bytes: crate::memo::DEFAULT_MEMO_BYTES,
+            udf_dedup: true,
             max_hops: 1_000_000,
             max_events: 200_000_000,
             max_time: None,

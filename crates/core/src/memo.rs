@@ -28,7 +28,7 @@ use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
 use stems_storage::{Slot, SlotChains};
 use stems_types::{HashedKey, KeyHash, Value};
 
-/// Default per-cache byte budget (`STEMS_MEMO_BYTES` overrides).
+/// Default per-cache byte budget (`ExecConfig::memo_bytes`).
 pub const DEFAULT_MEMO_BYTES: usize = 1 << 20;
 
 /// Default shard fan-out for a memo cache.
