@@ -27,6 +27,12 @@
 //! * the **eddy** ([`EddyExecutor`]) — routes every tuple between the other
 //!   modules according to a [`policy::RoutingPolicy`], under the
 //!   correctness constraints of paper Table 2 enforced by [`router`].
+//! * the **query server** ([`QueryServer`]) — many executors on one
+//!   virtual timeline, sharing SteMs and scan streams across queries
+//!   (§1, §5). A query is waiting, running (an entry in one id-ordered
+//!   list) or done (its [`QueryHandle`]). Each shared stream reaches a
+//!   running query through a cursor into a log, so a late admission
+//!   catches up through the same delivery as the steady state.
 //!
 //! Join algorithms are not programmed anywhere: they *emerge* from routing.
 //! Hash-backed SteMs + build-then-probe routing is an n-ary symmetric hash
@@ -108,8 +114,8 @@
 //! `std::sync` plus the crate's poison policy, and the compiler denies
 //! `unsafe_code` everywhere but the test-only counting allocator.
 //! `stems-lint` (`cargo run -p stems-lint`) enforces the shim funnel,
-//! keeps thread spawning in [`runtime`], and guards the virtual-time
-//! discipline.
+//! keeps thread spawning in [`runtime`], keeps `expect` and `unwrap` out
+//! of the query server, and guards the virtual-time discipline.
 
 #![deny(unsafe_code)]
 
