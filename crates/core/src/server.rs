@@ -326,7 +326,7 @@ enum Slot {
     Waiting(Box<Waiting>),
     /// In [`QueryServer::running`].
     Running,
-    /// Retired or shed.
+    /// Retired, shed, or cancelled before it ran.
     Done(QueryHandle),
 }
 
@@ -878,8 +878,9 @@ impl<'a> QueryServer<'a> {
         let due = |run: &Running| run.exec.next_time().is_some_and(|nt| nt <= t);
         let mut independent = 0;
         for run in self.running.iter_mut() {
-            if !due(run) {
-                merge(run, run.exec.next_time());
+            let next = run.exec.next_time();
+            if next.is_none_or(|nt| nt > t) {
+                merge(run, next);
             } else if run.threads_ts {
                 // Serial phase, inline: the global timestamp counter is
                 // a chain through these executors in id order.
