@@ -775,7 +775,7 @@ impl<'a> QueryServer<'a> {
     pub fn serve(mut self) -> (Vec<QueryHandle>, ServerStats) {
         // Reused across waves so the steady-state drain allocates
         // nothing.
-        let mut drained: Vec<usize> = Vec::new();
+        let (mut parallel, mut drained) = (Vec::new(), Vec::new());
         loop {
             let server_next = self.agenda.peek_time();
             if server_next.is_none() && self.exec_next.is_none() {
@@ -800,7 +800,7 @@ impl<'a> QueryServer<'a> {
             // executor per window, not per merged event time.
             let horizon = server_next.map_or(Time::MAX, |s| s.saturating_sub(1));
             if self.exec_next.is_some_and(|e| e <= horizon) {
-                self.step_wave(horizon, &mut drained);
+                self.step_wave(horizon, &mut parallel, &mut drained);
                 // Only an executor stepped this window can have newly
                 // drained (or tripped its deadline); the full sweep of
                 // the running list is reserved for quiescence, where it
@@ -861,12 +861,14 @@ impl<'a> QueryServer<'a> {
     /// only after every executor finished, so reports are bit-identical
     /// at every worker budget.
     ///
-    /// The one pass doubles as the drain loop's bookkeeping: it
-    /// recomputes [`exec_next`](QueryServer::exec_next) and collects
-    /// into `drained` the ids of the executors whose agendas emptied (or
-    /// whose deadline tripped) this wave — the only completion
-    /// candidates.
-    fn step_wave(&mut self, t: Time, drained: &mut Vec<usize>) {
+    /// The first pass reads each agenda head once: it marks in
+    /// `parallel` the running queries the parallel phase steps, and it
+    /// doubles as the drain loop's bookkeeping — it recomputes
+    /// [`exec_next`](QueryServer::exec_next) and collects into `drained`
+    /// the ids of the executors whose agendas emptied (or whose deadline
+    /// tripped) this wave, the only completion candidates.
+    fn step_wave(&mut self, t: Time, parallel: &mut Vec<bool>, drained: &mut Vec<usize>) {
+        parallel.clear();
         drained.clear();
         let mut next_min: Option<Time> = None;
         let mut merge = |run: &Running, next: Option<Time>| {
@@ -875,11 +877,12 @@ impl<'a> QueryServer<'a> {
                 drained.push(run.id);
             }
         };
-        let due = |run: &Running| run.exec.next_time().is_some_and(|nt| nt <= t);
         let mut independent = 0;
         for run in self.running.iter_mut() {
             let next = run.exec.next_time();
-            if next.is_none_or(|nt| nt > t) {
+            let due = next.is_some_and(|nt| nt <= t);
+            parallel.push(due && !run.threads_ts);
+            if !due {
                 merge(run, next);
             } else if run.threads_ts {
                 // Serial phase, inline: the global timestamp counter is
@@ -892,16 +895,19 @@ impl<'a> QueryServer<'a> {
                 independent += 1;
             }
         }
-        // What is still due is exactly the independent executors: the
-        // serial ones have stepped past `t`.
         let workers = self.config.workers;
+        let wave = self
+            .running
+            .iter_mut()
+            .zip(parallel.iter())
+            .filter_map(|(run, &p)| p.then_some(run));
         if independent < 2 || workers < 2 {
-            for run in self.running.iter_mut().filter(|r| due(r)) {
+            for run in wave {
                 let next = run.exec.step_until(t);
                 merge(run, next);
             }
         } else {
-            let mut wave: Vec<&mut Running> = self.running.iter_mut().filter(|r| due(r)).collect();
+            let mut wave: Vec<&mut Running> = wave.collect();
             for_each_parallel(&mut wave, workers, |run| {
                 run.exec.step_until(t);
             });
