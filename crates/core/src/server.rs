@@ -843,8 +843,9 @@ impl<'a> QueryServer<'a> {
                 Slot::Done(handle) => handle,
                 // The loop above ends with the agenda, the admission
                 // queue and the running list all empty. Every query's
-                // `Admit` event has fired, and it either shed the query,
-                // queued it or started it; so every slot is done.
+                // `Admit` event has fired, and it shed the query, queued
+                // it, started it or found it cancelled; so every slot is
+                // done.
                 Slot::Waiting(_) | Slot::Running => {
                     unreachable!("query {id} is not terminal when the server is quiescent")
                 }
