@@ -93,11 +93,19 @@ impl ScanAm {
         self.chunk
     }
 
-    /// Time of the first emission (when the first chunk has accumulated).
+    /// Time of the first emission (when the first chunk has accumulated)
+    /// for a scan started at 0.
     pub fn first_emit_time(&self) -> Time {
+        self.first_emit_at(0)
+    }
+
+    /// Time of the first emission for a scan started at `at`. Stall
+    /// windows are absolute virtual instants, as for every later
+    /// emission: a window that closed before `at` delays nothing.
+    pub fn first_emit_at(&self, at: Time) -> Time {
         let first = self.chunk.min(self.rows.len()).max(1);
         self.stalls
-            .next_available(self.start_delay_us + burst_gap(self.gap_us, first))
+            .next_available(at + self.start_delay_us + burst_gap(self.gap_us, first))
     }
 
     /// Emit the next batch: up to `chunk` rows as singletons per instance,
@@ -143,6 +151,12 @@ impl ScanAm {
             self.finished = true;
             None
         }
+    }
+
+    /// The rows emitted so far: a prefix of the table's row list, in
+    /// emission order — the log a query server subscription reads.
+    pub(crate) fn emitted(&self) -> &[Arc<Row>] {
+        &self.rows[..self.pos]
     }
 
     /// Fraction of the table delivered so far.

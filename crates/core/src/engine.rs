@@ -595,12 +595,13 @@ impl EddyExecutor {
     }
 
     /// Step 5: schedule every scan's first emission, its start-up delay
-    /// after `at` — the virtual instant this query starts.
+    /// after `at` — the virtual instant this query starts — shifted past
+    /// any stall window open then.
     pub(crate) fn seed_scans(&mut self, at: Time) {
         for &mid in &self.layout.scan_mids {
             if let Module::ScanAm(scan) = &self.modules[mid] {
                 self.agenda
-                    .push(at + scan.first_emit_time(), Event::ScanEmit(mid));
+                    .push(scan.first_emit_at(at), Event::ScanEmit(mid));
             }
         }
     }

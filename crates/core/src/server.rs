@@ -161,6 +161,9 @@ struct StemKey {
 struct SharedEntry {
     key: StemKey,
     cell: StemCell,
+    /// Rows of the scan's emitted log built into the SteM: the entry's
+    /// own cursor into that log.
+    built: usize,
     /// Fresh builds in arrival order with their global timestamps.
     /// Server-absorbed duplicates are omitted — every subscriber would
     /// have absorbed them identically.
@@ -174,25 +177,17 @@ struct SharedEntry {
     eot_released: bool,
     /// The SteM build server is busy until this time; waves queue FIFO.
     busy_until: Time,
-    /// Live folded subscriptions. Only subscriber-less entries may be
-    /// evicted, and only under budget pressure — an idle entry is a warm
-    /// cache for the next compatible query.
-    subs: usize,
     /// Last observed dictionary footprint (re-sampled per build wave);
     /// the admission budget sums these.
     bytes: usize,
 }
 
-/// One scan stream, shared by every query reading the source.
+/// One scan stream, shared by every query reading the source. Its
+/// [`ScanAm`] serves no instance: emitting only advances it, and every
+/// reader reads the rows off its emitted log.
 struct ServerScan {
-    source: SourceId,
     am: ScanAm,
     arity: usize,
-    /// The table's rows. The scan emits them in order, so the first
-    /// `emitted` are the log a raw subscription reads.
-    rows: Arc<[Arc<Row>]>,
-    emitted: usize,
-    eot: bool,
     /// Live raw subscriptions; when zero (everything folded), an emit
     /// skips the per-query delivery sweep.
     raw_subs: usize,
@@ -269,13 +264,14 @@ impl RawSub {
     /// admission is this same delivery. Returns whether anything was
     /// delivered.
     fn deliver(&mut self, scan: &ServerScan, exec: &mut EddyExecutor, now: Time) -> bool {
-        let rows = &scan.rows[self.cursor..scan.emitted];
-        let eot = scan.eot && !self.eot_seen;
+        let log = scan.am.emitted();
+        let rows = &log[self.cursor..];
+        let eot = scan.am.finished && !self.eot_seen;
         if rows.is_empty() && !eot {
             return false;
         }
-        self.cursor = scan.emitted;
-        self.eot_seen = scan.eot;
+        self.cursor = log.len();
+        self.eot_seen = scan.am.finished;
         let tables = &self.tables;
         let eot_tables = if eot { &tables[..] } else { &[] };
         let tuples = rows
@@ -323,7 +319,10 @@ impl Running {
 
 /// Where a submitted query is in its life.
 enum Slot {
+    /// Before its admission instant.
     Waiting(Box<Waiting>),
+    /// In [`QueryServer::pending`], which holds its [`Waiting`].
+    Queued,
     /// In [`QueryServer::running`].
     Running,
     /// Retired, shed, or cancelled before it ran.
@@ -698,7 +697,7 @@ pub struct QueryServer<'a> {
     /// population, not the submitted one.
     running: Vec<Running>,
     /// Admissions deferred by the budget, FIFO.
-    pending: VecDeque<usize>,
+    pending: VecDeque<(usize, Box<Waiting>)>,
     /// Cached min of the running executors' next event times, recomputed
     /// by every [`step_wave`](QueryServer::step_wave) pass and merged on
     /// every delivery — the drain loop reads each executor's agenda head
@@ -846,7 +845,7 @@ impl<'a> QueryServer<'a> {
                 // `Admit` event has fired, and it shed the query, queued
                 // it, started it or found it cancelled; so every slot is
                 // done.
-                Slot::Waiting(_) | Slot::Running => {
+                Slot::Waiting(_) | Slot::Queued | Slot::Running => {
                     unreachable!("query {id} is not terminal when the server is quiescent")
                 }
             })
@@ -930,25 +929,35 @@ impl<'a> QueryServer<'a> {
     }
 
     /// Position of running query `id` in [`QueryServer::running`].
-    fn running_pos(&self, id: usize) -> Option<usize> {
-        self.running.binary_search_by_key(&id, |r| r.id).ok()
+    fn running_pos(&self, id: usize) -> usize {
+        match self.running.binary_search_by_key(&id, |r| r.id) {
+            Ok(pos) => pos,
+            // `activate` is the one place a slot becomes `Running`, and
+            // it inserts the query into the list; `retire` is the one
+            // place it leaves, and it marks the slot `Done`.
+            Err(_) => unreachable!("query {id} is running but not in the running list"),
+        }
     }
 
     /// An `Admit` event fired: activate the query, or queue/shed it if
     /// the budget is exceeded.
     fn on_admit(&mut self, id: usize) {
-        if !matches!(self.slots[id], Slot::Waiting(_)) {
+        let waiting = match std::mem::replace(&mut self.slots[id], Slot::Queued) {
+            Slot::Waiting(waiting) => waiting,
             // Cancelled before admission.
-            return;
-        }
+            done => {
+                self.slots[id] = done;
+                return;
+            }
+        };
         if !self.over_budget() {
-            self.activate(id);
+            self.activate(id, *waiting);
             return;
         }
         match self.policy {
             AdmissionPolicy::Queue => {
                 self.stats.queued += 1;
-                self.pending.push_back(id);
+                self.pending.push_back((id, waiting));
             }
             AdmissionPolicy::Shed => {
                 self.stats.shed += 1;
@@ -967,40 +976,35 @@ impl<'a> QueryServer<'a> {
         match self.slots[id] {
             Slot::Done(_) => {}
             Slot::Running => {
-                if let Some(pos) = self.running_pos(id) {
-                    self.retire(pos, QueryStatus::Cancelled);
-                }
+                let pos = self.running_pos(id);
+                self.retire(pos, QueryStatus::Cancelled);
                 if !self.pending.is_empty() {
                     self.drain_pending();
                 }
             }
-            Slot::Waiting(_) => {
+            Slot::Waiting(_) | Slot::Queued => {
                 self.stats.cancelled += 1;
                 self.slots[id] = Slot::Done(QueryHandle {
                     id: QueryId(id),
                     status: QueryStatus::Cancelled,
                     report: None,
                 });
-                self.pending.retain(|&i| i != id);
+                self.pending.retain(|(i, _)| *i != id);
             }
         }
     }
 
-    /// Start waiting query `id`: install its deadline, then either seed
-    /// its private scans (folding off) or subscribe it to the shared
-    /// streams, and add it to the running list.
-    fn activate(&mut self, id: usize) {
-        let slot = std::mem::replace(&mut self.slots[id], Slot::Running);
-        let Slot::Waiting(waiting) = slot else {
-            self.slots[id] = slot;
-            return;
-        };
+    /// Start query `id`: install its deadline, then either seed its
+    /// private scans (folding off) or subscribe it to the shared streams,
+    /// and add it to the running list.
+    fn activate(&mut self, id: usize, waiting: Waiting) {
+        self.slots[id] = Slot::Running;
         let Waiting {
             query,
             config,
             deadline,
             mut exec,
-        } = *waiting;
+        } = waiting;
         let now = self.now;
         if let Some(rel) = deadline {
             exec.clamp_max_time(now.saturating_add(rel));
@@ -1047,37 +1051,38 @@ impl<'a> QueryServer<'a> {
                 && !plan_opts.default_stem.deferred_bounce
                 && !plan_opts.no_stem.contains(ti);
             if foldable {
+                let si = self.ensure_scan(source, spec);
                 let key = StemKey {
                     source,
                     join_cols: query.join_cols_of(ti),
                     opts: plan_opts.default_stem.clone(),
                 };
-                let ei = match self
-                    .entries
-                    .iter()
-                    .position(|e| e.as_ref().is_some_and(|e| e.key == key))
-                {
+                let now = self.now;
+                let found = self.entries.iter_mut().enumerate().find_map(|(ei, e)| {
+                    let entry = e.as_mut().filter(|e| e.key == key)?;
+                    Some((ei, entry))
+                });
+                let entry = match found {
                     // A self-join over the same key needs two
                     // dictionaries; the second instance stays private.
-                    Some(ei) if claimed.contains(&ei) => None,
-                    Some(ei) => Some(ei),
+                    Some((ei, _)) if claimed.contains(&ei) => None,
+                    Some(found) => Some(found),
                     None => Some(self.new_entry(key, ti)),
                 };
-                if let Some(ei) = ei {
+                if let Some((ei, entry)) = entry {
                     claimed.push(ei);
-                    self.ensure_scan(source, spec);
-                    if let Some(entry) = self.entries[ei].as_mut() {
-                        entry.subs += 1;
-                        run.exec.fold_stem(ti, &entry.cell);
-                        let mut sub = FoldedSub {
-                            entry: ei,
-                            table: ti,
-                            cursor: 0,
-                            eot_seen: false,
-                        };
-                        sub.deliver(entry, &mut run.exec, self.now, &mut StampedWave::default());
-                        run.folded.push(sub);
-                    }
+                    run.exec.fold_stem(ti, &entry.cell);
+                    let mut sub = FoldedSub {
+                        entry: ei,
+                        table: ti,
+                        cursor: 0,
+                        eot_seen: false,
+                    };
+                    sub.deliver(entry, &mut run.exec, now, &mut StampedWave::default());
+                    run.folded.push(sub);
+                    // A new entry catches up on what the scan already
+                    // emitted; every older entry on the source has.
+                    self.build_entries(si);
                     continue;
                 }
             }
@@ -1140,10 +1145,11 @@ impl<'a> QueryServer<'a> {
         run.threads_ts = threads || memo_folded;
     }
 
-    /// Create a shared entry for `key`, replaying any prefix its source's
-    /// scan already emitted so the newcomer's SteM matches what a
-    /// from-the-start subscriber would hold.
-    fn new_entry(&mut self, key: StemKey, instance: TableIdx) -> usize {
+    /// Create a shared entry for `key`. The caller catches it up on
+    /// what its source's scan already emitted ([`Self::build_entries`]),
+    /// so the newcomer's SteM matches what a from-the-start subscriber
+    /// would hold.
+    fn new_entry(&mut self, key: StemKey, instance: TableIdx) -> (usize, &mut SharedEntry) {
         let mut stem = Stem::new(
             instance,
             key.source,
@@ -1159,52 +1165,40 @@ impl<'a> QueryServer<'a> {
         if self.catalog.rows_distinct(key.source) {
             stem.trust_distinct();
         }
+        self.stats.shared_stems += 1;
         let ei = self.entries.len();
-        let source = key.source;
-        self.entries.push(Some(SharedEntry {
+        self.entries.push(None);
+        let entry = self.entries[ei].insert(SharedEntry {
             key,
             cell: StemCell::new(stem),
+            built: 0,
             log: Vec::new(),
             released: 0,
             eot_applied: false,
             eot_released: false,
             busy_until: self.now,
-            subs: 0,
             bytes: 0,
-        }));
-        self.stats.shared_stems += 1;
-        if let Some(scan) = self.scans.iter().find(|s| s.source == source) {
-            let (rows, emitted, eot, arity) =
-                (Arc::clone(&scan.rows), scan.emitted, scan.eot, scan.arity);
-            self.build_into_entry(ei, &rows[..emitted], eot, arity);
-        }
-        ei
+        });
+        (ei, entry)
     }
 
     /// The shared scan stream for `source`, creating (and scheduling) it
     /// from `spec` on first subscription.
     fn ensure_scan(&mut self, source: SourceId, spec: &ScanSpec) -> usize {
-        if let Some(si) = self.scans.iter().position(|s| s.source == source) {
+        if let Some(si) = self.scans.iter().position(|s| s.am.source == source) {
             return si;
         }
         let table = self.catalog.table_expect(source);
         let arity = table.schema.arity();
-        let rows = table.row_list();
-        // The dummy instance makes each emitted batch map 1:1 to rows;
-        // subscriptions read the rows themselves.
-        let mut am = ScanAm::over(source, vec![TableIdx(0)], Arc::clone(&rows), arity, spec);
+        let mut am = ScanAm::over(source, Vec::new(), table.row_list(), arity, spec);
         am.clamp_chunk(self.config.batch_size);
         let si = self.scans.len();
         self.stats.scan_streams += 1;
         self.agenda
-            .push(self.now + am.first_emit_time(), ServerEvent::ScanEmit(si));
+            .push(am.first_emit_at(self.now), ServerEvent::ScanEmit(si));
         self.scans.push(ServerScan {
-            source,
             am,
             arity,
-            rows,
-            emitted: 0,
-            eot: false,
             raw_subs: 0,
         });
         si
@@ -1215,30 +1209,10 @@ impl<'a> QueryServer<'a> {
     /// subscription.
     fn on_scan_emit(&mut self, si: usize) {
         let now = self.now;
-        let scan = &mut self.scans[si];
-        let (batch, next) = scan.am.emit_next(now);
-        if let Some(nt) = next {
+        if let (_, Some(nt)) = self.scans[si].am.emit_next(now) {
             self.agenda.push(nt, ServerEvent::ScanEmit(si));
         }
-        let from = scan.emitted;
-        for t in &batch {
-            if t.is_eot() {
-                scan.eot = true;
-            } else {
-                scan.emitted += 1;
-            }
-        }
-        let (source, arity, eot) = (scan.source, scan.arity, scan.eot);
-        let rows = Arc::clone(&scan.rows);
-        let wave = &rows[from..scan.emitted];
-        for ei in 0..self.entries.len() {
-            if self.entries[ei]
-                .as_ref()
-                .is_some_and(|e| e.key.source == source)
-            {
-                self.build_into_entry(ei, wave, eot, arity);
-            }
-        }
+        self.build_entries(si);
         let scan = &self.scans[si];
         if scan.raw_subs == 0 {
             return;
@@ -1252,56 +1226,64 @@ impl<'a> QueryServer<'a> {
         }
     }
 
-    /// Build `rows` (and EOT) into entry `ei` now, consuming global
+    /// Build what scan `si` emitted past each live entry's cursor on its
+    /// source (and the EOT, once) into that entry now, consuming global
     /// timestamps, and schedule the subscriber release for when the
     /// SteM's build server has absorbed the wave. Re-samples the entry's
     /// dictionary footprint for the admission budget.
-    fn build_into_entry(&mut self, ei: usize, rows: &[Arc<Row>], eot: bool, arity: usize) {
-        let Some(entry) = self.entries[ei].as_mut() else {
-            return;
-        };
-        let apply_eot = eot && !entry.eot_applied;
-        if rows.is_empty() && !apply_eot {
-            return;
-        }
-        let mut stem = entry.cell.lock();
-        let instance = stem.instance;
-        let mut batch: TupleBatch = rows
-            .iter()
-            .map(|r| Tuple::singleton(instance, Arc::clone(r)))
-            .collect();
-        if apply_eot {
-            batch.push(Tuple::singleton(instance, make_scan_eot_row(arity)));
-        }
-        let states = vec![TupleState::new(); batch.len()];
-        let mut results = Vec::with_capacity(batch.len());
-        stem.build_batch_into(&mut batch, &states, &mut self.ts_counter, &mut results);
-        let new_bytes = stem.approx_bytes();
-        drop(stem);
-        let before = entry.log.len();
-        for (row, result) in rows.iter().zip(results) {
-            // Duplicates are absorbed server-side: every subscriber
-            // would have absorbed them identically, so nothing ships.
-            if let BuildResult::Fresh(stamped) = result {
-                entry.log.push((Arc::clone(row), stamped.timestamp()));
+    fn build_entries(&mut self, si: usize) {
+        let scan = &self.scans[si];
+        let (emitted, eot) = (scan.am.emitted(), scan.am.finished);
+        for (ei, slot) in self.entries.iter_mut().enumerate() {
+            let Some(entry) = slot.as_mut().filter(|e| e.key.source == scan.am.source) else {
+                continue;
+            };
+            let rows = &emitted[entry.built..];
+            let apply_eot = eot && !entry.eot_applied;
+            if rows.is_empty() && !apply_eot {
+                continue;
             }
+            entry.built = emitted.len();
+            let mut stem = entry.cell.lock();
+            let instance = stem.instance;
+            let mut batch: TupleBatch = rows
+                .iter()
+                .map(|r| Tuple::singleton(instance, Arc::clone(r)))
+                .collect();
+            if apply_eot {
+                batch.push(Tuple::singleton(instance, make_scan_eot_row(scan.arity)));
+            }
+            let states = vec![TupleState::new(); batch.len()];
+            let mut results = Vec::with_capacity(batch.len());
+            stem.build_batch_into(&mut batch, &states, &mut self.ts_counter, &mut results);
+            let new_bytes = stem.approx_bytes();
+            drop(stem);
+            let before = entry.log.len();
+            for (row, result) in rows.iter().zip(results) {
+                // Duplicates are absorbed server-side: every subscriber
+                // would have absorbed them identically, so nothing ships.
+                if let BuildResult::Fresh(stamped) = result {
+                    entry.log.push((Arc::clone(row), stamped.timestamp()));
+                }
+            }
+            self.stats.shared_builds += (entry.log.len() - before) as u64;
+            self.bytes_total = self.bytes_total - entry.bytes + new_bytes;
+            entry.bytes = new_bytes;
+            self.stats.stem_bytes_peak = self.stats.stem_bytes_peak.max(self.bytes_total);
+            entry.eot_applied |= apply_eot;
+            let wave = batch.len() as u64;
+            let t_done =
+                self.now.max(entry.busy_until) + self.config.costs.stem_build_us * wave.max(1);
+            entry.busy_until = t_done;
+            self.agenda.push(
+                t_done,
+                ServerEvent::DeliverBuilt {
+                    entry: ei,
+                    upto: entry.log.len(),
+                    eot: apply_eot,
+                },
+            );
         }
-        self.stats.shared_builds += (entry.log.len() - before) as u64;
-        self.bytes_total = self.bytes_total - entry.bytes + new_bytes;
-        entry.bytes = new_bytes;
-        self.stats.stem_bytes_peak = self.stats.stem_bytes_peak.max(self.bytes_total);
-        entry.eot_applied |= apply_eot;
-        let wave = batch.len() as u64;
-        let t_done = self.now.max(entry.busy_until) + self.config.costs.stem_build_us * wave.max(1);
-        entry.busy_until = t_done;
-        self.agenda.push(
-            t_done,
-            ServerEvent::DeliverBuilt {
-                entry: ei,
-                upto: entry.log.len(),
-                eot: apply_eot,
-            },
-        );
     }
 
     /// A build wave finished service: release the log prefix `..upto`
@@ -1329,14 +1311,8 @@ impl<'a> QueryServer<'a> {
     /// registry claims and keep its report in its handle.
     fn retire(&mut self, pos: usize, status: QueryStatus) {
         let run = self.running.remove(pos);
-        for sub in &run.folded {
-            if let Some(entry) = self.entries[sub.entry].as_mut() {
-                entry.subs = entry.subs.saturating_sub(1);
-            }
-        }
         for sub in &run.raw {
-            let scan = &mut self.scans[sub.scan];
-            scan.raw_subs = scan.raw_subs.saturating_sub(1);
+            self.scans[sub.scan].raw_subs -= 1;
         }
         match status {
             QueryStatus::TimedOut => self.stats.timed_out += 1,
@@ -1378,9 +1354,8 @@ impl<'a> QueryServer<'a> {
     fn sweep_candidates(&mut self, drained: &[usize]) {
         let mut any = false;
         for &id in drained {
-            if let Some(pos) = self.running_pos(id) {
-                any |= self.try_retire(pos);
-            }
+            let pos = self.running_pos(id);
+            any |= self.try_retire(pos);
         }
         if any && !self.pending.is_empty() {
             self.drain_pending();
@@ -1409,7 +1384,7 @@ impl<'a> QueryServer<'a> {
     /// execution, never to a stranded queue. A query cancelled while
     /// queued has already left the queue.
     fn drain_pending(&mut self) {
-        while let Some(&head) = self.pending.front() {
+        while !self.pending.is_empty() {
             if self.over_budget() {
                 if self.evict_idle_entry() {
                     continue;
@@ -1418,20 +1393,28 @@ impl<'a> QueryServer<'a> {
                     return;
                 }
             }
-            self.pending.pop_front();
-            self.activate(head);
+            if let Some((id, waiting)) = self.pending.pop_front() {
+                self.activate(id, *waiting);
+            }
         }
     }
 
-    /// Evict one subscriber-less registry entry (creation order). Only
-    /// called under budget pressure: idle entries are otherwise kept as
-    /// warm caches for the next compatible query.
+    /// Evict one registry entry no running query subscribes to (creation
+    /// order). Only called under budget pressure: idle entries are
+    /// otherwise kept as warm caches for the next compatible query.
     fn evict_idle_entry(&mut self) -> bool {
+        let running = &self.running;
         let idle = self
             .entries
             .iter_mut()
-            .find(|e| e.as_ref().is_some_and(|e| e.subs == 0))
-            .and_then(Option::take);
+            .enumerate()
+            .find(|(ei, e)| {
+                e.is_some()
+                    && !running
+                        .iter()
+                        .any(|r| r.folded.iter().any(|f| f.entry == *ei))
+            })
+            .and_then(|(_, e)| e.take());
         let Some(entry) = idle else {
             return false;
         };

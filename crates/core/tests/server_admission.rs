@@ -17,6 +17,11 @@ use stems_types::{CmpOp, ColRef, ColumnType, PredId, Predicate, Schema, TableIdx
 /// builds exactly 60 + 10 + 5 = 75 shared rows across 3 registry
 /// entries, and its scans span ≈30ms of virtual time.
 fn family_catalog() -> (Catalog, SourceId, SourceId, SourceId) {
+    family_catalog_with(ScanSpec::with_rate(2000.0))
+}
+
+/// [`family_catalog`] with `r_scan` as R's scan.
+fn family_catalog_with(r_scan: ScanSpec) -> (Catalog, SourceId, SourceId, SourceId) {
     let mut c = Catalog::new();
     let r = c
         .add_table(
@@ -57,7 +62,7 @@ fn family_catalog() -> (Catalog, SourceId, SourceId, SourceId) {
             ),
         )
         .unwrap();
-    c.add_scan(r, ScanSpec::with_rate(2000.0)).unwrap();
+    c.add_scan(r, r_scan).unwrap();
     c.add_scan(s, ScanSpec::with_rate(1000.0)).unwrap();
     c.add_scan(t, ScanSpec::with_rate(500.0)).unwrap();
     (c, r, s, t)
@@ -347,6 +352,52 @@ fn fold_off_late_admission_starts_its_clock_at_admission() {
         assert_eq!(handles[1].status, QueryStatus::TimedOut, "fold {fold}");
         let reaped = handles[1].report.as_ref().expect("partial report");
         assert!(reaped.completed_at < sr.completed_at, "fold {fold}");
+    }
+}
+
+/// Stall windows are absolute virtual instants, for a late query's first
+/// scan emission as for every later one, folded or not: a window that
+/// closed before the admission delays nothing, and one open at the
+/// admission holds the first emission back to its end.
+#[test]
+fn late_admission_meets_stall_windows_at_their_absolute_instants() {
+    let rate = || ScanSpec::with_rate(2000.0);
+    let solo = |r_scan: ScanSpec| {
+        let (c, r, s, t) = family_catalog_with(r_scan);
+        EddyExecutor::build(&c, &three_way(&c, r, s, t), config())
+            .unwrap()
+            .run()
+    };
+    let latency = |r_scan: ScanSpec, fold: bool| {
+        let (c, r, s, t) = family_catalog_with(r_scan);
+        let mut srv = QueryServer::builder(&c)
+            .config(config())
+            .fold(fold)
+            .build()
+            .unwrap();
+        srv.submit(Submission::new(three_way(&c, r, s, t)).at(50_000))
+            .unwrap();
+        let (handles, _) = srv.serve();
+        assert_eq!(handles[0].status, QueryStatus::Completed, "fold {fold}");
+        let sr = handles[0].report.as_ref().expect("completed");
+        assert_eq!(sr.admitted_at, 50_000);
+        sr.latency()
+    };
+    let unstalled = solo(rate()).end_time;
+    // The same 20 000 µs window, open from the query's own start.
+    let stalled_at_start = solo(rate().stalled_during(0, 20_000)).end_time;
+    assert!(stalled_at_start > unstalled);
+    for fold in [false, true] {
+        let closed = latency(rate().stalled_during(0, 10_000), fold);
+        assert_eq!(
+            closed, unstalled,
+            "fold {fold}: a closed window delayed the query"
+        );
+        let open = latency(rate().stalled_during(50_000, 70_000), fold);
+        assert_eq!(
+            open, stalled_at_start,
+            "fold {fold}: an open window was skipped"
+        );
     }
 }
 
