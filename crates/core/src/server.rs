@@ -127,7 +127,8 @@
 //! With folding disabled the server degenerates to a pure merge of
 //! independent classic executors — each query behaves exactly like a solo
 //! [`EddyExecutor::run`] whose clock starts at its admission: its private
-//! scans are seeded then, so its latency is the solo end time.
+//! scans are seeded then, so its latency is the solo end time. Stall
+//! windows stay at their absolute instants, on the shared scans too.
 //! `stems-bench server` uses that mode as the baseline the folding
 //! throughput gain is measured against.
 
@@ -295,13 +296,13 @@ struct Waiting {
     /// Relative deadline (virtual µs from admission), resolved against
     /// the admission instant into the executor's `max_time` guard.
     deadline: Option<Time>,
-    exec: Box<EddyExecutor>,
+    exec: EddyExecutor,
 }
 
 /// An admitted query: its executor and the subscriptions that feed it.
 struct Running {
     id: usize,
-    exec: Box<EddyExecutor>,
+    exec: EddyExecutor,
     admitted_at: Time,
     /// This executor can consume the server-global timestamp counter
     /// (it owns a private stem-bearing instance), so it must step
@@ -747,7 +748,7 @@ impl<'a> QueryServer<'a> {
             query,
             config,
             deadline: deadline.or(self.default_deadline),
-            exec: Box::new(exec),
+            exec,
         })));
         self.agenda.push(at.max(self.now), ServerEvent::Admit(id));
         if let Some(c) = cancel_at {
@@ -1368,11 +1369,9 @@ impl<'a> QueryServer<'a> {
     /// mid-run), and the admission queue is always retried — quiescence
     /// is where the forced-progress rule fires.
     fn sweep_all(&mut self) {
-        let mut pos = 0;
-        while pos < self.running.len() {
-            if !self.try_retire(pos) {
-                pos += 1;
-            }
+        // From the back: a retirement shifts only the entries after it.
+        for pos in (0..self.running.len()).rev() {
+            self.try_retire(pos);
         }
         self.drain_pending();
     }
