@@ -32,12 +32,6 @@ impl ArrivalStream {
         ArrivalStream { items }
     }
 
-    /// Explicit arrivals (tests).
-    pub fn from_items(mut items: Vec<(Time, Arc<Row>)>) -> ArrivalStream {
-        items.sort_by_key(|(t, _)| *t);
-        ArrivalStream { items }
-    }
-
     pub fn items(&self) -> &[(Time, Arc<Row>)] {
         &self.items
     }

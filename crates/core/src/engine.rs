@@ -58,6 +58,7 @@ use crate::plan::{instantiate, Module, PlanLayout, PlanOptions};
 use crate::policy::{Feedback, Hint, RoutingPolicy, RoutingPolicyKind};
 use crate::report::Report;
 use crate::router::{self, Action, NoCandidates};
+use crate::server::Registry;
 use crate::stem::{eot_bindings, BuildResult, ProbeOutcome, ProbeReplySet, Stem};
 use crate::tuple_state::{CompletionNeed, PriorProber, TupleState};
 use crate::wave::{Wave, WavePool};
@@ -462,8 +463,9 @@ pub struct EddyExecutor {
     violations: Vec<String>,
     output_seen: FxHashSet<Tuple>,
     trace: Vec<crate::report::TraceEvent>,
-    /// Reusable probe-reply arena: one per executor, cleared per probe
-    /// envelope, so the steady-state reply path never allocates per tuple.
+    /// Reusable probe-reply arena, with the probe's envelope buffers: one
+    /// per executor, cleared per probe envelope, so the steady-state reply
+    /// path never allocates per tuple.
     reply_set: ProbeReplySet,
     /// Reusable candidate list for [`Self::route_wave`] (taken out and
     /// restored around it, like `reply_set`): the router fills it per
@@ -609,7 +611,7 @@ impl EddyExecutor {
     /// Run to completion and produce the report.
     pub fn run(mut self) -> Report {
         self.seed_scans(0);
-        while self.step() {}
+        while self.step(&[]) {}
         self.finish()
     }
 
@@ -617,8 +619,9 @@ impl EddyExecutor {
     /// is exhausted or a simulation guard (max_time / max_events)
     /// tripped — after which the executor is permanently halted. The
     /// query server interleaves many executors by stepping each one up to
-    /// the global virtual time.
-    pub(crate) fn step(&mut self) -> bool {
+    /// the global virtual time, lending each its registry of shared SteMs
+    /// as `shared` (a solo run lends an empty one).
+    pub(crate) fn step(&mut self, shared: &Registry) -> bool {
         if self.halted {
             return false;
         }
@@ -641,14 +644,14 @@ impl EddyExecutor {
             return false;
         }
         match ev {
-            Event::Start(mid) => self.on_start(mid),
-            Event::Complete(mid) => self.on_complete(mid),
-            Event::ScanEmit(mid) => self.on_scan_emit(mid),
+            Event::Start(mid) => self.on_start(mid, shared),
+            Event::Complete(mid) => self.on_complete(mid, shared),
+            Event::ScanEmit(mid) => self.on_scan_emit(mid, shared),
             Event::AmIssue(_mid) => {
                 self.metrics.bump_id(self.ids.index_probes, self.now, 1);
             }
-            Event::AmResponse(mid, key) => self.on_am_response(mid, key),
-            Event::AmReplyWave(mid, tuples) => self.on_am_reply_wave(mid, tuples),
+            Event::AmResponse(mid, key) => self.on_am_response(mid, key, shared),
+            Event::AmReplyWave(mid, tuples) => self.on_am_reply_wave(mid, tuples, shared),
         }
         true
     }
@@ -668,11 +671,11 @@ impl EddyExecutor {
     /// drained or halted). The server's per-wave batch: one call per
     /// executor per wave, so the drain loop reads each agenda head once
     /// instead of polling around every `step`.
-    pub(crate) fn step_until(&mut self, t: Time) -> Option<Time> {
+    pub(crate) fn step_until(&mut self, t: Time, shared: &Registry) -> Option<Time> {
         loop {
             match self.next_time() {
                 Some(nt) if nt <= t => {
-                    self.step();
+                    self.step(shared);
                 }
                 nt => return nt,
             }
@@ -712,7 +715,7 @@ impl EddyExecutor {
     // Event handlers
     // ------------------------------------------------------------------
 
-    fn on_start(&mut self, mid: usize) {
+    fn on_start(&mut self, mid: usize, shared: &Registry) {
         if self.rt[mid].busy {
             return;
         }
@@ -720,13 +723,13 @@ impl EddyExecutor {
             return;
         };
         self.rt[mid].busy = true;
-        let (dur, out) = self.process(mid, env);
+        let (dur, out) = self.process(mid, env, shared);
         self.rt[mid].out = Some(out);
         self.agenda
             .push(self.now + dur.max(1), Event::Complete(mid));
     }
 
-    fn on_complete(&mut self, mid: usize) {
+    fn on_complete(&mut self, mid: usize, shared: &Registry) {
         self.rt[mid].busy = false;
         if !self.rt[mid].queue.is_empty() {
             self.agenda.push(self.now, Event::Start(mid));
@@ -737,9 +740,9 @@ impl EddyExecutor {
             .iter()
             .any(|u| matches!(u, UnparkSignal::AnyBuild(_)));
         if let Some(out) = out {
-            self.route_wave(out);
+            self.route_wave(out, shared);
         }
-        self.wake(built, &unparks);
+        self.wake(built, &unparks, shared);
         unparks.clear();
         self.rt[mid].unparks = unparks;
     }
@@ -747,15 +750,18 @@ impl EddyExecutor {
     /// Wake whatever `unparks` release and route it as one wave. After a
     /// build, first sample total SteM memory (the fig-2
     /// singleton-vs-intermediate storage comparison watches this).
-    fn wake<'a>(&mut self, built: bool, unparks: impl IntoIterator<Item = &'a UnparkSignal>) {
+    fn wake<'a>(
+        &mut self,
+        built: bool,
+        unparks: impl IntoIterator<Item = &'a UnparkSignal>,
+        shared: &Registry,
+    ) {
         if built {
             let total: usize = self
                 .modules
                 .iter()
-                .filter_map(|m| match m {
-                    Module::Stem(s) => Some(s.lock().approx_bytes()),
-                    _ => None,
-                })
+                .filter_map(|m| m.stem(shared))
+                .map(Stem::approx_bytes)
                 .sum();
             self.metrics
                 .observe_id(self.ids.stem_bytes_total, self.now, total as f64);
@@ -767,17 +773,17 @@ impl EddyExecutor {
         for sig in unparks {
             self.unpark(sig, &mut woken);
         }
-        self.route_wave(woken);
+        self.route_wave(woken, shared);
     }
 
-    fn on_scan_emit(&mut self, mid: usize) {
+    fn on_scan_emit(&mut self, mid: usize, shared: &Registry) {
         let mut emitted = std::mem::take(&mut self.emitted);
         if let Module::ScanAm(scan) = &mut self.modules[mid] {
             if let Some(nt) = scan.emit_next_into(self.now, &mut emitted) {
                 self.agenda.push(nt, Event::ScanEmit(mid));
             }
         }
-        self.route_singletons(emitted.drain(), None);
+        self.route_singletons(emitted.drain(), None, shared);
         self.emitted = emitted;
     }
 
@@ -791,6 +797,7 @@ impl EddyExecutor {
         &mut self,
         tuples: impl IntoIterator<Item = Tuple>,
         origin_am: Option<usize>,
+        shared: &Registry,
     ) {
         let mut wave = self.waves.take();
         for tuple in tuples {
@@ -802,10 +809,10 @@ impl EddyExecutor {
             state.prioritized = self.is_prioritized(&tuple);
             wave.push(tuple, state, false);
         }
-        self.route_wave(wave);
+        self.route_wave(wave, shared);
     }
 
-    fn on_am_response(&mut self, mid: usize, key: Vec<Value>) {
+    fn on_am_response(&mut self, mid: usize, key: Vec<Value>, shared: &Registry) {
         let mut module = std::mem::replace(&mut self.modules[mid], Module::Hole);
         let mut next = None;
         let mut waves = Vec::new();
@@ -826,7 +833,7 @@ impl EddyExecutor {
         self.metrics.bump_id(self.ids.am_responses, self.now, 1);
         for (at, tuples) in waves {
             if at <= self.now {
-                self.on_am_reply_wave(mid, tuples);
+                self.on_am_reply_wave(mid, tuples, shared);
             } else {
                 self.agenda.push(at, Event::AmReplyWave(mid, tuples));
             }
@@ -836,8 +843,8 @@ impl EddyExecutor {
     /// One arrival wave of an index reply re-enters the eddy together:
     /// its matches share a destination and route as a batch. An unchunked
     /// reply is a single wave fired inline by the response event.
-    fn on_am_reply_wave(&mut self, mid: usize, tuples: Vec<Tuple>) {
-        self.route_singletons(tuples, Some(mid));
+    fn on_am_reply_wave(&mut self, mid: usize, tuples: Vec<Tuple>, shared: &Registry) {
+        self.route_singletons(tuples, Some(mid), shared);
     }
 
     // ------------------------------------------------------------------
@@ -847,38 +854,30 @@ impl EddyExecutor {
     /// Serve one envelope: the virtual service time, and the wave the
     /// module emits when it completes. Every `process_*` body either
     /// reworks the envelope's wave in place or drains it into one taken
-    /// from the pool and hands the drained buffer back.
-    fn process(&mut self, mid: usize, env: Envelope) -> (u64, Wave) {
+    /// from the pool and hands the drained buffer back. A folded SteM is
+    /// read in `shared`, the registry the server lent.
+    fn process(&mut self, mid: usize, env: Envelope, shared: &Registry) -> (u64, Wave) {
         let Envelope { wave, purpose } = env;
         let mut module = std::mem::replace(&mut self.modules[mid], Module::Hole);
         // The table instance whose SteM lives at `mid` comes from the
         // layout rather than from the SteM itself, because a shared SteM
-        // may currently be targeted at another query's instance numbering
-        // (retargeted here, under the cell lock, before operating; see
-        // [`Stem::retarget`]).
+        // was built under another query's instance numbering.
         let stem_table = self.layout.stem_table.get(mid).copied().flatten();
         let out = match (&mut module, purpose, stem_table) {
-            (Module::Stem(cell), Purpose::Build | Purpose::Probe, Some(table)) => {
-                let mut stem = cell.lock();
-                if stem.instance != table {
-                    stem.retarget(table);
-                }
-                if purpose == Purpose::Build {
-                    self.process_build(mid, &mut stem, wave)
-                } else {
-                    self.process_probe(&mut stem, wave)
-                }
-            }
+            (Module::Stem(stem), Purpose::Build, Some(_)) => self.process_build(mid, stem, wave),
             (Module::Sm(sm), Purpose::Select, _) => self.process_select(sm, wave),
             (Module::IndexAm(am), Purpose::AmProbe(t), _) => {
                 self.process_am_probe(mid, am, wave, t)
             }
-            _ => {
-                self.violations
-                    .push(format!("envelope {purpose:?} routed to wrong module"));
-                self.waves.put(wave);
-                (1, self.waves.take())
-            }
+            (module, _, table) => match (module.stem(shared), purpose, table) {
+                (Some(stem), Purpose::Probe, Some(table)) => self.process_probe(stem, table, wave),
+                _ => {
+                    self.violations
+                        .push(format!("envelope {purpose:?} routed to wrong module"));
+                    self.waves.put(wave);
+                    (1, self.waves.take())
+                }
+            },
         };
         self.modules[mid] = module;
         out
@@ -939,8 +938,7 @@ impl EddyExecutor {
         (dur, out)
     }
 
-    fn process_probe(&mut self, stem: &mut Stem, mut wave: Wave) -> (u64, Wave) {
-        let table = stem.instance;
+    fn process_probe(&mut self, stem: &Stem, table: TableIdx, mut wave: Wave) -> (u64, Wave) {
         let links = &self.layout.links[table.as_usize()];
         // Probe into the executor's reusable reply arena (taken out for
         // the borrow, restored below): no per-tuple `Vec`s are built.
@@ -1248,7 +1246,7 @@ impl EddyExecutor {
     /// (ROADMAP "hint freshness"). `Hint::est_cost_us` is computed only
     /// when the group is actually dequeued, in
     /// [`EddyExecutor::dispatch_group`].
-    fn route_wave(&mut self, mut wave: Wave) {
+    fn route_wave(&mut self, mut wave: Wave, shared: &Registry) {
         let cap = self.config.batch_size.max(1);
         let mut groups = std::mem::take(&mut self.groups);
         let mut flushed = std::mem::take(&mut self.flushed);
@@ -1283,6 +1281,7 @@ impl EddyExecutor {
             } else {
                 match router::candidates_into(
                     &self.modules,
+                    shared,
                     &self.layout,
                     &self.query,
                     &tuple,
@@ -1643,14 +1642,14 @@ impl EddyExecutor {
         self.layout.stem_mid[t.as_usize()].is_some()
     }
 
-    /// Replace instance `t`'s SteM with a shared cell from the server's
-    /// registry: this executor's probes now hit the SteM another query
-    /// built (and its own builds would land there too — the server only
-    /// folds instances whose builds it takes over, so the router never
-    /// offers a Build here).
-    pub(crate) fn fold_stem(&mut self, t: TableIdx, cell: &crate::plan::StemCell) {
+    /// Replace instance `t`'s SteM with the server registry's `entry`:
+    /// this executor's probes now read the SteM another query built, in
+    /// the registry the server lends to every step. The server builds
+    /// into it itself, so the router never offers a Build here: a folded
+    /// instance receives its singletons stamped.
+    pub(crate) fn fold_stem(&mut self, t: TableIdx, entry: usize) {
         let mid = self.layout.stem_mid[t.as_usize()].expect("folding a no-stem instance");
-        self.modules[mid] = Module::Stem(cell.share());
+        self.modules[mid] = Module::Folded(entry);
     }
 
     /// Whether this executor memoizes UDF verdicts ([`ExecConfig::memo`]):
@@ -1731,8 +1730,9 @@ impl EddyExecutor {
         table: TableIdx,
         stamped: &[Tuple],
         eot: bool,
+        shared: &Registry,
     ) {
-        if !self.deliver_raw_wave(now, stamped.iter().cloned()) {
+        if !self.deliver_raw_wave(now, stamped.iter().cloned(), shared) {
             return;
         }
         // The wake-ups a private build of this wave would have raised.
@@ -1742,7 +1742,7 @@ impl EddyExecutor {
             table,
             bindings: None,
         });
-        self.wake(built, any_build.iter().chain(&eot));
+        self.wake(built, any_build.iter().chain(&eot), shared);
     }
 
     /// Deliver one shared-scan wave for an *unfolded* (private-SteM)
@@ -1755,12 +1755,13 @@ impl EddyExecutor {
         &mut self,
         now: Time,
         tuples: impl IntoIterator<Item = Tuple>,
+        shared: &Registry,
     ) -> bool {
         if self.wave_past_deadline(now) {
             return false;
         }
         self.now = now;
-        self.route_singletons(tuples, None);
+        self.route_singletons(tuples, None, shared);
         true
     }
 }
@@ -1768,7 +1769,6 @@ impl EddyExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::StemCell;
     use crate::policy::BenefitCostPolicy;
     use stems_catalog::{ScanSpec, TableDef, TableInstance};
     use stems_types::{CmpOp, ColRef, ColumnType, PredId, Schema};
@@ -1990,10 +1990,10 @@ mod tests {
         // Builds into S release only unbuilt re-probers; every parked tuple
         // here waits for coverage. Not one allocation, not one move.
         let sig = [UnparkSignal::AnyBuild(TableIdx(1))];
-        exec.wake(false, &sig);
+        exec.wake(false, &sig, &[]);
         let (allocs, ()) = crate::test_alloc::allocs_during(|| {
             for _ in 0..1_000 {
-                exec.wake(false, &sig);
+                exec.wake(false, &sig, &[]);
             }
         });
         assert_eq!(allocs, 0, "1000 wake-ups that wake nothing");
@@ -2044,11 +2044,11 @@ mod tests {
         };
         let mut exec = EddyExecutor::build(&catalog, &query, config).unwrap();
         let row = |k: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(k), Value::Int(k % 3)]);
-        exec.route_singletons((0..1024).map(row), None);
-        while exec.step() {}
+        exec.route_singletons((0..1024).map(row), None, &[]);
+        while exec.step(&[]) {}
         for k in 0..10_000 {
-            exec.route_singletons([row(1024 + k)], None);
-            while exec.step() {}
+            exec.route_singletons([row(1024 + k)], None, &[]);
+            while exec.step(&[]) {}
         }
         let (buffers, rows) = exec.waves.retained();
         assert!(buffers <= crate::wave::MAX_FREE_WAVES, "{buffers} buffers");
@@ -2075,20 +2075,20 @@ mod tests {
         let row = |k: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(k), Value::Int(k)]);
         let points = |exec: &EddyExecutor| exec.metrics.series("stem_bytes_t0").map(|s| s.len());
         // 40 builds: no multiple of 64 passed, nothing sampled.
-        exec.route_singletons((0..40).map(row), None);
-        while exec.step() {}
+        exec.route_singletons((0..40).map(row), None, &[]);
+        while exec.step(&[]) {}
         assert_eq!(points(&exec), None);
         // A 64-row envelope (40 → 104): one point, after its last build.
-        exec.route_singletons((40..104).map(row), None);
-        while exec.step() {}
+        exec.route_singletons((40..104).map(row), None, &[]);
+        while exec.step(&[]) {}
         assert_eq!(exec.metrics.counter("scanned"), 104);
         assert_eq!(points(&exec), Some(1));
         let sampled = exec.metrics.series("stem_bytes_t0").unwrap().last_value();
-        let Module::Stem(cell) = &exec.modules[exec.layout.stem_mid[0].unwrap()] else {
+        let Module::Stem(stem) = &exec.modules[exec.layout.stem_mid[0].unwrap()] else {
             panic!("t0 has a SteM");
         };
-        assert_eq!(cell.lock().build_count(), 104);
-        assert_eq!(sampled, cell.lock().approx_bytes() as f64);
+        assert_eq!(stem.build_count(), 104);
+        assert_eq!(sampled, stem.approx_bytes() as f64);
     }
 
     /// The routed singleton owns no allocation of its own: making one,
@@ -2155,7 +2155,7 @@ mod tests {
             for (tuple, state) in &fates {
                 wave.push(tuple.clone(), state.clone(), false);
             }
-            exec.route_wave(wave);
+            exec.route_wave(wave, &[]);
             assert_eq!(exec.parked.len(), 1);
             // Clear the park so rounds are identical (the woken prober is
             // dropped with the buffer, not routed again).
@@ -2317,10 +2317,10 @@ mod tests {
         );
     }
 
-    /// The SteM on `t` — a second handle on its cell.
-    fn stem_of(exec: &EddyExecutor, t: usize) -> StemCell {
+    /// The SteM on `t`.
+    fn stem_of(exec: &EddyExecutor, t: usize) -> &Stem {
         match &exec.modules[exec.layout.stem_mid[t].expect("t has a SteM")] {
-            Module::Stem(cell) => cell.share(),
+            Module::Stem(stem) => stem,
             _ => panic!("t{t}'s SteM slot holds another module"),
         }
     }
@@ -2339,7 +2339,7 @@ mod tests {
         let trusting = EddyExecutor::build(&catalog, &query, config.clone()).unwrap();
         let mut filtering = EddyExecutor::build(&catalog, &query, config).unwrap();
         for t in 0..query.n_tables() {
-            assert!(!stem_of(&trusting, t).lock().filters_duplicates(), "t{t}");
+            assert!(!stem_of(&trusting, t).filters_duplicates(), "t{t}");
             let ti = TableIdx(t as u8);
             let stem = Stem::new(
                 ti,
@@ -2351,7 +2351,7 @@ mod tests {
             );
             assert!(stem.filters_duplicates());
             let mid = filtering.layout.stem_mid[t].unwrap();
-            filtering.modules[mid] = Module::Stem(StemCell::new(stem));
+            filtering.modules[mid] = Module::Stem(stem);
         }
         let (trusting, filtering) = (trusting.run(), filtering.run());
         assert!(trusting.violations.is_empty(), "{:?}", trusting.violations);
@@ -2423,8 +2423,8 @@ mod tests {
             ..ExecConfig::default()
         };
         let exec = EddyExecutor::build(&c, &q, config).unwrap();
-        assert!(stem_of(&exec, 0).lock().filters_duplicates());
-        assert!(!stem_of(&exec, 1).lock().filters_duplicates());
+        assert!(stem_of(&exec, 0).filters_duplicates());
+        assert!(!stem_of(&exec, 1).filters_duplicates());
         let report = exec.run();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.counter("duplicates_absorbed"), 1);

@@ -17,9 +17,11 @@
 //!   bookkeeping, timestamp filtering and bounce-back decisions. One type
 //!   in one module, with one build algorithm (ingest: EOT index, dedup,
 //!   insert → timestamping) and one probe algorithm (resolve + hash each
-//!   binding once → one flat lookup per column → result formation). Both
-//!   take `&mut self` and nothing inside a SteM locks; a SteM shared
-//!   across queries sits behind the one mutex of its [`plan::StemCell`].
+//!   binding once → one flat lookup per column → result formation). A
+//!   build takes `&mut self`, a probe `&self` (its envelope buffers are
+//!   the caller's [`stem::ProbeReplySet`]'s), and nothing locks a SteM:
+//!   one shared across queries lives in the query server's registry,
+//!   which builds into it at server instants and lends it by borrow.
 //!   The only threads are the query server's: its wave drain steps
 //!   independent executors on scoped threads
 //!   (`runtime::for_each_parallel`, sized by [`ExecConfig::workers`] /
@@ -140,7 +142,7 @@ mod wave;
 
 pub use engine::{ConfigError, EddyExecutor, ExecConfig};
 pub use memo::{MemoCache, MemoCell, MemoCounters};
-pub use plan::{PlanLayout, StemCell, StemOptions};
+pub use plan::{PlanLayout, StemOptions};
 pub use policy::{
     BenefitCostPolicy, FixedOrderPolicy, LotteryPolicy, RoutingPolicy, RoutingPolicyKind,
 };

@@ -14,60 +14,21 @@
 
 use crate::am::{IndexAm, ScanAm};
 use crate::links::TableLinks;
+use crate::server::Registry;
 use crate::sm::Sm;
 use crate::stem::Stem;
 pub use crate::stem::StemOptions;
-use crate::sync::{lock_ok, Arc, Mutex, MutexGuard, PoisonError};
 use stems_catalog::{feasible, AccessMethodDef, Catalog, JoinGraph, QuerySpec};
 use stems_types::{PredId, Result, TableIdx, TableSet};
 
-/// A shareable handle on one [`Stem`]. Every plan wraps its SteMs
-/// in cells; a solo query holds the only reference and the mutex is
-/// uncontended, while the query server clones cells across queries so
-/// query B probes the SteM query A built (the paper's "one build, N
-/// probers" sharing argument, §2/§5). The engine locks a cell only for
-/// the duration of one envelope. This is the one lock on the way to a
-/// SteM's state: builds and probes take `&mut Stem`, so the guard
-/// is the exclusive access they need and nothing behind it locks again.
-#[derive(Clone)]
-pub struct StemCell(Arc<Mutex<Stem>>);
-
-impl StemCell {
-    pub fn new(stem: Stem) -> StemCell {
-        StemCell(Arc::new(Mutex::new(stem)))
-    }
-
-    /// Lock the SteM, shrugging off poison: stored state is updated
-    /// envelope-atomically (build envelopes complete their dictionary
-    /// insert before returning), and a probe writes only the SteM's
-    /// scratch, which every probe clears before it reads it. So the state
-    /// behind a poisoned lock is still valid and other queries sharing the
-    /// cell keep running.
-    pub fn lock(&self) -> MutexGuard<'_, Stem> {
-        lock_ok(&self.0)
-    }
-
-    /// A second handle on the same SteM (what the server hands to each
-    /// folded query).
-    pub fn share(&self) -> StemCell {
-        StemCell(Arc::clone(&self.0))
-    }
-}
-
-impl std::fmt::Debug for StemCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0.lock().map_err(PoisonError::into_inner) {
-            Ok(stem) | Err(stem) => stem.fmt(f),
-        }
-    }
-}
-
 /// One instantiated module.
 pub enum Module {
-    /// A State Module. Held through a [`StemCell`] so the query server
-    /// can share one SteM across queries; a solo executor owns the only
-    /// handle.
-    Stem(StemCell),
+    /// A State Module, owned by the plan.
+    Stem(Stem),
+    /// A State Module the query server shares across queries: the index of
+    /// its entry in the server's registry, which the server lends
+    /// read-only to the executor while it steps ([`Module::stem`]).
+    Folded(usize),
     ScanAm(ScanAm),
     IndexAm(IndexAm),
     Sm(Sm),
@@ -80,11 +41,21 @@ impl Module {
     /// Short kind tag for metrics/tracing.
     pub fn kind(&self) -> &'static str {
         match self {
-            Module::Stem(_) => "stem",
+            Module::Stem(_) | Module::Folded(_) => "stem",
             Module::ScanAm(_) => "scan",
             Module::IndexAm(_) => "index",
             Module::Sm(_) => "sm",
             Module::Hole => "hole",
+        }
+    }
+
+    /// The SteM this module is, or the one it names in `shared`, the
+    /// registry its executor was lent; `None` for any other module.
+    pub fn stem<'a>(&'a self, shared: &'a Registry) -> Option<&'a Stem> {
+        match self {
+            Module::Stem(stem) => Some(stem),
+            Module::Folded(entry) => shared.get(*entry)?.as_ref().map(|e| &e.stem),
+            _ => None,
         }
     }
 }
@@ -256,7 +227,7 @@ pub fn instantiate(
             }
         }
         let mid = modules.len();
-        modules.push(Module::Stem(StemCell::new(stem)));
+        modules.push(Module::Stem(stem));
         layout.stem_mid[i] = Some(mid);
     }
     layout.stem_table = vec![None; modules.len()];
@@ -409,49 +380,6 @@ mod tests {
         assert!(instantiate(&c, &q, &opts).is_err());
     }
 
-    /// The one lock in front of a SteM survives a holder that dies: the
-    /// stored rows, the timestamp sequence and the probe path stay usable
-    /// through this handle and through every shared one.
-    #[test]
-    fn stem_cell_recovers_from_a_prober_that_panicked() {
-        use crate::stem::testkit::{self, build_one, probe_one, r_tuple, s_tuple};
-        use crate::stem::{BuildResult, ProbeReplySet};
-        use crate::tuple_state::TupleState;
-        let (_c, q) = testkit::setup();
-        let state = TupleState::new();
-        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 9);
-        let cell = StemCell::new(Stem::new(
-            TableIdx(1),
-            SourceId(1),
-            &[0],
-            true,
-            false,
-            StemOptions::default(),
-        ));
-        let built = build_one(&mut cell.lock(), &s_tuple(10, 1), &state, 1);
-        assert!(matches!(built, BuildResult::Fresh(_)));
-        // Warm the probe scratch, so the dying prober has buffers to leave
-        // half written.
-        assert_eq!(probe_one(&mut cell.lock(), &r, &state, &q).results.len(), 1);
-
-        // An envelope without a state for its tuple is a caller bug the
-        // probe path panics on — mid-envelope, holding the guard.
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut stem = cell.lock();
-            let mut replies = ProbeReplySet::new();
-            stem.probe_batch_into(std::slice::from_ref(&r), &[], &q, &mut replies);
-        }));
-        assert!(died.is_err());
-
-        let shared = cell.share();
-        assert_eq!(probe_one(&mut cell.lock(), &r, &state, &q).results.len(), 1);
-        let next = build_one(&mut cell.lock(), &s_tuple(10, 2), &state, 2);
-        assert!(matches!(next, BuildResult::Fresh(t) if t.timestamp() == 2));
-        let reply = probe_one(&mut shared.lock(), &r, &state, &q);
-        assert_eq!(reply.results.len(), 2);
-        assert_eq!(reply.observed_ts, 2);
-    }
-
     /// A SteM skips the duplicate filter exactly when one scan over rows
     /// the catalog found distinct feeds it; a repeated row, a second scan,
     /// an index beside the scan, or an index alone keep it.
@@ -507,11 +435,11 @@ mod tests {
         .unwrap();
         let (modules, layout) = instantiate(&c, &q, &PlanOptions::default()).unwrap();
         for (i, (source, filters)) in sources.iter().enumerate() {
-            let Module::Stem(cell) = &modules[layout.stem_mid[i].unwrap()] else {
+            let Module::Stem(stem) = &modules[layout.stem_mid[i].unwrap()] else {
                 panic!("t{i} has a SteM");
             };
             let name = &c.table_expect(*source).name;
-            assert_eq!(cell.lock().filters_duplicates(), *filters, "{name}");
+            assert_eq!(stem.filters_duplicates(), *filters, "{name}");
         }
         // A SteM made directly always filters.
         let stem = Stem::new(

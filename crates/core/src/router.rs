@@ -10,6 +10,7 @@
 //! policy can produce wrong answers.
 
 use crate::plan::{Module, PlanLayout};
+use crate::server::Registry;
 use crate::tuple_state::TupleState;
 use stems_catalog::QuerySpec;
 use stems_types::{PredId, TableIdx, Tuple};
@@ -68,7 +69,7 @@ pub enum NoCandidates {
 
 /// Compute the candidate actions for a tuple, or the reason there are none.
 ///
-/// `probe_edges`: optional restriction of SteM probes to a fixed set of
+/// `edges`: optional restriction of SteM probes to a fixed set of
 /// join-graph edges — used to emulate a *static spanning tree* for the
 /// §3.4 experiments. `None` = all edges (dynamic spanning trees).
 pub fn candidates(
@@ -77,19 +78,23 @@ pub fn candidates(
     query: &QuerySpec,
     tuple: &Tuple,
     state: &TupleState,
-    probe_edges: Option<&[(TableIdx, TableIdx)]>,
+    edges: Option<&[(TableIdx, TableIdx)]>,
 ) -> Result<Vec<Action>, NoCandidates> {
     let mut acts = Vec::new();
-    candidates_into(modules, layout, query, tuple, state, probe_edges, &mut acts)?;
+    candidates_into(modules, &[], layout, query, tuple, state, edges, &mut acts)?;
     Ok(acts)
 }
 
 /// [`candidates`] into a caller-owned buffer: `acts` is cleared, then
 /// holds the candidate list on `Ok` (its contents are unspecified on
 /// `Err`). The eddy calls this once per routed tuple with one long-lived
-/// buffer, so the steady state allocates nothing here.
+/// buffer, so the steady state allocates nothing here. `shared` is the
+/// registry the query server lent, where a [`Module::Folded`] SteM lives
+/// (empty for a solo query).
+#[allow(clippy::too_many_arguments)]
 pub fn candidates_into(
     modules: &[Module],
+    shared: &Registry,
     layout: &PlanLayout,
     query: &QuerySpec,
     tuple: &Tuple,
@@ -130,8 +135,8 @@ pub fn candidates_into(
         // Re-probe the completion SteM, but only if it changed since our
         // last probe (BoundedRepetition).
         if let Some(mid) = layout.stem_mid[ct.as_usize()] {
-            if let Module::Stem(cell) = &modules[mid] {
-                if cell.lock().version() > state.last_probe_version {
+            if let Some(stem) = modules[mid].stem(shared) {
+                if stem.version() > state.last_probe_version {
                     acts.push(Action::ProbeStem { mid, table: ct });
                 }
             }
@@ -280,8 +285,9 @@ mod tests {
         let mut buf = vec![Action::Drop; 3];
         for edges in [probe_edges, None, Some(&every[..]), Some(&[][..])] {
             let owned = super::candidates(modules, layout, query, tuple, state, edges);
-            let filled = candidates_into(modules, layout, query, tuple, state, edges, &mut buf)
-                .map(|()| buf.clone());
+            let filled =
+                candidates_into(modules, &[], layout, query, tuple, state, edges, &mut buf)
+                    .map(|()| buf.clone());
             assert_eq!(owned, filled, "probe_edges {edges:?}");
         }
         super::candidates(modules, layout, query, tuple, state, probe_edges)
@@ -470,10 +476,10 @@ mod tests {
         ));
         // Build an EOT into SteM_S: version bumps, re-probe offered.
         let smid = l.stem_mid[1].unwrap();
-        if let Module::Stem(cell) = &mut m[smid] {
+        if let Module::Stem(stem) = &mut m[smid] {
             let eot = Tuple::singleton(TableIdx(1), make_scan_eot_row(2));
             assert_eq!(
-                crate::stem::testkit::build_one(&mut cell.lock(), &eot, &TupleState::new(), 1),
+                crate::stem::testkit::build_one(stem, &eot, &TupleState::new(), 1),
                 BuildResult::Eot
             );
         }

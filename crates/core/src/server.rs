@@ -34,10 +34,13 @@
 //! * **SteMs** are shared through a registry keyed by
 //!   [`StemKey`] — `(source, join columns, resolved SteM options)`. When
 //!   query B's key matches query A's, B's plan is rewired
-//!   ([`EddyExecutor::fold_stem`]) to probe the *same* [`StemCell`] A
-//!   uses: one build, N probers. The server performs the builds itself
-//!   (one build service per scan wave per entry, not per query) and hands
-//!   every subscriber the same timestamped singletons.
+//!   ([`EddyExecutor::fold_stem`]) to probe the *same* [`Stem`] A uses:
+//!   one build, N probers. The registry owns each shared SteM. The server
+//!   performs the builds itself, at server instants (one build service
+//!   per scan wave per entry, not per query), and hands every subscriber
+//!   the same timestamped singletons. It lends the registry read-only
+//!   (`&`) to every executor it steps or delivers to, so the borrow
+//!   checker proves that no probe overlaps a build.
 //! * **Routers, routing policies, SMs, index AMs and result sets stay
 //!   per-query** — each query adapts its routing independently; only
 //!   state and scan work are shared.
@@ -109,9 +112,9 @@
 //! # Parallel stepping
 //!
 //! Between two server waves the executors are *independent*: they share
-//! no mutable state except the shared SteM cells (probe-only between
-//! build waves, each probe serialized under the cell mutex and
-//! schedule-invariant) and the global timestamp counter. Only executors
+//! the registry's SteMs, read-only (a probe takes `&Stem` and works in its
+//! executor's own reply set, so concurrent probes need no lock and are
+//! schedule-invariant), and the global timestamp counter. Only executors
 //! that still own a private stem-bearing instance can consume the
 //! counter ([`EddyExecutor::has_stem`]); the server partitions each
 //! wave's runnable executors accordingly. Counter-threading executors
@@ -135,7 +138,6 @@
 use crate::am::ScanAm;
 use crate::engine::{ConfigError, EddyExecutor, ExecConfig};
 use crate::memo::{MemoCache, MemoCell, DEFAULT_MEMO_SHARDS};
-use crate::plan::StemCell;
 use crate::report::ServerReport;
 use crate::runtime::for_each_parallel;
 use crate::stem::{make_scan_eot_row, BuildResult, Stem, StemOptions};
@@ -159,9 +161,11 @@ struct StemKey {
 }
 
 /// One shared SteM plus the build log its subscribers read.
-struct SharedEntry {
+pub struct SharedEntry {
     key: StemKey,
-    cell: StemCell,
+    /// Written only at server instants ([`QueryServer::build_entries`]);
+    /// between them the registry is lent read-only to every executor.
+    pub(crate) stem: Stem,
     /// Rows of the scan's emitted log built into the SteM: the entry's
     /// own cursor into that log.
     built: usize,
@@ -182,6 +186,10 @@ struct SharedEntry {
     /// the admission budget sums these.
     bytes: usize,
 }
+
+/// The shared-SteM registry, which [`crate::plan::Module::Folded`] indexes;
+/// `None` is an evicted entry, which no running query names.
+pub type Registry = [Option<SharedEntry>];
 
 /// One scan stream, shared by every query reading the source. Its
 /// [`ScanAm`] serves no instance: emitting only advances it, and every
@@ -230,11 +238,14 @@ impl FoldedSub {
     /// Returns whether anything was delivered.
     fn deliver(
         &mut self,
-        entry: &SharedEntry,
+        entries: &Registry,
         exec: &mut EddyExecutor,
         now: Time,
         wave: &mut StampedWave,
     ) -> bool {
+        let Some(entry) = &entries[self.entry] else {
+            unreachable!("entry {} evicted under a subscriber", self.entry)
+        };
         let (from, upto) = (self.cursor, entry.released);
         let eot = entry.eot_released && !self.eot_seen;
         if from >= upto && !eot {
@@ -252,7 +263,7 @@ impl FoldedSub {
         self.cursor = upto;
         self.eot_seen = entry.eot_released;
         let stamped: &[Tuple] = if from < upto { &wave.tuples } else { &[] };
-        exec.deliver_folded_wave(now, table, stamped, eot);
+        exec.deliver_folded_wave(now, table, stamped, eot, entries);
         true
     }
 }
@@ -264,7 +275,13 @@ impl RawSub {
     /// subscription (cursor 0) receives the whole emitted prefix: late
     /// admission is this same delivery. Returns whether anything was
     /// delivered.
-    fn deliver(&mut self, scan: &ServerScan, exec: &mut EddyExecutor, now: Time) -> bool {
+    fn deliver(
+        &mut self,
+        scan: &ServerScan,
+        exec: &mut EddyExecutor,
+        now: Time,
+        entries: &Registry,
+    ) -> bool {
         let log = scan.am.emitted();
         let rows = &log[self.cursor..];
         let eot = scan.am.finished && !self.eot_seen;
@@ -283,7 +300,7 @@ impl RawSub {
                     .iter()
                     .map(|&t| Tuple::singleton(t, make_scan_eot_row(scan.arity))),
             );
-        exec.deliver_raw_wave(now, tuples);
+        exec.deliver_raw_wave(now, tuples, entries);
         true
     }
 }
@@ -889,7 +906,7 @@ impl<'a> QueryServer<'a> {
                 // Serial phase, inline: the global timestamp counter is
                 // a chain through these executors in id order.
                 run.exec.set_ts_counter(self.ts_counter);
-                let next = run.exec.step_until(t);
+                let next = run.exec.step_until(t, &self.entries);
                 self.ts_counter = run.exec.ts_counter();
                 merge(run, next);
             } else {
@@ -904,13 +921,13 @@ impl<'a> QueryServer<'a> {
             .filter_map(|(run, &p)| p.then_some(run));
         if independent < 2 || workers < 2 {
             for run in wave {
-                let next = run.exec.step_until(t);
+                let next = run.exec.step_until(t, &self.entries);
                 merge(run, next);
             }
         } else {
             let mut wave: Vec<&mut Running> = wave.collect();
             for_each_parallel(&mut wave, workers, |run| {
-                run.exec.step_until(t);
+                run.exec.step_until(t, &self.entries);
             });
             for run in wave {
                 merge(run, run.exec.next_time());
@@ -1058,28 +1075,28 @@ impl<'a> QueryServer<'a> {
                     join_cols: query.join_cols_of(ti),
                     opts: plan_opts.default_stem.clone(),
                 };
-                let now = self.now;
-                let found = self.entries.iter_mut().enumerate().find_map(|(ei, e)| {
-                    let entry = e.as_mut().filter(|e| e.key == key)?;
-                    Some((ei, entry))
-                });
+                let found = self
+                    .entries
+                    .iter()
+                    .position(|e| e.as_ref().is_some_and(|e| e.key == key));
                 let entry = match found {
                     // A self-join over the same key needs two
                     // dictionaries; the second instance stays private.
-                    Some((ei, _)) if claimed.contains(&ei) => None,
-                    Some(found) => Some(found),
+                    Some(ei) if claimed.contains(&ei) => None,
+                    Some(ei) => Some(ei),
                     None => Some(self.new_entry(key, ti)),
                 };
-                if let Some((ei, entry)) = entry {
+                if let Some(ei) = entry {
                     claimed.push(ei);
-                    run.exec.fold_stem(ti, &entry.cell);
+                    run.exec.fold_stem(ti, ei);
                     let mut sub = FoldedSub {
                         entry: ei,
                         table: ti,
                         cursor: 0,
                         eot_seen: false,
                     };
-                    sub.deliver(entry, &mut run.exec, now, &mut StampedWave::default());
+                    let wave = &mut StampedWave::default();
+                    sub.deliver(&self.entries, &mut run.exec, self.now, wave);
                     run.folded.push(sub);
                     // A new entry catches up on what the scan already
                     // emitted; every older entry on the source has.
@@ -1102,7 +1119,7 @@ impl<'a> QueryServer<'a> {
                 cursor: 0,
                 eot_seen: false,
             };
-            sub.deliver(scan, &mut run.exec, self.now);
+            sub.deliver(scan, &mut run.exec, self.now, &self.entries);
             run.raw.push(sub);
         }
         // Memo folding: every memo-enabled query running a UDF spec gets
@@ -1150,7 +1167,7 @@ impl<'a> QueryServer<'a> {
     /// what its source's scan already emitted ([`Self::build_entries`]),
     /// so the newcomer's SteM matches what a from-the-start subscriber
     /// would hold.
-    fn new_entry(&mut self, key: StemKey, instance: TableIdx) -> (usize, &mut SharedEntry) {
+    fn new_entry(&mut self, key: StemKey, instance: TableIdx) -> usize {
         let mut stem = Stem::new(
             instance,
             key.source,
@@ -1167,11 +1184,9 @@ impl<'a> QueryServer<'a> {
             stem.trust_distinct();
         }
         self.stats.shared_stems += 1;
-        let ei = self.entries.len();
-        self.entries.push(None);
-        let entry = self.entries[ei].insert(SharedEntry {
+        self.entries.push(Some(SharedEntry {
             key,
-            cell: StemCell::new(stem),
+            stem,
             built: 0,
             log: Vec::new(),
             released: 0,
@@ -1179,8 +1194,8 @@ impl<'a> QueryServer<'a> {
             eot_released: false,
             busy_until: self.now,
             bytes: 0,
-        });
-        (ei, entry)
+        }));
+        self.entries.len() - 1
     }
 
     /// The shared scan stream for `source`, creating (and scheduling) it
@@ -1220,7 +1235,7 @@ impl<'a> QueryServer<'a> {
         }
         for run in self.running.iter_mut() {
             for sub in run.raw.iter_mut().filter(|s| s.scan == si) {
-                if sub.deliver(scan, &mut run.exec, now) {
+                if sub.deliver(scan, &mut run.exec, now, &self.entries) {
                     merge_next(&mut self.exec_next, run.exec.next_time());
                 }
             }
@@ -1245,7 +1260,7 @@ impl<'a> QueryServer<'a> {
                 continue;
             }
             entry.built = emitted.len();
-            let mut stem = entry.cell.lock();
+            let stem = &mut entry.stem;
             let instance = stem.instance;
             let mut batch: TupleBatch = rows
                 .iter()
@@ -1258,7 +1273,6 @@ impl<'a> QueryServer<'a> {
             let mut results = Vec::with_capacity(batch.len());
             stem.build_batch_into(&mut batch, &states, &mut self.ts_counter, &mut results);
             let new_bytes = stem.approx_bytes();
-            drop(stem);
             let before = entry.log.len();
             for (row, result) in rows.iter().zip(results) {
                 // Duplicates are absorbed server-side: every subscriber
@@ -1301,7 +1315,7 @@ impl<'a> QueryServer<'a> {
         let mut wave = StampedWave::default();
         for run in self.running.iter_mut() {
             for sub in run.folded.iter_mut().filter(|s| s.entry == ei) {
-                if sub.deliver(entry, &mut run.exec, self.now, &mut wave) {
+                if sub.deliver(&self.entries, &mut run.exec, self.now, &mut wave) {
                     merge_next(&mut self.exec_next, run.exec.next_time());
                 }
             }

@@ -138,11 +138,6 @@ impl Sm {
         self.memo = memo;
     }
 
-    /// The attached memo cell, if any.
-    pub fn memo_cell(&self) -> Option<&MemoCell> {
-        self.memo.as_ref()
-    }
-
     /// Apply the predicate. `Some(true)` = passes (mark done and bounce
     /// back), `Some(false)` = fails (drop), `None` = not evaluable on this
     /// tuple's span (router error; treated as a drop in release builds).

@@ -18,10 +18,12 @@
 //!   acknowledgements are withheld and later released clustered by hash
 //!   partition.
 //!
-//! There is no lock in here. Builds and probes both take `&mut self`: one
-//! envelope at a time per SteM is the paper's module contract, and the one
-//! place a SteM is shared — [`crate::plan::StemCell`] — serializes whole
-//! envelopes in front of it.
+//! There is no lock in here, and none around a SteM. A build takes
+//! `&mut self`; a probe takes `&self` and works in the caller's
+//! [`ProbeReplySet`], which owns the probe's envelope buffers, so any
+//! number of probers may read one SteM at once. A SteM has one owner: a
+//! query's plan, or the query server's registry, which builds into it only
+//! at server instants and lends it read-only to every executor it steps.
 //!
 //! # One slab and its slot-indexed columns
 //!
@@ -86,9 +88,10 @@ use stems_types::{
     HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value, UNBUILT_TS,
 };
 
-/// The probe path's envelope buffers. Everything a probe materializes per
-/// envelope — bounce decisions, key groups, flat candidate arenas, plans,
-/// the coverage check's binding lists — lives here and keeps its capacity
+/// The probe path's envelope buffers, held by the caller's
+/// [`ProbeReplySet`]. Everything a probe materializes per envelope —
+/// bounce decisions, key groups, flat candidate arenas, plans, the
+/// coverage check's binding lists — lives here and keeps its capacity
 /// across envelopes, so steady-state probing allocates nothing. A probe
 /// clears each buffer before it writes it, so one that unwound midway
 /// leaves nothing the next probe reads.
@@ -194,16 +197,18 @@ pub struct ReplyMeta {
 
 /// Envelope-lifetime probe-reply arena: all replies of one probe envelope,
 /// stored as one flat `(tuple, donebits)` vector plus one [`ReplyMeta`]
-/// header per probe tuple, in batch order. Callers own the set and reuse
-/// it across envelopes, so the steady-state reply path performs **zero
-/// per-tuple heap allocations** (`tests/alloc_probe.rs` pins this with a
-/// counting allocator).
+/// header per probe tuple, in batch order, and the probe's envelope
+/// buffers. Callers own the set and reuse it across envelopes, so the
+/// steady-state reply path performs **zero per-tuple heap allocations**
+/// (`tests/alloc_probe.rs` pins this with a counting allocator).
 #[derive(Debug, Default)]
 pub struct ProbeReplySet {
     /// Flat result arena: each reply's results are contiguous.
     results: Vec<(Tuple, PredSet)>,
     /// One header per probe tuple, batch order.
     metas: Vec<ReplyMeta>,
+    /// The probe's envelope buffers.
+    scratch: ProbeScratch,
 }
 
 impl ProbeReplySet {
@@ -262,6 +267,8 @@ const COMPACT_MIN_DEAD: usize = 32;
 /// dictionaries, which preserves the memory-sharing benefit while keeping
 /// the timestamp bookkeeping per instance.
 pub struct Stem {
+    /// The instance its builds are tagged with. A probe tags its results
+    /// with the instance of the probe table it is given instead.
     pub instance: TableIdx,
     pub source: SourceId,
     pub has_scan_am: bool,
@@ -306,9 +313,14 @@ pub struct Stem {
     fresh: Vec<Option<Slot>>,
     /// The ingest walk's staging buffer for the rows it inserts.
     pending: Vec<Arc<Row>>,
-    /// The probe path's envelope buffers.
-    probe: ProbeScratch,
 }
+
+// The query server lends its shared SteMs to executors stepping on
+// several threads at once.
+const _: () = {
+    const fn probes_are_reads<T: Sync>() {}
+    probes_are_reads::<Stem>()
+};
 
 impl std::fmt::Debug for Stem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -354,19 +366,7 @@ impl Stem {
             expected_rows: 0,
             fresh: Vec::new(),
             pending: Vec::new(),
-            probe: ProbeScratch::default(),
         }
-    }
-
-    /// Re-point this SteM at a different table instance. All stored state
-    /// (rows, timestamps, dedup, EOT marks) is instance-agnostic — the
-    /// instance index only tags tuples routed in and out — so a SteM
-    /// built under one query can serve another whose instance numbering
-    /// differs. The query server uses this to fold N queries' probes onto
-    /// one shared SteM; callers must retarget *before* building or
-    /// probing on behalf of the new instance.
-    pub fn retarget(&mut self, instance: TableIdx) {
-        self.instance = instance;
     }
 
     /// A scan will deliver `rows` rows (the catalog's count): at the first
@@ -696,7 +696,7 @@ impl Stem {
     /// per tuple in batch order: the concatenated matches passing every
     /// newly evaluable predicate and both timestamp rules, plus the
     /// bounce decision per SteM BounceBack. See the module docs for the
-    /// three passes; the envelope buffers are the SteM's own and keep
+    /// three passes; the envelope buffers are the reply set's and keep
     /// their capacity, so a steady probe stream allocates no envelope
     /// buffers.
     ///
@@ -704,7 +704,7 @@ impl Stem {
     /// holding the plan's ([`crate::plan::PlanLayout::links`]) probes
     /// through [`Self::probe_linked_into`].
     pub fn probe_batch_into(
-        &mut self,
+        &self,
         batch: &[Tuple],
         states: &[TupleState],
         query: &QuerySpec,
@@ -714,9 +714,11 @@ impl Stem {
         self.probe_linked_into(&links, batch, states, query, out);
     }
 
-    /// [`Self::probe_batch_into`] with the plan-time probe table of this
-    /// SteM's current instance — the eddy's form: nothing about the query
-    /// is re-derived per envelope.
+    /// [`Self::probe_batch_into`] with the plan-time probe table of the
+    /// instance probed — the eddy's form: nothing about the query is
+    /// re-derived per envelope. Results are tagged with `links.table()`,
+    /// not with [`Self::instance`]: a SteM the query server shares answers
+    /// queries that number the instance differently.
     ///
     /// Candidates are *slots*: both timestamp rules are decided on the
     /// slot's entry in the timestamp column, and the row is resolved, and
@@ -726,7 +728,7 @@ impl Stem {
     /// only per-tuple allocations are the surviving result tuples
     /// themselves (one component vec each, via [`Tuple::concat_row`]).
     pub fn probe_linked_into(
-        &mut self,
+        &self,
         links: &TableLinks,
         batch: &[Tuple],
         states: &[TupleState],
@@ -734,12 +736,12 @@ impl Stem {
         out: &mut ProbeReplySet,
     ) {
         debug_assert_eq!(batch.len(), states.len());
-        debug_assert_eq!(
-            links.table(),
-            self.instance,
-            "probe table of another instance"
-        );
-        let t = self.instance;
+        let t = links.table();
+        let ProbeReplySet {
+            results,
+            metas,
+            scratch,
+        } = out;
         let ProbeScratch {
             outcomes,
             plans,
@@ -747,7 +749,7 @@ impl Stem {
             keys,
             bufs,
             cover,
-        } = &mut self.probe;
+        } = scratch;
         outcomes.clear();
         plans.clear();
         cols.clear();
@@ -820,8 +822,7 @@ impl Stem {
             };
 
             let probe_ts = tuple.timestamp();
-            let start = out.results.len();
-            let results = &mut out.results;
+            let start = results.len();
             let mut consider = |slot: Slot| {
                 let ts_u = self.ts[slot as usize];
                 // TimeStamp rule (§3.1): only the later-built side generates
@@ -848,11 +849,11 @@ impl Stem {
                     slab.live()
                 }
             };
-            out.metas.push(ReplyMeta {
+            metas.push(ReplyMeta {
                 outcome: *outcome,
                 observed_ts: self.max_ts,
                 raw_matches,
-                len: out.results.len() - start,
+                len: results.len() - start,
             });
         }
     }
@@ -1031,8 +1032,8 @@ impl EotIndex {
     }
 }
 
-/// The binding lists [`EotIndex::covers`] works on, kept in the SteM's
-/// probe scratch so a coverage check allocates nothing once warm.
+/// The binding lists [`EotIndex::covers`] works on, kept in the probe's
+/// envelope buffers so a coverage check allocates nothing once warm.
 #[derive(Debug, Default)]
 pub(crate) struct CoverScratch {
     /// The probe's fixed `(col, value)` bindings.
@@ -1109,7 +1110,7 @@ pub(crate) mod testkit {
 
     /// Probe with one tuple.
     pub(crate) fn probe_one(
-        stem: &mut Stem,
+        stem: &Stem,
         tuple: &Tuple,
         state: &TupleState,
         query: &QuerySpec,
@@ -1285,7 +1286,7 @@ mod tests {
         build_fresh(&mut stem, &s_tuple(20, 2), 2);
         // r (built later, ts 3) probes: matches only x=10.
         let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+        let reply = probe_one(&stem, &r, &TupleState::new(), &q);
         assert_eq!(reply.results.len(), 1);
         let (result, done) = &reply.results[0];
         assert_eq!(result.span().len(), 2);
@@ -1301,7 +1302,7 @@ mod tests {
         // the s tuple's own probe path is responsible for this result.
         build_fresh(&mut stem, &s_tuple(10, 1), 7);
         let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 3);
-        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+        let reply = probe_one(&stem, &r, &TupleState::new(), &q);
         assert!(reply.results.is_empty());
         assert_eq!(reply.raw_matches, 1);
     }
@@ -1313,7 +1314,7 @@ mod tests {
         build_fresh(&mut stem, &s_tuple(10, 1), 7);
         // Unbuilt probe has ts = ∞ (paper: "before building, ts is ∞").
         let r = r_tuple(100, 10);
-        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+        let reply = probe_one(&stem, &r, &TupleState::new(), &q);
         assert_eq!(reply.results.len(), 1);
     }
 
@@ -1328,14 +1329,14 @@ mod tests {
         build_fresh(&mut stem, &s_tuple(11, 0), 3);
         let r = r_tuple(100, 10); // unbuilt, re-probing per §3.5
         let mut state = TupleState::new();
-        let first = probe_one(&mut stem, &r, &state, &q);
+        let first = probe_one(&stem, &r, &state, &q);
         assert_eq!(first.results.len(), 2);
         assert_eq!(first.observed_ts, 3);
         // Record observed ts, as the engine does on bounce.
         state.last_match_ts = first.observed_ts;
         // New tuple arrives, then re-probe: only the new one returned.
         build_fresh(&mut stem, &s_tuple(10, 3), 9);
-        let second = probe_one(&mut stem, &r, &state, &q);
+        let second = probe_one(&stem, &r, &state, &q);
         assert_eq!(second.results.len(), 1);
         assert_eq!(
             second.results[0].0.value(TableIdx(1), 1),
@@ -1350,7 +1351,7 @@ mod tests {
         let r_unbuilt = r_tuple(1, 10);
         let state = TupleState::new();
         let outcome = |has_scan: bool, has_index: bool, r: &Tuple| {
-            probe_one(&mut s_stem(has_scan, has_index), r, &state, &q).outcome
+            probe_one(&s_stem(has_scan, has_index), r, &state, &q).outcome
         };
         // scan-only, incomplete, prober built ⇒ consumed (scan covers it).
         assert_eq!(outcome(true, false, &r_built), ProbeOutcome::Consumed);
@@ -1400,7 +1401,7 @@ mod tests {
         assert_eq!(stem.version(), 1);
         let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
         assert_eq!(
-            probe_one(&mut stem, &r, &TupleState::new(), &q).outcome,
+            probe_one(&stem, &r, &TupleState::new(), &q).outcome,
             ProbeOutcome::Consumed
         );
         // EOT consumed no timestamp and is not a data row.
@@ -1418,12 +1419,12 @@ mod tests {
         let state = TupleState::new();
         let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
         assert_eq!(
-            probe_one(&mut stem, &covered, &state, &q).outcome,
+            probe_one(&stem, &covered, &state, &q).outcome,
             ProbeOutcome::Consumed
         );
         let uncovered = r_tuple(2, 20).with_timestamp(TableIdx(0), 2);
         assert_eq!(
-            probe_one(&mut stem, &uncovered, &state, &q).outcome,
+            probe_one(&stem, &uncovered, &state, &q).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required)
         );
         // A scan EOT on top covers everything and moves the version again.
@@ -1431,7 +1432,7 @@ mod tests {
         assert!(stem.scan_complete());
         assert_eq!(stem.eot_version(), 2);
         assert_eq!(
-            probe_one(&mut stem, &uncovered, &state, &q).outcome,
+            probe_one(&stem, &uncovered, &state, &q).outcome,
             ProbeOutcome::Consumed
         );
     }
@@ -1459,7 +1460,7 @@ mod tests {
 
         // Nothing answered yet.
         assert_eq!(
-            probe_one(&mut stem, &r, &state, &q2).outcome,
+            probe_one(&stem, &r, &state, &q2).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required)
         );
         // Member 1 answered (the index AM binds the IN column and emits
@@ -1467,13 +1468,13 @@ mod tests {
         // member-2 sub-probe has no coverage.
         build_eot_row(&mut stem, make_eot_row(2, &[(1, Value::Int(1))]));
         assert_eq!(
-            probe_one(&mut stem, &r, &state, &q2).outcome,
+            probe_one(&stem, &r, &state, &q2).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required)
         );
         // Member 2 answered too: every sub-probe is covered now.
         build_eot_row(&mut stem, make_eot_row(2, &[(1, Value::Int(2))]));
         assert_eq!(
-            probe_one(&mut stem, &r, &state, &q2).outcome,
+            probe_one(&stem, &r, &state, &q2).outcome,
             ProbeOutcome::Consumed
         );
     }
@@ -1515,13 +1516,13 @@ mod tests {
             build_eot_row(&mut stem, make_eot_row(2, &[(0, m.clone())]));
         }
         assert_eq!(
-            probe_one(&mut stem, &r, &state, &q2).outcome,
+            probe_one(&stem, &r, &state, &q2).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required),
             "one member still unanswered"
         );
         build_eot_row(&mut stem, make_eot_row(2, &[(0, members[1499].clone())]));
         assert_eq!(
-            probe_one(&mut stem, &r, &state, &q2).outcome,
+            probe_one(&stem, &r, &state, &q2).outcome,
             ProbeOutcome::Consumed
         );
     }
@@ -1555,13 +1556,13 @@ mod tests {
             build_eot_row(&mut stem, pair(x, y));
         }
         assert_eq!(
-            probe_one(&mut stem, &r, &state, &q2).outcome,
+            probe_one(&stem, &r, &state, &q2).outcome,
             ProbeOutcome::Bounced(CompletionNeed::Required),
             "one member pair still unanswered"
         );
         build_eot_row(&mut stem, pair(2, 6));
         assert_eq!(
-            probe_one(&mut stem, &r, &state, &q2).outcome,
+            probe_one(&stem, &r, &state, &q2).outcome,
             ProbeOutcome::Consumed
         );
     }
@@ -1597,7 +1598,7 @@ mod tests {
         build_eot_row(&mut stem, make_eot_row(2, &[(0, Value::Int(10))]));
         build_fresh(&mut stem, &s_tuple(10, 5), 2);
         let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 9);
-        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+        let reply = probe_one(&stem, &r, &TupleState::new(), &q);
         // Only the data row joins; the EOT "row" never appears in results.
         assert_eq!(reply.results.len(), 1);
         assert_eq!(
@@ -1641,7 +1642,7 @@ mod tests {
         let r = r_tuple(1, 1);
         for i in 0..8u64 {
             build_fresh(&mut stem, &s_tuple(i as i64, 0), i + 1);
-            let mut live: Vec<Timestamp> = probe_one(&mut stem, &r, &TupleState::new(), &cartesian)
+            let mut live: Vec<Timestamp> = probe_one(&stem, &r, &TupleState::new(), &cartesian)
                 .results
                 .iter()
                 .map(|(t, _)| t.component(TableIdx(1)).unwrap().ts)
@@ -1772,7 +1773,7 @@ mod tests {
         assert_side_maps_consistent(&stem);
         // What is left is the window's youngest rows, each still
         // answering under the stamp it was built with.
-        let reply = probe_one(&mut stem, &r_tuple(1, 1), &TupleState::new(), &cartesian);
+        let reply = probe_one(&stem, &r_tuple(1, 1), &TupleState::new(), &cartesian);
         let mut live: Vec<Timestamp> = reply
             .results
             .iter()
@@ -1862,7 +1863,7 @@ mod tests {
         build_fresh(&mut stem, &s_tuple(10, 1), 1); // fails y > 3
         build_fresh(&mut stem, &s_tuple(10, 9), 2); // passes
         let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 5);
-        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q2);
+        let reply = probe_one(&stem, &r, &TupleState::new(), &q2);
         assert_eq!(reply.results.len(), 1);
         let (tup, done) = &reply.results[0];
         assert_eq!(tup.value(TableIdx(1), 1), Some(&Value::Int(9)));
@@ -1878,7 +1879,7 @@ mod tests {
         let mut stem = s_stem(true, false);
         build_workload(&mut stem);
         let r = r_tuple(1, 999).with_timestamp(TableIdx(0), 1_000);
-        let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+        let reply = probe_one(&stem, &r, &TupleState::new(), &q);
         assert!(stem.len() > 2);
         assert_eq!(reply.results.len(), stem.len());
         let ts = match_ts(&reply);
@@ -2048,7 +2049,7 @@ mod tests {
             let mut seen_results = 0usize;
             for ((tuple, state), (meta, results)) in probes.iter().zip(&states).zip(batched.iter())
             {
-                let want = probe_one(&mut stem, tuple, state, q);
+                let want = probe_one(&stem, tuple, state, q);
                 assert_eq!(want.results, results, "probe {tuple}");
                 assert_eq!(want.outcome, meta.outcome, "probe {tuple}");
                 assert_eq!(want.observed_ts, meta.observed_ts, "probe {tuple}");
@@ -2212,8 +2213,8 @@ mod tests {
             // Key 13 is the last row's: live under the window too.
             let probe = r_tuple(1, 13);
             let (want, got) = (
-                probe_one(&mut filtering, &probe, &TupleState::new(), &q),
-                probe_one(&mut trusting, &probe, &TupleState::new(), &q),
+                probe_one(&filtering, &probe, &TupleState::new(), &q),
+                probe_one(&trusting, &probe, &TupleState::new(), &q),
             );
             assert_eq!(match_ts(&got), match_ts(&want));
             assert!(!want.results.is_empty());
@@ -2291,7 +2292,7 @@ mod tests {
             // Probe after all builds so the TimeStamp rule passes.
             for probe_key in [0i64, 3, 5, 12, 99] {
                 let r = r_tuple(1, probe_key).with_timestamp(TableIdx(0), 1_000);
-                let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+                let reply = probe_one(&stem, &r, &TupleState::new(), &q);
                 let want: Vec<Timestamp> = stored
                     .iter()
                     .filter(|(k, _)| *k == Value::Int(probe_key))
@@ -2302,7 +2303,7 @@ mod tests {
             }
             let rn = Tuple::singleton_of(TableIdx(0), vec![Value::Int(1), Value::Null])
                 .with_timestamp(TableIdx(0), 1_000);
-            assert!(probe_one(&mut stem, &rn, &TupleState::new(), &q)
+            assert!(probe_one(&stem, &rn, &TupleState::new(), &q)
                 .results
                 .is_empty());
         }
@@ -2408,7 +2409,7 @@ mod tests {
                     },
                 );
                 build_in_envelopes(&mut stem, &batch, batch.len());
-                let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+                let reply = probe_one(&stem, &r, &TupleState::new(), &q);
                 let got: Vec<&Arc<Row>> = reply
                     .results
                     .iter()
@@ -2439,7 +2440,7 @@ mod tests {
                     },
                 );
                 build_in_envelopes(&mut stem, &batch, batch.len());
-                [&by_y, &cross].map(|q| probe_one(&mut stem, &r, &TupleState::new(), q))
+                [&by_y, &cross].map(|q| probe_one(&stem, &r, &TupleState::new(), q))
             });
             let [list, rest @ ..] = &replies;
             assert_eq!(list[0].results.len(), 8, "{join_cols:?}");
@@ -2475,7 +2476,7 @@ mod tests {
                     },
                 );
                 build_in_envelopes(&mut stem, &batch, envelope);
-                let reply = probe_one(&mut stem, &r, &TupleState::new(), &q);
+                let reply = probe_one(&stem, &r, &TupleState::new(), &q);
                 assert!(stem.len() > 2, "{cell}");
                 assert_eq!(reply.results.len(), stem.len(), "{cell}");
                 let ts = match_ts(&reply);
@@ -2514,5 +2515,80 @@ mod tests {
                 assert_side_maps_consistent(&whole);
             }
         }
+    }
+
+    /// A probe that unwinds midway leaves nothing behind: an envelope
+    /// without states for its tuples is a caller bug the probe path
+    /// panics on, after it has written the reply set's buffers. The SteM
+    /// and that same reply set still answer the next probe, and the SteM
+    /// still builds.
+    #[test]
+    fn a_probe_that_panicked_leaves_the_stem_and_its_replies_usable() {
+        let (_c, q) = setup();
+        let state = TupleState::new();
+        let r = r_tuple(100, 10).with_timestamp(TableIdx(0), 9);
+        let mut stem = s_stem(true, false);
+        build_fresh(&mut stem, &s_tuple(10, 1), 1);
+        let mut replies = ProbeReplySet::new();
+        let probe = |stem: &Stem, replies: &mut ProbeReplySet| {
+            replies.clear();
+            let (tuples, states) = (std::slice::from_ref(&r), std::slice::from_ref(&state));
+            stem.probe_batch_into(tuples, states, &q, replies);
+            replies
+                .iter()
+                .map(|(m, r)| (m.observed_ts, r.len()))
+                .collect::<Vec<_>>()
+        };
+        // Warm the buffers, so the dying probe has them to leave half
+        // written.
+        assert_eq!(probe(&stem, &mut replies), [(1, 1)]);
+
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let batch = [r.clone(), r.clone()];
+            stem.probe_batch_into(&batch, &[], &q, &mut replies);
+        }));
+        assert!(died.is_err());
+
+        assert_eq!(probe(&stem, &mut replies), [(1, 1)]);
+        let next = build_fresh(&mut stem, &s_tuple(10, 2), 2);
+        assert_eq!(next.timestamp(), 2);
+        assert_eq!(probe(&stem, &mut replies), [(2, 2)]);
+    }
+
+    /// A probe reads the SteM through `&self`: two threads probing one
+    /// SteM at once, each into its own reply set (the query server's wave
+    /// drain, `runtime::for_each_parallel`, over two probers), get exactly
+    /// what a serial probe gets, round after round.
+    #[test]
+    fn concurrent_probes_of_one_stem_match_a_serial_probe() {
+        const ROUNDS: usize = 200;
+        let (_c, q) = setup();
+        let mut stem = s_stem(false, true);
+        for i in 0..64 {
+            build_fresh(&mut stem, &s_tuple(i % 8, i), i as Timestamp + 1);
+        }
+        build_eot_row(&mut stem, make_eot_row(2, &[(0, Value::Int(3))]));
+        let batch: Vec<Tuple> = (0..32)
+            .map(|k| r_tuple(k, k % 10).with_timestamp(TableIdx(0), 16 + k as Timestamp))
+            .collect();
+        let states = vec![TupleState::new(); batch.len()];
+        let stem = &stem;
+        let probe = |replies: &mut ProbeReplySet| {
+            replies.clear();
+            stem.probe_batch_into(&batch, &states, &q, replies);
+            let replies = replies.iter().map(|(m, r)| (*m, r.to_vec()));
+            replies.collect::<Vec<_>>()
+        };
+        let serial = probe(&mut ProbeReplySet::new());
+        assert!(serial
+            .iter()
+            .any(|(m, _)| m.outcome == ProbeOutcome::Consumed));
+        assert!(serial.iter().any(|(_, r)| !r.is_empty()));
+        let mut probers: Vec<(ProbeReplySet, usize)> =
+            (0..2).map(|_| (ProbeReplySet::new(), 0)).collect();
+        crate::runtime::for_each_parallel(&mut probers, 2, |(replies, matched)| {
+            *matched = (0..ROUNDS).filter(|_| probe(replies) == serial).count();
+        });
+        assert!(probers.iter().all(|(_, matched)| *matched == ROUNDS));
     }
 }

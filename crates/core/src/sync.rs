@@ -6,17 +6,17 @@
 //! helpers below. The poison policy is uniform across the crate:
 //!
 //! * [`lock_ok`] — shrug the poison off and keep the data. For state
-//!   that is updated atomically with respect to panics (queue/counter
-//!   updates, envelope-atomic SteM state): the value behind the lock is
-//!   still structurally valid, and propagating poison would take down
-//!   every later query sharing the lock for no safety gain.
+//!   that is updated atomically with respect to panics — today the
+//!   runtime's executor lanes, each holding only a `&mut` to its item:
+//!   the value behind the lock is still structurally valid, and
+//!   propagating poison would only turn one panic into a cascade.
 //! * [`lock_recover`] — clear the poison mark and run a caller-supplied
 //!   repair first. For state that may be mid-mutation when its holder
 //!   dies — today the verdict memo's shards ([`crate::memo`]): the repair
 //!   discards the half-written cache, which is pure performance state.
 
 pub use std::sync::atomic;
-pub use std::sync::{Arc, LockResult, Mutex, MutexGuard, OnceLock, PoisonError};
+pub use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Lock `mutex`, shrugging off poison and keeping the data as-is. See
 /// the module docs for when this is the right recovery.

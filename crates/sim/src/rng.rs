@@ -80,11 +80,6 @@ impl SimRng {
 }
 
 impl SimRng {
-    /// Next raw 32-bit value (upper half of the 64-bit stream).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fill a byte slice with pseudo-random bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {

@@ -2,8 +2,8 @@
 //!
 //! The probe pipeline promises **zero per-tuple heap allocations** once
 //! its pooled buffers are warm: replies land in a caller-owned
-//! [`ProbeReplySet`] arena, candidate fetch runs through the pooled
-//! `ProbeScratch`, the newly-evaluable predicates are a bitset, and
+//! [`ProbeReplySet`] arena, candidate fetch runs through the reply set's
+//! pooled envelope buffers, the newly-evaluable predicates are a bitset, and
 //! bounce decisions work on pooled binding lists. What remains is a small
 //! *per-envelope* constant: the query-only entry point used here derives
 //! the query's probe table per call (the eddy passes the plan's).

@@ -220,13 +220,12 @@ fn candidates_into_a_warm_buffer_never_allocates() {
     let indexed = instantiate(&c, &indexed_q, &PlanOptions::default()).unwrap();
     // The same plan after a build into SteM_S: its version moved, so a
     // parked prior prober is offered the re-probe.
-    let rebuilt = instantiate(&c, &indexed_q, &PlanOptions::default()).unwrap();
-    let Module::Stem(cell) = &rebuilt.0[rebuilt.1.stem_mid[1].unwrap()] else {
+    let mut rebuilt = instantiate(&c, &indexed_q, &PlanOptions::default()).unwrap();
+    let Module::Stem(stem) = &mut rebuilt.0[rebuilt.1.stem_mid[1].unwrap()] else {
         panic!("S has a SteM");
     };
     let row = Tuple::singleton_of(TableIdx(1), vec![Value::Int(10), Value::Int(1)]);
-    cell.lock()
-        .build_batch(&TupleBatch::single(row), &[TupleState::new()], &mut 0);
+    stem.build_batch(&TupleBatch::single(row), &[TupleState::new()], &mut 0);
     let (c, cross_q) = two_tables(false, false);
     let cross = instantiate(&c, &cross_q, &PlanOptions::default()).unwrap();
     let (c, tri_q) = triangle();
@@ -343,6 +342,7 @@ fn candidates_into_a_warm_buffer_never_allocates() {
         let (modules, layout) = case.plan;
         router::candidates_into(
             modules,
+            &[],
             layout,
             case.query,
             &case.tuple,

@@ -1,10 +1,10 @@
 //~ rule: stem-lock
 //~ path: crates/core/src/stem.rs
 // A SteM that hides its probe buffers behind a lock so that probes can
-// run through `&self`: the only callers already hold the whole SteM
-// exclusively (`StemCell`'s guard), so the inner lock can never be
-// contended and the exclusivity belongs in the signature. (A Mutex in the
-// docs — like this one — stays silent, and so does the test module.)
+// run through `&self`: the buffers belong in the caller's reply set, where
+// every prober has its own, so the lock would only serialize readers. (A
+// Mutex in the docs — like this one — stays silent, and so does the test
+// module.)
 
 use crate::sync::{lock_recover, Mutex};
 

@@ -19,7 +19,7 @@
 //! | `wall-clock` | no `Instant::now` / `SystemTime` outside `crates/bench` (virtual-time discipline) |
 //! | `metric-by-name` | no name-taking `.bump(` / `.observe(` in `engine.rs` / `server.rs` — the per-tuple path updates metrics by `MetricId` |
 //! | `row-keyed-map` | no map or set keyed by `Arc<Row>` / `Row` in non-test `stem.rs`, `crates/storage/src/` — stored rows are addressed by slot |
-//! | `stem-lock` | no `Mutex` / `RwLock` / `RefCell` / `atomic` / `lock_ok` / `lock_recover` in non-test `stem.rs` — a SteM's state is reached through `&mut self`; its one lock is `StemCell`'s, in `plan.rs` |
+//! | `stem-lock` | no `StemCell`, `Mutex<Stem>` or `RwLock<Stem>` in non-test `crates/core/src/`, and no `Mutex` / `RwLock` / `RefCell` / `atomic` / `lock_ok` / `lock_recover` in non-test `stem.rs` — a SteM has one owner: builds take `&mut self`, probes `&self`, and the server lends its shared SteMs by borrow |
 //! | `default-hasher` | no `HashMap` / `HashSet` with the default SipHash hasher in non-test `crates/core/src/` — the engine hashes its own data: an Fx map, or an identity map over a precomputed hash |
 //! | `server-panic` | no `.expect(` / `.unwrap()` in non-test `crates/core/src/server.rs` — a query's state is carried by types that cannot be in the wrong state, not asserted at run time |
 //! | `series-of-count` | no literal `.series("x")` / `curve(_, "x")` anywhere in the tree (`tests/`, `examples/` and `benchmark/` included) where `x` is in the engine's `metric_ids! { … counts { … } }` list — a count keeps no series |
@@ -449,16 +449,21 @@ fn house_rules(path: &str, original: &[&str], code: &[String]) -> Vec<Finding> {
             }
         }
 
-        // stem-lock — builds and probes take `&mut self`, so nothing
-        // inside a SteM needs interior mutability; sharing a SteM is
-        // `StemCell`'s job, one lock in front of the whole module.
-        if in_stem && !in_tests {
-            if let Some(name) = STEM_LOCKS.iter().find(|n| contains_word(code_line, n)) {
+        // stem-lock — a build takes `&mut self` and a probe `&self`, so
+        // nothing inside a SteM needs interior mutability, and nothing
+        // around one needs a lock: the server lends its shared SteMs by
+        // borrow and writes them only at its own instants.
+        if in_core && !in_tests {
+            let inside = STEM_LOCKS
+                .iter()
+                .copied()
+                .find(|n| in_stem && contains_word(code_line, n));
+            if let Some(name) = inside.or_else(|| stem_behind_lock(code_line)) {
                 findings.push(Finding {
                     rule: "stem-lock",
                     line: lineno,
                     message: format!(
-                        "`{name}` inside a SteM — its state is reached through `&mut self`; share it through `StemCell`"
+                        "`{name}` locks a SteM — it has one owner: build through `&mut`, probe through `&`, lend a shared one by borrow"
                     ),
                 });
             }
@@ -582,6 +587,25 @@ fn row_keyed_map(code_line: &str) -> Option<&'static str> {
             let key = key.strip_prefix("Arc<").map_or(key, str::trim_start);
             key.strip_prefix("Row")
                 .is_some_and(|rest| !rest.starts_with(is_ident_char))
+        })
+    })
+}
+
+/// A lock around a SteM, if the line names one: a `StemCell`, or a
+/// `Mutex` / `RwLock` whose type argument is `Stem` (by any path).
+fn stem_behind_lock(code_line: &str) -> Option<&'static str> {
+    if contains_word(code_line, "StemCell") {
+        return Some("StemCell");
+    }
+    ["Mutex", "RwLock"].into_iter().find(|lock| {
+        code_line.match_indices(lock).any(|(at, _)| {
+            let rest = code_line[at + lock.len()..].trim_start();
+            let Some(arg) = rest.strip_prefix('<') else {
+                return false;
+            };
+            let arg = arg.split(['>', ',']).next().unwrap_or_default().trim();
+            (at == 0 || !is_ident_byte(code_line.as_bytes()[at - 1]))
+                && arg.rsplit("::").next() == Some("Stem")
         })
     })
 }
@@ -1011,6 +1035,21 @@ mod tests {
         assert_eq!(lines, [10, 11, 15, 16, 17]);
         // Outside `crates/core/src/` the rule does not run.
         assert!(lint_source("crates/catalog/src/cat.rs", &text, &[]).is_empty());
+    }
+
+    /// `stem-lock` fires on exactly the two locked SteMs of its fixture
+    /// — not on the imports, a lock around anything else, the comment or
+    /// the test module — and only in non-test `crates/core/src/`.
+    #[test]
+    fn stem_lock_fires_on_locked_stems_only() {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/stem_cell.rs");
+        let text = std::fs::read_to_string(fixture).expect("fixture");
+        let lines: Vec<usize> = lint_source("crates/core/src/server.rs", &text, &[])
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, [11, 14]);
+        assert!(lint_source("crates/bench/src/server.rs", &text, &[]).is_empty());
     }
 
     /// `--loc` counts a file's lines minus its `#[cfg(test)]` items: a
