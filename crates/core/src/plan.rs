@@ -27,7 +27,7 @@ pub enum Module {
     Stem(Stem),
     /// A State Module the query server shares across queries: the index of
     /// its entry in the server's registry, which the server lends
-    /// read-only to the executor while it steps ([`Module::stem`]).
+    /// read-only to the executor while it steps.
     Folded(usize),
     ScanAm(ScanAm),
     IndexAm(IndexAm),
@@ -51,7 +51,7 @@ impl Module {
 
     /// The SteM this module is, or the one it names in `shared`, the
     /// registry its executor was lent; `None` for any other module.
-    pub fn stem<'a>(&'a self, shared: &'a Registry) -> Option<&'a Stem> {
+    pub(crate) fn stem<'a>(&'a self, shared: &'a Registry) -> Option<&'a Stem> {
         match self {
             Module::Stem(stem) => Some(stem),
             Module::Folded(entry) => shared.get(*entry)?.as_ref().map(|e| &e.stem),
