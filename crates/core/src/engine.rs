@@ -36,10 +36,11 @@
 //! (`MetricIds`), and updated by id — and only the metrics something plots
 //! keep a series point per instant, the rest being declared counts; the
 //! join graph is built once by [`crate::plan::instantiate`] into
-//! [`PlanLayout::graph`]; and
-//! [`router::candidates_into`] fills one candidate buffer the executor
-//! owns. `stems-lint`'s `metric-by-name` rule and `tests/alloc_route.rs`
-//! keep it that way. (`format!` remains in configuration errors, in id
+//! [`PlanLayout::graph`]; and the router fills one candidate buffer the
+//! executor owns. It runs once per run of members with equal routing keys
+//! (`router::RouteKey`: everything the router reads of a member), not once
+//! per member. `stems-lint`'s `metric-by-name` rule and
+//! `tests/alloc_route.rs` keep it that way. (`format!` remains in configuration errors, in id
 //! resolution at build, and in violation and trace messages, which a
 //! correct untraced run never builds.)
 //!
@@ -57,7 +58,7 @@ use crate::am::IndexProbeOutcome;
 use crate::plan::{instantiate, Module, PlanLayout, PlanOptions};
 use crate::policy::{Feedback, Hint, RoutingPolicy, RoutingPolicyKind};
 use crate::report::Report;
-use crate::router::{self, Action, NoCandidates};
+use crate::router::{self, Action, NoCandidates, RouteKey};
 use crate::server::Registry;
 use crate::stem::{eot_bindings, BuildResult, ProbeOutcome, ProbeReplySet, Stem};
 use crate::tuple_state::{CompletionNeed, PriorProber, TupleState};
@@ -285,6 +286,20 @@ enum Purpose {
     AmProbe(TableIdx),
 }
 
+/// What [`EddyExecutor::route_wave`] does with a member — a function of
+/// its [`RouteKey`], so a run of members with equal keys shares one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Decision {
+    /// Full span, every predicate passed: a result.
+    Output,
+    /// Nothing left to do ([`NoCandidates::Retire`]).
+    Retire,
+    /// Wait for the completion table's SteM ([`NoCandidates::Park`]).
+    Park(TableIdx),
+    /// Group by the candidate list, for one policy decision per group.
+    Route,
+}
+
 /// Signal attached to a completed build, used to wake parked tuples.
 #[derive(Debug)]
 enum UnparkSignal {
@@ -472,6 +487,9 @@ pub struct EddyExecutor {
     /// tuple and it is copied — into a recycled wave's signature — only
     /// when a tuple opens a new group.
     candidates: Vec<Action>,
+    /// Debug builds decide again into this buffer for every member whose
+    /// routing decision [`Self::route_wave`] reused, and compare.
+    recheck: Vec<Action>,
     /// The bounded free list every wave buffer comes from and returns to
     /// (see [`crate::wave`] for the life cycle and the bound).
     waves: WavePool,
@@ -574,6 +592,7 @@ impl EddyExecutor {
             trace: Vec::new(),
             reply_set: ProbeReplySet::new(),
             candidates: Vec::new(),
+            recheck: Vec::new(),
             waves: WavePool::new(config.batch_size),
             groups: Vec::new(),
             flushed: Vec::new(),
@@ -1227,7 +1246,10 @@ impl EddyExecutor {
     /// Route a wave of tuples re-entering the eddy together.
     ///
     /// Per tuple (constraint side, paper Table 2): hop accounting, output
-    /// detection, candidate computation, parking and retirement. Tuples
+    /// detection, candidate computation, parking and retirement. All but
+    /// the hop count are a function of the member's [`RouteKey`], and a
+    /// delivery's members mostly share one, so the decision is re-derived
+    /// only when the key differs from the previous member's. Tuples
     /// whose legal candidate sets are identical are then grouped, and each
     /// group of up to `batch_size` tuples is routed by **one** policy
     /// decision into **one** module envelope — the batching that amortizes
@@ -1252,6 +1274,13 @@ impl EddyExecutor {
         let mut flushed = std::mem::take(&mut self.flushed);
         let mut acts = std::mem::take(&mut self.candidates);
         let mut members = wave.drain();
+        // The previous member's key and decision: `acts` holds that
+        // decision's candidate list until a member with another key (or
+        // an EOT) rewrites it. And the open group the previous member
+        // joined, with its flags — the next member joins it too if its
+        // decision was reused and its flags are equal.
+        let mut last: Option<(RouteKey, Decision)> = None;
+        let mut last_group: Option<(usize, bool, bool)> = None;
         while let Some((tuple, mut state, clustered)) = members.next() {
             state.hops += 1;
             if state.hops > self.config.max_hops {
@@ -1261,46 +1290,57 @@ impl EddyExecutor {
                 continue;
             }
 
-            if tuple.is_eot() {
+            let decision = if tuple.is_eot() {
                 // EOTs go straight to their table's SteM; they join the
                 // same build group as sibling data rows so arrival order
                 // into the SteM is preserved.
                 let t = tuple.components()[0].table;
-                match self.layout.stem_mid[t.as_usize()] {
-                    Some(mid) => {
-                        acts.clear();
-                        acts.push(Action::Build { mid, table: t });
-                    }
-                    None => continue,
-                }
-            } else if tuple.span() == self.query.full_span()
-                && state.done.is_superset_of(self.query.all_preds())
-            {
-                self.output(tuple, &state);
-                continue;
+                let Some(mid) = self.layout.stem_mid[t.as_usize()] else {
+                    continue;
+                };
+                acts.clear();
+                acts.push(Action::Build { mid, table: t });
+                (last, last_group) = (None, None);
+                Decision::Route
             } else {
-                match router::candidates_into(
-                    &self.modules,
-                    shared,
-                    &self.layout,
-                    &self.query,
-                    &tuple,
-                    &state,
-                    self.config.probe_edges.as_deref(),
-                    &mut acts,
-                ) {
-                    Err(NoCandidates::Retire) => {
-                        self.metrics.bump_id(self.ids.retired, self.now, 1);
-                        self.record(crate::report::TraceKind::Retire, &tuple);
-                        continue;
+                let key = RouteKey::of(&self.modules, &self.layout, &tuple, &state);
+                match last {
+                    Some((k, decision)) if k == key => {
+                        // Debug builds decide again and compare. The router
+                        // sees a member only through its key, so this
+                        // catches a change, between two members of one
+                        // wave, to what else it reads: a SteM's version.
+                        if cfg!(debug_assertions) {
+                            let mut fresh = std::mem::take(&mut self.recheck);
+                            assert_eq!(self.decide(&key, shared, &mut fresh), decision);
+                            assert!(decision != Decision::Route || fresh == acts);
+                            self.recheck = fresh;
+                        }
+                        decision
                     }
-                    Err(NoCandidates::Park { table }) => {
-                        self.record(crate::report::TraceKind::Park { table }, &tuple);
-                        self.park(tuple, state, table);
-                        continue;
+                    _ => {
+                        let decision = self.decide(&key, shared, &mut acts);
+                        (last, last_group) = (Some((key, decision)), None);
+                        decision
                     }
-                    Ok(()) => {}
                 }
+            };
+            match decision {
+                Decision::Output => {
+                    self.output(tuple, &state);
+                    continue;
+                }
+                Decision::Retire => {
+                    self.metrics.bump_id(self.ids.retired, self.now, 1);
+                    self.record(crate::report::TraceKind::Retire, &tuple);
+                    continue;
+                }
+                Decision::Park(table) => {
+                    self.record(crate::report::TraceKind::Park { table }, &tuple);
+                    self.park(tuple, state, table);
+                    continue;
+                }
+                Decision::Route => {}
             }
 
             // Find the open group with the same candidate signature, or
@@ -1308,22 +1348,30 @@ impl EddyExecutor {
             // copied). Signature equality is what lets one policy decision
             // stand for every member.
             let prio = state.prioritized;
-            let open = groups.iter().position(|g| {
-                g.actions == acts && g.clustered() == clustered && g.prioritized() == prio
-            });
-            let i = open.unwrap_or_else(|| {
-                // This member, and at most the rest of the delivery.
-                let mut group = self.waves.take_sized(cap.min(members.len() + 1));
-                group.actions.extend_from_slice(&acts);
-                groups.push(group);
-                groups.len() - 1
-            });
+            let i = match last_group {
+                Some((i, c, p)) if c == clustered && p == prio => i,
+                _ => {
+                    let open = groups.iter().position(|g| {
+                        g.actions == acts && g.clustered() == clustered && g.prioritized() == prio
+                    });
+                    open.unwrap_or_else(|| {
+                        // This member, and at most the rest of the delivery.
+                        let mut group = self.waves.take_sized(cap.min(members.len() + 1));
+                        group.actions.extend_from_slice(&acts);
+                        groups.push(group);
+                        groups.len() - 1
+                    })
+                }
+            };
             groups[i].push(tuple, state, clustered);
             // A full group flushes immediately (with cap 1 this
             // degenerates to the scalar per-tuple loop, preserving its
             // decision order exactly).
             if groups[i].len() >= cap {
                 flushed.push(groups.remove(i));
+                last_group = None;
+            } else {
+                last_group = Some((i, clustered, prio));
             }
         }
         drop(members);
@@ -1336,6 +1384,28 @@ impl EddyExecutor {
         }
         self.groups = groups;
         self.flushed = flushed;
+    }
+
+    /// What [`Self::route_wave`] does with a member whose key is `key`;
+    /// for [`Decision::Route`], `acts` holds the candidate list.
+    fn decide(&self, key: &RouteKey, shared: &Registry, acts: &mut Vec<Action>) -> Decision {
+        if key.span == self.query.full_span() && key.done.is_superset_of(self.query.all_preds()) {
+            return Decision::Output;
+        }
+        let edges = self.config.probe_edges.as_deref();
+        match router::route(
+            &self.modules,
+            shared,
+            &self.layout,
+            &self.query,
+            key,
+            edges,
+            acts,
+        ) {
+            Ok(()) => Decision::Route,
+            Err(NoCandidates::Retire) => Decision::Retire,
+            Err(NoCandidates::Park { table }) => Decision::Park(table),
+        }
     }
 
     /// Dispatch one flushed group: a single policy decision, per-tuple

@@ -90,9 +90,10 @@
 //!
 //! 1. Tuples re-entering the eddy together (a probe's concatenations, an
 //!    index AM's response wave, a Grace clustered release, an unpark
-//!    wave) have their legal candidate sets computed **per tuple** by
-//!    [`router::candidates_into`] — the Table 2 constraints are never
-//!    relaxed.
+//!    wave) have their legal candidate sets decided **per tuple**, from
+//!    the tuple's routing key (everything the router reads of it): the
+//!    router runs once per run of members with equal keys, and the Table 2
+//!    constraints are never relaxed.
 //! 2. Tuples whose candidate sets are *identical* are grouped, up to
 //!    [`ExecConfig::batch_size`] per group.
 //! 3. Each group is routed by **one**

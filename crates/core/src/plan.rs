@@ -183,7 +183,14 @@ pub fn instantiate(
                         spec.clone(),
                     )));
                     for inst in &instances {
-                        layout.index_mids[inst.as_usize()].push(mid);
+                        let mids = &mut layout.index_mids[inst.as_usize()];
+                        if mids.len() == crate::router::MAX_INDEX_AMS {
+                            return Err(stems_types::StemsError::Schema(format!(
+                                "table instance {inst} has more than {} index access methods",
+                                crate::router::MAX_INDEX_AMS
+                            )));
+                        }
+                        mids.push(mid);
                     }
                 }
             }
@@ -312,6 +319,23 @@ mod tests {
         )
         .unwrap();
         (c, q)
+    }
+
+    /// A routing key holds one bit per index AM of a table instance, so a
+    /// plan with more is refused, not routed wrongly.
+    #[test]
+    fn more_index_ams_than_a_route_key_holds_is_a_plan_error() {
+        let (mut c, q) = setup(true);
+        let s = q.instance(TableIdx(1)).source;
+        for _ in 1..crate::router::MAX_INDEX_AMS {
+            c.add_index(s, IndexSpec::new(vec![0], 1000)).unwrap();
+        }
+        assert!(instantiate(&c, &q, &PlanOptions::default()).is_ok());
+        c.add_index(s, IndexSpec::new(vec![0], 1000)).unwrap();
+        match instantiate(&c, &q, &PlanOptions::default()) {
+            Err(e) => assert!(e.to_string().contains("index access methods"), "{e}"),
+            Ok(_) => panic!("a plan with {} index AMs", crate::router::MAX_INDEX_AMS + 1),
+        }
     }
 
     #[test]

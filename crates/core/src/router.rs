@@ -11,9 +11,9 @@
 
 use crate::plan::{Module, PlanLayout};
 use crate::server::Registry;
-use crate::tuple_state::TupleState;
+use crate::tuple_state::{CompletionNeed, PriorProber, TupleState};
 use stems_catalog::QuerySpec;
-use stems_types::{PredId, TableIdx, Tuple};
+use stems_types::{PredId, PredSet, TableIdx, TableSet, Tuple, UNBUILT_TS};
 
 /// One legal routing destination for a tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +67,68 @@ pub enum NoCandidates {
     Park { table: TableIdx },
 }
 
+/// Most index AMs one table instance may have: [`RouteKey`] holds one bit
+/// per index AM of the completion table. Checked at plan time.
+pub(crate) const MAX_INDEX_AMS: usize = 64;
+
+/// Everything the router reads of one member: the router is a function of
+/// this key (and of the plan and the SteMs' versions, which no routing
+/// step changes), so members with equal keys get equal decisions. Small
+/// and `Copy`: the eddy derives the key of every member it routes and
+/// re-derives a decision only when the key differs from the previous
+/// member's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RouteKey {
+    /// The tables the tuple spans.
+    pub(crate) span: TableSet,
+    /// An unbuilt singleton: BuildFirst applies.
+    unbuilt_singleton: bool,
+    /// The predicates the tuple has passed.
+    pub(crate) done: PredSet,
+    prior_prober: Option<PriorProber>,
+    last_probe_version: u64,
+    probed_stems: TableSet,
+    probed_ams: TableSet,
+    /// For a prior prober that has not probed its completion table's AMs:
+    /// bit `i` is set iff the tuple can bind the `i`-th index AM of that
+    /// table (`PlanLayout::index_mids`). Zero otherwise.
+    bindable: u64,
+}
+
+impl RouteKey {
+    /// The key of one member.
+    pub(crate) fn of(
+        modules: &[Module],
+        layout: &PlanLayout,
+        tuple: &Tuple,
+        state: &TupleState,
+    ) -> RouteKey {
+        let mut bindable = 0;
+        if let Some(pp) = state.prior_prober {
+            let ct = pp.table.as_usize();
+            if !state.probed_ams.contains(pp.table) {
+                for (i, &mid) in layout.index_mids[ct].iter().enumerate() {
+                    if let Module::IndexAm(am) = &modules[mid] {
+                        if am.can_bind_linked(&layout.links[ct], tuple) {
+                            bindable |= 1 << i;
+                        }
+                    }
+                }
+            }
+        }
+        RouteKey {
+            span: tuple.span(),
+            unbuilt_singleton: tuple.is_singleton() && tuple.components()[0].ts == UNBUILT_TS,
+            done: state.done,
+            prior_prober: state.prior_prober,
+            last_probe_version: state.last_probe_version,
+            probed_stems: state.probed_stems,
+            probed_ams: state.probed_ams,
+            bindable,
+        }
+    }
+}
+
 /// Compute the candidate actions for a tuple, or the reason there are none.
 ///
 /// `edges`: optional restriction of SteM probes to a fixed set of
@@ -87,10 +149,9 @@ pub fn candidates(
 
 /// [`candidates`] into a caller-owned buffer: `acts` is cleared, then
 /// holds the candidate list on `Ok` (its contents are unspecified on
-/// `Err`). The eddy calls this once per routed tuple with one long-lived
-/// buffer, so the steady state allocates nothing here. `shared` is the
-/// registry the query server lent, where a [`Module::Folded`] SteM lives
-/// (empty for a solo query).
+/// `Err`). `shared` is the registry the query server lent, where a
+/// [`Module::Folded`] SteM lives (empty for a solo query). It derives the
+/// tuple's route key and routes on it, as the eddy does.
 #[allow(clippy::too_many_arguments)]
 pub fn candidates_into(
     modules: &[Module],
@@ -102,15 +163,28 @@ pub fn candidates_into(
     probe_edges: Option<&[(TableIdx, TableIdx)]>,
     acts: &mut Vec<Action>,
 ) -> Result<(), NoCandidates> {
+    let key = RouteKey::of(modules, layout, tuple, state);
+    route(modules, shared, layout, query, &key, probe_edges, acts)
+}
+
+/// The router proper: the candidate list of a member with key `key` into
+/// `acts` (cleared first), or the reason there is none.
+pub(crate) fn route(
+    modules: &[Module],
+    shared: &Registry,
+    layout: &PlanLayout,
+    query: &QuerySpec,
+    key: &RouteKey,
+    probe_edges: Option<&[(TableIdx, TableIdx)]>,
+    acts: &mut Vec<Action>,
+) -> Result<(), NoCandidates> {
     acts.clear();
-    let span = tuple.span();
+    let span = key.span;
 
     // BuildFirst (Table 2): an unbuilt singleton from a build-required
     // table may do nothing else.
-    if tuple.is_singleton() {
-        let t = tuple.components()[0].table;
-        let unbuilt = tuple.components()[0].ts == stems_types::UNBUILT_TS;
-        if unbuilt && layout.build_required[t.as_usize()] {
+    if let (true, Some(t)) = (key.unbuilt_singleton, span.iter().next()) {
+        if layout.build_required[t.as_usize()] {
             if let Some(mid) = layout.stem_mid[t.as_usize()] {
                 acts.push(Action::Build { mid, table: t });
                 return Ok(());
@@ -120,7 +194,7 @@ pub fn candidates_into(
 
     // Selections not yet passed and evaluable on the current span.
     for (pred, mid) in &layout.sm_mids {
-        if !state.done.contains(*pred) && query.predicate(*pred).evaluable_on(span) {
+        if !key.done.contains(*pred) && query.predicate(*pred).evaluable_on(span) {
             acts.push(Action::Select {
                 mid: *mid,
                 pred: *pred,
@@ -128,7 +202,7 @@ pub fn candidates_into(
         }
     }
 
-    if let Some(pp) = state.prior_prober {
+    if let Some(pp) = key.prior_prober {
         // ProbeCompletion (Table 2): only the completion table's SteM and
         // AMs are reachable.
         let ct = pp.table;
@@ -136,25 +210,21 @@ pub fn candidates_into(
         // last probe (BoundedRepetition).
         if let Some(mid) = layout.stem_mid[ct.as_usize()] {
             if let Some(stem) = modules[mid].stem(shared) {
-                if stem.version() > state.last_probe_version {
+                if stem.version() > key.last_probe_version {
                     acts.push(Action::ProbeStem { mid, table: ct });
                 }
             }
         }
         // Index AMs on the completion table, each at most once, and only
         // if this tuple can bind their lookup columns.
-        if !state.probed_ams.contains(ct) {
-            for &mid in &layout.index_mids[ct.as_usize()] {
-                if let Module::IndexAm(am) = &modules[mid] {
-                    if am.can_bind_linked(&layout.links[ct.as_usize()], tuple) {
-                        acts.push(Action::ProbeAm { mid, table: ct });
-                    }
-                }
+        for (i, &mid) in layout.index_mids[ct.as_usize()].iter().enumerate() {
+            if key.bindable & (1 << i) != 0 {
+                acts.push(Action::ProbeAm { mid, table: ct });
             }
         }
         match pp.need {
-            crate::tuple_state::CompletionNeed::Optional => acts.push(Action::Drop),
-            crate::tuple_state::CompletionNeed::Required => {
+            CompletionNeed::Optional => acts.push(Action::Drop),
+            CompletionNeed::Required => {
                 if acts.is_empty() {
                     return Err(NoCandidates::Park { table: ct });
                 }
@@ -174,7 +244,7 @@ pub fn candidates_into(
         frontier = query.full_span().minus(span);
     }
     for t in frontier.iter() {
-        if state.probed_stems.contains(t) {
+        if key.probed_stems.contains(t) {
             continue; // BoundedRepetition: one probe per SteM per tuple.
         }
         if let Some(edges) = probe_edges {
@@ -491,6 +561,71 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// The router is a function of the member's key: members with equal
+    /// keys get equal outcomes whatever their values. What the router does
+    /// read of a value is in the key: a ProbeCompletion member with a NULL
+    /// join key cannot bind the completion table's index AM, so its key
+    /// differs from a bound member's, and it parks where that one probes
+    /// the AM.
+    #[test]
+    fn members_with_equal_keys_get_equal_outcomes() {
+        let (c, q) = setup(true);
+        let (m, l) = plan(&c, &q);
+        let built = |key: i64, a: Value| {
+            Tuple::singleton_of(TableIdx(0), vec![Value::Int(key), a])
+                .with_timestamp(TableIdx(0), key as u64)
+        };
+        let prober = |need| {
+            let mut st = TupleState::new();
+            st.done.insert(PredId(1));
+            st.mark_probed(TableIdx(1));
+            st.prior_prober = Some(PriorProber {
+                table: TableIdx(1),
+                need,
+            });
+            st
+        };
+        let (required, optional) = (
+            prober(CompletionNeed::Required),
+            prober(CompletionNeed::Optional),
+        );
+        let members = [
+            (r_tuple(1, 10), TupleState::new()),
+            (r_tuple(2, 11), TupleState::new()),
+            (built(3, Value::Int(10)), TupleState::new()),
+            (built(4, Value::Int(12)), TupleState::new()),
+            (built(5, Value::Int(10)), required.clone()),
+            (built(6, Value::Int(13)), required.clone()),
+            (built(7, Value::Null), required.clone()),
+            (built(8, Value::Null), required),
+            (built(9, Value::Int(14)), optional.clone()),
+            (built(10, Value::Null), optional.clone()),
+            (built(11, Value::Null), optional),
+        ];
+        let outcome = |(t, st): &(Tuple, TupleState)| candidates(&m, &l, &q, t, st, None);
+        let key = |(t, st): &(Tuple, TupleState)| RouteKey::of(&m, &l, t, st);
+        let mut equal_pairs = 0;
+        for (i, a) in members.iter().enumerate() {
+            for b in &members[i + 1..] {
+                if key(a) == key(b) {
+                    assert_eq!(outcome(a), outcome(b), "{} and {}", a.0, b.0);
+                    equal_pairs += 1;
+                }
+            }
+        }
+        assert_eq!(equal_pairs, 5);
+        let am = |acts: &[Action]| acts.iter().any(|a| matches!(a, Action::ProbeAm { .. }));
+        assert_ne!(key(&members[5]), key(&members[6]));
+        assert!(am(&outcome(&members[5]).unwrap()));
+        assert_eq!(
+            outcome(&members[6]),
+            Err(NoCandidates::Park { table: TableIdx(1) })
+        );
+        assert_ne!(key(&members[8]), key(&members[9]));
+        assert!(am(&outcome(&members[8]).unwrap()));
+        assert_eq!(outcome(&members[9]), Ok(vec![Action::Drop]));
     }
 
     #[test]

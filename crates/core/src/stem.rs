@@ -74,8 +74,10 @@
 //!    before any result is formed, and the store reads the precomputed
 //!    hashes, never re-hashing.
 //! 3. **Form results** — into the caller's reply arena, in batch order.
-//!    There is nothing to merge: every store answers in insertion order,
-//!    which is ascending build timestamp.
+//!    A candidate past the timestamp rules is tested against the
+//!    newly-evaluable predicates as a (probe tuple, row) pair, and only a
+//!    survivor is concatenated. There is nothing to merge: every store
+//!    answers in insertion order, which is ascending build timestamp.
 
 use crate::links::TableLinks;
 use crate::sync::Arc;
@@ -85,7 +87,8 @@ use stems_catalog::{QuerySpec, SourceId};
 use stems_storage::fxhash::{FxBuildHasher, FxHashSet};
 use stems_storage::{CandidateBuf, RowSet, Slot, Store, StoreKind};
 use stems_types::{
-    HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value, UNBUILT_TS,
+    ColumnSource, HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value,
+    UNBUILT_TS,
 };
 
 /// The probe path's envelope buffers, held by the caller's
@@ -721,12 +724,14 @@ impl Stem {
     /// queries that number the instance differently.
     ///
     /// Candidates are *slots*: both timestamp rules are decided on the
-    /// slot's entry in the timestamp column, and the row is resolved, and
-    /// its handle cloned, only for a candidate that passed them. The
-    /// newly-evaluable predicate set is a bitset re-derived only when
-    /// `(result span, donebits)` changes from one probe to the next. The
-    /// only per-tuple allocations are the surviving result tuples
-    /// themselves (one component vec each, via [`Tuple::concat_row`]).
+    /// slot's entry in the timestamp column, and the row is resolved only
+    /// for a candidate that passed them. The newly-evaluable predicate set
+    /// is a bitset re-derived only when `(result span, donebits)` changes
+    /// from one probe to the next, and it is tested on the pair (probe
+    /// tuple, candidate row) read as one tuple, before anything is built:
+    /// a candidate a predicate rejects costs no allocation. The only
+    /// per-tuple allocations are the surviving result tuples themselves
+    /// (one component vec each, via [`Tuple::concat_row`]).
     pub fn probe_linked_into(
         &self,
         links: &TableLinks,
@@ -832,10 +837,14 @@ impl Stem {
                     return;
                 }
                 let row = slab.row(slot).expect("candidate slots are live");
-                let cand = tuple.concat_row(t, row.clone(), ts_u);
-                let passes = |p| query.predicate(p).eval(&cand).unwrap_or(false);
+                let pair = ProbePair {
+                    tuple,
+                    table: t,
+                    row,
+                };
+                let passes = |p| query.predicate(p).eval(&pair).unwrap_or(false);
                 if newly.iter().all(passes) {
-                    results.push((cand, done_union));
+                    results.push((tuple.concat_row(t, row.clone(), ts_u), done_union));
                 }
             };
             let raw_matches = match plan {
@@ -855,6 +864,25 @@ impl Stem {
                 raw_matches,
                 len: results.len() - start,
             });
+        }
+    }
+}
+
+/// A probe tuple and one candidate row of `table`, read as their
+/// concatenation would be: what the newly-evaluable predicates test before
+/// the probe pays for a composite.
+struct ProbePair<'a> {
+    tuple: &'a Tuple,
+    table: TableIdx,
+    row: &'a Row,
+}
+
+impl ColumnSource for ProbePair<'_> {
+    fn value(&self, table: TableIdx, col: usize) -> Option<&Value> {
+        if table == self.table {
+            self.row.get(col)
+        } else {
+            self.tuple.value(table, col)
         }
     }
 }
@@ -1868,6 +1896,61 @@ mod tests {
         let (tup, done) = &reply.results[0];
         assert_eq!(tup.value(TableIdx(1), 1), Some(&Value::Int(9)));
         assert!(done.contains(PredId(0)) && done.contains(PredId(1)));
+    }
+
+    /// The pair a probe tests its newly-evaluable predicates on reads every
+    /// column as the concatenated tuple does: comparisons, an `IN` list, a
+    /// `SIEVE` UDF, NULL and EOT values on either side, a composite probe
+    /// tuple, and a table neither side spans.
+    #[test]
+    fn a_probe_pair_reads_as_its_concatenation() {
+        use stems_types::UdfSpec;
+        let (r, s, t, u) = (TableIdx(0), TableIdx(1), TableIdx(2), TableIdx(3));
+        let sieve = UdfSpec::hash_sieve(500, 1);
+        let list = vec![Value::Int(3), Value::Null, Value::Float(9.0)];
+        let preds = [
+            Predicate::join(PredId(0), ColRef::new(r, 1), CmpOp::Lt, ColRef::new(s, 1)),
+            Predicate::in_list(PredId(1), ColRef::new(s, 1), list),
+            Predicate::udf(PredId(2), ColRef::new(s, 0), sieve),
+            Predicate::udf(PredId(3), ColRef::new(r, 1), sieve),
+            Predicate::selection(PredId(4), ColRef::new(s, 1), CmpOp::Ne, Value::Int(3)),
+            Predicate::join(PredId(5), ColRef::new(t, 0), CmpOp::Ge, ColRef::new(s, 0)),
+            Predicate::join(PredId(6), ColRef::new(r, 0), CmpOp::Eq, ColRef::new(u, 0)),
+            Predicate::selection(PredId(7), ColRef::new(s, 5), CmpOp::Eq, Value::Int(1)),
+        ];
+        let values = [
+            Value::Int(3),
+            Value::Int(9),
+            Value::Float(3.0),
+            Value::Null,
+            Value::Eot,
+            Value::str("x"),
+        ];
+        let mut checked = 0;
+        for a in &values {
+            for b in &values {
+                let probe = Tuple::singleton_of(r, vec![a.clone(), b.clone()])
+                    .with_timestamp(r, 4)
+                    .concat(&Tuple::singleton_of(t, vec![b.clone()]).with_timestamp(t, 5));
+                for c in &values {
+                    for d in &values {
+                        let row = Row::shared(vec![c.clone(), d.clone()]);
+                        let joined = probe.concat_row(s, row.clone(), 2);
+                        let pair = ProbePair {
+                            tuple: &probe,
+                            table: s,
+                            row: &row,
+                        };
+                        for p in &preds {
+                            assert_eq!(p.eval(&pair), p.eval(&joined), "{p} on {joined}");
+                            checked += usize::from(p.eval(&joined).is_some());
+                        }
+                    }
+                }
+            }
+        }
+        // Every predicate but the two over columns nobody has is evaluable.
+        assert_eq!(checked, 6 * values.len().pow(4));
     }
 
     /// A query with no predicates: a probe returns the cross product — every

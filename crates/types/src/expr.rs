@@ -83,6 +83,30 @@ impl PredSet {
     }
 }
 
+/// Where a predicate reads its column values from: a [`Tuple`], or a view
+/// that answers for a tuple that is never built — the SteM probe tests a
+/// candidate as "the probe tuple plus this stored row" before it
+/// concatenates the two. [`Predicate::eval`] has one body over any source.
+pub trait ColumnSource {
+    /// The value at `(table, col)`; `None` if the table is not spanned or
+    /// the column is out of range.
+    fn value(&self, table: TableIdx, col: usize) -> Option<&Value>;
+}
+
+impl ColumnSource for Tuple {
+    fn value(&self, table: TableIdx, col: usize) -> Option<&Value> {
+        Tuple::value(self, table, col)
+    }
+}
+
+/// A reference reads through, so an iterator's `&&Tuple` item evaluates
+/// as it is.
+impl<C: ColumnSource + ?Sized> ColumnSource for &C {
+    fn value(&self, table: TableIdx, col: usize) -> Option<&Value> {
+        C::value(self, table, col)
+    }
+}
+
 /// A column reference `<table instance>.<column position>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ColRef {
@@ -197,12 +221,13 @@ impl Operand {
         }
     }
 
-    /// Resolve the operand against a tuple. `None` if the tuple does not
-    /// span the referenced table. A list does not resolve to a single
-    /// value (`IN` is handled in [`Predicate::eval`]), so it yields `None`
-    /// here, which makes a malformed `col < (list)` predicate evaluate to
-    /// "not evaluable" rather than to a wrong verdict.
-    pub fn resolve<'a>(&'a self, t: &'a Tuple) -> Option<&'a Value> {
+    /// Resolve the operand against a tuple (or any [`ColumnSource`]).
+    /// `None` if the source does not span the referenced table. A list does
+    /// not resolve to a single value (`IN` is handled in
+    /// [`Predicate::eval`]), so it yields `None` here, which makes a
+    /// malformed `col < (list)` predicate evaluate to "not evaluable"
+    /// rather than to a wrong verdict.
+    pub fn resolve<'a, C: ColumnSource + ?Sized>(&'a self, t: &'a C) -> Option<&'a Value> {
         match self {
             Operand::Col(c) => t.value(c.table, c.col),
             Operand::Const(v) => Some(v),
@@ -407,13 +432,14 @@ impl Predicate {
         }
     }
 
-    /// Evaluate the predicate over a tuple. `None` when the tuple does not
-    /// span the predicate's tables; otherwise whether the predicate holds.
+    /// Evaluate the predicate over a tuple (or any [`ColumnSource`]).
+    /// `None` when the source does not span the predicate's tables;
+    /// otherwise whether the predicate holds.
     /// EOT components make every predicate fail (EOT tuples never join).
     /// An `IN` predicate holds iff the left value SQL-equals any list
     /// member (so NULL/EOT on the left never match, and an empty list
     /// matches nothing).
-    pub fn eval(&self, t: &Tuple) -> Option<bool> {
+    pub fn eval<C: ColumnSource + ?Sized>(&self, t: &C) -> Option<bool> {
         if let ExprKind::Udf(spec) = &self.kind {
             let l = self.left.resolve(t)?;
             return Some(spec.verdict(l));

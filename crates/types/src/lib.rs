@@ -35,7 +35,8 @@ mod value;
 pub use batch::TupleBatch;
 pub use error::{Result, StemsError};
 pub use expr::{
-    CmpOp, ColRef, ExprKind, Operand, PredId, PredSet, Predicate, UdfKind, UdfSpec, MAX_PREDS,
+    CmpOp, ColRef, ColumnSource, ExprKind, Operand, PredId, PredSet, Predicate, UdfKind, UdfSpec,
+    MAX_PREDS,
 };
 pub use kernel::{ConstKernel, PartialGather};
 pub use key::{HashedKey, KeyHash};

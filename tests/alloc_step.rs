@@ -9,10 +9,11 @@
 //! only for the rows themselves. What one more routed tuple may still
 //! cost is
 //!
-//! * one component vector per *concatenation* (a singleton — scanned,
-//!   stamped at its build, bounced, filtered — carries its component
-//!   inline), a lookup key and its bookkeeping copies at an index probe,
-//!   and
+//! * one component vector per *concatenation* that survives its probe's
+//!   predicates (a singleton — scanned, stamped at its build, bounced,
+//!   filtered — carries its component inline, and a candidate the
+//!   predicates reject is never concatenated), a lookup key and its
+//!   bookkeeping copies at an index probe, and
 //! * amortised growth: metric series (one point per instant of each
 //!   counter something plots — the rest are counts, with no series), SteM
 //!   slabs and indexes, the result vector, the agenda.
@@ -21,7 +22,9 @@
 //! smaller one — plan-time tables, warm-up and every per-query constant
 //! cancel — divided by its extra routed tuples, and holds that to a
 //! ceiling a little above what those two items come to (0.20 on the
-//! tuple-at-a-time query, 0.26 on the batched chain). An engine that keeps
+//! tuple-at-a-time query, 0.21 on the batched chain, 0.13 on the
+//! selective probe, which read 0.31 while a probe concatenated every
+//! candidate before testing it). An engine that keeps
 //! a curve for every counter reads 0.53 on the tuple-at-a-time query; a
 //! `Tuple` that heap-allocates its singletons reads 1.20 and 1.06; one
 //! buffer allocated per envelope shows as ≥ 1 more on the tuple-at-a-time
@@ -159,6 +162,33 @@ fn chain(rows: usize) -> (Catalog, QuerySpec, ExecConfig) {
     (c, q, config(policy, 64))
 }
 
+/// `select_memo`'s shape: R scans in past a memoized `SIEVE` UDF, a small
+/// D builds whole, and every R probe of D's SteM evaluates `D.g < 8` on
+/// the built side, which rejects half of the candidates; scans in chunks
+/// of 64, envelopes of up to 64.
+fn select_memo(rows: usize) -> (Catalog, QuerySpec, ExecConfig) {
+    const D_ROWS: i64 = 64;
+    let n = rows as i64;
+    let mut c = Catalog::new();
+    let r_rows = (0..n).map(|i| vec![(i * 7) % 500, i % D_ROWS]).collect();
+    let d_rows = (0..D_ROWS).map(|i| vec![i, i % 16]).collect();
+    for (name, cols, rows) in [
+        ("R", &["a", "k"][..], r_rows),
+        ("D", &["key", "g"][..], d_rows),
+    ] {
+        let id = c.add_table(int_table(name, cols, rows)).unwrap();
+        c.add_scan(id, ScanSpec::with_rate(1e6).with_chunk(64))
+            .unwrap();
+    }
+    let sql = "SELECT * FROM R, D WHERE R.k = D.key AND SIEVE(R.a, 500, 200) AND D.g < 8";
+    let q = parse_query(&c, sql).unwrap();
+    let policy = RoutingPolicyKind::BenefitCost {
+        epsilon: 0.05,
+        drop_rate: 1.0,
+    };
+    (c, q, config(policy, 64))
+}
+
 /// Tuples that entered routing, from the counters of everything that
 /// feeds it: scan emissions and their build bounce-backs, results formed,
 /// probes bounced, selection survivors, AM probes, AM builds, unparks.
@@ -218,5 +248,14 @@ fn a_batched_chain_allocates_for_its_tuples_only() {
     assert!(
         per_tuple <= 0.35,
         "3-table chain at batch 64: {per_tuple:.2} allocations per extra routed tuple"
+    );
+}
+
+#[test]
+fn a_selective_probe_allocates_for_its_survivors_only() {
+    let per_tuple = marginal_allocs(select_memo, 2_000);
+    assert!(
+        per_tuple <= 0.15,
+        "select_memo shape at batch 64: {per_tuple:.3} allocations per extra routed tuple"
     );
 }

@@ -5,16 +5,17 @@ Usage:
     python3 tools/bench_check.py --alloc-ceilings CEILINGS RESULTS
 
 RESULTS is the ``benchmark/out/results.json`` of a ``benchmark/run.sh
---quick`` run, CEILINGS (``tools/alloc_ceilings.json``) maps each gated
-metric — ``alloc.count_per_row`` (a ``per_layer`` metric: allocator
-calls) and ``alloc_bytes_per_row`` (an ``end_to_end`` one: bytes
-requested) — to the most it may read per workload. The listed workloads
-are single-threaded, so both are exact — the same on every machine — and
-a buffer allocated per envelope, or a singleton that owns a ``Vec``
-again, moves them by far more than the few percent of headroom the
-ceilings carry. A ceiling more than ``SLACK`` above what it caps fails
-too: a change that lowered the counts must lower the ceiling with it, or
-the ceiling stops catching the next regression.
+--quick`` run (``meta.quick``; any other run fails). CEILINGS
+(``tools/alloc_ceilings.json``) maps each gated metric —
+``alloc.count_per_row`` (a ``per_layer`` metric: allocator calls) and
+``alloc_bytes_per_row`` (an ``end_to_end`` one: bytes requested) — to the
+most it may read per workload, and every workload in RESULTS must have a
+ceiling. The workloads are single-threaded, so both metrics are exact —
+the same on every machine — and a buffer allocated per envelope, or a
+singleton that owns a ``Vec`` again, moves them by far more than the few
+percent of headroom the ceilings carry. A ceiling more than ``SLACK``
+above what it caps fails too: a change that lowered the counts must lower
+the ceiling with it, or the ceiling stops catching the next regression.
 """
 
 import json
@@ -48,13 +49,23 @@ SLACK = 0.15
 
 def check_alloc_ceilings(ceilings_path: str, results_path: str) -> None:
     doc = load(ceilings_path)
-    measured = load(results_path).get("workloads")
-    if not isinstance(measured, dict):
+    results = load(results_path)
+    meta = results.get("meta")
+    if not isinstance(meta, dict) or meta.get("quick") is not True:
+        fail(
+            f"{results_path}: not a --quick run (meta.quick is "
+            f"{meta.get('quick') if isinstance(meta, dict) else None!r}); "
+            "the ceilings are measured on `benchmark/run.sh --quick`"
+        )
+    measured = results.get("workloads")
+    if not isinstance(measured, dict) or not measured:
         fail(f"{results_path}: no 'workloads' object")
     for metric, section in ALLOC_METRICS.items():
         ceilings = doc.get(metric)
         if not isinstance(ceilings, dict) or not ceilings:
             fail(f"{ceilings_path}: no {metric!r} ceilings")
+        for workload in sorted(set(measured) - set(ceilings)):
+            fail(f"{ceilings_path}: no {metric} ceiling for workload {workload!r}")
         for workload, ceiling in sorted(ceilings.items()):
             try:
                 value = measured[workload][section][metric]["value"]
