@@ -11,11 +11,10 @@
 //!   SHJ-style; the rest behave like Grace.
 
 use crate::{ArrivalStream, BaselineRun};
-use std::hash::BuildHasher;
 use std::sync::Arc;
-use stems_storage::fxhash::{FxBuildHasher, FxHashMap};
+use stems_storage::fxhash::FxHashMap;
 use stems_storage::index_key;
-use stems_types::{Row, TableIdx, Tuple, Value};
+use stems_types::{HashedKey, Row, TableIdx, Tuple, Value};
 
 /// Grace/hybrid-hash parameters.
 #[derive(Debug, Clone)]
@@ -58,8 +57,7 @@ pub fn grace_hash_join(
     params: &GraceParams,
 ) -> BaselineRun {
     assert!(params.partitions > 0);
-    let hasher = FxBuildHasher::default();
-    let part_of = |v: &Value| (hasher.hash_one(v) % params.partitions as u64) as usize;
+    let part_of = |v: &Value| HashedKey::new(v.clone()).partition(params.partitions);
     let mem_resident = |p: usize| p < params.mem_partitions.min(params.partitions);
 
     let mut run = BaselineRun::new();
@@ -113,9 +111,11 @@ pub fn grace_hash_join(
         }
     }
 
-    // Probe phase: walk the spilled partitions with clustered locality.
+    // Probe phase: walk the spilled partitions with clustered locality,
+    // once both inputs have arrived and the in-memory joins are done.
     let mut t = left.completion_time().max(right.completion_time());
-    run.end_time = run.end_time.max(t);
+    t = t.max(run.end_time);
+    run.end_time = t;
     for p in 0..params.partitions {
         if mem_resident(p) {
             continue;
@@ -205,6 +205,30 @@ mod tests {
             s.value_at(right.completion_time() + params.mem_op_cost_us),
             10.0
         );
+    }
+
+    /// Keys that are all multiples of 8 reach every one of 8 partitions:
+    /// each partition made memory-resident pipelines more results before
+    /// the inputs finish.
+    #[test]
+    fn strided_keys_reach_every_partition() {
+        let keys: Vec<i64> = (0..256).map(|i| i * 8).collect();
+        let (left, right) = (stream(&keys, 1000.0), stream(&keys, 1000.0));
+        let early: Vec<f64> = (0..=8)
+            .map(|mem_partitions| {
+                let params = GraceParams {
+                    mem_partitions,
+                    ..GraceParams::default()
+                };
+                let run = grace_hash_join(&left, &right, &params);
+                assert_eq!(run.results.len(), keys.len());
+                let done = left.completion_time().max(right.completion_time());
+                let pipelined = done + params.mem_op_cost_us;
+                run.metrics.series("results").unwrap().value_at(pipelined)
+            })
+            .collect();
+        assert!(early.windows(2).all(|w| w[0] < w[1]), "{early:?}");
+        assert_eq!(early[8], keys.len() as f64);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The paper's experiments as one table: [`PAPER`] holds, per figure or
 //! reconstructed experiment, its name, the paper section, the claim, and
 //! one function that builds the data, runs the systems and registers
-//! labelled curves and checks on a [`Sheet`]. A check is a measured
+//! labelled curves and checks on a `Sheet`. A check is a measured
 //! value, a comparison and a threshold — never a pre-evaluated boolean —
 //! so a failure prints what was measured. [`run`] does the rest for every
 //! entry: aligned tables, ASCII charts, CSVs into `STEMS_RESULTS_DIR`,
@@ -9,7 +9,7 @@
 //! same table (one test per entry), so a routing change that bends a
 //! paper shape fails tier-1 in every CI cell.
 //!
-//! Every eddy configuration an entry runs goes through [`eddy`], which
+//! Every eddy configuration an entry runs goes through `eddy`, which
 //! also holds it to what no policy may change: the exact result multiset
 //! of the reference executor, and zero Table 2 violations with the
 //! constraint checker on, under each [`RoutingPolicyKind`].

@@ -13,8 +13,7 @@
 
 use std::time::Instant;
 use stems_catalog::{Catalog, QuerySpec, ScanSpec};
-use stems_core::runtime::{default_workers, host_parallelism};
-use stems_core::{QueryServer, QueryStatus, ServerReport, Submission};
+use stems_core::{ExecConfig, QueryServer, QueryStatus, ServerReport, Submission};
 use stems_datagen::{gen::ColGen::Mod, TableBuilder};
 use stems_sql::parse_query;
 
@@ -25,7 +24,8 @@ const CHAIN_SQL: &str = "SELECT * FROM R, S, T WHERE R.a = S.x AND S.y = T.b";
 /// Run the sweep and print one line per stream size.
 pub fn run() {
     let catalog = chain();
-    let (cores, workers) = (host_parallelism(), default_workers());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = ExecConfig::default().workers;
     for n in QUERIES {
         let queries: Vec<QuerySpec> = (0..n)
             .map(|i| {

@@ -141,7 +141,7 @@ impl AccessMethodDef {
 
     /// Bind columns required to probe this AM (empty for scans — they are
     /// probed with the seed tuple).
-    pub fn bind_cols(&self) -> &[usize] {
+    pub(crate) fn bind_cols(&self) -> &[usize] {
         match self {
             AccessMethodDef::Scan(_) => &[],
             AccessMethodDef::Index(ix) => &ix.bind_cols,
@@ -149,7 +149,7 @@ impl AccessMethodDef {
     }
 
     /// Validate against the owning table's schema.
-    pub fn validate(&self, schema: &Schema) -> Result<()> {
+    pub(crate) fn validate(&self, schema: &Schema) -> Result<()> {
         match self {
             AccessMethodDef::Scan(s) => {
                 if !(s.rate_tps.is_finite() && s.rate_tps > 0.0) {

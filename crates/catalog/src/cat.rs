@@ -164,10 +164,6 @@ impl Catalog {
             .map(|i| SourceId(i as u32))
     }
 
-    pub fn am(&self, id: AmId) -> Option<&(SourceId, AccessMethodDef)> {
-        self.ams.get(id.0 as usize)
-    }
-
     /// The lookup table of index access method `id`, shared (`None` if
     /// `id` is unknown or a scan).
     pub fn index_table(&self, id: AmId) -> Option<Arc<IndexTable>> {
@@ -192,14 +188,6 @@ impl Catalog {
     /// Does the source expose at least one index AM?
     pub fn has_index(&self, source: SourceId) -> bool {
         self.ams_of(source).iter().any(|(_, d)| d.is_index())
-    }
-
-    pub fn num_tables(&self) -> usize {
-        self.tables.len()
-    }
-
-    pub fn num_ams(&self) -> usize {
-        self.ams.len()
     }
 }
 
@@ -245,7 +233,6 @@ mod tests {
     #[test]
     fn add_and_resolve_table() {
         let (c, id) = catalog_with_r();
-        assert_eq!(c.num_tables(), 1);
         assert_eq!(c.source_by_name("r"), Some(id));
         assert_eq!(c.source_by_name("R"), Some(id));
         assert_eq!(c.source_by_name("missing"), None);
@@ -281,10 +268,12 @@ mod tests {
         let idx = c.add_index(r, IndexSpec::new(vec![0], 100)).unwrap();
         assert_ne!(scan, idx);
         assert!(c.has_scan(r) && c.has_index(r));
-        assert_eq!(c.ams_of(r).len(), 2);
-        assert_eq!(c.num_ams(), 2);
-        assert!(c.am(scan).unwrap().1.is_scan());
-        assert!(c.am(idx).unwrap().1.is_index());
+        let kinds: Vec<_> = c
+            .ams_of(r)
+            .into_iter()
+            .map(|(id, def)| (id, def.is_scan(), def.is_index()))
+            .collect();
+        assert_eq!(kinds, [(scan, true, false), (idx, false, true)]);
     }
 
     #[test]
@@ -383,7 +372,7 @@ mod tests {
         let bad = TableDef::new("bad", Schema::of(&[("k", ColumnType::Int)]))
             .with_rows(vec![vec!["oops".into()]]);
         assert!(c.add_table(bad).is_err());
-        assert!(!c.rows_distinct(SourceId(c.num_tables() as u32)));
+        assert!(!c.rows_distinct(SourceId(empty.0 + 1)));
     }
 
     #[test]

@@ -21,10 +21,10 @@ use stems_types::{CmpOp, Operand, Result, StemsError, TableIdx, TableSet};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Feasibility {
     /// Instances reachable at fixpoint.
-    pub accessible: TableSet,
+    pub(crate) accessible: TableSet,
     /// One possible access order (instances in the order they became
     /// accessible — a witness, not a plan; the eddy orders dynamically).
-    pub witness_order: Vec<TableIdx>,
+    pub(crate) witness_order: Vec<TableIdx>,
 }
 
 /// Is bind column `col` of instance `t` boundable given `accessible`?
@@ -67,7 +67,7 @@ fn col_boundable(q: &QuerySpec, t: TableIdx, col: usize, accessible: TableSet) -
 }
 
 /// Run the fixpoint and return the accessible set.
-pub fn analyze(catalog: &Catalog, q: &QuerySpec) -> Feasibility {
+pub(crate) fn analyze(catalog: &Catalog, q: &QuerySpec) -> Feasibility {
     let n = q.n_tables();
     let mut accessible = TableSet::EMPTY;
     let mut order = Vec::new();

@@ -49,12 +49,9 @@ impl IndexTable {
     }
 
     /// Distinct keys.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 

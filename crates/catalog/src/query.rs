@@ -72,14 +72,6 @@ impl QuerySpec {
         &self.tables[t.as_usize()]
     }
 
-    /// Resolve an alias (case-insensitive) to its instance index.
-    pub fn instance_by_alias(&self, alias: &str) -> Option<TableIdx> {
-        self.tables
-            .iter()
-            .position(|t| t.alias.eq_ignore_ascii_case(alias))
-            .map(|i| TableIdx(i as u8))
-    }
-
     /// All instances of `source` (≥2 for self-joins).
     pub fn instances_of(&self, source: SourceId) -> Vec<TableIdx> {
         self.tables
@@ -96,7 +88,7 @@ impl QuerySpec {
     }
 
     /// Join predicates (2 tables), enforced at SteMs and index AMs.
-    pub fn joins(&self) -> impl Iterator<Item = &Predicate> {
+    pub(crate) fn joins(&self) -> impl Iterator<Item = &Predicate> {
         self.predicates.iter().filter(|p| p.is_join())
     }
 
@@ -449,8 +441,6 @@ mod tests {
         assert_eq!(q.n_tables(), 2);
         assert_eq!(q.full_span(), TableSet::all(2));
         assert_eq!(q.all_preds().len(), 1);
-        assert_eq!(q.instance_by_alias("s"), Some(TableIdx(1)));
-        assert_eq!(q.instance_by_alias("z"), None);
         assert_eq!(q.joins().count(), 1);
         assert_eq!(q.selections().count(), 0);
     }

@@ -69,12 +69,6 @@ fn project_cols(cols: &[(TableIdx, usize)], tuple: &Tuple) -> Vec<Value> {
         .collect()
 }
 
-/// Project a result tuple per the query's SELECT list (`None` ⇒ all columns
-/// of all instances, in instance order).
-pub fn project(catalog: &Catalog, q: &QuerySpec, tuple: &Tuple) -> Vec<Value> {
-    project_cols(&projection(catalog, q), tuple)
-}
-
 /// Canonical, order-insensitive form of a result multiset: each tuple
 /// flattened to its projected values, the whole list sorted. Two executors
 /// agree iff their canonical forms are equal. The projection is resolved

@@ -29,8 +29,8 @@ use stems_types::{Row, TableIdx, Tuple, TupleBatch, Value};
 /// always strictly after the final data chunk, exactly once per instance.
 #[derive(Debug)]
 pub struct ScanAm {
-    pub source: SourceId,
-    pub instances: Vec<TableIdx>,
+    pub(crate) source: SourceId,
+    pub(crate) instances: Vec<TableIdx>,
     /// The catalog's row list, shared ([`stems_catalog::TableDef::row_list`]).
     rows: Arc<[Arc<Row>]>,
     arity: usize,
@@ -43,11 +43,12 @@ pub struct ScanAm {
     /// Next row to emit.
     pos: usize,
     /// Whether the EOT has been emitted.
-    pub finished: bool,
+    pub(crate) finished: bool,
 }
 
 impl ScanAm {
-    /// [`Self::over`] an owned row list.
+    /// A scan serving an owned row list (the plan's scans share the
+    /// catalog's list instead).
     pub fn new(
         source: SourceId,
         instances: Vec<TableIdx>,
@@ -88,11 +89,6 @@ impl ScanAm {
         self.chunk = self.chunk.min(cap.max(1)).max(1);
     }
 
-    /// Rows delivered per emission event.
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-
     /// Time of the first emission (when the first chunk has accumulated)
     /// for a scan started at 0.
     pub fn first_emit_time(&self) -> Time {
@@ -102,7 +98,7 @@ impl ScanAm {
     /// Time of the first emission for a scan started at `at`. Stall
     /// windows are absolute virtual instants, as for every later
     /// emission: a window that closed before `at` delays nothing.
-    pub fn first_emit_at(&self, at: Time) -> Time {
+    pub(crate) fn first_emit_at(&self, at: Time) -> Time {
         let first = self.chunk.min(self.rows.len()).max(1);
         self.stalls
             .next_available(at + self.start_delay_us + burst_gap(self.gap_us, first))
@@ -122,7 +118,7 @@ impl ScanAm {
 
     /// [`Self::emit_next`] appending to a caller-owned batch — the eddy
     /// keeps one across emission events.
-    pub fn emit_next_into(&mut self, now: Time, out: &mut TupleBatch) -> Option<Time> {
+    pub(crate) fn emit_next_into(&mut self, now: Time, out: &mut TupleBatch) -> Option<Time> {
         if self.finished {
             return None;
         }
@@ -158,15 +154,6 @@ impl ScanAm {
     pub(crate) fn emitted(&self) -> &[Arc<Row>] {
         &self.rows[..self.pos]
     }
-
-    /// Fraction of the table delivered so far.
-    pub fn progress(&self) -> f64 {
-        if self.rows.is_empty() {
-            1.0
-        } else {
-            self.pos as f64 / self.rows.len() as f64
-        }
-    }
 }
 
 /// What an index AM does with one probe.
@@ -194,9 +181,8 @@ pub enum IndexProbeOutcome {
 /// how both fig-7 systems end up making ~250 probes for 1000 R tuples.
 #[derive(Debug)]
 pub struct IndexAm {
-    pub source: SourceId,
-    pub instances: Vec<TableIdx>,
-    pub spec: IndexSpec,
+    pub(crate) instances: Vec<TableIdx>,
+    pub(crate) spec: IndexSpec,
     arity: usize,
     /// Bind values → rows, built once by the catalog and shared by every
     /// plan over it.
@@ -210,9 +196,9 @@ pub struct IndexAm {
     in_flight: FxHashSet<Vec<Value>>,
     answered: FxHashSet<Vec<Value>>,
     /// Lookups actually issued (the fig-7(ii) series).
-    pub probes_issued: u64,
+    pub(crate) probes_issued: u64,
     /// Probes absorbed by coalescing.
-    pub probes_coalesced: u64,
+    pub(crate) probes_coalesced: u64,
     /// The probe's `(col, value)` bindings and the lookup keys they
     /// spell, worked out per probe in buffers kept across probes.
     bindings: Vec<(usize, Value)>,
@@ -220,30 +206,30 @@ pub struct IndexAm {
 }
 
 impl IndexAm {
-    /// [`Self::with_table`] over a lookup table built here from `rows`.
+    /// An index AM over a lookup table built here from `rows` (the plan's
+    /// share the catalog's table instead). `_source` is unused: the
+    /// signature stays while `benchmark/` calls it.
     pub fn new(
-        source: SourceId,
+        _source: SourceId,
         instances: Vec<TableIdx>,
         rows: &[Arc<Row>],
         arity: usize,
         spec: IndexSpec,
     ) -> IndexAm {
         let table = Arc::new(IndexTable::build(rows, &spec.bind_cols));
-        IndexAm::with_table(source, instances, table, arity, spec)
+        IndexAm::with_table(instances, table, arity, spec)
     }
 
     /// An index AM answering from `table`, which must be keyed on
     /// `spec.bind_cols` — the plan passes the catalog's
     /// ([`stems_catalog::Catalog::index_table`]).
-    pub fn with_table(
-        source: SourceId,
+    pub(crate) fn with_table(
         instances: Vec<TableIdx>,
         table: Arc<IndexTable>,
         arity: usize,
         spec: IndexSpec,
     ) -> IndexAm {
         IndexAm {
-            source,
             instances,
             stalls: StallWindows::new(spec.stall_windows.clone()),
             busy: 0,
@@ -271,7 +257,7 @@ impl IndexAm {
     /// allocates nothing. (Binding values are equality-normalized at the
     /// source, so a supplied column is always a usable one — the two
     /// agree.)
-    pub fn can_bind_linked(&self, links: &TableLinks, tuple: &Tuple) -> bool {
+    pub(crate) fn can_bind_linked(&self, links: &TableLinks, tuple: &Tuple) -> bool {
         self.spec
             .bind_cols
             .iter()
@@ -301,7 +287,7 @@ impl IndexAm {
     /// instance, appending the outcomes to a caller-owned buffer — the
     /// eddy's form: the only allocations left are the lookup keys
     /// themselves.
-    pub fn probe_linked_into(
+    pub(crate) fn probe_linked_into(
         &mut self,
         links: &TableLinks,
         tuple: &Tuple,
@@ -391,11 +377,6 @@ impl IndexAm {
         Some((key, start, complete))
     }
 
-    /// Lookups waiting for a server.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Deliver the response for `key`: matching rows (filtered by the
     /// table's own selection predicates — "the AM applies the others after
     /// the lookup", §2.1.3 fn 2) as singletons per instance, plus the EOT
@@ -433,7 +414,7 @@ impl IndexAm {
 
     /// Current backlog estimate: pending lookups (plus in-service ones)
     /// times the per-lookup latency, divided across servers.
-    pub fn queue_delay(&self, _now: Time) -> Time {
+    pub(crate) fn queue_delay(&self, _now: Time) -> Time {
         let servers = self.spec.concurrency.max(1) as u64;
         (self.pending.len() as u64 + self.busy as u64) * self.spec.latency_us / servers
     }
@@ -447,7 +428,7 @@ impl IndexAm {
     /// (`reply_chunk: 0`) returns the whole reply as one `now` wave — the
     /// classic single-burst delivery. Tuple order is preserved, so the
     /// per-instance EOTs [`IndexAm::respond`] appends stay strictly last.
-    pub fn chunk_reply(&self, tuples: Vec<Tuple>, now: Time) -> Vec<(Time, Vec<Tuple>)> {
+    pub(crate) fn chunk_reply(&self, tuples: Vec<Tuple>, now: Time) -> Vec<(Time, Vec<Tuple>)> {
         let chunk = self.spec.reply_chunk;
         if chunk == 0 || tuples.len() <= chunk {
             return vec![(now, tuples)];
@@ -775,12 +756,12 @@ mod tests {
     fn clamp_chunk_caps_at_engine_batch_size() {
         let spec = ScanSpec::with_rate(1000.0).with_chunk(256);
         let mut scan = ScanAm::new(SourceId(0), vec![TableIdx(0)], rows(&[(1, 1)]), 2, &spec);
-        assert_eq!(scan.chunk(), 256);
+        assert_eq!(scan.chunk, 256);
         scan.clamp_chunk(64);
-        assert_eq!(scan.chunk(), 64);
+        assert_eq!(scan.chunk, 64);
         // A zero cap is floored: the scan must still make progress.
         scan.clamp_chunk(0);
-        assert_eq!(scan.chunk(), 1);
+        assert_eq!(scan.chunk, 1);
     }
 
     #[test]
@@ -808,7 +789,7 @@ mod tests {
         let (o2, _) = one(am.probe(&r2, TableIdx(1), &q, 10, false));
         assert_eq!(o2, IndexProbeOutcome::Queued);
         assert_eq!(am.probes_issued, 1);
-        assert_eq!(am.pending_len(), 1);
+        assert_eq!(am.pending.len(), 1);
         assert!(am.queue_delay(10) > 0);
         // Responses: matches + EOT; then the pending lookup starts.
         let resp = am.respond(&k1.unwrap(), &q);
@@ -1141,7 +1122,7 @@ mod tests {
         let rows = c.table_expect(s).rows();
         let shared = c.index_table(idx).unwrap();
         let mut private = IndexAm::new(s, vec![TableIdx(1)], rows, 2, spec.clone());
-        let mut public = IndexAm::with_table(s, vec![TableIdx(1)], shared, 2, spec);
+        let mut public = IndexAm::with_table(vec![TableIdx(1)], shared, 2, spec);
         for (now, a) in (0..12).enumerate() {
             let r = Tuple::singleton_of(TableIdx(0), vec![Value::Int(a), Value::Int(a % 9)]);
             let now = now as Time * 10;

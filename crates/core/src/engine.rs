@@ -36,7 +36,7 @@
 //! (`MetricIds`), and updated by id — and only the metrics something plots
 //! keep a series point per instant, the rest being declared counts; the
 //! join graph is built once by [`crate::plan::instantiate`] into
-//! [`PlanLayout::graph`]; and the router fills one candidate buffer the
+//! `PlanLayout::graph`; and the router fills one candidate buffer the
 //! executor owns. It runs once per run of members with equal routing keys
 //! (`router::RouteKey`: everything the router reads of a member), not once
 //! per member. `stems-lint`'s `metric-by-name` rule and
@@ -49,8 +49,8 @@
 //! queued envelope are one `Wave` that changes hands (`wave.rs` has the
 //! life cycle) and returns to a bounded per-executor `WavePool`; the
 //! other per-envelope lists live in the executor; and what is a pure
-//! function of the query — [`PlanLayout::links`],
-//! [`PlanLayout::stem_table`] — is a table built at plan time. There is one path: a tuple-at-a-time run is the batched
+//! function of the query — `PlanLayout::links`,
+//! `PlanLayout::stem_table` — is a table built at plan time. There is one path: a tuple-at-a-time run is the batched
 //! code on one-member waves, and `tests/alloc_step.rs` holds both to
 //! allocating for their tuples only.
 
@@ -155,7 +155,7 @@ pub struct ExecConfig {
     pub memo: bool,
     /// Byte budget per memo cache, enforced shard-locally with
     /// clock/second-chance eviction over `Value::approx_bytes`
-    /// accounting. Default [`crate::memo::DEFAULT_MEMO_BYTES`].
+    /// accounting. Default `crate::memo::DEFAULT_MEMO_BYTES`.
     pub memo_bytes: usize,
     /// Envelope-level dedup for UDF predicates: group an envelope's rows
     /// by input key and evaluate one representative per distinct key
@@ -215,7 +215,7 @@ impl ExecConfig {
     /// `STEMS_WORKERS` from the environment and failing on malformed
     /// values instead of panicking. This is what a server uses
     /// at startup; `ExecConfig::default()` is the panicking shim over it.
-    pub fn from_env() -> std::result::Result<ExecConfig, ConfigError> {
+    pub(crate) fn from_env() -> std::result::Result<ExecConfig, ConfigError> {
         let config = ExecConfig {
             policy: RoutingPolicyKind::default(),
             seed: 42,
@@ -246,7 +246,7 @@ impl ExecConfig {
     /// [`EddyExecutor::build`] (and thus the server at admission) so a
     /// zero smuggled in programmatically fails as loudly as a zero from
     /// the environment.
-    pub fn validate(&self) -> std::result::Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> std::result::Result<(), ConfigError> {
         for (name, value) in [
             ("batch_size", self.batch_size),
             ("workers", self.workers),
@@ -261,8 +261,9 @@ impl ExecConfig {
 }
 
 impl Default for ExecConfig {
-    /// The panicking shim over [`ExecConfig::from_env`] — convenient for
-    /// tests and one-shot binaries; servers call `from_env` directly.
+    /// Reads `STEMS_BATCH_SIZE` and `STEMS_WORKERS` from the environment
+    /// and panics on a malformed value; the query server reads them
+    /// through `from_env` and reports the error instead.
     fn default() -> Self {
         ExecConfig::from_env().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -702,12 +703,12 @@ impl EddyExecutor {
     }
 
     /// Current virtual time (last processed event).
-    pub fn now(&self) -> Time {
+    pub(crate) fn now(&self) -> Time {
         self.now
     }
 
     /// Produce the final report after the agenda drained.
-    pub fn finish(mut self) -> Report {
+    pub(crate) fn finish(mut self) -> Report {
         self.metrics.observe_id(self.ids.end, self.now, 1.0);
         Report {
             results: self.results,

@@ -100,7 +100,7 @@
 //!    [`policy::RoutingPolicy::choose_batch`] call (default: delegate to
 //!    the scalar `choose` on a representative member) into **one**
 //!    envelope, serviced by the destination module in bulk:
-//!    [`Stem::build_batch_into`] / [`Stem::probe_linked_into`]
+//!    `Stem::build_batch_into` / `Stem::probe_linked_into`
 //!    amortize dictionary maintenance through the storage layer's
 //!    `insert_batch` / `lookup_eq_flat`, and [`sm::Sm::apply_batch`]
 //!    filters whole batches.
@@ -111,50 +111,94 @@
 //! SPJ workloads, and `benchmark/`'s `join_chain` workload measures the
 //! batched path (batch 64) in wall clock.
 //!
+//! # Surface
+//!
+//! An item is `pub` only when a caller outside this crate names it;
+//! everything else is `pub(crate)` or private, so rustc's dead-code lint
+//! sees it, and CI's `cargo clippy --all-targets -- -D warnings` fails on
+//! crate-private code that nothing calls. Three groups are public:
+//!
+//! * **SQL text in, rows out.** [`EddyExecutor`] runs one query (a
+//!   `QuerySpec`, from `stems_sql::parse_query`) under an [`ExecConfig`]
+//!   into a [`Report`]; [`QueryServer`], built by a [`ServerBuilder`], runs
+//!   a stream of [`Submission`]s into [`QueryHandle`]s. [`StemOptions`],
+//!   [`RoutingPolicyKind`] and [`engine::CostModel`] tune a run.
+//! * **Modules driven one at a time** by the root tests (`tests/`),
+//!   `stems-bench` and `benchmark/`: [`Stem`] with [`stem::ProbeReplySet`],
+//!   [`Sm`], [`MemoCache`], [`TupleState`], the access modules in [`am`],
+//!   and [`plan::instantiate`].
+//! * **Pinned by `benchmark/`:** items the engine no longer calls but
+//!   `benchmark/src/layers.rs` still names; each goes when it is free:
+//!   - [`router::candidates`] (the engine routes on a member's route key),
+//!     until `benchmark/` stops naming it (ROADMAP item 3);
+//!   - [`am::ScanAm::new`] and [`am::ScanAm::first_emit_time`], until
+//!     `benchmark/` stops naming them (ROADMAP item 3);
+//!   - [`am::IndexAm::new`] and [`am::IndexAm::probe`], until `benchmark/`
+//!     stops naming them (ROADMAP item 3);
+//!   - [`WorkerPool`] and [`PoolScope`], a shim over `std::thread::scope`,
+//!     until `benchmark/` stops naming them (ROADMAP item 3);
+//!   - [`Stem::build_batch`], [`Stem::probe_batch_into`] (the root tests
+//!     name both too) and [`Stem::shard_lens`], until `benchmark/` stops
+//!     naming them (ROADMAP item 3);
+//!   - the unused `source` parameter of [`Stem::new`] and
+//!     [`am::IndexAm::new`], until `benchmark/` stops passing it (ROADMAP
+//!     item 3);
+//!   - the [`ShardedStem`] alias, until `benchmark/` stops naming it
+//!     (ROADMAP item 3);
+//!   - six inert config fields — [`ExecConfig::num_shards`],
+//!     [`ExecConfig::parallel_min_rows`], [`StemOptions::num_shards`],
+//!     [`StemOptions::workers`], [`StemOptions::parallel_min_rows`] and
+//!     [`engine::CostModel::shard_parallel_service`] — until `benchmark/`
+//!     stops setting them (ROADMAP item 3).
+//!
 //! # Correctness tooling
 //!
-//! All synchronization goes through [`sync`], a re-export of
+//! All synchronization goes through `sync`, a re-export of
 //! `std::sync` plus the crate's poison policy, and the compiler denies
 //! `unsafe_code` everywhere but the test-only counting allocator.
-//! `stems-lint` (`cargo run -p stems-lint`) enforces the shim funnel,
-//! keeps thread spawning in [`runtime`], keeps `expect` and `unwrap` out
-//! of the query server, and guards the virtual-time discipline.
+//! Clippy denies `unwrap` and `expect` in the query server's non-test
+//! code. `stems-lint` (`cargo run -p stems-lint`) enforces the shim
+//! funnel, keeps thread spawning in `runtime`, and guards the
+//! virtual-time discipline.
 
 #![deny(unsafe_code)]
 
 pub mod am;
 pub mod engine;
-pub mod links;
+mod links;
 pub mod memo;
 pub mod plan;
 pub mod policy;
-pub mod report;
+mod report;
 pub mod router;
-pub mod runtime;
-pub mod server;
-pub mod sm;
+mod runtime;
+mod server;
+mod sm;
 pub mod stem;
-pub mod sync;
+mod sync;
 #[cfg(test)]
 #[allow(unsafe_code)]
 mod test_alloc;
 pub mod tuple_state;
 mod wave;
 
+// The surface: SQL text in (`stems_sql::parse_query` builds the spec),
+// rows out, solo or through the query server.
 pub use engine::{ConfigError, EddyExecutor, ExecConfig};
-pub use memo::{MemoCache, MemoCell, MemoCounters};
-pub use plan::{PlanLayout, StemOptions};
-pub use policy::{
-    BenefitCostPolicy, FixedOrderPolicy, LotteryPolicy, RoutingPolicy, RoutingPolicyKind,
-};
+pub use plan::StemOptions;
+pub use policy::RoutingPolicyKind;
 pub use report::{Report, ServerReport, TraceEvent, TraceKind};
-pub use runtime::WorkerPool;
 pub use server::{
     AdmissionPolicy, QueryHandle, QueryId, QueryServer, QueryStatus, ServerBuilder, ServerError,
     ServerStats, Submission,
 };
-pub use sm::{FusedVerdict, Sm};
-/// The SteM's former name; removed when `benchmark/` stops naming it.
-pub use stem::Stem as ShardedStem;
+
+// Engine modules the root tests and `benchmark/` drive one at a time.
+pub use memo::MemoCache;
+pub use sm::Sm;
 pub use stem::Stem;
 pub use tuple_state::TupleState;
+
+// Pinned by `benchmark/` (see "Surface" above).
+pub use runtime::{PoolScope, WorkerPool};
+pub use stem::Stem as ShardedStem;

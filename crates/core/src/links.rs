@@ -30,7 +30,7 @@ struct EquiLink {
 
 /// The probe table of one table instance `t` (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableLinks {
+pub(crate) struct TableLinks {
     table: TableIdx,
     /// Equi-joins mentioning `t`, in predicate order.
     links: Vec<EquiLink>,
@@ -45,7 +45,7 @@ pub struct TableLinks {
 
 impl TableLinks {
     /// Derive the table of instance `t` from the query.
-    pub fn of(query: &QuerySpec, t: TableIdx) -> TableLinks {
+    pub(crate) fn of(query: &QuerySpec, t: TableIdx) -> TableLinks {
         let mut links = Vec::new();
         let mut consts = Vec::new();
         let mut in_options: Vec<(usize, Vec<Value>)> = Vec::new();
@@ -107,7 +107,7 @@ impl TableLinks {
     }
 
     /// The table instance these links lead to.
-    pub fn table(&self) -> TableIdx {
+    pub(crate) fn table(&self) -> TableIdx {
         self.table
     }
 

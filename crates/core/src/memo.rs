@@ -16,11 +16,11 @@
 //! and an entry costs no list of its own — with a clock/second-chance
 //! eviction hand bounded by an
 //! [`stems_types::Value::approx_bytes`] budget. Shards live behind the
-//! [`crate::sync`] shim; poison recovery clears the poisoned shard — the
+//! `crate::sync` shim; poison recovery clears the poisoned shard — the
 //! memo is pure performance state, so an empty shard is always correct.
 //!
 //! One cache memoizes exactly one verdict function. The query server
-//! shares a [`MemoCell`] across queries whose predicates carry the same
+//! shares a `MemoCell` across queries whose predicates carry the same
 //! `UdfSpec` (folding, PR 7's registry idiom): query B never re-pays a
 //! verdict query A bought.
 
@@ -29,7 +29,7 @@ use stems_storage::{Slot, SlotChains};
 use stems_types::{HashedKey, KeyHash, Value};
 
 /// Default per-cache byte budget (`ExecConfig::memo_bytes`).
-pub const DEFAULT_MEMO_BYTES: usize = 1 << 20;
+pub(crate) const DEFAULT_MEMO_BYTES: usize = 1 << 20;
 
 /// Default shard fan-out for a memo cache.
 pub const DEFAULT_MEMO_SHARDS: usize = 8;
@@ -40,7 +40,7 @@ const ENTRY_OVERHEAD: usize = 48;
 
 /// A shareable handle on one [`MemoCache`] (what the server folds across
 /// compatible queries; a solo query holds the only reference).
-pub type MemoCell = Arc<MemoCache>;
+pub(crate) type MemoCell = Arc<MemoCache>;
 
 /// Per-call counters a memo operation hands back to the caller, which
 /// folds them into its own per-query `Metrics` — so even when the cache
@@ -48,8 +48,8 @@ pub type MemoCell = Arc<MemoCache>;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoCounters {
     pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
+    pub(crate) misses: u64,
+    pub(crate) evictions: u64,
 }
 
 /// One memoized verdict.
@@ -210,18 +210,14 @@ impl MemoCache {
     }
 
     /// Total live entries across shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         (0..self.shards.len())
             .map(|i| lock_recover(&self.shards[i], MemoShard::clear).live())
             .sum()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Total accounted bytes across shards.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         (0..self.shards.len())
             .map(|i| lock_recover(&self.shards[i], MemoShard::clear).bytes)
             .sum()
@@ -236,33 +232,36 @@ impl MemoCache {
         // shard's contents; an empty shard is always correct.
         lock_recover(&self.shards[i], MemoShard::clear)
     }
+}
 
+/// Seams for the tests: plant collision chains, poison a shard.
+#[cfg(test)]
+impl MemoCache {
     /// Whether any shard is currently poisoned (test observability).
-    pub fn any_poisoned(&self) -> bool {
+    pub(crate) fn any_poisoned(&self) -> bool {
         self.shards.iter().any(|s| s.is_poisoned())
     }
 
-    /// Run `f` under the lock of the shard `hash` routes to. Exists for
-    /// tests that plant adversarial collision chains or poison a shard
-    /// deliberately (panic inside `f`); production code goes through
-    /// [`lookup`](MemoCache::lookup) / [`insert`](MemoCache::insert).
-    #[doc(hidden)]
-    pub fn with_shard_of<R>(&self, hash: u64, f: impl FnOnce(&mut dyn std::any::Any) -> R) -> R {
+    /// Run `f` under the lock of the shard `hash` routes to: a test
+    /// poisons a shard by panicking inside `f`.
+    pub(crate) fn with_shard_of<R>(
+        &self,
+        hash: u64,
+        f: impl FnOnce(&mut dyn std::any::Any) -> R,
+    ) -> R {
         f(&mut *self.shard(hash))
     }
 
     /// Plant an entry under an explicit hash, bypassing the key's own
-    /// hash — the adversarial-collision seam for the property suite.
-    #[doc(hidden)]
-    pub fn insert_with_hash(&self, hash: u64, key: Value, verdict: bool) {
+    /// hash — the adversarial-collision seam for the tests.
+    pub(crate) fn insert_with_hash(&self, hash: u64, key: Value, verdict: bool) {
         let budget = self.budget_per_shard;
         self.shard(hash).insert(hash, key, verdict, budget);
     }
 
     /// Lookup under an explicit hash (pairs with
     /// [`insert_with_hash`](MemoCache::insert_with_hash)).
-    #[doc(hidden)]
-    pub fn lookup_with_hash(&self, hash: u64, key: &Value) -> Option<bool> {
+    pub(crate) fn lookup_with_hash(&self, hash: u64, key: &Value) -> Option<bool> {
         self.shard(hash).lookup(hash, key)
     }
 }
@@ -307,7 +306,7 @@ mod tests {
             assert_eq!(m.insert(&k, true), 0);
             assert_eq!(m.lookup(&k), None);
         }
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
     }
 
     #[test]
@@ -407,5 +406,30 @@ mod tests {
             m.approx_bytes(),
             Value::str("hello").approx_bytes() + ENTRY_OVERHEAD
         );
+    }
+
+    /// Forced hash collisions (every key claims hash 42) must fall back to
+    /// full-key dictionary comparison: each distinct key keeps its own
+    /// verdict, and a colliding never-inserted key misses.
+    #[test]
+    fn adversarial_hash_collisions_compare_full_keys() {
+        let cache = MemoCache::new(2, 1 << 16);
+        // Distinct keys, alternating verdicts, one shared hash.
+        let keys: Vec<Value> = (0..16).map(Value::Int).collect();
+        for (i, k) in keys.iter().enumerate() {
+            cache.insert_with_hash(42, k.clone(), i % 2 == 0);
+        }
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(
+                cache.lookup_with_hash(42, k),
+                Some(i % 2 == 0),
+                "collision chain lost key {k}"
+            );
+        }
+        assert_eq!(cache.lookup_with_hash(42, &Value::Int(99)), None);
+        // A colliding *string* key (different Value kind entirely).
+        cache.insert_with_hash(42, Value::str("x"), true);
+        assert_eq!(cache.lookup_with_hash(42, &Value::str("x")), Some(true));
+        assert_eq!(cache.lookup_with_hash(42, &Value::str("y")), None);
     }
 }

@@ -38,17 +38,6 @@ pub enum Module {
 }
 
 impl Module {
-    /// Short kind tag for metrics/tracing.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Module::Stem(_) | Module::Folded(_) => "stem",
-            Module::ScanAm(_) => "scan",
-            Module::IndexAm(_) => "index",
-            Module::Sm(_) => "sm",
-            Module::Hole => "hole",
-        }
-    }
-
     /// The SteM this module is, or the one it names in `shared`, the
     /// registry its executor was lent; `None` for any other module.
     pub(crate) fn stem<'a>(&'a self, shared: &'a Registry) -> Option<&'a Stem> {
@@ -64,33 +53,33 @@ impl Module {
 /// routing decision.
 #[derive(Debug, Clone, Default)]
 pub struct PlanLayout {
-    pub n_tables: usize,
+    pub(crate) n_tables: usize,
     /// Module id of the SteM on each table instance (`None` under the §3.5
     /// relaxation).
-    pub stem_mid: Vec<Option<usize>>,
+    pub(crate) stem_mid: Vec<Option<usize>>,
     /// `(selection predicate, module id)` pairs.
-    pub sm_mids: Vec<(PredId, usize)>,
+    pub(crate) sm_mids: Vec<(PredId, usize)>,
     /// Scan AM module ids.
-    pub scan_mids: Vec<usize>,
+    pub(crate) scan_mids: Vec<usize>,
     /// Index AM module ids per table instance.
-    pub index_mids: Vec<Vec<usize>>,
+    pub(crate) index_mids: Vec<Vec<usize>>,
     /// BuildFirst requirement per instance: true whenever the instance has
     /// a SteM (see [`PlanOptions`] for how this maps onto paper Table 2).
-    pub build_required: Vec<bool>,
+    pub(crate) build_required: Vec<bool>,
     /// Whether each instance's source has a scan AM.
-    pub has_scan: Vec<bool>,
+    pub(crate) has_scan: Vec<bool>,
     /// The query's join graph, built once here: the router walks it for
     /// every tuple and must not rebuild it.
-    pub graph: JoinGraph,
+    pub(crate) graph: JoinGraph,
     /// The probe table of each table instance — linking predicates,
     /// equi-binding columns, constant bindings and IN options — built once
     /// here; SteM probes, index-AM probes, the router's bindability check
     /// and parking all read it instead of re-deriving it from the
     /// predicate list.
-    pub links: Vec<TableLinks>,
+    pub(crate) links: Vec<TableLinks>,
     /// The inverse of `stem_mid`: per module id, the table instance whose
     /// SteM lives there (`None` for every other module).
-    pub stem_table: Vec<Option<TableIdx>>,
+    pub(crate) stem_table: Vec<Option<TableIdx>>,
 }
 
 /// Configuration used at instantiation time.
@@ -176,7 +165,6 @@ pub fn instantiate(
                 AccessMethodDef::Index(spec) => {
                     let mid = modules.len();
                     modules.push(Module::IndexAm(IndexAm::with_table(
-                        ti.source,
                         instances.clone(),
                         catalog.index_table(am_id).expect("an index AM has a table"),
                         table.schema.arity(),

@@ -5,13 +5,13 @@
 //! ([`crate::router`]) guarantees that *any* policy produces correct
 //! results; policies differ only in performance. Three are provided:
 //!
-//! * [`FixedOrderPolicy`] — a static priority order. With hash SteMs this
+//! * `FixedOrderPolicy` — a static priority order. With hash SteMs this
 //!   realizes the n-ary symmetric hash join of §2.3, and it can emulate a
 //!   static plan for baselines.
-//! * [`LotteryPolicy`] — ticket-based weighted-random routing in the style
+//! * `LotteryPolicy` — ticket-based weighted-random routing in the style
 //!   of the original eddies paper \[Avnur & Hellerstein 2000\], rewarding
 //!   destinations that produce matches / drop tuples.
-//! * [`BenefitCostPolicy`] — a reconstruction of the paper's §4.1 policy
+//! * `BenefitCostPolicy` — a reconstruction of the paper's §4.1 policy
 //!   ("the eddy continually routes so as to maximize benefit/cost"): per
 //!   (destination, choice-kind) EWMAs of observed benefit over expected
 //!   completion time, with an exploration floor so the eddy keeps probing
@@ -169,8 +169,8 @@ fn fixed_rank(a: &Action, probe_order: &Option<Vec<TableIdx>>) -> (u8, usize) {
 
 /// Deterministic fixed-priority policy (n-ary SHJ / static-plan emulation).
 #[derive(Debug, Clone, Default)]
-pub struct FixedOrderPolicy {
-    pub probe_order: Option<Vec<TableIdx>>,
+pub(crate) struct FixedOrderPolicy {
+    pub(crate) probe_order: Option<Vec<TableIdx>>,
 }
 
 impl RoutingPolicy for FixedOrderPolicy {
@@ -198,13 +198,13 @@ impl RoutingPolicy for FixedOrderPolicy {
 /// holds tickets; routing is a weighted lottery; productive destinations
 /// (matches emitted, tuples dropped by selections) win tickets.
 #[derive(Debug)]
-pub struct LotteryPolicy {
+pub(crate) struct LotteryPolicy {
     stem_tickets: FxHashMap<TableIdx, f64>,
     sm_tickets: FxHashMap<stems_types::PredId, f64>,
 }
 
 impl LotteryPolicy {
-    pub fn new() -> LotteryPolicy {
+    pub(crate) fn new() -> LotteryPolicy {
         LotteryPolicy {
             stem_tickets: FxHashMap::default(),
             sm_tickets: FxHashMap::default(),
@@ -287,7 +287,7 @@ impl RoutingPolicy for LotteryPolicy {
 ///   freshness decays and bounced tuples shift from "probe the index" to
 ///   "drop and let the scan finish" — index→hash hybridization.
 #[derive(Debug)]
-pub struct BenefitCostPolicy {
+pub(crate) struct BenefitCostPolicy {
     epsilon: f64,
     /// Value-rate (results/s) credited to the Drop arm — the expected rate
     /// at which the scan side will deliver the same results for free.
@@ -318,7 +318,7 @@ impl Ewma {
 }
 
 impl BenefitCostPolicy {
-    pub fn new(epsilon: f64, drop_rate: f64) -> BenefitCostPolicy {
+    pub(crate) fn new(epsilon: f64, drop_rate: f64) -> BenefitCostPolicy {
         BenefitCostPolicy {
             epsilon: epsilon.clamp(0.0, 1.0),
             drop_rate,

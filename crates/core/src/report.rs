@@ -27,7 +27,7 @@ pub struct TraceEvent {
     pub t: Time,
     pub kind: TraceKind,
     /// Rendered tuple (content at the time of the event).
-    pub tuple: String,
+    pub(crate) tuple: String,
 }
 
 impl std::fmt::Display for TraceEvent {
@@ -67,7 +67,7 @@ pub struct Report {
     /// bug; tests assert emptiness).
     pub violations: Vec<String>,
     /// The policy that ran.
-    pub policy_name: &'static str,
+    pub(crate) policy_name: &'static str,
     /// Routing trace (empty unless `ExecConfig::trace` was set).
     pub trace: Vec<TraceEvent>,
 }

@@ -34,7 +34,7 @@ pub enum Action {
 
 impl Action {
     /// The destination module id; `None` for [`Action::Drop`].
-    pub fn mid(&self) -> Option<usize> {
+    pub(crate) fn mid(&self) -> Option<usize> {
         match self {
             Action::Build { mid, .. }
             | Action::ProbeStem { mid, .. }
@@ -44,7 +44,7 @@ impl Action {
         }
     }
 
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Action::Build { .. } => "build",
             Action::ProbeStem { .. } => "probe_stem",
@@ -143,28 +143,9 @@ pub fn candidates(
     edges: Option<&[(TableIdx, TableIdx)]>,
 ) -> Result<Vec<Action>, NoCandidates> {
     let mut acts = Vec::new();
-    candidates_into(modules, &[], layout, query, tuple, state, edges, &mut acts)?;
-    Ok(acts)
-}
-
-/// [`candidates`] into a caller-owned buffer: `acts` is cleared, then
-/// holds the candidate list on `Ok` (its contents are unspecified on
-/// `Err`). `shared` is the registry the query server lent, where a
-/// [`Module::Folded`] SteM lives (empty for a solo query). It derives the
-/// tuple's route key and routes on it, as the eddy does.
-#[allow(clippy::too_many_arguments)]
-pub fn candidates_into(
-    modules: &[Module],
-    shared: &Registry,
-    layout: &PlanLayout,
-    query: &QuerySpec,
-    tuple: &Tuple,
-    state: &TupleState,
-    probe_edges: Option<&[(TableIdx, TableIdx)]>,
-    acts: &mut Vec<Action>,
-) -> Result<(), NoCandidates> {
     let key = RouteKey::of(modules, layout, tuple, state);
-    route(modules, shared, layout, query, &key, probe_edges, acts)
+    route(modules, &[], layout, query, &key, edges, &mut acts)?;
+    Ok(acts)
 }
 
 /// The router proper: the candidate list of a member with key `key` into
@@ -338,10 +319,10 @@ mod tests {
     }
 
     /// Shadows [`super::candidates`] for every test below: each tuple ×
-    /// state they build is also run through [`candidates_into`] with a
-    /// dirty buffer, under the edges asked for, under no restriction,
-    /// under every graph edge and under none — and the two entry points
-    /// must agree on the `Ok` list or the `NoCandidates` reason each time.
+    /// state they build is also routed into a dirty buffer, under the
+    /// edges asked for, under no restriction, under every graph edge and
+    /// under none — and the buffer must agree with the owned list (or the
+    /// `NoCandidates` reason) each time.
     fn candidates(
         modules: &[Module],
         layout: &PlanLayout,
@@ -355,9 +336,9 @@ mod tests {
         let mut buf = vec![Action::Drop; 3];
         for edges in [probe_edges, None, Some(&every[..]), Some(&[][..])] {
             let owned = super::candidates(modules, layout, query, tuple, state, edges);
+            let key = RouteKey::of(modules, layout, tuple, state);
             let filled =
-                candidates_into(modules, &[], layout, query, tuple, state, edges, &mut buf)
-                    .map(|()| buf.clone());
+                route(modules, &[], layout, query, &key, edges, &mut buf).map(|()| buf.clone());
             assert_eq!(owned, filled, "probe_edges {edges:?}");
         }
         super::candidates(modules, layout, query, tuple, state, probe_edges)
@@ -665,5 +646,207 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// The eddy keeps one candidate buffer for all its members: routing
+    /// into a warm buffer allocates nothing, on every branch of the router
+    /// — the one that asks an index AM whether a prior prober can bind its
+    /// lookup columns included (the answer is read off the plan-time probe
+    /// table in `PlanLayout::links`).
+    #[test]
+    fn route_into_a_warm_buffer_never_allocates() {
+        use crate::test_alloc::allocs_during;
+
+        /// One routing question and the answer it must get.
+        struct Case<'a> {
+            name: &'static str,
+            plan: &'a (Vec<Module>, PlanLayout),
+            query: &'a QuerySpec,
+            tuple: Tuple,
+            state: TupleState,
+            probe_edges: Option<&'a [(TableIdx, TableIdx)]>,
+            expect: Result<Vec<&'static str>, NoCandidates>,
+        }
+
+        let built = |t: Tuple| t.with_timestamp(TableIdx(0), 1);
+        let r_tuple = || r_tuple(1, 10);
+        // A prior prober bounced by S's SteM and not yet sent to S's index:
+        // the router asks the index AM whether the tuple can bind it.
+        let bounced = |need| {
+            let mut st = TupleState::new();
+            st.done.insert(PredId(1));
+            st.mark_probed(TableIdx(1));
+            st.prior_prober = Some(PriorProber {
+                table: TableIdx(1),
+                need,
+            });
+            st
+        };
+        // The same once it has probed the index.
+        let prior_prober = |need| {
+            let mut st = bounced(need);
+            st.mark_am_probed(TableIdx(1));
+            st
+        };
+        let retired = {
+            let mut st = TupleState::new();
+            st.done.insert(PredId(1));
+            st.mark_probed(TableIdx(1));
+            st
+        };
+
+        let (c, indexed_q) = setup(true);
+        let indexed = plan(&c, &indexed_q);
+        // The same plan after a build into SteM_S: its version moved, so a
+        // parked prior prober is offered the re-probe.
+        let mut rebuilt = plan(&c, &indexed_q);
+        let Module::Stem(stem) = &mut rebuilt.0[rebuilt.1.stem_mid[1].unwrap()] else {
+            panic!("S has a SteM");
+        };
+        let row = Tuple::singleton_of(TableIdx(1), vec![Value::Int(10), Value::Int(1)]);
+        crate::stem::testkit::build_one(stem, &row, &TupleState::new(), 1);
+        let (c, cross_q) = setup(false);
+        let cross_q = QuerySpec::new(&c, cross_q.tables, vec![], None).unwrap();
+        let cross = plan(&c, &cross_q);
+        let (c, tri_q) = triangle();
+        let tri = plan(&c, &tri_q);
+        let chain_tree = [(TableIdx(0), TableIdx(1)), (TableIdx(1), TableIdx(2))];
+        let a_tuple = || built(Tuple::singleton_of(TableIdx(0), vec![Value::Int(1)]));
+
+        let cases = [
+            Case {
+                name: "unbuilt singleton must build first",
+                plan: &indexed,
+                query: &indexed_q,
+                tuple: r_tuple(),
+                state: TupleState::new(),
+                probe_edges: None,
+                expect: Ok(vec!["build"]),
+            },
+            Case {
+                name: "built singleton gets selects and probes",
+                plan: &indexed,
+                query: &indexed_q,
+                tuple: built(r_tuple()),
+                state: TupleState::new(),
+                probe_edges: None,
+                expect: Ok(vec!["select", "probe_stem"]),
+            },
+            Case {
+                name: "everything done retires",
+                plan: &indexed,
+                query: &indexed_q,
+                tuple: built(r_tuple()),
+                state: retired,
+                probe_edges: None,
+                expect: Err(NoCandidates::Retire),
+            },
+            Case {
+                name: "required prior prober that can bind the index probes it",
+                plan: &indexed,
+                query: &indexed_q,
+                tuple: built(r_tuple()),
+                state: bounced(CompletionNeed::Required),
+                probe_edges: None,
+                expect: Ok(vec!["probe_am"]),
+            },
+            Case {
+                name: "optional prior prober may probe the index or drop",
+                plan: &indexed,
+                query: &indexed_q,
+                tuple: built(r_tuple()),
+                state: bounced(CompletionNeed::Optional),
+                probe_edges: None,
+                expect: Ok(vec!["probe_am", "drop"]),
+            },
+            Case {
+                name: "required prior prober, AM probed, SteM unchanged, parks",
+                plan: &indexed,
+                query: &indexed_q,
+                tuple: built(r_tuple()),
+                state: prior_prober(CompletionNeed::Required),
+                probe_edges: None,
+                expect: Err(NoCandidates::Park { table: TableIdx(1) }),
+            },
+            Case {
+                name: "required prior prober re-probes a changed SteM",
+                plan: &rebuilt,
+                query: &indexed_q,
+                tuple: built(r_tuple()),
+                state: prior_prober(CompletionNeed::Required),
+                probe_edges: None,
+                expect: Ok(vec!["probe_stem"]),
+            },
+            Case {
+                name: "optional prior prober may drop",
+                plan: &indexed,
+                query: &indexed_q,
+                tuple: built(r_tuple()),
+                state: prior_prober(CompletionNeed::Optional),
+                probe_edges: None,
+                expect: Ok(vec!["drop"]),
+            },
+            Case {
+                name: "cross product probes every other table",
+                plan: &cross,
+                query: &cross_q,
+                tuple: built(r_tuple()),
+                state: TupleState::new(),
+                probe_edges: None,
+                expect: Ok(vec!["probe_stem"]),
+            },
+            Case {
+                name: "triangle, dynamic spanning trees",
+                plan: &tri,
+                query: &tri_q,
+                tuple: a_tuple(),
+                state: TupleState::new(),
+                probe_edges: None,
+                expect: Ok(vec!["probe_stem", "probe_stem"]),
+            },
+            Case {
+                name: "triangle, static chain tree",
+                plan: &tri,
+                query: &tri_q,
+                tuple: a_tuple(),
+                state: TupleState::new(),
+                probe_edges: Some(&chain_tree),
+                expect: Ok(vec!["probe_stem"]),
+            },
+        ];
+
+        // One buffer for all cases, as the executor keeps one for all
+        // members; a first pass sizes it for the widest candidate list.
+        // Each call derives the member's key, as the eddy does.
+        let mut buf: Vec<Action> = Vec::new();
+        let ask = |case: &Case, buf: &mut Vec<Action>| {
+            let (modules, layout) = case.plan;
+            let key = RouteKey::of(modules, layout, &case.tuple, &case.state);
+            route(
+                modules,
+                &[],
+                layout,
+                case.query,
+                &key,
+                case.probe_edges,
+                buf,
+            )
+        };
+        for case in &cases {
+            let got =
+                ask(case, &mut buf).map(|()| buf.iter().map(Action::kind).collect::<Vec<_>>());
+            assert_eq!(got, case.expect, "{}", case.name);
+        }
+        for case in &cases {
+            let (allocs, oks) =
+                allocs_during(|| (0..100).filter(|_| ask(case, &mut buf).is_ok()).count());
+            assert_eq!(
+                oks,
+                if case.expect.is_ok() { 100 } else { 0 },
+                "{}",
+                case.name
+            );
+            assert_eq!(allocs, 0, "{}: 100 calls into a warm buffer", case.name);
+        }
     }
 }

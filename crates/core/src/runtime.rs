@@ -15,7 +15,7 @@ use crate::sync::{lock_ok, Mutex, OnceLock};
 
 /// Worker threads the host can actually run in parallel (affinity/cgroup
 /// aware), cached once per process.
-pub fn host_parallelism() -> usize {
+pub(crate) fn host_parallelism() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {
         std::thread::available_parallelism()
@@ -31,13 +31,8 @@ pub fn host_parallelism() -> usize {
 /// `ExecConfig::workers` instead). A set-but-invalid value errors — a
 /// misconfigured CI leg or server deployment must fail loudly rather than
 /// silently re-test the default parallelism.
-pub fn try_default_workers() -> Result<usize, crate::engine::ConfigError> {
+pub(crate) fn try_default_workers() -> Result<usize, crate::engine::ConfigError> {
     crate::engine::env_knob("STEMS_WORKERS", host_parallelism())
-}
-
-/// Panicking shim over [`try_default_workers`] for one-shot binaries.
-pub fn default_workers() -> usize {
-    try_default_workers().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Apply `step` to every item exactly once, on the caller and up to
@@ -206,6 +201,6 @@ mod tests {
     #[test]
     fn env_default_workers_validation() {
         // Not present: falls back to host parallelism (≥ 1).
-        assert!(default_workers() >= 1);
+        assert!(try_default_workers().unwrap() >= 1);
     }
 }

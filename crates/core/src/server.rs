@@ -134,6 +134,12 @@
 //! windows stay at their absolute instants, on the shared scans too.
 //! `stems-bench server` uses that mode as the baseline the folding
 //! throughput gain is measured against.
+//!
+//! Non-test code here holds no `unwrap` or `expect`: a query's state is
+//! carried by types that cannot be in the wrong state, and Clippy denies
+//! both.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::am::ScanAm;
 use crate::engine::{ConfigError, EddyExecutor, ExecConfig};
@@ -161,7 +167,7 @@ struct StemKey {
 }
 
 /// One shared SteM plus the build log its subscribers read.
-pub struct SharedEntry {
+pub(crate) struct SharedEntry {
     key: StemKey,
     /// Written only at server instants ([`QueryServer::build_entries`]);
     /// between them the registry is lent read-only to every executor.
@@ -189,7 +195,7 @@ pub struct SharedEntry {
 
 /// The shared-SteM registry, which [`crate::plan::Module::Folded`] indexes;
 /// `None` is an evicted entry, which no running query names.
-pub type Registry = [Option<SharedEntry>];
+pub(crate) type Registry = [Option<SharedEntry>];
 
 /// One scan stream, shared by every query reading the source. Its
 /// [`ScanAm`] serves no instance: emitting only advances it, and every
@@ -533,7 +539,7 @@ pub struct ServerBuilder<'a> {
 impl<'a> ServerBuilder<'a> {
     /// A builder over `catalog`, with folding on, environment-derived
     /// default config, no budgets and no deadlines.
-    pub fn new(catalog: &'a Catalog) -> ServerBuilder<'a> {
+    pub(crate) fn new(catalog: &'a Catalog) -> ServerBuilder<'a> {
         ServerBuilder {
             catalog,
             config: None,
@@ -547,7 +553,7 @@ impl<'a> ServerBuilder<'a> {
     }
 
     /// Default per-query configuration (also sizes the shared scan
-    /// chunks). Defaults to [`ExecConfig::from_env`].
+    /// chunks). Defaults to `ExecConfig::from_env`.
     pub fn config(mut self, config: ExecConfig) -> Self {
         self.config = Some(config);
         self

@@ -40,7 +40,7 @@
 
 use crate::memo::{MemoCell, MemoCounters};
 use stems_storage::{Slot, SlotChains};
-use stems_types::{ConstKernel, HashedKey, PredId, PredSet, Predicate, Tuple, TupleBatch};
+use stems_types::{ConstKernel, HashedKey, PredId, PredSet, Predicate, TupleBatch};
 
 /// A selection module wrapping one predicate. The predicate's columnar
 /// kernel is derived **once** here — IN-list kernels sort and dedup their
@@ -48,7 +48,7 @@ use stems_types::{ConstKernel, HashedKey, PredId, PredSet, Predicate, Tuple, Tup
 /// batch.
 #[derive(Debug, Clone)]
 pub struct Sm {
-    pub pred: Predicate,
+    pub(crate) pred: Predicate,
     kernel: Option<ConstKernel>,
     /// Verdict memo for UDF predicates (`None`: memoization off or not a
     /// UDF). Shared handles mean shared entries (server folding).
@@ -119,7 +119,7 @@ impl Sm {
         }
     }
 
-    pub fn pred_id(&self) -> PredId {
+    pub(crate) fn pred_id(&self) -> PredId {
         self.pred.id
     }
 
@@ -138,16 +138,10 @@ impl Sm {
         self.memo = memo;
     }
 
-    /// Apply the predicate. `Some(true)` = passes (mark done and bounce
-    /// back), `Some(false)` = fails (drop), `None` = not evaluable on this
-    /// tuple's span (router error; treated as a drop in release builds).
-    pub fn apply(&self, tuple: &Tuple) -> Option<bool> {
-        self.pred.eval(tuple)
-    }
-
     /// Apply the predicate to every tuple of a batch: one verdict per
-    /// member, in batch order, verdict-for-verdict identical to calling
-    /// [`Sm::apply`] in a loop. Constant selections run as the typed
+    /// member, in batch order — `Some(true)` passes, `Some(false)` fails,
+    /// `None` is not evaluable on the member's span — verdict-for-verdict
+    /// identical to [`Predicate::eval`] in a loop. Constant selections run as the typed
     /// partial-gather kernel cached at construction (see
     /// `stems_types::kernel` for the dispatch rules); everything else
     /// takes the scalar loop, which remains the semantic ground truth
@@ -221,7 +215,7 @@ impl Sm {
     }
 
     /// Evaluate a UDF predicate over a batch: verdict-for-verdict
-    /// identical to mapping [`Sm::apply`], but computing the verdict
+    /// identical to [`Predicate::eval`] in a loop, but computing the verdict
     /// function as few times as the configuration allows.
     ///
     /// * `dedup: true` groups rows by input key first and evaluates one
@@ -299,7 +293,7 @@ impl Sm {
 
     /// Observed selectivity helpers are kept by the policy, not here; the
     /// SM itself is stateless, as in the paper.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         self.pred.to_string()
     }
 }
@@ -307,7 +301,7 @@ impl Sm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stems_types::{CmpOp, ColRef, TableIdx, Value};
+    use stems_types::{CmpOp, ColRef, TableIdx, Tuple, Value};
 
     fn sm_gt(threshold: i64) -> Sm {
         Sm::new(Predicate::selection(
@@ -323,15 +317,15 @@ mod tests {
         let sm = sm_gt(10);
         let hi = Tuple::singleton_of(TableIdx(0), vec![Value::Int(99)]);
         let lo = Tuple::singleton_of(TableIdx(0), vec![Value::Int(3)]);
-        assert_eq!(sm.apply(&hi), Some(true));
-        assert_eq!(sm.apply(&lo), Some(false));
+        assert_eq!(sm.pred.eval(&hi), Some(true));
+        assert_eq!(sm.pred.eval(&lo), Some(false));
     }
 
     #[test]
     fn not_evaluable_on_wrong_span() {
         let sm = sm_gt(10);
         let other = Tuple::singleton_of(TableIdx(1), vec![Value::Int(99)]);
-        assert_eq!(sm.apply(&other), None);
+        assert_eq!(sm.pred.eval(&other), None);
     }
 
     #[test]
@@ -339,7 +333,7 @@ mod tests {
         let sm = sm_gt(10);
         let a = Tuple::singleton_of(TableIdx(0), vec![Value::Int(50)]);
         let b = Tuple::singleton_of(TableIdx(1), vec![Value::Int(1)]);
-        assert_eq!(sm.apply(&a.concat(&b)), Some(true));
+        assert_eq!(sm.pred.eval(&a.concat(&b)), Some(true));
     }
 
     #[test]
@@ -360,7 +354,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let want: Vec<_> = batch.iter().map(|t| sm.apply(t)).collect();
+        let want: Vec<_> = batch.iter().map(|t| sm.pred.eval(t)).collect();
         assert_eq!(sm.apply_batch(&batch), want);
         assert_eq!(
             want,
@@ -445,7 +439,7 @@ mod tests {
             ])
             .collect();
         let plain = Sm::new(pred.clone());
-        let want: Vec<_> = batch.iter().map(|t| plain.apply(t)).collect();
+        let want: Vec<_> = batch.iter().map(|t| plain.pred.eval(t)).collect();
 
         // No memo, no dedup: one call per evaluable non-null row.
         let out = plain.apply_batch_udf(&batch, false);
@@ -538,5 +532,45 @@ mod tests {
         // Not-evaluable rows report no feedback, like the scalar engine.
         assert_eq!(fused[2].evaluated, 0);
         assert_eq!(fused[2].evals(&sm, &[]).count(), 0);
+    }
+
+    /// A panic while a shard lock is held poisons it; `lock_recover` must
+    /// clear that shard and keep the cache (and the SM using it) fully
+    /// functional — memoized verdicts still match scalar after recovery.
+    #[test]
+    fn poisoned_cache_recovers_and_stays_correct() {
+        use crate::memo::MemoCache;
+        use stems_types::UdfSpec;
+        let pred = Predicate::udf(
+            PredId(0),
+            ColRef::new(TableIdx(0), 1),
+            UdfSpec::hash_sieve(500, 1_000),
+        );
+        let cell = MemoCache::cell(2, 1 << 16);
+        let mut sm = Sm::new(pred.clone());
+        sm.set_memo(Some(cell.clone()));
+        let batch: TupleBatch = (0..40)
+            .map(|i: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(i), Value::Int(i % 8)]))
+            .collect();
+        let want: Vec<Option<bool>> = batch.iter().map(|t| pred.eval(t)).collect();
+        assert_eq!(sm.apply_batch_udf(&batch, true).verdicts, want);
+        assert!(cell.len() > 0, "warm-up should populate the cache");
+        // Poison every shard: panic while holding each shard lock. Shards
+        // are picked by the hash's high bits.
+        for hash in (0..64u64).map(|i| i << 58) {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cell.with_shard_of(hash, |_| panic!("poison shard"));
+            }));
+            assert!(result.is_err());
+        }
+        assert!(cell.any_poisoned(), "panic under the lock must poison");
+        // Recovery: poisoned shards come back empty, verdicts stay correct.
+        let out = sm.apply_batch_udf(&batch, true);
+        assert_eq!(out.verdicts, want, "verdicts diverged after recovery");
+        assert!(!cell.any_poisoned(), "lock_recover must clear the poison");
+        // And the cache works again: a second pass hits.
+        let again = sm.apply_batch_udf(&batch, true);
+        assert_eq!(again.verdicts, want);
+        assert!(again.memo.hits > 0, "recovered cache never hit");
     }
 }

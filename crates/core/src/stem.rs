@@ -67,7 +67,7 @@
 //!
 //! 1. **Resolve** — per probe tuple, once: its bounce decision, and its
 //!    equality binding — read off the plan-time probe table
-//!    ([`TableLinks`]), not re-derived from the predicate list — whose key
+//!    (`TableLinks`), not re-derived from the predicate list — whose key
 //!    is hashed ([`HashedKey`]) straight onto its column's key list.
 //! 2. **Look up** — one flat index descent per bound column
 //!    ([`Store::lookup_eq_flat`]): every key of the envelope is resolved
@@ -84,7 +84,7 @@ use crate::sync::Arc;
 use crate::tuple_state::{CompletionNeed, TupleState};
 use std::collections::VecDeque;
 use stems_catalog::{QuerySpec, SourceId};
-use stems_storage::fxhash::{FxBuildHasher, FxHashSet};
+use stems_storage::fxhash::FxHashSet;
 use stems_storage::{CandidateBuf, RowSet, Slot, Store, StoreKind};
 use stems_types::{
     ColumnSource, HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value,
@@ -162,7 +162,7 @@ pub enum BuildResult {
     Fresh(Tuple),
     /// Inserted, but the bounce-back is withheld for clustered release
     /// (Grace mode). The engine gets it later from
-    /// [`Stem::release_deferred`].
+    /// `Stem::release_deferred`.
     Deferred,
     /// Absorbed as a set-semantics duplicate (§3.2) — removed from the
     /// dataflow.
@@ -195,7 +195,7 @@ pub struct ReplyMeta {
     /// Matches found before timestamp filtering — policy feedback.
     pub raw_matches: usize,
     /// Result tuples this reply wrote into the arena.
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 /// Envelope-lifetime probe-reply arena: all replies of one probe envelope,
@@ -223,20 +223,6 @@ impl ProbeReplySet {
     pub fn clear(&mut self) {
         self.results.clear();
         self.metas.clear();
-    }
-
-    /// Number of replies (== probe tuples of the envelope).
-    pub fn len(&self) -> usize {
-        self.metas.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.metas.is_empty()
-    }
-
-    /// Total result tuples across all replies.
-    pub fn total_results(&self) -> usize {
-        self.results.len()
     }
 
     /// Walk the replies in batch order as `(header, results)` views.
@@ -272,10 +258,9 @@ const COMPACT_MIN_DEAD: usize = 32;
 pub struct Stem {
     /// The instance its builds are tagged with. A probe tags its results
     /// with the instance of the probe table it is given instead.
-    pub instance: TableIdx,
-    pub source: SourceId,
-    pub has_scan_am: bool,
-    pub has_index_am: bool,
+    pub(crate) instance: TableIdx,
+    pub(crate) has_scan_am: bool,
+    pub(crate) has_index_am: bool,
     /// The dictionary, whose slab gives every stored row its slot.
     store: Store,
     /// Stored rows by value → their slot (§3.2 duplicate absorption); an
@@ -293,8 +278,6 @@ pub struct Stem {
     max_ts: Timestamp,
     /// Builds accepted (fresh, non-EOT).
     build_count: u64,
-    /// Duplicates absorbed (§3.2 competition bookkeeping).
-    duplicates_absorbed: u64,
     evictions: u64,
     /// FIFO eviction window.
     window: Option<usize>,
@@ -337,10 +320,11 @@ impl std::fmt::Debug for Stem {
 }
 
 impl Stem {
-    /// Create the SteM for `instance` of `source`, indexing `join_cols`.
+    /// Create the SteM for `instance`, indexing `join_cols`. `_source` is
+    /// unused: the signature stays while `benchmark/` calls it.
     pub fn new(
         instance: TableIdx,
-        source: SourceId,
+        _source: SourceId,
         join_cols: &[usize],
         has_scan_am: bool,
         has_index_am: bool,
@@ -348,7 +332,6 @@ impl Stem {
     ) -> Stem {
         Stem {
             instance,
-            source,
             has_scan_am,
             has_index_am,
             store: opts.store.build(join_cols),
@@ -358,7 +341,6 @@ impl Stem {
             eot: EotIndex::default(),
             max_ts: 0,
             build_count: 0,
-            duplicates_absorbed: 0,
             evictions: 0,
             window: opts.eviction_window,
             fifo: VecDeque::new(),
@@ -402,6 +384,7 @@ impl Stem {
         self.store.len()
     }
 
+    /// Whether nothing is stored (Clippy pairs it with the public `len`).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -413,35 +396,20 @@ impl Stem {
     }
 
     /// Has the full relation arrived (scan EOT)?
-    pub fn scan_complete(&self) -> bool {
+    pub(crate) fn scan_complete(&self) -> bool {
         self.eot.scan_complete()
-    }
-
-    /// EOT change counter (keyed EOTs + scan completion).
-    pub fn eot_version(&self) -> u64 {
-        self.eot.version()
     }
 
     /// The SteM's change counter: any build, EOT or scan completion bumps
     /// it. A prior prober is offered a re-probe only once the version has
     /// moved past the one it last probed (BoundedRepetition, §3.5).
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.build_count + self.eot.version()
     }
 
-    /// Max build timestamp among stored tuples.
-    pub fn max_ts(&self) -> Timestamp {
-        self.max_ts
-    }
-
     /// Fresh (non-EOT) builds accepted.
-    pub fn build_count(&self) -> u64 {
+    pub(crate) fn build_count(&self) -> u64 {
         self.build_count
-    }
-
-    /// Set-semantics duplicates absorbed.
-    pub fn duplicates_absorbed(&self) -> u64 {
-        self.duplicates_absorbed
     }
 
     /// FIFO evictions performed.
@@ -450,17 +418,17 @@ impl Stem {
     }
 
     /// Approximate memory footprint: the dictionary and the dedup filter.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.store.approx_bytes() + self.dedup.approx_bytes()
     }
 
     /// Whether the dictionary is indexed (`"hash"`) or not yet (`"list"`).
-    pub fn backend(&self) -> &'static str {
+    pub(crate) fn backend(&self) -> &'static str {
         self.store.backend()
     }
 
     /// How many bounce-backs are currently withheld.
-    pub fn deferred_len(&self) -> usize {
+    pub(crate) fn deferred_len(&self) -> usize {
         self.deferred.len()
     }
 
@@ -473,7 +441,7 @@ impl Stem {
     /// [`BuildResult`] per tuple, batch order. See the module docs for
     /// the two walks.
     ///
-    /// The borrowed form of [`Self::build_batch_into`]: it clones the
+    /// The borrowed form of `Self::build_batch_into`: it clones the
     /// envelope once, so there is one build path.
     pub fn build_batch(
         &mut self,
@@ -492,7 +460,7 @@ impl Stem {
     /// and moved into its [`BuildResult::Fresh`] (or the deferred queue),
     /// leaving [`Tuple::empty`] at its position in `batch`. Duplicates and
     /// EOTs stay where they were.
-    pub fn build_batch_into(
+    pub(crate) fn build_batch_into(
         &mut self,
         batch: &mut TupleBatch,
         states: &[TupleState],
@@ -576,10 +544,7 @@ impl Stem {
                     *ts_counter += 1;
                     self.stamp(slot, tuple, state, *ts_counter)
                 }
-                None => {
-                    self.duplicates_absorbed += 1;
-                    BuildResult::Duplicate
-                }
+                None => BuildResult::Duplicate,
             });
         }
     }
@@ -665,26 +630,18 @@ impl Stem {
     /// `mem_partitions` are "memory-resident" and bounce immediately
     /// (Hybrid-Hash, §3.1); the rest are withheld.
     ///
-    /// The partition is a function of the key's equality normal form
-    /// ([`Value::equality_key`]), so rows that `sql_eq` — `Int(5)` and
+    /// The partition is [`HashedKey::partition`] of the key, a function of
+    /// its equality normal form, so rows that `sql_eq` — `Int(5)` and
     /// `Float(5.0)` share an index chain — are released in one cluster.
-    /// NULL/EOT keys have no normal form and hash as themselves.
     pub(crate) fn partition_of(&self, row: &Row) -> usize {
-        use std::hash::BuildHasher;
-        let key = row.get(self.key_col).unwrap_or(&Value::Null);
-        // Only a float is not its own normal form.
-        let normal = match key {
-            Value::Float(_) => key.equality_key(),
-            _ => None,
-        };
-        let key = normal.as_ref().unwrap_or(key);
-        (FxBuildHasher::default().hash_one(key) % self.partitions.max(1) as u64) as usize
+        let key = row.get(self.key_col).cloned().unwrap_or(Value::Null);
+        HashedKey::new(key).partition(self.partitions)
     }
 
     /// Release deferred bounce-backs, clustered by hash partition (the
     /// Grace "asynchronous" bounce, §3.1) and in build order within a
     /// partition. Called by the engine when the table's scan completes.
-    pub fn release_deferred(&mut self) -> Vec<(Tuple, TupleState)> {
+    pub(crate) fn release_deferred(&mut self) -> Vec<(Tuple, TupleState)> {
         let mut out = std::mem::take(&mut self.deferred);
         out.sort_by_cached_key(|(t, _)| self.partition_of(&t.components()[0].row));
         out
@@ -703,9 +660,9 @@ impl Stem {
     /// their capacity, so a steady probe stream allocates no envelope
     /// buffers.
     ///
-    /// This form derives the query's [`TableLinks`] for the call; a caller
-    /// holding the plan's ([`crate::plan::PlanLayout::links`]) probes
-    /// through [`Self::probe_linked_into`].
+    /// This form derives the query's `TableLinks` for the call; a caller
+    /// holding the plan's (`crate::plan::PlanLayout::links`) probes
+    /// through `Self::probe_linked_into`.
     pub fn probe_batch_into(
         &self,
         batch: &[Tuple],
@@ -732,7 +689,7 @@ impl Stem {
     /// a candidate a predicate rejects costs no allocation. The only
     /// per-tuple allocations are the surviving result tuples themselves
     /// (one component vec each, via [`Tuple::concat_row`]).
-    pub fn probe_linked_into(
+    pub(crate) fn probe_linked_into(
         &self,
         links: &TableLinks,
         batch: &[Tuple],
@@ -1092,7 +1049,7 @@ pub(crate) fn eot_bindings(row: &Row) -> Option<Vec<(usize, Value)>> {
 
 /// Build the EOT row for an index probe answering `bindings` over a table
 /// of the given arity.
-pub fn make_eot_row(arity: usize, bindings: &[(usize, Value)]) -> Arc<Row> {
+pub(crate) fn make_eot_row(arity: usize, bindings: &[(usize, Value)]) -> Arc<Row> {
     let mut vals = vec![Value::Eot; arity];
     for (c, v) in bindings {
         vals[*c] = v.clone();
@@ -1101,7 +1058,7 @@ pub fn make_eot_row(arity: usize, bindings: &[(usize, Value)]) -> Arc<Row> {
 }
 
 /// The full-relation EOT row a scan emits when exhausted.
-pub fn make_scan_eot_row(arity: usize) -> Arc<Row> {
+pub(crate) fn make_scan_eot_row(arity: usize) -> Arc<Row> {
     Row::shared(vec![Value::Eot; arity])
 }
 
@@ -1150,7 +1107,7 @@ pub(crate) mod testkit {
             query,
             &mut set,
         );
-        assert_eq!(set.len(), 1);
+        assert_eq!(set.metas.len(), 1);
         let (meta, results) = set.iter().next().expect("one reply");
         OneReply {
             results: results.to_vec(),
@@ -1289,7 +1246,7 @@ mod tests {
         let stamped = build_fresh(&mut stem, &s_tuple(10, 1), 5);
         assert_eq!(stamped.timestamp(), 5);
         assert_eq!(stem.len(), 1);
-        assert_eq!(stem.max_ts(), 5);
+        assert_eq!(stem.max_ts, 5);
         assert_eq!(stem.build_count(), 1);
         assert_eq!(stem.version(), 1);
     }
@@ -1301,9 +1258,8 @@ mod tests {
         // Same row value from a competing AM: absorbed (§3.2).
         assert_eq!(build(&mut stem, &s_tuple(10, 1), 2), BuildResult::Duplicate);
         assert_eq!(stem.len(), 1);
-        assert_eq!(stem.duplicates_absorbed(), 1);
         // max_ts unchanged — the duplicate consumed no timestamp.
-        assert_eq!(stem.max_ts(), 1);
+        assert_eq!(stem.max_ts, 1);
     }
 
     #[test]
@@ -1425,7 +1381,7 @@ mod tests {
         let mut stem = s_stem(false, true);
         build_eot_row(&mut stem, make_scan_eot_row(2));
         assert!(stem.scan_complete());
-        assert_eq!(stem.eot_version(), 1);
+        assert_eq!(stem.eot.version(), 1);
         assert_eq!(stem.version(), 1);
         let r = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
         assert_eq!(
@@ -1434,7 +1390,7 @@ mod tests {
         );
         // EOT consumed no timestamp and is not a data row.
         assert_eq!(stem.len(), 0);
-        assert_eq!(stem.max_ts(), 0);
+        assert_eq!(stem.max_ts, 0);
     }
 
     #[test]
@@ -1443,7 +1399,7 @@ mod tests {
         let mut stem = s_stem(false, true);
         // Index answered bindings {x=10}: EOT row (10, EOT).
         build_eot_row(&mut stem, make_eot_row(2, &[(0, Value::Int(10))]));
-        assert_eq!(stem.eot_version(), 1);
+        assert_eq!(stem.eot.version(), 1);
         let state = TupleState::new();
         let covered = r_tuple(1, 10).with_timestamp(TableIdx(0), 1);
         assert_eq!(
@@ -1458,7 +1414,7 @@ mod tests {
         // A scan EOT on top covers everything and moves the version again.
         build_eot_row(&mut stem, make_scan_eot_row(2));
         assert!(stem.scan_complete());
-        assert_eq!(stem.eot_version(), 2);
+        assert_eq!(stem.eot.version(), 2);
         assert_eq!(
             probe_one(&stem, &uncovered, &state, &q).outcome,
             ProbeOutcome::Consumed
@@ -1988,8 +1944,10 @@ mod tests {
             let want = build_observables(&whole, built);
             let mut split = stem_on(&[0], opts);
             let built = build_in_envelopes(&mut split, &batch, 1);
-            assert_eq!(want, build_observables(&split, built), "{store:?}");
-            assert_eq!(split.duplicates_absorbed(), 2, "{store:?}");
+            let got = build_observables(&split, built);
+            assert_eq!(want, got, "{store:?}");
+            let absorbed = got.results.iter().filter(|r| **r == BuildResult::Duplicate);
+            assert_eq!(absorbed.count(), 2, "{store:?}");
             assert_side_maps_consistent(&whole);
             assert_side_maps_consistent(&split);
         }
@@ -2128,7 +2086,7 @@ mod tests {
             }
             let mut batched = ProbeReplySet::new();
             stem.probe_batch_into(&probes, &states, q, &mut batched);
-            assert_eq!(batched.len(), probes.len());
+            assert_eq!(batched.metas.len(), probes.len());
             let mut seen_results = 0usize;
             for ((tuple, state), (meta, results)) in probes.iter().zip(&states).zip(batched.iter())
             {
@@ -2241,7 +2199,7 @@ mod tests {
         ts_counter: Timestamp,
         len: usize,
         max_ts: Timestamp,
-        counters: [u64; 3],
+        counters: [u64; 2],
     }
 
     fn build_observables(
@@ -2253,12 +2211,8 @@ mod tests {
             results,
             ts_counter,
             len: stem.len(),
-            max_ts: stem.max_ts(),
-            counters: [
-                stem.build_count(),
-                stem.duplicates_absorbed(),
-                stem.eot_version(),
-            ],
+            max_ts: stem.max_ts,
+            counters: [stem.build_count(), stem.eot.version()],
         }
     }
 
@@ -2287,12 +2241,12 @@ mod tests {
                 let want = filtering.build_batch(&batch, &states, &mut ts_f);
                 let got = trusting.build_batch(&batch, &states, &mut ts_t);
                 let cell = format!("window {window:?}");
+                assert!(!got.contains(&BuildResult::Duplicate), "{cell}");
                 assert_eq!(stamped_ts(&got), stamped_ts(&want), "{cell}");
                 assert_eq!(trusting.len(), filtering.len(), "{cell}");
                 assert_eq!(trusting.approx_bytes(), filtering.approx_bytes(), "{cell}");
                 assert_eq!(trusting.evictions(), filtering.evictions(), "{cell}");
             }
-            assert_eq!(trusting.duplicates_absorbed(), 0);
             // Key 13 is the last row's: live under the window too.
             let probe = r_tuple(1, 13);
             let (want, got) = (
@@ -2453,6 +2407,24 @@ mod tests {
         assert_eq!(ints, floats);
         let used: std::collections::HashSet<&usize> = ints.iter().collect();
         assert!(used.len() > 1, "the keys must spread over partitions");
+    }
+
+    /// A join column whose keys are all multiples of 8 still spreads its
+    /// deferred bounce-backs over all 8 Grace partitions.
+    #[test]
+    fn strided_keys_reach_every_grace_partition() {
+        let stem = stem_on(
+            &[0],
+            StemOptions {
+                deferred_bounce: true,
+                partitions: 8,
+                ..StemOptions::default()
+            },
+        );
+        let parts: std::collections::BTreeSet<usize> = (0..256)
+            .map(|k| stem.partition_of(&Row::new(vec![Value::Int(k * 8), Value::Int(0)])))
+            .collect();
+        assert_eq!(parts.len(), 8, "{parts:?}");
     }
 
     /// Both SteM shapes the store-order tests below build: one that also

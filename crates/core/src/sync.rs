@@ -15,19 +15,19 @@
 //!   dies — today the verdict memo's shards ([`crate::memo`]): the repair
 //!   discards the half-written cache, which is pure performance state.
 
-pub use std::sync::atomic;
-pub use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+pub(crate) use std::sync::atomic;
+pub(crate) use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Lock `mutex`, shrugging off poison and keeping the data as-is. See
 /// the module docs for when this is the right recovery.
-pub fn lock_ok<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_ok<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Lock `mutex`; on poison, clear the mark, run `repair` on the data,
 /// and hand back the repaired guard. `repair` is not called on the
 /// clean path.
-pub fn lock_recover<'a, T: ?Sized>(
+pub(crate) fn lock_recover<'a, T: ?Sized>(
     mutex: &'a Mutex<T>,
     repair: impl FnOnce(&mut T),
 ) -> MutexGuard<'a, T> {

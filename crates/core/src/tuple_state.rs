@@ -39,9 +39,9 @@ pub struct TupleState {
     /// Predicates this tuple has passed — the paper's "donebits".
     pub done: PredSet,
     /// SteMs (by table instance) this tuple has already probed.
-    pub probed_stems: TableSet,
+    pub(crate) probed_stems: TableSet,
     /// Tables whose access methods this tuple has already probed.
-    pub probed_ams: TableSet,
+    pub(crate) probed_ams: TableSet,
     /// Prior-prober marker: set when a SteM bounces this tuple's probe.
     pub prior_prober: Option<PriorProber>,
     /// LastMatchTimeStamp (§3.5): matches with build timestamps ≤ this were
@@ -50,14 +50,14 @@ pub struct TupleState {
     /// Version (build/EOT count) of the probed SteM at this tuple's last
     /// probe — re-probes are offered only when the SteM has changed, which
     /// is what makes BoundedRepetition hold under the §3.5 relaxation.
-    pub last_probe_version: u64,
+    pub(crate) last_probe_version: u64,
     /// Total routing hops, the BoundedRepetition safety valve.
-    pub hops: u32,
+    pub(crate) hops: u32,
     /// The index AM whose response produced this tuple, if any — used by
     /// adaptive policies to attribute freshness feedback.
-    pub origin_am: Option<usize>,
+    pub(crate) origin_am: Option<usize>,
     /// Whether the tuple matches the user's priority predicate (§4.1).
-    pub prioritized: bool,
+    pub(crate) prioritized: bool,
 }
 
 impl Default for TupleState {
@@ -97,12 +97,12 @@ impl TupleState {
     }
 
     /// Mark a completed AM probe on table `t`.
-    pub fn mark_am_probed(&mut self, t: TableIdx) {
+    pub(crate) fn mark_am_probed(&mut self, t: TableIdx) {
         self.probed_ams.insert(t);
     }
 
     /// Is this tuple a prior prober that *must* still complete its probe?
-    pub fn completion_required(&self) -> bool {
+    pub(crate) fn completion_required(&self) -> bool {
         matches!(
             self.prior_prober,
             Some(PriorProber {

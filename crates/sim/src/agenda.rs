@@ -135,7 +135,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.heap.len() + self.lane.len()
     }
 

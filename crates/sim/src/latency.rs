@@ -1,6 +1,8 @@
 //! Service latency models and source stall windows.
 
-use crate::{secs_f, Duration, SimRng, Time};
+#[cfg(test)]
+use crate::SimRng;
+use crate::{Duration, Time};
 
 /// How long one service operation (an index lookup, a scan page fetch)
 /// takes in virtual time.
@@ -19,13 +21,9 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// Fixed latency expressed in fractional seconds.
-    pub fn fixed_secs(s: f64) -> LatencyModel {
-        LatencyModel::Fixed(secs_f(s))
-    }
-
     /// Draw one service duration.
-    pub fn sample(&self, rng: &mut SimRng) -> Duration {
+    #[cfg(test)]
+    fn sample(&self, rng: &mut SimRng) -> Duration {
         match self {
             LatencyModel::Fixed(d) => *d,
             LatencyModel::Uniform { lo, hi } => {
@@ -36,8 +34,9 @@ impl LatencyModel {
         }
     }
 
-    /// The mean of the model (used by cost-estimating policies as a prior).
-    pub fn mean(&self) -> Duration {
+    /// The mean of the model.
+    #[cfg(test)]
+    fn mean(&self) -> Duration {
         match self {
             LatencyModel::Fixed(d) => *d,
             LatencyModel::Uniform { lo, hi } => (lo + hi) / 2,
@@ -58,10 +57,6 @@ pub struct StallWindows {
 }
 
 impl StallWindows {
-    pub fn none() -> StallWindows {
-        StallWindows::default()
-    }
-
     /// Build from `[start, end)` pairs; they are sorted and merged.
     pub fn new(mut windows: Vec<(Time, Time)>) -> StallWindows {
         windows.retain(|(s, e)| e > s);
@@ -74,11 +69,6 @@ impl StallWindows {
             }
         }
         StallWindows { windows: merged }
-    }
-
-    /// Is the source stalled at `t`?
-    pub fn stalled_at(&self, t: Time) -> bool {
-        self.windows.iter().any(|(s, e)| (*s..*e).contains(&t))
     }
 
     /// The earliest time ≥ `t` at which the source is available.
@@ -95,11 +85,11 @@ impl StallWindows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::secs;
+    use crate::{secs, secs_f};
 
     #[test]
     fn fixed_always_same() {
-        let m = LatencyModel::fixed_secs(1.5);
+        let m = LatencyModel::Fixed(secs_f(1.5));
         let mut rng = SimRng::new(1);
         assert_eq!(m.sample(&mut rng), 1_500_000);
         assert_eq!(m.sample(&mut rng), 1_500_000);
@@ -133,10 +123,10 @@ mod tests {
             (secs(15), secs(25)),
             (secs(40), secs(41)),
         ]);
-        assert!(!w.stalled_at(secs(9)));
-        assert!(w.stalled_at(secs(10)));
-        assert!(w.stalled_at(secs(24)));
-        assert!(!w.stalled_at(secs(25)));
+        assert_eq!(w.next_available(secs(9)), secs(9));
+        assert_eq!(w.next_available(secs(10)), secs(25));
+        assert_eq!(w.next_available(secs(24)), secs(25));
+        assert_eq!(w.next_available(secs(25)), secs(25));
         assert_eq!(w.next_available(secs(12)), secs(25));
         assert_eq!(w.next_available(secs(40)), secs(41));
         assert_eq!(w.next_available(secs(5)), secs(5));
@@ -144,15 +134,15 @@ mod tests {
 
     #[test]
     fn empty_windows_never_stall() {
-        let w = StallWindows::none();
-        assert!(!w.stalled_at(0));
+        let w = StallWindows::default();
+        assert_eq!(w.next_available(0), 0);
         assert_eq!(w.next_available(123), 123);
     }
 
     #[test]
     fn degenerate_windows_dropped() {
         let w = StallWindows::new(vec![(5, 5), (7, 6)]);
-        assert!(!w.stalled_at(5));
-        assert!(!w.stalled_at(6));
+        assert_eq!(w.next_available(5), 5);
+        assert_eq!(w.next_available(6), 6);
     }
 }

@@ -26,7 +26,8 @@ impl SimRng {
 
     /// Derive an independent child generator; used to give each module its
     /// own stream so adding a module never perturbs another's randomness.
-    pub fn split(&mut self, tag: u64) -> SimRng {
+    #[cfg(test)]
+    fn split(&mut self, tag: u64) -> SimRng {
         let s = self.next_u64();
         SimRng::new(s ^ tag.wrapping_mul(0xA24B_AED4_963E_E407))
     }
@@ -73,19 +74,10 @@ impl SimRng {
     }
 
     /// Exponentially distributed value with the given mean (inverse CDF).
-    pub fn exp(&mut self, mean: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn exp(&mut self, mean: f64) -> f64 {
         let u = 1.0 - self.unit(); // avoid ln(0)
         -mean * u.ln()
-    }
-}
-
-impl SimRng {
-    /// Fill a byte slice with pseudo-random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
     }
 }
 
@@ -179,13 +171,5 @@ mod tests {
             saw_hi |= v == 2;
         }
         assert!(saw_lo && saw_hi);
-    }
-
-    #[test]
-    fn fill_bytes_produces_nonzero_output() {
-        let mut r = SimRng::new(23);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

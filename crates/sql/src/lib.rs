@@ -27,6 +27,14 @@
 //! assert_eq!(q.n_tables(), 2);
 //! assert_eq!(q.predicates.len(), 2);
 //! ```
+//!
+//! Non-test code neither unwraps nor panics: malformed SQL text is an
+//! `Err`, never a crash (Clippy denies `unwrap`, `expect` and `panic!`).
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod parser;
 mod token;

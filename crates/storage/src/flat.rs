@@ -33,7 +33,7 @@ impl CandidateBuf {
     }
 
     /// Forget the previous envelope, keeping every allocation.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.slots.clear();
         self.spans.clear();
     }
@@ -56,18 +56,18 @@ impl CandidateBuf {
 
     /// Start resolving the next key; returns the watermark to pass to
     /// [`CandidateBuf::commit_key`].
-    pub fn begin_key(&mut self) -> usize {
+    pub(crate) fn begin_key(&mut self) -> usize {
         self.slots.len()
     }
 
     /// Append one candidate for the key being resolved.
     #[inline]
-    pub fn push_slot(&mut self, slot: Slot) {
+    pub(crate) fn push_slot(&mut self, slot: Slot) {
         self.slots.push(slot);
     }
 
     /// Seal the key begun at `start`: its span is everything pushed since.
-    pub fn commit_key(&mut self, start: usize) {
+    pub(crate) fn commit_key(&mut self, start: usize) {
         debug_assert!(start <= self.slots.len());
         self.spans.push((start, self.slots.len()));
     }

@@ -23,7 +23,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// A no-op hasher: the map's u64 keys *are* the hashes. Feeding anything
 /// but a single u64 is a logic error.
 #[derive(Debug, Clone, Default)]
-pub struct IdentityHasher(u64);
+pub(crate) struct IdentityHasher(u64);
 
 impl Hasher for IdentityHasher {
     #[inline]
@@ -42,7 +42,7 @@ impl Hasher for IdentityHasher {
 }
 
 /// `BuildHasher` for [`IdentityHasher`].
-pub type BuildIdentityHasher = BuildHasherDefault<IdentityHasher>;
+pub(crate) type BuildIdentityHasher = BuildHasherDefault<IdentityHasher>;
 
 /// Hash → chain of slots, with every hash supplied by the caller (see the
 /// module docs).
@@ -130,7 +130,7 @@ impl SlotChains {
     }
 
     /// Every chained slot, chain by chain (no particular chain order).
-    pub fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
+    pub(crate) fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
         self.ends.values().flat_map(|(first, _)| Chain {
             next: &self.next,
             at: *first,

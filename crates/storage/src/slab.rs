@@ -38,7 +38,7 @@ pub struct Slab {
 }
 
 impl Slab {
-    pub fn new() -> Slab {
+    pub(crate) fn new() -> Slab {
         Slab::default()
     }
 
@@ -54,16 +54,16 @@ impl Slab {
     }
 
     /// Accounted bytes of the live rows.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.rows.reserve(additional);
     }
 
     /// Store `row` in the next slot.
-    pub fn push(&mut self, row: Arc<Row>) -> Slot {
+    pub(crate) fn push(&mut self, row: Arc<Row>) -> Slot {
         let slot = Slot::try_from(self.rows.len())
             .ok()
             .filter(|s| *s != NIL)
@@ -81,7 +81,7 @@ impl Slab {
     }
 
     /// Take the row out of `slot`, leaving the slot dead.
-    pub fn remove(&mut self, slot: Slot) -> Option<Arc<Row>> {
+    pub(crate) fn remove(&mut self, slot: Slot) -> Option<Arc<Row>> {
         let row = self.rows.get_mut(slot as usize)?.take()?;
         self.live -= 1;
         self.bytes -= row.approx_bytes();
@@ -104,7 +104,7 @@ impl Slab {
     }
 
     /// Drop every row and slot, keeping the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.rows.clear();
         self.live = 0;
         self.bytes = 0;

@@ -309,12 +309,12 @@ pub(crate) mod conformance {
     use super::*;
     use stems_types::Value;
 
-    pub fn row(vals: &[i64]) -> Arc<Row> {
+    pub(crate) fn row(vals: &[i64]) -> Arc<Row> {
         Row::shared(vals.iter().map(|v| Value::Int(*v)).collect())
     }
 
     /// Insert a standard dataset and exercise every method.
-    pub fn run_suite(mut store: Store) {
+    pub(crate) fn run_suite(mut store: Store) {
         assert!(store.is_empty());
         assert_eq!(store.slab().oldest(), None);
         assert_eq!(store.slab().slots(), 0);
@@ -458,7 +458,7 @@ pub(crate) mod conformance {
     /// scalar `lookup_eq`'s rows in the same order, through a fresh arena,
     /// and are the live slots a naive filter of the slab selects, in
     /// insertion order.
-    pub fn assert_flat_matches_scalar(store: &Store, col: usize, raw_keys: &[Value]) {
+    pub(crate) fn assert_flat_matches_scalar(store: &Store, col: usize, raw_keys: &[Value]) {
         let keys: Vec<HashedKey> = raw_keys.iter().cloned().map(HashedKey::new).collect();
         let mut buf = CandidateBuf::new();
         store.lookup_eq_flat(col, &keys, &mut buf);

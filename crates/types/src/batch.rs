@@ -84,11 +84,6 @@ impl TupleBatch {
     pub fn drain(&mut self) -> std::vec::Drain<'_, Tuple> {
         self.items.drain(..)
     }
-
-    /// Consume the batch, yielding the member tuples.
-    pub fn into_vec(self) -> Vec<Tuple> {
-        self.items
-    }
 }
 
 impl From<Vec<Tuple>> for TupleBatch {
@@ -142,7 +137,7 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert_eq!(b.iter().count(), 2);
         assert_eq!(b.as_slice().len(), 2);
-        let v = b.clone().into_vec();
+        let v = b.as_slice().to_vec();
         assert_eq!(v.len(), 2);
         assert_eq!(TupleBatch::from(v), b);
     }

@@ -28,11 +28,6 @@ pub const MAX_PREDS: usize = 64;
 impl PredSet {
     pub const EMPTY: PredSet = PredSet(0);
 
-    pub fn single(p: PredId) -> PredSet {
-        debug_assert!((p.0 as usize) < MAX_PREDS);
-        PredSet(1 << p.0)
-    }
-
     pub fn all(n: usize) -> PredSet {
         assert!(n <= MAX_PREDS);
         if n == MAX_PREDS {
@@ -52,10 +47,6 @@ impl PredSet {
 
     pub fn union(self, other: PredSet) -> PredSet {
         PredSet(self.0 | other.0)
-    }
-
-    pub fn minus(self, other: PredSet) -> PredSet {
-        PredSet(self.0 & !other.0)
     }
 
     pub fn is_superset_of(self, other: PredSet) -> bool {
@@ -145,7 +136,7 @@ impl CmpOp {
     /// The operator with sides swapped (`a < b` ⇔ `b > a`). `In` has no
     /// column-on-the-right form (its right side is a constant list), so it
     /// flips to itself.
-    pub fn flipped(self) -> CmpOp {
+    pub(crate) fn flipped(self) -> CmpOp {
         use CmpOp::*;
         match self {
             Eq => Eq,
@@ -160,7 +151,7 @@ impl CmpOp {
 
     /// Apply the operator to two values using SQL comparison semantics
     /// (NULL/EOT never satisfy any comparison, including `<>`).
-    pub fn eval(self, a: &Value, b: &Value) -> bool {
+    pub(crate) fn eval(self, a: &Value, b: &Value) -> bool {
         use CmpOp::*;
         if a.is_null() || a.is_eot() || b.is_null() || b.is_eot() {
             return false;
@@ -214,7 +205,7 @@ pub enum Operand {
 
 impl Operand {
     /// The table instance referenced, if this operand is a column.
-    pub fn table(&self) -> Option<TableIdx> {
+    pub(crate) fn table(&self) -> Option<TableIdx> {
         match self {
             Operand::Col(c) => Some(c.table),
             Operand::Const(_) | Operand::List(_) => None,
@@ -508,8 +499,7 @@ mod tests {
         assert!(!s.contains(PredId(0)));
         assert_eq!(PredSet::all(4).len(), 4);
         assert!(PredSet::all(4).is_superset_of(s));
-        assert_eq!(s.union(PredSet::single(PredId(1))).len(), 2);
-        assert_eq!(PredSet::all(2).minus(PredSet::single(PredId(0))).len(), 1);
+        assert_eq!(s.union(PredSet::all(2)).len(), 3);
         let ids: Vec<_> = PredSet::all(3).iter().collect();
         assert_eq!(ids, vec![PredId(0), PredId(1), PredId(2)]);
         assert_eq!(PredSet::all(MAX_PREDS).len(), MAX_PREDS);

@@ -69,16 +69,16 @@ use std::sync::Arc;
 /// scalar path. Every non-masked row lands in exactly one of the two.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialGather<T> {
-    pub lane: Vec<T>,
-    pub lane_rows: Vec<u32>,
-    pub exceptions: Vec<u32>,
+    pub(crate) lane: Vec<T>,
+    pub(crate) lane_rows: Vec<u32>,
+    pub(crate) exceptions: Vec<u32>,
 }
 
 impl<T> PartialGather<T> {
     /// Classify each (non-masked) batch member once: rows whose value at
     /// `col` is admitted by `extract` join the typed lane, the rest become
     /// exceptions. Rows where `mask` is `false` are skipped entirely.
-    pub fn classify<'a>(
+    pub(crate) fn classify<'a>(
         batch: &'a TupleBatch,
         col: ColRef,
         mask: Option<&[bool]>,
@@ -246,26 +246,10 @@ fn ord_test<T: PartialOrd + ?Sized>(op: CmpOp) -> fn(&T, &T) -> bool {
 }
 
 impl ConstKernel {
-    /// The column the kernel gathers.
-    pub fn col(&self) -> ColRef {
-        match self {
-            ConstKernel::Int { col, .. }
-            | ConstKernel::Float { col, .. }
-            | ConstKernel::Str { col, .. }
-            | ConstKernel::Bool { col, .. }
-            | ConstKernel::InInt { col, .. }
-            | ConstKernel::InStr { col, .. } => *col,
-        }
-    }
-
     /// Gather the kernel column once (typed lane + exceptions), compare
     /// the lane column-at-a-time, and scalar-evaluate only the exception
-    /// rows. `pred` is the source predicate, the exceptions' ground truth.
-    pub fn eval(&self, pred: &Predicate, batch: &TupleBatch) -> Vec<Option<bool>> {
-        self.eval_masked(pred, batch, None)
-    }
-
-    /// [`ConstKernel::eval`] restricted to the rows where `mask` is `true`.
+    /// rows — all rows, or only those where `mask` is `true`. `pred` is the
+    /// source predicate, the exceptions' ground truth.
     pub fn eval_masked(
         &self,
         pred: &Predicate,

@@ -89,6 +89,14 @@ impl HashedKey {
         self.hash
     }
 
+    /// The Grace partition of this key under a `partitions` fan-out: its
+    /// hash routed by [`KeyHash::shard`], so a strided key column spreads
+    /// over every partition. A NULL/EOT key has no hash and goes to
+    /// partition 0.
+    pub fn partition(&self, partitions: usize) -> usize {
+        self.hash.map_or(0, |h| h.shard(partitions))
+    }
+
     /// Two annotated keys resolve to identical lookup results iff their
     /// equality normal forms agree (`Int(5)` ≡ `Float(5.0)`; all NULL/EOT
     /// keys are mutually equivalent because they all match nothing). The
@@ -143,5 +151,23 @@ mod tests {
         assert_eq!(h.shard(1), 0);
         assert_eq!(KeyHash(u64::MAX).shard(7), 6, "the top of the range");
         assert_eq!(h.shard(0), 0, "degenerate fan-out must not divide by 0");
+    }
+
+    /// Keys that are all multiples of 8 reach every one of 8 partitions,
+    /// `Int` and `Float` spellings of a key share one, and a NULL key
+    /// goes to partition 0.
+    #[test]
+    fn strided_keys_reach_every_partition() {
+        let parts: std::collections::BTreeSet<usize> = (0..256)
+            .map(|i| HashedKey::new(Value::Int(i * 8)).partition(8))
+            .collect();
+        assert_eq!(parts.len(), 8, "{parts:?}");
+        for k in [0i64, 8, 40, 1 << 40] {
+            assert_eq!(
+                HashedKey::new(Value::Int(k)).partition(8),
+                HashedKey::new(Value::Float(k as f64)).partition(8)
+            );
+        }
+        assert_eq!(HashedKey::new(Value::Null).partition(8), 0);
     }
 }

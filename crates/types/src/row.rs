@@ -65,11 +65,6 @@ impl Row {
         self.values.get(idx)
     }
 
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.values.len()
-    }
-
     /// True if any field carries the EOT marker — i.e. this row encodes an
     /// End-Of-Transmission tuple (paper §2.1.3). Read off the flag
     /// [`Row::new`] set, not a scan of the values.
@@ -110,7 +105,7 @@ mod tests {
     #[test]
     fn get_and_arity() {
         let r = Row::new(vec![Value::Int(1), Value::str("x")]);
-        assert_eq!(r.arity(), 2);
+        assert_eq!(r.values().len(), 2);
         assert_eq!(r.get(0), Some(&Value::Int(1)));
         assert_eq!(r.get(2), None);
     }

@@ -16,7 +16,7 @@ impl ColumnType {
     /// Whether `v` is an acceptable value for this column. `Null` and `Eot`
     /// are acceptable in any column (EOT tuples reuse the table schema,
     /// paper §2.1.3).
-    pub fn admits(&self, v: &Value) -> bool {
+    pub(crate) fn admits(&self, v: &Value) -> bool {
         matches!(
             (self, v),
             (_, Value::Null)
@@ -33,7 +33,7 @@ impl ColumnType {
 /// A named, typed column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
-    pub name: String,
+    pub(crate) name: String,
     pub ty: ColumnType,
 }
 
@@ -88,11 +88,6 @@ impl Schema {
     /// All columns in order.
     pub fn columns(&self) -> &[Column] {
         &self.columns
-    }
-
-    /// Column by position.
-    pub fn column(&self, idx: usize) -> Option<&Column> {
-        self.columns.get(idx)
     }
 
     /// Resolve a column name (case-insensitive) to its position.

@@ -68,10 +68,6 @@ impl TableSet {
         TableSet(self.0 | other.0)
     }
 
-    pub fn intersect(self, other: TableSet) -> TableSet {
-        TableSet(self.0 & other.0)
-    }
-
     pub fn minus(self, other: TableSet) -> TableSet {
         TableSet(self.0 & !other.0)
     }
@@ -84,7 +80,7 @@ impl TableSet {
         self.0 & !other.0 == 0
     }
 
-    pub fn is_disjoint_from(self, other: TableSet) -> bool {
+    pub(crate) fn is_disjoint_from(self, other: TableSet) -> bool {
         self.0 & other.0 == 0
     }
 
@@ -105,15 +101,6 @@ impl TableSet {
                 TableIdx(t)
             })
         })
-    }
-
-    /// The single member, if the span is a singleton.
-    pub fn as_singleton(self) -> Option<TableIdx> {
-        if self.0.count_ones() == 1 {
-            Some(TableIdx(self.0.trailing_zeros() as u8))
-        } else {
-            None
-        }
     }
 }
 
@@ -150,7 +137,6 @@ mod tests {
         assert!(s.contains(TableIdx(3)));
         assert!(!s.contains(TableIdx(0)));
         assert_eq!(s.len(), 1);
-        assert_eq!(s.as_singleton(), Some(TableIdx(3)));
     }
 
     #[test]
@@ -168,7 +154,6 @@ mod tests {
         let a = TableSet::single(TableIdx(0)).with(TableIdx(1));
         let b = TableSet::single(TableIdx(1)).with(TableIdx(2));
         assert_eq!(a.union(b), TableSet::all(3));
-        assert_eq!(a.intersect(b), TableSet::single(TableIdx(1)));
         assert_eq!(a.minus(b), TableSet::single(TableIdx(0)));
         assert!(a.is_subset_of(TableSet::all(3)));
         assert!(!a.is_disjoint_from(b));
@@ -180,12 +165,6 @@ mod tests {
         let s: TableSet = [TableIdx(4), TableIdx(1)].into_iter().collect();
         let v: Vec<_> = s.iter().collect();
         assert_eq!(v, vec![TableIdx(1), TableIdx(4)]);
-    }
-
-    #[test]
-    fn as_singleton_rejects_multi() {
-        assert_eq!(TableSet::all(2).as_singleton(), None);
-        assert_eq!(TableSet::EMPTY.as_singleton(), None);
     }
 
     #[test]

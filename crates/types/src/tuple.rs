@@ -26,7 +26,7 @@ pub struct Component {
 }
 
 impl Component {
-    pub fn new(table: TableIdx, row: Arc<Row>) -> Component {
+    pub(crate) fn new(table: TableIdx, row: Arc<Row>) -> Component {
         Component {
             table,
             row,
@@ -147,7 +147,7 @@ impl Tuple {
 
     /// Build from components (sorted internally). Panics if two components
     /// share a table instance.
-    pub fn from_components(mut comps: Vec<Component>) -> Tuple {
+    pub(crate) fn from_components(mut comps: Vec<Component>) -> Tuple {
         comps.sort_by_key(|c| c.table);
         for w in comps.windows(2) {
             assert!(

@@ -79,7 +79,7 @@ impl Value {
 
     /// SQL ordering comparison. Returns `None` when the values are not
     /// comparable (NULLs, EOT markers, mixed non-numeric types).
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
+    pub(crate) fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Eot, _) | (_, Value::Eot) => None,

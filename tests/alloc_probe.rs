@@ -139,6 +139,12 @@ fn built_s_stem(rows: usize) -> Stem {
     stem
 }
 
+/// Replies and result tuples in one probe envelope's reply set.
+fn counts(replies: &ProbeReplySet) -> (usize, usize) {
+    let results = replies.iter().map(|(_, results)| results.len()).sum();
+    (replies.iter().count(), results)
+}
+
 /// Count allocations across `f`. Deallocations are free by design: the
 /// reply path may *return* pooled memory, it just may never take more.
 /// Counts are per thread, so the tests of this file cannot see each other
@@ -181,8 +187,11 @@ fn steady_state_probe_reply_path_is_allocation_free_per_tuple() {
     // envelope.
     replies.clear();
     stem.probe_batch_into(&big, &big_states, &q, &mut replies);
-    assert_eq!(replies.len(), ROWS);
-    assert_eq!(replies.total_results(), 0, "stale probes must form nothing");
+    assert_eq!(
+        counts(&replies),
+        (ROWS, 0),
+        "stale probes must form nothing"
+    );
     let fetched: usize = replies.iter().map(|(m, _)| m.raw_matches).sum();
     assert_eq!(fetched, ROWS, "every probe must fetch its candidate");
 
@@ -190,12 +199,12 @@ fn steady_state_probe_reply_path_is_allocation_free_per_tuple() {
         replies.clear();
         stem.probe_batch_into(&small, &small_states, &q, &mut replies);
     });
-    assert_eq!(replies.len(), SMALL);
+    assert_eq!(counts(&replies).0, SMALL);
     let (big_allocs, ()) = allocs_during(|| {
         replies.clear();
         stem.probe_batch_into(&big, &big_states, &q, &mut replies);
     });
-    assert_eq!(replies.len(), ROWS);
+    assert_eq!(counts(&replies).0, ROWS);
 
     // Per-envelope constants cancel; a single per-tuple allocation would
     // show up as ≈ 3 × SMALL extra counts on the big envelope.
@@ -243,14 +252,14 @@ fn candidates_a_selection_rejects_allocate_nothing_per_tuple() {
     let (_c, join_only) = setup();
     stem.probe_batch_into(&big, &big_states, &join_only, &mut replies);
     assert_eq!(
-        replies.total_results(),
+        counts(&replies).1,
         ROWS,
         "the candidates pass both timestamp rules"
     );
     replies.clear();
     stem.probe_batch_into(&big, &big_states, &q, &mut replies);
     assert_eq!(
-        replies.total_results(),
+        counts(&replies).1,
         0,
         "the selection rejects every candidate"
     );
@@ -265,7 +274,7 @@ fn candidates_a_selection_rejects_allocate_nothing_per_tuple() {
         replies.clear();
         stem.probe_batch_into(&big, &big_states, &q, &mut replies);
     });
-    assert_eq!((replies.len(), replies.total_results()), (ROWS, 0));
+    assert_eq!(counts(&replies), (ROWS, 0));
     assert!(
         big_allocs <= small_allocs + 8,
         "rejected candidates allocate per tuple: {SMALL} probes cost \

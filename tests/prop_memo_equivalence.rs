@@ -4,11 +4,10 @@
 //! [`Predicate::eval`] verdict-for-verdict. Over randomized batches the
 //! four memo×dedup configurations must produce identical verdict vectors,
 //! including for keys that can never be cached (`Null`/`Eot`), keys whose
-//! equality normal form coerces (`Int(5)` vs `Float(5.0)`), `NaN` keys
-//! (never equal to themselves, so never served from cache), and
-//! adversarial `stable_key_hash` collisions, which must fall back to full
-//! key comparison. A poisoned cache shard must recover to an empty shard
-//! and keep producing correct verdicts.
+//! equality normal form coerces (`Int(5)` vs `Float(5.0)`) and `NaN` keys
+//! (never equal to themselves, so never served from cache). Forced hash
+//! collisions and a poisoned shard need the cache's test-only seams, so
+//! their tests live beside the cache (`memo.rs`, `sm.rs`).
 
 use stems::core::{MemoCache, Sm};
 use stems::prelude::*;
@@ -103,63 +102,4 @@ fn dedup_and_memo_actually_save_work() {
     let warm = memoed.apply_batch_udf(&batch, true);
     assert_eq!(warm.computed, 0, "warm memo should serve every key");
     assert_eq!(warm.memo.hits, 5);
-}
-
-/// Forced hash collisions (every key claims hash 42) must fall back to
-/// full-key dictionary comparison: each distinct key keeps its own
-/// verdict, and a colliding never-inserted key misses.
-#[test]
-fn adversarial_hash_collisions_compare_full_keys() {
-    let cache = MemoCache::new(2, 1 << 16);
-    // Distinct keys, alternating verdicts, one shared hash.
-    let keys: Vec<Value> = (0..16).map(Value::Int).collect();
-    for (i, k) in keys.iter().enumerate() {
-        cache.insert_with_hash(42, k.clone(), i % 2 == 0);
-    }
-    for (i, k) in keys.iter().enumerate() {
-        assert_eq!(
-            cache.lookup_with_hash(42, k),
-            Some(i % 2 == 0),
-            "collision chain lost key {k}"
-        );
-    }
-    assert_eq!(cache.lookup_with_hash(42, &Value::Int(99)), None);
-    // A colliding *string* key (different Value kind entirely).
-    cache.insert_with_hash(42, Value::str("x"), true);
-    assert_eq!(cache.lookup_with_hash(42, &Value::str("x")), Some(true));
-    assert_eq!(cache.lookup_with_hash(42, &Value::str("y")), None);
-}
-
-/// A panic while a shard lock is held poisons it; `lock_recover` must
-/// clear that shard and keep the cache (and the SM using it) fully
-/// functional — memoized verdicts still match scalar after recovery.
-#[test]
-fn poisoned_cache_recovers_and_stays_correct() {
-    let pred = sieve(500);
-    let cell = MemoCache::cell(2, 1 << 16);
-    let mut sm = Sm::new(pred.clone());
-    sm.set_memo(Some(cell.clone()));
-    let batch: TupleBatch = (0..40)
-        .map(|i: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(i), Value::Int(i % 8)]))
-        .collect();
-    let want: Vec<Option<bool>> = batch.iter().map(|t| pred.eval(t)).collect();
-    assert_eq!(sm.apply_batch_udf(&batch, true).verdicts, want);
-    assert!(!cell.is_empty(), "warm-up should populate the cache");
-    // Poison every shard: panic while holding each shard lock. Shards
-    // are picked by the hash's high bits.
-    for hash in (0..64u64).map(|i| i << 58) {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cell.with_shard_of(hash, |_| panic!("poison shard"));
-        }));
-        assert!(result.is_err());
-    }
-    assert!(cell.any_poisoned(), "panic under the lock must poison");
-    // Recovery: poisoned shards come back empty, verdicts stay correct.
-    let out = sm.apply_batch_udf(&batch, true);
-    assert_eq!(out.verdicts, want, "verdicts diverged after recovery");
-    assert!(!cell.any_poisoned(), "lock_recover must clear the poison");
-    // And the cache works again: a second pass hits.
-    let again = sm.apply_batch_udf(&batch, true);
-    assert_eq!(again.verdicts, want);
-    assert!(again.memo.hits > 0, "recovered cache never hit");
 }

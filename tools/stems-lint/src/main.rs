@@ -21,7 +21,6 @@
 //! | `row-keyed-map` | no map or set keyed by `Arc<Row>` / `Row` in non-test `stem.rs`, `crates/storage/src/` — stored rows are addressed by slot |
 //! | `stem-lock` | no `StemCell`, `Mutex<Stem>` or `RwLock<Stem>` in non-test `crates/core/src/`, and no `Mutex` / `RwLock` / `RefCell` / `atomic` / `lock_ok` / `lock_recover` in non-test `stem.rs` — a SteM has one owner: builds take `&mut self`, probes `&self`, and the server lends its shared SteMs by borrow |
 //! | `default-hasher` | no `HashMap` / `HashSet` with the default SipHash hasher in non-test `crates/core/src/` — the engine hashes its own data: an Fx map, or an identity map over a precomputed hash |
-//! | `server-panic` | no `.expect(` / `.unwrap()` in non-test `crates/core/src/server.rs` — a query's state is carried by types that cannot be in the wrong state, not asserted at run time |
 //! | `series-of-count` | no literal `.series("x")` / `curve(_, "x")` anywhere in the tree (`tests/`, `examples/` and `benchmark/` included) where `x` is in the engine's `metric_ids! { … counts { … } }` list — a count keeps no series |
 //!
 //! The rules above `series-of-count` cover `crates/`, `src/` and `tools/`;
@@ -310,7 +309,6 @@ fn house_rules(path: &str, original: &[&str], code: &[String]) -> Vec<Finding> {
     let in_stem = path == "crates/core/src/stem.rs";
     let stores_rows = in_stem || path.starts_with("crates/storage/src/");
     let in_core = path.starts_with("crates/core/src/");
-    let in_server = path == "crates/core/src/server.rs";
 
     let mut findings = Vec::new();
     let mut sync_use_block = false;
@@ -429,23 +427,6 @@ fn house_rules(path: &str, original: &[&str], code: &[String]) -> Vec<Finding> {
                         "`{what}` hashes with SipHash — use an `FxHashMap` / `FxHashSet`, or identity-hash a precomputed hash"
                     ),
                 });
-            }
-        }
-
-        // server-panic — a query slot is waiting, running or done, and
-        // each state holds exactly what it needs: nothing is left to
-        // assert.
-        if in_server && !in_tests {
-            for pat in [".expect(", ".unwrap()"] {
-                if code_line.contains(pat) {
-                    findings.push(Finding {
-                        rule: "server-panic",
-                        line: lineno,
-                        message: format!(
-                            "`{pat}` in the query server — make the state unrepresentable, or handle it"
-                        ),
-                    });
-                }
             }
         }
 
