@@ -4,7 +4,8 @@
 //! `STEMS_BENCH_OUT` the results document.
 //!
 //! `stems-bench server`: the folding sweep — a 100- and a 1000-query
-//! stream, folding off against on, in wall seconds.
+//! stream, folding off against on, at a worker budget of 1 and of the
+//! host's cores, in wall seconds.
 
 use stems_bench::paper::{self, Experiment, PAPER};
 

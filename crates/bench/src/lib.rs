@@ -26,6 +26,8 @@ use std::path::PathBuf;
 use stems_sim::{ascii_plot, to_secs, PlotSpec, Series, Time};
 
 /// Where CSV outputs go: `$STEMS_RESULTS_DIR` or `./results`.
+// An output path of the bench binary, not engine configuration.
+#[allow(clippy::disallowed_methods)]
 pub fn results_dir() -> PathBuf {
     let dir = std::env::var("STEMS_RESULTS_DIR").unwrap_or_else(|_| "results".into());
     let p = PathBuf::from(dir);

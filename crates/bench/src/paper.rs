@@ -85,6 +85,8 @@ struct Sheet {
     /// Prefixed to every claim registered while it is set (a grid point).
     scope: String,
     error: Option<String>,
+    /// What every eddy run of the entry starts from.
+    base: ExecConfig,
 }
 
 impl Sheet {
@@ -207,10 +209,19 @@ impl Sheet {
 }
 
 impl Experiment {
-    /// Run the entry. An error does not escape: it is the sheet's last
-    /// `[FAIL]` line, named after the entry.
+    /// Run the entry under the default engine configuration.
     fn sheet(&self) -> Sheet {
-        let mut sheet = Sheet::default();
+        self.sheet_under(ExecConfig::default())
+    }
+
+    /// Run the entry with every eddy run starting from `base`. An error
+    /// does not escape: it is the sheet's last `[FAIL]` line, named after
+    /// the entry.
+    fn sheet_under(&self, base: ExecConfig) -> Sheet {
+        let mut sheet = Sheet {
+            base,
+            ..Sheet::default()
+        };
         let (name, section, claim) = (self.name, self.section, self.claim);
         sheet.note(format!("\n== {name} — paper {section} ==\n{claim}"));
         if let Err(e) = (self.run)(&mut sheet) {
@@ -224,6 +235,8 @@ impl Experiment {
 /// the results document — to `$STEMS_BENCH_OUT`, or to
 /// `PAPER_RESULTS.json` when the whole table ran. False if any check
 /// failed or any file could not be written.
+// An output path of the bench binary, not engine configuration.
+#[allow(clippy::disallowed_methods)]
 pub fn run(selected: &[&Experiment]) -> bool {
     let whole = selected.len() == PAPER.len();
     let json = std::env::var("STEMS_BENCH_OUT")
@@ -411,7 +424,8 @@ fn fig7_shape(
 ) -> Result<(Report, BaselineRun), Box<dyn Error>> {
     let (c, q, _, _) = Table3::q1(cfg)?;
     let q1 = Workload::new(c, q);
-    let stems = q1.eddy(sheet, "SteMs", &ExecConfig::default())?.report;
+    let config = sheet.base.clone();
+    let stems = q1.eddy(sheet, "SteMs", &config)?.report;
     let r = (&Table3::r_table(cfg), cfg.q1_r_scan_tps, 1);
     let base = index_join_of(r, &Table3::s_table(cfg), cfg.s_index_latency_s);
     let base = q1.baseline(sheet, "index join", base);
@@ -445,7 +459,7 @@ fn fig8_systems(
     let q4 = Workload::new(c, q);
     let config = ExecConfig {
         policy: BENEFIT_COST,
-        ..ExecConfig::default()
+        ..sheet.base.clone()
     };
     let hybrid = q4.eddy(sheet, "hybrid", &config)?.report;
     let (r, t) = (Table3::r_table(cfg), Table3::t_table(cfg));
@@ -728,7 +742,8 @@ fn competition(sheet: &mut Sheet) -> Outcome {
             c.add_scan(s, ScanSpec::with_rate(20.0))?;
         }
         let query = Workload::sql(c, "SELECT * FROM R r, S s WHERE r.a = s.key")?;
-        runs.push(query.eddy(sheet, who, &ExecConfig::default())?);
+        let config = sheet.base.clone();
+        runs.push(query.eddy(sheet, who, &config)?);
     }
     let [racing, fast_only, slow_only] = &runs[..] else {
         unreachable!("three configurations")
@@ -784,7 +799,7 @@ fn spanning_tree(sheet: &mut Sheet) -> Outcome {
     let mut run = |who, tree: Option<Vec<(TableIdx, TableIdx)>>| {
         let config = ExecConfig {
             probe_edges: tree,
-            ..ExecConfig::default()
+            ..sheet.base.clone()
         };
         query.eddy(sheet, who, &config).map(|e| e.report)
     };
@@ -855,10 +870,11 @@ fn reorder(sheet: &mut Sheet) -> Outcome {
         CmpOp::Lt,
         Value::Int(INTEREST_BOUND),
     );
-    let plain = query.eddy(sheet, "plain", &ExecConfig::default())?.report;
+    let base = sheet.base.clone();
+    let plain = query.eddy(sheet, "plain", &base)?.report;
     let config = ExecConfig {
         priority_pred: Some(interest.clone()),
-        ..ExecConfig::default()
+        ..base
     };
     let boosted = query.eddy(sheet, "prioritized", &config)?.report;
 
@@ -929,7 +945,8 @@ fn nary_shj(sheet: &mut Sheet) -> Outcome {
     let query = Workload::sql(c, sql)?;
 
     // n-ary SHJ via eddy + SteMs (fig 2(iii)).
-    let stems = query.eddy(sheet, "SteMs", &ExecConfig::default())?.report;
+    let config = sheet.base.clone();
+    let stems = query.eddy(sheet, "SteMs", &config)?.report;
     // Pipeline of binary SHJs (fig 2(i)): (A ⋈ B on v) ⋈ C on w.
     let stage = |i: usize, col, prev_col| PipelineStage {
         stream: streams[i].clone(),
@@ -989,7 +1006,7 @@ fn grace_hybrid(sheet: &mut Sheet) -> Outcome {
     scanned(&mut c, "S", ROWS, 52, &v, ScanSpec::with_rate(20_000.0))?;
     let query = Workload::sql(c, "SELECT * FROM R r, S s WHERE r.v = s.v")?;
     let mut run = |who, mem_partitions: Option<usize>| {
-        let mut config = ExecConfig::default();
+        let mut config = sheet.base.clone();
         // Probe cost dominates so the algorithm choice matters; clustered
         // probes enjoy locality.
         config.costs.stem_probe_us = 400;
@@ -1056,10 +1073,8 @@ fn buildfirst(sheet: &mut Sheet) -> Outcome {
     // R.key = S.key (1:1), S.key = T.w (1:200)
     let sql = "SELECT * FROM R r, S s, T t WHERE r.key = s.key AND s.key = t.w";
     let query = Workload::sql(c, sql)?;
-    let default_run = query
-        .eddy(sheet, "BuildFirst", &ExecConfig::default())?
-        .report;
-    let mut config = ExecConfig::default();
+    let mut config = sheet.base.clone();
+    let default_run = query.eddy(sheet, "BuildFirst", &config)?.report;
     config.plan.no_stem = TableSet::single(TableIdx(2));
     let relaxed_run = query.eddy(sheet, "relaxed", &config)?.report;
 
@@ -1156,7 +1171,7 @@ fn selection_order(sheet: &mut Sheet) -> Outcome {
         let config = ExecConfig {
             policy,
             seed: 1,
-            ..ExecConfig::default()
+            ..sheet.base.clone()
         };
         query.eddy(sheet, who, &config).map(|e| e.report)
     };
@@ -1237,6 +1252,19 @@ mod tests {
         let report = sheet.render();
         let failed: Vec<&str> = report.lines().filter(|l| l.contains("[FAIL]")).collect();
         assert!(sheet.passed() && failed.is_empty(), "{name}: {failed:#?}");
+
+        // The paper's eddy routes one tuple at a time: every check holds
+        // at batch size 1 too (its measurements are not the document's).
+        let scalar = e.sheet_under(ExecConfig {
+            batch_size: 1,
+            ..ExecConfig::default()
+        });
+        let report = scalar.render();
+        let failed: Vec<&str> = report.lines().filter(|l| l.contains("[FAIL]")).collect();
+        assert!(
+            scalar.passed() && failed.is_empty(),
+            "{name} at batch 1: {failed:#?}"
+        );
 
         let committed = committed();
         let is_name = |(key, _): &(String, String)| key == "name";

@@ -119,19 +119,15 @@ pub struct ExecConfig {
     /// Maximum tuples routed per policy decision / module envelope, and
     /// the cap on rows a scan may emit per event (chunked ingestion). `1`
     /// reproduces the scalar tuple-at-a-time engine; larger values
-    /// amortize routing overhead over same-destination tuples. The
-    /// default (64) can be overridden with the `STEMS_BATCH_SIZE`
-    /// environment variable — CI runs the whole suite at 1 and 64 so
-    /// scalar-engine equivalence is enforced on every push.
+    /// amortize routing overhead over same-destination tuples. Default
+    /// 64; the suites that build executors run each case at 1 and 64.
     pub batch_size: usize,
     /// Ignored; removed when `benchmark/` stops naming it.
     pub num_shards: usize,
     /// Worker budget of the query server's wave drain: how many threads
     /// (the server's own included) step a wave's independent executors
     /// (`runtime::for_each_parallel`). Defaults to the host's available
-    /// parallelism, overridable with the `STEMS_WORKERS` environment
-    /// variable; CI crosses it with the batch-size matrix so worker-count
-    /// invariance of server reports is enforced on every push. `1` steps every
+    /// parallelism; the server suites run at 1, 2 and 4. `1` steps every
     /// executor on the server's thread. A single executor never reads it.
     pub workers: usize,
     /// Ignored; removed when `benchmark/` stops naming it.
@@ -177,11 +173,9 @@ pub struct ExecConfig {
     pub trace_limit: usize,
 }
 
-/// A rejected engine configuration — a malformed environment knob or an
-/// invalid field value. Long-lived callers (the query server, binaries
-/// that want a clean exit) handle this as a startup error; the
-/// [`Default`] impl below remains a thin panicking shim for tests and
-/// one-shot binaries.
+/// A rejected engine configuration: a field value no engine layer can
+/// run with (`ExecConfig::validate`). Long-lived callers (the query
+/// server) handle it as a startup error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError(pub String);
 
@@ -193,59 +187,10 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Read a positive-integer environment knob. Not present falls back to
-/// `default`; a set-but-invalid value is an error — a misconfigured CI
-/// leg (or server deployment) must fail loudly, not silently re-test the
-/// default engine while claiming coverage.
-pub(crate) fn env_knob(var: &str, default: usize) -> std::result::Result<usize, ConfigError> {
-    match std::env::var(var) {
-        Err(std::env::VarError::NotPresent) => Ok(default),
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(ConfigError(format!(
-                "{var} must be a positive integer, got {s:?}"
-            ))),
-        },
-        Err(e) => Err(ConfigError(format!("{var} is not valid unicode: {e}"))),
-    }
-}
-
 impl ExecConfig {
-    /// Build the default configuration, reading `STEMS_BATCH_SIZE` and
-    /// `STEMS_WORKERS` from the environment and failing on malformed
-    /// values instead of panicking. This is what a server uses
-    /// at startup; `ExecConfig::default()` is the panicking shim over it.
-    pub(crate) fn from_env() -> std::result::Result<ExecConfig, ConfigError> {
-        let config = ExecConfig {
-            policy: RoutingPolicyKind::default(),
-            seed: 42,
-            costs: CostModel::default(),
-            plan: PlanOptions::default(),
-            probe_edges: None,
-            priority_pred: None,
-            batch_size: env_knob("STEMS_BATCH_SIZE", 64)?,
-            num_shards: 1,
-            workers: crate::runtime::try_default_workers()?,
-            parallel_min_rows: 1,
-            fuse_selections: true,
-            memo: true,
-            memo_bytes: crate::memo::DEFAULT_MEMO_BYTES,
-            udf_dedup: true,
-            max_hops: 1_000_000,
-            max_events: 200_000_000,
-            max_time: None,
-            check_constraints: false,
-            trace: false,
-            trace_limit: 100_000,
-        };
-        config.validate()?;
-        Ok(config)
-    }
-
     /// Reject field values no engine layer can run with. Called by
-    /// [`EddyExecutor::build`] (and thus the server at admission) so a
-    /// zero smuggled in programmatically fails as loudly as a zero from
-    /// the environment.
+    /// [`EddyExecutor::build`] (and thus the server at admission) and by
+    /// the server builder.
     pub(crate) fn validate(&self) -> std::result::Result<(), ConfigError> {
         for (name, value) in [
             ("batch_size", self.batch_size),
@@ -261,11 +206,31 @@ impl ExecConfig {
 }
 
 impl Default for ExecConfig {
-    /// Reads `STEMS_BATCH_SIZE` and `STEMS_WORKERS` from the environment
-    /// and panics on a malformed value; the query server reads them
-    /// through `from_env` and reports the error instead.
+    /// The batched engine (64 tuples an envelope) with a worker budget of
+    /// the host's available parallelism. Reads no environment.
     fn default() -> Self {
-        ExecConfig::from_env().unwrap_or_else(|e| panic!("{e}"))
+        ExecConfig {
+            policy: RoutingPolicyKind::default(),
+            seed: 42,
+            costs: CostModel::default(),
+            plan: PlanOptions::default(),
+            probe_edges: None,
+            priority_pred: None,
+            batch_size: 64,
+            num_shards: 1,
+            workers: crate::runtime::host_parallelism(),
+            parallel_min_rows: 1,
+            fuse_selections: true,
+            memo: true,
+            memo_bytes: crate::memo::DEFAULT_MEMO_BYTES,
+            udf_dedup: true,
+            max_hops: 1_000_000,
+            max_events: 200_000_000,
+            max_time: None,
+            check_constraints: false,
+            trace: false,
+            trace_limit: 100_000,
+        }
     }
 }
 
@@ -1888,6 +1853,10 @@ mod tests {
         (c, q)
     }
 
+    /// The routing batch sizes a test repeats its runs at: 1 is the
+    /// paper's tuple-at-a-time eddy, 64 the batched default.
+    const BATCH_SIZES: [usize; 2] = [1, 64];
+
     fn dummy_env() -> Envelope {
         Envelope {
             wave: Wave::default(),
@@ -1905,81 +1874,84 @@ mod tests {
     #[test]
     fn recosting_at_dispatch_changes_choice_under_shifted_backlog() {
         let (catalog, query) = star3();
-        let config = ExecConfig {
-            policy: RoutingPolicyKind::BenefitCost {
-                epsilon: 0.0,
-                drop_rate: 0.0,
-            },
-            ..ExecConfig::default()
-        };
-        let mut exec = EddyExecutor::build(&catalog, &query, config).unwrap();
-        let m1 = exec.layout.stem_mid[1].expect("S SteM");
-        let m2 = exec.layout.stem_mid[2].expect("T SteM");
-        let actions = vec![
-            Action::ProbeStem {
-                mid: m1,
-                table: TableIdx(1),
-            },
-            Action::ProbeStem {
-                mid: m2,
-                table: TableIdx(2),
-            },
-        ];
-        // Flush-time backlog: m2 busy, m1 free — the snapshot favors m1.
-        for _ in 0..6 {
-            exec.rt[m2].queue.push_back(dummy_env());
-        }
-        let flushed: Vec<Hint> = actions.iter().map(|a| exec.hint_for(a)).collect();
-        // The backlog shifts before the wave is dequeued: m2 drains, m1
-        // fills (earlier waves of the same burst routed into it).
-        exec.rt[m2].queue.clear();
-        for _ in 0..6 {
-            exec.rt[m1].queue.push_back(dummy_env());
-        }
+        for batch_size in BATCH_SIZES {
+            let config = ExecConfig {
+                policy: RoutingPolicyKind::BenefitCost {
+                    epsilon: 0.0,
+                    drop_rate: 0.0,
+                },
+                batch_size,
+                ..ExecConfig::default()
+            };
+            let mut exec = EddyExecutor::build(&catalog, &query, config).unwrap();
+            let m1 = exec.layout.stem_mid[1].expect("S SteM");
+            let m2 = exec.layout.stem_mid[2].expect("T SteM");
+            let actions = vec![
+                Action::ProbeStem {
+                    mid: m1,
+                    table: TableIdx(1),
+                },
+                Action::ProbeStem {
+                    mid: m2,
+                    table: TableIdx(2),
+                },
+            ];
+            // Flush-time backlog: m2 busy, m1 free — the snapshot favors m1.
+            for _ in 0..6 {
+                exec.rt[m2].queue.push_back(dummy_env());
+            }
+            let flushed: Vec<Hint> = actions.iter().map(|a| exec.hint_for(a)).collect();
+            // The backlog shifts before the wave is dequeued: m2 drains, m1
+            // fills (earlier waves of the same burst routed into it).
+            exec.rt[m2].queue.clear();
+            for _ in 0..6 {
+                exec.rt[m1].queue.push_back(dummy_env());
+            }
 
-        // A decision taken on the stale snapshot would route to m1 …
-        let tuple = Tuple::singleton_of(TableIdx(0), vec![Value::Int(1), Value::Int(1)])
-            .with_timestamp(TableIdx(0), 1);
-        let stale_pairs: Vec<(Action, Hint)> = actions
-            .iter()
-            .copied()
-            .zip(flushed.iter().copied())
-            .collect();
-        let mut stale_policy = BenefitCostPolicy::new(0.0, 0.0);
-        let stale = stale_policy.choose(
-            &tuple,
-            &TupleState::new(),
-            &stale_pairs,
-            &mut SimRng::new(1),
-        );
-        assert!(
-            matches!(stale_pairs[stale].0, Action::ProbeStem { mid, .. } if mid == m1),
-            "stale snapshot should favor the then-empty m1"
-        );
+            // A decision taken on the stale snapshot would route to m1 …
+            let tuple = Tuple::singleton_of(TableIdx(0), vec![Value::Int(1), Value::Int(1)])
+                .with_timestamp(TableIdx(0), 1);
+            let stale_pairs: Vec<(Action, Hint)> = actions
+                .iter()
+                .copied()
+                .zip(flushed.iter().copied())
+                .collect();
+            let mut stale_policy = BenefitCostPolicy::new(0.0, 0.0);
+            let stale = stale_policy.choose(
+                &tuple,
+                &TupleState::new(),
+                &stale_pairs,
+                &mut SimRng::new(1),
+            );
+            assert!(
+                matches!(stale_pairs[stale].0, Action::ProbeStem { mid, .. } if mid == m1),
+                "stale snapshot should favor the then-empty m1"
+            );
 
-        // … but the dispatcher costs at dequeue and routes to m2. The
-        // backlog shift came from earlier dispatches of the same burst
-        // (`touched`), which also drives the staleness counter.
-        let before = exec.rt[m1].queue.len();
-        exec.touched.push(m1);
-        let mut group = exec.waves.take();
-        group.actions = actions;
-        group.push(tuple, TupleState::new(), false);
-        exec.dispatch_group(group);
-        assert_eq!(
-            exec.rt[m2].queue.len(),
-            1,
-            "re-costed decision must route to the now-cheaper module"
-        );
-        assert_eq!(
-            exec.rt[m1].queue.len(),
-            before,
-            "m1 must not receive the wave"
-        );
-        assert_eq!(exec.metrics.counter("hints_recosted"), 1);
-        // The dispatched wave's destination joins the touched set, so a
-        // following wave offering m2 would count as re-costed too.
-        assert!(exec.touched.contains(&m2));
+            // … but the dispatcher costs at dequeue and routes to m2. The
+            // backlog shift came from earlier dispatches of the same burst
+            // (`touched`), which also drives the staleness counter.
+            let before = exec.rt[m1].queue.len();
+            exec.touched.push(m1);
+            let mut group = exec.waves.take();
+            group.actions = actions;
+            group.push(tuple, TupleState::new(), false);
+            exec.dispatch_group(group);
+            assert_eq!(
+                exec.rt[m2].queue.len(),
+                1,
+                "re-costed decision must route to the now-cheaper module"
+            );
+            assert_eq!(
+                exec.rt[m1].queue.len(),
+                before,
+                "m1 must not receive the wave"
+            );
+            assert_eq!(exec.metrics.counter("hints_recosted"), 1);
+            // The dispatched wave's destination joins the touched set, so a
+            // following wave offering m2 would count as re-costed too.
+            assert!(exec.touched.contains(&m2));
+        }
     }
 
     /// `R(key, a) ⋈ S(x, y)` on `R.a = S.x` with `R.key > 0`; R scans, S
@@ -2046,62 +2018,72 @@ mod tests {
     #[test]
     fn unpark_partitions_in_place_and_only_when_it_wakes() {
         let (catalog, query) = indexed2();
-        let mut exec = EddyExecutor::build(&catalog, &query, ExecConfig::default()).unwrap();
-        const N: i64 = 100;
-        for k in 1..=N {
-            let (tuple, state) = prior_prober(k, CompletionNeed::Required);
-            exec.park(tuple, state, TableIdx(1));
-        }
-        assert!(exec
-            .parked
-            .iter()
-            .all(|p| matches!(&p.kind, ParkKind::Coverage(b) if b.len() == 1)));
-        let before = parked_keys(&exec);
-
-        // Builds into S release only unbuilt re-probers; every parked tuple
-        // here waits for coverage. Not one allocation, not one move.
-        let sig = [UnparkSignal::AnyBuild(TableIdx(1))];
-        exec.wake(false, &sig, &[]);
-        let (allocs, ()) = crate::test_alloc::allocs_during(|| {
-            for _ in 0..1_000 {
-                exec.wake(false, &sig, &[]);
+        for batch_size in BATCH_SIZES {
+            let mut exec = EddyExecutor::build(
+                &catalog,
+                &query,
+                ExecConfig {
+                    batch_size,
+                    ..ExecConfig::default()
+                },
+            )
+            .unwrap();
+            const N: i64 = 100;
+            for k in 1..=N {
+                let (tuple, state) = prior_prober(k, CompletionNeed::Required);
+                exec.park(tuple, state, TableIdx(1));
             }
-        });
-        assert_eq!(allocs, 0, "1000 wake-ups that wake nothing");
-        assert_eq!(parked_keys(&exec), before);
+            assert!(exec
+                .parked
+                .iter()
+                .all(|p| matches!(&p.kind, ParkKind::Coverage(b) if b.len() == 1)));
+            let before = parked_keys(&exec);
 
-        // A keyed EOT wakes the tuples bound to its key and nothing else;
-        // kept and woken both stay in parked order.
-        let eot = |k: i64| UnparkSignal::Eot {
-            table: TableIdx(1),
-            bindings: Some(vec![(0, Value::Int(k))]),
-        };
-        let mut woken = exec.waves.take();
-        for k in [7, 3, 7] {
-            exec.unpark(&eot(k), &mut woken);
+            // Builds into S release only unbuilt re-probers; every parked tuple
+            // here waits for coverage. Not one allocation, not one move.
+            let sig = [UnparkSignal::AnyBuild(TableIdx(1))];
+            exec.wake(false, &sig, &[]);
+            let (allocs, ()) = crate::test_alloc::allocs_during(|| {
+                for _ in 0..1_000 {
+                    exec.wake(false, &sig, &[]);
+                }
+            });
+            assert_eq!(allocs, 0, "1000 wake-ups that wake nothing");
+            assert_eq!(parked_keys(&exec), before);
+
+            // A keyed EOT wakes the tuples bound to its key and nothing else;
+            // kept and woken both stay in parked order.
+            let eot = |k: i64| UnparkSignal::Eot {
+                table: TableIdx(1),
+                bindings: Some(vec![(0, Value::Int(k))]),
+            };
+            let mut woken = exec.waves.take();
+            for k in [7, 3, 7] {
+                exec.unpark(&eot(k), &mut woken);
+            }
+            let woken_keys: Vec<Value> = woken
+                .drain()
+                .map(|(t, _, clustered)| {
+                    assert!(!clustered);
+                    t.components()[0].row.values()[0].clone()
+                })
+                .collect();
+            assert_eq!(woken_keys, vec![Value::Int(7), Value::Int(3)]);
+            let kept: Vec<Value> = (1..=N)
+                .filter(|k| *k != 3 && *k != 7)
+                .map(Value::Int)
+                .collect();
+            assert_eq!(parked_keys(&exec), kept);
+            assert_eq!(exec.metrics.counter("unparked"), 2);
+            // A scan EOT wakes everything that is left.
+            let all = UnparkSignal::Eot {
+                table: TableIdx(1),
+                bindings: None,
+            };
+            exec.unpark(&all, &mut woken);
+            assert_eq!(woken.len(), N as usize - 2);
+            assert!(exec.parked.is_empty());
         }
-        let woken_keys: Vec<Value> = woken
-            .drain()
-            .map(|(t, _, clustered)| {
-                assert!(!clustered);
-                t.components()[0].row.values()[0].clone()
-            })
-            .collect();
-        assert_eq!(woken_keys, vec![Value::Int(7), Value::Int(3)]);
-        let kept: Vec<Value> = (1..=N)
-            .filter(|k| *k != 3 && *k != 7)
-            .map(Value::Int)
-            .collect();
-        assert_eq!(parked_keys(&exec), kept);
-        assert_eq!(exec.metrics.counter("unparked"), 2);
-        // A scan EOT wakes everything that is left.
-        let all = UnparkSignal::Eot {
-            table: TableIdx(1),
-            bindings: None,
-        };
-        exec.unpark(&all, &mut woken);
-        assert_eq!(woken.len(), N as usize - 2);
-        assert!(exec.parked.is_empty());
     }
 
     /// The free list stays within its constant bound whatever has been
@@ -2347,45 +2329,48 @@ mod tests {
     #[test]
     fn fused_selections_match_unfused_cascade() {
         let (catalog, query) = sel2();
-        let run = |fuse: bool| {
-            let config = ExecConfig {
-                fuse_selections: fuse,
-                check_constraints: true,
-                ..ExecConfig::default()
+        for batch_size in BATCH_SIZES {
+            let run = |fuse: bool| {
+                let config = ExecConfig {
+                    fuse_selections: fuse,
+                    check_constraints: true,
+                    batch_size,
+                    ..ExecConfig::default()
+                };
+                EddyExecutor::build(&catalog, &query, config)
+                    .expect("plan")
+                    .run()
             };
-            EddyExecutor::build(&catalog, &query, config)
-                .expect("plan")
-                .run()
-        };
-        let fused = run(true);
-        let unfused = run(false);
-        assert!(fused.violations.is_empty(), "{:?}", fused.violations);
-        assert!(unfused.violations.is_empty(), "{:?}", unfused.violations);
-        assert_eq!(
-            fused.canonical(&catalog, &query),
-            unfused.canonical(&catalog, &query)
-        );
-        // And both must match the reference nested-loop executor.
-        let expected = stems_catalog::reference::canonical(
-            &catalog,
-            &query,
-            &stems_catalog::reference::execute(&catalog, &query),
-        );
-        assert_eq!(fused.canonical(&catalog, &query), expected);
-        assert_eq!(
-            fused.counter("sm_applied"),
-            unfused.counter("sm_applied"),
-            "fusion must evaluate exactly what the cascade evaluates"
-        );
-        assert_eq!(fused.counter("filtered"), unfused.counter("filtered"));
-        assert!(fused.counter("fused_selects") > 0, "fusion never engaged");
-        assert_eq!(unfused.counter("fused_selects"), 0);
-        assert!(
-            fused.events <= unfused.events,
-            "fusion must not schedule more events ({} vs {})",
-            fused.events,
-            unfused.events
-        );
+            let fused = run(true);
+            let unfused = run(false);
+            assert!(fused.violations.is_empty(), "{:?}", fused.violations);
+            assert!(unfused.violations.is_empty(), "{:?}", unfused.violations);
+            assert_eq!(
+                fused.canonical(&catalog, &query),
+                unfused.canonical(&catalog, &query)
+            );
+            // And both must match the reference nested-loop executor.
+            let expected = stems_catalog::reference::canonical(
+                &catalog,
+                &query,
+                &stems_catalog::reference::execute(&catalog, &query),
+            );
+            assert_eq!(fused.canonical(&catalog, &query), expected);
+            assert_eq!(
+                fused.counter("sm_applied"),
+                unfused.counter("sm_applied"),
+                "fusion must evaluate exactly what the cascade evaluates"
+            );
+            assert_eq!(fused.counter("filtered"), unfused.counter("filtered"));
+            assert!(fused.counter("fused_selects") > 0, "fusion never engaged");
+            assert_eq!(unfused.counter("fused_selects"), 0);
+            assert!(
+                fused.events <= unfused.events,
+                "fusion must not schedule more events ({} vs {})",
+                fused.events,
+                unfused.events
+            );
+        }
     }
 
     /// The SteM on `t`.
@@ -2403,47 +2388,50 @@ mod tests {
     #[test]
     fn a_filterless_stem_accounts_like_the_filter() {
         let (catalog, query) = sel2();
-        let config = ExecConfig {
-            check_constraints: true,
-            ..ExecConfig::default()
-        };
-        let trusting = EddyExecutor::build(&catalog, &query, config.clone()).unwrap();
-        let mut filtering = EddyExecutor::build(&catalog, &query, config).unwrap();
-        for t in 0..query.n_tables() {
-            assert!(!stem_of(&trusting, t).filters_duplicates(), "t{t}");
-            let ti = TableIdx(t as u8);
-            let stem = Stem::new(
-                ti,
-                query.instance(ti).source,
-                &query.join_cols_of(ti),
-                true,
-                false,
-                filtering.config.plan.default_stem.clone(),
+        for batch_size in BATCH_SIZES {
+            let config = ExecConfig {
+                check_constraints: true,
+                batch_size,
+                ..ExecConfig::default()
+            };
+            let trusting = EddyExecutor::build(&catalog, &query, config.clone()).unwrap();
+            let mut filtering = EddyExecutor::build(&catalog, &query, config).unwrap();
+            for t in 0..query.n_tables() {
+                assert!(!stem_of(&trusting, t).filters_duplicates(), "t{t}");
+                let ti = TableIdx(t as u8);
+                let stem = Stem::new(
+                    ti,
+                    query.instance(ti).source,
+                    &query.join_cols_of(ti),
+                    true,
+                    false,
+                    filtering.config.plan.default_stem.clone(),
+                );
+                assert!(stem.filters_duplicates());
+                let mid = filtering.layout.stem_mid[t].unwrap();
+                filtering.modules[mid] = Module::Stem(stem);
+            }
+            let (trusting, filtering) = (trusting.run(), filtering.run());
+            assert!(trusting.violations.is_empty(), "{:?}", trusting.violations);
+            let bytes = |r: &Report| {
+                r.metrics
+                    .series("stem_bytes_total")
+                    .unwrap()
+                    .points()
+                    .to_vec()
+            };
+            assert!(!bytes(&trusting).is_empty());
+            assert_eq!(bytes(&trusting), bytes(&filtering));
+            assert_eq!(trusting.end_time, filtering.end_time);
+            assert_eq!(trusting.events, filtering.events);
+            for name in ["scanned", "duplicates_absorbed", "sm_applied"] {
+                assert_eq!(trusting.counter(name), filtering.counter(name), "{name}");
+            }
+            assert_eq!(
+                trusting.canonical(&catalog, &query),
+                filtering.canonical(&catalog, &query)
             );
-            assert!(stem.filters_duplicates());
-            let mid = filtering.layout.stem_mid[t].unwrap();
-            filtering.modules[mid] = Module::Stem(stem);
         }
-        let (trusting, filtering) = (trusting.run(), filtering.run());
-        assert!(trusting.violations.is_empty(), "{:?}", trusting.violations);
-        let bytes = |r: &Report| {
-            r.metrics
-                .series("stem_bytes_total")
-                .unwrap()
-                .points()
-                .to_vec()
-        };
-        assert!(!bytes(&trusting).is_empty());
-        assert_eq!(bytes(&trusting), bytes(&filtering));
-        assert_eq!(trusting.end_time, filtering.end_time);
-        assert_eq!(trusting.events, filtering.events);
-        for name in ["scanned", "duplicates_absorbed", "sm_applied"] {
-            assert_eq!(trusting.counter(name), filtering.counter(name), "{name}");
-        }
-        assert_eq!(
-            trusting.canonical(&catalog, &query),
-            filtering.canonical(&catalog, &query)
-        );
     }
 
     /// A single-scan table that holds a row twice keeps its SteM's
@@ -2489,22 +2477,25 @@ mod tests {
             None,
         )
         .unwrap();
-        let config = ExecConfig {
-            check_constraints: true,
-            ..ExecConfig::default()
-        };
-        let exec = EddyExecutor::build(&c, &q, config).unwrap();
-        assert!(stem_of(&exec, 0).filters_duplicates());
-        assert!(!stem_of(&exec, 1).filters_duplicates());
-        let report = exec.run();
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert_eq!(report.counter("duplicates_absorbed"), 1);
-        let keys: Vec<Vec<Value>> = report.canonical(&c, &q);
-        assert_eq!(
-            keys,
-            [[1, 1], [2, 2]]
-                .map(|r| r.map(Value::Int).to_vec())
-                .to_vec()
-        );
+        for batch_size in BATCH_SIZES {
+            let config = ExecConfig {
+                check_constraints: true,
+                batch_size,
+                ..ExecConfig::default()
+            };
+            let exec = EddyExecutor::build(&c, &q, config).unwrap();
+            assert!(stem_of(&exec, 0).filters_duplicates());
+            assert!(!stem_of(&exec, 1).filters_duplicates());
+            let report = exec.run();
+            assert!(report.violations.is_empty(), "{:?}", report.violations);
+            assert_eq!(report.counter("duplicates_absorbed"), 1);
+            let keys: Vec<Vec<Value>> = report.canonical(&c, &q);
+            assert_eq!(
+                keys,
+                [[1, 1], [2, 2]]
+                    .map(|r| r.map(Value::Int).to_vec())
+                    .to_vec()
+            );
+        }
     }
 }

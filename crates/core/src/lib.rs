@@ -24,8 +24,7 @@
 //!   which builds into it at server instants and lends it by borrow.
 //!   The only threads are the query server's: its wave drain steps
 //!   independent executors on scoped threads
-//!   (`runtime::for_each_parallel`, sized by [`ExecConfig::workers`] /
-//!   `STEMS_WORKERS`).
+//!   (`runtime::for_each_parallel`, sized by [`ExecConfig::workers`]).
 //! * the **eddy** ([`EddyExecutor`]) — routes every tuple between the other
 //!   modules according to a [`policy::RoutingPolicy`], under the
 //!   correctness constraints of paper Table 2 enforced by [`router`].
@@ -145,6 +144,10 @@
 //!     item 3);
 //!   - the [`ShardedStem`] alias, until `benchmark/` stops naming it
 //!     (ROADMAP item 3);
+//!   - [`memo::DEFAULT_MEMO_SHARDS`] and the ignored `num_shards`
+//!     parameter of [`MemoCache::new`] and [`MemoCache::cell`] (the cache
+//!     has one lock), until `benchmark/` stops naming them (ROADMAP item
+//!     3);
 //!   - six inert config fields — [`ExecConfig::num_shards`],
 //!     [`ExecConfig::parallel_min_rows`], [`StemOptions::num_shards`],
 //!     [`StemOptions::workers`], [`StemOptions::parallel_min_rows`] and

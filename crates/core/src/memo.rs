@@ -8,16 +8,16 @@
 //! key, replaying a cached verdict is semantically invisible: the only
 //! observable difference is time.
 //!
-//! Structure: `num_shards` independently locked shards (routed by the
-//! high half of the key's hash, [`KeyHash::shard`]), each an entry slab
-//! indexed by the key's
+//! Structure: one lock over an entry slab indexed by the key's
 //! precomputed stable hash — slot chains under an identity hasher
 //! ([`SlotChains`], the SteM index's shape), so a lookup never re-hashes
 //! and an entry costs no list of its own — with a clock/second-chance
 //! eviction hand bounded by an
-//! [`stems_types::Value::approx_bytes`] budget. Shards live behind the
-//! `crate::sync` shim; poison recovery clears the poisoned shard — the
-//! memo is pure performance state, so an empty shard is always correct.
+//! [`stems_types::Value::approx_bytes`] budget. One lock is enough: a
+//! cache shared across queries is only touched by executors the server
+//! steps serially. The lock lives behind the `crate::sync` shim; poison
+//! recovery clears the cache — the memo is pure performance state, so an
+//! empty cache is always correct.
 //!
 //! One cache memoizes exactly one verdict function. The query server
 //! shares a `MemoCell` across queries whose predicates carry the same
@@ -26,12 +26,13 @@
 
 use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
 use stems_storage::{Slot, SlotChains};
-use stems_types::{HashedKey, KeyHash, Value};
+use stems_types::{HashedKey, Value};
 
 /// Default per-cache byte budget (`ExecConfig::memo_bytes`).
 pub(crate) const DEFAULT_MEMO_BYTES: usize = 1 << 20;
 
-/// Default shard fan-out for a memo cache.
+/// The shard count [`MemoCache::new`] and [`MemoCache::cell`] are passed
+/// and ignore (the cache has one lock).
 pub const DEFAULT_MEMO_SHARDS: usize = 8;
 
 /// Estimated per-entry bookkeeping on top of the key's own
@@ -71,9 +72,9 @@ impl MemoEntry {
     }
 }
 
-/// One lock's worth of cache: an entry slab plus a hash index over it.
+/// What the cache's lock guards: an entry slab plus a hash index over it.
 #[derive(Default)]
-struct MemoShard {
+struct MemoState {
     /// Slab of entries; `None` slots are free (reused before growing).
     slab: Vec<Option<MemoEntry>>,
     free: Vec<usize>,
@@ -84,7 +85,7 @@ struct MemoShard {
     bytes: usize,
 }
 
-impl MemoShard {
+impl MemoState {
     fn clear(&mut self) {
         self.slab.clear();
         self.free.clear();
@@ -104,7 +105,7 @@ impl MemoShard {
         Some(entry.verdict)
     }
 
-    /// Insert a verdict, evicting clock victims until the shard fits its
+    /// Insert a verdict, evicting clock victims until the cache fits its
     /// budget. Returns how many entries were evicted.
     fn insert(&mut self, hash: u64, key: Value, verdict: bool, budget: usize) -> u64 {
         let entry = MemoEntry {
@@ -167,20 +168,18 @@ impl MemoShard {
     }
 }
 
-/// A sharded, capacity-bounded verdict memo. See the module docs.
+/// A capacity-bounded verdict memo. See the module docs.
 pub struct MemoCache {
-    shards: Vec<Mutex<MemoShard>>,
-    budget_per_shard: usize,
+    state: Mutex<MemoState>,
+    budget: usize,
 }
 
 impl MemoCache {
-    /// A cache with `num_shards` lock shards splitting `budget_bytes`
-    /// evenly (each shard enforces its slice independently).
-    pub fn new(num_shards: usize, budget_bytes: usize) -> MemoCache {
-        let n = num_shards.max(1);
+    /// A cache of `budget_bytes`. `num_shards` is ignored.
+    pub fn new(_num_shards: usize, budget_bytes: usize) -> MemoCache {
         MemoCache {
-            shards: (0..n).map(|_| Mutex::new(MemoShard::default())).collect(),
-            budget_per_shard: (budget_bytes / n).max(1),
+            state: Mutex::new(MemoState::default()),
+            budget: budget_bytes.max(1),
         }
     }
 
@@ -195,7 +194,7 @@ impl MemoCache {
     pub fn lookup(&self, key: &HashedKey) -> Option<bool> {
         let hash = key.hash()?.get();
         let normal = key.key()?;
-        self.shard(hash).lookup(hash, normal)
+        self.state().lookup(hash, normal)
     }
 
     /// Memoize a computed verdict. Returns the number of entries evicted
@@ -204,73 +203,58 @@ impl MemoCache {
         let (Some(hash), Some(normal)) = (key.hash(), key.key()) else {
             return 0;
         };
-        let budget = self.budget_per_shard;
-        self.shard(hash.get())
-            .insert(hash.get(), normal.clone(), verdict, budget)
+        self.state()
+            .insert(hash.get(), normal.clone(), verdict, self.budget)
     }
 
-    /// Total live entries across shards.
+    /// Live entries.
     pub(crate) fn len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| lock_recover(&self.shards[i], MemoShard::clear).live())
-            .sum()
+        self.state().live()
     }
 
-    /// Total accounted bytes across shards.
+    /// Accounted bytes.
     pub(crate) fn approx_bytes(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| lock_recover(&self.shards[i], MemoShard::clear).bytes)
-            .sum()
+        self.state().bytes
     }
 
-    fn shard(&self, hash: u64) -> MutexGuard<'_, MemoShard> {
-        // The high half of the hash: a strided key column spreads evenly,
-        // so no shard's slice of the budget has to hold most of the keys.
-        let i = KeyHash(hash).shard(self.shards.len());
-        // Poison recovery: a memo shard is pure performance state — a
+    fn state(&self) -> MutexGuard<'_, MemoState> {
+        // Poison recovery: the memo is pure performance state — a
         // panicking evaluator may have died mid-insert, so discard the
-        // shard's contents; an empty shard is always correct.
-        lock_recover(&self.shards[i], MemoShard::clear)
+        // contents; an empty cache is always correct.
+        lock_recover(&self.state, MemoState::clear)
     }
 }
 
-/// Seams for the tests: plant collision chains, poison a shard.
+/// Seams for the tests: plant collision chains, poison the lock.
 #[cfg(test)]
 impl MemoCache {
-    /// Whether any shard is currently poisoned (test observability).
-    pub(crate) fn any_poisoned(&self) -> bool {
-        self.shards.iter().any(|s| s.is_poisoned())
+    /// Whether the lock is currently poisoned (test observability).
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.state.is_poisoned()
     }
 
-    /// Run `f` under the lock of the shard `hash` routes to: a test
-    /// poisons a shard by panicking inside `f`.
-    pub(crate) fn with_shard_of<R>(
-        &self,
-        hash: u64,
-        f: impl FnOnce(&mut dyn std::any::Any) -> R,
-    ) -> R {
-        f(&mut *self.shard(hash))
+    /// Run `f` under the lock: a test poisons it by panicking inside `f`.
+    pub(crate) fn with_lock<R>(&self, f: impl FnOnce(&mut dyn std::any::Any) -> R) -> R {
+        f(&mut *self.state())
     }
 
     /// Plant an entry under an explicit hash, bypassing the key's own
     /// hash — the adversarial-collision seam for the tests.
     pub(crate) fn insert_with_hash(&self, hash: u64, key: Value, verdict: bool) {
-        let budget = self.budget_per_shard;
-        self.shard(hash).insert(hash, key, verdict, budget);
+        self.state().insert(hash, key, verdict, self.budget);
     }
 
     /// Lookup under an explicit hash (pairs with
     /// [`insert_with_hash`](MemoCache::insert_with_hash)).
     pub(crate) fn lookup_with_hash(&self, hash: u64, key: &Value) -> Option<bool> {
-        self.shard(hash).lookup(hash, key)
+        self.state().lookup(hash, key)
     }
 }
 
 impl std::fmt::Debug for MemoCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoCache")
-            .field("shards", &self.shards.len())
-            .field("budget_per_shard", &self.budget_per_shard)
+            .field("budget", &self.budget)
             .field("entries", &self.len())
             .field("bytes", &self.approx_bytes())
             .finish()
@@ -311,7 +295,7 @@ mod tests {
 
     #[test]
     fn budget_bounds_bytes_with_clock_eviction() {
-        // Single shard, room for only a few Int entries.
+        // Room for only a few Int entries.
         let m = MemoCache::new(1, 4 * (ENTRY_OVERHEAD + std::mem::size_of::<Value>()));
         let mut evictions = 0;
         for i in 0..100 {
@@ -362,39 +346,15 @@ mod tests {
         let m = MemoCache::new(1, 1 << 16);
         m.insert(&hk(7), true);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.with_shard_of(0, |_| panic!("die holding the shard lock"));
+            m.with_lock(|_| panic!("die holding the lock"));
         }));
         assert!(caught.is_err());
-        assert!(m.any_poisoned());
-        // Recovery clears the shard; the cache keeps working.
+        assert!(m.is_poisoned());
+        // Recovery clears the cache; it keeps working.
         assert_eq!(m.lookup(&hk(7)), None);
-        assert!(!m.any_poisoned());
+        assert!(!m.is_poisoned());
         m.insert(&hk(7), false);
         assert_eq!(m.lookup(&hk(7)), Some(false));
-    }
-
-    /// A strided key column spreads over every shard, so each shard's
-    /// slice of the budget holds its share: between half and twice it at
-    /// strides 1, 2, 8 and 64 over eight shards.
-    #[test]
-    fn strided_keys_spread_over_every_shard() {
-        const KEYS: i64 = 4000;
-        for stride in [1i64, 2, 8, 64] {
-            let m = MemoCache::new(8, 1 << 24);
-            for i in 0..KEYS {
-                m.insert(&hk(i * stride), true);
-            }
-            let lens: Vec<usize> = m
-                .shards
-                .iter()
-                .map(|s| lock_recover(s, MemoShard::clear).live())
-                .collect();
-            let share = KEYS as usize / 8;
-            assert!(
-                lens.iter().all(|&n| share / 2 <= n && n <= share * 2),
-                "stride {stride}: {lens:?}"
-            );
-        }
     }
 
     #[test]

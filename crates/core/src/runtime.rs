@@ -14,7 +14,8 @@ use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{lock_ok, Mutex, OnceLock};
 
 /// Worker threads the host can actually run in parallel (affinity/cgroup
-/// aware), cached once per process.
+/// aware), cached once per process: the default worker budget of the
+/// server's wave drain (`ExecConfig::workers`).
 pub(crate) fn host_parallelism() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {
@@ -22,17 +23,6 @@ pub(crate) fn host_parallelism() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     })
-}
-
-/// The default worker budget of the server's wave drain
-/// (`ExecConfig::workers`): [`host_parallelism`] unless overridden by the
-/// `STEMS_WORKERS` environment variable (the CI matrix crosses it with
-/// batch size; tests force counts programmatically through
-/// `ExecConfig::workers` instead). A set-but-invalid value errors — a
-/// misconfigured CI leg or server deployment must fail loudly rather than
-/// silently re-test the default parallelism.
-pub(crate) fn try_default_workers() -> Result<usize, crate::engine::ConfigError> {
-    crate::engine::env_knob("STEMS_WORKERS", host_parallelism())
 }
 
 /// Apply `step` to every item exactly once, on the caller and up to
@@ -196,11 +186,5 @@ mod tests {
         assert!(result.is_err(), "task panic must reach the scope caller");
         // The scope joined the healthy sibling before re-raising.
         assert_eq!(flag.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn env_default_workers_validation() {
-        // Not present: falls back to host parallelism (≥ 1).
-        assert!(try_default_workers().unwrap() >= 1);
     }
 }

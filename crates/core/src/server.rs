@@ -125,7 +125,7 @@
 //! merges back into the serial timeline once the scope has joined them
 //! all. Per-executor behaviour is a pure function of its own
 //! deliveries, so reports are bit-identical at every worker budget (the
-//! invariance suite sweeps workers {1, 4}).
+//! invariance suite sweeps workers {1, 2, 4} at batch sizes 1 and 64).
 //!
 //! With folding disabled the server degenerates to a pure merge of
 //! independent classic executors — each query behaves exactly like a solo
@@ -537,8 +537,8 @@ pub struct ServerBuilder<'a> {
 }
 
 impl<'a> ServerBuilder<'a> {
-    /// A builder over `catalog`, with folding on, environment-derived
-    /// default config, no budgets and no deadlines.
+    /// A builder over `catalog`, with folding on, the default config, no
+    /// budgets and no deadlines.
     pub(crate) fn new(catalog: &'a Catalog) -> ServerBuilder<'a> {
         ServerBuilder {
             catalog,
@@ -553,7 +553,7 @@ impl<'a> ServerBuilder<'a> {
     }
 
     /// Default per-query configuration (also sizes the shared scan
-    /// chunks). Defaults to `ExecConfig::from_env`.
+    /// chunks). Defaults to `ExecConfig::default()`.
     pub fn config(mut self, config: ExecConfig) -> Self {
         self.config = Some(config);
         self
@@ -600,10 +600,7 @@ impl<'a> ServerBuilder<'a> {
     }
 
     pub fn build(self) -> std::result::Result<QueryServer<'a>, ServerError> {
-        let config = match self.config {
-            Some(c) => c,
-            None => ExecConfig::from_env()?,
-        };
+        let config = self.config.unwrap_or_default();
         config.validate()?;
         if self.default_deadline == Some(0) {
             return Err(ServerError::InvalidDeadline { deadline: 0 });

@@ -84,11 +84,33 @@ fn checked_config() -> ExecConfig {
     }
 }
 
-fn assert_matches_reference(c: &Catalog, q: &QuerySpec, config: ExecConfig) -> stems_core::Report {
+/// The routing batch sizes [`assert_matches_reference`] repeats a run at:
+/// 1 is the paper's tuple-at-a-time eddy, 64 the batched default.
+const BATCH_SIZES: [usize; 2] = [1, 64];
+
+/// Run `config` at every batch size in [`BATCH_SIZES`], check each run
+/// against the reference executor, and return the reports in that order.
+fn assert_matches_reference(
+    c: &Catalog,
+    q: &QuerySpec,
+    config: ExecConfig,
+) -> Vec<stems_core::Report> {
+    let at = |batch_size| ExecConfig {
+        batch_size,
+        ..config.clone()
+    };
+    BATCH_SIZES
+        .map(|batch_size| checked_run(c, q, at(batch_size)))
+        .into()
+}
+
+/// One run of `config` as given, checked against the reference executor.
+fn checked_run(c: &Catalog, q: &QuerySpec, config: ExecConfig) -> stems_core::Report {
+    let batch_size = config.batch_size;
     let report = EddyExecutor::build(c, q, config).unwrap().run();
     assert!(
         report.violations.is_empty(),
-        "violations: {:?}",
+        "batch {batch_size}: violations: {:?}",
         report.violations
     );
     let expected = reference::canonical(c, q, &reference::execute(c, q));
@@ -96,12 +118,15 @@ fn assert_matches_reference(c: &Catalog, q: &QuerySpec, config: ExecConfig) -> s
     assert_eq!(
         got.len(),
         expected.len(),
-        "result count mismatch: got {} want {} ({})",
+        "batch {batch_size}: result count mismatch: got {} want {} ({})",
         got.len(),
         expected.len(),
         report.summary()
     );
-    assert_eq!(got, expected, "result contents mismatch");
+    assert_eq!(
+        got, expected,
+        "batch {batch_size}: result contents mismatch"
+    );
     report
 }
 
@@ -114,9 +139,10 @@ fn shj_two_scans_matches_reference() {
     c.add_scan(r, ScanSpec::with_rate(2000.0)).unwrap();
     c.add_scan(s, ScanSpec::with_rate(1500.0)).unwrap();
     let q = rs_query(&c, r, s, vec![]);
-    let report = assert_matches_reference(&c, &q, checked_config());
-    // 40 R rows over 10 distinct values ⇒ 4 rows per matching S key.
-    assert_eq!(report.results.len(), 16);
+    for report in assert_matches_reference(&c, &q, checked_config()) {
+        // 40 R rows over 10 distinct values ⇒ 4 rows per matching S key.
+        assert_eq!(report.results.len(), 16);
+    }
 }
 
 #[test]
@@ -129,11 +155,12 @@ fn index_join_flow_matches_reference() {
     c.add_scan(r, ScanSpec::with_rate(2000.0)).unwrap();
     c.add_index(s, IndexSpec::new(vec![0], 50_000)).unwrap();
     let q = rs_query(&c, r, s, vec![]);
-    let report = assert_matches_reference(&c, &q, checked_config());
-    // 30 rows over 6 distinct values, matching x ∈ {0,2,4,5}: 5 each.
-    assert_eq!(report.results.len(), 20);
-    // Coalescing holds probe count at the number of distinct R.a values.
-    assert_eq!(report.counter("index_probes"), 6);
+    for report in assert_matches_reference(&c, &q, checked_config()) {
+        // 30 rows over 6 distinct values, matching x ∈ {0,2,4,5}: 5 each.
+        assert_eq!(report.results.len(), 20);
+        // Coalescing holds probe count at the number of distinct R.a values.
+        assert_eq!(report.counter("index_probes"), 6);
+    }
 }
 
 #[test]
@@ -184,8 +211,9 @@ fn selections_prune_and_match() {
             ),
         ],
     );
-    let report = assert_matches_reference(&c, &q, checked_config());
-    assert!(report.counter("filtered") > 0, "selections never fired");
+    for report in assert_matches_reference(&c, &q, checked_config()) {
+        assert!(report.counter("filtered") > 0, "selections never fired");
+    }
 }
 
 #[test]
@@ -325,11 +353,12 @@ fn competitive_scans_dedup() {
     c.add_scan(s, ScanSpec::with_rate(300.0)).unwrap();
     c.add_scan(s, ScanSpec::with_rate(80.0)).unwrap();
     let q = rs_query(&c, r, s, vec![]);
-    let report = assert_matches_reference(&c, &q, checked_config());
-    assert!(
-        report.counter("duplicates_absorbed") > 0,
-        "competition produced no duplicates to absorb?"
-    );
+    for report in assert_matches_reference(&c, &q, checked_config()) {
+        assert!(
+            report.counter("duplicates_absorbed") > 0,
+            "competition produced no duplicates to absorb?"
+        );
+    }
 }
 
 #[test]
@@ -342,8 +371,9 @@ fn relaxed_buildfirst_still_correct() {
     let q = rs_query(&c, r, s, vec![]);
     let mut config = checked_config();
     config.plan.no_stem = TableSet::single(TableIdx(0));
-    let report = assert_matches_reference(&c, &q, config);
-    assert!(report.counter("unparked") > 0, "no §3.5 re-probes happened");
+    for report in assert_matches_reference(&c, &q, config) {
+        assert!(report.counter("unparked") > 0, "no §3.5 re-probes happened");
+    }
 }
 
 #[test]
@@ -374,8 +404,9 @@ fn single_table_selection_query() {
         None,
     )
     .unwrap();
-    let report = assert_matches_reference(&c, &q, checked_config());
-    assert_eq!(report.results.len(), 5);
+    for report in assert_matches_reference(&c, &q, checked_config()) {
+        assert_eq!(report.results.len(), 5);
+    }
 }
 
 #[test]
@@ -412,9 +443,10 @@ fn self_join_shares_rows() {
         None,
     )
     .unwrap();
-    let report = assert_matches_reference(&c, &q, checked_config());
-    // 12 rows, 3 groups of 4: each group contributes 4×4 pairs.
-    assert_eq!(report.results.len(), 48);
+    for report in assert_matches_reference(&c, &q, checked_config()) {
+        // 12 rows, 3 groups of 4: each group contributes 4×4 pairs.
+        assert_eq!(report.results.len(), 48);
+    }
 }
 
 #[test]
@@ -424,26 +456,30 @@ fn deterministic_across_runs() {
     c.add_scan(s, ScanSpec::with_rate(400.0)).unwrap();
     c.add_index(s, IndexSpec::new(vec![0], 30_000)).unwrap();
     let q = rs_query(&c, r, s, vec![]);
-    let run = |seed: u64| {
-        let config = ExecConfig {
-            policy: RoutingPolicyKind::BenefitCost {
-                epsilon: 0.2,
-                drop_rate: 1.0,
-            },
-            seed,
-            ..ExecConfig::default()
+    for batch_size in BATCH_SIZES {
+        let run = |seed: u64| {
+            let config = ExecConfig {
+                policy: RoutingPolicyKind::BenefitCost {
+                    epsilon: 0.2,
+                    drop_rate: 1.0,
+                },
+                seed,
+                batch_size,
+                ..ExecConfig::default()
+            };
+            let rep = EddyExecutor::build(&c, &q, config).unwrap().run();
+            (rep.end_time, rep.events, rep.canonical(&c, &q))
         };
-        let rep = EddyExecutor::build(&c, &q, config).unwrap().run();
-        (rep.end_time, rep.events, rep.canonical(&c, &q))
-    };
-    let (t1, e1, r1) = run(7);
-    let (t2, e2, r2) = run(7);
-    assert_eq!(t1, t2);
-    assert_eq!(e1, e2);
-    assert_eq!(r1, r2);
-    // A different seed may take a different path but must agree on results.
-    let (_t3, _e3, r3) = run(8);
-    assert_eq!(r1, r3);
+        let (t1, e1, r1) = run(7);
+        let (t2, e2, r2) = run(7);
+        assert_eq!(t1, t2, "batch {batch_size}");
+        assert_eq!(e1, e2, "batch {batch_size}");
+        assert_eq!(r1, r2, "batch {batch_size}");
+        // A different seed may take a different path but must agree on
+        // results.
+        let (_t3, _e3, r3) = run(8);
+        assert_eq!(r1, r3, "batch {batch_size}");
+    }
 }
 
 #[test]
@@ -452,8 +488,9 @@ fn empty_tables_terminate_cleanly() {
     c.add_scan(r, ScanSpec::with_rate(100.0)).unwrap();
     c.add_scan(s, ScanSpec::with_rate(100.0)).unwrap();
     let q = rs_query(&c, r, s, vec![]);
-    let report = assert_matches_reference(&c, &q, checked_config());
-    assert_eq!(report.results.len(), 0);
+    for report in assert_matches_reference(&c, &q, checked_config()) {
+        assert_eq!(report.results.len(), 0);
+    }
 }
 
 #[test]
@@ -494,7 +531,7 @@ fn udf_selection_memo_and_dedup_are_observably_invisible() {
             batch_size: 16,
             ..checked_config()
         };
-        let report = assert_matches_reference(&c, &q, config);
+        let report = checked_run(&c, &q, config);
         cells.push((memo, dedup, report));
     }
     let baseline = cells[0].2.canonical(&c, &q);
@@ -579,14 +616,16 @@ fn chunked_index_replies_match_reference() {
         .unwrap();
     let q2 = rs_query(&c2, r2, s2, vec![]);
     let chunked = assert_matches_reference(&c2, &q2, checked_config());
-    assert_eq!(chunked.canonical(&c2, &q2), burst.canonical(&c, &q));
-    // The trailing waves land strictly after the lookup completion, so
-    // the chunked run cannot finish earlier.
-    assert!(chunked.end_time >= burst.end_time);
-    assert_eq!(
-        chunked.counter("am_responses"),
-        burst.counter("am_responses")
-    );
+    for (chunked, burst) in chunked.iter().zip(&burst) {
+        assert_eq!(chunked.canonical(&c2, &q2), burst.canonical(&c, &q));
+        // The trailing waves land strictly after the lookup completion, so
+        // the chunked run cannot finish earlier.
+        assert!(chunked.end_time >= burst.end_time);
+        assert_eq!(
+            chunked.counter("am_responses"),
+            burst.counter("am_responses")
+        );
+    }
 }
 
 #[test]
@@ -604,8 +643,9 @@ fn null_join_keys_match_nothing() {
     c.add_scan(r, ScanSpec::with_rate(100.0)).unwrap();
     c.add_scan(s, ScanSpec::with_rate(100.0)).unwrap();
     let q = rs_query(&c, r, s, vec![]);
-    let report = assert_matches_reference(&c, &q, checked_config());
-    assert_eq!(report.results.len(), 1);
+    for report in assert_matches_reference(&c, &q, checked_config()) {
+        assert_eq!(report.results.len(), 1);
+    }
 }
 
 /// A–B–D chain (`A.v = B.v`, `B.k = D.k`, `A.k >= 8`), all scans.
@@ -677,19 +717,21 @@ fn retired_lane_knobs_are_inert() {
         ..config.plan.default_stem
     };
     let retired = assert_matches_reference(&c, &q, config);
-    assert_eq!(retired.results, default.results);
-    assert_eq!(retired.events, default.events);
-    assert_eq!(retired.end_time, default.end_time);
-    let names: Vec<&str> = default.metrics.names().collect();
-    assert_eq!(retired.metrics.names().collect::<Vec<_>>(), names);
-    for name in names {
-        assert_eq!(retired.counter(name), default.counter(name), "{name}");
-    }
-    // And every curve at every instant: the SteM envelopes cost the same
-    // virtual time.
-    for name in default.metrics.series_names() {
-        let points = |r: &stems_core::Report| r.metrics.series(name).unwrap().points().to_vec();
-        assert_eq!(points(&retired), points(&default), "{name}");
+    for (retired, default) in retired.iter().zip(&default) {
+        assert_eq!(retired.results, default.results);
+        assert_eq!(retired.events, default.events);
+        assert_eq!(retired.end_time, default.end_time);
+        let names: Vec<&str> = default.metrics.names().collect();
+        assert_eq!(retired.metrics.names().collect::<Vec<_>>(), names);
+        for name in names {
+            assert_eq!(retired.counter(name), default.counter(name), "{name}");
+        }
+        // And every curve at every instant: the SteM envelopes cost the
+        // same virtual time.
+        for name in default.metrics.series_names() {
+            let points = |r: &stems_core::Report| r.metrics.series(name).unwrap().points().to_vec();
+            assert_eq!(points(retired), points(default), "{name}");
+        }
     }
 }
 
@@ -700,7 +742,7 @@ fn retired_lane_knobs_are_inert() {
 /// from a figure. Two sets are pinned: every recorded metric (`names`) and
 /// the curves among them (`series_names`) — a counter that moves between
 /// the engine's `curves` and `counts` lists changes the second. Counters
-/// pinned are the ones that hold in every environment cell.
+/// that move with the batch size are pinned per batch size.
 #[test]
 fn metric_names_and_counters_are_pinned() {
     const CHAIN: &[&str] = &[
@@ -777,7 +819,7 @@ fn metric_names_and_counters_are_pinned() {
                 policy: RoutingPolicyKind::Fixed { probe_order: None },
                 ..checked_config()
             };
-            assert_matches_reference(&c, &q, config)
+            checked_run(&c, &q, config)
         };
         // On these fixtures only the scalar engine splits a burst into
         // several waves that offer the same module.

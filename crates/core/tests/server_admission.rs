@@ -105,12 +105,23 @@ fn three_way(c: &Catalog, r: SourceId, s: SourceId, t: SourceId) -> QuerySpec {
     .unwrap()
 }
 
-fn config() -> ExecConfig {
-    ExecConfig {
-        check_constraints: true,
-        workers: 2,
-        ..ExecConfig::default()
-    }
+/// Every configuration a test is repeated in: routing batch size 1 (the
+/// paper's tuple-at-a-time eddy) and 64 (the batched default), crossed
+/// with wave-drain worker budgets 1, 2 and 4.
+fn cells() -> impl Iterator<Item = ExecConfig> {
+    [1, 64].into_iter().flat_map(|batch_size| {
+        [1, 2, 4].into_iter().map(move |workers| ExecConfig {
+            check_constraints: true,
+            batch_size,
+            workers,
+            ..ExecConfig::default()
+        })
+    })
+}
+
+/// A cell's name for assertion messages.
+fn cell(config: &ExecConfig) -> String {
+    format!("b{} w{}", config.batch_size, config.workers)
 }
 
 /// Virtual instant comfortably after every scan closed and every build
@@ -129,8 +140,11 @@ fn assert_matches_reference(c: &Catalog, q: &QuerySpec, report: &Report, ctx: &s
     assert_eq!(report.canonical(c, q), expected, "{ctx}: wrong result set");
 }
 
-fn solo_report(c: &Catalog, q: &QuerySpec) -> Report {
-    let mut srv = QueryServer::builder(c).config(config()).build().unwrap();
+fn solo_report(c: &Catalog, q: &QuerySpec, config: &ExecConfig) -> Report {
+    let mut srv = QueryServer::builder(c)
+        .config(config.clone())
+        .build()
+        .unwrap();
     srv.submit(Submission::new(q.clone())).unwrap();
     let (handles, _) = srv.serve();
     handles
@@ -145,9 +159,10 @@ fn solo_report(c: &Catalog, q: &QuerySpec) -> Report {
 fn serve_two(
     c: &Catalog,
     q: &QuerySpec,
+    config: &ExecConfig,
     build: impl FnOnce(stems_core::ServerBuilder<'_>) -> stems_core::ServerBuilder<'_>,
 ) -> (Vec<QueryHandle>, ServerStats) {
-    let mut srv = build(QueryServer::builder(c).config(config()))
+    let mut srv = build(QueryServer::builder(c).config(config.clone()))
         .build()
         .unwrap();
     srv.submit(Submission::new(q.clone())).unwrap();
@@ -163,34 +178,37 @@ fn serve_two(
 fn builds_budget_boundary_is_inclusive() {
     let (c, r, s, t) = family_catalog();
     let q = three_way(&c, r, s, t);
-    // Exactly at: the first query built 75 rows; budget 75 admits.
-    let (handles, stats) = serve_two(&c, &q, |b| b.shared_builds_budget(75));
-    assert_eq!(stats.shared_builds, 75);
-    assert_eq!(stats.queued, 0, "usage == budget must not queue");
-    for h in &handles {
-        assert_eq!(h.status, QueryStatus::Completed);
+    for config in cells() {
+        let cell = cell(&config);
+        // Exactly at: the first query built 75 rows; budget 75 admits.
+        let (handles, stats) = serve_two(&c, &q, &config, |b| b.shared_builds_budget(75));
+        assert_eq!(stats.shared_builds, 75, "{cell}");
+        assert_eq!(stats.queued, 0, "{cell}: usage == budget must not queue");
+        for h in &handles {
+            assert_eq!(h.status, QueryStatus::Completed, "{cell}");
+        }
+        assert_matches_reference(
+            &c,
+            &q,
+            &handles[1].report.as_ref().unwrap().report,
+            &format!("boundary late admit {cell}"),
+        );
+        // One under: budget 74 queues the late query. A cumulative build
+        // budget can never free, so once the server idles the head is
+        // force-admitted (fresh private entries — more builds) rather than
+        // stranded.
+        let (handles, stats) = serve_two(&c, &q, &config, |b| b.shared_builds_budget(74));
+        assert_eq!(stats.queued, 1, "{cell}: usage > budget must queue");
+        for h in &handles {
+            assert_eq!(h.status, QueryStatus::Completed, "{cell}: forced progress");
+        }
+        assert_matches_reference(
+            &c,
+            &q,
+            &handles[1].report.as_ref().unwrap().report,
+            &format!("queued late admit {cell}"),
+        );
     }
-    assert_matches_reference(
-        &c,
-        &q,
-        &handles[1].report.as_ref().unwrap().report,
-        "boundary late admit",
-    );
-    // One under: budget 74 queues the late query. A cumulative build
-    // budget can never free, so once the server idles the head is
-    // force-admitted (fresh private entries — more builds) rather than
-    // stranded.
-    let (handles, stats) = serve_two(&c, &q, |b| b.shared_builds_budget(74));
-    assert_eq!(stats.queued, 1, "usage > budget must queue");
-    for h in &handles {
-        assert_eq!(h.status, QueryStatus::Completed, "forced progress");
-    }
-    assert_matches_reference(
-        &c,
-        &q,
-        &handles[1].report.as_ref().unwrap().report,
-        "queued late admit",
-    );
 }
 
 /// Flipping the policy to shed turns the same over-budget admission into
@@ -199,21 +217,27 @@ fn builds_budget_boundary_is_inclusive() {
 fn shed_policy_rejects_what_queue_defers() {
     let (c, r, s, t) = family_catalog();
     let q = three_way(&c, r, s, t);
-    let (handles, stats) = serve_two(&c, &q, |b| {
-        b.shared_builds_budget(74).admission(AdmissionPolicy::Shed)
-    });
-    assert_eq!(stats.shed, 1);
-    assert_eq!(stats.queued, 0);
-    assert_eq!(handles[0].status, QueryStatus::Completed);
-    assert_eq!(handles[1].status, QueryStatus::Shed);
-    assert!(handles[1].report.is_none(), "shed queries never run");
-    // Shedding the newcomer must not perturb the survivor.
-    let solo = solo_report(&c, &q);
-    assert_reports_identical(
-        &handles[0].report.as_ref().unwrap().report,
-        &solo,
-        "survivor of a shed",
-    );
+    for config in cells() {
+        let cell = cell(&config);
+        let (handles, stats) = serve_two(&c, &q, &config, |b| {
+            b.shared_builds_budget(74).admission(AdmissionPolicy::Shed)
+        });
+        assert_eq!(stats.shed, 1, "{cell}");
+        assert_eq!(stats.queued, 0, "{cell}");
+        assert_eq!(handles[0].status, QueryStatus::Completed, "{cell}");
+        assert_eq!(handles[1].status, QueryStatus::Shed, "{cell}");
+        assert!(
+            handles[1].report.is_none(),
+            "{cell}: shed queries never run"
+        );
+        // Shedding the newcomer must not perturb the survivor.
+        let solo = solo_report(&c, &q, &config);
+        assert_reports_identical(
+            &handles[0].report.as_ref().unwrap().report,
+            &solo,
+            &format!("survivor of a shed {cell}"),
+        );
+    }
 }
 
 /// Byte pressure: a zero-byte budget admits the first query (usage is
@@ -224,23 +248,29 @@ fn shed_policy_rejects_what_queue_defers() {
 fn byte_budget_queues_then_evicts_idle_entries() {
     let (c, r, s, t) = family_catalog();
     let q = three_way(&c, r, s, t);
-    let (handles, stats) = serve_two(&c, &q, |b| b.stem_bytes_budget(0));
-    assert_eq!(stats.queued, 1);
-    assert_eq!(stats.evicted_stems, 3, "all three idle entries evicted");
-    assert_eq!(
-        stats.shared_stems, 6,
-        "the late query rebuilt the three evicted entries"
-    );
-    assert!(stats.stem_bytes_peak > 0);
-    for h in &handles {
-        assert_eq!(h.status, QueryStatus::Completed);
+    for config in cells() {
+        let cell = cell(&config);
+        let (handles, stats) = serve_two(&c, &q, &config, |b| b.stem_bytes_budget(0));
+        assert_eq!(stats.queued, 1, "{cell}");
+        assert_eq!(
+            stats.evicted_stems, 3,
+            "{cell}: all three idle entries evicted"
+        );
+        assert_eq!(
+            stats.shared_stems, 6,
+            "the late query rebuilt the three evicted entries"
+        );
+        assert!(stats.stem_bytes_peak > 0, "{cell}");
+        for h in &handles {
+            assert_eq!(h.status, QueryStatus::Completed, "{cell}");
+        }
+        assert_matches_reference(
+            &c,
+            &q,
+            &handles[1].report.as_ref().unwrap().report,
+            &format!("post-eviction admit {cell}"),
+        );
     }
-    assert_matches_reference(
-        &c,
-        &q,
-        &handles[1].report.as_ref().unwrap().report,
-        "post-eviction admit",
-    );
 }
 
 /// Cancellation racing a late-admission replay, both orders. A query
@@ -252,35 +282,41 @@ fn byte_budget_queues_then_evicts_idle_entries() {
 fn cancellation_races_late_admission_replay() {
     let (c, r, s, t) = family_catalog();
     let q = three_way(&c, r, s, t);
-    let mut srv = QueryServer::builder(&c).config(config()).build().unwrap();
-    srv.submit(Submission::new(q.clone())).unwrap();
-    // Admit and Cancel land on the same instant, FIFO: the replay wins
-    // the race, the cancellation reaps it one event later.
-    srv.submit(Submission::new(q.clone()).at(5_000).cancel_at(5_000))
-        .unwrap();
-    // Cancel lands first: the admission finds the query already
-    // terminal and is a no-op.
-    srv.submit(Submission::new(q.clone()).at(5_000).cancel_at(4_000))
-        .unwrap();
-    let (handles, stats) = srv.serve();
-    assert_eq!(stats.cancelled, 2);
-    assert_eq!(handles[1].status, QueryStatus::Cancelled);
-    assert!(
-        handles[1].report.is_some(),
-        "cancelled-while-running keeps its partial report"
-    );
-    assert_eq!(handles[2].status, QueryStatus::Cancelled);
-    assert!(
-        handles[2].report.is_none(),
-        "cancelled-before-admission never ran"
-    );
-    let solo = solo_report(&c, &q);
-    assert_eq!(handles[0].status, QueryStatus::Completed);
-    assert_reports_identical(
-        &handles[0].report.as_ref().unwrap().report,
-        &solo,
-        "survivor of two cancellations",
-    );
+    for config in cells() {
+        let cell = cell(&config);
+        let mut srv = QueryServer::builder(&c)
+            .config(config.clone())
+            .build()
+            .unwrap();
+        srv.submit(Submission::new(q.clone())).unwrap();
+        // Admit and Cancel land on the same instant, FIFO: the replay wins
+        // the race, the cancellation reaps it one event later.
+        srv.submit(Submission::new(q.clone()).at(5_000).cancel_at(5_000))
+            .unwrap();
+        // Cancel lands first: the admission finds the query already
+        // terminal and is a no-op.
+        srv.submit(Submission::new(q.clone()).at(5_000).cancel_at(4_000))
+            .unwrap();
+        let (handles, stats) = srv.serve();
+        assert_eq!(stats.cancelled, 2, "{cell}");
+        assert_eq!(handles[1].status, QueryStatus::Cancelled, "{cell}");
+        assert!(
+            handles[1].report.is_some(),
+            "cancelled-while-running keeps its partial report"
+        );
+        assert_eq!(handles[2].status, QueryStatus::Cancelled, "{cell}");
+        assert!(
+            handles[2].report.is_none(),
+            "cancelled-before-admission never ran"
+        );
+        let solo = solo_report(&c, &q, &config);
+        assert_eq!(handles[0].status, QueryStatus::Completed, "{cell}");
+        assert_reports_identical(
+            &handles[0].report.as_ref().unwrap().report,
+            &solo,
+            &format!("survivor of two cancellations {cell}"),
+        );
+    }
 }
 
 /// Both deadline surfaces are enforced by the server loop: an
@@ -292,35 +328,47 @@ fn cancellation_races_late_admission_replay() {
 fn max_time_is_reaped_on_both_surfaces() {
     let (c, r, s, t) = family_catalog();
     let q = three_way(&c, r, s, t);
-    let solo = solo_report(&c, &q);
-    let capped = ExecConfig {
-        max_time: Some(10_000),
-        ..config()
-    };
-    let mut srv = QueryServer::builder(&c).config(config()).build().unwrap();
-    srv.submit(Submission::new(q.clone()).config(capped.clone()))
-        .unwrap();
-    let (handles, stats) = srv.serve();
-    assert_eq!(stats.timed_out, 1);
-    assert_eq!(handles[0].status, QueryStatus::TimedOut);
-    let reaped = handles[0].report.as_ref().expect("partial report");
-    assert!(
-        reaped.report.end_time < solo.end_time,
-        "deadline must cut the run short ({} vs {})",
-        reaped.report.end_time,
-        solo.end_time
-    );
-    // Relative deadline: admitted at 5_000 with a 7_000µs lifetime —
-    // reaped around virtual 12_000, long before the solo end.
-    let mut srv = QueryServer::builder(&c).config(config()).build().unwrap();
-    srv.submit(Submission::new(q.clone()).at(5_000).deadline(7_000))
-        .unwrap();
-    let (handles, stats) = srv.serve();
-    assert_eq!(stats.timed_out, 1);
-    assert_eq!(handles[0].status, QueryStatus::TimedOut);
-    let h = handles[0].report.as_ref().expect("partial report");
-    assert_eq!(h.admitted_at, 5_000);
-    assert!(h.completed_at >= 5_000 && h.completed_at < solo.end_time);
+    for config in cells() {
+        let cell = cell(&config);
+        let solo = solo_report(&c, &q, &config);
+        let capped = ExecConfig {
+            max_time: Some(10_000),
+            ..config.clone()
+        };
+        let mut srv = QueryServer::builder(&c)
+            .config(config.clone())
+            .build()
+            .unwrap();
+        srv.submit(Submission::new(q.clone()).config(capped.clone()))
+            .unwrap();
+        let (handles, stats) = srv.serve();
+        assert_eq!(stats.timed_out, 1, "{cell}");
+        assert_eq!(handles[0].status, QueryStatus::TimedOut, "{cell}");
+        let reaped = handles[0].report.as_ref().expect("partial report");
+        assert!(
+            reaped.report.end_time < solo.end_time,
+            "deadline must cut the run short ({} vs {})",
+            reaped.report.end_time,
+            solo.end_time
+        );
+        // Relative deadline: admitted at 5_000 with a 7_000µs lifetime —
+        // reaped around virtual 12_000, long before the solo end.
+        let mut srv = QueryServer::builder(&c)
+            .config(config.clone())
+            .build()
+            .unwrap();
+        srv.submit(Submission::new(q.clone()).at(5_000).deadline(7_000))
+            .unwrap();
+        let (handles, stats) = srv.serve();
+        assert_eq!(stats.timed_out, 1, "{cell}");
+        assert_eq!(handles[0].status, QueryStatus::TimedOut, "{cell}");
+        let h = handles[0].report.as_ref().expect("partial report");
+        assert_eq!(h.admitted_at, 5_000, "{cell}");
+        assert!(
+            h.completed_at >= 5_000 && h.completed_at < solo.end_time,
+            "{cell}"
+        );
+    }
 }
 
 /// With folding off, a late query's clock starts at its admission: it
@@ -330,28 +378,39 @@ fn max_time_is_reaped_on_both_surfaces() {
 fn fold_off_late_admission_starts_its_clock_at_admission() {
     let (c, r, s, t) = family_catalog();
     let q = three_way(&c, r, s, t);
-    let solo = EddyExecutor::build(&c, &q, config()).unwrap().run();
-    let late = |fold: bool| {
-        let mut srv = QueryServer::builder(&c)
-            .config(config())
-            .fold(fold)
-            .build()
-            .unwrap();
-        srv.submit(Submission::new(q.clone()).at(50_000)).unwrap();
-        srv.submit(Submission::new(q.clone()).at(50_000).deadline(7_000))
-            .unwrap();
-        srv.serve().0
-    };
-    for fold in [false, true] {
-        let handles = late(fold);
-        assert_eq!(handles[0].status, QueryStatus::Completed, "fold {fold}");
-        let sr = handles[0].report.as_ref().expect("completed");
-        assert_eq!(sr.admitted_at, 50_000);
-        assert!(sr.completed_at >= sr.admitted_at, "fold {fold}");
-        assert_eq!(sr.latency(), solo.end_time, "fold {fold}");
-        assert_eq!(handles[1].status, QueryStatus::TimedOut, "fold {fold}");
-        let reaped = handles[1].report.as_ref().expect("partial report");
-        assert!(reaped.completed_at < sr.completed_at, "fold {fold}");
+    for config in cells() {
+        let cell = cell(&config);
+        let solo = EddyExecutor::build(&c, &q, config.clone()).unwrap().run();
+        let late = |fold: bool| {
+            let mut srv = QueryServer::builder(&c)
+                .config(config.clone())
+                .fold(fold)
+                .build()
+                .unwrap();
+            srv.submit(Submission::new(q.clone()).at(50_000)).unwrap();
+            srv.submit(Submission::new(q.clone()).at(50_000).deadline(7_000))
+                .unwrap();
+            srv.serve().0
+        };
+        for fold in [false, true] {
+            let handles = late(fold);
+            assert_eq!(
+                handles[0].status,
+                QueryStatus::Completed,
+                "{cell}: fold {fold}"
+            );
+            let sr = handles[0].report.as_ref().expect("completed");
+            assert_eq!(sr.admitted_at, 50_000, "{cell}");
+            assert!(sr.completed_at >= sr.admitted_at, "{cell}: fold {fold}");
+            assert_eq!(sr.latency(), solo.end_time, "{cell}: fold {fold}");
+            assert_eq!(
+                handles[1].status,
+                QueryStatus::TimedOut,
+                "{cell}: fold {fold}"
+            );
+            let reaped = handles[1].report.as_ref().expect("partial report");
+            assert!(reaped.completed_at < sr.completed_at, "{cell}: fold {fold}");
+        }
     }
 }
 
@@ -362,42 +421,49 @@ fn fold_off_late_admission_starts_its_clock_at_admission() {
 #[test]
 fn late_admission_meets_stall_windows_at_their_absolute_instants() {
     let rate = || ScanSpec::with_rate(2000.0);
-    let solo = |r_scan: ScanSpec| {
-        let (c, r, s, t) = family_catalog_with(r_scan);
-        EddyExecutor::build(&c, &three_way(&c, r, s, t), config())
-            .unwrap()
-            .run()
-    };
-    let latency = |r_scan: ScanSpec, fold: bool| {
-        let (c, r, s, t) = family_catalog_with(r_scan);
-        let mut srv = QueryServer::builder(&c)
-            .config(config())
-            .fold(fold)
-            .build()
-            .unwrap();
-        srv.submit(Submission::new(three_way(&c, r, s, t)).at(50_000))
-            .unwrap();
-        let (handles, _) = srv.serve();
-        assert_eq!(handles[0].status, QueryStatus::Completed, "fold {fold}");
-        let sr = handles[0].report.as_ref().expect("completed");
-        assert_eq!(sr.admitted_at, 50_000);
-        sr.latency()
-    };
-    let unstalled = solo(rate()).end_time;
-    // The same 20 000 µs window, open from the query's own start.
-    let stalled_at_start = solo(rate().stalled_during(0, 20_000)).end_time;
-    assert!(stalled_at_start > unstalled);
-    for fold in [false, true] {
-        let closed = latency(rate().stalled_during(0, 10_000), fold);
-        assert_eq!(
-            closed, unstalled,
-            "fold {fold}: a closed window delayed the query"
-        );
-        let open = latency(rate().stalled_during(50_000, 70_000), fold);
-        assert_eq!(
-            open, stalled_at_start,
-            "fold {fold}: an open window was skipped"
-        );
+    for config in cells() {
+        let cell = cell(&config);
+        let solo = |r_scan: ScanSpec| {
+            let (c, r, s, t) = family_catalog_with(r_scan);
+            EddyExecutor::build(&c, &three_way(&c, r, s, t), config.clone())
+                .unwrap()
+                .run()
+        };
+        let latency = |r_scan: ScanSpec, fold: bool| {
+            let (c, r, s, t) = family_catalog_with(r_scan);
+            let mut srv = QueryServer::builder(&c)
+                .config(config.clone())
+                .fold(fold)
+                .build()
+                .unwrap();
+            srv.submit(Submission::new(three_way(&c, r, s, t)).at(50_000))
+                .unwrap();
+            let (handles, _) = srv.serve();
+            assert_eq!(
+                handles[0].status,
+                QueryStatus::Completed,
+                "{cell}: fold {fold}"
+            );
+            let sr = handles[0].report.as_ref().expect("completed");
+            assert_eq!(sr.admitted_at, 50_000, "{cell}");
+            sr.latency()
+        };
+        let unstalled = solo(rate()).end_time;
+        // The same 20 000 µs window, open from the query's own start.
+        let stalled_at_start = solo(rate().stalled_during(0, 20_000)).end_time;
+        assert!(stalled_at_start > unstalled, "{cell}");
+        for fold in [false, true] {
+            let closed = latency(rate().stalled_during(0, 10_000), fold);
+            assert_eq!(
+                closed, unstalled,
+                "fold {fold}: a closed window delayed the query"
+            );
+            let open = latency(rate().stalled_during(50_000, 70_000), fold);
+            assert_eq!(
+                open, stalled_at_start,
+                "fold {fold}: an open window was skipped"
+            );
+        }
     }
 }
 
@@ -409,14 +475,14 @@ fn server_errors_are_typed() {
     let (c, r, s, t) = family_catalog();
     let q = three_way(&c, r, s, t);
     let err = QueryServer::builder(&c)
-        .config(config())
+        .config(ExecConfig::default())
         .default_deadline(0)
         .build()
         .map(|_| ())
         .unwrap_err();
     assert!(matches!(err, ServerError::InvalidDeadline { deadline: 0 }));
     let mut srv = QueryServer::builder(&c)
-        .config(config())
+        .config(ExecConfig::default())
         .max_queries(1)
         .build()
         .unwrap();
@@ -518,8 +584,8 @@ type Pinned = (QueryStatus, u64, u64, u64, usize, u64, u64);
 /// shape-0 query at 0; a self-join (first instance folded, second raw) at
 /// 5 000, 11 000 and 60 000 — mid-scan, as EOTs land, and after every
 /// stream closed; one query cancelled mid-run; one reaped at its
-/// deadline. Every handle and the stats must read the same at workers 1
-/// and 4 (the batch size is fixed: a different one is a different
+/// deadline. Every handle and the stats must read the same at workers 1,
+/// 2 and 4 (the batch size is fixed: a different one is a different
 /// timeline).
 #[test]
 fn late_admission_timeline_is_pinned() {
@@ -529,9 +595,10 @@ fn late_admission_timeline_is_pinned() {
     let run = |workers: usize| {
         let mut srv = QueryServer::builder(&c)
             .config(ExecConfig {
+                check_constraints: true,
                 workers,
                 batch_size: 64,
-                ..config()
+                ..ExecConfig::default()
             })
             .build()
             .unwrap();
@@ -614,7 +681,7 @@ fn late_admission_timeline_is_pinned() {
         timed_out: 1,
         cancelled: 1,
     };
-    for workers in [1usize, 4] {
+    for workers in [1usize, 2, 4] {
         let (handles, stats) = run(workers);
         let got: Vec<Pinned> = handles
             .iter()

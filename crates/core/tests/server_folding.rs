@@ -2,8 +2,8 @@
 //! *observable* behaviour — ordered results, metrics, event counts, end
 //! time — must be bit-identical whether it runs alone or alongside any
 //! number of concurrent queries sharing its SteMs, swept across
-//! concurrency levels and worker counts; with folding off the server
-//! must be a pure merge of classic solo executors.
+//! concurrency levels, batch sizes and worker counts; with folding off the
+//! server must be a pure merge of classic solo executors.
 
 use stems_catalog::{reference, Catalog, QuerySpec, ScanSpec, SourceId, TableDef, TableInstance};
 use stems_core::{
@@ -132,22 +132,33 @@ fn query_for(c: &Catalog, r: SourceId, s: SourceId, t: SourceId, i: usize) -> Qu
     }
 }
 
-fn server_config(workers: usize) -> ExecConfig {
-    ExecConfig {
-        check_constraints: true,
-        workers,
-        ..ExecConfig::default()
-    }
+/// Every configuration a server run is repeated in: routing batch size 1
+/// (the paper's tuple-at-a-time eddy) and 64 (the batched default),
+/// crossed with wave-drain worker budgets 1, 2 and 4.
+fn cells() -> impl Iterator<Item = ExecConfig> {
+    [1, 64].into_iter().flat_map(|batch_size| {
+        [1, 2, 4].into_iter().map(move |workers| ExecConfig {
+            check_constraints: true,
+            batch_size,
+            workers,
+            ..ExecConfig::default()
+        })
+    })
+}
+
+/// A cell's name for assertion messages.
+fn cell(config: &ExecConfig) -> String {
+    format!("b{} w{}", config.batch_size, config.workers)
 }
 
 fn run_server(
     c: &Catalog,
     queries: &[QuerySpec],
-    workers: usize,
+    config: &ExecConfig,
     fold: bool,
 ) -> (Vec<stems_core::ServerReport>, ServerStats) {
     let mut srv = QueryServer::builder(c)
-        .config(server_config(workers))
+        .config(config.clone())
         .fold(fold)
         .build()
         .unwrap();
@@ -180,23 +191,24 @@ fn assert_matches_reference(c: &Catalog, q: &QuerySpec, report: &Report, ctx: &s
 
 /// The tentpole invariant: under shared-SteM folding, each query's report
 /// is bit-identical to the same query admitted alone, for every
-/// concurrency level and worker count.
+/// concurrency level, batch size and worker count.
 #[test]
 fn folding_is_invariant_across_concurrency() {
     let (c, r, s, t) = family_catalog();
-    for workers in [1usize, 4] {
+    for config in cells() {
+        let cell = cell(&config);
         let solo: Vec<Report> = (0..6)
             .map(|i| {
                 let q = query_for(&c, r, s, t, i);
-                let (mut reports, _) = run_server(&c, std::slice::from_ref(&q), workers, true);
+                let (mut reports, _) = run_server(&c, std::slice::from_ref(&q), &config, true);
                 let report = reports.remove(0).report;
-                assert_matches_reference(&c, &q, &report, &format!("solo q{i} w{workers}"));
+                assert_matches_reference(&c, &q, &report, &format!("solo q{i} {cell}"));
                 report
             })
             .collect();
         for n in [1usize, 4, 16] {
             let queries: Vec<QuerySpec> = (0..n).map(|i| query_for(&c, r, s, t, i)).collect();
-            let (reports, _) = run_server(&c, &queries, workers, true);
+            let (reports, _) = run_server(&c, &queries, &config, true);
             assert_eq!(reports.len(), n);
             for (i, sr) in reports.iter().enumerate() {
                 assert_eq!(sr.query, i);
@@ -204,7 +216,7 @@ fn folding_is_invariant_across_concurrency() {
                 assert_reports_identical(
                     &sr.report,
                     &solo[i % 6],
-                    &format!("q{i} of N={n} w{workers}"),
+                    &format!("q{i} of N={n} {cell}"),
                 );
             }
         }
@@ -219,14 +231,20 @@ fn folding_shares_stems_across_queries() {
     let (c, r, s, t) = family_catalog();
     let six: Vec<QuerySpec> = (0..6).map(|i| query_for(&c, r, s, t, i)).collect();
     let twelve: Vec<QuerySpec> = (0..12).map(|i| query_for(&c, r, s, t, i)).collect();
-    let (_, stats6) = run_server(&c, &six, 2, true);
-    let (_, stats12) = run_server(&c, &twelve, 2, true);
-    // Entries: R[a] (shapes 0+1), S[x,y] (shape 0), S[x] (shape 1),
-    // S[y] (shape 2), T[z] (shapes 0+2).
-    assert_eq!(stats6.shared_stems, 5, "registry entries");
-    assert_eq!(stats6.scan_streams, 3, "one stream per source");
-    assert_eq!(stats6.shared_builds, 60 + 10 + 10 + 10 + 5);
-    assert_eq!(stats6, stats12, "doubling queries must add zero build work");
+    for config in cells() {
+        let cell = cell(&config);
+        let (_, stats6) = run_server(&c, &six, &config, true);
+        let (_, stats12) = run_server(&c, &twelve, &config, true);
+        // Entries: R[a] (shapes 0+1), S[x,y] (shape 0), S[x] (shape 1),
+        // S[y] (shape 2), T[z] (shapes 0+2).
+        assert_eq!(stats6.shared_stems, 5, "{cell}: registry entries");
+        assert_eq!(stats6.scan_streams, 3, "{cell}: one stream per source");
+        assert_eq!(stats6.shared_builds, 60 + 10 + 10 + 10 + 5, "{cell}");
+        assert_eq!(
+            stats6, stats12,
+            "{cell}: doubling queries must add zero build work"
+        );
+    }
 }
 
 /// With folding off the server is a pure merge: every query's report is
@@ -235,14 +253,17 @@ fn folding_shares_stems_across_queries() {
 fn fold_off_is_a_pure_merge_of_classic_executors() {
     let (c, r, s, t) = family_catalog();
     let queries: Vec<QuerySpec> = (0..4).map(|i| query_for(&c, r, s, t, i)).collect();
-    let (reports, stats) = run_server(&c, &queries, 2, false);
-    assert_eq!(stats.shared_stems, 0);
-    assert_eq!(stats.scan_streams, 0);
-    for (i, sr) in reports.iter().enumerate() {
-        let classic = EddyExecutor::build(&c, &queries[i], server_config(2))
-            .unwrap()
-            .run();
-        assert_reports_identical(&sr.report, &classic, &format!("fold-off q{i}"));
+    for config in cells() {
+        let cell = cell(&config);
+        let (reports, stats) = run_server(&c, &queries, &config, false);
+        assert_eq!(stats.shared_stems, 0);
+        assert_eq!(stats.scan_streams, 0);
+        for (i, sr) in reports.iter().enumerate() {
+            let classic = EddyExecutor::build(&c, &queries[i], config.clone())
+                .unwrap()
+                .run();
+            assert_reports_identical(&sr.report, &classic, &format!("fold-off q{i} {cell}"));
+        }
     }
 }
 
@@ -256,9 +277,9 @@ fn late_admission_catches_up_and_stays_deterministic() {
     let (c, r, s, t) = family_catalog();
     // Scan spans: R 60 rows @2000tps ≈ 30ms, S 10 @1000 ≈ 10ms, T 5 @500 ≈ 10ms.
     let schedule = [(0u64, 0usize), (5_000, 1), (11_000, 2), (60_000, 3)];
-    let run = || {
+    let run = |config: &ExecConfig| {
         let mut srv = QueryServer::builder(&c)
-            .config(server_config(2))
+            .config(config.clone())
             .build()
             .unwrap();
         for &(at, i) in &schedule {
@@ -272,53 +293,63 @@ fn late_admission_catches_up_and_stays_deterministic() {
             .collect();
         (reports, stats)
     };
-    let (a, stats_a) = run();
-    let (b, stats_b) = run();
-    assert_eq!(stats_a, stats_b, "stats must be deterministic");
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x.admitted_at, schedule[i].0);
-        assert_eq!(x.admitted_at, y.admitted_at);
-        assert_eq!(x.completed_at, y.completed_at);
-        assert_reports_identical(&x.report, &y.report, &format!("rerun q{i}"));
-        let q = query_for(&c, r, s, t, schedule[i].1);
-        assert_matches_reference(&c, &q, &x.report, &format!("late-admit q{i}"));
-        assert!(
-            x.completed_at >= x.admitted_at,
-            "q{i} completed before admission"
-        );
+    for config in cells() {
+        let cell = cell(&config);
+        let (a, stats_a) = run(&config);
+        let (b, stats_b) = run(&config);
+        assert_eq!(stats_a, stats_b, "{cell}: stats must be deterministic");
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(x.admitted_at, schedule[i].0);
+            assert_eq!(x.admitted_at, y.admitted_at);
+            assert_eq!(x.completed_at, y.completed_at);
+            assert_reports_identical(&x.report, &y.report, &format!("rerun q{i} {cell}"));
+            let q = query_for(&c, r, s, t, schedule[i].1);
+            assert_matches_reference(&c, &q, &x.report, &format!("late-admit q{i} {cell}"));
+            assert!(
+                x.completed_at >= x.admitted_at,
+                "{cell}: q{i} completed before admission"
+            );
+        }
+        // The late queries joined existing streams: still only one stream
+        // per source and one registry entry per distinct key.
+        assert_eq!(stats_a.scan_streams, 3, "{cell}");
+        assert_eq!(stats_a.shared_stems, 5, "{cell}");
     }
-    // The late queries joined existing streams: still only one stream
-    // per source and one registry entry per distinct key.
-    assert_eq!(stats_a.scan_streams, 3);
-    assert_eq!(stats_a.shared_stems, 5);
 }
 
 /// The 1000-query point: every report still bit-identical to its solo
 /// run under parallel stepping. Debug builds skip it (the full sweep
-/// belongs to the release CI leg) unless `STEMS_SMOKE_1000` forces it.
+/// belongs to the release CI step) unless `STEMS_SMOKE_1000` forces it.
 #[test]
+// A debug-build test gate, not engine configuration.
+#[allow(clippy::disallowed_methods)]
 fn thousand_query_smoke_stays_bit_identical_to_solo() {
     if cfg!(debug_assertions) && std::env::var("STEMS_SMOKE_1000").is_err() {
         return;
     }
     let (c, r, s, t) = family_catalog();
-    let workers = 4;
-    let solo: Vec<Report> = (0..6)
-        .map(|i| {
-            let q = query_for(&c, r, s, t, i);
-            run_server(&c, std::slice::from_ref(&q), workers, true)
-                .0
-                .remove(0)
-                .report
-        })
-        .collect();
     let queries: Vec<QuerySpec> = (0..1000).map(|i| query_for(&c, r, s, t, i)).collect();
-    let (reports, stats) = run_server(&c, &queries, workers, true);
-    assert_eq!(reports.len(), 1000);
-    assert_eq!(stats.shared_stems, 5, "1000 queries, still 5 entries");
-    assert_eq!(stats.scan_streams, 3);
-    for (i, sr) in reports.iter().enumerate() {
-        assert_reports_identical(&sr.report, &solo[i % 6], &format!("q{i} of N=1000"));
+    for config in cells() {
+        let cell = cell(&config);
+        let solo: Vec<Report> = (0..6)
+            .map(|i| {
+                let q = query_for(&c, r, s, t, i);
+                run_server(&c, std::slice::from_ref(&q), &config, true)
+                    .0
+                    .remove(0)
+                    .report
+            })
+            .collect();
+        let (reports, stats) = run_server(&c, &queries, &config, true);
+        assert_eq!(reports.len(), 1000);
+        assert_eq!(
+            stats.shared_stems, 5,
+            "{cell}: 1000 queries, still 5 entries"
+        );
+        assert_eq!(stats.scan_streams, 3);
+        for (i, sr) in reports.iter().enumerate() {
+            assert_reports_identical(&sr.report, &solo[i % 6], &format!("q{i} of N=1000 {cell}"));
+        }
     }
 }
 
@@ -347,9 +378,9 @@ fn udf_query(c: &Catalog, r: SourceId) -> QuerySpec {
 fn memo_folding_shares_verdict_caches() {
     let (c, r, _s, _t) = family_catalog();
     let q = udf_query(&c, r);
-    let run = |workers: usize, fold: bool| {
+    let run = |config: &ExecConfig, fold: bool| {
         let mut srv = QueryServer::builder(&c)
-            .config(server_config(workers))
+            .config(config.clone())
             .fold(fold)
             .build()
             .unwrap();
@@ -366,8 +397,9 @@ fn memo_folding_shares_verdict_caches() {
         (reports, stats)
     };
     let expected = reference::canonical(&c, &q, &reference::execute(&c, &q));
-    for workers in [1usize, 4] {
-        let (folded, stats) = run(workers, true);
+    for config in cells() {
+        let cell = cell(&config);
+        let (folded, stats) = run(&config, true);
         assert_eq!(
             stats.shared_memos, 1,
             "second query must subscribe to the first query's memo"
@@ -386,29 +418,29 @@ fn memo_folding_shares_verdict_caches() {
         );
         assert!(second.counter("memo_hits") >= 10, "warm memo never hit");
         for (i, rep) in folded.iter().enumerate() {
-            assert!(rep.violations.is_empty(), "q{i} w{workers}");
+            assert!(rep.violations.is_empty(), "q{i} {cell}");
             assert_eq!(
                 rep.canonical(&c, &q),
                 expected,
-                "memo-folded q{i} w{workers}: wrong result set"
+                "memo-folded q{i} {cell}: wrong result set"
             );
         }
         // Unfolded server: private memos, no sharing, same answer.
-        let (private, lone_stats) = run(workers, false);
+        let (private, lone_stats) = run(&config, false);
         assert_eq!(lone_stats.shared_memos, 0);
         for (i, rep) in private.iter().enumerate() {
             assert_eq!(rep.counter("udf_calls"), 10, "private memo q{i}");
             assert_eq!(
                 rep.canonical(&c, &q),
                 expected,
-                "fold-off q{i} w{workers}: wrong result set"
+                "fold-off q{i} {cell}: wrong result set"
             );
         }
         // Determinism: the exact same schedule twice, stats and all.
-        let (again, stats_again) = run(workers, true);
-        assert_eq!(stats, stats_again, "stats must be deterministic");
+        let (again, stats_again) = run(&config, true);
+        assert_eq!(stats, stats_again, "{cell}: stats must be deterministic");
         for (x, y) in folded.iter().zip(&again) {
-            assert_reports_identical(x, y, &format!("memo rerun w{workers}"));
+            assert_reports_identical(x, y, &format!("memo rerun {cell}"));
         }
     }
 }
@@ -431,21 +463,21 @@ fn memo_folding_respects_predicate_identity_and_budget() {
         None,
     )
     .unwrap();
-    let mut srv = QueryServer::builder(&c)
-        .config(server_config(1))
-        .build()
-        .unwrap();
-    srv.submit(Submission::new(q.clone())).unwrap();
-    srv.submit(Submission::new(other.clone())).unwrap();
-    let (handles, stats) = srv.serve();
-    assert_eq!(
-        stats.shared_memos, 0,
-        "different sieves must not share a verdict cache"
-    );
-    for (spec, h) in [&q, &other].into_iter().zip(&handles) {
-        let rep = &h.report.as_ref().expect("completed").report;
-        let expected = reference::canonical(&c, spec, &reference::execute(&c, spec));
-        assert_eq!(rep.canonical(&c, spec), expected);
+    for config in cells() {
+        let cell = cell(&config);
+        let mut srv = QueryServer::builder(&c).config(config).build().unwrap();
+        srv.submit(Submission::new(q.clone())).unwrap();
+        srv.submit(Submission::new(other.clone())).unwrap();
+        let (handles, stats) = srv.serve();
+        assert_eq!(
+            stats.shared_memos, 0,
+            "{cell}: different sieves must not share a verdict cache"
+        );
+        for (spec, h) in [&q, &other].into_iter().zip(&handles) {
+            let rep = &h.report.as_ref().expect("completed").report;
+            let expected = reference::canonical(&c, spec, &reference::execute(&c, spec));
+            assert_eq!(rep.canonical(&c, spec), expected, "{cell}");
+        }
     }
 }
 
@@ -475,17 +507,20 @@ fn self_join_keeps_second_instance_private() {
         None,
     )
     .unwrap();
-    let (reports, stats) = run_server(&c, &[q.clone(), q.clone()], 2, true);
-    assert_eq!(
-        stats.shared_stems, 1,
-        "self-join must not share both instances"
-    );
-    let solo = run_server(&c, std::slice::from_ref(&q), 2, true)
-        .0
-        .remove(0)
-        .report;
-    for (i, sr) in reports.iter().enumerate() {
-        assert_matches_reference(&c, &q, &sr.report, &format!("self-join q{i}"));
-        assert_reports_identical(&sr.report, &solo, &format!("self-join q{i} vs solo"));
+    for config in cells() {
+        let cell = cell(&config);
+        let (reports, stats) = run_server(&c, &[q.clone(), q.clone()], &config, true);
+        assert_eq!(
+            stats.shared_stems, 1,
+            "{cell}: self-join must not share both instances"
+        );
+        let solo = run_server(&c, std::slice::from_ref(&q), &config, true)
+            .0
+            .remove(0)
+            .report;
+        for (i, sr) in reports.iter().enumerate() {
+            assert_matches_reference(&c, &q, &sr.report, &format!("self-join q{i} {cell}"));
+            assert_reports_identical(&sr.report, &solo, &format!("self-join q{i} vs solo {cell}"));
+        }
     }
 }

@@ -1,49 +1,6 @@
-//! Service latency models and source stall windows.
+//! Source stall windows.
 
-#[cfg(test)]
-use crate::SimRng;
-use crate::{Duration, Time};
-
-/// How long one service operation (an index lookup, a scan page fetch)
-/// takes in virtual time.
-///
-/// The paper's Table 3 uses "sleeps of identical duration" —
-/// [`LatencyModel::Fixed`]. The other variants support the robustness
-/// ablations (benchmarks confirm the figure shapes survive latency jitter).
-#[derive(Debug, Clone, PartialEq)]
-pub enum LatencyModel {
-    /// Every operation takes exactly this long.
-    Fixed(Duration),
-    /// Uniform in `[lo, hi]`.
-    Uniform { lo: Duration, hi: Duration },
-    /// Exponentially distributed with the given mean.
-    Exponential { mean: Duration },
-}
-
-impl LatencyModel {
-    /// Draw one service duration.
-    #[cfg(test)]
-    fn sample(&self, rng: &mut SimRng) -> Duration {
-        match self {
-            LatencyModel::Fixed(d) => *d,
-            LatencyModel::Uniform { lo, hi } => {
-                assert!(lo <= hi, "uniform latency with lo > hi");
-                lo + rng.below(hi - lo + 1)
-            }
-            LatencyModel::Exponential { mean } => rng.exp(*mean as f64).round() as Duration,
-        }
-    }
-
-    /// The mean of the model.
-    #[cfg(test)]
-    fn mean(&self) -> Duration {
-        match self {
-            LatencyModel::Fixed(d) => *d,
-            LatencyModel::Uniform { lo, hi } => (lo + hi) / 2,
-            LatencyModel::Exponential { mean } => *mean,
-        }
-    }
-}
+use crate::Time;
 
 /// Intervals during which a source is unavailable.
 ///
@@ -85,36 +42,7 @@ impl StallWindows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{secs, secs_f};
-
-    #[test]
-    fn fixed_always_same() {
-        let m = LatencyModel::Fixed(secs_f(1.5));
-        let mut rng = SimRng::new(1);
-        assert_eq!(m.sample(&mut rng), 1_500_000);
-        assert_eq!(m.sample(&mut rng), 1_500_000);
-        assert_eq!(m.mean(), 1_500_000);
-    }
-
-    #[test]
-    fn uniform_in_bounds() {
-        let m = LatencyModel::Uniform { lo: 10, hi: 20 };
-        let mut rng = SimRng::new(2);
-        for _ in 0..500 {
-            let d = m.sample(&mut rng);
-            assert!((10..=20).contains(&d));
-        }
-        assert_eq!(m.mean(), 15);
-    }
-
-    #[test]
-    fn exponential_mean_close() {
-        let m = LatencyModel::Exponential { mean: 1000 };
-        let mut rng = SimRng::new(3);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| m.sample(&mut rng) as f64).sum::<f64>() / n as f64;
-        assert!((mean - 1000.0).abs() < 50.0, "mean={mean}");
-    }
+    use crate::secs;
 
     #[test]
     fn stall_windows_merge_and_query() {

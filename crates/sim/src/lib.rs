@@ -17,10 +17,9 @@
 //! * [`Time`] / [`Duration`] — virtual time in microseconds, with second
 //!   conversions matching the paper's axes.
 //! * [`EventQueue`] — a binary-heap agenda with stable FIFO tie-breaking.
-//! * [`LatencyModel`] — fixed / uniform / exponential service latencies.
 //! * [`StallWindows`] — source unavailability intervals (for the
 //!   source-stall experiments).
-//! * [`SimRng`] — a small, seedable, splittable PRNG so workloads and
+//! * [`SimRng`] — a small, seedable PRNG so workloads and
 //!   policies are reproducible without threading a `rand` generic through
 //!   every API.
 //! * [`Metrics`] / [`Series`] — counters and exact `(time, value)` series
@@ -38,7 +37,7 @@ mod rng;
 mod time;
 
 pub use agenda::EventQueue;
-pub use latency::{LatencyModel, StallWindows};
+pub use latency::StallWindows;
 pub use metrics::{MetricId, Metrics, Series};
 pub use plot::{ascii_plot, PlotSpec};
 pub use rng::SimRng;

@@ -1,4 +1,4 @@
-//! Seedable, splittable PRNG for deterministic simulations.
+//! Seedable PRNG for deterministic simulations.
 
 /// A small, fast, seedable PRNG (SplitMix64 core with an xorshift* output
 /// path is overkill here; plain SplitMix64 passes the statistical bar for
@@ -22,14 +22,6 @@ impl SimRng {
         SimRng {
             state: seed ^ 0x9E37_79B9_7F4A_7C15,
         }
-    }
-
-    /// Derive an independent child generator; used to give each module its
-    /// own stream so adding a module never perturbs another's randomness.
-    #[cfg(test)]
-    fn split(&mut self, tag: u64) -> SimRng {
-        let s = self.next_u64();
-        SimRng::new(s ^ tag.wrapping_mul(0xA24B_AED4_963E_E407))
     }
 
     /// Next raw 64-bit value (SplitMix64).
@@ -72,13 +64,6 @@ impl SimRng {
             xs.swap(i, j);
         }
     }
-
-    /// Exponentially distributed value with the given mean (inverse CDF).
-    #[cfg(test)]
-    pub(crate) fn exp(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.unit(); // avoid ln(0)
-        -mean * u.ln()
-    }
 }
 
 #[cfg(test)]
@@ -100,19 +85,6 @@ mod tests {
         let mut b = SimRng::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 2);
-    }
-
-    #[test]
-    fn split_streams_are_independent_of_sibling_consumption() {
-        let mut root1 = SimRng::new(7);
-        let mut c1 = root1.split(0);
-        let _ = c1.next_u64(); // consume from child 1
-        let c2 = root1.split(1);
-
-        let mut root2 = SimRng::new(7);
-        let _c1b = root2.split(0); // do NOT consume
-        let c2b = root2.split(1);
-        assert_eq!(c2.clone().next_u64(), c2b.clone().next_u64());
     }
 
     #[test]
@@ -138,14 +110,6 @@ mod tests {
         let n = 10_000;
         let mean: f64 = (0..n).map(|_| r.unit()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean={mean}");
-    }
-
-    #[test]
-    fn exp_mean_matches() {
-        let mut r = SimRng::new(13);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| r.exp(2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.1, "mean={mean}");
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! router's own half (routing into a warm buffer allocates nothing) is a
 //! unit test beside it, `router::tests::route_into_a_warm_buffer_never_allocates`.
 //!
-//! Counts are per thread, so the test cannot see the test harness, and
-//! nothing here reads `ExecConfig::default()`, so the result is the same
-//! in every `STEMS_*` environment cell.
+//! Counts are per thread, so the test cannot see the test harness, and it
+//! builds no executor, so no engine configuration moves its counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

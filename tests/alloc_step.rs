@@ -33,8 +33,7 @@
 //!
 //! Counts are per thread (as in `alloc_route.rs`), so the two tests cannot
 //! see each other or the harness, and every `ExecConfig` field is spelled
-//! out — nothing reads `STEMS_*`, so the result is the same in every CI
-//! cell.
+//! out, so a change to the defaults moves no count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -84,7 +83,8 @@ use stems::core::{EddyExecutor, ExecConfig, Report, RoutingPolicyKind};
 use stems::sql::parse_query;
 use stems::types::{ColumnType, Schema, Value};
 
-/// Every field spelled out: `ExecConfig::default()` reads `STEMS_*`.
+/// Every field spelled out: a change to `ExecConfig::default()` moves no
+/// count.
 fn config(policy: RoutingPolicyKind, batch_size: usize) -> ExecConfig {
     ExecConfig {
         policy,

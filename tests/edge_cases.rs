@@ -16,18 +16,40 @@ fn checked() -> ExecConfig {
     }
 }
 
-fn verify(catalog: &Catalog, query: &QuerySpec, config: ExecConfig) -> Report {
-    let report = EddyExecutor::build(catalog, query, config)
-        .expect("plan")
-        .run();
-    assert!(
-        report.violations.is_empty(),
-        "violations: {:?}",
-        report.violations
-    );
-    let expected = reference::canonical(catalog, query, &reference::execute(catalog, query));
-    assert_eq!(report.canonical(catalog, query), expected);
-    report
+/// The routing batch sizes every run is repeated at: 1 is the paper's
+/// tuple-at-a-time eddy, 64 the batched default.
+const BATCH_SIZES: [usize; 2] = [1, 64];
+
+/// `config` at every batch size in [`BATCH_SIZES`], in that order.
+fn at_each_batch(config: ExecConfig) -> impl Iterator<Item = ExecConfig> {
+    BATCH_SIZES.into_iter().map(move |batch_size| ExecConfig {
+        batch_size,
+        ..config.clone()
+    })
+}
+
+/// Run `config` at every batch size, check each run against the reference
+/// executor, and return the reports in [`BATCH_SIZES`] order.
+fn verify(catalog: &Catalog, query: &QuerySpec, config: ExecConfig) -> Vec<Report> {
+    let verified = |config: ExecConfig| {
+        let batch_size = config.batch_size;
+        let report = EddyExecutor::build(catalog, query, config)
+            .expect("plan")
+            .run();
+        assert!(
+            report.violations.is_empty(),
+            "batch {batch_size}: violations: {:?}",
+            report.violations
+        );
+        let expected = reference::canonical(catalog, query, &reference::execute(catalog, query));
+        assert_eq!(
+            report.canonical(catalog, query),
+            expected,
+            "batch {batch_size}"
+        );
+        report
+    };
+    at_each_batch(config).map(verified).collect()
 }
 
 fn kv_table(name: &str, rows: Vec<(i64, i64)>) -> TableDef {
@@ -87,10 +109,11 @@ fn transitive_index_only_chain() {
         None,
     )
     .unwrap();
-    let report = verify(&c, &q, checked());
-    // Every R row matches one S (v ∈ 0..5) and one T (S.v+100 ∈ 100..105).
-    assert_eq!(report.results.len(), 20);
-    assert!(report.counter("index_probes") >= 10);
+    for report in verify(&c, &q, checked()) {
+        // Every R row matches one S (v ∈ 0..5) and one T (S.v+100 ∈ 100..105).
+        assert_eq!(report.results.len(), 20);
+        assert!(report.counter("index_probes") >= 10);
+    }
 }
 
 /// Every source stalls simultaneously mid-run; progress resumes and the
@@ -135,16 +158,17 @@ fn total_blackout_recovers() {
         None,
     )
     .unwrap();
-    let report = verify(&c, &q, checked());
-    let series = report.metrics.series("results").unwrap();
-    // Nothing happens during the blackout...
-    assert_eq!(
-        series.value_at(secs(9)),
-        series.value_at(secs(2)),
-        "no progress expected during the blackout"
-    );
-    // ...and everything completes after it.
-    assert_eq!(report.results.len(), 60);
+    for report in verify(&c, &q, checked()) {
+        let series = report.metrics.series("results").unwrap();
+        // Nothing happens during the blackout...
+        assert_eq!(
+            series.value_at(secs(9)),
+            series.value_at(secs(2)),
+            "no progress expected during the blackout"
+        );
+        // ...and everything completes after it.
+        assert_eq!(report.results.len(), 60);
+    }
 }
 
 /// An index AM with its own stall window delays, but does not lose,
@@ -185,10 +209,11 @@ fn stalled_index_am_still_answers() {
         None,
     )
     .unwrap();
-    let report = verify(&c, &q, checked());
-    assert_eq!(report.results.len(), 8);
-    // All lookups were pushed past the stall window.
-    assert!(report.end_time >= secs(3));
+    for report in verify(&c, &q, checked()) {
+        assert_eq!(report.results.len(), 8);
+        // All lookups were pushed past the stall window.
+        assert!(report.end_time >= secs(3));
+    }
 }
 
 /// Composite bind key: the index requires BOTH columns bound, covered by
@@ -257,10 +282,11 @@ fn multi_column_bind_key_index() {
         None,
     )
     .unwrap();
-    let report = verify(&c, &q, checked());
-    assert_eq!(report.results.len(), 24);
-    // 4×3 distinct (a,b) pairs ⇒ 12 coalesced lookups.
-    assert_eq!(report.counter("index_probes"), 12);
+    for report in verify(&c, &q, checked()) {
+        assert_eq!(report.results.len(), 24);
+        // 4×3 distinct (a,b) pairs ⇒ 12 coalesced lookups.
+        assert_eq!(report.counter("index_probes"), 12);
+    }
 }
 
 /// Concurrency > 1: more servers, same answers, faster completion.
@@ -307,13 +333,15 @@ fn index_concurrency_speeds_up_not_changes() {
     let serial = verify(&c1, &q1, checked());
     let (c4, q4) = build(4);
     let parallel = verify(&c4, &q4, checked());
-    assert_eq!(serial.results.len(), parallel.results.len());
-    assert!(
-        parallel.end_time * 2 < serial.end_time,
-        "4-way concurrency should cut completion at least in half: {} vs {}",
-        parallel.end_time,
-        serial.end_time
-    );
+    for (serial, parallel) in serial.iter().zip(&parallel) {
+        assert_eq!(serial.results.len(), parallel.results.len());
+        assert!(
+            parallel.end_time * 2 < serial.end_time,
+            "4-way concurrency should cut completion at least in half: {} vs {}",
+            parallel.end_time,
+            serial.end_time
+        );
+    }
 }
 
 /// Windowed (evicting) SteMs intentionally trade completeness for memory:
@@ -364,17 +392,19 @@ fn eviction_yields_duplicate_free_subset() {
         check_constraints: true, // duplicate detection stays on
         ..ExecConfig::default()
     };
-    let report = EddyExecutor::build(&c, &q, config).unwrap().run();
-    assert!(report.violations.is_empty(), "{:?}", report.violations);
-    assert!(report.results.len() < exact, "window should lose matches");
-    assert!(
-        !report.results.is_empty(),
-        "window should still find close matches"
-    );
-    // Every produced result is a genuine join result.
     let valid = reference::canonical(&c, &q, &reference::execute(&c, &q));
-    for row in report.canonical(&c, &q) {
-        assert!(valid.contains(&row), "spurious result {row:?}");
+    for config in at_each_batch(config) {
+        let report = EddyExecutor::build(&c, &q, config).unwrap().run();
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(report.results.len() < exact, "window should lose matches");
+        assert!(
+            !report.results.is_empty(),
+            "window should still find close matches"
+        );
+        // Every produced result is a genuine join result.
+        for row in report.canonical(&c, &q) {
+            assert!(valid.contains(&row), "spurious result {row:?}");
+        }
     }
 }
 
@@ -419,8 +449,9 @@ fn empty_middle_table() {
         None,
     )
     .unwrap();
-    let report = verify(&c, &q, checked());
-    assert_eq!(report.results.len(), 0);
+    for report in verify(&c, &q, checked()) {
+        assert_eq!(report.results.len(), 0);
+    }
 }
 
 /// Heavy skew: one hot join value carrying most of the weight.
@@ -492,9 +523,10 @@ fn fully_selective_predicates() {
         None,
     )
     .unwrap();
-    let report = verify(&c, &q, checked());
-    assert_eq!(report.results.len(), 0);
-    assert_eq!(report.counter("filtered"), 50);
+    for report in verify(&c, &q, checked()) {
+        assert_eq!(report.results.len(), 0);
+        assert_eq!(report.counter("filtered"), 50);
+    }
     let _ = SourceId(0);
 }
 
@@ -541,9 +573,10 @@ fn band_join_less_than() {
         None,
     )
     .unwrap();
-    let report = verify(&c, &q, checked());
-    // For each s.v = y < 12: matches r.v < y ⇒ y rows. Σ_{y=0}^{11} y = 66.
-    assert_eq!(report.results.len(), 66);
+    for report in verify(&c, &q, checked()) {
+        // For each s.v = y < 12: matches r.v < y ⇒ y rows. Σ_{y=0}^{11} y = 66.
+        assert_eq!(report.results.len(), 66);
+    }
 }
 
 /// The routing trace records the life of every tuple when enabled, and
@@ -577,35 +610,39 @@ fn routing_trace_records_tuple_lives() {
         None,
     )
     .unwrap();
-    let mut config = checked();
-    config.trace = true;
-    let report = EddyExecutor::build(&c, &q, config).unwrap().run();
-    assert_eq!(report.results.len(), 1);
-    assert!(!report.trace.is_empty());
-    // First routed action must be a BuildFirst build.
-    let first_route = report
-        .trace
-        .iter()
-        .find_map(|e| match &e.kind {
-            TraceKind::Route { action, .. } => Some(*action),
-            _ => None,
-        })
-        .unwrap();
-    assert_eq!(first_route, "build");
-    // Exactly one output event, and it renders readably.
-    let outputs: Vec<_> = report
-        .trace
-        .iter()
-        .filter(|e| e.kind == TraceKind::Output)
-        .collect();
-    assert_eq!(outputs.len(), 1);
-    assert!(outputs[0].to_string().contains("output"));
-    // Timestamps are monotone.
-    assert!(report.trace.windows(2).all(|w| w[0].t <= w[1].t));
+    let traced = ExecConfig {
+        trace: true,
+        ..checked()
+    };
+    for (traced, quiet) in at_each_batch(traced).zip(at_each_batch(checked())) {
+        let report = EddyExecutor::build(&c, &q, traced).unwrap().run();
+        assert_eq!(report.results.len(), 1);
+        assert!(!report.trace.is_empty());
+        // First routed action must be a BuildFirst build.
+        let first_route = report
+            .trace
+            .iter()
+            .find_map(|e| match &e.kind {
+                TraceKind::Route { action, .. } => Some(*action),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(first_route, "build");
+        // Exactly one output event, and it renders readably.
+        let outputs: Vec<_> = report
+            .trace
+            .iter()
+            .filter(|e| e.kind == TraceKind::Output)
+            .collect();
+        assert_eq!(outputs.len(), 1);
+        assert!(outputs[0].to_string().contains("output"));
+        // Timestamps are monotone.
+        assert!(report.trace.windows(2).all(|w| w[0].t <= w[1].t));
 
-    // Disabled by default: no events recorded.
-    let quiet = EddyExecutor::build(&c, &q, checked()).unwrap().run();
-    assert!(quiet.trace.is_empty());
+        // Disabled by default: no events recorded.
+        let quiet = EddyExecutor::build(&c, &q, quiet).unwrap().run();
+        assert!(quiet.trace.is_empty());
+    }
 }
 
 /// The trace cap bounds memory even on large runs.
@@ -648,8 +685,10 @@ fn routing_trace_respects_cap() {
         trace_limit: 100,
         ..ExecConfig::default()
     };
-    let report = EddyExecutor::build(&c, &q, config).unwrap().run();
-    assert_eq!(report.trace.len(), 100);
+    for config in at_each_batch(config) {
+        let report = EddyExecutor::build(&c, &q, config).unwrap().run();
+        assert_eq!(report.trace.len(), 100);
+    }
 }
 
 /// `Report::time_to_fraction` summarizes the online metric.
@@ -670,12 +709,13 @@ fn time_to_fraction_summary() {
         None,
     )
     .unwrap();
-    let report = verify(&c, &q, checked());
-    let half = report.time_to_fraction(0.5).unwrap();
-    let full = report.time_to_fraction(1.0).unwrap();
-    assert!(half < full);
-    assert!(half >= secs(0) && full > secs(0));
-    assert!(report.time_to_fraction(0.0).is_some());
+    for report in verify(&c, &q, checked()) {
+        let half = report.time_to_fraction(0.5).unwrap();
+        let full = report.time_to_fraction(1.0).unwrap();
+        assert!(half < full);
+        assert!(half >= secs(0) && full > secs(0));
+        assert!(report.time_to_fraction(0.0).is_some());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -793,10 +833,11 @@ fn chunked_single_table_scan_trace_order() {
             None,
         )
         .unwrap();
-        let report = verify(&c, &q, checked());
-        assert_eq!(report.results.len(), 10, "chunk {chunk}");
-        // The EOT trails the last data chunk by one row gap, so the query
-        // cannot end before the full table has been delivered.
-        assert!(report.end_time >= secs(1), "chunk {chunk}");
+        for report in verify(&c, &q, checked()) {
+            assert_eq!(report.results.len(), 10, "chunk {chunk}");
+            // The EOT trails the last data chunk by one row gap, so the
+            // query cannot end before the full table has been delivered.
+            assert!(report.end_time >= secs(1), "chunk {chunk}");
+        }
     }
 }

@@ -17,23 +17,36 @@ fn checked() -> ExecConfig {
     }
 }
 
-fn run_and_verify(catalog: &Catalog, query: &QuerySpec, config: ExecConfig) -> Report {
-    let report = EddyExecutor::build(catalog, query, config)
-        .expect("plan")
-        .run();
-    assert!(
-        report.violations.is_empty(),
-        "constraint violations: {:?}",
-        report.violations
-    );
-    let expected = reference::canonical(catalog, query, &reference::execute(catalog, query));
-    assert_eq!(
-        report.canonical(catalog, query),
-        expected,
-        "eddy result mismatch ({})",
-        report.summary()
-    );
-    report
+/// The routing batch sizes every run is repeated at: 1 is the paper's
+/// tuple-at-a-time eddy, 64 the batched default.
+const BATCH_SIZES: [usize; 2] = [1, 64];
+
+/// Run `config` at every batch size in [`BATCH_SIZES`], check each run
+/// against the reference executor, and return the reports in that order.
+fn run_and_verify(catalog: &Catalog, query: &QuerySpec, config: ExecConfig) -> Vec<Report> {
+    let verified = |batch_size| {
+        let config = ExecConfig {
+            batch_size,
+            ..config.clone()
+        };
+        let report = EddyExecutor::build(catalog, query, config)
+            .expect("plan")
+            .run();
+        assert!(
+            report.violations.is_empty(),
+            "batch {batch_size}: constraint violations: {:?}",
+            report.violations
+        );
+        let expected = reference::canonical(catalog, query, &reference::execute(catalog, query));
+        assert_eq!(
+            report.canonical(catalog, query),
+            expected,
+            "batch {batch_size}: eddy result mismatch ({})",
+            report.summary()
+        );
+        report
+    };
+    BATCH_SIZES.into_iter().map(verified).collect()
 }
 
 #[test]
@@ -100,11 +113,12 @@ fn mixed_type_selections_with_in_lists_end_to_end() {
          AND R.cat IN ('a', 'b', 'd') AND R.score < 7.5 AND S.tag <> 'zz'",
     )
     .unwrap();
-    let report = run_and_verify(&catalog, &query, checked());
-    assert!(
-        !report.results.is_empty(),
-        "workload should produce matches"
-    );
+    for report in run_and_verify(&catalog, &query, checked()) {
+        assert!(
+            !report.results.is_empty(),
+            "workload should produce matches"
+        );
+    }
 }
 
 #[test]
@@ -166,10 +180,11 @@ fn all_policies_agree_on_cyclic_query() {
             seed: 100 + i as u64,
             ..checked()
         };
-        canons.push(run_and_verify(&catalog, &query, config).canonical(&catalog, &query));
+        for report in run_and_verify(&catalog, &query, config) {
+            canons.push(report.canonical(&catalog, &query));
+        }
     }
-    assert_eq!(canons[0], canons[1]);
-    assert_eq!(canons[1], canons[2]);
+    assert!(canons.windows(2).all(|w| w[0] == w[1]));
 }
 
 #[test]
@@ -180,9 +195,10 @@ fn table3_q1_exactness_and_probe_count() {
         ..Table3Config::default()
     };
     let (catalog, query, _, _) = Table3::q1(&cfg).unwrap();
-    let report = run_and_verify(&catalog, &query, checked());
-    assert_eq!(report.results.len(), 200);
-    assert_eq!(report.counter("index_probes"), 50);
+    for report in run_and_verify(&catalog, &query, checked()) {
+        assert_eq!(report.results.len(), 200);
+        assert_eq!(report.counter("index_probes"), 50);
+    }
 }
 
 #[test]
@@ -200,8 +216,9 @@ fn table3_q4_exactness_under_hybrid_policy() {
         },
         ..checked()
     };
-    let report = run_and_verify(&catalog, &query, config);
-    assert_eq!(report.results.len(), 150);
+    for report in run_and_verify(&catalog, &query, config) {
+        assert_eq!(report.results.len(), 150);
+    }
 }
 
 /// The eddy and every baseline operator agree on the result multiset.
@@ -220,8 +237,7 @@ fn eddy_and_baselines_agree() {
     catalog.add_scan(s, ScanSpec::with_rate(150.0)).unwrap();
     let query = parse_query(&catalog, "SELECT * FROM R, S WHERE R.v = S.v").unwrap();
 
-    let eddy = run_and_verify(&catalog, &query, checked());
-    let expected = eddy.results.len();
+    let expected = run_and_verify(&catalog, &query, checked())[0].results.len();
 
     let r_stream = ArrivalStream::from_scan(catalog.table_expect(r), &ScanSpec::with_rate(200.0));
     let s_stream = ArrivalStream::from_scan(catalog.table_expect(s), &ScanSpec::with_rate(150.0));
@@ -288,16 +304,16 @@ fn projection_applied_at_output() {
         .unwrap();
     catalog.add_scan(r, ScanSpec::with_rate(100.0)).unwrap();
     let query = parse_query(&catalog, "SELECT R.v FROM R WHERE R.v >= 7").unwrap();
-    let report = run_and_verify(&catalog, &query, checked());
-    let canon = report.canonical(&catalog, &query);
-    assert_eq!(
-        canon,
-        vec![
-            vec![Value::Int(7)],
-            vec![Value::Int(8)],
-            vec![Value::Int(9)]
-        ]
-    );
+    for report in run_and_verify(&catalog, &query, checked()) {
+        assert_eq!(
+            report.canonical(&catalog, &query),
+            vec![
+                vec![Value::Int(7)],
+                vec![Value::Int(8)],
+                vec![Value::Int(9)]
+            ]
+        );
+    }
 }
 
 #[test]
@@ -383,11 +399,12 @@ fn multi_member_in_list_binds_index_only_table() {
         "SELECT * FROM R, S WHERE R.v = S.v AND S.key IN (3, 7, 11)",
     )
     .unwrap();
-    let report = run_and_verify(&catalog, &query, checked());
-    assert!(!report.results.is_empty(), "members should find matches");
-    // One index lookup per IN member; every R tuple's fan-out coalesces
-    // onto those three in-flight/answered keys.
-    assert_eq!(report.counter("index_probes"), 3);
+    for report in run_and_verify(&catalog, &query, checked()) {
+        assert!(!report.results.is_empty(), "members should find matches");
+        // One index lookup per IN member; every R tuple's fan-out
+        // coalesces onto those three in-flight/answered keys.
+        assert_eq!(report.counter("index_probes"), 3);
+    }
 }
 
 #[test]
@@ -415,6 +432,7 @@ fn float_and_string_join_keys() {
     catalog.add_scan(b, ScanSpec::default()).unwrap();
     // Float(1.0) must join Int(1) (SQL numeric equality).
     let query = parse_query(&catalog, "SELECT * FROM fa, fb WHERE fa.k = fb.k").unwrap();
-    let report = run_and_verify(&catalog, &query, checked());
-    assert_eq!(report.results.len(), 1);
+    for report in run_and_verify(&catalog, &query, checked()) {
+        assert_eq!(report.results.len(), 1);
+    }
 }

@@ -181,6 +181,18 @@ fn store_of(case: &Case) -> StoreKind {
 
 const CASES: u64 = 48;
 
+/// The routing batch sizes every case runs at: 1 is the paper's
+/// tuple-at-a-time eddy, 64 the batched default.
+const BATCH_SIZES: [usize; 2] = [1, 64];
+
+/// `config` at every batch size in [`BATCH_SIZES`].
+fn at_each_batch(config: ExecConfig) -> impl Iterator<Item = ExecConfig> {
+    BATCH_SIZES.into_iter().map(move |batch_size| ExecConfig {
+        batch_size,
+        ..config.clone()
+    })
+}
+
 /// Theorems 1–2: exact results, any topology × policy × store × seed.
 #[test]
 fn eddy_matches_reference() {
@@ -202,18 +214,22 @@ fn eddy_matches_reference() {
             max_events: 20_000_000,
             ..ExecConfig::default()
         };
-        let report = EddyExecutor::build(&catalog, &query, config)
-            .expect("plan")
-            .run();
-        assert!(
-            report.violations.is_empty(),
-            "case {i}: violations: {:?}",
-            report.violations
-        );
         let expected =
             reference::canonical(&catalog, &query, &reference::execute(&catalog, &query));
-        let got = report.canonical(&catalog, &query);
-        assert_eq!(got, expected, "case {i} mismatch: {}", report.summary());
+        for config in at_each_batch(config) {
+            let batch = config.batch_size;
+            let report = EddyExecutor::build(&catalog, &query, config)
+                .expect("plan")
+                .run();
+            assert!(
+                report.violations.is_empty(),
+                "case {i} batch {batch}: violations: {:?}",
+                report.violations
+            );
+            let got = report.canonical(&catalog, &query);
+            let summary = report.summary();
+            assert_eq!(got, expected, "case {i} batch {batch} mismatch: {summary}");
+        }
     }
 }
 
@@ -238,17 +254,21 @@ fn relaxed_buildfirst_matches_reference() {
             max_events: 20_000_000,
             ..ExecConfig::default()
         };
-        let report = EddyExecutor::build(&catalog, &query, config)
-            .expect("plan")
-            .run();
-        assert!(
-            report.violations.is_empty(),
-            "case {i}: violations: {:?}",
-            report.violations
-        );
         let expected =
             reference::canonical(&catalog, &query, &reference::execute(&catalog, &query));
-        assert_eq!(report.canonical(&catalog, &query), expected, "case {i}");
+        for config in at_each_batch(config) {
+            let batch = config.batch_size;
+            let report = EddyExecutor::build(&catalog, &query, config)
+                .expect("plan")
+                .run();
+            assert!(
+                report.violations.is_empty(),
+                "case {i} batch {batch}: violations: {:?}",
+                report.violations
+            );
+            let got = report.canonical(&catalog, &query);
+            assert_eq!(got, expected, "case {i} batch {batch}");
+        }
     }
 }
 
@@ -259,19 +279,22 @@ fn identical_runs_are_identical() {
         let mut rng = SimRng::new(0xD3 ^ i);
         let case = case(&mut rng);
         let (catalog, query) = build_case(&case);
-        let mk = || ExecConfig {
+        let config = ExecConfig {
             policy: policy_of(&case),
             seed: case.seed,
             ..ExecConfig::default()
         };
-        let a = EddyExecutor::build(&catalog, &query, mk())
-            .expect("plan")
-            .run();
-        let b = EddyExecutor::build(&catalog, &query, mk())
-            .expect("plan")
-            .run();
-        assert_eq!(a.end_time, b.end_time, "case {i}");
-        assert_eq!(a.events, b.events, "case {i}");
-        assert_eq!(a.results.len(), b.results.len(), "case {i}");
+        for config in at_each_batch(config) {
+            let batch = config.batch_size;
+            let a = EddyExecutor::build(&catalog, &query, config.clone())
+                .expect("plan")
+                .run();
+            let b = EddyExecutor::build(&catalog, &query, config)
+                .expect("plan")
+                .run();
+            assert_eq!(a.end_time, b.end_time, "case {i} batch {batch}");
+            assert_eq!(a.events, b.events, "case {i} batch {batch}");
+            assert_eq!(a.results.len(), b.results.len(), "case {i} batch {batch}");
+        }
     }
 }
