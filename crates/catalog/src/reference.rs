@@ -8,6 +8,7 @@
 
 use crate::{Catalog, QuerySpec};
 use std::cmp::Ordering;
+use std::hint::black_box;
 use stems_types::{TableIdx, Tuple, Value};
 
 /// Compute the full result set of `q` by nested loops.
@@ -69,17 +70,41 @@ fn project_cols(cols: &[(TableIdx, usize)], tuple: &Tuple) -> Vec<Value> {
         .collect()
 }
 
+/// Tuples [`canonical`] projects per chunk: enough independent loads in
+/// flight at each level, few enough that what one level brought into
+/// cache is still there for the next.
+const CHUNK: usize = 32;
+
 /// Canonical, order-insensitive form of a result multiset: each tuple
 /// flattened to its projected values, the whole list sorted. Two executors
 /// agree iff their canonical forms are equal. The projection is resolved
 /// once per call, not per tuple.
+///
+/// A projected value sits three dependent loads deep — the tuple's
+/// component array, the component's row header, the value cell — so the
+/// tuples are projected in chunks, one level at a time across a chunk:
+/// the loads of one level depend only on the level before, so the misses
+/// of different tuples overlap instead of following one another. The
+/// level passes fold what they read into a [`black_box`], so the compiler
+/// keeps them.
 ///
 /// Only identical rows tie under the sort's order, so an unstable sort in
 /// place gives the one answer a stable sort would, whatever order the
 /// tuples came in.
 pub fn canonical(catalog: &Catalog, q: &QuerySpec, tuples: &[Tuple]) -> Vec<Vec<Value>> {
     let cols = projection(catalog, q);
-    let mut rows: Vec<Vec<Value>> = tuples.iter().map(|t| project_cols(&cols, t)).collect();
+    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(tuples.len());
+    for chunk in tuples.chunks(CHUNK) {
+        let comps = || chunk.iter().flat_map(Tuple::components);
+        black_box(comps().map(|c| usize::from(c.table.0)).sum::<usize>());
+        black_box(comps().map(|c| c.row.values().len()).sum::<usize>());
+        let cells = chunk.iter().flat_map(|t| {
+            let held = cols.iter().filter_map(|&(table, col)| t.value(table, col));
+            held.map(Value::approx_bytes)
+        });
+        black_box(cells.sum::<usize>());
+        rows.extend(chunk.iter().map(|t| project_cols(&cols, t)));
+    }
     rows.sort_unstable_by(|a, b| {
         for (x, y) in a.iter().zip(b.iter()) {
             let ord = canonical_cmp(x, y);

@@ -2498,4 +2498,180 @@ mod tests {
             );
         }
     }
+
+    /// `R(k, a) ⋈ S(k, a)` on `a`, both scanned at one row a virtual
+    /// microsecond in chunks of 8 (cut to the batch size) — far faster
+    /// than a SteM serves them, so every module the rows reach keeps a
+    /// queue.
+    fn burst2() -> (Catalog, QuerySpec) {
+        let mut c = Catalog::new();
+        let schema = Schema::of(&[("k", ColumnType::Int), ("a", ColumnType::Int)]);
+        let mut tables = Vec::new();
+        for (name, rows) in [("R", 120i64), ("S", 40)] {
+            let rows = (0..rows).map(|i| vec![i.into(), (i % 20).into()]).collect();
+            let def = TableDef::new(name, schema.clone()).with_rows(rows);
+            let source = c.add_table(def).unwrap();
+            let scan = ScanSpec::with_rate(1_000_000.0).with_chunk(8);
+            c.add_scan(source, scan).unwrap();
+            tables.push(TableInstance {
+                source,
+                alias: name.to_lowercase(),
+            });
+        }
+        let join = Predicate::join(
+            PredId(0),
+            ColRef::new(TableIdx(0), 1),
+            CmpOp::Eq,
+            ColRef::new(TableIdx(1), 1),
+        );
+        let q = QuerySpec::new(&c, tables, vec![join], None).unwrap();
+        (c, q)
+    }
+
+    /// §4.1's queue jump, at every batch size — the tuple-at-a-time
+    /// engine's one-member envelopes included: with a user-interest
+    /// predicate the interesting results come out earlier in the result
+    /// stream than without one, and the result multiset is the same.
+    #[test]
+    fn prioritized_envelopes_jump_module_queues_at_every_batch_size() {
+        let (catalog, query) = burst2();
+        let interest = Predicate::selection(
+            PredId(9),
+            ColRef::new(TableIdx(0), 1),
+            CmpOp::Lt,
+            Value::Int(4),
+        );
+        // Mean position of the interesting results in emission order.
+        let mean_rank = |report: &Report| {
+            let ranks = report.results.iter().enumerate();
+            let ranks: Vec<usize> = ranks
+                .filter(|(_, t)| interest.eval(*t) == Some(true))
+                .map(|(i, _)| i)
+                .collect();
+            assert!(!ranks.is_empty());
+            ranks.iter().sum::<usize>() as f64 / ranks.len() as f64
+        };
+        for batch_size in BATCH_SIZES {
+            let run = |priority_pred| {
+                let config = ExecConfig {
+                    batch_size,
+                    priority_pred,
+                    check_constraints: true,
+                    ..ExecConfig::default()
+                };
+                let report = EddyExecutor::build(&catalog, &query, config).unwrap().run();
+                assert!(report.violations.is_empty(), "{:?}", report.violations);
+                report
+            };
+            let (plain, boosted) = (run(None), run(Some(interest.clone())));
+            assert_eq!(
+                boosted.canonical(&catalog, &query),
+                plain.canonical(&catalog, &query)
+            );
+            let (plain_rank, boosted_rank) = (mean_rank(&plain), mean_rank(&boosted));
+            assert!(
+                boosted_rank < 0.8 * plain_rank,
+                "batch {batch_size}: mean rank {boosted_rank} prioritized, {plain_rank} plain"
+            );
+        }
+    }
+
+    /// Routes as `inner` does, and records every feedback it is given.
+    struct Recording {
+        inner: Box<dyn RoutingPolicy>,
+        seen: crate::sync::Arc<crate::sync::Mutex<Vec<Feedback>>>,
+    }
+
+    impl RoutingPolicy for Recording {
+        fn choose(
+            &mut self,
+            tuple: &Tuple,
+            state: &TupleState,
+            actions: &[(Action, Hint)],
+            rng: &mut SimRng,
+        ) -> usize {
+            self.inner.choose(tuple, state, actions, rng)
+        }
+
+        fn choose_batch(
+            &mut self,
+            batch: &TupleBatch,
+            state: &TupleState,
+            actions: &[(Action, Hint)],
+            rng: &mut SimRng,
+        ) -> usize {
+            self.inner.choose_batch(batch, state, actions, rng)
+        }
+
+        fn feedback(&mut self, fb: &Feedback) {
+            self.inner.feedback(fb);
+            crate::sync::lock_ok(&self.seen).push(fb.clone());
+        }
+
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    /// The adaptive policies learn from every member of every envelope,
+    /// one-member envelopes — the whole batch-1 engine — included: each
+    /// SteM probe reports once per probing tuple (`stem_probes`) and each
+    /// selection once per verdict (`sm_applied`), fused and unfused, at
+    /// batch 1 and 64, under every policy.
+    #[test]
+    fn policies_hear_every_probe_and_selection_at_every_batch_size() {
+        let (catalog, query) = sel2();
+        let kinds = [
+            RoutingPolicyKind::default(),
+            RoutingPolicyKind::Lottery,
+            RoutingPolicyKind::BenefitCost {
+                epsilon: 0.1,
+                drop_rate: 0.0,
+            },
+        ];
+        for (batch_size, fuse_selections) in BATCH_SIZES
+            .into_iter()
+            .flat_map(|b| [(b, true), (b, false)])
+        {
+            for policy in &kinds {
+                let cell = format!("batch {batch_size} fuse {fuse_selections} {policy:?}");
+                let config = ExecConfig {
+                    policy: policy.clone(),
+                    batch_size,
+                    fuse_selections,
+                    check_constraints: true,
+                    ..ExecConfig::default()
+                };
+                let mut exec = EddyExecutor::build(&catalog, &query, config).unwrap();
+                let seen = crate::sync::Arc::default();
+                exec.policy = Box::new(Recording {
+                    inner: policy.build(),
+                    seen: crate::sync::Arc::clone(&seen),
+                });
+                let report = exec.run();
+                assert!(
+                    report.violations.is_empty(),
+                    "{cell}: {:?}",
+                    report.violations
+                );
+                let seen = crate::sync::lock_ok(&seen);
+                let probes = seen
+                    .iter()
+                    .filter(|f| matches!(f, Feedback::StemProbe { .. }))
+                    .count();
+                let selected = |pred| {
+                    let of = |f: &&Feedback| matches!(f, Feedback::Selected { pred: p, .. } if *p == pred);
+                    seen.iter().filter(of).count()
+                };
+                let (first, second) = (selected(PredId(1)), selected(PredId(2)));
+                assert!(probes > 0 && first > 0 && second > 0, "{cell}");
+                assert_eq!(probes as u64, report.counter("stem_probes"), "{cell}");
+                assert_eq!(
+                    (first + second) as u64,
+                    report.counter("sm_applied"),
+                    "{cell}"
+                );
+            }
+        }
+    }
 }

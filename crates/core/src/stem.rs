@@ -71,8 +71,13 @@
 //!    is hashed ([`HashedKey`]) straight onto its column's key list.
 //! 2. **Look up** — one flat index descent per bound column
 //!    ([`Store::lookup_eq_flat`]): every key of the envelope is resolved
-//!    before any result is formed, and the store reads the precomputed
-//!    hashes, never re-hashing.
+//!    before any result is formed, level by level across the keys, and
+//!    the store reads the precomputed hashes, never re-hashing. Then,
+//!    for an envelope of more than one probe, one sweep reads `ts[slot]`
+//!    of every candidate, so the timestamp rules of the next pass read
+//!    the column from cache: the sweep's loads do not depend on one
+//!    another, where pass 3's wait behind each candidate's predicate test
+//!    and concatenation.
 //! 3. **Form results** — into the caller's reply arena, in batch order.
 //!    A candidate past the timestamp rules is tested against the
 //!    newly-evaluable predicates as a (probe tuple, row) pair, and only a
@@ -83,6 +88,7 @@ use crate::links::TableLinks;
 use crate::sync::Arc;
 use crate::tuple_state::{CompletionNeed, TupleState};
 use std::collections::VecDeque;
+use std::hint::black_box;
 use stems_catalog::{QuerySpec, SourceId};
 use stems_storage::fxhash::FxHashSet;
 use stems_storage::{CandidateBuf, RowSet, Slot, Store, StoreKind};
@@ -748,11 +754,18 @@ impl Stem {
 
         // Pass 2: one flat descent per column, every key resolved before
         // any result is formed: the store reads the precomputed hashes,
-        // never re-hashing.
+        // never re-hashing. Then, for an envelope of more than one probe,
+        // every candidate's build timestamp in one sweep whose loads
+        // overlap, for pass 3's timestamp rules.
         for (ci, col) in cols.iter().enumerate() {
             self.store.lookup_eq_flat(*col, &keys[ci], &mut bufs[ci]);
         }
         let slab = self.store.slab();
+        if batch.len() > 1 {
+            let candidates = plans.iter().flatten();
+            let stamps = candidates.flat_map(|(ci, ki)| bufs[*ci].candidates(*ki));
+            black_box(stamps.map(|slot| self.ts[*slot as usize]).max());
+        }
 
         // `newly_evaluable` is a pure function of (result span, donebits):
         // as bitsets, the predicates to test and the donebits every

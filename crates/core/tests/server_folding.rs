@@ -14,6 +14,11 @@ use stems_types::{CmpOp, ColRef, ColumnType, PredId, Predicate, Schema, TableIdx
 /// R(key, a=key%10) x60, S(x, y=x%5) x10, T(z, w=z*100) x5 — all with
 /// scan AMs at distinct rates so EOTs interleave across sources.
 fn family_catalog() -> (Catalog, SourceId, SourceId, SourceId) {
+    chunked_family_catalog(1)
+}
+
+/// [`family_catalog`] with every scan delivering `chunk` rows an event.
+fn chunked_family_catalog(chunk: usize) -> (Catalog, SourceId, SourceId, SourceId) {
     let mut c = Catalog::new();
     let r = c
         .add_table(
@@ -54,9 +59,10 @@ fn family_catalog() -> (Catalog, SourceId, SourceId, SourceId) {
             ),
         )
         .unwrap();
-    c.add_scan(r, ScanSpec::with_rate(2000.0)).unwrap();
-    c.add_scan(s, ScanSpec::with_rate(1000.0)).unwrap();
-    c.add_scan(t, ScanSpec::with_rate(500.0)).unwrap();
+    for (source, rate) in [(r, 2000.0), (s, 1000.0), (t, 500.0)] {
+        c.add_scan(source, ScanSpec::with_rate(rate).with_chunk(chunk))
+            .unwrap();
+    }
     (c, r, s, t)
 }
 
@@ -218,6 +224,39 @@ fn folding_is_invariant_across_concurrency() {
                     &solo[i % 6],
                     &format!("q{i} of N={n} {cell}"),
                 );
+            }
+        }
+    }
+}
+
+/// Scans whose catalog chunk exceeds the routing batch size, at batch 1
+/// (chunk 8) and at batch 64 (chunk 256): the server's shared scan
+/// streams must cut their chunks to the batch size as a solo executor's
+/// scans do. Folded, each query's report is bit-identical to its solo
+/// server run, and it matches the classic executor's in what the scan's
+/// chunking decides: the ordered results, the end time and every curve
+/// (the classic executor also counts its scan's own events and routing
+/// batches, which the server's streams take off it).
+#[test]
+fn shared_scans_clamp_their_chunks_to_the_batch_size() {
+    for (chunk, batch_size) in [(8, 1), (256, 64)] {
+        let (c, r, s, t) = chunked_family_catalog(chunk);
+        let queries: Vec<QuerySpec> = (0..6).map(|i| query_for(&c, r, s, t, i)).collect();
+        for config in cells().filter(|cfg| cfg.batch_size == batch_size) {
+            let cell = format!("chunk {chunk} {}", cell(&config));
+            let (reports, stats) = run_server(&c, &queries, &config, true);
+            assert_eq!(stats.scan_streams, 3, "{cell}");
+            for (i, sr) in reports.iter().enumerate() {
+                let ctx = format!("folded q{i} {cell}");
+                let q = std::slice::from_ref(&queries[i]);
+                let (mut alone, _) = run_server(&c, q, &config, true);
+                assert_reports_identical(&sr.report, &alone.remove(0).report, &ctx);
+                let classic = EddyExecutor::build(&c, &queries[i], config.clone())
+                    .unwrap()
+                    .run();
+                let got = &sr.report;
+                assert_eq!(got.results, classic.results, "{ctx}: ordered results");
+                assert_eq!(got.end_time, classic.end_time, "{ctx}: end time");
             }
         }
     }

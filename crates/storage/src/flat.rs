@@ -13,6 +13,12 @@
 //! Every key of the envelope gets its own span, duplicates included: a
 //! key repeated within one envelope is rare enough that remembering the
 //! keys already resolved costs more than resolving them again.
+//!
+//! A third column, the **heads**, is the indexed lookup's working set: one
+//! entry per key, holding the key's chain head and whether that head's row
+//! holds the key. The lookup fills it level by level across the whole
+//! envelope (see [`crate::Store::lookup_eq_flat`]) before it writes any
+//! span, and it keeps its capacity like the other two.
 
 use crate::slab::Slot;
 
@@ -25,6 +31,9 @@ pub struct CandidateBuf {
     slots: Vec<Slot>,
     /// Per input key, its `[start, end)` range in `slots`.
     spans: Vec<(usize, usize)>,
+    /// Per input key of an indexed lookup: its chain head (`NIL` when it
+    /// has none) and whether the head's row holds the key.
+    heads: Vec<(Slot, bool)>,
 }
 
 impl CandidateBuf {
@@ -36,6 +45,21 @@ impl CandidateBuf {
     pub(crate) fn reset(&mut self) {
         self.slots.clear();
         self.spans.clear();
+        self.heads.clear();
+    }
+
+    /// The heads column, to fill one entry per key (unverified: `false`)
+    /// from `heads`.
+    pub(crate) fn set_heads(&mut self, heads: impl Iterator<Item = Slot>) -> &mut [(Slot, bool)] {
+        self.heads.clear();
+        self.heads.extend(heads.map(|h| (h, false)));
+        &mut self.heads
+    }
+
+    /// Key `i`'s chain head and its verdict.
+    #[inline]
+    pub(crate) fn head(&self, i: usize) -> (Slot, bool) {
+        self.heads[i]
     }
 
     /// Keys resolved so far.

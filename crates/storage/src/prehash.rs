@@ -89,7 +89,24 @@ impl SlotChains {
     pub fn chain(&self, hash: u64) -> Chain<'_> {
         Chain {
             next: &self.next,
-            at: self.ends.get(&hash).map_or(NIL, |(first, _)| *first),
+            at: self.head(hash),
+        }
+    }
+
+    /// The first slot pushed under `hash` (still chained), or [`NIL`]:
+    /// one bucket read, and nothing of the chain behind it.
+    #[inline]
+    pub(crate) fn head(&self, hash: u64) -> Slot {
+        self.ends.get(&hash).map_or(NIL, |(first, _)| *first)
+    }
+
+    /// The slots chained after `slot`, in push order — the rest of a
+    /// chain whose head the caller already holds.
+    #[inline]
+    pub(crate) fn after(&self, slot: Slot) -> Chain<'_> {
+        Chain {
+            next: &self.next,
+            at: successor(&self.next, slot),
         }
     }
 

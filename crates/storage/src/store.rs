@@ -3,9 +3,10 @@
 
 use crate::flat::CandidateBuf;
 use crate::prehash::SlotChains;
-use crate::slab::{Slab, Slot};
+use crate::slab::{Slab, Slot, NIL};
+use std::hint::black_box;
 use std::sync::Arc;
-use stems_types::{HashedKey, KeyHash, Row, Value};
+use stems_types::{HashedKey, Row, Value};
 
 /// Normalize a value for use as an equality-index key.
 ///
@@ -155,35 +156,77 @@ impl Store {
         }
     }
 
-    /// Append to `out` the slot of **every** stored row whose column `col`
-    /// holds `key`, in insertion order. `key` is an equality normal form
-    /// ([`index_key`]) and `hash` its [`Value::stable_key_hash`], computed
-    /// once by the caller and never re-hashed here. Non-equality
-    /// predicates go through the slab's live slots.
-    fn lookup_slots(&self, col: usize, key: &Value, hash: KeyHash, out: &mut CandidateBuf) {
-        let index = self.indexes.iter().find(|(c, _)| *c == col);
-        match index.filter(|_| self.indexed) {
-            Some((_, chains)) => self.slab.filter_eq(col, key, chains.chain(hash.get()), out),
-            // No index on this column (yet): scan-filter. Correct, just
-            // slower — a SteM probed on an unindexed predicate.
-            None => self.slab.filter_eq(col, key, self.slab.live_slots(), out),
-        }
-    }
-
     /// The flat batch-lookup hot path: one candidate span per key, written
     /// into the caller-owned, reusable `out` arena (no per-key
     /// allocations, no row handles cloned). Keys arrive with their
-    /// equality hash precomputed ([`HashedKey`]); every key resolves on its
-    /// own, so a repeated key walks its chain again and gets a span equal
-    /// to, but separate from, the first; NULL/EOT keys match nothing.
-    /// All keys are resolved before the caller forms any result, so the
-    /// chain walks of one envelope overlap their cache misses.
+    /// equality hash precomputed ([`HashedKey`]) and are never re-hashed
+    /// here; every key resolves on its own, so a repeated key walks its
+    /// chain again and gets a span equal to, but separate from, the first;
+    /// NULL/EOT keys match nothing. Each span lists **every** stored row
+    /// whose column `col` holds the key, in insertion order.
+    ///
+    /// On an indexed column the envelope is resolved level by level, not
+    /// key by key. Reaching a key's first candidate is four dependent
+    /// loads — the hash bucket, the slab entry, the row header, the key
+    /// cell — and one key's loads cannot start before the previous one
+    /// lands, so a key-by-key walk waits on every miss in turn. Here each
+    /// level is one pass over all keys, and the loads of one pass depend
+    /// on the previous pass only, not on each other, so the processor
+    /// overlaps the misses of different keys (group prefetching with
+    /// plain loads):
+    ///
+    /// 1. every key's chain head, into `out`'s heads column;
+    /// 2. every head's slab entry;
+    /// 3. every head's row header;
+    /// 4. every head's key cell, which decides whether the head holds the
+    ///    key.
+    ///
+    /// Passes 2 and 3 fold what they read into a [`std::hint::black_box`]
+    /// accumulator, so the compiler cannot drop them; an envelope of one
+    /// key skips them. Only then is each span written: the verified head,
+    /// then the rest of its chain, walked and compared slot by slot — by
+    /// now usually from cache, since most chains hold one row.
+    ///
+    /// An unindexed column (or store) scan-filters the live slots once per
+    /// key: correct, just slower — a SteM probed on an unindexed
+    /// predicate.
     pub fn lookup_eq_flat(&self, col: usize, keys: &[HashedKey], out: &mut CandidateBuf) {
         out.reset();
-        for key in keys {
+        let index = self.indexes.iter().find(|(c, _)| *c == col);
+        let Some((_, chains)) = index.filter(|_| self.indexed) else {
+            for key in keys {
+                let start = out.begin_key();
+                if let Some(k) = key.key() {
+                    self.slab.filter_eq(col, k, self.slab.live_slots(), out);
+                }
+                out.commit_key(start);
+            }
+            return;
+        };
+        let slab = &self.slab;
+        let heads = out.set_heads(keys.iter().map(|key| match key.hash() {
+            Some(h) => chains.head(h.get()),
+            None => NIL,
+        }));
+        // One key has no other key's misses to overlap with.
+        if keys.len() > 1 {
+            let live = heads.iter().filter(|(h, _)| slab.row(*h).is_some());
+            black_box(live.count());
+            let held = heads.iter().filter_map(|(h, _)| slab.row(*h));
+            black_box(held.map(|row| row.values().len()).sum::<usize>());
+        }
+        for ((head, verdict), key) in heads.iter_mut().zip(keys) {
+            let cell = slab.row(*head).and_then(|row| row.get(col));
+            *verdict = cell.zip(key.key()).is_some_and(|(v, k)| key_matches(v, k));
+        }
+        for (i, key) in keys.iter().enumerate() {
             let start = out.begin_key();
-            if let (Some(k), Some(h)) = (key.key(), key.hash()) {
-                self.lookup_slots(col, k, h, out);
+            let (head, verdict) = out.head(i);
+            if verdict {
+                out.push_slot(head);
+            }
+            if let Some(k) = key.key().filter(|_| head != NIL) {
+                slab.filter_eq(col, k, chains.after(head), out);
             }
             out.commit_key(start);
         }

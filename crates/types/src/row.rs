@@ -18,14 +18,20 @@ const HEADER_BYTES: usize = 16;
 /// design where SteM indexes are "secondary indexes having pointers to the
 /// same tuples in memory" (§2.1.4).
 ///
-/// Whether the row is an EOT tuple is decided once, by [`Row::new`]: the
-/// values never change, so neither does the answer. Equality and hashing
-/// are over the values alone — the flag is a function of them.
+/// Whether the row is an EOT tuple, and what it weighs in the memory
+/// accounting, are decided once, by [`Row::new`]: the values never change,
+/// so neither do the answers. Equality and hashing are over the values
+/// alone — the flag and the weight are functions of them.
 #[derive(Clone)]
 pub struct Row {
     values: Box<[Value]>,
     eot: bool,
+    /// [`Row::approx_bytes`], saturated at `u32::MAX`: it sits in the
+    /// padding after `eot`, so the row stays three words.
+    bytes: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Row>() == 24);
 
 impl PartialEq for Row {
     fn eq(&self, other: &Row) -> bool {
@@ -44,8 +50,10 @@ impl Hash for Row {
 impl Row {
     /// Build a row from values.
     pub fn new(values: Vec<Value>) -> Row {
+        let bytes = HEADER_BYTES + values.iter().map(Value::approx_bytes).sum::<usize>();
         Row {
             eot: values.iter().any(Value::is_eot),
+            bytes: u32::try_from(bytes).unwrap_or(u32::MAX),
             values: values.into_boxed_slice(),
         }
     }
@@ -73,9 +81,12 @@ impl Row {
         self.eot
     }
 
-    /// Approximate heap footprint for memory accounting.
+    /// Approximate heap footprint for memory accounting: a fixed header
+    /// plus every value's [`Value::approx_bytes`]. Read off the weight
+    /// [`Row::new`] summed, not a walk of the values.
+    #[inline]
     pub fn approx_bytes(&self) -> usize {
-        HEADER_BYTES + self.values.iter().map(Value::approx_bytes).sum::<usize>()
+        self.bytes as usize
     }
 }
 
@@ -145,6 +156,19 @@ mod tests {
         }
         // Different values, different flags: unequal, as the values are.
         assert_ne!(Row::new(vec![Value::Eot]), Row::new(vec![Value::Null]));
+    }
+
+    /// The weight `Row::new` stores is the header plus every value's.
+    #[test]
+    fn approx_bytes_is_the_sum_of_the_values() {
+        for values in [
+            vec![],
+            vec![Value::Int(1), Value::Null],
+            vec![Value::str("hello"), Value::Float(0.5), Value::Eot],
+        ] {
+            let want = HEADER_BYTES + values.iter().map(Value::approx_bytes).sum::<usize>();
+            assert_eq!(Row::new(values).approx_bytes(), want);
+        }
     }
 
     #[test]

@@ -173,6 +173,101 @@ fn hash_collisions_resolve_by_value_on_every_backend() {
     }
 }
 
+/// Envelopes of the size `join_sharded` probes at once (1 024 keys) and a
+/// little past it, against stores of a few thousand rows, where the
+/// indexed lookup's level passes run over many heads: chains longer than
+/// one (a key domain much smaller than the store, and `colliding_float`
+/// rows that share a chain with an `Int` they do not equal, so a chain's
+/// head may fail verification while its tail matches), NULL/EOT rows and
+/// keys, keys no row holds — and the same store after `remove` has
+/// unlinked heads, middles and tails of chains, after `compact` has
+/// renumbered it, and after rows arrive again. Every span must be the
+/// slots a naive filter of the slab selects, in insertion order, on every
+/// store kind, through one reused arena.
+#[test]
+fn flat_lookup_matches_naive_filter_on_large_envelopes() {
+    let colliders: Vec<Value> = (0..64).filter_map(colliding_float).collect();
+    let key = |rng: &mut SimRng| match rng.below(12) {
+        0 => Value::Null,
+        1 => Value::Eot,
+        2 | 3 => colliders[rng.below(colliders.len() as u64) as usize].clone(),
+        4 => Value::Float(rng.range_inclusive(0, 400) as f64), // coerces to Int
+        5 => Value::Int(rng.range_inclusive(401, 500)),        // held by no row
+        _ => Value::Int(rng.range_inclusive(0, 400)),
+    };
+    for seed in 0..2u64 {
+        let mut rng = SimRng::new(0x1E7E1 ^ seed);
+        let row_of = |rng: &mut SimRng, i: usize| {
+            let k = key(rng);
+            let k = if matches!(k, Value::Int(v) if v > 400) {
+                Value::Null
+            } else {
+                k
+            };
+            Row::shared(vec![k, Value::Int(i as i64)])
+        };
+        let rows: Vec<Arc<Row>> = (0..2_000 + rng.below(1_500) as usize)
+            .map(|i| row_of(&mut rng, i))
+            .collect();
+        let keys: Vec<Value> = (0..1_000 + rng.below(100)).map(|_| key(&mut rng)).collect();
+        let mut stores: Vec<(StoreKind, Store)> = kinds()
+            .into_iter()
+            .map(|kind| {
+                let mut store = kind.build(&[0]);
+                store.insert_batch(rows.clone());
+                (kind, store)
+            })
+            .collect();
+        let mut buf = CandidateBuf::new();
+        // Checks every store and returns the candidates answered.
+        let mut check = |stores: &[(StoreKind, Store)], step: &str| -> usize {
+            let slab = stores[0].1.slab();
+            let mut naive: Vec<(Value, Vec<Slot>)> = Vec::new();
+            let hashed: Vec<HashedKey> = keys.iter().cloned().map(HashedKey::new).collect();
+            for (kind, store) in stores {
+                let ctx = format!("seed {seed} {kind:?} {step}");
+                assert!(slab.live_slots().eq(store.slab().live_slots()), "{ctx}");
+                store.lookup_eq_flat(0, &hashed, &mut buf);
+                assert_eq!(buf.num_keys(), keys.len(), "{ctx}");
+                for (i, raw) in keys.iter().enumerate() {
+                    let want = match naive.iter().position(|(k, _)| k == raw) {
+                        Some(at) => &naive[at].1,
+                        None => {
+                            let held = |s: &Slot| slab.row(*s).unwrap().get(0).unwrap().sql_eq(raw);
+                            naive.push((raw.clone(), slab.live_slots().filter(held).collect()));
+                            &naive[naive.len() - 1].1
+                        }
+                    };
+                    assert_eq!(buf.candidates(i), want, "{ctx}: key {i} {raw:?}");
+                }
+            }
+            buf.rows_stored()
+        };
+        assert!(
+            check(&stores, "built") > keys.len(),
+            "seed {seed}: the envelope should reach chains longer than one"
+        );
+        let doomed: Vec<Slot> = (0..rows.len() as Slot)
+            .filter(|_| rng.below(3) == 0)
+            .collect();
+        for (_, store) in &mut stores {
+            for slot in &doomed {
+                assert!(store.remove(*slot).is_some());
+            }
+        }
+        check(&stores, "after remove");
+        for (_, store) in &mut stores {
+            store.compact();
+        }
+        check(&stores, "after compact");
+        let again: Vec<Arc<Row>> = (0..500).map(|i| row_of(&mut rng, rows.len() + i)).collect();
+        for (_, store) in &mut stores {
+            store.insert_batch(again.clone());
+        }
+        check(&stores, "after compact and more rows");
+    }
+}
+
 mod stem_model {
     //! What the two SteM-level properties below share: the R ⋈ S fixture
     //! and a probe oracle that shares no code with the SteM.
