@@ -13,7 +13,7 @@
 
 use crate::links::TableLinks;
 use crate::stem::{make_eot_row, make_scan_eot_row};
-use crate::sync::Arc;
+use std::sync::Arc;
 use stems_catalog::{IndexSpec, IndexTable, QuerySpec, ScanSpec, SourceId};
 use stems_sim::{burst_gap, secs_f, StallWindows, Time};
 use stems_storage::fxhash::FxHashSet;
@@ -414,7 +414,7 @@ impl IndexAm {
 
     /// Current backlog estimate: pending lookups (plus in-service ones)
     /// times the per-lookup latency, divided across servers.
-    pub(crate) fn queue_delay(&self, _now: Time) -> Time {
+    pub(crate) fn queue_delay(&self) -> Time {
         let servers = self.spec.concurrency.max(1) as u64;
         (self.pending.len() as u64 + self.busy as u64) * self.spec.latency_us / servers
     }
@@ -790,7 +790,7 @@ mod tests {
         assert_eq!(o2, IndexProbeOutcome::Queued);
         assert_eq!(am.probes_issued, 1);
         assert_eq!(am.pending.len(), 1);
-        assert!(am.queue_delay(10) > 0);
+        assert!(am.queue_delay() > 0);
         // Responses: matches + EOT; then the pending lookup starts.
         let resp = am.respond(&k1.unwrap(), &q);
         assert_eq!(resp.len(), 3); // two x=10 rows + EOT

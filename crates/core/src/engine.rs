@@ -39,8 +39,9 @@
 //! `PlanLayout::graph`; and the router fills one candidate buffer the
 //! executor owns. It runs once per run of members with equal routing keys
 //! (`router::RouteKey`: everything the router reads of a member), not once
-//! per member. `stems-lint`'s `metric-by-name` rule and
-//! `tests/alloc_route.rs` keep it that way. (`format!` remains in configuration errors, in id
+//! per member. Clippy's `disallowed_methods` (by-name `Metrics::bump` and
+//! `Metrics::observe` are banned in this crate, `crates/core/clippy.toml`)
+//! and `tests/alloc_route.rs` keep it that way. (`format!` remains in configuration errors, in id
 //! resolution at build, and in violation and trace messages, which a
 //! correct untraced run never builds.)
 //!
@@ -373,6 +374,10 @@ macro_rules! metric_ids {
                 }
             }
         }
+
+        /// The `counts` names: the metrics that keep no series.
+        #[cfg(test)]
+        pub(crate) const COUNTS: &[&str] = &[$(stringify!($count)),*];
     };
 }
 
@@ -392,8 +397,9 @@ metric_ids! {
         end,
         stem_bytes_total,
     }
-    // Totals only: read as `counter`, never as a curve (`stems-lint`'s
-    // `series-of-count` rule holds every reader to that).
+    // Totals only: read as `counter`, never as a curve (the test
+    // `source_guard::no_count_is_read_as_a_series` holds every reader to
+    // that).
     counts {
         am_dup_builds,
         am_fresh_builds,
@@ -1567,7 +1573,7 @@ impl EddyExecutor {
             }
             Action::ProbeAm { mid, .. } => {
                 let backlog = match &self.modules[*mid] {
-                    Module::IndexAm(am) => am.queue_delay(self.now) + am.spec.latency_us,
+                    Module::IndexAm(am) => am.queue_delay() + am.spec.latency_us,
                     _ => 0,
                 };
                 backlog + c.am_accept_us * (1 + self.rt[*mid].queue.len() as u64)
@@ -2579,7 +2585,7 @@ mod tests {
     /// Routes as `inner` does, and records every feedback it is given.
     struct Recording {
         inner: Box<dyn RoutingPolicy>,
-        seen: crate::sync::Arc<crate::sync::Mutex<Vec<Feedback>>>,
+        seen: std::sync::Arc<crate::sync::Lock<Vec<Feedback>>>,
     }
 
     impl RoutingPolicy for Recording {
@@ -2605,7 +2611,7 @@ mod tests {
 
         fn feedback(&mut self, fb: &Feedback) {
             self.inner.feedback(fb);
-            crate::sync::lock_ok(&self.seen).push(fb.clone());
+            self.seen.lock_ok().push(fb.clone());
         }
 
         fn name(&self) -> &'static str {
@@ -2643,10 +2649,10 @@ mod tests {
                     ..ExecConfig::default()
                 };
                 let mut exec = EddyExecutor::build(&catalog, &query, config).unwrap();
-                let seen = crate::sync::Arc::default();
+                let seen = std::sync::Arc::default();
                 exec.policy = Box::new(Recording {
                     inner: policy.build(),
-                    seen: crate::sync::Arc::clone(&seen),
+                    seen: std::sync::Arc::clone(&seen),
                 });
                 let report = exec.run();
                 assert!(
@@ -2654,7 +2660,7 @@ mod tests {
                     "{cell}: {:?}",
                     report.violations
                 );
-                let seen = crate::sync::lock_ok(&seen);
+                let seen = seen.lock_ok();
                 let probes = seen
                     .iter()
                     .filter(|f| matches!(f, Feedback::StemProbe { .. }))

@@ -156,15 +156,15 @@
 //!
 //! # Correctness tooling
 //!
-//! All synchronization goes through `sync`, a re-export of
-//! `std::sync` plus the crate's poison policy, and the compiler denies
-//! `unsafe_code` everywhere but the test-only counting allocator.
-//! Clippy denies `unwrap` and `expect` in the query server's non-test
-//! code. `stems-lint` (`cargo run -p stems-lint`) enforces the shim
-//! funnel, keeps thread spawning in `runtime`, and guards the
-//! virtual-time discipline.
-
-#![deny(unsafe_code)]
+//! The crate locks only through `sync::Lock`, whose accessors carry the
+//! poison policy, and the workspace denies `unsafe_code` everywhere but
+//! the test-only counting allocator. Clippy (`crates/core/clippy.toml`)
+//! bans the `std::sync` locks and atomics outside `sync`, thread spawning
+//! outside `runtime`, wall-clock reads, by-name metric updates and the
+//! SipHash maps, and denies `unwrap` and `expect` in the query server's
+//! non-test code. `source_guard`, a test module, checks what no lint
+//! states: rows addressed by slot, no lock in or around a SteM, and no
+//! count read as a series.
 
 pub mod am;
 pub mod engine;
@@ -177,6 +177,8 @@ pub mod router;
 mod runtime;
 mod server;
 mod sm;
+#[cfg(test)]
+mod source_guard;
 pub mod stem;
 mod sync;
 #[cfg(test)]

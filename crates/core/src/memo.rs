@@ -24,7 +24,9 @@
 //! `UdfSpec` (folding, PR 7's registry idiom): query B never re-pays a
 //! verdict query A bought.
 
-use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
+use crate::sync::Lock;
+use std::ops::DerefMut;
+use std::sync::Arc;
 use stems_storage::{Slot, SlotChains};
 use stems_types::{HashedKey, Value};
 
@@ -170,7 +172,7 @@ impl MemoState {
 
 /// A capacity-bounded verdict memo. See the module docs.
 pub struct MemoCache {
-    state: Mutex<MemoState>,
+    state: Lock<MemoState>,
     budget: usize,
 }
 
@@ -178,7 +180,7 @@ impl MemoCache {
     /// A cache of `budget_bytes`. `num_shards` is ignored.
     pub fn new(_num_shards: usize, budget_bytes: usize) -> MemoCache {
         MemoCache {
-            state: Mutex::new(MemoState::default()),
+            state: Lock::default(),
             budget: budget_bytes.max(1),
         }
     }
@@ -217,11 +219,11 @@ impl MemoCache {
         self.state().bytes
     }
 
-    fn state(&self) -> MutexGuard<'_, MemoState> {
+    fn state(&self) -> impl DerefMut<Target = MemoState> + '_ {
         // Poison recovery: the memo is pure performance state — a
         // panicking evaluator may have died mid-insert, so discard the
         // contents; an empty cache is always correct.
-        lock_recover(&self.state, MemoState::clear)
+        self.state.lock_recover(MemoState::clear)
     }
 }
 

@@ -146,7 +146,8 @@ mod tests {
     #[test]
     fn summary_mentions_key_counters() {
         let mut m = Metrics::new();
-        m.bump("index_probes", 5, 3);
+        let index_probes = m.id("index_probes");
+        m.bump_id(index_probes, 5, 3);
         let r = Report {
             results: vec![],
             metrics: m,

@@ -4,14 +4,14 @@
 //! Between two server waves, [`crate::server::QueryServer`] steps the
 //! wave's independent executors with `for_each_parallel`: the caller
 //! and up to `workers − 1` scoped threads (`std::thread::scope`) claim
-//! executors off one atomic cursor until none is left, and the scope's
+//! executors off one counter until none is left, and the scope's
 //! join is the barrier. Which thread steps which executor is
 //! nondeterministic, but each is stepped by exactly one thread and the
 //! wave is merged back in a fixed order, so server reports are
 //! bit-identical at every worker budget (`tests/server_folding.rs`).
 
-use crate::sync::atomic::{AtomicUsize, Ordering};
-use crate::sync::{lock_ok, Mutex, OnceLock};
+use crate::sync::{Claims, Lock};
+use std::sync::OnceLock;
 
 /// Worker threads the host can actually run in parallel (affinity/cgroup
 /// aware), cached once per process: the default worker budget of the
@@ -27,10 +27,12 @@ pub(crate) fn host_parallelism() -> usize {
 
 /// Apply `step` to every item exactly once, on the caller and up to
 /// `min(workers, items.len()) − 1` scoped threads. Each item sits in an
-/// uncontended `Mutex` lane — the cursor hands a lane to exactly one
+/// uncontended [`Lock`] lane — the cursor hands a lane to exactly one
 /// thread — which moves the `&mut` access across threads. Returns once
 /// every item was stepped; a panicking step is re-raised here after the
 /// other threads have drained the remaining items.
+// One of the two places the engine starts threads.
+#[allow(clippy::disallowed_methods)]
 pub(crate) fn for_each_parallel<T: Send>(
     items: &mut [T],
     workers: usize,
@@ -41,12 +43,12 @@ pub(crate) fn for_each_parallel<T: Send>(
         items.iter_mut().for_each(step);
         return;
     }
-    let lanes: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-    let cursor = AtomicUsize::new(0);
-    let drain = || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(lane) = lanes.get(i) else { break };
-        step(&mut lock_ok(lane));
+    let lanes: Vec<Lock<&mut T>> = items.iter_mut().map(Lock::new).collect();
+    let cursor = Claims::default();
+    let drain = || {
+        while let Some(lane) = lanes.get(cursor.next()) {
+            step(&mut lane.lock_ok());
+        }
     };
     std::thread::scope(|scope| {
         for _ in 1..runners {
@@ -66,6 +68,8 @@ impl WorkerPool {
         &WorkerPool
     }
 
+    // The other place the engine starts threads.
+    #[allow(clippy::disallowed_methods)]
     pub fn scope<'env, R>(
         &self,
         _workers: usize,
@@ -160,31 +164,27 @@ mod tests {
     #[test]
     fn worker_budget_one_still_completes() {
         let pool = WorkerPool::global();
-        let counter = AtomicUsize::new(0);
+        let counter = Lock::new(0);
         pool.scope(1, |scope| {
             for _ in 0..32 {
-                scope.spawn(0, || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
+                scope.spawn(0, || *counter.lock_ok() += 1);
             }
         });
-        assert_eq!(counter.load(Ordering::Relaxed), 32);
+        assert_eq!(*counter.lock_ok(), 32);
     }
 
     #[test]
     fn task_panic_propagates_after_barrier() {
         let pool = WorkerPool::global();
-        let flag = AtomicUsize::new(0);
+        let flag = Lock::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.scope(2, |scope| {
                 scope.spawn(0, || panic!("task boom"));
-                scope.spawn(1, || {
-                    flag.fetch_add(1, Ordering::Relaxed);
-                });
+                scope.spawn(1, || *flag.lock_ok() += 1);
             });
         }));
         assert!(result.is_err(), "task panic must reach the scope caller");
         // The scope joined the healthy sibling before re-raising.
-        assert_eq!(flag.load(Ordering::Relaxed), 1);
+        assert_eq!(*flag.lock_ok(), 1);
     }
 }

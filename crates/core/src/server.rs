@@ -147,9 +147,9 @@ use crate::memo::{MemoCache, MemoCell, DEFAULT_MEMO_SHARDS};
 use crate::report::ServerReport;
 use crate::runtime::for_each_parallel;
 use crate::stem::{make_scan_eot_row, BuildResult, Stem, StemOptions};
-use crate::sync::Arc;
 use crate::tuple_state::TupleState;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use stems_catalog::{AccessMethodDef, Catalog, QuerySpec, ScanSpec, SourceId};
 use stems_sim::{EventQueue, Time};
 use stems_types::{Row, StemsError, TableIdx, Timestamp, Tuple, TupleBatch};

@@ -85,10 +85,10 @@
 //!    answers in insertion order, which is ascending build timestamp.
 
 use crate::links::TableLinks;
-use crate::sync::Arc;
 use crate::tuple_state::{CompletionNeed, TupleState};
 use std::collections::VecDeque;
 use std::hint::black_box;
+use std::sync::Arc;
 use stems_catalog::{QuerySpec, SourceId};
 use stems_storage::fxhash::FxHashSet;
 use stems_storage::{CandidateBuf, RowSet, Slot, Store, StoreKind};
@@ -2418,7 +2418,7 @@ mod tests {
         let ints: Vec<usize> = (0..64).map(|k| part(Value::Int(k))).collect();
         let floats: Vec<usize> = (0..64).map(|k| part(Value::Float(k as f64))).collect();
         assert_eq!(ints, floats);
-        let used: std::collections::HashSet<&usize> = ints.iter().collect();
+        let used: FxHashSet<&usize> = ints.iter().collect();
         assert!(used.len() > 1, "the keys must spread over partitions");
     }
 

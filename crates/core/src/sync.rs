@@ -1,43 +1,70 @@
-//! The crate's single doorway to synchronization primitives: a
-//! zero-cost re-export of `std::sync`, plus the crate's poison policy.
+//! The crate's one lock and its one claim counter: the only code that
+//! names a `std::sync` scheduling primitive or an atomic.
 //!
-//! `stems-lint` enforces the funnel: no `std::sync` primitive imports
-//! outside this module, and no `.lock().unwrap()` outside the poison
-//! helpers below. The poison policy is uniform across the crate:
+//! `clippy.toml` bans those types everywhere else, and [`Lock`] has no
+//! `lock()`: its only accessors carry the crate's poison policy, so a
+//! poison-blind `.lock().unwrap()` cannot be written outside this file.
 //!
-//! * [`lock_ok`] — shrug the poison off and keep the data. For state
-//!   that is updated atomically with respect to panics — today the
+//! * [`Lock::lock_ok`] — shrug the poison off and keep the data. For
+//!   state that is updated atomically with respect to panics — today the
 //!   runtime's executor lanes, each holding only a `&mut` to its item:
 //!   the value behind the lock is still structurally valid, and
 //!   propagating poison would only turn one panic into a cascade.
-//! * [`lock_recover`] — clear the poison mark and run a caller-supplied
-//!   repair first. For state that may be mid-mutation when its holder
-//!   dies — today the verdict memo's shards ([`crate::memo`]): the repair
-//!   discards the half-written cache, which is pure performance state.
+//! * [`Lock::lock_recover`] — clear the poison mark and run a
+//!   caller-supplied repair first. For state that may be mid-mutation
+//!   when its holder dies — today the verdict memo ([`crate::memo`]): the
+//!   repair discards the half-written cache, which is pure performance
+//!   state.
+#![allow(clippy::disallowed_types)]
 
-pub(crate) use std::sync::atomic;
-pub(crate) use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Lock `mutex`, shrugging off poison and keeping the data as-is. See
-/// the module docs for when this is the right recovery.
-pub(crate) fn lock_ok<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+/// A mutex reachable only through the poison policy above.
+#[derive(Default)]
+pub(crate) struct Lock<T: ?Sized>(Mutex<T>);
+
+impl<T> Lock<T> {
+    pub(crate) fn new(value: T) -> Lock<T> {
+        Lock(Mutex::new(value))
+    }
 }
 
-/// Lock `mutex`; on poison, clear the mark, run `repair` on the data,
-/// and hand back the repaired guard. `repair` is not called on the
-/// clean path.
-pub(crate) fn lock_recover<'a, T: ?Sized>(
-    mutex: &'a Mutex<T>,
-    repair: impl FnOnce(&mut T),
-) -> MutexGuard<'a, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            mutex.clear_poison();
-            let mut guard = poisoned.into_inner();
-            repair(&mut guard);
-            guard
+impl<T: ?Sized> Lock<T> {
+    /// Lock, shrugging off poison and keeping the data as-is.
+    pub(crate) fn lock_ok(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Lock; on poison, clear the mark, run `repair` on the data, and
+    /// hand back the repaired guard. `repair` is not called on the clean
+    /// path.
+    pub(crate) fn lock_recover(&self, repair: impl FnOnce(&mut T)) -> MutexGuard<'_, T> {
+        match self.0.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => {
+                self.0.clear_poison();
+                let mut guard = poisoned.into_inner();
+                repair(&mut guard);
+                guard
+            }
         }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.0.is_poisoned()
+    }
+}
+
+/// Hands out 0, 1, 2, … across threads, each number exactly once: the
+/// cursor the runtime's threads claim work items off.
+#[derive(Default)]
+pub(crate) struct Claims(AtomicUsize);
+
+impl Claims {
+    /// The next unclaimed number.
+    pub(crate) fn next(&self) -> usize {
+        self.0.fetch_add(1, Ordering::Relaxed)
     }
 }

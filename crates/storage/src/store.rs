@@ -595,6 +595,8 @@ mod tests {
     }
 
     #[test]
+    // The one thread started outside the engine's runtime.
+    #[allow(clippy::disallowed_methods)]
     fn stores_are_shareable_across_threads() {
         // Sharded SteMs probe shard stores from scoped threads via &self.
         fn assert_sync<T: Sync + Send>() {}

@@ -5,68 +5,20 @@
 //! and the build-timestamp column are more such columns. So building N
 //! rows may allocate only for *growth* — a logarithmic number of
 //! reallocations of a few vectors and tables — and dropping what was
-//! built frees only those, however many distinct keys it indexed. A
-//! counting global allocator (as in `tests/alloc_probe.rs`) turns that
-//! into assertions; a per-key bucket or position list anywhere on the
-//! path shows as thousands of counts against a bound of 128.
-//!
-//! One `#[test]` on purpose: the counters are process-wide, and a second
-//! test running beside this one would be counted into it.
+//! built frees only those, however many distinct keys it indexed. The
+//! counting global allocator of `tests/common/` turns that into
+//! assertions; a per-key bucket or position list anywhere on the path
+//! shows as thousands of counts against a bound of 128.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static FREES: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards to `System` unchanged; the counters are
-// plain atomics and cannot re-enter the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's contract is passed through to `System`.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
+use common::counted;
 use std::sync::Arc;
 use stems::catalog::SourceId;
 use stems::core::stem::{BuildResult, StemOptions};
 use stems::core::{Stem, TupleState};
 use stems::storage::StoreKind;
 use stems::types::{Row, TableIdx, Timestamp, Tuple, TupleBatch, Value};
-
-/// `(allocations, frees)` across `f`.
-fn counted<R>(f: impl FnOnce() -> R) -> ((usize, usize), R) {
-    let before = (
-        ALLOCS.load(Ordering::Relaxed),
-        FREES.load(Ordering::Relaxed),
-    );
-    let out = f();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before.0;
-    let frees = FREES.load(Ordering::Relaxed) - before.1;
-    ((allocs, frees), out)
-}
 
 const ROWS: usize = 4096;
 /// Growth only: a few vectors and tables, each doubling ~12 times.

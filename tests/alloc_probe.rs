@@ -21,47 +21,9 @@
 //!   selection on the SteM's table rejects it — tested on the (probe
 //!   tuple, row) pair, so the rejected candidate is never concatenated.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
-struct CountingAlloc;
-
-thread_local! {
-    // `const` and without a destructor: touching it never allocates.
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` unchanged; `count` only
-// updates a thread-local integer and cannot re-enter the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's contract is passed through to `System`.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
+use common::counted;
 use stems::catalog::{Catalog, QuerySpec, ScanSpec, SourceId, TableDef, TableInstance};
 use stems::core::stem::{ProbeReplySet, StemOptions};
 use stems::core::{Stem, TupleState};
@@ -150,9 +112,8 @@ fn counts(replies: &ProbeReplySet) -> (usize, usize) {
 /// Counts are per thread, so the tests of this file cannot see each other
 /// or the harness.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
+    let ((allocs, _), out) = counted(f);
+    (allocs, out)
 }
 
 #[test]

@@ -2,62 +2,23 @@
 //!
 //! The routing path promises that nothing it does *per tuple besides the
 //! join work* allocates: a metric update by [`MetricId`] is an indexed
-//! write plus a series push. A counting global allocator (as in
-//! `tests/alloc_probe.rs`) turns that promise into an assertion; the
+//! write plus a series push. The counting global allocator of
+//! `tests/common/` turns that promise into an assertion; the
 //! router's own half (routing into a warm buffer allocates nothing) is a
 //! unit test beside it, `router::tests::route_into_a_warm_buffer_never_allocates`.
 //!
 //! Counts are per thread, so the test cannot see the test harness, and it
 //! builds no executor, so no engine configuration moves its counts.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
-struct CountingAlloc;
-
-thread_local! {
-    // `const` and without a destructor: touching it never allocates.
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` unchanged; `count` only
-// updates a thread-local integer and cannot re-enter the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's contract is passed through to `System`.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
+use common::counted;
 use stems::sim::Metrics;
 
 /// Allocations (and reallocations) this thread makes across `f`.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
+    let ((allocs, _), out) = counted(f);
+    (allocs, out)
 }
 
 #[test]

@@ -31,51 +31,13 @@
 //! query; an engine that allocates its deliveries, groups, envelopes and
 //! predicate lists per envelope reads 11.25 and 1.47.
 //!
-//! Counts are per thread (as in `alloc_route.rs`), so the two tests cannot
+//! Counts are per thread (`tests/common/`), so the two tests cannot
 //! see each other or the harness, and every `ExecConfig` field is spelled
 //! out, so a change to the defaults moves no count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
-struct CountingAlloc;
-
-thread_local! {
-    // `const` and without a destructor: touching it never allocates.
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` unchanged; `count` only
-// updates a thread-local integer and cannot re-enter the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's contract is passed through to `System`.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
+use common::counted;
 use stems::catalog::{Catalog, IndexSpec, QuerySpec, ScanSpec, TableDef};
 use stems::core::engine::CostModel;
 use stems::core::plan::PlanOptions;
@@ -214,11 +176,11 @@ fn routed_tuples(report: &Report) -> u64 {
 /// included; the report is dropped outside the count.
 fn run(setup: fn(usize) -> (Catalog, QuerySpec, ExecConfig), rows: usize) -> (usize, u64) {
     let (catalog, query, config) = setup(rows);
-    let before = ALLOCS.with(Cell::get);
-    let report = EddyExecutor::build(&catalog, &query, config)
-        .expect("plan")
-        .run();
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let ((allocs, _), report) = counted(|| {
+        EddyExecutor::build(&catalog, &query, config)
+            .expect("plan")
+            .run()
+    });
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert!(!report.results.is_empty());
     (allocs, routed_tuples(&report))
