@@ -4,13 +4,13 @@
 //! Between two server waves, [`crate::server::QueryServer`] steps the
 //! wave's independent executors with `for_each_parallel`: the caller
 //! and up to `workers − 1` scoped threads (`std::thread::scope`) claim
-//! executors off one counter until none is left, and the scope's
+//! executors off one atomic cursor until none is left, and the scope's
 //! join is the barrier. Which thread steps which executor is
 //! nondeterministic, but each is stepped by exactly one thread and the
 //! wave is merged back in a fixed order, so server reports are
 //! bit-identical at every worker budget (`tests/server_folding.rs`).
 
-use crate::sync::{Claims, Lock};
+use crate::sync::Lock;
 use std::sync::OnceLock;
 
 /// Worker threads the host can actually run in parallel (affinity/cgroup
@@ -31,8 +31,9 @@ pub(crate) fn host_parallelism() -> usize {
 /// thread — which moves the `&mut` access across threads. Returns once
 /// every item was stepped; a panicking step is re-raised here after the
 /// other threads have drained the remaining items.
-// One of the two places the engine starts threads.
-#[allow(clippy::disallowed_methods)]
+// One of the two places the engine starts threads; its work cursor is the
+// engine's one atomic.
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 pub(crate) fn for_each_parallel<T: Send>(
     items: &mut [T],
     workers: usize,
@@ -44,11 +45,11 @@ pub(crate) fn for_each_parallel<T: Send>(
         return;
     }
     let lanes: Vec<Lock<&mut T>> = items.iter_mut().map(Lock::new).collect();
-    let cursor = Claims::default();
-    let drain = || {
-        while let Some(lane) = lanes.get(cursor.next()) {
-            step(&mut lane.lock_ok());
-        }
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
+    let drain = || loop {
+        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let Some(lane) = lanes.get(i) else { break };
+        step(&mut lane.lock_ok());
     };
     std::thread::scope(|scope| {
         for _ in 1..runners {

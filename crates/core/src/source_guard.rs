@@ -15,7 +15,9 @@
 //!
 //! Comments are skipped; the first two checks skip string and char
 //! literals too. A line is test code when it lies inside a `#[cfg(test)]`
-//! item (the rule `tools/loc.py` counts by).
+//! item, the rule by which [`loc_report`] (ignored; run it with
+//! `cargo test -p stems-core --lib source_guard::loc_report -- --ignored
+//! --nocapture`) prints the non-test lines of each `crates/core/src` file.
 
 use std::path::{Path, PathBuf};
 
@@ -158,6 +160,18 @@ fn non_test(code: &str) -> Vec<(usize, &str)> {
         item = (!ended).then_some((depth, opened));
     }
     lines
+}
+
+/// The files of the modules `code` (comments blanked) declares test-only:
+/// `x.rs` for a `#[cfg(test)]` line followed by `mod x;`.
+fn test_mods(code: &str) -> Vec<String> {
+    let lines: Vec<&str> = code.lines().map(str::trim).collect();
+    lines
+        .windows(2)
+        .filter(|pair| pair[0] == "#[cfg(test)]")
+        .filter_map(|pair| pair[1].strip_prefix("mod ")?.strip_suffix(';'))
+        .map(|name| format!("{}.rs", name.trim()))
+        .collect()
 }
 
 /// The identifiers of `line`.
@@ -328,6 +342,36 @@ fn no_count_is_read_as_a_series() {
     );
 }
 
+/// The size report: non-test lines per `crates/core/src` file, in path
+/// order, and their total. A file declared `#[cfg(test)] mod x;` is all
+/// test. Run it on a parent checkout too to report a change's size.
+#[test]
+#[ignore = "a report, not a check"]
+fn loc_report() {
+    let root = repo().canonicalize().expect("the repository root exists");
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/core/src"), &mut files);
+    files.sort();
+    let code: Vec<String> = files.iter().map(|p| strip(&read(p), false)).collect();
+    let test_files: Vec<PathBuf> = files
+        .iter()
+        .zip(&code)
+        .flat_map(|(path, code)| test_mods(code).into_iter().map(|m| path.with_file_name(m)))
+        .collect();
+    let mut total = 0;
+    for (path, code) in files.iter().zip(&code) {
+        let lines = if test_files.contains(path) {
+            0
+        } else {
+            non_test(code).len()
+        };
+        total += lines;
+        let rel = path.strip_prefix(&root).unwrap_or(path);
+        println!("{lines:>7}  {}", rel.display());
+    }
+    println!("{total:>7}  total non-test lines, {} files", files.len());
+}
+
 /// Clippy reads only the config file nearest to a crate, so a ban added to
 /// `/clippy.toml` and not to `crates/core/clippy.toml` would not hold here.
 #[test]
@@ -435,4 +479,32 @@ fn panels(report: &Report, name: &str) -> Outcome {
 ";
     let reads = |l: &str| !count_series_reads(l, &counts).is_empty();
     assert_eq!(flagged(series, true, &reads), [2, 3]);
+}
+
+#[test]
+fn loc_counts_lines_outside_test_items() {
+    // 16 lines, of which 2 + 4 + 4 are test items: a body-less `mod x;`, a
+    // test-only method inside an impl and a test module. A brace in a
+    // string or a comment does not count.
+    let sample = "\
+fn a() {
+    let s = \"}\"; // {
+}
+#[cfg(test)]
+mod alloc;
+impl A {
+    #[cfg(test)]
+    fn only_in_tests(&self) -> bool {
+        true
+    }
+    fn b() {}
+}
+#[cfg(test)]
+mod tests {
+    fn t() {}
+}
+";
+    let code = strip(sample, false);
+    assert_eq!(non_test(&code).len(), 6);
+    assert_eq!(test_mods(&code), ["alloc.rs"]);
 }

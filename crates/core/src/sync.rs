@@ -1,5 +1,5 @@
-//! The crate's one lock and its one claim counter: the only code that
-//! names a `std::sync` scheduling primitive or an atomic.
+//! The crate's one lock: the only code that names a `std::sync` lock or
+//! guard.
 //!
 //! `clippy.toml` bans those types everywhere else, and [`Lock`] has no
 //! `lock()`: its only accessors carry the crate's poison policy, so a
@@ -17,7 +17,6 @@
 //!   state.
 #![allow(clippy::disallowed_types)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A mutex reachable only through the poison policy above.
@@ -54,17 +53,5 @@ impl<T: ?Sized> Lock<T> {
     #[cfg(test)]
     pub(crate) fn is_poisoned(&self) -> bool {
         self.0.is_poisoned()
-    }
-}
-
-/// Hands out 0, 1, 2, … across threads, each number exactly once: the
-/// cursor the runtime's threads claim work items off.
-#[derive(Default)]
-pub(crate) struct Claims(AtomicUsize);
-
-impl Claims {
-    /// The next unclaimed number.
-    pub(crate) fn next(&self) -> usize {
-        self.0.fetch_add(1, Ordering::Relaxed)
     }
 }
