@@ -130,6 +130,12 @@ pub struct ExecConfig {
     /// (`runtime::for_each_parallel`). Defaults to the host's available
     /// parallelism; the server suites run at 1, 2 and 4. `1` steps every
     /// executor on the server's thread. A single executor never reads it.
+    /// Splitting one probe envelope of ≥ 256 members across `workers`
+    /// threads (`runtime::for_each_parallel`, one `ProbeReplySet` per
+    /// chunk, concatenated in member order) was tried and lost: on a
+    /// 2-core host `join_sharded` fell from 1.52 M to 1.26 M rows/s
+    /// (0.83×, 6 of 6 pairs lost) — a thread scope per envelope costs
+    /// more than the probe work it spreads.
     pub workers: usize,
     /// Ignored; removed when `benchmark/` stops naming it.
     pub parallel_min_rows: usize,
@@ -265,6 +271,22 @@ enum Decision {
     Park(TableIdx),
     /// Group by the candidate list, for one policy decision per group.
     Route,
+}
+
+/// Whether a member the eddy routes is an EOT. Only a singleton can be:
+/// a SteM stores no EOT row and an index reply's EOT is a singleton, so no
+/// composite the engine forms holds one, and the cold component headers of
+/// a composite are never read to find that out.
+fn is_eot_member(tuple: &Tuple) -> bool {
+    tuple.is_singleton() && tuple.is_eot()
+}
+
+/// Where [`EddyExecutor::route_wave`] puts a routed member: the group the
+/// delivery hosts in place, or the `i`-th group it opened from the pool.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Home,
+    Open(usize),
 }
 
 /// Signal attached to a completed build, used to wake parked tuples.
@@ -790,9 +812,11 @@ impl EddyExecutor {
         origin_am: Option<usize>,
         shared: &Registry,
     ) {
-        let mut wave = self.waves.take();
+        let tuples = tuples.into_iter();
+        // Sized once to the chunk: the wave may become its own envelope.
+        let mut wave = self.waves.take_sized(tuples.size_hint().0);
         for tuple in tuples {
-            if origin_am.is_none() && !tuple.is_eot() {
+            if origin_am.is_none() && !is_eot_member(&tuple) {
                 self.metrics.bump_id(self.ids.scanned, self.now, 1);
             }
             let mut state = TupleState::new();
@@ -874,59 +898,77 @@ impl EddyExecutor {
         out
     }
 
+    /// A build's envelope is its own bounce-back wave: each fresh singleton
+    /// is stamped where it sits, and duplicates, EOTs and Grace-deferred
+    /// members are compacted out. A Grace release goes in, clustered, where
+    /// the first EOT stood among the survivors.
     fn process_build(&mut self, mid: usize, stem: &mut Stem, mut wave: Wave) -> (u64, Wave) {
         let table = stem.instance;
         let dur = self.config.costs.stem_build_us * (wave.len() as u64).max(1);
         let mut results = std::mem::take(&mut self.build_results);
         let mut ts = self.ts_counter;
         let built_before = stem.build_count();
-        // A fresh member moves into its result; the wave keeps an empty
-        // tuple in its place, which the drain below drops.
+        // A fresh member moves into its result, leaving an empty tuple in
+        // its place; the compaction below moves it back.
         let (tuples, states) = wave.tuples_mut();
         stem.build_batch_into(tuples, states, &mut ts, &mut results);
         self.ts_counter = ts;
-        let mut out = self.waves.take();
         let mut unparks = std::mem::take(&mut self.rt[mid].unparks);
+        // Grace mode: once the build phase has ended, the envelope's first
+        // EOT releases the withheld bounce-backs, clustered by partition —
+        // after the survivors ahead of it.
+        let releases = stem.scan_complete() && stem.deferred_len() > 0;
+        let mut release_at = None;
         // One AnyBuild wake-up per envelope is enough (parked tuples
         // re-park if still not helped); it keeps its place among the EOTs.
         let mut any_build = false;
-        for ((tuple, state, _), result) in wave.drain().zip(results.drain(..)) {
+        let mut survivors = 0;
+        let mut results_in_order = results.drain(..);
+        wave.compact(|_, tuple, state| {
+            let result = results_in_order.next().expect("one result per member");
             let fresh = matches!(result, BuildResult::Fresh(_) | BuildResult::Deferred);
-            match result {
+            let kept = match result {
                 BuildResult::Fresh(stamped) => {
-                    self.observe_am_build(&state, true);
-                    out.push(stamped, state, false);
+                    self.observe_am_build(state, true);
+                    *tuple = stamped;
+                    true
                 }
-                BuildResult::Deferred => self.observe_am_build(&state, true),
+                BuildResult::Deferred => {
+                    self.observe_am_build(state, true);
+                    false
+                }
                 BuildResult::Duplicate => {
-                    self.observe_am_build(&state, false);
+                    self.observe_am_build(state, false);
                     self.metrics
                         .bump_id(self.ids.duplicates_absorbed, self.now, 1);
+                    false
                 }
                 BuildResult::Eot => {
-                    if stem.scan_complete() && stem.deferred_len() > 0 {
-                        // Grace mode: the build phase ended; release the
-                        // withheld bounce-backs clustered by partition.
-                        for (tuple, state) in stem.release_deferred() {
-                            out.push(tuple, state, true);
-                        }
+                    if releases && release_at.is_none() {
+                        release_at = Some(survivors);
                     }
                     unparks.push(UnparkSignal::Eot {
                         table,
                         bindings: eot_bindings(&tuple.components()[0].row),
                     });
+                    false
                 }
-            }
+            };
             if fresh && !any_build {
                 any_build = true;
                 unparks.push(UnparkSignal::AnyBuild(table));
             }
+            survivors += usize::from(kept);
+            kept
+        });
+        drop(results_in_order);
+        if let Some(at) = release_at {
+            wave.insert_clustered(at, stem.release_deferred());
         }
         self.observe_stem_mem(stem, built_before);
         self.build_results = results;
         self.rt[mid].unparks = unparks;
-        self.waves.put(wave);
-        (dur, out)
+        (dur, wave)
     }
 
     fn process_probe(&mut self, stem: &Stem, table: TableIdx, mut wave: Wave) -> (u64, Wave) {
@@ -935,6 +977,12 @@ impl EddyExecutor {
         // the borrow, restored below): no per-tuple `Vec`s are built.
         let mut reply_set = std::mem::take(&mut self.reply_set);
         reply_set.clear();
+        // What the probe concatenates holds no EOT row: the stored row
+        // cannot (see `Stem::probe_linked_into`), nor can this prober.
+        debug_assert!(
+            wave.tuples().iter().all(|t| !t.is_eot()),
+            "EOTs are routed to builds alone"
+        );
         stem.probe_linked_into(
             links,
             wave.tuples().as_slice(),
@@ -946,9 +994,10 @@ impl EddyExecutor {
         let probe_units = wave.len() as u64;
         let clustered = wave.clustered();
 
-        // The probe drains its envelope: each member's concatenations,
-        // then the member itself if it bounced, in member order.
-        let mut out = self.waves.take();
+        // The probe drains its envelope into a wave sized to it: each
+        // member's concatenations, then the member itself if it bounced,
+        // in member order.
+        let mut out = self.waves.take_sized(wave.len());
         let (metas, mut results) = reply_set.metas_and_results();
         for ((tuple, state, _), reply) in wave.drain().zip(metas) {
             self.policy.feedback(&Feedback::StemProbe {
@@ -1229,31 +1278,43 @@ impl EddyExecutor {
     /// closes immediately and this is exactly the scalar routing loop —
     /// the same code, on the same recycled buffers.
     ///
-    /// A group is itself a [`Wave`] from the pool, its
-    /// [`Wave::actions`] the signature its members share. While open it
-    /// accumulates members; once it flushes (fills up, or the wave ends)
-    /// it awaits dispatch: full groups first, in fill order, then the
-    /// wave's leftovers, all dispatched in that order after the whole wave
-    /// is grouped. Queue-backlog hints are **not** captured at flush time:
-    /// earlier dispatches of the same burst shift module backlogs between
-    /// flush and dispatch, so any snapshot taken here would go stale
-    /// (ROADMAP "hint freshness"). `Hint::est_cost_us` is computed only
-    /// when the group is actually dequeued, in
+    /// A group is itself a [`Wave`], its [`Wave::actions`] the signature
+    /// its members share. A delivery that fits one envelope is its own
+    /// first group: the members that join it stay where they are, compacted
+    /// in place, and only members bound elsewhere move — into a group from
+    /// the pool, a result, a park. A key-uniform delivery thus becomes its
+    /// envelope without a member moving. A larger delivery moves every
+    /// member out, since its groups may fill and flush before it ends.
+    /// While open a group accumulates members; once it flushes (fills up,
+    /// or the wave ends) it awaits dispatch: full groups first, in fill
+    /// order, then the wave's leftovers in opening order, all dispatched
+    /// after the whole wave is grouped. Queue-backlog hints are **not**
+    /// captured at flush time: earlier dispatches of the same burst shift
+    /// module backlogs between flush and dispatch, so any snapshot taken
+    /// here would go stale (ROADMAP "hint freshness"). `Hint::est_cost_us`
+    /// is computed only when the group is actually dequeued, in
     /// [`EddyExecutor::dispatch_group`].
     fn route_wave(&mut self, mut wave: Wave, shared: &Registry) {
         let cap = self.config.batch_size.max(1);
         let mut groups = std::mem::take(&mut self.groups);
         let mut flushed = std::mem::take(&mut self.flushed);
         let mut acts = std::mem::take(&mut self.candidates);
-        let mut members = wave.drain();
+        // Whether the delivery may host its first group. Its members are at
+        // most one envelope, so no other group can fill before the wave
+        // ends, and the hosted group — opened first — dispatches first.
+        let hosts = wave.len() <= cap;
+        debug_assert!(wave.actions.is_empty(), "a delivery carries no signature");
+        // The hosted group's flags, once a member opens it.
+        let mut home: Option<(bool, bool)> = None;
+        let mut members = wave.sift();
         // The previous member's key and decision: `acts` holds that
         // decision's candidate list until a member with another key (or
-        // an EOT) rewrites it. And the open group the previous member
-        // joined, with its flags — the next member joins it too if its
-        // decision was reused and its flags are equal.
+        // an EOT) rewrites it. And the group the previous member joined,
+        // with its flags — the next member joins it too if its decision
+        // was reused and its flags are equal.
         let mut last: Option<(RouteKey, Decision)> = None;
-        let mut last_group: Option<(usize, bool, bool)> = None;
-        while let Some((tuple, mut state, clustered)) = members.next() {
+        let mut last_group: Option<(Slot, bool, bool)> = None;
+        while let Some((tuple, state, clustered)) = members.next() {
             state.hops += 1;
             if state.hops > self.config.max_hops {
                 self.metrics.bump_id(self.ids.hops_exceeded, self.now, 1);
@@ -1262,7 +1323,7 @@ impl EddyExecutor {
                 continue;
             }
 
-            let decision = if tuple.is_eot() {
+            let decision = if is_eot_member(tuple) {
                 // EOTs go straight to their table's SteM; they join the
                 // same build group as sibling data rows so arrival order
                 // into the SteM is preserved.
@@ -1275,7 +1336,7 @@ impl EddyExecutor {
                 (last, last_group) = (None, None);
                 Decision::Route
             } else {
-                let key = RouteKey::of(&self.modules, &self.layout, &tuple, &state);
+                let key = RouteKey::of(&self.modules, &self.layout, tuple, state);
                 match last {
                     Some((k, decision)) if k == key => {
                         // Debug builds decide again and compare. The router
@@ -1297,18 +1358,21 @@ impl EddyExecutor {
                     }
                 }
             };
+            let prio = state.prioritized;
             match decision {
                 Decision::Output => {
+                    let (tuple, state) = members.take();
                     self.output(tuple, &state);
                     continue;
                 }
                 Decision::Retire => {
                     self.metrics.bump_id(self.ids.retired, self.now, 1);
-                    self.record(crate::report::TraceKind::Retire, &tuple);
+                    self.record(crate::report::TraceKind::Retire, tuple);
                     continue;
                 }
                 Decision::Park(table) => {
-                    self.record(crate::report::TraceKind::Park { table }, &tuple);
+                    self.record(crate::report::TraceKind::Park { table }, tuple);
+                    let (tuple, state) = members.take();
                     self.park(tuple, state, table);
                     continue;
                 }
@@ -1319,22 +1383,39 @@ impl EddyExecutor {
             // open a new one (the only point the candidate list is
             // copied). Signature equality is what lets one policy decision
             // stand for every member.
-            let prio = state.prioritized;
-            let i = match last_group {
-                Some((i, c, p)) if c == clustered && p == prio => i,
+            let slot = match last_group {
+                Some((slot, c, p)) if c == clustered && p == prio => slot,
+                _ if home == Some((clustered, prio)) && *members.actions() == acts => Slot::Home,
                 _ => {
                     let open = groups.iter().position(|g| {
                         g.actions == acts && g.clustered() == clustered && g.prioritized() == prio
                     });
-                    open.unwrap_or_else(|| {
-                        // This member, and at most the rest of the delivery.
-                        let mut group = self.waves.take_sized(cap.min(members.len() + 1));
-                        group.actions.extend_from_slice(&acts);
-                        groups.push(group);
-                        groups.len() - 1
-                    })
+                    match open {
+                        Some(i) => Slot::Open(i),
+                        None if hosts && home.is_none() => {
+                            home = Some((clustered, prio));
+                            members.actions().extend_from_slice(&acts);
+                            Slot::Home
+                        }
+                        None => {
+                            // This member, and at most the rest of the
+                            // delivery.
+                            let rows = cap.min(members.remaining() + 1);
+                            let mut group = self.waves.take_sized(rows);
+                            group.actions.extend_from_slice(&acts);
+                            groups.push(group);
+                            Slot::Open(groups.len() - 1)
+                        }
+                    }
                 }
             };
+            let Slot::Open(i) = slot else {
+                debug_assert!(members.kept() < cap, "the hosted group never fills early");
+                members.keep(clustered);
+                last_group = Some((Slot::Home, clustered, prio));
+                continue;
+            };
+            let (tuple, state) = members.take();
             groups[i].push(tuple, state, clustered);
             // A full group flushes immediately (with cap 1 this
             // degenerates to the scalar per-tuple loop, preserving its
@@ -1343,14 +1424,18 @@ impl EddyExecutor {
                 flushed.push(groups.remove(i));
                 last_group = None;
             } else {
-                last_group = Some((i, clustered, prio));
+                last_group = Some((slot, clustered, prio));
             }
         }
         drop(members);
         self.candidates = acts;
-        self.waves.put(wave);
         flushed.append(&mut groups);
         self.touched.clear();
+        if wave.is_empty() {
+            self.waves.put(wave);
+        } else {
+            self.dispatch_group(wave);
+        }
         for group in flushed.drain(..) {
             self.dispatch_group(group);
         }
@@ -1418,7 +1503,7 @@ impl EddyExecutor {
         // From here on the wave is an envelope, not a group.
         group.actions.clear();
         if self.config.trace {
-            for tuple in group.tuples().iter().filter(|t| !t.is_eot()) {
+            for tuple in group.tuples().iter().filter(|t| !is_eot_member(t)) {
                 self.record(
                     crate::report::TraceKind::Route {
                         action: action.kind(),
@@ -1437,7 +1522,7 @@ impl EddyExecutor {
             // Constraints are per tuple: every member is verified against
             // the chosen action, not just a representative.
             for (tuple, state) in group.tuples().iter().zip(group.states()) {
-                if !tuple.is_eot() {
+                if !is_eot_member(tuple) {
                     self.check_choice(tuple, state, &action);
                 }
             }
@@ -2118,6 +2203,22 @@ mod tests {
             .iter()
             .all(|m| m.queue.is_empty() && m.out.is_none()));
         assert_eq!(exec.metrics.counter("scanned"), 1024 + 10_000);
+        // A single-member delivery is key-uniform: it is queued as its own
+        // envelope and takes no group buffer from the pool — which, emptied
+        // here, would have had to allocate one.
+        let mut wave = exec.waves.take();
+        while exec.waves.retained().0 > 0 {
+            exec.waves.take();
+        }
+        wave.push(row(0), TupleState::new(), false);
+        let buffer = wave.tuples().as_slice().as_ptr();
+        let (allocs, ()) = crate::test_alloc::allocs_during(|| exec.route_wave(wave, &[]));
+        assert_eq!(allocs, 0, "no group buffer was taken");
+        let queued = exec.rt.iter().flat_map(|rt| &rt.queue);
+        let envelopes: Vec<_> = queued
+            .map(|env| env.wave.tuples().as_slice().as_ptr())
+            .collect();
+        assert_eq!(envelopes, vec![buffer]);
     }
 
     /// A SteM's footprint is sampled once per build envelope, and only
@@ -2148,6 +2249,252 @@ mod tests {
         };
         assert_eq!(stem.build_count(), 104);
         assert_eq!(sampled, stem.approx_bytes() as f64);
+    }
+
+    /// A queued envelope as a test compares it: its module, its members in
+    /// order, and its clustered and priority flags.
+    type Queued = (usize, Vec<Tuple>, bool, bool);
+
+    /// Take every queued envelope out, module by module in queue order.
+    fn take_queued(exec: &mut EddyExecutor) -> Vec<Queued> {
+        let mut queued = Vec::new();
+        for (mid, rt) in exec.rt.iter_mut().enumerate() {
+            for Envelope { wave, .. } in rt.queue.drain(..) {
+                let members = wave.tuples().as_slice().to_vec();
+                queued.push((mid, members, wave.clustered(), wave.prioritized()));
+            }
+        }
+        queued
+    }
+
+    /// The envelopes member-by-member grouping makes of a delivery whose
+    /// groups each have one candidate: a member joins the open group of its
+    /// signature and flags or opens one, a full group flushes, the open
+    /// ones follow, and each queues at its candidate's module — at the
+    /// front if prioritized.
+    fn grouped_member_by_member(
+        exec: &EddyExecutor,
+        members: &[(Tuple, TupleState, bool)],
+    ) -> Vec<Queued> {
+        let cap = exec.config.batch_size;
+        let mut open: Vec<(Vec<Action>, Queued)> = Vec::new();
+        let mut groups = Vec::new();
+        for (tuple, state, clustered) in members {
+            let mut acts = Vec::new();
+            if tuple.is_eot() {
+                let table = tuple.components()[0].table;
+                let mid = exec.layout.stem_mid[table.as_usize()].unwrap();
+                acts.push(Action::Build { mid, table });
+            } else {
+                let key = RouteKey::of(&exec.modules, &exec.layout, tuple, state);
+                assert_eq!(exec.decide(&key, &[], &mut acts), Decision::Route);
+            }
+            assert_eq!(acts.len(), 1, "one candidate: no policy choice");
+            let flags = (*clustered, state.prioritized);
+            let i = match open
+                .iter()
+                .position(|(a, g)| *a == acts && (g.2, g.3) == flags)
+            {
+                Some(i) => i,
+                None => {
+                    let mid = acts[0].mid().unwrap();
+                    open.push((acts, (mid, Vec::new(), flags.0, flags.1)));
+                    open.len() - 1
+                }
+            };
+            open[i].1 .1.push(tuple.clone());
+            if open[i].1 .1.len() >= cap {
+                groups.push(open.remove(i).1);
+            }
+        }
+        groups.extend(open.into_iter().map(|(_, g)| g));
+        let mut queues = vec![VecDeque::new(); exec.rt.len()];
+        for group in groups {
+            if group.3 {
+                queues[group.0].push_front(group);
+            } else {
+                queues[group.0].push_back(group);
+            }
+        }
+        queues.into_iter().flatten().collect()
+    }
+
+    /// Whatever a delivery looks like, routing it queues exactly the
+    /// envelopes member-by-member grouping makes — whether the delivery
+    /// hosts its first group in place or every member moves out — and a
+    /// key-uniform delivery is queued as itself: the same buffer, each
+    /// member one hop on.
+    #[test]
+    fn a_delivery_queues_the_envelopes_member_by_member_grouping_makes() {
+        let (catalog, query) = star3();
+        let config = ExecConfig {
+            batch_size: 64,
+            ..ExecConfig::default()
+        };
+        let mut exec = EddyExecutor::build(&catalog, &query, config).unwrap();
+        let row =
+            |t: u8, k: i64| Tuple::singleton_of(TableIdx(t), vec![Value::Int(k), Value::Int(k)]);
+        let plain = |tuples: Vec<Tuple>| {
+            let member = |t| (t, TupleState::new(), false);
+            tuples.into_iter().map(member).collect::<Vec<_>>()
+        };
+        let uniform = plain((0..40).map(|k| row(0, k)).collect());
+        let last_differs = plain((0..39).map(|k| row(0, k)).chain([row(1, 0)]).collect());
+        let longer = plain((0..150).map(|k| row(0, k)).collect());
+        let mut flagged = plain((0..10).map(|k| row(0, k)).collect());
+        flagged[3].1.prioritized = true;
+        flagged[5].2 = true;
+        flagged[6].2 = true;
+        let eot = Tuple::singleton(TableIdx(0), crate::stem::make_scan_eot_row(2));
+        let with_eot = plain((0..20).map(|k| row(0, k)).chain([eot]).collect());
+        let deliveries = [uniform, last_differs, longer, flagged, with_eot];
+        let envelopes = [1, 2, 3, 3, 1];
+        for (members, n) in deliveries.iter().zip(envelopes) {
+            let expected = grouped_member_by_member(&exec, members);
+            assert_eq!(expected.len(), n);
+            let mut wave = exec.waves.take();
+            for (tuple, state, clustered) in members {
+                wave.push(tuple.clone(), state.clone(), *clustered);
+            }
+            let buffer = wave.tuples().as_slice().as_ptr();
+            exec.route_wave(wave, &[]);
+            let rt = exec.rt.iter().find(|rt| !rt.queue.is_empty()).unwrap();
+            let first = &rt
+                .queue
+                .iter()
+                .find(|env| !env.wave.prioritized())
+                .unwrap()
+                .wave;
+            assert!(first.states().iter().all(|s| s.hops == 1));
+            let hosted = first.tuples().as_slice().as_ptr() == buffer;
+            assert_eq!(
+                hosted,
+                members.len() <= 64,
+                "a delivery hosts its first group"
+            );
+            assert_eq!(take_queued(&mut exec), expected);
+        }
+    }
+
+    /// A build's envelope comes back as its own bounce-back wave: the same
+    /// buffer, each fresh member stamped where it sat, duplicates, EOTs
+    /// and Grace-deferred members gone. A Grace release goes in clustered
+    /// where the releasing EOT stood among the survivors — after them when
+    /// it is last — which is the order a drain of the envelope emits.
+    #[test]
+    fn a_build_envelope_bounces_back_in_place() {
+        // R holds a row twice, so its SteM keeps a duplicate filter.
+        let mut catalog = Catalog::new();
+        let schema = Schema::of(&[("k", ColumnType::Int), ("a", ColumnType::Int)]);
+        let mut sources = Vec::new();
+        for (name, rows) in [("R", vec![1, 1]), ("S", vec![1, 2])] {
+            let rows = rows
+                .into_iter()
+                .map(|k: i64| vec![k.into(), k.into()])
+                .collect();
+            let id = catalog
+                .add_table(TableDef::new(name, schema.clone()).with_rows(rows))
+                .unwrap();
+            catalog.add_scan(id, ScanSpec::default()).unwrap();
+            sources.push(id);
+        }
+        let instances = sources
+            .iter()
+            .zip(["r", "s"])
+            .map(|(src, a)| TableInstance {
+                source: *src,
+                alias: a.into(),
+            });
+        let join = Predicate::join(
+            PredId(0),
+            ColRef::new(TableIdx(0), 1),
+            CmpOp::Eq,
+            ColRef::new(TableIdx(1), 1),
+        );
+        let query = QuerySpec::new(&catalog, instances.collect(), vec![join], None).unwrap();
+        let config = ExecConfig {
+            batch_size: 64,
+            plan: PlanOptions {
+                default_stem: crate::stem::StemOptions {
+                    deferred_bounce: true,
+                    partitions: 2,
+                    mem_partitions: 1,
+                    ..Default::default()
+                },
+                ..PlanOptions::default()
+            },
+            ..ExecConfig::default()
+        };
+        let mut exec = EddyExecutor::build(&catalog, &query, config).unwrap();
+        let mid = exec.layout.stem_mid[0].unwrap();
+        let row = |k: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(k), Value::Int(k)]);
+        let held_back = |exec: &EddyExecutor, k: i64| {
+            stem_of(exec, 0).partition_of(&row(k).components()[0].row) > 0
+        };
+        let kept: Vec<i64> = (0..).filter(|k| !held_back(&exec, *k)).take(6).collect();
+        let deferred: Vec<i64> = (0..).filter(|k| held_back(&exec, *k)).take(4).collect();
+        let scan_eot = Tuple::singleton(TableIdx(0), crate::stem::make_scan_eot_row(2));
+        let key_eot = Tuple::singleton_of(TableIdx(0), vec![Value::Eot, Value::Int(kept[0])]);
+        // Build one envelope; the bounce-back wave's members, each with its
+        // key and clustered mark, and whether it is the envelope's buffer.
+        let build = |exec: &mut EddyExecutor, members: Vec<Tuple>| {
+            let mut wave = exec.waves.take();
+            for tuple in members {
+                wave.push(tuple, TupleState::new(), false);
+            }
+            let buffer = wave.tuples().as_slice().as_ptr();
+            let purpose = Purpose::Build;
+            let (_, mut out) = exec.process(mid, Envelope { wave, purpose }, &[]);
+            let same = out.tuples().as_slice().as_ptr() == buffer;
+            let members: Vec<(i64, bool)> = out
+                .drain()
+                .map(|(tuple, _, clustered)| {
+                    assert_ne!(tuple.timestamp(), stems_types::UNBUILT_TS, "stamped");
+                    let Value::Int(k) = tuple.components()[0].row.values()[0] else {
+                        panic!("a data row")
+                    };
+                    (k, clustered)
+                })
+                .collect();
+            (members, same)
+        };
+        // Before the scan ends: fresh members stay, in order; a duplicate,
+        // a deferred member and a keyed EOT leave.
+        let (a, b, c) = (kept[0], kept[1], kept[2]);
+        let first = [
+            row(a),
+            row(deferred[0]),
+            row(a),
+            key_eot,
+            row(b),
+            row(deferred[1]),
+        ];
+        assert_eq!(
+            build(&mut exec, first.to_vec()),
+            (vec![(a, false), (b, false)], true)
+        );
+        // The scan's EOT releases the withheld members, in partition order
+        // (one partition here, so build order), clustered, where the EOT
+        // stood: after the survivors ahead of it, before those behind it.
+        let members = vec![
+            row(c),
+            row(deferred[2]),
+            row(b),
+            scan_eot.clone(),
+            row(kept[3]),
+        ];
+        let released = [deferred[0], deferred[1], deferred[2]].map(|k| (k, true));
+        let mut expected = vec![(c, false)];
+        expected.extend(released);
+        expected.push((kept[3], false));
+        assert_eq!(build(&mut exec, members).0, expected);
+        // A later release with the EOT last: survivors first, then the
+        // released member.
+        let members = vec![row(kept[4]), row(deferred[3]), row(kept[5]), scan_eot];
+        let expected = vec![(kept[4], false), (kept[5], false), (deferred[3], true)];
+        assert_eq!(build(&mut exec, members).0, expected);
+        assert_eq!(stem_of(&exec, 0).deferred_len(), 0);
+        assert_eq!(exec.metrics.counter("duplicates_absorbed"), 2);
     }
 
     /// The routed singleton owns no allocation of its own: making one,

@@ -814,6 +814,10 @@ impl Stem {
                 };
                 let passes = |p| query.predicate(p).eval(&pair).unwrap_or(false);
                 if newly.iter().all(passes) {
+                    // A SteM stores no EOT row, so a concatenation holds
+                    // one only if its prober does — and the eddy routes an
+                    // EOT to builds alone: it tests only singletons.
+                    debug_assert!(!row.is_eot(), "a SteM stores no EOT row");
                     results.push((tuple.concat_row(t, row.clone(), ts_u), done_union));
                 }
             };

@@ -9,15 +9,20 @@
 //! 1. **delivery** — a source (scan emission, index reply, module output,
 //!    unpark) fills a wave with tuples, their [`TupleState`]s and a
 //!    per-member *clustered* mark (set only by a Grace release, §3.1);
-//! 2. **group** — the eddy drains the delivery, member by member, into
-//!    open group waves, one per distinct candidate signature
-//!    ([`Wave::actions`]); all members of a group share the signature,
-//!    the clustered mark and the priority flag;
+//! 2. **group** — the eddy sorts the delivery's members into groups, one
+//!    per distinct candidate signature ([`Wave::actions`]); all members
+//!    of a group share the signature, the clustered mark and the priority
+//!    flag. A delivery of at most one envelope's members is its own first
+//!    group: the members that join it stay where they are, compacted in
+//!    place ([`Wave::sift`]), and only the others move out into group
+//!    waves from the pool. A key-uniform delivery so becomes a group with
+//!    no member moved. A larger delivery moves every member out;
 //! 3. **envelope** — a dispatched group is queued at its module as is,
 //!    and the module works on it in place where it can (a Select hop
-//!    compacts it to the survivors; an index-AM hop marks the states) or
-//!    drains it into a second wave (a build's bounce-backs, a probe's
-//!    concatenations interleaved with its bounced probers);
+//!    compacts it to the survivors; an index-AM hop marks the states; a
+//!    build stamps its fresh singletons and compacts the rest out, a
+//!    Grace release inserted clustered) or drains it into a second wave
+//!    (a probe's concatenations interleaved with its bounced probers);
 //! 4. **output** — that wave waits in the module's runtime slot for the
 //!    completion event and re-enters at 1.
 //!
@@ -31,12 +36,14 @@
 //! on `server_fold`: +14 % peak RSS unbounded, +4 % bounded). Past the
 //! bound a buffer is simply dropped and the next taker allocates.
 //!
-//! A *group* that opens on a buffer with no room yet is sized once, for
-//! the members it can still receive ([`WavePool::take_sized`]): growing by
-//! doubling requests about twice the bytes, in two `Vec`s, and can end
-//! above what the pool retains. A member of a wave is a [`Tuple`] and a
-//! [`TupleState`] side by side; a singleton `Tuple` carries its component
-//! inline, so moving one between waves moves 32 bytes and frees nothing.
+//! A wave filled from a known count — a *group* that opens on a buffer
+//! with no room yet, a scan chunk or index reply, a probe's output — is
+//! sized once, for the members it can still receive
+//! ([`WavePool::take_sized`]): growing by doubling requests about twice
+//! the bytes, in two `Vec`s, and can end above what the pool retains. A
+//! member of a wave is a [`Tuple`] and a [`TupleState`] side by side; a
+//! singleton `Tuple` carries its component inline, so moving one between
+//! waves moves 32 bytes and frees nothing.
 
 use crate::router::Action;
 use crate::tuple_state::TupleState;
@@ -112,6 +119,8 @@ impl Wave {
 
     /// Move every member out, in order, each with its clustered mark; the
     /// wave keeps its allocations.
+    /// `Vec::drain` moves each member out whole and leaves nothing behind
+    /// to drop, where a [`Sift`] take leaves an empty placeholder.
     pub(crate) fn drain(
         &mut self,
     ) -> impl ExactSizeIterator<Item = (Tuple, TupleState, bool)> + '_ {
@@ -131,21 +140,56 @@ impl Wave {
             .map(move |(i, (tuple, state))| (tuple, state, clustered(i)))
     }
 
-    /// Keep, in place and in order, the members `keep` approves (it may
-    /// update their state on the way); survivors leave unclustered.
-    pub(crate) fn compact(&mut self, mut keep: impl FnMut(usize, &Tuple, &mut TupleState) -> bool) {
-        let tuples = self.tuples.as_mut_slice();
-        let mut kept = 0;
-        for i in 0..tuples.len() {
-            if keep(i, &tuples[i], &mut self.states[i]) {
-                tuples.swap(kept, i);
-                self.states.swap(kept, i);
-                kept += 1;
-            }
+    /// Walk the members in order, keeping each in place or moving it out
+    /// (see [`Sift`]); the wave keeps its allocations.
+    pub(crate) fn sift(&mut self) -> Sift<'_> {
+        debug_assert!(self.tuples.len() == self.states.len());
+        let runs = std::mem::take(&mut self.clustered);
+        Sift {
+            wave: self,
+            runs,
+            next_run: 0,
+            at: 0,
+            kept: 0,
         }
-        self.tuples.truncate(kept);
-        self.states.truncate(kept);
-        self.clustered.clear();
+    }
+
+    /// Keep, in place and in order, the members `keep` approves (it may
+    /// rewrite them on the way); survivors leave unclustered.
+    pub(crate) fn compact(
+        &mut self,
+        mut keep: impl FnMut(usize, &mut Tuple, &mut TupleState) -> bool,
+    ) {
+        let mut sift = self.sift();
+        let mut i = 0;
+        while let Some((tuple, state, _)) = sift.next() {
+            if keep(i, tuple, state) {
+                sift.keep(false);
+            }
+            i += 1;
+        }
+    }
+
+    /// Insert `members` at position `at`, in order and marked clustered,
+    /// ahead of the members from `at` on — a Grace release among the
+    /// survivors of a compacted build envelope, which holds no marks.
+    pub(crate) fn insert_clustered(
+        &mut self,
+        at: usize,
+        members: impl IntoIterator<Item = (Tuple, TupleState)>,
+    ) {
+        debug_assert!(self.clustered.is_empty() && at <= self.len());
+        let end = self.len();
+        for (tuple, state) in members {
+            self.tuples.push(tuple);
+            self.states.push(state);
+        }
+        let added = self.len() - end;
+        if added > 0 {
+            self.tuples.as_mut_slice()[at..].rotate_right(added);
+            self.states[at..].rotate_right(added);
+            self.clustered.push((at, at + added));
+        }
     }
 
     fn clear(&mut self) {
@@ -158,6 +202,80 @@ impl Wave {
     /// Members this buffer has room for without growing.
     fn capacity(&self) -> usize {
         self.states.capacity()
+    }
+}
+
+/// One in-place pass over a wave's members ([`Wave::sift`]): each member,
+/// in order, is either kept — moved down behind the members kept before
+/// it, with its clustered mark — or taken out; one left neither is
+/// dropped. When the pass ends the wave holds the kept members alone.
+pub(crate) struct Sift<'a> {
+    wave: &'a mut Wave,
+    /// The wave's clustered runs as they were, walked by one cursor.
+    runs: Vec<(usize, usize)>,
+    next_run: usize,
+    /// Members visited so far; the current one is `at - 1`.
+    at: usize,
+    kept: usize,
+}
+
+impl Sift<'_> {
+    /// The next member — its tuple, its state (mutable) and its clustered
+    /// mark. Keep it or take it before asking for the one after.
+    pub(crate) fn next(&mut self) -> Option<(&mut Tuple, &mut TupleState, bool)> {
+        let i = self.at;
+        let state = self.wave.states.get_mut(i)?;
+        self.at += 1;
+        while self.runs.get(self.next_run).is_some_and(|run| run.1 <= i) {
+            self.next_run += 1;
+        }
+        let clustered = self.runs.get(self.next_run).is_some_and(|run| run.0 <= i);
+        Some((&mut self.wave.tuples.as_mut_slice()[i], state, clustered))
+    }
+
+    /// Members not yet visited.
+    pub(crate) fn remaining(&self) -> usize {
+        self.wave.len() - self.at
+    }
+
+    /// Keep the current member in the wave.
+    pub(crate) fn keep(&mut self, clustered: bool) {
+        let (i, k) = (self.at - 1, self.kept);
+        if i != k {
+            self.wave.tuples.as_mut_slice().swap(k, i);
+            self.wave.states.swap(k, i);
+        }
+        if clustered {
+            match self.wave.clustered.last_mut() {
+                Some(run) if run.1 == k => run.1 += 1,
+                _ => self.wave.clustered.push((k, k + 1)),
+            }
+        }
+        self.kept += 1;
+    }
+
+    /// Move the current member out of the wave.
+    pub(crate) fn take(&mut self) -> (Tuple, TupleState) {
+        let i = self.at - 1;
+        let tuple = std::mem::replace(&mut self.wave.tuples.as_mut_slice()[i], Tuple::empty());
+        (tuple, std::mem::take(&mut self.wave.states[i]))
+    }
+
+    /// How many members have been kept.
+    pub(crate) fn kept(&self) -> usize {
+        self.kept
+    }
+
+    /// The wave's signature: the kept members' group's, once it opens.
+    pub(crate) fn actions(&mut self) -> &mut Vec<Action> {
+        &mut self.wave.actions
+    }
+}
+
+impl Drop for Sift<'_> {
+    fn drop(&mut self) {
+        self.wave.tuples.truncate(self.kept);
+        self.wave.states.truncate(self.kept);
     }
 }
 
@@ -289,6 +407,60 @@ mod tests {
         let hops: Vec<u32> = w.states().iter().map(|s| s.hops).collect();
         assert_eq!(hops, vec![1, 2, 4, 5]);
         assert!(w.drain().all(|(_, _, clustered)| !clustered));
+    }
+
+    #[test]
+    fn sift_keeps_members_in_place_and_moves_the_rest_out() {
+        let mut w = filled(6);
+        let buffer = w.tuples().as_slice().as_ptr();
+        let mut taken = Vec::new();
+        let mut sift = w.sift();
+        while let Some((tuple, state, clustered)) = sift.next() {
+            let k = match tuple.components()[0].row.values()[0] {
+                Value::Int(k) => k,
+                _ => unreachable!(),
+            };
+            assert_eq!(clustered, k % 2 == 1);
+            state.hops = k as u32;
+            match k {
+                0 | 3 | 4 => sift.keep(clustered),
+                5 => {} // left: dropped with the pass
+                _ => taken.push(sift.take()),
+            }
+        }
+        assert_eq!(sift.kept(), 3);
+        drop(sift);
+        assert_eq!(w.tuples().as_slice(), &[t(0), t(3), t(4)]);
+        assert_eq!(
+            w.tuples().as_slice().as_ptr(),
+            buffer,
+            "no member moved buffers"
+        );
+        let hops: Vec<u32> = w.states().iter().map(|s| s.hops).collect();
+        assert_eq!(hops, vec![0, 3, 4]);
+        assert_eq!(w.clustered, vec![(1, 2)], "marks follow the kept members");
+        let taken: Vec<(Tuple, u32)> = taken.into_iter().map(|(t, s)| (t, s.hops)).collect();
+        assert_eq!(taken, vec![(t(1), 1), (t(2), 2)]);
+    }
+
+    #[test]
+    fn insert_clustered_lands_between_the_members_around_it() {
+        let mut w = filled(4);
+        w.compact(|_, _, _| true);
+        w.insert_clustered(1, [(t(10), TupleState::new()), (t(11), TupleState::new())]);
+        assert_eq!(
+            w.tuples().as_slice(),
+            &[t(0), t(10), t(11), t(1), t(2), t(3)]
+        );
+        let marks: Vec<bool> = w.drain().map(|m| m.2).collect();
+        assert_eq!(marks, vec![false, true, true, false, false, false]);
+        // At the end, and nothing to insert.
+        let mut w = filled(2);
+        w.compact(|_, _, _| true);
+        w.insert_clustered(0, []);
+        assert!(w.clustered.is_empty());
+        w.insert_clustered(2, [(t(7), TupleState::new())]);
+        assert_eq!(w.clustered, vec![(2, 3)]);
     }
 
     /// A group's wave is sized when it opens: filling it allocates nothing
