@@ -17,7 +17,7 @@ use std::sync::Arc;
 use stems_catalog::{IndexSpec, IndexTable, QuerySpec, ScanSpec, SourceId};
 use stems_sim::{burst_gap, secs_f, StallWindows, Time};
 use stems_storage::fxhash::FxHashSet;
-use stems_types::{Row, TableIdx, Tuple, TupleBatch, Value};
+use stems_types::{Row, TableIdx, Tuple, Value};
 
 /// A scan access method serving every instance of one source.
 ///
@@ -107,18 +107,18 @@ impl ScanAm {
     /// Emit the next batch: up to `chunk` rows as singletons per instance,
     /// or the final EOTs once the data is exhausted. Returns the emitted
     /// batch and, if more remain, the time of the next emission.
-    pub fn emit_next(&mut self, now: Time) -> (TupleBatch, Option<Time>) {
+    pub fn emit_next(&mut self, now: Time) -> (Vec<Tuple>, Option<Time>) {
         if self.finished {
-            return (TupleBatch::new(), None);
+            return (Vec::new(), None);
         }
-        let mut out = TupleBatch::with_capacity(self.chunk * self.instances.len());
+        let mut out = Vec::with_capacity(self.chunk * self.instances.len());
         let next = self.emit_next_into(now, &mut out);
         (out, next)
     }
 
     /// [`Self::emit_next`] appending to a caller-owned batch — the eddy
     /// keeps one across emission events.
-    pub(crate) fn emit_next_into(&mut self, now: Time, out: &mut TupleBatch) -> Option<Time> {
+    pub(crate) fn emit_next_into(&mut self, now: Time, out: &mut Vec<Tuple>) -> Option<Time> {
         if self.finished {
             return None;
         }
@@ -195,10 +195,6 @@ pub struct IndexAm {
     pending: std::collections::VecDeque<(Vec<Value>, bool)>,
     in_flight: FxHashSet<Vec<Value>>,
     answered: FxHashSet<Vec<Value>>,
-    /// Lookups actually issued (the fig-7(ii) series).
-    pub(crate) probes_issued: u64,
-    /// Probes absorbed by coalescing.
-    pub(crate) probes_coalesced: u64,
     /// The probe's `(col, value)` bindings and the lookup keys they
     /// spell, worked out per probe in buffers kept across probes.
     bindings: Vec<(usize, Value)>,
@@ -239,8 +235,6 @@ impl IndexAm {
             spec,
             in_flight: FxHashSet::default(),
             answered: FxHashSet::default(),
-            probes_issued: 0,
-            probes_coalesced: 0,
             bindings: Vec::new(),
             keys: Vec::new(),
         }
@@ -322,7 +316,6 @@ impl IndexAm {
         prioritized: bool,
     ) -> (IndexProbeOutcome, Option<Vec<Value>>) {
         if self.in_flight.contains(&key) || self.answered.contains(&key) {
-            self.probes_coalesced += 1;
             return (IndexProbeOutcome::Coalesced, Some(key));
         }
         if self.pending.iter().any(|(k, _)| *k == key) {
@@ -333,7 +326,6 @@ impl IndexAm {
                     self.pending.push_front((k, true));
                 }
             }
-            self.probes_coalesced += 1;
             return (IndexProbeOutcome::Coalesced, Some(key));
         }
         if self.busy < self.spec.concurrency.max(1) {
@@ -354,7 +346,6 @@ impl IndexAm {
         let complete = start + self.spec.latency_us;
         self.busy += 1;
         self.in_flight.insert(key);
-        self.probes_issued += 1;
         (start, complete)
     }
 
@@ -579,14 +570,14 @@ mod tests {
         assert_eq!(t0, 100_000);
         let (batch1, next1) = scan.emit_next(t0);
         assert_eq!(batch1.len(), 1);
-        assert!(!batch1.as_slice()[0].is_eot());
+        assert!(!batch1[0].is_eot());
         assert_eq!(next1, Some(200_000));
         let (batch2, next2) = scan.emit_next(next1.unwrap());
         assert_eq!(batch2.len(), 1);
         assert!(next2.is_some());
         let (eot, done) = scan.emit_next(next2.unwrap());
         assert_eq!(eot.len(), 1);
-        assert!(eot.as_slice()[0].is_eot());
+        assert!(eot[0].is_eot());
         assert_eq!(done, None);
         assert!(scan.finished);
         assert_eq!(scan.emit_next(999_999_999).0.len(), 0);
@@ -616,7 +607,6 @@ mod tests {
             &spec,
         );
         let (batch, _) = scan.emit_next(1000);
-        let batch = batch.as_slice();
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].span(), stems_types::TableSet::single(TableIdx(0)));
         assert_eq!(batch[1].span(), stems_types::TableSet::single(TableIdx(2)));
@@ -658,7 +648,7 @@ mod tests {
         let (eot, done) = scan.emit_next(n3.unwrap());
         // …and fires exactly once.
         assert_eq!(eot.len(), 1);
-        assert!(eot.as_slice()[0].is_eot());
+        assert!(eot[0].is_eot());
         assert_eq!(done, None);
         assert!(scan.finished);
         assert!(scan.emit_next(999_999_999).0.is_empty());
@@ -680,7 +670,7 @@ mod tests {
         assert_eq!(b.len(), 3);
         let (eot, done) = scan.emit_next(next.unwrap());
         assert_eq!(eot.len(), 1);
-        assert!(eot.as_slice()[0].is_eot());
+        assert!(eot[0].is_eot());
         assert_eq!(done, None);
     }
 
@@ -714,7 +704,7 @@ mod tests {
         assert_eq!(n2, Some(1_000_000));
         let (eot, done) = scan.emit_next(n2.unwrap());
         assert_eq!(eot.len(), 1);
-        assert!(eot.as_slice()[0].is_eot());
+        assert!(eot[0].is_eot());
         assert_eq!(done, None);
     }
 
@@ -788,7 +778,6 @@ mod tests {
         // Second distinct probe waits in the pending queue.
         let (o2, _) = one(am.probe(&r2, TableIdx(1), &q, 10, false));
         assert_eq!(o2, IndexProbeOutcome::Queued);
-        assert_eq!(am.probes_issued, 1);
         assert_eq!(am.pending.len(), 1);
         assert!(am.queue_delay() > 0);
         // Responses: matches + EOT; then the pending lookup starts.
@@ -799,7 +788,6 @@ mod tests {
         assert_eq!(key2, vec![Value::Int(20)]);
         assert_eq!(start2, 1000);
         assert_eq!(complete2, 2000);
-        assert_eq!(am.probes_issued, 2);
         assert!(am.dequeue_pending(2000).is_none());
     }
 
@@ -857,8 +845,6 @@ mod tests {
         // Different R tuple, same bind value: coalesced.
         let (o2, _) = one(am.probe(&mk(2, 10), TableIdx(1), &q, 5, false));
         assert_eq!(o2, IndexProbeOutcome::Coalesced);
-        assert_eq!(am.probes_issued, 1);
-        assert_eq!(am.probes_coalesced, 1);
         // After the answer, same key is still coalesced (cache hit path).
         am.respond(&[Value::Int(10)], &q);
         let (o3, _) = one(am.probe(&mk(3, 10), TableIdx(1), &q, 2000, false));
@@ -956,7 +942,6 @@ mod tests {
         assert!(outcomes
             .iter()
             .all(|(o, _)| matches!(o, IndexProbeOutcome::Scheduled { .. })));
-        assert_eq!(am.probes_issued, 3);
         // A second prober over the same list coalesces entirely.
         let r2 = Tuple::singleton_of(TableIdx(0), vec![Value::Int(8), Value::Int(1)]);
         let again = am.probe(&r2, TableIdx(1), &q2, 5, false);
@@ -1137,8 +1122,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(public.probes_issued, private.probes_issued);
-        assert_eq!(public.probes_coalesced, private.probes_coalesced);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! # Batched routing
 //!
-//! The default engine path routes [`TupleBatch`]es, not single tuples.
+//! The default engine path routes batches of tuples, not single tuples.
 //! Whenever a set of tuples re-enters the eddy together (a probe's
 //! concatenations, an index AM's response, a Grace release, an unpark
 //! wave), the eddy computes each tuple's legal candidate set — the Table 2
@@ -49,11 +49,13 @@
 //! and envelopes are recycled.** A module's output, a route group and a
 //! queued envelope are one `Wave` that changes hands (`wave.rs` has the
 //! life cycle) and returns to a bounded per-executor `WavePool`; the
-//! other per-envelope lists live in the executor; and what is a pure
-//! function of the query — `PlanLayout::links`,
-//! `PlanLayout::stem_table` — is a table built at plan time. There is one path: a tuple-at-a-time run is the batched
-//! code on one-member waves, and `tests/alloc_step.rs` holds both to
-//! allocating for their tuples only.
+//! other per-envelope lists live in the executor; what is a pure
+//! function of the query — `PlanLayout::links` — is a table built at plan
+//! time; and a queued envelope carries the [`Action`] it was routed by,
+//! which names everything its module needs of the decision. There is one
+//! path: a tuple-at-a-time run is the batched code on one-member waves,
+//! and `tests/alloc_step.rs` holds both to allocating for their tuples
+//! only.
 
 use crate::am::IndexProbeOutcome;
 use crate::plan::{instantiate, Module, PlanLayout, PlanOptions};
@@ -68,7 +70,7 @@ use std::collections::VecDeque;
 use stems_catalog::{Catalog, QuerySpec};
 use stems_sim::{EventQueue, MetricId, Metrics, SimRng, Time};
 use stems_storage::fxhash::FxHashSet;
-use stems_types::{Predicate, Result, StemsError, TableIdx, Timestamp, Tuple, TupleBatch, Value};
+use stems_types::{Predicate, Result, StemsError, TableIdx, Timestamp, Tuple, Value};
 
 /// Virtual service times of local (in-process) operations, in µs. These
 /// stand in for the CPU costs of the paper's Java modules; remote costs
@@ -242,21 +244,12 @@ impl Default for ExecConfig {
 }
 
 /// A wave of same-destination tuples in a module's input queue: all
-/// members were routed by one policy decision and are processed under one
-/// service envelope.
+/// members were routed by one policy decision, `action` (never
+/// [`Action::Drop`]), and are processed under one service envelope.
 #[derive(Debug)]
 struct Envelope {
     wave: Wave,
-    purpose: Purpose,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Purpose {
-    Build,
-    Probe,
-    Select,
-    /// Probe an index AM *for* the given table instance.
-    AmProbe(TableIdx),
+    action: Action,
 }
 
 /// What [`EddyExecutor::route_wave`] does with a member — a function of
@@ -503,7 +496,7 @@ pub struct EddyExecutor {
     /// [`Self::process_am_probe`]'s per-member lookup outcomes.
     am_outcomes: Vec<(IndexProbeOutcome, Option<Vec<Value>>)>,
     /// The chunk a scan emits per event, on its way into a wave.
-    emitted: TupleBatch,
+    emitted: Vec<Tuple>,
 }
 
 impl EddyExecutor {
@@ -594,7 +587,7 @@ impl EddyExecutor {
             pairs: Vec::new(),
             build_results: Vec::new(),
             am_outcomes: Vec::new(),
-            emitted: TupleBatch::new(),
+            emitted: Vec::new(),
             config,
         };
         // Emission chunks are capped at the routing batch size — a larger
@@ -796,7 +789,7 @@ impl EddyExecutor {
                 self.agenda.push(nt, Event::ScanEmit(mid));
             }
         }
-        self.route_singletons(emitted.drain(), None, shared);
+        self.route_singletons(emitted.drain(..), None, shared);
         self.emitted = emitted;
     }
 
@@ -872,23 +865,24 @@ impl EddyExecutor {
     /// from the pool and hands the drained buffer back. A folded SteM is
     /// read in `shared`, the registry the server lent.
     fn process(&mut self, mid: usize, env: Envelope, shared: &Registry) -> (u64, Wave) {
-        let Envelope { wave, purpose } = env;
+        let Envelope { wave, action } = env;
         let mut module = std::mem::replace(&mut self.modules[mid], Module::Hole);
-        // The table instance whose SteM lives at `mid` comes from the
-        // layout rather than from the SteM itself, because a shared SteM
-        // was built under another query's instance numbering.
-        let stem_table = self.layout.stem_table.get(mid).copied().flatten();
-        let out = match (&mut module, purpose, stem_table) {
-            (Module::Stem(stem), Purpose::Build, Some(_)) => self.process_build(mid, stem, wave),
-            (Module::Sm(sm), Purpose::Select, _) => self.process_select(sm, wave),
-            (Module::IndexAm(am), Purpose::AmProbe(t), _) => {
-                self.process_am_probe(mid, am, wave, t)
+        let out = match (&mut module, action) {
+            (Module::Stem(stem), Action::Build { .. }) => self.process_build(mid, stem, wave),
+            (Module::Sm(sm), Action::Select { .. }) => self.process_select(sm, wave),
+            (Module::IndexAm(am), Action::ProbeAm { table, .. }) => {
+                self.process_am_probe(mid, am, wave, table)
             }
-            (module, _, table) => match (module.stem(shared), purpose, table) {
-                (Some(stem), Purpose::Probe, Some(table)) => self.process_probe(stem, table, wave),
+            // A probe's table is the action's, not the SteM's own: a
+            // shared SteM was built under another query's instance
+            // numbering.
+            (module, _) => match (module.stem(shared), action) {
+                (Some(stem), Action::ProbeStem { table, .. }) => {
+                    self.process_probe(stem, table, wave)
+                }
                 _ => {
                     self.violations
-                        .push(format!("envelope {purpose:?} routed to wrong module"));
+                        .push(format!("envelope {action:?} routed to wrong module"));
                     self.waves.put(wave);
                     (1, self.waves.take())
                 }
@@ -985,7 +979,7 @@ impl EddyExecutor {
         );
         stem.probe_linked_into(
             links,
-            wave.tuples().as_slice(),
+            wave.tuples(),
             wave.states(),
             &self.query,
             &mut reply_set,
@@ -1527,22 +1521,16 @@ impl EddyExecutor {
                 }
             }
         }
-        let (mid, purpose) = match action {
-            Action::Drop => {
-                self.metrics
-                    .bump_id(self.ids.policy_drops, self.now, group.len() as u64);
-                self.waves.put(group);
-                return;
-            }
-            Action::Build { mid, .. } => (mid, Purpose::Build),
-            Action::ProbeStem { mid, .. } => (mid, Purpose::Probe),
-            Action::Select { mid, .. } => (mid, Purpose::Select),
-            Action::ProbeAm { mid, table } => {
-                self.metrics
-                    .bump_id(self.ids.am_probe_choices, self.now, group.len() as u64);
-                (mid, Purpose::AmProbe(table))
-            }
+        let Some(mid) = action.mid() else {
+            self.metrics
+                .bump_id(self.ids.policy_drops, self.now, group.len() as u64);
+            self.waves.put(group);
+            return;
         };
+        if matches!(action, Action::ProbeAm { .. }) {
+            self.metrics
+                .bump_id(self.ids.am_probe_choices, self.now, group.len() as u64);
+        }
         self.metrics.bump_id(self.ids.route_batches, self.now, 1);
         if !self.touched.contains(&mid) {
             self.touched.push(mid);
@@ -1551,7 +1539,7 @@ impl EddyExecutor {
             mid,
             Envelope {
                 wave: group,
-                purpose,
+                action,
             },
         );
     }
@@ -1948,10 +1936,10 @@ mod tests {
     /// paper's tuple-at-a-time eddy, 64 the batched default.
     const BATCH_SIZES: [usize; 2] = [1, 64];
 
-    fn dummy_env() -> Envelope {
+    fn dummy_env(action: Action) -> Envelope {
         Envelope {
             wave: Wave::default(),
-            purpose: Purpose::Probe,
+            action,
         }
     }
 
@@ -1989,14 +1977,14 @@ mod tests {
             ];
             // Flush-time backlog: m2 busy, m1 free — the snapshot favors m1.
             for _ in 0..6 {
-                exec.rt[m2].queue.push_back(dummy_env());
+                exec.rt[m2].queue.push_back(dummy_env(actions[1]));
             }
             let flushed: Vec<Hint> = actions.iter().map(|a| exec.hint_for(a)).collect();
             // The backlog shifts before the wave is dequeued: m2 drains, m1
             // fills (earlier waves of the same burst routed into it).
             exec.rt[m2].queue.clear();
             for _ in 0..6 {
-                exec.rt[m1].queue.push_back(dummy_env());
+                exec.rt[m1].queue.push_back(dummy_env(actions[0]));
             }
 
             // A decision taken on the stale snapshot would route to m1 …
@@ -2211,13 +2199,11 @@ mod tests {
             exec.waves.take();
         }
         wave.push(row(0), TupleState::new(), false);
-        let buffer = wave.tuples().as_slice().as_ptr();
+        let buffer = wave.tuples().as_ptr();
         let (allocs, ()) = crate::test_alloc::allocs_during(|| exec.route_wave(wave, &[]));
         assert_eq!(allocs, 0, "no group buffer was taken");
         let queued = exec.rt.iter().flat_map(|rt| &rt.queue);
-        let envelopes: Vec<_> = queued
-            .map(|env| env.wave.tuples().as_slice().as_ptr())
-            .collect();
+        let envelopes: Vec<_> = queued.map(|env| env.wave.tuples().as_ptr()).collect();
         assert_eq!(envelopes, vec![buffer]);
     }
 
@@ -2251,17 +2237,18 @@ mod tests {
         assert_eq!(sampled, stem.approx_bytes() as f64);
     }
 
-    /// A queued envelope as a test compares it: its module, its members in
-    /// order, and its clustered and priority flags.
-    type Queued = (usize, Vec<Tuple>, bool, bool);
+    /// A queued envelope as a test compares it: its module, the action it
+    /// was routed by, its members in order, and its clustered and priority
+    /// flags.
+    type Queued = (usize, Action, Vec<Tuple>, bool, bool);
 
     /// Take every queued envelope out, module by module in queue order.
     fn take_queued(exec: &mut EddyExecutor) -> Vec<Queued> {
         let mut queued = Vec::new();
         for (mid, rt) in exec.rt.iter_mut().enumerate() {
-            for Envelope { wave, .. } in rt.queue.drain(..) {
-                let members = wave.tuples().as_slice().to_vec();
-                queued.push((mid, members, wave.clustered(), wave.prioritized()));
+            for Envelope { wave, action } in rt.queue.drain(..) {
+                let members = wave.tuples().to_vec();
+                queued.push((mid, action, members, wave.clustered(), wave.prioritized()));
             }
         }
         queued
@@ -2270,8 +2257,8 @@ mod tests {
     /// The envelopes member-by-member grouping makes of a delivery whose
     /// groups each have one candidate: a member joins the open group of its
     /// signature and flags or opens one, a full group flushes, the open
-    /// ones follow, and each queues at its candidate's module — at the
-    /// front if prioritized.
+    /// ones follow, and each queues at its candidate's module, carrying
+    /// that candidate as its action — at the front if prioritized.
     fn grouped_member_by_member(
         exec: &EddyExecutor,
         members: &[(Tuple, TupleState, bool)],
@@ -2293,24 +2280,24 @@ mod tests {
             let flags = (*clustered, state.prioritized);
             let i = match open
                 .iter()
-                .position(|(a, g)| *a == acts && (g.2, g.3) == flags)
+                .position(|(a, g)| *a == acts && (g.3, g.4) == flags)
             {
                 Some(i) => i,
                 None => {
-                    let mid = acts[0].mid().unwrap();
-                    open.push((acts, (mid, Vec::new(), flags.0, flags.1)));
+                    let (mid, action) = (acts[0].mid().unwrap(), acts[0]);
+                    open.push((acts, (mid, action, Vec::new(), flags.0, flags.1)));
                     open.len() - 1
                 }
             };
-            open[i].1 .1.push(tuple.clone());
-            if open[i].1 .1.len() >= cap {
+            open[i].1 .2.push(tuple.clone());
+            if open[i].1 .2.len() >= cap {
                 groups.push(open.remove(i).1);
             }
         }
         groups.extend(open.into_iter().map(|(_, g)| g));
         let mut queues = vec![VecDeque::new(); exec.rt.len()];
         for group in groups {
-            if group.3 {
+            if group.4 {
                 queues[group.0].push_front(group);
             } else {
                 queues[group.0].push_back(group);
@@ -2356,7 +2343,7 @@ mod tests {
             for (tuple, state, clustered) in members {
                 wave.push(tuple.clone(), state.clone(), *clustered);
             }
-            let buffer = wave.tuples().as_slice().as_ptr();
+            let buffer = wave.tuples().as_ptr();
             exec.route_wave(wave, &[]);
             let rt = exec.rt.iter().find(|rt| !rt.queue.is_empty()).unwrap();
             let first = &rt
@@ -2366,7 +2353,7 @@ mod tests {
                 .unwrap()
                 .wave;
             assert!(first.states().iter().all(|s| s.hops == 1));
-            let hosted = first.tuples().as_slice().as_ptr() == buffer;
+            let hosted = first.tuples().as_ptr() == buffer;
             assert_eq!(
                 hosted,
                 members.len() <= 64,
@@ -2442,10 +2429,13 @@ mod tests {
             for tuple in members {
                 wave.push(tuple, TupleState::new(), false);
             }
-            let buffer = wave.tuples().as_slice().as_ptr();
-            let purpose = Purpose::Build;
-            let (_, mut out) = exec.process(mid, Envelope { wave, purpose }, &[]);
-            let same = out.tuples().as_slice().as_ptr() == buffer;
+            let buffer = wave.tuples().as_ptr();
+            let action = Action::Build {
+                mid,
+                table: TableIdx(0),
+            };
+            let (_, mut out) = exec.process(mid, Envelope { wave, action }, &[]);
+            let same = out.tuples().as_ptr() == buffer;
             let members: Vec<(i64, bool)> = out
                 .drain()
                 .map(|(tuple, _, clustered)| {
@@ -2605,6 +2595,43 @@ mod tests {
             allocs <= ROUNDS * 4,
             "{allocs} allocations in {ROUNDS} warm rounds"
         );
+    }
+
+    /// An envelope whose action names another kind of module than the one
+    /// it is queued at — a Select at a SteM, a SteM probe at an SM — is a
+    /// routing bug: serving it records a violation and emits nothing, and
+    /// the module stays in place.
+    #[test]
+    fn an_envelope_at_the_wrong_kind_of_module_is_a_violation() {
+        let (catalog, query) = sel2();
+        let mut exec = EddyExecutor::build(&catalog, &query, ExecConfig::default()).unwrap();
+        let (stem_r, stem_s) = (
+            exec.layout.stem_mid[0].unwrap(),
+            exec.layout.stem_mid[1].unwrap(),
+        );
+        let (pred, sm) = exec.layout.sm_mids[0];
+        let select = Action::Select { mid: sm, pred };
+        let probe = Action::ProbeStem {
+            mid: stem_s,
+            table: TableIdx(1),
+        };
+        for (mid, action) in [(stem_r, select), (sm, probe)] {
+            let mut wave = exec.waves.take();
+            let values = vec![Value::Int(1), Value::Int(1), Value::Int(1)];
+            wave.push(
+                Tuple::singleton_of(TableIdx(0), values),
+                TupleState::new(),
+                false,
+            );
+            let before = exec.violations.len();
+            let (_, out) = exec.process(mid, Envelope { wave, action }, &[]);
+            assert!(out.is_empty());
+            assert_eq!(
+                exec.violations[before..],
+                [format!("envelope {action:?} routed to wrong module")]
+            );
+            assert!(!matches!(exec.modules[mid], Module::Hole));
+        }
     }
 
     /// Selection-heavy workload for the fusion tests: two selections over
@@ -2948,7 +2975,7 @@ mod tests {
 
         fn choose_batch(
             &mut self,
-            batch: &TupleBatch,
+            batch: &[Tuple],
             state: &TupleState,
             actions: &[(Action, Hint)],
             rng: &mut SimRng,

@@ -65,7 +65,7 @@
 //! This crate sits at the top of the `stems` cargo workspace:
 //!
 //! ```text
-//! stems-types    values, rows, tuples, TupleBatch, predicates
+//! stems-types    values, rows, tuples, predicates
 //!    ↑
 //! stems-storage  the SteM dictionary (batch insert/probe)
 //! stems-sim      discrete-event kernel, seeded RNG, metrics
@@ -84,8 +84,8 @@
 //! The paper routes tuples one at a time; every hop pays a routing-policy
 //! decision, a constraint check and a scheduler event — the per-tuple
 //! adaptivity overhead that makes tuple-at-a-time eddies expensive at
-//! high rates. The engine here amortizes that cost over
-//! [`stems_types::TupleBatch`]es:
+//! high rates. The engine here amortizes that cost over batches of
+//! tuples (a `Vec<Tuple>`, handed to every batch API as `&[Tuple]`):
 //!
 //! 1. Tuples re-entering the eddy together (a probe's concatenations, an
 //!    index AM's response wave, a Grace clustered release, an unpark
@@ -148,6 +148,9 @@
 //!     parameter of [`MemoCache::new`] and [`MemoCache::cell`] (the cache
 //!     has one lock), until `benchmark/` stops naming them (ROADMAP item
 //!     3);
+//!   - [`stems_types::TupleBatch`], an alias of `Vec<Tuple>` that no crate
+//!     of the workspace names, until `benchmark/` stops naming it (ROADMAP
+//!     item 3);
 //!   - six inert config fields — [`ExecConfig::num_shards`],
 //!     [`ExecConfig::parallel_min_rows`], [`StemOptions::num_shards`],
 //!     [`StemOptions::workers`], [`StemOptions::parallel_min_rows`] and

@@ -77,9 +77,6 @@ pub struct PlanLayout {
     /// and parking all read it instead of re-deriving it from the
     /// predicate list.
     pub(crate) links: Vec<TableLinks>,
-    /// The inverse of `stem_mid`: per module id, the table instance whose
-    /// SteM lives there (`None` for every other module).
-    pub(crate) stem_table: Vec<Option<TableIdx>>,
 }
 
 /// Configuration used at instantiation time.
@@ -122,7 +119,6 @@ pub fn instantiate(
         links: (0..n)
             .map(|i| TableLinks::of(query, TableIdx(i as u8)))
             .collect(),
-        stem_table: Vec::new(),
     };
 
     // Step 2: one AM module per catalog access method that the query uses.
@@ -225,13 +221,6 @@ pub fn instantiate(
         modules.push(Module::Stem(stem));
         layout.stem_mid[i] = Some(mid);
     }
-    layout.stem_table = vec![None; modules.len()];
-    for (i, mid) in layout.stem_mid.iter().enumerate() {
-        if let Some(mid) = mid {
-            layout.stem_table[*mid] = Some(TableIdx(i as u8));
-        }
-    }
-
     Ok((modules, layout))
 }
 
@@ -340,21 +329,13 @@ mod tests {
         assert!(layout.stem_mid[0].is_some() && layout.stem_mid[1].is_some());
         assert!(layout.build_required[0] && layout.build_required[1]);
         assert!(layout.has_scan[0] && layout.has_scan[1]);
-        // The plan-time tables: one probe table per instance, and the
-        // inverse of `stem_mid` over every module.
+        // The plan-time probe tables: one per instance.
         assert_eq!(layout.links.len(), 2);
         assert!(layout
             .links
             .iter()
             .zip(0..)
             .all(|(l, i)| l.table() == TableIdx(i)));
-        assert_eq!(layout.stem_table.len(), modules.len());
-        for (mid, module) in modules.iter().enumerate() {
-            match layout.stem_table[mid] {
-                Some(t) => assert_eq!(layout.stem_mid[t.as_usize()], Some(mid)),
-                None => assert!(!matches!(module, Module::Stem(_))),
-            }
-        }
     }
 
     #[test]

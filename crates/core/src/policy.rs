@@ -22,7 +22,7 @@
 use crate::router::Action;
 use stems_sim::{SimRng, Time};
 use stems_storage::fxhash::FxHashMap;
-use stems_types::{TableIdx, Tuple, TupleBatch};
+use stems_types::{TableIdx, Tuple};
 
 use crate::tuple_state::TupleState;
 
@@ -84,7 +84,7 @@ pub trait RoutingPolicy: Send {
     /// * `batch` is **never empty**: route groups only open around a first
     ///   member, and the engine debug-asserts this at the dispatch site
     ///   (`EddyExecutor::dispatch_group`). Implementations may rely on
-    ///   `batch.as_slice().first()` being `Some`; the default
+    ///   `batch.first()` being `Some`; the default
     ///   implementation panics on an (impossible) empty batch rather than
     ///   silently picking an arbitrary action.
     /// * `actions` is non-empty, and the `Hint` costs are recomputed at
@@ -97,13 +97,12 @@ pub trait RoutingPolicy: Send {
     /// state. Policies that want batch-size-aware scoring override this.
     fn choose_batch(
         &mut self,
-        batch: &TupleBatch,
+        batch: &[Tuple],
         state: &TupleState,
         actions: &[(Action, Hint)],
         rng: &mut SimRng,
     ) -> usize {
         let rep = batch
-            .as_slice()
             .first()
             .expect("choose_batch contract violated: the engine flushes only non-empty groups");
         self.choose(rep, state, actions, rng)

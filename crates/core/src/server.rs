@@ -152,7 +152,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use stems_catalog::{AccessMethodDef, Catalog, QuerySpec, ScanSpec, SourceId};
 use stems_sim::{EventQueue, Time};
-use stems_types::{Row, StemsError, TableIdx, Timestamp, Tuple, TupleBatch};
+use stems_types::{Row, StemsError, TableIdx, Timestamp, Tuple};
 
 /// SteM-sharing compatibility key. Two instances may share one SteM only
 /// if they scan the same source, index it by the same (canonicalized)
@@ -1265,7 +1265,7 @@ impl<'a> QueryServer<'a> {
             entry.built = emitted.len();
             let stem = &mut entry.stem;
             let instance = stem.instance;
-            let mut batch: TupleBatch = rows
+            let mut batch: Vec<Tuple> = rows
                 .iter()
                 .map(|r| Tuple::singleton(instance, Arc::clone(r)))
                 .collect();

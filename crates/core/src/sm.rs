@@ -40,7 +40,7 @@
 
 use crate::memo::{MemoCell, MemoCounters};
 use stems_storage::{Slot, SlotChains};
-use stems_types::{ConstKernel, HashedKey, PredId, PredSet, Predicate, TupleBatch};
+use stems_types::{ConstKernel, HashedKey, PredId, PredSet, Predicate, Tuple};
 
 /// A selection module wrapping one predicate. The predicate's columnar
 /// kernel is derived **once** here — IN-list kernels sort and dedup their
@@ -146,7 +146,7 @@ impl Sm {
     /// `stems_types::kernel` for the dispatch rules); everything else
     /// takes the scalar loop, which remains the semantic ground truth
     /// (`tests/prop_kernel_equivalence.rs`).
-    pub fn apply_batch(&self, batch: &TupleBatch) -> Vec<Option<bool>> {
+    pub fn apply_batch(&self, batch: &[Tuple]) -> Vec<Option<bool>> {
         self.eval_masked(batch, None)
     }
 
@@ -154,7 +154,7 @@ impl Sm {
     /// the cached kernel when there is one. Kernel-less predicates defer
     /// to [`Predicate::eval_batch_masked`], whose own kernel derivation is
     /// a cheap `None` for exactly these shapes.
-    fn eval_masked(&self, batch: &TupleBatch, mask: Option<&[bool]>) -> Vec<Option<bool>> {
+    fn eval_masked(&self, batch: &[Tuple], mask: Option<&[bool]>) -> Vec<Option<bool>> {
         match &self.kernel {
             Some(k) => k.eval_masked(&self.pred, batch, mask),
             None => self.pred.eval_batch_masked(batch, mask),
@@ -168,7 +168,7 @@ impl Sm {
     /// every later predicate. Every link runs through its own SM's cached
     /// kernel. With an empty `siblings` slice this is [`Sm::apply_batch`]
     /// plus bookkeeping.
-    pub fn apply_batch_fused(&self, batch: &TupleBatch, siblings: &[&Sm]) -> Vec<FusedVerdict> {
+    pub fn apply_batch_fused(&self, batch: &[Tuple], siblings: &[&Sm]) -> Vec<FusedVerdict> {
         let n = batch.len();
         let fresh = FusedVerdict {
             verdict: Some(true),
@@ -228,7 +228,7 @@ impl Sm {
     /// or charging for — the verdict function, matching
     /// [`stems_types::UdfSpec::verdict`]; rows that do not span the
     /// predicate's table yield `None` exactly like every other selection.
-    pub fn apply_batch_udf(&self, batch: &TupleBatch, dedup: bool) -> UdfOutcome {
+    pub fn apply_batch_udf(&self, batch: &[Tuple], dedup: bool) -> UdfOutcome {
         let spec = *self.pred.udf_spec().expect("apply_batch_udf on a UDF SM");
         let n = batch.len();
         let mut out = UdfOutcome {
@@ -345,15 +345,13 @@ mod tests {
     #[test]
     fn apply_batch_agrees_with_scalar_apply() {
         let sm = sm_gt(10);
-        let batch: TupleBatch = vec![
+        let batch = vec![
             Tuple::singleton_of(TableIdx(0), vec![Value::Int(99)]),
             Tuple::singleton_of(TableIdx(0), vec![Value::Int(3)]),
             Tuple::singleton_of(TableIdx(0), vec![Value::Int(10)]),
             Tuple::singleton_of(TableIdx(1), vec![Value::Int(50)]), // wrong span
             Tuple::singleton_of(TableIdx(0), vec![Value::Null]),
-        ]
-        .into_iter()
-        .collect();
+        ];
         let want: Vec<_> = batch.iter().map(|t| sm.pred.eval(t)).collect();
         assert_eq!(sm.apply_batch(&batch), want);
         assert_eq!(
@@ -374,7 +372,7 @@ mod tests {
         let sm = sm_gt(10);
         let sm1 = Sm::new(p1);
         let t = |a: i64, b: i64| Tuple::singleton_of(TableIdx(0), vec![a.into(), b.into()]);
-        let batch: TupleBatch = vec![t(99, 1), t(3, 1), t(99, 9)].into_iter().collect();
+        let batch = vec![t(99, 1), t(3, 1), t(99, 9)];
         let siblings = [&sm1];
         let out = sm.apply_batch_fused(&batch, &siblings);
         let evals = |v: FusedVerdict| v.evals(&sm, &siblings).collect::<Vec<_>>();
@@ -409,7 +407,7 @@ mod tests {
         let sm1 = Sm::new(p1);
         let siblings = [&sm1];
         let t = |a: i64| Tuple::singleton_of(TableIdx(0), vec![a.into()]);
-        let batch: TupleBatch = vec![t(99), t(3)].into_iter().collect();
+        let batch = vec![t(99), t(3)];
         let out = sm.apply_batch_fused(&batch, &siblings);
         assert_eq!(out[0].verdict, None);
         assert_eq!(out[0].evaluated, 1);
@@ -430,7 +428,7 @@ mod tests {
         use stems_types::UdfSpec;
         let spec = UdfSpec::hash_sieve(500, 1000);
         let pred = Predicate::udf(PredId(0), ColRef::new(TableIdx(0), 0), spec);
-        let batch: TupleBatch = [7, 3, 7, 7, 3, 11]
+        let batch: Vec<Tuple> = [7, 3, 7, 7, 3, 11]
             .iter()
             .map(|&v| Tuple::singleton_of(TableIdx(0), vec![Value::Int(v)]))
             .chain([
@@ -477,7 +475,7 @@ mod tests {
         use crate::test_alloc::allocs_during;
         use stems_types::UdfSpec;
         let row = |i: i64| Tuple::singleton_of(TableIdx(0), vec![(i % 40).into(), (i % 7).into()]);
-        let (small, large): (TupleBatch, TupleBatch) =
+        let (small, large): (Vec<Tuple>, Vec<Tuple>) =
             ((0..64).map(row).collect(), (0..128).map(row).collect());
 
         let sm = sm_gt(10);
@@ -495,7 +493,7 @@ mod tests {
             Value::Int(30),
         ));
         let siblings = [&lt, &ne];
-        let fused = |b: &TupleBatch| allocs_during(|| sm.apply_batch_fused(b, &siblings)).0;
+        let fused = |b: &[Tuple]| allocs_during(|| sm.apply_batch_fused(b, &siblings)).0;
         assert_eq!(fused(&small), fused(&large));
 
         let mut udf = Sm::new(Predicate::udf(
@@ -507,7 +505,7 @@ mod tests {
         // Warm: the large envelope holds every key of both.
         udf.apply_batch_udf(&large, true);
         for dedup in [true, false] {
-            let warm = |b: &TupleBatch| {
+            let warm = |b: &[Tuple]| {
                 let (allocs, out) = allocs_during(|| udf.apply_batch_udf(b, dedup));
                 assert_eq!(out.computed, 0, "memo is warm");
                 allocs
@@ -519,13 +517,11 @@ mod tests {
     #[test]
     fn fused_with_no_siblings_matches_apply_batch() {
         let sm = sm_gt(10);
-        let batch: TupleBatch = vec![
+        let batch = vec![
             Tuple::singleton_of(TableIdx(0), vec![Value::Int(99)]),
             Tuple::singleton_of(TableIdx(0), vec![Value::Int(3)]),
             Tuple::singleton_of(TableIdx(1), vec![Value::Int(50)]),
-        ]
-        .into_iter()
-        .collect();
+        ];
         let fused = sm.apply_batch_fused(&batch, &[]);
         let plain = sm.apply_batch(&batch);
         assert_eq!(fused.iter().map(|f| f.verdict).collect::<Vec<_>>(), plain);
@@ -549,7 +545,7 @@ mod tests {
         let cell = MemoCache::cell(2, 1 << 16);
         let mut sm = Sm::new(pred.clone());
         sm.set_memo(Some(cell.clone()));
-        let batch: TupleBatch = (0..40)
+        let batch: Vec<Tuple> = (0..40)
             .map(|i: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(i), Value::Int(i % 8)]))
             .collect();
         let want: Vec<Option<bool>> = batch.iter().map(|t| pred.eval(t)).collect();

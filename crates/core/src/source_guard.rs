@@ -342,15 +342,11 @@ fn no_count_is_read_as_a_series() {
     );
 }
 
-/// The size report: non-test lines per `crates/core/src` file, in path
-/// order, and their total. A file declared `#[cfg(test)] mod x;` is all
-/// test. Run it on a parent checkout too to report a change's size.
-#[test]
-#[ignore = "a report, not a check"]
-fn loc_report() {
-    let root = repo().canonicalize().expect("the repository root exists");
+/// Non-test lines of each `.rs` file under `dir`, in path order. A file
+/// declared `#[cfg(test)] mod x;` is all test.
+fn non_test_lines(dir: &Path) -> Vec<(PathBuf, usize)> {
     let mut files = Vec::new();
-    rust_files(&root.join("crates/core/src"), &mut files);
+    rust_files(dir, &mut files);
     files.sort();
     let code: Vec<String> = files.iter().map(|p| strip(&read(p), false)).collect();
     let test_files: Vec<PathBuf> = files
@@ -358,18 +354,46 @@ fn loc_report() {
         .zip(&code)
         .flat_map(|(path, code)| test_mods(code).into_iter().map(|m| path.with_file_name(m)))
         .collect();
-    let mut total = 0;
-    for (path, code) in files.iter().zip(&code) {
-        let lines = if test_files.contains(path) {
+    let lines = |path: &PathBuf, code: &str| {
+        if test_files.contains(path) {
             0
         } else {
             non_test(code).len()
-        };
-        total += lines;
+        }
+    };
+    files
+        .iter()
+        .zip(&code)
+        .map(|(path, code)| (path.clone(), lines(path, code)))
+        .collect()
+}
+
+/// The size report: non-test lines per `crates/core/src` file, in path
+/// order, and their total; then one total per other workspace crate's
+/// `src`. Run it on a parent checkout too to report a change's size.
+#[test]
+#[ignore = "a report, not a check"]
+fn loc_report() {
+    let root = repo().canonicalize().expect("the repository root exists");
+    let core = root.join("crates/core/src");
+    let files = non_test_lines(&core);
+    for (path, lines) in &files {
         let rel = path.strip_prefix(&root).unwrap_or(path);
         println!("{lines:>7}  {}", rel.display());
     }
+    let total: usize = files.iter().map(|f| f.1).sum();
     println!("{total:>7}  total non-test lines, {} files", files.len());
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ exists");
+    let mut others: Vec<PathBuf> = crates.map(|e| e.unwrap().path().join("src")).collect();
+    others.push(root.join("src"));
+    others.retain(|src| src.is_dir() && *src != core);
+    others.sort();
+    for src in others {
+        let files = non_test_lines(&src);
+        let total: usize = files.iter().map(|f| f.1).sum();
+        let rel = src.strip_prefix(&root).unwrap_or(&src);
+        println!("{total:>7}  {}, {} files", rel.display(), files.len());
+    }
 }
 
 /// Clippy reads only the config file nearest to a crate, so a ban added to

@@ -93,8 +93,7 @@ use stems_catalog::{QuerySpec, SourceId};
 use stems_storage::fxhash::FxHashSet;
 use stems_storage::{CandidateBuf, RowSet, Slot, Store, StoreKind};
 use stems_types::{
-    ColumnSource, HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, TupleBatch, Value,
-    UNBUILT_TS,
+    ColumnSource, HashedKey, PredSet, Row, TableIdx, TableSet, Timestamp, Tuple, Value, UNBUILT_TS,
 };
 
 /// The probe path's envelope buffers, held by the caller's
@@ -451,12 +450,12 @@ impl Stem {
     /// envelope once, so there is one build path.
     pub fn build_batch(
         &mut self,
-        batch: &TupleBatch,
+        batch: &[Tuple],
         states: &[TupleState],
         ts_counter: &mut Timestamp,
     ) -> Vec<BuildResult> {
         let mut out = Vec::with_capacity(batch.len());
-        self.build_batch_into(&mut batch.clone(), states, ts_counter, &mut out);
+        self.build_batch_into(&mut batch.to_vec(), states, ts_counter, &mut out);
         out
     }
 
@@ -464,17 +463,16 @@ impl Stem {
     /// the eddy keeps one across envelopes — and *moving* the envelope's
     /// fresh singletons instead of copying them: each is stamped in place
     /// and moved into its [`BuildResult::Fresh`] (or the deferred queue),
-    /// leaving [`Tuple::empty`] at its position in `batch`. Duplicates and
+    /// leaving [`Tuple::empty`] at its position in `tuples`. Duplicates and
     /// EOTs stay where they were.
     pub(crate) fn build_batch_into(
         &mut self,
-        batch: &mut TupleBatch,
+        tuples: &mut [Tuple],
         states: &[TupleState],
         ts_counter: &mut Timestamp,
         out: &mut Vec<BuildResult>,
     ) {
-        debug_assert_eq!(batch.len(), states.len());
-        let tuples = batch.as_mut_slice();
+        debug_assert_eq!(tuples.len(), states.len());
         // A windowed SteM builds one row at a time, so eviction
         // interleaves with inserts (see the module docs).
         let envelope = if self.window.is_some() {
@@ -1105,9 +1103,8 @@ pub(crate) mod testkit {
         ts: Timestamp,
     ) -> BuildResult {
         let mut counter = ts.saturating_sub(1);
-        let batch = TupleBatch::single(tuple.clone());
-        stem.build_batch(&batch, std::slice::from_ref(state), &mut counter)
-            .remove(0)
+        let (tuple, state) = (std::slice::from_ref(tuple), std::slice::from_ref(state));
+        stem.build_batch(tuple, state, &mut counter).remove(0)
     }
 
     /// Probe with one tuple.
@@ -1664,11 +1661,10 @@ mod tests {
         // what envelopes of one do. A batch-deferred insert would wrongly
         // absorb it as a duplicate.
         let tuples = [s_tuple(1, 1), s_tuple(2, 2), s_tuple(3, 3), s_tuple(1, 1)];
-        let batch: TupleBatch = tuples.iter().cloned().collect();
         let states = vec![TupleState::new(); 4];
         let mut stem = windowed(2);
         let mut ts = 0;
-        let results = stem.build_batch(&batch, &states, &mut ts);
+        let results = stem.build_batch(&tuples, &states, &mut ts);
         for (i, r) in results.iter().enumerate() {
             assert!(
                 matches!(r, BuildResult::Fresh(_)),
@@ -1714,7 +1710,7 @@ mod tests {
         // re-arrival rebuilds Fresh (into a new slot, with a new stamp),
         // the second is a true duplicate again. After the sweep, slab,
         // dedup chains and timestamp column agree.
-        let batch: TupleBatch = [
+        let batch: Vec<Tuple> = [
             s_tuple(1, 1),
             s_tuple(2, 2),
             s_tuple(3, 3),
@@ -1758,7 +1754,7 @@ mod tests {
         let mut ts = 0;
         let states = vec![TupleState::new(); ENVELOPE];
         for first in (0..BUILDS).step_by(ENVELOPE) {
-            let batch: TupleBatch = (first..BUILDS.min(first + ENVELOPE))
+            let batch: Vec<Tuple> = (first..BUILDS.min(first + ENVELOPE))
                 .map(|i| s_tuple(i as i64, 0))
                 .collect();
             stem.build_batch(&batch, &states[..batch.len()], &mut ts);
@@ -2153,7 +2149,7 @@ mod tests {
     }
 
     /// A mixed build workload: dups, NULL keys, a keyed EOT.
-    fn workload() -> TupleBatch {
+    fn workload() -> Vec<Tuple> {
         let mut tuples: Vec<Tuple> = (0..40).map(|i| s_tuple(i % 13, i)).collect();
         tuples.push(s_null_key(1));
         tuples.push(s_tuple(3, 3)); // duplicate of i=3
@@ -2168,15 +2164,14 @@ mod tests {
     /// Build `batch` cut into envelopes of `envelope` rows.
     fn build_in_envelopes(
         stem: &mut Stem,
-        batch: &TupleBatch,
+        batch: &[Tuple],
         envelope: usize,
     ) -> (Vec<BuildResult>, Timestamp) {
         let mut ts = 0;
         let mut results = Vec::new();
-        for chunk in batch.as_slice().chunks(envelope) {
-            let chunk: TupleBatch = chunk.iter().cloned().collect();
+        for chunk in batch.chunks(envelope) {
             let states = vec![TupleState::new(); chunk.len()];
-            results.extend(stem.build_batch(&chunk, &states, &mut ts));
+            results.extend(stem.build_batch(chunk, &states, &mut ts));
         }
         (results, ts)
     }
@@ -2252,11 +2247,10 @@ mod tests {
             trusting.trust_distinct();
             assert!(filtering.filters_duplicates() && !trusting.filters_duplicates());
             let (mut ts_f, mut ts_t) = (0, 0);
-            for chunk in rows.chunks(7) {
-                let batch: TupleBatch = chunk.iter().cloned().collect();
+            for batch in rows.chunks(7) {
                 let states = vec![TupleState::new(); batch.len()];
-                let want = filtering.build_batch(&batch, &states, &mut ts_f);
-                let got = trusting.build_batch(&batch, &states, &mut ts_t);
+                let want = filtering.build_batch(batch, &states, &mut ts_f);
+                let got = trusting.build_batch(batch, &states, &mut ts_t);
                 let cell = format!("window {window:?}");
                 assert!(!got.contains(&BuildResult::Duplicate), "{cell}");
                 assert_eq!(stamped_ts(&got), stamped_ts(&want), "{cell}");
@@ -2382,7 +2376,7 @@ mod tests {
         // Interleave duplicates and evicted re-arrivals.
         for round in 0..6i64 {
             let keys: Vec<i64> = (0..7).map(|i| (round * 3 + i) % 10).collect();
-            let batch: TupleBatch = keys.iter().map(|&k| s_tuple(k, k)).collect();
+            let batch: Vec<Tuple> = keys.iter().map(|&k| s_tuple(k, k)).collect();
             let states = vec![TupleState::new(); batch.len()];
             let got = stem.build_batch(&batch, &states, &mut ts);
             for (&k, result) in keys.iter().zip(&got) {
@@ -2450,7 +2444,7 @@ mod tests {
 
     /// Keys descend while build timestamps ascend; y repeats, so y = 3
     /// picks 8 of the 40 rows.
-    fn second_column_batch() -> TupleBatch {
+    fn second_column_batch() -> Vec<Tuple> {
         (0..40i64).map(|i| s_tuple(100 - i, i % 5)).collect()
     }
 

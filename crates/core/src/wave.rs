@@ -47,7 +47,7 @@
 
 use crate::router::Action;
 use crate::tuple_state::TupleState;
-use stems_types::{Tuple, TupleBatch};
+use stems_types::Tuple;
 
 /// Buffers a [`WavePool`] retains at most.
 pub(crate) const MAX_FREE_WAVES: usize = 4;
@@ -61,7 +61,7 @@ pub(crate) const MIN_KEEP_ROWS: usize = 64;
 /// their routing states, and the clustered marks.
 #[derive(Debug, Default)]
 pub(crate) struct Wave {
-    tuples: TupleBatch,
+    tuples: Vec<Tuple>,
     states: Vec<TupleState>,
     /// The members a Grace release marked clustered, as index runs
     /// `[start, end)` in member order. Almost always empty, so the common
@@ -93,7 +93,7 @@ impl Wave {
         self.states.push(state);
     }
 
-    pub(crate) fn tuples(&self) -> &TupleBatch {
+    pub(crate) fn tuples(&self) -> &[Tuple] {
         &self.tuples
     }
 
@@ -103,7 +103,7 @@ impl Wave {
 
     /// The tuples, mutably, beside their states — a build moves its fresh
     /// singletons out of the envelope instead of copying them.
-    pub(crate) fn tuples_mut(&mut self) -> (&mut TupleBatch, &[TupleState]) {
+    pub(crate) fn tuples_mut(&mut self) -> (&mut [Tuple], &[TupleState]) {
         (&mut self.tuples, &self.states)
     }
 
@@ -134,7 +134,7 @@ impl Wave {
             }
             runs.get(next).is_some_and(|run| run.0 <= i)
         };
-        let members = self.tuples.drain().zip(self.states.drain(..));
+        let members = self.tuples.drain(..).zip(self.states.drain(..));
         members
             .enumerate()
             .map(move |(i, (tuple, state))| (tuple, state, clustered(i)))
@@ -186,7 +186,7 @@ impl Wave {
         }
         let added = self.len() - end;
         if added > 0 {
-            self.tuples.as_mut_slice()[at..].rotate_right(added);
+            self.tuples[at..].rotate_right(added);
             self.states[at..].rotate_right(added);
             self.clustered.push((at, at + added));
         }
@@ -230,7 +230,7 @@ impl Sift<'_> {
             self.next_run += 1;
         }
         let clustered = self.runs.get(self.next_run).is_some_and(|run| run.0 <= i);
-        Some((&mut self.wave.tuples.as_mut_slice()[i], state, clustered))
+        Some((&mut self.wave.tuples[i], state, clustered))
     }
 
     /// Members not yet visited.
@@ -242,7 +242,7 @@ impl Sift<'_> {
     pub(crate) fn keep(&mut self, clustered: bool) {
         let (i, k) = (self.at - 1, self.kept);
         if i != k {
-            self.wave.tuples.as_mut_slice().swap(k, i);
+            self.wave.tuples.swap(k, i);
             self.wave.states.swap(k, i);
         }
         if clustered {
@@ -257,7 +257,7 @@ impl Sift<'_> {
     /// Move the current member out of the wave.
     pub(crate) fn take(&mut self) -> (Tuple, TupleState) {
         let i = self.at - 1;
-        let tuple = std::mem::replace(&mut self.wave.tuples.as_mut_slice()[i], Tuple::empty());
+        let tuple = std::mem::replace(&mut self.wave.tuples[i], Tuple::empty());
         (tuple, std::mem::take(&mut self.wave.states[i]))
     }
 
@@ -310,7 +310,7 @@ impl WavePool {
     pub(crate) fn take_sized(&mut self, rows: usize) -> Wave {
         let mut wave = self.take();
         if wave.capacity() == 0 {
-            wave.tuples = TupleBatch::with_capacity(rows);
+            wave.tuples = Vec::with_capacity(rows);
             wave.states.reserve_exact(rows);
         }
         wave
@@ -403,7 +403,7 @@ mod tests {
             state.hops = i as u32;
             i % 3 != 0
         });
-        assert_eq!(w.tuples().as_slice(), &[t(1), t(2), t(4), t(5)]);
+        assert_eq!(w.tuples(), &[t(1), t(2), t(4), t(5)]);
         let hops: Vec<u32> = w.states().iter().map(|s| s.hops).collect();
         assert_eq!(hops, vec![1, 2, 4, 5]);
         assert!(w.drain().all(|(_, _, clustered)| !clustered));
@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn sift_keeps_members_in_place_and_moves_the_rest_out() {
         let mut w = filled(6);
-        let buffer = w.tuples().as_slice().as_ptr();
+        let buffer = w.tuples().as_ptr();
         let mut taken = Vec::new();
         let mut sift = w.sift();
         while let Some((tuple, state, clustered)) = sift.next() {
@@ -430,12 +430,8 @@ mod tests {
         }
         assert_eq!(sift.kept(), 3);
         drop(sift);
-        assert_eq!(w.tuples().as_slice(), &[t(0), t(3), t(4)]);
-        assert_eq!(
-            w.tuples().as_slice().as_ptr(),
-            buffer,
-            "no member moved buffers"
-        );
+        assert_eq!(w.tuples(), &[t(0), t(3), t(4)]);
+        assert_eq!(w.tuples().as_ptr(), buffer, "no member moved buffers");
         let hops: Vec<u32> = w.states().iter().map(|s| s.hops).collect();
         assert_eq!(hops, vec![0, 3, 4]);
         assert_eq!(w.clustered, vec![(1, 2)], "marks follow the kept members");
@@ -448,10 +444,7 @@ mod tests {
         let mut w = filled(4);
         w.compact(|_, _, _| true);
         w.insert_clustered(1, [(t(10), TupleState::new()), (t(11), TupleState::new())]);
-        assert_eq!(
-            w.tuples().as_slice(),
-            &[t(0), t(10), t(11), t(1), t(2), t(3)]
-        );
+        assert_eq!(w.tuples(), &[t(0), t(10), t(11), t(1), t(2), t(3)]);
         let marks: Vec<bool> = w.drain().map(|m| m.2).collect();
         assert_eq!(marks, vec![false, true, true, false, false, false]);
         // At the end, and nothing to insert.
@@ -484,7 +477,7 @@ mod tests {
         assert_eq!(pool.take_sized(8).capacity(), 64);
         pool.put(Wave::default());
         let w = pool.take_sized(8);
-        assert_eq!((w.capacity(), w.tuples.as_slice().len()), (8, 0));
+        assert_eq!((w.capacity(), w.tuples.len()), (8, 0));
     }
 
     #[test]

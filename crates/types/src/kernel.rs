@@ -3,7 +3,7 @@
 //! The scalar entry point, [`Predicate::eval`], resolves both operands and
 //! dispatches on [`crate::Value`]'s type tag for every tuple. When a
 //! selection of the common shape `col <op> constant` is applied to a whole
-//! [`TupleBatch`], that per-tuple dispatch dominates: the operator, the
+//! batch of tuples, that per-tuple dispatch dominates: the operator, the
 //! constant, and the column are loop-invariant. [`Predicate::eval_batch`]
 //! recognizes those shapes, gathers the column once into a **typed lane**,
 //! and runs one tight comparison loop over primitive values — the standard
@@ -60,7 +60,7 @@
 //! masked entry point [`Predicate::eval_batch_masked`] is what lets later
 //! predicates in the fused chain gather only the still-alive rows.
 
-use crate::{CmpOp, ColRef, Operand, Predicate, TupleBatch, Value};
+use crate::{CmpOp, ColRef, Operand, Predicate, Tuple, Value};
 use std::sync::Arc;
 
 /// One typed gather of a column over a batch: the classification pass
@@ -79,7 +79,7 @@ impl<T> PartialGather<T> {
     /// `col` is admitted by `extract` join the typed lane, the rest become
     /// exceptions. Rows where `mask` is `false` are skipped entirely.
     pub(crate) fn classify<'a>(
-        batch: &'a TupleBatch,
+        batch: &'a [Tuple],
         col: ColRef,
         mask: Option<&[bool]>,
         extract: impl Fn(&'a Value) -> Option<T>,
@@ -197,7 +197,7 @@ impl Predicate {
     /// member, in batch order, verdict-for-verdict identical to mapping
     /// [`Predicate::eval`]. Uses a columnar kernel when the predicate
     /// qualifies (see the module docs for the dispatch rules).
-    pub fn eval_batch(&self, batch: &TupleBatch) -> Vec<Option<bool>> {
+    pub fn eval_batch(&self, batch: &[Tuple]) -> Vec<Option<bool>> {
         self.eval_batch_masked(batch, None)
     }
 
@@ -205,11 +205,7 @@ impl Predicate {
     /// `true` (a fused conjunction's still-alive rows). Masked-out rows
     /// are neither gathered nor scalar-evaluated; their output slot is
     /// `None` and must not be interpreted as a verdict.
-    pub fn eval_batch_masked(
-        &self,
-        batch: &TupleBatch,
-        mask: Option<&[bool]>,
-    ) -> Vec<Option<bool>> {
+    pub fn eval_batch_masked(&self, batch: &[Tuple], mask: Option<&[bool]>) -> Vec<Option<bool>> {
         debug_assert!(mask.is_none_or(|m| m.len() == batch.len()));
         match self.const_kernel() {
             Some(k) => k.eval_masked(self, batch, mask),
@@ -253,7 +249,7 @@ impl ConstKernel {
     pub fn eval_masked(
         &self,
         pred: &Predicate,
-        batch: &TupleBatch,
+        batch: &[Tuple],
         mask: Option<&[bool]>,
     ) -> Vec<Option<bool>> {
         match self {
@@ -319,7 +315,7 @@ fn bool_lane(v: &Value) -> Option<bool> {
 /// column, scalar-evaluate exactly the exception rows.
 fn run<'a, T>(
     pred: &Predicate,
-    batch: &'a TupleBatch,
+    batch: &'a [Tuple],
     mask: Option<&[bool]>,
     col: ColRef,
     extract: impl Fn(&'a Value) -> Option<T>,
@@ -331,7 +327,7 @@ fn run<'a, T>(
         out[row as usize] = Some(test(v));
     }
     for &row in &g.exceptions {
-        out[row as usize] = pred.eval(&batch.as_slice()[row as usize]);
+        out[row as usize] = pred.eval(&batch[row as usize]);
     }
     out
 }
@@ -339,13 +335,13 @@ fn run<'a, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PredId, TableIdx, Tuple};
+    use crate::{PredId, TableIdx};
 
     fn t0(v: Value) -> Tuple {
         Tuple::singleton_of(TableIdx(0), vec![v])
     }
 
-    fn batch(vals: Vec<Value>) -> TupleBatch {
+    fn batch(vals: Vec<Value>) -> Vec<Tuple> {
         vals.into_iter().map(t0).collect()
     }
 
@@ -612,16 +608,12 @@ mod tests {
     #[test]
     fn wrong_span_yields_none() {
         let p = sel(CmpOp::Eq, Value::Int(1));
-        let b: TupleBatch = vec![Tuple::singleton_of(TableIdx(1), vec![Value::Int(1)])]
-            .into_iter()
-            .collect();
+        let b = vec![Tuple::singleton_of(TableIdx(1), vec![Value::Int(1)])];
         assert_eq!(p.eval_batch(&b), vec![None]);
     }
 
     #[test]
     fn empty_batch_yields_empty_verdicts() {
-        assert!(sel(CmpOp::Eq, Value::Int(1))
-            .eval_batch(&TupleBatch::new())
-            .is_empty());
+        assert!(sel(CmpOp::Eq, Value::Int(1)).eval_batch(&[]).is_empty());
     }
 }

@@ -9,8 +9,8 @@
 //! * [`Tuple`] — a (possibly composite) tuple made of *base-table
 //!   components* (paper Definition 1), together with its *span* and the
 //!   build [`Timestamp`] of each component.
-//! * [`TupleBatch`] — an ordered batch of tuples moving through the
-//!   dataflow as one unit (the batched engine path).
+//! * [`TupleBatch`] — a name for `Vec<Tuple>`, the envelope of tuples the
+//!   batched engine path routes as one unit; batch APIs take `&[Tuple]`.
 //! * [`Predicate`] / [`Operand`] — the select-project-join predicate
 //!   language (comparisons and IN-lists), evaluable over partial tuples,
 //!   with column-at-a-time batch kernels over a typed partial gather
@@ -21,7 +21,6 @@
 //! whose components it carries; a *singleton* tuple has exactly one
 //! component (Definition 2).
 
-mod batch;
 mod error;
 mod expr;
 mod kernel;
@@ -32,7 +31,6 @@ mod span;
 mod tuple;
 mod value;
 
-pub use batch::TupleBatch;
 pub use error::{Result, StemsError};
 pub use expr::{
     CmpOp, ColRef, ColumnSource, ExprKind, Operand, PredId, PredSet, Predicate, UdfKind, UdfSpec,
@@ -45,3 +43,10 @@ pub use schema::{Column, ColumnType, Schema};
 pub use span::{TableIdx, TableSet, MAX_TABLES};
 pub use tuple::{Component, Timestamp, Tuple, UNBUILT_TS};
 pub use value::Value;
+
+/// An ordered run of tuples moving through the dataflow as one unit.
+///
+/// Only a name: a batch is a `Vec<Tuple>`, and every batch API takes a
+/// slice. Pinned because `benchmark/` names it (the `stems-core` crate's
+/// "Surface" lists it); removed when that stops.
+pub type TupleBatch = Vec<Tuple>;

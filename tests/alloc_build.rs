@@ -18,7 +18,7 @@ use stems::catalog::SourceId;
 use stems::core::stem::{BuildResult, StemOptions};
 use stems::core::{Stem, TupleState};
 use stems::storage::StoreKind;
-use stems::types::{Row, TableIdx, Timestamp, Tuple, TupleBatch, Value};
+use stems::types::{Row, TableIdx, Timestamp, Tuple, Value};
 
 const ROWS: usize = 4096;
 /// Growth only: a few vectors and tables, each doubling ~12 times.
@@ -73,7 +73,7 @@ fn building_and_dropping_allocate_for_growth_not_per_key() {
         false,
         StemOptions::default(),
     );
-    let batch: TupleBatch = rows
+    let batch: Vec<Tuple> = rows
         .iter()
         .map(|r| Tuple::singleton(TableIdx(0), r.clone()))
         .collect();

@@ -28,8 +28,7 @@ use stems::catalog::{Catalog, QuerySpec, ScanSpec, SourceId, TableDef, TableInst
 use stems::core::stem::{ProbeReplySet, StemOptions};
 use stems::core::{Stem, TupleState};
 use stems::types::{
-    CmpOp, ColRef, ColumnType, PredId, Predicate, Schema, TableIdx, Timestamp, Tuple, TupleBatch,
-    Value,
+    CmpOp, ColRef, ColumnType, PredId, Predicate, Schema, TableIdx, Timestamp, Tuple, Value,
 };
 
 /// R(key, a) ⋈ S(x, y) on R.a = S.x.
@@ -93,7 +92,7 @@ fn built_s_stem(rows: usize) -> Stem {
         StemOptions::default(),
     );
     let mut ts: Timestamp = 0;
-    let batch: TupleBatch = (0..rows as i64)
+    let batch: Vec<Tuple> = (0..rows as i64)
         .map(|i| Tuple::singleton_of(TableIdx(1), vec![Value::Int(i), Value::Int(i)]))
         .collect();
     let states = vec![TupleState::new(); batch.len()];

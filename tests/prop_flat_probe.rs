@@ -279,7 +279,7 @@ mod stem_model {
     pub use stems::core::{Stem, TupleState};
     pub use stems::types::{
         CmpOp, ColRef, ColumnType, PredId, PredSet, Predicate, Schema, TableIdx, Timestamp, Tuple,
-        TupleBatch, UNBUILT_TS,
+        UNBUILT_TS,
     };
 
     /// Queries over R(key, a) and S(x, y), probing S's SteM (first join
@@ -482,7 +482,7 @@ fn probe_batch_replies_equal_scalar_probe_replies() {
                     ..StemOptions::default()
                 },
             );
-            let batch: TupleBatch = (0..rng.below(60))
+            let batch: Vec<Tuple> = (0..rng.below(60))
                 .map(|_| random_s_tuple(&mut rng))
                 .collect();
             let mut ts = 0;
@@ -561,7 +561,7 @@ fn stem_matches_naive_model_through_builds_evictions_and_probes() {
                 for round in 0..5 {
                     // Build: the model absorbs, stamps and evicts one
                     // row at a time, as a windowed SteM must.
-                    let batch: TupleBatch = (0..rng.below(70))
+                    let batch: Vec<Tuple> = (0..rng.below(70))
                         .map(|_| random_s_tuple(&mut rng))
                         .collect();
                     let states = vec![TupleState::new(); batch.len()];

@@ -15,7 +15,7 @@
 use stems::core::Sm;
 use stems::prelude::*;
 use stems::sim::SimRng;
-use stems::types::TupleBatch;
+use stems::types::Tuple;
 
 const OPS: [CmpOp; 6] = [
     CmpOp::Eq,
@@ -86,7 +86,7 @@ fn gen_pred(rng: &mut SimRng) -> Predicate {
     }
 }
 
-fn gen_batch(rng: &mut SimRng, int_only: bool) -> TupleBatch {
+fn gen_batch(rng: &mut SimRng, int_only: bool) -> Vec<Tuple> {
     let n = rng.below(200) as usize;
     (0..n)
         .map(|_| {
@@ -218,7 +218,7 @@ fn join_predicates_fall_back_and_agree() {
     assert!(join.const_kernel().is_none());
     for _ in 0..100 {
         let n = rng.below(64) as usize;
-        let batch: TupleBatch = (0..n)
+        let batch: Vec<Tuple> = (0..n)
             .map(|_| {
                 let left = Tuple::singleton_of(
                     TableIdx(0),
@@ -262,7 +262,7 @@ fn single_poison_value_does_not_corrupt_verdicts() {
                 .collect();
             let slot = rng.below(vals.len() as u64) as usize;
             vals[slot] = poison.clone();
-            let batch: TupleBatch = vals
+            let batch: Vec<Tuple> = vals
                 .into_iter()
                 .map(|v| Tuple::singleton_of(TableIdx(0), vec![v]))
                 .collect();

@@ -12,7 +12,7 @@
 use stems::core::{MemoCache, Sm};
 use stems::prelude::*;
 use stems::sim::SimRng;
-use stems::types::{TupleBatch, UdfSpec};
+use stems::types::{Tuple, UdfSpec};
 
 /// A random sieve input, skewed toward duplicates (small Int range) but
 /// covering every shape the key pipeline must survive.
@@ -31,7 +31,7 @@ fn gen_value(rng: &mut SimRng) -> Value {
     }
 }
 
-fn gen_batch(rng: &mut SimRng) -> TupleBatch {
+fn gen_batch(rng: &mut SimRng) -> Vec<Tuple> {
     let n = rng.below(120) as usize;
     (0..n)
         .map(|_| {
@@ -90,7 +90,7 @@ fn memo_and_dedup_match_scalar_verdicts() {
 #[test]
 fn dedup_and_memo_actually_save_work() {
     let pred = sieve(500);
-    let batch: TupleBatch = (0..100)
+    let batch: Vec<Tuple> = (0..100)
         .map(|i: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(i), Value::Int(i % 5)]))
         .collect();
     let plain = Sm::new(pred.clone());
