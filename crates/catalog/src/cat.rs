@@ -2,7 +2,7 @@
 
 use crate::{AccessMethodDef, AmId, IndexTable};
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use stems_types::{Result, Row, Schema, StemsError, Value};
 
 /// Identifier of a source table in the catalog.
@@ -74,6 +74,10 @@ pub struct Catalog {
     index_tables: Vec<Option<Arc<IndexTable>>>,
     /// Per table, in `tables` order: are its rows pairwise distinct?
     distinct: Vec<bool>,
+    /// Per table, in `tables` order, per column: its distinct equality
+    /// keys, counted on the first request ([`Self::distinct_keys`]) and
+    /// shared with clones, whose rows are the same.
+    key_counts: Vec<Arc<[OnceLock<usize>]>>,
 }
 
 impl Catalog {
@@ -103,6 +107,9 @@ impl Catalog {
         }
         let id = SourceId(self.tables.len() as u32);
         self.distinct.push(distinct);
+        let columns = def.schema.arity();
+        self.key_counts
+            .push((0..columns).map(|_| OnceLock::new()).collect());
         self.tables.push(def);
         Ok(id)
     }
@@ -116,6 +123,35 @@ impl Catalog {
             .get(source.0 as usize)
             .copied()
             .unwrap_or(false)
+    }
+
+    /// How many distinct equality keys column `col` of `source` holds:
+    /// distinct [`Value::stable_key_hash`]es, so `Int(5)` and `Float(5.0)`
+    /// are one key and NULL and EOT are none — exactly the entries a
+    /// SteM's hash index on the column holds once the whole table is
+    /// built in. Counted on the first request and kept, for this catalog
+    /// and its clones; 0 for an unknown source or column.
+    ///
+    /// A sizing hint, and only that: a scan-fed SteM reserves its join
+    /// indexes for it, and no routing, result or cost reads it.
+    pub fn distinct_keys(&self, source: SourceId, col: usize) -> usize {
+        let i = source.0 as usize;
+        let (Some(table), Some(count)) = (
+            self.tables.get(i),
+            self.key_counts.get(i).and_then(|c| c.get(col)),
+        ) else {
+            return 0;
+        };
+        *count.get_or_init(|| {
+            let keys = table
+                .rows()
+                .iter()
+                .filter_map(|r| r.get(col)?.stable_key_hash());
+            let mut keys: Vec<u64> = keys.collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.len()
+        })
     }
 
     /// Register a scan access method on `source`.
@@ -373,6 +409,39 @@ mod tests {
             .with_rows(vec![vec!["oops".into()]]);
         assert!(c.add_table(bad).is_err());
         assert!(!c.rows_distinct(SourceId(empty.0 + 1)));
+    }
+
+    /// A column's key count is the number of entries a SteM's hash index
+    /// on it holds: SQL-equal numbers are one key, NULL and EOT none.
+    #[test]
+    fn distinct_keys_count_equality_keys_per_column() {
+        let mut c = Catalog::new();
+        let schema = Schema::of(&[
+            ("n", ColumnType::Float),
+            ("s", ColumnType::Str),
+            ("k", ColumnType::Int),
+        ]);
+        let rows = vec![
+            vec![Value::Int(5), Value::str("a"), Value::Null],
+            vec![Value::Float(5.0), Value::str("b"), Value::Null],
+            vec![Value::Float(5.5), Value::str("a"), Value::Eot],
+            vec![Value::Null, Value::str("c"), Value::Int(1)],
+            vec![Value::Eot, Value::str("a"), Value::Int(1)],
+        ];
+        let t = c
+            .add_table(TableDef::new("T", schema).with_rows(rows))
+            .unwrap();
+        assert_eq!(c.distinct_keys(t, 0), 2, "Int(5) = Float(5.0), and 5.5");
+        assert_eq!(c.distinct_keys(t, 1), 3, "strings count too");
+        assert_eq!(c.distinct_keys(t, 2), 1, "NULL and EOT are no key");
+        // Counted once, and a clone reads the same count.
+        assert_eq!(c.clone().distinct_keys(t, 0), 2);
+        let empty = c
+            .add_table(TableDef::new("E", Schema::of(&[("k", ColumnType::Int)])))
+            .unwrap();
+        assert_eq!(c.distinct_keys(empty, 0), 0, "an empty table");
+        assert_eq!(c.distinct_keys(t, 3), 0, "no such column");
+        assert_eq!(c.distinct_keys(SourceId(9), 0), 0, "no such source");
     }
 
     #[test]

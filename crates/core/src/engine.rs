@@ -67,6 +67,7 @@ use crate::stem::{eot_bindings, BuildResult, ProbeOutcome, ProbeReplySet, Stem};
 use crate::tuple_state::{CompletionNeed, PriorProber, TupleState};
 use crate::wave::{Wave, WavePool};
 use std::collections::VecDeque;
+use std::ops::Range;
 use stems_catalog::{Catalog, QuerySpec};
 use stems_sim::{EventQueue, MetricId, Metrics, SimRng, Time};
 use stems_storage::fxhash::FxHashSet;
@@ -250,6 +251,16 @@ impl Default for ExecConfig {
 struct Envelope {
     wave: Wave,
     action: Action,
+}
+
+/// A group [`EddyExecutor::route_wave`] opened from the pool: its
+/// members, and where the candidate signature they share sits in the
+/// routing call's signature buffer — a group is the only phase of a wave
+/// that has a signature, so the wave carries none.
+#[derive(Debug)]
+struct Group {
+    wave: Wave,
+    sig: Range<usize>,
 }
 
 /// What [`EddyExecutor::route_wave`] does with a member — a function of
@@ -481,10 +492,11 @@ pub struct EddyExecutor {
     /// (see [`crate::wave`] for the life cycle and the bound).
     waves: WavePool,
     /// [`Self::route_wave`]'s working lists, empty between calls: the
-    /// open groups of the wave being routed, and the flushed groups
-    /// awaiting dispatch.
-    groups: Vec<Wave>,
-    flushed: Vec<Wave>,
+    /// open groups of the wave being routed, the flushed groups awaiting
+    /// dispatch, and every group's candidate signature, end to end.
+    groups: Vec<Group>,
+    flushed: Vec<Group>,
+    signatures: Vec<Action>,
     /// Modules earlier dispatches of the current burst routed into — any
     /// later wave offering one of them had a stale flush-time backlog
     /// view. At most one entry per module.
@@ -493,6 +505,8 @@ pub struct EddyExecutor {
     pairs: Vec<(Action, Hint)>,
     /// [`Self::process_build`]'s per-member results.
     build_results: Vec<BuildResult>,
+    /// [`Self::process_select`]'s fused siblings: their module ids.
+    siblings: Vec<usize>,
     /// [`Self::process_am_probe`]'s per-member lookup outcomes.
     am_outcomes: Vec<(IndexProbeOutcome, Option<Vec<Value>>)>,
     /// The chunk a scan emits per event, on its way into a wave.
@@ -583,9 +597,11 @@ impl EddyExecutor {
             waves: WavePool::new(config.batch_size),
             groups: Vec::new(),
             flushed: Vec::new(),
+            signatures: Vec::new(),
             touched: Vec::new(),
             pairs: Vec::new(),
             build_results: Vec::new(),
+            siblings: Vec::new(),
             am_outcomes: Vec::new(),
             emitted: Vec::new(),
             config,
@@ -1078,32 +1094,28 @@ impl EddyExecutor {
         // kernel. Members of one envelope share a candidate signature, so
         // their pending-selection sets agree; the per-member check below
         // is the safety net, not the common case.
-        let siblings: Vec<&crate::sm::Sm> = if self.config.fuse_selections {
-            self.layout
-                .sm_mids
-                .iter()
-                .filter(|(pid, _)| *pid != sm.pred_id())
-                .filter_map(|(_, mid)| match &self.modules[*mid] {
-                    Module::Sm(other) => Some(other),
-                    _ => None,
-                })
-                .filter(|other| {
-                    let p = &other.pred;
-                    !other.is_udf()
-                        && p.tables() == sm.pred.tables()
-                        && wave.states().iter().all(|s| !s.done.contains(p.id))
-                        && wave.tuples().iter().all(|t| p.evaluable_on(t.span()))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let modules = &self.modules;
+        let mut siblings = std::mem::take(&mut self.siblings);
+        siblings.clear();
+        if self.config.fuse_selections {
+            siblings.extend(self.layout.sm_mids.iter().filter_map(|&(pid, mid)| {
+                let other = modules[mid].sm().filter(|_| pid != sm.pred_id())?;
+                let p = &other.pred;
+                let fuses = !other.is_udf()
+                    && p.tables() == sm.pred.tables()
+                    && wave.states().iter().all(|s| !s.done.contains(p.id))
+                    && wave.tuples().iter().all(|t| p.evaluable_on(t.span()));
+                fuses.then_some(mid)
+            }));
+        }
         if siblings.is_empty() {
             // Nothing to fuse: the plain single-predicate kernel path,
             // with no per-tuple cascade bookkeeping.
+            self.siblings = siblings;
             return self.select_single(sm, wave);
         }
-        let verdicts = sm.apply_batch_fused(wave.tuples(), &siblings);
+        let chain = || siblings.iter().filter_map(|mid| modules[*mid].sm());
+        let verdicts = sm.apply_chain(wave.tuples(), chain());
         // Virtual cost: one SM service per member (exactly the unfused
         // charge) plus one per extra sibling evaluation actually performed
         // — fusion saves routing hops and envelopes, not predicate work.
@@ -1113,7 +1125,7 @@ impl EddyExecutor {
         // The Select hop compacts its envelope to the survivors in place.
         wave.compact(|i, _, state| {
             let fused = verdicts[i];
-            for (pred, passed) in fused.evals(sm, &siblings) {
+            for (pred, passed) in fused.evals(sm, chain()) {
                 self.metrics.bump_id(self.ids.sm_applied, self.now, 1);
                 self.policy.feedback(&Feedback::Selected { pred, passed });
             }
@@ -1129,6 +1141,7 @@ impl EddyExecutor {
         });
         self.metrics
             .bump_id(self.ids.fused_selects, self.now, siblings.len() as u64);
+        self.siblings = siblings;
         (dur, wave)
     }
 
@@ -1272,17 +1285,19 @@ impl EddyExecutor {
     /// closes immediately and this is exactly the scalar routing loop —
     /// the same code, on the same recycled buffers.
     ///
-    /// A group is itself a [`Wave`], its [`Wave::actions`] the signature
-    /// its members share. A delivery that fits one envelope is its own
-    /// first group: the members that join it stay where they are, compacted
-    /// in place, and only members bound elsewhere move — into a group from
-    /// the pool, a result, a park. A key-uniform delivery thus becomes its
-    /// envelope without a member moving. A larger delivery moves every
-    /// member out, since its groups may fill and flush before it ends.
-    /// While open a group accumulates members; once it flushes (fills up,
-    /// or the wave ends) it awaits dispatch: full groups first, in fill
-    /// order, then the wave's leftovers in opening order, all dispatched
-    /// after the whole wave is grouped. Queue-backlog hints are **not**
+    /// A group is itself a [`Wave`]; the signature its members share is a
+    /// span of one executor-owned buffer the call fills as groups open, so
+    /// a signature costs no allocation of its own. A delivery that fits
+    /// one envelope is its own first group: the members that join it stay
+    /// where they are, compacted in place, and only members bound
+    /// elsewhere move — into a group from the pool, a result, a park. A
+    /// key-uniform delivery thus becomes its envelope without a member
+    /// moving. A larger delivery moves every member out, since its groups
+    /// may fill and flush before it ends. While open a group accumulates
+    /// members; once it flushes (fills up, or the wave ends) it awaits
+    /// dispatch: full groups first, in fill order, then the wave's
+    /// leftovers in opening order, all dispatched after the whole wave is
+    /// grouped. Queue-backlog hints are **not**
     /// captured at flush time: earlier dispatches of the same burst shift
     /// module backlogs between flush and dispatch, so any snapshot taken
     /// here would go stale (ROADMAP "hint freshness"). `Hint::est_cost_us`
@@ -1293,13 +1308,13 @@ impl EddyExecutor {
         let mut groups = std::mem::take(&mut self.groups);
         let mut flushed = std::mem::take(&mut self.flushed);
         let mut acts = std::mem::take(&mut self.candidates);
+        let mut sigs = std::mem::take(&mut self.signatures);
         // Whether the delivery may host its first group. Its members are at
         // most one envelope, so no other group can fill before the wave
         // ends, and the hosted group — opened first — dispatches first.
         let hosts = wave.len() <= cap;
-        debug_assert!(wave.actions.is_empty(), "a delivery carries no signature");
-        // The hosted group's flags, once a member opens it.
-        let mut home: Option<(bool, bool)> = None;
+        // The hosted group's flags and signature, once a member opens it.
+        let mut home: Option<(bool, bool, Range<usize>)> = None;
         let mut members = wave.sift();
         // The previous member's key and decision: `acts` holds that
         // decision's candidate list until a member with another key (or
@@ -1373,32 +1388,35 @@ impl EddyExecutor {
                 Decision::Route => {}
             }
 
-            // Find the open group with the same candidate signature, or
-            // open a new one (the only point the candidate list is
-            // copied). Signature equality is what lets one policy decision
-            // stand for every member.
+            // Find the open group with the same flags and candidate
+            // signature, or open a new one (the only point the candidate
+            // list is copied, into `sigs`). Signature equality is what
+            // lets one policy decision stand for every member.
+            let joins = |c: bool, p: bool, sig: &Range<usize>| {
+                (c, p) == (clustered, prio) && sigs[sig.clone()] == acts[..]
+            };
             let slot = match last_group {
                 Some((slot, c, p)) if c == clustered && p == prio => slot,
-                _ if home == Some((clustered, prio)) && *members.actions() == acts => Slot::Home,
+                _ if home.as_ref().is_some_and(|h| joins(h.0, h.1, &h.2)) => Slot::Home,
                 _ => {
-                    let open = groups.iter().position(|g| {
-                        g.actions == acts && g.clustered() == clustered && g.prioritized() == prio
-                    });
+                    let takes = |g: &Group| joins(g.wave.clustered(), g.wave.prioritized(), &g.sig);
+                    let open = groups.iter().position(takes);
                     match open {
                         Some(i) => Slot::Open(i),
-                        None if hosts && home.is_none() => {
-                            home = Some((clustered, prio));
-                            members.actions().extend_from_slice(&acts);
-                            Slot::Home
-                        }
                         None => {
-                            // This member, and at most the rest of the
-                            // delivery.
-                            let rows = cap.min(members.remaining() + 1);
-                            let mut group = self.waves.take_sized(rows);
-                            group.actions.extend_from_slice(&acts);
-                            groups.push(group);
-                            Slot::Open(groups.len() - 1)
+                            let sig = sigs.len()..sigs.len() + acts.len();
+                            sigs.extend_from_slice(&acts);
+                            if hosts && home.is_none() {
+                                home = Some((clustered, prio, sig));
+                                Slot::Home
+                            } else {
+                                // This member, and at most the rest of the
+                                // delivery.
+                                let rows = cap.min(members.remaining() + 1);
+                                let wave = self.waves.take_sized(rows);
+                                groups.push(Group { wave, sig });
+                                Slot::Open(groups.len() - 1)
+                            }
                         }
                     }
                 }
@@ -1410,11 +1428,11 @@ impl EddyExecutor {
                 continue;
             };
             let (tuple, state) = members.take();
-            groups[i].push(tuple, state, clustered);
+            groups[i].wave.push(tuple, state, clustered);
             // A full group flushes immediately (with cap 1 this
             // degenerates to the scalar per-tuple loop, preserving its
             // decision order exactly).
-            if groups[i].len() >= cap {
+            if groups[i].wave.len() >= cap {
                 flushed.push(groups.remove(i));
                 last_group = None;
             } else {
@@ -1425,16 +1443,17 @@ impl EddyExecutor {
         self.candidates = acts;
         flushed.append(&mut groups);
         self.touched.clear();
-        if wave.is_empty() {
-            self.waves.put(wave);
-        } else {
-            self.dispatch_group(wave);
+        match home {
+            Some((.., sig)) if !wave.is_empty() => self.dispatch_group(wave, &sigs[sig]),
+            _ => self.waves.put(wave),
         }
         for group in flushed.drain(..) {
-            self.dispatch_group(group);
+            self.dispatch_group(group.wave, &sigs[group.sig]);
         }
+        sigs.clear();
         self.groups = groups;
         self.flushed = flushed;
+        self.signatures = sigs;
     }
 
     /// What [`Self::route_wave`] does with a member whose key is `key`;
@@ -1464,8 +1483,9 @@ impl EddyExecutor {
     /// **computed here, at dequeue time** — earlier dispatches of the
     /// same burst (`touched`) may have shifted module backlogs since the
     /// group flushed, and a decision taken on a flush-time snapshot would
-    /// route into queues that no longer look like the estimate.
-    fn dispatch_group(&mut self, mut group: Wave) {
+    /// route into queues that no longer look like the estimate. `sig` is
+    /// the candidate signature the group's members share.
+    fn dispatch_group(&mut self, group: Wave, sig: &[Action]) {
         // The RoutingPolicy contract requires non-empty batches; groups
         // only ever open around a first member, so an empty flush is an
         // engine bug, caught here rather than inside the policy.
@@ -1476,8 +1496,7 @@ impl EddyExecutor {
         // Observability: this group's candidate set includes a module an
         // earlier dispatch of the same burst just routed into — a
         // flush-time backlog estimate would have been stale here.
-        if group
-            .actions
+        if sig
             .iter()
             .any(|a| a.mid().is_some_and(|m| self.touched.contains(&m)))
         {
@@ -1485,7 +1504,7 @@ impl EddyExecutor {
         }
         let mut pairs = std::mem::take(&mut self.pairs);
         pairs.clear();
-        pairs.extend(group.actions.iter().map(|a| (*a, self.hint_for(a))));
+        pairs.extend(sig.iter().map(|a| (*a, self.hint_for(a))));
         let idx = if pairs.len() == 1 {
             0
         } else {
@@ -1494,8 +1513,6 @@ impl EddyExecutor {
         };
         let (action, _) = pairs[idx];
         self.pairs = pairs;
-        // From here on the wave is an envelope, not a group.
-        group.actions.clear();
         if self.config.trace {
             for tuple in group.tuples().iter().filter(|t| !is_eot_member(t)) {
                 self.record(
@@ -1936,6 +1953,13 @@ mod tests {
     /// paper's tuple-at-a-time eddy, 64 the batched default.
     const BATCH_SIZES: [usize; 2] = [1, 64];
 
+    /// A queued envelope is its wave and the action it was routed by: the
+    /// group signature stays with `route_wave`, not in every envelope.
+    #[test]
+    fn a_queued_envelope_carries_no_signature() {
+        assert!(std::mem::size_of::<Envelope>() <= 88);
+    }
+
     fn dummy_env(action: Action) -> Envelope {
         Envelope {
             wave: Wave::default(),
@@ -2013,9 +2037,8 @@ mod tests {
             let before = exec.rt[m1].queue.len();
             exec.touched.push(m1);
             let mut group = exec.waves.take();
-            group.actions = actions;
             group.push(tuple, TupleState::new(), false);
-            exec.dispatch_group(group);
+            exec.dispatch_group(group, &actions);
             assert_eq!(
                 exec.rt[m2].queue.len(),
                 1,
@@ -2789,7 +2812,7 @@ mod tests {
                 );
                 assert!(stem.filters_duplicates());
                 let mid = filtering.layout.stem_mid[t].unwrap();
-                filtering.modules[mid] = Module::Stem(stem);
+                filtering.modules[mid] = Module::Stem(Box::new(stem));
             }
             let (trusting, filtering) = (trusting.run(), filtering.run());
             assert!(trusting.violations.is_empty(), "{:?}", trusting.violations);

@@ -21,17 +21,19 @@ pub use crate::stem::StemOptions;
 use stems_catalog::{feasible, AccessMethodDef, Catalog, JoinGraph, QuerySpec};
 use stems_types::{PredId, Result, TableIdx, TableSet};
 
-/// One instantiated module.
+/// One instantiated module. Each module is boxed, so a `Module` is two
+/// words: the engine moves a module out of its slot and back for every
+/// envelope it serves, and a SteM by value is hundreds of bytes.
 pub enum Module {
     /// A State Module, owned by the plan.
-    Stem(Stem),
+    Stem(Box<Stem>),
     /// A State Module the query server shares across queries: the index of
     /// its entry in the server's registry, which the server lends
     /// read-only to the executor while it steps.
     Folded(usize),
-    ScanAm(ScanAm),
-    IndexAm(IndexAm),
-    Sm(Sm),
+    ScanAm(Box<ScanAm>),
+    IndexAm(Box<IndexAm>),
+    Sm(Box<Sm>),
     /// Placeholder left behind while the engine temporarily moves a module
     /// out of the vector to process an envelope (never routed to).
     Hole,
@@ -44,6 +46,14 @@ impl Module {
         match self {
             Module::Stem(stem) => Some(stem),
             Module::Folded(entry) => shared.get(*entry)?.as_ref().map(|e| &e.stem),
+            _ => None,
+        }
+    }
+
+    /// The SM this module is; `None` for any other module.
+    pub(crate) fn sm(&self) -> Option<&Sm> {
+        match self {
+            Module::Sm(sm) => Some(sm),
             _ => None,
         }
     }
@@ -149,23 +159,23 @@ pub fn instantiate(
             match def {
                 AccessMethodDef::Scan(spec) => {
                     let mid = modules.len();
-                    modules.push(Module::ScanAm(ScanAm::over(
+                    modules.push(Module::ScanAm(Box::new(ScanAm::over(
                         ti.source,
                         instances.clone(),
                         table.row_list(),
                         table.schema.arity(),
                         spec,
-                    )));
+                    ))));
                     layout.scan_mids.push(mid);
                 }
                 AccessMethodDef::Index(spec) => {
                     let mid = modules.len();
-                    modules.push(Module::IndexAm(IndexAm::with_table(
+                    modules.push(Module::IndexAm(Box::new(IndexAm::with_table(
                         instances.clone(),
                         catalog.index_table(am_id).expect("an index AM has a table"),
                         table.schema.arity(),
                         spec.clone(),
-                    )));
+                    ))));
                     for inst in &instances {
                         let mids = &mut layout.index_mids[inst.as_usize()];
                         if mids.len() == crate::router::MAX_INDEX_AMS {
@@ -184,7 +194,7 @@ pub fn instantiate(
     // Step 3: SMs on selection predicates.
     for p in query.selections() {
         let mid = modules.len();
-        modules.push(Module::Sm(Sm::new(p.clone())));
+        modules.push(Module::Sm(Box::new(Sm::new(p.clone()))));
         layout.sm_mids.push((p.id, mid));
     }
 
@@ -205,20 +215,22 @@ pub fn instantiate(
             opts.default_stem.clone(),
         );
         // A scan delivers the whole table, so a scan-fed SteM is sized for
-        // it (an index-only source delivers an unknown subset). When that
-        // scan is the source's only access method and its rows are
-        // pairwise distinct, no row can arrive twice: the SteM skips the
-        // §3.2 duplicate filter, which the paper keeps because "the same
-        // tuple can be generated by different AMs". Two scans, or a scan
-        // beside an index, keep it.
+        // its rows and its join columns' keys (an index-only source
+        // delivers an unknown subset). When that scan is the source's
+        // only access method and its rows are pairwise distinct, no row
+        // can arrive twice: the SteM skips the §3.2 duplicate filter,
+        // which the paper keeps because "the same tuple can be generated
+        // by different AMs". Two scans, or a scan beside an index, keep
+        // it.
         if has_scan {
-            stem.expect_scan_rows(catalog.table_expect(ti.source).num_rows());
+            let rows = catalog.table_expect(ti.source).num_rows();
+            stem.expect_scan_rows(rows, |col| catalog.distinct_keys(ti.source, col));
             if ams.len() == 1 && catalog.rows_distinct(ti.source) {
                 stem.trust_distinct();
             }
         }
         let mid = modules.len();
-        modules.push(Module::Stem(stem));
+        modules.push(Module::Stem(Box::new(stem)));
         layout.stem_mid[i] = Some(mid);
     }
     Ok((modules, layout))
@@ -373,11 +385,11 @@ mod tests {
         assert!(instantiate(&c, &q, &opts).is_err());
     }
 
-    /// A SteM skips the duplicate filter exactly when one scan over rows
-    /// the catalog found distinct feeds it; a repeated row, a second scan,
-    /// an index beside the scan, or an index alone keep it.
-    #[test]
-    fn the_duplicate_filter_is_dropped_only_where_no_duplicate_can_arrive() {
+    /// Five sources joined in a star on the first one's key, each with
+    /// whether its SteM must filter duplicates: one scan over distinct
+    /// rows, a repeated row, a scan beside an index, two scans, and an
+    /// index alone.
+    fn five_feeds() -> (Catalog, QuerySpec, [(SourceId, bool); 5]) {
         let mut c = Catalog::new();
         let schema = Schema::of(&[("k", ColumnType::Int), ("v", ColumnType::Int)]);
         let distinct = || (0..6i64).map(|i| vec![i.into(), (i % 2).into()]).collect();
@@ -426,6 +438,15 @@ mod tests {
             None,
         )
         .unwrap();
+        (c, q, sources)
+    }
+
+    /// A SteM skips the duplicate filter exactly when one scan over rows
+    /// the catalog found distinct feeds it; a repeated row, a second scan,
+    /// an index beside the scan, or an index alone keep it.
+    #[test]
+    fn the_duplicate_filter_is_dropped_only_where_no_duplicate_can_arrive() {
+        let (c, q, sources) = five_feeds();
         let (modules, layout) = instantiate(&c, &q, &PlanOptions::default()).unwrap();
         for (i, (source, filters)) in sources.iter().enumerate() {
             let Module::Stem(stem) = &modules[layout.stem_mid[i].unwrap()] else {
@@ -444,6 +465,33 @@ mod tests {
             StemOptions::default(),
         );
         assert!(stem.filters_duplicates());
+    }
+
+    /// A scan-fed SteM is sized from the catalog — the table's rows, and
+    /// each join column's distinct keys — and one fed by an index alone,
+    /// which delivers an unknown subset, reserves nothing.
+    #[test]
+    fn scan_fed_stems_are_sized_from_the_catalog() {
+        let (c, q, sources) = five_feeds();
+        let (modules, layout) = instantiate(&c, &q, &PlanOptions::default()).unwrap();
+        for (i, (source, _)) in sources.iter().enumerate() {
+            let Module::Stem(stem) = &modules[layout.stem_mid[i].unwrap()] else {
+                panic!("t{i} has a SteM");
+            };
+            let name = &c.table_expect(*source).name;
+            let want = if c.has_scan(*source) {
+                let rows = c.table_expect(*source).num_rows();
+                (rows, vec![(0, c.distinct_keys(*source, 0))])
+            } else {
+                (0, vec![])
+            };
+            let (rows, keys) = stem.reservation();
+            assert_eq!((rows, keys.to_vec()), want, "{name}");
+        }
+        // Six keys in seven rows: an index holds keys, not rows.
+        let repeated = sources[1].0;
+        assert_eq!(c.distinct_keys(repeated, 0), 6);
+        assert_eq!(c.table_expect(repeated).num_rows(), 7);
     }
 
     #[test]

@@ -1182,7 +1182,8 @@ impl<'a> QueryServer<'a> {
         // One shared scan stream feeds the entry, however many scan AMs
         // the source declares: it receives each row of the table once, so
         // over distinct rows it needs no duplicate filter.
-        stem.expect_scan_rows(self.catalog.table_expect(key.source).num_rows());
+        let rows = self.catalog.table_expect(key.source).num_rows();
+        stem.expect_scan_rows(rows, |col| self.catalog.distinct_keys(key.source, col));
         if self.catalog.rows_distinct(key.source) {
             stem.trust_distinct();
         }

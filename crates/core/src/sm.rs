@@ -96,12 +96,12 @@ impl FusedVerdict {
     pub fn evals<'s>(
         self,
         lead: &'s Sm,
-        siblings: &'s [&'s Sm],
+        siblings: impl IntoIterator<Item = &'s Sm, IntoIter: 's>,
     ) -> impl Iterator<Item = (PredId, bool)> + 's {
         let n = self.evaluated as usize;
         let failed = self.verdict == Some(false);
         std::iter::once(lead)
-            .chain(siblings.iter().copied())
+            .chain(siblings)
             .take(n)
             .enumerate()
             .map(move |(k, sm)| (sm.pred_id(), !(failed && k + 1 == n)))
@@ -169,6 +169,17 @@ impl Sm {
     /// kernel. With an empty `siblings` slice this is [`Sm::apply_batch`]
     /// plus bookkeeping.
     pub fn apply_batch_fused(&self, batch: &[Tuple], siblings: &[&Sm]) -> Vec<FusedVerdict> {
+        self.apply_chain(batch, siblings.iter().copied())
+    }
+
+    /// [`Self::apply_batch_fused`] over a chain handed over as an
+    /// iterator, so a caller that finds the siblings elsewhere — the
+    /// eddy, in its module table — collects them into no list.
+    pub(crate) fn apply_chain<'s>(
+        &'s self,
+        batch: &[Tuple],
+        siblings: impl IntoIterator<Item = &'s Sm>,
+    ) -> Vec<FusedVerdict> {
         let n = batch.len();
         let fresh = FusedVerdict {
             verdict: Some(true),
@@ -178,7 +189,7 @@ impl Sm {
         let mut out = vec![fresh; n];
         let mut alive = vec![true; n];
         let mut alive_count = n;
-        for (k, sm) in std::iter::once(&self).chain(siblings.iter()).enumerate() {
+        for (k, sm) in std::iter::once(self).chain(siblings).enumerate() {
             if alive_count == 0 {
                 break;
             }
@@ -375,7 +386,7 @@ mod tests {
         let batch = vec![t(99, 1), t(3, 1), t(99, 9)];
         let siblings = [&sm1];
         let out = sm.apply_batch_fused(&batch, &siblings);
-        let evals = |v: FusedVerdict| v.evals(&sm, &siblings).collect::<Vec<_>>();
+        let evals = |v: FusedVerdict| v.evals(&sm, siblings).collect::<Vec<_>>();
         // Row 0 passes both: both donebits, both feedback events.
         assert_eq!(out[0].verdict, Some(true));
         assert!(out[0].passed.contains(PredId(0)) && out[0].passed.contains(PredId(1)));
@@ -412,12 +423,12 @@ mod tests {
         assert_eq!(out[0].verdict, None);
         assert_eq!(out[0].evaluated, 1);
         assert_eq!(
-            out[0].evals(&sm, &siblings).collect::<Vec<_>>(),
+            out[0].evals(&sm, siblings).collect::<Vec<_>>(),
             vec![(PredId(0), true)]
         );
         assert_eq!(out[1].verdict, Some(false));
         assert_eq!(
-            out[1].evals(&sm, &siblings).collect::<Vec<_>>(),
+            out[1].evals(&sm, siblings).collect::<Vec<_>>(),
             vec![(PredId(0), false)]
         );
     }

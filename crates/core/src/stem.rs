@@ -299,6 +299,9 @@ pub struct Stem {
     /// Rows a scan will deliver, reserved for at the first build
     /// ([`Self::expect_scan_rows`]); 0 once reserved, or when unknown.
     expected_rows: usize,
+    /// Per indexed column, the distinct keys that scan will deliver,
+    /// reserved for with `expected_rows`; empty once reserved.
+    expected_keys: Vec<(usize, usize)>,
     /// Per data row of the build envelope: the slot a fresh row took,
     /// `None` for an absorbed duplicate.
     fresh: Vec<Option<Slot>>,
@@ -354,19 +357,36 @@ impl Stem {
             mem_partitions: opts.mem_partitions,
             deferred: Vec::new(),
             expected_rows: 0,
+            expected_keys: Vec::new(),
             fresh: Vec::new(),
             pending: Vec::new(),
         }
     }
 
-    /// A scan will deliver `rows` rows (the catalog's count): at the first
-    /// build, the SteM reserves its slab, timestamp column and dedup
-    /// filter for them, capped at the eviction window, instead of
-    /// regrowing them — and a SteM nothing is built into, such as a
-    /// private SteM the query server folds away, reserves nothing. Called
-    /// by the plan and the query server.
-    pub(crate) fn expect_scan_rows(&mut self, rows: usize) {
-        self.expected_rows = self.window.map_or(rows, |w| rows.min(w));
+    /// A scan will deliver `rows` rows holding `keys(col)` distinct
+    /// equality keys in each join column `col` — the catalog's counts
+    /// ([`stems_catalog::Catalog::distinct_keys`]). At the first build the
+    /// SteM reserves its slab, timestamp column and dedup filter for the
+    /// rows and each join index for its column's keys, all capped at the
+    /// eviction window, so a build allocates each buffer once instead of
+    /// regrowing it; a SteM nothing is built into, such as a private SteM
+    /// the query server folds away, reserves nothing. Called by the plan
+    /// and the query server for a scan-fed SteM; one fed by index lookups
+    /// alone, which deliver an unknown subset, grows as it goes. The
+    /// counts are capacity hints: no routing decision, result, virtual
+    /// time or byte count reads them.
+    pub fn expect_scan_rows(&mut self, rows: usize, keys: impl Fn(usize) -> usize) {
+        let cap = |n: usize| self.window.map_or(n, |w| n.min(w));
+        self.expected_rows = cap(rows);
+        let indexed = self.store.indexed_cols();
+        self.expected_keys = indexed.map(|col| (col, cap(keys(col)))).collect();
+    }
+
+    /// The reservation [`Self::expect_scan_rows`] left for the first
+    /// build: rows, and `(column, keys)` per indexed column.
+    #[cfg(test)]
+    pub(crate) fn reservation(&self) -> (usize, &[(usize, usize)]) {
+        (self.expected_rows, &self.expected_keys)
     }
 
     /// No row can arrive twice — one scan over rows the catalog checked
@@ -495,7 +515,9 @@ impl Stem {
     ) {
         if self.expected_rows > 0 {
             let rows = std::mem::take(&mut self.expected_rows);
-            self.store.reserve(rows);
+            let keys = std::mem::take(&mut self.expected_keys);
+            let keys_of = |col| keys.iter().find(|(c, _)| *c == col).map_or(0, |(_, n)| *n);
+            self.store.reserve(rows, keys_of);
             self.ts.reserve(rows);
             self.dedup.reserve(rows);
         }
@@ -2243,7 +2265,7 @@ mod tests {
             };
             let mut filtering = stem_on(&[0], opts.clone());
             let mut trusting = stem_on(&[0], opts);
-            trusting.expect_scan_rows(rows.len());
+            trusting.expect_scan_rows(rows.len(), |_| rows.len());
             trusting.trust_distinct();
             assert!(filtering.filters_duplicates() && !trusting.filters_duplicates());
             let (mut ts_f, mut ts_t) = (0, 0);
@@ -2266,6 +2288,30 @@ mod tests {
             );
             assert_eq!(match_ts(&got), match_ts(&want));
             assert!(!want.results.is_empty());
+        }
+    }
+
+    /// A windowed SteM never holds more than its window, so it reserves
+    /// no more: rows and keys alike are capped at it.
+    #[test]
+    fn a_windowed_stem_reserves_at_most_its_window() {
+        for (window, want) in [
+            (None, (150, [(0, 17), (1, 150)])),
+            (Some(1000), (150, [(0, 17), (1, 150)])),
+            (Some(20), (20, [(0, 17), (1, 20)])),
+            (Some(5), (5, [(0, 5), (1, 5)])),
+        ] {
+            let opts = StemOptions {
+                eviction_window: window,
+                ..StemOptions::default()
+            };
+            let mut stem = stem_on(&[1, 0, 1], opts);
+            stem.expect_scan_rows(150, |col| [17, 150][col]);
+            assert_eq!(
+                stem.reservation(),
+                (want.0, &want.1[..]),
+                "window {window:?}"
+            );
         }
     }
 

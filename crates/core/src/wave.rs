@@ -10,7 +10,8 @@
 //!    unpark) fills a wave with tuples, their [`TupleState`]s and a
 //!    per-member *clustered* mark (set only by a Grace release, §3.1);
 //! 2. **group** — the eddy sorts the delivery's members into groups, one
-//!    per distinct candidate signature ([`Wave::actions`]); all members
+//!    per distinct candidate signature (which the eddy keeps beside the
+//!    group, not in the wave); all members
 //!    of a group share the signature, the clustered mark and the priority
 //!    flag. A delivery of at most one envelope's members is its own first
 //!    group: the members that join it stay where they are, compacted in
@@ -45,7 +46,6 @@
 //! singleton `Tuple` carries its component inline, so moving one between
 //! waves moves 32 bytes and frees nothing.
 
-use crate::router::Action;
 use crate::tuple_state::TupleState;
 use stems_types::Tuple;
 
@@ -67,9 +67,6 @@ pub(crate) struct Wave {
     /// `[start, end)` in member order. Almost always empty, so the common
     /// member costs two pushes, not three.
     clustered: Vec<(usize, usize)>,
-    /// While the wave is an open or flushed *group*: the candidate
-    /// signature its members share. Empty in every other phase.
-    pub(crate) actions: Vec<Action>,
 }
 
 impl Wave {
@@ -196,7 +193,6 @@ impl Wave {
         self.tuples.clear();
         self.states.clear();
         self.clustered.clear();
-        self.actions.clear();
     }
 
     /// Members this buffer has room for without growing.
@@ -264,11 +260,6 @@ impl Sift<'_> {
     /// How many members have been kept.
     pub(crate) fn kept(&self) -> usize {
         self.kept
-    }
-
-    /// The wave's signature: the kept members' group's, once it opens.
-    pub(crate) fn actions(&mut self) -> &mut Vec<Action> {
-        &mut self.wave.actions
     }
 }
 
@@ -490,7 +481,6 @@ mod tests {
         for _ in 0..10_000 {
             let mut w = pool.take();
             w.push(t(1), TupleState::new(), false);
-            w.actions.push(Action::Drop);
             let extra = filled(1);
             pool.put(w);
             pool.put(extra);
@@ -498,9 +488,9 @@ mod tests {
         let (buffers, rows) = pool.retained();
         assert!(buffers <= MAX_FREE_WAVES, "{buffers} buffers retained");
         assert!(rows <= pool.bound_rows(), "{rows} member slots retained");
-        // A recycled buffer comes back empty, signature included.
+        // A recycled buffer comes back empty.
         let w = pool.take();
-        assert!(w.is_empty() && w.actions.is_empty() && w.tuples().is_empty());
+        assert!(w.is_empty() && w.tuples().is_empty());
         // An executor with a larger envelope keeps buffers of that size.
         let mut pool = WavePool::new(1024);
         pool.put(filled(1024));

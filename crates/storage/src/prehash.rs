@@ -67,6 +67,12 @@ impl SlotChains {
         self.ends.reserve(additional);
     }
 
+    /// Room in the link column for every slot below `slots`, so chains
+    /// longer than one — a key pushed again — grow it no more.
+    pub fn reserve_links(&mut self, slots: usize) {
+        self.next.reserve(slots.saturating_sub(self.next.len()));
+    }
+
     /// Append `slot` to the chain of `hash`.
     pub fn push(&mut self, hash: u64, slot: Slot) {
         match self.ends.entry(hash) {

@@ -120,11 +120,35 @@ impl Store {
         &self.slab
     }
 
-    /// Room for `additional` more rows in the slab without regrowing (the
-    /// indexes grow with their distinct keys, which a row count does not
-    /// tell).
-    pub fn reserve(&mut self, additional: usize) {
-        self.slab.reserve(additional);
+    /// The columns this store indexes, or will once it switches: the
+    /// distinct join columns it was built for, ascending.
+    pub fn indexed_cols(&self) -> impl Iterator<Item = usize> + '_ {
+        self.indexes.iter().map(|(col, _)| *col)
+    }
+
+    /// Room for `rows` more rows in the slab and, if the store indexes
+    /// them, for `keys(col)` more distinct keys in the index of each
+    /// indexed column `col`: a store reserved for what it will hold
+    /// allocates each buffer once instead of regrowing it. An index holds
+    /// one entry per distinct key, not per row, so the row count cannot
+    /// size it; where a column's keys repeat (fewer keys than rows), its
+    /// chains link slots, and the link column is reserved for the rows
+    /// too. A store that stays unindexed through `rows` more rows
+    /// ([`StoreKind::List`], or [`StoreKind::Adaptive`] below its
+    /// threshold) reserves no index. A capacity hint only: a wrong count
+    /// costs a regrow or spare room, never an answer.
+    pub fn reserve(&mut self, rows: usize, keys: impl Fn(usize) -> usize) {
+        self.slab.reserve(rows);
+        if self.indexed || self.slab.live().saturating_add(rows) > self.threshold {
+            let slots = self.slab.slots() + rows;
+            for (col, chains) in &mut self.indexes {
+                let keys = keys(*col);
+                chains.reserve(keys);
+                if keys < rows {
+                    chains.reserve_links(slots);
+                }
+            }
+        }
     }
 
     /// Insert a row; returns its slot — the slab's next insertion ordinal.

@@ -322,7 +322,7 @@ fn fused_conjunctions_match_sequential_scalar_cascade() {
             let got = fused[i];
             assert_eq!(got.verdict, want, "case {case} row {i}");
             assert_eq!(got.evaluated as usize, evals.len(), "case {case} row {i}");
-            let rebuilt: Vec<_> = got.evals(&sm, &siblings).collect();
+            let rebuilt: Vec<_> = got.evals(&sm, siblings.iter().copied()).collect();
             assert_eq!(rebuilt, evals, "case {case} row {i}");
             if want == Some(true) {
                 assert_eq!(got.passed, passed, "case {case} row {i}");
