@@ -507,6 +507,11 @@ pub struct EddyExecutor {
     build_results: Vec<BuildResult>,
     /// [`Self::process_select`]'s fused siblings: their module ids.
     siblings: Vec<usize>,
+    /// The Select hop's verdicts — an unfused or UDF envelope's, and a
+    /// fused one's — and the UDF pipeline's working lists.
+    verdicts: Vec<Option<bool>>,
+    fused: Vec<crate::sm::FusedVerdict>,
+    udf_scratch: crate::sm::UdfScratch,
     /// [`Self::process_am_probe`]'s per-member lookup outcomes.
     am_outcomes: Vec<(IndexProbeOutcome, Option<Vec<Value>>)>,
     /// The chunk a scan emits per event, on its way into a wave.
@@ -602,6 +607,9 @@ impl EddyExecutor {
             pairs: Vec::new(),
             build_results: Vec::new(),
             siblings: Vec::new(),
+            verdicts: Vec::new(),
+            fused: Vec::new(),
+            udf_scratch: crate::sm::UdfScratch::default(),
             am_outcomes: Vec::new(),
             emitted: Vec::new(),
             config,
@@ -818,7 +826,7 @@ impl EddyExecutor {
     fn route_singletons(
         &mut self,
         tuples: impl IntoIterator<Item = Tuple>,
-        origin_am: Option<usize>,
+        origin_am: Option<u16>,
         shared: &Registry,
     ) {
         let tuples = tuples.into_iter();
@@ -868,7 +876,8 @@ impl EddyExecutor {
     /// its matches share a destination and route as a batch. An unchunked
     /// reply is a single wave fired inline by the response event.
     fn on_am_reply_wave(&mut self, mid: usize, tuples: Vec<Tuple>, shared: &Registry) {
-        self.route_singletons(tuples, Some(mid), shared);
+        let am = u16::try_from(mid).expect("the plan checks index AM ids");
+        self.route_singletons(tuples, Some(am), shared);
     }
 
     // ------------------------------------------------------------------
@@ -1115,7 +1124,8 @@ impl EddyExecutor {
             return self.select_single(sm, wave);
         }
         let chain = || siblings.iter().filter_map(|mid| modules[*mid].sm());
-        let verdicts = sm.apply_chain(wave.tuples(), chain());
+        let mut verdicts = std::mem::take(&mut self.fused);
+        sm.apply_chain_into(wave.tuples(), chain(), &mut verdicts);
         // Virtual cost: one SM service per member (exactly the unfused
         // charge) plus one per extra sibling evaluation actually performed
         // — fusion saves routing hops and envelopes, not predicate work.
@@ -1141,6 +1151,7 @@ impl EddyExecutor {
         });
         self.metrics
             .bump_id(self.ids.fused_selects, self.now, siblings.len() as u64);
+        self.fused = verdicts;
         self.siblings = siblings;
         (dur, wave)
     }
@@ -1149,15 +1160,17 @@ impl EddyExecutor {
     /// whole envelope.
     fn select_single(&mut self, sm: &crate::sm::Sm, mut wave: Wave) -> (u64, Wave) {
         let dur = self.config.costs.sm_us * wave.len().max(1) as u64;
-        let verdicts = sm.apply_batch(wave.tuples());
-        self.apply_verdicts(sm, &mut wave, verdicts);
+        let mut verdicts = std::mem::take(&mut self.verdicts);
+        sm.apply_batch_into(wave.tuples(), &mut verdicts);
+        self.apply_verdicts(sm, &mut wave, &verdicts);
+        self.verdicts = verdicts;
         (dur, wave)
     }
 
     /// The tail of an unfused Select hop: count and feed back every
     /// verdict, and compact the envelope in place to the survivors, with
     /// the predicate marked done.
-    fn apply_verdicts(&mut self, sm: &crate::sm::Sm, wave: &mut Wave, verdicts: Vec<Option<bool>>) {
+    fn apply_verdicts(&mut self, sm: &crate::sm::Sm, wave: &mut Wave, verdicts: &[Option<bool>]) {
         wave.compact(|i, _, state| {
             let Some(passed) = verdicts[i] else {
                 self.violations.push(format!(
@@ -1190,24 +1203,31 @@ impl EddyExecutor {
     /// memo and dedup change time, never semantics.
     fn select_udf(&mut self, sm: &crate::sm::Sm, mut wave: Wave) -> (u64, Wave) {
         let spec = *sm.pred.udf_spec().expect("select_udf on a UDF SM");
-        let out = sm.apply_batch_udf(wave.tuples(), self.config.udf_dedup);
+        let mut verdicts = std::mem::take(&mut self.verdicts);
+        let calls = sm.apply_batch_udf_into(
+            wave.tuples(),
+            self.config.udf_dedup,
+            &mut self.udf_scratch,
+            &mut verdicts,
+        );
         let rows = wave.len();
-        let dur = self.config.costs.sm_us * rows.max(1) as u64 + spec.cost_us * out.computed;
+        let dur = self.config.costs.sm_us * rows.max(1) as u64 + spec.cost_us * calls.computed;
         self.metrics
-            .bump_id(self.ids.udf_calls, self.now, out.computed);
-        if out.memo.hits > 0 {
+            .bump_id(self.ids.udf_calls, self.now, calls.computed);
+        if calls.memo.hits > 0 {
             self.metrics
-                .bump_id(self.ids.memo_hits, self.now, out.memo.hits);
+                .bump_id(self.ids.memo_hits, self.now, calls.memo.hits);
         }
-        if out.memo.misses > 0 {
+        if calls.memo.misses > 0 {
             self.metrics
-                .bump_id(self.ids.memo_misses, self.now, out.memo.misses);
+                .bump_id(self.ids.memo_misses, self.now, calls.memo.misses);
         }
-        if out.memo.evictions > 0 {
+        if calls.memo.evictions > 0 {
             self.metrics
-                .bump_id(self.ids.memo_evictions, self.now, out.memo.evictions);
+                .bump_id(self.ids.memo_evictions, self.now, calls.memo.evictions);
         }
-        self.apply_verdicts(sm, &mut wave, out.verdicts);
+        self.apply_verdicts(sm, &mut wave, &verdicts);
+        self.verdicts = verdicts;
         // Observed cost: what this envelope actually charged, per row —
         // with an effective memo this decays toward `sm_us`, without one
         // it stays near `cost_us`, and the policy's EWMA tracks it.
@@ -1710,6 +1730,7 @@ impl EddyExecutor {
 
     fn observe_am_build(&mut self, state: &TupleState, fresh: bool) {
         if let Some(mid) = state.origin_am {
+            let mid = usize::from(mid);
             self.policy.feedback(&Feedback::AmBuild { mid, fresh });
             if fresh {
                 self.metrics.bump_id(self.ids.am_fresh_builds, self.now, 1);
@@ -2228,6 +2249,97 @@ mod tests {
         let queued = exec.rt.iter().flat_map(|rt| &rt.queue);
         let envelopes: Vec<_> = queued.map(|env| env.wave.tuples().as_ptr()).collect();
         assert_eq!(envelopes, vec![buffer]);
+    }
+
+    /// One source `R(k, a)` under `k > 2`, `a < 5` (fusable) and a
+    /// memoized `SIEVE(k)` UDF.
+    fn selects1() -> (Catalog, QuerySpec) {
+        let mut c = Catalog::new();
+        let schema = Schema::of(&[("k", ColumnType::Int), ("a", ColumnType::Int)]);
+        let r = c.add_table(TableDef::new("R", schema)).unwrap();
+        c.add_scan(r, ScanSpec::default()).unwrap();
+        let col = |c| ColRef::new(TableIdx(0), c);
+        let preds = vec![
+            Predicate::selection(PredId(0), col(0), CmpOp::Gt, Value::Int(2)),
+            Predicate::selection(PredId(1), col(1), CmpOp::Lt, Value::Int(5)),
+            Predicate::udf(
+                PredId(2),
+                col(0),
+                stems_types::UdfSpec::hash_sieve(500, 1000),
+            ),
+        ];
+        let table = TableInstance {
+            source: r,
+            alias: "r".into(),
+        };
+        let q = QuerySpec::new(&c, vec![table], preds, None).unwrap();
+        (c, q)
+    }
+
+    /// Once warm, a Select envelope allocates nothing — fused, unfused,
+    /// or through a UDF with dedup on and a warm memo: its verdicts,
+    /// fused verdicts, keyed rows and dedup chains live in the
+    /// executor's scratch, and the memo is locked once, not per key.
+    #[test]
+    fn a_warm_select_envelope_allocates_nothing() {
+        let (catalog, query) = selects1();
+        // Duplicate keys (dedup has work) and a NULL (an exception row).
+        let rows: Vec<Tuple> = (0..64)
+            .map(|i: i64| {
+                let k = if i == 9 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 24)
+                };
+                Tuple::singleton_of(TableIdx(0), vec![k, Value::Int(i % 7)])
+                    .with_timestamp(TableIdx(0), i as Timestamp + 1)
+            })
+            .collect();
+        let policies = [
+            RoutingPolicyKind::default(),
+            RoutingPolicyKind::Lottery,
+            RoutingPolicyKind::BenefitCost {
+                epsilon: 0.1,
+                drop_rate: 0.0,
+            },
+        ];
+        for (policy, fuse) in policies
+            .into_iter()
+            .flat_map(|p| [(p.clone(), true), (p, false)])
+        {
+            let config = ExecConfig {
+                policy,
+                batch_size: 64,
+                fuse_selections: fuse,
+                udf_dedup: true,
+                memo: true,
+                ..ExecConfig::default()
+            };
+            let mut exec = EddyExecutor::build(&catalog, &query, config).unwrap();
+            let select = |exec: &mut EddyExecutor, mid: usize, pred: PredId| {
+                let mut wave = exec.waves.take();
+                for t in &rows {
+                    wave.push(t.clone(), TupleState::new(), false);
+                }
+                let action = Action::Select { mid, pred };
+                let (_, out) = exec.process(mid, Envelope { wave, action }, &[]);
+                let survivors = out.len();
+                exec.waves.put(out);
+                survivors
+            };
+            for (pred, mid) in exec.layout.sm_mids.clone() {
+                let warm = select(&mut exec, mid, pred);
+                let (allocs, survivors) =
+                    crate::test_alloc::allocs_during(|| select(&mut exec, mid, pred));
+                assert_eq!(survivors, warm);
+                assert!(0 < survivors && survivors < rows.len());
+                assert_eq!(allocs, 0, "{pred:?}, fuse {fuse}");
+            }
+            let fused = exec.metrics.counter("fused_selects");
+            assert_eq!(fused > 0, fuse, "the fused chain ran");
+            assert!(exec.metrics.counter("memo_hits") > 0, "the memo was warm");
+            assert!(exec.violations.is_empty(), "{:?}", exec.violations);
+        }
     }
 
     /// A SteM's footprint is sampled once per build envelope, and only

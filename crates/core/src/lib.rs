@@ -124,7 +124,8 @@
 //!   [`RoutingPolicyKind`] and [`engine::CostModel`] tune a run.
 //! * **Modules driven one at a time** by the root tests (`tests/`),
 //!   `stems-bench` and `benchmark/`: [`Stem`] with [`stem::ProbeReplySet`],
-//!   [`Sm`], [`MemoCache`], [`TupleState`], the access modules in [`am`],
+//!   [`Sm`] with its [`UdfScratch`], [`MemoCache`], [`TupleState`], the
+//!   access modules in [`am`],
 //!   and [`plan::instantiate`].
 //! * **Pinned by `benchmark/`:** items the engine no longer calls but
 //!   `benchmark/src/layers.rs` still names; each goes when it is free:
@@ -148,6 +149,11 @@
 //!     parameter of [`MemoCache::new`] and [`MemoCache::cell`] (the cache
 //!     has one lock), until `benchmark/` stops naming them (ROADMAP item
 //!     3);
+//!   - the owned-return [`Sm::apply_batch`], [`Sm::apply_batch_fused`]
+//!     and [`Sm::apply_batch_udf`] (with its `UdfOutcome`), wrappers over
+//!     the scratch forms the engine calls (`Sm::apply_batch_into`,
+//!     `apply_chain_into`, `apply_batch_udf_into`), until `benchmark/`
+//!     stops naming them (ROADMAP item 3);
 //!   - [`stems_types::TupleBatch`], an alias of `Vec<Tuple>` that no crate
 //!     of the workspace names, until `benchmark/` stops naming it (ROADMAP
 //!     item 3);
@@ -203,7 +209,7 @@ pub use server::{
 
 // Engine modules the root tests and `benchmark/` drive one at a time.
 pub use memo::MemoCache;
-pub use sm::Sm;
+pub use sm::{Sm, UdfScratch};
 pub use stem::Stem;
 pub use tuple_state::TupleState;
 

@@ -15,7 +15,8 @@
 //! eviction hand bounded by an
 //! [`stems_types::Value::approx_bytes`] budget. One lock is enough: a
 //! cache shared across queries is only touched by executors the server
-//! steps serially. The lock lives behind the `crate::sync` shim; poison
+//! steps serially, and a UDF envelope takes it once for all its keys
+//! (`MemoCache::locked`). The lock lives behind the `crate::sync` shim; poison
 //! recovery clears the cache — the memo is pure performance state, so an
 //! empty cache is always correct.
 //!
@@ -74,9 +75,10 @@ impl MemoEntry {
     }
 }
 
-/// What the cache's lock guards: an entry slab plus a hash index over it.
+/// What the cache's lock guards: an entry slab plus a hash index over it,
+/// and the byte budget they live within.
 #[derive(Default)]
-struct MemoState {
+pub(crate) struct MemoState {
     /// Slab of entries; `None` slots are free (reused before growing).
     slab: Vec<Option<MemoEntry>>,
     free: Vec<usize>,
@@ -85,6 +87,7 @@ struct MemoState {
     /// Clock hand for second-chance eviction, an index into `slab`.
     hand: usize,
     bytes: usize,
+    budget: usize,
 }
 
 impl MemoState {
@@ -96,7 +99,22 @@ impl MemoState {
         self.bytes = 0;
     }
 
-    fn lookup(&mut self, hash: u64, key: &Value) -> Option<bool> {
+    /// [`MemoCache::lookup`], under a lock the caller already holds.
+    pub(crate) fn lookup(&mut self, key: &HashedKey) -> Option<bool> {
+        let hash = key.hash()?.get();
+        let normal = key.key()?;
+        self.lookup_hashed(hash, normal)
+    }
+
+    /// [`MemoCache::insert`], under a lock the caller already holds.
+    pub(crate) fn insert(&mut self, key: &HashedKey, verdict: bool) -> u64 {
+        let (Some(hash), Some(normal)) = (key.hash(), key.key()) else {
+            return 0;
+        };
+        self.insert_hashed(hash.get(), normal.clone(), verdict)
+    }
+
+    fn lookup_hashed(&mut self, hash: u64, key: &Value) -> Option<bool> {
         let slab = &self.slab;
         let held = |s: &Slot| slab[*s as usize].as_ref().is_some_and(|e| &e.key == key);
         let slot = self.index.chain(hash).find(held)?;
@@ -109,7 +127,7 @@ impl MemoState {
 
     /// Insert a verdict, evicting clock victims until the cache fits its
     /// budget. Returns how many entries were evicted.
-    fn insert(&mut self, hash: u64, key: Value, verdict: bool, budget: usize) -> u64 {
+    fn insert_hashed(&mut self, hash: u64, key: Value, verdict: bool) -> u64 {
         let entry = MemoEntry {
             hash,
             key,
@@ -118,7 +136,7 @@ impl MemoState {
         };
         let need = entry.approx_bytes();
         let mut evicted = 0;
-        while self.bytes + need > budget && self.live() > 0 {
+        while self.bytes + need > self.budget && self.live() > 0 {
             self.evict_one();
             evicted += 1;
         }
@@ -173,15 +191,16 @@ impl MemoState {
 /// A capacity-bounded verdict memo. See the module docs.
 pub struct MemoCache {
     state: Lock<MemoState>,
-    budget: usize,
 }
 
 impl MemoCache {
     /// A cache of `budget_bytes`. `num_shards` is ignored.
     pub fn new(_num_shards: usize, budget_bytes: usize) -> MemoCache {
         MemoCache {
-            state: Lock::default(),
-            budget: budget_bytes.max(1),
+            state: Lock::new(MemoState {
+                budget: budget_bytes.max(1),
+                ..MemoState::default()
+            }),
         }
     }
 
@@ -194,29 +213,19 @@ impl MemoCache {
     /// equality form and are never cached (their verdict is uniformly
     /// `false` and costs nothing — callers short-circuit them).
     pub fn lookup(&self, key: &HashedKey) -> Option<bool> {
-        let hash = key.hash()?.get();
-        let normal = key.key()?;
-        self.state().lookup(hash, normal)
+        self.state().lookup(key)
     }
 
     /// Memoize a computed verdict. Returns the number of entries evicted
     /// to make room. NULL/EOT keys are silently not cached.
     pub fn insert(&self, key: &HashedKey, verdict: bool) -> u64 {
-        let (Some(hash), Some(normal)) = (key.hash(), key.key()) else {
-            return 0;
-        };
-        self.state()
-            .insert(hash.get(), normal.clone(), verdict, self.budget)
+        self.state().insert(key, verdict)
     }
 
-    /// Live entries.
-    pub(crate) fn len(&self) -> usize {
-        self.state().live()
-    }
-
-    /// Accounted bytes.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.state().bytes
+    /// Run `f` with the cache locked once: a whole envelope's lookups and
+    /// inserts, in its order, for one lock instead of one per key.
+    pub(crate) fn locked<R>(&self, f: impl FnOnce(&mut MemoState) -> R) -> R {
+        f(&mut self.state())
     }
 
     fn state(&self) -> impl DerefMut<Target = MemoState> + '_ {
@@ -227,9 +236,20 @@ impl MemoCache {
     }
 }
 
-/// Seams for the tests: plant collision chains, poison the lock.
+/// Seams for the tests: read the size, plant collision chains, poison the
+/// lock.
 #[cfg(test)]
 impl MemoCache {
+    /// Live entries.
+    pub(crate) fn len(&self) -> usize {
+        self.state().live()
+    }
+
+    /// Accounted bytes.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.state().bytes
+    }
+
     /// Whether the lock is currently poisoned (test observability).
     pub(crate) fn is_poisoned(&self) -> bool {
         self.state.is_poisoned()
@@ -243,22 +263,23 @@ impl MemoCache {
     /// Plant an entry under an explicit hash, bypassing the key's own
     /// hash — the adversarial-collision seam for the tests.
     pub(crate) fn insert_with_hash(&self, hash: u64, key: Value, verdict: bool) {
-        self.state().insert(hash, key, verdict, self.budget);
+        self.state().insert_hashed(hash, key, verdict);
     }
 
     /// Lookup under an explicit hash (pairs with
     /// [`insert_with_hash`](MemoCache::insert_with_hash)).
     pub(crate) fn lookup_with_hash(&self, hash: u64, key: &Value) -> Option<bool> {
-        self.state().lookup(hash, key)
+        self.state().lookup_hashed(hash, key)
     }
 }
 
 impl std::fmt::Debug for MemoCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = self.state();
         f.debug_struct("MemoCache")
-            .field("budget", &self.budget)
-            .field("entries", &self.len())
-            .field("bytes", &self.approx_bytes())
+            .field("budget", &state.budget)
+            .field("entries", &state.live())
+            .field("bytes", &state.bytes)
             .finish()
     }
 }

@@ -170,6 +170,14 @@ pub fn instantiate(
                 }
                 AccessMethodDef::Index(spec) => {
                     let mid = modules.len();
+                    // A tuple an index AM answered records the AM's id in
+                    // 16 bits (`TupleState::origin_am`).
+                    if u16::try_from(mid).is_err() {
+                        return Err(stems_types::StemsError::Schema(format!(
+                            "index access method {am_id:?} would be module {mid}; \
+                             index AM module ids must fit in 16 bits"
+                        )));
+                    }
                     modules.push(Module::IndexAm(Box::new(IndexAm::with_table(
                         instances.clone(),
                         catalog.index_table(am_id).expect("an index AM has a table"),
@@ -324,6 +332,26 @@ mod tests {
         match instantiate(&c, &q, &PlanOptions::default()) {
             Err(e) => assert!(e.to_string().contains("index access methods"), "{e}"),
             Ok(_) => panic!("a plan with {} index AMs", crate::router::MAX_INDEX_AMS + 1),
+        }
+    }
+
+    /// A tuple records the index AM that answered it in 16 bits, so a
+    /// plan whose index AM would get a wider module id is refused.
+    #[test]
+    fn an_index_am_id_past_16_bits_is_a_plan_error() {
+        let (mut c, q) = setup(true);
+        let r = q.instance(TableIdx(0)).source;
+        // R's scans come first, then S's scan, then S's index: 65 533 more
+        // scans on R put the index at module 65 535, the last id that fits.
+        for _ in 0..65_533 {
+            c.add_scan(r, ScanSpec::default()).unwrap();
+        }
+        let (_, layout) = instantiate(&c, &q, &PlanOptions::default()).unwrap();
+        assert_eq!(layout.index_mids[1], vec![usize::from(u16::MAX)]);
+        c.add_scan(r, ScanSpec::default()).unwrap();
+        match instantiate(&c, &q, &PlanOptions::default()) {
+            Err(e) => assert!(e.to_string().contains("16 bits"), "{e}"),
+            Ok(_) => panic!("an index AM at module 65 536"),
         }
     }
 

@@ -12,16 +12,16 @@
 //! pending selections over the same table instance that every batch
 //! member is also eligible for. [`Sm::apply_batch_fused`] then evaluates
 //! the whole conjunction in one pass: each predicate runs column-at-a-time
-//! over the rows still alive (via the kernels' masked entry point),
+//! over the rows still alive (a row's running verdict is its liveness),
 //! short-circuiting a row out of later predicates the moment one fails.
 //! A row's [`FusedVerdict`] is three words — verdict, donebits, and how
-//! many links of the chain it was evaluated on — so the pass allocates
-//! nothing per row. From that count [`FusedVerdict::evals`] rebuilds the
+//! many links of the chain it was evaluated on — and every link writes
+//! straight into it. From that count [`FusedVerdict::evals`] rebuilds the
 //! per-predicate outcomes exactly as a sequential scalar cascade through
 //! separate SMs would report them: one `(pred, passed)` observation per
 //! evaluation actually performed, none for predicates a row never
 //! reached.
-
+//!
 //! # Expensive UDF predicates
 //!
 //! A UDF-style predicate ([`stems_types::ExprKind::Udf`]) charges a
@@ -33,12 +33,24 @@
 //! key, scattering the verdict to every duplicate, and (b) consults an
 //! optional [`MemoCell`] shared across envelopes — and, under the query
 //! server, across queries — so a verdict is computed once per distinct
-//! key ever seen. Both layers are
-//! verdict-for-verdict identical to the scalar cascade
+//! key ever seen; the envelope takes the memo's lock once. Both layers
+//! are verdict-for-verdict identical to the scalar cascade
 //! (`tests/prop_memo_equivalence.rs`); only the computed-call count (and
 //! therefore virtual time) changes.
+//!
+//! # What allocates
+//!
+//! Nothing, once warm. Each path has a scratch form that writes into
+//! buffers its caller keeps — [`Sm::apply_batch_into`],
+//! [`Sm::apply_chain_into`] and [`Sm::apply_batch_udf_into`], whose keyed
+//! rows and dedup chains live in a [`UdfScratch`] — and the eddy owns one
+//! set per executor, so a Select envelope allocates only when it is larger
+//! than every envelope before it, and a UDF envelope only for what its
+//! memo keeps (new entries). [`Sm::apply_batch`],
+//! [`Sm::apply_batch_fused`] and [`Sm::apply_batch_udf`] are the
+//! owned-return forms: each wraps its scratch form around fresh buffers.
 
-use crate::memo::{MemoCell, MemoCounters};
+use crate::memo::{MemoCell, MemoCounters, MemoState};
 use stems_storage::{Slot, SlotChains};
 use stems_types::{ConstKernel, HashedKey, PredId, PredSet, Predicate, Tuple};
 
@@ -61,7 +73,7 @@ pub struct Sm {
 #[derive(Debug, Clone, PartialEq)]
 pub struct UdfOutcome {
     /// One verdict per batch member, in batch order — identical to
-    /// mapping [`Sm::apply`] over the batch.
+    /// mapping [`Predicate::eval`] over the batch.
     pub verdicts: Vec<Option<bool>>,
     /// Verdict-function invocations actually performed (each one costs
     /// the predicate's `cost_us` of virtual time).
@@ -69,6 +81,26 @@ pub struct UdfOutcome {
     /// Memo hit/miss/eviction counts for this batch (all zero when the
     /// SM has no memo attached).
     pub memo: MemoCounters,
+}
+
+/// What one UDF batch cost: [`UdfOutcome`] without the verdicts, which
+/// [`Sm::apply_batch_udf_into`] writes into its caller's buffer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UdfCalls {
+    /// As [`UdfOutcome::computed`].
+    pub computed: u64,
+    /// As [`UdfOutcome::memo`].
+    pub memo: MemoCounters,
+}
+
+/// The UDF path's working lists, kept by the caller across envelopes
+/// ([`Sm::apply_batch_udf_into`]): the rows with a hashable key, and the
+/// dedup pass's chains of representatives. Cleared, never shrunk, per
+/// envelope.
+#[derive(Debug, Default)]
+pub struct UdfScratch {
+    keyed: Vec<(usize, HashedKey)>,
+    reps: SlotChains,
 }
 
 /// Per-tuple outcome of a fused selection cascade.
@@ -88,6 +120,13 @@ pub struct FusedVerdict {
 }
 
 impl FusedVerdict {
+    /// A row no link has evaluated yet: alive, no donebits.
+    const FRESH: FusedVerdict = FusedVerdict {
+        verdict: Some(true),
+        passed: PredSet::EMPTY,
+        evaluated: 0,
+    };
+
     /// Chain-order `(pred, passed)` observations for policy feedback —
     /// exactly the `Feedback::Selected` events a sequential scalar cascade
     /// would have generated — rebuilt from [`FusedVerdict::evaluated`].
@@ -142,23 +181,30 @@ impl Sm {
     /// member, in batch order — `Some(true)` passes, `Some(false)` fails,
     /// `None` is not evaluable on the member's span — verdict-for-verdict
     /// identical to [`Predicate::eval`] in a loop. Constant selections run as the typed
-    /// partial-gather kernel cached at construction (see
+    /// kernel cached at construction (see
     /// `stems_types::kernel` for the dispatch rules); everything else
     /// takes the scalar loop, which remains the semantic ground truth
     /// (`tests/prop_kernel_equivalence.rs`).
     pub fn apply_batch(&self, batch: &[Tuple]) -> Vec<Option<bool>> {
-        self.eval_masked(batch, None)
+        let mut out = Vec::new();
+        self.apply_batch_into(batch, &mut out);
+        out
     }
 
-    /// One pass of this SM's predicate over the (masked) batch, through
-    /// the cached kernel when there is one. Kernel-less predicates defer
-    /// to [`Predicate::eval_batch_masked`], whose own kernel derivation is
-    /// a cheap `None` for exactly these shapes.
-    fn eval_masked(&self, batch: &[Tuple], mask: Option<&[bool]>) -> Vec<Option<bool>> {
-        match &self.kernel {
-            Some(k) => k.eval_masked(&self.pred, batch, mask),
-            None => self.pred.eval_batch_masked(batch, mask),
-        }
+    /// [`Self::apply_batch`] into `out`, whose old contents are replaced:
+    /// allocates only to grow `out`.
+    pub fn apply_batch_into(&self, batch: &[Tuple], out: &mut Vec<Option<bool>>) {
+        out.clear();
+        out.resize(batch.len(), None);
+        self.pred.eval_slots(
+            self.kernel.as_ref(),
+            batch,
+            out,
+            |_| true,
+            |v, verdict| {
+                *v = verdict;
+            },
+        );
     }
 
     /// Apply this SM's predicate *and* the `siblings` chain to every tuple
@@ -169,41 +215,38 @@ impl Sm {
     /// kernel. With an empty `siblings` slice this is [`Sm::apply_batch`]
     /// plus bookkeeping.
     pub fn apply_batch_fused(&self, batch: &[Tuple], siblings: &[&Sm]) -> Vec<FusedVerdict> {
-        self.apply_chain(batch, siblings.iter().copied())
+        let mut out = Vec::new();
+        self.apply_chain_into(batch, siblings.iter().copied(), &mut out);
+        out
     }
 
-    /// [`Self::apply_batch_fused`] over a chain handed over as an
-    /// iterator, so a caller that finds the siblings elsewhere — the
-    /// eddy, in its module table — collects them into no list.
-    pub(crate) fn apply_chain<'s>(
+    /// [`Self::apply_batch_fused`] into `out`, whose old contents are
+    /// replaced, over a chain handed over as an iterator — so a caller
+    /// that finds the siblings elsewhere (the eddy, in its module table)
+    /// collects them into no list. Allocates only to grow `out`: each
+    /// link writes its verdicts straight into the rows' `FusedVerdict`s
+    /// and skips the rows already out.
+    pub fn apply_chain_into<'s>(
         &'s self,
         batch: &[Tuple],
         siblings: impl IntoIterator<Item = &'s Sm>,
-    ) -> Vec<FusedVerdict> {
-        let n = batch.len();
-        let fresh = FusedVerdict {
-            verdict: Some(true),
-            passed: PredSet::EMPTY,
-            evaluated: 0,
-        };
-        let mut out = vec![fresh; n];
-        let mut alive = vec![true; n];
-        let mut alive_count = n;
-        for (k, sm) in std::iter::once(self).chain(siblings).enumerate() {
-            if alive_count == 0 {
+        out: &mut Vec<FusedVerdict>,
+    ) {
+        out.clear();
+        out.resize(batch.len(), FusedVerdict::FRESH);
+        let mut alive = batch.len();
+        for sm in std::iter::once(self).chain(siblings) {
+            if alive == 0 {
                 break;
             }
-            // The first predicate sees every row; later ones gather only
-            // the survivors through the kernels' mask.
-            let mask = if k == 0 { None } else { Some(alive.as_slice()) };
-            let verdicts = sm.eval_masked(batch, mask);
             let pred_id = sm.pred_id();
-            for (i, v) in verdicts.into_iter().enumerate() {
-                if !alive[i] {
-                    continue;
-                }
-                let row = &mut out[i];
-                match v {
+            let live = |row: &FusedVerdict| row.verdict == Some(true);
+            sm.pred.eval_slots(
+                sm.kernel.as_ref(),
+                batch,
+                out,
+                live,
+                |row, verdict| match verdict {
                     Some(true) => {
                         row.evaluated += 1;
                         row.passed.insert(pred_id);
@@ -211,18 +254,15 @@ impl Sm {
                     Some(false) => {
                         row.evaluated += 1;
                         row.verdict = Some(false);
-                        alive[i] = false;
-                        alive_count -= 1;
+                        alive -= 1;
                     }
                     None => {
                         row.verdict = None;
-                        alive[i] = false;
-                        alive_count -= 1;
+                        alive -= 1;
                     }
-                }
-            }
+                },
+            );
         }
-        out
     }
 
     /// Evaluate a UDF predicate over a batch: verdict-for-verdict
@@ -240,66 +280,91 @@ impl Sm {
     /// [`stems_types::UdfSpec::verdict`]; rows that do not span the
     /// predicate's table yield `None` exactly like every other selection.
     pub fn apply_batch_udf(&self, batch: &[Tuple], dedup: bool) -> UdfOutcome {
+        let mut verdicts = Vec::new();
+        let calls =
+            self.apply_batch_udf_into(batch, dedup, &mut UdfScratch::default(), &mut verdicts);
+        UdfOutcome {
+            verdicts,
+            computed: calls.computed,
+            memo: calls.memo,
+        }
+    }
+
+    /// [`Self::apply_batch_udf`] into `verdicts`, whose old contents are
+    /// replaced, with its working lists in `scratch`; the memo, if any,
+    /// is locked once for the whole batch and consulted key by key in
+    /// batch order. Allocates only to grow `verdicts` and `scratch`, and
+    /// for the entries the memo keeps.
+    pub fn apply_batch_udf_into(
+        &self,
+        batch: &[Tuple],
+        dedup: bool,
+        scratch: &mut UdfScratch,
+        verdicts: &mut Vec<Option<bool>>,
+    ) -> UdfCalls {
         let spec = *self.pred.udf_spec().expect("apply_batch_udf on a UDF SM");
-        let n = batch.len();
-        let mut out = UdfOutcome {
-            verdicts: vec![None; n],
-            computed: 0,
-            memo: MemoCounters::default(),
-        };
+        verdicts.clear();
+        verdicts.resize(batch.len(), None);
+        let UdfScratch { keyed, reps } = scratch;
         // Rows with a hashable key, annotated once (hash-once pipeline).
-        let mut keyed: Vec<(usize, HashedKey)> = Vec::with_capacity(n);
+        keyed.clear();
+        keyed.reserve(batch.len());
         for (i, t) in batch.iter().enumerate() {
             let Some(v) = self.pred.left.resolve(t) else {
                 continue; // wrong span: not evaluable
             };
             if v.is_null() || v.is_eot() {
-                out.verdicts[i] = Some(false);
+                verdicts[i] = Some(false);
                 continue;
             }
             keyed.push((i, HashedKey::new(v.clone())));
         }
-        let verdict_of = |hk: &HashedKey, out: &mut UdfOutcome| -> bool {
-            if let Some(memo) = &self.memo {
-                if let Some(v) = memo.lookup(hk) {
-                    out.memo.hits += 1;
+        let mut pass = |mut memo: Option<&mut MemoState>| {
+            let mut calls = UdfCalls::default();
+            let mut verdict_of = |hk: &HashedKey| -> bool {
+                if let Some(memo) = memo.as_deref_mut() {
+                    if let Some(v) = memo.lookup(hk) {
+                        calls.memo.hits += 1;
+                        return v;
+                    }
+                    let v = spec.verdict(hk.raw());
+                    calls.computed += 1;
+                    calls.memo.misses += 1;
+                    calls.memo.evictions += memo.insert(hk, v);
                     return v;
                 }
-                let v = spec.verdict(hk.raw());
-                out.computed += 1;
-                out.memo.misses += 1;
-                out.memo.evictions += memo.insert(hk, v);
-                return v;
-            }
-            out.computed += 1;
-            spec.verdict(hk.raw())
-        };
-        if dedup {
-            // The representatives so far, by position in `keyed`, chained
-            // under their key's precomputed hash: one bucket jump, never a
-            // re-hash, and keys that collide share a chain.
-            let mut reps = SlotChains::new();
-            reps.reserve(keyed.len());
-            for k in 0..keyed.len() {
-                let (i, ref hk) = keyed[k];
-                let hash = hk.hash().expect("keyed rows are hashable").get();
-                let same = |r: &Slot| keyed[*r as usize].1.same_lookup(hk);
-                if let Some(rep) = reps.chain(hash).find(same) {
-                    // Duplicate of an earlier row: scatter its verdict.
-                    out.verdicts[i] = out.verdicts[keyed[rep as usize].0];
-                    continue;
+                calls.computed += 1;
+                spec.verdict(hk.raw())
+            };
+            if dedup {
+                // The representatives so far, by position in `keyed`,
+                // chained under their key's precomputed hash: one bucket
+                // jump, never a re-hash, and keys that collide share a
+                // chain.
+                reps.clear();
+                reps.reserve(keyed.len());
+                for (k, (i, hk)) in keyed.iter().enumerate() {
+                    let hash = hk.hash().expect("keyed rows are hashable").get();
+                    let same = |r: &Slot| keyed[*r as usize].1.same_lookup(hk);
+                    if let Some(rep) = reps.chain(hash).find(same) {
+                        // Duplicate of an earlier row: scatter its verdict.
+                        verdicts[*i] = verdicts[keyed[rep as usize].0];
+                        continue;
+                    }
+                    reps.push(hash, k as Slot);
+                    verdicts[*i] = Some(verdict_of(hk));
                 }
-                reps.push(hash, k as Slot);
-                let v = verdict_of(hk, &mut out);
-                out.verdicts[i] = Some(v);
+            } else {
+                for (i, hk) in keyed.iter() {
+                    verdicts[*i] = Some(verdict_of(hk));
+                }
             }
-        } else {
-            for (i, hk) in &keyed {
-                let v = verdict_of(hk, &mut out);
-                out.verdicts[*i] = Some(v);
-            }
+            calls
+        };
+        match &self.memo {
+            Some(memo) => memo.locked(|state| pass(Some(state))),
+            None => pass(None),
         }
-        out
     }
 
     /// Observed selectivity helpers are kept by the policy, not here; the
@@ -522,6 +587,63 @@ mod tests {
                 allocs
             };
             assert_eq!(warm(&small), warm(&large), "dedup {dedup}");
+        }
+    }
+
+    /// The scratch forms allocate nothing once their buffers have held a
+    /// batch as large: kernel and fused verdicts go straight into the
+    /// caller's buffer, and the UDF path's keyed rows and dedup chains
+    /// are reused, with a warm memo locked once per batch.
+    #[test]
+    fn warm_scratch_forms_allocate_nothing() {
+        use crate::memo::MemoCache;
+        use crate::test_alloc::allocs_during;
+        use stems_types::UdfSpec;
+        let row = |i: i64| {
+            let k = if i == 5 {
+                Value::Null
+            } else {
+                Value::Int(i % 40)
+            };
+            Tuple::singleton_of(TableIdx(0), vec![k, (i % 7).into()])
+        };
+        let large: Vec<Tuple> = (0..128).map(row).collect();
+        let small = &large[..64];
+        let col = |c| ColRef::new(TableIdx(0), c);
+        let sm = sm_gt(10);
+        let lt = Sm::new(Predicate::selection(
+            PredId(1),
+            col(1),
+            CmpOp::Lt,
+            Value::Int(5),
+        ));
+        let (mut verdicts, mut fused) = (Vec::new(), Vec::new());
+        sm.apply_batch_into(&large, &mut verdicts);
+        sm.apply_chain_into(&large, [&lt], &mut fused);
+        for b in [small, &large[..]] {
+            let (allocs, ()) = allocs_during(|| sm.apply_batch_into(b, &mut verdicts));
+            assert_eq!((allocs, verdicts.len()), (0, b.len()));
+            let (allocs, ()) = allocs_during(|| sm.apply_chain_into(b, [&lt], &mut fused));
+            assert_eq!((allocs, fused.len()), (0, b.len()));
+        }
+
+        let mut udf = Sm::new(Predicate::udf(
+            PredId(3),
+            col(0),
+            UdfSpec::hash_sieve(500, 1000),
+        ));
+        udf.set_memo(Some(MemoCache::cell(8, 1 << 16)));
+        let mut scratch = UdfScratch::default();
+        for dedup in [true, false] {
+            udf.apply_batch_udf_into(&large, dedup, &mut scratch, &mut verdicts);
+            for b in [small, &large[..]] {
+                let (allocs, calls) = allocs_during(|| {
+                    udf.apply_batch_udf_into(b, dedup, &mut scratch, &mut verdicts)
+                });
+                assert_eq!(calls.computed, 0, "memo is warm");
+                assert!(calls.memo.hits > 0);
+                assert_eq!(allocs, 0, "dedup {dedup}, {} rows", b.len());
+            }
         }
     }
 

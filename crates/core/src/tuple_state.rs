@@ -33,17 +33,13 @@ pub struct PriorProber {
     pub need: CompletionNeed,
 }
 
-/// Routing state carried by every tuple in the dataflow.
+/// Routing state carried by every tuple in the dataflow. Every queued
+/// member carries one, so it is kept to 48 bytes: the fields are ordered
+/// widest first, and the origin AM is a 16-bit module id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TupleState {
     /// Predicates this tuple has passed — the paper's "donebits".
     pub done: PredSet,
-    /// SteMs (by table instance) this tuple has already probed.
-    pub(crate) probed_stems: TableSet,
-    /// Tables whose access methods this tuple has already probed.
-    pub(crate) probed_ams: TableSet,
-    /// Prior-prober marker: set when a SteM bounces this tuple's probe.
-    pub prior_prober: Option<PriorProber>,
     /// LastMatchTimeStamp (§3.5): matches with build timestamps ≤ this were
     /// already returned to this tuple by an earlier probe.
     pub last_match_ts: Timestamp,
@@ -51,14 +47,24 @@ pub struct TupleState {
     /// probe — re-probes are offered only when the SteM has changed, which
     /// is what makes BoundedRepetition hold under the §3.5 relaxation.
     pub(crate) last_probe_version: u64,
+    /// SteMs (by table instance) this tuple has already probed.
+    pub(crate) probed_stems: TableSet,
+    /// Tables whose access methods this tuple has already probed.
+    pub(crate) probed_ams: TableSet,
     /// Total routing hops, the BoundedRepetition safety valve.
     pub(crate) hops: u32,
-    /// The index AM whose response produced this tuple, if any — used by
-    /// adaptive policies to attribute freshness feedback.
-    pub(crate) origin_am: Option<usize>,
+    /// The module id of the index AM whose response produced this tuple,
+    /// if any — used by adaptive policies to attribute freshness
+    /// feedback. The plan refuses an index AM whose id needs more than 16
+    /// bits (`plan::instantiate`).
+    pub(crate) origin_am: Option<u16>,
+    /// Prior-prober marker: set when a SteM bounces this tuple's probe.
+    pub prior_prober: Option<PriorProber>,
     /// Whether the tuple matches the user's priority predicate (§4.1).
     pub(crate) prioritized: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<TupleState>() == 48);
 
 impl Default for TupleState {
     fn default() -> Self {
@@ -70,13 +76,13 @@ impl TupleState {
     pub fn new() -> TupleState {
         TupleState {
             done: PredSet::EMPTY,
-            probed_stems: TableSet::EMPTY,
-            probed_ams: TableSet::EMPTY,
-            prior_prober: None,
             last_match_ts: 0,
             last_probe_version: 0,
+            probed_stems: TableSet::EMPTY,
+            probed_ams: TableSet::EMPTY,
             hops: 0,
             origin_am: None,
+            prior_prober: None,
             prioritized: false,
         }
     }

@@ -1,35 +1,35 @@
-//! Column-at-a-time predicate kernels over a typed partial gather.
+//! Column-at-a-time predicate kernels over a typed column pass.
 //!
 //! The scalar entry point, [`Predicate::eval`], resolves both operands and
 //! dispatches on [`crate::Value`]'s type tag for every tuple. When a
 //! selection of the common shape `col <op> constant` is applied to a whole
 //! batch of tuples, that per-tuple dispatch dominates: the operator, the
 //! constant, and the column are loop-invariant. [`Predicate::eval_batch`]
-//! recognizes those shapes, gathers the column once into a **typed lane**,
-//! and runs one tight comparison loop over primitive values — the standard
-//! column-at-a-time lever that makes adaptive operators cheap enough to
-//! re-route freely.
+//! recognizes those shapes, picks the typed comparison once per batch, and
+//! runs one tight loop that reads each row's column as a primitive value —
+//! the standard column-at-a-time lever that makes adaptive operators cheap
+//! enough to re-route freely.
 //!
-//! # The typed partial gather
+//! # The typed column pass
 //!
-//! [`PartialGather::classify`] walks the batch **once** and splits it into
+//! The kernel walks the batch **once**. Each row's column value is either
 //!
-//! * a typed *lane* — the column values that match the kernel's type
-//!   (including sound numeric coercions, e.g. `Int` rows widening into a
-//!   `Float` kernel's lane exactly as [`crate::Value::sql_cmp`] would), in
-//!   batch order, plus the batch index of each lane entry; and
-//! * an *exception list* — the batch indices whose value broke the lane's
-//!   type invariant (`Null`, EOT markers, cross-type rows with coercion
-//!   semantics the lane cannot reproduce, or tuples that do not span the
-//!   kernel's table at all).
+//! * admitted by the kernel's type — including sound numeric coercions,
+//!   e.g. `Int` rows widening into a `Float` kernel exactly as
+//!   [`crate::Value::sql_cmp`] would — and compared as a primitive; or
+//! * an *exception*: a value that breaks the kernel's type invariant
+//!   (`Null`, EOT markers, cross-type rows with coercion semantics the
+//!   typed comparison cannot reproduce, or tuples that do not span the
+//!   kernel's table at all), which the scalar [`Predicate::eval`] decides
+//!   on the spot. The scalar path remains the semantic ground truth for
+//!   SQL three-valued logic and numeric coercion.
 //!
-//! The kernel then runs over the lane, and **only** the exception rows are
-//! evaluated by the scalar [`Predicate::eval`], which remains the semantic
-//! ground truth for SQL three-valued logic and numeric coercion. No batch
-//! is ever scanned twice: the PR-2 kernels aborted the gather on the first
-//! non-conforming value and re-ran the scalar loop over the *whole* batch,
-//! so one `NULL` in a 256-row wave paid a double scan. Now it pays one
-//! classification pass plus one scalar call.
+//! No batch is ever scanned twice, and the pass allocates nothing: each
+//! verdict goes straight into the caller's slot for that row
+//! ([`Predicate::eval_slots`]). A slot is whatever the caller keeps per
+//! row — a plain verdict, or a fused conjunction's running verdict, whose
+//! liveness doubles as the mask of rows later predicates skip — so a Select
+//! envelope's verdicts live in buffers its executor reuses.
 //!
 //! # Dispatch rules
 //!
@@ -42,69 +42,27 @@
 //! 2. Everything else evaluates via the scalar loop: join predicates,
 //!    `Const op Const`, `NULL`/EOT constants (uniformly false — not worth
 //!    a kernel), and *mixed-type* IN-lists, whose per-member coercion
-//!    (`3 IN (3.0, 'x')` is true) a single typed lane cannot express.
-//! 3. Per batch member, the gather admits exactly the values whose kernel
+//!    (`3 IN (3.0, 'x')` is true) a single typed comparison cannot express.
+//! 3. Per batch member, the kernel admits exactly the values whose typed
 //!    verdict is bit-equal to the scalar verdict: `Int` rows enter `Int`
-//!    and (widened) `Float` lanes; `Float` rows enter only `Float` lanes
-//!    (an `Int`-constant comparison against a `Float` row coerces the
-//!    *constant*, so it stays scalar); `Str`/`Bool` rows enter lanes of
-//!    their own type. `NaN` needs no exception: the lane's native `f64`
+//!    and (widened) `Float` kernels; `Float` rows enter only `Float`
+//!    kernels (an `Int`-constant comparison against a `Float` row coerces
+//!    the *constant*, so it stays scalar); `Str`/`Bool` rows enter kernels
+//!    of their own type. `NaN` needs no exception: native `f64`
 //!    comparisons reproduce SQL's "NaN compares false, so `<>` is true"
 //!    behaviour exactly.
 //! 4. Either way the result is verdict-for-verdict identical to mapping
 //!    [`Predicate::eval`] over the batch — `tests/prop_kernel_equivalence.rs`
-//!    locks this down over randomized and adversarial mixed batches.
+//!    locks this down over randomized and adversarial mixed batches, into
+//!    fresh and reused slot buffers alike.
 //!
 //! Selection Modules additionally fuse several same-table selections into
-//! one pass over a batch (`stems-core`'s `Sm::apply_batch_fused`); the
-//! masked entry point [`Predicate::eval_batch_masked`] is what lets later
-//! predicates in the fused chain gather only the still-alive rows.
+//! one pass over a batch (`stems-core`'s `Sm::apply_batch_fused`): each
+//! later predicate of the chain visits only the rows whose slot is still
+//! alive.
 
 use crate::{CmpOp, ColRef, Operand, Predicate, Tuple, Value};
 use std::sync::Arc;
-
-/// One typed gather of a column over a batch: the classification pass
-/// behind every kernel. `lane[k]` is the typed value of batch row
-/// `lane_rows[k]`; `exceptions` are the rows the kernel hands back to the
-/// scalar path. Every non-masked row lands in exactly one of the two.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialGather<T> {
-    pub(crate) lane: Vec<T>,
-    pub(crate) lane_rows: Vec<u32>,
-    pub(crate) exceptions: Vec<u32>,
-}
-
-impl<T> PartialGather<T> {
-    /// Classify each (non-masked) batch member once: rows whose value at
-    /// `col` is admitted by `extract` join the typed lane, the rest become
-    /// exceptions. Rows where `mask` is `false` are skipped entirely.
-    pub(crate) fn classify<'a>(
-        batch: &'a [Tuple],
-        col: ColRef,
-        mask: Option<&[bool]>,
-        extract: impl Fn(&'a Value) -> Option<T>,
-    ) -> PartialGather<T> {
-        debug_assert!(batch.len() <= u32::MAX as usize);
-        let mut g = PartialGather {
-            lane: Vec::with_capacity(batch.len()),
-            lane_rows: Vec::with_capacity(batch.len()),
-            exceptions: Vec::new(),
-        };
-        for (i, t) in batch.iter().enumerate() {
-            if mask.is_some_and(|m| !m[i]) {
-                continue;
-            }
-            match t.value(col.table, col.col).and_then(&extract) {
-                Some(v) => {
-                    g.lane.push(v);
-                    g.lane_rows.push(i as u32);
-                }
-                None => g.exceptions.push(i as u32),
-            }
-        }
-        g
-    }
-}
 
 /// A selection predicate specialized to a columnar kernel: one typed
 /// constant (or constant list) compared against one column.
@@ -112,7 +70,7 @@ impl<T> PartialGather<T> {
 pub enum ConstKernel {
     /// `Int(col) <op> Int-constant`.
     Int { col: ColRef, op: CmpOp, rhs: i64 },
-    /// `Float(col) <op> Float-constant`; `Int` rows widen into the lane.
+    /// `Float(col) <op> Float-constant`; `Int` rows widen to `f64`.
     Float { col: ColRef, op: CmpOp, rhs: f64 },
     /// `Str(col) <op> Str-constant`.
     Str {
@@ -198,34 +156,52 @@ impl Predicate {
     /// [`Predicate::eval`]. Uses a columnar kernel when the predicate
     /// qualifies (see the module docs for the dispatch rules).
     pub fn eval_batch(&self, batch: &[Tuple]) -> Vec<Option<bool>> {
-        self.eval_batch_masked(batch, None)
+        let mut out = vec![None; batch.len()];
+        let kernel = self.const_kernel();
+        self.eval_slots(
+            kernel.as_ref(),
+            batch,
+            &mut out,
+            |_| true,
+            |v, verdict| {
+                *v = verdict;
+            },
+        );
+        out
     }
 
-    /// [`Predicate::eval_batch`] restricted to the rows where `mask` is
-    /// `true` (a fused conjunction's still-alive rows). Masked-out rows
-    /// are neither gathered nor scalar-evaluated; their output slot is
-    /// `None` and must not be interpreted as a verdict.
-    pub fn eval_batch_masked(&self, batch: &[Tuple], mask: Option<&[bool]>) -> Vec<Option<bool>> {
-        debug_assert!(mask.is_none_or(|m| m.len() == batch.len()));
-        match self.const_kernel() {
-            Some(k) => k.eval_masked(self, batch, mask),
-            None => batch
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    if mask.is_some_and(|m| !m[i]) {
-                        None
-                    } else {
-                        self.eval(t)
+    /// One pass of the predicate over a batch, into the caller's per-row
+    /// `slots` (one per member, in batch order): `record` receives each
+    /// evaluated row's slot and verdict — the verdict
+    /// [`Predicate::eval`] would give. Rows whose slot fails `live` are
+    /// neither read nor evaluated (a fused conjunction's dead rows).
+    /// `kernel` is this predicate's [`Predicate::const_kernel`], derived
+    /// once by the caller; `None` takes the scalar loop. Allocates
+    /// nothing.
+    pub fn eval_slots<S>(
+        &self,
+        kernel: Option<&ConstKernel>,
+        batch: &[Tuple],
+        slots: &mut [S],
+        live: impl Fn(&S) -> bool,
+        mut record: impl FnMut(&mut S, Option<bool>),
+    ) {
+        debug_assert_eq!(slots.len(), batch.len());
+        match kernel {
+            Some(k) => k.eval_slots(self, batch, slots, live, record),
+            None => {
+                for (t, slot) in batch.iter().zip(slots) {
+                    if live(slot) {
+                        record(slot, self.eval(t));
                     }
-                })
-                .collect(),
+                }
+            }
         }
     }
 }
 
-/// The comparison `lane-value <op> rhs` as a monomorphic function pointer,
-/// selected once per batch. `PartialEq`/`PartialOrd` on the lane types
+/// The comparison `column-value <op> rhs` as a monomorphic function pointer,
+/// selected once per batch. `PartialEq`/`PartialOrd` on the column types
 /// reproduce the scalar semantics exactly — including `f64`'s "NaN
 /// compares false" (so `Ne` against NaN is true, as `!sql_eq` is).
 fn ord_test<T: PartialOrd + ?Sized>(op: CmpOp) -> fn(&T, &T) -> bool {
@@ -242,53 +218,60 @@ fn ord_test<T: PartialOrd + ?Sized>(op: CmpOp) -> fn(&T, &T) -> bool {
 }
 
 impl ConstKernel {
-    /// Gather the kernel column once (typed lane + exceptions), compare
-    /// the lane column-at-a-time, and scalar-evaluate only the exception
-    /// rows — all rows, or only those where `mask` is `true`. `pred` is the
-    /// source predicate, the exceptions' ground truth.
-    pub fn eval_masked(
+    /// [`Predicate::eval_slots`] through this kernel: one typed pass over
+    /// the live rows, scalar-evaluating only the exceptions. `pred` is
+    /// the source predicate, the exceptions' ground truth.
+    fn eval_slots<S>(
         &self,
         pred: &Predicate,
         batch: &[Tuple],
-        mask: Option<&[bool]>,
-    ) -> Vec<Option<bool>> {
+        slots: &mut [S],
+        live: impl Fn(&S) -> bool,
+        record: impl FnMut(&mut S, Option<bool>),
+    ) {
+        let pass = Pass {
+            pred,
+            batch,
+            live,
+            record,
+        };
         match self {
             ConstKernel::Int { col, op, rhs } => {
                 let test = ord_test::<i64>(*op);
-                run(pred, batch, mask, *col, int_lane, |v| test(v, rhs))
+                pass.run(*col, slots, int_of, |v| test(v, rhs))
             }
             ConstKernel::Float { col, op, rhs } => {
                 let test = ord_test::<f64>(*op);
-                run(pred, batch, mask, *col, float_lane, |v| test(v, rhs))
+                pass.run(*col, slots, float_of, |v| test(v, rhs))
             }
             ConstKernel::Str { col, op, rhs } => {
                 let test = ord_test::<str>(*op);
                 let rhs: &str = rhs;
-                run(pred, batch, mask, *col, str_lane, |v| test(v, rhs))
+                pass.run(*col, slots, str_of, |v| test(v, rhs))
             }
             ConstKernel::Bool { col, op, rhs } => {
                 let test = ord_test::<bool>(*op);
-                run(pred, batch, mask, *col, bool_lane, |v| test(v, rhs))
+                pass.run(*col, slots, bool_of, |v| test(v, rhs))
             }
-            ConstKernel::InInt { col, sorted } => run(pred, batch, mask, *col, int_lane, |v| {
-                sorted.binary_search(v).is_ok()
-            }),
-            ConstKernel::InStr { col, sorted } => run(pred, batch, mask, *col, str_lane, |v| {
+            ConstKernel::InInt { col, sorted } => {
+                pass.run(*col, slots, int_of, |v| sorted.binary_search(v).is_ok())
+            }
+            ConstKernel::InStr { col, sorted } => pass.run(*col, slots, str_of, |v| {
                 sorted.binary_search_by(|s| s.as_ref().cmp(v)).is_ok()
             }),
-        }
+        };
     }
 }
 
-/// Lane admission per kernel type (dispatch rule 3).
-fn int_lane(v: &Value) -> Option<i64> {
+/// Admission per kernel type (dispatch rule 3).
+fn int_of(v: &Value) -> Option<i64> {
     match v {
         Value::Int(i) => Some(*i),
         _ => None,
     }
 }
 
-fn float_lane(v: &Value) -> Option<f64> {
+fn float_of(v: &Value) -> Option<f64> {
     match v {
         Value::Float(f) => Some(*f),
         // The same widening `sql_cmp`/`sql_eq` apply to Int-vs-Float.
@@ -297,39 +280,60 @@ fn float_lane(v: &Value) -> Option<f64> {
     }
 }
 
-fn str_lane(v: &Value) -> Option<&str> {
+fn str_of(v: &Value) -> Option<&str> {
     match v {
         Value::Str(s) => Some(s),
         _ => None,
     }
 }
 
-fn bool_lane(v: &Value) -> Option<bool> {
+fn bool_of(v: &Value) -> Option<bool> {
     match v {
         Value::Bool(b) => Some(*b),
         _ => None,
     }
 }
 
-/// Shared kernel tail: classify once, run the lane test over the typed
-/// column, scalar-evaluate exactly the exception rows.
-fn run<'a, T>(
-    pred: &Predicate,
+/// One kernel pass over a batch, minus the typed column and comparison
+/// ([`Pass::run`] takes those).
+struct Pass<'p, 'a, L, R> {
+    pred: &'p Predicate,
     batch: &'a [Tuple],
-    mask: Option<&[bool]>,
-    col: ColRef,
-    extract: impl Fn(&'a Value) -> Option<T>,
-    test: impl Fn(&T) -> bool,
-) -> Vec<Option<bool>> {
-    let g = PartialGather::classify(batch, col, mask, extract);
-    let mut out = vec![None; batch.len()];
-    for (v, &row) in g.lane.iter().zip(&g.lane_rows) {
-        out[row as usize] = Some(test(v));
+    live: L,
+    record: R,
+}
+
+impl<'a, L, R> Pass<'_, 'a, L, R> {
+    /// Visit each live row once: a value `extract` admits is compared by
+    /// `test`, any other row is an exception the scalar path decides.
+    /// Returns how many exceptions there were.
+    fn run<S, T>(
+        mut self,
+        col: ColRef,
+        slots: &mut [S],
+        extract: impl Fn(&'a Value) -> Option<T>,
+        test: impl Fn(&T) -> bool,
+    ) -> usize
+    where
+        L: Fn(&S) -> bool,
+        R: FnMut(&mut S, Option<bool>),
+    {
+        let mut exceptions = 0;
+        for (t, slot) in self.batch.iter().zip(slots) {
+            if !(self.live)(slot) {
+                continue;
+            }
+            let verdict = match t.value(col.table, col.col).and_then(&extract) {
+                Some(v) => Some(test(&v)),
+                None => {
+                    exceptions += 1;
+                    self.pred.eval(t)
+                }
+            };
+            (self.record)(slot, verdict);
+        }
+        exceptions
     }
-    for &row in &g.exceptions {
-        out[row as usize] = pred.eval(&batch[row as usize]);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -480,24 +484,42 @@ mod tests {
         }
     }
 
+    /// One pass of `pred`'s kernel shape through `extract`/`test` over
+    /// the rows `mask` keeps: the verdicts (masked rows stay `None`) and
+    /// how many rows went to the scalar path.
+    fn pass<'a, T>(
+        pred: &Predicate,
+        b: &'a [Tuple],
+        mask: &[bool],
+        extract: impl Fn(&'a Value) -> Option<T>,
+        test: impl Fn(&T) -> bool,
+    ) -> (Vec<Option<bool>>, usize) {
+        let mut slots: Vec<(bool, Option<bool>)> = mask.iter().map(|&m| (m, None)).collect();
+        let pass = Pass {
+            pred,
+            batch: b,
+            live: |s: &(bool, Option<bool>)| s.0,
+            record: |s: &mut (bool, Option<bool>), v| s.1 = v,
+        };
+        let exceptions = pass.run(ColRef::new(TableIdx(0), 0), &mut slots, extract, test);
+        (slots.into_iter().map(|s| s.1).collect(), exceptions)
+    }
+
     #[test]
     fn one_exception_row_is_gathered_once_not_rescanned() {
-        // 97 rows, one poison value: the classification pass visits each
-        // row exactly once — the typed lane holds the 96 conforming rows
-        // and the exception list exactly the poison row. (The PR-2 kernel
-        // aborted and re-ran the scalar loop over all 97.)
-        let col = ColRef::new(TableIdx(0), 0);
+        // 97 rows, one poison value: the pass visits each row exactly
+        // once — the 96 conforming rows compare as typed values and only
+        // the poison row takes the scalar path. (The PR-2 kernel aborted
+        // and re-ran the scalar loop over all 97.)
         let mut vals: Vec<Value> = (0..97).map(Value::Int).collect();
         vals[41] = Value::Null;
         let b = batch(vals);
-        let g = PartialGather::classify(&b, col, None, int_lane);
-        assert_eq!(g.lane.len(), 96);
-        assert_eq!(g.exceptions, vec![41]);
-        assert!(!g.lane_rows.contains(&41));
-        assert_eq!(g.lane_rows.len() + g.exceptions.len(), b.len());
-        // And the kernel's verdicts still match the scalar loop's.
         let p = sel(CmpOp::Ge, Value::Int(50));
+        let (got, exceptions) = pass(&p, &b, &[true; 97], int_of, |v| *v >= 50);
+        assert_eq!(exceptions, 1);
+        // And the kernel's verdicts match the scalar loop's.
         let want: Vec<_> = b.iter().map(|t| p.eval(t)).collect();
+        assert_eq!(got, want);
         assert_eq!(p.eval_batch(&b), want);
         assert_eq!(want[41], Some(false)); // NULL >= 50 is not true
     }
@@ -526,11 +548,13 @@ mod tests {
     fn float_kernel_widens_int_rows() {
         let p = sel(CmpOp::Lt, Value::Float(2.5));
         let b = batch(vec![Value::Int(2), Value::Int(3), Value::Float(2.4)]);
-        // All three rows enter the float lane: no exceptions.
-        let g = PartialGather::classify(&b, ColRef::new(TableIdx(0), 0), None, float_lane);
-        assert_eq!(g.lane, vec![2.0, 3.0, 2.4]);
-        assert!(g.exceptions.is_empty());
-        assert_eq!(p.eval_batch(&b), vec![Some(true), Some(false), Some(true)]);
+        // All three rows compare as floats: no exceptions.
+        let want = vec![Some(true), Some(false), Some(true)];
+        assert_eq!(
+            pass(&p, &b, &[true; 3], float_of, |v| *v < 2.5),
+            (want.clone(), 0)
+        );
+        assert_eq!(p.eval_batch(&b), want);
     }
 
     #[test]
@@ -581,17 +605,25 @@ mod tests {
     #[test]
     fn masked_eval_skips_dead_rows() {
         let p = sel(CmpOp::Gt, Value::Int(1));
-        let b = batch(vec![Value::Int(0), Value::Int(2), Value::Int(3)]);
-        let mask = vec![false, true, false];
+        let b = batch(vec![Value::Int(0), Value::Int(2), Value::Null]);
+        let mask = [false, true, false];
+        // Dead rows are neither compared nor scalar-evaluated: the NULL
+        // row, an exception when alive, costs nothing here.
         assert_eq!(
-            p.eval_batch_masked(&b, Some(&mask)),
+            pass(&p, &b, &mask, int_of, |v| *v > 1),
+            (vec![None, Some(true), None], 0)
+        );
+        // Through the public entry, with kernel and without.
+        let masked = |p: &Predicate, kernel: Option<&ConstKernel>| {
+            let mut slots: Vec<(bool, Option<bool>)> = mask.iter().map(|&m| (m, None)).collect();
+            p.eval_slots(kernel, &b, &mut slots, |s| s.0, |s, v| s.1 = v);
+            slots.into_iter().map(|s| s.1).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            masked(&p, p.const_kernel().as_ref()),
             vec![None, Some(true), None]
         );
-        // The gather itself honors the mask: dead rows are not classified.
-        let g = PartialGather::classify(&b, ColRef::new(TableIdx(0), 0), Some(&mask), int_lane);
-        assert_eq!(g.lane, vec![2]);
-        assert_eq!(g.lane_rows, vec![1]);
-        assert!(g.exceptions.is_empty());
+        assert_eq!(masked(&p, None), vec![None, Some(true), None]);
         // Scalar-path predicates honor it too.
         let join = Predicate::join(
             PredId(0),
@@ -599,10 +631,7 @@ mod tests {
             CmpOp::Eq,
             ColRef::new(TableIdx(1), 0),
         );
-        assert_eq!(
-            join.eval_batch_masked(&b, Some(&mask)),
-            vec![None, None, None]
-        );
+        assert_eq!(masked(&join, None), vec![None, None, None]);
     }
 
     #[test]

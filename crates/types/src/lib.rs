@@ -13,8 +13,9 @@
 //!   batched engine path routes as one unit; batch APIs take `&[Tuple]`.
 //! * [`Predicate`] / [`Operand`] — the select-project-join predicate
 //!   language (comparisons and IN-lists), evaluable over partial tuples,
-//!   with column-at-a-time batch kernels over a typed partial gather
-//!   ([`Predicate::eval_batch`], [`ConstKernel`], [`PartialGather`]).
+//!   with column-at-a-time batch kernels that write into caller-owned
+//!   slots ([`Predicate::eval_batch`], [`Predicate::eval_slots`],
+//!   [`ConstKernel`]).
 //! * [`Schema`] — column names and types of a table.
 //!
 //! The terminology follows the paper: a tuple *spans* the set of base tables
@@ -36,7 +37,7 @@ pub use expr::{
     CmpOp, ColRef, ColumnSource, ExprKind, Operand, PredId, PredSet, Predicate, UdfKind, UdfSpec,
     MAX_PREDS,
 };
-pub use kernel::{ConstKernel, PartialGather};
+pub use kernel::ConstKernel;
 pub use key::{HashedKey, KeyHash};
 pub use row::Row;
 pub use schema::{Column, ColumnType, Schema};

@@ -9,8 +9,11 @@
 //! `CmpOp`s, both operand orientations, `Null`s, EOT markers, NaNs, mixed
 //! `Value` types, wrong-span tuples) the batch verdict vector must equal
 //! the per-tuple scalar verdicts exactly — and so must fused conjunction
-//! cascades (`Sm::apply_batch_fused`), which ride the same kernels through
-//! the masked entry point.
+//! cascades (`Sm::apply_batch_fused`), whose later links visit only the
+//! rows still alive. The scratch forms the eddy calls (`Sm::apply_batch_into`,
+//! `Sm::apply_chain_into`) must do the same into one buffer reused, dirty,
+//! across batches of every length: no verdict of an earlier batch may
+//! survive into a later one.
 
 use stems::core::Sm;
 use stems::prelude::*;
@@ -327,6 +330,59 @@ fn fused_conjunctions_match_sequential_scalar_cascade() {
             if want == Some(true) {
                 assert_eq!(got.passed, passed, "case {case} row {i}");
             }
+        }
+    }
+}
+
+/// The scratch forms agree with the scalar loop into *reused* buffers:
+/// one verdict buffer and one fused-verdict buffer, dirtied up front and
+/// carried across random batches whose lengths rise and fall, so a stale
+/// slot from a longer or different earlier batch would show as a wrong
+/// verdict.
+#[test]
+fn reused_dirty_scratch_matches_scalar() {
+    let mut rng = SimRng::new(0xD1B7_5C7A);
+    let mut verdicts: Vec<Option<bool>> = vec![Some(true); 300];
+    let mut fused = Sm::new(gen_pred(&mut rng)).apply_batch_fused(&gen_batch(&mut rng, false), &[]);
+    for case in 0..600 {
+        let n_preds = 1 + rng.below(3) as usize;
+        let preds: Vec<Predicate> = (0..n_preds)
+            .map(|i| {
+                let mut p = gen_pred(&mut rng);
+                p.id = PredId(i as u16);
+                p
+            })
+            .collect();
+        let batch = gen_batch(&mut rng, case % 2 == 0);
+        let sms: Vec<Sm> = preds.iter().cloned().map(Sm::new).collect();
+
+        sms[0].apply_batch_into(&batch, &mut verdicts);
+        let want: Vec<Option<bool>> = batch.iter().map(|t| preds[0].eval(t)).collect();
+        assert_eq!(verdicts, want, "case {case}: {}", preds[0]);
+
+        sms[0].apply_chain_into(&batch, &sms[1..], &mut fused);
+        assert_eq!(fused.len(), batch.len(), "case {case}");
+        for (i, (tuple, got)) in batch.iter().zip(&fused).enumerate() {
+            // The scalar cascade: each predicate in order, stopping at
+            // the first that does not pass.
+            let mut want = Some(true);
+            let mut evaluated = 0;
+            for p in &preds {
+                match p.eval(tuple) {
+                    Some(true) => evaluated += 1,
+                    Some(false) => {
+                        evaluated += 1;
+                        want = Some(false);
+                        break;
+                    }
+                    None => {
+                        want = None;
+                        break;
+                    }
+                }
+            }
+            assert_eq!(got.verdict, want, "case {case} row {i}");
+            assert_eq!(got.evaluated, evaluated, "case {case} row {i}");
         }
     }
 }

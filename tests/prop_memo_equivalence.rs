@@ -5,11 +5,14 @@
 //! four memo×dedup configurations must produce identical verdict vectors,
 //! including for keys that can never be cached (`Null`/`Eot`), keys whose
 //! equality normal form coerces (`Int(5)` vs `Float(5.0)`) and `NaN` keys
-//! (never equal to themselves, so never served from cache). Forced hash
+//! (never equal to themselves, so never served from cache). The scratch
+//! form the eddy calls (`Sm::apply_batch_udf_into`) must agree too, into
+//! one verdict buffer and one `UdfScratch` reused, dirty, across batches of
+//! every length. Forced hash
 //! collisions and a poisoned shard need the cache's test-only seams, so
 //! their tests live beside the cache (`memo.rs`, `sm.rs`).
 
-use stems::core::{MemoCache, Sm};
+use stems::core::{MemoCache, Sm, UdfScratch};
 use stems::prelude::*;
 use stems::sim::SimRng;
 use stems::types::{Tuple, UdfSpec};
@@ -102,4 +105,49 @@ fn dedup_and_memo_actually_save_work() {
     let warm = memoed.apply_batch_udf(&batch, true);
     assert_eq!(warm.computed, 0, "warm memo should serve every key");
     assert_eq!(warm.memo.hits, 5);
+}
+
+/// The scratch form ≡ scalar eval into *reused* buffers: one verdict
+/// buffer and one `UdfScratch` per configuration, dirtied by a longer
+/// batch first and carried across random batches whose lengths rise and
+/// fall — so a stale verdict, keyed row or dedup representative from an
+/// earlier batch would show. It also computes exactly as often as the
+/// owned form, so the cost accounting cannot drift either.
+#[test]
+fn reused_dirty_scratch_matches_scalar_verdicts() {
+    let mut rng = SimRng::new(0x5C7A_7C11);
+    for &ppm in &[0u16, 250, 500, 1000] {
+        let pred = sieve(ppm);
+        let plain = Sm::new(pred.clone());
+        let mut memoed = Sm::new(pred.clone());
+        memoed.set_memo(Some(MemoCache::cell(4, 1 << 16)));
+        let mut twin = Sm::new(pred.clone());
+        twin.set_memo(Some(MemoCache::cell(4, 1 << 16)));
+        let dirt: Vec<Tuple> = (0..200)
+            .map(|i: i64| Tuple::singleton_of(TableIdx(0), vec![Value::Int(i), Value::Int(i % 9)]))
+            .collect();
+        for dedup in [false, true] {
+            let mut verdicts = vec![Some(true); 7];
+            let mut scratch = UdfScratch::default();
+            plain.apply_batch_udf_into(&dirt, dedup, &mut scratch, &mut verdicts);
+            for case in 0..60 {
+                let batch = gen_batch(&mut rng);
+                let want: Vec<Option<bool>> = batch.iter().map(|t| pred.eval(t)).collect();
+                let calls = plain.apply_batch_udf_into(&batch, dedup, &mut scratch, &mut verdicts);
+                assert_eq!(verdicts, want, "ppm {ppm} case {case} dedup {dedup}");
+                let owned = plain.apply_batch_udf(&batch, dedup);
+                assert_eq!(calls.computed, owned.computed, "ppm {ppm} case {case}");
+                // The memoed scratch form against the owned form on a twin
+                // cache that saw the same keys: same verdicts, same calls.
+                let calls = memoed.apply_batch_udf_into(&batch, dedup, &mut scratch, &mut verdicts);
+                assert_eq!(verdicts, want, "ppm {ppm} case {case} dedup {dedup} (memo)");
+                let owned = twin.apply_batch_udf(&batch, dedup);
+                assert_eq!(
+                    (calls.computed, calls.memo),
+                    (owned.computed, owned.memo),
+                    "ppm {ppm} case {case} dedup {dedup}"
+                );
+            }
+        }
+    }
 }
