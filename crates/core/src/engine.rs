@@ -1784,6 +1784,12 @@ impl EddyExecutor {
         self.timed_out
     }
 
+    /// Route with `policy` instead of the configured one.
+    #[cfg(test)]
+    pub(crate) fn set_policy(&mut self, policy: Box<dyn RoutingPolicy>) {
+        self.policy = policy;
+    }
+
     /// Whether instance `t` has a SteM in this plan (`no_stem`-relaxed
     /// instances do not). The server uses this to decide whether an
     /// executor can ever consume global build timestamps: only

@@ -183,6 +183,8 @@ pub mod plan;
 pub mod policy;
 mod report;
 pub mod router;
+#[cfg(test)]
+mod routing_search;
 mod runtime;
 mod server;
 mod sm;
