@@ -1696,16 +1696,22 @@ impl EddyExecutor {
     /// Extra runtime verification of the Table 2 constraints (tests only).
     fn check_choice(&mut self, tuple: &Tuple, state: &TupleState, action: &Action) {
         // BuildFirst: an unbuilt singleton from a build-required table may
-        // only build.
-        if tuple.is_singleton() {
-            let t = tuple.components()[0].table;
-            let unbuilt = tuple.components()[0].ts == stems_types::UNBUILT_TS;
-            if unbuilt
-                && self.layout.build_required[t.as_usize()]
-                && !matches!(action, Action::Build { .. })
-            {
+        // only pass its pending pre-build selections, then build.
+        let unbuilt = tuple.is_singleton() && tuple.timestamp() == stems_types::UNBUILT_TS;
+        let own = tuple.span().iter().next();
+        if let Some(t) = own.filter(|&t| unbuilt && router::build_first(&self.layout, t).is_some())
+        {
+            let mut pending =
+                router::pre_build_selects(&self.modules, &self.layout, &self.query, t)
+                    .filter(|&(p, _)| !state.done.contains(p));
+            let legal = match action {
+                Action::Build { .. } => pending.next().is_none(),
+                Action::Select { pred, .. } => pending.any(|(p, _)| p == *pred),
+                _ => false,
+            };
+            if !legal {
                 self.violations
-                    .push(format!("BuildFirst violated for {tuple}"));
+                    .push(format!("BuildFirst violated for {tuple}: {action:?}"));
             }
         }
         // ProbeCompletion: prior probers only touch their completion table.
@@ -3192,6 +3198,108 @@ mod tests {
                     report.counter("sm_applied"),
                     "{cell}"
                 );
+            }
+        }
+    }
+
+    /// Select before build: a private SteM stores exactly the rows that
+    /// pass its instance's plain selections — and no fewer, because the
+    /// `hash_sieve` selection still runs after the build (before it, it
+    /// would be a BuildFirst violation) — under every policy, at batch 1
+    /// and 64. Folded under the query server, the same query builds every
+    /// row: a shared SteM holds rows for queries that select differently.
+    #[test]
+    fn a_private_stem_stores_only_the_rows_its_selections_pass() {
+        let mut c = Catalog::new();
+        let schema = Schema::of(&[("k", ColumnType::Int), ("a", ColumnType::Int)]);
+        let rows = |n: i64, a: fn(i64) -> i64| -> Vec<Vec<Value>> {
+            (0..n).map(|k| vec![k.into(), a(k).into()]).collect()
+        };
+        let (r_rows, s_rows) = (rows(40, |k| k % 7), rows(7, |k| k * 10));
+        let mut sources = Vec::new();
+        for (name, rows, rate) in [("R", &r_rows, 4000.0), ("S", &s_rows, 1000.0)] {
+            let def = TableDef::new(name, schema.clone()).with_rows(rows.clone());
+            let id = c.add_table(def).unwrap();
+            c.add_scan(id, ScanSpec::with_rate(rate)).unwrap();
+            sources.push(id);
+        }
+        let col = |t, c| ColRef::new(TableIdx(t), c);
+        let plain = [
+            Predicate::selection(PredId(1), col(0, 0), CmpOp::Lt, Value::Int(30)),
+            Predicate::selection(PredId(2), col(0, 1), CmpOp::Ne, Value::Int(3)),
+        ];
+        let sieve = stems_types::UdfSpec::hash_sieve(500, 100);
+        let mut preds = vec![Predicate::join(PredId(0), col(0, 1), CmpOp::Eq, col(1, 0))];
+        preds.extend(plain.iter().cloned());
+        preds.push(Predicate::udf(PredId(3), col(0, 0), sieve));
+        let tables = sources
+            .iter()
+            .zip(["r", "s"])
+            .map(|(&source, alias)| TableInstance {
+                source,
+                alias: alias.into(),
+            })
+            .collect();
+        let q = QuerySpec::new(&c, tables, preds, None).unwrap();
+        let passes = |row: &Vec<Value>| {
+            let t = Tuple::singleton_of(TableIdx(0), row.clone());
+            plain.iter().all(|p| p.eval(&t) == Some(true))
+        };
+        let kept = r_rows.iter().filter(|row| passes(row)).count() as u64;
+        let sieved = r_rows
+            .iter()
+            .filter(|row| passes(row) && sieve.verdict(&row[0]))
+            .count() as u64;
+        assert!(0 < sieved && sieved < kept && kept < r_rows.len() as u64);
+        let want =
+            stems_catalog::reference::canonical(&c, &q, &stems_catalog::reference::execute(&c, &q));
+        let policies = [
+            RoutingPolicyKind::default(),
+            RoutingPolicyKind::Lottery,
+            RoutingPolicyKind::BenefitCost {
+                epsilon: 0.1,
+                drop_rate: 0.0,
+            },
+        ];
+        for batch_size in BATCH_SIZES {
+            for policy in &policies {
+                let cell = format!("batch {batch_size} {policy:?}");
+                let config = ExecConfig {
+                    policy: policy.clone(),
+                    batch_size,
+                    check_constraints: true,
+                    ..ExecConfig::default()
+                };
+                let mut exec = EddyExecutor::build(&c, &q, config.clone()).unwrap();
+                exec.seed_scans(0);
+                while exec.step(&[]) {}
+                assert_eq!(stem_of(&exec, 0).build_count(), kept, "{cell}");
+                assert_eq!(stem_of(&exec, 1).build_count(), 7, "{cell}");
+                let report = exec.finish();
+                assert!(
+                    report.violations.is_empty(),
+                    "{cell}: {:?}",
+                    report.violations
+                );
+                assert_eq!(report.canonical(&c, &q), want, "{cell}");
+
+                let mut server = crate::server::QueryServer::builder(&c)
+                    .config(config)
+                    .fold(true)
+                    .build()
+                    .unwrap();
+                server
+                    .submit(crate::server::Submission::new(q.clone()))
+                    .unwrap();
+                let (mut handles, stats) = server.serve();
+                let folded = handles.remove(0).report.expect("a completed report").report;
+                assert_eq!(stats.shared_builds, 40 + 7, "{cell}: folded");
+                assert!(
+                    folded.violations.is_empty(),
+                    "{cell}: {:?}",
+                    folded.violations
+                );
+                assert_eq!(folded.canonical(&c, &q), want, "{cell}: folded");
             }
         }
     }

@@ -96,9 +96,10 @@ pub struct PlanLayout {
 /// dropping the SteM on single-scan tables altogether. Like the paper's
 /// own implementation (§4.1: "singleton tuples are always first built into
 /// their corresponding SteMs ... this simplifies our implementation"),
-/// every instance that *has* a SteM builds first; `no_stem` realizes the
-/// §3.5 relaxation, and its validity condition is exactly the complement
-/// of Table 2's BuildFirst condition.
+/// every instance that *has* a SteM builds before it probes (after its
+/// own selections without a UDF, where [`crate::router`] allows them);
+/// `no_stem` realizes the §3.5 relaxation, and its validity condition is
+/// exactly the complement of Table 2's BuildFirst condition.
 #[derive(Debug, Clone, Default)]
 pub struct PlanOptions {
     /// The options every SteM of the plan is created with.

@@ -8,6 +8,20 @@
 //! routing policy implementor need not be aware of them at all" — while
 //! BuildFirst / BoundedRepetition / ProbeCompletion live here, so *no*
 //! policy can produce wrong answers.
+//!
+//! BuildFirst is read as "build before any probe": Theorems 1–2 need a
+//! singleton's build to precede its first probe (the TimeStamp rule then
+//! makes the later-built side generate each result), not every other
+//! hop. So an unbuilt singleton is first offered the selections without
+//! a UDF that its own instance can evaluate (`pre_build_selects`), and a
+//! row that fails one dies before it costs a build, a slot or a
+//! timestamp; Build is offered once none is pending. UDF selections keep
+//! their adaptive place after the build. Where a row built after its
+//! table's EOT would be lost or change what a SteM holds (a SteM-less
+//! instance in the plan, Grace deferral, an eviction window), every row
+//! builds first. A folded SteM keeps every row: the server builds each
+//! scanned row into it once, for queries that select differently, and
+//! hands its subscribers the row already built.
 
 use crate::plan::{Module, PlanLayout};
 use crate::server::Registry;
@@ -18,7 +32,9 @@ use stems_types::{PredId, PredSet, TableIdx, TableSet, Tuple, UNBUILT_TS};
 /// One legal routing destination for a tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// Build into the SteM on the tuple's own table (BuildFirst).
+    /// Build into the SteM on the tuple's own table (BuildFirst): before
+    /// any probe; only the instance's own selections without a UDF may
+    /// come first. A folded SteM's rows arrive built.
     Build { mid: usize, table: TableIdx },
     /// Probe the SteM on `table`.
     ProbeStem { mid: usize, table: TableIdx },
@@ -129,6 +145,38 @@ impl RouteKey {
     }
 }
 
+/// The SteM an unbuilt singleton of instance `t` must build into before
+/// it probes anything (BuildFirst); `None` when `t` has none.
+pub(crate) fn build_first(layout: &PlanLayout, t: TableIdx) -> Option<usize> {
+    layout.stem_mid[t.as_usize()].filter(|_| layout.build_required[t.as_usize()])
+}
+
+/// The `(selection, SM)` pairs an unbuilt singleton of instance `t` may
+/// pass before it builds: the selections without a UDF that `t` alone can
+/// evaluate, where a row may build after its table's EOT and lose
+/// nothing. That takes a private SteM that serves late builds
+/// ([`crate::stem::Stem::admits_late_builds`]), and no SteM-less
+/// instance in the plan: its unbuilt probers take an EOT as coverage.
+pub(crate) fn pre_build_selects<'a>(
+    modules: &[Module],
+    layout: &'a PlanLayout,
+    query: &'a QuerySpec,
+    t: TableIdx,
+) -> impl Iterator<Item = (PredId, usize)> + 'a {
+    let stemless = layout.build_required.iter().any(|&b| !b);
+    let own = layout.stem_mid[t.as_usize()].map(|mid| &modules[mid]);
+    let late_builds = matches!(own, Some(Module::Stem(stem)) if stem.admits_late_builds());
+    let sms = if late_builds && !stemless {
+        &layout.sm_mids[..]
+    } else {
+        &[]
+    };
+    sms.iter().copied().filter(move |&(pred, _)| {
+        let p = query.predicate(pred);
+        p.udf_spec().is_none() && p.evaluable_on(TableSet::single(t))
+    })
+}
+
 /// Compute the candidate actions for a tuple, or the reason there are none.
 ///
 /// `edges`: optional restriction of SteM probes to a fixed set of
@@ -163,13 +211,19 @@ pub(crate) fn route(
     let span = key.span;
 
     // BuildFirst (Table 2): an unbuilt singleton from a build-required
-    // table may do nothing else.
+    // table builds before anything else — but for its pending pre-build
+    // selections, which it is offered instead while any remain.
     if let (true, Some(t)) = (key.unbuilt_singleton, span.iter().next()) {
-        if layout.build_required[t.as_usize()] {
-            if let Some(mid) = layout.stem_mid[t.as_usize()] {
-                acts.push(Action::Build { mid, table: t });
-                return Ok(());
+        if let Some(mid) = build_first(layout, t) {
+            for (pred, mid) in pre_build_selects(modules, layout, query, t) {
+                if !key.done.contains(pred) {
+                    acts.push(Action::Select { mid, pred });
+                }
             }
+            if acts.is_empty() {
+                acts.push(Action::Build { mid, table: t });
+            }
+            return Ok(());
         }
     }
 
@@ -410,19 +464,87 @@ mod tests {
         Tuple::singleton_of(TableIdx(0), vec![Value::Int(key), Value::Int(a)])
     }
 
+    /// An unbuilt singleton builds before it probes anything: first its
+    /// own instance's pending selections without a UDF, then Build, and
+    /// nothing else.
     #[test]
     fn unbuilt_singleton_must_build_first() {
         let (c, q) = setup(true);
-        let (m, l) = plan(&c, &q);
-        let acts = candidates(&m, &l, &q, &r_tuple(1, 10), &TupleState::new(), None).unwrap();
-        assert_eq!(acts.len(), 1);
-        assert!(matches!(
-            acts[0],
-            Action::Build {
-                table: TableIdx(0),
-                ..
-            }
+        let sieve = stems_types::UdfSpec::hash_sieve(500, 10);
+        let mut preds = q.predicates.clone();
+        preds.push(Predicate::udf(
+            PredId(2),
+            ColRef::new(TableIdx(0), 1),
+            sieve,
         ));
+        let q = QuerySpec::new(&c, q.tables, preds, None).unwrap();
+        let (m, l) = plan(&c, &q);
+        let (r_stem, s_stem) = (l.stem_mid[0].unwrap(), l.stem_mid[1].unwrap());
+        let sm = l.sm_mids[0].1;
+        let r = r_tuple(1, 10);
+        let build = |mid, t| Ok(vec![Action::Build { mid, table: t }]);
+        let select = Ok(vec![Action::Select {
+            mid: sm,
+            pred: PredId(1),
+        }]);
+        assert_eq!(candidates(&m, &l, &q, &r, &TupleState::new(), None), select);
+        let mut passed = TupleState::new();
+        passed.done.insert(PredId(1));
+        assert_eq!(
+            candidates(&m, &l, &q, &r, &passed, None),
+            build(r_stem, TableIdx(0))
+        );
+        // S has no selection of its own: it builds at once.
+        let s = Tuple::singleton_of(TableIdx(1), vec![Value::Int(10), Value::Int(1)]);
+        assert_eq!(
+            candidates(&m, &l, &q, &s, &TupleState::new(), None),
+            build(s_stem, TableIdx(1))
+        );
+    }
+
+    /// Where a row built after its table's EOT would be lost, every row
+    /// builds first: beside a SteM-less instance, under Grace deferral
+    /// and under an eviction window.
+    #[test]
+    fn every_row_builds_first_where_a_late_build_is_unsafe() {
+        let (c, q) = setup(true);
+        let mut preds = q.predicates.clone();
+        preds.push(Predicate::selection(
+            PredId(2),
+            ColRef::new(TableIdx(1), 1),
+            CmpOp::Gt,
+            Value::Int(0),
+        ));
+        let q = QuerySpec::new(&c, q.tables, preds, None).unwrap();
+        let s = Tuple::singleton_of(TableIdx(1), vec![Value::Int(10), Value::Int(1)]);
+        let kinds = |opts: &PlanOptions, t: &Tuple| {
+            let (m, l) = instantiate(&c, &q, opts).unwrap();
+            let acts = candidates(&m, &l, &q, t, &TupleState::new(), None).unwrap();
+            acts.iter().map(Action::kind).collect::<Vec<_>>()
+        };
+        let stems = |default_stem| PlanOptions {
+            default_stem,
+            ..PlanOptions::default()
+        };
+        let grace = stems(crate::stem::StemOptions {
+            deferred_bounce: true,
+            ..Default::default()
+        });
+        let window = stems(crate::stem::StemOptions {
+            eviction_window: Some(4),
+            ..Default::default()
+        });
+        let stemless_r = PlanOptions {
+            no_stem: TableSet::single(TableIdx(0)),
+            ..PlanOptions::default()
+        };
+        assert_eq!(kinds(&PlanOptions::default(), &s), ["select"]);
+        assert_eq!(kinds(&PlanOptions::default(), &r_tuple(1, 10)), ["select"]);
+        for opts in [&grace, &window] {
+            assert_eq!(kinds(opts, &s), ["build"], "{opts:?}");
+            assert_eq!(kinds(opts, &r_tuple(1, 10)), ["build"], "{opts:?}");
+        }
+        assert_eq!(kinds(&stemless_r, &s), ["build"]);
     }
 
     #[test]
@@ -688,6 +810,11 @@ mod tests {
             st.mark_am_probed(TableIdx(1));
             st
         };
+        let selected = {
+            let mut st = TupleState::new();
+            st.done.insert(PredId(1));
+            st
+        };
         let retired = {
             let mut st = TupleState::new();
             st.done.insert(PredId(1));
@@ -715,11 +842,20 @@ mod tests {
 
         let cases = [
             Case {
-                name: "unbuilt singleton must build first",
+                name: "unbuilt singleton selects first",
                 plan: &indexed,
                 query: &indexed_q,
                 tuple: r_tuple(),
                 state: TupleState::new(),
+                probe_edges: None,
+                expect: Ok(vec!["select"]),
+            },
+            Case {
+                name: "unbuilt singleton past its selections builds",
+                plan: &indexed,
+                query: &indexed_q,
+                tuple: r_tuple(),
+                state: selected.clone(),
                 probe_edges: None,
                 expect: Ok(vec!["build"]),
             },

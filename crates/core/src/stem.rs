@@ -372,7 +372,9 @@ impl Stem {
     /// regrowing it; a SteM nothing is built into, such as a private SteM
     /// the query server folds away, reserves nothing. Called by the plan
     /// and the query server for a scan-fed SteM; one fed by index lookups
-    /// alone, which deliver an unknown subset, grows as it goes. The
+    /// alone, which deliver an unknown subset, grows as it goes. A private
+    /// SteM whose rows pass their instance's selections before they build
+    /// ([`crate::router`]) still reserves for every scanned row. The
     /// counts are capacity hints: no routing decision, result, virtual
     /// time or byte count reads them.
     pub fn expect_scan_rows(&mut self, rows: usize, keys: impl Fn(usize) -> usize) {
@@ -423,6 +425,14 @@ impl Stem {
     /// Has the full relation arrived (scan EOT)?
     pub(crate) fn scan_complete(&self) -> bool {
         self.eot.scan_complete()
+    }
+
+    /// Whether a row that builds after its table's EOT is served like any
+    /// other: not under Grace deferral (the EOT releases the withheld
+    /// bounce-backs once) nor under an eviction window (which rows it
+    /// holds is part of the query).
+    pub(crate) fn admits_late_builds(&self) -> bool {
+        !self.deferred_bounce && self.window.is_none()
     }
 
     /// The SteM's change counter: any build, EOT or scan completion bumps

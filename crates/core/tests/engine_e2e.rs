@@ -810,8 +810,10 @@ fn metric_names_and_counters_are_pinned() {
     ];
     // Batching changes how many envelopes carry the tuples and how many
     // hybrid probes bounce before the scan catches up, nothing else here.
+    // The chain's 8 filtered rows die in their selection before they
+    // build.
     for (batch_size, chain_batches, hybrid_batches, bounced, probes) in
-        [(1, 1483, 387, 85, 125), (64, 963, 369, 92, 132)]
+        [(1, 1475, 387, 85, 125), (64, 947, 369, 92, 132)]
     {
         let run = |(c, q): (Catalog, QuerySpec)| {
             let config = ExecConfig {
