@@ -20,9 +20,10 @@
 //! * [`feasible`] — the bind-field feasibility check of §2.2 step 1 ("we
 //!   use the algorithm from Nail!"): can every table be reached given scans
 //!   and index binding patterns?
-//! * [`mod@reference`] — an oracle executor (nested loops over materialized
-//!   data) producing the exact correct result multiset; every correctness
-//!   test compares the eddy's output against it.
+//! * [`mod@reference`] — an oracle executor producing the exact correct
+//!   result multiset; every correctness test compares the eddy's output
+//!   against it. It shares no key normal form with the engine, and every
+//!   predicate is tested on every tuple it returns.
 
 mod access;
 mod cat;

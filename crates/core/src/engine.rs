@@ -2876,7 +2876,7 @@ mod tests {
                 fused.canonical(&catalog, &query),
                 unfused.canonical(&catalog, &query)
             );
-            // And both must match the reference nested-loop executor.
+            // And both must match the reference executor.
             let expected = stems_catalog::reference::canonical(
                 &catalog,
                 &query,

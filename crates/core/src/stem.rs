@@ -1095,18 +1095,19 @@ pub(crate) fn eot_bindings(row: &Row) -> Option<Vec<(usize, Value)>> {
 }
 
 /// Build the EOT row for an index probe answering `bindings` over a table
-/// of the given arity.
+/// of the given arity. It is an EOT even when `bindings` covers every
+/// column.
 pub(crate) fn make_eot_row(arity: usize, bindings: &[(usize, Value)]) -> Arc<Row> {
     let mut vals = vec![Value::Eot; arity];
     for (c, v) in bindings {
         vals[*c] = v.clone();
     }
-    Row::shared(vals)
+    Arc::new(Row::new_eot(vals))
 }
 
 /// The full-relation EOT row a scan emits when exhausted.
 pub(crate) fn make_scan_eot_row(arity: usize) -> Arc<Row> {
-    Row::shared(vec![Value::Eot; arity])
+    Arc::new(Row::new_eot(vec![Value::Eot; arity]))
 }
 
 /// Test-only scalar forms — an envelope of one through the one build path
@@ -1402,9 +1403,11 @@ mod tests {
         );
     }
 
-    /// An EOT row knows it is one from the moment it is made: the flag
-    /// `Row::new` sets agrees with a scan of the values, for the scan's
-    /// full-relation EOT and an index probe's keyed one alike.
+    /// An EOT row knows it is one from the moment it is made, for the
+    /// scan's full-relation EOT and an index probe's keyed one alike —
+    /// also when the probe bound every column, so that no cell holds the
+    /// marker: a scan of the values would take that row for data, and the
+    /// SteM would build it as a data row.
     #[test]
     fn eot_rows_carry_the_flag_a_scan_would_find() {
         let scanned = |row: &Row| row.values().iter().any(Value::is_eot);
@@ -1412,13 +1415,22 @@ mod tests {
             make_scan_eot_row(3),
             make_eot_row(2, &[(0, Value::Int(10))]),
             make_eot_row(3, &[(0, Value::Int(1)), (2, Value::str("k"))]),
-            // An EOT over every column is bound everywhere: no EOT value.
-            make_eot_row(1, &[(0, Value::Int(7))]),
         ];
         for row in &rows {
-            assert_eq!(row.is_eot(), scanned(row), "{row:?}");
+            assert!(row.is_eot() && scanned(row), "{row:?}");
         }
-        assert!(rows[..3].iter().all(|r| r.is_eot()));
+        let bound_everywhere = make_eot_row(1, &[(0, Value::Int(7))]);
+        assert!(bound_everywhere.is_eot() && !scanned(&bound_everywhere));
+        assert_eq!(
+            eot_bindings(&bound_everywhere),
+            Some(vec![(0, Value::Int(7))])
+        );
+        let mut stem = s_stem(false, true);
+        build_eot_row(
+            &mut stem,
+            make_eot_row(2, &[(0, Value::Int(7)), (1, Value::Int(8))]),
+        );
+        assert_eq!((stem.len(), stem.eot.version()), (0, 1));
     }
 
     #[test]

@@ -12,9 +12,10 @@ use stems_types::{HashedKey, Row, Value};
 ///
 /// Returns `None` for values that can never satisfy an SQL equality
 /// predicate (`NULL`, the EOT marker) — such rows are stored but excluded
-/// from secondary indexes. Integral floats normalize to `Int` so that
-/// `R.a = S.x` with mixed `Int`/`Float` columns still finds every match an
-/// index-free scan would (index lookups must be *complete* w.r.t.
+/// from secondary indexes. Numbers [`Value::sql_eq`] finds equal share a
+/// normal form, so `R.a = S.x` with mixed `Int`/`Float` columns still
+/// finds every match an index-free scan would (index lookups must be
+/// *complete* w.r.t.
 /// [`Value::sql_eq`]; candidate rows are always re-verified by the caller).
 ///
 /// Thin wrapper over [`Value::equality_key`] — the normal form whose
@@ -25,15 +26,12 @@ pub fn index_key(v: &Value) -> Option<Value> {
 
 /// Does the stored value `v` normalize to the equality key `key`? The
 /// per-candidate test of every lookup — `index_key(v) == Some(key)` —
-/// without building the normal form of the values that are their own
-/// (everything but a float, NULL and EOT), so verifying a `Str` column
-/// bumps no reference count.
+/// through [`Value::has_equality_key`], which builds no normal form for a
+/// value that is its own, so verifying a `Str` column bumps no reference
+/// count.
 #[inline]
 pub(crate) fn key_matches(v: &Value, key: &Value) -> bool {
-    match v {
-        Value::Float(_) | Value::Null | Value::Eot => index_key(v).is_some_and(|k| k == *key),
-        own_normal_form => own_normal_form == key,
-    }
+    v.has_equality_key(key)
 }
 
 /// The fixed term of [`Store::approx_bytes`] while the store keeps no
@@ -567,6 +565,9 @@ mod tests {
             Value::Float(5.5),
             Value::Float(f64::NAN),
             Value::Float(1.0e16), // integral, but past the Int normal form
+            Value::Int(10_000_000_000_000_000), // keys as its f64 image, 1e16
+            Value::Int((1 << 53) + 1), // sql_eq to Float(2^53)
+            Value::Float((1u64 << 53) as f64),
             Value::str("5"),
             Value::Bool(true),
         ];

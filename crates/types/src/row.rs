@@ -19,9 +19,11 @@ const HEADER_BYTES: usize = 16;
 /// same tuples in memory" (§2.1.4).
 ///
 /// Whether the row is an EOT tuple, and what it weighs in the memory
-/// accounting, are decided once, by [`Row::new`]: the values never change,
-/// so neither do the answers. Equality and hashing are over the values
-/// alone — the flag and the weight are functions of them.
+/// accounting, are decided once, when it is made: the values never change,
+/// so neither do the answers. A data row ([`Row::new`]) is an EOT iff a
+/// cell holds the marker; an EOT row is made as one ([`Row::new_eot`]),
+/// even when every column is bound and no cell says so. Equality and
+/// hashing are over the values alone.
 #[derive(Clone)]
 pub struct Row {
     values: Box<[Value]>,
@@ -58,6 +60,17 @@ impl Row {
         }
     }
 
+    /// Build an End-Of-Transmission row (paper §2.1.3): the binding values
+    /// in the bound columns, [`Value::Eot`] in the rest. It is an EOT
+    /// whatever the cells hold — an index probe bound on every column
+    /// answers with no `Eot` cell at all.
+    pub fn new_eot(values: Vec<Value>) -> Row {
+        Row {
+            eot: true,
+            ..Row::new(values)
+        }
+    }
+
     /// Shared row, ready to be used as a tuple component.
     pub fn shared(values: Vec<Value>) -> Arc<Row> {
         Arc::new(Row::new(values))
@@ -73,9 +86,10 @@ impl Row {
         self.values.get(idx)
     }
 
-    /// True if any field carries the EOT marker — i.e. this row encodes an
-    /// End-Of-Transmission tuple (paper §2.1.3). Read off the flag
-    /// [`Row::new`] set, not a scan of the values.
+    /// True if this row encodes an End-Of-Transmission tuple (paper
+    /// §2.1.3): it was made by [`Row::new_eot`], or a field carries the
+    /// EOT marker. Read off the flag set at construction, not a scan of
+    /// the values.
     #[inline]
     pub fn is_eot(&self) -> bool {
         self.eot
@@ -129,7 +143,7 @@ mod tests {
         assert!(eot.is_eot());
     }
 
-    /// The flag is the scan it replaces, and equality and hashing never
+    /// The flag `Row::new` sets is the scan it replaces, and equality and hashing never
     /// see it: a row hashes exactly as its values do.
     #[test]
     fn eot_flag_is_a_function_of_the_values() {
@@ -156,6 +170,26 @@ mod tests {
         }
         // Different values, different flags: unequal, as the values are.
         assert_ne!(Row::new(vec![Value::Eot]), Row::new(vec![Value::Null]));
+    }
+
+    /// An EOT row is one however many of its columns are bound, and it
+    /// weighs and hashes as a data row of the same values would.
+    #[test]
+    fn eot_rows_are_eots_when_every_column_is_bound() {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        for values in [
+            vec![Value::Eot, Value::Eot],
+            vec![Value::Int(7), Value::Eot],
+            vec![Value::Int(7)],
+            vec![Value::str("k"), Value::Float(0.5)],
+        ] {
+            let (eot, data) = (Row::new_eot(values.clone()), Row::new(values.clone()));
+            assert!(eot.is_eot(), "{eot:?}");
+            assert_eq!(data.is_eot(), values.iter().any(Value::is_eot));
+            assert_eq!(eot.approx_bytes(), data.approx_bytes());
+            assert_eq!(hasher.hash_one(&eot), hasher.hash_one(&data));
+        }
     }
 
     /// The weight `Row::new` stores is the header plus every value's.

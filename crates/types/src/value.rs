@@ -13,6 +13,25 @@ use std::sync::Arc;
 const VALUE_BYTES: usize = 24;
 const ARC_HEADER_BYTES: usize = 16;
 
+/// 2^53: every integer of smaller magnitude is exact as an `f64`, and no
+/// two of them share an `f64` image. [`Value::sql_eq`] compares an `Int`
+/// with a `Float` through `as f64`, so past this bound an `Int` can equal
+/// a `Float` of another integer value, and the equality normal form keys
+/// such numbers by their `f64` image.
+const EXACT_INT: u64 = 1 << 53;
+
+/// Does the `Int` `i` key as itself (magnitude below 2^53)?
+#[inline]
+fn exact_int(i: i64) -> bool {
+    i.unsigned_abs() < EXACT_INT
+}
+
+/// Does the `Float` `f` key as an `Int` (integral, magnitude below 2^53)?
+#[inline]
+fn exact_integral(f: f64) -> bool {
+    f.fract() == 0.0 && f.abs() < EXACT_INT as f64
+}
+
 /// A scalar value stored in a row.
 ///
 /// `Value` is the unit of data the whole system moves around. Two variants
@@ -120,18 +139,41 @@ impl Value {
     /// Normalize this value for use as an equality-dictionary key.
     ///
     /// Returns `None` for values that can never satisfy an SQL equality
-    /// predicate (`NULL`, the EOT marker). Integral floats normalize to
-    /// `Int` so that mixed `Int`/`Float` columns still find every match a
-    /// scan-filter would under [`Value::sql_eq`]. This is the single
-    /// source of truth for key normalization: `index_key` in
-    /// `stems-storage` delegates here, and [`Value::stable_key_hash`]
-    /// hashes exactly this normal form — the consistency invariant the
-    /// hash-once probe pipeline (shard router → hash index) depends on.
+    /// predicate (`NULL`, the EOT marker). Any two values [`Value::sql_eq`]
+    /// finds equal normalize to one key, so an index on the normal form
+    /// finds every match a scan-filter would: an `Int` of magnitude below
+    /// 2^53 keys as itself, and so does an integral `Float` of that range;
+    /// every other number keys as its `f64` image. Distinct values can
+    /// share a key past 2^53 (`sql_eq` is not transitive there), so a
+    /// lookup's candidates are re-verified. This is the single source of
+    /// truth for key normalization: `index_key` in `stems-storage`
+    /// delegates here, [`Value::has_equality_key`] tests it and
+    /// [`Value::stable_key_hash`] hashes exactly this normal form — the
+    /// consistency invariant the hash-once probe pipeline (shard router →
+    /// hash index) depends on.
     pub fn equality_key(&self) -> Option<Value> {
         match self {
             Value::Null | Value::Eot => None,
-            Value::Float(f) if f.fract() == 0.0 && f.abs() < 9.0e15 => Some(Value::Int(*f as i64)),
+            Value::Int(i) if !exact_int(*i) => Some(Value::Float(*i as f64)),
+            Value::Float(f) if exact_integral(*f) => Some(Value::Int(*f as i64)),
             other => Some(other.clone()),
+        }
+    }
+
+    /// Does this value normalize to the equality key `key`? The test
+    /// `self.equality_key() == Some(key)`, without building the normal
+    /// form, so testing a `Str` bumps no reference count.
+    #[inline]
+    pub fn has_equality_key(&self, key: &Value) -> bool {
+        match (self, key) {
+            (Value::Null | Value::Eot, _) => false,
+            (Value::Int(i), _) if !exact_int(*i) => {
+                matches!(key, Value::Float(k) if k.to_bits() == (*i as f64).to_bits())
+            }
+            (Value::Float(f), _) if exact_integral(*f) => {
+                matches!(key, Value::Int(k) if *k == *f as i64)
+            }
+            (own, key) => own == key,
         }
     }
 
@@ -155,10 +197,9 @@ impl Value {
         }
         match self {
             Value::Null | Value::Eot => None,
-            // Integral floats normalize to Int, exactly like `index_key`.
-            Value::Float(f) if f.fract() == 0.0 && f.abs() < 9.0e15 => {
-                Value::Int(*f as i64).stable_key_hash()
-            }
+            // Numbers hash as their normal form, exactly like `equality_key`.
+            Value::Int(i) if !exact_int(*i) => Value::Float(*i as f64).stable_key_hash(),
+            Value::Float(f) if exact_integral(*f) => Value::Int(*f as i64).stable_key_hash(),
             Value::Bool(b) => Some(mix(mix(0, 1), *b as u64)),
             Value::Int(i) => Some(mix(mix(0, 2), *i as u64)),
             Value::Float(f) => Some(mix(mix(0, 3), f.to_bits())),
@@ -431,6 +472,83 @@ mod tests {
             .map(|i| Value::Int(i).stable_key_hash().unwrap() % 4)
             .collect();
         assert_eq!(shards.len(), 4, "small ints must hit every shard");
+    }
+
+    /// Every pair of values `sql_eq` finds equal shares a normal form and a
+    /// hash, across `Int`/`Float` and past 2^53, and a value's normal form
+    /// is what `has_equality_key` recognises.
+    #[test]
+    fn equality_key_is_complete_for_sql_eq() {
+        let p53 = 1i64 << 53;
+        let mut pool = vec![Value::Null, Value::Eot, Value::str("5"), Value::Bool(true)];
+        pool.extend([0.0, -0.0, 0.5, 5.0, 9.0e15, 1e16, -1e16, f64::NAN].map(Value::Float));
+        for i in [
+            0,
+            5,
+            p53 - 1,
+            p53,
+            p53 + 1,
+            -p53 - 1,
+            10_000_000_000_000_000,
+            i64::MIN,
+        ] {
+            pool.extend([Value::Int(i), Value::Float(i as f64)]);
+        }
+        for a in &pool {
+            for b in &pool {
+                if a.sql_eq(b) {
+                    assert_eq!(a.equality_key(), b.equality_key(), "{a:?} = {b:?}");
+                    assert_eq!(a.stable_key_hash(), b.stable_key_hash(), "{a:?} = {b:?}");
+                }
+                if let Some(key) = b.equality_key() {
+                    assert_eq!(a.has_equality_key(&key), a.equality_key() == Some(key));
+                }
+            }
+            let key = a.equality_key();
+            assert_eq!(
+                a.stable_key_hash(),
+                key.as_ref().and_then(Value::stable_key_hash)
+            );
+            assert_eq!(
+                key.as_ref().and_then(Value::equality_key),
+                key,
+                "idempotent"
+            );
+        }
+        assert!(Value::Int(10_000_000_000_000_000).sql_eq(&Value::Float(1e16)));
+        assert!(Value::Int(p53 + 1).sql_eq(&Value::Float(p53 as f64)));
+    }
+
+    /// Below 9.0e15 the normal form and its hash are the ones the Grace
+    /// partitions, the memo keys and the recorded paper results were made
+    /// with: an integral `Float` keys as its `Int`, anything else as
+    /// itself.
+    #[test]
+    fn equality_key_is_unchanged_below_9e15() {
+        let old_key = |v: &Value| match v {
+            Value::Null | Value::Eot => None,
+            Value::Float(f) if f.fract() == 0.0 && f.abs() < 9.0e15 => Some(Value::Int(*f as i64)),
+            other => Some(other.clone()),
+        };
+        for i in [0, 1, -1, 42, 1 << 40, 8_999_999_999_999_999] {
+            for v in [Value::Int(i), Value::Int(-i), Value::Float(i as f64)] {
+                assert_eq!(v.equality_key(), old_key(&v), "{v:?}");
+            }
+        }
+        for v in [0.5, -0.0, 1e15 + 0.5, f64::NAN, 8.99e15].map(Value::Float) {
+            assert_eq!(v.equality_key(), old_key(&v), "{v:?}");
+        }
+        // The hashes are pinned: a change here reshuffles every partition.
+        let pinned = [
+            (Value::Int(5), 0x2614_8eb7_1a41_6225),
+            (Value::Float(5.0), 0x2614_8eb7_1a41_6225),
+            (Value::Int(-7), 0x36f1_edda_977a_88b1),
+            (Value::Float(0.5), 0xe9b0_3dca_d77b_42d6),
+            (Value::Int(8_999_999_999_999_999), 0x40a8_ccf6_4097_f387),
+        ];
+        for (v, hash) in pinned {
+            assert_eq!(v.stable_key_hash(), Some(hash), "{v:?}");
+        }
     }
 
     #[test]

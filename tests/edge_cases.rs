@@ -64,6 +64,73 @@ fn kv_table(name: &str, rows: Vec<(i64, i64)>) -> TableDef {
     )
 }
 
+/// `SELECT * FROM R, S WHERE R.k = S.f` over R(k Int) = [k], scanned,
+/// and S(f Float) = [f]: scanned, so the join runs in S's SteM, or
+/// (`index_only`) reached only through an index on f, bound from R.k.
+fn int_float_join(k: i64, f: f64, index_only: bool) -> (Catalog, QuerySpec) {
+    let mut c = Catalog::new();
+    let table = |name: &str, ty, v: Value| {
+        TableDef::new(name, Schema::of(&[("k", ty)])).with_rows(vec![vec![v]])
+    };
+    let r = c
+        .add_table(table("R", ColumnType::Int, Value::Int(k)))
+        .unwrap();
+    let s = c
+        .add_table(table("S", ColumnType::Float, Value::Float(f)))
+        .unwrap();
+    c.add_scan(r, ScanSpec::default()).unwrap();
+    if index_only {
+        c.add_index(s, IndexSpec::new(vec![0], 10_000)).unwrap();
+    } else {
+        c.add_scan(s, ScanSpec::default()).unwrap();
+    }
+    let instances = [(r, "r"), (s, "s")].map(|(source, alias)| TableInstance {
+        source,
+        alias: alias.into(),
+    });
+    let join = Predicate::join(
+        PredId(0),
+        ColRef::new(TableIdx(0), 0),
+        CmpOp::Eq,
+        ColRef::new(TableIdx(1), 0),
+    );
+    let q = QuerySpec::new(&c, instances.into(), vec![join], None).unwrap();
+    (c, q)
+}
+
+/// The one row `R.k = S.f` keeps in [`int_float_join`], by the reference
+/// executor and by the engine at every batch size, over both paths.
+fn assert_int_float_join_keeps_one_row(k: i64, f: f64) {
+    let want = vec![vec![Value::Int(k), Value::Float(f)]];
+    for index_only in [false, true] {
+        let (c, q) = int_float_join(k, f, index_only);
+        let expected = reference::canonical(&c, &q, &reference::execute(&c, &q));
+        assert_eq!(expected, want, "reference, index only {index_only}");
+        for report in verify(&c, &q, checked()) {
+            assert_eq!(report.canonical(&c, &q), want, "index only {index_only}");
+        }
+    }
+}
+
+/// An index probe bound on every column of S answers with an EOT row that
+/// holds no EOT cell, `(5)`. It is still an EOT: the SteM must not build it
+/// as a data row, which would join R's 5 a second time, with the probe's
+/// `Int` in S's `Float` column.
+#[test]
+fn keyed_eot_over_a_fully_bound_table_is_no_data_row() {
+    assert_int_float_join_keeps_one_row(5, 5.0);
+}
+
+/// `sql_eq` compares an `Int` with a `Float` through `as f64`, also past
+/// 2^53 where the SteM index's normal form once stopped folding them
+/// together: 10^16 = 1e16, and 2^53 + 1 = 2^53 as an `f64`.
+#[test]
+fn int_and_float_keys_past_2_53_join_as_sql_eq_says() {
+    let p53 = 1i64 << 53;
+    assert_int_float_join_keeps_one_row(10_000_000_000_000_000, 1e16);
+    assert_int_float_join_keeps_one_row(p53 + 1, p53 as f64);
+}
+
 /// Chain where BOTH downstream tables are index-only: S is reached by
 /// binding from R, T by binding from S — the asynchronous fetch cascade
 /// (every T lookup depends on an S row that itself arrived via a lookup).

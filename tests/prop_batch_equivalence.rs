@@ -7,7 +7,7 @@
 //! policies and store backends, running the same query at batch sizes
 //! {1, 64, 256} must emit exactly the same result multiset, produce zero
 //! constraint violations under `check_constraints: true`, and agree with
-//! the reference nested-loop executor.
+//! the reference executor (`stems_catalog::reference`).
 //!
 //! Scan ingestion is chunked too (`ScanSpec::chunk`): randomized cases
 //! also vary the chunk size over {1, 7, 64, 256}, and a dedicated suite

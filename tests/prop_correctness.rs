@@ -6,7 +6,8 @@
 //! baked into the engine, so the property we can actually test is: for
 //! randomized schemas, data, join topologies, access-method mixes, store
 //! backends, policies and seeds, the eddy's output equals the reference
-//! nested-loop executor's — no duplicates, no misses, and the run
+//! executor's (`stems_catalog::reference`, which shares no key normal form
+//! with the engine) — no duplicates, no misses, and the run
 //! terminates (no livelock, checked by the engine's event guard).
 //!
 //! Cases are generated by the workspace's own seeded [`SimRng`], keeping
